@@ -19,7 +19,7 @@ import heapq
 from fractions import Fraction
 from typing import Callable, Union
 
-from mpmath import iv, mp
+from mpmath import iv
 from mpmath.libmp import finf, fninf, to_rational
 
 __all__ = [
@@ -532,52 +532,6 @@ def certified_integral(f, a: Fraction, b: Fraction, target: Fraction,
                            "%d panels" % (target, max_panels))
     out = BoundedValue.exact(0)
     for _, _, _, _, contrib in heap:
-        out = out + contrib
-    return out.rounded(prec)
-
-
-def certified_integral_2d(f, box, target: Fraction, max_cells: int = 200000,
-                          prec: int = DEFAULT_PREC) -> BoundedValue:
-    """Enclose a double integral over an axis-aligned box by quadtree bisection.
-
-    ``box`` is ((x_lo, x_hi), (y_lo, y_hi)) with Fraction entries; ``f`` maps a
-    pair of BoundedValue intervals to a range enclosure.
-    """
-    (xa, xb), (ya, yb) = box
-    xa, xb, ya, yb = map(Fraction, (xa, xb, ya, yb))
-
-    counter = 0
-    heap = []
-
-    def push(x0, x1, y0, y1):
-        nonlocal counter
-        bx = BoundedValue.from_endpoints(x0, x1, prec)
-        by = BoundedValue.from_endpoints(y0, y1, prec)
-        val = f(bx, by)
-        contrib = val.scale((x1 - x0) * (y1 - y0), prec)
-        counter += 1
-        heapq.heappush(heap, (-contrib.radius.to_fraction(), counter,
-                              (x0, x1, y0, y1), contrib))
-        return contrib
-
-    first = push(xa, xb, ya, yb)
-    total_r = first.radius.to_fraction()
-    target = Fraction(target)
-    cells = 1
-    while total_r > target and cells < max_cells:
-        _, _, (x0, x1, y0, y1), contrib = heapq.heappop(heap)
-        total_r -= contrib.radius.to_fraction()
-        xm = Fraction(x0 + x1, 2)
-        ym = Fraction(y0 + y1, 2)
-        for q in (push(x0, xm, y0, ym), push(xm, x1, y0, ym),
-                  push(x0, xm, ym, y1), push(xm, x1, ym, y1)):
-            total_r += q.radius.to_fraction()
-        cells += 3
-    if total_r > target:
-        raise RuntimeError("2d quadrature did not meet target radius %s within "
-                           "%d cells" % (target, max_cells))
-    out = BoundedValue.exact(0)
-    for _, _, _, contrib in heap:
         out = out + contrib
     return out.rounded(prec)
 

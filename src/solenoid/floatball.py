@@ -18,16 +18,17 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = ["FloatBall", "BallGrid", "fb_exp", "fb_log", "fb_sincos",
-           "fb_sqrt", "fb_pow", "FB_PI", "FB_LN2"]
+           "fb_sqrt", "fb_pow", "FB_PI", "FB_LN2", "EPS", "TINY"]
 
-_EPS = 2.0 ** -52          # one ulp at magnitude 1
-_TINY = 5e-308             # absorbs subnormal rounding
+# the rounding constants of every module in the package
+EPS = 2.0 ** -52           # one ulp at magnitude 1
+TINY = 5e-308              # absorbs subnormal rounding
 _INFL = 1.0 + 2.0 ** -45   # generic relative inflation for radius formulas
 
 
 def _bump(c: float, r: float) -> float:
     """Outward-correct a radius computed in rounded float arithmetic."""
-    return (r + abs(c) * _EPS + _TINY) * _INFL
+    return (r + abs(c) * EPS + TINY) * _INFL
 
 
 class FloatBall:
@@ -51,7 +52,7 @@ class FloatBall:
         f = Fraction(x)
         c = f.numerator / f.denominator  # correctly rounded
         err = abs(f - Fraction(c))
-        return FloatBall(c, float(err) * (1.0 + _EPS) + (_TINY if err else 0.0))
+        return FloatBall(c, float(err) * (1.0 + EPS) + (TINY if err else 0.0))
 
     @staticmethod
     def from_endpoints(lo: float, hi: float) -> "FloatBall":
@@ -65,7 +66,7 @@ class FloatBall:
         c = (lo.numerator / lo.denominator + hi.numerator / hi.denominator) * 0.5
         rlo = abs(Fraction(c) - lo)
         rhi = abs(hi - Fraction(c))
-        return FloatBall(c, float(max(rlo, rhi)) * (1.0 + 2 * _EPS) + _TINY)
+        return FloatBall(c, float(max(rlo, rhi)) * (1.0 + 2 * EPS) + TINY)
 
     def to_bounded(self):
         from .approxcore import BoundedValue
@@ -200,7 +201,7 @@ def _exp_point(x: float) -> FloatBall:
         acc = acc + term
     # remainder: |red|^14/14! * e^{|red|} <= |red|^14/14! * 1.5
     m = red.mag()
-    rem = (m ** 14) / math.factorial(14) * 1.5 * _INFL + _TINY
+    rem = (m ** 14) / math.factorial(14) * 1.5 * _INFL + TINY
     acc = acc.widened(rem)
     return acc * FloatBall(math.ldexp(1.0, n))
 
@@ -237,7 +238,7 @@ def _sincos_point(x: float) -> tuple:
         else:
             c = c + term
     m = red.mag()
-    rem = (m ** 14) / math.factorial(14) * _INFL + _TINY
+    rem = (m ** 14) / math.factorial(14) * _INFL + TINY
     s = s.widened(rem)
     c = c.widened(rem)
     q = n % 4
@@ -283,7 +284,7 @@ def fb_log(x: FloatBall) -> FloatBall:
         p = p * s2
     # geometric remainder: |s|^(2K+1)/(2K+1) / (1 - s^2)
     sm = s.mag()
-    rem = (sm ** 29) / 29.0 / max(1.0 - sm * sm, 0.5) * _INFL + _TINY
+    rem = (sm ** 29) / 29.0 / max(1.0 - sm * sm, 0.5) * _INFL + TINY
     out = acc.widened(rem) * 2.0 + FB_LN2 * e
     if x.r:
         # |log(a)-log(b)| <= |a-b| / min(a,b)
@@ -296,8 +297,8 @@ def fb_sqrt(x: FloatBall) -> FloatBall:
     if hi < 0.0:
         raise ValueError("sqrt of negative ball")
     lo = max(x.c - x.r, 0.0)
-    shi = math.sqrt(hi) * (1.0 + _EPS) + _TINY
-    slo = math.sqrt(lo) * (1.0 - _EPS)
+    shi = math.sqrt(hi) * (1.0 + EPS) + TINY
+    slo = math.sqrt(lo) * (1.0 - EPS)
     return FloatBall.from_endpoints(max(slo, 0.0), shi)
 
 
@@ -315,7 +316,7 @@ def fb_pow(x: FloatBall, q: Fraction) -> FloatBall:
     if q == Fraction(1, 2):
         return fb_sqrt(x)
     if not (x.c - x.r) > 0.0:
-        if x.c - x.r >= -_TINY and q > 0:
+        if x.c - x.r >= -TINY and q > 0:
             hi = fb_pow(FloatBall(x.c + x.r), q).upper()
             return FloatBall.from_endpoints(0.0, max(hi, 0.0))
         raise ValueError("power of ball touching zero")
@@ -351,7 +352,7 @@ class BallGrid:
         return BallGrid(self.c.copy(), self.r.copy())
 
     def _bump(self, c, r):
-        return (r + np.abs(c) * _EPS + _TINY) * _INFL
+        return (r + np.abs(c) * EPS + TINY) * _INFL
 
     def __add__(self, o: "BallGrid") -> "BallGrid":
         c = self.c + o.c
@@ -373,9 +374,6 @@ class BallGrid:
         r = (np.abs(self.c) * b.r + abs(b.c) * self.r + self.r * b.r) * _INFL
         return BallGrid(c, self._bump(c, r))
 
-    def scale_grid(self, factors: "BallGrid") -> "BallGrid":
-        return self * factors
-
     def widened(self, extra) -> "BallGrid":
         return BallGrid(self.c, self._bump(self.c, self.r + np.abs(extra)))
 
@@ -396,7 +394,7 @@ class BallGrid:
     def sumsq_upper(self) -> float:
         """Upper bound on sum of squares of the enclosed values."""
         m = np.abs(self.c) + self.r
-        return float(np.sum(m * m)) * (1.0 + m.size * _EPS) * _INFL
+        return float(np.sum(m * m)) * (1.0 + m.size * EPS) * _INFL
 
     def sumsq_ball(self) -> FloatBall:
         """Ball enclosing sum of |value|^2 over the grid."""
@@ -404,12 +402,6 @@ class BallGrid:
         lo_e = np.abs(self.c) - self.r
         lo_e = np.where(lo_e > 0.0, lo_e, 0.0)
         n = max(m.size, 1)
-        hi = float(np.sum(m * m)) * (1.0 + n * _EPS) + _TINY
-        lo = float(np.sum(lo_e * lo_e)) * (1.0 - n * _EPS)
+        hi = float(np.sum(m * m)) * (1.0 + n * EPS) + TINY
+        lo = float(np.sum(lo_e * lo_e)) * (1.0 - n * EPS)
         return FloatBall.from_endpoints(max(lo, 0.0), hi)
-
-    def abs_upper(self) -> np.ndarray:
-        return np.abs(self.c) + self.r
-
-    def max_rad(self) -> float:
-        return float(np.max(self.r)) if self.r.size else 0.0

@@ -32,38 +32,52 @@ semigroup outputs, and the nonlinearity all land in exactly these bases.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Tuple
 
 import numpy as np
 
 from .approxcore import Name
-from .floatball import BallGrid, FloatBall
+from .floatball import EPS, TINY, BallGrid, FloatBall
 from .polyfield import MollifiedElement
-from .spectral import FourierField, coefficients
+from .spectral import FourierField, mollified_field_pair
 
 __all__ = [
-    "VectorFieldName", "project", "project_pair", "project_search",
+    "VectorFieldName", "resolve_field", "project", "project_pair",
     "divergence", "truncation_index",
 ]
 
-_EPS = 2.0 ** -52
-_TINY = 5e-308
+_ELEMENT_CUTOFF = 64      # expansion cutoff for mollified-element arguments
+
+
+def resolve_field(u, k: int = None, hs_tails=()):
+    """Concrete coefficients of a field argument.
+
+    A VectorFieldName is refined at precision level k, a MollifiedElement is
+    expanded at the fixed element cutoff (with H^s tail bounds for each s in
+    ``hs_tails``), and a pair of FourierFields or a single FourierField is
+    passed through unchanged; bases are not checked here.
+    """
+    if isinstance(u, VectorFieldName):
+        if k is None:
+            raise ValueError("a precision level is needed to resolve a name")
+        return u.refine(k)
+    if isinstance(u, MollifiedElement):
+        return mollified_field_pair(u, _ELEMENT_CUTOFF, hs_tails=hs_tails)
+    if isinstance(u, FourierField) or (
+            isinstance(u, tuple) and len(u) == 2
+            and all(isinstance(f, FourierField) for f in u)):
+        return u
+    raise TypeError("unsupported field argument %r" % type(u).__name__)
 
 
 def _as_pair(u, k: int = None) -> Tuple[FourierField, FourierField]:
     """Resolve a vector-field argument to a concrete (sc, cs) field pair."""
-    if isinstance(u, VectorFieldName):
-        if k is None:
-            raise ValueError("a precision level is needed to resolve a name")
-        u = u.refine(k)
-    if isinstance(u, MollifiedElement):
-        u = coefficients(u, 64)
-    if not (isinstance(u, tuple) and len(u) == 2):
+    u = resolve_field(u, k)
+    if not isinstance(u, tuple):
         raise TypeError("expected a component pair, got %r" % type(u).__name__)
     f1, f2 = u
     if f1.basis != "sc" or f2.basis != "cs":
-        raise ValueError("projection needs component 1 in sin.cos and "
+        raise ValueError("a vector field needs component 1 in sin.cos and "
                          "component 2 in cos.sin (got %s, %s)"
                          % (f1.basis, f2.basis))
     return f1, f2
@@ -89,12 +103,12 @@ class VectorFieldName:
 
 def _pair_tail_sq(f1: FourierField, f2: FourierField) -> float:
     t1, t2 = f1.tail_l2.upper(), f2.tail_l2.upper()
-    return (t1 * t1 + t2 * t2) * (1 + 8 * _EPS)
+    return (t1 * t1 + t2 * t2) * (1 + 8 * EPS)
 
 
 def _factor_grid(num: np.ndarray, den: np.ndarray) -> BallGrid:
     c = num / den
-    return BallGrid(c, np.abs(c) * 2 * _EPS + _TINY)
+    return BallGrid(c, np.abs(c) * 2 * EPS + TINY)
 
 
 def project_pair(f1: FourierField, f2: FourierField) \
@@ -120,7 +134,7 @@ def project_pair(f1: FourierField, f2: FourierField) \
     p2 = nn * g2 + -(nm * g1)
     tail_sq = 2.0 * _pair_tail_sq(f1, f2)
     tail = FloatBall(0.0) if tail_sq == 0.0 else FloatBall.from_endpoints(
-        0.0, math.sqrt(tail_sq) * (1 + 8 * _EPS) + _TINY)
+        0.0, math.sqrt(tail_sq) * (1 + 8 * EPS) + TINY)
     return (FourierField("sc", cut, p1, tail),
             FourierField("cs", cut, p2, tail))
 
@@ -151,7 +165,7 @@ def truncation_index(u, K: int) -> int:
             # modes with max(n, m) exactly N
             ring[N] = hi[N, :N + 1].sum() + hi[:N + 1, N].sum() - hi[N, N]
         mass[:-1] += np.cumsum(ring[::-1])[::-1][:cut + 1]
-    mass = mass * (1 + (cut + 8) * _EPS) + _pair_tail_sq(f1, f2)
+    mass = mass * (1 + (cut + 8) * EPS) + _pair_tail_sq(f1, f2)
     target = 0.25 ** (K + 1) / 2
     for N in range(cut + 2):
         if mass[min(N, cut + 1)] <= target:
@@ -175,33 +189,3 @@ def project(u, K: int) -> Tuple[FourierField, FourierField]:
     cap = max(N - 1, 0)
     p1, p2 = project_pair(f1.truncated(cap), f2.truncated(cap))
     return p1, p2
-
-
-def project_name(u: VectorFieldName) -> Name:
-    """Name of the projected field (componentwise pair approximants)."""
-    return Name(lambda k: project(u, k), label="helmholtz")
-
-
-def project_search(u, K: int, max_index: int = 64):
-    """The literal dense-set search from the underlying construction: walk
-    the enumeration of mollified trimmed polynomials and return the first
-    element within 2^-(K+1) of the truncated projection series.
-
-    Kept for fidelity experiments; the enumeration is far too slow for
-    production use and the walk raises RuntimeError when ``max_index`` is
-    exhausted.
-    """
-    from . import polyfield as pf
-    from .spectral import mollified_field_pair
-
-    p1, p2 = project(u, K + 1)
-    bound = 2.0 ** -(K + 1)
-    for j in range(1, max_index + 1):
-        cand = pf.enumerate_solenoidal_polys(j)
-        for k in range(1, 4):
-            elem = pf.mollify(cand, k, k + 1)
-            c1, c2 = mollified_field_pair(elem, max(p1.cutoff, 16))
-            d = ((p1 - c1).l2_sq_ball() + (p2 - c2).l2_sq_ball())
-            if math.sqrt(max(d.upper(), 0.0)) <= bound:
-                return elem
-    raise RuntimeError("no dense-set element within reach of the search cap")

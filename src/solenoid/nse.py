@@ -41,12 +41,12 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .approxcore import BoundedValue, ConstantsTable, Name, bv_sqrt
-from .floatball import FB_PI, BallGrid, FloatBall, fb_sqrt
-from .helmholtz import VectorFieldName, project, project_pair
+from .floatball import EPS, FB_PI, TINY, BallGrid, FloatBall, fb_sqrt
+from .helmholtz import VectorFieldName, _as_pair, project, project_pair
 from .polyfield import MollifiedElement
 from .spectral import (
     FourierField, SobolevName, _axis_product_table, _trig_values,
-    coefficients, differentiate, multiply,
+    differentiate, mollified_field_pair, multiply,
 )
 from .stokes import frac_power_apply, semigroup_apply
 
@@ -57,8 +57,6 @@ __all__ = [
     "solve",
 ]
 
-_EPS = 2.0 ** -52
-_TINY = 5e-308
 _UP = 1 + 1e-9            # generic outward inflation for scalar bound arithmetic
 _CHUNK_BUDGET = 2e7       # element cap per 4-d product slab in _mul_fast
 _PI2_HI = math.pi ** 2 * (1 + 1e-15)
@@ -117,7 +115,7 @@ def _mul_fast(f: FourierField, g: FourierField) -> FourierField:
         pr = (np.abs(ca[sl])[:, :, None, None] * rb[None, None, :, :]
               + ra[sl, :, None, None] * np.abs(cb)[None, None, :, :]
               + ra[sl, :, None, None] * rb[None, None, :, :]) \
-            * (1 + 8 * _EPS) + np.abs(pc) * 4 * _EPS + _TINY
+            * (1 + 8 * EPS) + np.abs(pc) * 4 * EPS + TINY
         for a in range(2):
             sxa = sx[sl, :, a]
             if not sxa.any():
@@ -134,8 +132,8 @@ def _mul_fast(f: FourierField, g: FourierField) -> FourierField:
                 np.add.at(out_c, (gx, gy), (pc * w).ravel())
                 np.add.at(out_r, (gx, gy), (pr * np.abs(w)).ravel())
     n_acc = 16 * (f.cutoff + 1) * (g.cutoff + 1)
-    out_r = out_r * (1 + 8 * _EPS) + (n_acc + 8) * _EPS * \
-        (np.abs(out_c) + out_r) + _TINY
+    out_r = out_r * (1 + 8 * EPS) + (n_acc + 8) * EPS * \
+        (np.abs(out_c) + out_r) + TINY
     return FourierField(cx + cy, cut, BallGrid(out_c, out_r))
 
 
@@ -249,7 +247,6 @@ def nonlinearity(u, K: int, constants: ConstantsTable = None):
 
 
 def _with_hs65(elem: MollifiedElement, cut: int):
-    from .spectral import mollified_field_pair
     return mollified_field_pair(elem, cut, hs_tails=(Fraction(6, 5),))
 
 
@@ -304,22 +301,6 @@ class IterationCertificate:
         }
 
 
-def _resolve_datum(a, k: int):
-    """Resolve an initial datum to a concrete pair plus its name slack."""
-    if isinstance(a, VectorFieldName):
-        return a.refine(k), Fraction(1, 2 ** k)
-    if isinstance(a, MollifiedElement):
-        return coefficients(a, 64), Fraction(0)
-    if isinstance(a, tuple) and len(a) == 2:
-        f1, f2 = a
-        if f1.basis != "sc" or f2.basis != "cs":
-            raise ValueError("initial data needs component 1 in sin.cos and "
-                             "component 2 in cos.sin")
-        return (f1, f2), Fraction(0)
-    raise TypeError("cannot interpret %r as solenoidal initial data"
-                    % type(a).__name__)
-
-
 def _forcing_term(T: Fraction, G: float, ct: ConstantsTable) -> float:
     """sup over beta in {1/4, 1/2} of T^beta C_beta T^{1-beta}/(1-beta) G."""
     if G == 0.0:
@@ -348,7 +329,10 @@ def compute_horizon(a, constants: ConstantsTable = None, mode_cap: int = 24,
     k_hat = 1
     while 2 ** k_hat <= target16:
         k_hat += 1
-    pair, res = _resolve_datum(a, k_hat + 2)
+    pair = _as_pair(a, k_hat + 2)
+    # a name's approximant is only 2^-k close to the datum
+    res = Fraction(1, 2 ** (k_hat + 2)) if isinstance(a, VectorFieldName) \
+        else Fraction(0)
     b1, t1 = _trunc_band(pair[0], mode_cap)
     b2, t2 = _trunc_band(pair[1], mode_cap)
     trunc = Fraction(math.sqrt(t1 * t1 + t2 * t2) * _UP) if (t1 or t2) \
@@ -526,7 +510,7 @@ def _heat_range(pair, t_lo: Fraction, t_hi: Fraction):
         lb = np.exp(-_PI2_HI * s * th) * (1 - 1e-12)
         ub = np.minimum(np.exp(-_PI2_LO * s * tl) * (1 + 1e-12), 1.0)
         fc = (ub + lb) / 2
-        fr = (ub - lb) / 2 + 4 * _EPS + _TINY
+        fr = (ub - lb) / 2 + 4 * EPS + TINY
         out.append(FourierField(f.basis, f.cutoff,
                                 f.grid * BallGrid(fc, fr), f.tail_l2))
     return tuple(out)
@@ -722,7 +706,7 @@ def _pair_radius(pair) -> float:
 
 
 def _fold_defect(pair, d0: float):
-    extra = FloatBall.from_endpoints(0.0, d0 * _UP + _TINY)
+    extra = FloatBall.from_endpoints(0.0, d0 * _UP + TINY)
     return (FourierField(pair[0].basis, pair[0].cutoff, pair[0].grid,
                          pair[0].tail_l2 + extra),
             FourierField(pair[1].basis, pair[1].cutoff, pair[1].grid,
@@ -800,7 +784,7 @@ def smoothness_lift(m: int, a, t, K: int,
     h65b = band[1].hs_norm(Fraction(6, 5))
     hs_band = fb_sqrt(h65a * h65a + h65b * h65b)
     hs_defect = (3 / (2 * _PI2_LO)) ** 0.6 * d[_DEFECT_BETAS.index(F35)]
-    hs65 = hs_band.widened(hs_defect * _UP + _TINY)
+    hs65 = hs_band.widened(hs_defect * _UP + TINY)
     return LiftResult(
         u=_fold_defect(pair, d[0]), band=band, hs65=hs65,
         defect={b: float(d[i]) for i, b in enumerate(_DEFECT_BETAS)},
@@ -826,8 +810,7 @@ def iterate(a, cert: IterationCertificate, m: int, t, K: int,
                            % (t, cert.T_frac))
     if t == 0:
         if cert.seed_res > Fraction(1, 2 ** K):
-            pair, _ = _resolve_datum(a, K)
-            return pair
+            return _as_pair(a, K)
         return cert.seed
     if m == 0 and forcing is None:
         return semigroup_apply(cert.seed, t, K)

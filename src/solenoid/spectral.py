@@ -33,8 +33,8 @@ import numpy as np
 
 from .approxcore import (BoundedValue, ConstantsTable, Name, bv_pi,
                          certified_integral)
-from .floatball import (FB_PI, BallGrid, FloatBall, fb_exp, fb_pow, fb_sincos,
-                        fb_sqrt)
+from .floatball import (EPS, FB_PI, TINY, BallGrid, FloatBall, fb_exp, fb_pow,
+                        fb_sincos, fb_sqrt)
 from .polyfield import (MollifiedElement, RationalPoly2, TrimmedField,
                         _neg_profile_derivative, gamma0, gamma_radial_moment,
                         poly_inner_on_box)
@@ -46,8 +46,6 @@ __all__ = [
     "multiply", "poly_mul", "BallPoly2", "mollify_poly",
 ]
 
-_EPS = 2.0 ** -52
-_TINY = 5e-308
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
@@ -75,6 +73,12 @@ def _weights(basis: str, cutoff: int) -> np.ndarray:
     return np.outer(wx, wy)
 
 
+def _float_up(x: Fraction) -> float:
+    """The smallest double >= x."""
+    f = float(x)
+    return f if Fraction(f) >= x else math.nextafter(f, math.inf)
+
+
 def _tail_add(a: FloatBall, b: FloatBall) -> FloatBall:
     """Tail-bound addition that keeps exact zeros exact, so band-limited
     fields stay band-limited under linear combinations."""
@@ -87,8 +91,8 @@ def _tail_add(a: FloatBall, b: FloatBall) -> FloatBall:
 
 def _sum_ball(centers: np.ndarray, radii: np.ndarray) -> FloatBall:
     c = float(centers.sum())
-    slack = (centers.size + 4) * _EPS * float(np.abs(centers).sum()
-                                              + radii.sum()) + _TINY
+    slack = (centers.size + 4) * EPS * float(np.abs(centers).sum()
+                                              + radii.sum()) + TINY
     return FloatBall(c, float(radii.sum()) + slack)
 
 
@@ -97,7 +101,7 @@ def ball_matmul(x: BallGrid, y: BallGrid) -> BallGrid:
     c = x.c @ y.c
     r = np.abs(x.c) @ y.r + x.r @ (np.abs(y.c) + y.r)
     k = x.c.shape[-1]
-    r = r + (np.abs(c) + r) * ((k + 4) * _EPS) + _TINY
+    r = r + (np.abs(c) + r) * ((k + 4) * EPS) + TINY
     return BallGrid(c, r)
 
 
@@ -221,7 +225,7 @@ class FourierField:
         sq = self.grid * self.grid
         s = _sum_ball(sq.c * w, sq.r * w)
         t2 = self.tail_l2.upper() ** 2
-        return s + FloatBall(t2 / 2, t2 / 2 + 4 * _EPS * t2 + _TINY)
+        return s + FloatBall(t2 / 2, t2 / 2 + 4 * EPS * t2 + TINY)
 
     def l2_norm_ball(self) -> FloatBall:
         return fb_sqrt(self.l2_sq_ball())
@@ -253,7 +257,7 @@ class FourierField:
                 total = total + powers[lam] * (a * a) * \
                     FloatBall(float(w[n, m]))
         t2 = tail.upper() ** 2
-        total = total + FloatBall(t2 / 2, t2 / 2 + 4 * _EPS * t2 + _TINY)
+        total = total + FloatBall(t2 / 2, t2 / 2 + 4 * EPS * t2 + TINY)
         return fb_sqrt(total)
 
     def sup_upper(self) -> float:
@@ -261,7 +265,7 @@ class FourierField:
         self._require_band_limited("sup bound")
         n = self.grid.c.size
         return float(np.abs(self.grid.c).sum() + self.grid.r.sum()) * \
-            (1 + (n + 4) * _EPS) + _TINY
+            (1 + (n + 4) * EPS) + TINY
 
     # -- analysis operations ------------------------------------------------
 
@@ -302,7 +306,7 @@ class FourierField:
             nb = self.basis[0] + ("c" if self.basis[1] == "s" else "s")
         else:
             raise ValueError("axis must be 1 or 2")
-        fac_r = fac_r + np.abs(fac_c) * 2 * _EPS
+        fac_r = fac_r + np.abs(fac_c) * 2 * EPS
         fac = BallGrid(sign * fac_c, fac_r)
         return FourierField(nb, self.cutoff, self.grid * fac)
 
@@ -353,7 +357,7 @@ class FourierField:
         ta, tb = a.tail_l2.upper(), b.tail_l2.upper()
         cross = ta * b.l2_norm_ball().upper() + tb * a.l2_norm_ball().upper() \
             + ta * tb
-        return s.widened(cross * (1 + 8 * _EPS) + _TINY)
+        return s.widened(cross * (1 + 8 * EPS) + TINY)
 
     # -- exp basis bridge ---------------------------------------------------
 
@@ -414,26 +418,36 @@ class FourierField:
 
     @staticmethod
     def from_json(obj: dict) -> "FourierField":
-        def grid_arr(rows):
-            return np.array([[float(Fraction(v)) for v in row]
-                             for row in rows])
-        basis = obj["basis"]
-        cutoff = int(obj["cutoff"])
-        re = grid_arr(obj["re"])
-        rad = grid_arr(obj["rad"])
+        # centres round to nearest, radii round up and absorb their centre's
+        # conversion error, so each loaded ball contains the written one;
+        # entries that are doubles load exactly
+        def ball(centre, rad):
+            q = Fraction(centre)
+            c = float(q)
+            return c, _float_up(Fraction(rad) + abs(q - Fraction(c)))
+
+        def grid(centres, radii=None):
+            radii = radii or [[0] * len(row) for row in centres]
+            arr = np.array([[ball(c, r) for c, r in zip(crow, rrow)]
+                            for crow, rrow in zip(centres, radii)],
+                           dtype=np.float64)
+            return BallGrid(arr[..., 0].copy(), arr[..., 1].copy())
+
         def tail_ball(text):
             hi = Fraction(text)
             # keep exact zeros exact so band-limitedness survives the trip
             return FloatBall(0.0) if hi == 0 \
-                else FloatBall.from_endpoints(0.0, float(hi))
+                else FloatBall.from_endpoints(0.0, _float_up(hi))
+        basis = obj["basis"]
+        cutoff = int(obj["cutoff"])
         tail = tail_ball(obj["tail_l2"])
         tails = {Fraction(s): tail_ball(t)
                  for s, t in obj.get("tail_hs", {}).items()}
+        g = grid(obj["re"], obj["rad"])
         if basis == "exp":
-            im = grid_arr(obj["im"])
-            return FourierField("exp", cutoff, BallGrid(re, rad), tail, tails,
-                                grid_im=BallGrid(im, np.zeros_like(im)))
-        return FourierField(basis, cutoff, BallGrid(re, rad), tail, tails)
+            return FourierField("exp", cutoff, g, tail, tails,
+                                grid_im=grid(obj["im"]))
+        return FourierField(basis, cutoff, g, tail, tails)
 
     def __repr__(self):
         return "FourierField(basis=%s, cutoff=%d, tail<=%.3g)" % (
@@ -542,7 +556,7 @@ def _h1_models() -> Tuple:
         if depth >= 2:
             try:
                 box = FloatBall.from_endpoints(float(a), float(b))
-                box = FloatBall(box.c, box.r + float(b - a) * _EPS)
+                box = FloatBall(box.c, box.r + float(b - a) * EPS)
                 g = _h1_series(TSeries.variable(box, _H1_ORDER), g0)
                 h = float(b - a) / 2
                 rem = g.c[_H1_ORDER].mag() * h ** _H1_ORDER
@@ -598,8 +612,8 @@ def _ab_tables(q: Fraction, top: int) -> Tuple[Tuple[FloatBall, ...],
                 term_a = ya * FloatBall.exact(Fraction(1, fa * (t + 2 * j + 1)))
                 term_b = yb2 * FloatBall.exact(Fraction(1, fb * (t + 2 * j + 2)))
             # alternating series with decreasing terms: first omitted bounds
-            av.append(acc_a.widened(term_a.mag() * 1.01 + _TINY))
-            bv.append(acc_b.widened(term_b.mag() * 1.01 + _TINY))
+            av.append(acc_a.widened(term_a.mag() * 1.01 + TINY))
+            bv.append(acc_b.widened(term_b.mag() * 1.01 + TINY))
         return tuple(av), tuple(bv)
     if yf <= 4.0 * (top + 1):
         prec = 140
@@ -686,8 +700,8 @@ def _window_transforms(n_index: int, nu: int) -> Tuple[FloatBall, FloatBall]:
         if panel[0] == "range":
             _, a, b, sup = panel
             w = float(b - a)
-            phi = phi + FloatBall(0.0, sup * w * (1 + 8 * _EPS) + _TINY)
-            psi = psi + FloatBall(0.0, sup * w * (1 + 8 * _EPS) + _TINY)
+            phi = phi + FloatBall(0.0, sup * w * (1 + 8 * EPS) + TINY)
+            psi = psi + FloatBall(0.0, sup * w * (1 + 8 * EPS) + TINY)
             continue
         _, a, b, mid, coeffs, rem = panel
         ic, isn = _osc_moments(xb, Fraction(n_index, 1 << nu), a, b, mid,
@@ -699,7 +713,7 @@ def _window_transforms(n_index: int, nu: int) -> Tuple[FloatBall, FloatBall]:
             pc = pc + ct * ic[t]
             # rho sin = (rho-mid) sin + mid sin
             ps = ps + ct * (isn[t + 1] + midb * isn[t])
-        slack = rem * float(b - a) * (1 + 8 * _EPS) + _TINY
+        slack = rem * float(b - a) * (1 + 8 * EPS) + TINY
         phi = phi + pc.widened(slack)
         psi = psi + ps.widened(slack)
     return phi, psi
@@ -728,18 +742,18 @@ def mollifier_mode_grid(nu: int, cutoff: int) -> BallGrid:
     ng, mg = np.meshgrid(idx, idx, indexing="ij")
     dd, ss = np.abs(ng - mg), ng + mg
     num_c = pc[dd] - pc[ss]
-    num_r = pr[dd] + pr[ss] + np.abs(num_c) * 2 * _EPS
+    num_r = pr[dd] + pr[ss] + np.abs(num_c) * 2 * EPS
     fac_c = two_over_pi2.c * float(1 << (2 * nu)) / (ng * mg)
-    fac_r = np.abs(fac_c) * (two_over_pi2.r / max(two_over_pi2.c, _TINY)
-                             + 4 * _EPS)
+    fac_r = np.abs(fac_c) * (two_over_pi2.r / max(two_over_pi2.c, TINY)
+                             + 4 * EPS)
     grid = BallGrid.zeros((c + 1, c + 1))
     cc = fac_c * num_c
     grid.c[1:, 1:] = cc
     grid.r[1:, 1:] = (np.abs(fac_c) * num_r + fac_r * (np.abs(num_c) + num_r)
-                      + np.abs(cc) * 2 * _EPS + _TINY)
+                      + np.abs(cc) * 2 * EPS + TINY)
     ec = four_over_pi.c * float(1 << nu) / idx * sc[1:]
     er = np.abs(four_over_pi.c * float(1 << nu) / idx) * sr[1:] + \
-        np.abs(ec) * (four_over_pi.r / four_over_pi.c + 4 * _EPS) + _TINY
+        np.abs(ec) * (four_over_pi.r / four_over_pi.c + 4 * EPS) + TINY
     grid.c[1:, 0] = ec
     grid.r[1:, 0] = er
     grid.c[0, 1:] = ec
@@ -815,7 +829,7 @@ def trig_poly_field(q: RationalPoly2, box, basis: str,
         h1_def = _defect(h1_sq, _partial_lower(field, weighted=True))
         cp = float(cutoff + 1)
         t = math.sqrt(min(l2_def, h1_def / ((math.pi * (1 - 1e-12)) ** 2
-                                            * cp * cp))) * (1 + 1e-10) + _TINY
+                                            * cp * cp))) * (1 + 1e-10) + TINY
         tail = FloatBall.from_endpoints(0.0, t)
     return FourierField(basis, cutoff, grid, tail)
 
@@ -858,8 +872,8 @@ def _partial_lower(field: FourierField, weighted: bool) -> float:
 def _defect(exact_sq: Fraction, partial_lower: float) -> float:
     d = Fraction(exact_sq) - Fraction(partial_lower)
     if d <= 0:
-        return _TINY
-    return float(d) * (1 + 1e-12) + _TINY
+        return TINY
+    return float(d) * (1 + 1e-12) + TINY
 
 
 def _env_consts(nu: int) -> Tuple[float, float]:
@@ -888,7 +902,7 @@ def _mollified_tail(nu: int, cutoff: int, l2_def: float,
     pi2 = (math.pi * (1 - 1e-12)) ** 2
     t_sq = min(env * env * l2_def,
                max(e1 * e1, e0 * e0) / (cp ** 4 * pi2) * h1_def)
-    val = math.sqrt(t_sq) * (1 + 1e-10) + _TINY
+    val = math.sqrt(t_sq) * (1 + 1e-10) + TINY
     return FloatBall.from_endpoints(0.0, val)
 
 
@@ -905,7 +919,7 @@ def _mollified_hs_tail(nu: int, cutoff: int, h1_def: float,
     lam_edge = cp * cp + 1.0
     b_mid = (1.0 + lam_edge) ** sf * e1 ** 2 / (cp ** 2 * lam_edge * pi2)
     b_edge = (1.0 + cp * cp) ** sf * e0 ** 2 / (cp ** 4 * pi2)
-    val = math.sqrt(max(b_mid, b_edge) * h1_def) * (1 + 1e-10) + _TINY
+    val = math.sqrt(max(b_mid, b_edge) * h1_def) * (1 + 1e-10) + TINY
     return FloatBall.from_endpoints(0.0, val)
 
 

@@ -42,19 +42,16 @@ from .approxcore import (
     cos_contour_angle, gamma_tail,
 )
 from .floatball import (
-    FB_PI, BallGrid, FloatBall, fb_exp, fb_pow, fb_sincos, fb_sqrt,
+    EPS, FB_PI, TINY, BallGrid, FloatBall, fb_exp, fb_pow, fb_sincos, fb_sqrt,
 )
-from .polyfield import MollifiedElement
-from .spectral import FourierField, mollified_field_pair
+from .helmholtz import resolve_field
+from .spectral import FourierField
 
 __all__ = [
-    "ContourSpec", "SemigroupQuery", "contour_factors", "heat_factor",
+    "ContourSpec", "contour_factors", "heat_factor",
     "resolvent_apply", "tail_cutoff_l", "mode_cutoff", "semigroup_apply",
     "frac_power_apply", "power_integral", "smoothing_bound_check",
 ]
-
-_EPS = 2.0 ** -52
-_TINY = 5e-308
 
 BETA_OF_PI = Fraction(3, 5)           # the contour half-angle is 3 pi / 5
 
@@ -86,13 +83,6 @@ class ContourSpec:
             raise ValueError("contour cutoff must be positive")
 
 
-@dataclass(frozen=True)
-class SemigroupQuery:
-    a: object
-    t: object
-    K: int
-
-
 def _gamma3_value(l: float, t: BoundedValue, K: int) -> BoundedValue:
     """Upper enclosure of (1/(pi sin beta)) int_l^inf e^{t r cos beta}/r dr,
     the per-unit-coefficient remainder of cutting the contour at l."""
@@ -115,10 +105,17 @@ def tail_cutoff_l(t, norm_a, K: int) -> BoundedValue:
     if t.lower() <= 0:
         raise ValueError("tail cutoff needs t > 0; route times near zero "
                          "through the small-time path")
+    if float(norm.upper()) <= 0.0:
+        return BoundedValue.exact(1)
+    return BoundedValue.exact(Fraction(_tail_search(t, norm, K)[0]))
+
+
+def _tail_search(t: BoundedValue, norm: BoundedValue, K: int) \
+        -> Tuple[float, BoundedValue]:
+    """The cutoff l of :func:`tail_cutoff_l` for a positive norm, together
+    with the gamma_3 value that certified it."""
     target = Fraction(1, 1 << (K + 7))
     nf = float(norm.upper())
-    if nf <= 0.0:
-        return BoundedValue.exact(1)
     # float pre-search with the closed-form bound e^{tcl}/(t|c|l pi sin beta)
     c = float(cos_contour_angle(60).upper())      # negative, safe side
     tl = float(t.lower())
@@ -129,9 +126,9 @@ def tail_cutoff_l(t, norm_a, K: int) -> BoundedValue:
             break
         l *= 1.25
     for _ in range(40):
-        val = _gamma3_value(l, t, K) * norm
-        if val.upper() <= target:
-            return BoundedValue.exact(Fraction(l))
+        g3 = _gamma3_value(l, t, K)
+        if (g3 * norm).upper() <= target:
+            return l, g3
         l *= 2.0
     raise RuntimeError("contour tail bound did not close")
 
@@ -142,14 +139,14 @@ def tail_cutoff_l(t, norm_a, K: int) -> BoundedValue:
 
 def _cmul(c1, r1, c2, r2):
     c = c1 * c2
-    r = (np.abs(c1) * r2 + np.abs(c2) * r1 + r1 * r2) * (1 + 8 * _EPS) \
-        + np.abs(c) * 4 * _EPS + _TINY
+    r = (np.abs(c1) * r2 + np.abs(c2) * r1 + r1 * r2) * (1 + 8 * EPS) \
+        + np.abs(c) * 4 * EPS + TINY
     return c, r
 
 
 def _c_from_fb(re: FloatBall, im: FloatBall):
     c = complex(re.c, im.c)
-    return c, (re.r + im.r) * (1 + 4 * _EPS) + _TINY
+    return c, (re.r + im.r) * (1 + 4 * EPS) + TINY
 
 
 def _panels(t_hi: float, l: float, lam_min: float):
@@ -188,9 +185,9 @@ def _exp_moments(z_c: complex, z_r: float, J: int):
     fact = np.array([math.factorial(k) for k in range(KMAX + 1)], dtype=float)
     M = np.where(idx % 2 == 0, 2.0 / (idx + 1), 0.0) / fact
     A_c = M @ zp_c
-    A_r = M @ zp_r + (KMAX + 8) * _EPS * (M @ np.abs(zp_c)) \
+    A_r = M @ zp_r + (KMAX + 8) * EPS * (M @ np.abs(zp_c)) \
         + 2.0 * zmag ** (KMAX + 1) / math.factorial(KMAX + 1) \
-        * math.exp(zmag) + _TINY
+        * math.exp(zmag) + TINY
     return A_c, A_r
 
 
@@ -212,7 +209,7 @@ def contour_factors(svals, t: FloatBall, l: float, J: int = 44):
     if s.min() < 1:
         raise ValueError("eigenvalue indices must be >= 1")
     lam_c = _PI2.c * s
-    lam_r = (_PI2.r * s + np.abs(lam_c) * 4 * _EPS) + _TINY
+    lam_r = (_PI2.r * s + np.abs(lam_c) * 4 * EPS) + TINY
     lam_min = _PI2.lower() * float(s.min())
     eib = _c_from_fb(_CB, _SB)
     t_hi = t.upper()
@@ -225,20 +222,20 @@ def contour_factors(svals, t: FloatBall, l: float, J: int = 44):
         zre = (t * _CB).scale(Fraction(h))
         zim = (t * _SB).scale(Fraction(h))
         A_c, A_r = _exp_moments(complex(zre.c, zim.c),
-                                zre.r + zim.r + _TINY, J)
+                                zre.r + zim.r + TINY, J)
         ex = fb_exp((t * _CB).scale(Fraction(mid)))
         sph, cph = fb_sincos((t * _SB).scale(Fraction(mid)))
         env = _c_from_fb(ex * cph, ex * sph)
         pref = _cmul(env[0], env[1], eib[0] * h, eib[1] * h)
         d_c = mid * eib[0] + lam_c
-        d_r = mid * eib[1] + lam_r + np.abs(d_c) * 4 * _EPS + _TINY
+        d_r = mid * eib[1] + lam_r + np.abs(d_c) * 4 * EPS + TINY
         mag = np.abs(d_c)
         gap = mag - d_r
         if not gap.min() > 0:
             raise RuntimeError("contour denominator enclosure touches zero")
         inv_c = 1.0 / d_c
-        inv_r = d_r / (gap * mag) * (1 + 8 * _EPS) \
-            + np.abs(inv_c) * 4 * _EPS + _TINY
+        inv_r = d_r / (gap * mag) * (1 + 8 * EPS) \
+            + np.abs(inv_c) * 4 * EPS + TINY
         w_c, w_r = _cmul(-h * eib[0], h * eib[1], inv_c, inv_r)
         wmag = np.abs(w_c) + w_r
         if wmag.max() > 0.6:
@@ -248,16 +245,16 @@ def contour_factors(svals, t: FloatBall, l: float, J: int = 44):
         for j in range(J - 1, -1, -1):
             S_c, S_r = _cmul(w_c, w_r, S_c, S_r)
             S_c = S_c + A_c[j]
-            S_r = S_r + A_r[j] + np.abs(S_c) * 2 * _EPS + _TINY
+            S_r = S_r + A_r[j] + np.abs(S_c) * 2 * EPS + TINY
         zmag = abs(complex(zre.c, zim.c)) + zre.r + zim.r
         S_r = S_r + wmag ** (J + 1) / (1.0 - wmag) * 2.2 * math.exp(zmag)
         is_c, is_r = _cmul(inv_c, inv_r, S_c, S_r)
         p_c, p_r = _cmul(pref[0], pref[1], is_c, is_r)
         tot_c = tot_c + p_c
-        tot_r = tot_r + p_r + np.abs(tot_c) * 2 * _EPS + _TINY
+        tot_r = tot_r + p_r + np.abs(tot_c) * 2 * EPS + TINY
     out_c = tot_c.imag / FB_PI.c
     out_r = (tot_r + np.abs(out_c) * FB_PI.r) / (FB_PI.c - FB_PI.r) \
-        * (1 + 8 * _EPS) + np.abs(out_c) * 4 * _EPS + _TINY
+        * (1 + 8 * EPS) + np.abs(out_c) * 4 * EPS + TINY
     return out_c, out_r, len(panels)
 
 
@@ -271,27 +268,10 @@ def heat_factor(s: int, t) -> FloatBall:
 # Field plumbing
 # ---------------------------------------------------------------------------
 
-_DEFAULT_CUTOFF = 64
-
-
-def _resolve(a, k: int, hs_tails=()) -> Tuple[list, bool]:
-    """Flatten a vector-field argument to a list of FourierFields.
-
-    Returns (fields, pairp) where pairp records whether the caller should
-    re-emit a component pair.
-    """
-    from .helmholtz import VectorFieldName
-    if isinstance(a, VectorFieldName):
-        a = a.refine(k)
-    if isinstance(a, MollifiedElement):
-        f1, f2 = mollified_field_pair(a, _DEFAULT_CUTOFF, hs_tails=hs_tails)
-        return [f1, f2], True
-    if isinstance(a, tuple) and len(a) == 2 \
-            and all(isinstance(f, FourierField) for f in a):
-        return list(a), True
-    if isinstance(a, FourierField):
-        return [a], False
-    raise TypeError("unsupported field argument %r" % type(a).__name__)
+def _components(u) -> Tuple[list, bool]:
+    """A resolved field argument as a list of FourierFields, and whether the
+    caller should re-emit a component pair."""
+    return (list(u), True) if isinstance(u, tuple) else ([u], False)
 
 
 def _emit(fields, pairp):
@@ -336,7 +316,7 @@ def resolvent_apply(a, lam):
     interval containing zero means lam sits off the admissible contour and
     raises ValueError.
     """
-    fields, pairp = _resolve(a, 0)
+    fields, pairp = _components(resolve_field(a, 0))
     if isinstance(lam, tuple):
         lre, lim = (x if isinstance(x, FloatBall) else
                     FloatBall.exact(Fraction(x)) for x in lam)
@@ -352,7 +332,7 @@ def resolvent_apply(a, lam):
         s = n[:, None] ** 2 + n[None, :] ** 2
         live = f.weights() > 0
         d_c = lre.c + 1j * lim.c + _PI2.c * s
-        d_r = lre.r + lim.r + _PI2.r * s + np.abs(d_c) * 4 * _EPS + _TINY
+        d_r = lre.r + lim.r + _PI2.r * s + np.abs(d_c) * 4 * EPS + TINY
         mag = np.abs(d_c)
         gap = np.where(live, mag - d_r, 1.0)
         if not gap.min() > 0:
@@ -360,8 +340,8 @@ def resolvent_apply(a, lam):
                              "(lambda off the admissible contour)")
         inv_c = np.where(live, 1.0 / np.where(live, d_c, 1.0), 0.0)
         inv_r = np.where(live, d_r / (gap * np.where(live, mag, 1.0))
-                         * (1 + 8 * _EPS) + np.abs(inv_c) * 4 * _EPS
-                         + _TINY, 0.0)
+                         * (1 + 8 * EPS) + np.abs(inv_c) * 4 * EPS
+                         + TINY, 0.0)
         gr = f.grid * BallGrid(inv_c.real, inv_r)
         out_re.append(FourierField(f.basis, f.cutoff, gr))
         if complexp:
@@ -385,12 +365,7 @@ def mode_cutoff(t, a, l, K: int) -> int:
     """
     t = _as_bv(t)
     l = _as_bv(l)
-    if isinstance(a, MollifiedElement):
-        f1, f2 = mollified_field_pair(a, _DEFAULT_CUTOFF,
-                                      hs_tails=(Fraction(1),))
-        fields = [f1, f2]
-    else:
-        fields, _ = _resolve(a, K + 2)
+    fields, _ = _components(resolve_field(a, K + 2, hs_tails=(Fraction(1),)))
     S = Fraction(0)
     for f in fields:
         h1 = f.hs_norm(1)
@@ -430,7 +405,7 @@ def semigroup_apply(a, t, K: int, constants: ConstantsTable = None,
     t = _as_bv(t)
     if t.lower() < 0:
         raise ValueError("the semigroup needs t >= 0")
-    fields, pairp = _resolve(a, K + 2)
+    fields, pairp = _components(resolve_field(a, K + 2))
     if t.upper() == 0:
         return _emit(fields, pairp)
     band = all(f.band_limited() for f in fields)
@@ -442,8 +417,8 @@ def semigroup_apply(a, t, K: int, constants: ConstantsTable = None,
             sq = f.grid * f.grid
             hi = float(((np.abs(sq.c) + sq.r) * s).sum())
             half_sq = half_sq + _PI2 * FloatBall.from_endpoints(0.0, hi *
-                                                                (1 + 16 * _EPS)
-                                                                + _TINY)
+                                                                (1 + 16 * EPS)
+                                                                + TINY)
         move = constants.C_half_time.upper() \
             * math.sqrt(float(t.upper())) * fb_sqrt(half_sq).upper()
         if move <= 2.0 ** -(K + 2):
@@ -453,9 +428,8 @@ def semigroup_apply(a, t, K: int, constants: ConstantsTable = None,
                          "bound does not certify the identity output")
     tb = FloatBall.from_bounded(t)
     norm = math.hypot(*[_l2_upper(f) for f in fields])
-    l = float(tail_cutoff_l(t, Fraction(norm) + Fraction(1, 10 ** 9),
-                            K).upper())
-    g3 = float(_gamma3_value(l, t, K).upper())
+    l, g3 = _tail_search(t, _as_bv(Fraction(norm) + Fraction(1, 10 ** 9)), K)
+    g3 = float(g3.upper())
     uniq = np.unique(np.concatenate([_live_svals(f) for f in fields])) \
         if fields else np.zeros(0, dtype=int)
     fac_c, fac_r, _ = contour_factors(uniq, tb, l)
@@ -481,7 +455,7 @@ def frac_power_apply(a, alpha):
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         raise ValueError("fractional power exponent must lie in (0, 1)")
-    fields, pairp = _resolve(a, 0, hs_tails=(2 * alpha,))
+    fields, pairp = _components(resolve_field(a, 0, hs_tails=(2 * alpha,)))
     out = []
     pia = fb_pow(FB_PI, 2 * alpha)
     for f in fields:
@@ -564,7 +538,7 @@ def smoothing_bound_check(a, alpha, t, constants: ConstantsTable = None) \
     if t.lower() <= 0:
         raise ValueError("smoothing check needs t > 0")
     constants = constants or ConstantsTable.default()
-    fields, _ = _resolve(a, 8)
+    fields, _ = _components(resolve_field(a, 8))
     tb = FloatBall.from_bounded(t)
     ca = FloatBall.from_bounded(constants.C_alpha(alpha))
     t_pow = fb_pow(tb, -alpha)
@@ -584,8 +558,8 @@ def smoothing_bound_check(a, alpha, t, constants: ConstantsTable = None) \
             hi = float(((np.abs(sq.c) + sq.r) * w * mask).sum())
             lo = float((np.clip(np.abs(sq.c) - sq.r, 0, None) * w
                         * mask).sum())
-            block = FloatBall.from_endpoints(lo * (1 - 16 * _EPS),
-                                             hi * (1 + 16 * _EPS) + _TINY)
+            block = FloatBall.from_endpoints(lo * (1 - 16 * EPS),
+                                             hi * (1 + 16 * EPS) + TINY)
             lhs_sq = lhs_sq + fac * fac * block
         tl = f.tail_l2.upper()
         if tl > 0.0:

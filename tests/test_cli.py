@@ -117,6 +117,21 @@ class TestProject:
         payload = json.loads(out.read_text())
         assert F(payload["divergence_sup"]) < F(1, 10 ** 9)
 
+    def test_element_input(self, tmp_path):
+        # a projected element keeps its L2 tail; the reported divergence is
+        # that of the band part
+        elem = pf.mollify(pf.solenoidal_kernel(4)[0], 1, 2)
+        path = tmp_path / "element.json"
+        path.write_text(json.dumps({"schema": cli.SCHEMA, "kind": "element",
+                                    "base": elem.base.to_json(),
+                                    "k": 1, "n": 2}))
+        out = tmp_path / "proj.json"
+        assert _run("project", "--input", str(path), "--precision", "8",
+                    "--output", str(out)) == 0
+        payload = json.loads(out.read_text())
+        assert (payload["u1"]["basis"], payload["u2"]["basis"]) == ("sc", "cs")
+        assert F(payload["divergence_sup"]) < F(1, 2 ** 8)
+
 
 class TestFracpower:
     def test_mode_factor(self, tmp_path, mode11):

@@ -5,7 +5,9 @@ which is an independent implementation; containment must hold for every
 sampled argument.
 """
 
+import ast
 import math
+import pathlib
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -155,3 +157,22 @@ class TestBallGrid:
         g.set((1, 0), FloatBall(7.0, 0.125))
         got = g.at((1, 0))
         assert got.c == 7.0 and got.r == 0.125
+
+
+def test_rounding_constants_defined_only_in_floatball():
+    # every module takes EPS and TINY from floatball, so the package has one
+    # rounding model
+    names = {"EPS", "_EPS", "TINY", "_TINY"}
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "solenoid"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "floatball.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                offenders += ["%s:%d" % (path.name, node.lineno)
+                              for tgt in targets for n in ast.walk(tgt)
+                              if isinstance(n, ast.Name) and n.id in names]
+    assert not offenders, offenders

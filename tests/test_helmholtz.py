@@ -20,7 +20,9 @@ from solenoid.floatball import BallGrid, FloatBall
 from solenoid.helmholtz import (
     VectorFieldName, divergence, project, project_pair, truncation_index,
 )
+from solenoid.nse import IterationCertificate, compute_horizon
 from solenoid.spectral import FourierField, coefficients
+from solenoid.stokes import frac_power_apply, semigroup_apply
 
 EL = pf.mollify(pf.solenoidal_kernel(4)[0], 1, 2)
 EL_PAIR = coefficients(EL, 32)
@@ -217,3 +219,53 @@ class TestValidation:
         with pytest.raises(ValueError):
             from solenoid.helmholtz import _as_pair
             _as_pair(v)
+
+
+# Every entry point resolves its field argument through
+# helmholtz.resolve_field; this pins the result kind (output bases, or the
+# exception type) of each one on each argument kind.
+_RES_PAIR = _mode_pair(1, 2, 2, -1)
+_RES_ARGS = {
+    "pair": lambda: _RES_PAIR,
+    "name": lambda: VectorFieldName.constant(*_RES_PAIR),
+    "element": lambda: EL,
+    "field": lambda: _RES_PAIR[0],
+    "swapped": lambda: _RES_PAIR[::-1],
+}
+_RES_OPS = {
+    "project": lambda u: project(u, 4),
+    "semigroup_apply": lambda u: semigroup_apply(u, F(1, 8), 4),
+    "frac_power_apply": lambda u: frac_power_apply(u, F(1, 2)),
+    "compute_horizon": lambda u: compute_horizon(u, mode_cap=8),
+}
+_LINEAR = {"pair": "sc/cs", "name": "sc/cs", "element": "sc/cs",
+           "field": "sc", "swapped": "cs/sc"}
+_PAIR_ONLY = {"field": TypeError, "swapped": ValueError}
+_RES_EXPECTED = {
+    "project": dict(_LINEAR, **_PAIR_ONLY),
+    "semigroup_apply": _LINEAR,
+    "frac_power_apply": _LINEAR,
+    "compute_horizon": dict({k: IterationCertificate
+                             for k in ("pair", "name", "element")},
+                            **_PAIR_ONLY),
+}
+
+
+def _result_kind(out):
+    if isinstance(out, tuple):
+        return "/".join(f.basis for f in out)
+    if isinstance(out, FourierField):
+        return out.basis
+    return type(out)
+
+
+@pytest.mark.parametrize("op", sorted(_RES_OPS))
+@pytest.mark.parametrize("arg", sorted(_RES_ARGS))
+def test_field_argument_resolution(op, arg):
+    expected = _RES_EXPECTED[op][arg]
+    u = _RES_ARGS[arg]()
+    if isinstance(expected, type) and issubclass(expected, Exception):
+        with pytest.raises(expected):
+            _RES_OPS[op](u)
+    else:
+        assert _result_kind(_RES_OPS[op](u)) == expected

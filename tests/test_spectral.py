@@ -289,6 +289,33 @@ class TestJson:
         assert np.allclose(g.grid.c, e.grid.c)
         assert np.allclose(g.grid_im.c, e.grid_im.c)
 
+    def test_written_fields_load_exactly(self):
+        f = _field("sc", [[0, 0, 0], [1 / 3, 0, 0], [0, -0.1, 2.0]])
+        f = FourierField(f.basis, f.cutoff, f.grid,
+                         tail_l2=FloatBall.from_endpoints(0.0, 0.01))
+        g = FourierField.from_json(f.to_json())
+        assert np.array_equal(g.grid.c, f.grid.c)
+        assert np.array_equal(g.grid.r, f.grid.r)
+        # the written tail bound is a double, so it loads as [0, bound]
+        ref = FourierField(f.basis, f.cutoff, f.grid,
+                           FloatBall.from_endpoints(0.0, f.tail_l2.upper()))
+        assert g.tail_l2.upper() == ref.tail_l2.upper()
+
+    @settings(max_examples=60, deadline=None)
+    @given(c=st.fractions(min_value=-4, max_value=4, max_denominator=10 ** 12),
+           r=st.fractions(min_value=0, max_value=1, max_denominator=10 ** 12),
+           t=st.fractions(min_value=0, max_value=1, max_denominator=10 ** 12))
+    def test_loaded_ball_contains_written_ball(self, c, r, t):
+        # a written centre c and radius r load as a ball around [c-r, c+r],
+        # and a written tail bound t loads as an upper bound >= t
+        obj = {"basis": "sc", "cutoff": 1, "re": [["0", "0"], [str(c), "0"]],
+               "im": [["0", "0"], ["0", "0"]],
+               "rad": [["0", "0"], [str(r), "0"]], "tail_l2": str(t)}
+        g = FourierField.from_json(obj)
+        ball = g.grid.at((1, 0))
+        assert abs(c - F(ball.c)) + r <= F(ball.r)
+        assert F(g.tail_l2.upper()) >= t
+
 
 class TestAxisMoments:
     def test_against_mpmath_quadrature(self):

@@ -102,6 +102,15 @@ class TestTailCutoff:
         with pytest.raises(ValueError):
             sk.tail_cutoff_l(0, 1, 8)
 
+    def test_search_returns_its_gamma3(self):
+        # semigroup_apply takes l and gamma_3 from one search; both must be
+        # the values tail_cutoff_l and _gamma3_value give on their own
+        t, norm, K = BoundedValue.exact(F(1, 4)), BoundedValue.exact(2), 8
+        l, g3 = sk._tail_search(t, norm, K)
+        assert l == float(sk.tail_cutoff_l(t, norm, K).upper())
+        assert g3.upper() == sk._gamma3_value(l, t, K).upper()
+        assert (g3 * norm).upper() <= F(1, 2 ** (K + 7))
+
 
 class TestResolvent:
     def test_single_mode_value(self):
