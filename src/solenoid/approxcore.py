@@ -9,8 +9,9 @@ Two numeric carriers live here:
   stored as center +/- radius with both parts dyadic (mantissa * 2**exponent),
   and every operation rounds outward so the true result stays enclosed.
 
-Transcendental enclosures (exp, log, sin, cos, pi) are delegated to
-``mpmath.iv`` interval arithmetic, with exact conversions in both directions.
+Transcendental enclosures (exp, log, sin, cos, Gamma, pi, Euler's gamma)
+are delegated to ``mpmath.iv`` interval arithmetic, with exact conversions
+in both directions.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ __all__ = [
     "bv_sin",
     "bv_cos",
     "bv_pi",
+    "bv_euler",
+    "bv_gamma",
     "bv_pow",
     "bv_sqrt",
 ]
@@ -388,13 +391,30 @@ def bv_cos(x: BoundedValue, prec: int = DEFAULT_PREC) -> BoundedValue:
     return _iv_call(iv.cos, x, prec)
 
 
-def bv_pi(prec: int = DEFAULT_PREC) -> BoundedValue:
+def bv_gamma(x: BoundedValue, prec: int = DEFAULT_PREC) -> BoundedValue:
+    """Gamma function of a positive enclosure."""
+    if x.lower() <= 0:
+        raise ValueError("gamma needs a positive interval")
+    return _iv_call(iv.gamma, x, prec)
+
+
+def _iv_constant(const, prec: int) -> BoundedValue:
+    # an mpmath constant is evaluated at the precision current when read
     old = iv.prec
     try:
         iv.prec = prec + 10
-        return _bv_from_iv(iv.pi, prec)
+        return _bv_from_iv(const, prec)
     finally:
         iv.prec = old
+
+
+def bv_pi(prec: int = DEFAULT_PREC) -> BoundedValue:
+    return _iv_constant(iv.pi, prec)
+
+
+def bv_euler(prec: int = DEFAULT_PREC) -> BoundedValue:
+    """Euler's constant gamma = 0.5772..."""
+    return _iv_constant(iv.euler, prec)
 
 
 def bv_sqrt(x: BoundedValue, prec: int = DEFAULT_PREC) -> BoundedValue:
@@ -543,50 +563,22 @@ def certified_integral(f, a: Fraction, b: Fraction, target: Fraction,
 def beta(x: Fraction, y: Fraction, k: int = 24) -> BoundedValue:
     """Enclose B(x, y) = int_0^1 (1-t)**(x-1) t**(y-1) dt with radius <= 2**-k.
 
-    Standard exponent convention.  Endpoint singularities (exponents below 1)
-    are handled by closed-form sliver bounds; the regular middle part goes to
-    adaptive quadrature.
+    Closed form B = Gamma(x) Gamma(y) / Gamma(x+y) (DLMF 5.12.1) in
+    outward interval arithmetic.
     """
     x, y = Fraction(x), Fraction(y)
     if x <= 0 or y <= 0:
         raise ValueError("beta arguments must be positive")
     prec = max(80, k + 30)
-    target = Fraction(1, 1 << k)
 
-    def integrand(t):
-        return (1 - t).pow_frac(x - 1) * t.pow_frac(y - 1)
+    def gamma(v: Fraction) -> BoundedValue:
+        return bv_gamma(BoundedValue.from_fraction(v, prec), prec)
 
-    def sliver(exp_inner: Fraction, exp_outer: Fraction, delta: Fraction):
-        # integral over [0, delta] of t**(exp_inner-1) * (1-t)**(exp_outer-1)
-        base = bv_pow(BoundedValue.exact(delta), exp_inner, prec).scale(
-            Fraction(1, 1) / exp_inner)
-        factor = bv_pow(BoundedValue.from_endpoints(1 - delta, Fraction(1), prec),
-                        exp_outer - 1, prec)
-        return base * factor
-
-    lo_cut = Fraction(0)
-    hi_cut = Fraction(1)
-    parts = BoundedValue.exact(0)
-    if y < 1:
-        delta = Fraction(1, 2)
-        while True:
-            s = sliver(y, x, delta)
-            if s.radius.to_fraction() <= target / 4:
-                break
-            delta /= 4
-        parts = parts + s
-        lo_cut = delta
-    if x < 1:
-        delta = Fraction(1, 2)
-        while True:
-            s = sliver(x, y, delta)
-            if s.radius.to_fraction() <= target / 4:
-                break
-            delta /= 4
-        parts = parts + s
-        hi_cut = 1 - delta
-    mid = certified_integral(integrand, lo_cut, hi_cut, target / 2, prec=prec)
-    return (parts + mid).rounded(prec)
+    out = (gamma(x) * gamma(y) / gamma(x + y)).rounded(prec)
+    if out.radius.to_fraction() > Fraction(1, 1 << k):
+        raise RuntimeError("beta(%s, %s) did not meet radius 2^-%d"
+                           % (x, y, k))
+    return out
 
 
 _COS_BETA_CACHE: dict = {}

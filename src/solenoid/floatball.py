@@ -6,8 +6,10 @@ numpy arrays of them).  Soundness rests only on IEEE-754 semantics of
 +,-,*,/ and sqrt (correctly rounded, guaranteed by the platform): every
 operation inflates the radius by a rigorous bound on its own rounding error.
 Transcendentals (exp, log, sin, cos) are implemented here by argument
-reduction plus Taylor series with certified remainders; nothing is trusted
-from libm except correctly-rounded sqrt.
+reduction plus Taylor series with certified remainders; this module trusts
+nothing from libm except correctly-rounded sqrt.  The package's whole trust
+base, including the libm calls other modules make, is listed in the
+"Trust base" section of the README.
 """
 
 from __future__ import annotations
@@ -56,6 +58,20 @@ class FloatBall:
 
     @staticmethod
     def from_endpoints(lo: float, hi: float) -> "FloatBall":
+        """The ball holding [lo, hi] for endpoints that are bounds already,
+        such as a bound read from a file.  [0, hi] is held exactly whenever
+        hi/2 is exact, so such a bound keeps its value when written back."""
+        if lo == 0.0:
+            # c + (hi - c) rounds to hi when c = hi/2 is exact
+            c = 0.5 * hi
+            if c + c == hi:
+                return FloatBall(c, hi - c)
+        return FloatBall.from_rounded(lo, hi)
+
+    @staticmethod
+    def from_rounded(lo: float, hi: float) -> "FloatBall":
+        """The ball holding [lo, hi] for endpoints rounded to nearest, like
+        ``mag()`` or ``upper()``: the radius also covers their rounding."""
         c = 0.5 * (lo + hi)
         r = _bump(c, max(hi - c, c - lo))
         return FloatBall(c, r)
@@ -138,7 +154,7 @@ class FloatBall:
     def hull(self, o: "FloatBall") -> "FloatBall":
         lo = min(self.c - self.r, o.c - o.r)
         hi = max(self.c + self.r, o.c + o.r)
-        return FloatBall.from_endpoints(lo, hi)
+        return FloatBall.from_rounded(lo, hi)
 
     def widened(self, extra: float) -> "FloatBall":
         return FloatBall(self.c, _bump(self.c, self.r + abs(extra)))
@@ -146,7 +162,7 @@ class FloatBall:
     def abs_ball(self) -> "FloatBall":
         if abs(self.c) >= self.r:
             return FloatBall(abs(self.c), self.r)
-        return FloatBall.from_endpoints(0.0, self.mag())
+        return FloatBall.from_rounded(0.0, self.mag())
 
     # hooks for the generic Taylor arithmetic
     def one(self):
@@ -188,7 +204,7 @@ FB_PI_2 = FloatBall(1.5707963267948966, 1e-16)
 def _exp_point(x: float) -> FloatBall:
     """Certified enclosure of exp(x) for |x| <= 745."""
     if x < -745.0:
-        return FloatBall.from_endpoints(0.0, 5e-324 + 1e-323)
+        return FloatBall.from_rounded(0.0, 5e-324 + 1e-323)
     if x > 709.0:
         raise OverflowError("exp overflow in float ball")
     n = int(round(x / 0.6931471805599453))
@@ -299,7 +315,7 @@ def fb_sqrt(x: FloatBall) -> FloatBall:
     lo = max(x.c - x.r, 0.0)
     shi = math.sqrt(hi) * (1.0 + EPS) + TINY
     slo = math.sqrt(lo) * (1.0 - EPS)
-    return FloatBall.from_endpoints(max(slo, 0.0), shi)
+    return FloatBall.from_rounded(max(slo, 0.0), shi)
 
 
 def fb_pow(x: FloatBall, q: Fraction) -> FloatBall:
@@ -318,7 +334,7 @@ def fb_pow(x: FloatBall, q: Fraction) -> FloatBall:
     if not (x.c - x.r) > 0.0:
         if x.c - x.r >= -TINY and q > 0:
             hi = fb_pow(FloatBall(x.c + x.r), q).upper()
-            return FloatBall.from_endpoints(0.0, max(hi, 0.0))
+            return FloatBall.from_rounded(0.0, max(hi, 0.0))
         raise ValueError("power of ball touching zero")
     return fb_exp(fb_log(x) * FloatBall.exact(q))
 
@@ -404,4 +420,4 @@ class BallGrid:
         n = max(m.size, 1)
         hi = float(np.sum(m * m)) * (1.0 + n * EPS) + TINY
         lo = float(np.sum(lo_e * lo_e)) * (1.0 - n * EPS)
-        return FloatBall.from_endpoints(max(lo, 0.0), hi)
+        return FloatBall.from_rounded(max(lo, 0.0), hi)

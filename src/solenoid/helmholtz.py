@@ -133,7 +133,7 @@ def project_pair(f1: FourierField, f2: FourierField) \
     p1 = mm * g1 + -(nm * g2)
     p2 = nn * g2 + -(nm * g1)
     tail_sq = 2.0 * _pair_tail_sq(f1, f2)
-    tail = FloatBall(0.0) if tail_sq == 0.0 else FloatBall.from_endpoints(
+    tail = FloatBall(0.0) if tail_sq == 0.0 else FloatBall.from_rounded(
         0.0, math.sqrt(tail_sq) * (1 + 8 * EPS) + TINY)
     return (FourierField("sc", cut, p1, tail),
             FourierField("cs", cut, p2, tail))

@@ -241,7 +241,7 @@ def nonlinearity(u, K: int, constants: ConstantsTable = None):
     if defect > 2.0 ** -K:
         raise BudgetError("H^{6/5} tail data too coarse for this precision")
     b1, b2 = nonlinearity_pair(*band)
-    extra = FloatBall.from_endpoints(0.0, defect)
+    extra = FloatBall.from_rounded(0.0, defect)
     return (FourierField(b1.basis, b1.cutoff, b1.grid, b1.tail_l2 + extra),
             FourierField(b2.basis, b2.cutoff, b2.grid, b2.tail_l2 + extra))
 
@@ -706,7 +706,7 @@ def _pair_radius(pair) -> float:
 
 
 def _fold_defect(pair, d0: float):
-    extra = FloatBall.from_endpoints(0.0, d0 * _UP + TINY)
+    extra = FloatBall.from_rounded(0.0, d0 * _UP + TINY)
     return (FourierField(pair[0].basis, pair[0].cutoff, pair[0].grid,
                          pair[0].tail_l2 + extra),
             FourierField(pair[1].basis, pair[1].cutoff, pair[1].grid,
@@ -817,7 +817,7 @@ def iterate(a, cert: IterationCertificate, m: int, t, K: int,
     if cert.seed_res <= Fraction(1, 2 ** (K + 1)) and forcing is None:
         eta = eta_modulus(cert, m, K + 1)
         if eta is not None and t <= Fraction(1, 2 ** eta):
-            move = FloatBall.from_endpoints(0.0, 2.0 ** -(K + 1))
+            move = FloatBall.from_rounded(0.0, 2.0 ** -(K + 1))
             return (FourierField(cert.seed[0].basis, cert.seed[0].cutoff,
                                  cert.seed[0].grid, move),
                     FourierField(cert.seed[1].basis, cert.seed[1].cutoff,

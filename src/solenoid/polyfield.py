@@ -15,8 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
-from .approxcore import (BoundedValue, DEFAULT_PREC, bv_exp, bv_sqrt,
-                         certified_integral)
+from .approxcore import (BoundedValue, DEFAULT_PREC, bv_euler, bv_exp,
+                         bv_sqrt, certified_integral)
 from .taylor import NonsmoothPanel, TSeries
 
 __all__ = [
@@ -667,9 +667,26 @@ def gamma_radial_moment(s: int, kbits: int = 60) -> BoundedValue:
 @lru_cache(maxsize=None)
 def gamma0(kbits: int = 60) -> BoundedValue:
     """Normalizing constant of the bump kernel: the kernel mass without the
-    constant is 8 J_0, so gamma0 = 1/(8 J_0)."""
-    j0 = gamma_radial_moment(0, kbits)
-    return BoundedValue.exact(1) / j0.scale(8)
+    constant is 8 J_0, so gamma0 = 1/(8 J_0).
+
+    The substitution v = 1/(1-u) gives J_0 = E_2(1)/2, and
+    E_2(1) = e^-1 + gamma - sum_{k>=1} (-1)^(k+1)/(k k!) with gamma Euler's
+    constant (DLMF 6.6.2 with 8.19.12).  The partial sum is exact; the
+    alternating tail after K terms is at most 1/((K+1)(K+1)!).
+    """
+    prec = max(80, kbits + 30)
+    target = Fraction(1, 1 << prec)
+    partial, fact, k = _F0, 1, 0
+    while True:
+        k += 1
+        fact *= k
+        partial += Fraction((-1) ** (k + 1), k * fact)
+        tail = Fraction(1, (k + 1) * (k + 1) * fact)
+        if tail <= target:
+            break
+    series = BoundedValue.from_endpoints(partial - tail, partial + tail, prec)
+    e2 = bv_exp(BoundedValue.exact(-1), prec) + bv_euler(prec) - series
+    return BoundedValue.exact(1) / e2.scale(4)
 
 
 def mollifier_mass(nu: int, kbits: int = 24) -> BoundedValue:

@@ -130,7 +130,7 @@ class FourierField:
         self.cutoff = cutoff
         self.tail_l2 = tail_l2 if tail_l2 is not None else FloatBall(0.0)
         if self.tail_l2.lower() < 0:
-            self.tail_l2 = FloatBall.from_endpoints(0.0, self.tail_l2.upper())
+            self.tail_l2 = FloatBall.from_rounded(0.0, self.tail_l2.upper())
         self.tail_hs = dict(tail_hs or {})
         if basis == "exp":
             self.grid = grid
@@ -280,12 +280,12 @@ class FourierField:
         keep[:cap + 1, :cap + 1] = True
         dropped = _sum_ball(np.where(keep, 0.0, sq.c * w),
                             np.where(keep, 0.0, sq.r * w))
-        extra = fb_sqrt(FloatBall.from_endpoints(0.0, max(dropped.upper(),
-                                                          0.0)))
+        extra = fb_sqrt(FloatBall.from_rounded(0.0, max(dropped.upper(),
+                                                        0.0)))
         g = BallGrid(self.grid.c[:cap + 1, :cap + 1].copy(),
                      self.grid.r[:cap + 1, :cap + 1].copy())
         return FourierField(self.basis, cap, g,
-                            self.tail_l2 + FloatBall.from_endpoints(
+                            self.tail_l2 + FloatBall.from_rounded(
                                 0.0, extra.upper()))
 
     def derivative(self, axis: int) -> "FourierField":
@@ -555,7 +555,7 @@ def _h1_models() -> Tuple:
         ok = False
         if depth >= 2:
             try:
-                box = FloatBall.from_endpoints(float(a), float(b))
+                box = FloatBall.from_rounded(float(a), float(b))
                 box = FloatBall(box.c, box.r + float(b - a) * EPS)
                 g = _h1_series(TSeries.variable(box, _H1_ORDER), g0)
                 h = float(b - a) / 2
@@ -830,7 +830,7 @@ def trig_poly_field(q: RationalPoly2, box, basis: str,
         cp = float(cutoff + 1)
         t = math.sqrt(min(l2_def, h1_def / ((math.pi * (1 - 1e-12)) ** 2
                                             * cp * cp))) * (1 + 1e-10) + TINY
-        tail = FloatBall.from_endpoints(0.0, t)
+        tail = FloatBall.from_rounded(0.0, t)
     return FourierField(basis, cutoff, grid, tail)
 
 
@@ -903,7 +903,7 @@ def _mollified_tail(nu: int, cutoff: int, l2_def: float,
     t_sq = min(env * env * l2_def,
                max(e1 * e1, e0 * e0) / (cp ** 4 * pi2) * h1_def)
     val = math.sqrt(t_sq) * (1 + 1e-10) + TINY
-    return FloatBall.from_endpoints(0.0, val)
+    return FloatBall.from_rounded(0.0, val)
 
 
 def _mollified_hs_tail(nu: int, cutoff: int, h1_def: float,
@@ -920,7 +920,7 @@ def _mollified_hs_tail(nu: int, cutoff: int, h1_def: float,
     b_mid = (1.0 + lam_edge) ** sf * e1 ** 2 / (cp ** 2 * lam_edge * pi2)
     b_edge = (1.0 + cp * cp) ** sf * e0 ** 2 / (cp ** 4 * pi2)
     val = math.sqrt(max(b_mid, b_edge) * h1_def) * (1 + 1e-10) + TINY
-    return FloatBall.from_endpoints(0.0, val)
+    return FloatBall.from_rounded(0.0, val)
 
 
 @lru_cache(maxsize=64)
@@ -990,7 +990,7 @@ def mollified_distance(a: MollifiedElement, b: MollifiedElement,
     fb1, fb2 = mollified_field_pair(b, cutoff)
     total = (fa1 - fb1).l2_sq_ball() + (fa2 - fb2).l2_sq_ball()
     if total.lower() < 0:
-        total = FloatBall.from_endpoints(0.0, max(total.upper(), 0.0))
+        total = FloatBall.from_rounded(0.0, max(total.upper(), 0.0))
     dist = fb_sqrt(total) * FloatBall(2.0)
     out = dist.to_bounded()
     if out.radius.to_fraction() > Fraction(1, 1 << kbits):
@@ -1168,7 +1168,7 @@ class HElement:
         diff = self.ball() - other.ball()
         sq = diff.l2_sq_canonical()
         lo = max(sq.lower(), 0.0)
-        return fb_sqrt(FloatBall.from_endpoints(lo, max(sq.upper(), lo)))
+        return fb_sqrt(FloatBall.from_rounded(lo, max(sq.upper(), lo)))
 
     def sup_upper(self) -> float:
         return self.ball().sup_upper()

@@ -416,9 +416,9 @@ def semigroup_apply(a, t, K: int, constants: ConstantsTable = None,
             s = (n[:, None] ** 2 + n[None, :] ** 2) * f.weights()
             sq = f.grid * f.grid
             hi = float(((np.abs(sq.c) + sq.r) * s).sum())
-            half_sq = half_sq + _PI2 * FloatBall.from_endpoints(0.0, hi *
-                                                                (1 + 16 * EPS)
-                                                                + TINY)
+            half_sq = half_sq + _PI2 * FloatBall.from_rounded(0.0, hi *
+                                                              (1 + 16 * EPS)
+                                                              + TINY)
         move = constants.C_half_time.upper() \
             * math.sqrt(float(t.upper())) * fb_sqrt(half_sq).upper()
         if move <= 2.0 ** -(K + 2):
@@ -558,13 +558,13 @@ def smoothing_bound_check(a, alpha, t, constants: ConstantsTable = None) \
             hi = float(((np.abs(sq.c) + sq.r) * w * mask).sum())
             lo = float((np.clip(np.abs(sq.c) - sq.r, 0, None) * w
                         * mask).sum())
-            block = FloatBall.from_endpoints(lo * (1 - 16 * EPS),
-                                             hi * (1 + 16 * EPS) + TINY)
+            block = FloatBall.from_rounded(lo * (1 - 16 * EPS),
+                                           hi * (1 + 16 * EPS) + TINY)
             lhs_sq = lhs_sq + fac * fac * block
         tl = f.tail_l2.upper()
         if tl > 0.0:
             # Fact-2 style bound for the unresolved part
-            ext = ca * t_pow * FloatBall.from_endpoints(0.0, tl)
+            ext = ca * t_pow * FloatBall.from_rounded(0.0, tl)
             lhs_sq = lhs_sq + ext * ext
         norm_sq = norm_sq + f.l2_sq_ball()
     lhs = fb_sqrt(lhs_sq.abs_ball())

@@ -9,12 +9,15 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import mp
 
 from solenoid.approxcore import (
     BoundedValue, ConstantsTable, Dyadic, Name, beta, bv_cos, bv_exp, bv_pi,
     bv_pow, bv_sqrt, certified_integral, gamma_tail, refine,
 )
 from solenoid.taylor import TSeries
+
+from oracles import beta_quadrature
 
 # frozen oracle values (40-digit mpmath)
 PI_SQRT2 = F("4.442882938158366247015880990060693698615")
@@ -196,6 +199,32 @@ class TestBeta:
     def test_quadrature_oracle_regular(self):
         # B(2,3) = 1/12 exactly
         assert beta(F(2), F(3), 20).contains(F(1, 12))
+
+    @pytest.mark.parametrize("x", [F(1, 2), F(1, 4), F(3, 4), F(3, 20)])
+    def test_closed_form_overlaps_quadrature(self, x):
+        # the four arguments the certificate uses, against the independent
+        # quadrature route (kept cheap at k = 12)
+        b = beta(x, F(1, 4))
+        assert b.radius.to_fraction() <= F(1, 1 << 24)
+        assert b.overlaps(beta_quadrature(x, F(1, 4), 12))
+
+    def test_reflection_34_14_high_precision(self):
+        # B(3/4,1/4) = pi sqrt 2 from mpmath at 200 bits, as a bracket of
+        # width 3 * 2^-200 that contains it
+        with mp.workprec(200):
+            m = int(mp.floor(mp.pi * mp.sqrt(2) * mp.mpf(2) ** 200))
+        lo, hi = F(m - 1, 1 << 200), F(m + 2, 1 << 200)
+        b = beta(F(3, 4), F(1, 4), 60)
+        assert b.lower() <= lo and hi <= b.upper()
+        assert b.radius.to_fraction() <= F(1, 1 << 60)
+
+    def test_exact_past_gamma_minimum(self):
+        # x + y beyond the minimum of Gamma near 1.4616, where iv.gamma
+        # switches from the decreasing to the increasing branch
+        for x, y, val in ((F(1), F(1, 2), F(2)), (F(2), F(3), F(1, 12))):
+            b = beta(x, y, 60)
+            assert b.contains(val)
+            assert b.radius.to_fraction() <= F(1, 1 << 60)
 
 
 class TestGammaTail:

@@ -1,0 +1,24 @@
+"""Smoke test: the quick demos run in a fresh interpreter and print output.
+
+`demos/certified_horizon.py` is left out because its K=8 solve takes tens
+of seconds.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("demo", ["heat_flow.py", "pressure_recovery.py"])
+def test_demo_runs(demo):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

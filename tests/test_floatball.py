@@ -53,6 +53,30 @@ class TestBallOps:
         b = FloatBall.exact(F(1, 3))
         assert b.contains(F(1, 3)) and b.r < 1e-16
 
+    @given(hi=st.floats(min_value=0.0, max_value=1e300))
+    def test_zero_based_interval(self, hi):
+        # [0, hi] is enclosed, and exactly so unless hi/2 is inexact
+        b = FloatBall.from_endpoints(0.0, hi)
+        assert b.contains(F(0)) and b.contains(F(hi))
+        if hi >= 2.0 ** -1021:
+            assert b.lower() == 0.0 and b.upper() == hi
+
+    def test_zero_based_interval_subnormal(self):
+        hi = 3 * 5e-324  # hi/2 rounds, so the generic rule applies
+        b = FloatBall.from_endpoints(0.0, hi)
+        assert b.contains(F(0)) and b.contains(F(hi))
+
+    def test_abs_ball_through_zero(self):
+        # fl(0.1 + 0.7) lies below the exact |c| + r of this ball
+        b = FloatBall(-0.1, 0.7).abs_ball()
+        assert b.contains(F(0.1) + F(0.7)) and b.contains(F(0))
+
+    @given(c=finite, r=st.floats(min_value=0, max_value=1e6))
+    def test_abs_ball_contains_extremes(self, c, r):
+        b = FloatBall(c, r).abs_ball()
+        assert b.contains(abs(F(c)) + F(r))
+        assert b.contains(max(abs(F(c)) - F(r), F(0)))
+
     @given(x=finite, r=st.floats(min_value=0, max_value=10.0))
     def test_hull_and_widen(self, x, r):
         a = FloatBall(x, r)

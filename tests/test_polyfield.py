@@ -21,7 +21,7 @@ from solenoid.polyfield import (
     index_of_kernel_point, kernel_basis, matrix_rank, mollifier_cos_coefficient,
     mollifier_mass, mollify, poly_name, solenoidal_kernel, trim,
 )
-from solenoid.approxcore import refine
+from solenoid.approxcore import BoundedValue, refine
 
 # frozen oracle (40-digit quadrature of the kernel normalization)
 GAMMA0 = F("1.683552623428849090226069715040108371621")
@@ -218,6 +218,12 @@ class TestMollifierKernel:
         g = gamma0(60)
         assert g.contains(GAMMA0)
         assert g.radius.to_fraction() < F(1, 1 << 50)
+
+    def test_gamma0_closed_form_against_panel_moments(self):
+        # E_2(1) closed form against the panel-model quadrature of J_0
+        # (the 48-bit panels are shared with the moment test below)
+        j0 = gamma_radial_moment(0, 48)
+        assert gamma0(60).overlaps(BoundedValue.exact(1) / j0.scale(8))
 
     def test_moments_positive_decreasing(self):
         prev = None

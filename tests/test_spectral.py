@@ -8,6 +8,7 @@ spectral metric against the exact polynomial distance plus mollification
 defects.
 """
 
+import json
 import math
 from fractions import Fraction as F
 
@@ -175,6 +176,21 @@ class TestFieldAlgebra:
         assert t.l2_sq_ball().upper() >= 1.0 + 0.25 / 4 - 1e-12
         assert t.tail_l2.upper() > 0
 
+    @given(c=grids3, r=grids3, tail=st.floats(min_value=0, max_value=1))
+    def test_truncation_tail_contains_dropped_mass(self, c, r, tail):
+        # the new tail bounds the old tail plus the largest L2 norm of the
+        # dropped modes over every point of their balls
+        f = FourierField("cc", 2, BallGrid(np.array(c, dtype=float),
+                                           np.abs(np.array(r, dtype=float))),
+                         tail_l2=FloatBall.from_endpoints(0.0, tail))
+        t = f.truncated(1)
+        w = f.weights()
+        dropped = sum(F(w[i, j]) * (abs(F(f.grid.c[i, j])) + F(f.grid.r[i, j]))
+                      ** 2 for i in range(3) for j in range(3)
+                      if max(i, j) > 1)
+        room = F(t.tail_l2.c) + F(t.tail_l2.r) - F(tail)
+        assert room >= 0 and room * room >= dropped
+
     def test_sup_upper_dominates_eval(self):
         f = _field("sc", [[0, 0, 0], [1.0, -0.5, 0], [0, 0, 2.0]])
         s = f.sup_upper()
@@ -300,6 +316,21 @@ class TestJson:
         ref = FourierField(f.basis, f.cutoff, f.grid,
                            FloatBall.from_endpoints(0.0, f.tail_l2.upper()))
         assert g.tail_l2.upper() == ref.tail_l2.upper()
+
+    def test_tail_bounds_idempotent(self):
+        # writing a loaded field gives back the bytes it was loaded from
+        obj = {"basis": "sc", "cutoff": 1, "re": [["0", "0"], ["1/3", "0"]],
+               "im": [["0", "0"], ["0", "0"]], "rad": [["0", "0"], ["0", "0"]],
+               "tail_l2": "0.01", "tail_hs": {"1": "0.01"}}
+        g = FourierField.from_json(obj)
+        assert F(g.tail_l2.upper()) >= F("0.01")
+        assert F(g.tail_hs[F(1)].upper()) >= F("0.01")
+        texts = []
+        for _ in range(4):
+            text = json.dumps(g.to_json(), sort_keys=True)
+            texts.append(text)
+            g = FourierField.from_json(json.loads(text))
+        assert len(set(texts)) == 1
 
     @settings(max_examples=60, deadline=None)
     @given(c=st.fractions(min_value=-4, max_value=4, max_denominator=10 ** 12),
