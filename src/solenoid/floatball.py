@@ -10,17 +10,27 @@ reduction plus Taylor series with certified remainders; this module trusts
 nothing from libm except correctly-rounded sqrt.  The package's whole trust
 base, including the libm calls other modules make, is listed in the
 "Trust base" section of the README.
+
+The bulk bilinear operations, `ball_matmul` and `ball_convolve`, share one
+rounding rule: a sum of n products computed in any order in IEEE doubles
+is off by at most gamma_n times the sum of the absolute products, with
+gamma_n = n u/(1 - n u) and u = 2^-53 (Higham, "Accuracy and Stability of
+Numerical Algorithms", section 3.1; Rump, "Fast and parallel interval
+arithmetic", BIT 1999), and the radius they return adds that term to the
+propagated input radii.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["FloatBall", "BallGrid", "fb_exp", "fb_log", "fb_sincos",
-           "fb_sqrt", "fb_pow", "FB_PI", "FB_LN2", "EPS", "TINY"]
+__all__ = ["FloatBall", "BallGrid", "ball_matmul", "ball_convolve", "fb_exp",
+           "fb_log", "fb_sincos", "fb_sqrt", "fb_pow", "FB_PI", "FB_LN2",
+           "EPS", "TINY"]
 
 # the rounding constants of every module in the package
 EPS = 2.0 ** -52           # one ulp at magnitude 1
@@ -31,6 +41,18 @@ _INFL = 1.0 + 2.0 ** -45   # generic relative inflation for radius formulas
 def _bump(c: float, r: float) -> float:
     """Outward-correct a radius computed in rounded float arithmetic."""
     return (r + abs(c) * EPS + TINY) * _INFL
+
+
+def _float_up(x: Fraction) -> float:
+    """The smallest double >= x."""
+    f = float(x)
+    return f if Fraction(f) >= x else math.nextafter(f, math.inf)
+
+
+@lru_cache(maxsize=None)
+def _gamma(n: int) -> float:
+    """gamma_n = n u/(1 - n u) with u = 2^-53, rounded up."""
+    return _float_up(Fraction(n, 2 ** 53 - n))
 
 
 class FloatBall:
@@ -421,3 +443,63 @@ class BallGrid:
         hi = float(np.sum(m * m)) * (1.0 + n * EPS) + TINY
         lo = float(np.sum(lo_e * lo_e)) * (1.0 - n * EPS)
         return FloatBall.from_rounded(max(lo, 0.0), hi)
+
+
+# ---------------------------------------------------------------------------
+# bilinear bulk operations
+# ---------------------------------------------------------------------------
+
+def ball_matmul(x: BallGrid, y: BallGrid) -> BallGrid:
+    """Matrix product of ball grids.
+
+    Each entry is a dot product of length k, the inner dimension, so its
+    centre is off by at most gamma_k (|x.c| @ |y.c|).  The radius
+        |x.c| @ (y.r + gamma_k |y.c|) + x.r @ (|y.c| + y.r)
+    is computed in floats along at most k + 3 roundings of nonnegative
+    numbers (two to form the right factor, k in the dot product, one to add
+    the two products).  Multiplying it by 1 + gamma_{k+5}, which adds two
+    roundings of its own (forming the factor and the product), covers them.
+    """
+    k = x.c.shape[-1]
+    g = _gamma(k)
+    ay = np.abs(y.c)
+    c = x.c @ y.c
+    r = np.abs(x.c) @ (y.r + g * ay) + x.r @ (ay + y.r)
+    return BallGrid(c, r * (1.0 + _gamma(k + 5)) + TINY)
+
+
+def ball_convolve(x: BallGrid, y: BallGrid) -> BallGrid:
+    """Full 2-D convolution of ball grids,
+    out[a, b] = sum over i + k = a, j + l = b of x[i, j] y[k, l].
+
+    For x of shape (p, q) and y of shape (s, t), row i of x laid out as a
+    Toeplitz matrix T[l, b] = x[i, b - l] multiplies all of y in one BLAS
+    matmul, whose rows are added into output rows i .. i + s - 1.  A slot
+    therefore takes n = t + min(p, s) multiply-adds: t in each dot product
+    (the Toeplitz column, zeros included) and at most min(p, s) row results
+    added into it, so its centre is off by at most gamma_n (|x.c| * |y.c|).
+    The radius
+        |x.c| * y.r + x.r * (|y.c| + y.r) + gamma_n (|x.c| * |y.c|)
+    goes through the same matmuls in floats, at most n + 3 roundings of
+    nonnegative numbers (two to form x.r + gamma_n |x.c|, one to add its two
+    parts at the end), and multiplying it by 1 + gamma_{n+5}, two roundings
+    more, covers them.  Memory is O(t q) per row on top of the output.
+    """
+    p, q = x.shape
+    s, t = y.shape
+    n = t + min(p, s)
+    g = _gamma(n)
+    ax = np.abs(x.c)
+    # rows of x zero-padded by t - 1 on both sides; window [b, l] of a
+    # padded row is x[i, b - l], so its transpose is the Toeplitz matrix
+    padded = np.zeros((3, p, q + 2 * t - 2))
+    padded[:, :, t - 1:t - 1 + q] = (x.c, x.r + g * ax, ax + x.r)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        padded, t, axis=2)[..., ::-1]
+    # centre, |y.c| (x.r + gamma_n |x.c|) and y.r (|x.c| + x.r), side by side
+    left = np.stack((y.c, np.abs(y.c), y.r))
+    out = np.zeros((3, p + s - 1, q + t - 1))
+    for i in range(p):
+        toeplitz = np.ascontiguousarray(windows[:, i].transpose(0, 2, 1))
+        out[:, i:i + s] += left @ toeplitz
+    return BallGrid(out[0], (out[1] + out[2]) * (1.0 + _gamma(n + 5)) + TINY)

@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -45,8 +44,8 @@ from .floatball import EPS, FB_PI, TINY, BallGrid, FloatBall, fb_sqrt
 from .helmholtz import VectorFieldName, _as_pair, project, project_pair
 from .polyfield import MollifiedElement
 from .spectral import (
-    FourierField, SobolevName, _axis_product_table, _trig_values,
-    differentiate, mollified_field_pair, multiply,
+    FourierField, SobolevName, _trig_values, differentiate,
+    mollified_field_pair, multiply,
 )
 from .stokes import frac_power_apply, semigroup_apply
 
@@ -58,7 +57,6 @@ __all__ = [
 ]
 
 _UP = 1 + 1e-9            # generic outward inflation for scalar bound arithmetic
-_CHUNK_BUDGET = 2e7       # element cap per 4-d product slab in _mul_fast
 _PI2_HI = math.pi ** 2 * (1 + 1e-15)
 _PI2_LO = math.pi ** 2 * (1 - 1e-15)
 
@@ -74,67 +72,9 @@ class BudgetError(RuntimeError):
     """The certified radius could not be brought below the requested budget."""
 
 
-# ---------------------------------------------------------------------------
-# fast band-limited products
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=64)
-def _product_slots(c1: str, c2: str, cut1: int, cut2: int):
-    """Product-to-sum tables as index/sign arrays for vectorized scatter."""
-    char, table = _axis_product_table(c1, c2, cut1, cut2)
-    idx = np.zeros((cut1 + 1, cut2 + 1, 2), dtype=np.intp)
-    sgn = np.zeros((cut1 + 1, cut2 + 1, 2))
-    for i, row in enumerate(table):
-        for j, terms in enumerate(row):
-            for slot, (k, s) in enumerate(terms):
-                idx[i, j, slot] = k
-                sgn[i, j, slot] = s
-    return char, idx, sgn
-
-
-def _mul_fast(f: FourierField, g: FourierField) -> FourierField:
-    """Pointwise product of band-limited fields, equal to
-    FourierField.multiply but vectorized over the coefficient grids."""
-    f._require_trig()
-    g._require_trig()
-    f._require_band_limited("product")
-    g._require_band_limited("product")
-    cx, ix, sx = _product_slots(f.basis[0], g.basis[0], f.cutoff, g.cutoff)
-    cy, iy, sy = _product_slots(f.basis[1], g.basis[1], f.cutoff, g.cutoff)
-    cut = f.cutoff + g.cutoff
-    ca, ra = f.grid.c, f.grid.r
-    cb, rb = g.grid.c, g.grid.r
-    out_c = np.zeros((cut + 1, cut + 1))
-    out_r = np.zeros((cut + 1, cut + 1))
-    # chunk over rows of f so the 4-d outer products stay within a fixed
-    # memory budget at large cutoffs
-    rows = max(1, int(_CHUNK_BUDGET // max(1, ca.shape[1] * cb.size)))
-    for lo in range(0, ca.shape[0], rows):
-        sl = slice(lo, lo + rows)
-        pc = ca[sl, :, None, None] * cb[None, None, :, :]
-        pr = (np.abs(ca[sl])[:, :, None, None] * rb[None, None, :, :]
-              + ra[sl, :, None, None] * np.abs(cb)[None, None, :, :]
-              + ra[sl, :, None, None] * rb[None, None, :, :]) \
-            * (1 + 8 * EPS) + np.abs(pc) * 4 * EPS + TINY
-        for a in range(2):
-            sxa = sx[sl, :, a]
-            if not sxa.any():
-                continue
-            for b in range(2):
-                syb = sy[:, :, b]
-                if not syb.any():
-                    continue
-                w = 0.25 * sxa[:, None, :, None] * syb[None, :, None, :]
-                gx = np.broadcast_to(ix[sl, None, :, None, a],
-                                     pc.shape).ravel()
-                gy = np.broadcast_to(iy[None, :, None, :, b],
-                                     pc.shape).ravel()
-                np.add.at(out_c, (gx, gy), (pc * w).ravel())
-                np.add.at(out_r, (gx, gy), (pr * np.abs(w)).ravel())
-    n_acc = 16 * (f.cutoff + 1) * (g.cutoff + 1)
-    out_r = out_r * (1 + 8 * EPS) + (n_acc + 8) * EPS * \
-        (np.abs(out_c) + out_r) + TINY
-    return FourierField(cx + cy, cut, BallGrid(out_c, out_r))
+# the band-limited product; the engine calls it by this module-level name,
+# which a profiler can rebind to count the calls
+_mul_fast = FourierField.multiply
 
 
 def nonlinearity_pair(u1: FourierField, u2: FourierField) \

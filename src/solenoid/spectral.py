@@ -33,8 +33,9 @@ import numpy as np
 
 from .approxcore import (BoundedValue, ConstantsTable, Name, bv_pi,
                          certified_integral)
-from .floatball import (EPS, FB_PI, TINY, BallGrid, FloatBall, fb_exp, fb_pow,
-                        fb_sincos, fb_sqrt)
+from .floatball import (EPS, FB_PI, TINY, BallGrid, FloatBall, _float_up,
+                        ball_convolve, ball_matmul, fb_exp, fb_pow, fb_sincos,
+                        fb_sqrt)
 from .polyfield import (MollifiedElement, RationalPoly2, TrimmedField,
                         _neg_profile_derivative, gamma0, gamma_radial_moment,
                         poly_inner_on_box)
@@ -73,12 +74,6 @@ def _weights(basis: str, cutoff: int) -> np.ndarray:
     return np.outer(wx, wy)
 
 
-def _float_up(x: Fraction) -> float:
-    """The smallest double >= x."""
-    f = float(x)
-    return f if Fraction(f) >= x else math.nextafter(f, math.inf)
-
-
 def _tail_add(a: FloatBall, b: FloatBall) -> FloatBall:
     """Tail-bound addition that keeps exact zeros exact, so band-limited
     fields stay band-limited under linear combinations."""
@@ -96,15 +91,6 @@ def _sum_ball(centers: np.ndarray, radii: np.ndarray) -> FloatBall:
     return FloatBall(c, float(radii.sum()) + slack)
 
 
-def ball_matmul(x: BallGrid, y: BallGrid) -> BallGrid:
-    """Matrix product with outward-rounded radius propagation."""
-    c = x.c @ y.c
-    r = np.abs(x.c) @ y.r + x.r @ (np.abs(y.c) + y.r)
-    k = x.c.shape[-1]
-    r = r + (np.abs(c) + r) * ((k + 4) * EPS) + TINY
-    return BallGrid(c, r)
-
-
 # ---------------------------------------------------------------------------
 # FourierField
 # ---------------------------------------------------------------------------
@@ -115,16 +101,14 @@ class FourierField:
     ``grid`` stores expansion coefficients a_{n,m} (so that the function is
     sum a_{n,m} trig(n pi x) trig(m pi y)); ``tail_l2`` bounds the L2 mass of
     all modes beyond ``cutoff``.  ``basis`` is two characters, x-axis factor
-    first, 's' or 'c'; the 'exp' basis (complex, symmetric index range) is
-    produced by :meth:`to_exp` for interoperability and round-tripping only.
+    first, 's' or 'c'.
     """
 
-    __slots__ = ("basis", "cutoff", "grid", "grid_im", "tail_l2", "tail_hs")
+    __slots__ = ("basis", "cutoff", "grid", "tail_l2", "tail_hs")
 
     def __init__(self, basis: str, cutoff: int, grid: BallGrid,
-                 tail_l2: FloatBall = None, tail_hs: Dict = None,
-                 grid_im: BallGrid = None):
-        if basis not in TRIG_BASES and basis != "exp":
+                 tail_l2: FloatBall = None, tail_hs: Dict = None):
+        if basis not in TRIG_BASES:
             raise ValueError("unknown basis %r" % basis)
         self.basis = basis
         self.cutoff = cutoff
@@ -132,14 +116,8 @@ class FourierField:
         if self.tail_l2.lower() < 0:
             self.tail_l2 = FloatBall.from_rounded(0.0, self.tail_l2.upper())
         self.tail_hs = dict(tail_hs or {})
-        if basis == "exp":
-            self.grid = grid
-            self.grid_im = grid_im if grid_im is not None \
-                else BallGrid.zeros(grid.shape)
-            return
         mask = _weights(basis, cutoff) > 0
         self.grid = BallGrid(grid.c * mask, grid.r * mask)
-        self.grid_im = None
 
     # -- constructors -------------------------------------------------------
 
@@ -156,10 +134,6 @@ class FourierField:
         g.set((n, m), b)
         return FourierField(basis, cut, g)
 
-    def _require_trig(self):
-        if self.basis == "exp":
-            raise ValueError("operation needs a product trig basis")
-
     def band_limited(self) -> bool:
         return self.tail_l2.upper() == 0.0
 
@@ -169,7 +143,6 @@ class FourierField:
                              "(uncontrolled tail)" % what)
 
     def weights(self) -> np.ndarray:
-        self._require_trig()
         return _weights(self.basis, self.cutoff)
 
     # -- linear structure ---------------------------------------------------
@@ -192,7 +165,6 @@ class FourierField:
                             self.tail_hs)
 
     def __add__(self, other: "FourierField") -> "FourierField":
-        self._require_trig()
         a, b, cut = self._aligned(other)
         tails = {s: _tail_add(a.tail_hs[s], b.tail_hs[s])
                  for s in a.tail_hs if s in b.tail_hs}
@@ -207,7 +179,6 @@ class FourierField:
                             self.tail_l2, self.tail_hs)
 
     def scale(self, factor) -> "FourierField":
-        self._require_trig()
         b = factor if isinstance(factor, FloatBall) else FloatBall.exact(factor)
         mag = b.abs_ball()
 
@@ -220,7 +191,6 @@ class FourierField:
     # -- norms --------------------------------------------------------------
 
     def l2_sq_ball(self) -> FloatBall:
-        self._require_trig()
         w = self.weights()
         sq = self.grid * self.grid
         s = _sum_ball(sq.c * w, sq.r * w)
@@ -233,7 +203,6 @@ class FourierField:
     def hs_norm(self, s) -> FloatBall:
         """Sobolev norm (sum (1+n^2+m^2)^s rho a^2)^(1/2); at s=0 this is the
         L2 norm.  Needs a band-limited field or a stored tail for this s."""
-        self._require_trig()
         s = Fraction(s)
         if s == 0:
             return self.l2_norm_ball()
@@ -271,7 +240,6 @@ class FourierField:
 
     def truncated(self, cap: int) -> "FourierField":
         """Drop modes beyond ``cap``, folding their mass into the tail."""
-        self._require_trig()
         if cap >= self.cutoff:
             return self
         w = self.weights()
@@ -290,7 +258,6 @@ class FourierField:
 
     def derivative(self, axis: int) -> "FourierField":
         """Termwise derivative; sin and cos swap along the derived axis."""
-        self._require_trig()
         self._require_band_limited("termwise derivative")
         idx = np.arange(self.cutoff + 1, dtype=float)
         pi = FB_PI
@@ -311,33 +278,19 @@ class FourierField:
         return FourierField(nb, self.cutoff, self.grid * fac)
 
     def multiply(self, other: "FourierField") -> "FourierField":
-        """Pointwise product via the product-to-sum identities."""
-        self._require_trig()
-        other._require_trig()
+        """Pointwise product: the ball convolution of both fields'
+        exponential extensions, folded back onto the product trig basis."""
         self._require_band_limited("product")
         other._require_band_limited("product")
-        cx, x_terms = _axis_product_table(self.basis[0], other.basis[0],
-                                          self.cutoff, other.cutoff)
-        cy, y_terms = _axis_product_table(self.basis[1], other.basis[1],
-                                          self.cutoff, other.cutoff)
+        h = ball_convolve(_extended(self), _extended(other))
         cut = self.cutoff + other.cutoff
-        out = BallGrid.zeros((cut + 1, cut + 1))
-        half = FloatBall.exact(Fraction(1, 2))
-        act_a = np.argwhere((self.grid.c != 0.0) | (self.grid.r != 0.0))
-        act_b = np.argwhere((other.grid.c != 0.0) | (other.grid.r != 0.0))
-        for n1, m1 in act_a:
-            a = self.grid.at((n1, m1))
-            for n2, m2 in act_b:
-                prod = a * other.grid.at((n2, m2))
-                for ix, sx in x_terms[n1][n2]:
-                    px = prod * half if sx > 0 else -(prod * half)
-                    for iy, sy in y_terms[m1][m2]:
-                        v = px * half if sy > 0 else -(px * half)
-                        out.set((ix, iy), out.at((ix, iy)) + v)
-        return FourierField(cx + cy, cut, out)
+        (cx, fx), (cy, fy) = (_axis_fold(a, b, cut)
+                              for a, b in zip(self.basis, other.basis))
+        w = np.outer(fx, fy)
+        return FourierField(cx + cy, cut, BallGrid(h.c[cut:, cut:] * w,
+                                                   h.r[cut:, cut:] * np.abs(w)))
 
     def eval_ball(self, x: Fraction, y: Fraction) -> FloatBall:
-        self._require_trig()
         self._require_band_limited("point evaluation")
         x, y = Fraction(x), Fraction(y)
         tx = _trig_values(self.basis[0], self.cutoff, x)
@@ -349,7 +302,6 @@ class FourierField:
 
     def inner_l2(self, other: "FourierField") -> FloatBall:
         """L2 inner product; tails enter through Cauchy-Schwarz."""
-        self._require_trig()
         a, b, cut = self._aligned(other)
         w = _weights(self.basis, cut)
         prod = a.grid * b.grid
@@ -359,56 +311,17 @@ class FourierField:
             + ta * tb
         return s.widened(cross * (1 + 8 * EPS) + TINY)
 
-    # -- exp basis bridge ---------------------------------------------------
-
-    def to_exp(self) -> "FourierField":
-        """Re-express in theta_{n,m} = e^{i(nx+my)pi}; real input fields give
-        conjugate-symmetric coefficients c_{-n,-m} = conj(c_{n,m})."""
-        self._require_trig()
-        c = self.cutoff
-        re = BallGrid.zeros((2 * c + 1, 2 * c + 1))
-        im = BallGrid.zeros((2 * c + 1, 2 * c + 1))
-
-        def axis_factors(char, n):
-            # trig(n pi t) as a combination of e^{+-i n pi t}; each factor is
-            # (index, (re, im)) with exact dyadic parts
-            if char == "s":
-                return ((n, (0.0, -0.5)), (-n, (0.0, 0.5)))
-            if n == 0:
-                return ((0, (1.0, 0.0)),)
-            return ((n, (0.5, 0.0)), (-n, (0.5, 0.0)))
-
-        for n in range(c + 1):
-            for m in range(c + 1):
-                a = self.grid.at((n, m))
-                if a.c == 0.0 and a.r == 0.0:
-                    continue
-                for en, (xr, xi) in axis_factors(self.basis[0], n):
-                    for em, (yr, yi) in axis_factors(self.basis[1], m):
-                        fr, fi = xr * yr - xi * yi, xr * yi + xi * yr
-                        tgt = (en + c, em + c)
-                        if fr:
-                            re.set(tgt, re.at(tgt) + a * FloatBall(fr))
-                        if fi:
-                            im.set(tgt, im.at(tgt) + a * FloatBall(fi))
-        return FourierField("exp", c, re, self.tail_l2, self.tail_hs,
-                            grid_im=im)
-
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
         def grid_json(g):
             return [[str(Fraction(v)) for v in row] for row in g]
-        im = self.grid_im.c if self.basis == "exp" \
-            else np.zeros_like(self.grid.c)
-        rad = self.grid.r if self.basis != "exp" \
-            else self.grid.r + self.grid_im.r
         out = {
             "basis": self.basis,
             "cutoff": self.cutoff,
             "re": grid_json(self.grid.c),
-            "im": grid_json(im),
-            "rad": grid_json(rad),
+            "im": grid_json(np.zeros_like(self.grid.c)),
+            "rad": grid_json(self.grid.r),
             "tail_l2": str(Fraction(self.tail_l2.upper())),
         }
         if self.tail_hs:
@@ -420,14 +333,14 @@ class FourierField:
     def from_json(obj: dict) -> "FourierField":
         # centres round to nearest, radii round up and absorb their centre's
         # conversion error, so each loaded ball contains the written one;
-        # entries that are doubles load exactly
+        # entries that are doubles load exactly; "im" is written as zeros
+        # and not read
         def ball(centre, rad):
             q = Fraction(centre)
             c = float(q)
             return c, _float_up(Fraction(rad) + abs(q - Fraction(c)))
 
-        def grid(centres, radii=None):
-            radii = radii or [[0] * len(row) for row in centres]
+        def grid(centres, radii):
             arr = np.array([[ball(c, r) for c, r in zip(crow, rrow)]
                             for crow, rrow in zip(centres, radii)],
                            dtype=np.float64)
@@ -438,16 +351,11 @@ class FourierField:
             # keep exact zeros exact so band-limitedness survives the trip
             return FloatBall(0.0) if hi == 0 \
                 else FloatBall.from_endpoints(0.0, _float_up(hi))
-        basis = obj["basis"]
-        cutoff = int(obj["cutoff"])
-        tail = tail_ball(obj["tail_l2"])
         tails = {Fraction(s): tail_ball(t)
                  for s, t in obj.get("tail_hs", {}).items()}
-        g = grid(obj["re"], obj["rad"])
-        if basis == "exp":
-            return FourierField("exp", cutoff, g, tail, tails,
-                                grid_im=grid(obj["im"]))
-        return FourierField(basis, cutoff, g, tail, tails)
+        return FourierField(obj["basis"], int(obj["cutoff"]),
+                            grid(obj["re"], obj["rad"]),
+                            tail_ball(obj["tail_l2"]), tails)
 
     def __repr__(self):
         return "FourierField(basis=%s, cutoff=%d, tail<=%.3g)" % (
@@ -463,37 +371,42 @@ def _trig_values(char: str, cutoff: int, t: Fraction) -> List[FloatBall]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _axis_product_table(c1: str, c2: str, cut1: int, cut2: int):
-    """Product-to-sum expansion per axis: trig(c1, i) trig(c2, j) =
-    sum of +-(1/2) trig(out_char, index)."""
-    out_char = "c" if c1 == c2 else "s"
-    table = []
-    for i in range(cut1 + 1):
-        row = []
-        for j in range(cut2 + 1):
-            if c1 == "s" and c2 == "s":
-                terms = [(abs(i - j), +1), (i + j, -1)]
-            elif c1 == "c" and c2 == "c":
-                terms = [(abs(i - j), +1), (i + j, +1)]
-            elif c1 == "s" and c2 == "c":
-                terms = [(i + j, +1)]
-                if i > j:
-                    terms.append((i - j, +1))
-                elif j > i:
-                    terms.append((j - i, -1))
-            else:  # cos * sin
-                terms = [(i + j, +1)]
-                if j > i:
-                    terms.append((j - i, +1))
-                elif i > j:
-                    terms.append((i - j, -1))
-            if out_char == "c":
-                row.append([t for t in terms])
-            else:
-                row.append([t for t in terms if t[0] != 0])
-        table.append(row)
-    return out_char, table
+def _axis_extension(char: str, cutoff: int) -> np.ndarray:
+    """Weights of trig(|k| pi t) over e^{i k pi t}, k = -cutoff..cutoff:
+    cos(n pi t) = (e^{i n pi t} + e^{-i n pi t})/2 gives 1 at 0 and 1/2 at
+    +-n; sin(n pi t) = (e^{i n pi t} - e^{-i n pi t})/(2i) gives +-1/2, its
+    exponential coefficients times i."""
+    k = np.arange(-cutoff, cutoff + 1)
+    if char == "c":
+        return np.where(k == 0, 1.0, 0.5)
+    return 0.5 * np.sign(k)
+
+
+def _extended(f: FourierField) -> BallGrid:
+    """The coefficients E[n + N, m + N], |n|, |m| <= N = cutoff, with
+    f(x, y) = i^-p sum E e^{i pi (n x + m y)}, p the number of sine axes:
+    cosine axes are even in their index and sine axes odd."""
+    idx = np.abs(np.arange(-f.cutoff, f.cutoff + 1))
+    w = np.outer(_axis_extension(f.basis[0], f.cutoff),
+                 _axis_extension(f.basis[1], f.cutoff))
+    c = f.grid.c[idx[:, None], idx] * w
+    # the halvings are exact except in the subnormal range, where centre
+    # and radius can each lose half of the smallest subnormal; one ulp up
+    # on the radius covers both
+    r = np.nextafter(f.grid.r[idx[:, None], idx] * np.abs(w), np.inf)
+    return BallGrid(c, r)
+
+
+def _axis_fold(c1: str, c2: str, cut: int) -> Tuple[str, np.ndarray]:
+    """The product's axis character and the factors that take the
+    convolution at indices k >= 0 back to trig(k pi t).  Indices +-k both
+    land on mode k, so k > 0 doubles; the factor 1/i of each sine axis
+    leaves sin for one sine and -cos for two."""
+    f = np.full(cut + 1, 2.0)
+    f[0] = 1.0
+    if c1 != c2:
+        return "s", f
+    return "c", -f if c1 == "s" else f
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,16 @@ class TestErrorHandling:
         bad.write_text(json.dumps({"kind": "pair"}))
         assert _run("project", "--input", str(bad)) == cli.EXIT_PARSE
 
+    def test_parse_error_on_exp_basis(self, tmp_path):
+        # the product trig bases are the only field bases
+        field = FourierField.single_mode("ss", 1, 1).to_json()
+        field["basis"] = "exp"
+        bad = tmp_path / "exp.json"
+        bad.write_text(json.dumps({"schema": cli.SCHEMA, "kind": "field",
+                                   "field": field}))
+        assert _run("semigroup", "--t", "1/10", "--input", str(bad)) \
+            == cli.EXIT_PARSE
+
     def test_precondition_on_zero_precision(self, mode11):
         assert _run("semigroup", "--t", "1/10", "--precision", "0",
                     "--input", mode11) == cli.EXIT_PRECONDITION

@@ -17,8 +17,8 @@ from hypothesis import given, strategies as st
 
 from solenoid.approxcore import BoundedValue
 from solenoid.floatball import (
-    BallGrid, FloatBall, fb_cos, fb_exp, fb_log, fb_pow, fb_sin, fb_sincos,
-    fb_sqrt,
+    BallGrid, FloatBall, ball_convolve, ball_matmul, fb_cos, fb_exp, fb_log,
+    fb_pow, fb_sin, fb_sincos, fb_sqrt,
 )
 
 mp.mp.dps = 30
@@ -181,6 +181,55 @@ class TestBallGrid:
         g.set((1, 0), FloatBall(7.0, 0.125))
         got = g.at((1, 0))
         assert got.c == 7.0 and got.r == 0.125
+
+
+def _gamma_exact(n):
+    return F(n, 2 ** 53 - n)
+
+
+class TestBilinear:
+    """Exact Fraction references for the gamma_n rule of the matmul and the
+    convolution, on data engineered to cancel."""
+
+    def test_matmul_cancelling_dot(self):
+        k = 64
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(1, k))
+        y = rng.normal(size=(k, 1))
+        rest = sum(F(x[0, i]) * F(y[i, 0]) for i in range(k - 1))
+        y[k - 1, 0] = float(-rest / F(x[0, k - 1]))
+        exact = sum(F(x[0, i]) * F(y[i, 0]) for i in range(k))
+        abs_sum = sum(abs(F(x[0, i]) * F(y[i, 0])) for i in range(k))
+        assert abs(exact) < abs_sum * F(1, 10 ** 12)
+        out = ball_matmul(BallGrid(x), BallGrid(y)).at((0, 0))
+        assert out.contains(exact)
+        assert F(out.r) >= _gamma_exact(k) * abs_sum
+
+    def test_convolve_contains_exact(self):
+        rng = np.random.default_rng(11)
+        x = BallGrid(rng.normal(size=(3, 4)), np.abs(rng.normal(size=(3, 4))))
+        y = BallGrid(rng.normal(size=(5, 2)),
+                     np.abs(rng.normal(size=(5, 2))) * 1e-3)
+        out = ball_convolve(x, y)
+        assert out.shape == (7, 5)
+        n = 2 + min(3, 5)
+        for _ in range(4):
+            # a point of each input ball: an endpoint or the centre
+            px = [[F(x.c[i, j]) + rng.integers(-1, 2) * F(x.r[i, j])
+                   for j in range(4)] for i in range(3)]
+            py = [[F(y.c[i, j]) + rng.integers(-1, 2) * F(y.r[i, j])
+                   for j in range(2)] for i in range(5)]
+            for a in range(7):
+                for b in range(5):
+                    pairs = [(i, j, a - i, b - j) for i in range(3)
+                             for j in range(4)
+                             if 0 <= a - i < 5 and 0 <= b - j < 2]
+                    val = sum(px[i][j] * py[k][l] for i, j, k, l in pairs)
+                    ball = out.at((a, b))
+                    assert ball.contains(val)
+                    abs_sum = sum(abs(F(x.c[i, j]) * F(y.c[k, l]))
+                                  for i, j, k, l in pairs)
+                    assert F(ball.r) >= _gamma_exact(n) * abs_sum
 
 
 def test_rounding_constants_defined_only_in_floatball():

@@ -24,6 +24,8 @@ from solenoid.helmholtz import VectorFieldName, divergence
 from solenoid.spectral import FourierField, SobolevName, coefficients
 from solenoid.stokes import frac_power_apply, semigroup_apply
 
+from oracles import axis_product_table, product_to_sum
+
 EL = pf.mollify(pf.solenoidal_kernel(4)[0], 1, 2)
 CT = ConstantsTable.default()
 
@@ -87,21 +89,56 @@ class TestFastProduct:
         f = self._random_field(b1, 5)
         g = self._random_field(b2, 4)
         fast = nse._mul_fast(f, g)
-        ref = f.multiply(g)
+        ref = product_to_sum(f, g)
         assert fast.basis == ref.basis
         assert float(np.abs(fast.grid.c - ref.grid.c).max()) < 1e-11
         # enclosure property both ways: each center sits in the other's ball
         gap = np.abs(fast.grid.c - ref.grid.c)
         assert bool((gap <= fast.grid.r + ref.grid.r + 1e-15).all())
 
-    def test_chunked_path_matches(self, monkeypatch):
-        # shrink the slab budget so the product runs in several row chunks
-        f = self._random_field("sc", 7)
-        g = self._random_field("cs", 6)
-        whole = nse._mul_fast(f, g)
-        monkeypatch.setattr(nse, "_CHUNK_BUDGET", 200.0)
-        split = nse._mul_fast(f, g)
-        assert float(np.abs(whole.grid.c - split.grid.c).max()) < 1e-13
+    def test_one_product_route(self):
+        assert nse._mul_fast is FourierField.multiply
+
+    def test_cancelling_slot_holds_exact_sum(self):
+        # f in sin.cos and g in cos.sin at cutoff 24; one coefficient of g
+        # is chosen so that the terms of slot (24, 24) cancel
+        cut, slot = 24, (24, 24)
+        rng = np.random.default_rng(20261018)
+        f = FourierField("sc", cut, BallGrid(rng.normal(size=(cut + 1,) * 2)))
+        gc = rng.normal(size=(cut + 1, cut + 1))
+        _, xt = axis_product_table("s", "c", cut, cut)
+        _, yt = axis_product_table("c", "s", cut, cut)
+        xs = [(i, j, s) for i in range(cut + 1) for j in range(cut + 1)
+              for k, s in xt[i][j] if k == slot[0]]
+        ys = [(i, j, s) for i in range(cut + 1) for j in range(cut + 1)
+              for k, s in yt[i][j] if k == slot[1]]
+        terms = [((n1, m1), (n2, m2), F(sx * sy, 4))
+                 for n1, n2, sx in xs for m1, m2, sy in ys]
+        fc = f.grid.c
+        pick = (3, 21)
+        gc[pick] = 0.0
+        rest = sum(w * F(fc[a]) * F(gc[b]) for a, b, w in terms)
+        kappa = sum(w * F(fc[a]) for a, b, w in terms if b == pick)
+        gc[pick] = float(-rest / kappa)
+        g = FourierField("cs", cut, BallGrid(gc))
+        exact = sum(w * F(fc[a]) * F(g.grid.c[b]) for a, b, w in terms)
+        abs_sum = sum(abs(w * F(fc[a]) * F(g.grid.c[b])) for a, b, w in terms)
+        assert abs(exact) < abs_sum * F(1, 10 ** 12)
+        ball = nse._mul_fast(f, g).grid.at(slot)
+        assert ball.contains(exact)
+        # the documented count of FourierField.multiply -> ball_convolve on
+        # the 49 x 49 extensions: n = t + min(p, s) = 49 + 49
+        n = 2 * (2 * cut + 1)
+        assert F(ball.r) >= F(n, 2 ** 53 - n) * abs_sum
+
+    def test_subnormal_halving_stays_enclosed(self):
+        # an odd subnormal coefficient cannot be halved exactly by the
+        # extension; the large factor blows that up past TINY
+        tiny = 3 * 2.0 ** -1074
+        f = FourierField.single_mode("cc", 1, 1, tiny)
+        g = FourierField.single_mode("cc", 0, 0, 2.0 ** 60)
+        p = nse._mul_fast(f, g)
+        assert p.grid.at((1, 1)).contains(F(tiny) * 2 ** 60)
 
     def test_single_mode_product(self):
         # sin(pi x)cos(2 pi y) * cos(pi x)sin(pi y) expands over four modes

@@ -22,10 +22,10 @@ from solenoid.approxcore import BoundedValue, ConstantsTable, Name, bv_pi
 from solenoid.floatball import BallGrid, FloatBall
 from solenoid.polyfield import RationalPoly2, poly_inner_on_box
 from solenoid.spectral import (
-    BallPoly2, FourierField, HElement, SobolevName, _transform_small_x,
-    _window_transforms, axis_trig_moments, coefficients, differentiate,
-    mollified_distance, mollified_field_pair, mollifier_mode_grid,
-    mollify_poly, multiply, poly_mul, trig_poly_field,
+    BallPoly2, FourierField, HElement, SobolevName, _extended,
+    _transform_small_x, _window_transforms, axis_trig_moments, coefficients,
+    differentiate, mollified_distance, mollified_field_pair,
+    mollifier_mode_grid, mollify_poly, multiply, poly_mul, trig_poly_field,
 )
 
 mp.mp.dps = 30
@@ -247,36 +247,38 @@ class TestFieldProperties:
 
 
 class TestExpBridge:
+    """The extension the product convolves: f = i^-p sum E e^{i pi (nx+my)}
+    with p the number of sine axes."""
+
+    BASES = ("ss", "sc", "cs", "cc")
+
     def test_conjugate_symmetry(self):
-        f = _field("sc", [[0, 0, 0], [1.0, 0.5, 0], [0, 0, -2.0]])
-        e = f.to_exp()
-        c = f.cutoff
-        for n in range(-c, c + 1):
-            for m in range(-c, c + 1):
-                assert abs(e.grid.c[c + n, c + m] -
-                           e.grid.c[c - n, c - m]) < 1e-14
-                assert abs(e.grid_im.c[c + n, c + m] +
-                           e.grid_im.c[c - n, c - m]) < 1e-14
+        # cosine axes are even in their index, sine axes odd
+        for basis in self.BASES:
+            f = _field(basis, [[0.25, 0, 0], [1.0, 0.5, 0], [0, 0, -2.0]])
+            e = _extended(f)
+            c = f.cutoff
+            parity = (-1) ** basis.count("s")
+            for n in range(-c, c + 1):
+                for m in range(-c, c + 1):
+                    assert e.c[c - n, c - m] == parity * e.c[c + n, c + m]
+                    assert e.r[c - n, c - m] == e.r[c + n, c + m]
 
     def test_exp_reconstructs_value(self):
-        f = _field("cs", [[0, 1.0, 0], [0, 0, -0.75], [0.5, 0, 0]])
-        e = f.to_exp()
-        c = f.cutoff
         x, y = 0.3, 0.7
-        tot = mp.mpf(0)
-        for n in range(-c, c + 1):
-            for m in range(-c, c + 1):
-                z = mp.e ** (1j * mp.pi * (n * x + m * y))
-                tot += (e.grid.c[c + n, c + m] +
-                        1j * e.grid_im.c[c + n, c + m]) * z
-        assert abs(float(mp.im(tot))) < 1e-12
-        want = _mp_eval(f, mp.mpf(x), mp.mpf(y))
-        assert abs(float(mp.re(tot)) - float(want)) < 1e-12
-
-    def test_exp_rejects_termwise_ops(self):
-        e = FourierField.single_mode("ss", 1, 1).to_exp()
-        with pytest.raises(ValueError):
-            e.l2_sq_ball()
+        for basis in self.BASES:
+            f = _field(basis, [[0.5, 1.0, 0], [0, 0, -0.75], [0.5, 0, 0.25]])
+            e = _extended(f)
+            c = f.cutoff
+            tot = mp.mpf(0)
+            for n in range(-c, c + 1):
+                for m in range(-c, c + 1):
+                    tot += e.c[c + n, c + m] * \
+                        mp.e ** (1j * mp.pi * (n * x + m * y))
+            tot = tot / (1j) ** basis.count("s")
+            assert abs(float(mp.im(tot))) < 1e-12
+            want = _mp_eval(f, mp.mpf(x), mp.mpf(y))
+            assert abs(float(mp.re(tot)) - float(want)) < 1e-12
 
 
 class TestJson:
@@ -297,13 +299,6 @@ class TestJson:
         f = FourierField.single_mode("cc", 1, 0, coeff=0.5)
         obj = f.to_json()
         assert obj["re"][1][0] == "1/2"
-
-    def test_exp_round_trip(self):
-        e = _field("ss", [[0, 0, 0], [0, 1.0, 0], [0, 0, 0.5]]).to_exp()
-        g = FourierField.from_json(e.to_json())
-        assert g.basis == "exp"
-        assert np.allclose(g.grid.c, e.grid.c)
-        assert np.allclose(g.grid_im.c, e.grid_im.c)
 
     def test_written_fields_load_exactly(self):
         f = _field("sc", [[0, 0, 0], [1 / 3, 0, 0], [0, -0.1, 2.0]])
