@@ -27,7 +27,7 @@ from . import nse
 from . import polyfield as pf
 from .approxcore import ConstantsTable
 from .helmholtz import divergence, project
-from .polyfield import MollifiedElement, SolenoidalPolyPair
+from .polyfield import MollifiedElement
 from .spectral import FourierField, coefficients
 from .stokes import frac_power_apply, semigroup_apply
 
@@ -130,8 +130,7 @@ def _load_field_input(config: RunConfig):
         if kind == "field":
             return FourierField.from_json(obj["field"])
         if kind == "element":
-            return MollifiedElement(SolenoidalPolyPair.from_json(obj["base"]),
-                                    int(obj["k"]), int(obj["n"]))
+            return MollifiedElement.from_json(obj)
     except (KeyError, ValueError, TypeError) as exc:
         raise CliError(EXIT_PARSE, "parse",
                        "malformed %r input: %s" % (kind, exc))

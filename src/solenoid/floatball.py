@@ -17,7 +17,9 @@ is off by at most gamma_n times the sum of the absolute products, with
 gamma_n = n u/(1 - n u) and u = 2^-53 (Higham, "Accuracy and Stability of
 Numerical Algorithms", section 3.1; Rump, "Fast and parallel interval
 arithmetic", BIT 1999), and the radius they return adds that term to the
-propagated input radii.
+propagated input radii.  Every sum over a coefficient grid goes through the
+same rule: `BallGrid.sumsq_ball` for weighted sums of squares (norms,
+tails, masses) and `BallGrid.ball_sum` for signed sums.
 """
 
 from __future__ import annotations
@@ -429,20 +431,51 @@ class BallGrid:
         self.c[idx] = b.c
         self.r[idx] = b.r
 
-    def sumsq_upper(self) -> float:
-        """Upper bound on sum of squares of the enclosed values."""
-        m = np.abs(self.c) + self.r
-        return float(np.sum(m * m)) * (1.0 + m.size * EPS) * _INFL
+    def sumsq_ball(self, w=None) -> FloatBall:
+        """Ball enclosing sum w x^2 over the grid, for nonnegative weights w
+        (a BallGrid or an array of exact weights; 1 when omitted).
 
-    def sumsq_ball(self) -> FloatBall:
-        """Ball enclosing sum of |value|^2 over the grid."""
-        m = np.abs(self.c) + self.r
-        lo_e = np.abs(self.c) - self.r
-        lo_e = np.where(lo_e > 0.0, lo_e, 0.0)
-        n = max(m.size, 1)
-        hi = float(np.sum(m * m)) * (1.0 + n * EPS) + TINY
-        lo = float(np.sum(lo_e * lo_e)) * (1.0 - n * EPS)
-        return FloatBall.from_rounded(max(lo, 0.0), hi)
+        The lower end sums max(w.c - w.r, 0) mig(x)^2, the upper end
+        (w.c + w.r) mag(x)^2.  A term takes k = 4 roundings (mig or mag, the
+        square, the weight end, the product) and the sum n - 1 more, so in
+        any order each float sum S is within a factor 1 +- gamma_{n+3} of
+        its exact value.  Underflow loses at most 2^-1075 per product times
+        a later weight, which eta = TINY max(1, max w) covers (0 for an
+        all-zero grid, whose sum stays an exact 0).  The ends are
+        (S_hi + eta) (1 + g) and (S_lo - eta) (1 - g), g = gamma_{n+k+2}:
+        one rounding more for eta and two to form and apply the factor.
+        """
+        a = np.abs(self.c)
+        mag = a + self.r
+        mig = np.maximum(a - self.r, 0.0)
+        hi, lo = mag * mag, mig * mig
+        wmax = 1.0
+        if w is not None:
+            wc, wr = (w.c, w.r) if isinstance(w, BallGrid) else (w, 0.0)
+            w_hi = wc + wr
+            hi = hi * w_hi
+            lo = lo * np.maximum(wc - wr, 0.0)
+            wmax = max(float(np.max(w_hi, initial=0.0)), 1.0)
+        g = _gamma(hi.size + 6)
+        eta = TINY * wmax if mag.any() else 0.0
+        return FloatBall.from_endpoints(
+            max(float(lo.sum()) - eta, 0.0) * (1.0 - g),
+            (float(hi.sum()) + eta) * (1.0 + g))
+
+    def ball_sum(self) -> FloatBall:
+        """Ball enclosing the sum of the enclosed values.
+
+        The centre sum of n terms is off by at most gamma_{n-1} sum |c|, and
+        the float sums of |c| and of the radii are each within a factor
+        1 + gamma_{n-1} of the exact ones.  Their combination takes two
+        roundings, and the factor 1 + gamma_{n+3} two more to form and
+        apply; `_bump` then keeps upper() and lower() outward.
+        """
+        n = max(self.c.size, 1)
+        s = float(self.c.sum())
+        rad = (float(self.r.sum()) + _gamma(n) * float(np.abs(self.c).sum())) \
+            * (1.0 + _gamma(n + 3))
+        return FloatBall(s, _bump(s, rad))
 
 
 # ---------------------------------------------------------------------------

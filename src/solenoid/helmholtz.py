@@ -31,13 +31,12 @@ semigroup outputs, and the nonlinearity all land in exactly these bases.
 
 from __future__ import annotations
 
-import math
 from typing import Tuple
 
 import numpy as np
 
 from .approxcore import Name
-from .floatball import EPS, TINY, BallGrid, FloatBall
+from .floatball import EPS, TINY, BallGrid, FloatBall, fb_sqrt
 from .polyfield import MollifiedElement
 from .spectral import FourierField, mollified_field_pair
 
@@ -101,9 +100,10 @@ class VectorFieldName:
         return _as_pair(self.name.refine(k))
 
 
-def _pair_tail_sq(f1: FourierField, f2: FourierField) -> float:
-    t1, t2 = f1.tail_l2.upper(), f2.tail_l2.upper()
-    return (t1 * t1 + t2 * t2) * (1 + 8 * EPS)
+def _pair_tail_sq(f1: FourierField, f2: FourierField) -> FloatBall:
+    """Enclosure of t1^2 + t2^2 for the pair's tail bounds t1, t2."""
+    return BallGrid(np.array([f1.tail_l2.upper(),
+                              f2.tail_l2.upper()])).sumsq_ball()
 
 
 def _factor_grid(num: np.ndarray, den: np.ndarray) -> BallGrid:
@@ -132,9 +132,9 @@ def project_pair(f1: FourierField, f2: FourierField) \
     nm = _factor_grid(np.where(live, ng * mg, 0.0), den)
     p1 = mm * g1 + -(nm * g2)
     p2 = nn * g2 + -(nm * g1)
-    tail_sq = 2.0 * _pair_tail_sq(f1, f2)
-    tail = FloatBall(0.0) if tail_sq == 0.0 else FloatBall.from_rounded(
-        0.0, math.sqrt(tail_sq) * (1 + 8 * EPS) + TINY)
+    tail_sq = _pair_tail_sq(f1, f2)
+    tail = FloatBall(0.0) if tail_sq.upper() == 0.0 else \
+        FloatBall.from_endpoints(0.0, fb_sqrt(tail_sq * 2.0).upper())
     return (FourierField("sc", cut, p1, tail),
             FourierField("cs", cut, p2, tail))
 
@@ -156,19 +156,16 @@ def truncation_index(u, K: int) -> int:
     f1, f2 = _as_pair(u, K + 2 if isinstance(u, VectorFieldName) else None)
     cut = max(f1.cutoff, f2.cutoff)
     a, b = f1._embedded(cut), f2._embedded(cut)
-    mass = np.zeros((cut + 2,))
-    for f in (a, b):
-        hi = (np.abs(f.grid.c) + f.grid.r) ** 2 * f.weights()
-        # mass[N] = upper bound on the pair mass with max(n, m) >= N
-        ring = np.zeros(cut + 2)
-        for N in range(cut, -1, -1):
-            # modes with max(n, m) exactly N
-            ring[N] = hi[N, :N + 1].sum() + hi[:N + 1, N].sum() - hi[N, N]
-        mass[:-1] += np.cumsum(ring[::-1])[::-1][:cut + 1]
-    mass = mass * (1 + (cut + 8) * EPS) + _pair_tail_sq(f1, f2)
+    n = np.arange(cut + 1)
+    ring = np.maximum.outer(n, n)
+    tail_sq = _pair_tail_sq(f1, f2)
     target = 0.25 ** (K + 1) / 2
     for N in range(cut + 2):
-        if mass[min(N, cut + 1)] <= target:
+        # the pair mass with max(n, m) >= N, tails included
+        beyond = ring >= N
+        mass = a.grid.sumsq_ball(a.weights() * beyond) + \
+            b.grid.sumsq_ball(b.weights() * beyond) + tail_sq
+        if mass.upper() <= target:
             return N
     raise ValueError("tail mass does not certify at this precision")
 

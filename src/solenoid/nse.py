@@ -47,7 +47,7 @@ from .spectral import (
     FourierField, SobolevName, _trig_values, differentiate,
     mollified_field_pair, multiply,
 )
-from .stokes import frac_power_apply, semigroup_apply
+from .stokes import _l2_upper, frac_power_norm, semigroup_apply
 
 __all__ = [
     "BudgetError", "Forcing", "HorizonError", "IterationCertificate",
@@ -100,24 +100,6 @@ def _trunc_band(f: FourierField, cap: int) -> Tuple[FourierField, float]:
     (presented tail included)."""
     t = f.truncated(cap)
     return _strip_tail(t), t.tail_l2.upper()
-
-
-def _pair_l2_upper(pair) -> float:
-    s = pair[0].l2_sq_ball() + pair[1].l2_sq_ball()
-    return math.sqrt(max(s.upper(), 0.0)) * _UP
-
-
-def _band_beta_norm(pair, beta: Fraction) -> float:
-    """Upper bound on ||A^beta u||_2 for a band-limited pair."""
-    total = 0.0
-    b = float(beta)
-    for f in pair:
-        n = np.arange(f.cutoff + 1, dtype=float)
-        s = n[:, None] ** 2 + n[None, :] ** 2
-        lam = (_PI2_HI * s) ** (2 * b)
-        hi = (np.abs(f.grid.c) + f.grid.r) ** 2 * f.weights()
-        total += float((lam * hi).sum())
-    return math.sqrt(total) * _UP
 
 
 def nonlinearity(u, K: int, constants: ConstantsTable = None):
@@ -280,7 +262,7 @@ def compute_horizon(a, constants: ConstantsTable = None, mode_cap: int = 24,
     seed = project_pair(b1, b2)
     seed = (_strip_tail(seed[0]), _strip_tail(seed[1]))
     seed_res = 2 * (res + trunc)
-    norm_up = _pair_l2_upper(seed)
+    norm_up = _l2_upper(seed)
     g_sup = forcing.sup_l2 if forcing is not None else 0.0
     eighth = BoundedValue.exact(1) / ctil.scale(8)
     floor = (c1 * BoundedValue.from_fraction(seed_res)).upper()
@@ -292,10 +274,8 @@ def compute_horizon(a, constants: ConstantsTable = None, mode_cap: int = 24,
         T = Fraction(1, 4)
         k0 = BoundedValue.exact(0)
     else:
-        q_pair = frac_power_apply(seed, F14)
-        h_pair = frac_power_apply(seed, F12)
-        q_norm = _pair_l2_upper(q_pair)
-        h_norm = _pair_l2_upper(h_pair)
+        q_norm = frac_power_norm(seed, F14).upper()
+        h_norm = frac_power_norm(seed, F12).upper()
         mx = Fraction(max(q_norm, h_norm))
         # the display bound 1/(16 Ctilde), tightened further when the
         # presentation's resolution floor eats into the 1/(8 Ctilde) total
@@ -433,7 +413,7 @@ class Forcing:
     @staticmethod
     def constant(f1: FourierField, f2: FourierField) -> "Forcing":
         p1, p2 = project_pair(f1, f2)
-        sup = _pair_l2_upper((p1, p2))
+        sup = _l2_upper((p1, p2))
         return Forcing(lambda lo, hi: (f1, f2), sup, label="constant")
 
 
@@ -506,21 +486,25 @@ class _Engine:
             self._f[q] = (_strip_tail(g[0]), _strip_tail(g[1]))
         return self._f[q]
 
-    def _forcing_integral(self, lo: Fraction, hi: Fraction):
-        i = int(lo / self.h)
+    def _panel_sum(self, panels):
+        """h times the sum of the heat enclosures of g over [tau_lo, tau_hi]
+        for the triples (g, tau_lo, tau_hi) of ``panels``, added in order;
+        the zero pair when there are none."""
         val = None
-        for q in range(i):
-            g = self._forcing_cell(q)
-            tau_lo = max(Fraction(0), lo - (q + 1) * self.h)
-            tau_hi = hi - q * self.h
+        for g, tau_lo, tau_hi in panels:
             piece = self._semi(g, tau_lo, tau_hi)
-            piece = (piece[0].scale(Fraction(self.h)),
-                     piece[1].scale(Fraction(self.h)))
+            piece = (piece[0].scale(self.h), piece[1].scale(self.h))
             val = piece if val is None else (val[0] + piece[0],
                                              val[1] + piece[1])
         if val is None:
-            cut = self.cap
-            val = (FourierField.zero("sc", cut), FourierField.zero("cs", cut))
+            val = (FourierField.zero("sc", self.cap),
+                   FourierField.zero("cs", self.cap))
+        return val
+
+    def _forcing_integral(self, lo: Fraction, hi: Fraction):
+        val = self._panel_sum(
+            (self._forcing_cell(q), max(Fraction(0), lo - (q + 1) * self.h),
+             hi - q * self.h) for q in range(int(lo / self.h)))
         h = float(self.h)
         G = self.forcing.sup_l2
         d = np.zeros(len(_DEFECT_BETAS))
@@ -554,13 +538,13 @@ class _Engine:
             b2, e2 = _trunc_band(b2, self.cap)
             delta = math.hypot(e1, e2) * _UP
             M = float(self.ct.M.upper())
-            u14 = _band_beta_norm(pair, F14)
-            u12 = _band_beta_norm(pair, F12)
+            u14 = frac_power_norm(pair, F14).upper()
+            u12 = frac_power_norm(pair, F12).upper()
             d14 = d[_DEFECT_BETAS.index(F14)]
             d12 = d[_DEFECT_BETAS.index(F12)]
             E = (M * (d14 * (u12 + d12) + u14 * d12)
                  + delta * self._lam_qtr) * _UP
-            bnorm = _pair_l2_upper((b1, b2))
+            bnorm = _l2_upper((b1, b2))
             Fv = ((2 * _PI2_LO) ** -0.25 * bnorm + E) * _UP
             self._B[key] = ((b1, b2), E, Fv)
         return self._B[key]
@@ -570,17 +554,12 @@ class _Engine:
     def _integral(self, j: int, i: int):
         """Enclosure of int_0^s e^{-(s-r)A} B u_j(r) dr for s in cell i."""
         h = float(self.h)
-        val = None
+        val = self._panel_sum(
+            (self.B_cell(j, q)[0], (i - q - 1) * self.h, (i - q + 1) * self.h)
+            for q in range(i))
         d = np.zeros(len(_DEFECT_BETAS))
         for q in range(i):
-            bq, Eq, _ = self.B_cell(j, q)
-            tau_lo = (i - q - 1) * self.h
-            tau_hi = (i - q + 1) * self.h
-            piece = self._semi(bq, tau_lo, tau_hi)
-            piece = (piece[0].scale(Fraction(self.h)),
-                     piece[1].scale(Fraction(self.h)))
-            val = piece if val is None else (val[0] + piece[0],
-                                             val[1] + piece[1])
+            Eq = self.B_cell(j, q)[1]
             gap = (i - q - 1) * h
             for bi, g in enumerate(self._gammas):
                 W = h * gap ** -g if gap > 0 else \
@@ -589,9 +568,6 @@ class _Engine:
         _, _, Fi = self.B_cell(j, i)
         for bi, g in enumerate(self._gammas):
             d[bi] += self._C_gamma[bi] * h ** (1 - g) / (1 - g) * Fi * _UP
-        if val is None:
-            val = (FourierField.zero("sc", self.cap),
-                   FourierField.zero("cs", self.cap))
         return val, d
 
     def eval(self, m: int):
@@ -599,22 +575,18 @@ class _Engine:
         pair = self._semi(self.cert.seed, self.t, self.t)
         d = np.zeros(len(_DEFECT_BETAS))
         if self.forcing is not None:
-            fv, fd = self._forcing_endpoint()
+            fv = self._panel_sum(
+                (self._forcing_cell(q), self.t - (q + 1) * self.h,
+                 self.t - q * self.h) for q in range(self.P))
             pair = (pair[0] + fv[0], pair[1] + fv[1])
-            d = d + fd
         if m == 0:
             return pair, d
         h = float(self.h)
-        val = None
+        val = self._panel_sum(
+            (self.B_cell(m - 1, q)[0], self.t - (q + 1) * self.h,
+             self.t - q * self.h) for q in range(self.P))
         for q in range(self.P):
-            bq, Eq, _ = self.B_cell(m - 1, q)
-            tau_lo = self.t - (q + 1) * self.h
-            tau_hi = self.t - q * self.h
-            piece = self._semi(bq, tau_lo, tau_hi)
-            piece = (piece[0].scale(Fraction(self.h)),
-                     piece[1].scale(Fraction(self.h)))
-            val = piece if val is None else (val[0] + piece[0],
-                                             val[1] + piece[1])
+            Eq = self.B_cell(m - 1, q)[1]
             gap = (self.P - 1 - q) * h
             for bi, g in enumerate(self._gammas):
                 W = h * gap ** -g if gap > 0 else \
@@ -622,27 +594,11 @@ class _Engine:
                 d[bi] += self._C_gamma[bi] * W * Eq * _UP
         return (pair[0] - val[0], pair[1] - val[1]), d
 
-    def _forcing_endpoint(self):
-        val = None
-        for q in range(self.P):
-            g = self._forcing_cell(q)
-            piece = self._semi(g, self.t - (q + 1) * self.h,
-                               self.t - q * self.h)
-            piece = (piece[0].scale(Fraction(self.h)),
-                     piece[1].scale(Fraction(self.h)))
-            val = piece if val is None else (val[0] + piece[0],
-                                             val[1] + piece[1])
-        if val is None:
-            val = (FourierField.zero("sc", self.cap),
-                   FourierField.zero("cs", self.cap))
-        return val, np.zeros(len(_DEFECT_BETAS))
-
 
 def _pair_radius(pair) -> float:
-    total = 0.0
-    for f in pair:
-        total += float(((f.grid.r ** 2) * f.weights()).sum())
-    return math.sqrt(total) * _UP
+    """Upper bound on the joint L2 norm of the pair's coefficient radii."""
+    return fb_sqrt(sum(BallGrid(f.grid.r).sumsq_ball(f.weights())
+                       for f in pair)).upper()
 
 
 def _fold_defect(pair, d0: float):

@@ -24,7 +24,7 @@ __all__ = [
     "constraint_matrix", "kernel_basis", "matrix_rank", "solenoidal_kernel",
     "enumerate_solenoidal_polys", "index_of_kernel_point", "trim", "mollify",
     "metric", "approximation_defect", "gamma0", "gamma_radial_moment",
-    "mollifier_cos_coefficient", "mollifier_mass", "poly_name",
+    "mollifier_mass", "poly_name",
 ]
 
 _F0 = Fraction(0)
@@ -739,82 +739,6 @@ def _neg_profile_derivative(t: TSeries, nu: int, g0: BoundedValue) -> TSeries:
     return out * TSeries.constant(scal, t.order)
 
 
-@lru_cache(maxsize=None)
-def mollifier_cos_coefficient(nu: int, n: int, m: int,
-                              kbits: int = 40) -> BoundedValue:
-    """Enclosure of int gamma_nu(z) cos(n pi z1) cos(m pi z2) dz.
-
-    Expands the cosines around zero and contracts against the radial moments
-    J_s; the error of truncating at order P is controlled by the cosh tail.
-    Requires n pi 2^-nu <= 16 (larger frequencies are useless anyway: the
-    coefficient is then astronomically small relative to the cost).
-    """
-    from .approxcore import bv_pi
-    if nu < 0 or n < 0 or m < 0:
-        raise ValueError("indices must be nonnegative")
-    pi = bv_pi()
-    scale = Fraction(1, 1 << nu)
-    x = pi.scale(Fraction(n) * scale)
-    y = pi.scale(Fraction(m) * scale)
-    if x.upper() > 16 or y.upper() > 16:
-        raise ValueError("frequency too high for this kernel scale")
-    target = Fraction(1, 1 << kbits)
-    # moment radii are amplified by at most cosh(x) cosh(y) <= e^{x+y}
-    amp = float(x.upper() + y.upper())
-    jbits = kbits + int(1.45 * amp) + 16
-    jbits = ((jbits + 15) // 16) * 16  # quantize so the caches stay warm
-    g0 = gamma0(jbits)
-
-    def plan(xv: BoundedValue) -> int:
-        # smallest P with x^(2P+2)/(2P+2)! below the truncation budget
-        xm = xv.mag().to_fraction()
-        term = _F1
-        p = 0
-        while True:
-            term = term * xm * xm / ((2 * p + 1) * (2 * p + 2))
-            if term <= target / 16 or p > 80:
-                return p
-            p += 1
-
-    P, Q = plan(x), plan(y)
-    jtab = _moments_upto((((P + Q) // 16) + 1) * 16, jbits)
-    x2 = x * x
-    y2 = y * y
-    total = BoundedValue.exact(0)
-    xpow = BoundedValue.exact(1)  # x^{2p}/(2p)!
-    for p in range(P + 1):
-        ypow = BoundedValue.exact(1)
-        for q in range(Q + 1):
-            j = jtab[p + q]
-            wgt = Fraction(1, 2 * p + 1) + Fraction(1, 2 * q + 1)
-            sign = 1 if (p + q) % 2 == 0 else -1
-            total = total + (xpow * ypow * j * g0).scale(4 * sign * wgt)
-            ypow = (ypow * y2).scale(Fraction(1, (2 * q + 1) * (2 * q + 2)))
-        xpow = (xpow * x2).scale(Fraction(1, (2 * p + 1) * (2 * p + 2)))
-    # truncation slack: remaining terms are bounded by 8 gamma0 J_0 times the
-    # cosh tails in either variable
-    j0u = (gamma_radial_moment(0, jbits) * g0).scale(8).mag().to_fraction()
-    def cosh_tail(xv, p0):
-        xm = xv.mag().to_fraction()
-        lead = _F1
-        for i in range(1, 2 * p0 + 3):
-            lead = lead * xm / i
-        den = 1 - xm * xm / ((2 * p0 + 3) * (2 * p0 + 4))
-        if den <= 0:
-            raise ValueError("tail bound did not converge")
-        return lead / den
-    def cosh_all(xv):
-        xm = xv.mag().to_fraction()
-        # crude upper bound on cosh(x)
-        e = bv_exp(BoundedValue.from_fraction(xm))
-        return e.mag().to_fraction()
-    slack = j0u * (cosh_tail(x, P) * cosh_all(y) +
-                   cosh_all(x) * cosh_tail(y, Q) +
-                   cosh_tail(x, P) * cosh_tail(y, Q))
-    return total.widened(
-        BoundedValue.from_endpoints(-slack, slack)).rounded()
-
-
 # ---------------------------------------------------------------------------
 # mollified elements
 # ---------------------------------------------------------------------------
@@ -937,15 +861,12 @@ class MollifiedElement:
         return certified_integral(integrand, a, b, budget, order=6)
 
     def to_json(self) -> dict:
-        obj = self.base.to_json()
-        obj["k"] = self.k
-        obj["n"] = self.n
-        return obj
+        return {"base": self.base.to_json(), "k": self.k, "n": self.n}
 
     @staticmethod
     def from_json(obj: dict) -> "MollifiedElement":
-        return MollifiedElement(SolenoidalPolyPair.from_json(obj),
-                                obj["k"], obj["n"])
+        return MollifiedElement(SolenoidalPolyPair.from_json(obj["base"]),
+                                int(obj["k"]), int(obj["n"]))
 
     def __repr__(self):
         return "MollifiedElement(N=%d, k=%d, n=%d)" % (

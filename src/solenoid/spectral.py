@@ -31,14 +31,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .approxcore import (BoundedValue, ConstantsTable, Name, bv_pi,
-                         certified_integral)
+from .approxcore import BoundedValue, ConstantsTable, Name, bv_pi
 from .floatball import (EPS, FB_PI, TINY, BallGrid, FloatBall, _float_up,
                         ball_convolve, ball_matmul, fb_exp, fb_pow, fb_sincos,
                         fb_sqrt)
 from .polyfield import (MollifiedElement, RationalPoly2, TrimmedField,
-                        _neg_profile_derivative, gamma0, gamma_radial_moment,
-                        poly_inner_on_box)
+                        gamma0, gamma_radial_moment, poly_inner_on_box)
 from .taylor import TSeries
 
 __all__ = [
@@ -84,11 +82,25 @@ def _tail_add(a: FloatBall, b: FloatBall) -> FloatBall:
     return a + b
 
 
-def _sum_ball(centers: np.ndarray, radii: np.ndarray) -> FloatBall:
-    c = float(centers.sum())
-    slack = (centers.size + 4) * EPS * float(np.abs(centers).sum()
-                                              + radii.sum()) + TINY
-    return FloatBall(c, float(radii.sum()) + slack)
+_PI2 = FB_PI * FB_PI
+
+
+@lru_cache(maxsize=None)
+def mode_weights(cutoff: int, kind: str, q: Fraction) -> BallGrid:
+    """Certified weights of the modes n, m <= cutoff: (1 + n^2 + m^2)^q for
+    kind "sobolev", the Stokes eigenvalue power (pi^2 (n^2 + m^2))^q for
+    kind "stokes" (q > 0; 0 at n = m = 0).  fb_pow runs once per distinct
+    n^2 + m^2.  The table is cached and read-only."""
+    n = np.arange(cutoff + 1)
+    s = n[:, None] ** 2 + n[None, :] ** 2
+    uniq, inv = np.unique(s, return_inverse=True)
+    balls = [fb_pow(FloatBall(float(1 + v)), q) if kind == "sobolev" else
+             fb_pow(_PI2 * FloatBall(float(v)), q) if v else FloatBall(0.0)
+             for v in uniq]
+    out = BallGrid(np.array([b.c for b in balls])[inv].reshape(s.shape),
+                   np.array([b.r for b in balls])[inv].reshape(s.shape))
+    out.c.flags.writeable = out.r.flags.writeable = False
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +202,22 @@ class FourierField:
 
     # -- norms --------------------------------------------------------------
 
+    def weighted_sq_ball(self, kind: str = None, q=0,
+                         tail: FloatBall = None) -> FloatBall:
+        """sum over the band of w rho a^2, with w = mode_weights(cutoff,
+        kind, q) (1 without a kind) and rho the L2 weight of the mode, plus
+        [0, t^2] for the mass beyond the band when a tail bound t is given;
+        one sum under the gamma_n rule of `BallGrid.sumsq_ball`."""
+        w = BallGrid(self.weights())
+        if kind is not None:
+            w = w * mode_weights(self.cutoff, kind, Fraction(q))
+        t = 0.0 if tail is None else tail.upper()
+        return BallGrid(np.append(self.grid.c, 0.0),
+                        np.append(self.grid.r, t)).sumsq_ball(
+            BallGrid(np.append(w.c, 1.0), np.append(w.r, 0.0)))
+
     def l2_sq_ball(self) -> FloatBall:
-        w = self.weights()
-        sq = self.grid * self.grid
-        s = _sum_ball(sq.c * w, sq.r * w)
-        t2 = self.tail_l2.upper() ** 2
-        return s + FloatBall(t2 / 2, t2 / 2 + 4 * EPS * t2 + TINY)
+        return self.weighted_sq_ball(tail=self.tail_l2)
 
     def l2_norm_ball(self) -> FloatBall:
         return fb_sqrt(self.l2_sq_ball())
@@ -212,29 +234,12 @@ class FourierField:
             tail = self.tail_hs[s]
         else:
             raise ValueError("insufficient data: no H^%s tail bound" % s)
-        w = self.weights()
-        total = FloatBall(0.0)
-        powers: Dict[int, FloatBall] = {}
-        for n in range(self.cutoff + 1):
-            for m in range(self.cutoff + 1):
-                if w[n, m] == 0.0:
-                    continue
-                lam = 1 + n * n + m * m
-                if lam not in powers:
-                    powers[lam] = fb_pow(FloatBall(float(lam)), s)
-                a = self.grid.at((n, m))
-                total = total + powers[lam] * (a * a) * \
-                    FloatBall(float(w[n, m]))
-        t2 = tail.upper() ** 2
-        total = total + FloatBall(t2 / 2, t2 / 2 + 4 * EPS * t2 + TINY)
-        return fb_sqrt(total)
+        return fb_sqrt(self.weighted_sq_ball("sobolev", s, tail))
 
     def sup_upper(self) -> float:
         """Upper bound on the sup norm: sum of coefficient magnitudes."""
         self._require_band_limited("sup bound")
-        n = self.grid.c.size
-        return float(np.abs(self.grid.c).sum() + self.grid.r.sum()) * \
-            (1 + (n + 4) * EPS) + TINY
+        return BallGrid(np.abs(self.grid.c), self.grid.r).ball_sum().upper()
 
     # -- analysis operations ------------------------------------------------
 
@@ -243,13 +248,8 @@ class FourierField:
         if cap >= self.cutoff:
             return self
         w = self.weights()
-        sq = self.grid * self.grid
-        keep = np.zeros_like(w, dtype=bool)
-        keep[:cap + 1, :cap + 1] = True
-        dropped = _sum_ball(np.where(keep, 0.0, sq.c * w),
-                            np.where(keep, 0.0, sq.r * w))
-        extra = fb_sqrt(FloatBall.from_rounded(0.0, max(dropped.upper(),
-                                                        0.0)))
+        w[:cap + 1, :cap + 1] = 0.0
+        extra = fb_sqrt(self.grid.sumsq_ball(w))
         g = BallGrid(self.grid.c[:cap + 1, :cap + 1].copy(),
                      self.grid.r[:cap + 1, :cap + 1].copy())
         return FourierField(self.basis, cap, g,
@@ -303,9 +303,7 @@ class FourierField:
     def inner_l2(self, other: "FourierField") -> FloatBall:
         """L2 inner product; tails enter through Cauchy-Schwarz."""
         a, b, cut = self._aligned(other)
-        w = _weights(self.basis, cut)
-        prod = a.grid * b.grid
-        s = _sum_ball(prod.c * w, prod.r * w)
+        s = (a.grid * b.grid * BallGrid(_weights(self.basis, cut))).ball_sum()
         ta, tb = a.tail_l2.upper(), b.tail_l2.upper()
         cross = ta * b.l2_norm_ball().upper() + tb * a.l2_norm_ball().upper() \
             + ta * tb
@@ -582,24 +580,6 @@ def _osc_moments(x: FloatBall, q_x: Fraction, a: Fraction, b: Fraction,
     return ic, isn
 
 
-def _transform_small_x(x_bv: BoundedValue, with_rho: bool) -> FloatBall:
-    """phi or psi by certified quadrature in exact arithmetic.
-
-    Slow independent route kept as a cross-check oracle for the panel
-    transforms; converges only for moderate x."""
-    g0 = gamma0(60)
-
-    def integrand(t):
-        prof = _neg_profile_derivative(t, 0, g0)
-        s, c = (t * TSeries.constant(x_bv, t.order)).sincos()
-        if with_rho:
-            return prof * t * s
-        return prof * c
-
-    out = certified_integral(integrand, _F0, _F1, Fraction(1, 1 << 44))
-    return FloatBall.from_bounded(out)
-
-
 @lru_cache(maxsize=None)
 def _window_transforms(n_index: int, nu: int) -> Tuple[FloatBall, FloatBall]:
     """(phi, psi) at x = n_index * pi * 2^{-nu}."""
@@ -736,10 +716,8 @@ def trig_poly_field(q: RationalPoly2, box, basis: str,
     grid = BallGrid(raw.c * inv, raw.r * inv)
     tail = FloatBall(0.0)
     if h1_sq is not None:
-        field = FourierField(basis, cutoff, grid, tail)
-        l2_def = _defect(poly_inner_on_box(q, q, box),
-                         _partial_lower(field, weighted=False))
-        h1_def = _defect(h1_sq, _partial_lower(field, weighted=True))
+        l2_def, h1_def = _defects(FourierField(basis, cutoff, grid), q, box,
+                                  h1_sq)
         cp = float(cutoff + 1)
         t = math.sqrt(min(l2_def, h1_def / ((math.pi * (1 - 1e-12)) ** 2
                                             * cp * cp))) * (1 + 1e-10) + TINY
@@ -767,26 +745,18 @@ def _component_h1_sq(q: RationalPoly2, box) -> Fraction:
     return poly_inner_on_box(dx, dx, box) + poly_inner_on_box(dy, dy, box)
 
 
-def _partial_lower(field: FourierField, weighted: bool) -> float:
-    """Certified lower bound on the retained Parseval mass of a field.
-
-    With ``weighted`` set, the sum carries the factor (n^2 + m^2) pi^2, so it
-    lower-bounds the retained part of the H^1 seminorm identity.
-    """
-    g = field.grid
-    blo = np.maximum(np.abs(g.c) - g.r, 0.0)
-    t = blo * blo * _weights(field.basis, field.cutoff)
-    if weighted:
-        n2 = np.arange(field.cutoff + 1, dtype=np.float64) ** 2
-        t = t * np.add.outer(n2, n2) * (math.pi * (1 - 1e-15)) ** 2
-    return float(t.sum()) * (1 - 1e-9)
-
-
-def _defect(exact_sq: Fraction, partial_lower: float) -> float:
-    d = Fraction(exact_sq) - Fraction(partial_lower)
-    if d <= 0:
-        return TINY
-    return float(d) * (1 + 1e-12) + TINY
+def _defects(field: FourierField, q: RationalPoly2, box,
+             h1_sq: Fraction) -> Tuple[float, float]:
+    """Upper bounds on the L2 and H^1 Parseval defects of the expansion
+    ``field`` of q on ``box``: the exact mass minus the lower end of the
+    retained one.  The H^1 sum carries the weight pi^2 (n^2 + m^2); its
+    identity holds termwise because q vanishes on the box boundary."""
+    out = []
+    for exact, kind in ((poly_inner_on_box(q, q, box), None),
+                        (h1_sq, "stokes")):
+        d = Fraction(exact) - Fraction(field.weighted_sq_ball(kind, 1).lower())
+        out.append(float(d) * (1 + 1e-12) + TINY if d > 0 else TINY)
+    return out[0], out[1]
 
 
 def _env_consts(nu: int) -> Tuple[float, float]:
@@ -844,11 +814,7 @@ def _component_expansion(elem: MollifiedElement, j: int, basis: str,
     box = _canonical_box(elem)
     q = _pullback_component(elem, j)
     base = trig_poly_field(q, box, basis, cutoff)
-    l2_def = _defect(poly_inner_on_box(q, q, box),
-                     _partial_lower(base, weighted=False))
-    h1_def = _defect(_component_h1_sq(q, box),
-                     _partial_lower(base, weighted=True))
-    return base, l2_def, h1_def
+    return (base,) + _defects(base, q, box, _component_h1_sq(q, box))
 
 
 def mollified_field_pair(elem: MollifiedElement, cutoff: int,
@@ -902,8 +868,6 @@ def mollified_distance(a: MollifiedElement, b: MollifiedElement,
     fa1, fa2 = mollified_field_pair(a, cutoff)
     fb1, fb2 = mollified_field_pair(b, cutoff)
     total = (fa1 - fb1).l2_sq_ball() + (fa2 - fb2).l2_sq_ball()
-    if total.lower() < 0:
-        total = FloatBall.from_rounded(0.0, max(total.upper(), 0.0))
     dist = fb_sqrt(total) * FloatBall(2.0)
     out = dist.to_bounded()
     if out.radius.to_fraction() > Fraction(1, 1 << kbits):
@@ -1015,7 +979,9 @@ class BallPoly2:
         return total
 
     def sup_upper(self) -> float:
-        return sum(v.abs_ball().upper() for v in self.coeffs.values())
+        balls = self.coeffs.values()
+        return BallGrid(np.array([abs(v.c) for v in balls]),
+                        np.array([v.r for v in balls])).ball_sum().upper()
 
 
 @lru_cache(maxsize=None)

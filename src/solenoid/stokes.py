@@ -22,35 +22,31 @@ series, so each panel contribution is an enclosure whose only approximation
 errors are explicit truncation bounds.  No panel is ever close to the pole
 at -lam because |r e^{i beta} + lam| >= sin(beta) max(r, lam).
 
-Fractional powers A^alpha act mode-wise by lam^alpha.  The integral
-representation  A^alpha = (sin(pi alpha)/pi) int_0^inf t^{alpha-1}
-A (tI + A)^{-1} dt  is carried as an independent certified route
-(:func:`power_integral`) so the closed form can be cross-checked.
+Fractional powers A^alpha act mode-wise by lam^alpha, and the norm
+||A^beta u|| is the root of the weighted coefficient sum
+sum lam^{2 beta} rho |a|^2 (:func:`frac_power_norm`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .approxcore import (
-    BoundedValue, ConstantsTable, bv_pi, bv_pow, bv_sin, certified_integral,
-    cos_contour_angle, gamma_tail,
+    BoundedValue, ConstantsTable, bv_pi, bv_sin, cos_contour_angle, gamma_tail,
 )
 from .floatball import (
     EPS, FB_PI, TINY, BallGrid, FloatBall, fb_exp, fb_pow, fb_sincos, fb_sqrt,
 )
 from .helmholtz import resolve_field
-from .spectral import FourierField
+from .spectral import _PI2, FourierField, mode_weights
 
 __all__ = [
-    "ContourSpec", "contour_factors", "heat_factor",
-    "resolvent_apply", "tail_cutoff_l", "mode_cutoff", "semigroup_apply",
-    "frac_power_apply", "power_integral", "smoothing_bound_check",
+    "contour_factors", "heat_factor", "tail_cutoff_l", "semigroup_apply",
+    "frac_power_apply", "frac_power_norm",
 ]
 
 BETA_OF_PI = Fraction(3, 5)           # the contour half-angle is 3 pi / 5
@@ -58,7 +54,6 @@ BETA_OF_PI = Fraction(3, 5)           # the contour half-angle is 3 pi / 5
 # cos(3 pi/5) < 0 < sin(3 pi/5), as tight balls
 _CB = FloatBall.from_bounded(cos_contour_angle(60))
 _SB = FloatBall.from_bounded(bv_sin(bv_pi(70).scale(BETA_OF_PI), 60))
-_PI2 = FB_PI * FB_PI
 
 
 def _as_bv(x) -> BoundedValue:
@@ -70,18 +65,6 @@ def _as_bv(x) -> BoundedValue:
 # ---------------------------------------------------------------------------
 # Contour bookkeeping
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ContourSpec:
-    """Radial cutoff and panel count actually used for one contour pass."""
-    l: float
-    quadrature_points: int
-    beta_of_pi: Fraction = BETA_OF_PI
-
-    def __post_init__(self):
-        if not self.l > 0:
-            raise ValueError("contour cutoff must be positive")
-
 
 def _gamma3_value(l: float, t: BoundedValue, K: int) -> BoundedValue:
     """Upper enclosure of (1/(pi sin beta)) int_l^inf e^{t r cos beta}/r dr,
@@ -300,88 +283,14 @@ def _apply_diagonal(field: FourierField, uniq: np.ndarray, fac_c: np.ndarray,
     return FourierField(field.basis, field.cutoff, grid, tail)
 
 
-def _l2_upper(field: FourierField) -> float:
-    return math.sqrt(max(field.l2_sq_ball().upper(), 0.0))
+def _l2_upper(fields) -> float:
+    """Upper bound on the joint L2 norm of fields, tails included."""
+    return fb_sqrt(sum(f.l2_sq_ball() for f in fields)).upper()
 
 
 # ---------------------------------------------------------------------------
-# Resolvent and semigroup
+# Semigroup
 # ---------------------------------------------------------------------------
-
-def resolvent_apply(a, lam):
-    """(lam I + A)^{-1} a by mode-wise division on a band-limited field.
-
-    ``lam`` is a real FloatBall/number or a pair (re, im) of them; complex
-    values return a (real part, imaginary part) pair of fields.  A division
-    interval containing zero means lam sits off the admissible contour and
-    raises ValueError.
-    """
-    fields, pairp = _components(resolve_field(a, 0))
-    if isinstance(lam, tuple):
-        lre, lim = (x if isinstance(x, FloatBall) else
-                    FloatBall.exact(Fraction(x)) for x in lam)
-    else:
-        lre = lam if isinstance(lam, FloatBall) else \
-            FloatBall.exact(Fraction(lam))
-        lim = FloatBall(0.0)
-    complexp = lim.mag() > 0.0
-    out_re, out_im = [], []
-    for f in fields:
-        f._require_band_limited("resolvent")
-        n = np.arange(f.cutoff + 1)
-        s = n[:, None] ** 2 + n[None, :] ** 2
-        live = f.weights() > 0
-        d_c = lre.c + 1j * lim.c + _PI2.c * s
-        d_r = lre.r + lim.r + _PI2.r * s + np.abs(d_c) * 4 * EPS + TINY
-        mag = np.abs(d_c)
-        gap = np.where(live, mag - d_r, 1.0)
-        if not gap.min() > 0:
-            raise ValueError("resolvent division interval contains zero "
-                             "(lambda off the admissible contour)")
-        inv_c = np.where(live, 1.0 / np.where(live, d_c, 1.0), 0.0)
-        inv_r = np.where(live, d_r / (gap * np.where(live, mag, 1.0))
-                         * (1 + 8 * EPS) + np.abs(inv_c) * 4 * EPS
-                         + TINY, 0.0)
-        gr = f.grid * BallGrid(inv_c.real, inv_r)
-        out_re.append(FourierField(f.basis, f.cutoff, gr))
-        if complexp:
-            gi = f.grid * BallGrid(inv_c.imag, inv_r)
-            out_im.append(FourierField(f.basis, f.cutoff, gi))
-    if complexp:
-        return _emit(out_re, pairp), _emit(out_im, pairp)
-    return _emit(out_re, pairp)
-
-
-def mode_cutoff(t, a, l, K: int) -> int:
-    """Smallest k certifying the contour mode-truncation bound
-
-        (1 + 2 k^2)^{-1} (l e^{l t} / 2 pi)^2
-            sum (1 + n^2 + m^2)(|a1|^2 + |a2|^2) rho  <  2^{-2(K+7)}.
-
-    The weighted coefficient sum is the squared H^1-type norm the dense-set
-    elements carry; the bound is extremely conservative (it majorizes the
-    oscillatory ray integral by its length), so the returned k can be far
-    beyond the band actually needed.
-    """
-    t = _as_bv(t)
-    l = _as_bv(l)
-    fields, _ = _components(resolve_field(a, K + 2, hs_tails=(Fraction(1),)))
-    S = Fraction(0)
-    for f in fields:
-        h1 = f.hs_norm(1)
-        S += Fraction(h1.upper()) ** 2
-    prec = max(80, 2 * K + 40)
-    from .approxcore import bv_exp
-    le = l * bv_exp(l * t, prec)
-    B = le / bv_pi(prec).scale(2)
-    rhs = Fraction(B.upper()) ** 2 * S * (1 << (2 * (K + 7)))
-    if rhs <= 1:
-        return 0
-    k = math.isqrt(int((rhs - 1) / 2)) + 1
-    while k > 0 and (1 + 2 * (k - 1) ** 2) > rhs:
-        k -= 1
-    return k
-
 
 def semigroup_apply(a, t, K: int, constants: ConstantsTable = None,
                     force_contour: bool = False):
@@ -410,24 +319,16 @@ def semigroup_apply(a, t, K: int, constants: ConstantsTable = None,
         return _emit(fields, pairp)
     band = all(f.band_limited() for f in fields)
     if band and not force_contour:
-        half_sq = FloatBall(0.0)
-        for f in fields:
-            n = np.arange(f.cutoff + 1)
-            s = (n[:, None] ** 2 + n[None, :] ** 2) * f.weights()
-            sq = f.grid * f.grid
-            hi = float(((np.abs(sq.c) + sq.r) * s).sum())
-            half_sq = half_sq + _PI2 * FloatBall.from_rounded(0.0, hi *
-                                                              (1 + 16 * EPS)
-                                                              + TINY)
         move = constants.C_half_time.upper() \
-            * math.sqrt(float(t.upper())) * fb_sqrt(half_sq).upper()
+            * math.sqrt(float(t.upper())) \
+            * frac_power_norm(fields, Fraction(1, 2)).upper()
         if move <= 2.0 ** -(K + 2):
             return _emit(fields, pairp)
     if t.lower() <= 0:
         raise ValueError("time enclosure touches zero but the small-time "
                          "bound does not certify the identity output")
     tb = FloatBall.from_bounded(t)
-    norm = math.hypot(*[_l2_upper(f) for f in fields])
+    norm = _l2_upper(fields)
     l, g3 = _tail_search(t, _as_bv(Fraction(norm) + Fraction(1, 10 ** 9)), K)
     g3 = float(g3.upper())
     uniq = np.unique(np.concatenate([_live_svals(f) for f in fields])) \
@@ -466,115 +367,19 @@ def frac_power_apply(a, alpha):
         else:
             raise ValueError("insufficient data: fractional power needs an "
                              "H^%s tail bound" % (2 * alpha))
-        uniq = np.unique(_live_svals(f))
-        fac_c = np.zeros(uniq.shape)
-        fac_r = np.zeros(uniq.shape)
-        for i, s in enumerate(uniq):
-            b = fb_pow(_PI2 * FloatBall.exact(int(s)), alpha)
-            fac_c[i], fac_r[i] = b.c, b.r
-        out.append(_apply_diagonal(f, uniq, fac_c, fac_r, tail))
+        live = f.weights() > 0
+        table = mode_weights(f.cutoff, "stokes", alpha)
+        grid = f.grid * BallGrid(table.c * live, table.r * live)
+        out.append(FourierField(f.basis, f.cutoff, grid, tail))
     return _emit(out, pairp)
 
 
-def power_integral(s: int, alpha, k: int = 10) -> BoundedValue:
-    """Certified value of int_0^inf t^{alpha-1} lam/(t+lam) dt, lam = pi^2 s.
-
-    This is the integral representation of the fractional power before
-    normalization: multiplied by sin(pi alpha)/pi it equals lam^alpha.  Kept
-    as an independent route for cross-checking :func:`frac_power_apply`; the
-    improper ends are handled by monotone sliver and tail bounds, the middle
-    by adaptive Taylor-model quadrature.
-    """
-    alpha = Fraction(alpha)
-    if not 0 < alpha < 1:
-        raise ValueError("fractional power exponent must lie in (0, 1)")
-    if s < 1:
-        raise ValueError("eigenvalue index must be >= 1")
-    prec = max(80, k + 40)
-    lam = (bv_pi(prec) * bv_pi(prec)).scale(s)
-    target = Fraction(1, 1 << k)
-    # reference scale: the value is lam^alpha pi/sin(pi alpha) ~ O(lam^alpha)
-    # head [0, delta]: t^{alpha-1} lam/(t+lam) between the pure power and
-    # its value at t = delta
-    delta = Fraction(1, 4)
-    while True:
-        da = bv_pow(BoundedValue.exact(delta), alpha, prec).scale(1 / alpha)
-        head_hi = da.upper()
-        head_lo = (da * (lam / (lam + BoundedValue.exact(delta)))).lower()
-        if head_hi - head_lo <= target / 4:
-            break
-        delta /= 4
-    # tail [T, inf): 0 <= integrand <= lam t^{alpha-2}
-    T = Fraction(4)
-    while True:
-        tail_hi = (bv_pow(BoundedValue.exact(T), alpha - 1, prec)
-                   * lam).scale(1 / (1 - alpha)).upper()
-        if tail_hi <= target / 4:
-            break
-        T *= 4
-
-    def integrand(ts):
-        return ts.pow_frac(alpha - 1) * lam / (ts + lam)
-
-    mid = certified_integral(integrand, delta, T, target / 2, prec=prec,
-                             max_panels=200000)
-    return BoundedValue.from_endpoints(head_lo + mid.lower(),
-                                       head_hi + mid.upper() + tail_hi, prec)
-
-
-def smoothing_bound_check(a, alpha, t, constants: ConstantsTable = None) \
-        -> Dict:
-    """Diagnostic comparison of ||A^alpha e^{-tA} a|| with C_alpha t^-alpha
-    ||a||.
-
-    Both sides are certified enclosures (the left uses the exact diagonal
-    heat multipliers, the right the configured constant); the report states
-    the margin, it proves nothing beyond the two numbers.
-    """
-    alpha = Fraction(alpha)
-    if not 0 <= alpha < 1:
-        raise ValueError("exponent must lie in [0, 1)")
-    t = _as_bv(t)
-    if t.lower() <= 0:
-        raise ValueError("smoothing check needs t > 0")
-    constants = constants or ConstantsTable.default()
-    fields, _ = _components(resolve_field(a, 8))
-    tb = FloatBall.from_bounded(t)
-    ca = FloatBall.from_bounded(constants.C_alpha(alpha))
-    t_pow = fb_pow(tb, -alpha)
-    lhs_sq = FloatBall(0.0)
-    norm_sq = FloatBall(0.0)
+def frac_power_norm(fields, beta) -> FloatBall:
+    """||A^beta u||_2 of band-limited fields u: the root of
+    sum (pi^2 (n^2 + m^2))^{2 beta} rho a^2 over their modes, each field's
+    sum under the gamma_n rule of `BallGrid.sumsq_ball`."""
+    total = FloatBall(0.0)
     for f in fields:
-        uniq = np.unique(_live_svals(f))
-        for s in uniq:
-            fac = fb_exp(-(_PI2 * FloatBall.exact(int(s)) * tb))
-            if alpha:
-                fac = fac * fb_pow(_PI2 * FloatBall.exact(int(s)), alpha)
-            n = np.arange(f.cutoff + 1)
-            sg = n[:, None] ** 2 + n[None, :] ** 2
-            mask = (sg == s) & (f.weights() > 0)
-            sq = f.grid * f.grid
-            w = f.weights()
-            hi = float(((np.abs(sq.c) + sq.r) * w * mask).sum())
-            lo = float((np.clip(np.abs(sq.c) - sq.r, 0, None) * w
-                        * mask).sum())
-            block = FloatBall.from_rounded(lo * (1 - 16 * EPS),
-                                           hi * (1 + 16 * EPS) + TINY)
-            lhs_sq = lhs_sq + fac * fac * block
-        tl = f.tail_l2.upper()
-        if tl > 0.0:
-            # Fact-2 style bound for the unresolved part
-            ext = ca * t_pow * FloatBall.from_rounded(0.0, tl)
-            lhs_sq = lhs_sq + ext * ext
-        norm_sq = norm_sq + f.l2_sq_ball()
-    lhs = fb_sqrt(lhs_sq.abs_ball())
-    rhs = ca * t_pow * fb_sqrt(norm_sq.abs_ball())
-    margin = rhs.lower() - lhs.upper()
-    return {
-        "alpha": str(alpha),
-        "t": [str(Fraction(t.lower())), str(Fraction(t.upper()))],
-        "lhs_upper": lhs.upper(),
-        "rhs_lower": rhs.lower(),
-        "margin": margin,
-        "ok": bool(margin >= 0.0),
-    }
+        f._require_band_limited("fractional-power norm")
+        total = total + f.weighted_sq_ball("stokes", 2 * Fraction(beta))
+    return fb_sqrt(total)

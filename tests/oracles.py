@@ -1,17 +1,28 @@
 """Independent routes kept only as cross-checks for the library.
 
-Each function here computes a value the package also computes, by a
+Most functions here compute a value the package also computes, by a
 different method, so that tests can require the two enclosures to overlap.
+The resolvent, the contour mode cutoff and the smoothing diagnostic check
+the semigroup's operator identities and constants; no library code calls
+them.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from solenoid.approxcore import BoundedValue, bv_pow, certified_integral
-from solenoid.floatball import BallGrid, FloatBall
-from solenoid.spectral import FourierField
+from solenoid.approxcore import (BoundedValue, ConstantsTable, bv_exp, bv_pi,
+                                 bv_pow, certified_integral)
+from solenoid.floatball import (EPS, TINY, BallGrid, FloatBall, fb_exp, fb_pow,
+                                fb_sqrt)
+from solenoid.helmholtz import resolve_field
+from solenoid.polyfield import (_moments_upto, _neg_profile_derivative, gamma0,
+                                gamma_radial_moment)
+from solenoid.spectral import _PI2, FourierField
+from solenoid.stokes import _as_bv, _components, _emit, _live_svals
+from solenoid.taylor import TSeries
 
 
 def beta_quadrature(x: Fraction, y: Fraction, k: int = 24) -> BoundedValue:
@@ -118,3 +129,266 @@ def product_to_sum(f: FourierField, g: FourierField) -> FourierField:
                     v = px * half if sy > 0 else -(px * half)
                     out.set((ix, iy), out.at((ix, iy)) + v)
     return FourierField(cx + cy, cut, out)
+
+
+def transform_small_x(x_bv: BoundedValue, with_rho: bool) -> FloatBall:
+    """phi or psi of `spectral._window_transforms` by certified quadrature
+    in exact arithmetic; slow, and converges only for moderate x."""
+    g0 = gamma0(60)
+
+    def integrand(t):
+        prof = _neg_profile_derivative(t, 0, g0)
+        s, c = (t * TSeries.constant(x_bv, t.order)).sincos()
+        if with_rho:
+            return prof * t * s
+        return prof * c
+
+    out = certified_integral(integrand, Fraction(0), Fraction(1),
+                             Fraction(1, 1 << 44))
+    return FloatBall.from_bounded(out)
+
+
+@lru_cache(maxsize=None)
+def mollifier_cos_coefficient(nu: int, n: int, m: int,
+                              kbits: int = 40) -> BoundedValue:
+    """Enclosure of int gamma_nu(z) cos(n pi z1) cos(m pi z2) dz.
+
+    Expands the cosines around zero and contracts against the radial moments
+    J_s; the error of truncating at order P is controlled by the cosh tail.
+    Requires n pi 2^-nu <= 16 (larger frequencies are useless anyway: the
+    coefficient is then astronomically small relative to the cost).
+    """
+    if nu < 0 or n < 0 or m < 0:
+        raise ValueError("indices must be nonnegative")
+    pi = bv_pi()
+    scale = Fraction(1, 1 << nu)
+    x = pi.scale(Fraction(n) * scale)
+    y = pi.scale(Fraction(m) * scale)
+    if x.upper() > 16 or y.upper() > 16:
+        raise ValueError("frequency too high for this kernel scale")
+    target = Fraction(1, 1 << kbits)
+    # moment radii are amplified by at most cosh(x) cosh(y) <= e^{x+y}
+    amp = float(x.upper() + y.upper())
+    jbits = kbits + int(1.45 * amp) + 16
+    jbits = ((jbits + 15) // 16) * 16  # quantize so the caches stay warm
+    g0 = gamma0(jbits)
+
+    def plan(xv: BoundedValue) -> int:
+        # smallest P with x^(2P+2)/(2P+2)! below the truncation budget
+        xm = xv.mag().to_fraction()
+        term = Fraction(1)
+        p = 0
+        while True:
+            term = term * xm * xm / ((2 * p + 1) * (2 * p + 2))
+            if term <= target / 16 or p > 80:
+                return p
+            p += 1
+
+    P, Q = plan(x), plan(y)
+    jtab = _moments_upto((((P + Q) // 16) + 1) * 16, jbits)
+    x2 = x * x
+    y2 = y * y
+    total = BoundedValue.exact(0)
+    xpow = BoundedValue.exact(1)  # x^{2p}/(2p)!
+    for p in range(P + 1):
+        ypow = BoundedValue.exact(1)
+        for q in range(Q + 1):
+            j = jtab[p + q]
+            wgt = Fraction(1, 2 * p + 1) + Fraction(1, 2 * q + 1)
+            sign = 1 if (p + q) % 2 == 0 else -1
+            total = total + (xpow * ypow * j * g0).scale(4 * sign * wgt)
+            ypow = (ypow * y2).scale(Fraction(1, (2 * q + 1) * (2 * q + 2)))
+        xpow = (xpow * x2).scale(Fraction(1, (2 * p + 1) * (2 * p + 2)))
+    # truncation slack: remaining terms are bounded by 8 gamma0 J_0 times the
+    # cosh tails in either variable
+    j0u = (gamma_radial_moment(0, jbits) * g0).scale(8).mag().to_fraction()
+    def cosh_tail(xv, p0):
+        xm = xv.mag().to_fraction()
+        lead = Fraction(1)
+        for i in range(1, 2 * p0 + 3):
+            lead = lead * xm / i
+        den = 1 - xm * xm / ((2 * p0 + 3) * (2 * p0 + 4))
+        if den <= 0:
+            raise ValueError("tail bound did not converge")
+        return lead / den
+    def cosh_all(xv):
+        xm = xv.mag().to_fraction()
+        # crude upper bound on cosh(x)
+        e = bv_exp(BoundedValue.from_fraction(xm))
+        return e.mag().to_fraction()
+    slack = j0u * (cosh_tail(x, P) * cosh_all(y) +
+                   cosh_all(x) * cosh_tail(y, Q) +
+                   cosh_tail(x, P) * cosh_tail(y, Q))
+    return total.widened(
+        BoundedValue.from_endpoints(-slack, slack)).rounded()
+
+
+def resolvent_apply(a, lam):
+    """(lam I + A)^{-1} a by mode-wise division on a band-limited field.
+
+    ``lam`` is a real FloatBall/number or a pair (re, im) of them; complex
+    values return a (real part, imaginary part) pair of fields.  A division
+    interval containing zero means lam sits off the admissible contour and
+    raises ValueError.
+    """
+    fields, pairp = _components(resolve_field(a, 0))
+    if isinstance(lam, tuple):
+        lre, lim = (x if isinstance(x, FloatBall) else
+                    FloatBall.exact(Fraction(x)) for x in lam)
+    else:
+        lre = lam if isinstance(lam, FloatBall) else \
+            FloatBall.exact(Fraction(lam))
+        lim = FloatBall(0.0)
+    complexp = lim.mag() > 0.0
+    out_re, out_im = [], []
+    for f in fields:
+        f._require_band_limited("resolvent")
+        n = np.arange(f.cutoff + 1)
+        s = n[:, None] ** 2 + n[None, :] ** 2
+        live = f.weights() > 0
+        d_c = lre.c + 1j * lim.c + _PI2.c * s
+        d_r = lre.r + lim.r + _PI2.r * s + np.abs(d_c) * 4 * EPS + TINY
+        mag = np.abs(d_c)
+        gap = np.where(live, mag - d_r, 1.0)
+        if not gap.min() > 0:
+            raise ValueError("resolvent division interval contains zero "
+                             "(lambda off the admissible contour)")
+        inv_c = np.where(live, 1.0 / np.where(live, d_c, 1.0), 0.0)
+        inv_r = np.where(live, d_r / (gap * np.where(live, mag, 1.0))
+                         * (1 + 8 * EPS) + np.abs(inv_c) * 4 * EPS
+                         + TINY, 0.0)
+        gr = f.grid * BallGrid(inv_c.real, inv_r)
+        out_re.append(FourierField(f.basis, f.cutoff, gr))
+        if complexp:
+            gi = f.grid * BallGrid(inv_c.imag, inv_r)
+            out_im.append(FourierField(f.basis, f.cutoff, gi))
+    if complexp:
+        return _emit(out_re, pairp), _emit(out_im, pairp)
+    return _emit(out_re, pairp)
+
+
+def mode_cutoff(t, a, l, K: int) -> int:
+    """Smallest k certifying the contour mode-truncation bound
+
+        (1 + 2 k^2)^{-1} (l e^{l t} / 2 pi)^2
+            sum (1 + n^2 + m^2)(|a1|^2 + |a2|^2) rho  <  2^{-2(K+7)}.
+
+    The weighted coefficient sum is the squared H^1-type norm the dense-set
+    elements carry; the bound is extremely conservative (it majorizes the
+    oscillatory ray integral by its length), so the returned k can be far
+    beyond the band actually needed.
+    """
+    t = _as_bv(t)
+    l = _as_bv(l)
+    fields, _ = _components(resolve_field(a, K + 2, hs_tails=(Fraction(1),)))
+    S = Fraction(0)
+    for f in fields:
+        h1 = f.hs_norm(1)
+        S += Fraction(h1.upper()) ** 2
+    prec = max(80, 2 * K + 40)
+    le = l * bv_exp(l * t, prec)
+    B = le / bv_pi(prec).scale(2)
+    rhs = Fraction(B.upper()) ** 2 * S * (1 << (2 * (K + 7)))
+    if rhs <= 1:
+        return 0
+    k = math.isqrt(int((rhs - 1) / 2)) + 1
+    while k > 0 and (1 + 2 * (k - 1) ** 2) > rhs:
+        k -= 1
+    return k
+
+
+def power_integral(s: int, alpha, k: int = 10) -> BoundedValue:
+    """Certified value of int_0^inf t^{alpha-1} lam/(t+lam) dt, lam = pi^2 s.
+
+    This is the integral representation of the fractional power before
+    normalization: multiplied by sin(pi alpha)/pi it equals lam^alpha.  It
+    is the independent route for `stokes.frac_power_apply`; the improper
+    ends are handled by monotone sliver and tail bounds, the middle by
+    adaptive Taylor-model quadrature.
+    """
+    alpha = Fraction(alpha)
+    if not 0 < alpha < 1:
+        raise ValueError("fractional power exponent must lie in (0, 1)")
+    if s < 1:
+        raise ValueError("eigenvalue index must be >= 1")
+    prec = max(80, k + 40)
+    lam = (bv_pi(prec) * bv_pi(prec)).scale(s)
+    target = Fraction(1, 1 << k)
+    # reference scale: the value is lam^alpha pi/sin(pi alpha) ~ O(lam^alpha)
+    # head [0, delta]: t^{alpha-1} lam/(t+lam) between the pure power and
+    # its value at t = delta
+    delta = Fraction(1, 4)
+    while True:
+        da = bv_pow(BoundedValue.exact(delta), alpha, prec).scale(1 / alpha)
+        head_hi = da.upper()
+        head_lo = (da * (lam / (lam + BoundedValue.exact(delta)))).lower()
+        if head_hi - head_lo <= target / 4:
+            break
+        delta /= 4
+    # tail [T, inf): 0 <= integrand <= lam t^{alpha-2}
+    T = Fraction(4)
+    while True:
+        tail_hi = (bv_pow(BoundedValue.exact(T), alpha - 1, prec)
+                   * lam).scale(1 / (1 - alpha)).upper()
+        if tail_hi <= target / 4:
+            break
+        T *= 4
+
+    def integrand(ts):
+        return ts.pow_frac(alpha - 1) * lam / (ts + lam)
+
+    mid = certified_integral(integrand, delta, T, target / 2, prec=prec,
+                             max_panels=200000)
+    return BoundedValue.from_endpoints(head_lo + mid.lower(),
+                                       head_hi + mid.upper() + tail_hi, prec)
+
+
+def smoothing_bound_check(a, alpha, t,
+                          constants: ConstantsTable = None) -> dict:
+    """Diagnostic comparison of ||A^alpha e^{-tA} a|| with C_alpha t^-alpha
+    ||a||.
+
+    Both sides are certified enclosures (the left uses the exact diagonal
+    heat multipliers, the right the configured constant); the report states
+    the margin, it proves nothing beyond the two numbers.
+    """
+    alpha = Fraction(alpha)
+    if not 0 <= alpha < 1:
+        raise ValueError("exponent must lie in [0, 1)")
+    t = _as_bv(t)
+    if t.lower() <= 0:
+        raise ValueError("smoothing check needs t > 0")
+    constants = constants or ConstantsTable.default()
+    fields, _ = _components(resolve_field(a, 8))
+    tb = FloatBall.from_bounded(t)
+    ca = FloatBall.from_bounded(constants.C_alpha(alpha))
+    t_pow = fb_pow(tb, -alpha)
+    lhs_sq = FloatBall(0.0)
+    norm_sq = FloatBall(0.0)
+    for f in fields:
+        uniq = np.unique(_live_svals(f))
+        for s in uniq:
+            fac = fb_exp(-(_PI2 * FloatBall.exact(int(s)) * tb))
+            if alpha:
+                fac = fac * fb_pow(_PI2 * FloatBall.exact(int(s)), alpha)
+            n = np.arange(f.cutoff + 1)
+            sg = n[:, None] ** 2 + n[None, :] ** 2
+            block = f.grid.sumsq_ball(f.weights() * (sg == s))
+            lhs_sq = lhs_sq + fac * fac * block
+        tl = f.tail_l2.upper()
+        if tl > 0.0:
+            # Fact-2 style bound for the unresolved part
+            ext = ca * t_pow * FloatBall.from_rounded(0.0, tl)
+            lhs_sq = lhs_sq + ext * ext
+        norm_sq = norm_sq + f.l2_sq_ball()
+    lhs = fb_sqrt(lhs_sq.abs_ball())
+    rhs = ca * t_pow * fb_sqrt(norm_sq.abs_ball())
+    margin = rhs.lower() - lhs.upper()
+    return {
+        "alpha": str(alpha),
+        "t": [str(Fraction(t.lower())), str(Fraction(t.upper()))],
+        "lhs_upper": lhs.upper(),
+        "rhs_lower": rhs.lower(),
+        "margin": margin,
+        "ok": bool(margin >= 0.0),
+    }

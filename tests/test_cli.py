@@ -132,6 +132,18 @@ class TestProject:
         assert (payload["u1"]["basis"], payload["u2"]["basis"]) == ("sc", "cs")
         assert F(payload["divergence_sup"]) < F(1, 2 ** 8)
 
+    @pytest.mark.parametrize("command", ["project", "horizon"])
+    def test_element_written_by_to_json(self, tmp_path, command):
+        # MollifiedElement.to_json, tagged with kind and schema, is the
+        # element input format
+        elem = pf.mollify(pf.solenoidal_kernel(4)[0], 1, 2)
+        obj = dict(elem.to_json(), kind="element", schema=cli.SCHEMA)
+        path = tmp_path / "element.json"
+        path.write_text(json.dumps(obj))
+        out = tmp_path / "out.json"
+        assert _run(command, "--input", str(path), "--output", str(out)) == 0
+        assert json.loads(out.read_text())["kind"] in ("pair", "horizon")
+
 
 class TestFracpower:
     def test_mode_factor(self, tmp_path, mode11):

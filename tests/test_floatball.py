@@ -168,7 +168,6 @@ class TestBallGrid:
     def test_sumsq_ball(self):
         g = BallGrid(np.array([3.0, 4.0]))
         assert g.sumsq_ball().contains(F(25))
-        assert g.sumsq_upper() >= 25.0
 
     def test_hull_covers_both(self):
         a = BallGrid(np.array([0.0]), np.array([1.0]))
@@ -230,6 +229,96 @@ class TestBilinear:
                     abs_sum = sum(abs(F(x.c[i, j]) * F(y.c[k, l]))
                                   for i, j, k, l in pairs)
                     assert F(ball.r) >= _gamma_exact(n) * abs_sum
+
+
+def _balls(rng, n, lo_exp, hi_exp):
+    """n balls with random 53-bit centres of both signs, magnitudes 2^e for
+    e uniform in [lo_exp, hi_exp], and radii from 0 to twice the centre, so
+    that about a third of them straddle zero."""
+    e = rng.integers(lo_exp, hi_exp + 1, size=n)
+    c = np.ldexp(rng.uniform(-1.0, 1.0, size=n), e)
+    r = np.abs(c) * rng.choice([0.0, 1e-3, 0.7, 2.0], size=n)
+    return BallGrid(c, r)
+
+
+def _sumsq_ends(g, wc, wr):
+    """The exact ends sum max(wc - wr, 0) mig^2 and sum (wc + wr) mag^2."""
+    lo = hi = F(0)
+    for c, r, a, b in zip(g.c.ravel(), g.r.ravel(), np.ravel(wc),
+                          np.ravel(wr)):
+        c, r, a, b = F(c), F(r), F(a), F(b)
+        mig = max(abs(c) - r, F(0))
+        lo += max(a - b, F(0)) * mig * mig
+        hi += (a + b) * (abs(c) + r) ** 2
+    return lo, hi
+
+
+class TestCoefficientSums:
+    """The gamma_n rule of `sumsq_ball` and `ball_sum` against exact
+    Fraction sums of every term, on 625-term grids."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sumsq_encloses_both_exact_ends(self, seed):
+        rng = np.random.default_rng(seed)
+        g = _balls(rng, 625, -500, 500)
+        w = BallGrid(np.ldexp(rng.uniform(0.5, 1.0, 625),
+                              rng.integers(-20, 21, 625)),
+                     np.ldexp(rng.uniform(0.0, 0.1, 625),
+                              rng.integers(-40, -19, 625)))
+        lo, hi = _sumsq_ends(g, w.c, w.r)
+        out = g.sumsq_ball(w)
+        assert out.contains(lo) and out.contains(hi)
+        # the gamma_n allowance is present, and the ends move by little more
+        g = _gamma_exact(625)
+        assert F(out.lower()) <= lo * (1 - g)
+        assert F(out.upper()) >= hi * (1 + g)
+        assert F(out.upper()) <= hi * (1 + 4 * _gamma_exact(631))
+
+    def test_sumsq_plain_and_array_weights(self):
+        rng = np.random.default_rng(4)
+        g = _balls(rng, 625, -300, 300)
+        lo, hi = _sumsq_ends(g, np.ones(625), np.zeros(625))
+        out = g.sumsq_ball()
+        assert out.contains(lo) and out.contains(hi)
+        w = rng.uniform(0.0, 3.0, size=625)
+        lo, hi = _sumsq_ends(g, w, np.zeros(625))
+        out = g.sumsq_ball(w)
+        assert out.contains(lo) and out.contains(hi)
+
+    def test_sumsq_straddling_zero_has_zero_lower_end(self):
+        g = BallGrid(np.array([0.25, -2.0, 0.5]), np.array([0.5, 3.0, 0.5]))
+        out = g.sumsq_ball()
+        assert out.lower() == 0.0
+        assert out.contains(F(0)) and out.contains(F(3, 4) ** 2 + 25 + 1)
+
+    def test_sumsq_underflow_under_large_weights(self):
+        # squares below the subnormal range vanish in floats, but weights of
+        # 2^500 make the exact terms about 2^-580 each
+        rng = np.random.default_rng(5)
+        c = np.ldexp(rng.uniform(1.0, 2.0, size=625), -540)
+        g = BallGrid(c)
+        w = np.full(625, 2.0 ** 500)
+        lo, hi = _sumsq_ends(g, w, np.zeros(625))
+        out = g.sumsq_ball(w)
+        assert hi > 0 and out.contains(lo) and out.contains(hi)
+
+    def test_sumsq_of_zeros_is_exact_zero(self):
+        out = BallGrid.zeros((25, 25)).sumsq_ball(np.full((25, 25), 9.0))
+        assert (out.c, out.r) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("seed", [6, 7])
+    def test_ball_sum_encloses_exact_sum(self, seed):
+        rng = np.random.default_rng(seed)
+        g = _balls(rng, 625, -500, 500)
+        # cancel the largest term against an equal and opposite one
+        i, j = np.argsort(np.abs(g.c))[-2:]
+        g.c[i] = -g.c[j]
+        exact = sum(F(v) for v in g.c)
+        spread = sum(F(v) for v in g.r)
+        out = g.ball_sum()
+        assert out.contains(exact - spread) and out.contains(exact + spread)
+        abs_sum = sum(abs(F(v)) for v in g.c)
+        assert F(out.r) >= spread + _gamma_exact(624) * abs_sum
 
 
 def test_rounding_constants_defined_only_in_floatball():

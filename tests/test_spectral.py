@@ -23,10 +23,12 @@ from solenoid.floatball import BallGrid, FloatBall
 from solenoid.polyfield import RationalPoly2, poly_inner_on_box
 from solenoid.spectral import (
     BallPoly2, FourierField, HElement, SobolevName, _extended,
-    _transform_small_x, _window_transforms, axis_trig_moments, coefficients,
-    differentiate, mollified_distance, mollified_field_pair,
+    _window_transforms, axis_trig_moments, coefficients,
+    differentiate, mode_weights, mollified_distance, mollified_field_pair,
     mollifier_mode_grid, mollify_poly, multiply, poly_mul, trig_poly_field,
 )
+
+import oracles
 
 mp.mp.dps = 30
 
@@ -246,6 +248,37 @@ class TestFieldProperties:
         assert doubled.lower() <= 4 * f.l2_sq_ball().upper() + 1e-9
 
 
+class TestModeWeights:
+    @pytest.mark.parametrize("kind, q", [("sobolev", F(6, 5)),
+                                         ("stokes", F(1, 2)),
+                                         ("stokes", F(1, 1))])
+    def test_cached_read_only_and_enclosing(self, kind, q):
+        tab = mode_weights(12, kind, q)
+        assert tab is mode_weights(12, kind, q)
+        assert not tab.c.flags.writeable and not tab.r.flags.writeable
+        for n, m in ((0, 0), (0, 1), (3, 4), (12, 12)):
+            s = n * n + m * m
+            base = 1 + s if kind == "sobolev" else mp.pi ** 2 * s
+            ref = mp.power(base, mp.mpf(q.numerator) / q.denominator)
+            ball = tab.at((n, m))
+            assert mp.mpf(ball.lower()) <= ref <= mp.mpf(ball.upper())
+
+    def test_hs_norm_against_mpmath(self):
+        rng = np.random.default_rng(12)
+        f = FourierField("cs", 9, BallGrid(rng.normal(size=(10, 10))),
+                         FloatBall.from_endpoints(0.0, 0.125),
+                         {F(6, 5): FloatBall.from_endpoints(0.0, 0.25)})
+        got = f.hs_norm(F(6, 5))
+        w = f.weights()
+        band = mp.fsum(mp.power(1 + n * n + m * m, mp.mpf(6) / 5)
+                       * mp.mpf(w[n, m]) * mp.mpf(f.grid.c[n, m]) ** 2
+                       for n in range(10) for m in range(10))
+        # the tail adds anything in [0, 0.25^2]
+        for extra in (0, mp.mpf(1) / 16):
+            ref = mp.sqrt(band + extra)
+            assert mp.mpf(got.lower()) <= ref <= mp.mpf(got.upper())
+
+
 class TestExpBridge:
     """The extension the product convolves: f = i^-p sum E e^{i pi (nx+my)}
     with p the number of sine axes."""
@@ -418,15 +451,15 @@ class TestMollifierGrid:
         for nu in (2, 3):
             g = mollifier_mode_grid(nu, 8)
             for n, m in [(1, 0), (2, 2), (5, 3), (8, 8), (7, 0)]:
-                ref = pf.mollifier_cos_coefficient(nu, n, m, kbits=40)
+                ref = oracles.mollifier_cos_coefficient(nu, n, m, kbits=40)
                 assert _overlaps(g.at((n, m)), ref), (nu, n, m)
 
     def test_transform_against_certified_quadrature(self):
         # phi and psi at x = 3 pi / 4 by exact-arithmetic quadrature
         xb = bv_pi(80).scale(F(3, 4))
         phi, psi = _window_transforms(3, 2)
-        phi_o = _transform_small_x(xb, False)
-        psi_o = _transform_small_x(xb, True)
+        phi_o = oracles.transform_small_x(xb, False)
+        psi_o = oracles.transform_small_x(xb, True)
         assert phi.lower() <= phi_o.upper() and phi.upper() >= phi_o.lower()
         assert psi.lower() <= psi_o.upper() and psi.upper() >= psi_o.lower()
 

