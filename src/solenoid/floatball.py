@@ -6,8 +6,9 @@ numpy arrays of them).  Soundness rests only on IEEE-754 semantics of
 +,-,*,/ and sqrt (correctly rounded, guaranteed by the platform): every
 operation inflates the radius by a rigorous bound on its own rounding error.
 Transcendentals (exp, log, sin, cos) are implemented here by argument
-reduction plus Taylor series with certified remainders; this module trusts
-nothing from libm except correctly-rounded sqrt.  The package's whole trust
+reduction plus Taylor series with certified remainders, one series each for
+scalars and for grids; this module trusts nothing from libm except
+correctly-rounded sqrt.  The package's whole trust
 base, including the libm calls other modules make, is listed in the
 "Trust base" section of the README.
 
@@ -31,8 +32,9 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = ["FloatBall", "BallGrid", "ball_matmul", "ball_convolve", "fb_exp",
-           "fb_log", "fb_sincos", "fb_sqrt", "fb_pow", "FB_PI", "FB_LN2",
-           "EPS", "TINY"]
+           "fb_log", "fb_sincos", "fb_sqrt", "fb_pow", "grid_exp", "grid_log",
+           "grid_sqrt", "grid_pow", "grid_pi_multiple", "grid_sincos_pi",
+           "FB_PI", "FB_LN2", "EPS", "TINY"]
 
 # the rounding constants of every module in the package
 EPS = 2.0 ** -52           # one ulp at magnitude 1
@@ -225,6 +227,56 @@ FB_PI = FloatBall(3.141592653589793, 2e-16)
 FB_PI_2 = FloatBall(1.5707963267948966, 1e-16)
 
 
+# 1/k as exact balls, the coefficients of every series below
+_RECIP = (None,) + tuple(FloatBall.exact(Fraction(1, k)) for k in range(1, 28))
+
+
+def _exp_series(red):
+    """exp(red) for |red| <= ln2/2 + slack, on a FloatBall or a BallGrid: the
+    Taylor polynomial of degree 13 plus the remainder
+    |red|^14/14! e^|red| <= |red|^14/14! 1.5."""
+    term = acc = red.one()
+    for k in range(1, 14):
+        term = term * red * _RECIP[k]
+        acc = acc + term
+    return acc.widened((red.mag() ** 14) / math.factorial(14) * 1.5 * _INFL
+                       + TINY)
+
+
+def _sincos_series(red) -> tuple:
+    """sin and cos of red for |red| <= pi/4 + slack, on a FloatBall or a
+    BallGrid: the Taylor polynomials of degree 13 plus the remainder
+    |red|^14/14!."""
+    s, c = red.zero(), red.one()
+    term = c
+    for k in range(1, 14):
+        term = term * red * _RECIP[k]
+        if k % 4 == 1:
+            s = s + term
+        elif k % 4 == 2:
+            c = c - term
+        elif k % 4 == 3:
+            s = s - term
+        else:
+            c = c + term
+    rem = (red.mag() ** 14) / math.factorial(14) * _INFL + TINY
+    return s.widened(rem), c.widened(rem)
+
+
+def _atanh_series(s):
+    """atanh(s) for |s| <= 1/3 + slack, on a FloatBall or a BallGrid: 14 odd
+    terms plus the geometric remainder |s|^29/29 / (1 - s^2)."""
+    s2 = s * s
+    acc = s.zero()
+    p = s
+    for k in range(0, 14):
+        acc = acc + p * _RECIP[2 * k + 1]
+        p = p * s2
+    sm = s.mag()
+    return acc.widened((sm ** 29) / 29.0 / np.maximum(1.0 - sm * sm, 0.5)
+                       * _INFL + TINY)
+
+
 def _exp_point(x: float) -> FloatBall:
     """Certified enclosure of exp(x) for |x| <= 745."""
     if x < -745.0:
@@ -232,18 +284,9 @@ def _exp_point(x: float) -> FloatBall:
     if x > 709.0:
         raise OverflowError("exp overflow in float ball")
     n = int(round(x / 0.6931471805599453))
-    red = FloatBall(x) - FB_LN2 * n
     # |red| <= 0.3466 + tiny
-    term = FloatBall(1.0)
-    acc = FloatBall(1.0)
-    for k in range(1, 14):
-        term = term * red * FloatBall.exact(Fraction(1, k))
-        acc = acc + term
-    # remainder: |red|^14/14! * e^{|red|} <= |red|^14/14! * 1.5
-    m = red.mag()
-    rem = (m ** 14) / math.factorial(14) * 1.5 * _INFL + TINY
-    acc = acc.widened(rem)
-    return acc * FloatBall(math.ldexp(1.0, n))
+    red = FloatBall(x) - FB_LN2 * n
+    return _exp_series(red) * FloatBall(math.ldexp(1.0, n))
 
 
 def fb_exp(x: FloatBall) -> FloatBall:
@@ -262,25 +305,8 @@ def _sincos_point(x: float) -> tuple:
     if abs(x) > 1e12:
         raise ValueError("trig argument too large for float ball reduction")
     n = int(math.floor(x / 1.5707963267948966 + 0.5))
-    red = FloatBall(x) - FB_PI_2 * n
     # |red.c| <= pi/4 + reduction slack
-    s = FloatBall(0.0)
-    c = FloatBall(1.0)
-    term = FloatBall(1.0)
-    for k in range(1, 14):
-        term = term * red * FloatBall.exact(Fraction(1, k))
-        if k % 4 == 1:
-            s = s + term
-        elif k % 4 == 2:
-            c = c - term
-        elif k % 4 == 3:
-            s = s - term
-        else:
-            c = c + term
-    m = red.mag()
-    rem = (m ** 14) / math.factorial(14) * _INFL + TINY
-    s = s.widened(rem)
-    c = c.widened(rem)
+    s, c = _sincos_series(FloatBall(x) - FB_PI_2 * n)
     q = n % 4
     if q == 0:
         return s, c
@@ -309,27 +335,7 @@ def fb_cos(x: FloatBall) -> FloatBall:
 
 
 def fb_log(x: FloatBall) -> FloatBall:
-    lo = x.c - x.r
-    if not lo > 0.0:
-        raise ValueError("log of ball touching zero")
-    m, e = math.frexp(x.c)  # x.c = m * 2^e, m in [0.5, 1)
-    # atanh series: log m = 2 atanh((m-1)/(m+1)), |s| <= 1/3
-    mb = FloatBall(m)
-    s = (mb - 1.0) / (mb + 1.0)
-    s2 = s * s
-    acc = FloatBall(0.0)
-    p = s
-    for k in range(0, 14):
-        acc = acc + p * FloatBall.exact(Fraction(1, 2 * k + 1))
-        p = p * s2
-    # geometric remainder: |s|^(2K+1)/(2K+1) / (1 - s^2)
-    sm = s.mag()
-    rem = (sm ** 29) / 29.0 / max(1.0 - sm * sm, 0.5) * _INFL + TINY
-    out = acc.widened(rem) * 2.0 + FB_LN2 * e
-    if x.r:
-        # |log(a)-log(b)| <= |a-b| / min(a,b)
-        out = out.widened(x.r / lo * _INFL)
-    return out
+    return grid_log(BallGrid(x.c, x.r)).at(())
 
 
 def fb_sqrt(x: FloatBall) -> FloatBall:
@@ -343,24 +349,18 @@ def fb_sqrt(x: FloatBall) -> FloatBall:
 
 
 def fb_pow(x: FloatBall, q: Fraction) -> FloatBall:
-    """x**q for a rational exponent; positive base unless q is a small int."""
+    """x**q for a rational exponent by `grid_pow`.  For q > 0 a base whose
+    lower end lies in [-TINY, 0] gives [0, mag^q], as x^q rises on
+    [0, mag]."""
     q = Fraction(q)
-    if q == 0:
-        return FloatBall(1.0)
-    if q.denominator == 1 and 0 < abs(q.numerator) <= 64:
-        out = FloatBall(1.0)
-        base = x if q > 0 else FloatBall(1.0) / x
-        for _ in range(abs(q.numerator)):
-            out = out * base
-        return out
-    if q == Fraction(1, 2):
-        return fb_sqrt(x)
-    if not (x.c - x.r) > 0.0:
-        if x.c - x.r >= -TINY and q > 0:
-            hi = fb_pow(FloatBall(x.c + x.r), q).upper()
-            return FloatBall.from_rounded(0.0, max(hi, 0.0))
-        raise ValueError("power of ball touching zero")
-    return fb_exp(fb_log(x) * FloatBall.exact(q))
+    if x.c - x.r > 0.0 or q == Fraction(1, 2) or \
+            (q.denominator == 1 and abs(q.numerator) <= 64):
+        return grid_pow(BallGrid(x.c, x.r), q).at(())
+    if x.c - x.r >= -TINY and q > 0:
+        m = x.mag()
+        hi = grid_pow(BallGrid(m), q).at(()).upper() if m > 0.0 else 0.0
+        return FloatBall.from_rounded(0.0, hi)
+    raise ValueError("power of ball touching zero")
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +384,40 @@ class BallGrid:
     def zeros(shape) -> "BallGrid":
         return BallGrid(np.zeros(shape), np.zeros(shape))
 
+    @staticmethod
+    def of(balls) -> "BallGrid":
+        """The grid of a sequence of FloatBalls."""
+        balls = list(balls)
+        return BallGrid([b.c for b in balls], [b.r for b in balls])
+
+    @staticmethod
+    def from_rounded(lo, hi) -> "BallGrid":
+        """`FloatBall.from_rounded` entrywise."""
+        c = 0.5 * (lo + hi)
+        return BallGrid(c, _bump(c, np.maximum(hi - c, c - lo)))
+
     @property
     def shape(self):
         return self.c.shape
 
     def copy(self) -> "BallGrid":
         return BallGrid(self.c.copy(), self.r.copy())
+
+    def __getitem__(self, idx) -> "BallGrid":
+        return BallGrid(self.c[idx], self.r[idx])
+
+    def reshape(self, *shape) -> "BallGrid":
+        return BallGrid(self.c.reshape(*shape), self.r.reshape(*shape))
+
+    def mag(self) -> np.ndarray:
+        return np.abs(self.c) + self.r
+
+    # hooks for the series shared with FloatBall
+    def one(self) -> "BallGrid":
+        return BallGrid(np.ones(self.shape))
+
+    def zero(self) -> "BallGrid":
+        return BallGrid.zeros(self.shape)
 
     def _bump(self, c, r):
         return (r + np.abs(c) * EPS + TINY) * _INFL
@@ -409,6 +437,14 @@ class BallGrid:
         r = (np.abs(self.c) * o.r + np.abs(o.c) * self.r + self.r * o.r) * _INFL
         return BallGrid(c, self._bump(c, r))
 
+    def __truediv__(self, o: "BallGrid") -> "BallGrid":
+        den = np.abs(o.c) - o.r
+        if not (den > 0.0).all():
+            raise ZeroDivisionError("divisor ball contains zero")
+        c = self.c / o.c
+        r = ((self.r + np.abs(c) * o.r) / den) * _INFL
+        return BallGrid(c, self._bump(c, r))
+
     def scale_ball(self, b: FloatBall) -> "BallGrid":
         c = self.c * b.c
         r = (np.abs(self.c) * b.r + abs(b.c) * self.r + self.r * b.r) * _INFL
@@ -418,11 +454,8 @@ class BallGrid:
         return BallGrid(self.c, self._bump(self.c, self.r + np.abs(extra)))
 
     def hull(self, o: "BallGrid") -> "BallGrid":
-        lo = np.minimum(self.c - self.r, o.c - o.r)
-        hi = np.maximum(self.c + self.r, o.c + o.r)
-        c = 0.5 * (lo + hi)
-        r = self._bump(c, np.maximum(hi - c, c - lo))
-        return BallGrid(c, r)
+        return BallGrid.from_rounded(np.minimum(self.c - self.r, o.c - o.r),
+                                     np.maximum(self.c + self.r, o.c + o.r))
 
     def at(self, idx) -> FloatBall:
         return FloatBall(float(self.c[idx]), float(self.r[idx]))
@@ -476,6 +509,117 @@ class BallGrid:
         rad = (float(self.r.sum()) + _gamma(n) * float(np.abs(self.c).sum())) \
             * (1.0 + _gamma(n + 3))
         return FloatBall(s, _bump(s, rad))
+
+
+# ---------------------------------------------------------------------------
+# certified elementary functions on grids
+# ---------------------------------------------------------------------------
+#
+# `grid_exp` takes the steps of `fb_exp` entry by entry, through the same
+# series, so each entry equals the scalar result bit for bit; `fb_log` and
+# `fb_pow` are the grid forms on a single entry.  `grid_sincos_pi` takes
+# rational multiples of pi, which it reduces exactly.
+
+def _keep(mask, exact: BallGrid, other: BallGrid) -> BallGrid:
+    """``exact`` where ``mask`` holds, ``other`` elsewhere."""
+    return BallGrid(np.where(mask, exact.c, other.c),
+                    np.where(mask, exact.r, other.r))
+
+
+def _grid_exp_point(x: np.ndarray) -> BallGrid:
+    if (x > 709.0).any():
+        raise OverflowError("exp overflow in ball grid")
+    under = x < -745.0
+    n = np.rint(np.where(under, 0.0, x) / 0.6931471805599453)
+    red = BallGrid(np.where(under, 0.0, x)) - BallGrid(n) * FB_LN2
+    out = _exp_series(red) * BallGrid(np.ldexp(1.0, n.astype(np.int64)))
+    flush = FloatBall.from_rounded(0.0, 5e-324 + 1e-323)
+    return _keep(under, BallGrid(np.full(x.shape, flush.c), flush.r), out)
+
+
+def grid_exp(x: BallGrid) -> BallGrid:
+    """`fb_exp` entrywise."""
+    base = _grid_exp_point(x.c)
+    if not x.r.any():
+        return base
+    if (x.r > 700.0).any():
+        raise OverflowError("exp of huge ball")
+    spread = x.r * _grid_exp_point(x.r).mag() * _INFL
+    return _keep(x.r == 0.0, base, base * BallGrid(np.ones(x.shape), spread))
+
+
+def grid_log(x: BallGrid) -> BallGrid:
+    """log entrywise: with x.c = m 2^e, log m = 2 atanh((m-1)/(m+1)) and
+    |(m-1)/(m+1)| <= 1/3; a radius adds x.r/lo, as
+    |log a - log b| <= |a - b| / min(a, b)."""
+    lo = x.c - x.r
+    if not (lo > 0.0).all():
+        raise ValueError("log of ball touching zero")
+    m, e = np.frexp(x.c)
+    mb = BallGrid(m)
+    one = mb.one()
+    out = _atanh_series((mb - one) / (mb + one)) * FloatBall(2.0) \
+        + BallGrid(e.astype(np.float64)) * FB_LN2
+    return _keep(x.r == 0.0, out, out.widened(x.r / lo * _INFL))
+
+
+def grid_sqrt(x: BallGrid) -> BallGrid:
+    """`fb_sqrt` entrywise."""
+    hi = x.c + x.r
+    if (hi < 0.0).any():
+        raise ValueError("sqrt of negative ball")
+    shi = np.sqrt(hi) * (1.0 + EPS) + TINY
+    slo = np.sqrt(np.maximum(x.c - x.r, 0.0)) * (1.0 - EPS)
+    return BallGrid.from_rounded(np.maximum(slo, 0.0), shi)
+
+
+def grid_pow(x: BallGrid, q) -> BallGrid:
+    """x**q entrywise for a rational exponent: products for an integer
+    |q| <= 64, the square root for q = 1/2, else exp(q log x), which needs
+    bases whose lower ends are positive."""
+    q = Fraction(q)
+    if q == 0:
+        return x.one()
+    if q.denominator == 1 and 0 < abs(q.numerator) <= 64:
+        out = x.one()
+        base = x if q > 0 else x.one() / x
+        for _ in range(abs(q.numerator)):
+            out = out * base
+        return out
+    if q == Fraction(1, 2):
+        return grid_sqrt(x)
+    return grid_exp(grid_log(x) * FloatBall.exact(q))
+
+
+def grid_pi_multiple(num, den) -> BallGrid:
+    """Balls around (num/den) pi for integer arrays num and den > 0.  The
+    quotient is one correctly rounded division of Python integers, off by at
+    most EPS/2 relative (or 2^-1075 when subnormal, which the product's
+    TINY covers)."""
+    num = np.asarray(num, dtype=object)
+    quo = (num / np.asarray(den, dtype=object)).astype(np.float64)
+    return BallGrid(quo, np.abs(quo) * EPS) * FB_PI
+
+
+def grid_sincos_pi(num, den) -> tuple:
+    """sin and cos of (num/den) pi for integer arrays num and den > 0.
+
+    The argument is reduced exactly in integers: with r = num mod 2 den and
+    k the nearest integer to 2 r/den, the angle is k pi/2 + red with
+    red = (p/(2 den)) pi, p = 2 r - k den and |p| <= den/2, so |red| <= pi/4
+    whatever the size of num/den and no reduction slack enters.  The series
+    of `_sincos_series` then runs on red, and k mod 4 picks the quadrant.
+    """
+    num, den = np.broadcast_arrays(np.asarray(num, dtype=object),
+                                   np.asarray(den, dtype=object))
+    r = num % (2 * den)
+    k = (4 * r + den) // (2 * den)
+    s, c = _sincos_series(grid_pi_multiple(2 * r - k * den, 2 * den))
+    q = (k % 4).astype(np.int64)
+    swap = q % 2 == 1
+    s, c = _keep(swap, c, s), _keep(swap, s, c)
+    return (BallGrid(np.where(q >= 2, -s.c, s.c), s.r),
+            BallGrid(np.where((q == 1) | (q == 2), -c.c, c.c), c.r))
 
 
 # ---------------------------------------------------------------------------

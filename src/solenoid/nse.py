@@ -35,16 +35,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .approxcore import BoundedValue, ConstantsTable, Name, bv_sqrt
-from .floatball import EPS, FB_PI, TINY, BallGrid, FloatBall, fb_sqrt
+from .floatball import FB_PI, TINY, BallGrid, FloatBall, fb_sqrt, grid_exp
 from .helmholtz import VectorFieldName, _as_pair, project, project_pair
 from .polyfield import MollifiedElement
 from .spectral import (
-    FourierField, SobolevName, _trig_values, differentiate,
+    _PI2, FourierField, SobolevName, _trig_values, differentiate,
     mollified_field_pair, multiply,
 )
 from .stokes import _l2_upper, frac_power_norm, semigroup_apply
@@ -57,7 +58,6 @@ __all__ = [
 ]
 
 _UP = 1 + 1e-9            # generic outward inflation for scalar bound arithmetic
-_PI2_HI = math.pi ** 2 * (1 + 1e-15)
 _PI2_LO = math.pi ** 2 * (1 - 1e-15)
 
 F14, F12, F35 = Fraction(1, 4), Fraction(1, 2), Fraction(3, 5)
@@ -417,22 +417,27 @@ class Forcing:
         return Forcing(lambda lo, hi: (f1, f2), sup, label="constant")
 
 
+@lru_cache(maxsize=64)
+def _heat_factor(cutoff: int, t: Fraction) -> BallGrid:
+    """e^{-t lambda}, lambda = pi^2 (n^2 + m^2), for n, m <= cutoff; cached
+    and read-only."""
+    n = np.arange(cutoff + 1, dtype=float)
+    lam = BallGrid(n[:, None] ** 2 + n[None, :] ** 2) * _PI2
+    out = grid_exp(lam * -FloatBall.exact(t))
+    out.c.flags.writeable = out.r.flags.writeable = False
+    return out
+
+
 def _heat_range(pair, t_lo: Fraction, t_hi: Fraction):
     """Enclosure of e^{-tau A} u for every tau in [t_lo, t_hi]: each mode
     factor is hulled between e^{-t_hi lambda} and min(e^{-t_lo lambda}, 1),
     the diagonal action of the semigroup on the product basis."""
-    tl = max(float(t_lo), 0.0) * (1 - 1e-12)
-    th = float(t_hi) * _UP
     out = []
     for f in pair:
-        n = np.arange(f.cutoff + 1, dtype=float)
-        s = n[:, None] ** 2 + n[None, :] ** 2
-        lb = np.exp(-_PI2_HI * s * th) * (1 - 1e-12)
-        ub = np.minimum(np.exp(-_PI2_LO * s * tl) * (1 + 1e-12), 1.0)
-        fc = (ub + lb) / 2
-        fr = (ub - lb) / 2 + 4 * EPS + TINY
-        out.append(FourierField(f.basis, f.cutoff,
-                                f.grid * BallGrid(fc, fr), f.tail_l2))
+        lo = _heat_factor(f.cutoff, Fraction(t_hi))
+        hi = _heat_factor(f.cutoff, max(Fraction(t_lo), Fraction(0)))
+        fac = BallGrid.from_rounded(lo.c - lo.r, np.minimum(hi.c + hi.r, 1.0))
+        out.append(FourierField(f.basis, f.cutoff, f.grid * fac, f.tail_l2))
     return tuple(out)
 
 

@@ -31,10 +31,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .approxcore import BoundedValue, ConstantsTable, Name, bv_pi
+from .approxcore import (BoundedValue, ConstantsTable, Name, bv_cos, bv_pi,
+                         bv_sin)
 from .floatball import (EPS, FB_PI, TINY, BallGrid, FloatBall, _float_up,
-                        ball_convolve, ball_matmul, fb_exp, fb_pow, fb_sincos,
-                        fb_sqrt)
+                        ball_convolve, ball_matmul, fb_exp, fb_pow, fb_sqrt,
+                        grid_pi_multiple, grid_pow, grid_sincos_pi)
 from .polyfield import (MollifiedElement, RationalPoly2, TrimmedField,
                         gamma0, gamma_radial_moment, poly_inner_on_box)
 from .taylor import TSeries
@@ -89,16 +90,18 @@ _PI2 = FB_PI * FB_PI
 def mode_weights(cutoff: int, kind: str, q: Fraction) -> BallGrid:
     """Certified weights of the modes n, m <= cutoff: (1 + n^2 + m^2)^q for
     kind "sobolev", the Stokes eigenvalue power (pi^2 (n^2 + m^2))^q for
-    kind "stokes" (q > 0; 0 at n = m = 0).  fb_pow runs once per distinct
-    n^2 + m^2.  The table is cached and read-only."""
+    kind "stokes" (q > 0; 0 at n = m = 0).  One `grid_pow` runs over the
+    distinct n^2 + m^2.  The table is cached and read-only."""
     n = np.arange(cutoff + 1)
     s = n[:, None] ** 2 + n[None, :] ** 2
     uniq, inv = np.unique(s, return_inverse=True)
-    balls = [fb_pow(FloatBall(float(1 + v)), q) if kind == "sobolev" else
-             fb_pow(_PI2 * FloatBall(float(v)), q) if v else FloatBall(0.0)
-             for v in uniq]
-    out = BallGrid(np.array([b.c for b in balls])[inv].reshape(s.shape),
-                   np.array([b.r for b in balls])[inv].reshape(s.shape))
+    if kind == "sobolev":
+        vals = grid_pow(BallGrid(1.0 + uniq), q)
+    else:
+        # the Stokes weight of the constant mode is 0
+        vals = BallGrid.zeros(uniq.shape)
+        vals.set(slice(1, None), grid_pow(BallGrid(uniq[1:] * 1.0) * _PI2, q))
+    out = vals[inv.reshape(s.shape)]
     out.c.flags.writeable = out.r.flags.writeable = False
     return out
 
@@ -361,12 +364,11 @@ class FourierField:
 
 
 def _trig_values(char: str, cutoff: int, t: Fraction) -> List[FloatBall]:
-    tb = FloatBall.exact(Fraction(t))
-    out = []
-    for n in range(cutoff + 1):
-        s, c = fb_sincos(FB_PI * FloatBall(float(n)) * tb)
-        out.append(s if char == "s" else c)
-    return out
+    t = Fraction(t)
+    s, c = grid_sincos_pi(np.arange(cutoff + 1, dtype=object) * t.numerator,
+                          t.denominator)
+    g = s if char == "s" else c
+    return [g.at(n) for n in range(cutoff + 1)]
 
 
 def _axis_extension(char: str, cutoff: int) -> np.ndarray:
@@ -487,128 +489,184 @@ def _h1_models() -> Tuple:
     return tuple(panels)
 
 
-@lru_cache(maxsize=None)
-def _ab_tables(q: Fraction, top: int) -> Tuple[Tuple[FloatBall, ...],
-                                               Tuple[FloatBall, ...]]:
-    """A_t = int_0^1 v^t cos(y v) dv and B_t = int_0^1 v^t sin(y v) dv for
-    t = 0..top, at y = q pi.
+_AB_TERMS = 12     # power-series terms of the A_t, B_t tables for y < 2
+_MODE_BLOCK = 32   # modes per pass of the moment tensor, bounding its size
 
-    Three regimes keep absolute errors at the scale of the values: a power
-    series for y < 1, the parts recurrence in 140-bit interval arithmetic
-    for moderate y (where the recurrence amplifies roundoff by (t/y)^t),
-    and the float-ball recurrence once y dominates t.
-    """
-    yb = FB_PI * FloatBall.exact(q)
-    yf = yb.c
-    if yf < 1.0:
-        av, bv = [], []
-        for t in range(top + 1):
-            acc_a = FloatBall.exact(Fraction(1, t + 1))
-            acc_b = yb * FloatBall.exact(Fraction(1, t + 2))
-            pow2 = yb * yb
-            ya, yb2 = pow2, pow2 * yb
-            fa, fb = 2, 6
-            j = 1
-            term_a = ya * FloatBall.exact(Fraction(1, fa * (t + 2 * j + 1)))
-            term_b = yb2 * FloatBall.exact(Fraction(1, fb * (t + 2 * j + 2)))
-            while max(term_a.mag(), term_b.mag()) > 1e-20 and j < 40:
-                sgn = FloatBall(-1.0 if j % 2 else 1.0)
-                acc_a = acc_a + sgn * term_a
-                acc_b = acc_b + sgn * term_b
-                j += 1
-                ya = ya * pow2
-                yb2 = yb2 * pow2
-                fa *= (2 * j - 1) * (2 * j)
-                fb *= (2 * j) * (2 * j + 1)
-                term_a = ya * FloatBall.exact(Fraction(1, fa * (t + 2 * j + 1)))
-                term_b = yb2 * FloatBall.exact(Fraction(1, fb * (t + 2 * j + 2)))
-            # alternating series with decreasing terms: first omitted bounds
-            av.append(acc_a.widened(term_a.mag() * 1.01 + TINY))
-            bv.append(acc_b.widened(term_b.mag() * 1.01 + TINY))
-        return tuple(av), tuple(bv)
-    if yf <= 4.0 * (top + 1):
-        prec = 140
-        y = bv_pi(prec).scale(Fraction(q))
-        from .approxcore import bv_cos as _bc, bv_sin as _bs
-        s, c = _bs(y, prec), _bc(y, prec)
-        one = BoundedValue.exact(1)
-        cs = [s / y]
-        sn = [(one - c) / y]
-        for t in range(1, top + 1):
-            cs.append((s - sn[t - 1].scale(t)) / y)
-            sn.append((cs[t - 1].scale(t) - c) / y)
-        return (tuple(FloatBall.from_bounded(v) for v in cs),
-                tuple(FloatBall.from_bounded(v) for v in sn))
-    s, c = fb_sincos(yb)
-    one = FloatBall(1.0)
-    cs = [s / yb]
-    sn = [(one - c) / yb]
+
+@lru_cache(maxsize=None)
+def _ab_series_coeffs(top: int) -> Tuple[Tuple[BallGrid, BallGrid], ...]:
+    """Exact balls of 1/((2j)! (t+2j+1)) and 1/((2j+1)! (t+2j+2)) over
+    t = 0..top, for j = 0.._AB_TERMS."""
+    t = range(top + 1)
+    return tuple(
+        (BallGrid.of(FloatBall.exact(Fraction(
+            1, math.factorial(2 * j) * (u + 2 * j + 1))) for u in t),
+         BallGrid.of(FloatBall.exact(Fraction(
+             1, math.factorial(2 * j + 1) * (u + 2 * j + 2))) for u in t))
+        for j in range(_AB_TERMS + 1))
+
+
+def _ab_series(y: BallGrid, top: int) -> Tuple[BallGrid, BallGrid]:
+    """A_t and B_t for y < 2 (y a column of balls): the alternating series
+    sum_j (-1)^j y^{2j}/((2j)! (t+2j+1)) and its sine partner.  Past j = 0
+    their terms decrease (y^2 < 12 <= (2j+1)(2j+2)), so the first omitted
+    one, below 2^24/24! < 3e-17, bounds the rest."""
+    y2 = y * y
+    ya, yb = y.one(), y          # y^{2j}, y^{2j+1}
+    for j, (ca, cb) in enumerate(_ab_series_coeffs(top)):
+        ta, tb = ya * ca, yb * cb
+        if j == 0:
+            acc_a, acc_b = ta, tb
+        elif j == _AB_TERMS:
+            return acc_a.widened(ta.mag()), acc_b.widened(tb.mag())
+        elif j % 2:
+            acc_a, acc_b = acc_a - ta, acc_b - tb
+        else:
+            acc_a, acc_b = acc_a + ta, acc_b + tb
+        ya, yb = ya * y2, yb * y2
+
+
+@lru_cache(maxsize=None)
+def _ab_moderate(q: Fraction, top: int) -> Tuple[BallGrid, BallGrid]:
+    """A_t and B_t at y = q pi by the parts recurrence in 140-bit interval
+    arithmetic, whose precision absorbs the recurrence's amplification of
+    roundoff by (t/y)^t at moderate y."""
+    prec = 140
+    y = bv_pi(prec).scale(q)
+    s, c = bv_sin(y, prec), bv_cos(y, prec)
+    cs = [s / y]
+    sn = [(BoundedValue.exact(1) - c) / y]
+    for t in range(1, top + 1):
+        cs.append((s - sn[t - 1].scale(t)) / y)
+        sn.append((cs[t - 1].scale(t) - c) / y)
+    return tuple(BallGrid.of(FloatBall.from_bounded(v) for v in vs)
+                 for vs in (cs, sn))
+
+
+def _ab_recurrence(num, den, top: int) -> Tuple[BallGrid, BallGrid]:
+    """A_t and B_t at y = (num/den) pi >> t by the parts recurrence
+    A_t = (sin y - t B_{t-1})/y, B_t = (t A_{t-1} - cos y)/y in balls."""
+    y = grid_pi_multiple(num, den)
+    s, c = grid_sincos_pi(num, den)
+    cs, sn = [s / y], [(y.one() - c) / y]
     for t in range(1, top + 1):
         tf = FloatBall(float(t))
-        cs.append((s - tf * sn[t - 1]) / yb)
-        sn.append((tf * cs[t - 1] - c) / yb)
-    return tuple(cs), tuple(sn)
+        cs, sn = cs + [(s - sn[-1] * tf) / y], sn + [(cs[-1] * tf - c) / y]
+    return tuple(BallGrid(np.stack([g.c for g in gs], -1),
+                          np.stack([g.r for g in gs], -1)) for gs in (cs, sn))
 
 
-def _osc_moments(x: FloatBall, q_x: Fraction, a: Fraction, b: Fraction,
-                 mid: Fraction, top: int) \
-        -> Tuple[List[FloatBall], List[FloatBall]]:
-    """I_t^c = int_a^b (rho-mid)^t cos(x rho), I_t^s likewise with sin, for
-    t = 0..top, where x = q_x pi.
+def _ab_grid(num, den, top: int) -> Tuple[BallGrid, BallGrid]:
+    """A_t = int_0^1 v^t cos(y v) dv and B_t = int_0^1 v^t sin(y v) dv for
+    t = 0..top along a new last axis, at y = (num/den) pi > 0 for integer
+    arrays num and den.
 
-    Everything is computed in the scaled variable v = (rho-mid)/H with
-    H the half-width, so all absolute errors live at the scale of the
-    (tiny) true values even when the caller multiplies by huge Taylor
-    coefficients.
+    Three regimes keep absolute errors at the scale of the values: the power
+    series for y < 2, the 140-bit recurrence for moderate y (once per
+    distinct y), and the ball recurrence once y dominates t.
     """
-    hh = Fraction(b - a, 2)
-    av, bv = _ab_tables(q_x * hh, top)
-    sth, cth = fb_sincos(x * FloatBall.exact(mid))
-    hb = FloatBall.exact(hh)
-    ic, isn = [], []
-    hp = hb  # H^(t+1)
-    for t in range(top + 1):
-        if t % 2 == 0:
-            two_a = av[t] * FloatBall(2.0)
-            ic.append(hp * cth * two_a)
-            isn.append(hp * sth * two_a)
-        else:
-            two_b = bv[t] * FloatBall(2.0)
-            ic.append(-(hp * sth * two_b))
-            isn.append(hp * cth * two_b)
-        hp = hp * hb
-    return ic, isn
+    num, den = np.broadcast_arrays(np.asarray(num, dtype=object),
+                                   np.asarray(den, dtype=object))
+    y = (num / den).astype(np.float64) * math.pi   # picks the regime only
+    out = (BallGrid.zeros(num.shape + (top + 1,)),
+           BallGrid.zeros(num.shape + (top + 1,)))
+    small, large = y < 2.0, y > 4.0 * (top + 1)
+    if small.any():
+        col = grid_pi_multiple(num[small], den[small])[:, None]
+        for g, part in zip(out, _ab_series(col, top)):
+            g.set(small, part)
+    if large.any():
+        for g, part in zip(out, _ab_recurrence(num[large], den[large], top)):
+            g.set(large, part)
+    for i in zip(*np.nonzero(~(small | large))):
+        for g, part in zip(out, _ab_moderate(Fraction(num[i], den[i]), top)):
+            g.set(i, part)
+    return out
+
+
+@lru_cache(maxsize=1)
+def _panel_data():
+    """What every window transform reads from the Taylor panels of h1.
+
+    Returns the weights Kc[p, t] = 2 H^{t+1} c_t and
+    Ks[p, t] = 2 H^{t+1} (c_{t-1} + mid c_t) over t = 0..ORDER (c_t = 0
+    outside 0..ORDER-1) for panel p with midpoint mid, half-width H and
+    model coefficients c_t; each panel's midpoint numerator and denominator
+    and the index of its half-width among the distinct ones; those
+    half-widths' numerators and denominators; and the slack
+    sum rem (b - a) over Taylor panels plus sup (b - a) over range panels,
+    summed exactly and rounded up.
+    """
+    models = _h1_models()
+    taylor = [p for p in models if p[0] == "taylor"]
+    halves = [(p[2] - p[1]) / 2 for p in taylor]
+    widths = sorted(set(halves))
+    coef = BallGrid.zeros((len(taylor), _H1_ORDER + 2))
+    for row, p in enumerate(taylor):
+        coef.set((row, slice(1, _H1_ORDER + 1)), BallGrid.of(p[4]))
+    pow2 = BallGrid([[float(2 * h ** (t + 1)) for t in range(_H1_ORDER + 1)]
+                     for h in halves])
+    mid = BallGrid([[float(p[3])] for p in taylor])
+    kc = coef[:, 1:] * pow2
+    ks = (coef[:, :-1] + coef[:, 1:] * mid) * pow2
+
+    def ints(values):
+        return np.array(values, dtype=object)
+    slack = _float_up(sum(Fraction(p[-1]) * (p[2] - p[1]) for p in models))
+    return (kc, ks, ints([p[3].numerator for p in taylor]),
+            ints([p[3].denominator for p in taylor]),
+            np.array([widths.index(h) for h in halves]),
+            ints([h.numerator for h in widths]),
+            ints([h.denominator for h in widths]), slack)
 
 
 @lru_cache(maxsize=None)
-def _window_transforms(n_index: int, nu: int) -> Tuple[FloatBall, FloatBall]:
-    """(phi, psi) at x = n_index * pi * 2^{-nu}."""
-    if n_index == 0:
-        g0 = _fb_gamma0()
-        return g0 * fb_exp(FloatBall(-1.0)), FloatBall(0.0)
-    xb = FB_PI * FloatBall.exact(Fraction(n_index, 1 << nu))
-    phi = FloatBall(0.0)
-    psi = FloatBall(0.0)
-    for panel in _h1_models():
-        if panel[0] == "range":
-            _, a, b, sup = panel
-            w = float(b - a)
-            phi = phi + FloatBall(0.0, sup * w * (1 + 8 * EPS) + TINY)
-            psi = psi + FloatBall(0.0, sup * w * (1 + 8 * EPS) + TINY)
-            continue
-        _, a, b, mid, coeffs, rem = panel
-        ic, isn = _osc_moments(xb, Fraction(n_index, 1 << nu), a, b, mid,
-                               len(coeffs))
-        pc = FloatBall(0.0)
-        ps = FloatBall(0.0)
-        midb = FloatBall.exact(mid)
-        for t, ct in enumerate(coeffs):
-            pc = pc + ct * ic[t]
-            # rho sin = (rho-mid) sin + mid sin
-            ps = ps + ct * (isn[t + 1] + midb * isn[t])
-        slack = rem * float(b - a) * (1 + 8 * EPS) + TINY
-        phi = phi + pc.widened(slack)
-        psi = psi + ps.widened(slack)
+def _window_grid(nu: int, top: int) -> Tuple[BallGrid, BallGrid]:
+    """phi(x_n) and psi(x_n) at x_n = n pi 2^{-nu}, for n = 0..top.
+
+    On a Taylor panel with midpoint mid, half-width H and model
+    sum_t c_t (rho - mid)^t, the substitution rho = mid + H v gives the
+    moments
+        I_t^c = int (rho - mid)^t cos(x rho) = 2 H^{t+1} A_t cos(x mid)
+                (t even) or -2 H^{t+1} B_t sin(x mid) (t odd),
+        I_t^s = int (rho - mid)^t sin(x rho) = 2 H^{t+1} A_t sin(x mid)
+                (t even) or 2 H^{t+1} B_t cos(x mid) (t odd),
+    with A_t, B_t at y = x H, so that phi = sum_panels sum_t c_t I_t^c and,
+    as rho = (rho - mid) + mid, psi = sum_panels sum_t c_t (I_{t+1}^s +
+    mid I_t^s).  The trig-times-table factors of a block of modes form a
+    panels x modes x orders tensor.  Per transform, a batched `ball_matmul`
+    contracts each panel's orders with the weights of `_panel_data` and a
+    second one sums the panels, each under its gamma_n rule (n the number
+    of orders, then of panels); the model remainders and range panels
+    widen every value by the slack.  The tables work in the scaled
+    variable v, so all absolute errors stay at the scale of the true
+    values.  phi(0) = gamma0 e^-1 (the profile at 0) and psi(0) = 0 are
+    set directly.
+    """
+    kc, ks, mid_num, mid_den, widx, h_num, h_den, slack = _panel_data()
+    order = kc.shape[1]
+    even = np.arange(order) % 2 == 0
+    ones = BallGrid(np.ones((1, len(widx))))
+    phi, psi = BallGrid.zeros(top + 1), BallGrid.zeros(top + 1)
+    for lo in range(1, top + 1, _MODE_BLOCK):
+        n = np.arange(lo, min(lo + _MODE_BLOCK, top + 1), dtype=object)
+        sin, cos = (g[..., None] for g in grid_sincos_pi(
+            np.multiply.outer(mid_num, n), (mid_den * (1 << nu))[:, None]))
+        a, b = (g[widx] for g in _ab_grid(np.multiply.outer(h_num, n),
+                                          (h_den * (1 << nu))[:, None],
+                                          order - 1))
+        tab = BallGrid(np.where(even, a.c, b.c), np.where(even, a.r, b.r))
+        # cos(x mid) for even t, -sin for odd; sin for even t, cos for odd
+        fac_c = BallGrid(np.where(even, cos.c, -sin.c),
+                         np.where(even, cos.r, sin.r))
+        fac_s = BallGrid(np.where(even, sin.c, cos.c),
+                         np.where(even, sin.r, cos.r))
+        for out, fac, w in ((phi, fac_c, kc), (psi, fac_s, ks)):
+            panels = ball_matmul(tab * fac, w[:, :, None])[..., 0]
+            out.set(slice(lo, lo + len(n)), ball_matmul(ones, panels)[0])
+    phi, psi = phi.widened(slack), psi.widened(slack)
+    phi.set(0, _fb_gamma0() * fb_exp(FloatBall(-1.0)))
+    psi.set(0, FloatBall(0.0))
     return phi, psi
 
 
@@ -619,16 +677,9 @@ def mollifier_mode_grid(nu: int, cutoff: int) -> BallGrid:
     if nu < 0:
         raise ValueError("scale must be nonnegative")
     c = cutoff
-    pc = np.empty(2 * c + 1)
-    pr = np.empty(2 * c + 1)
-    sc = np.zeros(c + 1)
-    sr = np.zeros(c + 1)
-    for nn in range(2 * c + 1):
-        b = _window_transforms(nn, nu)[0]
-        pc[nn], pr[nn] = b.c, b.r
-    for nn in range(1, c + 1):
-        b = _window_transforms(nn, nu)[1]
-        sc[nn], sr[nn] = b.c, b.r
+    phi, psi = _window_grid(nu, 2 * c)
+    pc, pr = phi.c, phi.r
+    sc, sr = psi.c[:c + 1], psi.r[:c + 1]
     two_over_pi2 = FloatBall(2.0) / (FB_PI * FB_PI)
     four_over_pi = FloatBall(4.0) / FB_PI
     idx = np.arange(1, c + 1)
@@ -670,20 +721,23 @@ def axis_trig_moments(char: str, imax: int, cutoff: int,
         for i in range(imax + 1):
             out.set((i, 0), FloatBall.exact(
                 Fraction(bpow[i] * b - apow[i] * a, i + 1)))
-    for n in range(1, cutoff + 1):
-        x = FB_PI * FloatBall(float(n))
-        sa, ca = fb_sincos(x * FloatBall.exact(a))
-        sb, cb = fb_sincos(x * FloatBall.exact(b))
-        ic = (sb - sa) / x
-        isn = (ca - cb) / x
-        out.set((0, n), isn if char == "s" else ic)
-        for i in range(1, imax + 1):
-            av = FloatBall.exact(apow[i])
-            bv = FloatBall.exact(bpow[i])
-            tf = FloatBall(float(i))
-            ic, isn = (bv * sb - av * sa) / x - (tf / x) * isn, \
-                (av * ca - bv * cb) / x + (tf / x) * ic
-            out.set((i, n), isn if char == "s" else ic)
+    if cutoff == 0:
+        return out
+    # x = n pi, n = 1..cutoff, and the trig values at x a and x b
+    n = np.arange(1, cutoff + 1, dtype=object)
+    x = BallGrid(np.arange(1.0, cutoff + 1)) * FB_PI
+    sa, ca = grid_sincos_pi(n * a.numerator, a.denominator)
+    sb, cb = grid_sincos_pi(n * b.numerator, b.denominator)
+    ic = (sb - sa) / x
+    isn = (ca - cb) / x
+    out.set((0, slice(1, None)), isn if char == "s" else ic)
+    for i in range(1, imax + 1):
+        av = FloatBall.exact(apow[i])
+        bv = FloatBall.exact(bpow[i])
+        t_over_x = BallGrid(np.full(cutoff, float(i))) / x
+        ic, isn = (sb * bv - sa * av) / x - t_over_x * isn, \
+            (ca * av - cb * bv) / x + t_over_x * ic
+        out.set((i, slice(1, None)), isn if char == "s" else ic)
     return out
 
 

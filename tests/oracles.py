@@ -13,14 +13,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from solenoid.approxcore import (BoundedValue, ConstantsTable, bv_exp, bv_pi,
-                                 bv_pow, certified_integral)
-from solenoid.floatball import (EPS, TINY, BallGrid, FloatBall, fb_exp, fb_pow,
-                                fb_sqrt)
+from solenoid.approxcore import (BoundedValue, ConstantsTable, bv_cos, bv_exp,
+                                 bv_pi, bv_pow, bv_sin, certified_integral)
+from solenoid.floatball import (EPS, FB_PI, TINY, BallGrid, FloatBall, fb_exp,
+                                fb_pow, fb_sincos, fb_sqrt)
 from solenoid.helmholtz import resolve_field
 from solenoid.polyfield import (_moments_upto, _neg_profile_derivative, gamma0,
                                 gamma_radial_moment)
-from solenoid.spectral import _PI2, FourierField
+from solenoid.spectral import _PI2, FourierField, _fb_gamma0, _h1_models
 from solenoid.stokes import _as_bv, _components, _emit, _live_svals
 from solenoid.taylor import TSeries
 
@@ -132,7 +132,7 @@ def product_to_sum(f: FourierField, g: FourierField) -> FourierField:
 
 
 def transform_small_x(x_bv: BoundedValue, with_rho: bool) -> FloatBall:
-    """phi or psi of `spectral._window_transforms` by certified quadrature
+    """phi or psi of `spectral._window_grid` by certified quadrature
     in exact arithmetic; slow, and converges only for moderate x."""
     g0 = gamma0(60)
 
@@ -146,6 +146,121 @@ def transform_small_x(x_bv: BoundedValue, with_rho: bool) -> FloatBall:
     out = certified_integral(integrand, Fraction(0), Fraction(1),
                              Fraction(1, 1 << 44))
     return FloatBall.from_bounded(out)
+
+
+@lru_cache(maxsize=None)
+def _ab_tables(q: Fraction, top: int):
+    """A_t = int_0^1 v^t cos(y v) dv and B_t = int_0^1 v^t sin(y v) dv for
+    t = 0..top at y = q pi, one scalar ball at a time: a power series for
+    y < 1, the parts recurrence in 140-bit interval arithmetic for moderate
+    y and in float balls once y dominates t."""
+    yb = FB_PI * FloatBall.exact(q)
+    yf = yb.c
+    if yf < 1.0:
+        av, bv = [], []
+        for t in range(top + 1):
+            acc_a = FloatBall.exact(Fraction(1, t + 1))
+            acc_b = yb * FloatBall.exact(Fraction(1, t + 2))
+            pow2 = yb * yb
+            ya, yb2 = pow2, pow2 * yb
+            fa, fb = 2, 6
+            j = 1
+            term_a = ya * FloatBall.exact(Fraction(1, fa * (t + 2 * j + 1)))
+            term_b = yb2 * FloatBall.exact(Fraction(1, fb * (t + 2 * j + 2)))
+            while max(term_a.mag(), term_b.mag()) > 1e-20 and j < 40:
+                sgn = FloatBall(-1.0 if j % 2 else 1.0)
+                acc_a = acc_a + sgn * term_a
+                acc_b = acc_b + sgn * term_b
+                j += 1
+                ya = ya * pow2
+                yb2 = yb2 * pow2
+                fa *= (2 * j - 1) * (2 * j)
+                fb *= (2 * j) * (2 * j + 1)
+                term_a = ya * FloatBall.exact(
+                    Fraction(1, fa * (t + 2 * j + 1)))
+                term_b = yb2 * FloatBall.exact(
+                    Fraction(1, fb * (t + 2 * j + 2)))
+            # alternating series with decreasing terms: first omitted bounds
+            av.append(acc_a.widened(term_a.mag() * 1.01 + TINY))
+            bv.append(acc_b.widened(term_b.mag() * 1.01 + TINY))
+        return tuple(av), tuple(bv)
+    if yf <= 4.0 * (top + 1):
+        prec = 140
+        y = bv_pi(prec).scale(Fraction(q))
+        s, c = bv_sin(y, prec), bv_cos(y, prec)
+        one = BoundedValue.exact(1)
+        cs = [s / y]
+        sn = [(one - c) / y]
+        for t in range(1, top + 1):
+            cs.append((s - sn[t - 1].scale(t)) / y)
+            sn.append((cs[t - 1].scale(t) - c) / y)
+        return (tuple(FloatBall.from_bounded(v) for v in cs),
+                tuple(FloatBall.from_bounded(v) for v in sn))
+    s, c = fb_sincos(yb)
+    one = FloatBall(1.0)
+    cs = [s / yb]
+    sn = [(one - c) / yb]
+    for t in range(1, top + 1):
+        tf = FloatBall(float(t))
+        cs.append((s - tf * sn[t - 1]) / yb)
+        sn.append((tf * cs[t - 1] - c) / yb)
+    return tuple(cs), tuple(sn)
+
+
+def _osc_moments(x: FloatBall, q_x: Fraction, a: Fraction, b: Fraction,
+                 mid: Fraction, top: int):
+    """I_t^c = int_a^b (rho-mid)^t cos(x rho), I_t^s likewise with sin, for
+    t = 0..top, where x = q_x pi, in the scaled variable (rho-mid)/H."""
+    hh = Fraction(b - a, 2)
+    av, bv = _ab_tables(q_x * hh, top)
+    sth, cth = fb_sincos(x * FloatBall.exact(mid))
+    hb = FloatBall.exact(hh)
+    ic, isn = [], []
+    hp = hb  # H^(t+1)
+    for t in range(top + 1):
+        if t % 2 == 0:
+            two_a = av[t] * FloatBall(2.0)
+            ic.append(hp * cth * two_a)
+            isn.append(hp * sth * two_a)
+        else:
+            two_b = bv[t] * FloatBall(2.0)
+            ic.append(-(hp * sth * two_b))
+            isn.append(hp * cth * two_b)
+        hp = hp * hb
+    return ic, isn
+
+
+@lru_cache(maxsize=None)
+def window_transforms(n_index: int, nu: int):
+    """(phi, psi) of `spectral._window_grid` at x = n_index pi 2^-nu, one
+    panel and one scalar ball operation at a time, on the same panel models
+    of h1."""
+    if n_index == 0:
+        return _fb_gamma0() * fb_exp(FloatBall(-1.0)), FloatBall(0.0)
+    xb = FB_PI * FloatBall.exact(Fraction(n_index, 1 << nu))
+    phi = FloatBall(0.0)
+    psi = FloatBall(0.0)
+    for panel in _h1_models():
+        if panel[0] == "range":
+            _, a, b, sup = panel
+            w = float(b - a)
+            phi = phi + FloatBall(0.0, sup * w * (1 + 8 * EPS) + TINY)
+            psi = psi + FloatBall(0.0, sup * w * (1 + 8 * EPS) + TINY)
+            continue
+        _, a, b, mid, coeffs, rem = panel
+        ic, isn = _osc_moments(xb, Fraction(n_index, 1 << nu), a, b, mid,
+                               len(coeffs))
+        pc = FloatBall(0.0)
+        ps = FloatBall(0.0)
+        midb = FloatBall.exact(mid)
+        for t, ct in enumerate(coeffs):
+            pc = pc + ct * ic[t]
+            # rho sin = (rho-mid) sin + mid sin
+            ps = ps + ct * (isn[t + 1] + midb * isn[t])
+        slack = rem * float(b - a) * (1 + 8 * EPS) + TINY
+        phi = phi + pc.widened(slack)
+        psi = psi + ps.widened(slack)
+    return phi, psi
 
 
 @lru_cache(maxsize=None)

@@ -18,7 +18,8 @@ from hypothesis import given, strategies as st
 from solenoid.approxcore import BoundedValue
 from solenoid.floatball import (
     BallGrid, FloatBall, ball_convolve, ball_matmul, fb_cos, fb_exp, fb_log,
-    fb_pow, fb_sin, fb_sincos, fb_sqrt,
+    fb_pow, fb_sin, fb_sincos, fb_sqrt, grid_exp, grid_log, grid_pow,
+    grid_sincos_pi,
 )
 
 mp.mp.dps = 30
@@ -129,6 +130,23 @@ class TestTranscendentals:
         assert _contains_mp(b, mp.cbrt(2))
         assert fb_pow(FloatBall(3.0), F(4)).contains(F(81))
         assert fb_pow(FloatBall(2.0), F(-2)).contains(F(1, 4))
+
+    @pytest.mark.parametrize("q", [F(1, 4), F(6, 5)])
+    @pytest.mark.parametrize("c", [0.0, 1e-300])
+    def test_pow_of_ball_with_lower_end_zero(self, q, c):
+        # the lower end 0 once sent fb_pow into endless recursion
+        b = fb_pow(FloatBall(c, c), q)
+        qm = mp.mpf(q.numerator) / q.denominator
+        assert b.lower() <= 0.0
+        assert _contains_mp(b, mp.power(2 * mp.mpf(c), qm))
+        assert b.upper() <= 2 * float(mp.power(2 * mp.mpf(c), qm)) + 1e-306
+
+    @pytest.mark.parametrize("q", [F(1, 4), F(6, 5)])
+    def test_pow_of_ball_reaching_below_zero(self, q):
+        # [-1e-300, 1e-300] holds negative bases, whose rational powers
+        # are not defined: an error, not a recursion
+        with pytest.raises(ValueError):
+            fb_pow(FloatBall(0.0, 1e-300), q)
 
     def test_log_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -338,3 +356,103 @@ def test_rounding_constants_defined_only_in_floatball():
                               for tgt in targets for n in ast.walk(tgt)
                               if isinstance(n, ast.Name) and n.id in names]
     assert not offenders, offenders
+
+
+class TestGridElementary:
+    """The array forms against 60-digit mpmath, at engineered arguments."""
+
+    @staticmethod
+    def _encloses(g: BallGrid, refs):
+        for i, ref in enumerate(refs):
+            lo = mp.mpf(float(g.c.flat[i])) - mp.mpf(float(g.r.flat[i]))
+            hi = mp.mpf(float(g.c.flat[i])) + mp.mpf(float(g.r.flat[i]))
+            assert lo <= ref <= hi, (i, ref, g.c.flat[i], g.r.flat[i])
+
+    def _check_sincos(self, num, den):
+        s, c = grid_sincos_pi(num, den)
+        num, den = np.broadcast_arrays(np.asarray(num, dtype=object),
+                                       np.asarray(den, dtype=object))
+        with mp.workdps(60):
+            x = [mp.mpf(int(a)) / int(b) for a, b in zip(num.flat, den.flat)]
+            self._encloses(s, [mp.sinpi(v) for v in x])
+            self._encloses(c, [mp.cospi(v) for v in x])
+        return s, c
+
+    def test_sincos_at_zero_and_quarter_turns(self):
+        s, c = self._check_sincos([0, 1, 2, 3, 4, -1, -2],
+                                  [1, 2, 2, 2, 2, 2, 1])
+        assert s.r.max() < 1e-14 and c.r.max() < 1e-14
+
+    def test_sincos_at_subnormal_rationals(self):
+        self._check_sincos([1, 3, 5, -7], [2 ** 1074, 2 ** 1070, 2 ** 1060,
+                                           2 ** 1065])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 2 ** 10 + 1, 2 ** 20 - 1,
+                                   2 ** 20])
+    def test_sincos_next_to_half_turns(self, n):
+        # n/2 -+ 2^-50: the reduced argument is +-2^-50 pi next to a
+        # multiple of pi/2, where a float reduction would lose it
+        num = [n * 2 ** 49 - 1, n * 2 ** 49, n * 2 ** 49 + 1]
+        s, c = self._check_sincos(num, 2 ** 50)
+        assert s.r.max() < 1e-14 and c.r.max() < 1e-14
+
+    def test_sincos_at_transform_indices(self):
+        # x_n mid with n up to 2 cutoff = 4096, panel midpoints k/2048 and
+        # scale 2^-3, as the window transforms use them
+        n = np.array([1, 63, 64, 127, 128, 2047, 4096], dtype=object)
+        mids = np.array([1, 1023, 2047], dtype=object)
+        self._check_sincos(np.multiply.outer(mids, n), 2048 * 8)
+
+    def test_sincos_reduction_is_exact_at_large_arguments(self):
+        # (2^36 + 1/3) pi: a float reduction by multiples of pi/2 carries
+        # their slack, some 2^37 ulps of pi/2
+        s, c = self._check_sincos([3 * 2 ** 36 + 1], 3)
+        assert s.r.max() < 1e-14 and c.r.max() < 1e-14
+        assert fb_sin(FloatBall((2 ** 36 + 1 / 3) * math.pi)).r > 1e-6
+
+    ARGS = np.array([2.0 ** -500, -2.0 ** -500, 0.0, 1 + 2.0 ** -52,
+                     1 - 2.0 ** -52, -1.0, 12.5, -700.0, 700.0, -800.0])
+    RADII = np.array([0.0, 2.0 ** -520, 0.0, 2.0 ** -60, 1e-3, 0.5, 0.0,
+                      1.0, 0.0, 0.0])
+
+    def _ends(self, x):
+        return [mp.mpf(float(c)) + k * mp.mpf(float(r))
+                for c, r in zip(x.c, x.r) for k in (-1, 1)]
+
+    def test_exp_against_mpmath(self):
+        x = BallGrid(self.ARGS, self.RADII)
+        e = grid_exp(x)
+        with mp.workdps(60):
+            refs = [mp.exp(v) for v in self._ends(x)]
+        self._encloses(BallGrid(np.repeat(e.c, 2), np.repeat(e.r, 2)), refs)
+
+    def test_log_and_pow_against_mpmath(self):
+        base = np.array([2.0 ** 500, 2.0 ** -500, 1 + 2.0 ** -52,
+                         1 - 2.0 ** -52, 3.0, 1e-3])
+        rad = np.array([0.0, 2.0 ** -560, 2.0 ** -60, 0.0, 1e-2, 1e-6])
+        x = BallGrid(base, rad)
+        ends = self._ends(x)
+        with mp.workdps(60):
+            self._encloses(BallGrid(np.repeat(grid_log(x).c, 2),
+                                    np.repeat(grid_log(x).r, 2)),
+                           [mp.log(v) for v in ends])
+            for q in (F(6, 5), F(-3, 7), F(1, 2), F(2)):
+                p = grid_pow(x, q)
+                ref = [mp.power(v, mp.mpf(q.numerator) / q.denominator)
+                       for v in ends]
+                self._encloses(BallGrid(np.repeat(p.c, 2), np.repeat(p.r, 2)),
+                               ref)
+
+    def test_grid_exp_equals_scalar_exp(self):
+        # entry by entry grid_exp takes the steps of fb_exp
+        x = BallGrid(self.ARGS, self.RADII)
+        e = grid_exp(x)
+        for i in range(self.ARGS.size):
+            b = fb_exp(x.at(i))
+            assert (e.c[i], e.r[i]) == (b.c, b.r)
+
+    def test_domain_errors(self):
+        with pytest.raises(ValueError):
+            grid_log(BallGrid([1.0, 0.5], [0.0, 0.5]))
+        with pytest.raises(OverflowError):
+            grid_exp(BallGrid([1.0, 710.0]))

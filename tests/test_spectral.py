@@ -22,8 +22,8 @@ from solenoid.approxcore import BoundedValue, ConstantsTable, Name, bv_pi
 from solenoid.floatball import BallGrid, FloatBall
 from solenoid.polyfield import RationalPoly2, poly_inner_on_box
 from solenoid.spectral import (
-    BallPoly2, FourierField, HElement, SobolevName, _extended,
-    _window_transforms, axis_trig_moments, coefficients,
+    BallPoly2, FourierField, HElement, SobolevName, _ab_grid, _extended,
+    _window_grid, axis_trig_moments, coefficients,
     differentiate, mode_weights, mollified_distance, mollified_field_pair,
     mollifier_mode_grid, mollify_poly, multiply, poly_mul, trig_poly_field,
 )
@@ -454,10 +454,49 @@ class TestMollifierGrid:
                 ref = oracles.mollifier_cos_coefficient(nu, n, m, kbits=40)
                 assert _overlaps(g.at((n, m)), ref), (nu, n, m)
 
+    @pytest.mark.parametrize("nu", [2, 3])
+    def test_transforms_against_scalar_route(self, nu):
+        # the tensor pass against the panel-by-panel scalar route
+        phi, psi = _window_grid(nu, 128)
+        for n in (0, 1, 2, 3, 7, 31, 63, 64, 127, 128):
+            phi_o, psi_o = oracles.window_transforms(n, nu)
+            assert _overlaps(phi.at(n), phi_o), (nu, n)
+            assert _overlaps(psi.at(n), psi_o), (nu, n)
+
+    def test_transform_exact_at_zero(self):
+        phi, psi = _window_grid(3, 4)
+        assert (psi.c[0], psi.r[0]) == (0.0, 0.0)
+        assert _overlaps(phi.at(0), oracles.window_transforms(0, 3)[0])
+
+    @pytest.mark.parametrize("q", [F(1, 512), F(3, 5), F(5, 8), F(3, 2),
+                                   F(9, 2), F(33, 2), F(17), F(129, 4)])
+    def test_ab_tables_against_mpmath(self, q):
+        # y = q pi in each regime: the series (y < 2), the 140-bit
+        # recurrence and the ball recurrence (y > 52), against the power
+        # series summed at 150 digits (its terms reach e^y / y)
+        a, b = _ab_grid(np.array([q.numerator]), q.denominator, 12)
+        with mp.workdps(150):
+            y = mp.pi * q.numerator / q.denominator
+            for t in range(13):
+                # int_0^1 v^t e^{i y v} dv = sum_k (i y)^k / (k! (t+k+1))
+                total, term, k = mp.mpc(0), mp.mpc(1), 0
+                while k <= y or abs(term) > mp.mpf(10) ** -130:
+                    total += term / (t + k + 1)
+                    k += 1
+                    term *= 1j * y / k
+                for g, ref in ((a, total.real), (b, total.imag)):
+                    ball = g.at((0, t))
+                    # the reference is good to ~1e-125; sin(17 pi) = 0 is
+                    # held in a radius of 1e-307
+                    c, r = mp.mpf(ball.c), mp.mpf(ball.r) + mp.mpf(10) ** -120
+                    assert c - r <= ref <= c + r, (q, t)
+                    assert ball.r < 1e-13
+
     def test_transform_against_certified_quadrature(self):
         # phi and psi at x = 3 pi / 4 by exact-arithmetic quadrature
         xb = bv_pi(80).scale(F(3, 4))
-        phi, psi = _window_transforms(3, 2)
+        phi, psi = _window_grid(2, 3)
+        phi, psi = phi.at(3), psi.at(3)
         phi_o = oracles.transform_small_x(xb, False)
         psi_o = oracles.transform_small_x(xb, True)
         assert phi.lower() <= phi_o.upper() and phi.upper() >= phi_o.lower()
