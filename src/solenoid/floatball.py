@@ -8,9 +8,10 @@ operation inflates the radius by a rigorous bound on its own rounding error.
 Transcendentals (exp, log, sin, cos) are implemented here by argument
 reduction plus Taylor series with certified remainders, one series each for
 scalars and for grids; this module trusts nothing from libm except
-correctly-rounded sqrt.  The package's whole trust
-base, including the libm calls other modules make, is listed in the
-"Trust base" section of the README.
+correctly-rounded sqrt.  It is the only module that rounds: the others
+compute every certified number as ball expressions and read it out through
+the directed ends `upper()`/`lower()`.  The package's whole trust base is
+listed in the "Trust base" section of the README.
 
 The bulk bilinear operations, `ball_matmul` and `ball_convolve`, share one
 rounding rule: a sum of n products computed in any order in IEEE doubles
@@ -31,14 +32,16 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["FloatBall", "BallGrid", "ball_matmul", "ball_convolve", "fb_exp",
-           "fb_log", "fb_sincos", "fb_sqrt", "fb_pow", "grid_exp", "grid_log",
-           "grid_sqrt", "grid_pow", "grid_pi_multiple", "grid_sincos_pi",
-           "FB_PI", "FB_LN2", "EPS", "TINY"]
+__all__ = ["FloatBall", "BallGrid", "CBall", "ball_matmul", "ball_convolve",
+           "fb_exp", "fb_log", "fb_sincos", "fb_sqrt", "fb_pow", "grid_exp",
+           "grid_log", "grid_sqrt", "grid_pow", "grid_pi_multiple",
+           "grid_sincos_pi", "pow_up", "ceil_log2", "FB_PI", "FB_LN2", "EPS",
+           "TINY"]
 
 # the rounding constants of every module in the package
 EPS = 2.0 ** -52           # one ulp at magnitude 1
 TINY = 5e-308              # absorbs subnormal rounding
+_U = 2.0 ** -53            # the unit roundoff
 _INFL = 1.0 + 2.0 ** -45   # generic relative inflation for radius formulas
 
 
@@ -57,6 +60,47 @@ def _float_up(x: Fraction) -> float:
 def _gamma(n: int) -> float:
     """gamma_n = n u/(1 - n u) with u = 2^-53, rounded up."""
     return _float_up(Fraction(n, 2 ** 53 - n))
+
+
+def _up(x, k: int):
+    """An upper bound on a nonnegative value V that floats computed as x by
+    k correctly rounded operations, each with a positive exact result (a
+    product, a quotient, a sum of nonnegative terms, or 1 - w for w < 1).
+    Then V = x (1 + theta_k) with |theta_k| <= gamma_k, and forming and
+    applying the factor 1 + gamma_{k+2} takes the two roundings more
+    (Higham, Lemmas 3.1 and 3.3); TINY absorbs underflow."""
+    return x * (1.0 + _gamma(k + 2)) + TINY
+
+
+def _add_up(a, b):
+    """The least float >= a + b, for floats or arrays.  TwoSum (Knuth,
+    TAOCP vol. 2, 4.2.2) gives the exact error e = (a + b) - fl(a + b);
+    fl(a + b) is kept when e <= 0 and stepped one float up otherwise."""
+    s = a + b
+    bp = s - a
+    e = (a - (s - bp)) + (b - bp)
+    if isinstance(s, np.ndarray):
+        return np.where(e > 0.0, np.nextafter(s, np.inf), s)
+    return math.nextafter(s, math.inf) if e > 0.0 else s
+
+
+def pow_up(x: np.ndarray, n: int) -> np.ndarray:
+    """An upper bound on x^n for floats 0 <= x <= 1 and an integer n >= 1,
+    by repeated squaring in one pass.  A rounding in a multiplication chain
+    for x^n enters the result raised to the power that the chain carries it
+    with, and these powers sum to n - 1, so the product is x^n (1 +
+    theta_{n-1}); as x <= 1, an underflow is never scaled up."""
+    out, sq, k = np.ones_like(x), x, n
+    while k:
+        out, sq, k = (out * sq if k & 1 else out), sq * sq, k >> 1
+    return _up(out, n - 1)
+
+
+def ceil_log2(x: float) -> int:
+    """ceil(log2 x) for a positive finite float, exactly: frexp writes x as
+    f 2^e with 1/2 <= f < 1, and x is a power of two when f = 1/2."""
+    f, e = math.frexp(x)
+    return e - 1 if f == 0.5 else e
 
 
 class FloatBall:
@@ -104,11 +148,11 @@ class FloatBall:
 
     @staticmethod
     def from_bounded(bv) -> "FloatBall":
-        lo, hi = bv.lower(), bv.upper()
-        c = (lo.numerator / lo.denominator + hi.numerator / hi.denominator) * 0.5
-        rlo = abs(Fraction(c) - lo)
-        rhi = abs(hi - Fraction(c))
-        return FloatBall(c, float(max(rlo, rhi)) * (1.0 + 2 * EPS) + TINY)
+        """The ball around the double nearest to the centre of a
+        BoundedValue, whose radius plus that rounding is rounded up."""
+        cf, rf = bv.center.to_fraction(), bv.radius.to_fraction()
+        c = cf.numerator / cf.denominator
+        return FloatBall(c, _float_up(abs(cf - Fraction(c)) + rf))
 
     def to_bounded(self):
         from .approxcore import BoundedValue
@@ -119,10 +163,12 @@ class FloatBall:
     # -- views ------------------------------------------------------------
 
     def lower(self) -> float:
-        return self.c - self.r
+        """The greatest float <= c - r."""
+        return -_add_up(-self.c, self.r)
 
     def upper(self) -> float:
-        return self.c + self.r
+        """The least float >= c + r."""
+        return _add_up(self.c, self.r)
 
     def mag(self) -> float:
         return abs(self.c) + self.r
@@ -339,13 +385,7 @@ def fb_log(x: FloatBall) -> FloatBall:
 
 
 def fb_sqrt(x: FloatBall) -> FloatBall:
-    hi = x.c + x.r
-    if hi < 0.0:
-        raise ValueError("sqrt of negative ball")
-    lo = max(x.c - x.r, 0.0)
-    shi = math.sqrt(hi) * (1.0 + EPS) + TINY
-    slo = math.sqrt(lo) * (1.0 - EPS)
-    return FloatBall.from_rounded(max(slo, 0.0), shi)
+    return grid_sqrt(BallGrid(x.c, x.r)).at(())
 
 
 def fb_pow(x: FloatBall, q: Fraction) -> FloatBall:
@@ -411,6 +451,10 @@ class BallGrid:
 
     def mag(self) -> np.ndarray:
         return np.abs(self.c) + self.r
+
+    def upper(self) -> np.ndarray:
+        """`FloatBall.upper` entrywise."""
+        return _add_up(self.c, self.r)
 
     # hooks for the series shared with FloatBall
     def one(self) -> "BallGrid":
@@ -564,7 +608,8 @@ def grid_log(x: BallGrid) -> BallGrid:
 
 
 def grid_sqrt(x: BallGrid) -> BallGrid:
-    """`fb_sqrt` entrywise."""
+    """sqrt entrywise: the correctly rounded roots of the ends, moved one
+    rounding outward; `fb_sqrt` is this on one entry."""
     hi = x.c + x.r
     if (hi < 0.0).any():
         raise ValueError("sqrt of negative ball")
@@ -634,15 +679,14 @@ def ball_matmul(x: BallGrid, y: BallGrid) -> BallGrid:
         |x.c| @ (y.r + gamma_k |y.c|) + x.r @ (|y.c| + y.r)
     is computed in floats along at most k + 3 roundings of nonnegative
     numbers (two to form the right factor, k in the dot product, one to add
-    the two products).  Multiplying it by 1 + gamma_{k+5}, which adds two
-    roundings of its own (forming the factor and the product), covers them.
+    the two products), which `_up` covers.
     """
     k = x.c.shape[-1]
     g = _gamma(k)
     ay = np.abs(y.c)
     c = x.c @ y.c
     r = np.abs(x.c) @ (y.r + g * ay) + x.r @ (ay + y.r)
-    return BallGrid(c, r * (1.0 + _gamma(k + 5)) + TINY)
+    return BallGrid(c, _up(r, k + 3))
 
 
 def ball_convolve(x: BallGrid, y: BallGrid) -> BallGrid:
@@ -659,8 +703,8 @@ def ball_convolve(x: BallGrid, y: BallGrid) -> BallGrid:
         |x.c| * y.r + x.r * (|y.c| + y.r) + gamma_n (|x.c| * |y.c|)
     goes through the same matmuls in floats, at most n + 3 roundings of
     nonnegative numbers (two to form x.r + gamma_n |x.c|, one to add its two
-    parts at the end), and multiplying it by 1 + gamma_{n+5}, two roundings
-    more, covers them.  Memory is O(t q) per row on top of the output.
+    parts at the end), which `_up` covers.  Memory is O(t q) per row on top
+    of the output.
     """
     p, q = x.shape
     s, t = y.shape
@@ -679,4 +723,98 @@ def ball_convolve(x: BallGrid, y: BallGrid) -> BallGrid:
     for i in range(p):
         toeplitz = np.ascontiguousarray(windows[:, i].transpose(0, 2, 1))
         out[:, i:i + s] += left @ toeplitz
-    return BallGrid(out[0], (out[1] + out[2]) * (1.0 + _gamma(n + 5)) + TINY)
+    return BallGrid(out[0], _up(out[1] + out[2], n + 3))
+
+
+# ---------------------------------------------------------------------------
+# complex discs
+# ---------------------------------------------------------------------------
+
+_CMUL = 2.25 * _U      # >= sqrt(5) u, the complex product's relative error
+
+
+def _cmag(c):
+    x, y = c.real, c.imag
+    return np.sqrt(x * x + y * y) + 2.0 ** -536
+
+
+class CBall:
+    """Complex discs |z - c| <= r over IEEE doubles: centres c (a complex or
+    a complex array) and radii r.  Each radius is formed in floats from the
+    bound below and made an upper bound by `_up`.  The magnitude
+    m = fl(sqrt(fl(x^2) + fl(y^2))) + 2^-536 of c = x + i y has
+    |c| <= m (1 + u)^3, u = 2^-53: the roundings of the root lose a factor
+    (1 + u)^2, squares that underflow lose at most 2^-1074 under the root,
+    which the floor covers, and adding it takes the third rounding.
+
+    * Sum (in `mul_add`): each part of fl(a + b) is off by at most u times
+      its exact value, so the centre is off by u |a + b| <= u m (1 + u)^4.
+    * Product: the four-multiplication formula is off by at most
+      sqrt(5) u |a b| (Brent, Percival and Zimmermann, "Error bounds on
+      complex floating-point multiplication", Math. Comp. 76, 2007; 2u with
+      an FMA), and |x y - a b| <= |a| s + |b| r + r s for x, y within r, s
+      of a, b: the radius ma (s + 2.25 u mb) + r (mb + s), times (1 + u)^6.
+    * Reciprocal: 1/a = conj(a)/|a|^2 in real operations, each part off by
+      gamma_5 relative (four roundings, and one for squares that underflow
+      while |a|^2 >= 2^-1000), and |1/x - 1/a| <= r/(|a| (|a| - r)).  With
+      lo = fl(sqrt d) (1 - gamma_5) <= |a|, the radius is
+      (r/(lo - r) + gamma_5)/lo.
+
+    Underflow in a centre loses a few 2^-1075, which TINY covers; overflow
+    is not covered, so centres stay within 2^510 in magnitude.
+    """
+
+    __slots__ = ("c", "r", "_m")
+
+    def __init__(self, c, r=0.0, m=None):
+        self.c = c
+        self.r = r
+        self._m = m
+
+    @staticmethod
+    def of(re, im) -> "CBall":
+        """The disc holding re + i im for FloatBall or BallGrid parts: it is
+        within re.r + im.r of the centre."""
+        return CBall(re.c + 1j * im.c, _up(re.r + im.r, 1))
+
+    @property
+    def m(self):
+        if self._m is None:
+            self._m = _cmag(self.c)
+        return self._m
+
+    def mag(self):
+        """An upper bound on |z| over the disc: (m + r) (1 + u)^3."""
+        return _up(self.m + self.r, 4)
+
+    def __getitem__(self, idx) -> "CBall":
+        return CBall(self.c[idx], self.r[idx])
+
+    def widened(self, extra) -> "CBall":
+        return CBall(self.c, _up(self.r + extra, 1), self._m)
+
+    def __mul__(self, o: "CBall") -> "CBall":
+        ma, mb = self.m, o.m
+        return CBall(self.c * o.c,
+                     _up(ma * (o.r + _CMUL * mb) + self.r * (mb + o.r), 10))
+
+    def mul_add(self, o: "CBall", a: "CBall") -> "CBall":
+        """self * o + a, the Horner step: the product's and the sum's
+        radii in one expression, six roundings deep, times (1 + u)^6."""
+        ma, mb = self.m, o.m
+        c = self.c * o.c + a.c
+        m = _cmag(c)
+        return CBall(c, _up(ma * (o.r + _CMUL * mb) + self.r * (mb + o.r)
+                            + a.r + _U * m, 12), m)
+
+    def reciprocal(self) -> "CBall":
+        a, b = self.c.real, self.c.imag
+        d = a * a + b * b
+        if not np.all((d >= 2.0 ** -1000) & (d <= 2.0 ** 1020)):
+            raise ValueError("complex reciprocal outside its range")
+        lo = np.sqrt(d) * (1.0 - _gamma(5))
+        gap = lo - self.r
+        if not np.all(gap > 0.0):
+            raise ZeroDivisionError("disc contains zero")
+        return CBall(self.c.conjugate() * (1.0 / d),
+                     _up((self.r / gap + _gamma(5)) / lo, 4))

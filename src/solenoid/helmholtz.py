@@ -36,7 +36,7 @@ from typing import Tuple
 import numpy as np
 
 from .approxcore import Name
-from .floatball import EPS, TINY, BallGrid, FloatBall, fb_sqrt
+from .floatball import BallGrid, FloatBall, fb_sqrt
 from .polyfield import MollifiedElement
 from .spectral import FourierField, mollified_field_pair
 
@@ -106,11 +106,6 @@ def _pair_tail_sq(f1: FourierField, f2: FourierField) -> FloatBall:
                               f2.tail_l2.upper()])).sumsq_ball()
 
 
-def _factor_grid(num: np.ndarray, den: np.ndarray) -> BallGrid:
-    c = num / den
-    return BallGrid(c, np.abs(c) * 2 * EPS + TINY)
-
-
 def project_pair(f1: FourierField, f2: FourierField) \
         -> Tuple[FourierField, FourierField]:
     """Mode-wise Helmholtz projection of a concrete field pair.
@@ -122,14 +117,12 @@ def project_pair(f1: FourierField, f2: FourierField) \
     cut = max(f1.cutoff, f2.cutoff)
     g1 = f1._embedded(cut).grid
     g2 = f2._embedded(cut).grid
-    n = np.arange(cut + 1, dtype=np.float64)
+    n = np.arange(cut + 1)
     ng, mg = np.meshgrid(n, n, indexing="ij")
-    den = ng * ng + mg * mg
-    den[0, 0] = 1.0
+    den = BallGrid(np.maximum(ng * ng + mg * mg, 1))
     live = (ng >= 1) & (mg >= 1)
-    mm = _factor_grid(np.where(live, mg * mg, 0.0), den)
-    nn = _factor_grid(np.where(live, ng * ng, 0.0), den)
-    nm = _factor_grid(np.where(live, ng * mg, 0.0), den)
+    mm, nn, nm = (BallGrid(np.where(live, num, 0)) / den
+                  for num in (mg * mg, ng * ng, ng * mg))
     p1 = mm * g1 + -(nm * g2)
     p2 = nn * g2 + -(nm * g1)
     tail_sq = _pair_tail_sq(f1, f2)

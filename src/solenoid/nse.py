@@ -32,7 +32,6 @@ epsilon = 2 Ctilde K_cap < 1, which holds for every datum by arithmetic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -41,11 +40,14 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .approxcore import BoundedValue, ConstantsTable, Name, bv_sqrt
-from .floatball import FB_PI, TINY, BallGrid, FloatBall, fb_sqrt, grid_exp
+from .floatball import (
+    FB_PI, BallGrid, FloatBall, ball_matmul, ceil_log2, fb_pow, fb_sqrt,
+    grid_exp, grid_pow,
+)
 from .helmholtz import VectorFieldName, _as_pair, project, project_pair
 from .polyfield import MollifiedElement
 from .spectral import (
-    _PI2, FourierField, SobolevName, _trig_values, differentiate,
+    _PI2, FourierField, SobolevName, _bilinear, _trig_values, differentiate,
     mollified_field_pair, multiply,
 )
 from .stokes import _l2_upper, frac_power_norm, semigroup_apply
@@ -57,11 +59,10 @@ __all__ = [
     "solve",
 ]
 
-_UP = 1 + 1e-9            # generic outward inflation for scalar bound arithmetic
-_PI2_LO = math.pi ** 2 * (1 - 1e-15)
-
 F14, F12, F35 = Fraction(1, 4), Fraction(1, 2), Fraction(3, 5)
 _DEFECT_BETAS = (Fraction(0), F14, F12, F35)
+# the fixed-point cap factor 4 (sqrt2 - 1)/sqrt2 = 4 - 2 sqrt2
+_WSTAR = FloatBall(4.0) - FloatBall(2.0) * fb_sqrt(FloatBall(2.0))
 
 
 class HorizonError(ValueError):
@@ -151,21 +152,25 @@ def nonlinearity(u, K: int, constants: ConstantsTable = None):
         if not f.band_limited() and s65 not in f.tail_hs:
             raise ValueError("insufficient smoothness: the nonlinearity "
                              "needs H^{6/5} data")
-    tau = math.hypot(*[0.0 if f.band_limited() else f.tail_hs[s65].upper()
-                       for f in (f1, f2)]) * _UP
+    tau = _norm2([0.0 if f.band_limited() else f.tail_hs[s65].upper()
+                  for f in (f1, f2)])
     band = (_strip_tail(f1), _strip_tail(f2))
-    cs = ct.C_s(s65).upper()
-    h1_band = math.hypot(*[f.hs_norm(1).upper() for f in band]) * _UP
-    sup_band = math.hypot(*[f.sup_upper() for f in band]) * _UP
-    pi_hi = math.pi * (1 + 1e-15)
-    defect = (float(cs) * tau * pi_hi * (h1_band + tau)
-              + sup_band * pi_hi * tau) * _UP
+    cs = FloatBall.from_bounded(ct.C_s(s65))
+    h1_band = fb_sqrt(sum(f.weighted_sq_ball("sobolev", 1) for f in band))
+    sup_band = _norm2([f.sup_upper() for f in band])
+    defect = ((cs * tau * FB_PI * (h1_band + tau)
+               + sup_band * FB_PI * tau)).upper()
     if defect > 2.0 ** -K:
         raise BudgetError("H^{6/5} tail data too coarse for this precision")
     b1, b2 = nonlinearity_pair(*band)
-    extra = FloatBall.from_rounded(0.0, defect)
+    extra = FloatBall.from_endpoints(0.0, defect)
     return (FourierField(b1.basis, b1.cutoff, b1.grid, b1.tail_l2 + extra),
             FourierField(b2.basis, b2.cutoff, b2.grid, b2.tail_l2 + extra))
+
+
+def _norm2(xs) -> FloatBall:
+    """The Euclidean norm of the nonnegative floats xs, as a ball."""
+    return fb_sqrt(BallGrid(np.array(xs, dtype=float)).sumsq_ball())
 
 
 def _with_hs65(elem: MollifiedElement, cut: int):
@@ -227,11 +232,9 @@ def _forcing_term(T: Fraction, G: float, ct: ConstantsTable) -> float:
     """sup over beta in {1/4, 1/2} of T^beta C_beta T^{1-beta}/(1-beta) G."""
     if G == 0.0:
         return 0.0
-    out = 0.0
-    for b in (F14, F12):
-        cb = float(ct.C_alpha(b).upper())
-        out = max(out, cb * float(T) * G / (1 - float(b)))
-    return out * _UP
+    return max((FloatBall.from_bounded(ct.C_alpha(b))
+                * FloatBall.exact(T / (1 - b)) * FloatBall(G)).upper()
+               for b in (F14, F12))
 
 
 def compute_horizon(a, constants: ConstantsTable = None, mode_cap: int = 24,
@@ -257,7 +260,7 @@ def compute_horizon(a, constants: ConstantsTable = None, mode_cap: int = 24,
         else Fraction(0)
     b1, t1 = _trunc_band(pair[0], mode_cap)
     b2, t2 = _trunc_band(pair[1], mode_cap)
-    trunc = Fraction(math.sqrt(t1 * t1 + t2 * t2) * _UP) if (t1 or t2) \
+    trunc = Fraction(_norm2([t1, t2]).upper()) if (t1 or t2) \
         else Fraction(0)
     seed = project_pair(b1, b2)
     seed = (_strip_tail(seed[0]), _strip_tail(seed[1]))
@@ -327,10 +330,12 @@ def compute_horizon(a, constants: ConstantsTable = None, mode_cap: int = 24,
 def claim1_functional(cert: IterationCertificate, T: Fraction) -> float:
     """Upper bound on the Claim-1 seed functional at horizon T."""
     rootT = bv_sqrt(bv_sqrt(BoundedValue.exact(Fraction(T))))
-    lead = float(rootT.upper()) * max(cert.quarter_norm, cert.half_norm)
-    res = float(cert.constants.c1.upper() * cert.seed_res)
-    return (res + lead + _forcing_term(Fraction(T), cert.forcing_sup,
-                                       cert.constants)) * _UP
+    lead = FloatBall.from_bounded(rootT) * \
+        FloatBall(max(cert.quarter_norm, cert.half_norm))
+    res = FloatBall.from_bounded(cert.constants.c1) * \
+        FloatBall.exact(cert.seed_res)
+    return (res + lead + FloatBall(_forcing_term(
+        Fraction(T), cert.forcing_sup, cert.constants))).upper()
 
 
 # ---------------------------------------------------------------------------
@@ -346,22 +351,16 @@ def _log2_ceil_inv(T: Fraction) -> int:
 
 
 def _theta1(cert: IterationCertificate, k: int) -> Optional[int]:
-    """Smallest theta with C ||A^{1/2} seed|| 2^{-theta/2} <= 2^-(k+1),
-    located by bisection on the exponent."""
-    ch = float(cert.constants.C_half_time.upper())
-    lead = ch * cert.half_norm * _UP
-    if lead == 0.0:
+    """Smallest theta >= 0 with C ||A^{1/2} seed|| 2^{-theta/2} <=
+    2^-(k+1), i.e. with lead^2 <= 2^(theta - 2k - 2) for an upper bound
+    lead^2 on the squared product; None past 4 (k + 64)."""
+    lead = FloatBall.from_bounded(cert.constants.C_half_time) * \
+        FloatBall(cert.half_norm)
+    sq = (lead * lead).upper()
+    if sq == 0.0:
         return 0
-    lo, hi = 0, 4 * (k + 64)
-    if lead * 2.0 ** (-hi / 2) > 2.0 ** -(k + 1):
-        return None
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if lead * 2.0 ** (-mid / 2) <= 2.0 ** -(k + 1):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    theta = max(0, 2 * k + 2 + ceil_log2(sq))
+    return theta if theta <= 4 * (k + 64) else None
 
 
 def _theta2(cert: IterationCertificate, m: int, k: int) -> Optional[int]:
@@ -372,13 +371,12 @@ def _theta2(cert: IterationCertificate, m: int, k: int) -> Optional[int]:
     the search fail (return None) when the requested budget is finer than
     the floor allows."""
     ct = cert.constants
-    wstar = 4 * (math.sqrt(2) - 1) / math.sqrt(2) * _UP
-    lead = float((ct.C_alpha(F14) * ct.M *
-                  ct.beta_value(Fraction(3, 4), F14)).upper())
+    lead = FloatBall.from_bounded(ct.C_alpha(F14) * ct.M *
+                                  ct.beta_value(Fraction(3, 4), F14))
     theta = max(1, _log2_ceil_inv(cert.T_frac))
     for th in range(theta, theta + 4 * (k + 64)):
-        s = claim1_functional(cert, Fraction(1, 2 ** th))
-        if lead * (wstar * s) ** 2 <= 2.0 ** -(k + 1):
+        ws = _WSTAR * FloatBall(claim1_functional(cert, Fraction(1, 2 ** th)))
+        if (lead * ws * ws).upper() <= 2.0 ** -(k + 1):
             return th
     return None
 
@@ -421,7 +419,7 @@ class Forcing:
 def _heat_factor(cutoff: int, t: Fraction) -> BallGrid:
     """e^{-t lambda}, lambda = pi^2 (n^2 + m^2), for n, m <= cutoff; cached
     and read-only."""
-    n = np.arange(cutoff + 1, dtype=float)
+    n = np.arange(cutoff + 1)
     lam = BallGrid(n[:, None] ** 2 + n[None, :] ** 2) * _PI2
     out = grid_exp(lam * -FloatBall.exact(t))
     out.c.flags.writeable = out.r.flags.writeable = False
@@ -459,10 +457,41 @@ class _Engine:
         self._u: Dict[Tuple[int, int], tuple] = {}
         self._B: Dict[Tuple[int, int], tuple] = {}
         self._f: Dict[int, tuple] = {}
-        self._lam_qtr = (_PI2_LO * (self.cap + 1) ** 2) ** -0.25
-        self._gammas = [float(b) + 0.25 for b in _DEFECT_BETAS]
-        self._C_gamma = [float(self.ct.C_alpha(b + F14).upper())
-                         for b in _DEFECT_BETAS]
+        self._M = FloatBall.from_bounded(self.ct.M)
+        # lambda^{-1/4} past the cap and (2 pi^2)^{-1/4}, the smallest mode
+        # of a B cell being (1, 1)
+        self._lam_qtr = fb_pow(_PI2 * FloatBall.exact((self.cap + 1) ** 2),
+                               -F14)
+        self._qtr_11 = fb_pow(_PI2 * FloatBall(2.0), -F14)
+        self._weights()
+        if forcing is not None:
+            hb = FloatBall.exact(self.h)
+            self._fw = BallGrid.of(
+                FloatBall.from_bounded(self.ct.C_alpha(b)) * fb_pow(hb, 1 - b)
+                * FloatBall.exact(1 / (1 - b)) for b in _DEFECT_BETAS)
+
+    def _weights(self):
+        """C_gamma times the defect weight of a cell at gap g >= 1,
+        h (g h)^-gamma, and of the next cell, (2h)^{1-gamma}/(1-gamma) in
+        the integral and h^{1-gamma}/(1-gamma) at the endpoint (also the
+        weight of the cell itself), per channel gamma = beta + 1/4: one
+        `grid_pow` per channel over j h, j = 1..max(P, 2)."""
+        P = self.P
+        jh = BallGrid.of(FloatBall.exact(j * self.h)
+                         for j in range(1, max(P, 2) + 1))
+        gammas = [b + F14 for b in _DEFECT_BETAS]
+        pw = [grid_pow(jh, -g) for g in gammas]
+        hw = BallGrid(np.stack([p.c for p in pw]),
+                      np.stack([p.r for p in pw])).scale_ball(jh.at(0))
+        inv = BallGrid.of(FloatBall.exact(1 / (1 - g)) for g in gammas)
+        cg = BallGrid.of(FloatBall.from_bounded(self.ct.C_alpha(g))
+                         for g in gammas)
+        near = (hw[:, 1] * inv).scale_ball(FloatBall(2.0)) * cg
+        far = hw[:, :P - 1] * cg.reshape(-1, 1)
+        self._W_int, self._W_end = (
+            BallGrid(np.column_stack((g.c, far.c)),
+                     np.column_stack((g.r, far.r)))
+            for g in (near, hw[:, 0] * inv * cg))
 
     def _semi(self, pair, lo: Fraction, hi: Fraction):
         # interval-time heat enclosure; the horizon scale puts the contour
@@ -475,7 +504,7 @@ class _Engine:
     def _u0(self, lo: Fraction, hi: Fraction):
         """Enclosure of the inhomogeneous base iterate over [lo, hi]."""
         pair = self._semi(self.cert.seed, lo, hi)
-        d = np.zeros(len(_DEFECT_BETAS))
+        d = BallGrid.zeros(len(_DEFECT_BETAS))
         if self.forcing is not None:
             fv, fd = self._forcing_integral(lo, hi)
             pair = (pair[0] + fv[0], pair[1] + fv[1])
@@ -510,14 +539,7 @@ class _Engine:
         val = self._panel_sum(
             (self._forcing_cell(q), max(Fraction(0), lo - (q + 1) * self.h),
              hi - q * self.h) for q in range(int(lo / self.h)))
-        h = float(self.h)
-        G = self.forcing.sup_l2
-        d = np.zeros(len(_DEFECT_BETAS))
-        for bi, b in enumerate(_DEFECT_BETAS):
-            bf = float(b)
-            cb = float(self.ct.C_alpha(b).upper()) if b else 1.0
-            d[bi] = cb * h ** (1 - bf) / (1 - bf) * G * _UP if bf else h * G * _UP
-        return val, d
+        return val, self._fw.scale_ball(FloatBall(self.forcing.sup_l2))
 
     def u_cell(self, j: int, i: int):
         """Enclosure of u_j(s) for s anywhere in grid cell i."""
@@ -541,44 +563,38 @@ class _Engine:
             b1, b2 = nonlinearity_pair(*pair)
             b1, e1 = _trunc_band(b1, self.cap)
             b2, e2 = _trunc_band(b2, self.cap)
-            delta = math.hypot(e1, e2) * _UP
-            M = float(self.ct.M.upper())
-            u14 = frac_power_norm(pair, F14).upper()
-            u12 = frac_power_norm(pair, F12).upper()
-            d14 = d[_DEFECT_BETAS.index(F14)]
-            d12 = d[_DEFECT_BETAS.index(F12)]
-            E = (M * (d14 * (u12 + d12) + u14 * d12)
-                 + delta * self._lam_qtr) * _UP
-            bnorm = _l2_upper((b1, b2))
-            Fv = ((2 * _PI2_LO) ** -0.25 * bnorm + E) * _UP
+            u14 = frac_power_norm(pair, F14)
+            u12 = frac_power_norm(pair, F12)
+            d14 = d.at(_DEFECT_BETAS.index(F14))
+            d12 = d.at(_DEFECT_BETAS.index(F12))
+            E = self._M * (d14 * (u12 + d12) + u14 * d12) \
+                + _norm2([e1, e2]) * self._lam_qtr
+            Fv = self._qtr_11 * FloatBall(_l2_upper((b1, b2))) + E
             self._B[key] = ((b1, b2), E, Fv)
         return self._B[key]
 
     # -- the Duhamel integral -----------------------------------------------
 
+    def _defect_sum(self, W: BallGrid, j: int, n: int) -> BallGrid:
+        """sum over the cells q < n of W[:, n - 1 - q] E_q, E_q the defect
+        bound of B u_j on cell q, under the gamma_n rule of `ball_matmul`."""
+        E = BallGrid.of(self.B_cell(j, q)[1] for q in range(n))
+        return ball_matmul(W[:, n - 1 - np.arange(n)], E)
+
     def _integral(self, j: int, i: int):
         """Enclosure of int_0^s e^{-(s-r)A} B u_j(r) dr for s in cell i."""
-        h = float(self.h)
         val = self._panel_sum(
             (self.B_cell(j, q)[0], (i - q - 1) * self.h, (i - q + 1) * self.h)
             for q in range(i))
-        d = np.zeros(len(_DEFECT_BETAS))
-        for q in range(i):
-            Eq = self.B_cell(j, q)[1]
-            gap = (i - q - 1) * h
-            for bi, g in enumerate(self._gammas):
-                W = h * gap ** -g if gap > 0 else \
-                    (2 * h) ** (1 - g) / (1 - g)
-                d[bi] += self._C_gamma[bi] * W * Eq * _UP
-        _, _, Fi = self.B_cell(j, i)
-        for bi, g in enumerate(self._gammas):
-            d[bi] += self._C_gamma[bi] * h ** (1 - g) / (1 - g) * Fi * _UP
+        d = self._W_end[:, 0].scale_ball(self.B_cell(j, i)[2])
+        if i:
+            d = d + self._defect_sum(self._W_int, j, i)
         return val, d
 
     def eval(self, m: int):
         """Enclosure of u_m at the exact endpoint t."""
         pair = self._semi(self.cert.seed, self.t, self.t)
-        d = np.zeros(len(_DEFECT_BETAS))
+        d = BallGrid.zeros(len(_DEFECT_BETAS))
         if self.forcing is not None:
             fv = self._panel_sum(
                 (self._forcing_cell(q), self.t - (q + 1) * self.h,
@@ -586,17 +602,10 @@ class _Engine:
             pair = (pair[0] + fv[0], pair[1] + fv[1])
         if m == 0:
             return pair, d
-        h = float(self.h)
         val = self._panel_sum(
             (self.B_cell(m - 1, q)[0], self.t - (q + 1) * self.h,
              self.t - q * self.h) for q in range(self.P))
-        for q in range(self.P):
-            Eq = self.B_cell(m - 1, q)[1]
-            gap = (self.P - 1 - q) * h
-            for bi, g in enumerate(self._gammas):
-                W = h * gap ** -g if gap > 0 else \
-                    h ** (1 - g) / (1 - g)
-                d[bi] += self._C_gamma[bi] * W * Eq * _UP
+        d = self._defect_sum(self._W_end, m - 1, self.P)
         return (pair[0] - val[0], pair[1] - val[1]), d
 
 
@@ -607,7 +616,7 @@ def _pair_radius(pair) -> float:
 
 
 def _fold_defect(pair, d0: float):
-    extra = FloatBall.from_rounded(0.0, d0 * _UP + TINY)
+    extra = FloatBall.from_endpoints(0.0, d0)
     return (FourierField(pair[0].basis, pair[0].cutoff, pair[0].grid,
                          pair[0].tail_l2 + extra),
             FourierField(pair[1].basis, pair[1].cutoff, pair[1].grid,
@@ -633,16 +642,21 @@ class LiftResult:
     panels: int
 
 
-def _claim2_tail(cert: IterationCertificate, m: int, t: Fraction,
-                 n: int) -> float:
-    """The Claim-II endpoint-tail bound
-    C C_{17/20} M M_{1/4,m} M_{1/2,m} (t - t_n)^{-17/20} 4 t_n^{1/4}."""
+def _claim2_tail(cert: IterationCertificate, m: int, t: Fraction, n):
+    """Upper bounds on the Claim-II endpoint-tail bound
+    C C_{17/20} M M_{1/4,m} M_{1/2,m} (t - t_n)^{-17/20} 4 t_n^{1/4},
+    t_n = t/2^n, for an integer n (a float) or an integer array (an array),
+    in one pass over the array."""
     ct = cert.constants
     mm = min(m, len(cert.M_beta_m[F14]) - 1)
-    lead = float((ct.C * ct.C_alpha(Fraction(17, 20)) * ct.M *
-                  cert.M_beta_m[F14][mm] * cert.M_beta_m[F12][mm]).upper())
-    t_n = t / 2 ** n
-    return lead * float(t - t_n) ** -0.85 * 4 * float(t_n) ** 0.25 * _UP
+    lead = FloatBall.from_bounded(
+        ct.C * ct.C_alpha(Fraction(17, 20)) * ct.M *
+        cert.M_beta_m[F14][mm] * cert.M_beta_m[F12][mm]) * FloatBall(4.0)
+    # (t - t_n)^{-17/20} t_n^{1/4} = t^{-3/5} (1 - 2^-n)^{-17/20} (2^-n)^{1/4}
+    p = BallGrid(np.ldexp(1.0, -np.ravel(n)))
+    out = (grid_pow(BallGrid(1.0) - p, Fraction(-17, 20)) * grid_pow(p, F14)) \
+        .scale_ball(lead * fb_pow(FloatBall.exact(t), Fraction(-3, 5))).upper()
+    return out.reshape(np.shape(n)) if np.ndim(n) else float(out[0])
 
 
 def smoothness_lift(m: int, a, t, K: int,
@@ -666,14 +680,14 @@ def smoothness_lift(m: int, a, t, K: int,
     if t > cert.T_frac:
         raise HorizonError("t = %s exceeds the certified horizon %s"
                            % (t, cert.T_frac))
-    n = 1
-    while _claim2_tail(cert, m, t, n) > 2.0 ** -(K + 2) and n < 400:
-        n += 1
+    # the first n <= 400 whose tail meets 2^-(K+2), else 400
+    tails = _claim2_tail(cert, m, t, np.arange(1, 401))
+    n = 1 + int(np.argmax(np.append(tails[:-1] <= 2.0 ** -(K + 2), True)))
     P = panels
     while True:
         eng = _Engine(cert, t, P, K + 6, forcing)
         pair, d = eng.eval(m)
-        rad = _pair_radius(pair) + d[0]
+        rad = (FloatBall(_pair_radius(pair)) + d.at(0)).upper()
         if rad <= 2.0 ** -K:
             break
         if 2 * P > panel_cap:
@@ -684,13 +698,14 @@ def smoothness_lift(m: int, a, t, K: int,
     h65a = band[0].hs_norm(Fraction(6, 5))
     h65b = band[1].hs_norm(Fraction(6, 5))
     hs_band = fb_sqrt(h65a * h65a + h65b * h65b)
-    hs_defect = (3 / (2 * _PI2_LO)) ** 0.6 * d[_DEFECT_BETAS.index(F35)]
-    hs65 = hs_band.widened(hs_defect * _UP + TINY)
+    hs_defect = fb_pow(FloatBall(1.5) / _PI2, F35) * \
+        d.at(_DEFECT_BETAS.index(F35))
+    hs65 = hs_band.widened(hs_defect.upper())
+    defect = d.upper()
     return LiftResult(
-        u=_fold_defect(pair, d[0]), band=band, hs65=hs65,
-        defect={b: float(d[i]) for i, b in enumerate(_DEFECT_BETAS)},
-        n=n, t_n=t / 2 ** n, endpoint_tail=_claim2_tail(cert, m, t, n),
-        panels=P)
+        u=_fold_defect(pair, defect[0]), band=band, hs65=hs65,
+        defect={b: float(defect[i]) for i, b in enumerate(_DEFECT_BETAS)},
+        n=n, t_n=t / 2 ** n, endpoint_tail=float(tails[n - 1]), panels=P)
 
 
 def iterate(a, cert: IterationCertificate, m: int, t, K: int,
@@ -739,10 +754,11 @@ def solve(a, f: Optional[Forcing], t, K: int,
     """
     if cert is None:
         cert = compute_horizon(a, constants, forcing=f)
-    eps = float(cert.epsilon.upper())
-    L = float(cert.L.upper())
+    eps = FloatBall.from_bounded(cert.epsilon)
+    tail = FloatBall.from_bounded(cert.L) / (FloatBall(1.0) - eps)
     m = 1
-    while L * eps ** (m - 1) / (1 - eps) > 2.0 ** -(K + 1):
+    while tail.upper() > 2.0 ** -(K + 1):
+        tail = tail * eps
         m += 1
         if m > 200:
             raise BudgetError("geometric tail does not close")
@@ -785,47 +801,27 @@ class PressureQuery:
 
 
 def _char_antiderivative(char: str, cutoff: int, x0: Fraction, x1: Fraction):
-    """int_{x0}^{x1} trig(char, n, x) dx for n = 0..cutoff as FloatBalls."""
-    inv_pi = FloatBall.exact(1) / FB_PI
-    out = []
+    """int_{x0}^{x1} trig(char, n, x) dx for n = 0..cutoff: (trig'(x0) -
+    trig'(x1))/(n pi) with trig' the other trig function, x1 - x0 at n = 0
+    for the cosine."""
     if char == "s":
-        c0 = _trig_values("c", cutoff, x0)
-        c1 = _trig_values("c", cutoff, x1)
-        for n in range(cutoff + 1):
-            if n == 0:
-                out.append(FloatBall(0.0))
-            else:
-                out.append((c0[n] - c1[n]) * inv_pi *
-                           FloatBall.exact(Fraction(1, n)))
+        a, b = _trig_values("c", cutoff, x0), _trig_values("c", cutoff, x1)
     else:
-        s0 = _trig_values("s", cutoff, x0)
-        s1 = _trig_values("s", cutoff, x1)
-        for n in range(cutoff + 1):
-            if n == 0:
-                out.append(FloatBall.exact(Fraction(x1) - Fraction(x0)))
-            else:
-                out.append((s1[n] - s0[n]) * inv_pi *
-                           FloatBall.exact(Fraction(1, n)))
+        a, b = _trig_values("s", cutoff, x1), _trig_values("s", cutoff, x0)
+    n = np.arange(cutoff + 1)
+    out = (a - b) / BallGrid(np.maximum(n, 1)).scale_ball(FB_PI)
+    out.set(0, FloatBall.exact(Fraction(x1) - Fraction(x0)) if char == "c"
+            else FloatBall(0.0))
     return out
 
 
 def _segment_integral(h1: FourierField, h2: FourierField, p, q) -> FloatBall:
-    total = FloatBall(0.0)
     if p[1] == q[1]:
-        field, along, fixed = h1, (p[0], q[0]), p[1]
-        ax_char, cross_char = h1.basis[0], h1.basis[1]
-        anti = _char_antiderivative(ax_char, field.cutoff, along[0], along[1])
-        cross = _trig_values(cross_char, field.cutoff, Fraction(fixed))
-        for n, m in np.argwhere((field.grid.c != 0.0) | (field.grid.r != 0.0)):
-            total = total + field.grid.at((n, m)) * anti[n] * cross[m]
-    else:
-        field = h2
-        anti = _char_antiderivative(field.basis[1], field.cutoff,
-                                    p[1], q[1])
-        cross = _trig_values(field.basis[0], field.cutoff, Fraction(p[0]))
-        for n, m in np.argwhere((field.grid.c != 0.0) | (field.grid.r != 0.0)):
-            total = total + field.grid.at((n, m)) * cross[n] * anti[m]
-    return total
+        return _bilinear(_char_antiderivative(h1.basis[0], h1.cutoff,
+                                              p[0], q[0]), h1.grid,
+                         _trig_values(h1.basis[1], h1.cutoff, p[1]))
+    return _bilinear(_trig_values(h2.basis[0], h2.cutoff, p[0]), h2.grid,
+                     _char_antiderivative(h2.basis[1], h2.cutoff, p[1], q[1]))
 
 
 def pressure_field(u, f=None):

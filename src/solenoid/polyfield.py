@@ -536,14 +536,6 @@ class TrimmedField:
         return poly_inner_on_box(self.q1, self.q1, box) + \
             poly_inner_on_box(self.q2, self.q2, box)
 
-    def h1_seminorm_sq(self) -> Fraction:
-        box = self.support_box()
-        acc = _F0
-        for q in (self.q1, self.q2):
-            for d in (q.deriv_x(), q.deriv_y()):
-                acc += poly_inner_on_box(d, d, box)
-        return acc
-
 
 def trim(p: SolenoidalPolyPair, k: int) -> TrimmedField:
     return TrimmedField(p, k)

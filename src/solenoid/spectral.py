@@ -27,15 +27,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .approxcore import (BoundedValue, ConstantsTable, Name, bv_cos, bv_pi,
                          bv_sin)
-from .floatball import (EPS, FB_PI, TINY, BallGrid, FloatBall, _float_up,
-                        ball_convolve, ball_matmul, fb_exp, fb_pow, fb_sqrt,
-                        grid_pi_multiple, grid_pow, grid_sincos_pi)
+from .floatball import (FB_PI, TINY, BallGrid, FloatBall, _float_up,
+                        ball_convolve, ball_matmul, ceil_log2, fb_exp, fb_pow,
+                        fb_sqrt, grid_pi_multiple, grid_pow, grid_sincos_pi)
 from .polyfield import (MollifiedElement, RationalPoly2, TrimmedField,
                         gamma0, gamma_radial_moment, poly_inner_on_box)
 from .taylor import TSeries
@@ -262,22 +262,14 @@ class FourierField:
     def derivative(self, axis: int) -> "FourierField":
         """Termwise derivative; sin and cos swap along the derived axis."""
         self._require_band_limited("termwise derivative")
-        idx = np.arange(self.cutoff + 1, dtype=float)
-        pi = FB_PI
-        if axis == 1:
-            fac_c = pi.c * idx[:, None] * np.ones_like(self.grid.c)
-            fac_r = pi.r * idx[:, None] * np.ones_like(self.grid.c)
-            sign = 1.0 if self.basis[0] == "s" else -1.0
-            nb = ("c" if self.basis[0] == "s" else "s") + self.basis[1]
-        elif axis == 2:
-            fac_c = pi.c * idx[None, :] * np.ones_like(self.grid.c)
-            fac_r = pi.r * idx[None, :] * np.ones_like(self.grid.c)
-            sign = 1.0 if self.basis[1] == "s" else -1.0
-            nb = self.basis[0] + ("c" if self.basis[1] == "s" else "s")
-        else:
+        if axis not in (1, 2):
             raise ValueError("axis must be 1 or 2")
-        fac_r = fac_r + np.abs(fac_c) * 2 * EPS
-        fac = BallGrid(sign * fac_c, fac_r)
+        char = self.basis[axis - 1]
+        swapped = "c" if char == "s" else "s"
+        nb = swapped + self.basis[1] if axis == 1 else self.basis[0] + swapped
+        # d/dt sin(n pi t) = n pi cos(n pi t), d/dt cos = -n pi sin
+        n = (1.0 if char == "s" else -1.0) * np.arange(self.cutoff + 1)
+        fac = BallGrid(n[:, None] if axis == 1 else n).scale_ball(FB_PI)
         return FourierField(nb, self.cutoff, self.grid * fac)
 
     def multiply(self, other: "FourierField") -> "FourierField":
@@ -295,22 +287,17 @@ class FourierField:
 
     def eval_ball(self, x: Fraction, y: Fraction) -> FloatBall:
         self._require_band_limited("point evaluation")
-        x, y = Fraction(x), Fraction(y)
-        tx = _trig_values(self.basis[0], self.cutoff, x)
-        ty = _trig_values(self.basis[1], self.cutoff, y)
-        total = FloatBall(0.0)
-        for n, m in np.argwhere((self.grid.c != 0.0) | (self.grid.r != 0.0)):
-            total = total + self.grid.at((n, m)) * tx[n] * ty[m]
-        return total
+        return _bilinear(_trig_values(self.basis[0], self.cutoff, x),
+                         self.grid,
+                         _trig_values(self.basis[1], self.cutoff, y))
 
     def inner_l2(self, other: "FourierField") -> FloatBall:
         """L2 inner product; tails enter through Cauchy-Schwarz."""
         a, b, cut = self._aligned(other)
         s = (a.grid * b.grid * BallGrid(_weights(self.basis, cut))).ball_sum()
-        ta, tb = a.tail_l2.upper(), b.tail_l2.upper()
-        cross = ta * b.l2_norm_ball().upper() + tb * a.l2_norm_ball().upper() \
-            + ta * tb
-        return s.widened(cross * (1 + 8 * EPS) + TINY)
+        ta, tb = FloatBall(a.tail_l2.upper()), FloatBall(b.tail_l2.upper())
+        cross = ta * b.l2_norm_ball() + tb * a.l2_norm_ball() + ta * tb
+        return s.widened(cross.upper())
 
     # -- serialization ------------------------------------------------------
 
@@ -363,12 +350,18 @@ class FourierField:
             self.basis, self.cutoff, self.tail_l2.upper())
 
 
-def _trig_values(char: str, cutoff: int, t: Fraction) -> List[FloatBall]:
+def _trig_values(char: str, cutoff: int, t: Fraction) -> BallGrid:
+    """trig(n pi t) for n = 0..cutoff."""
     t = Fraction(t)
     s, c = grid_sincos_pi(np.arange(cutoff + 1, dtype=object) * t.numerator,
                           t.denominator)
-    g = s if char == "s" else c
-    return [g.at(n) for n in range(cutoff + 1)]
+    return s if char == "s" else c
+
+
+def _bilinear(a: BallGrid, grid: BallGrid, b: BallGrid) -> FloatBall:
+    """sum a_n grid_{n,m} b_m under the gamma_n rule of `ball_matmul`."""
+    return ball_matmul(ball_matmul(a.reshape(1, -1), grid),
+                       b.reshape(-1, 1)).at((0, 0))
 
 
 def _axis_extension(char: str, cutoff: int) -> np.ndarray:
@@ -468,8 +461,7 @@ def _h1_models() -> Tuple:
         ok = False
         if depth >= 2:
             try:
-                box = FloatBall.from_rounded(float(a), float(b))
-                box = FloatBall(box.c, box.r + float(b - a) * EPS)
+                box = FloatBall.exact(a).hull(FloatBall.exact(b))
                 g = _h1_series(TSeries.variable(box, _H1_ORDER), g0)
                 h = float(b - a) / 2
                 rem = g.c[_H1_ORDER].mag() * h ** _H1_ORDER
@@ -567,7 +559,7 @@ def _ab_grid(num, den, top: int) -> Tuple[BallGrid, BallGrid]:
     """
     num, den = np.broadcast_arrays(np.asarray(num, dtype=object),
                                    np.asarray(den, dtype=object))
-    y = (num / den).astype(np.float64) * math.pi   # picks the regime only
+    y = (num / den).astype(np.float64) * math.pi  # steering: regime pick
     out = (BallGrid.zeros(num.shape + (top + 1,)),
            BallGrid.zeros(num.shape + (top + 1,)))
     small, large = y < 2.0, y > 4.0 * (top + 1)
@@ -678,30 +670,18 @@ def mollifier_mode_grid(nu: int, cutoff: int) -> BallGrid:
         raise ValueError("scale must be nonnegative")
     c = cutoff
     phi, psi = _window_grid(nu, 2 * c)
-    pc, pr = phi.c, phi.r
-    sc, sr = psi.c[:c + 1], psi.r[:c + 1]
-    two_over_pi2 = FloatBall(2.0) / (FB_PI * FB_PI)
-    four_over_pi = FloatBall(4.0) / FB_PI
     idx = np.arange(1, c + 1)
     ng, mg = np.meshgrid(idx, idx, indexing="ij")
-    dd, ss = np.abs(ng - mg), ng + mg
-    num_c = pc[dd] - pc[ss]
-    num_r = pr[dd] + pr[ss] + np.abs(num_c) * 2 * EPS
-    fac_c = two_over_pi2.c * float(1 << (2 * nu)) / (ng * mg)
-    fac_r = np.abs(fac_c) * (two_over_pi2.r / max(two_over_pi2.c, TINY)
-                             + 4 * EPS)
     grid = BallGrid.zeros((c + 1, c + 1))
-    cc = fac_c * num_c
-    grid.c[1:, 1:] = cc
-    grid.r[1:, 1:] = (np.abs(fac_c) * num_r + fac_r * (np.abs(num_c) + num_r)
-                      + np.abs(cc) * 2 * EPS + TINY)
-    ec = four_over_pi.c * float(1 << nu) / idx * sc[1:]
-    er = np.abs(four_over_pi.c * float(1 << nu) / idx) * sr[1:] + \
-        np.abs(ec) * (four_over_pi.r / four_over_pi.c + 4 * EPS) + TINY
-    grid.c[1:, 0] = ec
-    grid.r[1:, 0] = er
-    grid.c[0, 1:] = ec
-    grid.r[0, 1:] = er
+    # (2/pi^2) 2^{2 nu} (phi(x_{|n-m|}) - phi(x_{n+m}))/(n m) for n, m >= 1
+    grid.set((slice(1, None), slice(1, None)),
+             ((phi[np.abs(ng - mg)] - phi[ng + mg]) / BallGrid(ng * mg))
+             .scale_ball(FloatBall(float(1 << (2 * nu + 1))) / _PI2))
+    # (4/pi) 2^nu psi(x_n)/n on the axes
+    edge = (psi[1:c + 1] / BallGrid(idx)).scale_ball(
+        FloatBall(float(1 << (nu + 2))) / FB_PI)
+    grid.set((slice(1, None), 0), edge)
+    grid.set((0, slice(1, None)), edge)
     grid.set((0, 0), FloatBall(1.0))
     return grid
 
@@ -772,11 +752,16 @@ def trig_poly_field(q: RationalPoly2, box, basis: str,
     if h1_sq is not None:
         l2_def, h1_def = _defects(FourierField(basis, cutoff, grid), q, box,
                                   h1_sq)
-        cp = float(cutoff + 1)
-        t = math.sqrt(min(l2_def, h1_def / ((math.pi * (1 - 1e-12)) ** 2
-                                            * cp * cp))) * (1 + 1e-10) + TINY
-        tail = FloatBall.from_rounded(0.0, t)
+        # the H^1 defect bounds pi^2 (cutoff + 1)^2 times the discarded mass
+        h1_bound = FloatBall(h1_def) / (_PI2 * FloatBall.exact(
+            (cutoff + 1) ** 2))
+        tail = _root_tail(min(l2_def, h1_bound.upper()))
     return FourierField(basis, cutoff, grid, tail)
+
+
+def _root_tail(sq: float) -> FloatBall:
+    """The tail ball [0, sqrt(sq)] for an upper bound sq on a tail mass."""
+    return FloatBall.from_endpoints(0.0, fb_sqrt(FloatBall(sq)).upper())
 
 
 # ---------------------------------------------------------------------------
@@ -809,19 +794,17 @@ def _defects(field: FourierField, q: RationalPoly2, box,
     for exact, kind in ((poly_inner_on_box(q, q, box), None),
                         (h1_sq, "stokes")):
         d = Fraction(exact) - Fraction(field.weighted_sq_ball(kind, 1).lower())
-        out.append(float(d) * (1 + 1e-12) + TINY if d > 0 else TINY)
+        out.append(_float_up(d) if d > 0 else TINY)
     return out[0], out[1]
 
 
-def _env_consts(nu: int) -> Tuple[float, float]:
-    """Upper bounds e1, e0 with |C(nu;n,m)| <= e1/(nm) for n, m >= 1 and
-    |C(nu;n,0)| <= e0/n, from the layer-cake envelope 4 g_nu(0)/pi^2."""
-    g0 = _fb_gamma0()
-    d0 = (g0 * fb_exp(FloatBall(-1.0)) *
-          FloatBall(float(1 << (2 * nu)))).upper()
-    e1 = 4.0 * d0 / (math.pi ** 2) * (1 + 1e-12)
-    e0 = 4.0 * d0 * 2.0 ** -nu / math.pi * (1 + 1e-12)
-    return e1, e0
+def _env_consts(nu: int) -> Tuple[FloatBall, FloatBall]:
+    """e1, e0 with |C(nu;n,m)| <= e1/(nm) for n, m >= 1 and
+    |C(nu;n,0)| <= e0/n, from the layer-cake envelope 4 g_nu(0)/pi^2: the
+    upper ends of the returned balls are the bounds."""
+    d0 = _fb_gamma0() * fb_exp(FloatBall(-1.0)) * FloatBall(float(1 << (2 * nu)))
+    return (d0 * FloatBall(4.0) / _PI2,
+            d0 * FloatBall(4.0 * 2.0 ** -nu) / FB_PI)
 
 
 def _mollified_tail(nu: int, cutoff: int, l2_def: float,
@@ -833,14 +816,12 @@ def _mollified_tail(nu: int, cutoff: int, l2_def: float,
     polynomial (its rational L2 or H^1 mass minus the retained partial sum);
     the smaller wins.  0 <= C <= 1 always, so the defect alone is also valid.
     """
-    e1, e0 = _env_consts(nu)
-    cp = float(cutoff + 1)
-    env = min(1.0, max(e1, e0) / cp)
-    pi2 = (math.pi * (1 - 1e-12)) ** 2
-    t_sq = min(env * env * l2_def,
-               max(e1 * e1, e0 * e0) / (cp ** 4 * pi2) * h1_def)
-    val = math.sqrt(t_sq) * (1 + 1e-10) + TINY
-    return FloatBall.from_rounded(0.0, val)
+    e = FloatBall(max(b.upper() for b in _env_consts(nu)))
+    env = FloatBall(min(1.0, (e / FloatBall.exact(cutoff + 1)).upper()))
+    return _root_tail(min(
+        (env * env * FloatBall(l2_def)).upper(),
+        (e * e * FloatBall(h1_def)
+         / (FloatBall.exact((cutoff + 1) ** 4) * _PI2)).upper()))
 
 
 def _mollified_hs_tail(nu: int, cutoff: int, h1_def: float,
@@ -848,16 +829,15 @@ def _mollified_hs_tail(nu: int, cutoff: int, h1_def: float,
     s = Fraction(s)
     if s >= 2:
         raise ValueError("H^s tails certified only for s < 2")
-    e1, e0 = _env_consts(nu)
-    cp = float(cutoff + 1)
-    sf = float(s)
-    pi2 = (math.pi * (1 - 1e-12)) ** 2
+    e1, e0 = (FloatBall(b.upper()) for b in _env_consts(nu))
+    cp2 = FloatBall.exact((cutoff + 1) ** 2)
     # sup over the discarded region of (1+n^2+m^2)^s C^2 / ((n^2+m^2) pi^2)
-    lam_edge = cp * cp + 1.0
-    b_mid = (1.0 + lam_edge) ** sf * e1 ** 2 / (cp ** 2 * lam_edge * pi2)
-    b_edge = (1.0 + cp * cp) ** sf * e0 ** 2 / (cp ** 4 * pi2)
-    val = math.sqrt(max(b_mid, b_edge) * h1_def) * (1 + 1e-10) + TINY
-    return FloatBall.from_rounded(0.0, val)
+    lam_edge = cp2 + FloatBall(1.0)
+    b_mid = fb_pow(FloatBall(1.0) + lam_edge, s) * e1 * e1 / (
+        cp2 * lam_edge * _PI2)
+    b_edge = fb_pow(FloatBall(1.0) + cp2, s) * e0 * e0 / (cp2 * cp2 * _PI2)
+    return _root_tail((FloatBall(max(b_mid.upper(), b_edge.upper()))
+                       * FloatBall(h1_def)).upper())
 
 
 @lru_cache(maxsize=64)
@@ -913,8 +893,8 @@ def mollified_distance(a: MollifiedElement, b: MollifiedElement,
     for c in (8, 16, 32, 64, 128, 256, 512, 1024, 2048):
         t1a, t2a = _pair_tail_upper(a, c)
         t1b, t2b = _pair_tail_upper(b, c)
-        tvec = math.hypot(t1a + t1b, t2a + t2b)
-        if 2.0 * tvec <= target / 2:
+        t1, t2 = FloatBall(t1a) + FloatBall(t1b), FloatBall(t2a) + FloatBall(t2b)
+        if 2.0 * fb_sqrt(t1 * t1 + t2 * t2).upper() <= target / 2:
             cutoff = c
             break
     if cutoff is None:
@@ -1158,14 +1138,6 @@ def _deriv_any(p, axis: int):
     raise TypeError("cannot differentiate %r" % type(p).__name__)
 
 
-def _sup_any(p) -> float:
-    return p.sup_upper()
-
-
-def _prod_any(p, q):
-    return p.multiply(q)
-
-
 def differentiate(w: SobolevName, axis: int) -> Name:
     """Name of the partial derivative; valid for s >= 1 since then
     ||d(p_k) - d(limit)||_2 <= pi 2^-k, so shifting the index by 2 restores
@@ -1186,16 +1158,15 @@ def multiply(v: SobolevName, w: Name,
     if v.s <= 1:
         raise ValueError("multiplication needs s > 1")
     table = constants or ConstantsTable.default()
-    cs = float(table.C_s(v.s).upper())
-    hv = max(v.hs_bound, 0.0)
+    lead = (FloatBall.from_bounded(table.C_s(v.s))
+            * FloatBall(max(v.hs_bound, 0.0))).upper()
 
     def query(n: int):
-        lead = cs * hv
-        k = n + 1 + max(0, math.ceil(math.log2(lead))) if lead > 0 else n + 1
+        k = n + 1 + max(0, ceil_log2(lead)) if lead > 0 else n + 1
         q = w.name.refine(k) if isinstance(w, SobolevName) else w.refine(k)
-        supq = _sup_any(q)
-        m = n + 1 + max(0, math.ceil(math.log2(supq))) if supq > 0 else n + 1
+        supq = q.sup_upper()
+        m = n + 1 + max(0, ceil_log2(supq)) if supq > 0 else n + 1
         p = v.refine(m)
-        return _prod_any(p, q)
+        return p.multiply(q)
 
     return Name(query, label="mul")

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -39,13 +40,14 @@ from .approxcore import (
     BoundedValue, ConstantsTable, bv_pi, bv_sin, cos_contour_angle, gamma_tail,
 )
 from .floatball import (
-    EPS, FB_PI, TINY, BallGrid, FloatBall, fb_exp, fb_pow, fb_sincos, fb_sqrt,
+    FB_PI, BallGrid, CBall, FloatBall, ball_matmul, fb_exp, fb_pow, fb_sincos,
+    fb_sqrt, pow_up,
 )
 from .helmholtz import resolve_field
 from .spectral import _PI2, FourierField, mode_weights
 
 __all__ = [
-    "contour_factors", "heat_factor", "tail_cutoff_l", "semigroup_apply",
+    "contour_factors", "tail_cutoff_l", "semigroup_apply",
     "frac_power_apply", "frac_power_norm",
 ]
 
@@ -88,7 +90,7 @@ def tail_cutoff_l(t, norm_a, K: int) -> BoundedValue:
     if t.lower() <= 0:
         raise ValueError("tail cutoff needs t > 0; route times near zero "
                          "through the small-time path")
-    if float(norm.upper()) <= 0.0:
+    if norm.upper() <= 0:
         return BoundedValue.exact(1)
     return BoundedValue.exact(Fraction(_tail_search(t, norm, K)[0]))
 
@@ -98,13 +100,15 @@ def _tail_search(t: BoundedValue, norm: BoundedValue, K: int) \
     """The cutoff l of :func:`tail_cutoff_l` for a positive norm, together
     with the gamma_3 value that certified it."""
     target = Fraction(1, 1 << (K + 7))
-    nf = float(norm.upper())
-    # float pre-search with the closed-form bound e^{tcl}/(t|c|l pi sin beta)
-    c = float(cos_contour_angle(60).upper())      # negative, safe side
-    tl = float(t.lower())
+    # a float pre-search with the closed-form bound e^{tcl}/(t|c|l pi sin
+    # beta) only steers the search: the cutoff it finds is certified below
+    nf = FloatBall.from_bounded(norm).upper()
+    c = FloatBall.from_bounded(cos_contour_angle(60)).upper()
+    tl = FloatBall.from_bounded(t).lower()
     l = 1.0
     while l < 1e12:
-        b = math.exp(tl * c * l) / (tl * -c * l * math.pi * 0.95) * nf
+        e = math.exp(tl * c * l)  # steering: pre-search only
+        b = e / (tl * -c * l * math.pi * 0.95) * nf  # steering: pre-search
         if b <= float(target) * 0.5:
             break
         l *= 1.25
@@ -119,18 +123,6 @@ def _tail_search(t: BoundedValue, norm: BoundedValue, K: int) \
 # ---------------------------------------------------------------------------
 # Rigorous ray quadrature
 # ---------------------------------------------------------------------------
-
-def _cmul(c1, r1, c2, r2):
-    c = c1 * c2
-    r = (np.abs(c1) * r2 + np.abs(c2) * r1 + r1 * r2) * (1 + 8 * EPS) \
-        + np.abs(c) * 4 * EPS + TINY
-    return c, r
-
-
-def _c_from_fb(re: FloatBall, im: FloatBall):
-    c = complex(re.c, im.c)
-    return c, (re.r + im.r) * (1 + 4 * EPS) + TINY
-
 
 def _panels(t_hi: float, l: float, lam_min: float):
     """Midpoint/half-width schedule along [0, l].
@@ -150,28 +142,37 @@ def _panels(t_hi: float, l: float, lam_min: float):
     return out
 
 
-def _exp_moments(z_c: complex, z_r: float, J: int):
-    """Enclosures of A_j = int_{-1}^{1} v^j e^{z v} dv for j = 0..J."""
-    KMAX = 34
-    zmag = abs(z_c) + z_r
-    if zmag > 2.0:
-        raise RuntimeError("moment series argument out of range")
-    zp_c = np.empty(KMAX + 1, dtype=complex)
-    zp_r = np.empty(KMAX + 1)
-    zp_c[0], zp_r[0] = 1.0, 0.0
-    for k in range(1, KMAX + 1):
-        zp_c[k], zp_r[k] = _cmul(zp_c[k - 1], zp_r[k - 1], z_c, z_r)
-    # M[j, k] = w_{j+k} / k!  with w_i = 2/(i+1) for even i, else 0
-    jj = np.arange(J + 1)[:, None]
-    kk = np.arange(KMAX + 1)[None, :]
-    idx = jj + kk
-    fact = np.array([math.factorial(k) for k in range(KMAX + 1)], dtype=float)
-    M = np.where(idx % 2 == 0, 2.0 / (idx + 1), 0.0) / fact
-    A_c = M @ zp_c
-    A_r = M @ zp_r + (KMAX + 8) * EPS * (M @ np.abs(zp_c)) \
-        + 2.0 * zmag ** (KMAX + 1) / math.factorial(KMAX + 1) \
-        * math.exp(zmag) + TINY
-    return A_c, A_r
+_KMAX = 34      # series terms of the exponential moments
+
+
+@lru_cache(maxsize=None)
+def _moment_matrix(J: int) -> BallGrid:
+    """M[j, k] = w_{j+k}/k! for j <= J, k <= _KMAX, with w_i = 2/(i+1) for
+    even i and 0 for odd i, as exact balls."""
+    w = BallGrid.of(FloatBall.exact(Fraction(2, i + 1) if i % 2 == 0 else 0)
+                    for i in range(J + _KMAX + 1))
+    inv_fact = BallGrid.of(FloatBall.exact(Fraction(1, math.factorial(k)))
+                           for k in range(_KMAX + 1))
+    idx = np.add.outer(np.arange(J + 1), np.arange(_KMAX + 1))
+    return w[idx] * inv_fact.reshape(1, -1)
+
+
+def _exp_moments(z: CBall, J: int, ez: float) -> CBall:
+    """Enclosures of A_j = int_{-1}^{1} v^j e^{z v} dv for j = 0..J, for
+    |z| <= 2 and ez >= e^{|z|}: the series sum_k M[j, k] z^k through
+    `ball_matmul` on the real and imaginary parts (the radii of the powers
+    enter the real part only, so they count once), plus the tail past
+    _KMAX, at most 2 |z|^{_KMAX+1}/(_KMAX+1)! e^{|z|}."""
+    zp = [CBall(1.0 + 0j, 0.0)]
+    for _ in range(_KMAX + 1):
+        zp.append(zp[-1] * z)
+    c = np.array([p.c for p in zp[:-1]])
+    M = _moment_matrix(J)
+    A = CBall.of(ball_matmul(M, BallGrid(c.real, [p.r for p in zp[:-1]])),
+                 ball_matmul(M, BallGrid(c.imag)))
+    rem = FloatBall(zp[-1].mag()) * FloatBall(ez) * FloatBall.exact(
+        Fraction(2, math.factorial(_KMAX + 1)))
+    return A.widened(rem.upper())
 
 
 def contour_factors(svals, t: FloatBall, l: float, J: int = 44):
@@ -184,67 +185,53 @@ def contour_factors(svals, t: FloatBall, l: float, J: int = 44):
                           / (r e^{i beta} + pi^2 s) dr
 
     for each s.  Together with the gamma_3 remainder this encloses the heat
-    factor e^{-t pi^2 s}.  The panel schedule is deterministic.
+    factor e^{-t pi^2 s}.  The panel schedule is deterministic.  On each
+    panel the integrand is h e^{i beta} e^{t mid e^{i beta}} e^{z v}/(d +
+    h e^{i beta} v), v in [-1, 1], z = t h e^{i beta}, d = mid e^{i beta} +
+    lam; with w = -h e^{i beta}/d the denominator is the geometric series
+    sum_j w^j v^j / d, summed by Horner to order J in complex discs
+    (`CBall`), and the terms past J add at most
+    2 e^{|z|} |w|^{J+1}/(1 - |w|).
     """
     s = np.asarray(svals, dtype=float)
     if s.size == 0:
         return np.zeros(0), np.zeros(0), 0
     if s.min() < 1:
         raise ValueError("eigenvalue indices must be >= 1")
-    lam_c = _PI2.c * s
-    lam_r = (_PI2.r * s + np.abs(lam_c) * 4 * EPS) + TINY
+    lam = BallGrid(s).scale_ball(_PI2)
+    lam = CBall(lam.c + 0j, lam.r)
     lam_min = _PI2.lower() * float(s.min())
-    eib = _c_from_fb(_CB, _SB)
+    eib = CBall.of(_CB, _SB)
     t_hi = t.upper()
     if not t.lower() > 0:
         raise ValueError("contour quadrature needs t > 0")
-    tot_c = np.zeros(s.shape, dtype=complex)
-    tot_r = np.zeros(s.shape)
+    tot = CBall(np.zeros(s.shape, dtype=complex), np.zeros(s.shape))
     panels = _panels(t_hi, l, lam_min)
     for mid, h in panels:
-        zre = (t * _CB).scale(Fraction(h))
-        zim = (t * _SB).scale(Fraction(h))
-        A_c, A_r = _exp_moments(complex(zre.c, zim.c),
-                                zre.r + zim.r + TINY, J)
-        ex = fb_exp((t * _CB).scale(Fraction(mid)))
-        sph, cph = fb_sincos((t * _SB).scale(Fraction(mid)))
-        env = _c_from_fb(ex * cph, ex * sph)
-        pref = _cmul(env[0], env[1], eib[0] * h, eib[1] * h)
-        d_c = mid * eib[0] + lam_c
-        d_r = mid * eib[1] + lam_r + np.abs(d_c) * 4 * EPS + TINY
-        mag = np.abs(d_c)
-        gap = mag - d_r
-        if not gap.min() > 0:
-            raise RuntimeError("contour denominator enclosure touches zero")
-        inv_c = 1.0 / d_c
-        inv_r = d_r / (gap * mag) * (1 + 8 * EPS) \
-            + np.abs(inv_c) * 4 * EPS + TINY
-        w_c, w_r = _cmul(-h * eib[0], h * eib[1], inv_c, inv_r)
-        wmag = np.abs(w_c) + w_r
+        hb, mb = FloatBall(h), FloatBall(mid)
+        z = CBall.of(t * _CB * hb, t * _SB * hb)
+        zmag = z.mag()
+        if zmag > 2.0:
+            raise RuntimeError("moment series argument out of range")
+        ez = fb_exp(FloatBall(zmag)).upper()
+        A = _exp_moments(z, J, ez)
+        ex = fb_exp(t * _CB * mb)
+        sph, cph = fb_sincos(t * _SB * mb)
+        heib = eib * CBall(h + 0j)
+        pref = CBall.of(ex * cph, ex * sph) * heib
+        inv = CBall(mid + 0j).mul_add(eib, lam).reciprocal()
+        w = CBall(-heib.c, heib.r) * inv
+        wmag = w.mag()
         if wmag.max() > 0.6:
             raise RuntimeError("geometric panel ratio out of range")
-        S_c = np.full(s.shape, A_c[J])
-        S_r = np.full(s.shape, A_r[J])
+        S = CBall(np.full(s.shape, A.c[J]), np.full(s.shape, A.r[J]))
         for j in range(J - 1, -1, -1):
-            S_c, S_r = _cmul(w_c, w_r, S_c, S_r)
-            S_c = S_c + A_c[j]
-            S_r = S_r + A_r[j] + np.abs(S_c) * 2 * EPS + TINY
-        zmag = abs(complex(zre.c, zim.c)) + zre.r + zim.r
-        S_r = S_r + wmag ** (J + 1) / (1.0 - wmag) * 2.2 * math.exp(zmag)
-        is_c, is_r = _cmul(inv_c, inv_r, S_c, S_r)
-        p_c, p_r = _cmul(pref[0], pref[1], is_c, is_r)
-        tot_c = tot_c + p_c
-        tot_r = tot_r + p_r + np.abs(tot_c) * 2 * EPS + TINY
-    out_c = tot_c.imag / FB_PI.c
-    out_r = (tot_r + np.abs(out_c) * FB_PI.r) / (FB_PI.c - FB_PI.r) \
-        * (1 + 8 * EPS) + np.abs(out_c) * 4 * EPS + TINY
-    return out_c, out_r, len(panels)
-
-
-def heat_factor(s: int, t) -> FloatBall:
-    """Enclosure of the diagonal heat multiplier e^{-t pi^2 s}."""
-    t = t if isinstance(t, FloatBall) else FloatBall.exact(Fraction(t))
-    return fb_exp(-(_PI2 * FloatBall.exact(s) * t))
+            S = w.mul_add(S, A[j])
+        tail = BallGrid(pow_up(wmag, J + 1)) / (BallGrid(1.0) - BallGrid(wmag))
+        S = S.widened(tail.scale_ball(FloatBall(2.0) * FloatBall(ez)).upper())
+        tot = pref.mul_add(inv * S, tot)
+    out = BallGrid(tot.c.imag, tot.r).scale_ball(FloatBall(1.0) / FB_PI)
+    return out.c, out.r, len(panels)
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +254,8 @@ def _live_svals(field: FourierField) -> np.ndarray:
     return s[field.weights() > 0]
 
 
-def _apply_diagonal(field: FourierField, uniq: np.ndarray, fac_c: np.ndarray,
-                    fac_r: np.ndarray, tail: FloatBall) -> FourierField:
+def _apply_diagonal(field: FourierField, uniq: np.ndarray, fac: BallGrid,
+                    tail: FloatBall) -> FourierField:
     shape = field.grid.shape
     if uniq.size == 0:
         return FourierField(field.basis, field.cutoff, BallGrid.zeros(shape),
@@ -277,8 +264,8 @@ def _apply_diagonal(field: FourierField, uniq: np.ndarray, fac_c: np.ndarray,
     s = n[:, None] ** 2 + n[None, :] ** 2
     live = field.weights() > 0
     idx = np.searchsorted(uniq, np.where(live, s, uniq[0]))
-    fc = np.where(live, fac_c[idx], 0.0)
-    fr = np.where(live, fac_r[idx], 0.0)
+    fc = np.where(live, fac.c[idx], 0.0)
+    fr = np.where(live, fac.r[idx], 0.0)
     grid = field.grid * BallGrid(fc, fr)
     return FourierField(field.basis, field.cutoff, grid, tail)
 
@@ -319,10 +306,10 @@ def semigroup_apply(a, t, K: int, constants: ConstantsTable = None,
         return _emit(fields, pairp)
     band = all(f.band_limited() for f in fields)
     if band and not force_contour:
-        move = constants.C_half_time.upper() \
-            * math.sqrt(float(t.upper())) \
-            * frac_power_norm(fields, Fraction(1, 2)).upper()
-        if move <= 2.0 ** -(K + 2):
+        move = FloatBall.from_bounded(constants.C_half_time) \
+            * fb_sqrt(FloatBall.from_bounded(t)) \
+            * frac_power_norm(fields, Fraction(1, 2))
+        if move.upper() <= 2.0 ** -(K + 2):
             return _emit(fields, pairp)
     if t.lower() <= 0:
         raise ValueError("time enclosure touches zero but the small-time "
@@ -330,15 +317,14 @@ def semigroup_apply(a, t, K: int, constants: ConstantsTable = None,
     tb = FloatBall.from_bounded(t)
     norm = _l2_upper(fields)
     l, g3 = _tail_search(t, _as_bv(Fraction(norm) + Fraction(1, 10 ** 9)), K)
-    g3 = float(g3.upper())
     uniq = np.unique(np.concatenate([_live_svals(f) for f in fields])) \
         if fields else np.zeros(0, dtype=int)
-    fac_c, fac_r, _ = contour_factors(uniq, tb, l)
     # the per-mode contour remainder is at most g3 times the coefficient, so
     # widening the factor enclosure makes every mode ball contain the true
     # heat multiple; input tails pass through by contractivity
-    fac_r = fac_r + g3
-    out = [_apply_diagonal(f, uniq, fac_c, fac_r, f.tail_l2) for f in fields]
+    fac = BallGrid(*contour_factors(uniq, tb, l)[:2]).widened(
+        FloatBall.from_bounded(g3).upper())
+    out = [_apply_diagonal(f, uniq, fac, f.tail_l2) for f in fields]
     return _emit(out, pairp)
 
 

@@ -6,10 +6,10 @@ the polynomial part) and once over the whole panel (for the Lagrange
 remainder coefficient), giving panel enclosures of order ``p`` instead of the
 first-order range rule.
 
-Coefficients are :class:`~solenoid.approxcore.BoundedValue` by default; any
-type with the same operator surface plus ``exp_ball``/``log_ball``/
-``sincos_ball`` hooks works (the complex ball used by the contour quadrature
-does this).
+Coefficients are :class:`~solenoid.approxcore.BoundedValue` or
+:class:`~solenoid.floatball.FloatBall`; any type with the same operator
+surface plus the ``one``/``zero`` and ``exp_ball``/``log_ball``/
+``sincos_ball`` hooks works.
 
 Integrands that are not smooth on a given panel should raise
 :class:`NonsmoothPanel` when ``order > 0``; with ``order == 0`` they must
@@ -20,32 +20,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .approxcore import (BoundedValue, DEFAULT_PREC, bv_cos, bv_exp, bv_log,
-                         bv_sin)
+from .approxcore import BoundedValue, DEFAULT_PREC
 
 __all__ = ["TSeries", "NonsmoothPanel", "taylor_panel_integral"]
 
 
 class NonsmoothPanel(Exception):
     """Raised by integrands on panels where Taylor evaluation is invalid."""
-
-
-def _exp0(c):
-    if isinstance(c, BoundedValue):
-        return bv_exp(c)
-    return c.exp_ball()
-
-
-def _log0(c):
-    if isinstance(c, BoundedValue):
-        return bv_log(c)
-    return c.log_ball()
-
-
-def _sincos0(c):
-    if isinstance(c, BoundedValue):
-        return bv_sin(c), bv_cos(c)
-    return c.sincos_ball()
 
 
 class TSeries:
@@ -62,19 +43,15 @@ class TSeries:
 
     @staticmethod
     def variable(center, order: int) -> "TSeries":
-        one = BoundedValue.exact(1) if isinstance(center, BoundedValue) else center.one()
-        zero = BoundedValue.exact(0) if isinstance(center, BoundedValue) else center.zero()
-        c = [center] + [one] + [zero] * (order - 1)
+        c = [center, center.one()] + [center.zero()] * (order - 1)
         return TSeries(c[:order + 1])
 
     @staticmethod
     def constant(value, order: int) -> "TSeries":
-        zero = BoundedValue.exact(0) if isinstance(value, BoundedValue) else value.zero()
-        return TSeries([value] + [zero] * order)
+        return TSeries([value] + [value.zero()] * order)
 
     def _zero(self):
-        z = self.c[0]
-        return BoundedValue.exact(0) if isinstance(z, BoundedValue) else z.zero()
+        return self.c[0].zero()
 
     def _promote(self, other) -> "TSeries":
         if isinstance(other, TSeries):
@@ -119,8 +96,7 @@ class TSeries:
     def reciprocal(self):
         f0 = self.c[0]
         n = self.order
-        g = [BoundedValue.exact(1) / f0 if isinstance(f0, BoundedValue)
-             else f0.one() / f0]
+        g = [f0.one() / f0]
         for k in range(1, n + 1):
             acc = self._zero()
             for j in range(1, k + 1):
@@ -138,7 +114,7 @@ class TSeries:
 
     def exp(self):
         n = self.order
-        g = [_exp0(self.c[0])]
+        g = [self.c[0].exp_ball()]
         for k in range(1, n + 1):
             acc = self._zero()
             for j in range(1, k + 1):
@@ -149,7 +125,7 @@ class TSeries:
     def log(self):
         f0 = self.c[0]
         n = self.order
-        g = [_log0(f0)]
+        g = [f0.log_ball()]
         for k in range(1, n + 1):
             acc = self.c[k].scale(k)
             for j in range(1, k):
@@ -159,7 +135,7 @@ class TSeries:
 
     def sincos(self):
         n = self.order
-        s0, c0 = _sincos0(self.c[0])
+        s0, c0 = self.c[0].sincos_ball()
         s, c = [s0], [c0]
         for k in range(1, n + 1):
             sa = self._zero()
@@ -181,9 +157,7 @@ class TSeries:
     def pow_frac(self, q: Fraction):
         q = Fraction(q)
         if q == 0:
-            one = (BoundedValue.exact(1) if isinstance(self.c[0], BoundedValue)
-                   else self.c[0].one())
-            return TSeries.constant(one, self.order)
+            return TSeries.constant(self.c[0].one(), self.order)
         if q.denominator == 1 and 0 < q.numerator <= 32:
             out = self
             for _ in range(q.numerator - 1):

@@ -15,6 +15,7 @@ from solenoid.approxcore import (
     BoundedValue, ConstantsTable, Dyadic, Name, beta, bv_cos, bv_exp, bv_pi,
     bv_pow, bv_sqrt, certified_integral, gamma_tail, refine,
 )
+from solenoid.floatball import FloatBall
 from solenoid.taylor import TSeries
 
 from oracles import beta_quadrature
@@ -140,6 +141,29 @@ class TestQuadrature:
 
 
 class TestTaylorSeries:
+    def test_certified_integral_frozen(self):
+        # the BoundedValue hooks of TSeries (one, zero, exp_ball, log_ball,
+        # sincos_ball) reproduce the results of the former type switches
+        # bit for bit; the values are frozen from that route
+        frozen = (
+            (lambda x: (x * x).exp() / (x + 1),
+             {"c": {"m": "1271871471161012921919350297525992809", "e": -120},
+              "r": {"m": "22235003869454419557561034459566337", "e": -146}}),
+            (lambda x: (x + 2).log() * x.sin(),
+             {"c": {"m": "594138465876335810456011542178966227", "e": -120},
+              "r": {"m": "406522884264536197031852450679438031", "e": -153}}),
+        )
+        for f, want in frozen:
+            got = certified_integral(f, F(0), F(1), F(1, 1 << 30))
+            assert got.to_json() == want
+
+    def test_hooks_of_both_ball_types(self):
+        for x in (BoundedValue.exact(F(1, 2)), FloatBall(0.5)):
+            t = TSeries.variable(x, 3)
+            assert t.c[1].contains(F(1)) and t.c[2].contains(F(0))
+            assert t.reciprocal().c[0].contains(F(2))
+            assert TSeries.constant(x, 2).pow_frac(F(0)).c[0].contains(F(1))
+
     def test_exp_coefficients(self):
         t = TSeries.variable(BoundedValue.exact(0), 6)
         g = t.exp()

@@ -8,6 +8,8 @@ sampled argument.
 import ast
 import math
 import pathlib
+import random
+import re
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -17,9 +19,9 @@ from hypothesis import given, strategies as st
 
 from solenoid.approxcore import BoundedValue
 from solenoid.floatball import (
-    BallGrid, FloatBall, ball_convolve, ball_matmul, fb_cos, fb_exp, fb_log,
-    fb_pow, fb_sin, fb_sincos, fb_sqrt, grid_exp, grid_log, grid_pow,
-    grid_sincos_pi,
+    BallGrid, CBall, FloatBall, ball_convolve, ball_matmul, ceil_log2, fb_cos,
+    fb_exp, fb_log, fb_pow, fb_sin, fb_sincos, fb_sqrt, grid_exp, grid_log,
+    grid_pow, grid_sincos_pi, pow_up,
 )
 
 mp.mp.dps = 30
@@ -339,6 +341,25 @@ class TestCoefficientSums:
         assert F(out.r) >= spread + _gamma_exact(624) * abs_sum
 
 
+# a hand rounding rule: the old inflation factor, a float inflation literal,
+# a multiple of EPS, or a libm constant or function
+_HAND_ROUNDING = re.compile(
+    r"\b_UP\b|\b1e-(9|1[0-5])\b|\b\d+\s*\*\s*EPS\b"
+    r"|\bmath\.(pi|exp|hypot|log2)\b")
+
+
+def test_no_hand_rounding_outside_floatball():
+    # nse, spectral, helmholtz and stokes round only through floatball's
+    # ball rules; a line that only steers a search is marked "# steering:"
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "solenoid"
+    offenders = []
+    for name in ("nse.py", "spectral.py", "helmholtz.py", "stokes.py"):
+        for i, line in enumerate((src / name).read_text().splitlines(), 1):
+            if _HAND_ROUNDING.search(line) and "# steering:" not in line:
+                offenders.append("%s:%d: %s" % (name, i, line.strip()))
+    assert not offenders, offenders
+
+
 def test_rounding_constants_defined_only_in_floatball():
     # every module takes EPS and TINY from floatball, so the package has one
     # rounding model
@@ -456,3 +477,154 @@ class TestGridElementary:
             grid_log(BallGrid([1.0, 0.5], [0.0, 0.5]))
         with pytest.raises(OverflowError):
             grid_exp(BallGrid([1.0, 710.0]))
+
+
+class TestDirectedEnds:
+    """upper() and lower() are the floats next to c + r and c - r on the
+    outer side, exactly."""
+
+    def _check(self, b):
+        lo, hi = b.lower(), b.upper()
+        exact_lo, exact_hi = F(b.c) - F(b.r), F(b.c) + F(b.r)
+        assert F(lo) <= exact_lo and F(hi) >= exact_hi
+        # and no float lies strictly between each end and its exact value
+        assert F(math.nextafter(lo, math.inf)) > exact_lo or F(lo) == exact_lo
+        assert F(math.nextafter(hi, -math.inf)) < exact_hi or F(hi) == exact_hi
+
+    def test_radius_below_half_an_ulp(self):
+        # the ends of this ball used to round back onto the centre
+        b = FloatBall(0.019291508253563072, 1.19e-18)
+        self._check(b)
+        assert b.lower() < b.c < b.upper()
+
+    def test_random_balls_against_fractions(self):
+        rng = random.Random(8)
+        for _ in range(2000):
+            c = rng.uniform(-1, 1) * 2.0 ** rng.randint(-60, 60)
+            r = abs(c) * 2.0 ** rng.randint(-80, 0) * rng.random()
+            self._check(FloatBall(c, r))
+
+    def test_zero_centre_and_subnormal_radii(self):
+        for b in (FloatBall(0.0), FloatBall(0.0, 5e-324), FloatBall(-0.0, 0.0),
+                  FloatBall(1e-310, 5e-324), FloatBall(1.0, 5e-324),
+                  FloatBall(-2.0 ** -1022, 2.0 ** -1074)):
+            self._check(b)
+        assert FloatBall(0.0).upper() == 0.0 == FloatBall(0.0).lower()
+        assert FloatBall(1.0, 5e-324).upper() == math.nextafter(1.0, 2.0)
+
+    def test_exact_ends_are_kept(self):
+        # [0, hi] balls, as the tail bounds and their JSON round trip use
+        for hi in (0.0, 1e-300, 0.3, 2.917393947e-3, 1e300):
+            b = FloatBall.from_endpoints(0.0, hi)
+            assert b.upper() == hi and b.lower() == 0.0
+        g = BallGrid([0.5, -1.0, 0.019291508253563072], [0.25, 0.0, 1.19e-18])
+        assert list(g.upper()) == [g.at(i).upper() for i in range(3)]
+
+
+def _cfrac(z):
+    """A complex float as a pair of Fractions."""
+    return F(z.real), F(z.imag)
+
+
+def _cmul_exact(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _in_disc(ball: CBall, z) -> bool:
+    cr, ci = _cfrac(complex(ball.c))
+    return (z[0] - cr) ** 2 + (z[1] - ci) ** 2 <= F(float(ball.r)) ** 2
+
+
+class TestComplexDiscs:
+    """CBall's sum, product and reciprocal hold the exact results of points
+    in their input discs, checked in Fractions."""
+
+    # pairs whose products cancel in a real or imaginary part, and pairs at
+    # 2^500 and 2^-500
+    e = 2.0 ** -28
+    PAIRS = [
+        (complex(1 + 3 * e, 1.0), complex(1 - 5 * e, 1.0)),
+        (complex(1.0, 1 + 3 * e), complex(1 - 5 * e, -1.0)),
+        (complex(0.1, 0.7), complex(0.7, -0.1)),
+        (complex(2.0 ** 250, 3 * 2.0 ** 249), complex(2.0 ** 250, -2.0 ** 249)),
+        (complex(2.0 ** -250, 2.0 ** -251), complex(3 * 2.0 ** -250, 2.0 ** -252)),
+        (complex(2.0 ** 500, 1.0), complex(0.75, -0.5)),
+        (complex(2.0 ** -500, -2.0 ** -501), complex(1.5, 2.0 ** -80)),
+    ]
+
+    @staticmethod
+    def _points(ball: CBall):
+        """Points of the disc: its centre and points on its edge."""
+        c = _cfrac(complex(ball.c))
+        r = F(float(ball.r))
+        return [c] + [(c[0] + r * a, c[1] + r * b)
+                      for a, b in ((F(3, 5), F(4, 5)), (F(-1), F(0)),
+                                   (F(0), F(-1)))]
+
+    def _discs(self, x, y):
+        yield CBall(x, 0.0), CBall(y, 0.0)
+        yield CBall(x, abs(x.real) * 2.0 ** -40), CBall(y, abs(y.imag) * 1e-3)
+
+    def test_product_and_sum(self):
+        for x, y in self.PAIRS:
+            for a, b in self._discs(x, y):
+                prod, fused = a * b, a.mul_add(b, b)
+                total = CBall(1 + 0j, 0.0).mul_add(a, b)
+                for p in self._points(a):
+                    for q in self._points(b):
+                        xy = _cmul_exact(p, q)
+                        assert _in_disc(prod, xy), (x, y)
+                        assert _in_disc(total, (p[0] + q[0], p[1] + q[1]))
+                        assert _in_disc(fused, (xy[0] + q[0], xy[1] + q[1]))
+
+    def test_cancelling_product_is_not_exact(self):
+        # Re = (1 + 3e)(1 - 5e) - 1 rounds: the radius must cover it
+        x, y = self.PAIRS[0]
+        prod = CBall(x, 0.0) * CBall(y, 0.0)
+        exact = _cmul_exact(_cfrac(x), _cfrac(y))
+        assert _cfrac(prod.c) != exact and _in_disc(prod, exact)
+
+    def test_reciprocal(self):
+        for x, _ in self.PAIRS:
+            for a, _ in self._discs(x, x):
+                inv = a.reciprocal()
+                for p in self._points(a):
+                    d = p[0] ** 2 + p[1] ** 2
+                    assert _in_disc(inv, (p[0] / d, -p[1] / d)), x
+
+    def test_arrays_and_magnitudes(self):
+        a = CBall(np.array([1 + 2j, -3e-200 + 4e-200j, 2.0 ** 400]),
+                  np.array([0.5, 1e-210, 0.0]))
+        for i, z in enumerate(a.c):
+            mag = F(float(a.mag()[i]))
+            for p in self._points(a[i]):
+                assert p[0] ** 2 + p[1] ** 2 <= mag ** 2
+        assert np.array_equal((a * a).c, a.c * a.c)
+
+    def test_parts_and_range(self):
+        re_, im_ = FloatBall(0.25, 1e-17), FloatBall(-3.0, 2e-16)
+        z = CBall.of(re_, im_)
+        for dx in (-1, 1):
+            for dy in (-1, 1):
+                assert _in_disc(z, (F(re_.c) + dx * F(re_.r),
+                                    F(im_.c) + dy * F(im_.r)))
+        with pytest.raises(ZeroDivisionError):
+            CBall(1 + 1j, 1.5).reciprocal()
+        with pytest.raises(ValueError):
+            CBall(complex(2.0 ** 600, 0.0), 0.0).reciprocal()
+
+
+class TestIntegerRules:
+    def test_pow_up_bounds_the_power(self):
+        x = np.array([0.0, 5e-324, 1e-7, 0.3, 0.45, 0.6, 0.999999, 1.0])
+        for n in (1, 2, 3, 45, 64):
+            up = pow_up(x, n)
+            for v, u in zip(x, up):
+                assert F(float(u)) >= F(float(v)) ** n, (v, n)
+            assert (up <= x ** n * (1 + 1e-13) + 1e-300).all()
+
+    def test_ceil_log2_exact(self):
+        for x in (1.0, 2.0, 3.0, 0.75, 0.5, 2.0 ** -1074, 2.0 ** 1023,
+                  math.nextafter(4.0, 5.0), math.nextafter(4.0, 3.0), 1e-300):
+            k = ceil_log2(x)
+            assert F(2) ** (k - 1) < F(x) <= F(2) ** k, x

@@ -12,6 +12,7 @@ iterates and compared against the certified tables.
 import math
 from fractions import Fraction as F
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -478,6 +479,54 @@ class TestSmoothnessLift:
         assert nse._pair_radius(lift.u) + lift.defect[F(0)] <= 2.0 ** -8 \
             * (1 + 1e-9)
         assert lift.t_n == c.T_frac / 2 ** lift.n
+
+
+class TestRoundingRules:
+    """The engine's defect weights and the Claim-II tail against 60-digit
+    mpmath."""
+
+    @pytest.mark.parametrize("t_scale", [F(1), F(1, 3)])
+    def test_defect_weight_table(self, t_scale):
+        cert = _cert()
+        assert all(CT.C_alpha(b + F(1, 4)).lower() ==
+                   CT.C_alpha(b + F(1, 4)).upper() == 1
+                   for b in nse._DEFECT_BETAS)
+        t = cert.T_frac * t_scale
+        P = 8
+        eng = nse._Engine(cert, t, P, 10)
+        with mp.workdps(60):
+            h = mp.mpf(t.numerator) / t.denominator / P
+            for i, g in enumerate((F(1, 4), F(1, 2), F(3, 4), F(17, 20))):
+                gm = mp.mpf(g.numerator) / g.denominator
+                end = h ** (1 - gm) / (1 - gm)
+                near = (2 * h) ** (1 - gm) / (1 - gm)
+                far = [h * (k * h) ** -gm for k in range(1, P)]
+                for ball, ref in ([(eng._W_end.at((i, 0)), end),
+                                   (eng._W_int.at((i, 0)), near)]
+                                  + [(eng._W_end.at((i, k)), far[k - 1])
+                                     for k in range(1, P)]
+                                  + [(eng._W_int.at((i, k)), far[k - 1])
+                                     for k in range(1, P)]):
+                    assert mp.mpf(ball.lower()) <= ref <= mp.mpf(ball.upper())
+                    assert ball.r <= 1e-13 * abs(ball.c)
+
+    def test_claim2_tail_upper_bound(self):
+        cert = _cert()
+        t = cert.T_frac
+        ct, mm = CT, 2
+        lead = (ct.C * ct.C_alpha(F(17, 20)) * ct.M * cert.M_beta_m[F(1, 4)][mm]
+                * cert.M_beta_m[F(1, 2)][mm]).upper()
+        ns = np.array([1, 2, 7, 50, 107, 399])
+        tails = nse._claim2_tail(cert, mm, t, ns)
+        with mp.workdps(60):
+            for n, got in zip(ns, tails):
+                t_n = t / 2 ** int(n)
+                ref = (mp.mpf(lead.numerator) / lead.denominator * 4
+                       * mp.power(mp.mpf((t - t_n).numerator)
+                                  / (t - t_n).denominator, mp.mpf(-17) / 20)
+                       * mp.root(mp.mpf(t_n.numerator) / t_n.denominator, 4))
+                assert ref <= mp.mpf(got) <= ref * (1 + mp.mpf(10) ** -12)
+                assert nse._claim2_tail(cert, mm, t, int(n)) == got
 
 
 class TestClaimBounds:

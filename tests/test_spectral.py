@@ -23,7 +23,7 @@ from solenoid.floatball import BallGrid, FloatBall
 from solenoid.polyfield import RationalPoly2, poly_inner_on_box
 from solenoid.spectral import (
     BallPoly2, FourierField, HElement, SobolevName, _ab_grid, _extended,
-    _window_grid, axis_trig_moments, coefficients,
+    _mollified_tail, _window_grid, axis_trig_moments, coefficients,
     differentiate, mode_weights, mollified_distance, mollified_field_pair,
     mollifier_mode_grid, mollify_poly, multiply, poly_mul, trig_poly_field,
 )
@@ -502,6 +502,34 @@ class TestMollifierGrid:
         assert phi.lower() <= phi_o.upper() and phi.upper() >= phi_o.lower()
         assert psi.lower() <= psi_o.upper() and psi.upper() >= psi_o.lower()
 
+    # (n, m): the grid entry (centre, radius) before the window products
+    # became ball products, and the enclosure (centre, radius) of
+    # oracles.mollifier_cos_coefficient(3, n, m, 40), rounded to nearest;
+    # frozen, as the oracle takes up to 30 s an entry
+    FROZEN_3_64 = {
+        (1, 0): ((0.986628122411184, 4.993869065079934e-14),
+                 (0.9866281224111837, 2.810285256404744e-14)),
+        (0, 7): ((0.4722704384627339, 3.690597644992192e-14),
+                 (0.47227043846272254, 5.651499991418801e-14)),
+        (3, 2): ((0.8380063403406608, 8.345515377376724e-14),
+                 (0.8380063403406753, 9.831506133345544e-15)),
+        (12, 5): ((0.0061321852473980275, 1.2752139865580269e-14),
+                  (0.006132185247397868, 3.7552918479435775e-13)),
+        (20, 20): ((0.01800534400460524, 1.1560151780077902e-15),
+                   (0.018005344004605146, 1.487520705895699e-10)),
+        (31, 2): ((0.00688241614743077, 1.5451738743813952e-14),
+                  (0.00688241614743121, 1.9440036668220396e-10)),
+    }
+
+    def test_grid_overlaps_frozen_values(self):
+        g = mollifier_mode_grid(3, 64)
+        for (n, m), frozen in self.FROZEN_3_64.items():
+            for idx in ((n, m), (m, n)):
+                b = g.at(idx)
+                for c, r in frozen:
+                    gap = abs(F(b.c) - F(c))
+                    assert gap <= F(b.r) + F(r) + F(math.ulp(c)), (idx, c)
+
     def test_radii_stay_small_at_high_modes(self):
         g = mollifier_mode_grid(4, 64)
         assert float(g.r.max()) < 1e-10
@@ -509,6 +537,31 @@ class TestMollifierGrid:
     def test_negative_scale_rejected(self):
         with pytest.raises(ValueError):
             mollifier_mode_grid(-1, 4)
+
+
+class TestMollifiedTail:
+    """`_mollified_tail` against its formula at 60 digits, with
+    gamma0 = 1/(4 E_2(1)) from mpmath."""
+
+    @staticmethod
+    def _reference(nu, cutoff, l2, h1):
+        with mp.workdps(60):
+            d0 = 2 ** (2 * nu) / (4 * mp.expint(2, 1) * mp.e)
+            e = max(4 * d0 / mp.pi ** 2, 4 * d0 / 2 ** nu / mp.pi)
+            cp = mp.mpf(cutoff + 1)
+            env = min(1, e / cp)
+            return mp.sqrt(min(env ** 2 * l2,
+                               e ** 2 * h1 / (cp ** 4 * mp.pi ** 2)))
+
+    # each route wins once, and the envelope is clipped at 1 once
+    @pytest.mark.parametrize("nu, cutoff, l2, h1", [
+        (3, 64, 1e-6, 1e-2), (3, 64, 1e-20, 1e3), (1, 0, 0.5, 0.5),
+        (4, 2047, 2.0 ** -900, 2.0 ** -880), (2, 8, 3e-3, 7e-1)])
+    def test_upper_bound(self, nu, cutoff, l2, h1):
+        ref = self._reference(nu, cutoff, mp.mpf(l2), mp.mpf(h1))
+        tail = _mollified_tail(nu, cutoff, l2, h1)
+        assert tail.lower() <= 0.0
+        assert ref <= mp.mpf(tail.upper()) <= ref * (1 + mp.mpf(10) ** -12)
 
 
 class TestMollifiedFields:

@@ -205,6 +205,27 @@ class TestSemigroup:
         o = sk.semigroup_apply(u, F(1, 1 << 40), 4)
         assert _pair_diff(o, u) < 1e-100
 
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_small_time_move_is_certified(self, side, monkeypatch):
+        # ||A^{1/2} a|| = pi for this pair, so the identity output needs
+        # sqrt(t) pi <= 2^-(K+2), i.e. t <= t* = 2^-2(K+2)/pi^2: just below
+        # t* the identity is certified, just above it the contour must run
+        K = 10
+        pair = _sol_mode(1, 1)
+        with mpmath.workdps(60):
+            t = F(mpmath.nstr(mpmath.mpf(2) ** (-2 * (K + 2)) / mpmath.pi ** 2
+                              * (1 + side * mpmath.mpf(2) ** -45), 50))
+
+        def contour(*args):
+            raise LookupError("contour route")
+        monkeypatch.setattr(sk, "_tail_search", contour)
+        if side < 0:
+            out = sk.semigroup_apply(pair, t, K)
+            assert out[0] is pair[0] and out[1] is pair[1]
+        else:
+            with pytest.raises(LookupError):
+                sk.semigroup_apply(pair, t, K)
+
     def test_single_field_accepted(self):
         f = FourierField.single_mode("sc", 1, 1, 1.0)
         o = sk.semigroup_apply(f, F(1, 4), 10)
