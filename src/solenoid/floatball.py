@@ -171,10 +171,12 @@ class FloatBall:
         return _add_up(self.c, self.r)
 
     def mag(self) -> float:
-        return abs(self.c) + self.r
+        """The least float >= |c| + r."""
+        return _add_up(abs(self.c), self.r)
 
     def mig(self) -> float:
-        m = abs(self.c) - self.r
+        """The greatest float <= |c| - r, or 0 when that is negative."""
+        m = -_add_up(-abs(self.c), self.r)
         return m if m > 0.0 else 0.0
 
     def contains(self, x) -> bool:
@@ -450,7 +452,8 @@ class BallGrid:
         return BallGrid(self.c.reshape(*shape), self.r.reshape(*shape))
 
     def mag(self) -> np.ndarray:
-        return np.abs(self.c) + self.r
+        """`FloatBall.mag` entrywise."""
+        return _add_up(np.abs(self.c), self.r)
 
     def upper(self) -> np.ndarray:
         """`FloatBall.upper` entrywise."""

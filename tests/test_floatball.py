@@ -520,6 +520,41 @@ class TestDirectedEnds:
         g = BallGrid([0.5, -1.0, 0.019291508253563072], [0.25, 0.0, 1.19e-18])
         assert list(g.upper()) == [g.at(i).upper() for i in range(3)]
 
+    @staticmethod
+    def _check_abs(b):
+        """mag() and mig() are the floats next to |c| + r and max(|c| - r,
+        0) on the outer side, exactly."""
+        hi, lo = b.mag(), b.mig()
+        exact_hi = abs(F(b.c)) + F(b.r)
+        exact_lo = max(abs(F(b.c)) - F(b.r), F(0))
+        assert F(hi) >= exact_hi and F(lo) <= exact_lo and lo >= 0.0
+        assert F(math.nextafter(hi, -math.inf)) < exact_hi or F(hi) == exact_hi
+        assert F(math.nextafter(lo, math.inf)) > exact_lo or F(lo) == exact_lo
+
+    def test_mag_mig_radius_below_half_an_ulp(self):
+        # |c| + r used to round back onto |c|
+        for c in (0.019291508253563072, -0.019291508253563072):
+            b = FloatBall(c, 1.19e-18)
+            self._check_abs(b)
+            assert b.mig() < abs(c) < b.mag()
+
+    def test_mag_mig_against_fractions(self):
+        rng = random.Random(9)
+        for _ in range(2000):
+            c = rng.uniform(-1, 1) * 2.0 ** rng.randint(-60, 60)
+            r = abs(c) * 2.0 ** rng.randint(-80, 1) * rng.random()
+            self._check_abs(FloatBall(c, r))
+        for b in (FloatBall(0.0), FloatBall(0.0, 5e-324), FloatBall(1.0, 2.0),
+                  FloatBall(1.0, 5e-324), FloatBall(-2.0 ** -1022, 2.0 ** -1074)):
+            self._check_abs(b)
+
+    def test_grid_mag_is_scalar_mag(self):
+        g = BallGrid([0.019291508253563072, -0.019291508253563072, 0.5, 0.0],
+                     [1.19e-18, 1.19e-18, 0.25, 5e-324])
+        assert list(g.mag()) == [g.at(i).mag() for i in range(4)]
+        for i in range(4):
+            self._check_abs(g.at(i))
+
 
 def _cfrac(z):
     """A complex float as a pair of Fractions."""
