@@ -343,11 +343,14 @@ def claim1_functional(cert: IterationCertificate, T: Fraction) -> float:
 # ---------------------------------------------------------------------------
 
 def _log2_ceil_inv(T: Fraction) -> int:
-    """Smallest integer j with 2^-j <= T."""
-    j = 0
-    while Fraction(1, 2 ** j) > T:
-        j += 1
-    return j
+    """Smallest integer j >= 0 with 2^-j <= T, for T = p/q > 0.  For
+    T < 1 and d = q.bit_length() - p.bit_length(), q/p lies in
+    (2^(d-1), 2^(d+1)), so j is d when q <= p 2^d and d + 1 otherwise."""
+    p, q = T.numerator, T.denominator
+    if p >= q:
+        return 0
+    d = q.bit_length() - p.bit_length()
+    return d if q <= p << d else d + 1
 
 
 def _theta1(cert: IterationCertificate, k: int) -> Optional[int]:

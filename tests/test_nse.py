@@ -422,6 +422,24 @@ class TestIterate:
         e1 = nse.eta_modulus(c, 1, 6)
         assert e1 is None or e1 >= nse._log2_ceil_inv(c.T_frac)
 
+    @staticmethod
+    def _log2_ceil_inv_loop(T):
+        # the reference: one step per power of two
+        j = 0
+        while F(1, 2 ** j) > T:
+            j += 1
+        return j
+
+    def test_log2_ceil_inv_matches_loop(self):
+        cases = [F(3, 7), F(1, 3), F(5, 8), F(999, 1000), F(1, 10 ** 9),
+                 F(1), F(3, 2), F(7), F(10 ** 20, 3)]
+        for j in (0, 1, 2, 29, 60, 200):
+            cases.append(F(1, 2 ** j))
+            cases.append(F(1, 2 ** j) + F(1, 2 ** (j + 60)))
+            cases.append(F(1, 2 ** j) - F(1, 2 ** (j + 60)))
+        for T in cases:
+            assert nse._log2_ceil_inv(T) == self._log2_ceil_inv_loop(T), T
+
     def test_energy_chain(self):
         c = _cert()
         t = c.T_frac
