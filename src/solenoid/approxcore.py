@@ -1,5 +1,5 @@
-"""Exact and directed-rounded arithmetic, approximation streams, certified
-quadrature, and the shared table of analytic constants.
+"""Exact and directed-rounded arithmetic, approximation streams, closed-form
+special functions, and the shared table of analytic constants.
 
 Two numeric carriers live here:
 
@@ -11,12 +11,12 @@ Two numeric carriers live here:
 
 Transcendental enclosures (exp, log, sin, cos, Gamma, pi, Euler's gamma)
 are delegated to ``mpmath.iv`` interval arithmetic, with exact conversions
-in both directions.
+in both directions.  Beta and the exponential integral E_1 are closed forms
+on them; no integral here is taken by quadrature.
 """
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 from typing import Callable, Union
 
@@ -29,9 +29,9 @@ __all__ = [
     "Name",
     "refine",
     "ConstantsTable",
-    "certified_integral",
     "beta",
     "gamma_tail",
+    "bv_e1",
     "bv_exp",
     "bv_log",
     "bv_sin",
@@ -519,60 +519,6 @@ def refine(name: Name, k: int):
 
 
 # ---------------------------------------------------------------------------
-# Certified adaptive quadrature (1D and 2D)
-# ---------------------------------------------------------------------------
-
-def certified_integral(f, a: Fraction, b: Fraction, target: Fraction,
-                       max_panels: int = 20000, order: int = 8,
-                       prec: int = DEFAULT_PREC) -> BoundedValue:
-    """Enclose the integral of ``f`` over [a, b] by adaptive bisection.
-
-    ``f`` is written against :class:`solenoid.taylor.TSeries`; each panel is
-    integrated with a Taylor model of the given order (Lagrange remainder from
-    the interval evaluation), falling back to the first-order range rule on
-    panels the integrand rejects.  Panels are bisected, worst radius first,
-    until the total radius is at most ``target``.
-    """
-    from .taylor import taylor_panel_integral
-
-    a, b = Fraction(a), Fraction(b)
-    if b < a:
-        raise ValueError("reversed integration bounds")
-    if a == b:
-        return BoundedValue.exact(0)
-
-    counter = 0
-    heap = []
-
-    def push(lo, hi):
-        nonlocal counter
-        contrib = taylor_panel_integral(f, lo, hi, order=order, prec=prec)
-        counter += 1
-        heapq.heappush(heap, (-contrib.radius.to_fraction(), counter, lo, hi, contrib))
-        return contrib
-
-    first = push(a, b)
-    total_r = first.radius.to_fraction()
-    target = Fraction(target)
-    panels = 1
-    while total_r > target and panels < max_panels:
-        _, _, lo, hi, contrib = heapq.heappop(heap)
-        total_r -= contrib.radius.to_fraction()
-        mid = Fraction(lo + hi, 2)
-        c1 = push(lo, mid)
-        c2 = push(mid, hi)
-        total_r += c1.radius.to_fraction() + c2.radius.to_fraction()
-        panels += 1
-    if total_r > target:
-        raise RuntimeError("quadrature did not meet target radius %s within "
-                           "%d panels" % (target, max_panels))
-    out = BoundedValue.exact(0)
-    for _, _, _, _, contrib in heap:
-        out = out + contrib
-    return out.rounded(prec)
-
-
-# ---------------------------------------------------------------------------
 # Special functions
 # ---------------------------------------------------------------------------
 
@@ -607,42 +553,58 @@ def cos_contour_angle(prec: int = DEFAULT_PREC) -> BoundedValue:
     return _COS_BETA_CACHE[prec]
 
 
+def bv_e1(x: _Number, prec: int = DEFAULT_PREC) -> BoundedValue:
+    """Exponential integral E_1(x) = int_x^inf e^-s/s ds of an exact positive
+    dyadic x.
+
+    E_1(x) = -gamma - ln x + sum_{j>=1} (-1)^(j+1) x^j/(j j!) with gamma
+    Euler's constant (DLMF 6.6.2).  The partial sum is exact.  Once
+    j + 1 > x the terms decrease in magnitude, so the alternating tail after
+    term j is at most the next term; the sum stops when that is <= 2^-prec.
+    The sum cancels to O(1 + ln x), so the absolute error stays a few units
+    of 2^-prec.
+    """
+    x = _as_dyadic(x).to_fraction()
+    if x <= 0:
+        raise ValueError("E_1 needs a positive argument")
+    target = Fraction(1, 1 << prec)
+    partial, power, j = Fraction(0), Fraction(1), 0  # power = x^j / j!
+    while True:
+        j += 1
+        power = power * x / j
+        partial += power / j if j % 2 else -power / j
+        tail = power * x / ((j + 1) * (j + 1))  # |term j + 1|
+        if j + 1 > x and tail <= target:
+            break
+    series = BoundedValue.from_endpoints(partial - tail, partial + tail, prec)
+    g, lg = bv_euler(prec), bv_log(BoundedValue.exact(x), prec)
+    # dyadic balls subtract exactly
+    return BoundedValue(series.center - g.center - lg.center,
+                        series.radius + g.radius + lg.radius)
+
+
 def gamma_tail(l: BoundedValue, t: BoundedValue, k: int = 24) -> BoundedValue:
     """Upper enclosure of int_l^infty exp(t*r*cos(3pi/5)) / r dr.
 
-    Both l and t must be strictly positive.  The finite head is certified
-    quadrature; the analytic tail bound exp(t*c*L)/(t*|c|*L) (c = cos(3pi/5))
-    is attached as pure radius above the head.
+    Both l and t must be strictly positive.  The integral is E_1(x) with
+    x = t |cos(3pi/5)| l, and E_1 decreases, so its value at a dyadic lower
+    bound of x (from the lower ends of t, l and |cos(3pi/5)|) bounds it for
+    every t and l in the balls; the result is [0, that bound].  Where
+    E_1(x) <= e^-x/x is already <= 2^-(k+1) that closed bound is kept,
+    else the upper end of :func:`bv_e1`.
     """
     if l.lower() <= 0 or t.lower() <= 0:
         raise ValueError("gamma_tail requires l > 0 and t > 0")
     prec = max(80, k + 30)
     c = cos_contour_angle(prec)  # negative
-    target = Fraction(1, 1 << k)
+    L = l.lower()
     t_lo = BoundedValue.from_endpoints(t.lower(), t.lower(), prec)
-
-    def tail_bound(L: Fraction) -> Fraction:
-        # int_L^inf e^{t c r}/r dr <= e^{t c L}/(t |c| L), using t >= t_lo
-        num = bv_exp(t_lo * c.scale(L), prec)
-        den = t_lo.scale(L) * (-c)
-        return (num / den).upper()
-
-    L = l.upper()
-    while tail_bound(L) > target / 2:
-        L *= 2
-
-    tc = t * c
-
-    def integrand(r):
-        return (r * tc).exp() / r
-
-    head = certified_integral(integrand, l.lower(), L, target / 2, prec=prec)
-    # integrating from l.lower() over-covers [l, L]; keep it as an upper
-    # enclosure by hulling with the integral from l.upper()
-    tb = tail_bound(L)
-    out = BoundedValue.from_endpoints(Fraction(0),
-                                      head.upper() + tb, prec)
-    return out
+    bound = (bv_exp(t_lo * c.scale(L), prec)
+             / (t_lo.scale(L) * (-c))).upper()
+    if bound > Fraction(1, 1 << (k + 1)):
+        x = Dyadic.rounded(t.lower() * L * -c.upper(), prec, -1)
+        bound = bv_e1(x, prec).upper()
+    return BoundedValue.from_endpoints(Fraction(0), bound, prec)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 Everything structural here is exact rational arithmetic: the constraint
 system on coefficients, its nullspace, the enumeration of rational kernel
-points, and the trim rescaling.  Mollification is stored symbolically and
-evaluated on demand through certified quadrature; the radial structure of
-the bump kernel (it depends on the coordinates only through max(|z1|,|z2|))
-lets every integral against it collapse to one dimension.
+points, and the trim rescaling.  Mollification is stored symbolically; its
+Fourier coefficients come from :mod:`solenoid.spectral`.  The radial
+structure of the bump kernel (it depends on the coordinates only through
+max(|z1|,|z2|)) lets every integral against it collapse to one dimension:
+its moments are fixed panel Taylor models, and its normalization gamma0 is
+the closed form 1/(4 (e^-1 - E_1(1))).
 """
 
 from __future__ import annotations
@@ -15,16 +17,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
-from .approxcore import (BoundedValue, DEFAULT_PREC, bv_euler, bv_exp,
-                         bv_sqrt, certified_integral)
-from .taylor import NonsmoothPanel, TSeries
+from .approxcore import BoundedValue, bv_e1, bv_exp, bv_sqrt
+from .taylor import TSeries
 
 __all__ = [
     "RationalPoly2", "SolenoidalPolyPair", "TrimmedField", "MollifiedElement",
     "constraint_matrix", "kernel_basis", "matrix_rank", "solenoidal_kernel",
     "enumerate_solenoidal_polys", "index_of_kernel_point", "trim", "mollify",
     "metric", "approximation_defect", "gamma0", "gamma_radial_moment",
-    "mollifier_mass", "poly_name",
+    "poly_name",
 ]
 
 _F0 = Fraction(0)
@@ -583,13 +584,14 @@ def _w_panel_models(kbits: int):
             box = BoundedValue.from_endpoints(a, b)
             g = (-(1 - TSeries.variable(box, d)).reciprocal()).exp()
             rem = g.c[d]
-            rad = rem.mag().to_fraction() * h ** d
-            if rad > target:
-                raise NonsmoothPanel
+            smooth = rem.mag().to_fraction() * h ** d <= target
+        except (ValueError, ZeroDivisionError, OverflowError):
+            smooth = False
+        if smooth:
             mid = BoundedValue.from_fraction(Fraction(a + b, 2))
             pt = (-(1 - TSeries.variable(mid, d - 1)).reciprocal()).exp()
             panels.append(("taylor", a, b, pt.c, rem))
-        except (NonsmoothPanel, ValueError, ZeroDivisionError, OverflowError):
+        else:
             mid = Fraction(a + b, 2)
             stack.append((mid, b))
             stack.append((a, mid))
@@ -662,73 +664,11 @@ def gamma0(kbits: int = 60) -> BoundedValue:
     constant is 8 J_0, so gamma0 = 1/(8 J_0).
 
     The substitution v = 1/(1-u) gives J_0 = E_2(1)/2, and
-    E_2(1) = e^-1 + gamma - sum_{k>=1} (-1)^(k+1)/(k k!) with gamma Euler's
-    constant (DLMF 6.6.2 with 8.19.12).  The partial sum is exact; the
-    alternating tail after K terms is at most 1/((K+1)(K+1)!).
+    E_2(1) = e^-1 - E_1(1) (DLMF 8.19.12).
     """
     prec = max(80, kbits + 30)
-    target = Fraction(1, 1 << prec)
-    partial, fact, k = _F0, 1, 0
-    while True:
-        k += 1
-        fact *= k
-        partial += Fraction((-1) ** (k + 1), k * fact)
-        tail = Fraction(1, (k + 1) * (k + 1) * fact)
-        if tail <= target:
-            break
-    series = BoundedValue.from_endpoints(partial - tail, partial + tail, prec)
-    e2 = bv_exp(BoundedValue.exact(-1), prec) + bv_euler(prec) - series
+    e2 = bv_exp(BoundedValue.exact(-1), prec) - bv_e1(1, prec)
     return BoundedValue.exact(1) / e2.scale(4)
-
-
-def mollifier_mass(nu: int, kbits: int = 24) -> BoundedValue:
-    """Mass of the scaled kernel by direct certified quadrature.
-
-    Independent route from the panel-model moments: integrates
-    -g'(r) * (2r)^2 over the radial variable, where g is the kernel profile
-    at scale nu.  The result must enclose 1.
-    """
-    if nu < 0:
-        raise ValueError("scale must be nonnegative")
-    delta = Fraction(1, 1 << nu)
-    g0 = gamma0(kbits + 20)
-    four = Fraction(4)
-
-    def integrand(t):
-        prof = _neg_profile_derivative(t, nu, g0)
-        return prof * (t * t).scale(four)
-
-    return certified_integral(integrand, _F0, delta, Fraction(1, 1 << kbits))
-
-
-def _neg_profile_derivative(t: TSeries, nu: int, g0: BoundedValue) -> TSeries:
-    """-d/dr of the scaled radial profile gamma0 2^{2 nu} W((2^nu r)^2).
-
-    Equals gamma0 2^{2 nu} * W * (2^{2 nu + 1} r) / (1 - (2^nu r)^2)^2.
-    On panels touching the support edge the Taylor route divides by zero; the
-    order-0 fallback returns a monotone range bound instead.
-    """
-    four_nu = Fraction(1 << (2 * nu))
-    w = (t * t).scale(four_nu)
-    u = 1 - w
-    if t.order == 0:
-        c = u.c[0]
-        if c.lower() <= 0:
-            hi = c.upper()
-            if hi <= 0:
-                return TSeries([BoundedValue.exact(0)])
-            # sup of exp(-1/v)/v^2 over (0, hi]: increasing until v = 1/2
-            v = min(hi, Fraction(1, 2))
-            vb = BoundedValue.from_fraction(v)
-            peak = bv_exp(BoundedValue.exact(-1) / vb) / (vb * vb)
-            rmax = t.c[0].mag().to_fraction()
-            top = (g0 * peak).scale(four_nu * four_nu * 2 * rmax)
-            return TSeries([BoundedValue.from_endpoints(_F0, top.upper())])
-    rec = u.reciprocal()
-    wfac = (-rec).exp()
-    out = wfac * rec * rec * t.scale(four_nu * 2)
-    scal = g0.scale(four_nu)
-    return out * TSeries.constant(scal, t.order)
 
 
 # ---------------------------------------------------------------------------
@@ -755,102 +695,6 @@ class MollifiedElement:
 
     def is_zero(self) -> bool:
         return self.base.is_zero()
-
-    def evaluate(self, x: Fraction, y: Fraction,
-                 kbits: int = 14) -> Tuple[BoundedValue, BoundedValue]:
-        """Pointwise enclosure of both components.
-
-        The convolution integral collapses to one dimension: the kernel is a
-        decreasing function g of r = max(|z1|,|z2|), its level sets are
-        squares, so integrating by parts in r gives
-        -int_0^delta g'(r) S(r) dr with S(r) the exact polynomial integral of
-        the trimmed field over the square of half-width r centered at the
-        evaluation point.
-        """
-        x, y = Fraction(x), Fraction(y)
-        hw = self.support_halfwidth()
-        if abs(x) > hw or abs(y) > hw:
-            z = BoundedValue.exact(0)
-            return z, z
-        return (self._component_eval(self.trimmed.q1, x, y, kbits),
-                self._component_eval(self.trimmed.q2, x, y, kbits))
-
-    def _component_eval(self, q: RationalPoly2, x: Fraction, y: Fraction,
-                        kbits: int) -> BoundedValue:
-        if q.is_zero():
-            return BoundedValue.exact(0)
-        nu = self.n
-        beta = self.trimmed.beta
-        delta = Fraction(1, 1 << nu)
-        g0 = gamma0(kbits + 20)
-
-        # panel breakpoints: radii where a clipped endpoint changes regime
-        cuts = {_F0, delta}
-        for c in (x + beta, x - beta, beta - x, -beta - x,
-                  y + beta, y - beta, beta - y, -beta - y):
-            if 0 < c < delta:
-                cuts.add(c)
-        pts = sorted(cuts)
-
-        total = BoundedValue.exact(0)
-        budget = Fraction(1, 1 << kbits) / max(len(pts) - 1, 1)
-        for a, b in zip(pts, pts[1:]):
-            rm = Fraction(a + b, 2)
-            regimes = []
-            empty = False
-            for center in (x, y):
-                lo_clip = center - rm < -beta   # lower endpoint stuck at -beta
-                hi_clip = center + rm > beta
-                if center - rm > beta or center + rm < -beta:
-                    empty = True
-                regimes.append((lo_clip, hi_clip))
-            if empty:
-                continue
-            total = total + self._panel_integral(q, x, y, a, b, regimes,
-                                                 nu, g0, budget)
-        return total.rounded()
-
-    def _panel_integral(self, q, x, y, a, b, regimes, nu, g0, budget):
-        centers = (x, y)
-
-        def axis_powers(t: TSeries, axis: int, top_degree: int):
-            lo_clip, hi_clip = regimes[axis]
-            c = centers[axis]
-            beta = self.trimmed.beta
-            e0 = TSeries.constant(BoundedValue.from_fraction(-beta), t.order) \
-                if lo_clip else (-t) + c
-            e1 = TSeries.constant(BoundedValue.from_fraction(beta), t.order) \
-                if hi_clip else t + c
-            p0, p1 = e0, e1
-            out = []
-            for d in range(top_degree + 1):
-                out.append((p1 - p0).scale(Fraction(1, d + 1)))
-                p0 = p0 * e0
-                p1 = p1 * e1
-            return out
-
-        def integrand(t):
-            prof = _neg_profile_derivative(t, nu, g0)
-            U = axis_powers(t, 0, q.N)
-            V = axis_powers(t, 1, q.N)
-            s = None
-            for i in range(q.N + 1):
-                w = None
-                for j in range(q.N + 1):
-                    cij = q.a[i][j]
-                    if cij == 0:
-                        continue
-                    term = V[j].scale(cij)
-                    w = term if w is None else w + term
-                if w is None:
-                    continue
-                term = U[i] * w
-                s = term if s is None else s + term
-            if s is None:
-                return TSeries.constant(BoundedValue.exact(0), t.order)
-            return prof * s
-
-        return certified_integral(integrand, a, b, budget, order=6)
 
     def to_json(self) -> dict:
         return {"base": self.base.to_json(), "k": self.k, "n": self.n}

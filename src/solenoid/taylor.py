@@ -1,32 +1,23 @@
 """Truncated Taylor-series arithmetic with enclosure coefficients.
 
-This powers the higher-order certified quadrature: an integrand written
-against :class:`TSeries` can be evaluated once around the panel midpoint (for
-the polynomial part) and once over the whole panel (for the Lagrange
-remainder coefficient), giving panel enclosures of order ``p`` instead of the
-first-order range rule.
+This serves the bump kernel's fixed panel models: a function written
+against :class:`TSeries` is evaluated once around a panel midpoint (for the
+polynomial part) and once over the whole panel (for the Lagrange remainder
+coefficient), giving a panel model of order ``p``.
 
 Coefficients are :class:`~solenoid.approxcore.BoundedValue` or
 :class:`~solenoid.floatball.FloatBall`; any type with the same operator
 surface plus the ``one``/``zero`` and ``exp_ball``/``log_ball``/
 ``sincos_ball`` hooks works.
-
-Integrands that are not smooth on a given panel should raise
-:class:`NonsmoothPanel` when ``order > 0``; with ``order == 0`` they must
-return a plain range enclosure so the quadrature can fall back soundly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .approxcore import BoundedValue, DEFAULT_PREC
+from .approxcore import BoundedValue
 
-__all__ = ["TSeries", "NonsmoothPanel", "taylor_panel_integral"]
-
-
-class NonsmoothPanel(Exception):
-    """Raised by integrands on panels where Taylor evaluation is invalid."""
+__all__ = ["TSeries"]
 
 
 class TSeries:
@@ -167,43 +158,3 @@ class TSeries:
             from .approxcore import bv_pow
             return TSeries([bv_pow(self.c[0], q)])
         return self.log().scale(q).exp()
-
-
-def taylor_panel_integral(f, lo: Fraction, hi: Fraction, order: int = 8,
-                          prec: int = DEFAULT_PREC) -> BoundedValue:
-    """Enclose the integral of ``f`` over one panel [lo, hi].
-
-    ``f`` maps a TSeries in the integration variable to a TSeries.  Uses a
-    Taylor model of the given order with a Lagrange remainder taken from the
-    order-``order`` coefficient evaluated over the whole panel; falls back to
-    the first-order range rule when the integrand refuses the panel.
-    """
-    lo, hi = Fraction(lo), Fraction(hi)
-    w = hi - lo
-    if w == 0:
-        return BoundedValue.exact(0)
-    box = BoundedValue.from_endpoints(lo, hi, prec)
-    try:
-        g = f(TSeries.variable(box, order))
-        mid = Fraction(lo + hi, 2)
-        pt = f(TSeries.variable(BoundedValue.from_fraction(mid, prec),
-                                max(order - 1, 0)))
-    except (NonsmoothPanel, ValueError, ZeroDivisionError, OverflowError):
-        g0 = f(TSeries.variable(box, 0))
-        return g0.c[0].scale(w, prec)
-    h = w / 2
-    total = BoundedValue.exact(0)
-    hp = h  # h^(j+1)
-    for j in range(order):
-        if j % 2 == 0:
-            total = total + pt.c[j].scale(2 * hp / (j + 1), prec)
-        hp *= h
-    # remainder: f_p(xi_t) (t-mid)^p integrated over the panel
-    if order == 0:
-        rng = BoundedValue.exact(1)
-    elif order % 2 == 0:
-        rng = BoundedValue.from_endpoints(Fraction(0), h ** order, prec)
-    else:
-        rng = BoundedValue.from_endpoints(-(h ** order), h ** order, prec)
-    total = total + (g.c[order] * rng).scale(w, prec)
-    return total.rounded(prec)

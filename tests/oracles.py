@@ -4,25 +4,117 @@ Most functions here compute a value the package also computes, by a
 different method, so that tests can require the two enclosures to overlap.
 The resolvent, the contour mode cutoff and the smoothing diagnostic check
 the semigroup's operator identities and constants; no library code calls
-them.
+them.  The adaptive Taylor-model quadrature lives here too: the library
+certifies its integrals by closed forms and fixed panel models only.
 """
 
+import heapq
 import math
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from solenoid.approxcore import (BoundedValue, ConstantsTable, bv_cos, bv_exp,
-                                 bv_pi, bv_pow, bv_sin, certified_integral)
+from solenoid.approxcore import (DEFAULT_PREC, BoundedValue, ConstantsTable,
+                                 bv_cos, bv_exp, bv_pi, bv_pow, bv_sin)
 from solenoid.floatball import (EPS, FB_PI, TINY, BallGrid, FloatBall, fb_exp,
                                 fb_pow, fb_sincos, fb_sqrt)
 from solenoid.helmholtz import resolve_field
-from solenoid.polyfield import (_moments_upto, _neg_profile_derivative, gamma0,
-                                gamma_radial_moment)
+from solenoid.polyfield import _moments_upto, gamma0, gamma_radial_moment
 from solenoid.spectral import _PI2, FourierField, _fb_gamma0, _h1_models
 from solenoid.stokes import _as_bv, _components, _emit, _live_svals
 from solenoid.taylor import TSeries
+
+
+# ---------------------------------------------------------------------------
+# certified adaptive quadrature
+# ---------------------------------------------------------------------------
+
+def taylor_panel_integral(f, lo: Fraction, hi: Fraction, order: int = 8,
+                          prec: int = DEFAULT_PREC) -> BoundedValue:
+    """Enclose the integral of ``f`` over one panel [lo, hi].
+
+    ``f`` maps a TSeries in the integration variable to a TSeries.  Uses a
+    Taylor model of the given order with a Lagrange remainder taken from the
+    order-``order`` coefficient evaluated over the whole panel; falls back to
+    the first-order range rule when the integrand fails on the panel (an
+    integrand must then return a plain range enclosure at order 0).
+    """
+    lo, hi = Fraction(lo), Fraction(hi)
+    w = hi - lo
+    if w == 0:
+        return BoundedValue.exact(0)
+    box = BoundedValue.from_endpoints(lo, hi, prec)
+    try:
+        g = f(TSeries.variable(box, order))
+        mid = Fraction(lo + hi, 2)
+        pt = f(TSeries.variable(BoundedValue.from_fraction(mid, prec),
+                                max(order - 1, 0)))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        g0 = f(TSeries.variable(box, 0))
+        return g0.c[0].scale(w, prec)
+    h = w / 2
+    total = BoundedValue.exact(0)
+    hp = h  # h^(j+1)
+    for j in range(order):
+        if j % 2 == 0:
+            total = total + pt.c[j].scale(2 * hp / (j + 1), prec)
+        hp *= h
+    # remainder: f_p(xi_t) (t-mid)^p integrated over the panel
+    if order == 0:
+        rng = BoundedValue.exact(1)
+    elif order % 2 == 0:
+        rng = BoundedValue.from_endpoints(Fraction(0), h ** order, prec)
+    else:
+        rng = BoundedValue.from_endpoints(-(h ** order), h ** order, prec)
+    total = total + (g.c[order] * rng).scale(w, prec)
+    return total.rounded(prec)
+
+
+def certified_integral(f, a: Fraction, b: Fraction, target: Fraction,
+                       max_panels: int = 20000, order: int = 8,
+                       prec: int = DEFAULT_PREC) -> BoundedValue:
+    """Enclose the integral of ``f`` over [a, b] by adaptive bisection.
+
+    ``f`` is written against :class:`solenoid.taylor.TSeries`; each panel is
+    integrated by :func:`taylor_panel_integral`.  Panels are bisected, worst
+    radius first, until the total radius is at most ``target``.
+    """
+    a, b = Fraction(a), Fraction(b)
+    if b < a:
+        raise ValueError("reversed integration bounds")
+    if a == b:
+        return BoundedValue.exact(0)
+
+    counter = 0
+    heap = []
+
+    def push(lo, hi):
+        nonlocal counter
+        contrib = taylor_panel_integral(f, lo, hi, order=order, prec=prec)
+        counter += 1
+        heapq.heappush(heap, (-contrib.radius.to_fraction(), counter, lo, hi, contrib))
+        return contrib
+
+    first = push(a, b)
+    total_r = first.radius.to_fraction()
+    target = Fraction(target)
+    panels = 1
+    while total_r > target and panels < max_panels:
+        _, _, lo, hi, contrib = heapq.heappop(heap)
+        total_r -= contrib.radius.to_fraction()
+        mid = Fraction(lo + hi, 2)
+        c1 = push(lo, mid)
+        c2 = push(mid, hi)
+        total_r += c1.radius.to_fraction() + c2.radius.to_fraction()
+        panels += 1
+    if total_r > target:
+        raise RuntimeError("quadrature did not meet target radius %s within "
+                           "%d panels" % (target, max_panels))
+    out = BoundedValue.exact(0)
+    for _, _, _, _, contrib in heap:
+        out = out + contrib
+    return out.rounded(prec)
 
 
 def beta_quadrature(x: Fraction, y: Fraction, k: int = 24) -> BoundedValue:
@@ -129,6 +221,156 @@ def product_to_sum(f: FourierField, g: FourierField) -> FourierField:
                     v = px * half if sy > 0 else -(px * half)
                     out.set((ix, iy), out.at((ix, iy)) + v)
     return FourierField(cx + cy, cut, out)
+
+
+def _neg_profile_derivative(t: TSeries, nu: int, g0: BoundedValue) -> TSeries:
+    """-d/dr of the scaled radial profile gamma0 2^{2 nu} W((2^nu r)^2).
+
+    Equals gamma0 2^{2 nu} * W * (2^{2 nu + 1} r) / (1 - (2^nu r)^2)^2.
+    On panels touching the support edge the Taylor route divides by zero; the
+    order-0 fallback returns a monotone range bound instead.
+    """
+    four_nu = Fraction(1 << (2 * nu))
+    w = (t * t).scale(four_nu)
+    u = 1 - w
+    if t.order == 0:
+        c = u.c[0]
+        if c.lower() <= 0:
+            hi = c.upper()
+            if hi <= 0:
+                return TSeries([BoundedValue.exact(0)])
+            # sup of exp(-1/v)/v^2 over (0, hi]: increasing until v = 1/2
+            v = min(hi, Fraction(1, 2))
+            vb = BoundedValue.from_fraction(v)
+            peak = bv_exp(BoundedValue.exact(-1) / vb) / (vb * vb)
+            rmax = t.c[0].mag().to_fraction()
+            top = (g0 * peak).scale(four_nu * four_nu * 2 * rmax)
+            return TSeries([BoundedValue.from_endpoints(Fraction(0),
+                                                        top.upper())])
+    rec = u.reciprocal()
+    wfac = (-rec).exp()
+    out = wfac * rec * rec * t.scale(four_nu * 2)
+    scal = g0.scale(four_nu)
+    return out * TSeries.constant(scal, t.order)
+
+
+def mollifier_mass(nu: int, kbits: int = 24) -> BoundedValue:
+    """Mass of the scaled kernel by direct certified quadrature.
+
+    Independent route from the panel-model moments: integrates
+    -g'(r) * (2r)^2 over the radial variable, where g is the kernel profile
+    at scale nu.  The result must enclose 1.
+    """
+    if nu < 0:
+        raise ValueError("scale must be nonnegative")
+    delta = Fraction(1, 1 << nu)
+    g0 = gamma0(kbits + 20)
+    four = Fraction(4)
+
+    def integrand(t):
+        prof = _neg_profile_derivative(t, nu, g0)
+        return prof * (t * t).scale(four)
+
+    return certified_integral(integrand, Fraction(0), delta,
+                              Fraction(1, 1 << kbits))
+
+
+def mollified_value(el, x: Fraction, y: Fraction, kbits: int = 14):
+    """Pointwise enclosure of both components of a `MollifiedElement`.
+
+    The convolution integral collapses to one dimension: the kernel is a
+    decreasing function g of r = max(|z1|,|z2|), its level sets are
+    squares, so integrating by parts in r gives
+    -int_0^delta g'(r) S(r) dr with S(r) the exact polynomial integral of
+    the trimmed field over the square of half-width r centered at the
+    evaluation point.  The library's route to an element is
+    `spectral.mollified_field_pair`.
+    """
+    x, y = Fraction(x), Fraction(y)
+    hw = el.support_halfwidth()
+    if abs(x) > hw or abs(y) > hw:
+        z = BoundedValue.exact(0)
+        return z, z
+    return (_component_value(el, el.trimmed.q1, x, y, kbits),
+            _component_value(el, el.trimmed.q2, x, y, kbits))
+
+
+def _component_value(el, q, x: Fraction, y: Fraction,
+                     kbits: int) -> BoundedValue:
+    if q.is_zero():
+        return BoundedValue.exact(0)
+    nu = el.n
+    beta = el.trimmed.beta
+    delta = Fraction(1, 1 << nu)
+    g0 = gamma0(kbits + 20)
+
+    # panel breakpoints: radii where a clipped endpoint changes regime
+    cuts = {Fraction(0), delta}
+    for c in (x + beta, x - beta, beta - x, -beta - x,
+              y + beta, y - beta, beta - y, -beta - y):
+        if 0 < c < delta:
+            cuts.add(c)
+    pts = sorted(cuts)
+
+    total = BoundedValue.exact(0)
+    budget = Fraction(1, 1 << kbits) / max(len(pts) - 1, 1)
+    for a, b in zip(pts, pts[1:]):
+        rm = Fraction(a + b, 2)
+        regimes = []
+        empty = False
+        for center in (x, y):
+            lo_clip = center - rm < -beta   # lower endpoint stuck at -beta
+            hi_clip = center + rm > beta
+            if center - rm > beta or center + rm < -beta:
+                empty = True
+            regimes.append((lo_clip, hi_clip))
+        if empty:
+            continue
+        total = total + _panel_value(q, x, y, beta, a, b, regimes, nu, g0,
+                                     budget)
+    return total.rounded()
+
+
+def _panel_value(q, x, y, beta, a, b, regimes, nu, g0, budget):
+    centers = (x, y)
+
+    def axis_powers(t: TSeries, axis: int, top_degree: int):
+        lo_clip, hi_clip = regimes[axis]
+        c = centers[axis]
+        e0 = TSeries.constant(BoundedValue.from_fraction(-beta), t.order) \
+            if lo_clip else (-t) + c
+        e1 = TSeries.constant(BoundedValue.from_fraction(beta), t.order) \
+            if hi_clip else t + c
+        p0, p1 = e0, e1
+        out = []
+        for d in range(top_degree + 1):
+            out.append((p1 - p0).scale(Fraction(1, d + 1)))
+            p0 = p0 * e0
+            p1 = p1 * e1
+        return out
+
+    def integrand(t):
+        prof = _neg_profile_derivative(t, nu, g0)
+        U = axis_powers(t, 0, q.N)
+        V = axis_powers(t, 1, q.N)
+        s = None
+        for i in range(q.N + 1):
+            w = None
+            for j in range(q.N + 1):
+                cij = q.a[i][j]
+                if cij == 0:
+                    continue
+                term = V[j].scale(cij)
+                w = term if w is None else w + term
+            if w is None:
+                continue
+            term = U[i] * w
+            s = term if s is None else s + term
+        if s is None:
+            return TSeries.constant(BoundedValue.exact(0), t.order)
+        return prof * s
+
+    return certified_integral(integrand, a, b, budget, order=6)
 
 
 def transform_small_x(x_bv: BoundedValue, with_rho: bool) -> FloatBall:

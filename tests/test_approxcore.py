@@ -5,6 +5,8 @@ Expected values marked as frozen were computed with independent
 high-precision oracles (mpmath at 40 digits) and hard-coded here.
 """
 
+import ast
+import pathlib
 from fractions import Fraction as F
 
 import pytest
@@ -12,13 +14,13 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from solenoid.approxcore import (
-    BoundedValue, ConstantsTable, Dyadic, Name, beta, bv_cos, bv_exp, bv_pi,
-    bv_pow, bv_sqrt, certified_integral, gamma_tail, refine,
+    BoundedValue, ConstantsTable, Dyadic, Name, beta, bv_cos, bv_e1, bv_exp,
+    bv_pi, bv_pow, bv_sqrt, gamma_tail, refine,
 )
 from solenoid.floatball import FloatBall
 from solenoid.taylor import TSeries
 
-from oracles import beta_quadrature
+from oracles import beta_quadrature, certified_integral
 
 # frozen oracle values (40-digit mpmath)
 PI_SQRT2 = F("4.442882938158366247015880990060693698615")
@@ -278,6 +280,130 @@ class TestGammaTail:
             gamma_tail(zero, one)
         with pytest.raises(ValueError):
             gamma_tail(one, zero)
+
+
+def _mp_frac(v) -> F:
+    """An mpf as the exact Fraction it stores."""
+    m, e = v.man_exp
+    return F(m) * F(2) ** e
+
+
+def _e1_ref(x: F) -> F:
+    """E_1(x) by mpmath at 60 digits."""
+    with mp.workdps(60):
+        return _mp_frac(mp.e1(mp.mpf(x.numerator) / x.denominator))
+
+
+def _tail_ref(l: F, t: F) -> F:
+    """E_1(t |cos(3 pi/5)| l) by mpmath at 60 digits."""
+    with mp.workdps(60):
+        x = mp.mpf(l.numerator) / l.denominator * \
+            (mp.mpf(t.numerator) / t.denominator) * -mp.cos(3 * mp.pi / 5)
+        return _mp_frac(mp.e1(x))
+
+
+class TestE1:
+    """bv_e1 against 60-digit mpmath, over a sweep of precisions so that each
+    part of the bound (partial sum, tail, gamma, log) is the tight one
+    somewhere."""
+
+    def test_e1_of_one(self):
+        ref = _e1_ref(F(1))
+        for prec in (80, 90, 120):
+            v = bv_e1(1, prec)
+            assert v.contains(ref)
+            assert v.radius.to_fraction() <= F(1, 1 << (prec - 2))
+
+    @pytest.mark.parametrize("x", [F(1, 1 << 32), F(3, 1 << 10), F(1),
+                                   F(41, 4), F(25, 2), F(13), F(38), F(50)])
+    def test_precision_sweep(self, x):
+        ref = _e1_ref(x)
+        for prec in range(10, 131, 3):
+            v = bv_e1(x, prec)
+            assert v.contains(ref), (x, prec)
+            assert v.radius.to_fraction() <= F(1, 1 << (prec - 5)), (x, prec)
+
+    def test_domain_errors(self):
+        with pytest.raises(ValueError):
+            bv_e1(0, 80)
+        with pytest.raises(ValueError):
+            bv_e1(F(1, 3), 80)  # not dyadic
+
+
+class TestGammaTailSoundness:
+    """gamma_tail encloses E_1(t |cos(3 pi/5)| l) from above, within 2^-k,
+    at engineered (l, t, k)."""
+
+    @staticmethod
+    def _check(l: F, t: F, k: int):
+        g = gamma_tail(BoundedValue.exact(l), BoundedValue.exact(t), k)
+        ref = _tail_ref(l, t)
+        assert g.lower() <= 0 and g.lower() <= ref <= g.upper()
+        assert g.upper() - ref <= F(1, 1 << k)
+        return g
+
+    def test_x_near_zero(self):
+        self._check(F(1), F(1, 1 << 30), 24)
+
+    def test_selftest_case(self):
+        # the contour cutoff the selftest accepts for t = 1/8, K = 10
+        self._check(F(264.6977960169688), F(1, 8), 22)
+
+    @pytest.mark.parametrize("l, t", [
+        (F(160), F(1, 4)), (F(165), F(1, 4)), (F(2600), F(1, 64)),
+        (F(81), F(1, 2)), (F(655, 4), F(1, 4))])
+    def test_queries_range(self, l, t):
+        # x = t |cos beta| l between 12 and 13, K = 12
+        self._check(l, t, 24)
+
+    def test_both_sides_of_the_closed_bound(self):
+        # e^-x/x against 2^-(k+1) decides the route; x = 14.3 and 15.0
+        k = 24
+        sides = set()
+        for l in (F(1481, 32), F(1553, 32)):
+            with mp.workdps(30):
+                x = mp.mpf(l.numerator) / l.denominator * \
+                    -mp.cos(3 * mp.pi / 5)
+                sides.add(bool(mp.exp(-x) / x <= mp.mpf(2) ** -(k + 1)))
+            self._check(l, F(1), k)
+        assert sides == {True, False}
+
+    def test_large_x_high_precision(self):
+        self._check(F(162), F(1), 60)   # x ~ 50: the closed bound
+        self._check(F(123), F(1), 60)   # x ~ 38: the series, heavy cancel
+
+    def test_balls_bound_at_their_lower_ends(self):
+        t = BoundedValue.from_fraction(F(1, 10))
+        l = BoundedValue(Dyadic(400), Dyadic(1, -2))
+        g = gamma_tail(l, t, 24)
+        ref = _tail_ref(l.lower(), t.lower())
+        assert t.radius.sign > 0 and ref <= g.upper()
+        assert g.upper() - ref <= F(1, 1 << 24)
+
+
+def test_no_adaptive_quadrature_in_the_library():
+    # the library certifies integrals by closed forms and fixed panel
+    # models; the adaptive quadrature is a test oracle only
+    banned = {"certified_integral", "taylor_panel_integral", "heapq"}
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "solenoid"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = {node.name}
+            elif isinstance(node, ast.Import):
+                names = {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                names = {a.name for a in node.names} | {node.module or ""}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            offenders += ["%s:%d %s" % (path.name, node.lineno, n)
+                          for n in names & banned]
+    assert not offenders, offenders
 
 
 class TestConstantsTable:
