@@ -587,24 +587,17 @@ def gamma_tail(l: BoundedValue, t: BoundedValue, k: int = 24) -> BoundedValue:
     """Upper enclosure of int_l^infty exp(t*r*cos(3pi/5)) / r dr.
 
     Both l and t must be strictly positive.  The integral is E_1(x) with
-    x = t |cos(3pi/5)| l, and E_1 decreases, so its value at a dyadic lower
-    bound of x (from the lower ends of t, l and |cos(3pi/5)|) bounds it for
-    every t and l in the balls; the result is [0, that bound].  Where
-    E_1(x) <= e^-x/x is already <= 2^-(k+1) that closed bound is kept,
-    else the upper end of :func:`bv_e1`.
+    x = t |cos(3pi/5)| l, and E_1 decreases, so :func:`bv_e1` at a dyadic
+    lower bound of x (from the lower ends of t, l and |cos(3pi/5)|) bounds it
+    for every t and l in the balls; the result is [0, that bound].
     """
     if l.lower() <= 0 or t.lower() <= 0:
         raise ValueError("gamma_tail requires l > 0 and t > 0")
     prec = max(80, k + 30)
     c = cos_contour_angle(prec)  # negative
-    L = l.lower()
-    t_lo = BoundedValue.from_endpoints(t.lower(), t.lower(), prec)
-    bound = (bv_exp(t_lo * c.scale(L), prec)
-             / (t_lo.scale(L) * (-c))).upper()
-    if bound > Fraction(1, 1 << (k + 1)):
-        x = Dyadic.rounded(t.lower() * L * -c.upper(), prec, -1)
-        bound = bv_e1(x, prec).upper()
-    return BoundedValue.from_endpoints(Fraction(0), bound, prec)
+    x = Dyadic.rounded(t.lower() * l.lower() * -c.upper(), prec, -1)
+    return BoundedValue.from_endpoints(Fraction(0), bv_e1(x, prec).upper(),
+                                       prec)
 
 
 # ---------------------------------------------------------------------------

@@ -294,12 +294,12 @@ def _e1_ref(x: F) -> F:
         return _mp_frac(mp.e1(mp.mpf(x.numerator) / x.denominator))
 
 
-def _tail_ref(l: F, t: F) -> F:
-    """E_1(t |cos(3 pi/5)| l) by mpmath at 60 digits."""
+def _tail_ref(l: F, t: F):
+    """E_1(x) and e^-x/x for x = t |cos(3 pi/5)| l by mpmath at 60 digits."""
     with mp.workdps(60):
         x = mp.mpf(l.numerator) / l.denominator * \
             (mp.mpf(t.numerator) / t.denominator) * -mp.cos(3 * mp.pi / 5)
-        return _mp_frac(mp.e1(x))
+        return _mp_frac(mp.e1(x)), _mp_frac(mp.exp(-x) / x)
 
 
 class TestE1:
@@ -337,10 +337,11 @@ class TestGammaTailSoundness:
     @staticmethod
     def _check(l: F, t: F, k: int):
         g = gamma_tail(BoundedValue.exact(l), BoundedValue.exact(t), k)
-        ref = _tail_ref(l, t)
+        ref, closed = _tail_ref(l, t)
         assert g.lower() <= 0 and g.lower() <= ref <= g.upper()
         assert g.upper() - ref <= F(1, 1 << k)
-        return g
+        # below e^-x/x, the bound from int_x^inf e^-s/s ds <= e^-x/x
+        assert g.upper() < closed
 
     def test_x_near_zero(self):
         self._check(F(1), F(1, 1 << 30), 24)
@@ -356,27 +357,20 @@ class TestGammaTailSoundness:
         # x = t |cos beta| l between 12 and 13, K = 12
         self._check(l, t, 24)
 
-    def test_both_sides_of_the_closed_bound(self):
-        # e^-x/x against 2^-(k+1) decides the route; x = 14.3 and 15.0
-        k = 24
-        sides = set()
-        for l in (F(1481, 32), F(1553, 32)):
-            with mp.workdps(30):
-                x = mp.mpf(l.numerator) / l.denominator * \
-                    -mp.cos(3 * mp.pi / 5)
-                sides.add(bool(mp.exp(-x) / x <= mp.mpf(2) ** -(k + 1)))
-            self._check(l, F(1), k)
-        assert sides == {True, False}
+    @pytest.mark.parametrize("l", [F(1481, 32), F(1553, 32)])
+    def test_past_the_queries_range(self, l):
+        # x = 14.3 and 15.0, either side of where e^-x/x alone meets 2^-(k+1)
+        self._check(l, F(1), 24)
 
     def test_large_x_high_precision(self):
-        self._check(F(162), F(1), 60)   # x ~ 50: the closed bound
-        self._check(F(123), F(1), 60)   # x ~ 38: the series, heavy cancel
+        self._check(F(162), F(1), 60)   # x ~ 50
+        self._check(F(123), F(1), 60)   # x ~ 38: heavy cancellation
 
     def test_balls_bound_at_their_lower_ends(self):
         t = BoundedValue.from_fraction(F(1, 10))
         l = BoundedValue(Dyadic(400), Dyadic(1, -2))
         g = gamma_tail(l, t, 24)
-        ref = _tail_ref(l.lower(), t.lower())
+        ref, _ = _tail_ref(l.lower(), t.lower())
         assert t.radius.sign > 0 and ref <= g.upper()
         assert g.upper() - ref <= F(1, 1 << 24)
 
