@@ -21,7 +21,13 @@ Numerical Algorithms", section 3.1; Rump, "Fast and parallel interval
 arithmetic", BIT 1999), and the radius they return adds that term to the
 propagated input radii.  Every sum over a coefficient grid goes through the
 same rule: `BallGrid.sumsq_ball` for weighted sums of squares (norms,
-tails, masses) and `BallGrid.ball_sum` for signed sums.
+tails, masses) and `BallGrid.ball_sum` for signed sums.  `ball_convolve`
+first widens its operands so that no entry lies strictly between 0 and
+F = 2^-500 (a centre below F moves into its radius, a radius rises to F):
+its matmuls then never multiply a subnormal number, which costs a microcode
+assist per multiply-add on x86, and no product underflows.  It computes only
+the slots from a given output origin on, the quadrant that the band-limited
+product keeps.
 """
 
 from __future__ import annotations
@@ -692,23 +698,56 @@ def ball_matmul(x: BallGrid, y: BallGrid) -> BallGrid:
     return BallGrid(c, _up(r, k + 3))
 
 
-def ball_convolve(x: BallGrid, y: BallGrid) -> BallGrid:
-    """Full 2-D convolution of ball grids,
-    out[a, b] = sum over i + k = a, j + l = b of x[i, j] y[k, l].
+# the operand floor of `ball_convolve`: F^2 = 2^-1000 is a normal double
+_FLOOR = 2.0 ** -500
+
+
+def _floored(x: BallGrid) -> BallGrid:
+    """The operand rule of `ball_convolve`: a centre with |c| < F becomes 0
+    and |c| joins its radius, rounded up by `_add_up`, and every radius is
+    raised to at least F.  The ball only widens."""
+    small = np.abs(x.c) < _FLOOR
+    r = _add_up(x.r, np.where(small, np.abs(x.c), 0.0))
+    return BallGrid(np.where(small, 0.0, x.c), np.maximum(r, _FLOOR))
+
+
+def ball_convolve(x: BallGrid, y: BallGrid, origin: int = 0) -> BallGrid:
+    """2-D convolution of ball grids from index ``origin`` on,
+    out[a - origin, b - origin] = sum over i + k = a, j + l = b of
+    x[i, j] y[k, l] for a, b >= origin; origin 0 gives the full convolution.
+
+    Both operands first pass the rule of `_floored` with F = 2^-500: a
+    centre below F in magnitude is flushed to 0 and moved into its radius,
+    and every radius is raised to at least F.  Each new ball contains the
+    old one, so the rule is sound.  It grows each radius by at most F (and
+    the one ulp of `_add_up`), so a slot widens by at most
+    F (||x||_1 + ||y||_1) + n F^2, the norms summing |c| + r.  Every entry
+    the matmuls below multiply, in all three channels, is then 0 or at
+    least F in magnitude (the radius channels are at least the raised
+    radius), so every product of two entries is an exact zero or at least
+    F^2 = 2^-1000, a normal double: no product underflows, and a sum whose
+    result is subnormal is exact.  Subnormal operands would not break the
+    bound (TINY covers their underflow), but on x86 each multiply-add that
+    touches one takes a microcode assist, many times slower than a plain
+    one, and TINY-sized radii halved by the extensions of `spectral` put
+    such numbers in most products of a solve.  Flushing them to zero
+    without widening would not be sound.
 
     For x of shape (p, q) and y of shape (s, t), row i of x laid out as a
-    Toeplitz matrix T[l, b] = x[i, b - l] multiplies all of y in one BLAS
-    matmul, whose rows are added into output rows i .. i + s - 1.  A slot
-    therefore takes n = t + min(p, s) multiply-adds: t in each dot product
-    (the Toeplitz column, zeros included) and at most min(p, s) row results
-    added into it, so its centre is off by at most gamma_n (|x.c| * |y.c|).
-    The radius
+    Toeplitz matrix T[l, b] = x[i, b - l], with only the columns
+    b >= origin, multiplies the rows k >= origin - i of y in one BLAS
+    matmul, whose rows are added into output rows i + k - origin.  A slot
+    therefore takes at most n = t + min(p, s) multiply-adds: t in each dot
+    product (the Toeplitz column, zeros included) and at most min(p, s) row
+    results added into it, so its centre is off by at most
+    gamma_n (|x.c| * |y.c|).  The radius
         |x.c| * y.r + x.r * (|y.c| + y.r) + gamma_n (|x.c| * |y.c|)
     goes through the same matmuls in floats, at most n + 3 roundings of
     nonnegative numbers (two to form x.r + gamma_n |x.c|, one to add its two
     parts at the end), which `_up` covers.  Memory is O(t q) per row on top
     of the output.
     """
+    x, y = _floored(x), _floored(y)
     p, q = x.shape
     s, t = y.shape
     n = t + min(p, s)
@@ -719,13 +758,15 @@ def ball_convolve(x: BallGrid, y: BallGrid) -> BallGrid:
     padded = np.zeros((3, p, q + 2 * t - 2))
     padded[:, :, t - 1:t - 1 + q] = (x.c, x.r + g * ax, ax + x.r)
     windows = np.lib.stride_tricks.sliding_window_view(
-        padded, t, axis=2)[..., ::-1]
+        padded, t, axis=2)[:, :, origin:, ::-1]
     # centre, |y.c| (x.r + gamma_n |x.c|) and y.r (|x.c| + x.r), side by side
     left = np.stack((y.c, np.abs(y.c), y.r))
-    out = np.zeros((3, p + s - 1, q + t - 1))
+    out = np.zeros((3, p + s - 1 - origin, q + t - 1 - origin))
     for i in range(p):
-        toeplitz = np.ascontiguousarray(windows[:, i].transpose(0, 2, 1))
-        out[:, i:i + s] += left @ toeplitz
+        k = max(origin - i, 0)
+        if k < s:
+            toeplitz = np.ascontiguousarray(windows[:, i].transpose(0, 2, 1))
+            out[:, i + k - origin:i + s - origin] += left[:, k:] @ toeplitz
     return BallGrid(out[0], _up(out[1] + out[2], n + 3))
 
 

@@ -329,13 +329,22 @@ def compute_horizon(a, constants: ConstantsTable = None, mode_cap: int = 24,
 
 def claim1_functional(cert: IterationCertificate, T: Fraction) -> float:
     """Upper bound on the Claim-1 seed functional at horizon T."""
-    rootT = bv_sqrt(bv_sqrt(BoundedValue.exact(Fraction(T))))
-    lead = FloatBall.from_bounded(rootT) * \
-        FloatBall(max(cert.quarter_norm, cert.half_norm))
+    return _claim1_at(cert)(T)
+
+
+def _claim1_at(cert: IterationCertificate):
+    """`claim1_functional` of ``cert`` as a function of T, with the parts
+    that do not depend on T (the c1 hull and its ball) formed once."""
     res = FloatBall.from_bounded(cert.constants.c1) * \
         FloatBall.exact(cert.seed_res)
-    return (res + lead + FloatBall(_forcing_term(
-        Fraction(T), cert.forcing_sup, cert.constants))).upper()
+    norm = FloatBall(max(cert.quarter_norm, cert.half_norm))
+
+    def at(T: Fraction) -> float:
+        rootT = bv_sqrt(bv_sqrt(BoundedValue.exact(Fraction(T))))
+        lead = FloatBall.from_bounded(rootT) * norm
+        return (res + lead + FloatBall(_forcing_term(
+            Fraction(T), cert.forcing_sup, cert.constants))).upper()
+    return at
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +385,10 @@ def _theta2(cert: IterationCertificate, m: int, k: int) -> Optional[int]:
     ct = cert.constants
     lead = FloatBall.from_bounded(ct.C_alpha(F14) * ct.M *
                                   ct.beta_value(Fraction(3, 4), F14))
+    functional = _claim1_at(cert)
     theta = max(1, _log2_ceil_inv(cert.T_frac))
     for th in range(theta, theta + 4 * (k + 64)):
-        ws = _WSTAR * FloatBall(claim1_functional(cert, Fraction(1, 2 ** th)))
+        ws = _WSTAR * FloatBall(functional(Fraction(1, 2 ** th)))
         if (lead * ws * ws).upper() <= 2.0 ** -(k + 1):
             return th
     return None

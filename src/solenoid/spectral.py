@@ -274,16 +274,16 @@ class FourierField:
 
     def multiply(self, other: "FourierField") -> "FourierField":
         """Pointwise product: the ball convolution of both fields'
-        exponential extensions, folded back onto the product trig basis."""
+        exponential extensions at the non-negative indices, from `origin`
+        cut on, folded back onto the product trig basis."""
         self._require_band_limited("product")
         other._require_band_limited("product")
-        h = ball_convolve(_extended(self), _extended(other))
         cut = self.cutoff + other.cutoff
+        h = ball_convolve(_extended(self), _extended(other), cut)
         (cx, fx), (cy, fy) = (_axis_fold(a, b, cut)
                               for a, b in zip(self.basis, other.basis))
         w = np.outer(fx, fy)
-        return FourierField(cx + cy, cut, BallGrid(h.c[cut:, cut:] * w,
-                                                   h.r[cut:, cut:] * np.abs(w)))
+        return FourierField(cx + cy, cut, BallGrid(h.c * w, h.r * np.abs(w)))
 
     def eval_ball(self, x: Fraction, y: Fraction) -> FloatBall:
         self._require_band_limited("point evaluation")
@@ -382,12 +382,19 @@ def _extended(f: FourierField) -> BallGrid:
     idx = np.abs(np.arange(-f.cutoff, f.cutoff + 1))
     w = np.outer(_axis_extension(f.basis[0], f.cutoff),
                  _axis_extension(f.basis[1], f.cutoff))
-    c = f.grid.c[idx[:, None], idx] * w
-    # the halvings are exact except in the subnormal range, where centre
-    # and radius can each lose half of the smallest subnormal; one ulp up
-    # on the radius covers both
-    r = np.nextafter(f.grid.r[idx[:, None], idx] * np.abs(w), np.inf)
-    return BallGrid(c, r)
+    c, r, a = f.grid.c[idx[:, None], idx], f.grid.r[idx[:, None], idx], abs(w)
+    # the weights are 0, +-1, +-1/2 and +-1/4, so a product by one is exact
+    # unless the weight lies strictly between 0 and 1 and the exact product
+    # is nonzero and below 2^-1022, where centre and radius can each lose
+    # half the smallest subnormal, 2^-1075.  One ulp up on the radius, at
+    # least 2^-1074, covers both; testing the rounded |v| a against 2^-1021
+    # leaves a margin, and every other entry stays exact.
+    def frail(v):
+        return (v != 0.0) & (0.0 < a) & (a < 1.0) & \
+            (np.abs(v) * a < 2.0 ** -1021)
+    bump = frail(c) | frail(r)
+    r = r * a
+    return BallGrid(c * w, np.where(bump, np.nextafter(r, np.inf), r))
 
 
 def _axis_fold(c1: str, c2: str, cut: int) -> Tuple[str, np.ndarray]:

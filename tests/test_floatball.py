@@ -23,6 +23,7 @@ from solenoid.floatball import (
     fb_exp, fb_log, fb_pow, fb_sin, fb_sincos, fb_sqrt, grid_exp, grid_log,
     grid_pow, grid_sincos_pi, pow_up,
 )
+from solenoid.floatball import _floored
 
 mp.mp.dps = 30
 
@@ -249,6 +250,145 @@ class TestBilinear:
                     abs_sum = sum(abs(F(x.c[i, j]) * F(y.c[k, l]))
                                   for i, j, k, l in pairs)
                     assert F(ball.r) >= _gamma_exact(n) * abs_sum
+
+
+def _slot_terms(p, q, s, t, a, b):
+    """The index quadruples (i, j, k, l) of x[i, j] y[k, l] in slot (a, b)
+    of the full convolution of a (p, q) grid by an (s, t) grid."""
+    return [(i, j, a - i, b - j) for i in range(p) for j in range(q)
+            if 0 <= a - i < s and 0 <= b - j < t]
+
+
+def _check_points(x, y, origin, rng, draws=6):
+    """ball_convolve(x, y, origin) against the exact Fraction convolution
+    of points of the input balls: the centres, every upper end, every lower
+    end and ``draws`` random choices among the three per entry.  Returns
+    the output and the slot terms by output index."""
+    out = ball_convolve(x, y, origin)
+    (p, q), (s, t) = x.shape, y.shape
+    assert out.shape == (p + s - 1 - origin, q + t - 1 - origin)
+    slots = {(a - origin, b - origin): _slot_terms(p, q, s, t, a, b)
+             for a in range(origin, p + s - 1)
+             for b in range(origin, q + t - 1)}
+    fixed = [np.zeros, np.ones, lambda shape: -np.ones(shape)]
+    picks = [(f(x.shape), f(y.shape)) for f in fixed] + \
+        [(rng.integers(-1, 2, size=x.shape), rng.integers(-1, 2, size=y.shape))
+         for _ in range(draws)]
+    for sx, sy in picks:
+        px = [[F(x.c[i, j]) + int(sx[i, j]) * F(x.r[i, j]) for j in range(q)]
+              for i in range(p)]
+        py = [[F(y.c[k, l]) + int(sy[k, l]) * F(y.r[k, l]) for l in range(t)]
+              for k in range(s)]
+        for slot, terms in slots.items():
+            val = sum((px[i][j] * py[k][l] for i, j, k, l in terms), F(0))
+            assert out.at(slot).contains(val), (slot, sx, sy)
+    return out, slots
+
+
+class TestConvolveOrigin:
+    """`ball_convolve` from a nonzero output origin: each kept slot holds
+    the exact sum and keeps the gamma_n radius of the full convolution."""
+
+    # x of shape (3, 4), y of shape (5, 4): the full output is 7 x 7; at
+    # origin 5 row 0 of x reaches no kept slot, at 6 rows 0 and 1 do not
+    @pytest.mark.parametrize("origin", [0, 1, 3, 5, 6])
+    def test_kept_slots_contain_exact(self, origin):
+        rng = np.random.default_rng(100 + origin)
+        x = BallGrid(rng.normal(size=(3, 4)), np.abs(rng.normal(size=(3, 4))))
+        y = BallGrid(rng.normal(size=(5, 4)),
+                     np.abs(rng.normal(size=(5, 4))) * 1e-3)
+        out, slots = _check_points(x, y, origin, rng)
+        n = 4 + min(3, 5)
+        for slot, terms in slots.items():
+            abs_sum = sum(abs(F(x.c[i, j]) * F(y.c[k, l]))
+                          for i, j, k, l in terms)
+            assert F(out.at(slot).r) >= _gamma_exact(n) * abs_sum
+
+    @pytest.mark.parametrize("origin", [2, 5])
+    def test_matches_the_full_convolution(self, origin):
+        # the kept slots are the full convolution's, summed in the same order
+        rng = np.random.default_rng(origin)
+        x = BallGrid(rng.normal(size=(4, 3)), np.abs(rng.normal(size=(4, 3))))
+        y = BallGrid(rng.normal(size=(4, 5)), np.abs(rng.normal(size=(4, 5))))
+        full, kept = ball_convolve(x, y), ball_convolve(x, y, origin)
+        assert np.array_equal(kept.c, full.c[origin:, origin:])
+        assert np.array_equal(kept.r, full.r[origin:, origin:])
+
+
+FLOOR = 2.0 ** -500
+
+
+class TestOperandFloor:
+    """The operand rule of `ball_convolve` (centres below F = 2^-500
+    flushed into the radius, radii raised to F) on subnormal, zero and
+    near-F entries, against exact Fraction sums."""
+
+    SUB = 3 * 2.0 ** -1074
+
+    def test_floored_entries(self):
+        below, above = math.nextafter(FLOOR, 0.0), math.nextafter(FLOOR, 1.0)
+        x = BallGrid([self.SUB, -below, above, 0.0, 1.0, -above],
+                     [0.0, FLOOR, 0.0, 2.0 ** -1074, 0.0, 2.0 ** -600])
+        fl = _floored(x)
+        assert list(fl.c) == [0.0, 0.0, above, 0.0, 1.0, -above]
+        # a flushed centre joins its radius; every radius is at least F
+        assert F(fl.r[0]) >= F(self.SUB) and F(fl.r[1]) >= F(below) + F(FLOOR)
+        assert (fl.r >= FLOOR).all()
+        for i in range(x.c.size):
+            assert F(fl.c[i]) - F(fl.r[i]) <= F(x.c[i]) - F(x.r[i])
+            assert F(x.c[i]) + F(x.r[i]) <= F(fl.c[i]) + F(fl.r[i])
+
+    def _engineered(self):
+        below, above = math.nextafter(FLOOR, 0.0), math.nextafter(FLOOR, 1.0)
+        return BallGrid([[self.SUB, 0.0, below, above],
+                         [-below, 0.0, -self.SUB, 0.75 * FLOOR]],
+                        [[0.0, 2.0 ** -1074, FLOOR, 0.0],
+                         [2.0 * FLOOR, 0.0, 2.0 ** -1074, 0.5 * FLOOR]])
+
+    def test_single_scale_factor(self):
+        # one exact operand entry 2^60: each slot is one product, so any
+        # mass the rule drops shows at the slot's scale
+        x = self._engineered()
+        y = BallGrid([[2.0 ** 60]], [[0.0]])
+        _check_points(x, y, 0, np.random.default_rng(1))
+
+    def test_mixed_scales_and_cancelling_slot(self):
+        # slot (1, 1) collects four products whose centres cancel; the
+        # other entries mix the floor cases with ordinary numbers
+        rng = np.random.default_rng(5)
+        x = self._engineered()
+        xc = x.c.copy()
+        xc[0, 0], xc[1, 1] = 1.25, -0.5
+        x = BallGrid(xc, x.r)
+        # y[0, 0] is solved for below
+        yc = np.array([[0.0, -3.0, 2.0 ** 60],
+                       [self.SUB, 0.0, 1.0 / 3.0]])
+        terms = _slot_terms(2, 4, 2, 3, 1, 1)
+        rest = sum(F(xc[i, j]) * F(yc[k, l]) for i, j, k, l in terms)
+        yc[0, 0] = float(-rest / F(xc[1, 1]))
+        y = BallGrid(yc, [[0.0, 2.0 ** -1074, 0.0], [2.0 ** -1074, FLOOR, 0.0]])
+        exact = sum(F(xc[i, j]) * F(yc[k, l]) for i, j, k, l in terms)
+        abs_sum = sum(abs(F(xc[i, j]) * F(yc[k, l])) for i, j, k, l in terms)
+        assert abs(exact) < abs_sum * F(1, 10 ** 12)
+        _check_points(x, y, 0, rng, draws=12)
+        _check_points(x, y, 1, rng, draws=12)
+
+    def test_matmuls_see_no_entry_below_the_floor(self):
+        # the output is the convolution of the floored operands, and those
+        # hold 0 or magnitudes >= F only, so the channels built from them
+        # (c, |c|, r, r + g |c|, |c| + r) hold no entry in (0, F)
+        x = self._engineered()
+        y = BallGrid([[2.0 ** 60, self.SUB], [0.0, 1.0]],
+                     [[0.0, 0.0], [2.0 ** -1074, 0.0]])
+        for g in (x, y):
+            fl = _floored(g)
+            a = np.abs(fl.c)
+            assert ((a == 0.0) | (a >= FLOOR)).all()
+            assert (fl.r >= FLOOR).all()
+        out = ball_convolve(x, y)
+        again = ball_convolve(_floored(x), _floored(y))
+        assert np.array_equal(out.c, again.c)
+        assert np.array_equal(out.r, again.r)
 
 
 def _balls(rng, n, lo_exp, hi_exp):

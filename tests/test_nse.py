@@ -23,6 +23,7 @@ from solenoid.approxcore import ConstantsTable, Name, bv_sqrt
 from solenoid.floatball import BallGrid, FloatBall
 from solenoid.helmholtz import VectorFieldName, divergence
 from solenoid.spectral import FourierField, SobolevName, coefficients
+from solenoid.spectral import _axis_extension, _extended
 from solenoid.stokes import frac_power_apply, semigroup_apply
 
 from oracles import axis_product_table, product_to_sum
@@ -140,6 +141,37 @@ class TestFastProduct:
         g = FourierField.single_mode("cc", 0, 0, 2.0 ** 60)
         p = nse._mul_fast(f, g)
         assert p.grid.at((1, 1)).contains(F(tiny) * 2 ** 60)
+
+    def test_extension_keeps_exact_entries_exact(self):
+        # the extension's weights 1, 1/2 and 1/4 scale normal numbers
+        # exactly: only an entry whose scaled centre or radius is
+        # subnormal has its radius stepped up, and a zero radius stays 0
+        sub = 3 * 2.0 ** -1074
+        c = np.array([[0.0, 0.75, sub], [-1.5, 2.0 ** -1000, 0.0],
+                      [2.0 ** -1021, 1.0 / 3.0, -sub]])
+        r = np.array([[0.0, 0.0, 0.0], [2.0 ** -40, 0.0, sub],
+                      [0.0, 1e-12, 2.0 ** -30]])
+        f = FourierField("sc", 2, BallGrid(c, r))
+        e = _extended(f)
+        idx = np.abs(np.arange(-2, 3))
+        w = np.outer(_axis_extension("s", 2), _axis_extension("c", 2))
+        cw = c[idx[:, None], idx] * w
+        rw = r[idx[:, None], idx] * np.abs(w)
+        frail = np.zeros_like(w, dtype=bool)
+        for a in range(5):
+            for b in range(5):
+                v = [c[idx[a], idx[b]], r[idx[a], idx[b]]]
+                lo = F(v[0]) * F(w[a, b]) - F(v[1]) * abs(F(w[a, b]))
+                hi = F(v[0]) * F(w[a, b]) + F(v[1]) * abs(F(w[a, b]))
+                ball = e.at((a, b))
+                assert ball.contains(lo) and ball.contains(hi)
+                frail[a, b] = 0 < abs(w[a, b]) < 1 and any(
+                    0 < abs(x) < 2.0 ** -1020 for x in v)
+        assert np.array_equal(e.c, cw)
+        assert np.array_equal(e.r[~frail], rw[~frail])
+        # both kinds occur: stepped-up radii and exact zero radii kept
+        assert frail.any() and (e.r[frail] > rw[frail]).all()
+        assert ((rw == 0.0) & ~frail).any()
 
     def test_single_mode_product(self):
         # sin(pi x)cos(2 pi y) * cos(pi x)sin(pi y) expands over four modes
@@ -439,6 +471,35 @@ class TestIterate:
             cases.append(F(1, 2 ** j) - F(1, 2 ** (j + 60)))
         for T in cases:
             assert nse._log2_ceil_inv(T) == self._log2_ceil_inv_loop(T), T
+
+    @staticmethod
+    def _exact_datum_cert():
+        # u0 = (2a s1c2 + b s2c1, -a c1s2 - 2b c2s1) with a = 1/16,
+        # b = -3/64: its stream function is a Laplacian eigenfunction
+        a, b = 1 / 16, -3 / 64
+        g1, g2 = np.zeros((3, 3)), np.zeros((3, 3))
+        g1[1, 2], g1[2, 1], g2[1, 2], g2[2, 1] = 2 * a, b, -a, -2 * b
+        pair = (FourierField("sc", 2, BallGrid(g1)),
+                FourierField("cs", 2, BallGrid(g2)))
+        return nse.compute_horizon(pair, mode_cap=12)
+
+    # theta and the Claim-1 functional there, frozen from the route that
+    # rebuilt the c1 ball at every step of the search
+    THETA2 = {("readme", 8): (29, "0x1.44db192508641p-7"),
+              ("readme", 12): (36, "0x1.23c932f36e188p-8"),
+              ("readme", 16): (None, None),
+              ("exact", 8): (25, "0x1.082ce704ad94fp-7"),
+              ("exact", 12): (29, "0x1.082ce704ad94fp-8"),
+              ("exact", 16): (37, "0x1.082ce704ad94fp-10")}
+
+    def test_theta2_frozen(self):
+        certs = {"readme": _cert(), "exact": self._exact_datum_cert()}
+        for (name, k), (theta, functional) in self.THETA2.items():
+            c = certs[name]
+            assert nse._theta2(c, 1, k) == theta, (name, k)
+            if theta is not None:
+                value = nse.claim1_functional(c, F(1, 2 ** theta))
+                assert value.hex() == functional, (name, k)
 
     def test_energy_chain(self):
         c = _cert()
