@@ -327,14 +327,10 @@ def compute_horizon(a, constants: ConstantsTable = None, mode_cap: int = 24,
         half_norm=h_norm, constants=ct, forcing_sup=g_sup)
 
 
-def claim1_functional(cert: IterationCertificate, T: Fraction) -> float:
-    """Upper bound on the Claim-1 seed functional at horizon T."""
-    return _claim1_at(cert)(T)
-
-
-def _claim1_at(cert: IterationCertificate):
-    """`claim1_functional` of ``cert`` as a function of T, with the parts
-    that do not depend on T (the c1 hull and its ball) formed once."""
+def claim1_functional(cert: IterationCertificate):
+    """The upper bound on the Claim-1 seed functional as a function of the
+    horizon T; the parts that do not depend on T (the c1 hull and its ball)
+    are formed once."""
     res = FloatBall.from_bounded(cert.constants.c1) * \
         FloatBall.exact(cert.seed_res)
     norm = FloatBall(max(cert.quarter_norm, cert.half_norm))
@@ -385,7 +381,7 @@ def _theta2(cert: IterationCertificate, m: int, k: int) -> Optional[int]:
     ct = cert.constants
     lead = FloatBall.from_bounded(ct.C_alpha(F14) * ct.M *
                                   ct.beta_value(Fraction(3, 4), F14))
-    functional = _claim1_at(cert)
+    functional = claim1_functional(cert)
     theta = max(1, _log2_ceil_inv(cert.T_frac))
     for th in range(theta, theta + 4 * (k + 64)):
         ws = _WSTAR * FloatBall(functional(Fraction(1, 2 ** th)))

@@ -274,8 +274,8 @@ class FourierField:
 
     def multiply(self, other: "FourierField") -> "FourierField":
         """Pointwise product: the ball convolution of both fields'
-        exponential extensions at the non-negative indices, from `origin`
-        cut on, folded back onto the product trig basis."""
+        exponential extensions at the indices k, l >= 0 only, folded back
+        onto the product trig basis."""
         self._require_band_limited("product")
         other._require_band_limited("product")
         cut = self.cutoff + other.cutoff

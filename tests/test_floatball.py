@@ -304,16 +304,6 @@ class TestConvolveOrigin:
                           for i, j, k, l in terms)
             assert F(out.at(slot).r) >= _gamma_exact(n) * abs_sum
 
-    @pytest.mark.parametrize("origin", [2, 5])
-    def test_matches_the_full_convolution(self, origin):
-        # the kept slots are the full convolution's, summed in the same order
-        rng = np.random.default_rng(origin)
-        x = BallGrid(rng.normal(size=(4, 3)), np.abs(rng.normal(size=(4, 3))))
-        y = BallGrid(rng.normal(size=(4, 5)), np.abs(rng.normal(size=(4, 5))))
-        full, kept = ball_convolve(x, y), ball_convolve(x, y, origin)
-        assert np.array_equal(kept.c, full.c[origin:, origin:])
-        assert np.array_equal(kept.r, full.r[origin:, origin:])
-
 
 FLOOR = 2.0 ** -500
 
