@@ -144,8 +144,9 @@ class TestFastProduct:
 
     def test_extension_keeps_exact_entries_exact(self):
         # the extension's weights 1, 1/2 and 1/4 scale normal numbers
-        # exactly: only an entry whose scaled centre or radius is
-        # subnormal has its radius stepped up, and a zero radius stays 0
+        # exactly: only an entry whose scaled centre or radius is below
+        # 2^-1021 (subnormal, with a margin) has its radius stepped up,
+        # and a zero radius stays 0
         sub = 3 * 2.0 ** -1074
         c = np.array([[0.0, 0.75, sub], [-1.5, 2.0 ** -1000, 0.0],
                       [2.0 ** -1021, 1.0 / 3.0, -sub]])
@@ -166,7 +167,7 @@ class TestFastProduct:
                 ball = e.at((a, b))
                 assert ball.contains(lo) and ball.contains(hi)
                 frail[a, b] = 0 < abs(w[a, b]) < 1 and any(
-                    0 < abs(x) < 2.0 ** -1020 for x in v)
+                    x != 0 and abs(x * w[a, b]) < 2.0 ** -1021 for x in v)
         assert np.array_equal(e.c, cw)
         assert np.array_equal(e.r[~frail], rw[~frail])
         # both kinds occur: stepped-up radii and exact zero radii kept
