@@ -326,22 +326,6 @@ class BoundedValue:
         return BoundedValue.from_endpoints(min(self.lower(), other.lower()),
                                            max(self.upper(), other.upper()))
 
-    # hooks for the generic Taylor arithmetic, as on FloatBall
-    def one(self) -> "BoundedValue":
-        return BoundedValue.exact(1)
-
-    def zero(self) -> "BoundedValue":
-        return BoundedValue.exact(0)
-
-    def exp_ball(self) -> "BoundedValue":
-        return bv_exp(self)
-
-    def log_ball(self) -> "BoundedValue":
-        return bv_log(self)
-
-    def sincos_ball(self):
-        return bv_sin(self), bv_cos(self)
-
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:

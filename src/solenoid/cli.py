@@ -139,6 +139,17 @@ def _load_field_input(config: RunConfig):
                    % kind)
 
 
+def _load_vector_input(config: RunConfig):
+    """Read a vector field argument, a component pair or a mollified
+    element; a single scalar field is a precondition violation."""
+    u = _load_field_input(config)
+    if isinstance(u, FourierField):
+        raise CliError(EXIT_PRECONDITION, "precondition",
+                       "%s needs a component pair or an element"
+                       % config.command)
+    return u
+
+
 def _budget_line(consumer: str, exponent: int) -> dict:
     return {"consumer": consumer, "amount": "2^-%d" % exponent,
             "value": str(Fraction(1, 2 ** exponent))}
@@ -216,10 +227,7 @@ def _run_basis(config: RunConfig) -> dict:
 
 
 def _run_project(config: RunConfig) -> dict:
-    u = _load_field_input(config)
-    if isinstance(u, FourierField):
-        raise CliError(EXIT_PRECONDITION, "precondition",
-                       "projection needs a component pair or an element")
+    u = _load_vector_input(config)
     K = config.precision
     p1, p2 = project(u, K)
     cert = _certificate(K, [
@@ -262,7 +270,7 @@ def _run_fracpower(config: RunConfig) -> dict:
 
 
 def _run_horizon(config: RunConfig) -> dict:
-    a = _load_field_input(config)
+    a = _load_vector_input(config)
     ct = _load_constants(config)
     cert = nse.compute_horizon(a, constants=ct, mode_cap=config.mode_cap)
     eps = cert.epsilon
@@ -272,7 +280,7 @@ def _run_horizon(config: RunConfig) -> dict:
 
 
 def _run_solve(config: RunConfig) -> dict:
-    a = _load_field_input(config)
+    a = _load_vector_input(config)
     ct = _load_constants(config)
     K = config.precision
     cert = nse.compute_horizon(a, constants=ct, mode_cap=config.mode_cap)

@@ -244,24 +244,12 @@ class FloatBall:
             return FloatBall(abs(self.c), self.r)
         return FloatBall.from_rounded(0.0, self.mag())
 
-    # hooks for the generic Taylor arithmetic
+    # hooks for the series shared with BallGrid
     def one(self):
         return FloatBall(1.0)
 
     def zero(self):
         return FloatBall(0.0)
-
-    def scale(self, f):
-        return self * FloatBall.exact(Fraction(f))
-
-    def exp_ball(self):
-        return fb_exp(self)
-
-    def log_ball(self):
-        return fb_log(self)
-
-    def sincos_ball(self):
-        return fb_sincos(self)
 
 
 def _fb(x) -> FloatBall:

@@ -327,12 +327,18 @@ def compute_horizon(a, constants: ConstantsTable = None, mode_cap: int = 24,
         half_norm=h_norm, constants=ct, forcing_sup=g_sup)
 
 
+def _resolution_floor(cert: IterationCertificate) -> FloatBall:
+    """c1 seed_res, the part of the Claim-1 functional that does not
+    depend on T; its upper end lower-bounds the functional for every T."""
+    return FloatBall.from_bounded(cert.constants.c1) * \
+        FloatBall.exact(cert.seed_res)
+
+
 def claim1_functional(cert: IterationCertificate):
     """The upper bound on the Claim-1 seed functional as a function of the
     horizon T; the parts that do not depend on T (the c1 hull and its ball)
     are formed once."""
-    res = FloatBall.from_bounded(cert.constants.c1) * \
-        FloatBall.exact(cert.seed_res)
+    res = _resolution_floor(cert)
     norm = FloatBall(max(cert.quarter_norm, cert.half_norm))
 
     def at(T: Fraction) -> float:
@@ -377,15 +383,24 @@ def _theta2(cert: IterationCertificate, m: int, k: int) -> Optional[int]:
     fixed-point cap applied to the Claim-1 functional on the shrunken
     horizon 2^-theta.  The seed-resolution floor of that functional makes
     the search fail (return None) when the requested budget is finer than
-    the floor allows."""
+    the floor allows.  Every ball step of the test is monotone in the
+    functional's value, and the value is at least the floor's upper end,
+    so a floor that fails the test fails it at every theta; that is
+    decided before the search."""
     ct = cert.constants
     lead = FloatBall.from_bounded(ct.C_alpha(F14) * ct.M *
                                   ct.beta_value(Fraction(3, 4), F14))
+
+    def passes(value: float) -> bool:
+        ws = _WSTAR * FloatBall(value)
+        return (lead * ws * ws).upper() <= 2.0 ** -(k + 1)
+
+    if not passes(_resolution_floor(cert).upper()):
+        return None
     functional = claim1_functional(cert)
     theta = max(1, _log2_ceil_inv(cert.T_frac))
     for th in range(theta, theta + 4 * (k + 64)):
-        ws = _WSTAR * FloatBall(functional(Fraction(1, 2 ** th)))
-        if (lead * ws * ws).upper() <= 2.0 ** -(k + 1):
+        if passes(functional(Fraction(1, 2 ** th))):
             return th
     return None
 

@@ -6,8 +6,8 @@ points, and the trim rescaling.  Mollification is stored symbolically; its
 Fourier coefficients come from :mod:`solenoid.spectral`.  The radial
 structure of the bump kernel (it depends on the coordinates only through
 max(|z1|,|z2|)) lets every integral against it collapse to one dimension:
-its moments are fixed panel Taylor models, and its normalization gamma0 is
-the closed form 1/(4 (e^-1 - E_1(1))).
+its moments J_s and its normalization gamma0 = 1/(4 (e^-1 - E_1(1))) are
+closed forms in e^-1 and E_1(1).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from .approxcore import BoundedValue, bv_e1, bv_exp, bv_sqrt
-from .taylor import TSeries
 
 __all__ = [
     "RationalPoly2", "SolenoidalPolyPair", "TrimmedField", "MollifiedElement",
@@ -548,114 +547,69 @@ def trim(p: SolenoidalPolyPair, k: int) -> TrimmedField:
 #
 # With u = r^2 and W(u) = exp(-1/(1-u)), every integral of the kernel against
 # a separable even function reduces to the moments J_s = (1/2) int_0^1 W u^s.
-# The panel Taylor models of W are built once per precision and shared by all
-# moments.
-
-_W_ORDER = 12
-
-
-@lru_cache(maxsize=None)
-def _w_panel_models(kbits: int):
-    """Taylor models of W(u) = exp(-1/(1-u)) on a partition of [0,1].
-
-    Returns a list of ('taylor', a, b, mid_coeffs, rem_ball) panels plus one
-    trailing ('range', a, 1, hull) panel where W is below 2^-kbits.
-    """
-    target = Fraction(1, 1 << kbits)
-    d = _W_ORDER
-    panels = []
-    stack = [(Fraction(0), Fraction(1))]
-    while stack:
-        a, b = stack.pop()
-        if b == 1:
-            # W <= exp(-1/(1-a)) on [a,1]
-            va = 1 - a
-            top = bv_exp(BoundedValue.from_fraction(-1 / va))
-            if top.upper() <= target and b - a <= Fraction(1, 8):
-                panels.append(("range", a, b,
-                               BoundedValue.from_endpoints(_F0, top.upper())))
-                continue
-            mid = Fraction(a + b, 2)
-            stack.append((mid, b))
-            stack.append((a, mid))
-            continue
-        h = Fraction(b - a, 2)
-        try:
-            box = BoundedValue.from_endpoints(a, b)
-            g = (-(1 - TSeries.variable(box, d)).reciprocal()).exp()
-            rem = g.c[d]
-            smooth = rem.mag().to_fraction() * h ** d <= target
-        except (ValueError, ZeroDivisionError, OverflowError):
-            smooth = False
-        if smooth:
-            mid = BoundedValue.from_fraction(Fraction(a + b, 2))
-            pt = (-(1 - TSeries.variable(mid, d - 1)).reciprocal()).exp()
-            panels.append(("taylor", a, b, pt.c, rem))
-        else:
-            mid = Fraction(a + b, 2)
-            stack.append((mid, b))
-            stack.append((a, mid))
-    panels.sort(key=lambda p: p[1])
-    return tuple(panels)
+# The substitution v = 1/(1-u) turns them into exponential integrals
+# E_n(1) = int_1^inf e^-v v^-n dv, and the recurrence
+# n E_{n+1}(1) = e^-1 - E_n(1) (DLMF 8.19.12) writes each E_n(1), and so
+# each J_s, as a rational combination of e^-1 and E_1(1).
 
 
 @lru_cache(maxsize=None)
-def _moments_upto(smax: int, kbits: int) -> Tuple[BoundedValue, ...]:
-    """All J_0..J_smax in one sweep over the shared panel models.
+def _e1_balls(prec: int) -> Tuple[BoundedValue, BoundedValue]:
+    """e^-1 and E_1(1) at ``prec`` bits: the two transcendentals of every
+    kernel constant."""
+    return bv_exp(BoundedValue.exact(-1), prec), bv_e1(1, prec)
 
-    Per panel the power integrals int_a^b u^j du are accumulated as rounded
-    balls (much cheaper than exact fractions for high powers) and reused for
-    every moment order.
+
+@lru_cache(maxsize=None)
+def _moment_coefficients(s: int) -> Tuple[Fraction, Fraction]:
+    """The exact rationals A_s, B_s with J_s = (A_s e^-1 + B_s E_1(1))/2.
+
+    (1 - 1/v)^s expands by the binomial theorem, so
+    J_s = (1/2) sum_k (-1)^k C(s, k) E_{k+2}(1), and with
+    E_n(1) = a_n e^-1 + b_n E_1(1) the recurrence gives
+    a_{n+1} = (1 - a_n)/n and b_{n+1} = -b_n/n from a_1 = 0, b_1 = 1.
     """
-    totals = [BoundedValue.exact(0) for _ in range(smax + 1)]
-    for panel in _w_panel_models(kbits):
-        if panel[0] == "range":
-            _, a, b, hullv = panel
-            contrib = hullv.scale(b - a)  # |u^s| <= 1 on the panel
-            for s in range(smax + 1):
-                totals[s] = totals[s] + contrib
-            continue
-        _, a, b, coeffs, rem = panel
-        m = Fraction(a + b, 2)
-        h = b - a
-        jmax = smax + _W_ORDER
-        ba = BoundedValue.from_fraction(Fraction(a))
-        bb = BoundedValue.from_fraction(Fraction(b))
-        apw = [BoundedValue.exact(1)]
-        bpw = [BoundedValue.exact(1)]
-        for _ in range(jmax + 1):
-            apw.append(apw[-1] * ba)
-            bpw.append(bpw[-1] * bb)
-        pw = [(bpw[j + 1] - apw[j + 1]).scale(Fraction(1, j + 1))
-              for j in range(jmax + 1)]
-        mb = BoundedValue.from_fraction(-m)
-        mpow = [BoundedValue.exact(1)]
-        for _ in range(_W_ORDER):
-            mpow.append(mpow[-1] * mb)
-        hfac = Fraction(h, 2) ** _W_ORDER
-        remw = rem.mag().to_fraction() * hfac
-        for s in range(smax + 1):
-            acc = BoundedValue.exact(0)
-            # int (u-m)^t u^s du through the binomial theorem
-            for t, ct in enumerate(coeffs):
-                term = BoundedValue.exact(0)
-                for i in range(t + 1):
-                    term = term + (mpow[t - i] * pw[s + i]).scale(
-                        math.comb(t, i))
-                acc = acc + ct * term
-            # Lagrange remainder: |W - model| <= |rem| (h/2)^d on the panel
-            slack = remw * pw[s].mag().to_fraction()
-            acc = acc.widened(BoundedValue.from_endpoints(-slack, slack))
-            totals[s] = totals[s] + acc
-    return tuple(t.scale(Fraction(1, 2)).rounded() for t in totals)
+    a, b = _F1, -_F1  # E_2(1) = e^-1 - E_1(1)
+    A = B = _F0
+    for k in range(s + 1):
+        c = math.comb(s, k) * (-1) ** k
+        A, B = A + c * a, B + c * b
+        a, b = (1 - a) / (k + 2), -b / (k + 2)
+    return A, B
+
+
+def _log2_moment_estimate(s: int) -> float:
+    """log2 J_s to within a few bits, from a midpoint sum of the integrand
+    in logarithms; it only sizes the working precision."""
+    # steering: floats, never part of an enclosure
+    logs = [s * math.log(u) - 1 / (1 - u)
+            for u in ((i + 0.5) / 1024 for i in range(1024))]
+    top = max(logs)
+    total = sum(math.exp(v - top) for v in logs) / 2048
+    return (top + math.log(total)) / math.log(2)
 
 
 def gamma_radial_moment(s: int, kbits: int = 60) -> BoundedValue:
-    """J_s = (1/2) int_0^1 exp(-1/(1-u)) u^s du, certified."""
+    """J_s = (1/2) int_0^1 exp(-1/(1-u)) u^s du, certified to about 2^-kbits
+    relative.
+
+    J_s = (A_s e^-1 + B_s E_1(1))/2 with exact rationals A_s, B_s whose
+    size exceeds J_s by about 4 sqrt(s) log2(e) bits (39 at s = 48), all of
+    which cancel.  The two balls are therefore taken at
+    kbits + log2(max(|A_s|, |B_s|)/J_s) + 16 bits and combined exactly in
+    their Fraction endpoints, so no rounding cap applies.
+    """
     if s < 0:
         raise ValueError("moment order must be nonnegative")
-    smax = ((s // 16) + 1) * 16  # batch to keep the cache effective
-    return _moments_upto(smax, kbits)[s]
+    A, B = _moment_coefficients(s)
+    cancel = math.log2(max(abs(A), abs(B))) - _log2_moment_estimate(s)
+    prec = kbits + max(0, math.ceil(cancel)) + 16
+    prec += -prec % 16  # quantized, so nearby requests share the balls
+    lo = hi = _F0
+    for coeff, ball in zip((A, B), _e1_balls(prec)):
+        ends = (coeff * ball.lower(), coeff * ball.upper())
+        lo, hi = lo + min(ends), hi + max(ends)
+    return BoundedValue.from_endpoints(lo / 2, hi / 2, prec)
 
 
 @lru_cache(maxsize=None)
@@ -663,12 +617,10 @@ def gamma0(kbits: int = 60) -> BoundedValue:
     """Normalizing constant of the bump kernel: the kernel mass without the
     constant is 8 J_0, so gamma0 = 1/(8 J_0).
 
-    The substitution v = 1/(1-u) gives J_0 = E_2(1)/2, and
-    E_2(1) = e^-1 - E_1(1) (DLMF 8.19.12).
+    J_0 = E_2(1)/2, and E_2(1) = e^-1 - E_1(1) (DLMF 8.19.12).
     """
-    prec = max(80, kbits + 30)
-    e2 = bv_exp(BoundedValue.exact(-1), prec) - bv_e1(1, prec)
-    return BoundedValue.exact(1) / e2.scale(4)
+    e, e1 = _e1_balls(max(80, kbits + 30))
+    return BoundedValue.exact(1) / (e - e1).scale(4)
 
 
 # ---------------------------------------------------------------------------

@@ -35,10 +35,10 @@ from .approxcore import (BoundedValue, ConstantsTable, Name, bv_cos, bv_pi,
                          bv_sin)
 from .floatball import (FB_PI, TINY, BallGrid, FloatBall, _float_up,
                         ball_convolve, ball_matmul, ceil_log2, fb_exp, fb_pow,
-                        fb_sqrt, grid_pi_multiple, grid_pow, grid_sincos_pi)
+                        fb_sqrt, grid_exp, grid_pi_multiple, grid_pow,
+                        grid_sincos_pi)
 from .polyfield import (MollifiedElement, RationalPoly2, TrimmedField,
                         gamma0, gamma_radial_moment, poly_inner_on_box)
-from .taylor import TSeries
 
 __all__ = [
     "FourierField", "trig_poly_field", "coefficients", "mollified_field_pair",
@@ -430,62 +430,91 @@ def _fb_gamma0() -> FloatBall:
     return FloatBall.from_bounded(gamma0(60))
 
 
-def _h1_series(t: TSeries, g0: FloatBall) -> TSeries:
-    one = TSeries.constant(g0.one(), t.order)
-    u = one - t * t
-    rec = u.reciprocal()
-    wf = (-rec).exp()
-    return wf * rec * rec * t * TSeries.constant(g0 * FloatBall(2.0), t.order)
+def _h1_coeffs(m: BallGrid, g0: FloatBall, order: int) -> BallGrid:
+    """Taylor coefficients c_0..c_{order-1} of h1 about each entry of the
+    column m (every |m| < 1), as the rows of a (len(m), order) grid.
+
+    f(rho) = exp(-1/(1 - rho^2)) solves (1 - rho^2)^2 f' + 2 rho f = 0.
+    About m, with w = 1 - m^2, (1 - rho^2)^2 = sum_i q_i (rho - m)^i for
+    q = (w^2, -4 m w, 4 m^2 - 2 w, 4 m, 1), and matching powers of rho - m
+    gives the Taylor coefficients f_k of f from f_0 = exp(-1/w) by
+        q_0 (k+1) f_{k+1} = -2 m f_k - 2 f_{k-1}
+                            - sum_{i=1..4} q_i (k+1-i) f_{k+1-i},
+    and c_k = -gamma0 (k+1) f_{k+1}.  Each step is a ball expression in m,
+    so over a ball m it encloses the coefficient at every point of the ball.
+    """
+    def times(x, k):
+        return x.scale_ball(FloatBall(float(k)))
+    one = m.one()
+    w = one - m * m
+    mm = times(m, 4)
+    q = (w * w, -(mm * w), mm * m - times(w, 2), mm, one)
+    f = [grid_exp(-(one / w))]
+    for k in range(order):
+        acc = times(m * f[k], 2)
+        if k:
+            acc = acc + times(f[k - 1], 2)
+        for i in range(1, min(k, 4) + 1):
+            acc = acc + times(q[i] * f[k + 1 - i], k + 1 - i)
+        f.append(-(acc / times(q[0], k + 1)))
+    c = [f[k + 1].scale_ball(-g0 * FloatBall(float(k + 1)))
+         for k in range(order)]
+    return BallGrid(np.stack([g.c for g in c], -1),
+                    np.stack([g.r for g in c], -1))
 
 
-def _h1_range_bound(a: Fraction, g0: FloatBall) -> float:
-    """sup of h1 on [a, 1]: monotone bound via sup of e^{-1/v}/v^2."""
-    vhi = min(1 - Fraction(a) ** 2, Fraction(1, 2))
-    if vhi <= 0:
-        return 0.0
-    vb = FloatBall.exact(vhi)
-    peak = fb_exp(-(vb.one() / vb)) / (vb * vb)
-    return (g0 * FloatBall(2.0) * peak).upper()
+def _h1_edge_bound(a: np.ndarray, g0: FloatBall) -> np.ndarray:
+    """Upper bounds of h1 on [a, 1] for each a: h1 = 2 gamma0 rho
+    e^{-1/v}/v^2 with v = 1 - rho^2 and rho <= 1, and e^{-1/v}/v^2
+    increases for v <= 1/2, so it is at most its value at
+    min(1 - a^2, 1/2)."""
+    ab = BallGrid(a)
+    v = BallGrid(np.minimum((ab.one() - ab * ab).upper(), 0.5))
+    peak = grid_exp(-(v.one() / v)) / (v * v)
+    return peak.scale_ball(g0 * FloatBall(2.0)).upper()
 
 
 @lru_cache(maxsize=1)
-def _h1_models() -> Tuple:
+def _h1_models() -> Tuple[np.ndarray, np.ndarray, BallGrid, np.ndarray]:
     """Shared panel Taylor models of h1 on [0, 1].
 
-    Each entry is ("taylor", a, b, mid, coeffs, rem) with coeffs the midpoint
-    series of length _H1_ORDER and |h1 - model| <= rem on the panel, or
-    ("range", a, b, sup) near the flat right edge.
+    Returns (num, den, coef, rem): panel p is num[p]/den[p] +- 1/den[p],
+    and on it |h1(rho) - sum_t coef[p, t] (rho - num[p]/den[p])^t| <=
+    rem[p], with _H1_ORDER coefficients per row.  The dyadic panels are
+    bisected one level at a time, all candidates of a level at once.  A
+    panel [a, b] where h1 <= _H1_TOL on [a, 1] keeps a zero model with its
+    sup as remainder.  From depth 2 on, a panel with b < 1 keeps the
+    midpoint series once the Lagrange remainder |c_ORDER| H^ORDER, with
+    c_ORDER the recurrence over the whole panel and H the half-width, is
+    at most _H1_TOL (2^-30 past depth 40).
     """
     g0 = _fb_gamma0()
-    panels = []
-    stack = [(_F0, _F1, 0)]
-    while stack:
-        a, b, depth = stack.pop()
-        sup = _h1_range_bound(a, g0)
-        if sup <= _H1_TOL:
-            panels.append(("range", a, b, sup))
-            continue
-        ok = False
-        if depth >= 2:
-            try:
-                box = FloatBall.exact(a).hull(FloatBall.exact(b))
-                g = _h1_series(TSeries.variable(box, _H1_ORDER), g0)
-                h = float(b - a) / 2
-                rem = g.c[_H1_ORDER].mag() * h ** _H1_ORDER
-                if rem <= _H1_TOL or (depth >= 40 and rem <= 2.0 ** -30):
-                    mid = Fraction(a + b, 2)
-                    pt = _h1_series(TSeries.variable(
-                        FloatBall.exact(mid), _H1_ORDER - 1), g0)
-                    panels.append(("taylor", a, b, mid, tuple(pt.c), rem))
-                    ok = True
-            except (ZeroDivisionError, ValueError, OverflowError):
-                ok = False
-        if not ok:
-            m = Fraction(a + b, 2)
-            stack.append((a, m, depth + 1))
-            stack.append((m, b, depth + 1))
-    panels.sort(key=lambda p: p[1])
-    return tuple(panels)
+    parts = []
+    j, depth = np.array([0]), 0
+    while len(j):
+        den = 2 ** (depth + 1)
+        num = 2 * j + 1
+        mid, half = num / den, 1.0 / den
+        sup = _h1_edge_bound((num - 1) / den, g0)
+        rem = np.where(sup <= _H1_TOL, sup, np.inf)
+        model = (rem == np.inf) & (num + 1 < den)
+        if depth >= 2 and model.any():
+            box = BallGrid(mid[model], np.full(int(model.sum()), half))
+            top = _h1_coeffs(box, g0, _H1_ORDER + 1)[:, _H1_ORDER]
+            rem[model] = top.mag() * half ** _H1_ORDER
+        done = rem <= (2.0 ** -30 if depth >= 40 else _H1_TOL)
+        coef = BallGrid.zeros((int(done.sum()), _H1_ORDER))
+        fit = model[done]
+        if fit.any():
+            coef.set(fit, _h1_coeffs(BallGrid(mid[done][fit]), g0, _H1_ORDER))
+        parts.append((num[done], np.full(len(coef.c), den, dtype=object),
+                      coef.c, coef.r, rem[done]))
+        split = j[~done]
+        j, depth = np.concatenate([2 * split, 2 * split + 1]), depth + 1
+    num, den, c, r, rem = (np.concatenate(x) for x in zip(*parts))
+    order = np.argsort(num / den)
+    return (num[order].astype(object), den[order],
+            BallGrid(c[order], r[order]), rem[order])
 
 
 _AB_TERMS = 12     # power-series terms of the A_t, B_t tables for y < 2
@@ -591,32 +620,22 @@ def _panel_data():
     Ks[p, t] = 2 H^{t+1} (c_{t-1} + mid c_t) over t = 0..ORDER (c_t = 0
     outside 0..ORDER-1) for panel p with midpoint mid, half-width H and
     model coefficients c_t; each panel's midpoint numerator and denominator
-    and the index of its half-width among the distinct ones; those
-    half-widths' numerators and denominators; and the slack
-    sum rem (b - a) over Taylor panels plus sup (b - a) over range panels,
-    summed exactly and rounded up.
+    and the index of its half-width among the distinct ones; the distinct
+    half-widths' inverses (the panel denominators); and the slack
+    sum rem (b - a) over the panels, summed exactly and rounded up.
     """
-    models = _h1_models()
-    taylor = [p for p in models if p[0] == "taylor"]
-    halves = [(p[2] - p[1]) / 2 for p in taylor]
-    widths = sorted(set(halves))
-    coef = BallGrid.zeros((len(taylor), _H1_ORDER + 2))
-    for row, p in enumerate(taylor):
-        coef.set((row, slice(1, _H1_ORDER + 1)), BallGrid.of(p[4]))
-    pow2 = BallGrid([[float(2 * h ** (t + 1)) for t in range(_H1_ORDER + 1)]
-                     for h in halves])
-    mid = BallGrid([[float(p[3])] for p in taylor])
+    num, den, coef, rem = _h1_models()
+    h_den, widx = np.unique(den, return_inverse=True)
+    coef = BallGrid(np.pad(coef.c, ((0, 0), (1, 1))),
+                    np.pad(coef.r, ((0, 0), (1, 1))))
+    # 2 H^{t+1} = 2 den^-(t+1), a power of two
+    pow2 = BallGrid(2.0 / np.power.outer(den.astype(np.float64),
+                                         np.arange(1, _H1_ORDER + 2)))
+    mid = BallGrid((num / den).astype(np.float64)[:, None])
     kc = coef[:, 1:] * pow2
     ks = (coef[:, :-1] + coef[:, 1:] * mid) * pow2
-
-    def ints(values):
-        return np.array(values, dtype=object)
-    slack = _float_up(sum(Fraction(p[-1]) * (p[2] - p[1]) for p in models))
-    return (kc, ks, ints([p[3].numerator for p in taylor]),
-            ints([p[3].denominator for p in taylor]),
-            np.array([widths.index(h) for h in halves]),
-            ints([h.numerator for h in widths]),
-            ints([h.denominator for h in widths]), slack)
+    slack = _float_up(sum(map(Fraction, rem * pow2.c[:, 0])))
+    return kc, ks, num, den, widx, h_den, slack
 
 
 @lru_cache(maxsize=None)
@@ -636,13 +655,13 @@ def _window_grid(nu: int, top: int) -> Tuple[BallGrid, BallGrid]:
     panels x modes x orders tensor.  Per transform, a batched `ball_matmul`
     contracts each panel's orders with the weights of `_panel_data` and a
     second one sums the panels, each under its gamma_n rule (n the number
-    of orders, then of panels); the model remainders and range panels
-    widen every value by the slack.  The tables work in the scaled
+    of orders, then of panels); the model remainders (a sup on the flat
+    edge panels) widen every value by the slack.  The tables work in the scaled
     variable v, so all absolute errors stay at the scale of the true
     values.  phi(0) = gamma0 e^-1 (the profile at 0) and psi(0) = 0 are
     set directly.
     """
-    kc, ks, mid_num, mid_den, widx, h_num, h_den, slack = _panel_data()
+    kc, ks, mid_num, mid_den, widx, h_den, slack = _panel_data()
     order = kc.shape[1]
     even = np.arange(order) % 2 == 0
     ones = BallGrid(np.ones((1, len(widx))))
@@ -651,8 +670,7 @@ def _window_grid(nu: int, top: int) -> Tuple[BallGrid, BallGrid]:
         n = np.arange(lo, min(lo + _MODE_BLOCK, top + 1), dtype=object)
         sin, cos = (g[..., None] for g in grid_sincos_pi(
             np.multiply.outer(mid_num, n), (mid_den * (1 << nu))[:, None]))
-        a, b = (g[widx] for g in _ab_grid(np.multiply.outer(h_num, n),
-                                          (h_den * (1 << nu))[:, None],
+        a, b = (g[widx] for g in _ab_grid(n, (h_den * (1 << nu))[:, None],
                                           order - 1))
         tab = BallGrid(np.where(even, a.c, b.c), np.where(even, a.r, b.r))
         # cos(x mid) for even t, -sin for odd; sin for even t, cos for odd

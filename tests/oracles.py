@@ -4,8 +4,11 @@ Most functions here compute a value the package also computes, by a
 different method, so that tests can require the two enclosures to overlap.
 The resolvent, the contour mode cutoff and the smoothing diagnostic check
 the semigroup's operator identities and constants; no library code calls
-them.  The adaptive Taylor-model quadrature lives here too: the library
-certifies its integrals by closed forms and fixed panel models only.
+them.  The generic Taylor-series engine `TSeries` lives here too, with what
+is built on it: the adaptive Taylor-model quadrature, the panel models of
+the kernel profile W (for the radial moments) and of h1 (for the window
+transforms).  The library certifies those integrals by closed forms and by
+the profile's ODE recurrence.
 """
 
 import heapq
@@ -16,14 +19,183 @@ from functools import lru_cache
 import numpy as np
 
 from solenoid.approxcore import (DEFAULT_PREC, BoundedValue, ConstantsTable,
-                                 bv_cos, bv_exp, bv_pi, bv_pow, bv_sin)
+                                 bv_cos, bv_exp, bv_log, bv_pi, bv_pow, bv_sin)
 from solenoid.floatball import (EPS, FB_PI, TINY, BallGrid, FloatBall, fb_exp,
-                                fb_pow, fb_sincos, fb_sqrt)
+                                fb_log, fb_pow, fb_sincos, fb_sqrt)
 from solenoid.helmholtz import resolve_field
-from solenoid.polyfield import _moments_upto, gamma0, gamma_radial_moment
-from solenoid.spectral import _PI2, FourierField, _fb_gamma0, _h1_models
+from solenoid.polyfield import gamma0, gamma_radial_moment
+from solenoid.spectral import _H1_ORDER, _H1_TOL, _PI2, FourierField, \
+    _fb_gamma0
 from solenoid.stokes import _as_bv, _components, _emit, _live_svals
-from solenoid.taylor import TSeries
+
+
+# ---------------------------------------------------------------------------
+# truncated Taylor series
+# ---------------------------------------------------------------------------
+
+def _is_fb(x) -> bool:
+    return isinstance(x, FloatBall)
+
+
+def _one(x):
+    return FloatBall(1.0) if _is_fb(x) else BoundedValue.exact(1)
+
+
+def _zero(x):
+    return FloatBall(0.0) if _is_fb(x) else BoundedValue.exact(0)
+
+
+def _scaled(x, f):
+    """x times the exact rational f, for either ball type."""
+    return x * FloatBall.exact(Fraction(f)) if _is_fb(x) else x.scale(f)
+
+
+class TSeries:
+    """Coefficients c[0..order] of sum c[j] (t - t0)^j, truncated.
+
+    Coefficients are `BoundedValue` or `FloatBall` balls; a function written
+    against TSeries is evaluated once around a panel midpoint (for the
+    polynomial part) and once over the whole panel (for the Lagrange
+    remainder coefficient).  Constants, exact scalings and the elementary
+    functions pick the `BoundedValue` or `FloatBall` form (`bv_*` or
+    `fb_*`) by the coefficient type.
+    """
+
+    __slots__ = ("c",)
+
+    def __init__(self, coeffs):
+        self.c = list(coeffs)
+
+    @property
+    def order(self):
+        return len(self.c) - 1
+
+    @staticmethod
+    def variable(center, order: int) -> "TSeries":
+        c = [center, _one(center)] + [_zero(center)] * (order - 1)
+        return TSeries(c[:order + 1])
+
+    @staticmethod
+    def constant(value, order: int) -> "TSeries":
+        return TSeries([value] + [_zero(value)] * order)
+
+    def _zero(self):
+        return _zero(self.c[0])
+
+    def _promote(self, other) -> "TSeries":
+        if isinstance(other, TSeries):
+            return other
+        if isinstance(other, (int, Fraction)):
+            other = BoundedValue.from_fraction(Fraction(other))
+        return TSeries.constant(other, self.order)
+
+    # -- ring operations ----------------------------------------------------
+
+    def __add__(self, other):
+        o = self._promote(other)
+        return TSeries([a + b for a, b in zip(self.c, o.c)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return TSeries([-a for a in self.c])
+
+    def __sub__(self, other):
+        return self + (-self._promote(other))
+
+    def __rsub__(self, other):
+        return self._promote(other) - self
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(Fraction(other))
+        o = self._promote(other)
+        n = self.order
+        out = [self._zero() for _ in range(n + 1)]
+        for i, a in enumerate(self.c):
+            for j in range(n + 1 - i):
+                out[i + j] = out[i + j] + a * o.c[j]
+        return TSeries(out)
+
+    __rmul__ = __mul__
+
+    def scale(self, f: Fraction):
+        return TSeries([_scaled(a, f) for a in self.c])
+
+    def reciprocal(self):
+        f0 = self.c[0]
+        n = self.order
+        g = [_one(f0) / f0]
+        for k in range(1, n + 1):
+            acc = self._zero()
+            for j in range(1, k + 1):
+                acc = acc + self.c[j] * g[k - j]
+            g.append(-(acc / f0))
+        return TSeries(g)
+
+    def __truediv__(self, other):
+        return self * self._promote(other).reciprocal()
+
+    def __rtruediv__(self, other):
+        return self._promote(other) * self.reciprocal()
+
+    # -- elementary functions ------------------------------------------------
+
+    def exp(self):
+        n = self.order
+        g = [(fb_exp if _is_fb(self.c[0]) else bv_exp)(self.c[0])]
+        for k in range(1, n + 1):
+            acc = self._zero()
+            for j in range(1, k + 1):
+                acc = acc + _scaled(self.c[j] * g[k - j], j)
+            g.append(_scaled(acc, Fraction(1, k)))
+        return TSeries(g)
+
+    def log(self):
+        f0 = self.c[0]
+        n = self.order
+        g = [(fb_log if _is_fb(f0) else bv_log)(f0)]
+        for k in range(1, n + 1):
+            acc = _scaled(self.c[k], k)
+            for j in range(1, k):
+                acc = acc - _scaled(g[j], j) * self.c[k - j]
+            g.append(_scaled(acc, Fraction(1, k)) / f0)
+        return TSeries(g)
+
+    def sincos(self):
+        n = self.order
+        x = self.c[0]
+        s0, c0 = fb_sincos(x) if _is_fb(x) else (bv_sin(x), bv_cos(x))
+        s, c = [s0], [c0]
+        for k in range(1, n + 1):
+            sa = self._zero()
+            ca = self._zero()
+            for j in range(1, k + 1):
+                fj = _scaled(self.c[j], j)
+                sa = sa + fj * c[k - j]
+                ca = ca + fj * s[k - j]
+            s.append(_scaled(sa, Fraction(1, k)))
+            c.append(_scaled(-ca, Fraction(1, k)))
+        return TSeries(s), TSeries(c)
+
+    def sin(self):
+        return self.sincos()[0]
+
+    def cos(self):
+        return self.sincos()[1]
+
+    def pow_frac(self, q: Fraction):
+        q = Fraction(q)
+        if q == 0:
+            return TSeries.constant(_one(self.c[0]), self.order)
+        if q.denominator == 1 and 0 < q.numerator <= 32:
+            out = self
+            for _ in range(q.numerator - 1):
+                out = out * self
+            return out
+        if self.order == 0 and isinstance(self.c[0], BoundedValue):
+            return TSeries([bv_pow(self.c[0], q)])
+        return self.log().scale(q).exp()
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +248,7 @@ def certified_integral(f, a: Fraction, b: Fraction, target: Fraction,
                        prec: int = DEFAULT_PREC) -> BoundedValue:
     """Enclose the integral of ``f`` over [a, b] by adaptive bisection.
 
-    ``f`` is written against :class:`solenoid.taylor.TSeries`; each panel is
+    ``f`` is written against :class:`TSeries`; each panel is
     integrated by :func:`taylor_panel_integral`.  Panels are bisected, worst
     radius first, until the total radius is at most ``target``.
     """
@@ -472,17 +644,181 @@ def _osc_moments(x: FloatBall, q_x: Fraction, a: Fraction, b: Fraction,
     return ic, isn
 
 
+# ---------------------------------------------------------------------------
+# panel Taylor models of the kernel profile
+# ---------------------------------------------------------------------------
+
+_W_ORDER = 12
+
+
+@lru_cache(maxsize=None)
+def _w_panel_models(kbits: int):
+    """Taylor models of W(u) = exp(-1/(1-u)) on a partition of [0,1].
+
+    Returns a list of ('taylor', a, b, mid_coeffs, rem_ball) panels plus one
+    trailing ('range', a, 1, hull) panel where W is below 2^-kbits.
+    """
+    target = Fraction(1, 1 << kbits)
+    d = _W_ORDER
+    panels = []
+    stack = [(Fraction(0), Fraction(1))]
+    while stack:
+        a, b = stack.pop()
+        if b == 1:
+            # W <= exp(-1/(1-a)) on [a,1]
+            va = 1 - a
+            top = bv_exp(BoundedValue.from_fraction(-1 / va))
+            if top.upper() <= target and b - a <= Fraction(1, 8):
+                panels.append(("range", a, b, BoundedValue.from_endpoints(
+                    Fraction(0), top.upper())))
+                continue
+            mid = Fraction(a + b, 2)
+            stack.append((mid, b))
+            stack.append((a, mid))
+            continue
+        h = Fraction(b - a, 2)
+        try:
+            box = BoundedValue.from_endpoints(a, b)
+            g = (-(1 - TSeries.variable(box, d)).reciprocal()).exp()
+            rem = g.c[d]
+            smooth = rem.mag().to_fraction() * h ** d <= target
+        except (ValueError, ZeroDivisionError, OverflowError):
+            smooth = False
+        if smooth:
+            mid = BoundedValue.from_fraction(Fraction(a + b, 2))
+            pt = (-(1 - TSeries.variable(mid, d - 1)).reciprocal()).exp()
+            panels.append(("taylor", a, b, pt.c, rem))
+        else:
+            mid = Fraction(a + b, 2)
+            stack.append((mid, b))
+            stack.append((a, mid))
+    panels.sort(key=lambda p: p[1])
+    return tuple(panels)
+
+
+@lru_cache(maxsize=None)
+def _moments_upto(smax: int, kbits: int):
+    """J_0..J_smax of `polyfield.gamma_radial_moment` in one sweep over the
+    shared panel models of W.
+
+    Per panel the power integrals int_a^b u^j du are accumulated as rounded
+    balls (much cheaper than exact fractions for high powers) and reused for
+    every moment order.
+    """
+    totals = [BoundedValue.exact(0) for _ in range(smax + 1)]
+    for panel in _w_panel_models(kbits):
+        if panel[0] == "range":
+            _, a, b, hullv = panel
+            contrib = hullv.scale(b - a)  # |u^s| <= 1 on the panel
+            for s in range(smax + 1):
+                totals[s] = totals[s] + contrib
+            continue
+        _, a, b, coeffs, rem = panel
+        m = Fraction(a + b, 2)
+        h = b - a
+        jmax = smax + _W_ORDER
+        ba = BoundedValue.from_fraction(Fraction(a))
+        bb = BoundedValue.from_fraction(Fraction(b))
+        apw = [BoundedValue.exact(1)]
+        bpw = [BoundedValue.exact(1)]
+        for _ in range(jmax + 1):
+            apw.append(apw[-1] * ba)
+            bpw.append(bpw[-1] * bb)
+        pw = [(bpw[j + 1] - apw[j + 1]).scale(Fraction(1, j + 1))
+              for j in range(jmax + 1)]
+        mb = BoundedValue.from_fraction(-m)
+        mpow = [BoundedValue.exact(1)]
+        for _ in range(_W_ORDER):
+            mpow.append(mpow[-1] * mb)
+        hfac = Fraction(h, 2) ** _W_ORDER
+        remw = rem.mag().to_fraction() * hfac
+        for s in range(smax + 1):
+            acc = BoundedValue.exact(0)
+            # int (u-m)^t u^s du through the binomial theorem
+            for t, ct in enumerate(coeffs):
+                term = BoundedValue.exact(0)
+                for i in range(t + 1):
+                    term = term + (mpow[t - i] * pw[s + i]).scale(
+                        math.comb(t, i))
+                acc = acc + ct * term
+            # Lagrange remainder: |W - model| <= |rem| (h/2)^d on the panel
+            slack = remw * pw[s].mag().to_fraction()
+            acc = acc.widened(BoundedValue.from_endpoints(-slack, slack))
+            totals[s] = totals[s] + acc
+    return tuple(t.scale(Fraction(1, 2)).rounded() for t in totals)
+
+
+def _h1_series(t: TSeries, g0: FloatBall) -> TSeries:
+    one = TSeries.constant(g0.one(), t.order)
+    u = one - t * t
+    rec = u.reciprocal()
+    wf = (-rec).exp()
+    return wf * rec * rec * t * TSeries.constant(g0 * FloatBall(2.0), t.order)
+
+
+def _h1_range_bound(a: Fraction, g0: FloatBall) -> float:
+    """sup of h1 on [a, 1]: monotone bound via sup of e^{-1/v}/v^2."""
+    vhi = min(1 - Fraction(a) ** 2, Fraction(1, 2))
+    if vhi <= 0:
+        return 0.0
+    vb = FloatBall.exact(vhi)
+    peak = fb_exp(-(vb.one() / vb)) / (vb * vb)
+    return (g0 * FloatBall(2.0) * peak).upper()
+
+
+@lru_cache(maxsize=1)
+def h1_panel_models():
+    """Panel Taylor models of h1 on [0, 1] through `TSeries` in float balls,
+    independent of the library's recurrence (`spectral._h1_models`), on the
+    same tolerance.
+
+    Each entry is ("taylor", a, b, mid, coeffs, rem) with coeffs the midpoint
+    series of length _H1_ORDER and |h1 - model| <= rem on the panel, or
+    ("range", a, b, sup) near the flat right edge.
+    """
+    g0 = _fb_gamma0()
+    panels = []
+    stack = [(Fraction(0), Fraction(1), 0)]
+    while stack:
+        a, b, depth = stack.pop()
+        sup = _h1_range_bound(a, g0)
+        if sup <= _H1_TOL:
+            panels.append(("range", a, b, sup))
+            continue
+        ok = False
+        if depth >= 2:
+            try:
+                box = FloatBall.exact(a).hull(FloatBall.exact(b))
+                g = _h1_series(TSeries.variable(box, _H1_ORDER), g0)
+                h = float(b - a) / 2
+                rem = g.c[_H1_ORDER].mag() * h ** _H1_ORDER
+                if rem <= _H1_TOL or (depth >= 40 and rem <= 2.0 ** -30):
+                    mid = Fraction(a + b, 2)
+                    pt = _h1_series(TSeries.variable(
+                        FloatBall.exact(mid), _H1_ORDER - 1), g0)
+                    panels.append(("taylor", a, b, mid, tuple(pt.c), rem))
+                    ok = True
+            except (ZeroDivisionError, ValueError, OverflowError):
+                ok = False
+        if not ok:
+            m = Fraction(a + b, 2)
+            stack.append((a, m, depth + 1))
+            stack.append((m, b, depth + 1))
+    panels.sort(key=lambda p: p[1])
+    return tuple(panels)
+
+
 @lru_cache(maxsize=None)
 def window_transforms(n_index: int, nu: int):
     """(phi, psi) of `spectral._window_grid` at x = n_index pi 2^-nu, one
-    panel and one scalar ball operation at a time, on the same panel models
-    of h1."""
+    panel and one scalar ball operation at a time, on the `TSeries` panel
+    models of h1."""
     if n_index == 0:
         return _fb_gamma0() * fb_exp(FloatBall(-1.0)), FloatBall(0.0)
     xb = FB_PI * FloatBall.exact(Fraction(n_index, 1 << nu))
     phi = FloatBall(0.0)
     psi = FloatBall(0.0)
-    for panel in _h1_models():
+    for panel in h1_panel_models():
         if panel[0] == "range":
             _, a, b, sup = panel
             w = float(b - a)
@@ -510,8 +846,10 @@ def mollifier_cos_coefficient(nu: int, n: int, m: int,
                               kbits: int = 40) -> BoundedValue:
     """Enclosure of int gamma_nu(z) cos(n pi z1) cos(m pi z2) dz.
 
-    Expands the cosines around zero and contracts against the radial moments
-    J_s; the error of truncating at order P is controlled by the cosh tail.
+    Expands the cosines around zero and contracts against the closed-form
+    radial moments J_s (`polyfield.gamma_radial_moment`), a route
+    independent of the window transforms of h1; the error of truncating at
+    order P is controlled by the cosh tail.
     Requires n pi 2^-nu <= 16 (larger frequencies are useless anyway: the
     coefficient is then astronomically small relative to the cost).
     """
@@ -542,7 +880,7 @@ def mollifier_cos_coefficient(nu: int, n: int, m: int,
             p += 1
 
     P, Q = plan(x), plan(y)
-    jtab = _moments_upto((((P + Q) // 16) + 1) * 16, jbits)
+    jtab = [gamma_radial_moment(s, jbits) for s in range(P + Q + 1)]
     x2 = x * x
     y2 = y * y
     total = BoundedValue.exact(0)

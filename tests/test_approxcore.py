@@ -18,9 +18,8 @@ from solenoid.approxcore import (
     bv_pi, bv_pow, bv_sqrt, gamma_tail, refine,
 )
 from solenoid.floatball import FloatBall
-from solenoid.taylor import TSeries
 
-from oracles import beta_quadrature, certified_integral
+from oracles import TSeries, beta_quadrature, certified_integral
 
 # frozen oracle values (40-digit mpmath)
 PI_SQRT2 = F("4.442882938158366247015880990060693698615")
@@ -144,9 +143,9 @@ class TestQuadrature:
 
 class TestTaylorSeries:
     def test_certified_integral_frozen(self):
-        # the BoundedValue hooks of TSeries (one, zero, exp_ball, log_ball,
-        # sincos_ball) reproduce the results of the former type switches
-        # bit for bit; the values are frozen from that route
+        # TSeries picks bv_exp, bv_log, bv_sin and bv_cos for BoundedValue
+        # coefficients, and reproduces the results of the former type
+        # switches bit for bit; the values are frozen from that route
         frozen = (
             (lambda x: (x * x).exp() / (x + 1),
              {"c": {"m": "1271871471161012921919350297525992809", "e": -120},
@@ -160,11 +159,25 @@ class TestTaylorSeries:
             assert got.to_json() == want
 
     def test_hooks_of_both_ball_types(self):
+        # TSeries on either ball type: its constants, exact scalings and
+        # exp, log and sincos follow the coefficient type
+        # 50-digit mpmath values
+        sqrt_e = F("1.6487212707001281468486507878141635716537761007101")
+        log_half = F("-0.69314718055994530941723212145817656807550013436026")
+        sin_half = F("0.47942553860420300027328793521557138808180336794060")
+        cos_half = F("0.87758256189037271611628158260382965199164519710974")
         for x in (BoundedValue.exact(F(1, 2)), FloatBall(0.5)):
             t = TSeries.variable(x, 3)
             assert t.c[1].contains(F(1)) and t.c[2].contains(F(0))
             assert t.reciprocal().c[0].contains(F(2))
             assert TSeries.constant(x, 2).pow_frac(F(0)).c[0].contains(F(1))
+            e = t.exp()
+            assert type(e.c[0]) is type(x)
+            assert e.c[0].contains(sqrt_e) and e.c[3].contains(sqrt_e / 6)
+            assert t.log().c[0].contains(log_half)
+            s, c = t.sincos()
+            assert type(s.c[0]) is type(x) and s.c[0].contains(sin_half)
+            assert c.c[0].contains(cos_half) and s.c[1].contains(cos_half)
 
     def test_exp_coefficients(self):
         t = TSeries.variable(BoundedValue.exact(0), 6)
@@ -376,9 +389,13 @@ class TestGammaTailSoundness:
 
 
 def test_no_adaptive_quadrature_in_the_library():
-    # the library certifies integrals by closed forms and fixed panel
-    # models; the adaptive quadrature is a test oracle only
-    banned = {"certified_integral", "taylor_panel_integral", "heapq"}
+    # the library certifies integrals by closed forms and recurrences; the
+    # adaptive quadrature, the generic Taylor-series engine with its
+    # transcendental hooks and the panel moments built on it are test
+    # oracles only
+    banned = {"certified_integral", "taylor_panel_integral", "heapq",
+              "TSeries", "taylor", "exp_ball", "log_ball", "sincos_ball",
+              "_moments_upto", "_w_panel_models"}
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "solenoid"
     offenders = []
     for path in sorted(src.glob("*.py")):

@@ -271,6 +271,51 @@ class TestSelftest:
         assert json.loads(out1.read_text())["passed"] is True
 
 
+@pytest.fixture(scope="module")
+def input_kinds(tmp_path_factory):
+    """The README element, the pair that `project --precision 8` writes
+    for it, and that pair's u1 as a single field."""
+    root = tmp_path_factory.mktemp("kinds")
+    elem = pf.mollify(pf.solenoidal_kernel(4)[0], 1, 2)
+    paths = {"element": root / "element.json", "pair": root / "pair.json",
+             "field": root / "field.json"}
+    paths["element"].write_text(json.dumps(
+        dict(elem.to_json(), kind="element", schema=cli.SCHEMA)))
+    assert _run("project", "--precision", "8", "--input",
+                str(paths["element"]), "--output", str(paths["pair"])) == 0
+    u1 = json.loads(paths["pair"].read_text())["u1"]
+    paths["field"].write_text(json.dumps(
+        {"schema": cli.SCHEMA, "kind": "field", "field": u1}))
+    return {k: str(v) for k, v in paths.items()}
+
+
+# each subcommand's arguments besides --input, and its exit code on a
+# (pair, field, element) input; the README lists the input kinds each takes
+_MATRIX = {
+    "basis": ((), (2, 2, 2)),
+    "semigroup": (("--t", "1/8"), (0, 0, 0)),
+    "project": ((), (3, 3, 0)),
+    "fracpower": (("--alpha", "1/4"), (3, 3, 0)),
+    "horizon": ((), (0, 3, 0)),
+    "solve": (("--t", "1/1073741824"), (0, 3, 0)),
+    "pressure": (("--point", "1/3,2/5"), (3, 3, 3)),
+    "selftest": ((), (2, 2, 2)),
+}
+
+
+class TestInputKinds:
+    @pytest.mark.parametrize("kind", ["pair", "field", "element"])
+    @pytest.mark.parametrize("command", sorted(_MATRIX))
+    def test_documented_exit_code(self, tmp_path, capsys, input_kinds,
+                                  command, kind):
+        args, codes = _MATRIX[command]
+        code = _run(command, *args, "--input", input_kinds[kind],
+                    "--output", str(tmp_path / "out.json"))
+        err = capsys.readouterr().err
+        assert code == codes[("pair", "field", "element").index(kind)], err
+        assert "Traceback" not in err
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "basis.json"

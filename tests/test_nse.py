@@ -485,9 +485,11 @@ class TestIterate:
         return nse.compute_horizon(pair, mode_cap=12)
 
     # theta and the Claim-1 functional there, frozen from the route that
-    # rebuilt the c1 ball at every step of the search
-    THETA2 = {("readme", 8): (29, "0x1.44db192508641p-7"),
-              ("readme", 12): (36, "0x1.23c932f36e188p-8"),
+    # rebuilt the c1 ball at every step of the search.  The README
+    # functionals also follow the certificate's seed norms and resolution,
+    # which move in their last bits with the mollifier window transforms
+    THETA2 = {("readme", 8): (29, "0x1.44db192508625p-7"),
+              ("readme", 12): (36, "0x1.23c932f36e184p-8"),
               ("readme", 16): (None, None),
               ("exact", 8): (25, "0x1.082ce704ad94fp-7"),
               ("exact", 12): (29, "0x1.082ce704ad94fp-8"),

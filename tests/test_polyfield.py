@@ -9,10 +9,12 @@ normalization.
 
 import random
 from fractions import Fraction as F
+from functools import lru_cache
 
 import numpy as np
 import pytest
 import sympy as sp
+from mpmath import mp
 from scipy.integrate import simpson
 
 from solenoid.polyfield import (
@@ -22,7 +24,8 @@ from solenoid.polyfield import (
     poly_name, solenoidal_kernel, trim,
 )
 from solenoid.approxcore import BoundedValue, refine
-from oracles import mollified_value, mollifier_cos_coefficient, mollifier_mass
+from oracles import (_moments_upto, mollified_value, mollifier_cos_coefficient,
+                     mollifier_mass)
 
 # frozen oracle (40-digit quadrature of the kernel normalization)
 GAMMA0 = F("1.683552623428849090226069715040108371621")
@@ -221,10 +224,42 @@ class TestMollifierKernel:
         assert g.radius.to_fraction() < F(1, 1 << 50)
 
     def test_gamma0_closed_form_against_panel_moments(self):
-        # E_2(1) closed form against the panel-model quadrature of J_0
-        # (the 48-bit panels are shared with the moment test below)
-        j0 = gamma_radial_moment(0, 48)
-        assert gamma0(60).overlaps(BoundedValue.exact(1) / j0.scale(8))
+        # E_2(1) closed form against the panel-model quadrature of J_0, and
+        # the closed-form J_s against the same panel moments
+        panel = _moments_upto(47, 40)
+        assert gamma0(60).overlaps(BoundedValue.exact(1) / panel[0].scale(8))
+        for s in (1, 16, 47):
+            assert gamma_radial_moment(s, 40).overlaps(panel[s]), s
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def _moment_ref(s):
+        # J_s by 250-digit tanh-sinh quadrature of its defining integral
+        with mp.workdps(250):
+            j = mp.quad(lambda u: mp.exp(-1 / (1 - u)) * u ** s,
+                        [0, mp.mpf(1) / 2, 1]) / 2
+            return F(int(mp.floor(j * mp.mpf(2) ** 800)), 2 ** 800)
+
+    def _check_moment(self, s, kbits):
+        j, ref = gamma_radial_moment(s, kbits), self._moment_ref(s)
+        # the reference is good to far below 2^-800 relative
+        tol = ref / 2 ** 700
+        assert j.lower() - tol <= ref <= j.upper() + tol, (s, kbits)
+        assert j.radius.to_fraction() <= ref / 2 ** kbits, (s, kbits)
+
+    @pytest.mark.parametrize("s", [0, 1, 16, 48, 64])
+    def test_moment_closed_form_precision_sweep(self, s):
+        # 2^-kbits relative for kbits past the 120-bit rounding cap of
+        # BoundedValue arithmetic
+        for kbits in (40, 60, 100, 160):
+            self._check_moment(s, kbits)
+
+    @pytest.mark.parametrize("s", [128, 200])
+    def test_moment_closed_form_hardest_cancellation(self, s):
+        # |A_s| and |B_s| exceed J_s by about 4 sqrt(s) log2(e) bits, the
+        # most in the range the mollifier expansions reach: 66 and 80 bits
+        for kbits in (60, 160):
+            self._check_moment(s, kbits)
 
     def test_moments_positive_decreasing(self):
         prev = None

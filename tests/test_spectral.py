@@ -22,10 +22,11 @@ from solenoid.approxcore import BoundedValue, ConstantsTable, Name, bv_pi
 from solenoid.floatball import BallGrid, FloatBall
 from solenoid.polyfield import RationalPoly2, poly_inner_on_box
 from solenoid.spectral import (
-    BallPoly2, FourierField, HElement, SobolevName, _ab_grid, _extended,
-    _mollified_tail, _window_grid, axis_trig_moments, coefficients,
-    differentiate, mode_weights, mollified_distance, mollified_field_pair,
-    mollifier_mode_grid, mollify_poly, multiply, poly_mul, trig_poly_field,
+    _H1_ORDER, BallPoly2, FourierField, HElement, SobolevName, _ab_grid,
+    _extended, _h1_models, _mollified_tail, _window_grid, axis_trig_moments,
+    coefficients, differentiate, mode_weights, mollified_distance,
+    mollified_field_pair, mollifier_mode_grid, mollify_poly, multiply,
+    poly_mul, trig_poly_field,
 )
 
 import oracles
@@ -435,6 +436,57 @@ class TestTrigPolyField:
             assert abs(got.c - val) <= got.r + 1e-6
 
 
+def _mp_h1(rho):
+    # h1 = -gamma0 d/drho exp(-1/(1 - rho^2)), gamma0 = 1/(4 (e^-1 - E_1(1)))
+    g0 = 1 / (4 * (mp.exp(-1) - mp.e1(1)))
+    v = 1 - rho * rho
+    if v == 0:
+        return mp.mpf(0)  # h1 is flat at rho = 1
+    return g0 * 2 * rho * mp.exp(-1 / v) / (v * v)
+
+
+class TestH1Models:
+    def test_panels_tile_the_unit_interval(self):
+        num, den, coef, rem = _h1_models()
+        ends = [(F(n - 1, d), F(n + 1, d)) for n, d in zip(num, den)]
+        assert ends[0][0] == 0 and ends[-1][1] == 1
+        assert all(a[1] == b[0] for a, b in zip(ends, ends[1:]))
+        assert coef.shape == (len(num), _H1_ORDER)
+        assert (rem > 0).all() and (rem <= 2.0 ** -46).all()
+
+    def test_midpoint_coefficients_against_mpmath(self):
+        # the recurrence at the exact midpoint against mpmath's Taylor
+        # coefficients of h1 at 50 digits; a zero model is an edge panel.
+        # The remainder bounds the next coefficient over the whole panel,
+        # so it is at least the next term at the midpoint
+        num, den, coef, rem = _h1_models()
+        with mp.workdps(50):
+            for p, (n, d) in enumerate(zip(num, den)):
+                if not coef.c[p].any():
+                    continue
+                ref = mp.taylor(_mp_h1, mp.mpf(n) / d, _H1_ORDER)
+                for t in range(_H1_ORDER):
+                    c, r = mp.mpf(coef.c[p, t]), mp.mpf(coef.r[p, t])
+                    assert c - r <= ref[t] <= c + r, (n, d, t)
+                assert rem[p] >= abs(ref[-1]) / mp.mpf(d) ** _H1_ORDER
+
+    def test_remainder_bounds_the_model_error(self):
+        # |h1 - model| <= rem at 21 points of every panel, the model's
+        # coefficient radii taken at their largest
+        num, den, coef, rem = _h1_models()
+        with mp.workdps(50):
+            for p, (n, d) in enumerate(zip(num, den)):
+                mid, half = mp.mpf(n) / d, mp.mpf(1) / d
+                for i in range(21):
+                    x = half * (mp.mpf(i) / 10 - 1)
+                    model = sum(mp.mpf(coef.c[p, t]) * x ** t
+                                for t in range(_H1_ORDER))
+                    spread = sum(mp.mpf(coef.r[p, t]) * abs(x) ** t
+                                 for t in range(_H1_ORDER))
+                    err = abs(_mp_h1(mid + x) - model) - spread
+                    assert err <= rem[p], (n, d, i)
+
+
 class TestMollifierGrid:
     def test_mass_mode_exact(self):
         g = mollifier_mode_grid(3, 4)
@@ -454,11 +506,12 @@ class TestMollifierGrid:
                 ref = oracles.mollifier_cos_coefficient(nu, n, m, kbits=40)
                 assert _overlaps(g.at((n, m)), ref), (nu, n, m)
 
-    @pytest.mark.parametrize("nu", [2, 3])
+    @pytest.mark.parametrize("nu", [2, 3, 4])
     def test_transforms_against_scalar_route(self, nu):
-        # the tensor pass against the panel-by-panel scalar route
+        # the tensor pass on the recurrence models of h1 against the
+        # panel-by-panel scalar route on the TSeries models
         phi, psi = _window_grid(nu, 128)
-        for n in (0, 1, 2, 3, 7, 31, 63, 64, 127, 128):
+        for n in list(range(65)) + [127, 128]:
             phi_o, psi_o = oracles.window_transforms(n, nu)
             assert _overlaps(phi.at(n), phi_o), (nu, n)
             assert _overlaps(psi.at(n), psi_o), (nu, n)
