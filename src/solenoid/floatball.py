@@ -13,21 +13,24 @@ compute every certified number as ball expressions and read it out through
 the directed ends `upper()`/`lower()`.  The package's whole trust base is
 listed in the "Trust base" section of the README.
 
-The bulk bilinear operations, `ball_matmul` and `ball_convolve`, share one
-rounding rule: a sum of n products computed in any order in IEEE doubles
+The bulk bilinear operations, `ball_matmul` and `ball_fold_convolve`, share
+one rounding rule: a sum of n products computed in any order in IEEE doubles
 is off by at most gamma_n times the sum of the absolute products, with
 gamma_n = n u/(1 - n u) and u = 2^-53 (Higham, "Accuracy and Stability of
 Numerical Algorithms", section 3.1; Rump, "Fast and parallel interval
 arithmetic", BIT 1999), and the radius they return adds that term to the
-propagated input radii.  Every sum over a coefficient grid goes through the
-same rule: `BallGrid.sumsq_ball` for weighted sums of squares (norms,
-tails, masses) and `BallGrid.ball_sum` for signed sums.  `ball_convolve`
-first widens its operands so that no entry lies strictly between 0 and
-F = 2^-500 (a centre below F moves into its radius, a radius rises to F):
-its matmuls then never multiply a subnormal number, which costs a microcode
-assist per multiply-add on x86, and no product underflows.  It computes only
-the slots from a given output origin on, the quadrant that the band-limited
-product keeps.
+propagated input radii; each states its n.  Every sum over a coefficient
+grid goes through the same rule: `BallGrid.sumsq_ball` for weighted sums of
+squares (norms, tails, masses) and `BallGrid.ball_sum` for signed sums.
+`ball_fold_convolve` is the band-limited product's kernel: it convolves the
+even or odd extensions of two coefficient grids and keeps the quadrant of
+nonnegative indices, folding the negative indices onto the stored ones (a
+Toeplitz plus a Hankel matrix along each axis), so the extensions are never
+formed.  It first widens its operands so that no entry lies strictly
+between 0 and F = 2^-500 (a centre below F moves into its radius, a radius
+rises to F): the extension weights 1/2 and 1/4 then scale exactly, and its
+matmuls see no subnormal operand, which costs a microcode assist per
+multiply-add on x86.
 """
 
 from __future__ import annotations
@@ -38,11 +41,11 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["FloatBall", "BallGrid", "CBall", "ball_matmul", "ball_convolve",
-           "fb_exp", "fb_log", "fb_sincos", "fb_sqrt", "fb_pow", "grid_exp",
-           "grid_log", "grid_sqrt", "grid_pow", "grid_pi_multiple",
-           "grid_sincos_pi", "pow_up", "ceil_log2", "FB_PI", "FB_LN2", "EPS",
-           "TINY"]
+__all__ = ["FloatBall", "BallGrid", "CBall", "ball_matmul",
+           "ball_fold_convolve", "fb_exp", "fb_log", "fb_sincos", "fb_sqrt",
+           "fb_pow", "grid_exp", "grid_log", "grid_sqrt", "grid_pow",
+           "grid_pi_multiple", "grid_sincos_pi", "pow_up", "ceil_log2",
+           "FB_PI", "FB_LN2", "EPS", "TINY"]
 
 # the rounding constants of every module in the package
 EPS = 2.0 ** -52           # one ulp at magnitude 1
@@ -686,75 +689,143 @@ def ball_matmul(x: BallGrid, y: BallGrid) -> BallGrid:
     return BallGrid(c, _up(r, k + 3))
 
 
-# the operand floor of `ball_convolve`: F^2 = 2^-1000 is a normal double
+# the operand floor of `ball_fold_convolve`: F^2 = 2^-1000 is a normal double
 _FLOOR = 2.0 ** -500
 
 
 def _floored(x: BallGrid) -> BallGrid:
-    """The operand rule of `ball_convolve`: a centre with |c| < F becomes 0
-    and |c| joins its radius, rounded up by `_add_up`, and every radius is
-    raised to at least F.  The ball only widens."""
+    """The operand rule of `ball_fold_convolve`: a centre with |c| < F
+    becomes 0 and |c| joins its radius, rounded up by `_add_up`, and every
+    radius is raised to at least F.  The ball only widens."""
     small = np.abs(x.c) < _FLOOR
     r = _add_up(x.r, np.where(small, np.abs(x.c), 0.0))
     return BallGrid(np.where(small, 0.0, x.c), np.maximum(r, _FLOOR))
 
 
-def ball_convolve(x: BallGrid, y: BallGrid, origin: int = 0) -> BallGrid:
-    """2-D convolution of ball grids from index ``origin`` on,
-    out[a - origin, b - origin] = sum over i + k = a, j + l = b of
-    x[i, j] y[k, l] for a, b >= origin; origin 0 gives the full convolution.
+def _mirror(size: int, lead: int, length: int, parity: int, hankel: int):
+    """Index and sign tables that lay out an axis extension: position u
+    holds index |u - lead| if that is below ``size`` (0 with sign 0
+    otherwise), times the parity where u < lead.  The signs are (2, 3,
+    length): the Toeplitz source, then the Hankel source, which also
+    carries the parity ``hankel``; in each the centre channel, then two
+    radius channels, which mirror with +1."""
+    k = np.arange(length) - lead
+    live = 1.0 * (np.abs(k) < size)
+    c = np.where(k < 0, float(parity), 1.0) * live
+    return np.minimum(np.abs(k), size - 1), np.array(
+        [[c, live, live], [c * hankel, live, live]])
 
-    Both operands first pass the rule of `_floored` with F = 2^-500: a
-    centre below F in magnitude is flushed to 0 and moved into its radius,
-    and every radius is raised to at least F.  Each new ball contains the
-    old one, so the rule is sound.  It grows each radius by at most F (and
-    the one ulp of `_add_up`), so a slot widens by at most
-    F (||x||_1 + ||y||_1) + n F^2, the norms summing |c| + r.  Every entry
-    the matmuls below multiply, in all three channels, is then 0 or at
-    least F in magnitude (the radius channels are at least the raised
-    radius), so every product of two entries is an exact zero or at least
-    F^2 = 2^-1000, a normal double: no product underflows, and a sum whose
-    result is subnormal is exact.  Subnormal operands would not break the
-    bound (TINY covers their underflow), but on x86 each multiply-add that
-    touches one takes a microcode assist, many times slower than a plain
-    one, and TINY-sized radii halved by the extensions of `spectral` put
-    such numbers in most products of a solve.  Flushing them to zero
-    without widening would not be sound.
 
-    For x of shape (p, q) and y of shape (s, t), row i of x laid out as a
-    Toeplitz matrix T[l, b] = x[i, b - l], with only the columns
-    b >= origin, multiplies the rows k >= origin - i of y in one BLAS
-    matmul, whose rows are added into output rows i + k - origin.  A slot
-    therefore takes at most n = t + min(p, s) multiply-adds: t in each dot
-    product (the Toeplitz column, zeros included) and at most min(p, s) row
-    results added into it, so its centre is off by at most
-    gamma_n (|x.c| * |y.c|).  The radius
-        |x.c| * y.r + x.r * (|y.c| + y.r) + gamma_n (|x.c| * |y.c|)
-    goes through the same matmuls in floats, at most n + 3 roundings of
-    nonnegative numbers (two to form x.r + gamma_n |x.c|, one to add its two
-    parts at the end), which `_up` covers.  Memory is O(t q) per row on top
-    of the output.
+@lru_cache(maxsize=None)
+def _fold_tables(p: int, q: int, s: int, t: int, parity: tuple):
+    """The weight, index and sign tables of `ball_fold_convolve` for
+    operands of shapes (p, q) and (s, t); cached and read-only."""
+    def w(size, par, halve=False):
+        # w(0) is 1 on an even axis, 0 on an odd one, and halved where the
+        # fold counts index 0 twice; w(i) = 1/2 for i > 0
+        out = np.full(size, 0.5)
+        out[0] = (0.5 if halve else 1.0) if par > 0 else 0.0
+        return out
+    xr, xc, yr, yc = parity
+    cols, csign = _mirror(q, t - 1, q + 3 * t - 3, xc, yc)
+    rows, rsign = _mirror(s, s - 1, 2 * p + 2 * s - 3, yr, xr)
+    out = (np.outer(w(p, xr, True), w(q, xc)),
+           np.outer(w(s, yr), w(t, yc, True)),
+           cols, csign[:, :, None, :], rows, rsign[:, :, :, None])
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def ball_fold_convolve(x: BallGrid, y: BallGrid, parity) -> BallGrid:
+    """The quadrant a, b >= 0 of the 2-D convolution of the parity
+    extensions of two coefficient grids, computed on the grids themselves.
+
+    ``parity`` holds the row and column parities of x, then of y, each +1
+    (even) or -1 (odd).  A grid v of shape (p, q) extends to
+        E[i, j] = w(i) w(j) v[|i|, |j|],   |i| < p, |j| < q,
+    times the row parity if i < 0 and the column parity if j < 0, with
+    w(0) = 1 on an even axis and 0 on an odd one and w(i) = 1/2 otherwise:
+    the exponential coefficients of a cosine (even) or sine (odd) series.
+    For y of shape (s, t) the result is the (p + s - 1, q + t - 1) grid
+        out[a, b] = sum over i + k = a, j + l = b of Ex[i, j] Ey[k, l].
+
+    The fold.  Each extension is even or odd along each axis, so the sums
+    over negative indices fold onto the stored ones.  With sigma y's
+    column parity and y's column 0 halved (the fold counts it twice), on
+    the columns
+        sum_l Ex[i, b - l] Ey[k, l] = sum_{l >= 0} Ey[k, l] M_i[l, b],
+        M_i[l, b] = Ex[i, b - l] + sigma Ex[i, b + l],
+    a Toeplitz plus a Hankel matrix, two windows of x's row i laid out with
+    its mirror image.  On the rows, x's row -i is rho (x's row parity)
+    times row i, so with x's row 0 halved
+        out[a] = sum_{i >= 0} Z_i[a] M_i,  Z_i[a] = Ey[a - i] + rho Ey[a + i],
+    y's rows read with their mirror image.  Only the rows |a - i| < s of Z_i
+    can be nonzero: each row i of x is one matmul of at most 2s - 1 by t by
+    q + t - 1, added into those output rows, and the temporaries stay
+    O((s + q) t).  The tables are cached per shape and parity.
+
+    Weights and the floor.  Both operands first pass `_floored` with
+    F = 2^-500: a centre below F in magnitude moves into its radius, and
+    every radius rises to at least F.  Each new ball contains the old one,
+    and a slot widens by at most F (||Ex||_1 + ||Ey||_1 + F N) over its N
+    terms, the norms summing |c| + r.  Only then are the weights 1/2 and
+    1/4 applied, so they are exact: a weighted entry is 0 or at least F/4.
+    So no operand of the matmuls is subnormal (each costs a microcode
+    assist per multiply-add on x86), and a product underflows only where
+    two entries summed into M_i or Z_i cancel to below about F 2^-50, which
+    TINY covers.
+
+    Rounding.  A slot's centre is a sum over rows i of dot products of
+    length t, and each term multiplies an entry of Z_i by one of M_i, each
+    the sum of two weighted entries (M_i at l = 0 is twice one entry,
+    exactly).  At most min(p, 2s - 1) rows i reach a slot; an added exact
+    zero does not round.  Each product of the exact slot sum thus carries
+    at most
+        n = t + [t > 1] + min(p, 2s - 1)
+    roundings (t in the dot product, one in Z_i, one in M_i when t > 1 and
+    min(p, 2s - 1) - 1 in the row sum), and the centre is off by at most
+    gamma_n (|Ex.c| * |Ey.c|) at that slot (Higham, section 3.1 and
+    Lemma 3.1); 25 x 25 grids give n = 51, where the formed 49 x 49
+    extensions took 98.  The radius
+        |Ey.c| * (Ex.r + gamma_n |Ex.c|) + Ey.r * (|Ex.c| + Ex.r)
+    goes through the same folds and matmuls with every sign +1 (a parity
+    sign in a radius channel would cancel radii), so it adds the same
+    nonnegative terms in n + 3 roundings (two to form Ex.r + gamma_n |Ex.c|
+    and one to add the two parts), which `_up` covers.
     """
+    (p, q), (s, t) = x.shape, y.shape
+    wx, wy, cols, csign, rows, rsign = _fold_tables(p, q, s, t,
+                                                    tuple(parity))
     x, y = _floored(x), _floored(y)
-    p, q = x.shape
-    s, t = y.shape
-    n = t + min(p, s)
+    n = t + (t > 1) + min(p, 2 * s - 1)
     g = _gamma(n)
-    ax = np.abs(x.c)
-    # rows of x zero-padded by t - 1 on both sides; window [b, l] of a
-    # padded row is x[i, b - l], so its transpose is the Toeplitz matrix
-    padded = np.zeros((3, p, q + 2 * t - 2))
-    padded[:, :, t - 1:t - 1 + q] = (x.c, x.r + g * ax, ax + x.r)
-    windows = np.lib.stride_tricks.sliding_window_view(
-        padded, t, axis=2)[:, :, origin:, ::-1]
-    # centre, |y.c| (x.r + gamma_n |x.c|) and y.r (|x.c| + x.r), side by side
-    left = np.stack((y.c, np.abs(y.c), y.r))
-    out = np.zeros((3, p + s - 1 - origin, q + t - 1 - origin))
+    xc, xr = x.c * wx, x.r * wx
+    ax = np.abs(xc)
+    # the Toeplitz and Hankel sources: x's rows with their mirror image,
+    # position u holding index u - (t - 1); windows [ch, i, l, b] at
+    # positions t - 1 -+ l + b
+    xe = np.multiply(np.stack((xc, xr + g * ax, ax + xr))[:, :, cols], csign,
+                     order="C")
+    shape, (s0, s1, s2, s3) = (3, p, t, q + t - 1), xe.strides
+    toeplitz = np.ndarray(shape, xe.dtype, xe, (t - 1) * s3,
+                          (s1, s2, -s3, s3))
+    hankel = np.ndarray(shape, xe.dtype, xe, s0 + (t - 1) * s3,
+                        (s1, s2, s3, s3))
+    # y's rows with their mirror image, position v holding index v - (s - 1)
+    yc, yr = y.c * wy, y.r * wy
+    ye = np.stack((yc, np.abs(yc), yr))[:, rows] * rsign
+    out = np.zeros((3, p + s - 1, q + t - 1))
+    m = np.empty((3, t, q + t - 1))
+    span = min(p, s) + s - 1
+    z, zm = np.empty((3, span, t)), np.empty((3, span, q + t - 1))
     for i in range(p):
-        k = max(origin - i, 0)
-        if k < s:
-            toeplitz = np.ascontiguousarray(windows[:, i].transpose(0, 2, 1))
-            out[:, i + k - origin:i + s - origin] += left[:, k:] @ toeplitz
+        lo, hi = max(i - s + 1, 0), i + s
+        np.add(toeplitz[:, i], hankel[:, i], out=m)
+        zi, zmi = z[:, :hi - lo], zm[:, :hi - lo]
+        np.add(ye[0, :, lo - i + s - 1:hi - i + s - 1],
+               ye[1, :, lo + i + s - 1:hi + i + s - 1], out=zi)
+        out[:, lo:hi] += np.matmul(zi, m, out=zmi)
     return BallGrid(out[0], _up(out[1] + out[2], n + 3))
 
 

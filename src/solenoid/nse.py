@@ -32,10 +32,10 @@ epsilon = 2 Ctilde K_cap < 1, which holds for every datum by arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -201,6 +201,16 @@ class IterationCertificate:
     half_norm: float
     constants: ConstantsTable
     forcing_sup: float = 0.0
+    _balls: Dict[object, FloatBall] = field(default_factory=dict, repr=False,
+                                            compare=False)
+
+    def ball(self, key, bounded: Callable[[], BoundedValue]) -> FloatBall:
+        """The FloatBall of one of the certificate's constants: ``bounded``
+        gives its BoundedValue, converted on the first call only and then
+        read from the cache under ``key``."""
+        if key not in self._balls:
+            self._balls[key] = FloatBall.from_bounded(bounded())
+        return self._balls[key]
 
     @property
     def T_frac(self) -> Fraction:
@@ -330,7 +340,7 @@ def compute_horizon(a, constants: ConstantsTable = None, mode_cap: int = 24,
 def _resolution_floor(cert: IterationCertificate) -> FloatBall:
     """c1 seed_res, the part of the Claim-1 functional that does not
     depend on T; its upper end lower-bounds the functional for every T."""
-    return FloatBall.from_bounded(cert.constants.c1) * \
+    return cert.ball("c1", lambda: cert.constants.c1) * \
         FloatBall.exact(cert.seed_res)
 
 
@@ -368,7 +378,7 @@ def _theta1(cert: IterationCertificate, k: int) -> Optional[int]:
     """Smallest theta >= 0 with C ||A^{1/2} seed|| 2^{-theta/2} <=
     2^-(k+1), i.e. with lead^2 <= 2^(theta - 2k - 2) for an upper bound
     lead^2 on the squared product; None past 4 (k + 64)."""
-    lead = FloatBall.from_bounded(cert.constants.C_half_time) * \
+    lead = cert.ball("C_half_time", lambda: cert.constants.C_half_time) * \
         FloatBall(cert.half_norm)
     sq = (lead * lead).upper()
     if sq == 0.0:
@@ -388,8 +398,8 @@ def _theta2(cert: IterationCertificate, m: int, k: int) -> Optional[int]:
     so a floor that fails the test fails it at every theta; that is
     decided before the search."""
     ct = cert.constants
-    lead = FloatBall.from_bounded(ct.C_alpha(F14) * ct.M *
-                                  ct.beta_value(Fraction(3, 4), F14))
+    lead = cert.ball("theta2", lambda: ct.C_alpha(F14) * ct.M *
+                     ct.beta_value(Fraction(3, 4), F14))
 
     def passes(value: float) -> bool:
         ws = _WSTAR * FloatBall(value)
@@ -481,7 +491,7 @@ class _Engine:
         self._u: Dict[Tuple[int, int], tuple] = {}
         self._B: Dict[Tuple[int, int], tuple] = {}
         self._f: Dict[int, tuple] = {}
-        self._M = FloatBall.from_bounded(self.ct.M)
+        self._M = cert.ball("M", lambda: self.ct.M)
         # lambda^{-1/4} past the cap and (2 pi^2)^{-1/4}, the smallest mode
         # of a B cell being (1, 1)
         self._lam_qtr = fb_pow(_PI2 * FloatBall.exact((self.cap + 1) ** 2),
@@ -508,7 +518,8 @@ class _Engine:
         hw = BallGrid(np.stack([p.c for p in pw]),
                       np.stack([p.r for p in pw])).scale_ball(jh.at(0))
         inv = BallGrid.of(FloatBall.exact(1 / (1 - g)) for g in gammas)
-        cg = BallGrid.of(FloatBall.from_bounded(self.ct.C_alpha(g))
+        cg = BallGrid.of(self.cert.ball(("C_alpha", g),
+                                        lambda: self.ct.C_alpha(g))
                          for g in gammas)
         near = (hw[:, 1] * inv).scale_ball(FloatBall(2.0)) * cg
         far = hw[:, :P - 1] * cg.reshape(-1, 1)
@@ -673,9 +684,9 @@ def _claim2_tail(cert: IterationCertificate, m: int, t: Fraction, n):
     in one pass over the array."""
     ct = cert.constants
     mm = min(m, len(cert.M_beta_m[F14]) - 1)
-    lead = FloatBall.from_bounded(
+    lead = cert.ball(("claim2", mm), lambda: (
         ct.C * ct.C_alpha(Fraction(17, 20)) * ct.M *
-        cert.M_beta_m[F14][mm] * cert.M_beta_m[F12][mm]) * FloatBall(4.0)
+        cert.M_beta_m[F14][mm] * cert.M_beta_m[F12][mm])) * FloatBall(4.0)
     # (t - t_n)^{-17/20} t_n^{1/4} = t^{-3/5} (1 - 2^-n)^{-17/20} (2^-n)^{1/4}
     p = BallGrid(np.ldexp(1.0, -np.ravel(n)))
     out = (grid_pow(BallGrid(1.0) - p, Fraction(-17, 20)) * grid_pow(p, F14)) \
@@ -778,8 +789,8 @@ def solve(a, f: Optional[Forcing], t, K: int,
     """
     if cert is None:
         cert = compute_horizon(a, constants, forcing=f)
-    eps = FloatBall.from_bounded(cert.epsilon)
-    tail = FloatBall.from_bounded(cert.L) / (FloatBall(1.0) - eps)
+    eps = cert.ball("epsilon", lambda: cert.epsilon)
+    tail = cert.ball("L", lambda: cert.L) / (FloatBall(1.0) - eps)
     m = 1
     while tail.upper() > 2.0 ** -(K + 1):
         tail = tail * eps

@@ -352,7 +352,10 @@ def _row_reduce(rows: List[List[Fraction]],
     """Gaussian elimination over the rationals; returns (rank, rref, pivots).
 
     ``col_order`` selects the order in which pivot columns are tried, which
-    gives an independent elimination path for cross-checking ranks.
+    gives an independent elimination path for cross-checking ranks.  Each
+    step touches only the pivot row's nonzero columns: the other entries of
+    a row it updates would subtract f * 0.  The constraint matrices are
+    sparse (the degree-4 one is 64 x 50 with 240 nonzeros).
     """
     m = [[Fraction(v) for v in row] for row in rows]
     if not m:
@@ -370,12 +373,16 @@ def _row_reduce(rows: List[List[Fraction]],
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [vi - f * vr for vi, vr in zip(m[i], m[r])]
+        row = m[r]
+        inv = 1 / row[c]
+        nonzero = [j for j, v in enumerate(row) if v]
+        for j in nonzero:
+            row[j] *= inv
+        for i, other in enumerate(m):
+            f = other[c]
+            if i != r and f != 0:
+                for j in nonzero:
+                    other[j] -= f * row[j]
         pivots.append(c)
         r += 1
         if r == len(m):

@@ -34,8 +34,8 @@ import numpy as np
 from .approxcore import (BoundedValue, ConstantsTable, Name, bv_cos, bv_pi,
                          bv_sin)
 from .floatball import (FB_PI, TINY, BallGrid, FloatBall, _float_up,
-                        ball_convolve, ball_matmul, ceil_log2, fb_exp, fb_pow,
-                        fb_sqrt, grid_exp, grid_pi_multiple, grid_pow,
+                        ball_fold_convolve, ball_matmul, ceil_log2, fb_exp,
+                        fb_pow, fb_sqrt, grid_exp, grid_pi_multiple, grid_pow,
                         grid_sincos_pi)
 from .polyfield import (MollifiedElement, RationalPoly2, TrimmedField,
                         gamma0, gamma_radial_moment, poly_inner_on_box)
@@ -273,13 +273,16 @@ class FourierField:
         return FourierField(nb, self.cutoff, self.grid * fac)
 
     def multiply(self, other: "FourierField") -> "FourierField":
-        """Pointwise product: the ball convolution of both fields'
-        exponential extensions at the indices k, l >= 0 only, folded back
-        onto the product trig basis."""
+        """Pointwise product: the convolution of both fields' exponential
+        extensions at the indices k, l >= 0 only, computed on the
+        coefficient grids by `ball_fold_convolve` and folded back onto the
+        product trig basis."""
         self._require_band_limited("product")
         other._require_band_limited("product")
         cut = self.cutoff + other.cutoff
-        h = ball_convolve(_extended(self), _extended(other), cut)
+        # a cosine axis is even in its index, a sine axis odd
+        h = ball_fold_convolve(self.grid, other.grid, [
+            1 if ch == "c" else -1 for ch in self.basis + other.basis])
         (cx, fx), (cy, fy) = (_axis_fold(a, b, cut)
                               for a, b in zip(self.basis, other.basis))
         w = np.outer(fx, fy)
@@ -362,39 +365,6 @@ def _bilinear(a: BallGrid, grid: BallGrid, b: BallGrid) -> FloatBall:
     """sum a_n grid_{n,m} b_m under the gamma_n rule of `ball_matmul`."""
     return ball_matmul(ball_matmul(a.reshape(1, -1), grid),
                        b.reshape(-1, 1)).at((0, 0))
-
-
-def _axis_extension(char: str, cutoff: int) -> np.ndarray:
-    """Weights of trig(|k| pi t) over e^{i k pi t}, k = -cutoff..cutoff:
-    cos(n pi t) = (e^{i n pi t} + e^{-i n pi t})/2 gives 1 at 0 and 1/2 at
-    +-n; sin(n pi t) = (e^{i n pi t} - e^{-i n pi t})/(2i) gives +-1/2, its
-    exponential coefficients times i."""
-    k = np.arange(-cutoff, cutoff + 1)
-    if char == "c":
-        return np.where(k == 0, 1.0, 0.5)
-    return 0.5 * np.sign(k)
-
-
-def _extended(f: FourierField) -> BallGrid:
-    """The coefficients E[n + N, m + N], |n|, |m| <= N = cutoff, with
-    f(x, y) = i^-p sum E e^{i pi (n x + m y)}, p the number of sine axes:
-    cosine axes are even in their index and sine axes odd."""
-    idx = np.abs(np.arange(-f.cutoff, f.cutoff + 1))
-    w = np.outer(_axis_extension(f.basis[0], f.cutoff),
-                 _axis_extension(f.basis[1], f.cutoff))
-    c, r, a = f.grid.c[idx[:, None], idx], f.grid.r[idx[:, None], idx], abs(w)
-    # the weights are 0, +-1, +-1/2 and +-1/4, so a product by one is exact
-    # unless the weight lies strictly between 0 and 1 and the exact product
-    # is nonzero and below 2^-1022, where centre and radius can each lose
-    # half the smallest subnormal, 2^-1075.  One ulp up on the radius, at
-    # least 2^-1074, covers both; testing the rounded |v| a against 2^-1021
-    # leaves a margin, and every other entry stays exact.
-    def frail(v):
-        return (v != 0.0) & (0.0 < a) & (a < 1.0) & \
-            (np.abs(v) * a < 2.0 ** -1021)
-    bump = frail(c) | frail(r)
-    r = r * a
-    return BallGrid(c * w, np.where(bump, np.nextafter(r, np.inf), r))
 
 
 def _axis_fold(c1: str, c2: str, cut: int) -> Tuple[str, np.ndarray]:

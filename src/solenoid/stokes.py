@@ -317,7 +317,10 @@ def semigroup_apply(a, t, K: int, constants: ConstantsTable = None,
     tb = FloatBall.from_bounded(t)
     norm = _l2_upper(fields)
     l, g3 = _tail_search(t, _as_bv(Fraction(norm) + Fraction(1, 10 ** 9)), K)
-    uniq = np.unique(np.concatenate([_live_svals(f) for f in fields])) \
+    # the sorted distinct mode sums; the return_inverse form of np.unique
+    # does not import numpy.ma, which the plain form does under numpy 2.4
+    uniq = np.unique(np.concatenate([_live_svals(f) for f in fields]),
+                     return_inverse=True)[0] \
         if fields else np.zeros(0, dtype=int)
     # the per-mode contour remainder is at most g3 times the coefficient, so
     # widening the factor enclosure makes every mode ball contain the true

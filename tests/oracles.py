@@ -8,7 +8,9 @@ them.  The generic Taylor-series engine `TSeries` lives here too, with what
 is built on it: the adaptive Taylor-model quadrature, the panel models of
 the kernel profile W (for the radial moments) and of h1 (for the window
 transforms).  The library certifies those integrals by closed forms and by
-the profile's ODE recurrence.
+the profile's ODE recurrence.  The band-limited product's earlier route,
+`ball_convolve` of the exponential extensions `_extended`, checks the
+library's fold on the coefficient grids.
 """
 
 import heapq
@@ -22,6 +24,7 @@ from solenoid.approxcore import (DEFAULT_PREC, BoundedValue, ConstantsTable,
                                  bv_cos, bv_exp, bv_log, bv_pi, bv_pow, bv_sin)
 from solenoid.floatball import (EPS, FB_PI, TINY, BallGrid, FloatBall, fb_exp,
                                 fb_log, fb_pow, fb_sincos, fb_sqrt)
+from solenoid.floatball import _floored, _gamma, _up
 from solenoid.helmholtz import resolve_field
 from solenoid.polyfield import gamma0, gamma_radial_moment
 from solenoid.spectral import _H1_ORDER, _H1_TOL, _PI2, FourierField, \
@@ -393,6 +396,132 @@ def product_to_sum(f: FourierField, g: FourierField) -> FourierField:
                     v = px * half if sy > 0 else -(px * half)
                     out.set((ix, iy), out.at((ix, iy)) + v)
     return FourierField(cx + cy, cut, out)
+
+
+def dense_row_reduce(rows):
+    """Gauss-Jordan elimination over the rationals that updates whole rows,
+    zeros included; returns (rank, rref, pivots) like
+    `polyfield._row_reduce`, which touches only the pivot row's nonzero
+    columns.  The reduced echelon form is unique, so both must agree."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    if not m:
+        return 0, [], []
+    pivots, r = [], 0
+    for c in range(len(m[0])):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [vi - f * vr for vi, vr in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return r, m, pivots
+
+# ---------------------------------------------------------------------------
+# the band-limited product through the extensions
+# ---------------------------------------------------------------------------
+#
+# The library's route before the fold: both fields' exponential extensions
+# formed as (2N + 1)^2 grids and convolved by a Toeplitz matmul per row.
+# `ball_fold_convolve` computes the same quadrant on the coefficient grids.
+
+def ball_convolve(x: BallGrid, y: BallGrid, origin: int = 0) -> BallGrid:
+    """2-D convolution of ball grids from index ``origin`` on,
+    out[a - origin, b - origin] = sum over i + k = a, j + l = b of
+    x[i, j] y[k, l] for a, b >= origin; origin 0 gives the full convolution.
+
+    Both operands first pass the rule of `_floored` with F = 2^-500: a
+    centre below F in magnitude is flushed to 0 and moved into its radius,
+    and every radius is raised to at least F.  Each new ball contains the
+    old one, so the rule is sound.  It grows each radius by at most F (and
+    the one ulp of `_add_up`), so a slot widens by at most
+    F (||x||_1 + ||y||_1) + n F^2, the norms summing |c| + r.  Every entry
+    the matmuls below multiply, in all three channels, is then 0 or at
+    least F in magnitude (the radius channels are at least the raised
+    radius), so every product of two entries is an exact zero or at least
+    F^2 = 2^-1000, a normal double: no product underflows, and a sum whose
+    result is subnormal is exact.  Subnormal operands would not break the
+    bound (TINY covers their underflow), but on x86 each multiply-add that
+    touches one takes a microcode assist, many times slower than a plain
+    one, and TINY-sized radii halved by `_extended` put such numbers in
+    most products of a solve.  Flushing them to zero without widening
+    would not be sound.
+
+    For x of shape (p, q) and y of shape (s, t), row i of x laid out as a
+    Toeplitz matrix T[l, b] = x[i, b - l], with only the columns
+    b >= origin, multiplies the rows k >= origin - i of y in one BLAS
+    matmul, whose rows are added into output rows i + k - origin.  A slot
+    therefore takes at most n = t + min(p, s) multiply-adds: t in each dot
+    product (the Toeplitz column, zeros included) and at most min(p, s) row
+    results added into it, so its centre is off by at most
+    gamma_n (|x.c| * |y.c|).  The radius
+        |x.c| * y.r + x.r * (|y.c| + y.r) + gamma_n (|x.c| * |y.c|)
+    goes through the same matmuls in floats, at most n + 3 roundings of
+    nonnegative numbers (two to form x.r + gamma_n |x.c|, one to add its two
+    parts at the end), which `_up` covers.  Memory is O(t q) per row on top
+    of the output.
+    """
+    x, y = _floored(x), _floored(y)
+    p, q = x.shape
+    s, t = y.shape
+    n = t + min(p, s)
+    g = _gamma(n)
+    ax = np.abs(x.c)
+    # rows of x zero-padded by t - 1 on both sides; window [b, l] of a
+    # padded row is x[i, b - l], so its transpose is the Toeplitz matrix
+    padded = np.zeros((3, p, q + 2 * t - 2))
+    padded[:, :, t - 1:t - 1 + q] = (x.c, x.r + g * ax, ax + x.r)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        padded, t, axis=2)[:, :, origin:, ::-1]
+    # centre, |y.c| (x.r + gamma_n |x.c|) and y.r (|x.c| + x.r), side by side
+    left = np.stack((y.c, np.abs(y.c), y.r))
+    out = np.zeros((3, p + s - 1 - origin, q + t - 1 - origin))
+    for i in range(p):
+        k = max(origin - i, 0)
+        if k < s:
+            toeplitz = np.ascontiguousarray(windows[:, i].transpose(0, 2, 1))
+            out[:, i + k - origin:i + s - origin] += left[:, k:] @ toeplitz
+    return BallGrid(out[0], _up(out[1] + out[2], n + 3))
+
+
+def _axis_extension(char: str, cutoff: int) -> np.ndarray:
+    """Weights of trig(|k| pi t) over e^{i k pi t}, k = -cutoff..cutoff:
+    cos(n pi t) = (e^{i n pi t} + e^{-i n pi t})/2 gives 1 at 0 and 1/2 at
+    +-n; sin(n pi t) = (e^{i n pi t} - e^{-i n pi t})/(2i) gives +-1/2, its
+    exponential coefficients times i."""
+    k = np.arange(-cutoff, cutoff + 1)
+    if char == "c":
+        return np.where(k == 0, 1.0, 0.5)
+    return 0.5 * np.sign(k)
+
+
+def _extended(f: FourierField) -> BallGrid:
+    """The coefficients E[n + N, m + N], |n|, |m| <= N = cutoff, with
+    f(x, y) = i^-p sum E e^{i pi (n x + m y)}, p the number of sine axes:
+    cosine axes are even in their index and sine axes odd."""
+    idx = np.abs(np.arange(-f.cutoff, f.cutoff + 1))
+    w = np.outer(_axis_extension(f.basis[0], f.cutoff),
+                 _axis_extension(f.basis[1], f.cutoff))
+    c, r, a = f.grid.c[idx[:, None], idx], f.grid.r[idx[:, None], idx], abs(w)
+    # the weights are 0, +-1, +-1/2 and +-1/4, so a product by one is exact
+    # unless the weight lies strictly between 0 and 1 and the exact product
+    # is nonzero and below 2^-1022, where centre and radius can each lose
+    # half the smallest subnormal, 2^-1075.  One ulp up on the radius, at
+    # least 2^-1074, covers both; testing the rounded |v| a against 2^-1021
+    # leaves a margin, and every other entry stays exact.
+    def frail(v):
+        return (v != 0.0) & (0.0 < a) & (a < 1.0) & \
+            (np.abs(v) * a < 2.0 ** -1021)
+    bump = frail(c) | frail(r)
+    r = r * a
+    return BallGrid(c * w, np.where(bump, np.nextafter(r, np.inf), r))
 
 
 def _neg_profile_derivative(t: TSeries, nu: int, g0: BoundedValue) -> TSeries:

@@ -392,10 +392,12 @@ def test_no_adaptive_quadrature_in_the_library():
     # the library certifies integrals by closed forms and recurrences; the
     # adaptive quadrature, the generic Taylor-series engine with its
     # transcendental hooks and the panel moments built on it are test
-    # oracles only
+    # oracles only, and so is the band-limited product's route through the
+    # formed extensions
     banned = {"certified_integral", "taylor_panel_integral", "heapq",
               "TSeries", "taylor", "exp_ball", "log_ball", "sincos_ball",
-              "_moments_upto", "_w_panel_models"}
+              "_moments_upto", "_w_panel_models", "ball_convolve",
+              "_extended", "_axis_extension"}
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "solenoid"
     offenders = []
     for path in sorted(src.glob("*.py")):

@@ -19,11 +19,13 @@ from hypothesis import given, strategies as st
 
 from solenoid.approxcore import BoundedValue
 from solenoid.floatball import (
-    BallGrid, CBall, FloatBall, ball_convolve, ball_matmul, ceil_log2, fb_cos,
-    fb_exp, fb_log, fb_pow, fb_sin, fb_sincos, fb_sqrt, grid_exp, grid_log,
-    grid_pow, grid_sincos_pi, pow_up,
+    BallGrid, CBall, FloatBall, ball_fold_convolve, ball_matmul, ceil_log2,
+    fb_cos, fb_exp, fb_log, fb_pow, fb_sin, fb_sincos, fb_sqrt, grid_exp,
+    grid_log, grid_pow, grid_sincos_pi, pow_up,
 )
 from solenoid.floatball import _floored
+
+from oracles import ball_convolve
 
 mp.mp.dps = 30
 
@@ -379,6 +381,193 @@ class TestOperandFloor:
         again = ball_convolve(_floored(x), _floored(y))
         assert np.array_equal(out.c, again.c)
         assert np.array_equal(out.r, again.r)
+
+
+PARITIES = [(a, b, c, d) for a in (1, -1) for b in (1, -1)
+            for c in (1, -1) for d in (1, -1)]
+
+
+def _ext_weight(i, parity):
+    """The exact weight of signed index i in an axis extension."""
+    if i == 0:
+        return F(1) if parity > 0 else F(0)
+    return F(1, 2) if i > 0 else F(parity, 2)
+
+
+def _fold_terms(xshape, yshape, parity):
+    """Slot (a, b) -> [((i, j), (k, l), w)]: the terms w x[i, j] y[k, l] of
+    the convolution of both parity extensions, over the stored indices,
+    with w the product of the four exact extension weights and signs."""
+    (p, q), (s, t) = xshape, yshape
+    xr, xc, yr, yc = parity
+    slots = {}
+    for i in range(1 - p, p):
+        for j in range(1 - q, q):
+            wx = _ext_weight(i, xr) * _ext_weight(j, xc)
+            if wx == 0:
+                continue
+            for k in range(1 - s, s):
+                for l in range(1 - t, t):
+                    a, b = i + k, j + l
+                    w = wx * _ext_weight(k, yr) * _ext_weight(l, yc)
+                    if a >= 0 and b >= 0 and w != 0:
+                        slots.setdefault((a, b), []).append(
+                            ((abs(i), abs(j)), (abs(k), abs(l)), w))
+    return slots
+
+
+def _fold_n(xshape, yshape):
+    """The documented count of `ball_fold_convolve`."""
+    (p, q), (s, t) = xshape, yshape
+    return t + (t > 1) + min(p, 2 * s - 1)
+
+
+def _check_fold(x, y, parity, rng, draws=4):
+    """ball_fold_convolve against the exact Fraction sums of points of the
+    input balls (the centres, all upper ends, all lower ends and ``draws``
+    random choices among the three per entry), and its radius against
+    gamma_n times the exact sum of |terms| at the centres, on every slot;
+    returns the output and the slot terms."""
+    out = ball_fold_convolve(x, y, parity)
+    (p, q), (s, t) = x.shape, y.shape
+    assert out.shape == (p + s - 1, q + t - 1)
+    terms = _fold_terms(x.shape, y.shape, parity)
+    g = _gamma_exact(_fold_n(x.shape, y.shape))
+    check = [(a, b) for a in range(p + s - 1) for b in range(q + t - 1)]
+    fixed = [np.zeros, np.ones, lambda shape: -np.ones(shape)]
+    picks = [(f(x.shape), f(y.shape)) for f in fixed] + \
+        [(rng.integers(-1, 2, size=x.shape), rng.integers(-1, 2, size=y.shape))
+         for _ in range(draws)]
+    for sx, sy in picks:
+        px = [[F(x.c[i, j]) + int(sx[i, j]) * F(x.r[i, j]) for j in range(q)]
+              for i in range(p)]
+        py = [[F(y.c[k, l]) + int(sy[k, l]) * F(y.r[k, l]) for l in range(t)]
+              for k in range(s)]
+        for slot in check:
+            val = sum((w * px[i][j] * py[k][l]
+                       for (i, j), (k, l), w in terms.get(slot, [])), F(0))
+            assert out.at(slot).contains(val), (slot, sx, sy)
+    for slot in check:
+        abs_sum = sum((abs(w * F(x.c[ij]) * F(y.c[kl]))
+                       for ij, kl, w in terms.get(slot, [])), F(0))
+        assert F(out.at(slot).r) >= g * abs_sum, slot
+    return out, terms
+
+
+def _random_balls(rng, shape, scale=1e-3):
+    return BallGrid(rng.normal(size=shape),
+                    np.abs(rng.normal(size=shape)) * scale)
+
+
+class TestFoldConvolve:
+    """`ball_fold_convolve` against exact Fraction sums over the parity
+    extensions: engineered cancellation, the index-0 row and column,
+    unequal shapes and operands at the floor."""
+
+    @pytest.mark.parametrize("parity", PARITIES)
+    def test_index_zero_row_and_column(self, parity):
+        # row 0 and column 0 of both operands are nonzero, whatever the
+        # parity: the even axes count them once, the odd ones not at all
+        rng = np.random.default_rng(sum((3 ** i) * (v > 0)
+                                        for i, v in enumerate(parity)))
+        x = _random_balls(rng, (3, 3))
+        y = _random_balls(rng, (3, 4))
+        _check_fold(x, y, parity, rng)
+
+    def test_cancelling_slot_fed_by_every_part(self):
+        # slot (2, 2) of 5 x 5 operands takes Toeplitz terms (columns
+        # b - l >= 0), Hankel terms (b + l, l >= 1) and x's mirrored rows
+        # (signed i < 0); one entry of y is solved for so that the exact
+        # centre sum cancels
+        parity, slot, pick = (-1, 1, 1, -1), (2, 2), (4, 1)
+        rng = np.random.default_rng(20261018)
+        # exact operands: the radius is then the rounding term alone
+        x = BallGrid(rng.normal(size=(5, 5)))
+        yc = rng.normal(size=(5, 5))
+        terms = _fold_terms((5, 5), (5, 5), parity)[slot]
+        parts = {"toeplitz": False, "hankel": False, "mirrored row": False}
+        for (i, j), (k, l), w in terms:
+            parts["mirrored row"] |= k > slot[0]
+            parts["toeplitz"] |= j <= slot[1] and l <= slot[1]
+            parts["hankel"] |= j > slot[1]
+        assert all(parts.values()), parts
+        yc[pick] = 0.0
+        rest = sum(w * F(x.c[ij]) * F(yc[kl]) for ij, kl, w in terms)
+        kappa = sum(w * F(x.c[ij]) for ij, kl, w in terms if kl == pick)
+        yc[pick] = float(-rest / kappa)
+        y = BallGrid(yc, np.zeros((5, 5)))
+        exact = sum(w * F(x.c[ij]) * F(yc[kl]) for ij, kl, w in terms)
+        abs_sum = sum(abs(w * F(x.c[ij]) * F(yc[kl])) for ij, kl, w in terms)
+        assert abs(exact) < abs_sum * F(1, 10 ** 12)
+        out, _ = _check_fold(x, y, parity, rng, draws=8)
+        n = _fold_n((5, 5), (5, 5))
+        assert n == 5 + 1 + 5
+        assert F(out.at(slot).r) >= _gamma_exact(n) * abs_sum
+
+    @pytest.mark.parametrize("shapes", [((1, 1), (25, 25)),
+                                        ((25, 25), (1, 1)),
+                                        ((6, 6), (5, 5)), ((4, 4), (8, 8)),
+                                        ((2, 5), (4, 3))])
+    def test_unequal_shapes(self, shapes):
+        rng = np.random.default_rng(len(str(shapes)))
+        big = max(p * q for p, q in shapes) > 100
+        for parity in ([(1, 1, 1, 1), (-1, 1, 1, -1), (1, -1, -1, 1)]
+                       if big else PARITIES):
+            x = _random_balls(rng, shapes[0])
+            y = _random_balls(rng, shapes[1])
+            _check_fold(x, y, parity, rng, draws=1)
+
+    def test_weights_after_the_floor_are_exact(self):
+        # entries with odd significands just above F, at F, at 2F and
+        # subnormal ones; every slot of a product by the exact 2^60 is one
+        # weighted product.  Weighted by 1/2 or 1/4 after the floor, a
+        # kept centre is at least F/4, a normal number, so the weighted
+        # product is exact and the slot's centre is that product
+        above = math.nextafter(FLOOR, 1.0)
+        sub = 3 * 2.0 ** -1074
+        xc = np.array([[above, -3 * above, FLOOR],
+                       [2 * FLOOR, sub, -above],
+                       [-sub, 5 * above, 0.0]])
+        xr = np.array([[0.0, 2.0 ** -1074, 0.0],
+                       [sub, 0.0, FLOOR],
+                       [0.0, 0.0, 2.0 ** -1074]])
+        x = BallGrid(xc, xr)
+        y = BallGrid([[2.0 ** 60]], [[0.0]])
+        for parity in [(1, 1, 1, 1), (1, -1, 1, 1), (-1, 1, 1, 1),
+                       (-1, -1, 1, 1)]:
+            out, terms = _check_fold(x, y, parity, np.random.default_rng(3))
+            for slot, ts in terms.items():
+                (ij, kl, w), = ts
+                if abs(xc[ij]) >= FLOOR:
+                    assert F(out.c[slot]) == w * F(xc[ij]) * 2 ** 60
+                else:
+                    assert out.c[slot] == 0.0
+
+    def test_floor_and_cancellation_mixed(self):
+        # the floor cases next to ordinary numbers, a cancelling slot and
+        # every parity
+        rng = np.random.default_rng(5)
+        below, above = math.nextafter(FLOOR, 0.0), math.nextafter(FLOOR, 1.0)
+        sub = 3 * 2.0 ** -1074
+        x = BallGrid([[1.25, below, -sub, above],
+                      [-0.5, 0.0, above, 1.0 / 3.0]],
+                     [[0.0, 2.0 ** -1074, FLOOR, 0.0],
+                      [2.0 * FLOOR, 0.0, 2.0 ** -1074, 0.5 * FLOOR]])
+        for parity in PARITIES:
+            yc = np.array([[0.75, -3.0, 2.0 ** 60], [sub, 1.0, 1.0 / 3.0]])
+            terms = _fold_terms((2, 4), (2, 3), parity).get((1, 1), [])
+            live = [kl for ij, kl, w in terms if kl != (1, 1)]
+            if live:
+                pick = live[0]
+                yc[pick] = 0.0
+                rest = sum(w * F(x.c[ij]) * F(yc[kl]) for ij, kl, w in terms)
+                kappa = sum(w * F(x.c[ij]) for ij, kl, w in terms
+                            if kl == pick)
+                if kappa:
+                    yc[pick] = float(-rest / kappa)
+            y = BallGrid(yc, [[0.0, 2.0 ** -1074, 0.0], [2.0 ** -1074,
+                                                        FLOOR, 0.0]])
+            _check_fold(x, y, parity, rng, draws=6)
 
 
 def _balls(rng, n, lo_exp, hi_exp):

@@ -23,13 +23,14 @@ from solenoid.approxcore import ConstantsTable, Name, bv_sqrt
 from solenoid.floatball import BallGrid, FloatBall
 from solenoid.helmholtz import VectorFieldName, divergence
 from solenoid.spectral import FourierField, SobolevName, coefficients
-from solenoid.spectral import _axis_extension, _extended
 from solenoid.stokes import frac_power_apply, semigroup_apply
 
-from oracles import axis_product_table, product_to_sum
+from oracles import (_axis_extension, _extended, axis_product_table,
+                     product_to_sum)
 
 EL = pf.mollify(pf.solenoidal_kernel(4)[0], 1, 2)
 CT = ConstantsTable.default()
+TRIG = ("ss", "sc", "cs", "cc")
 
 
 def _cert():
@@ -98,6 +99,38 @@ class TestFastProduct:
         gap = np.abs(fast.grid.c - ref.grid.c)
         assert bool((gap <= fast.grid.r + ref.grid.r + 1e-15).all())
 
+    def _sparse_field(self, basis, cut):
+        # random values on the corner modes, the diagonal neighbour of the
+        # origin and two random modes; the rest is zero
+        c = np.zeros((cut + 1, cut + 1))
+        modes = [(0, 0), (0, cut), (cut, 0), (cut, cut), (1, 1)] + [
+            tuple(self.RNG.integers(0, cut + 1, size=2)) for _ in range(2)]
+        for n, m in modes:
+            if n <= cut and m <= cut:
+                c[n, m] = self.RNG.normal()
+        r = np.abs(self.RNG.normal(size=c.shape)) * 1e-12 * (c != 0)
+        return FourierField(basis, cut, BallGrid(c, r))
+
+    @pytest.mark.parametrize("cuts", [(0, 24), (24, 0), (2, 2), (3, 7),
+                                      (24, 12), (24, 24)])
+    def test_all_basis_pairs_against_product_to_sum(self, cuts):
+        # all 16 basis pairs; dense fields up to cutoff 7, sparse ones with
+        # a cutoff of 12 or more, so that the scalar route stays quick
+        make = self._sparse_field if max(cuts) >= 12 else self._random_field
+        for b1 in TRIG:
+            for b2 in TRIG:
+                f, g = make(b1, cuts[0]), make(b2, cuts[1])
+                fast, ref = nse._mul_fast(f, g), product_to_sum(f, g)
+                assert fast.basis == ref.basis
+                assert fast.cutoff == ref.cutoff == sum(cuts)
+                scale = max(float(np.abs(ref.grid.c).max()), 1.0)
+                gap = np.abs(fast.grid.c - ref.grid.c)
+                assert float(gap.max()) < 1e-13 * scale
+                # each centre sits in the other's ball, checked exactly
+                for idx in zip(*np.nonzero(gap)):
+                    assert abs(F(fast.grid.c[idx]) - F(ref.grid.c[idx])) <= \
+                        F(fast.grid.r[idx]) + F(ref.grid.r[idx])
+
     def test_one_product_route(self):
         assert nse._mul_fast is FourierField.multiply
 
@@ -128,9 +161,10 @@ class TestFastProduct:
         assert abs(exact) < abs_sum * F(1, 10 ** 12)
         ball = nse._mul_fast(f, g).grid.at(slot)
         assert ball.contains(exact)
-        # the documented count of FourierField.multiply -> ball_convolve on
-        # the 49 x 49 extensions: n = t + min(p, s) = 49 + 49
-        n = 2 * (2 * cut + 1)
+        # the documented count of FourierField.multiply ->
+        # ball_fold_convolve on the 25 x 25 grids:
+        # n = t + [t > 1] + min(p, 2 s - 1) = 25 + 1 + 25
+        n = (cut + 1) + 1 + (cut + 1)
         assert F(ball.r) >= F(n, 2 ** 53 - n) * abs_sum
 
     def test_subnormal_halving_stays_enclosed(self):
@@ -649,6 +683,50 @@ class TestClaimBounds:
 # ---------------------------------------------------------------------------
 
 class TestSolve:
+    @staticmethod
+    def _table_constants(cert):
+        """(centre, radius) of every constant of the table and the
+        certificate that the engine, the moduli and the depth choice read,
+        as exact fractions."""
+        ct = cert.constants
+        q = [F(0), F(1, 4), F(1, 2), F(3, 5), F(3, 4), F(17, 20)]
+        bvs = [ct.c1, ct.C, ct.M, ct.C_half_time, cert.epsilon, cert.L,
+               ct.C_alpha(F(1, 4)) * ct.M * ct.beta_value(F(3, 4), F(1, 4))]
+        bvs += [ct.C_alpha(a + b) for a in q for b in q]
+        for mm in range(len(cert.M_beta_m[F(1, 4)])):
+            bvs.append(ct.C * ct.C_alpha(F(17, 20)) * ct.M *
+                       cert.M_beta_m[F(1, 4)][mm] * cert.M_beta_m[F(1, 2)][mm])
+        return {(b.center.to_fraction(), b.radius.to_fraction()) for b in bvs}
+
+    @pytest.mark.parametrize("datum", ["exact", "readme"])
+    def test_second_solve_converts_no_table_constant(self, datum,
+                                                     monkeypatch):
+        # the certificate keeps FloatBall views of its constants: after one
+        # solve, a second solve on the same certificate converts none of
+        # them again (the exact datum takes the small-time route, the README
+        # datum the engine)
+        if datum == "exact":
+            c = TestIterate._exact_datum_cert()
+            a = c.seed
+        else:
+            c, a = _cert(), EL
+        first = nse.solve(a, None, c.T_frac, 8, cert=c)
+        seen = []
+        convert = FloatBall.from_bounded
+
+        def counting(bv):
+            seen.append((bv.center.to_fraction(), bv.radius.to_fraction()))
+            return convert(bv)
+        monkeypatch.setattr(FloatBall, "from_bounded", staticmethod(counting))
+        second = nse.solve(a, None, c.T_frac, 8, cert=c)
+        monkeypatch.undo()
+        assert not set(seen) & self._table_constants(c)
+        assert len(seen) <= 1      # the small-time route's T^(1/4) at most
+        for f, g in zip(first, second):
+            assert np.array_equal(f.grid.c, g.grid.c)
+            assert np.array_equal(f.grid.r, g.grid.r)
+            assert f.tail_l2.upper() == g.tail_l2.upper()
+
     def test_zero_data_zero_solution(self):
         z = (FourierField.zero("sc", 2), FourierField.zero("cs", 2))
         c = nse.compute_horizon(z)

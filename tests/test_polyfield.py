@@ -23,9 +23,10 @@ from solenoid.polyfield import (
     index_of_kernel_point, kernel_basis, matrix_rank, mollify,
     poly_name, solenoidal_kernel, trim,
 )
+from solenoid.polyfield import _row_reduce
 from solenoid.approxcore import BoundedValue, refine
-from oracles import (_moments_upto, mollified_value, mollifier_cos_coefficient,
-                     mollifier_mass)
+from oracles import (_moments_upto, dense_row_reduce, mollified_value,
+                     mollifier_cos_coefficient, mollifier_mass)
 
 # frozen oracle (40-digit quadrature of the kernel normalization)
 GAMMA0 = F("1.683552623428849090226069715040108371621")
@@ -97,6 +98,22 @@ class TestKernelBasis:
             alt = matrix_rank(rows, col_order=list(reversed(range(n))))
             assert len(basis) == n - alt
 
+
+    def test_sparse_elimination_matches_dense(self):
+        # the elimination updates only the pivot row's nonzero columns; it
+        # must give the dense elimination's rank, reduced form and pivots,
+        # hence the same basis, which satisfies the constraints exactly and
+        # has the dimension the reversed-column rank gives
+        for N in range(7):
+            rows = constraint_matrix(N)
+            assert _row_reduce(rows) == dense_row_reduce(rows)
+            n = len(rows[0])
+            basis = kernel_basis(rows)
+            for v in basis:
+                for row in rows:
+                    assert sum(a * b for a, b in zip(row, v)) == 0
+            alt = matrix_rank(rows, col_order=list(reversed(range(n))))
+            assert len(basis) == n - alt
 
 class TestSolenoidalKernel:
     def test_dimensions_up_to_degree_four(self):

@@ -23,13 +23,14 @@ from solenoid.floatball import BallGrid, FloatBall
 from solenoid.polyfield import RationalPoly2, poly_inner_on_box
 from solenoid.spectral import (
     _H1_ORDER, BallPoly2, FourierField, HElement, SobolevName, _ab_grid,
-    _extended, _h1_models, _mollified_tail, _window_grid, axis_trig_moments,
+    _h1_models, _mollified_tail, _window_grid, axis_trig_moments,
     coefficients, differentiate, mode_weights, mollified_distance,
     mollified_field_pair, mollifier_mode_grid, mollify_poly, multiply,
     poly_mul, trig_poly_field,
 )
 
 import oracles
+from oracles import _extended
 
 mp.mp.dps = 30
 

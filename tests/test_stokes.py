@@ -8,6 +8,10 @@ the fractional-power closed form against its integral representation.
 """
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import mpmath
@@ -258,6 +262,27 @@ class TestSemigroup:
         t = BoundedValue.from_endpoints(F(0), F(1, 2))
         with pytest.raises(ValueError):
             sk.semigroup_apply(u, t, 12)
+
+
+def test_semigroup_leaves_numpy_ma_unloaded():
+    # numpy.ma takes about 14 ms to import and the contour route needs
+    # none of it; a plain np.unique loads it under numpy 2.4
+    root = pathlib.Path(__file__).resolve().parents[1]
+    code = "\n".join([
+        "import sys",
+        "from fractions import Fraction",
+        "from solenoid.spectral import FourierField",
+        "from solenoid.stokes import semigroup_apply",
+        "u = (FourierField.single_mode('sc', 2, 3, 3.0),",
+        "     FourierField.single_mode('cs', 2, 3, -2.0))",
+        "o = semigroup_apply(u, Fraction(1, 64), 12)",
+        "assert o[0].grid.c[2, 3] != 3.0, 'the identity shortcut was taken'",
+        "print('numpy.ma' in sys.modules)"])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestSemigroupProperties:
