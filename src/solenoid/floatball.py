@@ -20,8 +20,9 @@ gamma_n = n u/(1 - n u) and u = 2^-53 (Higham, "Accuracy and Stability of
 Numerical Algorithms", section 3.1; Rump, "Fast and parallel interval
 arithmetic", BIT 1999), and the radius they return adds that term to the
 propagated input radii; each states its n.  Every sum over a coefficient
-grid goes through the same rule: `BallGrid.sumsq_ball` for weighted sums of
-squares (norms, tails, masses) and `BallGrid.ball_sum` for signed sums.
+grid goes through the same rule: `BallGrid.sumsq_ball` (or `sumsq_rows`,
+one sum per row of a stack) for weighted sums of squares (norms, tails,
+masses) and `BallGrid.ball_sum` for signed sums.
 `ball_fold_convolve` is the band-limited product's kernel: it convolves the
 even or odd extensions of two coefficient grids and keeps the quadrant of
 nonnegative indices, folding the negative indices onto the stored ones (a
@@ -435,6 +436,13 @@ class BallGrid:
         c = 0.5 * (lo + hi)
         return BallGrid(c, _bump(c, np.maximum(hi - c, c - lo)))
 
+    @staticmethod
+    def from_endpoints(lo, hi) -> "BallGrid":
+        """`FloatBall.from_endpoints` entrywise."""
+        c = 0.5 * hi
+        exact = (lo == 0.0) & (c + c == hi)
+        return _keep(exact, BallGrid(c, hi - c), BallGrid.from_rounded(lo, hi))
+
     @property
     def shape(self):
         return self.c.shape
@@ -510,7 +518,15 @@ class BallGrid:
 
     def sumsq_ball(self, w=None) -> FloatBall:
         """Ball enclosing sum w x^2 over the grid, for nonnegative weights w
-        (a BallGrid or an array of exact weights; 1 when omitted).
+        of the grid's shape (a BallGrid or an array of exact weights; 1 when
+        omitted): `sumsq_rows` of the flattened grid."""
+        return self.reshape(1, -1).sumsq_rows(
+            None if w is None else w.reshape(-1)).at(0)
+
+    def sumsq_rows(self, w=None) -> "BallGrid":
+        """Balls enclosing sum w x^2 along the last axis, one per row, for
+        nonnegative weights w shared by every row (a BallGrid or an array of
+        exact weights of a row's length; 1 when omitted).
 
         The lower end sums max(w.c - w.r, 0) mig(x)^2, the upper end
         (w.c + w.r) mag(x)^2.  A term takes k = 4 roundings (mig or mag, the
@@ -518,26 +534,32 @@ class BallGrid:
         any order each float sum S is within a factor 1 +- gamma_{n+3} of
         its exact value.  Underflow loses at most 2^-1075 per product times
         a later weight, which eta = TINY max(1, max w) covers (0 for an
-        all-zero grid, whose sum stays an exact 0).  The ends are
+        all-zero row, whose sum stays an exact 0).  The ends are
         (S_hi + eta) (1 + g) and (S_lo - eta) (1 - g), g = gamma_{n+k+2}:
         one rounding more for eta and two to form and apply the factor.
+        Each row is summed as the 1-D array it is on its own.
         """
-        a = np.abs(self.c)
-        mag = a + self.r
-        mig = np.maximum(a - self.r, 0.0)
-        hi, lo = mag * mag, mig * mig
+        # mag, mig and the terms, in place: a stack of rows keeps three
+        # temporaries of its size
+        hi = np.abs(self.c)
+        lo = np.subtract(hi, self.r)
+        hi += self.r
+        live = hi.any(axis=-1)
+        np.maximum(lo, 0.0, out=lo)
+        hi *= hi
+        lo *= lo
         wmax = 1.0
         if w is not None:
             wc, wr = (w.c, w.r) if isinstance(w, BallGrid) else (w, 0.0)
             w_hi = wc + wr
-            hi = hi * w_hi
-            lo = lo * np.maximum(wc - wr, 0.0)
+            hi *= w_hi
+            lo *= np.maximum(wc - wr, 0.0)
             wmax = max(float(np.max(w_hi, initial=0.0)), 1.0)
-        g = _gamma(hi.size + 6)
-        eta = TINY * wmax if mag.any() else 0.0
-        return FloatBall.from_endpoints(
-            max(float(lo.sum()) - eta, 0.0) * (1.0 - g),
-            (float(hi.sum()) + eta) * (1.0 + g))
+        g = _gamma(hi.shape[-1] + 6)
+        eta = np.where(live, TINY * wmax, 0.0)
+        return BallGrid.from_endpoints(
+            np.maximum(lo.sum(axis=-1) - eta, 0.0) * (1.0 - g),
+            (hi.sum(axis=-1) + eta) * (1.0 + g))
 
     def ball_sum(self) -> FloatBall:
         """Ball enclosing the sum of the enclosed values.
@@ -697,8 +719,14 @@ def _floored(x: BallGrid) -> BallGrid:
     """The operand rule of `ball_fold_convolve`: a centre with |c| < F
     becomes 0 and |c| joins its radius, rounded up by `_add_up`, and every
     radius is raised to at least F.  The ball only widens."""
-    small = np.abs(x.c) < _FLOOR
-    r = _add_up(x.r, np.where(small, np.abs(x.c), 0.0))
+    a = np.abs(x.c)
+    small = a < _FLOOR
+    r = x.r
+    # _add_up(r, 0) is r, so only the nonzero small centres need the TwoSum
+    tiny = small & (a > 0.0)
+    if tiny.any():
+        r = r.copy()
+        r[tiny] = _add_up(r[tiny], a[tiny])
     return BallGrid(np.where(small, 0.0, x.c), np.maximum(r, _FLOOR))
 
 

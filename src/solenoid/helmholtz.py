@@ -31,6 +31,7 @@ semigroup outputs, and the nonlinearity all land in exactly these bases.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -106,6 +107,21 @@ def _pair_tail_sq(f1: FourierField, f2: FourierField) -> FloatBall:
                               f2.tail_l2.upper()])).sumsq_ball()
 
 
+@lru_cache(maxsize=None)
+def _mode_factors(cut: int) -> Tuple[BallGrid, BallGrid, BallGrid]:
+    """The projection's mode factors m^2, n^2 and n m over n^2 + m^2 for
+    n, m <= cut, 0 where n = 0 or m = 0; cached and read-only."""
+    n = np.arange(cut + 1)
+    ng, mg = np.meshgrid(n, n, indexing="ij")
+    den = BallGrid(np.maximum(ng * ng + mg * mg, 1))
+    live = (ng >= 1) & (mg >= 1)
+    out = tuple(BallGrid(np.where(live, num, 0)) / den
+                for num in (mg * mg, ng * ng, ng * mg))
+    for g in out:
+        g.c.flags.writeable = g.r.flags.writeable = False
+    return out
+
+
 def project_pair(f1: FourierField, f2: FourierField) \
         -> Tuple[FourierField, FourierField]:
     """Mode-wise Helmholtz projection of a concrete field pair.
@@ -117,12 +133,7 @@ def project_pair(f1: FourierField, f2: FourierField) \
     cut = max(f1.cutoff, f2.cutoff)
     g1 = f1._embedded(cut).grid
     g2 = f2._embedded(cut).grid
-    n = np.arange(cut + 1)
-    ng, mg = np.meshgrid(n, n, indexing="ij")
-    den = BallGrid(np.maximum(ng * ng + mg * mg, 1))
-    live = (ng >= 1) & (mg >= 1)
-    mm, nn, nm = (BallGrid(np.where(live, num, 0)) / den
-                  for num in (mg * mg, ng * ng, ng * mg))
+    mm, nn, nm = _mode_factors(cut)
     p1 = mm * g1 + -(nm * g2)
     p2 = nn * g2 + -(nm * g1)
     tail_sq = _pair_tail_sq(f1, f2)

@@ -42,13 +42,13 @@ import numpy as np
 from .approxcore import BoundedValue, ConstantsTable, Name, bv_sqrt
 from .floatball import (
     FB_PI, BallGrid, FloatBall, ball_matmul, ceil_log2, fb_pow, fb_sqrt,
-    grid_exp, grid_pow,
+    grid_exp, grid_log, grid_pow, grid_sqrt,
 )
 from .helmholtz import VectorFieldName, _as_pair, project, project_pair
 from .polyfield import MollifiedElement
 from .spectral import (
-    _PI2, FourierField, SobolevName, _bilinear, _trig_values, differentiate,
-    mollified_field_pair, multiply,
+    _PI2, FourierField, SobolevName, _bilinear, _mode_mask, _trig_values,
+    _weights, differentiate, mollified_field_pair, multiply, weighted_sq_rows,
 )
 from .stokes import _l2_upper, frac_power_norm, semigroup_apply
 
@@ -460,23 +460,67 @@ def _heat_factor(cutoff: int, t: Fraction) -> BallGrid:
     return out
 
 
-def _heat_range(pair, t_lo: Fraction, t_hi: Fraction):
-    """Enclosure of e^{-tau A} u for every tau in [t_lo, t_hi]: each mode
-    factor is hulled between e^{-t_hi lambda} and min(e^{-t_lo lambda}, 1),
-    the diagonal action of the semigroup on the product basis."""
-    out = []
-    for f in pair:
-        lo = _heat_factor(f.cutoff, Fraction(t_hi))
-        hi = _heat_factor(f.cutoff, max(Fraction(t_lo), Fraction(0)))
-        fac = BallGrid.from_rounded(lo.c - lo.r, np.minimum(hi.c + hi.r, 1.0))
-        out.append(FourierField(f.basis, f.cutoff, f.grid * fac, f.tail_l2))
-    return tuple(out)
+# the component bases of every pair the engine holds: seed, forcing cells,
+# iterates and B cells all come out of `project_pair`
+_BASES = ("sc", "cs")
+
+
+def _padded(g: BallGrid, cutoff: int) -> BallGrid:
+    """A stack of grids zero-padded to ``cutoff`` in its last two axes, as
+    `FourierField._embedded` pads one field."""
+    pad = [(0, 0)] * (g.c.ndim - 2) + [(0, cutoff + 1 - g.shape[-1])] * 2
+    return BallGrid(np.pad(g.c, pad), np.pad(g.r, pad)) if pad[-1][1] else g
+
+
+def _masked(g: BallGrid, basis: str, cuts) -> BallGrid:
+    """A (P, n+1, n+1) stack with row i masked as `FourierField` masks a
+    field of cutoff cuts[i] <= n, and exact zeros beyond that cutoff."""
+    k = np.arange(g.shape[-1])
+    mask = _mode_mask(basis, k[-1]) & \
+        (np.maximum.outer(k, k) <= np.reshape(cuts, (-1, 1, 1)))
+    return BallGrid(g.c * mask, g.r * mask)
+
+
+def _each(fn, grids) -> BallGrid:
+    """fn of the stack of each group of equally shaped grids, taking it to
+    one ball per grid: the balls of all grids, in order."""
+    out = BallGrid.zeros(len(grids))
+    for shape in {g.shape for g in grids}:
+        rows = [i for i, g in enumerate(grids) if g.shape == shape]
+        out.set(rows, fn(BallGrid(np.stack([grids[i].c for i in rows]),
+                                  np.stack([grids[i].r for i in rows]))))
+    return out
 
 
 class _Engine:
-    """Evaluates Picard iterates on a uniform dyadic time grid with full
-    enclosure bookkeeping (coefficient balls plus the scalar defect
-    vector)."""
+    """Evaluates the Picard iterates on the P cells [ih, (i+1)h], h = t/P,
+    one iteration level at a time, with full enclosure bookkeeping
+    (coefficient balls plus the scalar defect vector).
+
+    Level j holds u_j on every cell as one (P, N+1, N+1) `BallGrid` stack
+    per component and the defect vectors as a (P, 4) grid; only u_0 and
+    the current level are kept.  With B_j(q) the truncated B u_j on cell q
+    (one `nonlinearity_pair` call per cell), E_j(q) its A^{-1/4} defect
+    bound and F_j(q) its sliver bound, a the seed, f_q the forcing on cell
+    q and d_0 its defect (0 without forcing):
+
+        u_0(i)     = H_{i+1} a + h sum_{q<i} G_{i-q} f_q
+        u_{j+1}(i) = u_0(i) - h sum_{q<i} G_{i-q} B_j(q)
+        d_{j+1}(i) = d_0(i) + (W_end[:, 0] F_j(i)
+                              + sum_{q<i} W_int[:, i-1-q] E_j(q))
+        u_m(t)     = (e^{-tA} a + h sum_q H_{P-q} f_q)
+                     - h sum_q H_{P-q} B_{m-1}(q)
+        d_m(t)     = sum_q W_end[:, P-1-q] E_{m-1}(q)
+
+    The heat hulls act on each mode and depend only on a gap of cells: G_g
+    holds e^{-tau A} for tau in [(g-1)h, (g+1)h], H_k for tau in
+    [(k-1)h, kh].  Per cutoff, both come from one table of the factors
+    e^{-k h lambda}, k = 0..P, a (P+1, N+1, N+1) stack built once per
+    engine.  Each Duhamel sum starts from its q = 0 piece and adds the
+    others in increasing q, and each defect sum is one `ball_matmul` of
+    length i, so every cell's enclosure is bit for bit the one of the
+    cell-by-cell recursion.
+    """
 
     def __init__(self, cert: IterationCertificate, t: Fraction, panels: int,
                  K: int, forcing: Forcing = None):
@@ -488,9 +532,7 @@ class _Engine:
         self.K = K
         self.forcing = forcing
         self.cap = 2 * cert.seed_cutoff
-        self._u: Dict[Tuple[int, int], tuple] = {}
-        self._B: Dict[Tuple[int, int], tuple] = {}
-        self._f: Dict[int, tuple] = {}
+        self._tables: Dict[int, tuple] = {}
         self._M = cert.ball("M", lambda: self.ct.M)
         # lambda^{-1/4} past the cap and (2 pi^2)^{-1/4}, the smallest mode
         # of a B cell being (1, 1)
@@ -508,15 +550,17 @@ class _Engine:
         """C_gamma times the defect weight of a cell at gap g >= 1,
         h (g h)^-gamma, and of the next cell, (2h)^{1-gamma}/(1-gamma) in
         the integral and h^{1-gamma}/(1-gamma) at the endpoint (also the
-        weight of the cell itself), per channel gamma = beta + 1/4: one
-        `grid_pow` per channel over j h, j = 1..max(P, 2)."""
+        weight of the cell itself), per channel gamma = beta + 1/4, over
+        j h, j = 1..max(P, 2).  No gamma is an integer or 1/2, so each
+        power is `grid_pow`'s exp(-gamma log jh), here one `grid_exp` of
+        the (4, P) grid over one `grid_log`."""
         P = self.P
         jh = BallGrid.of(FloatBall.exact(j * self.h)
                          for j in range(1, max(P, 2) + 1))
         gammas = [b + F14 for b in _DEFECT_BETAS]
-        pw = [grid_pow(jh, -g) for g in gammas]
-        hw = BallGrid(np.stack([p.c for p in pw]),
-                      np.stack([p.r for p in pw])).scale_ball(jh.at(0))
+        hw = grid_exp(grid_log(jh) * BallGrid.of(
+            FloatBall.exact(-g) for g in gammas).reshape(-1, 1)) \
+            .scale_ball(jh.at(0))
         inv = BallGrid.of(FloatBall.exact(1 / (1 - g)) for g in gammas)
         cg = BallGrid.of(self.cert.ball(("C_alpha", g),
                                         lambda: self.ct.C_alpha(g))
@@ -528,120 +572,166 @@ class _Engine:
                      np.column_stack((g.r, far.r)))
             for g in (near, hw[:, 0] * inv * cg))
 
-    def _semi(self, pair, lo: Fraction, hi: Fraction):
-        # interval-time heat enclosure; the horizon scale puts the contour
-        # tail cutoff far out of reach, so the engine works on the diagonal
-        # model directly (the contour route remains the single-time check)
-        return _heat_range(pair, lo, hi)
+    def _hulls(self, cutoff: int):
+        """(H, G, e^{-tA}) at ``cutoff``: H_k in row k - 1 (k = 1..P), G_g
+        in row g - 1 (g = 1..P-1) and the hull at tau = t; over [a h, b h]
+        each mode factor is hulled between e^{-b h lambda} and
+        min(e^{-a h lambda}, 1)."""
+        if cutoff not in self._tables:
+            P = self.P
+            fac = [_heat_factor(cutoff, k * self.h) for k in range(P + 1)]
+            lo = np.stack([f.c - f.r for f in fac])
+            hi = np.minimum(np.stack([f.c + f.r for f in fac]), 1.0)
+            k = np.arange(1, P + 1)
+            self._tables[cutoff] = tuple(
+                BallGrid.from_rounded(lo[b], hi[a])
+                for a, b in ((k - 1, k), (k[:-1] - 1, k[:-1] + 1), (P, P)))
+        return self._tables[cutoff]
 
-    # -- per-cell quantities ------------------------------------------------
+    def _duhamel(self, src, first: int, last: int, table: int):
+        """h sum_{q < i} of the hull of src[q], a (sc, cs) grid pair, for
+        the cells i = first..last >= 1 (row i - first of each returned
+        component stack); the piece (i, q) takes row i - q - 1 of hull
+        family ``table`` (0: H, 1: G) at the source's cutoff.  A sum starts
+        from its q = 0 piece and adds the others in increasing q, padded
+        to the larger cutoff; the rows are not masked.  None when there is
+        no cell."""
+        if last < first:
+            return None
+        hb = FloatBall.exact(self.h)
+        acc = None
+        for q in range(last):
+            lo = max(first, q + 1)
+            hull = self._hulls(src[q][0].shape[-1] - 1)[table]
+            piece = [(g * hull[lo - q - 1:last - q]).scale_ball(hb)
+                     for g in src[q]]
+            if acc is None:
+                acc = piece
+                continue
+            n = max(acc[0].shape[-1], piece[0].shape[-1]) - 1
+            acc = [_padded(a, n) for a in acc]
+            for a, p in zip(acc, piece):
+                a.set(slice(lo - first, None), a[lo - first:] + _padded(p, n))
+        return acc
 
-    def _u0(self, lo: Fraction, hi: Fraction):
-        """Enclosure of the inhomogeneous base iterate over [lo, hi]."""
-        pair = self._semi(self.cert.seed, lo, hi)
-        d = BallGrid.zeros(len(_DEFECT_BETAS))
-        if self.forcing is not None:
-            fv, fd = self._forcing_integral(lo, hi)
-            pair = (pair[0] + fv[0], pair[1] + fv[1])
-            d = d + fd
-        return pair, d
+    def _base(self, fcells):
+        """u_0 on every cell as component stacks, each cell's cutoff, and
+        the defects d_0."""
+        P, cap, seed = self.P, self.cap, self.cert.seed
+        u = [f.grid * self._hulls(f.cutoff)[0] for f in seed]
+        cuts = np.full(P, seed[0].cutoff)
+        d = BallGrid.zeros((P, len(_DEFECT_BETAS)))
+        if fcells:
+            # cell i adds the forcing integral over the cells q < i, in the
+            # largest of their bands; cell 0 adds the zero pair at the cap
+            bands = np.maximum.accumulate([g[0].shape[-1] - 1
+                                           for g in fcells])
+            cuts = np.maximum(cuts, np.append(cap, bands[:-1]))
+            fsum = self._duhamel(fcells, 1, P - 1, 1)
+            for k in range(2):
+                fv = BallGrid.zeros((P, cap + 1, cap + 1))
+                if fsum:
+                    fv.set(slice(1, None), _padded(fsum[k], cap))
+                u[k] = _padded(u[k], cap) + fv
+            d = d + self._fw.scale_ball(FloatBall(self.forcing.sup_l2))
+        return [_masked(g, b, cuts) for g, b in zip(u, _BASES)], cuts, d
 
-    def _forcing_cell(self, q: int):
-        if q not in self._f:
-            lo, hi = q * self.h, (q + 1) * self.h
-            g = project_pair(*self.forcing.pair_fn(lo, hi))
-            if max(g[0].cutoff, g[1].cutoff) > self.cap:
-                raise ValueError("forcing band exceeds the engine mode cap")
-            self._f[q] = (_strip_tail(g[0]), _strip_tail(g[1]))
-        return self._f[q]
+    @staticmethod
+    def _norms(cells, kind: str = None, q=0) -> BallGrid:
+        """The pair norm of every (sc, cs) grid pair of ``cells`` under the
+        mode weights of (kind, q): `frac_power_norm` for kind "stokes" and
+        q = 2 beta, the root of `_l2_upper`'s sum without a kind."""
+        total = BallGrid.zeros(len(cells))
+        for k, b in enumerate(_BASES):
+            total = total + _each(lambda s: weighted_sq_rows(b, s, kind, q),
+                                  [c[k] for c in cells])
+        return grid_sqrt(total)
 
-    def _panel_sum(self, panels):
-        """h times the sum of the heat enclosures of g over [tau_lo, tau_hi]
-        for the triples (g, tau_lo, tau_hi) of ``panels``, added in order;
-        the zero pair when there are none."""
-        val = None
-        for g, tau_lo, tau_hi in panels:
-            piece = self._semi(g, tau_lo, tau_hi)
-            piece = (piece[0].scale(self.h), piece[1].scale(self.h))
-            val = piece if val is None else (val[0] + piece[0],
-                                             val[1] + piece[1])
-        if val is None:
-            val = (FourierField.zero("sc", self.cap),
-                   FourierField.zero("cs", self.cap))
-        return val
+    def _truncated(self, fields):
+        """`_trunc_band` at the cap of the B cells of one component, all at
+        once: the kept grids and the bounds on the dropped L2 mass."""
+        cap = self.cap
+        tails = BallGrid.of(f.tail_l2 for f in fields)
+        up = tails.upper()
+        over = [i for i, f in enumerate(fields) if f.cutoff > cap]
+        if over:
+            def dropped(s):
+                w = _weights(fields[0].basis, s.shape[-1] - 1)
+                w[:cap + 1, :cap + 1] = 0.0
+                return s.reshape(s.shape[0], -1).sumsq_rows(w.reshape(-1))
+            extra = grid_sqrt(_each(dropped, [fields[i].grid for i in over]))
+            t = tails[over] + BallGrid.from_rounded(0.0, extra.upper())
+            # the FourierField constructor re-centres a tail reaching below
+            # 0, i.e. with c < r
+            up[over] = np.where(t.c < t.r, BallGrid.from_rounded(
+                0.0, t.upper()).upper(), t.upper())
+        return [BallGrid(f.grid.c[:cap + 1, :cap + 1].copy(),
+                         f.grid.r[:cap + 1, :cap + 1].copy())
+                for f in fields], up
 
-    def _forcing_integral(self, lo: Fraction, hi: Fraction):
-        val = self._panel_sum(
-            (self._forcing_cell(q), max(Fraction(0), lo - (q + 1) * self.h),
-             hi - q * self.h) for q in range(int(lo / self.h)))
-        return val, self._fw.scale_ball(FloatBall(self.forcing.sup_l2))
+    def _products(self, u, cuts: np.ndarray, d: BallGrid):
+        """B u_j on every cell of a level, truncated at the cap, as (sc, cs)
+        grid pairs, with the defect bounds E and F of every cell."""
+        cells = [tuple(g[i, :n + 1, :n + 1] for g in u)
+                 for i, n in enumerate(cuts)]
+        prods = [nonlinearity_pair(*(FourierField(b, g.shape[-1] - 1, g)
+                                     for b, g in zip(_BASES, c)))
+                 for c in cells]
+        # every cell holds the seed's band, so every product reaches the cap
+        (k1, e1), (k2, e2) = (self._truncated([p[k] for p in prods])
+                              for k in range(2))
+        B = list(zip(k1, k2))
+        u14, u12 = (self._norms(cells, "stokes", 2 * b) for b in (F14, F12))
+        d14, d12 = (d[:, _DEFECT_BETAS.index(b)] for b in (F14, F12))
+        E = (d14 * (u12 + d12) + u14 * d12).scale_ball(self._M) + grid_sqrt(
+            BallGrid(np.column_stack((e1, e2))).sumsq_rows()).scale_ball(
+                self._lam_qtr)
+        l2 = BallGrid(self._norms(B).upper())
+        return B, E, l2.scale_ball(self._qtr_11) + E
 
-    def u_cell(self, j: int, i: int):
-        """Enclosure of u_j(s) for s anywhere in grid cell i."""
-        key = (j, i)
-        if key not in self._u:
-            lo, hi = i * self.h, (i + 1) * self.h
-            pair, d = self._u0(lo, hi)
-            if j >= 1:
-                ival, idef = self._integral(j - 1, i)
-                pair = (pair[0] - ival[0], pair[1] - ival[1])
-                d = d + idef
-            self._u[key] = (pair, d)
-        return self._u[key]
-
-    def B_cell(self, j: int, i: int):
-        """Truncated B(u_j) on cell i plus its A^{-1/4} defect bound E and
-        the sliver bound F = sup ||A^{-1/4} B u_j|| on the cell."""
-        key = (j, i)
-        if key not in self._B:
-            pair, d = self.u_cell(j, i)
-            b1, b2 = nonlinearity_pair(*pair)
-            b1, e1 = _trunc_band(b1, self.cap)
-            b2, e2 = _trunc_band(b2, self.cap)
-            u14 = frac_power_norm(pair, F14)
-            u12 = frac_power_norm(pair, F12)
-            d14 = d.at(_DEFECT_BETAS.index(F14))
-            d12 = d.at(_DEFECT_BETAS.index(F12))
-            E = self._M * (d14 * (u12 + d12) + u14 * d12) \
-                + _norm2([e1, e2]) * self._lam_qtr
-            Fv = self._qtr_11 * FloatBall(_l2_upper((b1, b2))) + E
-            self._B[key] = ((b1, b2), E, Fv)
-        return self._B[key]
-
-    # -- the Duhamel integral -----------------------------------------------
-
-    def _defect_sum(self, W: BallGrid, j: int, n: int) -> BallGrid:
-        """sum over the cells q < n of W[:, n - 1 - q] E_q, E_q the defect
-        bound of B u_j on cell q, under the gamma_n rule of `ball_matmul`."""
-        E = BallGrid.of(self.B_cell(j, q)[1] for q in range(n))
-        return ball_matmul(W[:, n - 1 - np.arange(n)], E)
-
-    def _integral(self, j: int, i: int):
-        """Enclosure of int_0^s e^{-(s-r)A} B u_j(r) dr for s in cell i."""
-        val = self._panel_sum(
-            (self.B_cell(j, q)[0], (i - q - 1) * self.h, (i - q + 1) * self.h)
-            for q in range(i))
-        d = self._W_end[:, 0].scale_ball(self.B_cell(j, i)[2])
-        if i:
-            d = d + self._defect_sum(self._W_int, j, i)
-        return val, d
+    def _next(self, base, d0: BallGrid, B, E: BallGrid, Fv: BallGrid):
+        """u_{j+1} and d_{j+1} on every cell from B u_j and its bounds."""
+        P, cap = self.P, self.cap
+        acc = self._duhamel(B, 1, P - 1, 1)
+        u = []
+        for k, b in enumerate(_BASES):
+            ival = BallGrid.zeros((P, cap + 1, cap + 1))
+            if acc:
+                ival.set(slice(1, None), acc[k])
+            u.append(_masked(base[k] - ival, b, cap))
+        idef = self._W_end[:, 0].reshape(1, -1) * Fv.reshape(-1, 1)
+        for i in range(1, P):
+            idef.set(i, idef[i] + ball_matmul(
+                self._W_int[:, i - 1 - np.arange(i)], E[:i]))
+        return u, d0 + idef
 
     def eval(self, m: int):
         """Enclosure of u_m at the exact endpoint t."""
-        pair = self._semi(self.cert.seed, self.t, self.t)
-        d = BallGrid.zeros(len(_DEFECT_BETAS))
-        if self.forcing is not None:
-            fv = self._panel_sum(
-                (self._forcing_cell(q), self.t - (q + 1) * self.h,
-                 self.t - q * self.h) for q in range(self.P))
-            pair = (pair[0] + fv[0], pair[1] + fv[1])
+        P, cap = self.P, self.cap
+        pair = tuple(FourierField(f.basis, f.cutoff,
+                                  f.grid * self._hulls(f.cutoff)[2], f.tail_l2)
+                     for f in self.cert.seed)
+        fcells = [tuple(f.grid for f in project_pair(*self.forcing.pair_fn(
+            q * self.h, (q + 1) * self.h))) for q in range(P)] \
+            if self.forcing is not None else []
+        if any(g[0].shape[-1] > cap + 1 for g in fcells):
+            raise ValueError("forcing band exceeds the engine mode cap")
+        if fcells:
+            fv = self._duhamel(fcells, P, P, 0)
+            pair = tuple(p + FourierField(b, g.shape[-1] - 1, g[0])
+                         for p, b, g in zip(pair, _BASES, fv))
         if m == 0:
-            return pair, d
-        val = self._panel_sum(
-            (self.B_cell(m - 1, q)[0], self.t - (q + 1) * self.h,
-             self.t - q * self.h) for q in range(self.P))
-        d = self._defect_sum(self._W_end, m - 1, self.P)
-        return (pair[0] - val[0], pair[1] - val[1]), d
+            return pair, BallGrid.zeros(len(_DEFECT_BETAS))
+        u, cuts, d0 = self._base(fcells)
+        base, d = [_padded(g, cap) for g in u], d0
+        for j in range(m):
+            B, E, Fv = self._products(u, cuts, d)
+            if j + 1 < m:
+                (u, d), cuts = self._next(base, d0, B, E, Fv), np.full(P, cap)
+        val = self._duhamel(B, P, P, 0)
+        return (tuple(p - FourierField(b, cap, g[0])
+                      for p, b, g in zip(pair, _BASES, val)),
+                ball_matmul(self._W_end[:, P - 1 - np.arange(P)], E))
 
 
 def _pair_radius(pair) -> float:

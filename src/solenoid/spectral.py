@@ -73,6 +73,14 @@ def _weights(basis: str, cutoff: int) -> np.ndarray:
     return np.outer(wx, wy)
 
 
+@lru_cache(maxsize=None)
+def _mode_mask(basis: str, cutoff: int) -> np.ndarray:
+    """The modes that exist (no sin(0 pi t) factor); cached and read-only."""
+    out = _weights(basis, cutoff) > 0
+    out.flags.writeable = False
+    return out
+
+
 def _tail_add(a: FloatBall, b: FloatBall) -> FloatBall:
     """Tail-bound addition that keeps exact zeros exact, so band-limited
     fields stay band-limited under linear combinations."""
@@ -106,6 +114,23 @@ def mode_weights(cutoff: int, kind: str, q: Fraction) -> BallGrid:
     return out
 
 
+def weighted_sq_rows(basis: str, grids: BallGrid, kind: str = None, q=0,
+                     tails=0.0) -> BallGrid:
+    """`FourierField.weighted_sq_ball` of every grid of a (k, n+1, n+1)
+    stack in ``basis``, with the tail bounds ``tails`` (one per grid, or
+    one for all): the k sums of one `BallGrid.sumsq_rows`, whose last term
+    is the tail with weight 1."""
+    k, cutoff = grids.shape[0], grids.shape[-1] - 1
+    w = BallGrid(_weights(basis, cutoff))
+    if kind is not None:
+        w = w * mode_weights(cutoff, kind, Fraction(q))
+    t = np.broadcast_to(np.reshape(tails, (-1, 1)), (k, 1))
+    rows = BallGrid(np.concatenate((grids.c.reshape(k, -1), np.zeros((k, 1))),
+                                   axis=1),
+                    np.concatenate((grids.r.reshape(k, -1), t), axis=1))
+    return rows.sumsq_rows(BallGrid(np.append(w.c, 1.0), np.append(w.r, 0.0)))
+
+
 # ---------------------------------------------------------------------------
 # FourierField
 # ---------------------------------------------------------------------------
@@ -131,7 +156,7 @@ class FourierField:
         if self.tail_l2.lower() < 0:
             self.tail_l2 = FloatBall.from_rounded(0.0, self.tail_l2.upper())
         self.tail_hs = dict(tail_hs or {})
-        mask = _weights(basis, cutoff) > 0
+        mask = _mode_mask(basis, cutoff)
         self.grid = BallGrid(grid.c * mask, grid.r * mask)
 
     # -- constructors -------------------------------------------------------
@@ -211,13 +236,10 @@ class FourierField:
         kind, q) (1 without a kind) and rho the L2 weight of the mode, plus
         [0, t^2] for the mass beyond the band when a tail bound t is given;
         one sum under the gamma_n rule of `BallGrid.sumsq_ball`."""
-        w = BallGrid(self.weights())
-        if kind is not None:
-            w = w * mode_weights(self.cutoff, kind, Fraction(q))
         t = 0.0 if tail is None else tail.upper()
-        return BallGrid(np.append(self.grid.c, 0.0),
-                        np.append(self.grid.r, t)).sumsq_ball(
-            BallGrid(np.append(w.c, 1.0), np.append(w.r, 0.0)))
+        n = self.cutoff + 1
+        return weighted_sq_rows(self.basis, self.grid.reshape(1, n, n), kind,
+                                q, t).at(0)
 
     def l2_sq_ball(self) -> FloatBall:
         return self.weighted_sq_ball(tail=self.tail_l2)

@@ -10,7 +10,8 @@ the kernel profile W (for the radial moments) and of h1 (for the window
 transforms).  The library certifies those integrals by closed forms and by
 the profile's ODE recurrence.  The band-limited product's earlier route,
 `ball_convolve` of the exponential extensions `_extended`, checks the
-library's fold on the coefficient grids.
+library's fold on the coefficient grids.  The Picard engine's cell-by-cell
+recursion, `CellEngine`, checks the library's level engine.
 """
 
 import heapq
@@ -20,10 +21,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from solenoid import nse
 from solenoid.approxcore import (DEFAULT_PREC, BoundedValue, ConstantsTable,
                                  bv_cos, bv_exp, bv_log, bv_pi, bv_pow, bv_sin)
 from solenoid.floatball import (EPS, FB_PI, TINY, BallGrid, FloatBall, fb_exp,
-                                fb_log, fb_pow, fb_sincos, fb_sqrt)
+                                fb_log, fb_pow, fb_sincos, fb_sqrt, grid_pow)
 from solenoid.floatball import _floored, _gamma, _up
 from solenoid.helmholtz import resolve_field
 from solenoid.polyfield import gamma0, gamma_radial_moment
@@ -1216,3 +1218,163 @@ def smoothing_bound_check(a, alpha, t,
         "margin": margin,
         "ok": bool(margin >= 0.0),
     }
+
+
+# ---------------------------------------------------------------------------
+# the Picard engine cell by cell
+# ---------------------------------------------------------------------------
+
+def heat_range(pair, t_lo: Fraction, t_hi: Fraction):
+    """Enclosure of e^{-tau A} u for every tau in [t_lo, t_hi]: each mode
+    factor is hulled between e^{-t_hi lambda} and min(e^{-t_lo lambda}, 1),
+    the diagonal action of the semigroup on the product basis."""
+    out = []
+    for f in pair:
+        lo = nse._heat_factor(f.cutoff, Fraction(t_hi))
+        hi = nse._heat_factor(f.cutoff, max(Fraction(t_lo), Fraction(0)))
+        fac = BallGrid.from_rounded(lo.c - lo.r, np.minimum(hi.c + hi.r, 1.0))
+        out.append(FourierField(f.basis, f.cutoff, f.grid * fac, f.tail_l2))
+    return tuple(out)
+
+
+class CellEngine(nse._Engine):
+    """The Picard engine's earlier route: u_j on cell i by the memoized
+    recursion u_cell -> _integral -> _panel_sum -> B_cell, one
+    `heat_range` per Duhamel piece.  The library's level engine must give
+    the same enclosures bit for bit."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._u, self._B, self._f = {}, {}, {}
+
+    def _weights(self):
+        """The defect weight tables with one `grid_pow` per channel."""
+        P = self.P
+        jh = BallGrid.of(FloatBall.exact(j * self.h)
+                         for j in range(1, max(P, 2) + 1))
+        gammas = [b + nse.F14 for b in nse._DEFECT_BETAS]
+        pw = [grid_pow(jh, -g) for g in gammas]
+        hw = BallGrid(np.stack([p.c for p in pw]),
+                      np.stack([p.r for p in pw])).scale_ball(jh.at(0))
+        inv = BallGrid.of(FloatBall.exact(1 / (1 - g)) for g in gammas)
+        cg = BallGrid.of(self.cert.ball(("C_alpha", g),
+                                        lambda: self.ct.C_alpha(g))
+                         for g in gammas)
+        near = (hw[:, 1] * inv).scale_ball(FloatBall(2.0)) * cg
+        far = hw[:, :P - 1] * cg.reshape(-1, 1)
+        self._W_int, self._W_end = (
+            BallGrid(np.column_stack((g.c, far.c)),
+                     np.column_stack((g.r, far.r)))
+            for g in (near, hw[:, 0] * inv * cg))
+
+    def _semi(self, pair, lo: Fraction, hi: Fraction):
+        return heat_range(pair, lo, hi)
+
+    # -- per-cell quantities ------------------------------------------------
+
+    def _u0(self, lo: Fraction, hi: Fraction):
+        """Enclosure of the inhomogeneous base iterate over [lo, hi]."""
+        pair = self._semi(self.cert.seed, lo, hi)
+        d = BallGrid.zeros(len(nse._DEFECT_BETAS))
+        if self.forcing is not None:
+            fv, fd = self._forcing_integral(lo, hi)
+            pair = (pair[0] + fv[0], pair[1] + fv[1])
+            d = d + fd
+        return pair, d
+
+    def _forcing_cell(self, q: int):
+        if q not in self._f:
+            lo, hi = q * self.h, (q + 1) * self.h
+            g = nse.project_pair(*self.forcing.pair_fn(lo, hi))
+            if max(g[0].cutoff, g[1].cutoff) > self.cap:
+                raise ValueError("forcing band exceeds the engine mode cap")
+            self._f[q] = (nse._strip_tail(g[0]), nse._strip_tail(g[1]))
+        return self._f[q]
+
+    def _panel_sum(self, panels):
+        """h times the sum of the heat enclosures of g over [tau_lo, tau_hi]
+        for the triples (g, tau_lo, tau_hi) of ``panels``, added in order;
+        the zero pair when there are none."""
+        val = None
+        for g, tau_lo, tau_hi in panels:
+            piece = self._semi(g, tau_lo, tau_hi)
+            piece = (piece[0].scale(self.h), piece[1].scale(self.h))
+            val = piece if val is None else (val[0] + piece[0],
+                                             val[1] + piece[1])
+        if val is None:
+            val = (FourierField.zero("sc", self.cap),
+                   FourierField.zero("cs", self.cap))
+        return val
+
+    def _forcing_integral(self, lo: Fraction, hi: Fraction):
+        val = self._panel_sum(
+            (self._forcing_cell(q), max(Fraction(0), lo - (q + 1) * self.h),
+             hi - q * self.h) for q in range(int(lo / self.h)))
+        return val, self._fw.scale_ball(FloatBall(self.forcing.sup_l2))
+
+    def u_cell(self, j: int, i: int):
+        """Enclosure of u_j(s) for s anywhere in grid cell i."""
+        key = (j, i)
+        if key not in self._u:
+            lo, hi = i * self.h, (i + 1) * self.h
+            pair, d = self._u0(lo, hi)
+            if j >= 1:
+                ival, idef = self._integral(j - 1, i)
+                pair = (pair[0] - ival[0], pair[1] - ival[1])
+                d = d + idef
+            self._u[key] = (pair, d)
+        return self._u[key]
+
+    def B_cell(self, j: int, i: int):
+        """Truncated B(u_j) on cell i plus its A^{-1/4} defect bound E and
+        the sliver bound F = sup ||A^{-1/4} B u_j|| on the cell."""
+        key = (j, i)
+        if key not in self._B:
+            pair, d = self.u_cell(j, i)
+            b1, b2 = nse.nonlinearity_pair(*pair)
+            b1, e1 = nse._trunc_band(b1, self.cap)
+            b2, e2 = nse._trunc_band(b2, self.cap)
+            u14 = nse.frac_power_norm(pair, nse.F14)
+            u12 = nse.frac_power_norm(pair, nse.F12)
+            d14 = d.at(nse._DEFECT_BETAS.index(nse.F14))
+            d12 = d.at(nse._DEFECT_BETAS.index(nse.F12))
+            E = self._M * (d14 * (u12 + d12) + u14 * d12) \
+                + nse._norm2([e1, e2]) * self._lam_qtr
+            Fv = self._qtr_11 * FloatBall(nse._l2_upper((b1, b2))) + E
+            self._B[key] = ((b1, b2), E, Fv)
+        return self._B[key]
+
+    # -- the Duhamel integral -----------------------------------------------
+
+    def _defect_sum(self, W: BallGrid, j: int, n: int) -> BallGrid:
+        """sum over the cells q < n of W[:, n - 1 - q] E_q, E_q the defect
+        bound of B u_j on cell q, under the gamma_n rule of `nse.ball_matmul`."""
+        E = BallGrid.of(self.B_cell(j, q)[1] for q in range(n))
+        return nse.ball_matmul(W[:, n - 1 - np.arange(n)], E)
+
+    def _integral(self, j: int, i: int):
+        """Enclosure of int_0^s e^{-(s-r)A} B u_j(r) dr for s in cell i."""
+        val = self._panel_sum(
+            (self.B_cell(j, q)[0], (i - q - 1) * self.h, (i - q + 1) * self.h)
+            for q in range(i))
+        d = self._W_end[:, 0].scale_ball(self.B_cell(j, i)[2])
+        if i:
+            d = d + self._defect_sum(self._W_int, j, i)
+        return val, d
+
+    def eval(self, m: int):
+        """Enclosure of u_m at the exact endpoint t."""
+        pair = self._semi(self.cert.seed, self.t, self.t)
+        d = BallGrid.zeros(len(nse._DEFECT_BETAS))
+        if self.forcing is not None:
+            fv = self._panel_sum(
+                (self._forcing_cell(q), self.t - (q + 1) * self.h,
+                 self.t - q * self.h) for q in range(self.P))
+            pair = (pair[0] + fv[0], pair[1] + fv[1])
+        if m == 0:
+            return pair, d
+        val = self._panel_sum(
+            (self.B_cell(m - 1, q)[0], self.t - (q + 1) * self.h,
+             self.t - q * self.h) for q in range(self.P))
+        d = self._defect_sum(self._W_end, m - 1, self.P)
+        return (pair[0] - val[0], pair[1] - val[1]), d

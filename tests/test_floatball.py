@@ -23,7 +23,7 @@ from solenoid.floatball import (
     fb_cos, fb_exp, fb_log, fb_pow, fb_sin, fb_sincos, fb_sqrt, grid_exp,
     grid_log, grid_pow, grid_sincos_pi, pow_up,
 )
-from solenoid.floatball import _floored
+from solenoid.floatball import TINY, _add_up, _floored, _gamma
 
 from oracles import ball_convolve
 
@@ -337,6 +337,25 @@ class TestOperandFloor:
                         [[0.0, 2.0 ** -1074, FLOOR, 0.0],
                          [2.0 * FLOOR, 0.0, 2.0 ** -1074, 0.5 * FLOOR]])
 
+    def test_twosum_on_small_entries_only(self):
+        # the floor runs its TwoSum only where a centre lies below F; on
+        # every other entry the rule's _add_up(r, 0) is r, so the floor
+        # equals the rule applied to every entry, bit for bit
+        rng = np.random.default_rng(9)
+        for n_small in (0, 1, 40):
+            c = rng.normal(size=(25, 25)) * 2.0 ** rng.integers(-40, 3,
+                                                                (25, 25))
+            r = np.abs(rng.normal(size=(25, 25))) * 2.0 ** -60
+            idx = rng.choice(625, size=n_small, replace=False)
+            c.flat[idx] = np.ldexp(rng.uniform(-1, 1, n_small),
+                                   rng.integers(-1074, -500, n_small))
+            small = np.abs(c) < FLOOR
+            ref_r = np.maximum(_add_up(r, np.where(small, np.abs(c), 0.0)),
+                               FLOOR)
+            fl = _floored(BallGrid(c, r))
+            assert np.array_equal(fl.c, np.where(small, 0.0, c))
+            assert np.array_equal(fl.r.view(np.int64), ref_r.view(np.int64))
+
     def test_single_scale_factor(self):
         # one exact operand entry 2^60: each slot is one product, so any
         # mass the rule drops shows at the slot's scale
@@ -640,6 +659,39 @@ class TestCoefficientSums:
         lo, hi = _sumsq_ends(g, w, np.zeros(625))
         out = g.sumsq_ball(w)
         assert hi > 0 and out.contains(lo) and out.contains(hi)
+
+    @pytest.mark.parametrize("n", [2, 9, 170, 626, 2401])
+    def test_sumsq_rows_is_the_flat_rule_per_row(self, n):
+        # each row of a stack sums as the 1-D grid it is on its own: the
+        # rule written out on one flat array, bit for bit, zero rows too
+        rng = np.random.default_rng(n)
+        rows = [_balls(rng, n, -300, 300) for _ in range(4)]
+        rows[2] = BallGrid.zeros(n)
+        stack = BallGrid(np.stack([g.c for g in rows]),
+                         np.stack([g.r for g in rows]))
+        w = BallGrid(rng.uniform(0.0, 3.0, n), rng.uniform(0.0, 1e-3, n))
+        got = stack.sumsq_rows(w)
+        for i, g in enumerate(rows):
+            a = np.abs(g.c)
+            mag, mig = a + g.r, np.maximum(a - g.r, 0.0)
+            hi = float((mag * mag * (w.c + w.r)).sum())
+            lo = float((mig * mig * np.maximum(w.c - w.r, 0.0)).sum())
+            eta = TINY * max(float((w.c + w.r).max()), 1.0) \
+                if mag.any() else 0.0
+            gm = _gamma(n + 6)
+            ref = FloatBall.from_endpoints(max(lo - eta, 0.0) * (1.0 - gm),
+                                           (hi + eta) * (1.0 + gm))
+            assert (got.c[i], got.r[i]) == (ref.c, ref.r)
+            one = g.sumsq_ball(w)
+            assert (one.c, one.r) == (ref.c, ref.r)
+
+    def test_grid_from_endpoints_is_the_scalar_rule(self):
+        lo = np.array([0.0, 0.0, 0.0, 1.0, -2.0, 0.0])
+        hi = np.array([0.25, 5e-324, 3.0, 1.5, 7.0, 0.1])
+        got = BallGrid.from_endpoints(lo, hi)
+        for i in range(lo.size):
+            ref = FloatBall.from_endpoints(float(lo[i]), float(hi[i]))
+            assert (got.c[i], got.r[i]) == (ref.c, ref.r)
 
     def test_sumsq_of_zeros_is_exact_zero(self):
         out = BallGrid.zeros((25, 25)).sumsq_ball(np.full((25, 25), 9.0))

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from solenoid import helmholtz
 from solenoid import polyfield as pf
 from solenoid.approxcore import Name
 from solenoid.floatball import BallGrid, FloatBall
@@ -79,6 +80,22 @@ class TestWorkedExample:
 
 
 class TestStructure:
+    def test_cached_mode_factors(self):
+        # the factor tables are built once per cutoff and read-only; the
+        # projection reads them as it built them on every call
+        mm, nn, nm = helmholtz._mode_factors(6)
+        assert helmholtz._mode_factors(6)[0] is mm
+        assert not any(g.c.flags.writeable or g.r.flags.writeable
+                       for g in (mm, nn, nm))
+        n = np.arange(7)
+        ng, mg = np.meshgrid(n, n, indexing="ij")
+        den = BallGrid(np.maximum(ng * ng + mg * mg, 1))
+        live = (ng >= 1) & (mg >= 1)
+        for got, num in zip((mm, nn, nm), (mg * mg, ng * ng, ng * mg)):
+            ref = BallGrid(np.where(live, num, 0)) / den
+            assert np.array_equal(got.c, ref.c)
+            assert np.array_equal(got.r, ref.r)
+
     @pytest.mark.parametrize("n,m", [(1, 1), (2, 5), (3, 3), (4, 1)])
     def test_solenoidal_modes_reproduced(self, n, m):
         u = _sol_mode(n, m, 0.75)

@@ -25,8 +25,8 @@ from solenoid.helmholtz import VectorFieldName, divergence
 from solenoid.spectral import FourierField, SobolevName, coefficients
 from solenoid.stokes import frac_power_apply, semigroup_apply
 
-from oracles import (_axis_extension, _extended, axis_product_table,
-                     product_to_sum)
+from oracles import (CellEngine, _axis_extension, _extended,
+                     axis_product_table, product_to_sum)
 
 EL = pf.mollify(pf.solenoidal_kernel(4)[0], 1, 2)
 CT = ConstantsTable.default()
@@ -643,6 +643,78 @@ class TestRoundingRules:
                        * mp.root(mp.mpf(t_n.numerator) / t_n.denominator, 4))
                 assert ref <= mp.mpf(got) <= ref * (1 + mp.mpf(10) ** -12)
                 assert nse._claim2_tail(cert, mm, t, int(n)) == got
+
+
+class TestLevelEngine:
+    """The level engine against the cell-by-cell recursion of
+    `oracles.CellEngine`: the same centres, radii, tails and defect
+    vectors, bit for bit."""
+
+    @staticmethod
+    def _bits(x):
+        return np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
+
+    def _same(self, got, ref):
+        (pair, d), (rpair, rd) = got, ref
+        for f, g in zip(pair, rpair):
+            assert (f.basis, f.cutoff) == (g.basis, g.cutoff)
+            for x, y in ((f.grid.c, g.grid.c), (f.grid.r, g.grid.r),
+                         ([f.tail_l2.c, f.tail_l2.r],
+                          [g.tail_l2.c, g.tail_l2.r])):
+                assert np.array_equal(self._bits(x), self._bits(y))
+        assert np.array_equal(self._bits(d.c), self._bits(rd.c))
+        assert np.array_equal(self._bits(d.r), self._bits(rd.r))
+
+    def _check(self, cert, t, P, depths, forcing=None):
+        ref = CellEngine(cert, t, P, 14, forcing)
+        for m in depths:
+            self._same(nse._Engine(cert, t, P, 14, forcing).eval(m),
+                       ref.eval(m))
+
+    @pytest.mark.parametrize("t_scale", [F(1), F(1, 2)])
+    @pytest.mark.parametrize("P", [4, 8])
+    def test_readme_datum(self, t_scale, P):
+        c = _cert()
+        self._check(c, c.T_frac * t_scale, P, (1, 2, 4))
+
+    @staticmethod
+    def _forced_cert(forcing):
+        pair = tuple(nse._strip_tail(f) for f in coefficients(EL, 16))
+        return nse.compute_horizon(pair, mode_cap=12, forcing=forcing)
+
+    @pytest.mark.parametrize("P", [4, 8])
+    def test_constant_forcing(self, P):
+        forcing = nse.Forcing.constant(*_sol_mode(1, 1, 0.01, cutoff=2))
+        c = self._forced_cert(forcing)
+        self._check(c, c.T_frac, P, (0, 1, 2), forcing)
+
+    def test_forcing_bands_differ_by_cell(self):
+        # the first cells force inside the seed band, the later ones past
+        # it, so the base iterate's cells have three different cutoffs
+        # (the cap, the seed's, the wide forcing's) and the forcing sums
+        # widen part-way
+        wide, narrow = _sol_mode(2, 3, 0.01, cutoff=16), \
+            _sol_mode(1, 1, 0.01, cutoff=2)
+        forcing = nse.Forcing.constant(*narrow)
+        c = self._forced_cert(forcing)
+        t = c.T_frac
+        varying = nse.Forcing(lambda lo, hi: wide if lo >= t / 2 else narrow,
+                              forcing.sup_l2 * 4)
+        self._check(c, t, 4, (0, 1, 2), varying)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_one_product_per_cell_and_level(self, m, monkeypatch):
+        calls = []
+        product = nse.nonlinearity_pair
+
+        def counting(u1, u2):
+            calls.append(u1.cutoff)
+            return product(u1, u2)
+        monkeypatch.setattr(nse, "nonlinearity_pair", counting)
+        c = _cert()
+        lift = nse.smoothness_lift(m, EL, c.T_frac, 8, cert=c, panels=4)
+        # every engine of the panel doubling 4, 8, ..., lift.panels
+        assert len(calls) == m * (2 * lift.panels - 4)
 
 
 class TestClaimBounds:

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from solenoid import polyfield as pf
+from solenoid import spectral
 from solenoid.approxcore import BoundedValue, ConstantsTable, Name, bv_pi
 from solenoid.floatball import BallGrid, FloatBall
 from solenoid.polyfield import RationalPoly2, poly_inner_on_box
@@ -264,6 +265,22 @@ class TestModeWeights:
             ref = mp.power(base, mp.mpf(q.numerator) / q.denominator)
             ball = tab.at((n, m))
             assert mp.mpf(ball.lower()) <= ref <= mp.mpf(ball.upper())
+
+    def test_truncation_leaves_the_cached_mask(self):
+        # the mode mask is cached per (basis, cutoff) and shared by every
+        # field; truncating zeroes the kept block of its weights, which
+        # must not reach the mask or the weights of the next field
+        rng = np.random.default_rng(21)
+        f = FourierField("sc", 6, BallGrid(rng.normal(size=(7, 7))))
+        mask = spectral._mode_mask("sc", 6)
+        assert mask is spectral._mode_mask("sc", 6)
+        assert not mask.flags.writeable
+        before = (f.weights().copy(), mask.copy())
+        assert f.truncated(3).tail_l2.upper() > 0.0
+        assert np.array_equal(f.weights(), before[0])
+        assert np.array_equal(spectral._mode_mask("sc", 6), before[1])
+        g = FourierField("sc", 6, BallGrid(np.ones((7, 7))))
+        assert np.array_equal(g.grid.c, before[1] * 1.0)
 
     def test_hs_norm_against_mpmath(self):
         rng = np.random.default_rng(12)
