@@ -461,7 +461,8 @@ def _heat_factor(cutoff: int, t: Fraction) -> BallGrid:
 
 
 # the component bases of every pair the engine holds: seed, forcing cells,
-# iterates and B cells all come out of `project_pair`
+# iterates and B cells all come out of `project_pair`, so the two
+# components of a pair also share one cutoff
 _BASES = ("sc", "cs")
 
 
@@ -614,6 +615,17 @@ class _Engine:
                 a.set(slice(lo - first, None), a[lo - first:] + _padded(p, n))
         return acc
 
+    def _integrals(self, src):
+        """The Duhamel sums of ``src`` over the gap hulls G for every cell,
+        as (P, cap+1, cap+1) stacks: cell 0's is the zero pair at the
+        cap."""
+        acc = self._duhamel(src, 1, self.P - 1, 1)
+        out = [BallGrid.zeros((self.P, self.cap + 1, self.cap + 1))
+               for _ in _BASES]
+        for o, a in zip(out, acc or ()):
+            o.set(slice(1, None), _padded(a, self.cap))
+        return out
+
     def _base(self, fcells):
         """u_0 on every cell as component stacks, each cell's cutoff, and
         the defects d_0."""
@@ -627,12 +639,8 @@ class _Engine:
             bands = np.maximum.accumulate([g[0].shape[-1] - 1
                                            for g in fcells])
             cuts = np.maximum(cuts, np.append(cap, bands[:-1]))
-            fsum = self._duhamel(fcells, 1, P - 1, 1)
-            for k in range(2):
-                fv = BallGrid.zeros((P, cap + 1, cap + 1))
-                if fsum:
-                    fv.set(slice(1, None), _padded(fsum[k], cap))
-                u[k] = _padded(u[k], cap) + fv
+            u = [_padded(g, cap) + f
+                 for g, f in zip(u, self._integrals(fcells))]
             d = d + self._fw.scale_ball(FloatBall(self.forcing.sup_l2))
         return [_masked(g, b, cuts) for g, b in zip(u, _BASES)], cuts, d
 
@@ -691,14 +699,9 @@ class _Engine:
 
     def _next(self, base, d0: BallGrid, B, E: BallGrid, Fv: BallGrid):
         """u_{j+1} and d_{j+1} on every cell from B u_j and its bounds."""
-        P, cap = self.P, self.cap
-        acc = self._duhamel(B, 1, P - 1, 1)
-        u = []
-        for k, b in enumerate(_BASES):
-            ival = BallGrid.zeros((P, cap + 1, cap + 1))
-            if acc:
-                ival.set(slice(1, None), acc[k])
-            u.append(_masked(base[k] - ival, b, cap))
+        P = self.P
+        u = [_masked(g - i, b, self.cap)
+             for g, i, b in zip(base, self._integrals(B), _BASES)]
         idef = self._W_end[:, 0].reshape(1, -1) * Fv.reshape(-1, 1)
         for i in range(1, P):
             idef.set(i, idef[i] + ball_matmul(
