@@ -520,8 +520,9 @@ class BallGrid:
         """Ball enclosing sum w x^2 over the grid, for nonnegative weights w
         of the grid's shape (a BallGrid or an array of exact weights; 1 when
         omitted): `sumsq_rows` of the flattened grid."""
-        return self.reshape(1, -1).sumsq_rows(
-            None if w is None else w.reshape(-1)).at(0)
+        lo, hi = self.reshape(1, -1)._sumsq_ends(
+            None if w is None else w.reshape(-1))
+        return FloatBall.from_endpoints(float(lo[0]), float(hi[0]))
 
     def sumsq_rows(self, w=None) -> "BallGrid":
         """Balls enclosing sum w x^2 along the last axis, one per row, for
@@ -539,6 +540,10 @@ class BallGrid:
         one rounding more for eta and two to form and apply the factor.
         Each row is summed as the 1-D array it is on its own.
         """
+        return BallGrid.from_endpoints(*self._sumsq_ends(w))
+
+    def _sumsq_ends(self, w):
+        """The lower and upper ends of `sumsq_rows`, one per row."""
         # mag, mig and the terms, in place: a stack of rows keeps three
         # temporaries of its size
         hi = np.abs(self.c)
@@ -557,9 +562,8 @@ class BallGrid:
             wmax = max(float(np.max(w_hi, initial=0.0)), 1.0)
         g = _gamma(hi.shape[-1] + 6)
         eta = np.where(live, TINY * wmax, 0.0)
-        return BallGrid.from_endpoints(
-            np.maximum(lo.sum(axis=-1) - eta, 0.0) * (1.0 - g),
-            (hi.sum(axis=-1) + eta) * (1.0 + g))
+        return (np.maximum(lo.sum(axis=-1) - eta, 0.0) * (1.0 - g),
+                (hi.sum(axis=-1) + eta) * (1.0 + g))
 
     def ball_sum(self) -> FloatBall:
         """Ball enclosing the sum of the enclosed values.

@@ -48,7 +48,7 @@ from .helmholtz import VectorFieldName, _as_pair, project, project_pair
 from .polyfield import MollifiedElement
 from .spectral import (
     _PI2, FourierField, SobolevName, _bilinear, _mode_mask, _trig_values,
-    _weights, differentiate, mollified_field_pair, multiply, weighted_sq_rows,
+    differentiate, mollified_field_pair, multiply, weighted_sq_terms,
 )
 from .stokes import _l2_upper, frac_power_norm, semigroup_apply
 
@@ -651,31 +651,9 @@ class _Engine:
         q = 2 beta, the root of `_l2_upper`'s sum without a kind."""
         total = BallGrid.zeros(len(cells))
         for k, b in enumerate(_BASES):
-            total = total + _each(lambda s: weighted_sq_rows(b, s, kind, q),
-                                  [c[k] for c in cells])
+            total = total + _each(lambda s: BallGrid.sumsq_rows(
+                *weighted_sq_terms(b, s, kind, q)), [c[k] for c in cells])
         return grid_sqrt(total)
-
-    def _truncated(self, fields):
-        """`_trunc_band` at the cap of the B cells of one component, all at
-        once: the kept grids and the bounds on the dropped L2 mass."""
-        cap = self.cap
-        tails = BallGrid.of(f.tail_l2 for f in fields)
-        up = tails.upper()
-        over = [i for i, f in enumerate(fields) if f.cutoff > cap]
-        if over:
-            def dropped(s):
-                w = _weights(fields[0].basis, s.shape[-1] - 1)
-                w[:cap + 1, :cap + 1] = 0.0
-                return s.reshape(s.shape[0], -1).sumsq_rows(w.reshape(-1))
-            extra = grid_sqrt(_each(dropped, [fields[i].grid for i in over]))
-            t = tails[over] + BallGrid.from_rounded(0.0, extra.upper())
-            # the FourierField constructor re-centres a tail reaching below
-            # 0, i.e. with c < r
-            up[over] = np.where(t.c < t.r, BallGrid.from_rounded(
-                0.0, t.upper()).upper(), t.upper())
-        return [BallGrid(f.grid.c[:cap + 1, :cap + 1].copy(),
-                         f.grid.r[:cap + 1, :cap + 1].copy())
-                for f in fields], up
 
     def _products(self, u, cuts: np.ndarray, d: BallGrid):
         """B u_j on every cell of a level, truncated at the cap, as (sc, cs)
@@ -685,15 +663,13 @@ class _Engine:
         prods = [nonlinearity_pair(*(FourierField(b, g.shape[-1] - 1, g)
                                      for b, g in zip(_BASES, c)))
                  for c in cells]
-        # every cell holds the seed's band, so every product reaches the cap
-        (k1, e1), (k2, e2) = (self._truncated([p[k] for p in prods])
-                              for k in range(2))
-        B = list(zip(k1, k2))
+        cut = [[_trunc_band(f, self.cap) for f in p] for p in prods]
+        B = [tuple(f.grid for f, _ in c) for c in cut]
+        tails = BallGrid([[e for _, e in c] for c in cut])
         u14, u12 = (self._norms(cells, "stokes", 2 * b) for b in (F14, F12))
         d14, d12 = (d[:, _DEFECT_BETAS.index(b)] for b in (F14, F12))
         E = (d14 * (u12 + d12) + u14 * d12).scale_ball(self._M) + grid_sqrt(
-            BallGrid(np.column_stack((e1, e2))).sumsq_rows()).scale_ball(
-                self._lam_qtr)
+            tails.sumsq_rows()).scale_ball(self._lam_qtr)
         l2 = BallGrid(self._norms(B).upper())
         return B, E, l2.scale_ball(self._qtr_11) + E
 

@@ -114,21 +114,22 @@ def mode_weights(cutoff: int, kind: str, q: Fraction) -> BallGrid:
     return out
 
 
-def weighted_sq_rows(basis: str, grids: BallGrid, kind: str = None, q=0,
-                     tails=0.0) -> BallGrid:
-    """`FourierField.weighted_sq_ball` of every grid of a (k, n+1, n+1)
-    stack in ``basis``, with the tail bounds ``tails`` (one per grid, or
-    one for all): the k sums of one `BallGrid.sumsq_rows`, whose last term
-    is the tail with weight 1."""
+def weighted_sq_terms(basis: str, grids: BallGrid, kind: str = None, q=0,
+                      tail: float = 0.0) -> Tuple[BallGrid, BallGrid]:
+    """The terms of `FourierField.weighted_sq_ball` for every grid of a
+    (k, n+1, n+1) stack in ``basis``, each with the tail bound ``tail``:
+    k rows, each a grid's balls and then the tail, and the weights of a
+    row, 1 for the tail.  `BallGrid.sumsq_rows` of them gives the k
+    sums."""
     k, cutoff = grids.shape[0], grids.shape[-1] - 1
     w = BallGrid(_weights(basis, cutoff))
     if kind is not None:
         w = w * mode_weights(cutoff, kind, Fraction(q))
-    t = np.broadcast_to(np.reshape(tails, (-1, 1)), (k, 1))
     rows = BallGrid(np.concatenate((grids.c.reshape(k, -1), np.zeros((k, 1))),
                                    axis=1),
-                    np.concatenate((grids.r.reshape(k, -1), t), axis=1))
-    return rows.sumsq_rows(BallGrid(np.append(w.c, 1.0), np.append(w.r, 0.0)))
+                    np.concatenate((grids.r.reshape(k, -1),
+                                    np.full((k, 1), tail)), axis=1))
+    return rows, BallGrid(np.append(w.c, 1.0), np.append(w.r, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +239,8 @@ class FourierField:
         one sum under the gamma_n rule of `BallGrid.sumsq_ball`."""
         t = 0.0 if tail is None else tail.upper()
         n = self.cutoff + 1
-        return weighted_sq_rows(self.basis, self.grid.reshape(1, n, n), kind,
-                                q, t).at(0)
+        return BallGrid.sumsq_ball(*weighted_sq_terms(
+            self.basis, self.grid.reshape(1, n, n), kind, q, t))
 
     def l2_sq_ball(self) -> FloatBall:
         return self.weighted_sq_ball(tail=self.tail_l2)

@@ -671,8 +671,10 @@ class TestLevelEngine:
             self._same(nse._Engine(cert, t, P, 14, forcing).eval(m),
                        ref.eval(m))
 
+    # P = 1 has no gap hull and no Duhamel sum before the endpoint, P = 2
+    # one gap, and P <= 2 pads the defect weight table to two cells
     @pytest.mark.parametrize("t_scale", [F(1), F(1, 2)])
-    @pytest.mark.parametrize("P", [4, 8])
+    @pytest.mark.parametrize("P", [1, 2, 3, 4, 8])
     def test_readme_datum(self, t_scale, P):
         c = _cert()
         self._check(c, c.T_frac * t_scale, P, (1, 2, 4))
@@ -682,7 +684,7 @@ class TestLevelEngine:
         pair = tuple(nse._strip_tail(f) for f in coefficients(EL, 16))
         return nse.compute_horizon(pair, mode_cap=12, forcing=forcing)
 
-    @pytest.mark.parametrize("P", [4, 8])
+    @pytest.mark.parametrize("P", [1, 2, 3, 4, 8])
     def test_constant_forcing(self, P):
         forcing = nse.Forcing.constant(*_sol_mode(1, 1, 0.01, cutoff=2))
         c = self._forced_cert(forcing)
