@@ -17,6 +17,7 @@ on them; no integral here is taken by quadrature.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Union
 
@@ -424,26 +425,15 @@ def bv_sqrt(x: BoundedValue, prec: int = DEFAULT_PREC) -> BoundedValue:
         raise ValueError("sqrt of negative interval")
     lo = max(lo, Fraction(0))
 
-    def _sqrt_lo(f: Fraction) -> Fraction:
+    def root(f: Fraction, up: int) -> Fraction:
+        # sqrt(f) rounded down (up = 0) or up (up = 1) to a multiple of
+        # 1/(den 2^prec); exactly 0 at 0
         if f == 0:
             return Fraction(0)
-        pq = f.numerator * f.denominator
-        s = _isqrt(pq << (2 * prec))
-        return Fraction(s, f.denominator << prec)
+        s = math.isqrt((f.numerator * f.denominator) << (2 * prec))
+        return Fraction(s + up, f.denominator << prec)
 
-    def _sqrt_hi(f: Fraction) -> Fraction:
-        if f == 0:
-            return Fraction(0)
-        pq = f.numerator * f.denominator
-        s = _isqrt(pq << (2 * prec))
-        return Fraction(s + 1, f.denominator << prec)
-
-    return BoundedValue.from_endpoints(_sqrt_lo(lo), _sqrt_hi(hi), prec)
-
-
-def _isqrt(n: int) -> int:
-    import math
-    return math.isqrt(n)
+    return BoundedValue.from_endpoints(root(lo, 0), root(hi, 1), prec)
 
 
 def bv_pow(x: BoundedValue, q: Fraction, prec: int = DEFAULT_PREC) -> BoundedValue:
@@ -624,7 +614,7 @@ class ConstantsTable:
             return BoundedValue.exact(1)
         return self._C_alpha.get(alpha, BoundedValue.exact(1))
 
-    def C_s(self, s: Fraction, k: int = 20) -> BoundedValue:
+    def C_s(self, s: Fraction) -> BoundedValue:
         """Sup-norm embedding constant for exponent s > 1.
 
         Default is the honest bound (sum over n,m >= 0 of (1+n^2+m^2)^-s)^(1/2)
@@ -635,7 +625,7 @@ class ConstantsTable:
             return self._C_s[s]
         if s <= 1:
             raise ValueError("sup-norm embedding needs s > 1")
-        key = (s, k)
+        key = ("C_s", s)
         if key in self._beta_cache:
             return self._beta_cache[key]
         prec = self.prec

@@ -87,9 +87,14 @@ def nonlinearity_pair(u1: FourierField, u2: FourierField) \
     if u1.basis != "sc" or u2.basis != "cs":
         raise ValueError("the nonlinearity needs component 1 in sin.cos and "
                          "component 2 in cos.sin")
-    w1 = _mul_fast(u1, u1.derivative(1)) + _mul_fast(u2, u1.derivative(2))
-    w2 = _mul_fast(u1, u2.derivative(1)) + _mul_fast(u2, u2.derivative(2))
-    return project_pair(w1, w2)
+    return project_pair(*_convection(u1, u2))
+
+
+def _convection(u1: FourierField, u2: FourierField) \
+        -> Tuple[FourierField, FourierField]:
+    """(u.grad)u for a band-limited pair, unprojected."""
+    return (_mul_fast(u1, u1.derivative(1)) + _mul_fast(u2, u1.derivative(2)),
+            _mul_fast(u1, u2.derivative(1)) + _mul_fast(u2, u2.derivative(2)))
 
 
 def _strip_tail(f: FourierField) -> FourierField:
@@ -162,10 +167,7 @@ def nonlinearity(u, K: int, constants: ConstantsTable = None):
                + sup_band * FB_PI * tau)).upper()
     if defect > 2.0 ** -K:
         raise BudgetError("H^{6/5} tail data too coarse for this precision")
-    b1, b2 = nonlinearity_pair(*band)
-    extra = FloatBall.from_endpoints(0.0, defect)
-    return (FourierField(b1.basis, b1.cutoff, b1.grid, b1.tail_l2 + extra),
-            FourierField(b2.basis, b2.cutoff, b2.grid, b2.tail_l2 + extra))
+    return _fold_defect(nonlinearity_pair(*band), defect)
 
 
 def _norm2(xs) -> FloatBall:
@@ -247,8 +249,11 @@ def _forcing_term(T: Fraction, G: float, ct: ConstantsTable) -> float:
                for b in (F14, F12))
 
 
+# depth of the certificate's K, M and w tables
+_TABLE_DEPTH = 8
+
+
 def compute_horizon(a, constants: ConstantsTable = None, mode_cap: int = 24,
-                    table_depth: int = 8,
                     forcing: "Forcing" = None) -> IterationCertificate:
     """Certified contraction horizon and constant tables for the datum a.
 
@@ -314,7 +319,7 @@ def compute_horizon(a, constants: ConstantsTable = None, mode_cap: int = 24,
     L = K_cap.scale(2) * ct.C_alpha(F14) * ct.beta_value(Fraction(3, 4), F14)
     K0 = eighth
     Ktab = {F14: [K0], F12: [K0]}
-    for m in range(table_depth):
+    for m in range(_TABLE_DEPTH):
         prod = Ktab[F14][m] * Ktab[F12][m] * ct.M
         for b in (F14, F12):
             Ktab[b].append(K0 + ct.C_alpha(b + F14) *
@@ -322,13 +327,13 @@ def compute_horizon(a, constants: ConstantsTable = None, mode_cap: int = 24,
     a_norm = BoundedValue.from_fraction(Fraction(norm_up)).widened(
         BoundedValue.from_fraction(seed_res))
     Mtab = {b: [ct.C_alpha(b) * a_norm] for b in (F14, F12, F35)}
-    for m in range(table_depth):
+    for m in range(_TABLE_DEPTH):
         prod = Mtab[F14][m] * Mtab[F12][m] * ct.M
         for b in (F14, F12, F35):
             Mtab[b].append(Mtab[b][0] + ct.C_alpha(b + F14) *
                            ct.beta_value(Fraction(3, 4) - b, F14) * prod)
     w: List[Fraction] = [Fraction(1)]
-    for m in range(table_depth):
+    for m in range(_TABLE_DEPTH):
         w.append(1 + w[-1] * w[-1] / 8)
     return IterationCertificate(
         T_a=BoundedValue.exact(T), k0=k0, K_beta_m=Ktab, K_cap=K_cap,
@@ -940,8 +945,7 @@ def pressure_field(u, f=None):
     u1, u2 = _strip_tail(u1), _strip_tail(u2)
     lap1 = u1.derivative(1).derivative(1) + u1.derivative(2).derivative(2)
     lap2 = u2.derivative(1).derivative(1) + u2.derivative(2).derivative(2)
-    conv1 = _mul_fast(u1, u1.derivative(1)) + _mul_fast(u2, u1.derivative(2))
-    conv2 = _mul_fast(u1, u2.derivative(1)) + _mul_fast(u2, u2.derivative(2))
+    conv1, conv2 = _convection(u1, u2)
     g1 = lap1 - conv1
     g2 = lap2 - conv2
     if f is not None:

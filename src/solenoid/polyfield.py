@@ -6,8 +6,8 @@ points, and the trim rescaling.  Mollification is stored symbolically; its
 Fourier coefficients come from :mod:`solenoid.spectral`.  The radial
 structure of the bump kernel (it depends on the coordinates only through
 max(|z1|,|z2|)) lets every integral against it collapse to one dimension:
-its moments J_s and its normalization gamma0 = 1/(4 (e^-1 - E_1(1))) are
-closed forms in e^-1 and E_1(1).
+its normalization gamma0 = 1/(4 (e^-1 - E_1(1))) is a closed form in e^-1
+and E_1(1).
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ __all__ = [
     "RationalPoly2", "SolenoidalPolyPair", "TrimmedField", "MollifiedElement",
     "constraint_matrix", "kernel_basis", "matrix_rank", "solenoidal_kernel",
     "enumerate_solenoidal_polys", "index_of_kernel_point", "trim", "mollify",
-    "metric", "approximation_defect", "gamma0", "gamma_radial_moment",
-    "poly_name",
+    "metric", "approximation_defect", "gamma0", "poly_name",
 ]
 
 _F0 = Fraction(0)
@@ -82,20 +81,6 @@ class RationalPoly2:
             for j in range(self.N, -1, -1):
                 row = row * y + self.a[i][j]
             acc = acc * x + row
-        return acc
-
-    def eval_ball(self, bx, by):
-        """Horner evaluation with enclosure scalars (ball x and y)."""
-        if isinstance(bx, BoundedValue):
-            conv = BoundedValue.from_fraction
-        else:
-            conv = type(bx).exact
-        acc = conv(_F0)
-        for i in range(self.N, -1, -1):
-            row = conv(_F0)
-            for j in range(self.N, -1, -1):
-                row = row * by + conv(self.a[i][j])
-            acc = acc * bx + row
         return acc
 
     # -- calculus and algebra -----------------------------------------------
@@ -549,16 +534,8 @@ def trim(p: SolenoidalPolyPair, k: int) -> TrimmedField:
 
 
 # ---------------------------------------------------------------------------
-# the bump kernel: radial moments and derived integrals
+# the bump kernel's normalization
 # ---------------------------------------------------------------------------
-#
-# With u = r^2 and W(u) = exp(-1/(1-u)), every integral of the kernel against
-# a separable even function reduces to the moments J_s = (1/2) int_0^1 W u^s.
-# The substitution v = 1/(1-u) turns them into exponential integrals
-# E_n(1) = int_1^inf e^-v v^-n dv, and the recurrence
-# n E_{n+1}(1) = e^-1 - E_n(1) (DLMF 8.19.12) writes each E_n(1), and so
-# each J_s, as a rational combination of e^-1 and E_1(1).
-
 
 @lru_cache(maxsize=None)
 def _e1_balls(prec: int) -> Tuple[BoundedValue, BoundedValue]:
@@ -568,61 +545,10 @@ def _e1_balls(prec: int) -> Tuple[BoundedValue, BoundedValue]:
 
 
 @lru_cache(maxsize=None)
-def _moment_coefficients(s: int) -> Tuple[Fraction, Fraction]:
-    """The exact rationals A_s, B_s with J_s = (A_s e^-1 + B_s E_1(1))/2.
-
-    (1 - 1/v)^s expands by the binomial theorem, so
-    J_s = (1/2) sum_k (-1)^k C(s, k) E_{k+2}(1), and with
-    E_n(1) = a_n e^-1 + b_n E_1(1) the recurrence gives
-    a_{n+1} = (1 - a_n)/n and b_{n+1} = -b_n/n from a_1 = 0, b_1 = 1.
-    """
-    a, b = _F1, -_F1  # E_2(1) = e^-1 - E_1(1)
-    A = B = _F0
-    for k in range(s + 1):
-        c = math.comb(s, k) * (-1) ** k
-        A, B = A + c * a, B + c * b
-        a, b = (1 - a) / (k + 2), -b / (k + 2)
-    return A, B
-
-
-def _log2_moment_estimate(s: int) -> float:
-    """log2 J_s to within a few bits, from a midpoint sum of the integrand
-    in logarithms; it only sizes the working precision."""
-    # steering: floats, never part of an enclosure
-    logs = [s * math.log(u) - 1 / (1 - u)
-            for u in ((i + 0.5) / 1024 for i in range(1024))]
-    top = max(logs)
-    total = sum(math.exp(v - top) for v in logs) / 2048
-    return (top + math.log(total)) / math.log(2)
-
-
-def gamma_radial_moment(s: int, kbits: int = 60) -> BoundedValue:
-    """J_s = (1/2) int_0^1 exp(-1/(1-u)) u^s du, certified to about 2^-kbits
-    relative.
-
-    J_s = (A_s e^-1 + B_s E_1(1))/2 with exact rationals A_s, B_s whose
-    size exceeds J_s by about 4 sqrt(s) log2(e) bits (39 at s = 48), all of
-    which cancel.  The two balls are therefore taken at
-    kbits + log2(max(|A_s|, |B_s|)/J_s) + 16 bits and combined exactly in
-    their Fraction endpoints, so no rounding cap applies.
-    """
-    if s < 0:
-        raise ValueError("moment order must be nonnegative")
-    A, B = _moment_coefficients(s)
-    cancel = math.log2(max(abs(A), abs(B))) - _log2_moment_estimate(s)
-    prec = kbits + max(0, math.ceil(cancel)) + 16
-    prec += -prec % 16  # quantized, so nearby requests share the balls
-    lo = hi = _F0
-    for coeff, ball in zip((A, B), _e1_balls(prec)):
-        ends = (coeff * ball.lower(), coeff * ball.upper())
-        lo, hi = lo + min(ends), hi + max(ends)
-    return BoundedValue.from_endpoints(lo / 2, hi / 2, prec)
-
-
-@lru_cache(maxsize=None)
 def gamma0(kbits: int = 60) -> BoundedValue:
     """Normalizing constant of the bump kernel: the kernel mass without the
-    constant is 8 J_0, so gamma0 = 1/(8 J_0).
+    constant is 8 J_0 with J_0 = (1/2) int_0^1 exp(-1/(1-u)) du, so
+    gamma0 = 1/(8 J_0).
 
     J_0 = E_2(1)/2, and E_2(1) = e^-1 - E_1(1) (DLMF 8.19.12).
     """

@@ -38,16 +38,12 @@ from .floatball import (FB_PI, TINY, BallGrid, FloatBall, _float_up,
                         fb_pow, fb_sqrt, grid_exp, grid_pi_multiple, grid_pow,
                         grid_sincos_pi)
 from .polyfield import (MollifiedElement, RationalPoly2, TrimmedField,
-                        gamma0, gamma_radial_moment, poly_inner_on_box)
+                        gamma0, poly_inner_on_box)
 
 __all__ = [
     "FourierField", "trig_poly_field", "coefficients", "mollified_field_pair",
-    "mollified_distance", "HElement", "SobolevName", "differentiate",
-    "multiply", "poly_mul", "BallPoly2", "mollify_poly",
+    "mollified_distance", "SobolevName", "differentiate", "multiply",
 ]
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
 TRIG_BASES = ("ss", "sc", "cs", "cc")
 
@@ -786,14 +782,14 @@ def _root_tail(sq: float) -> FloatBall:
 # mollified elements -> coefficient fields
 # ---------------------------------------------------------------------------
 
-def _pullback_component(elem: MollifiedElement, j: int) -> RationalPoly2:
+def _pullback_component(trimmed: TrimmedField, j: int) -> RationalPoly2:
     """Trimmed component as a polynomial of the canonical variable."""
-    return elem.trimmed.component(j).compose_affine(
+    return trimmed.component(j).compose_affine(
         Fraction(2), Fraction(-1), Fraction(2), Fraction(-1))
 
 
-def _canonical_box(elem: MollifiedElement):
-    lo = Fraction(1, 1 << (elem.k + 1))
+def _canonical_box(trimmed: TrimmedField):
+    lo = Fraction(1, 1 << (trimmed.k + 1))
     return ((lo, 1 - lo), (lo, 1 - lo))
 
 
@@ -863,8 +859,8 @@ def _component_expansion(elem: MollifiedElement, j: int, basis: str,
                          cutoff: int):
     """Base expansion of one pulled-back trimmed component plus its L2 and
     H^1 Parseval defects (cached per element object)."""
-    box = _canonical_box(elem)
-    q = _pullback_component(elem, j)
+    box = _canonical_box(elem.trimmed)
+    q = _pullback_component(elem.trimmed, j)
     base = trig_poly_field(q, box, basis, cutoff)
     return (base,) + _defects(base, q, box, _component_h1_sq(q, box))
 
@@ -944,13 +940,10 @@ def coefficients(f, cutoff: int, k: int = 30):
     if isinstance(f, MollifiedElement):
         return mollified_field_pair(f, cutoff)
     if isinstance(f, TrimmedField):
+        box = _canonical_box(f)
         out = []
         for j, basis in ((1, "sc"), (2, "cs")):
-            q = f.component(j).compose_affine(Fraction(2), Fraction(-1),
-                                              Fraction(2), Fraction(-1))
-            beta = f.beta
-            lo = Fraction(1 - beta, 2)
-            box = ((lo, 1 - lo), (lo, 1 - lo))
+            q = _pullback_component(f, j)
             out.append(trig_poly_field(q, box, basis, cutoff,
                                        h1_sq=_component_h1_sq(q, box)))
         return out[0], out[1]
@@ -958,168 +951,8 @@ def coefficients(f, cutoff: int, k: int = 30):
 
 
 # ---------------------------------------------------------------------------
-# the dense set H = {gamma_n * q} and name-level calculus
+# name-level calculus
 # ---------------------------------------------------------------------------
-
-def poly_mul(p: RationalPoly2, q: RationalPoly2) -> RationalPoly2:
-    """Exact product of rational polynomials."""
-    if p.is_zero() or q.is_zero():
-        return RationalPoly2.zero()
-    dp, dq = p.N, q.N
-    out = [[_F0] * (dp + dq + 1) for _ in range(dp + dq + 1)]
-    for i, row in enumerate(p.a):
-        for j, a in enumerate(row):
-            if not a:
-                continue
-            for u, qrow in enumerate(q.a):
-                for v, b in enumerate(qrow):
-                    if b:
-                        out[i + u][j + v] += a * b
-    return RationalPoly2(out)
-
-
-class BallPoly2:
-    """Polynomial with FloatBall coefficients, used for gamma_n * q, which
-    is again a polynomial whose coefficients are kernel moments."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Dict[Tuple[int, int], FloatBall]):
-        self.coeffs = {k: v for k, v in coeffs.items()
-                       if v.c != 0.0 or v.r != 0.0}
-
-    @staticmethod
-    def from_rational(q: RationalPoly2) -> "BallPoly2":
-        out = {}
-        for i, row in enumerate(q.a):
-            for j, v in enumerate(row):
-                if v:
-                    out[(i, j)] = FloatBall.exact(v)
-        return BallPoly2(out)
-
-    def __sub__(self, other: "BallPoly2") -> "BallPoly2":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = (out[k] - v) if k in out else -v
-        return BallPoly2(out)
-
-    def eval_ball(self, x: Fraction, y: Fraction) -> FloatBall:
-        bx, by = FloatBall.exact(Fraction(x)), FloatBall.exact(Fraction(y))
-        total = FloatBall(0.0)
-        for (i, j), v in self.coeffs.items():
-            total = total + v * fb_pow(bx, Fraction(i)) * \
-                fb_pow(by, Fraction(j))
-        return total
-
-    def deriv(self, axis: int) -> "BallPoly2":
-        out = {}
-        for (i, j), v in self.coeffs.items():
-            if axis == 1 and i > 0:
-                out[(i - 1, j)] = v * FloatBall(float(i))
-            elif axis == 2 and j > 0:
-                out[(i, j - 1)] = v * FloatBall(float(j))
-        return BallPoly2(out)
-
-    def l2_sq_canonical(self) -> FloatBall:
-        """int over (0,1)^2 of the square."""
-        total = FloatBall(0.0)
-        items = list(self.coeffs.items())
-        for (i, j), v in items:
-            for (u, w), s in items:
-                total = total + v * s * FloatBall.exact(
-                    Fraction(1, (i + u + 1) * (j + w + 1)))
-        return total
-
-    def sup_upper(self) -> float:
-        balls = self.coeffs.values()
-        return BallGrid(np.array([abs(v.c) for v in balls]),
-                        np.array([v.r for v in balls])).ball_sum().upper()
-
-
-@lru_cache(maxsize=None)
-def _kernel_moment(p: int, q: int, nu: int) -> FloatBall:
-    """int gamma_nu(z) z1^{2p} z2^{2q} dz (odd moments vanish)."""
-    s = p + q
-    j = FloatBall.from_bounded(gamma_radial_moment(s, 60))
-    g0 = _fb_gamma0()
-    fac = Fraction(4 * (2 * s + 2), (2 * p + 1) * (2 * q + 1)) / \
-        Fraction(1 << (2 * nu * s))
-    return g0 * j * FloatBall.exact(fac)
-
-
-def mollify_poly(q: RationalPoly2, nu: int) -> BallPoly2:
-    """gamma_nu * q, expanded exactly through kernel moments."""
-    out: Dict[Tuple[int, int], FloatBall] = {}
-    for a, row in enumerate(q.a):
-        for b, v in enumerate(row):
-            if not v:
-                continue
-            vb = FloatBall.exact(v)
-            for i in range(0, a + 1, 2):
-                for j in range(0, b + 1, 2):
-                    mom = _kernel_moment(i // 2, j // 2, nu)
-                    term = vb * mom * FloatBall.exact(
-                        Fraction(math.comb(a, i) * math.comb(b, j)))
-                    key = (a - i, b - j)
-                    out[key] = out.get(key, FloatBall(0.0)) + term
-    return BallPoly2(out)
-
-
-class HElement:
-    """Element of the dense set: gamma_nu * q (or the plain polynomial q when
-    ``nu`` is None), on the canonical domain."""
-
-    __slots__ = ("q", "nu", "_ball")
-
-    def __init__(self, q: RationalPoly2, nu: Optional[int] = None):
-        if nu is not None and nu < 0:
-            raise ValueError("mollifier index must be nonnegative")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "_ball", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("HElement is immutable")
-
-    def ball(self) -> BallPoly2:
-        if self._ball is None:
-            b = BallPoly2.from_rational(self.q) if self.nu is None \
-                else mollify_poly(self.q, self.nu)
-            object.__setattr__(self, "_ball", b)
-        return self._ball
-
-    def deriv(self, axis: int) -> "HElement":
-        dq = self.q.deriv_x() if axis == 1 else self.q.deriv_y()
-        return HElement(dq, self.nu)
-
-    def eval_ball(self, x, y) -> FloatBall:
-        return self.ball().eval_ball(x, y)
-
-    def l2_distance(self, other: "HElement") -> FloatBall:
-        diff = self.ball() - other.ball()
-        sq = diff.l2_sq_canonical()
-        lo = max(sq.lower(), 0.0)
-        return fb_sqrt(FloatBall.from_rounded(lo, max(sq.upper(), lo)))
-
-    def sup_upper(self) -> float:
-        return self.ball().sup_upper()
-
-    def multiply(self, other: "HElement") -> "HElement":
-        if self.nu is not None or other.nu is not None:
-            raise NotImplementedError(
-                "products are emitted for polynomial approximants")
-        return HElement(poly_mul(self.q, other.q))
-
-    def __eq__(self, other):
-        return isinstance(other, HElement) and self.q == other.q and \
-            self.nu == other.nu
-
-    def __hash__(self):
-        return hash((self.q, self.nu))
-
-    def __repr__(self):
-        return "HElement(nu=%r, %r)" % (self.nu, self.q)
-
 
 class SobolevName:
     """A Name whose approximants converge in H^s: refine(k) is within
@@ -1148,11 +981,9 @@ class SobolevName:
                          "from the first approximant")
 
 
-def _deriv_any(p, axis: int):
+def _derivative(p, axis: int):
     if isinstance(p, FourierField):
         return p.derivative(axis)
-    if isinstance(p, HElement):
-        return p.deriv(axis)
     raise TypeError("cannot differentiate %r" % type(p).__name__)
 
 
@@ -1164,7 +995,7 @@ def differentiate(w: SobolevName, axis: int) -> Name:
         raise ValueError("differentiation needs s >= 1")
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
-    return Name(lambda k: _deriv_any(w.refine(k + 2), axis),
+    return Name(lambda k: _derivative(w.refine(k + 2), axis),
                 label="d%d" % axis)
 
 

@@ -7,17 +7,21 @@ the semigroup's operator identities and constants; no library code calls
 them.  The generic Taylor-series engine `TSeries` lives here too, with what
 is built on it: the adaptive Taylor-model quadrature, the panel models of
 the kernel profile W (for the radial moments) and of h1 (for the window
-transforms).  The library certifies those integrals by closed forms and by
-the profile's ODE recurrence.  The band-limited product's earlier route,
-`ball_convolve` of the exponential extensions `_extended`, checks the
-library's fold on the coefficient grids.  The Picard engine's cell-by-cell
-recursion, `CellEngine`, checks the library's level engine.
+transforms).  The radial moments J_s also have a closed form here
+(`gamma_radial_moment`), which the series kernel coefficients use; the
+library needs only J_0, through the normalization `gamma0`, and certifies
+the window transforms by the profile's ODE recurrence.  The band-limited
+product's earlier route, `ball_convolve` of the exponential extensions
+`_extended`, checks the library's fold on the coefficient grids.  The
+Picard engine's cell-by-cell recursion, `CellEngine`, checks the library's
+level engine.
 """
 
 import heapq
 import math
 from fractions import Fraction
 from functools import lru_cache
+from typing import Tuple
 
 import numpy as np
 
@@ -28,7 +32,7 @@ from solenoid.floatball import (EPS, FB_PI, TINY, BallGrid, FloatBall, fb_exp,
                                 fb_log, fb_pow, fb_sincos, fb_sqrt, grid_pow)
 from solenoid.floatball import _floored, _gamma, _up
 from solenoid.helmholtz import resolve_field
-from solenoid.polyfield import gamma0, gamma_radial_moment
+from solenoid.polyfield import _e1_balls, gamma0
 from solenoid.spectral import _H1_ORDER, _H1_TOL, _PI2, FourierField, \
     _fb_gamma0
 from solenoid.stokes import _as_bv, _components, _emit, _live_svals
@@ -776,6 +780,72 @@ def _osc_moments(x: FloatBall, q_x: Fraction, a: Fraction, b: Fraction,
 
 
 # ---------------------------------------------------------------------------
+# the kernel's radial moments in closed form
+# ---------------------------------------------------------------------------
+#
+# With u = r^2 and W(u) = exp(-1/(1-u)), every integral of the kernel against
+# a separable even function reduces to the moments J_s = (1/2) int_0^1 W u^s.
+# The substitution v = 1/(1-u) turns them into exponential integrals
+# E_n(1) = int_1^inf e^-v v^-n dv, and the recurrence
+# n E_{n+1}(1) = e^-1 - E_n(1) (DLMF 8.19.12) writes each E_n(1), and so
+# each J_s, as a rational combination of e^-1 and E_1(1).
+
+_F0, _F1 = Fraction(0), Fraction(1)
+
+
+@lru_cache(maxsize=None)
+def _moment_coefficients(s: int) -> Tuple[Fraction, Fraction]:
+    """The exact rationals A_s, B_s with J_s = (A_s e^-1 + B_s E_1(1))/2.
+
+    (1 - 1/v)^s expands by the binomial theorem, so
+    J_s = (1/2) sum_k (-1)^k C(s, k) E_{k+2}(1), and with
+    E_n(1) = a_n e^-1 + b_n E_1(1) the recurrence gives
+    a_{n+1} = (1 - a_n)/n and b_{n+1} = -b_n/n from a_1 = 0, b_1 = 1.
+    """
+    a, b = _F1, -_F1  # E_2(1) = e^-1 - E_1(1)
+    A = B = _F0
+    for k in range(s + 1):
+        c = math.comb(s, k) * (-1) ** k
+        A, B = A + c * a, B + c * b
+        a, b = (1 - a) / (k + 2), -b / (k + 2)
+    return A, B
+
+
+def _log2_moment_estimate(s: int) -> float:
+    """log2 J_s to within a few bits, from a midpoint sum of the integrand
+    in logarithms; it only sizes the working precision."""
+    # steering: floats, never part of an enclosure
+    logs = [s * math.log(u) - 1 / (1 - u)
+            for u in ((i + 0.5) / 1024 for i in range(1024))]
+    top = max(logs)
+    total = sum(math.exp(v - top) for v in logs) / 2048
+    return (top + math.log(total)) / math.log(2)
+
+
+def gamma_radial_moment(s: int, kbits: int = 60) -> BoundedValue:
+    """J_s = (1/2) int_0^1 exp(-1/(1-u)) u^s du, certified to about 2^-kbits
+    relative.
+
+    J_s = (A_s e^-1 + B_s E_1(1))/2 with exact rationals A_s, B_s whose
+    size exceeds J_s by about 4 sqrt(s) log2(e) bits (39 at s = 48), all of
+    which cancel.  The two balls are therefore taken at
+    kbits + log2(max(|A_s|, |B_s|)/J_s) + 16 bits and combined exactly in
+    their Fraction endpoints, so no rounding cap applies.
+    """
+    if s < 0:
+        raise ValueError("moment order must be nonnegative")
+    A, B = _moment_coefficients(s)
+    cancel = math.log2(max(abs(A), abs(B))) - _log2_moment_estimate(s)
+    prec = kbits + max(0, math.ceil(cancel)) + 16
+    prec += -prec % 16  # quantized, so nearby requests share the balls
+    lo = hi = _F0
+    for coeff, ball in zip((A, B), _e1_balls(prec)):
+        ends = (coeff * ball.lower(), coeff * ball.upper())
+        lo, hi = lo + min(ends), hi + max(ends)
+    return BoundedValue.from_endpoints(lo / 2, hi / 2, prec)
+
+
+# ---------------------------------------------------------------------------
 # panel Taylor models of the kernel profile
 # ---------------------------------------------------------------------------
 
@@ -829,7 +899,7 @@ def _w_panel_models(kbits: int):
 
 @lru_cache(maxsize=None)
 def _moments_upto(smax: int, kbits: int):
-    """J_0..J_smax of `polyfield.gamma_radial_moment` in one sweep over the
+    """J_0..J_smax of `gamma_radial_moment` in one sweep over the
     shared panel models of W.
 
     Per panel the power integrals int_a^b u^j du are accumulated as rounded
@@ -978,7 +1048,7 @@ def mollifier_cos_coefficient(nu: int, n: int, m: int,
     """Enclosure of int gamma_nu(z) cos(n pi z1) cos(m pi z2) dz.
 
     Expands the cosines around zero and contracts against the closed-form
-    radial moments J_s (`polyfield.gamma_radial_moment`), a route
+    radial moments J_s (`gamma_radial_moment`), a route
     independent of the window transforms of h1; the error of truncating at
     order P is controlled by the cosh tail.
     Requires n pi 2^-nu <= 16 (larger frequencies are useless anyway: the

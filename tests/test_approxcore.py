@@ -393,11 +393,15 @@ def test_no_adaptive_quadrature_in_the_library():
     # adaptive quadrature, the generic Taylor-series engine with its
     # transcendental hooks and the panel moments built on it are test
     # oracles only, and so is the band-limited product's route through the
-    # formed extensions
+    # formed extensions; the library's one dense set is the mollified
+    # trimmed polynomials, so the kernel-moment expansion gamma_nu * q and
+    # its closed-form moments J_s stay out too
     banned = {"certified_integral", "taylor_panel_integral", "heapq",
               "TSeries", "taylor", "exp_ball", "log_ball", "sincos_ball",
               "_moments_upto", "_w_panel_models", "ball_convolve",
-              "_extended", "_axis_extension"}
+              "_extended", "_axis_extension", "HElement", "BallPoly2",
+              "mollify_poly", "poly_mul", "_kernel_moment",
+              "gamma_radial_moment"}
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "solenoid"
     offenders = []
     for path in sorted(src.glob("*.py")):
@@ -417,6 +421,31 @@ def test_no_adaptive_quadrature_in_the_library():
             offenders += ["%s:%d %s" % (path.name, node.lineno, n)
                           for n in names & banned]
     assert not offenders, offenders
+
+
+def test_public_names_defined_in_their_module():
+    # every name a module lists in __all__ is bound at its top level by a
+    # def, a class or an assignment, not imported and not gone
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "solenoid"
+    missing = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined, public = set(), []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                for t in targets:
+                    for n in ast.walk(t):
+                        if isinstance(n, ast.Name):
+                            defined.add(n.id)
+                            if n.id == "__all__":
+                                public = ast.literal_eval(node.value)
+        missing += ["%s: %s" % (path.name, n) for n in public
+                    if n not in defined]
+    assert not missing, missing
 
 
 class TestConstantsTable:

@@ -19,14 +19,15 @@ from scipy.integrate import simpson
 
 from solenoid.polyfield import (
     MollifiedElement, RationalPoly2, SolenoidalPolyPair, approximation_defect,
-    constraint_matrix, enumerate_solenoidal_polys, gamma0, gamma_radial_moment,
+    constraint_matrix, enumerate_solenoidal_polys, gamma0,
     index_of_kernel_point, kernel_basis, matrix_rank, mollify,
     poly_name, solenoidal_kernel, trim,
 )
 from solenoid.polyfield import _row_reduce
 from solenoid.approxcore import BoundedValue, refine
-from oracles import (_moments_upto, dense_row_reduce, mollified_value,
-                     mollifier_cos_coefficient, mollifier_mass)
+from oracles import (_moments_upto, dense_row_reduce, gamma_radial_moment,
+                     mollified_value, mollifier_cos_coefficient,
+                     mollifier_mass)
 
 # frozen oracle (40-digit quadrature of the kernel normalization)
 GAMMA0 = F("1.683552623428849090226069715040108371621")

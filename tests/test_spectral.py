@@ -21,13 +21,13 @@ from solenoid import polyfield as pf
 from solenoid import spectral
 from solenoid.approxcore import BoundedValue, ConstantsTable, Name, bv_pi
 from solenoid.floatball import BallGrid, FloatBall
-from solenoid.polyfield import RationalPoly2, poly_inner_on_box
+from solenoid.polyfield import poly_inner_on_box
 from solenoid.spectral import (
-    _H1_ORDER, BallPoly2, FourierField, HElement, SobolevName, _ab_grid,
+    _H1_ORDER, FourierField, SobolevName, _ab_grid,
     _h1_models, _mollified_tail, _window_grid, axis_trig_moments,
     coefficients, differentiate, mode_weights, mollified_distance,
-    mollified_field_pair, mollifier_mode_grid, mollify_poly, multiply,
-    poly_mul, trig_poly_field,
+    mollified_field_pair, mollifier_mode_grid, multiply,
+    trig_poly_field,
 )
 
 import oracles
@@ -745,81 +745,6 @@ class TestCoefficients:
             coefficients("not a field", 8)
         with pytest.raises(ValueError):
             coefficients(FourierField.single_mode("ss", 1, 1), 8, k=48)
-
-
-class TestHElements:
-    def test_kernel_mass_preserved(self):
-        one = RationalPoly2([[F(1)]])
-        m = mollify_poly(one, 3)
-        assert m.eval_ball(F(1, 3), F(2, 7)).contains(F(1))
-
-    def test_quadratic_moment_shift(self):
-        # gamma_nu * x^2 = x^2 + second kernel moment (a constant)
-        q = RationalPoly2([[F(0), F(0), F(0)],
-                           [F(0), F(0), F(0)],
-                           [F(1), F(0), F(0)]])
-        m = mollify_poly(q, 2)
-        d2 = m.coeffs.get((2, 0))
-        assert d2 is not None and d2.contains(F(1))
-        # the constant is the second kernel moment 2^{-2 nu} int gamma u1^2;
-        # splitting the unit square at the diagonal gives the 1D oracle
-        # (16/3) g0 int_0^1 prof(r) r^3 dr for the unscaled kernel
-        g0 = mp.mpf("1.683552623428849090226069715040108371621")
-        mom = g0 * 16 / 3 * mp.quad(
-            lambda r: mp.e ** (-1 / (1 - r * r)) * r ** 3, [0, 1])
-        const = m.coeffs.get((0, 0))
-        assert const is not None
-        assert abs(const.c - float(mom) / 16) <= const.r + 1e-9
-
-    def test_derivative_commutes_with_mollification(self):
-        rows = [[F(0), F(1), F(0)], [F(2), F(0), F(0)],
-                [F(0), F(0), F(1, 3)]]
-        q = RationalPoly2(rows)
-        a = HElement(q, 2).deriv(1)
-        b = HElement(q.deriv_x(), 2)
-        for x, y in [(F(1, 3), F(1, 4)), (F(1, 2), F(2, 3))]:
-            va, vb = a.eval_ball(x, y), b.eval_ball(x, y)
-            assert abs(va.c - vb.c) <= va.r + vb.r + 1e-12
-
-    def test_exact_product(self):
-        p = RationalPoly2([[F(1), F(2)], [F(0), F(1)]])
-        q = RationalPoly2([[F(0), F(1)], [F(3), F(0)]])
-        prod = HElement(p).multiply(HElement(q))
-        x, y = F(1, 5), F(2, 3)
-        lhs = prod.eval_ball(x, y)
-        want = (1 + 2 * y + x * y) * (y + 3 * x)
-        assert lhs.contains(F(want))
-
-    def test_poly_mul_matches_sympy(self):
-        import sympy
-        xs, ys = sympy.symbols("x y")
-        p = RationalPoly2([[F(1), F(-1)], [F(2), F(0)]])
-        q = RationalPoly2([[F(0), F(2)], [F(1), F(1)]])
-        r = poly_mul(p, q)
-        pe = 1 - ys + 2 * xs
-        qe = 2 * ys + xs + xs * ys
-        re = sympy.expand(pe * qe)
-        for i, row in enumerate(r.a):
-            for j, v in enumerate(row):
-                assert re.coeff(xs, i).coeff(ys, j) == sympy.Rational(
-                    v.numerator, v.denominator)
-
-    def test_mollified_products_not_supported(self):
-        q = RationalPoly2([[F(1)]])
-        with pytest.raises(NotImplementedError):
-            HElement(q, 2).multiply(HElement(q, 2))
-
-    def test_l2_distance(self):
-        p = HElement(RationalPoly2([[F(1)]]))
-        q = HElement(RationalPoly2([[F(0)]]))
-        d = p.l2_distance(q)
-        assert d.contains(F(1))
-        assert p.l2_distance(p).upper() < 1e-12
-
-    def test_immutability(self):
-        h = HElement(RationalPoly2([[F(1)]]), 2)
-        with pytest.raises(AttributeError):
-            h.nu = 3
 
 
 class TestNameCalculus:
