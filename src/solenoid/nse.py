@@ -21,7 +21,8 @@ C (tau)^{-(beta+1/4)} ||A^{-1/4} x|| together with the bilinear bound
 so the recursion closes with computable numbers.  Time quadrature uses a
 uniform dyadic panel grid on [0, t]; panel values are semigroup enclosures
 with interval time, the head panel is an exponential hull down to tau = 0,
-and panel counts double until the certified radius meets budget.
+and panel counts, from one panel, double until the certified radius meets
+budget.
 
 The contraction certificate mirrors the fixed-point analysis: a seed
 resolution k-hat, a horizon T_a from the scaling inequality on
@@ -498,6 +499,12 @@ def _each(fn, grids) -> BallGrid:
     return out
 
 
+@lru_cache(maxsize=None)
+def _qtr_power(k: int) -> FloatBall:
+    """(pi^2 k)^{-1/4} for an integer k, cached per process."""
+    return fb_pow(_PI2 * FloatBall.exact(k), -F14)
+
+
 class _Engine:
     """Evaluates the Picard iterates on the P cells [ih, (i+1)h], h = t/P,
     one iteration level at a time, with full enclosure bookkeeping
@@ -542,9 +549,8 @@ class _Engine:
         self._M = cert.ball("M", lambda: self.ct.M)
         # lambda^{-1/4} past the cap and (2 pi^2)^{-1/4}, the smallest mode
         # of a B cell being (1, 1)
-        self._lam_qtr = fb_pow(_PI2 * FloatBall.exact((self.cap + 1) ** 2),
-                               -F14)
-        self._qtr_11 = fb_pow(_PI2 * FloatBall(2.0), -F14)
+        self._lam_qtr = _qtr_power((self.cap + 1) ** 2)
+        self._qtr_11 = _qtr_power(2)
         self._weights()
         if forcing is not None:
             hb = FloatBall.exact(self.h)
@@ -751,35 +757,56 @@ class LiftResult:
     panels: int
 
 
+# the nested-interval indices n = 1.._CLAIM2_N the smoothness lift tries
+_CLAIM2_N = 400
+
+
+@lru_cache(maxsize=1)
+def _claim2_factors() -> BallGrid:
+    """(1 - 2^-n)^{-17/20} (2^-n)^{1/4} for n = 1.._CLAIM2_N (entry n - 1):
+    the part of the Claim-II tail that depends on n alone, cached and
+    read-only."""
+    p = BallGrid(np.ldexp(1.0, -np.arange(1, _CLAIM2_N + 1)))
+    out = grid_pow(BallGrid(1.0) - p, Fraction(-17, 20)) * grid_pow(p, F14)
+    out.c.flags.writeable = out.r.flags.writeable = False
+    return out
+
+
 def _claim2_tail(cert: IterationCertificate, m: int, t: Fraction, n):
     """Upper bounds on the Claim-II endpoint-tail bound
     C C_{17/20} M M_{1/4,m} M_{1/2,m} (t - t_n)^{-17/20} 4 t_n^{1/4},
-    t_n = t/2^n, for an integer n (a float) or an integer array (an array),
-    in one pass over the array."""
+    t_n = t/2^n, for an integer 1 <= n <= _CLAIM2_N (a float) or an array
+    of them (an array)."""
     ct = cert.constants
     mm = min(m, len(cert.M_beta_m[F14]) - 1)
     lead = cert.ball(("claim2", mm), lambda: (
         ct.C * ct.C_alpha(Fraction(17, 20)) * ct.M *
         cert.M_beta_m[F14][mm] * cert.M_beta_m[F12][mm])) * FloatBall(4.0)
+    idx = np.ravel(n) - 1
+    if idx.min() < 0 or idx.max() >= _CLAIM2_N:
+        raise ValueError("the Claim-II index must lie in 1..%d" % _CLAIM2_N)
     # (t - t_n)^{-17/20} t_n^{1/4} = t^{-3/5} (1 - 2^-n)^{-17/20} (2^-n)^{1/4}
-    p = BallGrid(np.ldexp(1.0, -np.ravel(n)))
-    out = (grid_pow(BallGrid(1.0) - p, Fraction(-17, 20)) * grid_pow(p, F14)) \
+    out = _claim2_factors()[idx] \
         .scale_ball(lead * fb_pow(FloatBall.exact(t), Fraction(-3, 5))).upper()
     return out.reshape(np.shape(n)) if np.ndim(n) else float(out[0])
 
 
 def smoothness_lift(m: int, a, t, K: int,
                     cert: IterationCertificate = None,
-                    constants: ConstantsTable = None, panels: int = 8,
+                    constants: ConstantsTable = None, panels: int = 1,
                     panel_cap: int = 64,
                     forcing: Forcing = None) -> LiftResult:
     """H^{6/5}-certified approximant of u_m(t) for t > 0.
 
-    The nested-interval schedule [t_n, t - t_n], t_n = t/2^n, is resolved
-    with the smallest n whose Claim-II endpoint-tail bound meets 2^-(K+2)
-    and reported as part of the result; the executable quadrature encloses
-    the full (0, t] range, with the head cell's exponential hull and sliver
-    estimate subsuming the reported endpoint tails.
+    The engine runs on P = ``panels`` time cells (one by default) and P
+    doubles, up to ``panel_cap``, until the realized radius plus the engine
+    defect meets 2^-K, so the result comes from the smallest power of two
+    times ``panels`` that meets the budget; `BudgetError` when the cap does
+    not.  The nested-interval schedule [t_n, t - t_n], t_n = t/2^n, is
+    resolved with the smallest n whose Claim-II endpoint-tail bound meets
+    2^-(K+2) and reported as part of the result; the executable quadrature
+    encloses the full (0, t] range, with the head cell's exponential hull
+    and sliver estimate subsuming the reported endpoint tails.
     """
     t = Fraction(t)
     if t <= 0:
@@ -789,8 +816,8 @@ def smoothness_lift(m: int, a, t, K: int,
     if t > cert.T_frac:
         raise HorizonError("t = %s exceeds the certified horizon %s"
                            % (t, cert.T_frac))
-    # the first n <= 400 whose tail meets 2^-(K+2), else 400
-    tails = _claim2_tail(cert, m, t, np.arange(1, 401))
+    # the first n <= _CLAIM2_N whose tail meets 2^-(K+2), else _CLAIM2_N
+    tails = _claim2_tail(cert, m, t, np.arange(1, _CLAIM2_N + 1))
     n = 1 + int(np.argmax(np.append(tails[:-1] <= 2.0 ** -(K + 2), True)))
     P = panels
     while True:
@@ -818,12 +845,13 @@ def smoothness_lift(m: int, a, t, K: int,
 
 
 def iterate(a, cert: IterationCertificate, m: int, t, K: int,
-            panels: int = 8, panel_cap: int = 64, forcing: Forcing = None):
+            panel_cap: int = 64, forcing: Forcing = None):
     """2^-K approximant of the Picard iterate u_m(t) on [0, T_a].
 
     t = 0 returns the seed; m = 0 delegates to the semigroup; small t goes
     through the modulus eta when the certificate's resolution floor allows;
-    positive t composes through the smoothness lift.
+    positive t composes through the smoothness lift, whose time-cell
+    ladder starts at one cell.
     """
     if K < 0:
         raise ValueError("precision must be nonnegative")
@@ -847,19 +875,23 @@ def iterate(a, cert: IterationCertificate, m: int, t, K: int,
                                  cert.seed[0].grid, move),
                     FourierField(cert.seed[1].basis, cert.seed[1].cutoff,
                                  cert.seed[1].grid, move))
-    lift = smoothness_lift(m, a, t, K, cert=cert, panels=panels,
+    # the ladder's start goes by keyword: perfbench's tracer reads it there
+    # to count the doublings
+    lift = smoothness_lift(m, a, t, K, cert=cert, panels=1,
                            panel_cap=panel_cap, forcing=forcing)
     return lift.u
 
 
 def solve(a, f: Optional[Forcing], t, K: int,
           constants: ConstantsTable = None,
-          cert: IterationCertificate = None, panels: int = 8,
-          panel_cap: int = 64):
+          cert: IterationCertificate = None, panel_cap: int = 64):
     """2^-K approximant of the mild solution u(t) on the certified horizon.
 
     Chooses the iteration depth m so the geometric tail L epsilon^(m-1) /
-    (1 - epsilon) clears 2^-(K+1), then runs iterate at precision K+1.
+    (1 - epsilon) clears 2^-(K+1), then runs iterate at precision K+1; on
+    the engine route its smoothness lift starts from one time cell and
+    doubles the cells, up to ``panel_cap``, only while the budget is
+    missed.
     """
     if cert is None:
         cert = compute_horizon(a, constants, forcing=f)
@@ -871,8 +903,7 @@ def solve(a, f: Optional[Forcing], t, K: int,
         m += 1
         if m > 200:
             raise BudgetError("geometric tail does not close")
-    return iterate(a, cert, m, t, K + 1, panels=panels,
-                   panel_cap=panel_cap, forcing=f)
+    return iterate(a, cert, m, t, K + 1, panel_cap=panel_cap, forcing=f)
 
 
 # ---------------------------------------------------------------------------

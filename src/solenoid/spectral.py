@@ -286,10 +286,9 @@ class FourierField:
         char = self.basis[axis - 1]
         swapped = "c" if char == "s" else "s"
         nb = swapped + self.basis[1] if axis == 1 else self.basis[0] + swapped
-        # d/dt sin(n pi t) = n pi cos(n pi t), d/dt cos = -n pi sin
-        n = (1.0 if char == "s" else -1.0) * np.arange(self.cutoff + 1)
-        fac = BallGrid(n[:, None] if axis == 1 else n).scale_ball(FB_PI)
-        return FourierField(nb, self.cutoff, self.grid * fac)
+        fac = _derivative_factors(char, self.cutoff)
+        return FourierField(nb, self.cutoff, self.grid * (
+            fac.reshape(-1, 1) if axis == 1 else fac))
 
     def multiply(self, other: "FourierField") -> "FourierField":
         """Pointwise product: the convolution of both fields' exponential
@@ -302,10 +301,8 @@ class FourierField:
         # a cosine axis is even in its index, a sine axis odd
         h = ball_fold_convolve(self.grid, other.grid, [
             1 if ch == "c" else -1 for ch in self.basis + other.basis])
-        (cx, fx), (cy, fy) = (_axis_fold(a, b, cut)
-                              for a, b in zip(self.basis, other.basis))
-        w = np.outer(fx, fy)
-        return FourierField(cx + cy, cut, BallGrid(h.c * w, h.r * np.abs(w)))
+        basis, w, aw = _product_fold(self.basis, other.basis, cut)
+        return FourierField(basis, cut, BallGrid(h.c * w, h.r * aw))
 
     def eval_ball(self, x: Fraction, y: Fraction) -> FloatBall:
         self._require_band_limited("point evaluation")
@@ -396,6 +393,29 @@ def _axis_fold(c1: str, c2: str, cut: int) -> Tuple[str, np.ndarray]:
     if c1 != c2:
         return "s", f
     return "c", -f if c1 == "s" else f
+
+
+@lru_cache(maxsize=None)
+def _product_fold(b1: str, b2: str, cut: int):
+    """The basis of the product of fields in bases b1 and b2 at ``cut``,
+    and the factor grid w of both axes' `_axis_fold` with |w|; cached and
+    read-only."""
+    (cx, fx), (cy, fy) = (_axis_fold(a, b, cut) for a, b in zip(b1, b2))
+    w = np.outer(fx, fy)
+    aw = np.abs(w)
+    w.flags.writeable = aw.flags.writeable = False
+    return cx + cy, w, aw
+
+
+@lru_cache(maxsize=None)
+def _derivative_factors(char: str, cutoff: int) -> BallGrid:
+    """n pi for a sine axis and -n pi for a cosine axis, n = 0..cutoff:
+    d/dt sin(n pi t) = n pi cos(n pi t), d/dt cos = -n pi sin; cached and
+    read-only."""
+    n = (1.0 if char == "s" else -1.0) * np.arange(cutoff + 1)
+    out = BallGrid(n).scale_ball(FB_PI)
+    out.c.flags.writeable = out.r.flags.writeable = False
+    return out
 
 
 # ---------------------------------------------------------------------------

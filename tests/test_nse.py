@@ -596,6 +596,39 @@ class TestSmoothnessLift:
             * (1 + 1e-9)
         assert lift.t_n == c.T_frac / 2 ** lift.n
 
+    @staticmethod
+    def _engine_radius(cert, t, P, m, K):
+        pair, d = nse._Engine(cert, t, P, K + 6).eval(m)
+        return (FloatBall(nse._pair_radius(pair)) + d.at(0)).upper()
+
+    def test_ladder_returns_smallest_doubling(self):
+        # a small datum at a fine budget: one cell reaches about 4.7e-9 and
+        # two cells 2.7e-9, against 2^-28 = 3.7e-9
+        a = pf.mollify(pf.solenoidal_kernel(4)[0].scale(F(1, 16)), 1, 2)
+        c = nse.compute_horizon(a, mode_cap=12)
+        t, m, K = c.T_frac, 5, 28
+        lift = nse.smoothness_lift(m, a, t, K, cert=c)
+        assert lift.panels == 2
+        assert self._engine_radius(c, t, lift.panels, m, K) <= 2.0 ** -K
+        assert self._engine_radius(c, t, lift.panels // 2, m, K) > 2.0 ** -K
+        with pytest.raises(nse.BudgetError):
+            nse.smoothness_lift(m, a, t, K, cert=c, panel_cap=1)
+
+    def test_one_cell_overlaps_eight(self):
+        # the one-cell hull and the eight-cell quadrature enclose the same
+        # iterate: every coefficient ball of one meets the other's once
+        # both are widened by their L2 tails (a coefficient of weight w
+        # moves by at most tail / sqrt(w) <= 2 tail)
+        c = _cert()
+        one, eight = (nse.smoothness_lift(3, EL, c.T_frac, 8, cert=c,
+                                          panels=P) for P in (1, 8))
+        assert (one.panels, eight.panels) == (1, 8)
+        for f, g in zip(one.u, eight.u):
+            assert (f.basis, f.cutoff) == (g.basis, g.cutoff)
+            slack = f.grid.r + g.grid.r + 2 * (f.tail_l2.upper()
+                                               + g.tail_l2.upper())
+            assert bool((np.abs(f.grid.c - g.grid.c) <= slack).all())
+
 
 class TestRoundingRules:
     """The engine's defect weights and the Claim-II tail against 60-digit
@@ -643,6 +676,9 @@ class TestRoundingRules:
                        * mp.root(mp.mpf(t_n.numerator) / t_n.denominator, 4))
                 assert ref <= mp.mpf(got) <= ref * (1 + mp.mpf(10) ** -12)
                 assert nse._claim2_tail(cert, mm, t, int(n)) == got
+        for n in (0, 401):
+            with pytest.raises(ValueError):
+                nse._claim2_tail(cert, mm, t, n)
 
 
 class TestLevelEngine:
@@ -800,6 +836,27 @@ class TestSolve:
             assert np.array_equal(f.grid.c, g.grid.c)
             assert np.array_equal(f.grid.r, g.grid.r)
             assert f.tail_l2.upper() == g.tail_l2.upper()
+
+    def test_readme_solve_runs_one_cell(self, monkeypatch):
+        # the README datum meets its budget on one time cell: one product
+        # per iteration level, and no doubling
+        calls, lifts = [], []
+        product, lift = nse.nonlinearity_pair, nse.smoothness_lift
+
+        def counting(u1, u2):
+            calls.append(u1.cutoff)
+            return product(u1, u2)
+
+        def recording(m, *args, **kwargs):
+            lifts.append((m, lift(m, *args, **kwargs)))
+            return lifts[-1][1]
+        monkeypatch.setattr(nse, "nonlinearity_pair", counting)
+        monkeypatch.setattr(nse, "smoothness_lift", recording)
+        c = _cert()
+        nse.solve(EL, None, c.T_frac, 8, cert=c)
+        [(m, result)] = lifts
+        assert result.panels == 1
+        assert len(calls) == m
 
     def test_zero_data_zero_solution(self):
         z = (FourierField.zero("sc", 2), FourierField.zero("cs", 2))

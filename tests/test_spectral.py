@@ -282,6 +282,28 @@ class TestModeWeights:
         g = FourierField("sc", 6, BallGrid(np.ones((7, 7))))
         assert np.array_equal(g.grid.c, before[1] * 1.0)
 
+    def test_cached_glue_tables(self):
+        # the derivative's n pi factors and the product's fold factors are
+        # built once per (axis characters, cutoff) and shared read-only;
+        # a derivative and a product leave them as they were
+        fac = spectral._derivative_factors("c", 6)
+        basis, w, aw = spectral._product_fold("sc", "cs", 6)
+        assert fac is spectral._derivative_factors("c", 6)
+        assert w is spectral._product_fold("sc", "cs", 6)[1]
+        assert not any(a.flags.writeable for a in (fac.c, fac.r, w, aw))
+        before = (fac.c.copy(), fac.r.copy(), w.copy())
+        f = FourierField("sc", 3, BallGrid(np.ones((4, 4))))
+        g = FourierField("cs", 3, BallGrid(np.ones((4, 4))))
+        f.derivative(2), f.multiply(g)
+        assert all(np.array_equal(x, y)
+                   for x, y in zip(before, (fac.c, fac.r, w)))
+        assert basis == "ss"
+        assert np.array_equal(aw, np.abs(w))
+        assert (w[0, 0], w[0, 3], w[5, 6]) == (1.0, 2.0, 4.0)
+        for n in range(7):
+            ball = fac.at(n)
+            assert mp.mpf(ball.lower()) <= -n * mp.pi <= mp.mpf(ball.upper())
+
     def test_hs_norm_against_mpmath(self):
         rng = np.random.default_rng(12)
         f = FourierField("cs", 9, BallGrid(rng.normal(size=(10, 10))),
