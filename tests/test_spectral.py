@@ -292,9 +292,9 @@ class TestModeWeights:
         assert w is spectral._product_fold("sc", "cs", 6)[1]
         assert not any(a.flags.writeable for a in (fac.c, fac.r, w, aw))
         before = (fac.c.copy(), fac.r.copy(), w.copy())
-        f = FourierField("sc", 3, BallGrid(np.ones((4, 4))))
-        g = FourierField("cs", 3, BallGrid(np.ones((4, 4))))
-        f.derivative(2), f.multiply(g)
+        FourierField("sc", 6, BallGrid(np.ones((7, 7)))).derivative(2)
+        FourierField("sc", 3, BallGrid(np.ones((4, 4)))).multiply(
+            FourierField("cs", 3, BallGrid(np.ones((4, 4)))))
         assert all(np.array_equal(x, y)
                    for x, y in zip(before, (fac.c, fac.r, w)))
         assert basis == "ss"
