@@ -51,7 +51,7 @@ from .spectral import (
     _PI2, FourierField, SobolevName, _bilinear, _mode_mask, _trig_values,
     differentiate, mollified_field_pair, multiply, weighted_sq_terms,
 )
-from .stokes import _l2_upper, frac_power_norm, semigroup_apply
+from .stokes import _heat_factor, _l2_upper, frac_power_norm, semigroup_apply
 
 __all__ = [
     "BudgetError", "Forcing", "HorizonError", "IterationCertificate",
@@ -62,6 +62,7 @@ __all__ = [
 
 F14, F12, F35 = Fraction(1, 4), Fraction(1, 2), Fraction(3, 5)
 _DEFECT_BETAS = (Fraction(0), F14, F12, F35)
+_DEFECT_GAMMAS = tuple(b + F14 for b in _DEFECT_BETAS)
 # the fixed-point cap factor 4 (sqrt2 - 1)/sqrt2 = 4 - 2 sqrt2
 _WSTAR = FloatBall(4.0) - FloatBall(2.0) * fb_sqrt(FloatBall(2.0))
 
@@ -455,17 +456,6 @@ class Forcing:
         return Forcing(lambda lo, hi: (f1, f2), sup, label="constant")
 
 
-@lru_cache(maxsize=64)
-def _heat_factor(cutoff: int, t: Fraction) -> BallGrid:
-    """e^{-t lambda}, lambda = pi^2 (n^2 + m^2), for n, m <= cutoff; cached
-    and read-only."""
-    n = np.arange(cutoff + 1)
-    lam = BallGrid(n[:, None] ** 2 + n[None, :] ** 2) * _PI2
-    out = grid_exp(lam * -FloatBall.exact(t))
-    out.c.flags.writeable = out.r.flags.writeable = False
-    return out
-
-
 # the component bases of every pair the engine holds: seed, forcing cells,
 # iterates and B cells all come out of `project_pair`, so the two
 # components of a pair also share one cutoff
@@ -503,6 +493,19 @@ def _each(fn, grids) -> BallGrid:
 def _qtr_power(k: int) -> FloatBall:
     """(pi^2 k)^{-1/4} for an integer k, cached per process."""
     return fb_pow(_PI2 * FloatBall.exact(k), -F14)
+
+
+@lru_cache(maxsize=64)
+def _defect_powers(P: int, h: Fraction) -> BallGrid:
+    """h (j h)^-gamma, j = 1..max(P, 2), per channel gamma = beta + 1/4: no
+    gamma is an integer or 1/2, so each is `grid_pow`'s exp(-gamma log jh),
+    here one `grid_exp` over one `grid_log`; cached and read-only."""
+    jh = BallGrid.of(FloatBall.exact(j * h) for j in range(1, max(P, 2) + 1))
+    out = grid_exp(grid_log(jh) * BallGrid.of(
+        FloatBall.exact(-g) for g in _DEFECT_GAMMAS).reshape(-1, 1)) \
+        .scale_ball(jh.at(0))
+    out.c.flags.writeable = out.r.flags.writeable = False
+    return out
 
 
 class _Engine:
@@ -562,21 +565,13 @@ class _Engine:
         """C_gamma times the defect weight of a cell at gap g >= 1,
         h (g h)^-gamma, and of the next cell, (2h)^{1-gamma}/(1-gamma) in
         the integral and h^{1-gamma}/(1-gamma) at the endpoint (also the
-        weight of the cell itself), per channel gamma = beta + 1/4, over
-        j h, j = 1..max(P, 2).  No gamma is an integer or 1/2, so each
-        power is `grid_pow`'s exp(-gamma log jh), here one `grid_exp` of
-        the (4, P) grid over one `grid_log`."""
+        weight of the cell itself), per channel gamma = beta + 1/4."""
         P = self.P
-        jh = BallGrid.of(FloatBall.exact(j * self.h)
-                         for j in range(1, max(P, 2) + 1))
-        gammas = [b + F14 for b in _DEFECT_BETAS]
-        hw = grid_exp(grid_log(jh) * BallGrid.of(
-            FloatBall.exact(-g) for g in gammas).reshape(-1, 1)) \
-            .scale_ball(jh.at(0))
-        inv = BallGrid.of(FloatBall.exact(1 / (1 - g)) for g in gammas)
+        hw = _defect_powers(P, self.h)
+        inv = BallGrid.of(FloatBall.exact(1 / (1 - g)) for g in _DEFECT_GAMMAS)
         cg = BallGrid.of(self.cert.ball(("C_alpha", g),
                                         lambda: self.ct.C_alpha(g))
-                         for g in gammas)
+                         for g in _DEFECT_GAMMAS)
         near = (hw[:, 1] * inv).scale_ball(FloatBall(2.0)) * cg
         far = hw[:, :P - 1] * cg.reshape(-1, 1)
         self._W_int, self._W_end = (

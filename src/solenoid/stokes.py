@@ -1,9 +1,11 @@
-"""The Stokes semigroup on the unit square by contour integration, and
-fractional powers of the generator.
+"""The Stokes semigroup on the unit square, and fractional powers of the
+generator.
 
 On divergence-free product-basis expansions the Stokes operator acts
 diagonally: mode (n, m) carries the eigenvalue lam = pi^2 (n^2 + m^2).  The
-semigroup is evaluated from the sectorial contour representation
+semigroup multiplies it by e^{-lam t} in closed form (`floatball.grid_exp`,
+:func:`_heat_factor`), or on the ``force_contour`` route by the sectorial
+contour representation
 
     e^{-tA} a = (1/2 pi i) int_Gamma e^{lambda t} (lambda I + A)^{-1} a dlambda
 
@@ -41,7 +43,7 @@ from .approxcore import (
 )
 from .floatball import (
     FB_PI, BallGrid, CBall, FloatBall, ball_matmul, fb_exp, fb_pow, fb_sincos,
-    fb_sqrt, pow_up,
+    fb_sqrt, grid_exp, pow_up,
 )
 from .helmholtz import resolve_field
 from .spectral import _PI2, FourierField, mode_weights
@@ -248,28 +250,6 @@ def _emit(fields, pairp):
     return (fields[0], fields[1]) if pairp else fields[0]
 
 
-def _live_svals(field: FourierField) -> np.ndarray:
-    n = np.arange(field.cutoff + 1)
-    s = n[:, None] ** 2 + n[None, :] ** 2
-    return s[field.weights() > 0]
-
-
-def _apply_diagonal(field: FourierField, uniq: np.ndarray, fac: BallGrid,
-                    tail: FloatBall) -> FourierField:
-    shape = field.grid.shape
-    if uniq.size == 0:
-        return FourierField(field.basis, field.cutoff, BallGrid.zeros(shape),
-                            tail)
-    n = np.arange(field.cutoff + 1)
-    s = n[:, None] ** 2 + n[None, :] ** 2
-    live = field.weights() > 0
-    idx = np.searchsorted(uniq, np.where(live, s, uniq[0]))
-    fc = np.where(live, fac.c[idx], 0.0)
-    fr = np.where(live, fac.r[idx], 0.0)
-    grid = field.grid * BallGrid(fc, fr)
-    return FourierField(field.basis, field.cutoff, grid, tail)
-
-
 def _l2_upper(fields) -> float:
     """Upper bound on the joint L2 norm of fields, tails included."""
     return fb_sqrt(sum(f.l2_sq_ball() for f in fields)).upper()
@@ -278,6 +258,21 @@ def _l2_upper(fields) -> float:
 # ---------------------------------------------------------------------------
 # Semigroup
 # ---------------------------------------------------------------------------
+
+def _heat_grid(cutoff: int, t: FloatBall) -> BallGrid:
+    """e^{-t lambda}, lambda = pi^2 (n^2 + m^2), for n, m <= cutoff and
+    every time in the ball t."""
+    n = np.arange(cutoff + 1)
+    return grid_exp(BallGrid(n[:, None] ** 2 + n[None, :] ** 2) * _PI2 * -t)
+
+
+@lru_cache(maxsize=64)
+def _heat_factor(cutoff: int, t: Fraction) -> BallGrid:
+    """:func:`_heat_grid` at an exact time t; cached and read-only."""
+    out = _heat_grid(cutoff, FloatBall.exact(t))
+    out.c.flags.writeable = out.r.flags.writeable = False
+    return out
+
 
 def semigroup_apply(a, t, K: int, constants: ConstantsTable = None,
                     force_contour: bool = False):
@@ -290,14 +285,16 @@ def semigroup_apply(a, t, K: int, constants: ConstantsTable = None,
       * t = 0 returns the resolved argument (identity);
       * small t returns the argument when C t^{1/2} ||A^{1/2} a|| certifies
         the move is below 2^-(K+2);
-      * otherwise each retained mode is multiplied by the certified contour
-        enclosure of its heat factor, the contour remainder goes into the
-        output tail, and presented input tails pass through unchanged by
-        contractivity of the semigroup.
+      * otherwise each retained mode is multiplied by an enclosure of its
+        heat factor e^{-lam t}, the diagonal closed form by default; with
+        ``force_contour=True`` (no small-time shortcut) the contour
+        enclosure widened by the contour remainder.
     """
     if K < 0:
         raise ValueError("precision must be nonnegative")
     constants = constants or ConstantsTable.default()
+    t_exact = (t.lower() if t.lower() == t.upper() else None) \
+        if isinstance(t, BoundedValue) else Fraction(t)
     t = _as_bv(t)
     if t.lower() < 0:
         raise ValueError("the semigroup needs t >= 0")
@@ -314,21 +311,29 @@ def semigroup_apply(a, t, K: int, constants: ConstantsTable = None,
     if t.lower() <= 0:
         raise ValueError("time enclosure touches zero but the small-time "
                          "bound does not certify the identity output")
-    tb = FloatBall.from_bounded(t)
-    norm = _l2_upper(fields)
-    l, g3 = _tail_search(t, _as_bv(Fraction(norm) + Fraction(1, 10 ** 9)), K)
-    # the sorted distinct mode sums; the return_inverse form of np.unique
-    # does not import numpy.ma, which the plain form does under numpy 2.4
-    uniq = np.unique(np.concatenate([_live_svals(f) for f in fields]),
-                     return_inverse=True)[0] \
-        if fields else np.zeros(0, dtype=int)
-    # the per-mode contour remainder is at most g3 times the coefficient, so
-    # widening the factor enclosure makes every mode ball contain the true
-    # heat multiple; input tails pass through by contractivity
-    fac = BallGrid(*contour_factors(uniq, tb, l)[:2]).widened(
-        FloatBall.from_bounded(g3).upper())
-    out = [_apply_diagonal(f, uniq, fac, f.tail_l2) for f in fields]
-    return _emit(out, pairp)
+    cutoff = max(f.cutoff for f in fields)
+    if not force_contour:
+        fac = _heat_factor(cutoff, t_exact) if t_exact is not None \
+            else _heat_grid(cutoff, FloatBall.from_bounded(t))
+    else:
+        l, g3 = _tail_search(t, _as_bv(Fraction(_l2_upper(fields))
+                                       + Fraction(1, 10 ** 9)), K)
+        # the ray over the sorted distinct mode sums past 0 (the constant
+        # mode's factor is 1), widened by g3: the per-mode remainder is at
+        # most g3 times the coefficient.  The return_inverse form of
+        # np.unique does not import numpy.ma, which the plain form does.
+        n = np.arange(cutoff + 1)
+        uniq, inv = np.unique(n[:, None] ** 2 + n[None, :] ** 2,
+                              return_inverse=True)
+        fc, fr, _ = contour_factors(uniq[1:], FloatBall.from_bounded(t), l)
+        fr = BallGrid(fc, fr).widened(FloatBall.from_bounded(g3).upper()).r
+        fac = BallGrid(np.append(1.0, fc), np.append(0.0, fr))[
+            inv.reshape(cutoff + 1, -1)]
+    # the constructor's mode mask keeps only the live modes, and input tails
+    # pass through by contractivity
+    return _emit([FourierField(f.basis, f.cutoff, f.grid
+                               * fac[:f.cutoff + 1, :f.cutoff + 1], f.tail_l2)
+                  for f in fields], pairp)
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +361,8 @@ def frac_power_apply(a, alpha):
         else:
             raise ValueError("insufficient data: fractional power needs an "
                              "H^%s tail bound" % (2 * alpha))
-        live = f.weights() > 0
-        table = mode_weights(f.cutoff, "stokes", alpha)
-        grid = f.grid * BallGrid(table.c * live, table.r * live)
+        # the constructor's mode mask keeps only the live modes
+        grid = f.grid * mode_weights(f.cutoff, "stokes", alpha)
         out.append(FourierField(f.basis, f.cutoff, grid, tail))
     return _emit(out, pairp)
 

@@ -35,7 +35,7 @@ from solenoid.helmholtz import resolve_field
 from solenoid.polyfield import _e1_balls, gamma0
 from solenoid.spectral import _H1_ORDER, _H1_TOL, _PI2, FourierField, \
     _fb_gamma0
-from solenoid.stokes import _as_bv, _components, _emit, _live_svals
+from solenoid.stokes import _as_bv, _components, _emit, _heat_factor
 
 
 # ---------------------------------------------------------------------------
@@ -1262,13 +1262,13 @@ def smoothing_bound_check(a, alpha, t,
     lhs_sq = FloatBall(0.0)
     norm_sq = FloatBall(0.0)
     for f in fields:
-        uniq = np.unique(_live_svals(f))
+        n = np.arange(f.cutoff + 1)
+        sg = n[:, None] ** 2 + n[None, :] ** 2
+        uniq = np.unique(sg[f.weights() > 0])
         for s in uniq:
             fac = fb_exp(-(_PI2 * FloatBall.exact(int(s)) * tb))
             if alpha:
                 fac = fac * fb_pow(_PI2 * FloatBall.exact(int(s)), alpha)
-            n = np.arange(f.cutoff + 1)
-            sg = n[:, None] ** 2 + n[None, :] ** 2
             block = f.grid.sumsq_ball(f.weights() * (sg == s))
             lhs_sq = lhs_sq + fac * fac * block
         tl = f.tail_l2.upper()
@@ -1300,8 +1300,8 @@ def heat_range(pair, t_lo: Fraction, t_hi: Fraction):
     the diagonal action of the semigroup on the product basis."""
     out = []
     for f in pair:
-        lo = nse._heat_factor(f.cutoff, Fraction(t_hi))
-        hi = nse._heat_factor(f.cutoff, max(Fraction(t_lo), Fraction(0)))
+        lo = _heat_factor(f.cutoff, Fraction(t_hi))
+        hi = _heat_factor(f.cutoff, max(Fraction(t_lo), Fraction(0)))
         fac = BallGrid.from_rounded(lo.c - lo.r, np.minimum(hi.c + hi.r, 1.0))
         out.append(FourierField(f.basis, f.cutoff, f.grid * fac, f.tail_l2))
     return tuple(out)

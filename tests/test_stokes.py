@@ -213,16 +213,17 @@ class TestSemigroup:
     def test_small_time_move_is_certified(self, side, monkeypatch):
         # ||A^{1/2} a|| = pi for this pair, so the identity output needs
         # sqrt(t) pi <= 2^-(K+2), i.e. t <= t* = 2^-2(K+2)/pi^2: just below
-        # t* the identity is certified, just above it the contour must run
+        # t* the identity is certified, just above it the heat factors must
+        # be applied
         K = 10
         pair = _sol_mode(1, 1)
         with mpmath.workdps(60):
             t = F(mpmath.nstr(mpmath.mpf(2) ** (-2 * (K + 2)) / mpmath.pi ** 2
                               * (1 + side * mpmath.mpf(2) ** -45), 50))
 
-        def contour(*args):
-            raise LookupError("contour route")
-        monkeypatch.setattr(sk, "_tail_search", contour)
+        def heat(*args):
+            raise LookupError("heat factor route")
+        monkeypatch.setattr(sk, "_heat_factor", heat)
         if side < 0:
             out = sk.semigroup_apply(pair, t, K)
             assert out[0] is pair[0] and out[1] is pair[1]
@@ -264,9 +265,80 @@ class TestSemigroup:
             sk.semigroup_apply(u, t, 12)
 
 
+def _full_pair(cutoff, seed):
+    """A pair with a coefficient on every live mode up to ``cutoff``."""
+    from solenoid.floatball import BallGrid
+    rng = np.random.default_rng(seed)
+    return tuple(FourierField(b, cutoff, BallGrid(rng.uniform(
+        -1, 1, (cutoff + 1, cutoff + 1)))) for b in ("sc", "cs"))
+
+
+def _assert_inside(inner, outer):
+    """Every live mode ball of ``inner`` lies inside that of ``outer``."""
+    for fi, fo in zip(inner, outer):
+        live = fi.weights() > 0
+        for idx in zip(*np.nonzero(live)):
+            bi, bo = fi.grid.at(idx), fo.grid.at(idx)
+            assert bo.lower() <= bi.lower() and bi.upper() <= bo.upper(), \
+                (fi.basis, idx, bi.c, bi.r, bo.c, bo.r)
+
+
+class TestDefaultRoute:
+    """The closed-form heat factors are the default route: each of their
+    balls lies inside the certified contour ball, and the default makes no
+    contour call at all."""
+
+    @pytest.mark.parametrize("K", [12, 20])
+    @pytest.mark.parametrize("t", [F(1, 64), F(5, 32), F(1, 2), F(1)])
+    def test_inside_contour_ball(self, K, t):
+        pair = _full_pair(6, K)
+        _assert_inside(sk.semigroup_apply(pair, t, K),
+                       sk.semigroup_apply(pair, t, K, force_contour=True))
+
+    def test_inside_contour_ball_at_interval_time(self):
+        t = BoundedValue.from_endpoints(F(1, 8), F(1, 8) + F(1, 2 ** 20))
+        pair = _full_pair(6, 3)
+        out = sk.semigroup_apply(pair, t, 12)
+        _assert_inside(out, sk.semigroup_apply(pair, t, 12,
+                                               force_contour=True))
+        # the interval ball holds the factors at both ends of the time
+        for f, g in zip(out, pair):
+            for tq in (t.lower(), t.upper()):
+                b, a = f.grid.at((2, 3)), g.grid.at((2, 3)).c
+                assert b.lower() <= a * _heat(13, tq) <= b.upper()
+
+    def test_element_inside_contour_ball(self):
+        out = sk.semigroup_apply(EL, F(1, 8), 8)
+        _assert_inside(out, sk.semigroup_apply(EL, F(1, 8), 8,
+                                               force_contour=True))
+        for o, f in zip(out, mollified_field_pair(EL, 64)):
+            assert o.tail_l2.c == f.tail_l2.c and o.tail_l2.r == f.tail_l2.r
+
+    def test_default_makes_no_contour_call(self, monkeypatch):
+        def contour(*args):
+            raise LookupError("contour route")
+        monkeypatch.setattr(sk, "contour_factors", contour)
+        monkeypatch.setattr(sk, "_tail_search", contour)
+        pair = _full_pair(4, 5)
+        t = BoundedValue.from_endpoints(F(1, 8), F(1, 8) + F(1, 2 ** 20))
+        for tt in (F(1, 8), F(1, 10), t):
+            sk.semigroup_apply(pair, tt, 12)
+        sk.semigroup_apply(EL, F(1, 8), 8)
+        with pytest.raises(LookupError):
+            sk.semigroup_apply(pair, F(1, 8), 12, force_contour=True)
+
+    def test_exact_times_share_the_cached_table(self):
+        pair = _full_pair(4, 6)
+        sk._heat_factor.cache_clear()
+        sk.semigroup_apply(pair, F(3, 16), 12)
+        sk.semigroup_apply(pair, BoundedValue.exact(F(3, 16)), 12)
+        info = sk._heat_factor.cache_info()
+        assert info.misses == 1 and info.hits == 1
+
+
 def test_semigroup_leaves_numpy_ma_unloaded():
-    # numpy.ma takes about 14 ms to import and the contour route needs
-    # none of it; a plain np.unique loads it under numpy 2.4
+    # numpy.ma takes about 14 ms to import and the semigroup needs none of
+    # it; under numpy 2.4 a plain np.unique would load it
     root = pathlib.Path(__file__).resolve().parents[1]
     code = "\n".join([
         "import sys",
