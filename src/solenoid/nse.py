@@ -62,7 +62,6 @@ __all__ = [
 
 F14, F12, F35 = Fraction(1, 4), Fraction(1, 2), Fraction(3, 5)
 _DEFECT_BETAS = (Fraction(0), F14, F12, F35)
-_DEFECT_GAMMAS = tuple(b + F14 for b in _DEFECT_BETAS)
 # the fixed-point cap factor 4 (sqrt2 - 1)/sqrt2 = 4 - 2 sqrt2
 _WSTAR = FloatBall(4.0) - FloatBall(2.0) * fb_sqrt(FloatBall(2.0))
 
@@ -495,19 +494,6 @@ def _qtr_power(k: int) -> FloatBall:
     return fb_pow(_PI2 * FloatBall.exact(k), -F14)
 
 
-@lru_cache(maxsize=64)
-def _defect_powers(P: int, h: Fraction) -> BallGrid:
-    """h (j h)^-gamma, j = 1..max(P, 2), per channel gamma = beta + 1/4: no
-    gamma is an integer or 1/2, so each is `grid_pow`'s exp(-gamma log jh),
-    here one `grid_exp` over one `grid_log`; cached and read-only."""
-    jh = BallGrid.of(FloatBall.exact(j * h) for j in range(1, max(P, 2) + 1))
-    out = grid_exp(grid_log(jh) * BallGrid.of(
-        FloatBall.exact(-g) for g in _DEFECT_GAMMAS).reshape(-1, 1)) \
-        .scale_ball(jh.at(0))
-    out.c.flags.writeable = out.r.flags.writeable = False
-    return out
-
-
 class _Engine:
     """Evaluates the Picard iterates on the P cells [ih, (i+1)h], h = t/P,
     one iteration level at a time, with full enclosure bookkeeping
@@ -565,13 +551,21 @@ class _Engine:
         """C_gamma times the defect weight of a cell at gap g >= 1,
         h (g h)^-gamma, and of the next cell, (2h)^{1-gamma}/(1-gamma) in
         the integral and h^{1-gamma}/(1-gamma) at the endpoint (also the
-        weight of the cell itself), per channel gamma = beta + 1/4."""
+        weight of the cell itself), per channel gamma = beta + 1/4, over
+        j h, j = 1..max(P, 2).  No gamma is an integer or 1/2, so each
+        power is `grid_pow`'s exp(-gamma log jh), here one `grid_exp` of
+        the (4, P) grid over one `grid_log`."""
         P = self.P
-        hw = _defect_powers(P, self.h)
-        inv = BallGrid.of(FloatBall.exact(1 / (1 - g)) for g in _DEFECT_GAMMAS)
+        jh = BallGrid.of(FloatBall.exact(j * self.h)
+                         for j in range(1, max(P, 2) + 1))
+        gammas = [b + F14 for b in _DEFECT_BETAS]
+        hw = grid_exp(grid_log(jh) * BallGrid.of(
+            FloatBall.exact(-g) for g in gammas).reshape(-1, 1)) \
+            .scale_ball(jh.at(0))
+        inv = BallGrid.of(FloatBall.exact(1 / (1 - g)) for g in gammas)
         cg = BallGrid.of(self.cert.ball(("C_alpha", g),
                                         lambda: self.ct.C_alpha(g))
-                         for g in _DEFECT_GAMMAS)
+                         for g in gammas)
         near = (hw[:, 1] * inv).scale_ball(FloatBall(2.0)) * cg
         far = hw[:, :P - 1] * cg.reshape(-1, 1)
         self._W_int, self._W_end = (

@@ -259,17 +259,13 @@ def _l2_upper(fields) -> float:
 # Semigroup
 # ---------------------------------------------------------------------------
 
-def _heat_grid(cutoff: int, t: FloatBall) -> BallGrid:
-    """e^{-t lambda}, lambda = pi^2 (n^2 + m^2), for n, m <= cutoff and
-    every time in the ball t."""
-    n = np.arange(cutoff + 1)
-    return grid_exp(BallGrid(n[:, None] ** 2 + n[None, :] ** 2) * _PI2 * -t)
-
-
 @lru_cache(maxsize=64)
 def _heat_factor(cutoff: int, t: Fraction) -> BallGrid:
-    """:func:`_heat_grid` at an exact time t; cached and read-only."""
-    out = _heat_grid(cutoff, FloatBall.exact(t))
+    """e^{-t lambda}, lambda = pi^2 (n^2 + m^2), for n, m <= cutoff; cached
+    and read-only."""
+    n = np.arange(cutoff + 1)
+    lam = BallGrid(n[:, None] ** 2 + n[None, :] ** 2) * _PI2
+    out = grid_exp(lam * -FloatBall.exact(t))
     out.c.flags.writeable = out.r.flags.writeable = False
     return out
 
@@ -286,15 +282,16 @@ def semigroup_apply(a, t, K: int, constants: ConstantsTable = None,
       * small t returns the argument when C t^{1/2} ||A^{1/2} a|| certifies
         the move is below 2^-(K+2);
       * otherwise each retained mode is multiplied by an enclosure of its
-        heat factor e^{-lam t}, the diagonal closed form by default; with
+        heat factor e^{-lam t}, the diagonal closed form by default (over a
+        time interval, the hull of its values at the two ends); with
         ``force_contour=True`` (no small-time shortcut) the contour
         enclosure widened by the contour remainder.
     """
     if K < 0:
         raise ValueError("precision must be nonnegative")
     constants = constants or ConstantsTable.default()
-    t_exact = (t.lower() if t.lower() == t.upper() else None) \
-        if isinstance(t, BoundedValue) else Fraction(t)
+    ends = (t.lower(), t.upper()) if isinstance(t, BoundedValue) \
+        else (Fraction(t),) * 2
     t = _as_bv(t)
     if t.lower() < 0:
         raise ValueError("the semigroup needs t >= 0")
@@ -313,8 +310,13 @@ def semigroup_apply(a, t, K: int, constants: ConstantsTable = None,
                          "bound does not certify the identity output")
     cutoff = max(f.cutoff for f in fields)
     if not force_contour:
-        fac = _heat_factor(cutoff, t_exact) if t_exact is not None \
-            else _heat_grid(cutoff, FloatBall.from_bounded(t))
+        # e^{-lam t} falls in t, so a time interval takes the hull of the
+        # tables at its two ends
+        fac = _heat_factor(cutoff, ends[1])
+        if ends[0] != ends[1]:
+            hi = _heat_factor(cutoff, ends[0])
+            fac = BallGrid.from_rounded(fac.c - fac.r,
+                                        np.minimum(hi.c + hi.r, 1.0))
     else:
         l, g3 = _tail_search(t, _as_bv(Fraction(_l2_upper(fields))
                                        + Fraction(1, 10 ** 9)), K)
@@ -361,8 +363,9 @@ def frac_power_apply(a, alpha):
         else:
             raise ValueError("insufficient data: fractional power needs an "
                              "H^%s tail bound" % (2 * alpha))
-        # the constructor's mode mask keeps only the live modes
-        grid = f.grid * mode_weights(f.cutoff, "stokes", alpha)
+        live = f.weights() > 0
+        table = mode_weights(f.cutoff, "stokes", alpha)
+        grid = f.grid * BallGrid(table.c * live, table.r * live)
         out.append(FourierField(f.basis, f.cutoff, grid, tail))
     return _emit(out, pairp)
 

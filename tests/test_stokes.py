@@ -307,6 +307,22 @@ class TestDefaultRoute:
                 b, a = f.grid.at((2, 3)), g.grid.at((2, 3)).c
                 assert b.lower() <= a * _heat(13, tq) <= b.upper()
 
+    def test_wide_interval_time_at_cutoff_8(self):
+        # lam t spans about 150 to 1600 at mode (8, 8) over t in [1/8, 5/4]:
+        # the ball is the hull of the factors at the two ends of the time
+        t = BoundedValue.from_endpoints(F(1, 8), F(5, 4))
+        pair = _full_pair(8, 7)
+        out = sk.semigroup_apply(pair, t, 12)
+        _assert_inside(out, sk.semigroup_apply(pair, t, 12,
+                                               force_contour=True))
+        for f, g in zip(out, pair):
+            for n, m in ((1, 1), (3, 5), (8, 8)):
+                b, a = f.grid.at((n, m)), g.grid.at((n, m)).c
+                ends = sorted(a * _heat(n * n + m * m, tq)
+                              for tq in (t.lower(), t.upper()))
+                assert b.lower() <= ends[0] and ends[1] <= b.upper()
+                assert b.r <= 0.5 * (ends[1] - ends[0]) * (1 + 1e-9)
+
     def test_element_inside_contour_ball(self):
         out = sk.semigroup_apply(EL, F(1, 8), 8)
         _assert_inside(out, sk.semigroup_apply(EL, F(1, 8), 8,
