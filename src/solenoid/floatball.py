@@ -372,14 +372,6 @@ def fb_sincos(x: FloatBall) -> tuple:
     return s, c
 
 
-def fb_sin(x: FloatBall) -> FloatBall:
-    return fb_sincos(x)[0]
-
-
-def fb_cos(x: FloatBall) -> FloatBall:
-    return fb_sincos(x)[1]
-
-
 def fb_log(x: FloatBall) -> FloatBall:
     return grid_log(BallGrid(x.c, x.r)).at(())
 

@@ -304,20 +304,6 @@ class FourierField:
         basis, w, aw = _product_fold(self.basis, other.basis, cut)
         return FourierField(basis, cut, BallGrid(h.c * w, h.r * aw))
 
-    def eval_ball(self, x: Fraction, y: Fraction) -> FloatBall:
-        self._require_band_limited("point evaluation")
-        return _bilinear(_trig_values(self.basis[0], self.cutoff, x),
-                         self.grid,
-                         _trig_values(self.basis[1], self.cutoff, y))
-
-    def inner_l2(self, other: "FourierField") -> FloatBall:
-        """L2 inner product; tails enter through Cauchy-Schwarz."""
-        a, b, cut = self._aligned(other)
-        s = (a.grid * b.grid * BallGrid(_weights(self.basis, cut))).ball_sum()
-        ta, tb = FloatBall(a.tail_l2.upper()), FloatBall(b.tail_l2.upper())
-        cross = ta * b.l2_norm_ball() + tb * a.l2_norm_ball() + ta * tb
-        return s.widened(cross.upper())
-
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:

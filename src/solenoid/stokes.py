@@ -4,13 +4,15 @@ generator.
 On divergence-free product-basis expansions the Stokes operator acts
 diagonally: mode (n, m) carries the eigenvalue lam = pi^2 (n^2 + m^2).  The
 semigroup multiplies it by e^{-lam t} in closed form (`floatball.grid_exp`,
-:func:`_heat_factor`), or on the ``force_contour`` route by the sectorial
-contour representation
+:func:`_heat_factor`).  The paper's sectorial contour representation
 
     e^{-tA} a = (1/2 pi i) int_Gamma e^{lambda t} (lambda I + A)^{-1} a dlambda
 
-with Gamma the pair of rays r e^{+-i beta}, beta = 3 pi / 5.  Conjugate
-symmetry collapses the two rays into one real integral per mode,
+with Gamma the pair of rays r e^{+-i beta}, beta = 3 pi / 5, keeps its
+primitives here (:func:`contour_factors`, :func:`tail_cutoff_l`); no library
+route calls them, and the test oracles assemble the contour semigroup from
+them.  Conjugate symmetry collapses the two rays into one real integral per
+mode,
 
     factor(lam) = (1/pi) Im int_0^l e^{t r e^{i beta}} e^{i beta}
                                / (r e^{i beta} + lam) dr  +  gamma_3,
@@ -82,25 +84,17 @@ def _gamma3_value(l: float, t: BoundedValue, K: int) -> BoundedValue:
 def tail_cutoff_l(t, norm_a, K: int) -> BoundedValue:
     """Radial cutoff l with certified contour remainder at most 2^-(K+7).
 
-    The remainder per component is gamma_3 * ||a||; the search doubles l from
-    a closed-form float estimate until the certified bound closes.  Requires
-    t > 0 (a time enclosure touching zero must take the small-time path of
-    :func:`semigroup_apply` instead).
+    The remainder per component is gamma_3 * ||a|| (:func:`_gamma3_value`);
+    the search doubles l from a closed-form float estimate until the
+    certified bound closes.  Requires t > 0: the contour does not represent
+    the semigroup at t = 0.
     """
     t = _as_bv(t)
     norm = _as_bv(norm_a)
     if t.lower() <= 0:
-        raise ValueError("tail cutoff needs t > 0; route times near zero "
-                         "through the small-time path")
+        raise ValueError("tail cutoff needs t > 0")
     if norm.upper() <= 0:
         return BoundedValue.exact(1)
-    return BoundedValue.exact(Fraction(_tail_search(t, norm, K)[0]))
-
-
-def _tail_search(t: BoundedValue, norm: BoundedValue, K: int) \
-        -> Tuple[float, BoundedValue]:
-    """The cutoff l of :func:`tail_cutoff_l` for a positive norm, together
-    with the gamma_3 value that certified it."""
     target = Fraction(1, 1 << (K + 7))
     # a float pre-search with the closed-form bound e^{tcl}/(t|c|l pi sin
     # beta) only steers the search: the cutoff it finds is certified below
@@ -115,9 +109,8 @@ def _tail_search(t: BoundedValue, norm: BoundedValue, K: int) \
             break
         l *= 1.25
     for _ in range(40):
-        g3 = _gamma3_value(l, t, K)
-        if (g3 * norm).upper() <= target:
-            return l, g3
+        if (_gamma3_value(l, t, K) * norm).upper() <= target:
+            return BoundedValue.exact(Fraction(l))
         l *= 2.0
     raise RuntimeError("contour tail bound did not close")
 
@@ -145,22 +138,23 @@ def _panels(t_hi: float, l: float, lam_min: float):
 
 
 _KMAX = 34      # series terms of the exponential moments
+_J = 44         # geometric series terms of the panel denominators
 
 
 @lru_cache(maxsize=None)
-def _moment_matrix(J: int) -> BallGrid:
-    """M[j, k] = w_{j+k}/k! for j <= J, k <= _KMAX, with w_i = 2/(i+1) for
+def _moment_matrix() -> BallGrid:
+    """M[j, k] = w_{j+k}/k! for j <= _J, k <= _KMAX, with w_i = 2/(i+1) for
     even i and 0 for odd i, as exact balls."""
     w = BallGrid.of(FloatBall.exact(Fraction(2, i + 1) if i % 2 == 0 else 0)
-                    for i in range(J + _KMAX + 1))
+                    for i in range(_J + _KMAX + 1))
     inv_fact = BallGrid.of(FloatBall.exact(Fraction(1, math.factorial(k)))
                            for k in range(_KMAX + 1))
-    idx = np.add.outer(np.arange(J + 1), np.arange(_KMAX + 1))
+    idx = np.add.outer(np.arange(_J + 1), np.arange(_KMAX + 1))
     return w[idx] * inv_fact.reshape(1, -1)
 
 
-def _exp_moments(z: CBall, J: int, ez: float) -> CBall:
-    """Enclosures of A_j = int_{-1}^{1} v^j e^{z v} dv for j = 0..J, for
+def _exp_moments(z: CBall, ez: float) -> CBall:
+    """Enclosures of A_j = int_{-1}^{1} v^j e^{z v} dv for j = 0.._J, for
     |z| <= 2 and ez >= e^{|z|}: the series sum_k M[j, k] z^k through
     `ball_matmul` on the real and imaginary parts (the radii of the powers
     enter the real part only, so they count once), plus the tail past
@@ -169,7 +163,7 @@ def _exp_moments(z: CBall, J: int, ez: float) -> CBall:
     for _ in range(_KMAX + 1):
         zp.append(zp[-1] * z)
     c = np.array([p.c for p in zp[:-1]])
-    M = _moment_matrix(J)
+    M = _moment_matrix()
     A = CBall.of(ball_matmul(M, BallGrid(c.real, [p.r for p in zp[:-1]])),
                  ball_matmul(M, BallGrid(c.imag)))
     rem = FloatBall(zp[-1].mag()) * FloatBall(ez) * FloatBall.exact(
@@ -177,7 +171,7 @@ def _exp_moments(z: CBall, J: int, ez: float) -> CBall:
     return A.widened(rem.upper())
 
 
-def contour_factors(svals, t: FloatBall, l: float, J: int = 44):
+def contour_factors(svals, t: FloatBall, l: float):
     """Mode factors of the finite contour ray for eigenvalue indices svals.
 
     ``svals`` holds the integers n^2 + m^2 >= 1; the return is a pair of
@@ -191,9 +185,9 @@ def contour_factors(svals, t: FloatBall, l: float, J: int = 44):
     panel the integrand is h e^{i beta} e^{t mid e^{i beta}} e^{z v}/(d +
     h e^{i beta} v), v in [-1, 1], z = t h e^{i beta}, d = mid e^{i beta} +
     lam; with w = -h e^{i beta}/d the denominator is the geometric series
-    sum_j w^j v^j / d, summed by Horner to order J in complex discs
-    (`CBall`), and the terms past J add at most
-    2 e^{|z|} |w|^{J+1}/(1 - |w|).
+    sum_j w^j v^j / d, summed by Horner to order _J in complex discs
+    (`CBall`), and the terms past _J add at most
+    2 e^{|z|} |w|^{_J+1}/(1 - |w|).
     """
     s = np.asarray(svals, dtype=float)
     if s.size == 0:
@@ -216,7 +210,7 @@ def contour_factors(svals, t: FloatBall, l: float, J: int = 44):
         if zmag > 2.0:
             raise RuntimeError("moment series argument out of range")
         ez = fb_exp(FloatBall(zmag)).upper()
-        A = _exp_moments(z, J, ez)
+        A = _exp_moments(z, ez)
         ex = fb_exp(t * _CB * mb)
         sph, cph = fb_sincos(t * _SB * mb)
         heib = eib * CBall(h + 0j)
@@ -226,10 +220,11 @@ def contour_factors(svals, t: FloatBall, l: float, J: int = 44):
         wmag = w.mag()
         if wmag.max() > 0.6:
             raise RuntimeError("geometric panel ratio out of range")
-        S = CBall(np.full(s.shape, A.c[J]), np.full(s.shape, A.r[J]))
-        for j in range(J - 1, -1, -1):
+        S = CBall(np.full(s.shape, A.c[_J]), np.full(s.shape, A.r[_J]))
+        for j in range(_J - 1, -1, -1):
             S = w.mul_add(S, A[j])
-        tail = BallGrid(pow_up(wmag, J + 1)) / (BallGrid(1.0) - BallGrid(wmag))
+        tail = BallGrid(pow_up(wmag, _J + 1)) \
+            / (BallGrid(1.0) - BallGrid(wmag))
         S = S.widened(tail.scale_ball(FloatBall(2.0) * FloatBall(ez)).upper())
         tot = pref.mul_add(inv * S, tot)
     out = BallGrid(tot.c.imag, tot.r).scale_ball(FloatBall(1.0) / FB_PI)
@@ -270,8 +265,7 @@ def _heat_factor(cutoff: int, t: Fraction) -> BallGrid:
     return out
 
 
-def semigroup_apply(a, t, K: int, constants: ConstantsTable = None,
-                    force_contour: bool = False):
+def semigroup_apply(a, t, K: int, constants: ConstantsTable = None):
     """2^-K approximation of e^{-tA} a.
 
     ``a`` is a component pair, a single field, a mollified element, or a
@@ -282,10 +276,8 @@ def semigroup_apply(a, t, K: int, constants: ConstantsTable = None,
       * small t returns the argument when C t^{1/2} ||A^{1/2} a|| certifies
         the move is below 2^-(K+2);
       * otherwise each retained mode is multiplied by an enclosure of its
-        heat factor e^{-lam t}, the diagonal closed form by default (over a
-        time interval, the hull of its values at the two ends); with
-        ``force_contour=True`` (no small-time shortcut) the contour
-        enclosure widened by the contour remainder.
+        heat factor e^{-lam t}, the diagonal closed form (over a time
+        interval, the hull of its values at the two ends).
     """
     if K < 0:
         raise ValueError("precision must be nonnegative")
@@ -299,7 +291,7 @@ def semigroup_apply(a, t, K: int, constants: ConstantsTable = None,
     if t.upper() == 0:
         return _emit(fields, pairp)
     band = all(f.band_limited() for f in fields)
-    if band and not force_contour:
+    if band:
         move = FloatBall.from_bounded(constants.C_half_time) \
             * fb_sqrt(FloatBall.from_bounded(t)) \
             * frac_power_norm(fields, Fraction(1, 2))
@@ -309,28 +301,13 @@ def semigroup_apply(a, t, K: int, constants: ConstantsTable = None,
         raise ValueError("time enclosure touches zero but the small-time "
                          "bound does not certify the identity output")
     cutoff = max(f.cutoff for f in fields)
-    if not force_contour:
-        # e^{-lam t} falls in t, so a time interval takes the hull of the
-        # tables at its two ends
-        fac = _heat_factor(cutoff, ends[1])
-        if ends[0] != ends[1]:
-            hi = _heat_factor(cutoff, ends[0])
-            fac = BallGrid.from_rounded(fac.c - fac.r,
-                                        np.minimum(hi.c + hi.r, 1.0))
-    else:
-        l, g3 = _tail_search(t, _as_bv(Fraction(_l2_upper(fields))
-                                       + Fraction(1, 10 ** 9)), K)
-        # the ray over the sorted distinct mode sums past 0 (the constant
-        # mode's factor is 1), widened by g3: the per-mode remainder is at
-        # most g3 times the coefficient.  The return_inverse form of
-        # np.unique does not import numpy.ma, which the plain form does.
-        n = np.arange(cutoff + 1)
-        uniq, inv = np.unique(n[:, None] ** 2 + n[None, :] ** 2,
-                              return_inverse=True)
-        fc, fr, _ = contour_factors(uniq[1:], FloatBall.from_bounded(t), l)
-        fr = BallGrid(fc, fr).widened(FloatBall.from_bounded(g3).upper()).r
-        fac = BallGrid(np.append(1.0, fc), np.append(0.0, fr))[
-            inv.reshape(cutoff + 1, -1)]
+    # e^{-lam t} falls in t, so a time interval takes the hull of the tables
+    # at its two ends
+    fac = _heat_factor(cutoff, ends[1])
+    if ends[0] != ends[1]:
+        hi = _heat_factor(cutoff, ends[0])
+        fac = BallGrid.from_rounded(fac.c - fac.r,
+                                    np.minimum(hi.c + hi.r, 1.0))
     # the constructor's mode mask keeps only the live modes, and input tails
     # pass through by contractivity
     return _emit([FourierField(f.basis, f.cutoff, f.grid

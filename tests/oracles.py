@@ -2,19 +2,22 @@
 
 Most functions here compute a value the package also computes, by a
 different method, so that tests can require the two enclosures to overlap.
-The resolvent, the contour mode cutoff and the smoothing diagnostic check
-the semigroup's operator identities and constants; no library code calls
-them.  The generic Taylor-series engine `TSeries` lives here too, with what
-is built on it: the adaptive Taylor-model quadrature, the panel models of
-the kernel profile W (for the radial moments) and of h1 (for the window
-transforms).  The radial moments J_s also have a closed form here
-(`gamma_radial_moment`), which the series kernel coefficients use; the
-library needs only J_0, through the normalization `gamma0`, and certifies
-the window transforms by the profile's ODE recurrence.  The band-limited
-product's earlier route, `ball_convolve` of the exponential extensions
-`_extended`, checks the library's fold on the coefficient grids.  The
-Picard engine's cell-by-cell recursion, `CellEngine`, checks the library's
-level engine.
+The contour semigroup `contour_semigroup`, the paper's resolvent integral
+assembled from the library's contour primitives, checks the closed-form
+semigroup; the resolvent, the contour mode cutoff and the smoothing
+diagnostic check its operator identities and constants; no library code
+calls them.  Point values and L2 inner products of fields (`eval_ball`,
+`inner_l2`) serve only tests.  The generic Taylor-series engine `TSeries`
+lives here too, with what is built on it: the adaptive Taylor-model
+quadrature, the panel models of the kernel profile W (for the radial
+moments) and of h1 (for the window transforms).  The radial moments J_s
+also have a closed form here (`gamma_radial_moment`), which the series
+kernel coefficients use; the library needs only J_0, through the
+normalization `gamma0`, and certifies the window transforms by the
+profile's ODE recurrence.  The band-limited product's earlier route,
+`ball_convolve` of the exponential extensions `_extended`, checks the
+library's fold on the coefficient grids.  The Picard engine's cell-by-cell
+recursion, `CellEngine`, checks the library's level engine.
 """
 
 import heapq
@@ -34,8 +37,9 @@ from solenoid.floatball import _floored, _gamma, _up
 from solenoid.helmholtz import resolve_field
 from solenoid.polyfield import _e1_balls, gamma0
 from solenoid.spectral import _H1_ORDER, _H1_TOL, _PI2, FourierField, \
-    _fb_gamma0
-from solenoid.stokes import _as_bv, _components, _emit, _heat_factor
+    _bilinear, _fb_gamma0, _trig_values, _weights
+from solenoid.stokes import _as_bv, _components, _emit, _gamma3_value, \
+    _heat_factor, _l2_upper, contour_factors, tail_cutoff_l
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +406,24 @@ def product_to_sum(f: FourierField, g: FourierField) -> FourierField:
                     v = px * half if sy > 0 else -(px * half)
                     out.set((ix, iy), out.at((ix, iy)) + v)
     return FourierField(cx + cy, cut, out)
+
+
+def eval_ball(f: FourierField, x: Fraction, y: Fraction) -> FloatBall:
+    """The band-limited field f at the point (x, y), from its trig values at
+    the rational coordinates."""
+    f._require_band_limited("point evaluation")
+    return _bilinear(_trig_values(f.basis[0], f.cutoff, x), f.grid,
+                     _trig_values(f.basis[1], f.cutoff, y))
+
+
+def inner_l2(f: FourierField, g: FourierField) -> FloatBall:
+    """L2 inner product of two fields on one basis; tails enter through
+    Cauchy-Schwarz."""
+    a, b, cut = f._aligned(g)
+    s = (a.grid * b.grid * BallGrid(_weights(f.basis, cut))).ball_sum()
+    ta, tb = FloatBall(a.tail_l2.upper()), FloatBall(b.tail_l2.upper())
+    cross = ta * b.l2_norm_ball() + tb * a.l2_norm_ball() + ta * tb
+    return s.widened(cross.upper())
 
 
 def dense_row_reduce(rows):
@@ -1117,6 +1139,43 @@ def mollifier_cos_coefficient(nu: int, n: int, m: int,
                    cosh_tail(x, P) * cosh_tail(y, Q))
     return total.widened(
         BoundedValue.from_endpoints(-slack, slack)).rounded()
+
+
+def contour_semigroup(a, t, K: int):
+    """e^{-tA} a through the paper's sectorial contour, independent of the
+    closed-form heat factors of `stokes.semigroup_apply`, whose balls must
+    lie inside these.
+
+    t = 0 returns the resolved argument; otherwise t must be positive, and
+    there is no small-time shortcut.  Each mode factor is the finite ray
+    (`stokes.contour_factors`) cut at the radius l of `stokes.tail_cutoff_l`
+    for the argument's L2 norm (plus 10^-9), widened by the remainder
+    gamma_3 at l: the per-mode remainder is at most gamma_3 times the
+    coefficient.
+    """
+    t = _as_bv(t)
+    fields, pairp = _components(resolve_field(a, K + 2))
+    if t.upper() == 0:
+        return _emit(fields, pairp)
+    if t.lower() <= 0:
+        raise ValueError("the contour semigroup needs t > 0")
+    norm = _as_bv(Fraction(_l2_upper(fields)) + Fraction(1, 10 ** 9))
+    l = float(tail_cutoff_l(t, norm, K).upper())
+    g3 = _gamma3_value(l, t, K)
+    # the ray over the sorted distinct mode sums past 0 (the constant mode's
+    # factor is 1); the return_inverse form of np.unique does not import
+    # numpy.ma, which the plain form does
+    cutoff = max(f.cutoff for f in fields)
+    n = np.arange(cutoff + 1)
+    uniq, inv = np.unique(n[:, None] ** 2 + n[None, :] ** 2,
+                          return_inverse=True)
+    fc, fr, _ = contour_factors(uniq[1:], FloatBall.from_bounded(t), l)
+    fr = BallGrid(fc, fr).widened(FloatBall.from_bounded(g3).upper()).r
+    fac = BallGrid(np.append(1.0, fc), np.append(0.0, fr))[
+        inv.reshape(cutoff + 1, -1)]
+    return _emit([FourierField(f.basis, f.cutoff, f.grid
+                               * fac[:f.cutoff + 1, :f.cutoff + 1], f.tail_l2)
+                  for f in fields], pairp)
 
 
 def resolvent_apply(a, lam):

@@ -395,13 +395,16 @@ def test_no_adaptive_quadrature_in_the_library():
     # oracles only, and so is the band-limited product's route through the
     # formed extensions; the library's one dense set is the mollified
     # trimmed polynomials, so the kernel-moment expansion gamma_nu * q and
-    # its closed-form moments J_s stay out too
+    # its closed-form moments J_s stay out too; helpers only tests call (the
+    # scalar sin and cos, point values and inner products of fields) and the
+    # semigroup's contour knob are gone as well
     banned = {"certified_integral", "taylor_panel_integral", "heapq",
               "TSeries", "taylor", "exp_ball", "log_ball", "sincos_ball",
               "_moments_upto", "_w_panel_models", "ball_convolve",
               "_extended", "_axis_extension", "HElement", "BallPoly2",
               "mollify_poly", "poly_mul", "_kernel_moment",
-              "gamma_radial_moment"}
+              "gamma_radial_moment", "fb_sin", "fb_cos", "eval_ball",
+              "inner_l2", "force_contour", "_tail_search"}
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "solenoid"
     offenders = []
     for path in sorted(src.glob("*.py")):

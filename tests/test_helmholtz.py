@@ -25,6 +25,8 @@ from solenoid.nse import IterationCertificate, compute_horizon
 from solenoid.spectral import FourierField, coefficients
 from solenoid.stokes import frac_power_apply, semigroup_apply
 
+from oracles import inner_l2
+
 EL = pf.mollify(pf.solenoidal_kernel(4)[0], 1, 2)
 EL_PAIR = coefficients(EL, 32)
 
@@ -127,7 +129,7 @@ class TestStructure:
     def test_orthogonality(self):
         u1, u2 = _mode_pair(2, 3, 1.0, 2.0)
         p1, p2 = project_pair(u1, u2)
-        ip = (u1 - p1).inner_l2(p1) + (u2 - p2).inner_l2(p2)
+        ip = inner_l2(u1 - p1, p1) + inner_l2(u2 - p2, p2)
         assert abs(ip.c) <= ip.r + 1e-12
 
     def test_linearity(self):

@@ -26,7 +26,7 @@ from solenoid.spectral import FourierField, SobolevName, coefficients
 from solenoid.stokes import frac_power_apply, semigroup_apply
 
 from oracles import (CellEngine, _axis_extension, _extended,
-                     axis_product_table, product_to_sum)
+                     axis_product_table, eval_ball, product_to_sum)
 
 EL = pf.mollify(pf.solenoidal_kernel(4)[0], 1, 2)
 CT = ConstantsTable.default()
@@ -967,7 +967,7 @@ class TestPressure:
         pp = nse.pressure(u, None, nse.PressureQuery((x + d, y)), 12)
         pm = nse.pressure(u, None, nse.PressureQuery((x - d, y)), 12)
         fd = float((pp - pm).upper()) / (2 * float(d))
-        hv = h1.eval_ball(x, y)
+        hv = eval_ball(h1, x, y)
         # second-order finite-difference error: |h1''| <= (pi cut)^2 sup|h1|
         curv = (math.pi * h1.cutoff) ** 2 * h1.sup_upper()
         tol = curv * float(d) ** 2 / 6 + float(hv.r) + 2.0 ** -9

@@ -1,4 +1,5 @@
-"""Tests for the contour semigroup and fractional powers.
+"""Tests for the Stokes semigroup, its contour primitives and fractional
+powers.
 
 The load-bearing oracle is residue calculus: closing the sector contour
 around the pole gives the diagonal heat factor e^{-t pi^2 (n^2+m^2)}, so
@@ -7,6 +8,7 @@ integral itself is cross-checked against mpmath numerical quadrature, and
 the fractional-power closed form against its integral representation.
 """
 
+import ast
 import math
 import os
 import pathlib
@@ -109,12 +111,11 @@ class TestTailCutoff:
             sk.tail_cutoff_l(0, 1, 8)
 
     def test_search_returns_its_gamma3(self):
-        # semigroup_apply takes l and gamma_3 from one search; both must be
-        # the values tail_cutoff_l and _gamma3_value give on their own
+        # the contour oracle reads gamma_3 from _gamma3_value at the cutoff
+        # tail_cutoff_l returns; the remainder there must meet the target
         t, norm, K = BoundedValue.exact(F(1, 4)), BoundedValue.exact(2), 8
-        l, g3 = sk._tail_search(t, norm, K)
-        assert l == float(sk.tail_cutoff_l(t, norm, K).upper())
-        assert g3.upper() == sk._gamma3_value(l, t, K).upper()
+        l = float(sk.tail_cutoff_l(t, norm, K).upper())
+        g3 = sk._gamma3_value(l, t, K)
         assert (g3 * norm).upper() <= F(1, 2 ** (K + 7))
 
 
@@ -284,23 +285,22 @@ def _assert_inside(inner, outer):
 
 
 class TestDefaultRoute:
-    """The closed-form heat factors are the default route: each of their
-    balls lies inside the certified contour ball, and the default makes no
-    contour call at all."""
+    """The closed-form heat factors are the semigroup's one route: each of
+    their balls lies inside the ball of the contour oracle, and the route
+    makes no contour call at all."""
 
     @pytest.mark.parametrize("K", [12, 20])
     @pytest.mark.parametrize("t", [F(1, 64), F(5, 32), F(1, 2), F(1)])
     def test_inside_contour_ball(self, K, t):
         pair = _full_pair(6, K)
         _assert_inside(sk.semigroup_apply(pair, t, K),
-                       sk.semigroup_apply(pair, t, K, force_contour=True))
+                       oracles.contour_semigroup(pair, t, K))
 
     def test_inside_contour_ball_at_interval_time(self):
         t = BoundedValue.from_endpoints(F(1, 8), F(1, 8) + F(1, 2 ** 20))
         pair = _full_pair(6, 3)
         out = sk.semigroup_apply(pair, t, 12)
-        _assert_inside(out, sk.semigroup_apply(pair, t, 12,
-                                               force_contour=True))
+        _assert_inside(out, oracles.contour_semigroup(pair, t, 12))
         # the interval ball holds the factors at both ends of the time
         for f, g in zip(out, pair):
             for tq in (t.lower(), t.upper()):
@@ -313,8 +313,7 @@ class TestDefaultRoute:
         t = BoundedValue.from_endpoints(F(1, 8), F(5, 4))
         pair = _full_pair(8, 7)
         out = sk.semigroup_apply(pair, t, 12)
-        _assert_inside(out, sk.semigroup_apply(pair, t, 12,
-                                               force_contour=True))
+        _assert_inside(out, oracles.contour_semigroup(pair, t, 12))
         for f, g in zip(out, pair):
             for n, m in ((1, 1), (3, 5), (8, 8)):
                 b, a = f.grid.at((n, m)), g.grid.at((n, m)).c
@@ -325,8 +324,7 @@ class TestDefaultRoute:
 
     def test_element_inside_contour_ball(self):
         out = sk.semigroup_apply(EL, F(1, 8), 8)
-        _assert_inside(out, sk.semigroup_apply(EL, F(1, 8), 8,
-                                               force_contour=True))
+        _assert_inside(out, oracles.contour_semigroup(EL, F(1, 8), 8))
         for o, f in zip(out, mollified_field_pair(EL, 64)):
             assert o.tail_l2.c == f.tail_l2.c and o.tail_l2.r == f.tail_l2.r
 
@@ -334,14 +332,12 @@ class TestDefaultRoute:
         def contour(*args):
             raise LookupError("contour route")
         monkeypatch.setattr(sk, "contour_factors", contour)
-        monkeypatch.setattr(sk, "_tail_search", contour)
+        monkeypatch.setattr(sk, "tail_cutoff_l", contour)
         pair = _full_pair(4, 5)
         t = BoundedValue.from_endpoints(F(1, 8), F(1, 8) + F(1, 2 ** 20))
         for tt in (F(1, 8), F(1, 10), t):
             sk.semigroup_apply(pair, tt, 12)
         sk.semigroup_apply(EL, F(1, 8), 8)
-        with pytest.raises(LookupError):
-            sk.semigroup_apply(pair, F(1, 8), 12, force_contour=True)
 
     def test_exact_times_share_the_cached_table(self):
         pair = _full_pair(4, 6)
@@ -350,6 +346,25 @@ class TestDefaultRoute:
         sk.semigroup_apply(pair, BoundedValue.exact(F(3, 16)), 12)
         info = sk._heat_factor.cache_info()
         assert info.misses == 1 and info.hits == 1
+
+
+def test_only_contour_primitives_name_the_contour():
+    # the contour semigroup is a test oracle: in the library, no function
+    # but the contour primitives themselves refers to one of them
+    prims = {"contour_factors", "tail_cutoff_l", "_gamma3_value",
+             "gamma_tail"}
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "solenoid"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef) or fn.name in prims:
+                continue
+            for node in ast.walk(fn):
+                name = getattr(node, "id", getattr(node, "attr", None))
+                if name in prims:
+                    offenders.append("%s:%d %s in %s" % (
+                        path.name, node.lineno, name, fn.name))
+    assert not offenders, offenders
 
 
 def test_semigroup_leaves_numpy_ma_unloaded():
