@@ -595,20 +595,24 @@ class ConstantsTable:
         self._C_alpha = dict(C_alpha or {})
         self._C_s = dict(C_s or {})
         self.M = M if M is not None else one
-        # constant in ||e^{-tA}a - a|| <= C t^{1/2} ||A^{1/2} a||
+        # C_half_time is the constant in ||e^{-tA}a - a|| <= C t^{1/2}
+        # ||A^{1/2} a||.  The default 1 is derived: mode by mode with
+        # x = t lambda >= 0, |e^{-x} - 1| <= min(1, x) <= sqrt(x).
         self.C_half_time = C_half_time if C_half_time is not None else one
         self.provenance = {
             "C": "configured" if C is not None else "default",
-            "C_alpha": "configured" if C_alpha else "default",
+            "C_alpha": "configured" if C_alpha else "derived",
             "C_s": "configured" if C_s else "default/derived",
             "M": "configured" if M is not None else "default",
-            "C_half_time": "configured" if C_half_time is not None else "default",
+            "C_half_time": "configured" if C_half_time is not None
+            else "derived",
         }
         self._beta_cache: dict = {}
 
-    # C_alpha defaults to 1: for a positive self-adjoint diagonal generator,
-    # sup_lambda (t*lambda)^alpha e^{-t lambda} = (alpha/e)^alpha <= 1.
     def C_alpha(self, alpha: Fraction) -> BoundedValue:
+        """The constant in ||A^alpha e^{-tA} a|| <= C_alpha t^-alpha ||a||.
+        The default 1 is derived: mode by mode with x = t lambda,
+        sup_x x^alpha e^{-x} = (alpha/e)^alpha <= 1 for 0 < alpha <= e."""
         alpha = Fraction(alpha)
         if alpha == 0:
             return BoundedValue.exact(1)

@@ -164,13 +164,8 @@ def _certificate(K: int, lines: List[dict]) -> dict:
             "sum": str(total), "closed": True}
 
 
-def _field_json(f: FourierField) -> dict:
-    return f.to_json()
-
-
 def _pair_json(pair) -> dict:
-    return {"kind": "pair", "u1": _field_json(pair[0]),
-            "u2": _field_json(pair[1])}
+    return {"kind": "pair", "u1": pair[0].to_json(), "u2": pair[1].to_json()}
 
 
 def _emit(config: RunConfig, payload: dict) -> None:
@@ -237,7 +232,7 @@ def _run_project(config: RunConfig) -> dict:
     # the tail of a projected series is a certified L2 remainder with no
     # termwise derivative, so the divergence is that of the band part
     div = divergence(nse._strip_tail(p1), nse._strip_tail(p2))
-    return {"kind": "pair", "u1": _field_json(p1), "u2": _field_json(p2),
+    return {"kind": "pair", "u1": p1.to_json(), "u2": p2.to_json(),
             "divergence_sup": str(Fraction(div.l2_norm_ball().upper())),
             "certificate": cert}
 
@@ -252,7 +247,7 @@ def _run_semigroup(config: RunConfig) -> dict:
     if isinstance(out, tuple):
         result.update(_pair_json(out))
     else:
-        result.update({"kind": "field", "field": _field_json(out)})
+        result.update({"kind": "field", "field": out.to_json()})
     return result
 
 
@@ -265,7 +260,7 @@ def _run_fracpower(config: RunConfig) -> dict:
     if isinstance(out, tuple):
         result.update(_pair_json(out))
     else:
-        result.update({"kind": "field", "field": _field_json(out)})
+        result.update({"kind": "field", "field": out.to_json()})
     return result
 
 
@@ -417,13 +412,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, needs_input=True):
         if needs_input:
-            p.add_argument("--input", required=True,
-                           help="input artifact (JSON)")
-        p.add_argument("--output", help="output artifact path (default "
-                                        "standard output)")
+            p.add_argument("--input", dest="input_path", metavar="INPUT",
+                           required=True, help="input artifact (JSON)")
+        p.add_argument("--output", dest="output_path", metavar="OUTPUT",
+                       help="output artifact path (default standard output)")
         p.add_argument("--precision", type=int, default=8,
                        help="precision index K (budget 2^-K)")
-        p.add_argument("--constants",
+        p.add_argument("--constants", dest="constants_path",
+                       metavar="CONSTANTS",
                        help="constants-table override (JSON); also read "
                             "from $" + CONSTANTS_ENV)
         p.add_argument("--emit-csv", dest="emit_csv",
@@ -460,8 +456,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pressure", help="pressure path integral")
     p.add_argument("--point", required=True,
                    help="target point as 'x,y' (decimal or p/q entries)")
-    p.add_argument("--path", help="semicolon-separated waypoint list "
-                                  "'x,y;x,y;...' from the anchor")
+    p.add_argument("--path", dest="path_points", metavar="PATH",
+                   help="semicolon-separated waypoint list 'x,y;x,y;...' "
+                        "from the anchor")
     common(p)
 
     p = sub.add_parser("selftest", help="deterministic verification battery")
@@ -477,29 +474,26 @@ def _parse_point(text: str) -> Tuple[Fraction, Fraction]:
     return _parse_exact(parts[0]), _parse_exact(parts[1])
 
 
+def _parse_path(text: str) -> Tuple[Tuple[Fraction, Fraction], ...]:
+    return tuple(_parse_point(seg) for seg in text.split(";") if seg)
+
+
+# the RunConfig fields given as text, with their parsers
+_PARSED = {"t": _parse_exact, "alpha": _parse_exact, "point": _parse_point,
+           "path_points": _parse_path}
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    path_points = None
-    if getattr(args, "path", None):
-        path_points = tuple(_parse_point(seg)
-                            for seg in args.path.split(";") if seg)
-    return RunConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        output_path=getattr(args, "output", None),
-        precision=getattr(args, "precision", 8),
-        t=_parse_exact(args.t) if getattr(args, "t", None) else Fraction(0),
-        alpha=_parse_exact(args.alpha)
-        if getattr(args, "alpha", None) else None,
-        degree=getattr(args, "degree", 4),
-        count=getattr(args, "count", 1),
-        point=_parse_point(args.point)
-        if getattr(args, "point", None) else None,
-        path_points=path_points,
-        constants_path=getattr(args, "constants", None),
-        emit_csv=getattr(args, "emit_csv", None),
-        panel_cap=getattr(args, "panel_cap", 64),
-        mode_cap=getattr(args, "mode_cap", 24),
-    )
+    """The parsed arguments as a RunConfig: each subcommand sets the fields
+    it has options for (argparse holds their defaults), and RunConfig's
+    defaults fill the rest.  An empty text option counts as absent."""
+    given = {}
+    for key, val in vars(args).items():
+        if key not in _PARSED:
+            given[key] = val
+        elif val:
+            given[key] = _PARSED[key](val)
+    return RunConfig(**given)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

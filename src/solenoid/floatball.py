@@ -6,11 +6,15 @@ numpy arrays of them).  Soundness rests only on IEEE-754 semantics of
 +,-,*,/ and sqrt (correctly rounded, guaranteed by the platform): every
 operation inflates the radius by a rigorous bound on its own rounding error.
 Transcendentals (exp, log, sin, cos) are implemented here by argument
-reduction plus Taylor series with certified remainders, one series each for
-scalars and for grids; this module trusts nothing from libm except
-correctly-rounded sqrt.  It is the only module that rounds: the others
-compute every certified number as ball expressions and read it out through
-the directed ends `upper()`/`lower()`.  The package's whole trust base is
+reduction plus Taylor series with certified remainders, each written once:
+exp and log on grids, whose one-entry forms are the scalar ones, and the
+sine and cosine series on FloatBall and BallGrid alike; this module trusts
+nothing from libm except correctly-rounded sqrt.  Likewise the ball rules
+(sum, difference, product, quotient, hull, widening and the directed ends)
+are written once, on the base class of `FloatBall` and `BallGrid`, for
+centres and radii that are floats or arrays.  It is the only module that
+rounds: the others compute every certified number as ball expressions and
+read it out through the directed ends `upper()`/`lower()`.  The package's whole trust base is
 listed in the "Trust base" section of the README.
 
 The bulk bilinear operations, `ball_matmul` and `ball_fold_convolve`, share
@@ -113,10 +117,86 @@ def ceil_log2(x: float) -> int:
     return e - 1 if f == 0.5 else e
 
 
-class FloatBall:
-    """Center-radius enclosure over IEEE doubles."""
+class _Ball:
+    """The ball rules shared by `FloatBall` and `BallGrid`, each written
+    once on centres and radii that are floats or numpy arrays: builtin
+    `abs`, `_add_up` and `_bump` take either.  A subclass builds the
+    result and names its carrier's entrywise min and max and its test that
+    a comparison holds everywhere.  A FloatBall operand of a BallGrid
+    broadcasts over it."""
 
     __slots__ = ("c", "r")
+
+    @classmethod
+    def from_rounded(cls, lo, hi):
+        """The ball holding [lo, hi] for endpoints rounded to nearest, like
+        ``mag()`` or ``upper()``: the radius also covers their rounding."""
+        c = 0.5 * (lo + hi)
+        return cls(c, _bump(c, cls._max(hi - c, c - lo)))
+
+    # -- views ------------------------------------------------------------
+
+    def lower(self):
+        """The greatest float <= c - r."""
+        return -_add_up(-self.c, self.r)
+
+    def upper(self):
+        """The least float >= c + r."""
+        return _add_up(self.c, self.r)
+
+    def mag(self):
+        """The least float >= |c| + r."""
+        return _add_up(abs(self.c), self.r)
+
+    # -- arithmetic --------------------------------------------------------
+
+    def __add__(self, o):
+        o = _fb(o)
+        c = self.c + o.c
+        return type(self)(c, _bump(c, self.r + o.r))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        # +r copies an array radius, which `BallGrid.set` writes in place
+        return type(self)(-self.c, +self.r)
+
+    def __sub__(self, o):
+        return self + (-_fb(o))
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __mul__(self, o):
+        o = _fb(o)
+        c = self.c * o.c
+        r = abs(self.c) * o.r + abs(o.c) * self.r + self.r * o.r
+        return type(self)(c, _bump(c, r * _INFL))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        o = _fb(o)
+        den = abs(o.c) - o.r
+        if not self._all(den > 0.0):
+            raise ZeroDivisionError("divisor ball contains zero")
+        c = self.c / o.c
+        r = ((self.r + abs(c) * o.r) / den) * _INFL
+        return type(self)(c, _bump(c, r))
+
+    def hull(self, o):
+        return self.from_rounded(self._min(self.c - self.r, o.c - o.r),
+                                 self._max(self.c + self.r, o.c + o.r))
+
+    def widened(self, extra):
+        return type(self)(self.c, _bump(self.c, self.r + abs(extra)))
+
+
+class FloatBall(_Ball):
+    """Center-radius enclosure over IEEE doubles."""
+
+    __slots__ = ()
+    _min, _max, _all = min, max, bool
 
     def __init__(self, c: float, r: float = 0.0):
         if not (r >= 0.0) or math.isinf(c) or math.isnan(c) or math.isinf(r):
@@ -149,14 +229,6 @@ class FloatBall:
         return FloatBall.from_rounded(lo, hi)
 
     @staticmethod
-    def from_rounded(lo: float, hi: float) -> "FloatBall":
-        """The ball holding [lo, hi] for endpoints rounded to nearest, like
-        ``mag()`` or ``upper()``: the radius also covers their rounding."""
-        c = 0.5 * (lo + hi)
-        r = _bump(c, max(hi - c, c - lo))
-        return FloatBall(c, r)
-
-    @staticmethod
     def from_bounded(bv) -> "FloatBall":
         """The ball around the double nearest to the centre of a
         BoundedValue, whose radius plus that rounding is rounded up."""
@@ -172,18 +244,6 @@ class FloatBall:
 
     # -- views ------------------------------------------------------------
 
-    def lower(self) -> float:
-        """The greatest float <= c - r."""
-        return -_add_up(-self.c, self.r)
-
-    def upper(self) -> float:
-        """The least float >= c + r."""
-        return _add_up(self.c, self.r)
-
-    def mag(self) -> float:
-        """The least float >= |c| + r."""
-        return _add_up(abs(self.c), self.r)
-
     def mig(self) -> float:
         """The greatest float <= |c| - r, or 0 when that is negative."""
         m = -_add_up(-abs(self.c), self.r)
@@ -197,51 +257,10 @@ class FloatBall:
     def __repr__(self):
         return "FloatBall(%g +/- %g)" % (self.c, self.r)
 
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, o):
-        o = _fb(o)
-        c = self.c + o.c
-        return FloatBall(c, _bump(c, self.r + o.r))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FloatBall(-self.c, self.r)
-
-    def __sub__(self, o):
-        return self + (-_fb(o))
-
-    def __rsub__(self, o):
-        return _fb(o) + (-self)
-
-    def __mul__(self, o):
-        o = _fb(o)
-        c = self.c * o.c
-        r = abs(self.c) * o.r + abs(o.c) * self.r + self.r * o.r
-        return FloatBall(c, _bump(c, r * _INFL))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        o = _fb(o)
-        den = abs(o.c) - o.r
-        if not den > 0.0:
-            raise ZeroDivisionError("divisor ball contains zero")
-        c = self.c / o.c
-        r = ((self.r + abs(c) * o.r) / den) * _INFL
-        return FloatBall(c, _bump(c, r))
+    # -- arithmetic beyond the shared rules --------------------------------
 
     def __rtruediv__(self, o):
         return _fb(o) / self
-
-    def hull(self, o: "FloatBall") -> "FloatBall":
-        lo = min(self.c - self.r, o.c - o.r)
-        hi = max(self.c + self.r, o.c + o.r)
-        return FloatBall.from_rounded(lo, hi)
-
-    def widened(self, extra: float) -> "FloatBall":
-        return FloatBall(self.c, _bump(self.c, self.r + abs(extra)))
 
     def abs_ball(self) -> "FloatBall":
         if abs(self.c) >= self.r:
@@ -256,8 +275,8 @@ class FloatBall:
         return FloatBall(0.0)
 
 
-def _fb(x) -> FloatBall:
-    if isinstance(x, FloatBall):
+def _fb(x) -> _Ball:
+    if isinstance(x, _Ball):
         return x
     return FloatBall.exact(x)
 
@@ -278,7 +297,7 @@ _RECIP = (None,) + tuple(FloatBall.exact(Fraction(1, k)) for k in range(1, 28))
 
 
 def _exp_series(red):
-    """exp(red) for |red| <= ln2/2 + slack, on a FloatBall or a BallGrid: the
+    """exp(red) for |red| <= ln2/2 + slack, entrywise on a BallGrid: the
     Taylor polynomial of degree 13 plus the remainder
     |red|^14/14! e^|red| <= |red|^14/14! 1.5."""
     term = acc = red.one()
@@ -310,7 +329,7 @@ def _sincos_series(red) -> tuple:
 
 
 def _atanh_series(s):
-    """atanh(s) for |s| <= 1/3 + slack, on a FloatBall or a BallGrid: 14 odd
+    """atanh(s) for |s| <= 1/3 + slack, entrywise on a BallGrid: 14 odd
     terms plus the geometric remainder |s|^29/29 / (1 - s^2)."""
     s2 = s * s
     acc = s.zero()
@@ -321,30 +340,6 @@ def _atanh_series(s):
     sm = s.mag()
     return acc.widened((sm ** 29) / 29.0 / np.maximum(1.0 - sm * sm, 0.5)
                        * _INFL + TINY)
-
-
-def _exp_point(x: float) -> FloatBall:
-    """Certified enclosure of exp(x) for |x| <= 745."""
-    if x < -745.0:
-        return FloatBall.from_rounded(0.0, 5e-324 + 1e-323)
-    if x > 709.0:
-        raise OverflowError("exp overflow in float ball")
-    n = int(round(x / 0.6931471805599453))
-    # |red| <= 0.3466 + tiny
-    red = FloatBall(x) - FB_LN2 * n
-    return _exp_series(red) * FloatBall(math.ldexp(1.0, n))
-
-
-def fb_exp(x: FloatBall) -> FloatBall:
-    """exp of a ball: exp(c) spread by the radius factor."""
-    base = _exp_point(x.c)
-    if x.r == 0.0:
-        return base
-    if x.r > 700.0:
-        raise OverflowError("exp of huge ball")
-    # exp(c +/- r) = exp(c) * exp([-r, r]); |e^t - 1| <= r e^r for |t|<=r
-    spread = x.r * _exp_point(x.r).mag() * _INFL
-    return base * FloatBall(1.0, spread)
 
 
 def _sincos_point(x: float) -> tuple:
@@ -370,6 +365,10 @@ def fb_sincos(x: FloatBall) -> tuple:
         s = s.widened(x.r)
         c = c.widened(x.r)
     return s, c
+
+
+def fb_exp(x: FloatBall) -> FloatBall:
+    return grid_exp(BallGrid(x.c, x.r)).at(())
 
 
 def fb_log(x: FloatBall) -> FloatBall:
@@ -399,10 +398,11 @@ def fb_pow(x: FloatBall, q: Fraction) -> FloatBall:
 # vectorized grids
 # ---------------------------------------------------------------------------
 
-class BallGrid:
+class BallGrid(_Ball):
     """Numpy arrays of centers and radii with outward-rounded bulk ops."""
 
-    __slots__ = ("c", "r")
+    __slots__ = ()
+    _min, _max, _all = np.minimum, np.maximum, staticmethod(np.all)
 
     def __init__(self, c, r=None):
         self.c = np.asarray(c, dtype=np.float64)
@@ -421,12 +421,6 @@ class BallGrid:
         """The grid of a sequence of FloatBalls."""
         balls = list(balls)
         return BallGrid([b.c for b in balls], [b.r for b in balls])
-
-    @staticmethod
-    def from_rounded(lo, hi) -> "BallGrid":
-        """`FloatBall.from_rounded` entrywise."""
-        c = 0.5 * (lo + hi)
-        return BallGrid(c, _bump(c, np.maximum(hi - c, c - lo)))
 
     @staticmethod
     def from_endpoints(lo, hi) -> "BallGrid":
@@ -448,58 +442,12 @@ class BallGrid:
     def reshape(self, *shape) -> "BallGrid":
         return BallGrid(self.c.reshape(*shape), self.r.reshape(*shape))
 
-    def mag(self) -> np.ndarray:
-        """`FloatBall.mag` entrywise."""
-        return _add_up(np.abs(self.c), self.r)
-
-    def upper(self) -> np.ndarray:
-        """`FloatBall.upper` entrywise."""
-        return _add_up(self.c, self.r)
-
     # hooks for the series shared with FloatBall
     def one(self) -> "BallGrid":
         return BallGrid(np.ones(self.shape))
 
     def zero(self) -> "BallGrid":
         return BallGrid.zeros(self.shape)
-
-    def _bump(self, c, r):
-        return (r + np.abs(c) * EPS + TINY) * _INFL
-
-    def __add__(self, o: "BallGrid") -> "BallGrid":
-        c = self.c + o.c
-        return BallGrid(c, self._bump(c, self.r + o.r))
-
-    def __neg__(self):
-        return BallGrid(-self.c, self.r.copy())
-
-    def __sub__(self, o: "BallGrid") -> "BallGrid":
-        return self + (-o)
-
-    def __mul__(self, o: "BallGrid") -> "BallGrid":
-        c = self.c * o.c
-        r = (np.abs(self.c) * o.r + np.abs(o.c) * self.r + self.r * o.r) * _INFL
-        return BallGrid(c, self._bump(c, r))
-
-    def __truediv__(self, o: "BallGrid") -> "BallGrid":
-        den = np.abs(o.c) - o.r
-        if not (den > 0.0).all():
-            raise ZeroDivisionError("divisor ball contains zero")
-        c = self.c / o.c
-        r = ((self.r + np.abs(c) * o.r) / den) * _INFL
-        return BallGrid(c, self._bump(c, r))
-
-    def scale_ball(self, b: FloatBall) -> "BallGrid":
-        c = self.c * b.c
-        r = (np.abs(self.c) * b.r + abs(b.c) * self.r + self.r * b.r) * _INFL
-        return BallGrid(c, self._bump(c, r))
-
-    def widened(self, extra) -> "BallGrid":
-        return BallGrid(self.c, self._bump(self.c, self.r + np.abs(extra)))
-
-    def hull(self, o: "BallGrid") -> "BallGrid":
-        return BallGrid.from_rounded(np.minimum(self.c - self.r, o.c - o.r),
-                                     np.maximum(self.c + self.r, o.c + o.r))
 
     def at(self, idx) -> FloatBall:
         return FloatBall(float(self.c[idx]), float(self.r[idx]))
@@ -577,9 +525,8 @@ class BallGrid:
 # certified elementary functions on grids
 # ---------------------------------------------------------------------------
 #
-# `grid_exp` takes the steps of `fb_exp` entry by entry, through the same
-# series, so each entry equals the scalar result bit for bit; `fb_log` and
-# `fb_pow` are the grid forms on a single entry.  `grid_sincos_pi` takes
+# `fb_exp`, `fb_log`, `fb_sqrt` and `fb_pow` are these grid forms on a single
+# entry, so each function has one implementation.  `grid_sincos_pi` takes
 # rational multiples of pi, which it reduces exactly.
 
 def _keep(mask, exact: BallGrid, other: BallGrid) -> BallGrid:
@@ -589,6 +536,9 @@ def _keep(mask, exact: BallGrid, other: BallGrid) -> BallGrid:
 
 
 def _grid_exp_point(x: np.ndarray) -> BallGrid:
+    """exp of the floats x entrywise, for x <= 709: x = n ln2 + red with
+    |red| <= ln2/2 + slack, exp(red) by `_exp_series`, times 2^n; below
+    -745 the ball [0, 1.5e-323]."""
     if (x > 709.0).any():
         raise OverflowError("exp overflow in ball grid")
     under = x < -745.0
@@ -600,7 +550,9 @@ def _grid_exp_point(x: np.ndarray) -> BallGrid:
 
 
 def grid_exp(x: BallGrid) -> BallGrid:
-    """`fb_exp` entrywise."""
+    """exp entrywise: exp(c) spread by the radius factor, as
+    exp(c +/- r) = exp(c) exp([-r, r]) and |e^t - 1| <= r e^r for
+    |t| <= r."""
     base = _grid_exp_point(x.c)
     if not x.r.any():
         return base

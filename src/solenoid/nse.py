@@ -51,7 +51,9 @@ from .spectral import (
     _PI2, FourierField, SobolevName, _bilinear, _mode_mask, _trig_values,
     differentiate, mollified_field_pair, multiply, weighted_sq_terms,
 )
-from .stokes import _heat_factor, _l2_upper, frac_power_norm, semigroup_apply
+from .stokes import (
+    _heat_factor, _heat_hull, _l2_upper, frac_power_norm, semigroup_apply,
+)
 
 __all__ = [
     "BudgetError", "Forcing", "HorizonError", "IterationCertificate",
@@ -560,13 +562,12 @@ class _Engine:
                          for j in range(1, max(P, 2) + 1))
         gammas = [b + F14 for b in _DEFECT_BETAS]
         hw = grid_exp(grid_log(jh) * BallGrid.of(
-            FloatBall.exact(-g) for g in gammas).reshape(-1, 1)) \
-            .scale_ball(jh.at(0))
+            FloatBall.exact(-g) for g in gammas).reshape(-1, 1)) * jh.at(0)
         inv = BallGrid.of(FloatBall.exact(1 / (1 - g)) for g in gammas)
         cg = BallGrid.of(self.cert.ball(("C_alpha", g),
                                         lambda: self.ct.C_alpha(g))
                          for g in gammas)
-        near = (hw[:, 1] * inv).scale_ball(FloatBall(2.0)) * cg
+        near = hw[:, 1] * inv * FloatBall(2.0) * cg
         far = hw[:, :P - 1] * cg.reshape(-1, 1)
         self._W_int, self._W_end = (
             BallGrid(np.column_stack((g.c, far.c)),
@@ -580,12 +581,12 @@ class _Engine:
         min(e^{-a h lambda}, 1)."""
         if cutoff not in self._tables:
             P = self.P
-            fac = [_heat_factor(cutoff, k * self.h) for k in range(P + 1)]
-            lo = np.stack([f.c - f.r for f in fac])
-            hi = np.minimum(np.stack([f.c + f.r for f in fac]), 1.0)
+            tabs = [_heat_factor(cutoff, k * self.h) for k in range(P + 1)]
+            fac = BallGrid(np.stack([f.c for f in tabs]),
+                           np.stack([f.r for f in tabs]))
             k = np.arange(1, P + 1)
             self._tables[cutoff] = tuple(
-                BallGrid.from_rounded(lo[b], hi[a])
+                _heat_hull(fac[b], fac[a])
                 for a, b in ((k - 1, k), (k[:-1] - 1, k[:-1] + 1), (P, P)))
         return self._tables[cutoff]
 
@@ -604,8 +605,7 @@ class _Engine:
         for q in range(last):
             lo = max(first, q + 1)
             hull = self._hulls(src[q][0].shape[-1] - 1)[table]
-            piece = [(g * hull[lo - q - 1:last - q]).scale_ball(hb)
-                     for g in src[q]]
+            piece = [g * hull[lo - q - 1:last - q] * hb for g in src[q]]
             if acc is None:
                 acc = piece
                 continue
@@ -641,7 +641,7 @@ class _Engine:
             cuts = np.maximum(cuts, np.append(cap, bands[:-1]))
             u = [_padded(g, cap) + f
                  for g, f in zip(u, self._integrals(fcells))]
-            d = d + self._fw.scale_ball(FloatBall(self.forcing.sup_l2))
+            d = d + self._fw * FloatBall(self.forcing.sup_l2)
         return [_masked(g, b, cuts) for g, b in zip(u, _BASES)], cuts, d
 
     @staticmethod
@@ -668,10 +668,10 @@ class _Engine:
         tails = BallGrid([[e for _, e in c] for c in cut])
         u14, u12 = (self._norms(cells, "stokes", 2 * b) for b in (F14, F12))
         d14, d12 = (d[:, _DEFECT_BETAS.index(b)] for b in (F14, F12))
-        E = (d14 * (u12 + d12) + u14 * d12).scale_ball(self._M) + grid_sqrt(
-            tails.sumsq_rows()).scale_ball(self._lam_qtr)
+        E = (d14 * (u12 + d12) + u14 * d12) * self._M \
+            + grid_sqrt(tails.sumsq_rows()) * self._lam_qtr
         l2 = BallGrid(self._norms(B).upper())
-        return B, E, l2.scale_ball(self._qtr_11) + E
+        return B, E, l2 * self._qtr_11 + E
 
     def _next(self, base, d0: BallGrid, B, E: BallGrid, Fv: BallGrid):
         """u_{j+1} and d_{j+1} on every cell from B u_j and its bounds."""
@@ -775,8 +775,8 @@ def _claim2_tail(cert: IterationCertificate, m: int, t: Fraction, n):
     if idx.min() < 0 or idx.max() >= _CLAIM2_N:
         raise ValueError("the Claim-II index must lie in 1..%d" % _CLAIM2_N)
     # (t - t_n)^{-17/20} t_n^{1/4} = t^{-3/5} (1 - 2^-n)^{-17/20} (2^-n)^{1/4}
-    out = _claim2_factors()[idx] \
-        .scale_ball(lead * fb_pow(FloatBall.exact(t), Fraction(-3, 5))).upper()
+    out = (_claim2_factors()[idx]
+           * (lead * fb_pow(FloatBall.exact(t), Fraction(-3, 5)))).upper()
     return out.reshape(np.shape(n)) if np.ndim(n) else float(out[0])
 
 
@@ -938,7 +938,7 @@ def _char_antiderivative(char: str, cutoff: int, x0: Fraction, x1: Fraction):
     else:
         a, b = _trig_values("s", cutoff, x1), _trig_values("s", cutoff, x0)
     n = np.arange(cutoff + 1)
-    out = (a - b) / BallGrid(np.maximum(n, 1)).scale_ball(FB_PI)
+    out = (a - b) / (BallGrid(np.maximum(n, 1)) * FB_PI)
     out.set(0, FloatBall.exact(Fraction(x1) - Fraction(x0)) if char == "c"
             else FloatBall(0.0))
     return out

@@ -222,7 +222,7 @@ class FourierField:
         def tmul(t):
             return t if t.upper() == 0.0 else t * mag
         tails = {s: tmul(t) for s, t in self.tail_hs.items()}
-        return FourierField(self.basis, self.cutoff, self.grid.scale_ball(b),
+        return FourierField(self.basis, self.cutoff, self.grid * b,
                             tmul(self.tail_l2), tails)
 
     # -- norms --------------------------------------------------------------
@@ -399,7 +399,7 @@ def _derivative_factors(char: str, cutoff: int) -> BallGrid:
     d/dt sin(n pi t) = n pi cos(n pi t), d/dt cos = -n pi sin; cached and
     read-only."""
     n = (1.0 if char == "s" else -1.0) * np.arange(cutoff + 1)
-    out = BallGrid(n).scale_ball(FB_PI)
+    out = BallGrid(n) * FB_PI
     out.c.flags.writeable = out.r.flags.writeable = False
     return out
 
@@ -439,7 +439,7 @@ def _h1_coeffs(m: BallGrid, g0: FloatBall, order: int) -> BallGrid:
     so over a ball m it encloses the coefficient at every point of the ball.
     """
     def times(x, k):
-        return x.scale_ball(FloatBall(float(k)))
+        return x * FloatBall(float(k))
     one = m.one()
     w = one - m * m
     mm = times(m, 4)
@@ -452,7 +452,7 @@ def _h1_coeffs(m: BallGrid, g0: FloatBall, order: int) -> BallGrid:
         for i in range(1, min(k, 4) + 1):
             acc = acc + times(q[i] * f[k + 1 - i], k + 1 - i)
         f.append(-(acc / times(q[0], k + 1)))
-    c = [f[k + 1].scale_ball(-g0 * FloatBall(float(k + 1)))
+    c = [f[k + 1] * (-g0 * FloatBall(float(k + 1)))
          for k in range(order)]
     return BallGrid(np.stack([g.c for g in c], -1),
                     np.stack([g.r for g in c], -1))
@@ -466,7 +466,7 @@ def _h1_edge_bound(a: np.ndarray, g0: FloatBall) -> np.ndarray:
     ab = BallGrid(a)
     v = BallGrid(np.minimum((ab.one() - ab * ab).upper(), 0.5))
     peak = grid_exp(-(v.one() / v)) / (v * v)
-    return peak.scale_ball(g0 * FloatBall(2.0)).upper()
+    return (peak * (g0 * FloatBall(2.0))).upper()
 
 
 @lru_cache(maxsize=1)
@@ -695,11 +695,11 @@ def mollifier_mode_grid(nu: int, cutoff: int) -> BallGrid:
     grid = BallGrid.zeros((c + 1, c + 1))
     # (2/pi^2) 2^{2 nu} (phi(x_{|n-m|}) - phi(x_{n+m}))/(n m) for n, m >= 1
     grid.set((slice(1, None), slice(1, None)),
-             ((phi[np.abs(ng - mg)] - phi[ng + mg]) / BallGrid(ng * mg))
-             .scale_ball(FloatBall(float(1 << (2 * nu + 1))) / _PI2))
+             (phi[np.abs(ng - mg)] - phi[ng + mg]) / BallGrid(ng * mg)
+             * (FloatBall(float(1 << (2 * nu + 1))) / _PI2))
     # (4/pi) 2^nu psi(x_n)/n on the axes
-    edge = (psi[1:c + 1] / BallGrid(idx)).scale_ball(
-        FloatBall(float(1 << (nu + 2))) / FB_PI)
+    edge = psi[1:c + 1] / BallGrid(idx) \
+        * (FloatBall(float(1 << (nu + 2))) / FB_PI)
     grid.set((slice(1, None), 0), edge)
     grid.set((0, slice(1, None)), edge)
     grid.set((0, 0), FloatBall(1.0))
@@ -818,10 +818,12 @@ def _defects(field: FourierField, q: RationalPoly2, box,
     return out[0], out[1]
 
 
+@lru_cache(maxsize=None)
 def _env_consts(nu: int) -> Tuple[FloatBall, FloatBall]:
     """e1, e0 with |C(nu;n,m)| <= e1/(nm) for n, m >= 1 and
     |C(nu;n,0)| <= e0/n, from the layer-cake envelope 4 g_nu(0)/pi^2: the
-    upper ends of the returned balls are the bounds."""
+    upper ends of the returned balls are the bounds.  Cached: every
+    mollified tail reads them, and `fb_exp` is a one-entry grid call."""
     d0 = _fb_gamma0() * fb_exp(FloatBall(-1.0)) * FloatBall(float(1 << (2 * nu)))
     return (d0 * FloatBall(4.0) / _PI2,
             d0 * FloatBall(4.0 * 2.0 ** -nu) / FB_PI)

@@ -194,7 +194,7 @@ def contour_factors(svals, t: FloatBall, l: float):
         return np.zeros(0), np.zeros(0), 0
     if s.min() < 1:
         raise ValueError("eigenvalue indices must be >= 1")
-    lam = BallGrid(s).scale_ball(_PI2)
+    lam = BallGrid(s) * _PI2
     lam = CBall(lam.c + 0j, lam.r)
     lam_min = _PI2.lower() * float(s.min())
     eib = CBall.of(_CB, _SB)
@@ -225,9 +225,9 @@ def contour_factors(svals, t: FloatBall, l: float):
             S = w.mul_add(S, A[j])
         tail = BallGrid(pow_up(wmag, _J + 1)) \
             / (BallGrid(1.0) - BallGrid(wmag))
-        S = S.widened(tail.scale_ball(FloatBall(2.0) * FloatBall(ez)).upper())
+        S = S.widened((tail * (FloatBall(2.0) * FloatBall(ez))).upper())
         tot = pref.mul_add(inv * S, tot)
-    out = BallGrid(tot.c.imag, tot.r).scale_ball(FloatBall(1.0) / FB_PI)
+    out = BallGrid(tot.c.imag, tot.r) * (FloatBall(1.0) / FB_PI)
     return out.c, out.r, len(panels)
 
 
@@ -263,6 +263,14 @@ def _heat_factor(cutoff: int, t: Fraction) -> BallGrid:
     out = grid_exp(lam * -FloatBall.exact(t))
     out.c.flags.writeable = out.r.flags.writeable = False
     return out
+
+
+def _heat_hull(late: BallGrid, early: BallGrid) -> BallGrid:
+    """The heat factors over a time interval from the `_heat_factor` tables
+    at its ends: e^{-lam t} falls in t, so the hull runs from the late
+    table's lower end to the early table's upper end, capped at 1."""
+    return BallGrid.from_rounded(late.c - late.r,
+                                 np.minimum(early.c + early.r, 1.0))
 
 
 def semigroup_apply(a, t, K: int, constants: ConstantsTable = None):
@@ -301,13 +309,9 @@ def semigroup_apply(a, t, K: int, constants: ConstantsTable = None):
         raise ValueError("time enclosure touches zero but the small-time "
                          "bound does not certify the identity output")
     cutoff = max(f.cutoff for f in fields)
-    # e^{-lam t} falls in t, so a time interval takes the hull of the tables
-    # at its two ends
     fac = _heat_factor(cutoff, ends[1])
     if ends[0] != ends[1]:
-        hi = _heat_factor(cutoff, ends[0])
-        fac = BallGrid.from_rounded(fac.c - fac.r,
-                                    np.minimum(hi.c + hi.r, 1.0))
+        fac = _heat_hull(fac, _heat_factor(cutoff, ends[0]))
     # the constructor's mode mask keeps only the live modes, and input tails
     # pass through by contractivity
     return _emit([FourierField(f.basis, f.cutoff, f.grid

@@ -1384,12 +1384,12 @@ class CellEngine(nse._Engine):
         gammas = [b + nse.F14 for b in nse._DEFECT_BETAS]
         pw = [grid_pow(jh, -g) for g in gammas]
         hw = BallGrid(np.stack([p.c for p in pw]),
-                      np.stack([p.r for p in pw])).scale_ball(jh.at(0))
+                      np.stack([p.r for p in pw])) * jh.at(0)
         inv = BallGrid.of(FloatBall.exact(1 / (1 - g)) for g in gammas)
         cg = BallGrid.of(self.cert.ball(("C_alpha", g),
                                         lambda: self.ct.C_alpha(g))
                          for g in gammas)
-        near = (hw[:, 1] * inv).scale_ball(FloatBall(2.0)) * cg
+        near = hw[:, 1] * inv * FloatBall(2.0) * cg
         far = hw[:, :P - 1] * cg.reshape(-1, 1)
         self._W_int, self._W_end = (
             BallGrid(np.column_stack((g.c, far.c)),
@@ -1439,7 +1439,7 @@ class CellEngine(nse._Engine):
         val = self._panel_sum(
             (self._forcing_cell(q), max(Fraction(0), lo - (q + 1) * self.h),
              hi - q * self.h) for q in range(int(lo / self.h)))
-        return val, self._fw.scale_ball(FloatBall(self.forcing.sup_l2))
+        return val, self._fw * FloatBall(self.forcing.sup_l2)
 
     def u_cell(self, j: int, i: int):
         """Enclosure of u_j(s) for s anywhere in grid cell i."""
@@ -1486,7 +1486,7 @@ class CellEngine(nse._Engine):
         val = self._panel_sum(
             (self.B_cell(j, q)[0], (i - q - 1) * self.h, (i - q + 1) * self.h)
             for q in range(i))
-        d = self._W_end[:, 0].scale_ball(self.B_cell(j, i)[2])
+        d = self._W_end[:, 0] * self.B_cell(j, i)[2]
         if i:
             d = d + self._defect_sum(self._W_int, j, i)
         return val, d

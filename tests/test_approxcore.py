@@ -475,6 +475,35 @@ class TestConstantsTable:
             assert bv.lower() > 0 or bv.upper() > 0
         assert ct.Ctilde.lower() > 0
 
+    def test_derived_defaults(self):
+        # C_half_time = 1 from |e^-x - 1| <= min(1, x) <= sqrt(x), and
+        # C_alpha = 1 from sup_x x^alpha e^-x = (alpha/e)^alpha <= 1 (the
+        # maximum at x = alpha), mode by mode with x = t lambda >= 0
+        ct = ConstantsTable.default()
+        assert ct.provenance["C_half_time"] == "derived"
+        assert ct.provenance["C_alpha"] == "derived"
+        assert ct.provenance["C"] == ct.provenance["M"] == "default"
+        assert ConstantsTable(C_half_time=BoundedValue.exact(2)) \
+            .provenance["C_half_time"] == "configured"
+        alphas = (F(1, 4), F(1, 2), F(3, 5), F(3, 4), F(17, 20), F(1))
+        assert ct.C_half_time.upper() == 1
+        assert all(ct.C_alpha(a).upper() == 1 for a in alphas)
+        with mp.workdps(50):
+            xs = [mp.mpf(1), mp.mpf(2) ** -200, mp.mpf(10) ** -40,
+                  mp.mpf(50), mp.mpf(10) ** 6] \
+                + [mp.mpf(a.numerator) / a.denominator for a in alphas]
+            for x in xs:
+                assert abs(mp.exp(-x) - 1) <= min(1, x) <= mp.sqrt(x)
+                for a in alphas:
+                    am = mp.mpf(a.numerator) / a.denominator
+                    peak = (am / mp.e) ** am
+                    assert x ** am * mp.exp(-x) <= peak * (1 + mp.mpf(10) ** -45)
+                    assert peak <= 1
+            for a in alphas:
+                am = mp.mpf(a.numerator) / a.denominator
+                assert mp.almosteq(am ** am * mp.exp(-am), (am / mp.e) ** am,
+                                   mp.mpf(10) ** -45)
+
     def test_json_round_trip(self):
         ct = ConstantsTable.default()
         ct2 = ConstantsTable.from_json(ct.to_json())

@@ -10,6 +10,7 @@ import math
 import pathlib
 import random
 import re
+import sys
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -184,7 +185,7 @@ class TestBallGrid:
 
     def test_scale_ball(self):
         g = BallGrid(np.array([2.0, -6.0]))
-        out = g.scale_ball(FloatBall.exact(F(1, 3)))
+        out = g * FloatBall.exact(F(1, 3))
         assert out.at(0).contains(F(2, 3))
         assert out.at(1).contains(F(-2))
 
@@ -197,6 +198,13 @@ class TestBallGrid:
         b = BallGrid(np.array([5.0]), np.array([0.5]))
         h = a.hull(b)
         assert h.at(0).contains(F(-1)) and h.at(0).contains(F(11, 2))
+
+    def test_negation_copies_radius(self):
+        # `set` writes in place, so -g must not share g's radius
+        g = BallGrid(np.array([1.0, 2.0]), np.array([0.5, 0.25]))
+        n = -g
+        n.set(0, FloatBall(0.0, 4.0))
+        assert g.r[0] == 0.5 and g.c[0] == 1.0
 
     def test_set_and_at(self):
         g = BallGrid.zeros((2, 2))
@@ -811,12 +819,34 @@ class TestGridElementary:
         return [mp.mpf(float(c)) + k * mp.mpf(float(r))
                 for c, r in zip(x.c, x.r) for k in (-1, 1)]
 
+    EXP_EDGE_ARGS = [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -500, 2.0 ** -60,
+                     1.0, -1.0, 0.5 * math.log(2.0), 12.5, -700.0, 700.0,
+                     709.0, 709.5, -745.0, -745.5, -800.0]
+    EXP_EDGE_RADII = [0.0, 5e-324, 2.0 ** -500, 2.0 ** -60, 0.5, 700.0, 700.5]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_exp_against_mpmath(self):
         x = BallGrid(self.ARGS, self.RADII)
         e = grid_exp(x)
         with mp.workdps(60):
             refs = [mp.exp(v) for v in self._ends(x)]
         self._encloses(BallGrid(np.repeat(e.c, 2), np.repeat(e.r, 2)), refs)
+        # one-entry balls at signed zeros, subnormals, the overflow and flush
+        # edges and huge radii: a centre above 709, a radius above 700 or an
+        # upper end past the largest float is refused (an infinite radius
+        # by FloatBall); every other ball encloses exp at both ends
+        for c in self.EXP_EDGE_ARGS:
+            for r in self.EXP_EDGE_RADII:
+                x = BallGrid(np.array([c]), np.array([r]))
+                with mp.workdps(60):
+                    refs = [mp.exp(v) for v in self._ends(x)]
+                if c > 709.0 or r > 700.0 or refs[1] > sys.float_info.max:
+                    with pytest.raises((OverflowError, ValueError)):
+                        fb_exp(FloatBall(c, r))
+                    continue
+                e = fb_exp(FloatBall(c, r))
+                self._encloses(BallGrid(np.array([e.c] * 2),
+                                        np.array([e.r] * 2)), refs)
 
     def test_log_and_pow_against_mpmath(self):
         base = np.array([2.0 ** 500, 2.0 ** -500, 1 + 2.0 ** -52,
@@ -836,10 +866,11 @@ class TestGridElementary:
                                ref)
 
     def test_grid_exp_equals_scalar_exp(self):
-        # entry by entry grid_exp takes the steps of fb_exp
-        x = BallGrid(self.ARGS, self.RADII)
+        # fb_exp is grid_exp on one entry; entries do not interact, so each
+        # entry of a 2-D grid's exp has the bits of fb_exp on that entry
+        x = BallGrid(self.ARGS.reshape(2, 5), self.RADII.reshape(2, 5))
         e = grid_exp(x)
-        for i in range(self.ARGS.size):
+        for i in np.ndindex(x.shape):
             b = fb_exp(x.at(i))
             assert (e.c[i], e.r[i]) == (b.c, b.r)
 
@@ -848,6 +879,95 @@ class TestGridElementary:
             grid_log(BallGrid([1.0, 0.5], [0.0, 0.5]))
         with pytest.raises(OverflowError):
             grid_exp(BallGrid([1.0, 710.0]))
+
+
+# engineered balls (centre, radius): signed zeros, exact balls, subnormal
+# centres and radii, magnitudes 2^+-500 and pairs whose sums cancel
+_EDGE_BALLS = [
+    (0.0, 0.0), (-0.0, 0.0), (0.0, 5e-324), (-0.0, 2.0 ** -1030),
+    (5e-324, 0.0), (-5e-324, 1e-310), (3 * 2.0 ** -1070, 5e-324),
+    (2.0 ** 500, 0.0), (-2.0 ** 500, 2.0 ** 450), (2.0 ** -500, 2.0 ** -560),
+    (-2.0 ** -500, 0.0), (1.0, 2.0 ** -60), (-1.0, 2.0 ** -60),
+    (1 + 2.0 ** -52, 0.0), (-1 - 2.0 ** -52, 1e-300), (0.1, 0.7),
+    (-0.1, 0.7), (3.0, 0.5), (1e300, 1e290), (-12.5, 0.0),
+]
+
+# each rule that FloatBall and BallGrid share, on two operands
+_SHARED_RULES = {
+    "add": lambda x, y: x + y,
+    "sub": lambda x, y: x - y,
+    "mul": lambda x, y: x * y,
+    "div": lambda x, y: x / y,
+    "hull": lambda x, y: x.hull(y),
+    "neg": lambda x, y: -x,
+    "widened": lambda x, y: x.widened(y.c),
+    "from_rounded": lambda x, y: type(x).from_rounded(
+        x.c - abs(y.c), x.c + abs(y.c)),
+    "from_endpoints": lambda x, y: type(x).from_endpoints(
+        x.c - abs(y.c), x.c + abs(y.c)),
+    "from_endpoints_zero": lambda x, y: type(x).from_endpoints(
+        0.0 * x.c, abs(x.c)),
+}
+
+
+def _bits(*vals):
+    return np.array([float(v) for v in vals]).tobytes()
+
+
+def _outcome(f):
+    """The bits of the FloatBall f(), or the type of its error: a grid's
+    entry is read by `at`, whose FloatBall rejects what overflowed."""
+    try:
+        b = f()
+        return _bits(b.c, b.r)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        return type(exc)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+class TestScalarEqualsOneEntryGrid:
+    """Each ball rule gives the same bits on FloatBalls as on one-entry
+    BallGrids, error or not, at engineered operands."""
+
+    @staticmethod
+    def _grid(b):
+        return BallGrid(np.array([b[0]]), np.array([b[1]]))
+
+    @pytest.mark.parametrize("rule", sorted(_SHARED_RULES))
+    def test_rule(self, rule):
+        op = _SHARED_RULES[rule]
+        for a in _EDGE_BALLS:
+            for b in _EDGE_BALLS:
+                want = _outcome(lambda: op(FloatBall(*a), FloatBall(*b)))
+                got = _outcome(lambda: op(self._grid(a), self._grid(b)).at(0))
+                assert want == got, (rule, a, b)
+
+    @pytest.mark.parametrize("rule", ["add", "sub", "mul", "div"])
+    def test_scalar_operand_of_a_grid(self, rule):
+        op = _SHARED_RULES[rule]
+        for a in _EDGE_BALLS:
+            for b in _EDGE_BALLS:
+                want = _outcome(lambda: op(FloatBall(*a), FloatBall(*b)))
+                got = _outcome(lambda: op(self._grid(a), FloatBall(*b)).at(0))
+                assert want == got, (rule, a, b)
+
+    @pytest.mark.parametrize("view", ["lower", "upper", "mag"])
+    def test_view(self, view):
+        for a in _EDGE_BALLS:
+            want = getattr(FloatBall(*a), view)()
+            got = getattr(self._grid(a), view)()
+            assert _bits(want) == _bits(got[0]), (view, a)
+
+    @pytest.mark.parametrize("divisor", [(0.0, 0.0), (-0.0, 0.0),
+                                         (5e-324, 5e-324), (0.5, 0.5),
+                                         (-2.0 ** -500, 2.0 ** -500),
+                                         (1.0, 2.0), (-3.0, 3.0)])
+    def test_divisor_touching_zero(self, divisor):
+        with pytest.raises(ZeroDivisionError):
+            FloatBall(1.0) / FloatBall(*divisor)
+        with pytest.raises(ZeroDivisionError):
+            self._grid((1.0, 0.0)) / self._grid(divisor)
 
 
 class TestDirectedEnds:
