@@ -581,42 +581,33 @@ def gamma_tail(l: BoundedValue, t: BoundedValue, k: int = 24) -> BoundedValue:
 class ConstantsTable:
     """The analytic constants consumed by the solver layers.
 
-    Entries are configuration with documented defaults; ``provenance`` records
-    for each field whether it was configured or derived in-package.  Required
-    relations (c1 and B1 as maxima, Ctilde = c1*M*B1) are recomputed, not
-    stored independently.
+    Only the two assumed constants, C and M, are configuration (each
+    default 1); C_alpha, C_half_time and C_s are derived in the package.
+    ``provenance`` records for each field whether it was configured,
+    defaulted or derived.  Required relations (c1 and B1 as maxima, Ctilde
+    = c1*M*B1) are recomputed, not stored independently.
     """
 
-    def __init__(self, C=None, C_alpha=None, C_s=None, M=None,
-                 C_half_time=None, prec: int = DEFAULT_PREC):
+    def __init__(self, C=None, M=None):
         one = BoundedValue.exact(1)
-        self.prec = prec
         self.C = C if C is not None else one
-        self._C_alpha = dict(C_alpha or {})
-        self._C_s = dict(C_s or {})
         self.M = M if M is not None else one
         # C_half_time is the constant in ||e^{-tA}a - a|| <= C t^{1/2}
-        # ||A^{1/2} a||.  The default 1 is derived: mode by mode with
-        # x = t lambda >= 0, |e^{-x} - 1| <= min(1, x) <= sqrt(x).
-        self.C_half_time = C_half_time if C_half_time is not None else one
+        # ||A^{1/2} a||, derived as 1: mode by mode with x = t lambda >= 0,
+        # |e^{-x} - 1| <= min(1, x) <= sqrt(x).
+        self.C_half_time = one
         self.provenance = {
             "C": "configured" if C is not None else "default",
-            "C_alpha": "configured" if C_alpha else "derived",
-            "C_s": "configured" if C_s else "default/derived",
             "M": "configured" if M is not None else "default",
-            "C_half_time": "configured" if C_half_time is not None
-            else "derived",
+            "C_alpha": "derived", "C_s": "derived", "C_half_time": "derived",
         }
         self._beta_cache: dict = {}
 
     def C_alpha(self, alpha: Fraction) -> BoundedValue:
-        """The constant in ||A^alpha e^{-tA} a|| <= C_alpha t^-alpha ||a||.
-        The default 1 is derived: mode by mode with x = t lambda,
-        sup_x x^alpha e^{-x} = (alpha/e)^alpha <= 1 for 0 < alpha <= e."""
-        alpha = Fraction(alpha)
-        if alpha == 0:
-            return BoundedValue.exact(1)
-        return self._C_alpha.get(alpha, BoundedValue.exact(1))
+        """The constant in ||A^alpha e^{-tA} a|| <= C_alpha t^-alpha ||a||,
+        derived as 1: mode by mode with x = t lambda,
+        sup_x x^alpha e^{-x} = (alpha/e)^alpha <= 1 for 0 <= alpha <= e."""
+        return BoundedValue.exact(1)
 
     def C_s(self, s: Fraction) -> BoundedValue:
         """Sup-norm embedding constant for exponent s > 1.
@@ -625,14 +616,12 @@ class ConstantsTable:
         by certified partial sum plus integral tail.
         """
         s = Fraction(s)
-        if s in self._C_s:
-            return self._C_s[s]
         if s <= 1:
             raise ValueError("sup-norm embedding needs s > 1")
         key = ("C_s", s)
         if key in self._beta_cache:
             return self._beta_cache[key]
-        prec = self.prec
+        prec = DEFAULT_PREC
         N = 24
         total = BoundedValue.exact(0)
         for n in range(N + 1):
@@ -668,7 +657,7 @@ class ConstantsTable:
             if ca.upper() > out.upper():
                 out = out.hull(ca)
         lo = max(Fraction(1), out.lower())
-        return BoundedValue.from_endpoints(lo, max(lo, out.upper()), self.prec)
+        return BoundedValue.from_endpoints(lo, max(lo, out.upper()))
 
     @property
     def B1(self) -> BoundedValue:
@@ -677,7 +666,7 @@ class ConstantsTable:
         b2 = self.beta_value(Fraction(1, 4), Fraction(1, 4))
         hi = max(Fraction(1), b1.upper(), b2.upper())
         lo = max(Fraction(1), b1.lower(), b2.lower())
-        return BoundedValue.from_endpoints(lo, hi, self.prec)
+        return BoundedValue.from_endpoints(lo, hi)
 
     @property
     def Ctilde(self) -> BoundedValue:
@@ -692,23 +681,14 @@ class ConstantsTable:
         return cls._default
 
     def to_json(self) -> dict:
-        return {
-            "C": self.C.to_json(),
-            "M": self.M.to_json(),
-            "C_half_time": self.C_half_time.to_json(),
-            "C_alpha": {str(k): v.to_json() for k, v in self._C_alpha.items()},
-            "C_s": {str(k): v.to_json() for k, v in self._C_s.items()},
-            "provenance": self.provenance,
-        }
+        return {"C": self.C.to_json(), "M": self.M.to_json()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "ConstantsTable":
-        def _bv(o):
-            return BoundedValue.from_json(o)
-        return cls(
-            C=_bv(obj["C"]) if "C" in obj else None,
-            M=_bv(obj["M"]) if "M" in obj else None,
-            C_half_time=_bv(obj["C_half_time"]) if "C_half_time" in obj else None,
-            C_alpha={Fraction(k): _bv(v) for k, v in obj.get("C_alpha", {}).items()},
-            C_s={Fraction(k): _bv(v) for k, v in obj.get("C_s", {}).items()},
-        )
+        """The table with the C and M of ``obj``; any other key raises
+        ValueError, since the derived constants are not configuration."""
+        extra = sorted(set(obj) - {"C", "M"})
+        if extra:
+            raise ValueError("a constants table sets only C and M, not %s"
+                             % ", ".join(extra))
+        return cls(**{k: BoundedValue.from_json(v) for k, v in obj.items()})

@@ -98,7 +98,7 @@ def _load_constants(config: RunConfig) -> Optional[ConstantsTable]:
     try:
         with open(path) as fh:
             return ConstantsTable.from_json(json.load(fh))
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CliError(EXIT_PARSE, "parse",
                        "constants table %s unreadable: %s" % (path, exc))
 
@@ -240,8 +240,7 @@ def _run_project(config: RunConfig) -> dict:
 def _run_semigroup(config: RunConfig) -> dict:
     u = _load_field_input(config)
     K = config.precision
-    ct = _load_constants(config)
-    out = semigroup_apply(u, config.t, K, constants=ct)
+    out = semigroup_apply(u, config.t, K)
     cert = _certificate(K, [_budget_line("heat-factor enclosure", K)])
     result = {"t": str(config.t), "certificate": cert}
     if isinstance(out, tuple):
@@ -410,48 +409,54 @@ def _build_parser() -> argparse.ArgumentParser:
         description="certified Navier-Stokes solver driver")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
+    def common(p, *shared):
+        """--output, and those of the shared options --input, --precision,
+        --constants and --emit-csv that are named in ``shared``: each
+        subcommand takes exactly the options its runner reads."""
+        if "input" in shared:
             p.add_argument("--input", dest="input_path", metavar="INPUT",
                            required=True, help="input artifact (JSON)")
         p.add_argument("--output", dest="output_path", metavar="OUTPUT",
                        help="output artifact path (default standard output)")
-        p.add_argument("--precision", type=int, default=8,
-                       help="precision index K (budget 2^-K)")
-        p.add_argument("--constants", dest="constants_path",
-                       metavar="CONSTANTS",
-                       help="constants-table override (JSON); also read "
-                            "from $" + CONSTANTS_ENV)
-        p.add_argument("--emit-csv", dest="emit_csv",
-                       help="also write flat coefficient CSV here")
+        if "precision" in shared:
+            p.add_argument("--precision", type=int, default=8,
+                           help="precision index K (budget 2^-K)")
+        if "constants" in shared:
+            p.add_argument("--constants", dest="constants_path",
+                           metavar="CONSTANTS",
+                           help="C and M override (JSON); also read from $"
+                                + CONSTANTS_ENV)
+        if "emit-csv" in shared:
+            p.add_argument("--emit-csv", dest="emit_csv",
+                           help="also write flat coefficient CSV here")
 
     p = sub.add_parser("basis", help="enumerate exact solenoidal "
                                      "polynomial pairs")
     p.add_argument("--degree", type=int, default=4)
     p.add_argument("--count", type=int, default=1)
-    common(p, needs_input=False)
+    common(p)
 
     p = sub.add_parser("project", help="Helmholtz projection")
-    common(p)
+    common(p, "input", "precision", "emit-csv")
 
     p = sub.add_parser("semigroup", help="apply the Stokes semigroup")
     p.add_argument("--t", required=True, help="time (decimal or p/q)")
-    common(p)
+    common(p, "input", "precision", "emit-csv")
 
     p = sub.add_parser("fracpower", help="apply a fractional power")
     p.add_argument("--alpha", required=True,
                    help="exponent in (0,1), decimal or p/q")
-    common(p)
+    common(p, "input", "emit-csv")
 
     p = sub.add_parser("horizon", help="contraction certificate")
     p.add_argument("--mode-cap", dest="mode_cap", type=int, default=24)
-    common(p)
+    common(p, "input", "constants")
 
     p = sub.add_parser("solve", help="certified mild solution")
     p.add_argument("--t", required=True)
     p.add_argument("--mode-cap", dest="mode_cap", type=int, default=12)
     p.add_argument("--panel-cap", dest="panel_cap", type=int, default=64)
-    common(p)
+    common(p, "input", "precision", "constants", "emit-csv")
 
     p = sub.add_parser("pressure", help="pressure path integral")
     p.add_argument("--point", required=True,
@@ -459,10 +464,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--path", dest="path_points", metavar="PATH",
                    help="semicolon-separated waypoint list 'x,y;x,y;...' "
                         "from the anchor")
-    common(p)
+    common(p, "input", "precision")
 
     p = sub.add_parser("selftest", help="deterministic verification battery")
-    common(p, needs_input=False)
+    common(p)
     return parser
 
 

@@ -59,7 +59,8 @@ def resolve_field(u, k: int = None, hs_tails=()):
     """
     if isinstance(u, VectorFieldName):
         if k is None:
-            raise ValueError("a precision level is needed to resolve a name")
+            raise ValueError("a name resolves only at a precision level, "
+                             "and this call has none")
         return u.refine(k)
     if isinstance(u, MollifiedElement):
         return mollified_field_pair(u, _ELEMENT_CUTOFF, hs_tails=hs_tails)
@@ -157,7 +158,7 @@ def truncation_index(u, K: int) -> int:
     """
     if K < 0:
         raise ValueError("precision must be nonnegative")
-    f1, f2 = _as_pair(u, K + 2 if isinstance(u, VectorFieldName) else None)
+    f1, f2 = _as_pair(u, K + 2)
     cut = max(f1.cutoff, f2.cutoff)
     a, b = f1._embedded(cut), f2._embedded(cut)
     n = np.arange(cut + 1)

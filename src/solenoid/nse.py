@@ -12,8 +12,9 @@ balls, and whatever cannot be kept inside the band (truncated products,
 bilinear cross terms against the seed defect, quadrature end slivers) is
 tracked in a scalar defect vector indexed by the fractional-power channels
 A^beta, beta in {0, 1/4, 1/2, 3/5}.  The defect propagates through one time
-step via the smoothing estimate ||A^{beta+1/4} e^{-tau A} x|| <=
-C (tau)^{-(beta+1/4)} ||A^{-1/4} x|| together with the bilinear bound
+step via the smoothing estimate ||A^beta e^{-tau A} x|| <=
+C_{beta+1/4} tau^{-(beta+1/4)} ||A^{-1/4} x||, with the derived constants
+C_alpha of `ConstantsTable.C_alpha`, together with the bilinear bound
 
     ||A^{-1/4}(B u - B v)||_2
         <= M (||A^{1/4}(u-v)|| ||A^{1/2}u|| + ||A^{1/4}v|| ||A^{1/2}(u-v)||),
@@ -527,13 +528,12 @@ class _Engine:
     """
 
     def __init__(self, cert: IterationCertificate, t: Fraction, panels: int,
-                 K: int, forcing: Forcing = None):
+                 forcing: Forcing = None):
         self.cert = cert
         self.ct = cert.constants
         self.t = Fraction(t)
         self.P = panels
         self.h = self.t / panels
-        self.K = K
         self.forcing = forcing
         self.cap = 2 * cert.seed_cutoff
         self._tables: Dict[int, tuple] = {}
@@ -810,7 +810,7 @@ def smoothness_lift(m: int, a, t, K: int,
     n = 1 + int(np.argmax(np.append(tails[:-1] <= 2.0 ** -(K + 2), True)))
     P = panels
     while True:
-        eng = _Engine(cert, t, P, K + 6, forcing)
+        eng = _Engine(cert, t, P, forcing)
         pair, d = eng.eval(m)
         rad = (FloatBall(_pair_radius(pair)) + d.at(0)).upper()
         if rad <= 2.0 ** -K:

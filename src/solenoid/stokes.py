@@ -2,9 +2,12 @@
 generator.
 
 On divergence-free product-basis expansions the Stokes operator acts
-diagonally: mode (n, m) carries the eigenvalue lam = pi^2 (n^2 + m^2).  The
-semigroup multiplies it by e^{-lam t} in closed form (`floatball.grid_exp`,
-:func:`_heat_factor`).  The paper's sectorial contour representation
+diagonally: mode (n, m) carries the eigenvalue lam = pi^2 (n^2 + m^2).  At
+every t > 0 the semigroup multiplies it by e^{-lam t} in closed form
+(`floatball.grid_exp`, :func:`_heat_factor`), and over a time interval by
+the hull of the factors at its two ends (:func:`_heat_hull`), which
+reaches t = 0, where the factor is 1.  The paper's sectorial
+contour representation
 
     e^{-tA} a = (1/2 pi i) int_Gamma e^{lambda t} (lambda I + A)^{-1} a dlambda
 
@@ -41,7 +44,7 @@ from typing import Tuple
 import numpy as np
 
 from .approxcore import (
-    BoundedValue, ConstantsTable, bv_pi, bv_sin, cos_contour_angle, gamma_tail,
+    BoundedValue, bv_pi, bv_sin, cos_contour_angle, gamma_tail,
 )
 from .floatball import (
     FB_PI, BallGrid, CBall, FloatBall, ball_matmul, fb_exp, fb_pow, fb_sincos,
@@ -273,41 +276,26 @@ def _heat_hull(late: BallGrid, early: BallGrid) -> BallGrid:
                                  np.minimum(early.c + early.r, 1.0))
 
 
-def semigroup_apply(a, t, K: int, constants: ConstantsTable = None):
+def semigroup_apply(a, t, K: int):
     """2^-K approximation of e^{-tA} a.
 
     ``a`` is a component pair, a single field, a mollified element, or a
-    vector-field name; ``t`` is a nonnegative number or BoundedValue.  The
-    operation is total on t >= 0:
-
-      * t = 0 returns the resolved argument (identity);
-      * small t returns the argument when C t^{1/2} ||A^{1/2} a|| certifies
-        the move is below 2^-(K+2);
-      * otherwise each retained mode is multiplied by an enclosure of its
-        heat factor e^{-lam t}, the diagonal closed form (over a time
-        interval, the hull of its values at the two ends).
+    vector-field name; ``t`` is a nonnegative number or BoundedValue.  At
+    t = 0 the resolved argument is returned (identity); at any other time
+    each retained mode is multiplied by an enclosure of its heat factor
+    e^{-lam t}, the diagonal closed form (over a time interval, the hull of
+    its values at the two ends, so an interval reaching down to 0 is
+    enclosed too).
     """
     if K < 0:
         raise ValueError("precision must be nonnegative")
-    constants = constants or ConstantsTable.default()
     ends = (t.lower(), t.upper()) if isinstance(t, BoundedValue) \
         else (Fraction(t),) * 2
-    t = _as_bv(t)
-    if t.lower() < 0:
+    if ends[0] < 0:
         raise ValueError("the semigroup needs t >= 0")
     fields, pairp = _components(resolve_field(a, K + 2))
-    if t.upper() == 0:
+    if ends[1] == 0:
         return _emit(fields, pairp)
-    band = all(f.band_limited() for f in fields)
-    if band:
-        move = FloatBall.from_bounded(constants.C_half_time) \
-            * fb_sqrt(FloatBall.from_bounded(t)) \
-            * frac_power_norm(fields, Fraction(1, 2))
-        if move.upper() <= 2.0 ** -(K + 2):
-            return _emit(fields, pairp)
-    if t.lower() <= 0:
-        raise ValueError("time enclosure touches zero but the small-time "
-                         "bound does not certify the identity output")
     cutoff = max(f.cutoff for f in fields)
     fac = _heat_factor(cutoff, ends[1])
     if ends[0] != ends[1]:
@@ -329,11 +317,13 @@ def frac_power_apply(a, alpha):
     alpha must be rational in (0, 1).  Non-band-limited inputs need a stored
     H^{2 alpha} tail bound (mollified elements are resolved with one); the
     output then carries the propagated L2 tail pi^{2 alpha} t_{2 alpha}.
+    A vector-field name raises ValueError: its L2 approximants bound no
+    error of A^alpha, which is unbounded on L2.
     """
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         raise ValueError("fractional power exponent must lie in (0, 1)")
-    fields, pairp = _components(resolve_field(a, 0, hs_tails=(2 * alpha,)))
+    fields, pairp = _components(resolve_field(a, hs_tails=(2 * alpha,)))
     out = []
     pia = fb_pow(FB_PI, 2 * alpha)
     for f in fields:

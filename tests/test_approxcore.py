@@ -483,8 +483,14 @@ class TestConstantsTable:
         assert ct.provenance["C_half_time"] == "derived"
         assert ct.provenance["C_alpha"] == "derived"
         assert ct.provenance["C"] == ct.provenance["M"] == "default"
-        assert ConstantsTable(C_half_time=BoundedValue.exact(2)) \
-            .provenance["C_half_time"] == "configured"
+        # the derived constants are not configuration
+        with pytest.raises(TypeError):
+            ConstantsTable(C_half_time=BoundedValue.exact(2))
+        two = BoundedValue.exact(2).to_json()
+        for key, val in (("C_alpha", {"1/4": two}), ("C_s", {"6/5": two}),
+                         ("C_half_time", two)):
+            with pytest.raises(ValueError):
+                ConstantsTable.from_json({"M": two, key: val})
         alphas = (F(1, 4), F(1, 2), F(3, 5), F(3, 4), F(17, 20), F(1))
         assert ct.C_half_time.upper() == 1
         assert all(ct.C_alpha(a).upper() == 1 for a in alphas)

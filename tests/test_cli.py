@@ -7,6 +7,7 @@ byte comparison for determinism.  Error paths are checked against the
 documented exit codes.
 """
 
+import argparse
 import json
 import math
 import subprocess
@@ -17,7 +18,7 @@ import pytest
 
 from solenoid import cli
 from solenoid import polyfield as pf
-from solenoid.approxcore import ConstantsTable
+from solenoid.approxcore import BoundedValue, ConstantsTable
 from solenoid.floatball import BallGrid, FloatBall
 from solenoid.polyfield import SolenoidalPolyPair
 from solenoid.spectral import FourierField
@@ -188,7 +189,6 @@ class TestHorizonAndSolve:
 
     def test_constants_override_consumed(self, tmp_path, small_pair,
                                          monkeypatch):
-        from solenoid.approxcore import BoundedValue
         table = ConstantsTable(M=BoundedValue.exact(2))
         override = tmp_path / "constants.json"
         override.write_text(json.dumps(table.to_json()))
@@ -203,6 +203,19 @@ class TestHorizonAndSolve:
         over = json.loads(over_out.read_text())["certificate"]["T_a"]
         # doubling M doubles Ctilde and so shrinks the certified horizon
         assert base != over
+
+
+    @pytest.mark.parametrize("table", [
+        # only C and M are configuration: a derived constant in the file is
+        # a parse error, not silently ignored
+        {"C_half_time": BoundedValue.exact(2).to_json()},
+        # malformed tables
+        {"C": 2}, "CM", [1]])
+    def test_constants_file_rejected(self, tmp_path, small_pair, table):
+        override = tmp_path / "constants.json"
+        override.write_text(json.dumps(table))
+        assert _run("horizon", "--input", small_pair, "--constants",
+                    str(override)) == cli.EXIT_PARSE
 
 
 class TestPressure:
@@ -314,6 +327,37 @@ class TestInputKinds:
         err = capsys.readouterr().err
         assert code == codes[("pair", "field", "element").index(kind)], err
         assert "Traceback" not in err
+
+
+# the options each subcommand's runner reads, and no others
+_OPTIONS = {
+    "basis": {"--degree", "--count", "--output"},
+    "project": {"--input", "--output", "--precision", "--emit-csv"},
+    "semigroup": {"--t", "--input", "--output", "--precision", "--emit-csv"},
+    "fracpower": {"--alpha", "--input", "--output", "--emit-csv"},
+    "horizon": {"--mode-cap", "--input", "--output", "--constants"},
+    "solve": {"--t", "--mode-cap", "--panel-cap", "--input", "--output",
+              "--precision", "--constants", "--emit-csv"},
+    "pressure": {"--point", "--path", "--input", "--output", "--precision"},
+    "selftest": {"--output"},
+}
+
+
+class TestOptions:
+    def test_each_subcommand_parses_what_its_runner_reads(self):
+        parser = cli._build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        got = {name: {o for a in p._actions for o in a.option_strings}
+               - {"-h", "--help"} for name, p in sub.choices.items()}
+        assert got == _OPTIONS
+
+    def test_unread_options_rejected(self, tmp_path, mode11):
+        constants = tmp_path / "constants.json"
+        constants.write_text(json.dumps(ConstantsTable().to_json()))
+        assert _run("basis", "--precision", "8") == cli.EXIT_PARSE
+        assert _run("pressure", "--input", mode11, "--point", "1/3,2/5",
+                    "--constants", str(constants)) == cli.EXIT_PARSE
 
 
 class TestEntryPoint:

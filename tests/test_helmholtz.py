@@ -263,7 +263,7 @@ _PAIR_ONLY = {"field": TypeError, "swapped": ValueError}
 _RES_EXPECTED = {
     "project": dict(_LINEAR, **_PAIR_ONLY),
     "semigroup_apply": _LINEAR,
-    "frac_power_apply": _LINEAR,
+    "frac_power_apply": dict(_LINEAR, name=ValueError),
     "compute_horizon": dict({k: IterationCertificate
                              for k in ("pair", "name", "element")},
                             **_PAIR_ONLY),

@@ -597,8 +597,8 @@ class TestSmoothnessLift:
         assert lift.t_n == c.T_frac / 2 ** lift.n
 
     @staticmethod
-    def _engine_radius(cert, t, P, m, K):
-        pair, d = nse._Engine(cert, t, P, K + 6).eval(m)
+    def _engine_radius(cert, t, P, m):
+        pair, d = nse._Engine(cert, t, P).eval(m)
         return (FloatBall(nse._pair_radius(pair)) + d.at(0)).upper()
 
     def test_ladder_returns_smallest_doubling(self):
@@ -609,8 +609,8 @@ class TestSmoothnessLift:
         t, m, K = c.T_frac, 5, 28
         lift = nse.smoothness_lift(m, a, t, K, cert=c)
         assert lift.panels == 2
-        assert self._engine_radius(c, t, lift.panels, m, K) <= 2.0 ** -K
-        assert self._engine_radius(c, t, lift.panels // 2, m, K) > 2.0 ** -K
+        assert self._engine_radius(c, t, lift.panels, m) <= 2.0 ** -K
+        assert self._engine_radius(c, t, lift.panels // 2, m) > 2.0 ** -K
         with pytest.raises(nse.BudgetError):
             nse.smoothness_lift(m, a, t, K, cert=c, panel_cap=1)
 
@@ -642,7 +642,7 @@ class TestRoundingRules:
                    for b in nse._DEFECT_BETAS)
         t = cert.T_frac * t_scale
         P = 8
-        eng = nse._Engine(cert, t, P, 10)
+        eng = nse._Engine(cert, t, P)
         with mp.workdps(60):
             h = mp.mpf(t.numerator) / t.denominator / P
             for i, g in enumerate((F(1, 4), F(1, 2), F(3, 4), F(17, 20))):
@@ -702,9 +702,9 @@ class TestLevelEngine:
         assert np.array_equal(self._bits(d.r), self._bits(rd.r))
 
     def _check(self, cert, t, P, depths, forcing=None):
-        ref = CellEngine(cert, t, P, 14, forcing)
+        ref = CellEngine(cert, t, P, forcing)
         for m in depths:
-            self._same(nse._Engine(cert, t, P, 14, forcing).eval(m),
+            self._same(nse._Engine(cert, t, P, forcing).eval(m),
                        ref.eval(m))
 
     # P = 1 has no gap hull and no Duhamel sum before the endpoint, P = 2

@@ -23,8 +23,9 @@ from hypothesis import given, settings, strategies as st
 
 from solenoid import polyfield as pf
 from solenoid import stokes as sk
-from solenoid.approxcore import BoundedValue, ConstantsTable
-from solenoid.floatball import FloatBall, fb_sqrt
+from solenoid.approxcore import BoundedValue, ConstantsTable, Name
+from solenoid.floatball import BallGrid, FloatBall, fb_sqrt
+from solenoid.helmholtz import VectorFieldName
 from solenoid.spectral import FourierField, mollified_field_pair
 
 import oracles
@@ -133,7 +134,6 @@ class TestResolvent:
 
     def test_inverse_identity(self):
         rng = np.random.default_rng(7)
-        from solenoid.floatball import BallGrid
         g = BallGrid(rng.normal(size=(5, 5)))
         f = FourierField("sc", 4, g)
         lam = FloatBall(2.5)
@@ -205,32 +205,39 @@ class TestSemigroup:
                                    F(1, 4), K)
         assert _pair_diff(once, twice) <= 2.0 ** -(K - 2)
 
-    def test_small_time_identity_path(self):
+    def test_small_time_encloses_heat_factor(self):
+        # at t = 2^-40 the (1, 1) coefficient 1e-7 moves by about 1.8e-18,
+        # far below 2^-K: the output must still enclose e^{-lam t} a, not
+        # return a unchanged
+        t = F(1, 1 << 40)
         u = _sol_mode(1, 1, 1e-7)
-        o = sk.semigroup_apply(u, F(1, 1 << 40), 4)
-        assert _pair_diff(o, u) < 1e-100
+        out = sk.semigroup_apply(u, t, 4)
+        with mpmath.workdps(50):
+            fac = mpmath.exp(-2 * mpmath.pi ** 2 * t.numerator / t.denominator)
+            for o, src in zip(out, u):
+                b = o.grid.at((1, 1))
+                exact = mpmath.mpf(src.grid.at((1, 1)).c) * fac
+                assert abs(mpmath.mpf(b.c) - exact) <= mpmath.mpf(b.r)
 
-    @pytest.mark.parametrize("side", [-1, 1])
-    def test_small_time_move_is_certified(self, side, monkeypatch):
-        # ||A^{1/2} a|| = pi for this pair, so the identity output needs
-        # sqrt(t) pi <= 2^-(K+2), i.e. t <= t* = 2^-2(K+2)/pi^2: just below
-        # t* the identity is certified, just above it the heat factors must
-        # be applied
-        K = 10
-        pair = _sol_mode(1, 1)
-        with mpmath.workdps(60):
-            t = F(mpmath.nstr(mpmath.mpf(2) ** (-2 * (K + 2)) / mpmath.pi ** 2
-                              * (1 + side * mpmath.mpf(2) ** -45), 50))
-
-        def heat(*args):
-            raise LookupError("heat factor route")
-        monkeypatch.setattr(sk, "_heat_factor", heat)
-        if side < 0:
-            out = sk.semigroup_apply(pair, t, K)
-            assert out[0] is pair[0] and out[1] is pair[1]
-        else:
-            with pytest.raises(LookupError):
-                sk.semigroup_apply(pair, t, K)
+    @pytest.mark.parametrize("hi", [F(1, 2), F(1, 1 << 40)])
+    def test_interval_time_from_zero(self, hi):
+        # over t = [0, hi] every live mode ball of a unit-coefficient pair
+        # contains e^{-lam s} for s at both ends and inside
+        cut = 4
+        ones = tuple(FourierField(b, cut, BallGrid(np.ones((cut + 1,
+                                                            cut + 1))))
+                     for b in ("sc", "cs"))
+        out = sk.semigroup_apply(ones, BoundedValue.from_endpoints(F(0), hi),
+                                 20)
+        with mpmath.workdps(50):
+            for f in out:
+                for n, m in zip(*np.nonzero(f.weights() > 0)):
+                    b = f.grid.at((n, m))
+                    lam = mpmath.pi ** 2 * int(n * n + m * m)
+                    for s in (F(0), hi / 3, hi / 2, hi * F(7, 8), hi):
+                        v = mpmath.exp(-lam * s.numerator / s.denominator)
+                        assert abs(mpmath.mpf(b.c) - v) <= mpmath.mpf(b.r), \
+                            (f.basis, n, m, s)
 
     def test_single_field_accepted(self):
         f = FourierField.single_mode("sc", 1, 1, 1.0)
@@ -259,16 +266,9 @@ class TestSemigroup:
         with pytest.raises(ValueError):
             sk.semigroup_apply(_sol_mode(1, 1), -1, 8)
 
-    def test_wide_time_enclosure_rejected(self):
-        u = _sol_mode(1, 1, 50.0)
-        t = BoundedValue.from_endpoints(F(0), F(1, 2))
-        with pytest.raises(ValueError):
-            sk.semigroup_apply(u, t, 12)
-
 
 def _full_pair(cutoff, seed):
     """A pair with a coefficient on every live mode up to ``cutoff``."""
-    from solenoid.floatball import BallGrid
     rng = np.random.default_rng(seed)
     return tuple(FourierField(b, cutoff, BallGrid(rng.uniform(
         -1, 1, (cutoff + 1, cutoff + 1)))) for b in ("sc", "cs"))
@@ -447,7 +447,6 @@ class TestFracPower:
 
     def test_exponent_additivity(self):
         rng = np.random.default_rng(3)
-        from solenoid.floatball import BallGrid
         f = FourierField("cs", 4, BallGrid(rng.normal(size=(5, 5))))
         one = sk.frac_power_apply(f, F(3, 5))
         two = sk.frac_power_apply(sk.frac_power_apply(f, F(3, 10)), F(3, 10))
@@ -487,12 +486,22 @@ class TestFracPower:
         with pytest.raises(ValueError):
             sk.frac_power_apply(g, F(1, 2))
 
+    def test_name_rejected(self):
+        # A^alpha is unbounded on L2, so no refinement level of a name
+        # bounds its error: this name's refine(k) is 2^-(k+1) off at mode
+        # (1, 2), where A^{1/2} a is 2 sqrt(5) pi = 14.05 and A^{1/2}
+        # refine(0) is 2.5 sqrt(5) pi = 17.56
+        def refine(k):
+            return (FourierField.single_mode("sc", 1, 2, 2 + 2.0 ** -(k + 1)),
+                    FourierField.single_mode("cs", 1, 2, -1.0))
+        with pytest.raises(ValueError):
+            sk.frac_power_apply(VectorFieldName(Name(refine)), F(1, 2))
+
     @pytest.mark.parametrize("beta", [F(1, 4), F(1, 2)])
     def test_norm_two_routes(self, beta):
         # ||A^beta u|| as one weighted sum against the L2 norm of the
         # applied power, and both against a 40-digit mpmath value
         rng = np.random.default_rng(8)
-        from solenoid.floatball import BallGrid
         pair = (FourierField("sc", 6, BallGrid(rng.normal(size=(7, 7)))),
                 FourierField("cs", 6, BallGrid(rng.normal(size=(7, 7)))))
         norm = sk.frac_power_norm(pair, beta)
