@@ -5,7 +5,7 @@ contraction horizon, and then watches the Picard iterates collapse: the
 measured successive differences sit far below the certified geometric
 envelope L eps^(m-1).  Run:
 
-    python3 demos/certified_horizon.py        (about 15 seconds)
+    python3 demos/certified_horizon.py        (under a second)
 """
 
 import math

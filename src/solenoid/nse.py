@@ -30,6 +30,11 @@ resolution k-hat, a horizon T_a from the scaling inequality on
 max{T^{1/4}, T^{1/2}} max{||A^{1/4}a||, ||A^{1/2}a||}, the recursive K and M
 tables, the cap 4 k0 (sqrt2 - 1)/sqrt2, and the contraction factor
 epsilon = 2 Ctilde K_cap < 1, which holds for every datum by arithmetic.
+The horizon and the small-time modulus theta_2 ask one Claim-1 question,
+at T = 2^-j and against different bounds b: is T^{1/4} mx + forcing(T) < b
+for mx = max{||A^{1/4}a||, ||A^{1/2}a||}?  With d = b - forcing(T) it holds
+exactly when d > 0 and T mx^4 < d^4, so `_claim1_exponent` decides it in
+rationals, with no root, and returns the least such j.
 """
 
 from __future__ import annotations
@@ -50,7 +55,8 @@ from .helmholtz import VectorFieldName, _as_pair, project, project_pair
 from .polyfield import MollifiedElement
 from .spectral import (
     _PI2, FourierField, SobolevName, _bilinear, _mode_mask, _trig_values,
-    differentiate, mollified_field_pair, multiply, weighted_sq_terms,
+    axis_trig_moments, differentiate, mollified_field_pair, multiply,
+    weighted_sq_terms,
 )
 from .stokes import (
     _heat_factor, _heat_hull, _l2_upper, frac_power_norm, semigroup_apply,
@@ -223,6 +229,11 @@ class IterationCertificate:
         return self.T_a.lower()
 
     @property
+    def j_a(self) -> int:
+        """The exponent j of the horizon T_a = 2^-j."""
+        return self.T_frac.denominator.bit_length() - 1
+
+    @property
     def seed_cutoff(self) -> int:
         return max(f.cutoff for f in self.seed)
 
@@ -253,6 +264,22 @@ def _forcing_term(T: Fraction, G: float, ct: ConstantsTable) -> float:
                for b in (F14, F12))
 
 
+def _claim1_exponent(mx: Fraction, b: Fraction, G: float, ct: ConstantsTable,
+                     j0: int, j_max: int) -> Optional[int]:
+    """The least j in [j0, j_max] whose horizon T = 2^-j passes the Claim-1
+    test T^{1/4} mx + forcing(T) < b, or None when none does.  With
+    d = b - forcing(T), the test holds exactly when d > 0 and T mx^4 < d^4,
+    a comparison of rationals decided without a root."""
+    if b <= 0:
+        return None
+    mx4 = mx ** 4
+    for j in range(j0, j_max + 1):
+        d = b - Fraction(_forcing_term(Fraction(1, 2 ** j), G, ct))
+        if d > 0 and mx4 < d ** 4 * 2 ** j:
+            return j
+    return None
+
+
 # depth of the certificate's K, M and w tables
 _TABLE_DEPTH = 8
 
@@ -262,9 +289,10 @@ def compute_horizon(a, constants: ConstantsTable = None, mode_cap: int = 24,
     """Certified contraction horizon and constant tables for the datum a.
 
     The seed resolution index k-hat satisfies 2^-k_hat < 1/(16 c1 Ctilde);
-    the horizon search then drives max{T^{1/4}, T^{1/2}} times the seed's
-    fractional-power norms under 1/(16 Ctilde), so the realized Claim-1
-    functional k0 sits strictly below 1/(8 Ctilde).
+    the horizon T_a = 2^-j is the first that `_claim1_exponent` finds with
+    T^{1/4} (at least T^{1/2}, as T < 1) times the seed's fractional-power
+    norms, plus the forcing term, under 1/(16 Ctilde), so the realized
+    Claim-1 functional k0 sits strictly below 1/(8 Ctilde).
     """
     ct = constants or ConstantsTable.default()
     ctil = ct.Ctilde
@@ -291,30 +319,21 @@ def compute_horizon(a, constants: ConstantsTable = None, mode_cap: int = 24,
     if floor >= eighth.lower():
         raise ValueError("datum presentation too coarse: its resolution "
                          "floor alone exhausts the Claim-1 budget")
-    if norm_up == 0.0 and seed_res == 0 and g_sup == 0.0:
-        q_norm = h_norm = 0.0
-        T = Fraction(1, 4)
-        k0 = BoundedValue.exact(0)
-    else:
-        q_norm = frac_power_norm(seed, F14).upper()
-        h_norm = frac_power_norm(seed, F12).upper()
-        mx = Fraction(max(q_norm, h_norm))
-        # the display bound 1/(16 Ctilde), tightened further when the
-        # presentation's resolution floor eats into the 1/(8 Ctilde) total
-        bound16 = min((BoundedValue.exact(1) / ctil.scale(16)).lower(),
-                      eighth.lower() - floor)
-        j = 2
-        while True:
-            T = Fraction(1, 2 ** j)
-            rootT = bv_sqrt(bv_sqrt(BoundedValue.exact(T)))
-            lead = rootT.upper() * mx + Fraction(_forcing_term(T, g_sup, ct))
-            if lead < bound16:
-                break
-            j += 1
-            if j > 400:
-                raise RuntimeError("horizon search failed to terminate")
-        k0 = c1 * BoundedValue.from_fraction(seed_res) + \
-            BoundedValue.from_fraction(lead)
+    q_norm = frac_power_norm(seed, F14).upper()
+    h_norm = frac_power_norm(seed, F12).upper()
+    # the display bound 1/(16 Ctilde), tightened further when the
+    # presentation's resolution floor eats into the 1/(8 Ctilde) total
+    bound16 = min((BoundedValue.exact(1) / ctil.scale(16)).lower(),
+                  eighth.lower() - floor)
+    mx = Fraction(max(q_norm, h_norm))
+    j = _claim1_exponent(mx, bound16, g_sup, ct, 2, 400)
+    if j is None:
+        raise RuntimeError("horizon search failed to terminate")
+    T = Fraction(1, 2 ** j)
+    rootT = bv_sqrt(bv_sqrt(BoundedValue.exact(T)))
+    lead = rootT.upper() * mx + Fraction(_forcing_term(T, g_sup, ct))
+    k0 = c1 * BoundedValue.from_fraction(seed_res) + \
+        BoundedValue.from_fraction(lead)
     if k0.upper() >= eighth.lower():
         raise RuntimeError("Claim-1 functional failed to clear 1/(8 Ctilde)")
     sqrt2 = bv_sqrt(BoundedValue.exact(2))
@@ -346,42 +365,9 @@ def compute_horizon(a, constants: ConstantsTable = None, mode_cap: int = 24,
         half_norm=h_norm, constants=ct, forcing_sup=g_sup)
 
 
-def _resolution_floor(cert: IterationCertificate) -> FloatBall:
-    """c1 seed_res, the part of the Claim-1 functional that does not
-    depend on T; its upper end lower-bounds the functional for every T."""
-    return cert.ball("c1", lambda: cert.constants.c1) * \
-        FloatBall.exact(cert.seed_res)
-
-
-def claim1_functional(cert: IterationCertificate):
-    """The upper bound on the Claim-1 seed functional as a function of the
-    horizon T; the parts that do not depend on T (the c1 hull and its ball)
-    are formed once."""
-    res = _resolution_floor(cert)
-    norm = FloatBall(max(cert.quarter_norm, cert.half_norm))
-
-    def at(T: Fraction) -> float:
-        rootT = bv_sqrt(bv_sqrt(BoundedValue.exact(Fraction(T))))
-        lead = FloatBall.from_bounded(rootT) * norm
-        return (res + lead + FloatBall(_forcing_term(
-            Fraction(T), cert.forcing_sup, cert.constants))).upper()
-    return at
-
-
 # ---------------------------------------------------------------------------
 # small-time modulus
 # ---------------------------------------------------------------------------
-
-def _log2_ceil_inv(T: Fraction) -> int:
-    """Smallest integer j >= 0 with 2^-j <= T, for T = p/q > 0.  For
-    T < 1 and d = q.bit_length() - p.bit_length(), q/p lies in
-    (2^(d-1), 2^(d+1)), so j is d when q <= p 2^d and d + 1 otherwise."""
-    p, q = T.numerator, T.denominator
-    if p >= q:
-        return 0
-    d = q.bit_length() - p.bit_length()
-    return d if q <= p << d else d + 1
-
 
 def _theta1(cert: IterationCertificate, k: int) -> Optional[int]:
     """Smallest theta >= 0 with C ||A^{1/2} seed|| 2^{-theta/2} <=
@@ -390,8 +376,6 @@ def _theta1(cert: IterationCertificate, k: int) -> Optional[int]:
     lead = cert.ball("C_half_time", lambda: cert.constants.C_half_time) * \
         FloatBall(cert.half_norm)
     sq = (lead * lead).upper()
-    if sq == 0.0:
-        return 0
     theta = max(0, 2 * k + 2 + ceil_log2(sq))
     return theta if theta <= 4 * (k + 64) else None
 
@@ -399,29 +383,19 @@ def _theta1(cert: IterationCertificate, k: int) -> Optional[int]:
 def _theta2(cert: IterationCertificate, m: int, k: int) -> Optional[int]:
     """Smallest theta with C_{1/4} M L_{1/4,m} L_{1/2,m} B(3/4,1/4)
     2^{-2 theta} <= 2^-(k+1), with the L constants realized as the
-    fixed-point cap applied to the Claim-1 functional on the shrunken
-    horizon 2^-theta.  The seed-resolution floor of that functional makes
-    the search fail (return None) when the requested budget is finer than
-    the floor allows.  Every ball step of the test is monotone in the
-    functional's value, and the value is at least the floor's upper end,
-    so a floor that fails the test fails it at every theta; that is
-    decided before the search."""
+    fixed-point cap W* applied to the Claim-1 functional on the shrunken
+    horizon 2^-theta.  The test holds once the functional is below
+    V = sqrt(2^-(k+1)/lead)/W*, so theta is the Claim-1 exponent against
+    V less the seed-resolution floor c1 seed_res; when that floor alone
+    reaches V the budget is finer than the floor allows (None)."""
     ct = cert.constants
     lead = cert.ball("theta2", lambda: ct.C_alpha(F14) * ct.M *
                      ct.beta_value(Fraction(3, 4), F14))
-
-    def passes(value: float) -> bool:
-        ws = _WSTAR * FloatBall(value)
-        return (lead * ws * ws).upper() <= 2.0 ** -(k + 1)
-
-    if not passes(_resolution_floor(cert).upper()):
-        return None
-    functional = claim1_functional(cert)
-    theta = max(1, _log2_ceil_inv(cert.T_frac))
-    for th in range(theta, theta + 4 * (k + 64)):
-        if passes(functional(Fraction(1, 2 ** th))):
-            return th
-    return None
+    V = (fb_sqrt(FloatBall(2.0 ** -(k + 1)) / lead) / _WSTAR).lower()
+    b = Fraction(V) - ct.c1.upper() * cert.seed_res
+    return _claim1_exponent(
+        Fraction(max(cert.quarter_norm, cert.half_norm)), b,
+        cert.forcing_sup, ct, cert.j_a, cert.j_a + 4 * (k + 64) - 1)
 
 
 def eta_modulus(cert: IterationCertificate, m: int, k: int) -> Optional[int]:
@@ -431,7 +405,7 @@ def eta_modulus(cert: IterationCertificate, m: int, k: int) -> Optional[int]:
     th2 = _theta2(cert, m, k) if m >= 1 else 0
     if th1 is None or th2 is None:
         return None
-    return max(th1, th2, _log2_ceil_inv(cert.T_frac))
+    return max(th1, th2, cert.j_a)
 
 
 # ---------------------------------------------------------------------------
@@ -929,28 +903,17 @@ class PressureQuery:
         return pts
 
 
-def _char_antiderivative(char: str, cutoff: int, x0: Fraction, x1: Fraction):
-    """int_{x0}^{x1} trig(char, n, x) dx for n = 0..cutoff: (trig'(x0) -
-    trig'(x1))/(n pi) with trig' the other trig function, x1 - x0 at n = 0
-    for the cosine."""
-    if char == "s":
-        a, b = _trig_values("c", cutoff, x0), _trig_values("c", cutoff, x1)
-    else:
-        a, b = _trig_values("s", cutoff, x1), _trig_values("s", cutoff, x0)
-    n = np.arange(cutoff + 1)
-    out = (a - b) / (BallGrid(np.maximum(n, 1)) * FB_PI)
-    out.set(0, FloatBall.exact(Fraction(x1) - Fraction(x0)) if char == "c"
-            else FloatBall(0.0))
-    return out
-
-
 def _segment_integral(h1: FourierField, h2: FourierField, p, q) -> FloatBall:
+    """int h . dgamma along one axis-aligned segment from p to q: the
+    moving axis integrates trig(n pi s) over the segment (row 0 of
+    `axis_trig_moments`), the fixed axis evaluates it."""
     if p[1] == q[1]:
-        return _bilinear(_char_antiderivative(h1.basis[0], h1.cutoff,
-                                              p[0], q[0]), h1.grid,
+        return _bilinear(axis_trig_moments(h1.basis[0], 0, h1.cutoff,
+                                           p[0], q[0])[0], h1.grid,
                          _trig_values(h1.basis[1], h1.cutoff, p[1]))
     return _bilinear(_trig_values(h2.basis[0], h2.cutoff, p[0]), h2.grid,
-                     _char_antiderivative(h2.basis[1], h2.cutoff, p[1], q[1]))
+                     axis_trig_moments(h2.basis[1], 0, h2.cutoff,
+                                       p[1], q[1])[0])
 
 
 def pressure_field(u, f=None):

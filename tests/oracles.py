@@ -17,7 +17,10 @@ normalization `gamma0`, and certifies the window transforms by the
 profile's ODE recurrence.  The band-limited product's earlier route,
 `ball_convolve` of the exponential extensions `_extended`, checks the
 library's fold on the coefficient grids.  The Picard engine's cell-by-cell
-recursion, `CellEngine`, checks the library's level engine.
+recursion, `CellEngine`, checks the library's level engine.  The
+Claim-1 horizon search's earlier loop, `rounded_root_exponent`, which
+compares a rounded fourth root T^{1/4} against the bound, checks the
+library's exact root-free search.
 """
 
 import heapq
@@ -30,7 +33,8 @@ import numpy as np
 
 from solenoid import nse
 from solenoid.approxcore import (DEFAULT_PREC, BoundedValue, ConstantsTable,
-                                 bv_cos, bv_exp, bv_log, bv_pi, bv_pow, bv_sin)
+                                 bv_cos, bv_exp, bv_log, bv_pi, bv_pow, bv_sin,
+                                 bv_sqrt)
 from solenoid.floatball import (EPS, FB_PI, TINY, BallGrid, FloatBall, fb_exp,
                                 fb_log, fb_pow, fb_sincos, fb_sqrt, grid_pow)
 from solenoid.floatball import _floored, _gamma, _up
@@ -1507,3 +1511,27 @@ class CellEngine(nse._Engine):
              self.t - q * self.h) for q in range(self.P))
         d = self._defect_sum(self._W_end, m - 1, self.P)
         return (pair[0] - val[0], pair[1] - val[1]), d
+
+
+# ---------------------------------------------------------------------------
+# the Claim-1 horizon search
+# ---------------------------------------------------------------------------
+
+def rounded_root_exponent(mx: Fraction, bound16: Fraction, g_sup: float,
+                          ct: ConstantsTable, j0: int = 2,
+                          j_max: int = 400):
+    """The least j in [j0, j_max] whose T = 2^-j has the upper end of the
+    enclosure of T^{1/4}, times mx, plus the forcing term, below bound16;
+    None when none does.  This is the loop `nse.compute_horizon` ran before
+    the search became the exact comparison T mx^4 < d^4."""
+    j = j0
+    while True:
+        T = Fraction(1, 2 ** j)
+        rootT = bv_sqrt(bv_sqrt(BoundedValue.exact(T)))
+        lead = rootT.upper() * mx + Fraction(nse._forcing_term(T, g_sup, ct))
+        if lead < bound16:
+            break
+        j += 1
+        if j > j_max:
+            return None
+    return j

@@ -19,14 +19,15 @@ from hypothesis import given, settings, strategies as st
 
 from solenoid import nse
 from solenoid import polyfield as pf
-from solenoid.approxcore import ConstantsTable, Name, bv_sqrt
+from solenoid.approxcore import BoundedValue, ConstantsTable, Name, bv_sqrt
 from solenoid.floatball import BallGrid, FloatBall
 from solenoid.helmholtz import VectorFieldName, divergence
 from solenoid.spectral import FourierField, SobolevName, coefficients
 from solenoid.stokes import frac_power_apply, semigroup_apply
 
 from oracles import (CellEngine, _axis_extension, _extended,
-                     axis_product_table, eval_ball, product_to_sum)
+                     axis_product_table, eval_ball, product_to_sum,
+                     rounded_root_exponent)
 
 EL = pf.mollify(pf.solenoidal_kernel(4)[0], 1, 2)
 CT = ConstantsTable.default()
@@ -448,6 +449,92 @@ class TestCertificate:
             assert key in d
 
 
+class TestClaim1Search:
+    """The exact root-free Claim-1 search, `nse._claim1_exponent`, against
+    the rounded-root loop it replaced, `oracles.rounded_root_exponent`."""
+
+    @staticmethod
+    def _bound16(c):
+        # compute_horizon's bound: 1/(16 Ctilde), less what the resolution
+        # floor takes from the 1/(8 Ctilde) total
+        one, ct = BoundedValue.exact(1), c.constants
+        floor = (ct.c1 * BoundedValue.from_fraction(c.seed_res)).upper()
+        return min((one / ct.Ctilde.scale(16)).lower(),
+                   (one / ct.Ctilde.scale(8)).lower() - floor)
+
+    @staticmethod
+    def _mx(c):
+        return F(max(c.quarter_norm, c.half_norm))
+
+    def test_matches_rounded_root_over_scales(self):
+        # the README seed norm scaled by 10^-12 .. 10^6, with and without
+        # forcing
+        c = _cert()
+        b, mx = self._bound16(c), float(self._mx(c))
+        for G in (0.0, 1e-3, 0.5):
+            for i in range(-96, 49):
+                m = F(mx * 10.0 ** (i / 8))
+                assert nse._claim1_exponent(m, b, G, CT, 2, 400) == \
+                    rounded_root_exponent(m, b, G, CT), (i, G)
+
+    @pytest.mark.parametrize("j", [4, 8, 28, 60])
+    def test_exact_tie_rejected(self, j):
+        # mx = b 2^{j/4}: at T = 2^-j, T^{1/4} mx equals b exactly
+        b = self._bound16(_cert())
+        mx = b * 2 ** (j // 4)
+        assert nse._claim1_exponent(mx, b, 0.0, CT, j, j) is None
+        assert nse._claim1_exponent(mx, b, 0.0, CT, j, j + 1) == j + 1
+        assert nse._claim1_exponent(mx, b, 0.0, CT, 2, 400) == j + 1
+        assert rounded_root_exponent(mx, b, 0.0, CT) == j + 1
+
+    def test_nonpositive_bound_or_range(self):
+        for b in (F(0), F(-1, 8)):
+            assert nse._claim1_exponent(F(0), b, 0.0, CT, 2, 400) is None
+        assert nse._claim1_exponent(F(10 ** 9), F(1, 64), 0.0, CT, 2, 40) \
+            is None
+
+    def test_certificate_horizons_match_rounded_root(self):
+        z = (FourierField.zero("sc", 1), FourierField.zero("cs", 1))
+        pair = tuple(nse._strip_tail(f) for f in coefficients(EL, 16))
+        forcing = nse.Forcing.constant(*_sol_mode(1, 1, 0.5, cutoff=2))
+        certs = {"readme": _cert(), "zero": nse.compute_horizon(z),
+                 "name": nse.compute_horizon(VectorFieldName.constant(*pair),
+                                             mode_cap=12),
+                 "forced": nse.compute_horizon(pair, mode_cap=12,
+                                               forcing=forcing)}
+        assert certs["zero"].T_frac == F(1, 4)
+        assert certs["name"].seed_res > 0
+        for name, c in certs.items():
+            j = rounded_root_exponent(self._mx(c), self._bound16(c),
+                                      c.forcing_sup, c.constants)
+            assert c.T_frac == F(1, 2 ** j), name
+
+    def test_no_root_per_halving(self, monkeypatch):
+        # a warm horizon takes sqrt 2 and the fourth root at the chosen T,
+        # however many halvings its search makes; theta2 takes none
+        z = (FourierField.zero("sc", 1), FourierField.zero("cs", 1))
+        datums = ((EL, 12), (z, 24))
+        certs = [nse.compute_horizon(d, mode_cap=cap) for d, cap in datums]
+        assert certs[0].j_a - certs[1].j_a >= 20
+        calls = []
+        real = nse.bv_sqrt
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(nse, "bv_sqrt", counted)
+        for d, cap in datums:
+            calls.clear()
+            nse.compute_horizon(d, mode_cap=cap)
+            assert len(calls) <= 3
+        calls.clear()
+        for c in certs:
+            for k in range(4, 24):
+                nse._theta2(c, 1, k)
+        assert not calls
+
+
 # ---------------------------------------------------------------------------
 # iteration, lift, claims
 # ---------------------------------------------------------------------------
@@ -486,26 +573,9 @@ class TestIterate:
 
     def test_modulus_values(self):
         c = _cert()
+        assert F(1, 2 ** c.j_a) == c.T_frac
         e1 = nse.eta_modulus(c, 1, 6)
-        assert e1 is None or e1 >= nse._log2_ceil_inv(c.T_frac)
-
-    @staticmethod
-    def _log2_ceil_inv_loop(T):
-        # the reference: one step per power of two
-        j = 0
-        while F(1, 2 ** j) > T:
-            j += 1
-        return j
-
-    def test_log2_ceil_inv_matches_loop(self):
-        cases = [F(3, 7), F(1, 3), F(5, 8), F(999, 1000), F(1, 10 ** 9),
-                 F(1), F(3, 2), F(7), F(10 ** 20, 3)]
-        for j in (0, 1, 2, 29, 60, 200):
-            cases.append(F(1, 2 ** j))
-            cases.append(F(1, 2 ** j) + F(1, 2 ** (j + 60)))
-            cases.append(F(1, 2 ** j) - F(1, 2 ** (j + 60)))
-        for T in cases:
-            assert nse._log2_ceil_inv(T) == self._log2_ceil_inv_loop(T), T
+        assert e1 is None or e1 >= c.j_a
 
     @staticmethod
     def _exact_datum_cert():
@@ -518,25 +588,47 @@ class TestIterate:
                 FourierField("cs", 2, BallGrid(g2)))
         return nse.compute_horizon(pair, mode_cap=12)
 
-    # theta and the Claim-1 functional there, frozen from the route that
-    # rebuilt the c1 ball at every step of the search.  The README
-    # functionals also follow the certificate's seed norms and resolution,
-    # which move in their last bits with the mollifier window transforms
-    THETA2 = {("readme", 8): (29, "0x1.44db192508625p-7"),
-              ("readme", 12): (36, "0x1.23c932f36e184p-8"),
-              ("readme", 16): (None, None),
-              ("exact", 8): (25, "0x1.082ce704ad94fp-7"),
-              ("exact", 12): (29, "0x1.082ce704ad94fp-8"),
-              ("exact", 16): (37, "0x1.082ce704ad94fp-10")}
+    # theta, frozen from the route that rebuilt the c1 ball at every step
+    # of the search and took the rounded root of each horizon
+    THETA2 = {("readme", 8): 29, ("readme", 12): 36, ("readme", 16): None,
+              ("exact", 8): 25, ("exact", 12): 29, ("exact", 16): 37}
+
+    @staticmethod
+    def _theta2_ratio(c, k, theta):
+        """C_{1/4} M B(3/4,1/4) (W* v)^2 / 2^-(k+1) at 50 digits, with v
+        the Claim-1 functional c1 seed_res + T^{1/4} mx at T = 2^-theta
+        (no forcing), or its floor c1 seed_res when theta is None; each
+        constant enters by its upper end."""
+        ct = c.constants
+        with mp.workdps(50):
+            def up(bv):
+                x = bv.upper()
+                return mp.mpf(x.numerator) / x.denominator
+            v = up(ct.c1) * mp.mpf(c.seed_res.numerator) / \
+                c.seed_res.denominator
+            if theta is not None:
+                v += mp.mpf(2) ** (mp.mpf(-theta) / 4) * \
+                    mp.mpf(max(c.quarter_norm, c.half_norm))
+            lead = up(ct.C_alpha(F(1, 4))) * up(ct.M) * \
+                up(ct.beta_value(F(3, 4), F(1, 4)))
+            ws = (4 - 2 * mp.sqrt(2)) * v
+            return lead * ws * ws / mp.mpf(2) ** -(k + 1)
 
     def test_theta2_frozen(self):
         certs = {"readme": _cert(), "exact": self._exact_datum_cert()}
-        for (name, k), (theta, functional) in self.THETA2.items():
+        for (name, k), theta in self.THETA2.items():
             c = certs[name]
             assert nse._theta2(c, 1, k) == theta, (name, k)
-            if theta is not None:
-                value = nse.claim1_functional(c)(F(1, 2 ** theta))
-                assert value.hex() == functional, (name, k)
+            if theta is None:
+                # the resolution floor alone misses the budget
+                assert self._theta2_ratio(c, k, None) > 1 - 2.0 ** -40
+                continue
+            # the condition holds at theta, and one halving earlier it
+            # fails or holds only within 2^-40 of its bound
+            assert self._theta2_ratio(c, k, theta) <= 1, (name, k)
+            if theta - 1 >= c.j_a:
+                assert self._theta2_ratio(c, k, theta - 1) > \
+                    1 - 2.0 ** -40, (name, k)
 
     def test_energy_chain(self):
         c = _cert()
