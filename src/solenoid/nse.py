@@ -284,6 +284,34 @@ def _claim1_exponent(mx: Fraction, b: Fraction, G: float, ct: ConstantsTable,
 _TABLE_DEPTH = 8
 
 
+@lru_cache(maxsize=16)
+def _datum_free_tables(ct: ConstantsTable):
+    """The horizon's parts that depend on the constants table alone, built
+    once per table: c1, the seed resolution index k-hat, 1/(8 Ctilde), the
+    lower end of 1/(16 Ctilde), K_cap, epsilon, L and the K table.  A
+    certificate takes its own copies of the K lists."""
+    ctil = ct.Ctilde
+    c1 = ct.c1
+    target16 = (c1 * ctil).upper() * 16
+    k_hat = 1
+    while 2 ** k_hat <= target16:
+        k_hat += 1
+    eighth = BoundedValue.exact(1) / ctil.scale(8)
+    sixteenth = (BoundedValue.exact(1) / ctil.scale(16)).lower()
+    sqrt2 = bv_sqrt(BoundedValue.exact(2))
+    K_cap = eighth * (sqrt2 - BoundedValue.exact(1)).scale(4) / sqrt2
+    epsilon = ctil * K_cap.scale(2)
+    L = K_cap.scale(2) * ct.C_alpha(F14) * ct.beta_value(Fraction(3, 4), F14)
+    K0 = eighth
+    Ktab = {F14: [K0], F12: [K0]}
+    for m in range(_TABLE_DEPTH):
+        prod = Ktab[F14][m] * Ktab[F12][m] * ct.M
+        for b in (F14, F12):
+            Ktab[b].append(K0 + ct.C_alpha(b + F14) *
+                           ct.beta_value(1 - b - F14, F14) * prod)
+    return c1, k_hat, eighth, sixteenth, K_cap, epsilon, L, Ktab
+
+
 def compute_horizon(a, constants: ConstantsTable = None, mode_cap: int = 24,
                     forcing: "Forcing" = None) -> IterationCertificate:
     """Certified contraction horizon and constant tables for the datum a.
@@ -295,12 +323,8 @@ def compute_horizon(a, constants: ConstantsTable = None, mode_cap: int = 24,
     Claim-1 functional k0 sits strictly below 1/(8 Ctilde).
     """
     ct = constants or ConstantsTable.default()
-    ctil = ct.Ctilde
-    c1 = ct.c1
-    target16 = (c1 * ctil).upper() * 16
-    k_hat = 1
-    while 2 ** k_hat <= target16:
-        k_hat += 1
+    c1, k_hat, eighth, sixteenth, K_cap, epsilon, L, Ktab = \
+        _datum_free_tables(ct)
     pair = _as_pair(a, k_hat + 2)
     # a name's approximant is only 2^-k close to the datum
     res = Fraction(1, 2 ** (k_hat + 2)) if isinstance(a, VectorFieldName) \
@@ -314,7 +338,6 @@ def compute_horizon(a, constants: ConstantsTable = None, mode_cap: int = 24,
     seed_res = 2 * (res + trunc)
     norm_up = _l2_upper(seed)
     g_sup = forcing.sup_l2 if forcing is not None else 0.0
-    eighth = BoundedValue.exact(1) / ctil.scale(8)
     floor = (c1 * BoundedValue.from_fraction(seed_res)).upper()
     if floor >= eighth.lower():
         raise ValueError("datum presentation too coarse: its resolution "
@@ -323,8 +346,7 @@ def compute_horizon(a, constants: ConstantsTable = None, mode_cap: int = 24,
     h_norm = frac_power_norm(seed, F12).upper()
     # the display bound 1/(16 Ctilde), tightened further when the
     # presentation's resolution floor eats into the 1/(8 Ctilde) total
-    bound16 = min((BoundedValue.exact(1) / ctil.scale(16)).lower(),
-                  eighth.lower() - floor)
+    bound16 = min(sixteenth, eighth.lower() - floor)
     mx = Fraction(max(q_norm, h_norm))
     j = _claim1_exponent(mx, bound16, g_sup, ct, 2, 400)
     if j is None:
@@ -336,17 +358,6 @@ def compute_horizon(a, constants: ConstantsTable = None, mode_cap: int = 24,
         BoundedValue.from_fraction(lead)
     if k0.upper() >= eighth.lower():
         raise RuntimeError("Claim-1 functional failed to clear 1/(8 Ctilde)")
-    sqrt2 = bv_sqrt(BoundedValue.exact(2))
-    K_cap = eighth * (sqrt2 - BoundedValue.exact(1)).scale(4) / sqrt2
-    epsilon = ctil * K_cap.scale(2)
-    L = K_cap.scale(2) * ct.C_alpha(F14) * ct.beta_value(Fraction(3, 4), F14)
-    K0 = eighth
-    Ktab = {F14: [K0], F12: [K0]}
-    for m in range(_TABLE_DEPTH):
-        prod = Ktab[F14][m] * Ktab[F12][m] * ct.M
-        for b in (F14, F12):
-            Ktab[b].append(K0 + ct.C_alpha(b + F14) *
-                           ct.beta_value(1 - b - F14, F14) * prod)
     a_norm = BoundedValue.from_fraction(Fraction(norm_up)).widened(
         BoundedValue.from_fraction(seed_res))
     Mtab = {b: [ct.C_alpha(b) * a_norm] for b in (F14, F12, F35)}
@@ -359,7 +370,8 @@ def compute_horizon(a, constants: ConstantsTable = None, mode_cap: int = 24,
     for m in range(_TABLE_DEPTH):
         w.append(1 + w[-1] * w[-1] / 8)
     return IterationCertificate(
-        T_a=BoundedValue.exact(T), k0=k0, K_beta_m=Ktab, K_cap=K_cap,
+        T_a=BoundedValue.exact(T), k0=k0,
+        K_beta_m={b: list(v) for b, v in Ktab.items()}, K_cap=K_cap,
         epsilon=epsilon, L=L, M_beta_m=Mtab, w_m=tuple(w), k_hat=k_hat,
         seed=seed, seed_res=seed_res, a_norm=a_norm, quarter_norm=q_norm,
         half_norm=h_norm, constants=ct, forcing_sup=g_sup)

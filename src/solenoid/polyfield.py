@@ -13,6 +13,7 @@ and E_1(1).
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
@@ -165,27 +166,41 @@ class RationalPoly2:
         return "RationalPoly2(N=%d)" % self.N
 
 
+def _common_denominator(values: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """Integers n_i and one D > 0 with values[i] = n_i / D."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def poly_inner_on_box(p: RationalPoly2, q: RationalPoly2,
                       box: Tuple[Tuple[Fraction, Fraction],
                                  Tuple[Fraction, Fraction]]) -> Fraction:
-    """Exact integral of p*q over an axis-aligned rational box."""
+    """Exact integral of p*q over an axis-aligned rational box.
+
+    With the axis power integrals X_d = int x^d dx and Y_d = int y^d dy, the
+    integral is the Hankel contraction
+        sum_{i,k} X_{i+k} sum_l q_kl sum_j p_ij Y_{j+l}.
+    p, q, X and Y are put over common denominators first, so the
+    contraction runs in O(N^3) Python-int operations and one `Fraction`
+    division at the end gives the exact value."""
     (xa, xb), (ya, yb) = box
     xa, xb, ya, yb = map(Fraction, (xa, xb, ya, yb))
-    dmax = p.N + q.N
-    xpow = [(xb ** (d + 1) - xa ** (d + 1)) / (d + 1) for d in range(dmax + 1)]
-    ypow = [(yb ** (d + 1) - ya ** (d + 1)) / (d + 1) for d in range(dmax + 1)]
-    acc = _F0
-    for i in range(p.N + 1):
-        for j in range(p.N + 1):
-            pij = p.a[i][j]
-            if pij == 0:
-                continue
-            for k in range(q.N + 1):
-                for l in range(q.N + 1):
-                    qkl = q.a[k][l]
-                    if qkl != 0:
-                        acc += pij * qkl * xpow[i + k] * ypow[j + l]
-    return acc
+    n, m = p.N + 1, q.N + 1
+    X, dx = _common_denominator([(xb ** d - xa ** d) / d
+                                 for d in range(1, n + m)])
+    Y, dy = _common_denominator([(yb ** d - ya ** d) / d
+                                 for d in range(1, n + m)])
+    P, dp = _common_denominator([v for row in p.a for v in row])
+    Q, dq = _common_denominator([v for row in q.a for v in row])
+    Qrows = [Q[k * m:(k + 1) * m] for k in range(m)]
+    acc = 0
+    for i in range(n):
+        Pi = P[i * n:(i + 1) * n]
+        # A_l = sum_j p_ij Y_{j+l}
+        A = [sum(map(operator.mul, Pi, Y[l:l + n])) for l in range(m)]
+        for k, Qk in enumerate(Qrows):
+            acc += X[i + k] * sum(map(operator.mul, Qk, A))
+    return Fraction(acc, dp * dq * dx * dy)
 
 
 # ---------------------------------------------------------------------------

@@ -355,12 +355,15 @@ class FourierField:
             self.basis, self.cutoff, self.tail_l2.upper())
 
 
+@lru_cache(maxsize=256)
 def _trig_values(char: str, cutoff: int, t: Fraction) -> BallGrid:
-    """trig(n pi t) for n = 0..cutoff."""
+    """trig(n pi t) for n = 0..cutoff; cached and read-only."""
     t = Fraction(t)
     s, c = grid_sincos_pi(np.arange(cutoff + 1, dtype=object) * t.numerator,
                           t.denominator)
-    return s if char == "s" else c
+    out = s if char == "s" else c
+    out.c.flags.writeable = out.r.flags.writeable = False
+    return out
 
 
 def _bilinear(a: BallGrid, grid: BallGrid, b: BallGrid) -> FloatBall:
@@ -710,9 +713,12 @@ def mollifier_mode_grid(nu: int, cutoff: int) -> BallGrid:
 # trig moments of polynomials
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=256)
 def axis_trig_moments(char: str, imax: int, cutoff: int,
                       a: Fraction, b: Fraction) -> BallGrid:
-    """M[i, n] = int_a^b y^i trig(n pi y) dy, by parts recurrences."""
+    """M[i, n] = int_a^b y^i trig(n pi y) dy, by parts recurrences; cached
+    and read-only, since every expansion on a trim level's box reads the
+    same grid."""
     a, b = Fraction(a), Fraction(b)
     out = BallGrid.zeros((imax + 1, cutoff + 1))
     apow = [a ** i for i in range(imax + 1)]
@@ -721,8 +727,6 @@ def axis_trig_moments(char: str, imax: int, cutoff: int,
         for i in range(imax + 1):
             out.set((i, 0), FloatBall.exact(
                 Fraction(bpow[i] * b - apow[i] * a, i + 1)))
-    if cutoff == 0:
-        return out
     # x = n pi, n = 1..cutoff, and the trig values at x a and x b
     n = np.arange(1, cutoff + 1, dtype=object)
     x = BallGrid(np.arange(1.0, cutoff + 1)) * FB_PI
@@ -738,6 +742,7 @@ def axis_trig_moments(char: str, imax: int, cutoff: int,
         ic, isn = (sb * bv - sa * av) / x - t_over_x * isn, \
             (ca * av - cb * bv) / x + t_over_x * ic
         out.set((i, slice(1, None)), isn if char == "s" else ic)
+    out.c.flags.writeable = out.r.flags.writeable = False
     return out
 
 

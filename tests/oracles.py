@@ -20,7 +20,9 @@ library's fold on the coefficient grids.  The Picard engine's cell-by-cell
 recursion, `CellEngine`, checks the library's level engine.  The
 Claim-1 horizon search's earlier loop, `rounded_root_exponent`, which
 compares a rounded fourth root T^{1/4} against the bound, checks the
-library's exact root-free search.
+library's exact root-free search.  The term-by-term `Fraction` loop
+`fraction_inner_on_box` checks the exact integer Gram kernel
+`polyfield.poly_inner_on_box`.
 """
 
 import heapq
@@ -455,6 +457,29 @@ def dense_row_reduce(rows):
         if r == len(m):
             break
     return r, m, pivots
+
+
+def fraction_inner_on_box(p, q, box) -> Fraction:
+    """Exact integral of p*q over an axis-aligned rational box, summed term
+    by term in `Fraction`s: the O(N^4) loop `polyfield.poly_inner_on_box`
+    ran before it became an integer Hankel contraction."""
+    (xa, xb), (ya, yb) = box
+    xa, xb, ya, yb = map(Fraction, (xa, xb, ya, yb))
+    dmax = p.N + q.N
+    xpow = [(xb ** (d + 1) - xa ** (d + 1)) / (d + 1) for d in range(dmax + 1)]
+    ypow = [(yb ** (d + 1) - ya ** (d + 1)) / (d + 1) for d in range(dmax + 1)]
+    acc = Fraction(0)
+    for i in range(p.N + 1):
+        for j in range(p.N + 1):
+            pij = p.a[i][j]
+            if pij == 0:
+                continue
+            for k in range(q.N + 1):
+                for l in range(q.N + 1):
+                    qkl = q.a[k][l]
+                    if qkl != 0:
+                        acc += pij * qkl * xpow[i + k] * ypow[j + l]
+    return acc
 
 # ---------------------------------------------------------------------------
 # the band-limited product through the extensions

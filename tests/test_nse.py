@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from solenoid import nse
 from solenoid import polyfield as pf
+from solenoid import spectral
 from solenoid.approxcore import BoundedValue, ConstantsTable, Name, bv_sqrt
 from solenoid.floatball import BallGrid, FloatBall
 from solenoid.helmholtz import VectorFieldName, divergence
@@ -533,6 +534,60 @@ class TestClaim1Search:
             for k in range(4, 24):
                 nse._theta2(c, 1, k)
         assert not calls
+
+
+class TestDatumFreeTables:
+    """K_cap, epsilon, L and the K table are built once per constants
+    table; a warm horizon of a new datum pays only for what depends on it."""
+
+    def test_certificates_own_k_lists(self):
+        first = nse.compute_horizon(EL, mode_cap=12)
+        want = {b: [v.to_json() for v in vs]
+                for b, vs in first.K_beta_m.items()}
+        for vs in first.K_beta_m.values():
+            vs[0] = BoundedValue.exact(99)
+            vs.append(BoundedValue.exact(7))
+        second = nse.compute_horizon(EL, mode_cap=12)
+        assert {b: [v.to_json() for v in vs]
+                for b, vs in second.K_beta_m.items()} == want
+
+    def test_own_tables_per_constants(self):
+        ct2 = ConstantsTable(M=BoundedValue.exact(2))
+        tabs = nse._datum_free_tables(ct2)
+        assert nse._datum_free_tables(ct2) is tabs
+        assert nse._datum_free_tables(CT) is not tabs
+        c2 = nse.compute_horizon(EL, constants=ct2, mode_cap=12)
+        c1 = nse.compute_horizon(EL, mode_cap=12)
+        for key in ("K_cap", "L", "K_beta_m"):
+            assert c2.to_json()[key] != c1.to_json()[key], key
+        # epsilon = 2 Ctilde K_cap from each certificate's own table; as
+        # K_cap is proportional to 1/Ctilde, M cancels from epsilon's value
+        for c, ct in ((c1, CT), (c2, ct2)):
+            assert c.epsilon.to_json() == \
+                (ct.Ctilde * c.K_cap.scale(2)).to_json()
+
+    def test_warm_element_counters(self, monkeypatch):
+        # after one element at trim level 1, a new scaled element at that
+        # level takes no trig values (the moment grids are cached) and only
+        # the two roots of its k0 lead
+        base = pf.solenoidal_kernel(4)[0]
+        nse.compute_horizon(pf.mollify(base.scale(F(5, 4)), 1, 2),
+                            mode_cap=12)
+        counts = {"sincos": 0, "sqrt": 0}
+
+        def counted(mod, name, key):
+            real = getattr(mod, name)
+
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(mod, name, wrapper)
+
+        counted(spectral, "grid_sincos_pi", "sincos")
+        counted(nse, "bv_sqrt", "sqrt")
+        nse.compute_horizon(pf.mollify(base.scale(F(-23, 16)), 1, 2),
+                            mode_cap=12)
+        assert counts == {"sincos": 0, "sqrt": 2}
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,14 @@ from solenoid.polyfield import (
     MollifiedElement, RationalPoly2, SolenoidalPolyPair, approximation_defect,
     constraint_matrix, enumerate_solenoidal_polys, gamma0,
     index_of_kernel_point, kernel_basis, matrix_rank, mollify,
-    poly_name, solenoidal_kernel, trim,
+    poly_inner_on_box, poly_name, solenoidal_kernel, trim,
 )
 from solenoid.polyfield import _row_reduce
 from solenoid.approxcore import BoundedValue, refine
-from oracles import (_moments_upto, dense_row_reduce, gamma_radial_moment,
-                     mollified_value, mollifier_cos_coefficient,
-                     mollifier_mass)
+from solenoid.spectral import _component_h1_sq
+from oracles import (_moments_upto, dense_row_reduce, fraction_inner_on_box,
+                     gamma_radial_moment, mollified_value,
+                     mollifier_cos_coefficient, mollifier_mass)
 
 # frozen oracle (40-digit quadrature of the kernel normalization)
 GAMMA0 = F("1.683552623428849090226069715040108371621")
@@ -233,6 +234,87 @@ class TestTrim:
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError):
             trim(solenoidal_kernel(4)[0], 0)
+
+
+class TestGramKernel:
+    """The integer Hankel contraction `poly_inner_on_box` against the
+    term-by-term `Fraction` loop `oracles.fraction_inner_on_box`: both are
+    exact, so they must be equal."""
+
+    DENS = (1, 2, 3, 7, 9, 21, 27, 81, 243, 2 ** 20, 3 ** 13 * 7)
+
+    @classmethod
+    def _poly(cls, rng, deg):
+        if rng.random() < 0.05:
+            return RationalPoly2.zero()
+        return RationalPoly2([[F(rng.randint(-10 ** 6, 10 ** 6),
+                                 rng.choice(cls.DENS))
+                               if rng.random() < 0.8 else F(0)
+                               for _ in range(deg + 1)]
+                              for _ in range(deg + 1)])
+
+    @classmethod
+    def _end(cls, rng):
+        return F(rng.randint(-40, 40), rng.choice(cls.DENS))
+
+    @classmethod
+    def _box(cls, rng):
+        axes = []
+        for _ in range(2):
+            a = cls._end(rng)
+            # a zero-width axis now and then
+            b = a if rng.random() < 0.1 else cls._end(rng)
+            axes.append((a, b))
+        return tuple(axes)
+
+    def test_matches_fraction_loop(self):
+        rng = random.Random(2021)
+        seen = set()
+        for case in range(500):
+            p = self._poly(rng, rng.randint(0, 8))
+            q = self._poly(rng, rng.randint(0, 8))
+            box = self._box(rng)
+            got = poly_inner_on_box(p, q, box)
+            assert isinstance(got, F)
+            assert got == fraction_inner_on_box(p, q, box), case
+            seen.add((p.N != q.N, p.is_zero() or q.is_zero(),
+                      box[0][0] == box[0][1] or box[1][0] == box[1][1]))
+        # unequal degrees, the zero polynomial and a zero-width box all
+        # occurred
+        assert {k[0] for k in seen} == {True, False}
+        assert {k[1] for k in seen} == {True, False}
+        assert {k[2] for k in seen} == {True, False}
+
+    def test_integer_box_ends(self):
+        p = RationalPoly2([[F(1, 3), F(2)], [F(-5, 7), F(0)]])
+        for box in (((0, 1), (-1, 1)), ((2, -3), (F(1, 2), 5))):
+            assert poly_inner_on_box(p, p, box) == \
+                fraction_inner_on_box(p, p, box)
+
+    def test_component_h1_sq(self):
+        rng = random.Random(2022)
+        for _ in range(40):
+            q = self._poly(rng, rng.randint(0, 7))
+            box = self._box(rng)
+            dx, dy = q.deriv_x(), q.deriv_y()
+            assert _component_h1_sq(q, box) == \
+                fraction_inner_on_box(dx, dx, box) + \
+                fraction_inner_on_box(dy, dy, box)
+
+    @pytest.mark.parametrize("N", [2, 4, 6])
+    def test_pair_norms(self, N):
+        square = ((F(-1), F(1)), (F(-1), F(1)))
+        for pair in solenoidal_kernel(N)[:3]:
+            pair = pair.scale(F(-5, 7))
+            assert pair.l2_norm_sq() == \
+                fraction_inner_on_box(pair.p1, pair.p1, square) + \
+                fraction_inner_on_box(pair.p2, pair.p2, square)
+            for k in (1, 2, 3):
+                tf = trim(pair, k)
+                box = tf.support_box()
+                assert tf.l2_norm_sq() == \
+                    fraction_inner_on_box(tf.q1, tf.q1, box) + \
+                    fraction_inner_on_box(tf.q2, tf.q2, box)
 
 
 class TestMollifierKernel:

@@ -438,6 +438,26 @@ class TestAxisMoments:
         ms = axis_trig_moments("s", 2, 2, F(0), F(1, 2))
         assert ms.at((1, 0)).c == 0.0
 
+    def test_cached_read_only(self):
+        # every expansion on a box reads one shared grid, so no caller may
+        # write into it
+        for cutoff in (0, 5):
+            m = axis_trig_moments("c", 3, cutoff, F(1, 4), F(3, 4))
+            assert axis_trig_moments("c", 3, cutoff, F(1, 4), F(3, 4)) is m
+            for arr in (m.c, m.r):
+                with pytest.raises(ValueError):
+                    arr[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                m.set((0, 0), FloatBall(1.0))
+
+    def test_trig_values_cached_read_only(self):
+        for char in "sc":
+            v = spectral._trig_values(char, 6, F(2, 7))
+            assert spectral._trig_values(char, 6, F(2, 7)) is v
+            for arr in (v.c, v.r):
+                with pytest.raises(ValueError):
+                    arr[1] = 0.0
+
 
 class TestTrigPolyField:
     def test_parseval_contains_exact_mass(self):
