@@ -483,6 +483,33 @@ def _qtr_power(k: int) -> FloatBall:
     return fb_pow(_PI2 * FloatBall.exact(k), -F14)
 
 
+@lru_cache(maxsize=64)
+def _defect_weights(ct: ConstantsTable, P: int, h: Fraction):
+    """The defect weight tables (W_int, W_end) of P cells of width h:
+    C_gamma times the weight of a cell at gap g >= 1, h (g h)^-gamma, and of
+    the next cell, (2h)^{1-gamma}/(1-gamma) in the integral and
+    h^{1-gamma}/(1-gamma) at the endpoint (also the weight of the cell
+    itself), per channel gamma = beta + 1/4, over j h, j = 1..max(P, 2).  No
+    gamma is an integer or 1/2, so each power is `grid_pow`'s
+    exp(-gamma log jh), here one `grid_exp` of the (4, P) grid over one
+    `grid_log`.  Cached per (table, P, h) and read-only: the horizon is
+    always 2^-j, so few (P, h) recur across data."""
+    jh = BallGrid.of(FloatBall.exact(j * h) for j in range(1, max(P, 2) + 1))
+    gammas = [b + F14 for b in _DEFECT_BETAS]
+    hw = grid_exp(grid_log(jh) * BallGrid.of(
+        FloatBall.exact(-g) for g in gammas).reshape(-1, 1)) * jh.at(0)
+    inv = BallGrid.of(FloatBall.exact(1 / (1 - g)) for g in gammas)
+    cg = BallGrid.of(FloatBall.from_bounded(ct.C_alpha(g)) for g in gammas)
+    near = hw[:, 1] * inv * FloatBall(2.0) * cg
+    far = hw[:, :P - 1] * cg.reshape(-1, 1)
+    out = tuple(BallGrid(np.column_stack((g.c, far.c)),
+                         np.column_stack((g.r, far.r)))
+                for g in (near, hw[:, 0] * inv * cg))
+    for w in out:
+        w.c.flags.writeable = w.r.flags.writeable = False
+    return out
+
+
 class _Engine:
     """Evaluates the Picard iterates on the P cells [ih, (i+1)h], h = t/P,
     one iteration level at a time, with full enclosure bookkeeping
@@ -511,6 +538,14 @@ class _Engine:
     others in increasing q, and each defect sum is one `ball_matmul` of
     length i, so every cell's enclosure is bit for bit the one of the
     cell-by-cell recursion.
+
+    The mode cap N is the seed's band, or the widest projected forcing cell
+    when that is wider; the forcing cells are projected once, when the
+    engine is built.  B_j(q) is truncated at N, and its discarded mass enters
+    E_j(q) through lambda^{-1/4} past N, so the cap needs no bound of its
+    own and u_m(t) comes back at the cutoff N.  The datum-free scalar tables
+    are cached per process: the defect weights W per (constants table, P, h)
+    by `_defect_weights` and the lambda^{-1/4} factors by `_qtr_power`.
     """
 
     def __init__(self, cert: IterationCertificate, t: Fraction, panels: int,
@@ -521,44 +556,24 @@ class _Engine:
         self.P = panels
         self.h = self.t / panels
         self.forcing = forcing
-        self.cap = 2 * cert.seed_cutoff
+        # the projected forcing on every cell, as (sc, cs) grid pairs
+        self._fcells = [tuple(f.grid for f in project_pair(*forcing.pair_fn(
+            q * self.h, (q + 1) * self.h))) for q in range(panels)] \
+            if forcing is not None else []
+        self.cap = max([cert.seed_cutoff]
+                       + [g[0].shape[-1] - 1 for g in self._fcells])
         self._tables: Dict[int, tuple] = {}
         self._M = cert.ball("M", lambda: self.ct.M)
         # lambda^{-1/4} past the cap and (2 pi^2)^{-1/4}, the smallest mode
         # of a B cell being (1, 1)
         self._lam_qtr = _qtr_power((self.cap + 1) ** 2)
         self._qtr_11 = _qtr_power(2)
-        self._weights()
+        self._W_int, self._W_end = _defect_weights(self.ct, panels, self.h)
         if forcing is not None:
             hb = FloatBall.exact(self.h)
             self._fw = BallGrid.of(
                 FloatBall.from_bounded(self.ct.C_alpha(b)) * fb_pow(hb, 1 - b)
                 * FloatBall.exact(1 / (1 - b)) for b in _DEFECT_BETAS)
-
-    def _weights(self):
-        """C_gamma times the defect weight of a cell at gap g >= 1,
-        h (g h)^-gamma, and of the next cell, (2h)^{1-gamma}/(1-gamma) in
-        the integral and h^{1-gamma}/(1-gamma) at the endpoint (also the
-        weight of the cell itself), per channel gamma = beta + 1/4, over
-        j h, j = 1..max(P, 2).  No gamma is an integer or 1/2, so each
-        power is `grid_pow`'s exp(-gamma log jh), here one `grid_exp` of
-        the (4, P) grid over one `grid_log`."""
-        P = self.P
-        jh = BallGrid.of(FloatBall.exact(j * self.h)
-                         for j in range(1, max(P, 2) + 1))
-        gammas = [b + F14 for b in _DEFECT_BETAS]
-        hw = grid_exp(grid_log(jh) * BallGrid.of(
-            FloatBall.exact(-g) for g in gammas).reshape(-1, 1)) * jh.at(0)
-        inv = BallGrid.of(FloatBall.exact(1 / (1 - g)) for g in gammas)
-        cg = BallGrid.of(self.cert.ball(("C_alpha", g),
-                                        lambda: self.ct.C_alpha(g))
-                         for g in gammas)
-        near = hw[:, 1] * inv * FloatBall(2.0) * cg
-        far = hw[:, :P - 1] * cg.reshape(-1, 1)
-        self._W_int, self._W_end = (
-            BallGrid(np.column_stack((g.c, far.c)),
-                     np.column_stack((g.r, far.r)))
-            for g in (near, hw[:, 0] * inv * cg))
 
     def _hulls(self, cutoff: int):
         """(H, G, e^{-tA}) at ``cutoff``: H_k in row k - 1 (k = 1..P), G_g
@@ -676,11 +691,7 @@ class _Engine:
         pair = tuple(FourierField(f.basis, f.cutoff,
                                   f.grid * self._hulls(f.cutoff)[2], f.tail_l2)
                      for f in self.cert.seed)
-        fcells = [tuple(f.grid for f in project_pair(*self.forcing.pair_fn(
-            q * self.h, (q + 1) * self.h))) for q in range(P)] \
-            if self.forcing is not None else []
-        if any(g[0].shape[-1] > cap + 1 for g in fcells):
-            raise ValueError("forcing band exceeds the engine mode cap")
+        fcells = self._fcells
         if fcells:
             fv = self._duhamel(fcells, P, P, 0)
             pair = tuple(p + FourierField(b, g.shape[-1] - 1, g[0])
@@ -747,6 +758,19 @@ def _claim2_factors() -> BallGrid:
     return out
 
 
+@lru_cache(maxsize=64)
+def _claim2_time_factor(t: Fraction) -> FloatBall:
+    """t^{-3/5}, the time factor of the Claim-II tail, cached per t."""
+    return fb_pow(FloatBall.exact(t), Fraction(-3, 5))
+
+
+@lru_cache(maxsize=1)
+def _hs65_weight() -> FloatBall:
+    """(3/(2 pi^2))^{3/5}: the factor taking the engine's A^{3/5} defect to
+    an H^{6/5} bound, cached per process."""
+    return fb_pow(FloatBall(1.5) / _PI2, F35)
+
+
 def _claim2_tail(cert: IterationCertificate, m: int, t: Fraction, n):
     """Upper bounds on the Claim-II endpoint-tail bound
     C C_{17/20} M M_{1/4,m} M_{1/2,m} (t - t_n)^{-17/20} 4 t_n^{1/4},
@@ -761,8 +785,7 @@ def _claim2_tail(cert: IterationCertificate, m: int, t: Fraction, n):
     if idx.min() < 0 or idx.max() >= _CLAIM2_N:
         raise ValueError("the Claim-II index must lie in 1..%d" % _CLAIM2_N)
     # (t - t_n)^{-17/20} t_n^{1/4} = t^{-3/5} (1 - 2^-n)^{-17/20} (2^-n)^{1/4}
-    out = (_claim2_factors()[idx]
-           * (lead * fb_pow(FloatBall.exact(t), Fraction(-3, 5)))).upper()
+    out = (_claim2_factors()[idx] * (lead * _claim2_time_factor(t))).upper()
     return out.reshape(np.shape(n)) if np.ndim(n) else float(out[0])
 
 
@@ -809,8 +832,7 @@ def smoothness_lift(m: int, a, t, K: int,
     h65a = band[0].hs_norm(Fraction(6, 5))
     h65b = band[1].hs_norm(Fraction(6, 5))
     hs_band = fb_sqrt(h65a * h65a + h65b * h65b)
-    hs_defect = fb_pow(FloatBall(1.5) / _PI2, F35) * \
-        d.at(_DEFECT_BETAS.index(F35))
+    hs_defect = _hs65_weight() * d.at(_DEFECT_BETAS.index(F35))
     hs65 = hs_band.widened(hs_defect.upper())
     defect = d.upper()
     return LiftResult(

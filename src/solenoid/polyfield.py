@@ -510,7 +510,7 @@ class TrimmedField:
     """Piecewise field: rescaled polynomials inside the closed box
     [-(1-2^-k), 1-2^-k]^2, zero outside."""
 
-    __slots__ = ("base", "k", "q1", "q2", "beta")
+    __slots__ = ("base", "k", "beta", "_q")
 
     def __init__(self, base: SolenoidalPolyPair, k: int):
         if k < 1:
@@ -518,9 +518,25 @@ class TrimmedField:
         self.base = base
         self.k = k
         self.beta = 1 - Fraction(1, 1 << k)
-        s = 1 / self.beta
-        self.q1 = base.p1.compose_affine(s, _F0, s, _F0)
-        self.q2 = base.p2.compose_affine(s, _F0, s, _F0)
+        self._q = None
+
+    def _rescaled(self) -> Tuple[RationalPoly2, RationalPoly2]:
+        """The base composed with x -> x/beta, built on first use: the
+        coefficient expansion composes the base itself, so an element that
+        only goes through it never builds these."""
+        if self._q is None:
+            s = 1 / self.beta
+            self._q = (self.base.p1.compose_affine(s, _F0, s, _F0),
+                       self.base.p2.compose_affine(s, _F0, s, _F0))
+        return self._q
+
+    @property
+    def q1(self) -> RationalPoly2:
+        return self._rescaled()[0]
+
+    @property
+    def q2(self) -> RationalPoly2:
+        return self._rescaled()[1]
 
     def support_box(self):
         return ((-self.beta, self.beta), (-self.beta, self.beta))

@@ -794,9 +794,12 @@ def _root_tail(sq: float) -> FloatBall:
 # ---------------------------------------------------------------------------
 
 def _pullback_component(trimmed: TrimmedField, j: int) -> RationalPoly2:
-    """Trimmed component as a polynomial of the canonical variable."""
-    return trimmed.component(j).compose_affine(
-        Fraction(2), Fraction(-1), Fraction(2), Fraction(-1))
+    """Trimmed component as a polynomial of the canonical variable: the
+    base component composed once with x -> (2x - 1)/beta, the trim's
+    x -> x/beta after the canonical x -> 2x - 1."""
+    base = trimmed.base.p1 if j == 1 else trimmed.base.p2
+    s, c = 2 / trimmed.beta, -1 / trimmed.beta
+    return base.compose_affine(s, c, s, c)
 
 
 def _canonical_box(trimmed: TrimmedField):

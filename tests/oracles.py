@@ -1404,9 +1404,11 @@ class CellEngine(nse._Engine):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._u, self._B, self._f = {}, {}, {}
+        self._pow_weights()
 
-    def _weights(self):
-        """The defect weight tables with one `grid_pow` per channel."""
+    def _pow_weights(self):
+        """The defect weight tables with one `grid_pow` per channel, in
+        place of the engine's cached ones."""
         P = self.P
         jh = BallGrid.of(FloatBall.exact(j * self.h)
                          for j in range(1, max(P, 2) + 1))
@@ -1444,8 +1446,6 @@ class CellEngine(nse._Engine):
         if q not in self._f:
             lo, hi = q * self.h, (q + 1) * self.h
             g = nse.project_pair(*self.forcing.pair_fn(lo, hi))
-            if max(g[0].cutoff, g[1].cutoff) > self.cap:
-                raise ValueError("forcing band exceeds the engine mode cap")
             self._f[q] = (nse._strip_tail(g[0]), nse._strip_tail(g[1]))
         return self._f[q]
 
@@ -1536,6 +1536,17 @@ class CellEngine(nse._Engine):
              self.t - q * self.h) for q in range(self.P))
         d = self._defect_sum(self._W_end, m - 1, self.P)
         return (pair[0] - val[0], pair[1] - val[1]), d
+
+
+class WideCapEngine(nse._Engine):
+    """The Picard engine at its earlier mode cap, twice the seed's band: the
+    B cells keep every mode up to 2N before their discarded mass enters the
+    defect, and u_m(t) comes back at the cutoff 2N."""
+
+    def __init__(self, cert, t, panels, forcing=None):
+        super().__init__(cert, t, panels, forcing)
+        self.cap = max(self.cap, 2 * cert.seed_cutoff)
+        self._lam_qtr = nse._qtr_power((self.cap + 1) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from solenoid import nse
+from solenoid import floatball, nse
 from solenoid import polyfield as pf
 from solenoid import spectral
 from solenoid.approxcore import BoundedValue, ConstantsTable, Name, bv_sqrt
@@ -26,7 +26,7 @@ from solenoid.helmholtz import VectorFieldName, divergence
 from solenoid.spectral import FourierField, SobolevName, coefficients
 from solenoid.stokes import frac_power_apply, semigroup_apply
 
-from oracles import (CellEngine, _axis_extension, _extended,
+from oracles import (CellEngine, WideCapEngine, _axis_extension, _extended,
                      axis_product_table, eval_ball, product_to_sum,
                      rounded_root_exponent)
 
@@ -827,6 +827,36 @@ class TestRoundingRules:
             with pytest.raises(ValueError):
                 nse._claim2_tail(cert, mm, t, n)
 
+    def test_second_solve_runs_no_series(self, monkeypatch):
+        # the defect weights, the Claim-II time factor and the H^{6/5}
+        # factor are cached: a second warm solve at the same horizon runs
+        # no exp or atanh series
+        c = _cert()
+        nse.solve(EL, None, c.T_frac, 8, cert=c)
+        calls = {"_exp_series": 0, "_atanh_series": 0}
+        for name in calls:
+            series = getattr(floatball, name)
+
+            def counting(x, name=name, series=series):
+                calls[name] += 1
+                return series(x)
+            monkeypatch.setattr(floatball, name, counting)
+        nse.solve(EL, None, c.T_frac, 8, cert=c)
+        assert calls == {"_exp_series": 0, "_atanh_series": 0}
+
+    @pytest.mark.parametrize("P", [1, 2, 8])
+    def test_cached_weights_are_fresh_and_read_only(self, P):
+        c = _cert()
+        eng = nse._Engine(c, c.T_frac / 3, P)
+        fresh = nse._defect_weights.__wrapped__(CT, P, c.T_frac / 3 / P)
+        for got, ref in zip((eng._W_int, eng._W_end), fresh):
+            for x, y in ((got.c, ref.c), (got.r, ref.r)):
+                assert not x.flags.writeable
+                assert np.array_equal(x.view(np.int64), y.view(np.int64))
+                with pytest.raises(ValueError):
+                    x[0, 0] = 0.0
+        assert nse._Engine(c, c.T_frac / 3, P)._W_int is eng._W_int
+
 
 class TestLevelEngine:
     """The level engine against the cell-by-cell recursion of
@@ -887,6 +917,23 @@ class TestLevelEngine:
                               forcing.sup_l2 * 4)
         self._check(c, t, 4, (0, 1, 2), varying)
 
+    def test_cap_is_the_widest_band(self):
+        # the seed's band without forcing or with narrow forcing, the widest
+        # projected forcing cell when that is wider
+        c = _cert()
+        assert nse._Engine(c, c.T_frac, 2).cap == c.seed_cutoff == 12
+        wide, narrow = _sol_mode(2, 3, 0.01, cutoff=16), \
+            _sol_mode(1, 1, 0.01, cutoff=2)
+        forcing = nse.Forcing.constant(*narrow)
+        fc = self._forced_cert(forcing)
+        assert fc.seed_cutoff == 12
+        assert nse._Engine(fc, fc.T_frac, 4, forcing).cap == 12
+        t = fc.T_frac
+        varying = nse.Forcing(lambda lo, hi: wide if lo >= t / 2 else narrow,
+                              forcing.sup_l2 * 4)
+        assert nse._Engine(fc, t, 1, varying).cap == 12
+        assert nse._Engine(fc, t, 4, varying).cap == 16
+
     @pytest.mark.parametrize("m", [1, 3])
     def test_one_product_per_cell_and_level(self, m, monkeypatch):
         calls = []
@@ -900,6 +947,35 @@ class TestLevelEngine:
         lift = nse.smoothness_lift(m, EL, c.T_frac, 8, cert=c, panels=4)
         # every engine of the panel doubling 4, 8, ..., lift.panels
         assert len(calls) == m * (2 * lift.panels - 4)
+
+
+class TestEngineBand:
+    """The engine at the seed's band against `oracles.WideCapEngine`, the
+    engine at twice that band: both enclose the same iterate."""
+
+    @pytest.mark.parametrize("datum", ["readme", "seeded"])
+    @pytest.mark.parametrize("mode_cap", [8, 12, 16])
+    def test_lift_meets_the_wide_cap_oracle(self, datum, mode_cap,
+                                            monkeypatch):
+        # the parameters of solve's lift at K = 8: depth 5, budget 2^-9;
+        # every coefficient ball of one lift meets the other's once both
+        # are widened by their L2 tails (a coefficient of weight w moves by
+        # at most tail / sqrt(w) <= 2 tail), the modes past the seed's band
+        # included, where the narrow field holds exact zeros
+        a = EL if datum == "readme" else \
+            pf.mollify(pf.solenoidal_kernel(4)[0].scale(F(-27, 16)), 1, 2)
+        c = nse.compute_horizon(a, mode_cap=mode_cap)
+        narrow = nse.smoothness_lift(5, a, c.T_frac, 9, cert=c)
+        monkeypatch.setattr(nse, "_Engine", WideCapEngine)
+        wide = nse.smoothness_lift(5, a, c.T_frac, 9, cert=c)
+        N = c.seed_cutoff
+        for f, g in zip(narrow.u, wide.u):
+            assert (f.cutoff, g.cutoff) == (N, 2 * N)
+            fg = nse._padded(f.grid, g.cutoff)
+            slack = fg.r + g.grid.r + 2 * (f.tail_l2.upper()
+                                           + g.tail_l2.upper())
+            assert bool((np.abs(fg.c - g.grid.c) <= slack).all())
+        assert narrow.defect[F(0)] <= 2.0 ** -9
 
 
 class TestClaimBounds:

@@ -460,6 +460,31 @@ class TestAxisMoments:
 
 
 class TestTrigPolyField:
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_pullback_equals_two_step_composition(self, k):
+        # one composition x -> (2x - 1)/beta of the base gives, in exact
+        # rationals, the trim's x -> x/beta followed by x -> 2x - 1
+        for el in (EL, EL2, EL3):
+            trimmed = pf.trim(el.base, k)
+            for j in (1, 2):
+                assert spectral._pullback_component(trimmed, j) == \
+                    _pullback(trimmed.component(j))
+
+    def test_new_element_composed_once_per_component(self, monkeypatch):
+        # mollify builds no rescaled trim, and the expansion composes each
+        # base component once
+        calls = []
+        compose = pf.RationalPoly2.compose_affine
+
+        def counting(q, *args):
+            calls.append(args)
+            return compose(q, *args)
+        monkeypatch.setattr(pf.RationalPoly2, "compose_affine", counting)
+        el = pf.mollify(BASE.scale(F(-27, 16)), 1, 2)
+        assert calls == []
+        spectral.mollified_field_pair(el, 8)
+        assert len(calls) == 2
+
     def test_parseval_contains_exact_mass(self):
         q = _pullback(EL.trimmed.component(1))
         exact = poly_inner_on_box(q, q, BOX_HALF)
