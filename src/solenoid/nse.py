@@ -54,7 +54,7 @@ from .floatball import (
 from .helmholtz import VectorFieldName, _as_pair, project, project_pair
 from .polyfield import MollifiedElement
 from .spectral import (
-    _PI2, FourierField, SobolevName, _bilinear, _mode_mask, _trig_values,
+    _PI2, FourierField, SobolevName, _bilinear, _trig_values,
     axis_trig_moments, differentiate, mollified_field_pair, multiply,
     weighted_sq_terms,
 )
@@ -445,36 +445,14 @@ class Forcing:
 
 
 # the component bases of every pair the engine holds: seed, forcing cells,
-# iterates and B cells all come out of `project_pair`, so the two
-# components of a pair also share one cutoff
+# iterates and B cells all come out of `project_pair`
 _BASES = ("sc", "cs")
 
 
-def _padded(g: BallGrid, cutoff: int) -> BallGrid:
-    """A stack of grids zero-padded to ``cutoff`` in its last two axes, as
-    `FourierField._embedded` pads one field."""
-    pad = [(0, 0)] * (g.c.ndim - 2) + [(0, cutoff + 1 - g.shape[-1])] * 2
-    return BallGrid(np.pad(g.c, pad), np.pad(g.r, pad)) if pad[-1][1] else g
-
-
-def _masked(g: BallGrid, basis: str, cuts) -> BallGrid:
-    """A (P, n+1, n+1) stack with row i masked as `FourierField` masks a
-    field of cutoff cuts[i] <= n, and exact zeros beyond that cutoff."""
-    k = np.arange(g.shape[-1])
-    mask = _mode_mask(basis, k[-1]) & \
-        (np.maximum.outer(k, k) <= np.reshape(cuts, (-1, 1, 1)))
-    return BallGrid(g.c * mask, g.r * mask)
-
-
-def _each(fn, grids) -> BallGrid:
-    """fn of the stack of each group of equally shaped grids, taking it to
-    one ball per grid: the balls of all grids, in order."""
-    out = BallGrid.zeros(len(grids))
-    for shape in {g.shape for g in grids}:
-        rows = [i for i, g in enumerate(grids) if g.shape == shape]
-        out.set(rows, fn(BallGrid(np.stack([grids[i].c for i in rows]),
-                                  np.stack([grids[i].r for i in rows]))))
-    return out
+def _stacked(grids) -> BallGrid:
+    """The equally shaped grids as one stack along a new first axis."""
+    return BallGrid(np.stack([g.c for g in grids]),
+                    np.stack([g.r for g in grids]))
 
 
 @lru_cache(maxsize=None)
@@ -515,12 +493,13 @@ class _Engine:
     one iteration level at a time, with full enclosure bookkeeping
     (coefficient balls plus the scalar defect vector).
 
-    Level j holds u_j on every cell as one (P, N+1, N+1) `BallGrid` stack
-    per component and the defect vectors as a (P, 4) grid; only u_0 and
-    the current level are kept.  With B_j(q) the truncated B u_j on cell q
-    (one `nonlinearity_pair` call per cell), E_j(q) its A^{-1/4} defect
-    bound and F_j(q) its sliver bound, a the seed, f_q the forcing on cell
-    q and d_0 its defect (0 without forcing):
+    Every grid the engine holds has one shape: a (P, N+1, N+1) `BallGrid`
+    stack per component, one row per cell, at the mode cap N.  Level j
+    holds u_j on every cell so, and the defect vectors as a (P, 4) grid;
+    only u_0 and the current level are kept.  With B_j(q) the truncated
+    B u_j on cell q (one `nonlinearity_pair` call per cell), E_j(q) its
+    A^{-1/4} defect bound and F_j(q) its sliver bound, a the seed, f_q the
+    forcing on cell q and d_0 its defect (0 without forcing):
 
         u_0(i)     = H_{i+1} a + h sum_{q<i} G_{i-q} f_q
         u_{j+1}(i) = u_0(i) - h sum_{q<i} G_{i-q} B_j(q)
@@ -532,19 +511,23 @@ class _Engine:
 
     The heat hulls act on each mode and depend only on a gap of cells: G_g
     holds e^{-tau A} for tau in [(g-1)h, (g+1)h], H_k for tau in
-    [(k-1)h, kh].  Per cutoff, both come from one table of the factors
-    e^{-k h lambda}, k = 0..P, a (P+1, N+1, N+1) stack built once per
+    [(k-1)h, kh].  Both, and the hull at tau = t, come from one table of
+    the factors e^{-k h lambda}, k = 0..P, at the cap, built with the
     engine.  Each Duhamel sum starts from its q = 0 piece and adds the
     others in increasing q, and each defect sum is one `ball_matmul` of
     length i, so every cell's enclosure is bit for bit the one of the
-    cell-by-cell recursion.
+    cell-by-cell recursion.  The stacks need no mask: an entry of a mode
+    that does not exist (a sin(0) factor) holds only rounding dust of order
+    TINY, which `FourierField` masks on the way to a product and whose
+    square underflows in a norm.
 
     The mode cap N is the seed's band, or the widest projected forcing cell
-    when that is wider; the forcing cells are projected once, when the
-    engine is built.  B_j(q) is truncated at N, and its discarded mass enters
-    E_j(q) through lambda^{-1/4} past N, so the cap needs no bound of its
-    own and u_m(t) comes back at the cutoff N.  The datum-free scalar tables
-    are cached per process: the defect weights W per (constants table, P, h)
+    when that is wider; the forcing cells are projected once, and the seed
+    and the forcing cells are zero-padded to N once, when the engine is
+    built.  B_j(q) is truncated at N, and its discarded mass enters E_j(q)
+    through lambda^{-1/4} past N, so the cap needs no bound of its own and
+    u_m(t) comes back at the cutoff N.  The datum-free scalar tables are
+    cached per process: the defect weights W per (constants table, P, h)
     by `_defect_weights` and the lambda^{-1/4} factors by `_qtr_power`.
     """
 
@@ -556,13 +539,24 @@ class _Engine:
         self.P = panels
         self.h = self.t / panels
         self.forcing = forcing
-        # the projected forcing on every cell, as (sc, cs) grid pairs
-        self._fcells = [tuple(f.grid for f in project_pair(*forcing.pair_fn(
-            q * self.h, (q + 1) * self.h))) for q in range(panels)] \
-            if forcing is not None else []
-        self.cap = max([cert.seed_cutoff]
-                       + [g[0].shape[-1] - 1 for g in self._fcells])
-        self._tables: Dict[int, tuple] = {}
+        fcells = [project_pair(*forcing.pair_fn(q * self.h, (q + 1) * self.h))
+                  for q in range(panels)] if forcing is not None else []
+        self.cap = max([cert.seed_cutoff] + [c[0].cutoff for c in fcells])
+        self._seed = [f._embedded(self.cap).grid for f in cert.seed]
+        # the projected forcing as component stacks, None without forcing
+        self._fcells = [_stacked([c[k]._embedded(self.cap).grid
+                                  for c in fcells])
+                        for k in range(len(_BASES))] if fcells else None
+        fac = _stacked([_heat_factor(self.cap, k * self.h)
+                        for k in range(panels + 1)])
+        k = np.arange(1, panels + 1)
+        # H_k in row k - 1 (k = 1..P), G_g in row g - 1 (g = 1..P-1) and the
+        # hull at tau = t; over [a h, b h] each mode factor is hulled
+        # between e^{-b h lambda} and min(e^{-a h lambda}, 1)
+        self._H, self._G, self._Et = (
+            _heat_hull(fac[b], fac[a])
+            for a, b in ((k - 1, k), (k[:-1] - 1, k[:-1] + 1),
+                         (panels, panels)))
         self._M = cert.ball("M", lambda: self.ct.M)
         # lambda^{-1/4} past the cap and (2 pi^2)^{-1/4}, the smallest mode
         # of a B cell being (1, 1)
@@ -575,99 +569,63 @@ class _Engine:
                 FloatBall.from_bounded(self.ct.C_alpha(b)) * fb_pow(hb, 1 - b)
                 * FloatBall.exact(1 / (1 - b)) for b in _DEFECT_BETAS)
 
-    def _hulls(self, cutoff: int):
-        """(H, G, e^{-tA}) at ``cutoff``: H_k in row k - 1 (k = 1..P), G_g
-        in row g - 1 (g = 1..P-1) and the hull at tau = t; over [a h, b h]
-        each mode factor is hulled between e^{-b h lambda} and
-        min(e^{-a h lambda}, 1)."""
-        if cutoff not in self._tables:
-            P = self.P
-            tabs = [_heat_factor(cutoff, k * self.h) for k in range(P + 1)]
-            fac = BallGrid(np.stack([f.c for f in tabs]),
-                           np.stack([f.r for f in tabs]))
-            k = np.arange(1, P + 1)
-            self._tables[cutoff] = tuple(
-                _heat_hull(fac[b], fac[a])
-                for a, b in ((k - 1, k), (k[:-1] - 1, k[:-1] + 1), (P, P)))
-        return self._tables[cutoff]
-
-    def _duhamel(self, src, first: int, last: int, table: int):
-        """h sum_{q < i} of the hull of src[q], a (sc, cs) grid pair, for
-        the cells i = first..last >= 1 (row i - first of each returned
-        component stack); the piece (i, q) takes row i - q - 1 of hull
-        family ``table`` (0: H, 1: G) at the source's cutoff.  A sum starts
-        from its q = 0 piece and adds the others in increasing q, padded
-        to the larger cutoff; the rows are not masked.  None when there is
-        no cell."""
+    def _duhamel(self, src, first: int, last: int, hull: BallGrid):
+        """h sum_{q < i} of hull[i - q - 1] times cell q of the component
+        stacks ``src``, for the cells i = first..last >= 1 (row i - first
+        of each returned stack).  A sum starts from its q = 0 piece and
+        adds the others in increasing q.  None when there is no cell."""
         if last < first:
             return None
         hb = FloatBall.exact(self.h)
-        acc = None
-        for q in range(last):
-            lo = max(first, q + 1)
-            hull = self._hulls(src[q][0].shape[-1] - 1)[table]
-            piece = [g * hull[lo - q - 1:last - q] * hb for g in src[q]]
-            if acc is None:
-                acc = piece
-                continue
-            n = max(acc[0].shape[-1], piece[0].shape[-1]) - 1
-            acc = [_padded(a, n) for a in acc]
-            for a, p in zip(acc, piece):
-                a.set(slice(lo - first, None), a[lo - first:] + _padded(p, n))
+        acc = [s[0] * hull[first - 1:last] * hb for s in src]
+        for q in range(1, last):
+            lo = max(first, q + 1) - first
+            for a, s in zip(acc, src):
+                a.set(slice(lo, None),
+                      a[lo:] + s[q] * hull[lo + first - q - 1:last - q] * hb)
         return acc
 
     def _integrals(self, src):
         """The Duhamel sums of ``src`` over the gap hulls G for every cell,
-        as (P, cap+1, cap+1) stacks: cell 0's is the zero pair at the
-        cap."""
-        acc = self._duhamel(src, 1, self.P - 1, 1)
+        as component stacks: cell 0's is the zero pair."""
         out = [BallGrid.zeros((self.P, self.cap + 1, self.cap + 1))
                for _ in _BASES]
-        for o, a in zip(out, acc or ()):
-            o.set(slice(1, None), _padded(a, self.cap))
+        for o, a in zip(out, self._duhamel(src, 1, self.P - 1, self._G) or ()):
+            o.set(slice(1, None), a)
         return out
 
-    def _base(self, fcells):
-        """u_0 on every cell as component stacks, each cell's cutoff, and
-        the defects d_0."""
-        P, cap, seed = self.P, self.cap, self.cert.seed
-        u = [f.grid * self._hulls(f.cutoff)[0] for f in seed]
-        cuts = np.full(P, seed[0].cutoff)
-        d = BallGrid.zeros((P, len(_DEFECT_BETAS)))
-        if fcells:
-            # cell i adds the forcing integral over the cells q < i, in the
-            # largest of their bands; cell 0 adds the zero pair at the cap
-            bands = np.maximum.accumulate([g[0].shape[-1] - 1
-                                           for g in fcells])
-            cuts = np.maximum(cuts, np.append(cap, bands[:-1]))
-            u = [_padded(g, cap) + f
-                 for g, f in zip(u, self._integrals(fcells))]
+    def _base(self):
+        """u_0 on every cell as component stacks, and the defects d_0."""
+        u = [g * self._H for g in self._seed]
+        d = BallGrid.zeros((self.P, len(_DEFECT_BETAS)))
+        if self._fcells:
+            # cell i adds the forcing integral over the cells q < i; cell 0
+            # adds the zero pair
+            u = [g + f for g, f in zip(u, self._integrals(self._fcells))]
             d = d + self._fw * FloatBall(self.forcing.sup_l2)
-        return [_masked(g, b, cuts) for g, b in zip(u, _BASES)], cuts, d
+        return u, d
 
     @staticmethod
-    def _norms(cells, kind: str = None, q=0) -> BallGrid:
-        """The pair norm of every (sc, cs) grid pair of ``cells`` under the
+    def _norms(stacks, kind: str = None, q=0) -> BallGrid:
+        """The pair norm of every cell of the component stacks under the
         mode weights of (kind, q): `frac_power_norm` for kind "stokes" and
         q = 2 beta, the root of `_l2_upper`'s sum without a kind."""
-        total = BallGrid.zeros(len(cells))
-        for k, b in enumerate(_BASES):
-            total = total + _each(lambda s: BallGrid.sumsq_rows(
-                *weighted_sq_terms(b, s, kind, q)), [c[k] for c in cells])
+        total = BallGrid.zeros(stacks[0].shape[0])
+        for b, s in zip(_BASES, stacks):
+            total = total + BallGrid.sumsq_rows(
+                *weighted_sq_terms(b, s, kind, q))
         return grid_sqrt(total)
 
-    def _products(self, u, cuts: np.ndarray, d: BallGrid):
-        """B u_j on every cell of a level, truncated at the cap, as (sc, cs)
-        grid pairs, with the defect bounds E and F of every cell."""
-        cells = [tuple(g[i, :n + 1, :n + 1] for g in u)
-                 for i, n in enumerate(cuts)]
-        prods = [nonlinearity_pair(*(FourierField(b, g.shape[-1] - 1, g)
-                                     for b, g in zip(_BASES, c)))
-                 for c in cells]
-        cut = [[_trunc_band(f, self.cap) for f in p] for p in prods]
-        B = [tuple(f.grid for f, _ in c) for c in cut]
+    def _products(self, u, d: BallGrid):
+        """B u_j on every cell of a level, truncated at the cap, as
+        component stacks, with the defect bounds E and F of every cell."""
+        cut = [[_trunc_band(f, self.cap) for f in nonlinearity_pair(
+                    *(FourierField(b, self.cap, g[i])
+                      for b, g in zip(_BASES, u)))]
+               for i in range(self.P)]
+        B = [_stacked([c[k][0].grid for c in cut]) for k in range(len(_BASES))]
         tails = BallGrid([[e for _, e in c] for c in cut])
-        u14, u12 = (self._norms(cells, "stokes", 2 * b) for b in (F14, F12))
+        u14, u12 = (self._norms(u, "stokes", 2 * b) for b in (F14, F12))
         d14, d12 = (d[:, _DEFECT_BETAS.index(b)] for b in (F14, F12))
         E = (d14 * (u12 + d12) + u14 * d12) * self._M \
             + grid_sqrt(tails.sumsq_rows()) * self._lam_qtr
@@ -677,8 +635,7 @@ class _Engine:
     def _next(self, base, d0: BallGrid, B, E: BallGrid, Fv: BallGrid):
         """u_{j+1} and d_{j+1} on every cell from B u_j and its bounds."""
         P = self.P
-        u = [_masked(g - i, b, self.cap)
-             for g, i, b in zip(base, self._integrals(B), _BASES)]
+        u = [g - i for g, i in zip(base, self._integrals(B))]
         idef = self._W_end[:, 0].reshape(1, -1) * Fv.reshape(-1, 1)
         for i in range(1, P):
             idef.set(i, idef[i] + ball_matmul(
@@ -688,23 +645,21 @@ class _Engine:
     def eval(self, m: int):
         """Enclosure of u_m at the exact endpoint t."""
         P, cap = self.P, self.cap
-        pair = tuple(FourierField(f.basis, f.cutoff,
-                                  f.grid * self._hulls(f.cutoff)[2], f.tail_l2)
-                     for f in self.cert.seed)
-        fcells = self._fcells
-        if fcells:
-            fv = self._duhamel(fcells, P, P, 0)
-            pair = tuple(p + FourierField(b, g.shape[-1] - 1, g[0])
+        pair = tuple(FourierField(f.basis, cap, g * self._Et, f.tail_l2)
+                     for f, g in zip(self.cert.seed, self._seed))
+        if self._fcells:
+            fv = self._duhamel(self._fcells, P, P, self._H)
+            pair = tuple(p + FourierField(b, cap, g[0])
                          for p, b, g in zip(pair, _BASES, fv))
         if m == 0:
             return pair, BallGrid.zeros(len(_DEFECT_BETAS))
-        u, cuts, d0 = self._base(fcells)
-        base, d = [_padded(g, cap) for g in u], d0
+        base, d0 = self._base()
+        u, d = base, d0
         for j in range(m):
-            B, E, Fv = self._products(u, cuts, d)
+            B, E, Fv = self._products(u, d)
             if j + 1 < m:
-                (u, d), cuts = self._next(base, d0, B, E, Fv), np.full(P, cap)
-        val = self._duhamel(B, P, P, 0)
+                u, d = self._next(base, d0, B, E, Fv)
+        val = self._duhamel(B, P, P, self._H)
         return (tuple(p - FourierField(b, cap, g[0])
                       for p, b, g in zip(pair, _BASES, val)),
                 ball_matmul(self._W_end[:, P - 1 - np.arange(P)], E))

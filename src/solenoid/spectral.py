@@ -110,6 +110,19 @@ def mode_weights(cutoff: int, kind: str, q: Fraction) -> BallGrid:
     return out
 
 
+@lru_cache(maxsize=64)
+def _row_weights(basis: str, cutoff: int, kind: str, q: Fraction) -> BallGrid:
+    """The weights of a row of `weighted_sq_terms`: the L2 weight of each
+    mode times its `mode_weights` entry (the L2 weight alone without a
+    kind), flattened, then 1 for the tail.  Cached and read-only."""
+    w = BallGrid(_weights(basis, cutoff))
+    if kind is not None:
+        w = w * mode_weights(cutoff, kind, q)
+    out = BallGrid(np.append(w.c, 1.0), np.append(w.r, 0.0))
+    out.c.flags.writeable = out.r.flags.writeable = False
+    return out
+
+
 def weighted_sq_terms(basis: str, grids: BallGrid, kind: str = None, q=0,
                       tail: float = 0.0) -> Tuple[BallGrid, BallGrid]:
     """The terms of `FourierField.weighted_sq_ball` for every grid of a
@@ -118,14 +131,11 @@ def weighted_sq_terms(basis: str, grids: BallGrid, kind: str = None, q=0,
     row, 1 for the tail.  `BallGrid.sumsq_rows` of them gives the k
     sums."""
     k, cutoff = grids.shape[0], grids.shape[-1] - 1
-    w = BallGrid(_weights(basis, cutoff))
-    if kind is not None:
-        w = w * mode_weights(cutoff, kind, Fraction(q))
     rows = BallGrid(np.concatenate((grids.c.reshape(k, -1), np.zeros((k, 1))),
                                    axis=1),
                     np.concatenate((grids.r.reshape(k, -1),
                                     np.full((k, 1), tail)), axis=1))
-    return rows, BallGrid(np.append(w.c, 1.0), np.append(w.r, 0.0))
+    return rows, _row_weights(basis, cutoff, kind, Fraction(q))
 
 
 # ---------------------------------------------------------------------------
@@ -870,7 +880,11 @@ def _mollified_hs_tail(nu: int, cutoff: int, h1_def: float,
                        * FloatBall(h1_def)).upper())
 
 
-@lru_cache(maxsize=64)
+# a few entries: the calls on one element ask for its two components at one
+# cutoff, one after another; at 64 entries the cache kept the 65 x 65
+# expansions of 32 elements alive, and a long run's resident memory grew
+# with the elements it had seen
+@lru_cache(maxsize=8)
 def _component_expansion(elem: MollifiedElement, j: int, basis: str,
                          cutoff: int):
     """Base expansion of one pulled-back trimmed component plus its L2 and

@@ -25,6 +25,7 @@ library's exact root-free search.  The term-by-term `Fraction` loop
 `polyfield.poly_inner_on_box`.
 """
 
+import dataclasses
 import heapq
 import math
 from fractions import Fraction
@@ -1404,6 +1405,8 @@ class CellEngine(nse._Engine):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._u, self._B, self._f = {}, {}, {}
+        # the seed, as the forcing cells, held at the engine's mode cap
+        self._a = tuple(f._embedded(self.cap) for f in self.cert.seed)
         self._pow_weights()
 
     def _pow_weights(self):
@@ -1434,7 +1437,7 @@ class CellEngine(nse._Engine):
 
     def _u0(self, lo: Fraction, hi: Fraction):
         """Enclosure of the inhomogeneous base iterate over [lo, hi]."""
-        pair = self._semi(self.cert.seed, lo, hi)
+        pair = self._semi(self._a, lo, hi)
         d = BallGrid.zeros(len(nse._DEFECT_BETAS))
         if self.forcing is not None:
             fv, fd = self._forcing_integral(lo, hi)
@@ -1446,7 +1449,8 @@ class CellEngine(nse._Engine):
         if q not in self._f:
             lo, hi = q * self.h, (q + 1) * self.h
             g = nse.project_pair(*self.forcing.pair_fn(lo, hi))
-            self._f[q] = (nse._strip_tail(g[0]), nse._strip_tail(g[1]))
+            self._f[q] = tuple(nse._strip_tail(f)._embedded(self.cap)
+                               for f in g)
         return self._f[q]
 
     def _panel_sum(self, panels):
@@ -1522,7 +1526,7 @@ class CellEngine(nse._Engine):
 
     def eval(self, m: int):
         """Enclosure of u_m at the exact endpoint t."""
-        pair = self._semi(self.cert.seed, self.t, self.t)
+        pair = self._semi(self._a, self.t, self.t)
         d = BallGrid.zeros(len(nse._DEFECT_BETAS))
         if self.forcing is not None:
             fv = self._panel_sum(
@@ -1539,14 +1543,16 @@ class CellEngine(nse._Engine):
 
 
 class WideCapEngine(nse._Engine):
-    """The Picard engine at its earlier mode cap, twice the seed's band: the
+    """The Picard engine at its earlier mode cap, twice the seed's band: a
+    plain engine on the certificate whose seed is zero-padded to 2N, so the
     B cells keep every mode up to 2N before their discarded mass enters the
-    defect, and u_m(t) comes back at the cutoff 2N."""
+    defect, and u_m(t) comes back at the cutoff 2N (or the widest forcing
+    cell's, when that is wider)."""
 
     def __init__(self, cert, t, panels, forcing=None):
-        super().__init__(cert, t, panels, forcing)
-        self.cap = max(self.cap, 2 * cert.seed_cutoff)
-        self._lam_qtr = nse._qtr_power((self.cap + 1) ** 2)
+        seed = tuple(f._embedded(2 * cert.seed_cutoff) for f in cert.seed)
+        super().__init__(dataclasses.replace(cert, seed=seed), t, panels,
+                         forcing)
 
 
 # ---------------------------------------------------------------------------

@@ -905,9 +905,8 @@ class TestLevelEngine:
 
     def test_forcing_bands_differ_by_cell(self):
         # the first cells force inside the seed band, the later ones past
-        # it, so the base iterate's cells have three different cutoffs
-        # (the cap, the seed's, the wide forcing's) and the forcing sums
-        # widen part-way
+        # it, so the cap is the wide forcing's band and the seed and the
+        # narrow forcing cells are zero-padded to it
         wide, narrow = _sol_mode(2, 3, 0.01, cutoff=16), \
             _sol_mode(1, 1, 0.01, cutoff=2)
         forcing = nse.Forcing.constant(*narrow)
@@ -934,6 +933,28 @@ class TestLevelEngine:
         assert nse._Engine(fc, t, 1, varying).cap == 12
         assert nse._Engine(fc, t, 4, varying).cap == 16
 
+    def test_every_product_runs_at_the_cap(self, monkeypatch):
+        # under cell-varying forcing bands every cell of every level holds
+        # its iterate at the cap, the narrow cells 0-1 as the wide 2-3
+        cutoffs = []
+        product = nse.nonlinearity_pair
+
+        def recording(u1, u2):
+            cutoffs.append((u1.cutoff, u2.cutoff))
+            return product(u1, u2)
+        monkeypatch.setattr(nse, "nonlinearity_pair", recording)
+        wide, narrow = _sol_mode(2, 3, 0.01, cutoff=16), \
+            _sol_mode(1, 1, 0.01, cutoff=2)
+        forcing = nse.Forcing.constant(*narrow)
+        c = self._forced_cert(forcing)
+        t = c.T_frac
+        varying = nse.Forcing(lambda lo, hi: wide if lo >= t / 2 else narrow,
+                              forcing.sup_l2 * 4)
+        eng = nse._Engine(c, t, 4, varying)
+        eng.eval(3)
+        assert eng.cap == 16
+        assert cutoffs == [(16, 16)] * 12
+
     @pytest.mark.parametrize("m", [1, 3])
     def test_one_product_per_cell_and_level(self, m, monkeypatch):
         calls = []
@@ -957,6 +978,19 @@ class TestEngineBand:
     @pytest.mark.parametrize("mode_cap", [8, 12, 16])
     def test_lift_meets_the_wide_cap_oracle(self, datum, mode_cap,
                                             monkeypatch):
+        self._check(datum, mode_cap, None, monkeypatch)
+
+    @pytest.mark.parametrize("forcing", ["constant", "varying"])
+    @pytest.mark.parametrize("datum", ["readme", "seeded"])
+    @pytest.mark.parametrize("mode_cap", [8, 12, 16])
+    def test_forced_lift_meets_the_wide_cap_oracle(self, datum, mode_cap,
+                                                   forcing, monkeypatch):
+        # the forcing of `TestLevelEngine`: narrow on every cell, or narrow
+        # on the first half and of band 16 on the second, on 4 cells
+        self._check(datum, mode_cap, forcing, monkeypatch)
+
+    @staticmethod
+    def _check(datum, mode_cap, forcing, monkeypatch):
         # the parameters of solve's lift at K = 8: depth 5, budget 2^-9;
         # every coefficient ball of one lift meets the other's once both
         # are widened by their L2 tails (a coefficient of weight w moves by
@@ -964,14 +998,25 @@ class TestEngineBand:
         # included, where the narrow field holds exact zeros
         a = EL if datum == "readme" else \
             pf.mollify(pf.solenoidal_kernel(4)[0].scale(F(-27, 16)), 1, 2)
-        c = nse.compute_horizon(a, mode_cap=mode_cap)
-        narrow = nse.smoothness_lift(5, a, c.T_frac, 9, cert=c)
+        wide_f, narrow_f = _sol_mode(2, 3, 0.01, cutoff=16), \
+            _sol_mode(1, 1, 0.01, cutoff=2)
+        const = nse.Forcing.constant(*narrow_f)
+        c = nse.compute_horizon(a, mode_cap=mode_cap,
+                                forcing=const if forcing else None)
+        t = c.T_frac
+        fo = {None: None, "constant": const,
+              "varying": nse.Forcing(
+                  lambda lo, hi: wide_f if lo >= t / 2 else narrow_f,
+                  const.sup_l2 * 4)}[forcing]
+        P = 1 if forcing is None else 4
+        narrow = nse.smoothness_lift(5, a, t, 9, cert=c, panels=P, forcing=fo)
         monkeypatch.setattr(nse, "_Engine", WideCapEngine)
-        wide = nse.smoothness_lift(5, a, c.T_frac, 9, cert=c)
+        wide = nse.smoothness_lift(5, a, t, 9, cert=c, panels=P, forcing=fo)
         N = c.seed_cutoff
+        band = 16 if forcing == "varying" else 0
         for f, g in zip(narrow.u, wide.u):
-            assert (f.cutoff, g.cutoff) == (N, 2 * N)
-            fg = nse._padded(f.grid, g.cutoff)
+            assert (f.cutoff, g.cutoff) == (max(N, band), max(2 * N, band))
+            fg = f._embedded(g.cutoff).grid
             slack = fg.r + g.grid.r + 2 * (f.tail_l2.upper()
                                            + g.tail_l2.upper())
             assert bool((np.abs(fg.c - g.grid.c) <= slack).all())

@@ -305,6 +305,28 @@ class TestModeWeights:
             ball = fac.at(n)
             assert mp.mpf(ball.lower()) <= -n * mp.pi <= mp.mpf(ball.upper())
 
+    @pytest.mark.parametrize("basis, kind, q", [("sc", None, 0),
+                                                ("cs", "stokes", F(1, 2)),
+                                                ("cc", "sobolev", F(6, 5))])
+    def test_row_weights_cached_read_only(self, basis, kind, q):
+        # the weights of a `weighted_sq_terms` row are built once per
+        # (basis, cutoff, kind, q), bit for bit the product of the L2 mode
+        # weights and `mode_weights` with 1 appended for the tail, and a
+        # norm leaves them as they were
+        rows, w = spectral.weighted_sq_terms(
+            basis, BallGrid.zeros((2, 9, 9)), kind, q)
+        assert spectral.weighted_sq_terms(
+            basis, BallGrid.zeros((1, 9, 9)), kind, q)[1] is w
+        assert not w.c.flags.writeable and not w.r.flags.writeable
+        ref = BallGrid(spectral._weights(basis, 8))
+        if kind is not None:
+            ref = ref * mode_weights(8, kind, F(q))
+        before = (np.append(ref.c, 1.0), np.append(ref.r, 0.0))
+        f = FourierField(basis, 8, BallGrid(np.ones((9, 9)), 0.5))
+        f.weighted_sq_ball(kind, q, FloatBall(0.25))
+        for x, y in zip(before, (w.c, w.r)):
+            assert np.array_equal(x.view(np.int64), y.view(np.int64))
+
     def test_hs_norm_against_mpmath(self):
         rng = np.random.default_rng(12)
         f = FourierField("cs", 9, BallGrid(rng.normal(size=(10, 10))),
@@ -484,6 +506,19 @@ class TestTrigPolyField:
         assert calls == []
         spectral.mollified_field_pair(el, 8)
         assert len(calls) == 2
+
+    def test_expansion_cache_bounded(self):
+        # the cache keeps the expansions of a few (element, component,
+        # cutoff) only, and the latest element's stay warm
+        cache = spectral._component_expansion
+        for c in range(1, 7):
+            el = pf.mollify(BASE.scale(F(c, 4)), 1, 2)
+            mollified_field_pair(el, 6)
+            assert cache.cache_info().currsize <= 8
+        before = cache.cache_info()
+        mollified_field_pair(el, 6)
+        after = cache.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 2, before.misses)
 
     def test_parseval_contains_exact_mass(self):
         q = _pullback(EL.trimmed.component(1))
