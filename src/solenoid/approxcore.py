@@ -582,32 +582,29 @@ class ConstantsTable:
     """The analytic constants consumed by the solver layers.
 
     Only the two assumed constants, C and M, are configuration (each
-    default 1); C_alpha, C_half_time and C_s are derived in the package.
-    ``provenance`` records for each field whether it was configured,
-    defaulted or derived.  Required relations (c1 and B1 as maxima, Ctilde
-    = c1*M*B1) are recomputed, not stored independently.
+    default 1); the sup-norm embedding constant C_s is derived in the
+    package.  ``provenance`` records for each field whether it was
+    configured, defaulted or derived.  B1 and Ctilde = M B1 are recomputed,
+    not stored.
+
+    Every smoothing constant is 1, so no formula carries one.  Mode by mode
+    with x = t lambda >= 0:
+      * ||A^alpha e^{-tA} a|| <= t^-alpha ||a|| for 0 <= alpha <= e, since
+        sup_x x^alpha e^{-x} = (alpha/e)^alpha <= 1;
+      * ||e^{-tA} a - a|| <= t^{1/2} ||A^{1/2} a||, since
+        |e^{-x} - 1| <= min(1, x) <= sqrt(x).
     """
 
     def __init__(self, C=None, M=None):
         one = BoundedValue.exact(1)
         self.C = C if C is not None else one
         self.M = M if M is not None else one
-        # C_half_time is the constant in ||e^{-tA}a - a|| <= C t^{1/2}
-        # ||A^{1/2} a||, derived as 1: mode by mode with x = t lambda >= 0,
-        # |e^{-x} - 1| <= min(1, x) <= sqrt(x).
-        self.C_half_time = one
         self.provenance = {
             "C": "configured" if C is not None else "default",
             "M": "configured" if M is not None else "default",
-            "C_alpha": "derived", "C_s": "derived", "C_half_time": "derived",
+            "C_s": "derived",
         }
         self._beta_cache: dict = {}
-
-    def C_alpha(self, alpha: Fraction) -> BoundedValue:
-        """The constant in ||A^alpha e^{-tA} a|| <= C_alpha t^-alpha ||a||,
-        derived as 1: mode by mode with x = t lambda,
-        sup_x x^alpha e^{-x} = (alpha/e)^alpha <= 1 for 0 <= alpha <= e."""
-        return BoundedValue.exact(1)
 
     def C_s(self, s: Fraction) -> BoundedValue:
         """Sup-norm embedding constant for exponent s > 1.
@@ -649,17 +646,6 @@ class ConstantsTable:
         return self._beta_cache[key]
 
     @property
-    def c1(self) -> BoundedValue:
-        """max{C_{1/4}, C_{1/2}, C_{3/4}, 1}."""
-        out = BoundedValue.exact(1)
-        for a in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
-            ca = self.C_alpha(a)
-            if ca.upper() > out.upper():
-                out = out.hull(ca)
-        lo = max(Fraction(1), out.lower())
-        return BoundedValue.from_endpoints(lo, max(lo, out.upper()))
-
-    @property
     def B1(self) -> BoundedValue:
         """max{B(1/2,1/4), B(1/4,1/4), 1}."""
         b1 = self.beta_value(Fraction(1, 2), Fraction(1, 4))
@@ -670,7 +656,7 @@ class ConstantsTable:
 
     @property
     def Ctilde(self) -> BoundedValue:
-        return self.c1 * self.M * self.B1
+        return self.M * self.B1
 
     _default = None
 

@@ -13,8 +13,9 @@ bilinear cross terms against the seed defect, quadrature end slivers) is
 tracked in a scalar defect vector indexed by the fractional-power channels
 A^beta, beta in {0, 1/4, 1/2, 3/5}.  The defect propagates through one time
 step via the smoothing estimate ||A^beta e^{-tau A} x|| <=
-C_{beta+1/4} tau^{-(beta+1/4)} ||A^{-1/4} x||, with the derived constants
-C_alpha of `ConstantsTable.C_alpha`, together with the bilinear bound
+tau^{-(beta+1/4)} ||A^{-1/4} x||, whose constant is 1 (`ConstantsTable`
+states why, and so every smoothing constant drops out of the formulas),
+together with the bilinear bound
 
     ||A^{-1/4}(B u - B v)||_2
         <= M (||A^{1/4}(u-v)|| ||A^{1/2}u|| + ||A^{1/4}v|| ||A^{1/2}(u-v)||),
@@ -255,17 +256,14 @@ class IterationCertificate:
         }
 
 
-def _forcing_term(T: Fraction, G: float, ct: ConstantsTable) -> float:
-    """sup over beta in {1/4, 1/2} of T^beta C_beta T^{1-beta}/(1-beta) G."""
-    if G == 0.0:
-        return 0.0
-    return max((FloatBall.from_bounded(ct.C_alpha(b))
-                * FloatBall.exact(T / (1 - b)) * FloatBall(G)).upper()
-               for b in (F14, F12))
+def _forcing_term(T: Fraction, G: float) -> Fraction:
+    """sup over beta in {1/4, 1/2} of T^beta T^{1-beta}/(1-beta) G = 2 T G,
+    exactly."""
+    return 2 * T * Fraction(G)
 
 
-def _claim1_exponent(mx: Fraction, b: Fraction, G: float, ct: ConstantsTable,
-                     j0: int, j_max: int) -> Optional[int]:
+def _claim1_exponent(mx: Fraction, b: Fraction, G: float, j0: int,
+                     j_max: int) -> Optional[int]:
     """The least j in [j0, j_max] whose horizon T = 2^-j passes the Claim-1
     test T^{1/4} mx + forcing(T) < b, or None when none does.  With
     d = b - forcing(T), the test holds exactly when d > 0 and T mx^4 < d^4,
@@ -274,25 +272,40 @@ def _claim1_exponent(mx: Fraction, b: Fraction, G: float, ct: ConstantsTable,
         return None
     mx4 = mx ** 4
     for j in range(j0, j_max + 1):
-        d = b - Fraction(_forcing_term(Fraction(1, 2 ** j), G, ct))
+        d = b - _forcing_term(Fraction(1, 2 ** j), G)
         if d > 0 and mx4 < d ** 4 * 2 ** j:
             return j
     return None
 
 
-# depth of the certificate's K, M and w tables
+# depth of the certificate's K, M and w tables, and the channels of the M
+# table (the K table has the first two)
 _TABLE_DEPTH = 8
+_M_BETAS = (F14, F12, F35)
+
+
+def _recursion(x0, coef, M) -> Dict[Fraction, List[BoundedValue]]:
+    """The K or the M table: x_{beta,0} = x0[beta] and x_{beta,m+1} =
+    x0[beta] + coef[beta] x_{1/4,m} x_{1/2,m} M for every channel beta of
+    x0, m < _TABLE_DEPTH."""
+    tab = {b: [x] for b, x in x0.items()}
+    for m in range(_TABLE_DEPTH):
+        prod = tab[F14][m] * tab[F12][m] * M
+        for b, x in x0.items():
+            tab[b].append(x + coef[b] * prod)
+    return tab
 
 
 @lru_cache(maxsize=16)
 def _datum_free_tables(ct: ConstantsTable):
     """The horizon's parts that depend on the constants table alone, built
-    once per table: c1, the seed resolution index k-hat, 1/(8 Ctilde), the
-    lower end of 1/(16 Ctilde), K_cap, epsilon, L and the K table.  A
-    certificate takes its own copies of the K lists."""
+    once per table: the seed resolution index k-hat, 1/(8 Ctilde), the
+    lower end of 1/(16 Ctilde), K_cap, epsilon, L, the K table, the
+    recursion coefficients B(3/4 - beta, 1/4) of the K and M tables per
+    channel beta, and the w table.  A certificate takes its own copies of
+    the K lists."""
     ctil = ct.Ctilde
-    c1 = ct.c1
-    target16 = (c1 * ctil).upper() * 16
+    target16 = ctil.upper() * 16
     k_hat = 1
     while 2 ** k_hat <= target16:
         k_hat += 1
@@ -301,29 +314,27 @@ def _datum_free_tables(ct: ConstantsTable):
     sqrt2 = bv_sqrt(BoundedValue.exact(2))
     K_cap = eighth * (sqrt2 - BoundedValue.exact(1)).scale(4) / sqrt2
     epsilon = ctil * K_cap.scale(2)
-    L = K_cap.scale(2) * ct.C_alpha(F14) * ct.beta_value(Fraction(3, 4), F14)
-    K0 = eighth
-    Ktab = {F14: [K0], F12: [K0]}
+    L = K_cap.scale(2) * ct.beta_value(Fraction(3, 4), F14)
+    coef = {b: ct.beta_value(Fraction(3, 4) - b, F14) for b in _M_BETAS}
+    Ktab = _recursion({F14: eighth, F12: eighth}, coef, ct.M)
+    w = [Fraction(1)]
     for m in range(_TABLE_DEPTH):
-        prod = Ktab[F14][m] * Ktab[F12][m] * ct.M
-        for b in (F14, F12):
-            Ktab[b].append(K0 + ct.C_alpha(b + F14) *
-                           ct.beta_value(1 - b - F14, F14) * prod)
-    return c1, k_hat, eighth, sixteenth, K_cap, epsilon, L, Ktab
+        w.append(1 + w[-1] * w[-1] / 8)
+    return k_hat, eighth, sixteenth, K_cap, epsilon, L, Ktab, coef, tuple(w)
 
 
 def compute_horizon(a, constants: ConstantsTable = None, mode_cap: int = 24,
                     forcing: "Forcing" = None) -> IterationCertificate:
     """Certified contraction horizon and constant tables for the datum a.
 
-    The seed resolution index k-hat satisfies 2^-k_hat < 1/(16 c1 Ctilde);
+    The seed resolution index k-hat satisfies 2^-k_hat < 1/(16 Ctilde);
     the horizon T_a = 2^-j is the first that `_claim1_exponent` finds with
     T^{1/4} (at least T^{1/2}, as T < 1) times the seed's fractional-power
     norms, plus the forcing term, under 1/(16 Ctilde), so the realized
     Claim-1 functional k0 sits strictly below 1/(8 Ctilde).
     """
     ct = constants or ConstantsTable.default()
-    c1, k_hat, eighth, sixteenth, K_cap, epsilon, L, Ktab = \
+    k_hat, eighth, sixteenth, K_cap, epsilon, L, Ktab, coef, w = \
         _datum_free_tables(ct)
     pair = _as_pair(a, k_hat + 2)
     # a name's approximant is only 2^-k close to the datum
@@ -338,41 +349,32 @@ def compute_horizon(a, constants: ConstantsTable = None, mode_cap: int = 24,
     seed_res = 2 * (res + trunc)
     norm_up = _l2_upper(seed)
     g_sup = forcing.sup_l2 if forcing is not None else 0.0
-    floor = (c1 * BoundedValue.from_fraction(seed_res)).upper()
-    if floor >= eighth.lower():
+    if seed_res >= eighth.lower():
         raise ValueError("datum presentation too coarse: its resolution "
                          "floor alone exhausts the Claim-1 budget")
     q_norm = frac_power_norm(seed, F14).upper()
     h_norm = frac_power_norm(seed, F12).upper()
     # the display bound 1/(16 Ctilde), tightened further when the
     # presentation's resolution floor eats into the 1/(8 Ctilde) total
-    bound16 = min(sixteenth, eighth.lower() - floor)
+    bound16 = min(sixteenth, eighth.lower() - seed_res)
     mx = Fraction(max(q_norm, h_norm))
-    j = _claim1_exponent(mx, bound16, g_sup, ct, 2, 400)
+    j = _claim1_exponent(mx, bound16, g_sup, 2, 400)
     if j is None:
         raise RuntimeError("horizon search failed to terminate")
     T = Fraction(1, 2 ** j)
     rootT = bv_sqrt(bv_sqrt(BoundedValue.exact(T)))
-    lead = rootT.upper() * mx + Fraction(_forcing_term(T, g_sup, ct))
-    k0 = c1 * BoundedValue.from_fraction(seed_res) + \
+    lead = rootT.upper() * mx + _forcing_term(T, g_sup)
+    k0 = BoundedValue.from_fraction(seed_res) + \
         BoundedValue.from_fraction(lead)
     if k0.upper() >= eighth.lower():
         raise RuntimeError("Claim-1 functional failed to clear 1/(8 Ctilde)")
     a_norm = BoundedValue.from_fraction(Fraction(norm_up)).widened(
         BoundedValue.from_fraction(seed_res))
-    Mtab = {b: [ct.C_alpha(b) * a_norm] for b in (F14, F12, F35)}
-    for m in range(_TABLE_DEPTH):
-        prod = Mtab[F14][m] * Mtab[F12][m] * ct.M
-        for b in (F14, F12, F35):
-            Mtab[b].append(Mtab[b][0] + ct.C_alpha(b + F14) *
-                           ct.beta_value(Fraction(3, 4) - b, F14) * prod)
-    w: List[Fraction] = [Fraction(1)]
-    for m in range(_TABLE_DEPTH):
-        w.append(1 + w[-1] * w[-1] / 8)
+    Mtab = _recursion({b: a_norm for b in _M_BETAS}, coef, ct.M)
     return IterationCertificate(
         T_a=BoundedValue.exact(T), k0=k0,
         K_beta_m={b: list(v) for b, v in Ktab.items()}, K_cap=K_cap,
-        epsilon=epsilon, L=L, M_beta_m=Mtab, w_m=tuple(w), k_hat=k_hat,
+        epsilon=epsilon, L=L, M_beta_m=Mtab, w_m=w, k_hat=k_hat,
         seed=seed, seed_res=seed_res, a_norm=a_norm, quarter_norm=q_norm,
         half_norm=h_norm, constants=ct, forcing_sup=g_sup)
 
@@ -382,32 +384,31 @@ def compute_horizon(a, constants: ConstantsTable = None, mode_cap: int = 24,
 # ---------------------------------------------------------------------------
 
 def _theta1(cert: IterationCertificate, k: int) -> Optional[int]:
-    """Smallest theta >= 0 with C ||A^{1/2} seed|| 2^{-theta/2} <=
-    2^-(k+1), i.e. with lead^2 <= 2^(theta - 2k - 2) for an upper bound
-    lead^2 on the squared product; None past 4 (k + 64)."""
-    lead = cert.ball("C_half_time", lambda: cert.constants.C_half_time) * \
-        FloatBall(cert.half_norm)
-    sq = (lead * lead).upper()
+    """Smallest theta >= 0 with ||A^{1/2} seed|| 2^{-theta/2} <= 2^-(k+1),
+    i.e. with h^2 <= 2^(theta - 2k - 2) for an upper bound h^2 on the
+    squared norm; None past 4 (k + 64)."""
+    h = FloatBall(cert.half_norm)
+    sq = (h * h).upper()
     theta = max(0, 2 * k + 2 + ceil_log2(sq))
     return theta if theta <= 4 * (k + 64) else None
 
 
 def _theta2(cert: IterationCertificate, m: int, k: int) -> Optional[int]:
-    """Smallest theta with C_{1/4} M L_{1/4,m} L_{1/2,m} B(3/4,1/4)
+    """Smallest theta with M L_{1/4,m} L_{1/2,m} B(3/4,1/4)
     2^{-2 theta} <= 2^-(k+1), with the L constants realized as the
     fixed-point cap W* applied to the Claim-1 functional on the shrunken
     horizon 2^-theta.  The test holds once the functional is below
     V = sqrt(2^-(k+1)/lead)/W*, so theta is the Claim-1 exponent against
-    V less the seed-resolution floor c1 seed_res; when that floor alone
+    V less the seed-resolution floor seed_res; when that floor alone
     reaches V the budget is finer than the floor allows (None)."""
     ct = cert.constants
-    lead = cert.ball("theta2", lambda: ct.C_alpha(F14) * ct.M *
-                     ct.beta_value(Fraction(3, 4), F14))
+    lead = cert.ball("theta2",
+                     lambda: ct.M * ct.beta_value(Fraction(3, 4), F14))
     V = (fb_sqrt(FloatBall(2.0 ** -(k + 1)) / lead) / _WSTAR).lower()
-    b = Fraction(V) - ct.c1.upper() * cert.seed_res
     return _claim1_exponent(
-        Fraction(max(cert.quarter_norm, cert.half_norm)), b,
-        cert.forcing_sup, ct, cert.j_a, cert.j_a + 4 * (k + 64) - 1)
+        Fraction(max(cert.quarter_norm, cert.half_norm)),
+        Fraction(V) - cert.seed_res, cert.forcing_sup, cert.j_a,
+        cert.j_a + 4 * (k + 64) - 1)
 
 
 def eta_modulus(cert: IterationCertificate, m: int, k: int) -> Optional[int]:
@@ -462,27 +463,26 @@ def _qtr_power(k: int) -> FloatBall:
 
 
 @lru_cache(maxsize=64)
-def _defect_weights(ct: ConstantsTable, P: int, h: Fraction):
-    """The defect weight tables (W_int, W_end) of P cells of width h:
-    C_gamma times the weight of a cell at gap g >= 1, h (g h)^-gamma, and of
-    the next cell, (2h)^{1-gamma}/(1-gamma) in the integral and
-    h^{1-gamma}/(1-gamma) at the endpoint (also the weight of the cell
-    itself), per channel gamma = beta + 1/4, over j h, j = 1..max(P, 2).  No
-    gamma is an integer or 1/2, so each power is `grid_pow`'s
-    exp(-gamma log jh), here one `grid_exp` of the (4, P) grid over one
-    `grid_log`.  Cached per (table, P, h) and read-only: the horizon is
-    always 2^-j, so few (P, h) recur across data."""
+def _defect_weights(P: int, h: Fraction):
+    """The defect weight tables (W_int, W_end) of P cells of width h: the
+    weight of a cell at gap g >= 1, h (g h)^-gamma, and of the next cell,
+    (2h)^{1-gamma}/(1-gamma) in the integral and h^{1-gamma}/(1-gamma) at
+    the endpoint (also the weight of the cell itself), per channel
+    gamma = beta + 1/4, over j h, j = 1..max(P, 2).  No gamma is an integer
+    or 1/2, so each power is `grid_pow`'s exp(-gamma log jh), here one
+    `grid_exp` of the (4, P) grid over one `grid_log`.  Cached per (P, h)
+    and read-only: the horizon is always 2^-j, so few (P, h) recur across
+    data."""
     jh = BallGrid.of(FloatBall.exact(j * h) for j in range(1, max(P, 2) + 1))
     gammas = [b + F14 for b in _DEFECT_BETAS]
     hw = grid_exp(grid_log(jh) * BallGrid.of(
         FloatBall.exact(-g) for g in gammas).reshape(-1, 1)) * jh.at(0)
     inv = BallGrid.of(FloatBall.exact(1 / (1 - g)) for g in gammas)
-    cg = BallGrid.of(FloatBall.from_bounded(ct.C_alpha(g)) for g in gammas)
-    near = hw[:, 1] * inv * FloatBall(2.0) * cg
-    far = hw[:, :P - 1] * cg.reshape(-1, 1)
+    near = hw[:, 1] * inv * FloatBall(2.0)
+    far = hw[:, :P - 1]
     out = tuple(BallGrid(np.column_stack((g.c, far.c)),
                          np.column_stack((g.r, far.r)))
-                for g in (near, hw[:, 0] * inv * cg))
+                for g in (near, hw[:, 0] * inv))
     for w in out:
         w.c.flags.writeable = w.r.flags.writeable = False
     return out
@@ -527,14 +527,13 @@ class _Engine:
     built.  B_j(q) is truncated at N, and its discarded mass enters E_j(q)
     through lambda^{-1/4} past N, so the cap needs no bound of its own and
     u_m(t) comes back at the cutoff N.  The datum-free scalar tables are
-    cached per process: the defect weights W per (constants table, P, h)
-    by `_defect_weights` and the lambda^{-1/4} factors by `_qtr_power`.
+    cached per process: the defect weights W per (P, h) by
+    `_defect_weights` and the lambda^{-1/4} factors by `_qtr_power`.
     """
 
     def __init__(self, cert: IterationCertificate, t: Fraction, panels: int,
                  forcing: Forcing = None):
         self.cert = cert
-        self.ct = cert.constants
         self.t = Fraction(t)
         self.P = panels
         self.h = self.t / panels
@@ -557,17 +556,17 @@ class _Engine:
             _heat_hull(fac[b], fac[a])
             for a, b in ((k - 1, k), (k[:-1] - 1, k[:-1] + 1),
                          (panels, panels)))
-        self._M = cert.ball("M", lambda: self.ct.M)
+        self._M = cert.ball("M", lambda: cert.constants.M)
         # lambda^{-1/4} past the cap and (2 pi^2)^{-1/4}, the smallest mode
         # of a B cell being (1, 1)
         self._lam_qtr = _qtr_power((self.cap + 1) ** 2)
         self._qtr_11 = _qtr_power(2)
-        self._W_int, self._W_end = _defect_weights(self.ct, panels, self.h)
+        self._W_int, self._W_end = _defect_weights(panels, self.h)
         if forcing is not None:
             hb = FloatBall.exact(self.h)
             self._fw = BallGrid.of(
-                FloatBall.from_bounded(self.ct.C_alpha(b)) * fb_pow(hb, 1 - b)
-                * FloatBall.exact(1 / (1 - b)) for b in _DEFECT_BETAS)
+                fb_pow(hb, 1 - b) * FloatBall.exact(1 / (1 - b))
+                for b in _DEFECT_BETAS)
 
     def _duhamel(self, src, first: int, last: int, hull: BallGrid):
         """h sum_{q < i} of hull[i - q - 1] times cell q of the component
@@ -728,14 +727,14 @@ def _hs65_weight() -> FloatBall:
 
 def _claim2_tail(cert: IterationCertificate, m: int, t: Fraction, n):
     """Upper bounds on the Claim-II endpoint-tail bound
-    C C_{17/20} M M_{1/4,m} M_{1/2,m} (t - t_n)^{-17/20} 4 t_n^{1/4},
+    C M M_{1/4,m} M_{1/2,m} (t - t_n)^{-17/20} 4 t_n^{1/4},
     t_n = t/2^n, for an integer 1 <= n <= _CLAIM2_N (a float) or an array
     of them (an array)."""
     ct = cert.constants
     mm = min(m, len(cert.M_beta_m[F14]) - 1)
     lead = cert.ball(("claim2", mm), lambda: (
-        ct.C * ct.C_alpha(Fraction(17, 20)) * ct.M *
-        cert.M_beta_m[F14][mm] * cert.M_beta_m[F12][mm])) * FloatBall(4.0)
+        ct.C * ct.M * cert.M_beta_m[F14][mm] * cert.M_beta_m[F12][mm])) \
+        * FloatBall(4.0)
     idx = np.ravel(n) - 1
     if idx.min() < 0 or idx.max() >= _CLAIM2_N:
         raise ValueError("the Claim-II index must lie in 1..%d" % _CLAIM2_N)

@@ -257,7 +257,9 @@ def _l2_upper(fields) -> float:
 # Semigroup
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
+# an engine at the panel ladder's top, P = 64 cells, reads the 65 tables
+# k h, k = 0..64: a cache of 64 would cycle and keep none of them warm
+@lru_cache(maxsize=128)
 def _heat_factor(cutoff: int, t: Fraction) -> BallGrid:
     """e^{-t lambda}, lambda = pi^2 (n^2 + m^2), for n, m <= cutoff; cached
     and read-only."""

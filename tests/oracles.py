@@ -35,9 +35,8 @@ from typing import Tuple
 import numpy as np
 
 from solenoid import nse
-from solenoid.approxcore import (DEFAULT_PREC, BoundedValue, ConstantsTable,
-                                 bv_cos, bv_exp, bv_log, bv_pi, bv_pow, bv_sin,
-                                 bv_sqrt)
+from solenoid.approxcore import (DEFAULT_PREC, BoundedValue, bv_cos, bv_exp,
+                                 bv_log, bv_pi, bv_pow, bv_sin, bv_sqrt)
 from solenoid.floatball import (EPS, FB_PI, TINY, BallGrid, FloatBall, fb_exp,
                                 fb_log, fb_pow, fb_sincos, fb_sqrt, grid_pow)
 from solenoid.floatball import _floored, _gamma, _up
@@ -1328,14 +1327,13 @@ def power_integral(s: int, alpha, k: int = 10) -> BoundedValue:
                                        head_hi + mid.upper() + tail_hi, prec)
 
 
-def smoothing_bound_check(a, alpha, t,
-                          constants: ConstantsTable = None) -> dict:
-    """Diagnostic comparison of ||A^alpha e^{-tA} a|| with C_alpha t^-alpha
-    ||a||.
+def smoothing_bound_check(a, alpha, t) -> dict:
+    """Diagnostic comparison of ||A^alpha e^{-tA} a|| with t^-alpha ||a||,
+    the smoothing bound with its constant 1 (see `ConstantsTable`).
 
     Both sides are certified enclosures (the left uses the exact diagonal
-    heat multipliers, the right the configured constant); the report states
-    the margin, it proves nothing beyond the two numbers.
+    heat multipliers); the report states the margin, it proves nothing
+    beyond the two numbers.
     """
     alpha = Fraction(alpha)
     if not 0 <= alpha < 1:
@@ -1343,10 +1341,8 @@ def smoothing_bound_check(a, alpha, t,
     t = _as_bv(t)
     if t.lower() <= 0:
         raise ValueError("smoothing check needs t > 0")
-    constants = constants or ConstantsTable.default()
     fields, _ = _components(resolve_field(a, 8))
     tb = FloatBall.from_bounded(t)
-    ca = FloatBall.from_bounded(constants.C_alpha(alpha))
     t_pow = fb_pow(tb, -alpha)
     lhs_sq = FloatBall(0.0)
     norm_sq = FloatBall(0.0)
@@ -1363,11 +1359,11 @@ def smoothing_bound_check(a, alpha, t,
         tl = f.tail_l2.upper()
         if tl > 0.0:
             # Fact-2 style bound for the unresolved part
-            ext = ca * t_pow * FloatBall.from_rounded(0.0, tl)
+            ext = t_pow * FloatBall.from_rounded(0.0, tl)
             lhs_sq = lhs_sq + ext * ext
         norm_sq = norm_sq + f.l2_sq_ball()
     lhs = fb_sqrt(lhs_sq.abs_ball())
-    rhs = ca * t_pow * fb_sqrt(norm_sq.abs_ball())
+    rhs = t_pow * fb_sqrt(norm_sq.abs_ball())
     margin = rhs.lower() - lhs.upper()
     return {
         "alpha": str(alpha),
@@ -1420,15 +1416,12 @@ class CellEngine(nse._Engine):
         hw = BallGrid(np.stack([p.c for p in pw]),
                       np.stack([p.r for p in pw])) * jh.at(0)
         inv = BallGrid.of(FloatBall.exact(1 / (1 - g)) for g in gammas)
-        cg = BallGrid.of(self.cert.ball(("C_alpha", g),
-                                        lambda: self.ct.C_alpha(g))
-                         for g in gammas)
-        near = hw[:, 1] * inv * FloatBall(2.0) * cg
-        far = hw[:, :P - 1] * cg.reshape(-1, 1)
+        near = hw[:, 1] * inv * FloatBall(2.0)
+        far = hw[:, :P - 1]
         self._W_int, self._W_end = (
             BallGrid(np.column_stack((g.c, far.c)),
                      np.column_stack((g.r, far.r)))
-            for g in (near, hw[:, 0] * inv * cg))
+            for g in (near, hw[:, 0] * inv))
 
     def _semi(self, pair, lo: Fraction, hi: Fraction):
         return heat_range(pair, lo, hi)
@@ -1560,8 +1553,7 @@ class WideCapEngine(nse._Engine):
 # ---------------------------------------------------------------------------
 
 def rounded_root_exponent(mx: Fraction, bound16: Fraction, g_sup: float,
-                          ct: ConstantsTable, j0: int = 2,
-                          j_max: int = 400):
+                          j0: int = 2, j_max: int = 400):
     """The least j in [j0, j_max] whose T = 2^-j has the upper end of the
     enclosure of T^{1/4}, times mx, plus the forcing term, below bound16;
     None when none does.  This is the loop `nse.compute_horizon` ran before
@@ -1570,7 +1562,7 @@ def rounded_root_exponent(mx: Fraction, bound16: Fraction, g_sup: float,
     while True:
         T = Fraction(1, 2 ** j)
         rootT = bv_sqrt(bv_sqrt(BoundedValue.exact(T)))
-        lead = rootT.upper() * mx + Fraction(nse._forcing_term(T, g_sup, ct))
+        lead = rootT.upper() * mx + nse._forcing_term(T, g_sup)
         if lead < bound16:
             break
         j += 1

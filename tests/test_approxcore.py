@@ -451,27 +451,64 @@ def test_public_names_defined_in_their_module():
     assert not missing, missing
 
 
+def test_no_module_names_a_smoothing_constant():
+    # every smoothing constant is 1, so the library names none: no
+    # attribute, def or string key C_alpha, C_half_time or c1, and no
+    # mention of the first two anywhere
+    gone = {"C_alpha", "C_half_time", "c1"}
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "solenoid"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                name = node.name
+            elif isinstance(node, ast.Constant):
+                name = node.value
+            else:
+                continue
+            if isinstance(name, str) and name in gone:
+                offenders.append("%s:%d %s" % (path.name, node.lineno, name))
+        offenders += ["%s %s" % (path.name, w)
+                      for w in ("C_alpha", "C_half_time") if w in text]
+    assert not offenders, offenders
+
+
 class TestConstantsTable:
     def test_c_alpha_zero_is_one(self):
-        ct = ConstantsTable.default()
-        c0 = ct.C_alpha(F(0))
-        assert c0.contains(F(1)) and c0.radius.to_fraction() == 0
+        # at alpha = 0 the smoothing bound is contractivity, and 1 is the
+        # least constant: sup_x x^0 e^{-x} = 1 at x = 0, while the peak
+        # (alpha/e)^alpha of x^alpha e^{-x} stays below 1 and tends to 1
+        # as alpha -> 0+
+        with mp.workdps(50):
+            assert all(mp.exp(-x) <= 1 for x in
+                       (mp.mpf(0), mp.mpf(10) ** -40, mp.mpf(1), mp.mpf(50)))
+            peaks = [(a / mp.e) ** a for a in
+                     (mp.mpf(1) / 4, mp.mpf(10) ** -3, mp.mpf(10) ** -20)]
+            assert all(p < 1 for p in peaks) and peaks == sorted(peaks)
+            assert 1 - peaks[-1] < mp.mpf(10) ** -18
 
     def test_c1_b1_invariants(self):
+        # the table holds no smoothing constant, nor their maximum c1 (each
+        # is 1); B1 keeps its floor 1
         ct = ConstantsTable.default()
-        assert ct.c1.lower() >= 1
+        assert not any(hasattr(ct, n) for n in ("c1", "C_alpha",
+                                                "C_half_time"))
         assert ct.B1.lower() >= 1
         # B1 should contain max(B(1/2,1/4), B(1/4,1/4)) from the frozen oracles
         assert ct.B1.contains(F("7.41629870920548767373540138878104018487"))
 
     def test_ctilde_recomputed(self):
-        ct = ConstantsTable.default()
-        recomputed = ct.c1 * ct.M * ct.B1
-        assert ct.Ctilde.overlaps(recomputed)
+        # Ctilde = M B1, with no smoothing factor
+        for ct in (ConstantsTable.default(),
+                   ConstantsTable(M=BoundedValue.exact(2))):
+            assert ct.Ctilde.to_json() == (ct.M * ct.B1).to_json()
 
     def test_positive_entries(self):
         ct = ConstantsTable.default()
-        for bv in (ct.C, ct.M, ct.c1, ct.B1, ct.Ctilde):
+        for bv in (ct.C, ct.M, ct.B1, ct.Ctilde):
             assert bv.lower() > 0 or bv.upper() > 0
         assert ct.Ctilde.lower() > 0
 
@@ -479,11 +516,14 @@ class TestConstantsTable:
         # C_half_time = 1 from |e^-x - 1| <= min(1, x) <= sqrt(x), and
         # C_alpha = 1 from sup_x x^alpha e^-x = (alpha/e)^alpha <= 1 (the
         # maximum at x = alpha), mode by mode with x = t lambda >= 0
+        # (both proofs are in the ConstantsTable docstring); the table
+        # records provenance only for C, M and C_s
         ct = ConstantsTable.default()
-        assert ct.provenance["C_half_time"] == "derived"
-        assert ct.provenance["C_alpha"] == "derived"
-        assert ct.provenance["C"] == ct.provenance["M"] == "default"
-        # the derived constants are not configuration
+        assert ct.provenance == {"C": "default", "M": "default",
+                                 "C_s": "derived"}
+        assert ConstantsTable(M=BoundedValue.exact(2)).provenance["M"] == \
+            "configured"
+        # no smoothing constant is configuration
         with pytest.raises(TypeError):
             ConstantsTable(C_half_time=BoundedValue.exact(2))
         two = BoundedValue.exact(2).to_json()
@@ -492,8 +532,6 @@ class TestConstantsTable:
             with pytest.raises(ValueError):
                 ConstantsTable.from_json({"M": two, key: val})
         alphas = (F(1, 4), F(1, 2), F(3, 5), F(3, 4), F(17, 20), F(1))
-        assert ct.C_half_time.upper() == 1
-        assert all(ct.C_alpha(a).upper() == 1 for a in alphas)
         with mp.workdps(50):
             xs = [mp.mpf(1), mp.mpf(2) ** -200, mp.mpf(10) ** -40,
                   mp.mpf(50), mp.mpf(10) ** 6] \

@@ -206,8 +206,9 @@ class TestHorizonAndSolve:
 
 
     @pytest.mark.parametrize("table", [
-        # only C and M are configuration: a derived constant in the file is
-        # a parse error, not silently ignored
+        # only C and M are configuration: any other constant in the file,
+        # such as a smoothing constant (each is 1), is a parse error, not
+        # silently ignored
         {"C_half_time": BoundedValue.exact(2).to_json()},
         # malformed tables
         {"C": 2}, "CM", [1]])

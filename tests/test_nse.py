@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from solenoid import floatball, nse
+from solenoid import floatball, nse, stokes
 from solenoid import polyfield as pf
 from solenoid import spectral
 from solenoid.approxcore import BoundedValue, ConstantsTable, Name, bv_sqrt
@@ -395,8 +395,7 @@ class TestCertificate:
         c = _cert()
         eps = CT.Ctilde * c.K_cap.scale(2)
         assert abs(float(c.epsilon.upper()) - float(eps.upper())) < 1e-12
-        L = c.K_cap.scale(2) * CT.C_alpha(F(1, 4)) * CT.beta_value(F(3, 4),
-                                                                   F(1, 4))
+        L = c.K_cap.scale(2) * CT.beta_value(F(3, 4), F(1, 4))
         assert float(c.L.lower()) <= float(L.upper())
         assert float(L.lower()) <= float(c.L.upper())
 
@@ -405,12 +404,34 @@ class TestCertificate:
         m0 = {b: c.M_beta_m[b][0] for b in c.M_beta_m}
         for b in c.M_beta_m:
             for m in range(len(c.M_beta_m[b]) - 1):
-                nxt = m0[b] + CT.C_alpha(b + F(1, 4)) * CT.M * \
+                nxt = m0[b] + CT.M * \
                     c.M_beta_m[F(1, 4)][m] * c.M_beta_m[F(1, 2)][m] * \
                     CT.beta_value(F(3, 4) - b, F(1, 4))
                 got = c.M_beta_m[b][m + 1]
                 assert got.lower() <= nxt.upper()
                 assert nxt.lower() <= got.upper()
+
+    @pytest.mark.parametrize("M", [1, 2, F(3, 7)])
+    def test_k_and_m_tables_one_recursion(self, M):
+        # the K and M tables come from one recursion, and for any M both
+        # match bit for bit the reference below: a loop per table, each
+        # taking the product as x_{1/4} x_{1/2} M
+        ct = ConstantsTable(M=BoundedValue.from_fraction(F(M)))
+        c = nse.compute_horizon(EL, constants=ct, mode_cap=12)
+        q, h = F(1, 4), F(1, 2)
+        K0 = BoundedValue.exact(1) / ct.Ctilde.scale(8)
+        K = {q: [K0], h: [K0]}
+        Mt = {b: [c.a_norm] for b in (q, h, F(3, 5))}
+        for m in range(8):
+            prod = K[q][m] * K[h][m] * ct.M
+            for b in (q, h):
+                K[b].append(K0 + ct.beta_value(1 - b - q, q) * prod)
+            prod = Mt[q][m] * Mt[h][m] * ct.M
+            for b in (q, h, F(3, 5)):
+                Mt[b].append(Mt[b][0] + ct.beta_value(F(3, 4) - b, q) * prod)
+        for got, ref in ((c.K_beta_m, K), (c.M_beta_m, Mt)):
+            assert {b: [v.to_json() for v in vs] for b, vs in got.items()} \
+                == {b: [v.to_json() for v in vs] for b, vs in ref.items()}
 
     def test_w_recursion_fixed_point(self):
         c = _cert()
@@ -457,11 +478,10 @@ class TestClaim1Search:
     @staticmethod
     def _bound16(c):
         # compute_horizon's bound: 1/(16 Ctilde), less what the resolution
-        # floor takes from the 1/(8 Ctilde) total
+        # floor seed_res takes from the 1/(8 Ctilde) total
         one, ct = BoundedValue.exact(1), c.constants
-        floor = (ct.c1 * BoundedValue.from_fraction(c.seed_res)).upper()
         return min((one / ct.Ctilde.scale(16)).lower(),
-                   (one / ct.Ctilde.scale(8)).lower() - floor)
+                   (one / ct.Ctilde.scale(8)).lower() - c.seed_res)
 
     @staticmethod
     def _mx(c):
@@ -475,23 +495,23 @@ class TestClaim1Search:
         for G in (0.0, 1e-3, 0.5):
             for i in range(-96, 49):
                 m = F(mx * 10.0 ** (i / 8))
-                assert nse._claim1_exponent(m, b, G, CT, 2, 400) == \
-                    rounded_root_exponent(m, b, G, CT), (i, G)
+                assert nse._claim1_exponent(m, b, G, 2, 400) == \
+                    rounded_root_exponent(m, b, G), (i, G)
 
     @pytest.mark.parametrize("j", [4, 8, 28, 60])
     def test_exact_tie_rejected(self, j):
         # mx = b 2^{j/4}: at T = 2^-j, T^{1/4} mx equals b exactly
         b = self._bound16(_cert())
         mx = b * 2 ** (j // 4)
-        assert nse._claim1_exponent(mx, b, 0.0, CT, j, j) is None
-        assert nse._claim1_exponent(mx, b, 0.0, CT, j, j + 1) == j + 1
-        assert nse._claim1_exponent(mx, b, 0.0, CT, 2, 400) == j + 1
-        assert rounded_root_exponent(mx, b, 0.0, CT) == j + 1
+        assert nse._claim1_exponent(mx, b, 0.0, j, j) is None
+        assert nse._claim1_exponent(mx, b, 0.0, j, j + 1) == j + 1
+        assert nse._claim1_exponent(mx, b, 0.0, 2, 400) == j + 1
+        assert rounded_root_exponent(mx, b, 0.0) == j + 1
 
     def test_nonpositive_bound_or_range(self):
         for b in (F(0), F(-1, 8)):
-            assert nse._claim1_exponent(F(0), b, 0.0, CT, 2, 400) is None
-        assert nse._claim1_exponent(F(10 ** 9), F(1, 64), 0.0, CT, 2, 40) \
+            assert nse._claim1_exponent(F(0), b, 0.0, 2, 400) is None
+        assert nse._claim1_exponent(F(10 ** 9), F(1, 64), 0.0, 2, 40) \
             is None
 
     def test_certificate_horizons_match_rounded_root(self):
@@ -507,7 +527,7 @@ class TestClaim1Search:
         assert certs["name"].seed_res > 0
         for name, c in certs.items():
             j = rounded_root_exponent(self._mx(c), self._bound16(c),
-                                      c.forcing_sup, c.constants)
+                                      c.forcing_sup)
             assert c.T_frac == F(1, 2 ** j), name
 
     def test_no_root_per_halving(self, monkeypatch):
@@ -537,8 +557,24 @@ class TestClaim1Search:
 
 
 class TestDatumFreeTables:
-    """K_cap, epsilon, L and the K table are built once per constants
-    table; a warm horizon of a new datum pays only for what depends on it."""
+    """K_cap, epsilon, L, the K table, the Beta coefficients of the K and M
+    recursion and the w table are built once per constants table; a warm
+    horizon of a new datum pays only for what depends on it."""
+
+    def test_warm_horizon_reads_no_beta_value(self, monkeypatch):
+        first = nse.compute_horizon(EL, mode_cap=12)
+        calls = []
+        real = CT.beta_value
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(CT, "beta_value", counting)
+        z = (FourierField.zero("sc", 1), FourierField.zero("cs", 1))
+        for d, cap in ((EL, 8), (z, 24)):
+            c = nse.compute_horizon(d, mode_cap=cap)
+            assert c.w_m is first.w_m
+        assert not calls
 
     def test_certificates_own_k_lists(self):
         first = nse.compute_horizon(EL, mode_cap=12)
@@ -643,29 +679,27 @@ class TestIterate:
                 FourierField("cs", 2, BallGrid(g2)))
         return nse.compute_horizon(pair, mode_cap=12)
 
-    # theta, frozen from the route that rebuilt the c1 ball at every step
-    # of the search and took the rounded root of each horizon
+    # theta, frozen from the route that rebuilt a smoothing-constant ball at
+    # every step of the search and took the rounded root of each horizon
     THETA2 = {("readme", 8): 29, ("readme", 12): 36, ("readme", 16): None,
               ("exact", 8): 25, ("exact", 12): 29, ("exact", 16): 37}
 
     @staticmethod
     def _theta2_ratio(c, k, theta):
-        """C_{1/4} M B(3/4,1/4) (W* v)^2 / 2^-(k+1) at 50 digits, with v
-        the Claim-1 functional c1 seed_res + T^{1/4} mx at T = 2^-theta
-        (no forcing), or its floor c1 seed_res when theta is None; each
-        constant enters by its upper end."""
+        """M B(3/4,1/4) (W* v)^2 / 2^-(k+1) at 50 digits, with v the
+        Claim-1 functional seed_res + T^{1/4} mx at T = 2^-theta (no
+        forcing), or its floor seed_res when theta is None; each constant
+        enters by its upper end."""
         ct = c.constants
         with mp.workdps(50):
             def up(bv):
                 x = bv.upper()
                 return mp.mpf(x.numerator) / x.denominator
-            v = up(ct.c1) * mp.mpf(c.seed_res.numerator) / \
-                c.seed_res.denominator
+            v = mp.mpf(c.seed_res.numerator) / c.seed_res.denominator
             if theta is not None:
                 v += mp.mpf(2) ** (mp.mpf(-theta) / 4) * \
                     mp.mpf(max(c.quarter_norm, c.half_norm))
-            lead = up(ct.C_alpha(F(1, 4))) * up(ct.M) * \
-                up(ct.beta_value(F(3, 4), F(1, 4)))
+            lead = up(ct.M) * up(ct.beta_value(F(3, 4), F(1, 4)))
             ws = (4 - 2 * mp.sqrt(2)) * v
             return lead * ws * ws / mp.mpf(2) ** -(k + 1)
 
@@ -783,10 +817,8 @@ class TestRoundingRules:
 
     @pytest.mark.parametrize("t_scale", [F(1), F(1, 3)])
     def test_defect_weight_table(self, t_scale):
+        # the weights carry no smoothing constant: each is 1
         cert = _cert()
-        assert all(CT.C_alpha(b + F(1, 4)).lower() ==
-                   CT.C_alpha(b + F(1, 4)).upper() == 1
-                   for b in nse._DEFECT_BETAS)
         t = cert.T_frac * t_scale
         P = 8
         eng = nse._Engine(cert, t, P)
@@ -810,7 +842,7 @@ class TestRoundingRules:
         cert = _cert()
         t = cert.T_frac
         ct, mm = CT, 2
-        lead = (ct.C * ct.C_alpha(F(17, 20)) * ct.M * cert.M_beta_m[F(1, 4)][mm]
+        lead = (ct.C * ct.M * cert.M_beta_m[F(1, 4)][mm]
                 * cert.M_beta_m[F(1, 2)][mm]).upper()
         ns = np.array([1, 2, 7, 50, 107, 399])
         tails = nse._claim2_tail(cert, mm, t, ns)
@@ -844,11 +876,22 @@ class TestRoundingRules:
         nse.solve(EL, None, c.T_frac, 8, cert=c)
         assert calls == {"_exp_series": 0, "_atanh_series": 0}
 
+    def test_ladder_top_keeps_heat_tables_warm(self):
+        # an engine at P = 64 cells reads the 65 heat tables k h, k = 0..64;
+        # a second one on the same certificate finds every one cached
+        c = _cert()
+        nse._Engine(c, c.T_frac, 64)
+        before = stokes._heat_factor.cache_info()
+        nse._Engine(c, c.T_frac, 64)
+        after = stokes._heat_factor.cache_info()
+        assert after.misses == before.misses
+        assert after.hits - before.hits == 65
+
     @pytest.mark.parametrize("P", [1, 2, 8])
     def test_cached_weights_are_fresh_and_read_only(self, P):
         c = _cert()
         eng = nse._Engine(c, c.T_frac / 3, P)
-        fresh = nse._defect_weights.__wrapped__(CT, P, c.T_frac / 3 / P)
+        fresh = nse._defect_weights.__wrapped__(P, c.T_frac / 3 / P)
         for got, ref in zip((eng._W_int, eng._W_end), fresh):
             for x, y in ((got.c, ref.c), (got.r, ref.r)):
                 assert not x.flags.writeable
@@ -1067,13 +1110,11 @@ class TestSolve:
         certificate that the engine, the moduli and the depth choice read,
         as exact fractions."""
         ct = cert.constants
-        q = [F(0), F(1, 4), F(1, 2), F(3, 5), F(3, 4), F(17, 20)]
-        bvs = [ct.c1, ct.C, ct.M, ct.C_half_time, cert.epsilon, cert.L,
-               ct.C_alpha(F(1, 4)) * ct.M * ct.beta_value(F(3, 4), F(1, 4))]
-        bvs += [ct.C_alpha(a + b) for a in q for b in q]
+        bvs = [ct.C, ct.M, cert.epsilon, cert.L,
+               ct.M * ct.beta_value(F(3, 4), F(1, 4))]
         for mm in range(len(cert.M_beta_m[F(1, 4)])):
-            bvs.append(ct.C * ct.C_alpha(F(17, 20)) * ct.M *
-                       cert.M_beta_m[F(1, 4)][mm] * cert.M_beta_m[F(1, 2)][mm])
+            bvs.append(ct.C * ct.M * cert.M_beta_m[F(1, 4)][mm] *
+                       cert.M_beta_m[F(1, 2)][mm])
         return {(b.center.to_fraction(), b.radius.to_fraction()) for b in bvs}
 
     @pytest.mark.parametrize("datum", ["exact", "readme"])

@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from solenoid import polyfield as pf
 from solenoid import stokes as sk
-from solenoid.approxcore import BoundedValue, ConstantsTable, Name
+from solenoid.approxcore import BoundedValue, Name
 from solenoid.floatball import BallGrid, FloatBall, fb_sqrt
 from solenoid.helmholtz import VectorFieldName
 from solenoid.spectral import FourierField, mollified_field_pair
@@ -547,8 +547,70 @@ class TestSmoothing:
         ts = np.linspace(1e-4, 2.0, 4000)
         sup = float(np.max((ts * lam) ** alpha * np.exp(-ts * lam)))
         assert abs(sup - (alpha / math.e) ** alpha) < 1e-3
-        ca = float(ConstantsTable.default().C_alpha(F(1, 4)).upper())
-        assert ca >= sup - 1e-3
+        # the library's constant, 1, exceeds it
+        assert 1.0 >= sup - 1e-3
+
+    # the exponents the library's smoothing steps use: alpha = 0 and
+    # beta + 1/4 for the defect channels beta in {0, 1/4, 1/2, 3/5}
+    ALPHAS = (F(0), F(1, 4), F(1, 2), F(3, 4), F(17, 20))
+    TIMES = (F(1, 1024), F(1, 64), F(1, 4))
+
+    @staticmethod
+    def _nearest_mode(t, x):
+        """The mode (n, m), 1 <= n, m <= 12, whose lambda t lies nearest x,
+        where x t^-1 lambda^alpha e^{-lambda t} peaks."""
+        with mpmath.workdps(50):
+            return min(((n, m) for n in range(1, 13) for m in range(1, 13)),
+                       key=lambda nm: abs(mpmath.pi ** 2 * (nm[0] ** 2
+                                          + nm[1] ** 2) * t.numerator
+                                          / t.denominator - x))
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_unit_constant_at_every_exponent(self, alpha):
+        # ||A^alpha e^{-tA} a|| <= t^-alpha ||a||, mode by mode
+        # (lambda t)^alpha e^{-lambda t} <= (alpha/e)^alpha <= 1, at 50
+        # digits on every mode of the band and through the oracle's
+        # enclosures on the mode whose lambda t lies nearest alpha, where
+        # the ratio peaks
+        with mpmath.workdps(50):
+            a = mpmath.mpf(alpha.numerator) / alpha.denominator
+            peak = (a / mpmath.e) ** a if alpha else mpmath.mpf(1)
+            for t in self.TIMES:
+                tm = mpmath.mpf(t.numerator) / t.denominator
+                ratio = {}
+                for n in range(1, 13):
+                    for m in range(1, 13):
+                        x = mpmath.pi ** 2 * (n * n + m * m) * tm
+                        ratio[n, m] = x ** a * mpmath.exp(-x)
+                        assert ratio[n, m] <= peak <= 1
+                nm = self._nearest_mode(t, a)
+                rep = oracles.smoothing_bound_check(_sol_mode(*nm), alpha, t)
+                assert rep["ok"] and rep["margin"] >= 0, (alpha, t, nm)
+                # the enclosures hold the 50-digit ratio of the two sides
+                assert mpmath.mpf(rep["lhs_upper"]) >= \
+                    ratio[nm] * mpmath.mpf(rep["rhs_lower"]), (alpha, t, nm)
+
+    def test_half_time_bound_unit_constant(self):
+        # ||e^{-tA} a - a|| <= t^{1/2} ||A^{1/2} a||, mode by mode
+        # |e^{-x} - 1| <= sqrt(x) with x = lambda t, at 50 digits on every
+        # mode of the band, and through the library's semigroup and
+        # fractional-power norm on the mode nearest the peak of
+        # (1 - e^{-x})/sqrt(x)
+        with mpmath.workdps(50):
+            xs = mpmath.findroot(
+                lambda x: 2 * x * mpmath.exp(-x) - (1 - mpmath.exp(-x)), 1)
+            assert (1 - mpmath.exp(-xs)) / mpmath.sqrt(xs) < 0.64
+            for t in self.TIMES:
+                tm = mpmath.mpf(t.numerator) / t.denominator
+                for n in range(1, 13):
+                    for m in range(1, 13):
+                        x = mpmath.pi ** 2 * (n * n + m * m) * tm
+                        assert abs(mpmath.exp(-x) - 1) <= mpmath.sqrt(x)
+        for t, root in zip(self.TIMES, (F(1, 32), F(1, 8), F(1, 2))):
+            u = _sol_mode(*self._nearest_mode(t, xs))
+            moved = _pair_diff(sk.semigroup_apply(u, t, 30), u)
+            half = sk.frac_power_norm(u, F(1, 2))
+            assert moved <= float(root) * half.lower(), t
 
     def test_needs_positive_time(self):
         with pytest.raises(ValueError):
