@@ -12,17 +12,19 @@ Two numeric carriers live here:
 Transcendental enclosures (exp, log, sin, cos, Gamma, pi, Euler's gamma)
 are delegated to ``mpmath.iv`` interval arithmetic, with exact conversions
 in both directions.  Beta and the exponential integral E_1 are closed forms
-on them; no integral here is taken by quadrature.
+on them; no integral here is taken by quadrature.  mpmath is imported on the
+first such call (:func:`_mp`), not with this module: of the CLI commands,
+``horizon``, ``solve``, ``selftest`` and every command on a mollified
+element reach it; ``basis``, and ``semigroup``, ``fracpower``,
+``pressure`` and ``project`` on a component pair or a field, never load it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Union
-
-from mpmath import iv
-from mpmath.libmp import finf, fninf, to_rational
 
 __all__ = [
     "Dyadic",
@@ -341,18 +343,30 @@ class BoundedValue:
 # mpmath.iv bridge for transcendental enclosures
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _mp():
+    """mpmath's interval context ``iv`` and the mpf helpers ``finf``,
+    ``fninf`` and ``to_rational``, imported on first use: the import takes
+    about 40 ms, and most CLI commands never need it."""
+    from mpmath import iv
+    from mpmath.libmp import finf, fninf, to_rational
+    return iv, finf, fninf, to_rational
+
+
 def _iv_from_dyadic(d: Dyadic):
     # iv.mpf(int) rounds outward to the working precision; ldexp is exact.
+    iv = _mp()[0]
     return iv.ldexp(iv.mpf(d.m), d.e)
 
 
 def _iv_from_bv(x: BoundedValue):
     lo = _iv_from_dyadic(x.center - x.radius)
     hi = _iv_from_dyadic(x.center + x.radius)
-    return lo + (hi - lo) * iv.mpf([0, 1])
+    return lo + (hi - lo) * _mp()[0].mpf([0, 1])
 
 
 def _mpf_tuple_to_fraction(t) -> Fraction:
+    _, finf, fninf, to_rational = _mp()
     if t in (finf, fninf):
         raise OverflowError("infinite interval endpoint")
     p, q = to_rational(t)
@@ -365,57 +379,60 @@ def _bv_from_iv(x, prec: int) -> BoundedValue:
                                        _mpf_tuple_to_fraction(hi), prec)
 
 
-def _iv_call(fun, x: BoundedValue, prec: int) -> BoundedValue:
+def _iv_call(name: str, x: BoundedValue, prec: int) -> BoundedValue:
+    """The enclosure of ``iv.<name>`` at x, worked at prec + 10 bits."""
+    iv = _mp()[0]
     old = iv.prec
     try:
         iv.prec = prec + 10
-        return _bv_from_iv(fun(_iv_from_bv(x)), prec)
+        return _bv_from_iv(getattr(iv, name)(_iv_from_bv(x)), prec)
     finally:
         iv.prec = old
 
 
 def bv_exp(x: BoundedValue, prec: int = DEFAULT_PREC) -> BoundedValue:
-    return _iv_call(iv.exp, x, prec)
+    return _iv_call("exp", x, prec)
 
 
 def bv_log(x: BoundedValue, prec: int = DEFAULT_PREC) -> BoundedValue:
     if x.lower() <= 0:
         raise ValueError("log of interval touching zero")
-    return _iv_call(iv.log, x, prec)
+    return _iv_call("log", x, prec)
 
 
 def bv_sin(x: BoundedValue, prec: int = DEFAULT_PREC) -> BoundedValue:
-    return _iv_call(iv.sin, x, prec)
+    return _iv_call("sin", x, prec)
 
 
 def bv_cos(x: BoundedValue, prec: int = DEFAULT_PREC) -> BoundedValue:
-    return _iv_call(iv.cos, x, prec)
+    return _iv_call("cos", x, prec)
 
 
 def bv_gamma(x: BoundedValue, prec: int = DEFAULT_PREC) -> BoundedValue:
     """Gamma function of a positive enclosure."""
     if x.lower() <= 0:
         raise ValueError("gamma needs a positive interval")
-    return _iv_call(iv.gamma, x, prec)
+    return _iv_call("gamma", x, prec)
 
 
-def _iv_constant(const, prec: int) -> BoundedValue:
+def _iv_constant(name: str, prec: int) -> BoundedValue:
     # an mpmath constant is evaluated at the precision current when read
+    iv = _mp()[0]
     old = iv.prec
     try:
         iv.prec = prec + 10
-        return _bv_from_iv(const, prec)
+        return _bv_from_iv(getattr(iv, name), prec)
     finally:
         iv.prec = old
 
 
 def bv_pi(prec: int = DEFAULT_PREC) -> BoundedValue:
-    return _iv_constant(iv.pi, prec)
+    return _iv_constant("pi", prec)
 
 
 def bv_euler(prec: int = DEFAULT_PREC) -> BoundedValue:
     """Euler's constant gamma = 0.5772..."""
-    return _iv_constant(iv.euler, prec)
+    return _iv_constant("euler", prec)
 
 
 def bv_sqrt(x: BoundedValue, prec: int = DEFAULT_PREC) -> BoundedValue:

@@ -177,9 +177,30 @@ def _emit(config: RunConfig, payload: dict) -> None:
         with open(config.output_path, "w") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
+        _write_stdout(text)
     if config.emit_csv:
         _write_csv(config.emit_csv, payload)
+
+
+def _write_stdout(text: str) -> None:
+    """Write all of ``text`` to standard output.
+
+    A write-through text stream (as under PYTHONUNBUFFERED) drops what a
+    partial write(2) left over, and a signal that interrupts a write to a
+    full pipe makes one: the artifact would end at 64 KiB with exit 0.  So
+    the encoded text goes to the file descriptor in a loop that resumes
+    after each partial write; a stream with no descriptor (a StringIO, a
+    test capture) is written as a stream.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding))
+    while data:
+        data = data[os.write(fd, data):]
 
 
 def _write_csv(path: str, payload: dict) -> None:

@@ -142,6 +142,15 @@ def weighted_sq_terms(basis: str, grids: BallGrid, kind: str = None, q=0,
 # FourierField
 # ---------------------------------------------------------------------------
 
+def _ratio_rows(g: np.ndarray) -> list:
+    """Each entry of the float grid g as str(Fraction(v)), "n" or "n/d",
+    read off v.as_integer_ratio() without building a Fraction; nan and inf
+    raise as Fraction does."""
+    return [["%d/%d" % nd if nd[1] != 1 else str(nd[0])
+             for nd in map(float.as_integer_ratio, row)]
+            for row in g.tolist()]
+
+
 class FourierField:
     """One scalar component expanded in a product trig basis on (0,1)^2.
 
@@ -317,14 +326,13 @@ class FourierField:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        def grid_json(g):
-            return [[str(Fraction(v)) for v in row] for row in g]
+        rows, cols = self.grid.shape
         out = {
             "basis": self.basis,
             "cutoff": self.cutoff,
-            "re": grid_json(self.grid.c),
-            "im": grid_json(np.zeros_like(self.grid.c)),
-            "rad": grid_json(self.grid.r),
+            "re": _ratio_rows(self.grid.c),
+            "im": [["0"] * cols for _ in range(rows)],
+            "rad": _ratio_rows(self.grid.r),
             "tail_l2": str(Fraction(self.tail_l2.upper())),
         }
         if self.tail_hs:
@@ -494,7 +502,9 @@ def _h1_models() -> Tuple[np.ndarray, np.ndarray, BallGrid, np.ndarray]:
     sup as remainder.  From depth 2 on, a panel with b < 1 keeps the
     midpoint series once the Lagrange remainder |c_ORDER| H^ORDER, with
     c_ORDER the recurrence over the whole panel and H the half-width, is
-    at most _H1_TOL (2^-30 past depth 40).
+    at most _H1_TOL (2^-30 past depth 40).  The midpoint series of every
+    kept model come from one recurrence after the last level; each ball
+    operation is entrywise, so each row has the bits of its own panel's.
     """
     g0 = _fb_gamma0()
     parts = []
@@ -511,18 +521,16 @@ def _h1_models() -> Tuple[np.ndarray, np.ndarray, BallGrid, np.ndarray]:
             top = _h1_coeffs(box, g0, _H1_ORDER + 1)[:, _H1_ORDER]
             rem[model] = top.mag() * half ** _H1_ORDER
         done = rem <= (2.0 ** -30 if depth >= 40 else _H1_TOL)
-        coef = BallGrid.zeros((int(done.sum()), _H1_ORDER))
-        fit = model[done]
-        if fit.any():
-            coef.set(fit, _h1_coeffs(BallGrid(mid[done][fit]), g0, _H1_ORDER))
-        parts.append((num[done], np.full(len(coef.c), den, dtype=object),
-                      coef.c, coef.r, rem[done]))
+        parts.append((num[done], np.full(int(done.sum()), den, dtype=object),
+                      mid[done], model[done], rem[done]))
         split = j[~done]
         j, depth = np.concatenate([2 * split, 2 * split + 1]), depth + 1
-    num, den, c, r, rem = (np.concatenate(x) for x in zip(*parts))
-    order = np.argsort(num / den)
-    return (num[order].astype(object), den[order],
-            BallGrid(c[order], r[order]), rem[order])
+    num, den, mid, fit, rem = (np.concatenate(x) for x in zip(*parts))
+    order = np.argsort(mid)
+    num, den, mid, fit, rem = (x[order] for x in (num, den, mid, fit, rem))
+    coef = BallGrid.zeros((len(num), _H1_ORDER))
+    coef.set(fit, _h1_coeffs(BallGrid(mid[fit]), g0, _H1_ORDER))
+    return num.astype(object), den, coef, rem
 
 
 _AB_TERMS = 12     # power-series terms of the A_t, B_t tables for y < 2

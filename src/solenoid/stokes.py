@@ -60,9 +60,13 @@ __all__ = [
 
 BETA_OF_PI = Fraction(3, 5)           # the contour half-angle is 3 pi / 5
 
-# cos(3 pi/5) < 0 < sin(3 pi/5), as tight balls
-_CB = FloatBall.from_bounded(cos_contour_angle(60))
-_SB = FloatBall.from_bounded(bv_sin(bv_pi(70).scale(BETA_OF_PI), 60))
+
+@lru_cache(maxsize=None)
+def _contour_angle() -> Tuple[FloatBall, FloatBall]:
+    """cos(3 pi/5) < 0 < sin(3 pi/5), as tight balls; built on first use,
+    since the enclosures import mpmath."""
+    return (FloatBall.from_bounded(cos_contour_angle(60)),
+            FloatBall.from_bounded(bv_sin(bv_pi(70).scale(BETA_OF_PI), 60)))
 
 
 def _as_bv(x) -> BoundedValue:
@@ -102,7 +106,7 @@ def tail_cutoff_l(t, norm_a, K: int) -> BoundedValue:
     # a float pre-search with the closed-form bound e^{tcl}/(t|c|l pi sin
     # beta) only steers the search: the cutoff it finds is certified below
     nf = FloatBall.from_bounded(norm).upper()
-    c = FloatBall.from_bounded(cos_contour_angle(60)).upper()
+    c = _contour_angle()[0].upper()
     tl = FloatBall.from_bounded(t).lower()
     l = 1.0
     while l < 1e12:
@@ -128,7 +132,7 @@ def _panels(t_hi: float, l: float, lam_min: float):
     Widths are capped so that |z| = t h <= 1.6 (exponential moments) and
     h <= 0.42 sin(beta) max(lam_min, r) (geometric ratio below 0.45).
     """
-    sb_lo = _SB.lower()
+    sb_lo = _contour_angle()[1].lower()
     out = []
     a = 0.0
     while a < l:
@@ -200,7 +204,8 @@ def contour_factors(svals, t: FloatBall, l: float):
     lam = BallGrid(s) * _PI2
     lam = CBall(lam.c + 0j, lam.r)
     lam_min = _PI2.lower() * float(s.min())
-    eib = CBall.of(_CB, _SB)
+    cb, sb = _contour_angle()
+    eib = CBall.of(cb, sb)
     t_hi = t.upper()
     if not t.lower() > 0:
         raise ValueError("contour quadrature needs t > 0")
@@ -208,14 +213,14 @@ def contour_factors(svals, t: FloatBall, l: float):
     panels = _panels(t_hi, l, lam_min)
     for mid, h in panels:
         hb, mb = FloatBall(h), FloatBall(mid)
-        z = CBall.of(t * _CB * hb, t * _SB * hb)
+        z = CBall.of(t * cb * hb, t * sb * hb)
         zmag = z.mag()
         if zmag > 2.0:
             raise RuntimeError("moment series argument out of range")
         ez = fb_exp(FloatBall(zmag)).upper()
         A = _exp_moments(z, ez)
-        ex = fb_exp(t * _CB * mb)
-        sph, cph = fb_sincos(t * _SB * mb)
+        ex = fb_exp(t * cb * mb)
+        sph, cph = fb_sincos(t * sb * mb)
         heib = eib * CBall(h + 0j)
         pref = CBall.of(ex * cph, ex * sph) * heib
         inv = CBall(mid + 0j).mul_add(eib, lam).reciprocal()

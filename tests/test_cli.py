@@ -10,8 +10,11 @@ documented exit codes.
 import argparse
 import json
 import math
+import os
+import pathlib
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -60,6 +63,20 @@ def small_pair(tmp_path):
 
 def _run(*argv):
     return cli.main(list(argv))
+
+
+def _child_env(**extra):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    return {**os.environ, "PYTHONPATH": str(root / "src"), **extra}
+
+
+def _readme_element(tmp_path):
+    elem = pf.mollify(pf.solenoidal_kernel(4)[0], 1, 2)
+    path = tmp_path / "element.json"
+    path.write_text(json.dumps({"schema": cli.SCHEMA, "kind": "element",
+                                "base": elem.base.to_json(),
+                                "k": 1, "n": 2}))
+    return str(path)
 
 
 class TestBasis:
@@ -121,13 +138,9 @@ class TestProject:
     def test_element_input(self, tmp_path):
         # a projected element keeps its L2 tail; the reported divergence is
         # that of the band part
-        elem = pf.mollify(pf.solenoidal_kernel(4)[0], 1, 2)
-        path = tmp_path / "element.json"
-        path.write_text(json.dumps({"schema": cli.SCHEMA, "kind": "element",
-                                    "base": elem.base.to_json(),
-                                    "k": 1, "n": 2}))
+        path = _readme_element(tmp_path)
         out = tmp_path / "proj.json"
-        assert _run("project", "--input", str(path), "--precision", "8",
+        assert _run("project", "--input", path, "--precision", "8",
                     "--output", str(out)) == 0
         payload = json.loads(out.read_text())
         assert (payload["u1"]["basis"], payload["u2"]["basis"]) == ("sc", "cs")
@@ -370,3 +383,67 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(out.read_text())["count"] == 2
+
+
+class TestColdProcess:
+    def test_light_commands_leave_mpmath_unloaded(self, mode11):
+        # mpmath (about 40 ms of import) waits for the first transcendental
+        # enclosure, which none of these commands asks for; the ball of
+        # bv_pi(60) is the one mpmath gave when it was imported up front
+        commands = [
+            ["basis", "--degree", "4", "--count", "3"],
+            ["semigroup", "--t", "1/8", "--input", mode11],
+            ["pressure", "--point", "1/3,2/5", "--input", mode11],
+            ["pressure", "--point", "1/3,2/5", "--path",
+             "0,0;0,2/5;1/3,2/5", "--input", mode11],
+            ["fracpower", "--alpha", "1/4", "--input", mode11],
+            ["project", "--input", mode11],
+        ]
+        code = "\n".join([
+            "import contextlib, io, json, sys",
+            "from solenoid import cli",
+            "assert 'mpmath' not in sys.modules, 'import'",
+            "for argv in json.loads(sys.argv[1]):",
+            "    with contextlib.redirect_stdout(io.StringIO()):",
+            "        assert cli.main(argv) == 0, argv",
+            "    assert 'mpmath' not in sys.modules, argv",
+            "from solenoid.approxcore import bv_pi",
+            "ball = bv_pi(60)",
+            "assert 'mpmath' in sys.modules",
+            "print(json.dumps(ball.to_json(), sort_keys=True))"])
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(commands)],
+            capture_output=True, text=True, timeout=120, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "c": {"m": "905502432259640355", "e": -58},
+            "r": {"m": "153", "e": -67}}
+
+    def test_artifact_survives_signals_on_a_full_pipe(self, tmp_path):
+        # unbuffered standard output, a 10 ms SIGALRM timer and a reader
+        # that waits: the README element's projection (65 580 bytes)
+        # overfills the 64 KiB pipe, and a signal during the blocked write
+        # returns a partial count, which must not end the artifact
+        path = _readme_element(tmp_path)
+        code = "\n".join([
+            "import signal, sys",
+            "from solenoid import cli",
+            "signal.signal(signal.SIGALRM, lambda *a: None)",
+            "sys.stderr.write('ready\\n')",
+            "signal.setitimer(signal.ITIMER_REAL, 0.01, 0.01)",
+            "rc = cli.main(['project', '--input', sys.argv[1]])",
+            "signal.setitimer(signal.ITIMER_REAL, 0)",
+            "sys.exit(rc)"])
+        with subprocess.Popen(
+                [sys.executable, "-c", code, path], stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                env=_child_env(PYTHONUNBUFFERED="1")) as proc:
+            try:
+                assert proc.stderr.readline() == b"ready\n"
+                time.sleep(1.5)
+                out = proc.stdout.read()
+                assert proc.wait(timeout=120) == 0, proc.stderr.read()
+            finally:
+                proc.kill()
+        assert len(out) > 65536
+        assert json.loads(out)["kind"] == "pair"

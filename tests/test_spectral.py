@@ -424,6 +424,38 @@ class TestJson:
             g = FourierField.from_json(json.loads(text))
         assert len(set(texts)) == 1
 
+    def test_strings_are_exact_ratios(self):
+        # each written centre and radius is str(Fraction(v)) of the double v,
+        # signed zero, subnormals and the largest double included
+        rng = np.random.default_rng(2026)
+        bits = rng.integers(0, 2 ** 63, 2000, dtype=np.uint64) \
+            | (rng.integers(0, 2, 2000, dtype=np.uint64) << np.uint64(63))
+        doubles = bits.view(np.float64)
+        doubles = doubles[np.isfinite(doubles)][:500]
+        special = [0.0, -0.0, 1.0, -1.0, 2.0 ** -1074, 5e-324,
+                   np.finfo(np.float64).max, 1 / 3]
+        vals = np.concatenate([special, doubles])
+        assert len(vals) == 508
+        c = np.zeros(23 * 23)
+        c[:len(vals)] = vals
+        c = c.reshape(23, 23)
+        obj = FourierField("cc", 22, BallGrid(c, np.abs(c))).to_json()
+        for key, grid in (("re", c), ("rad", np.abs(c))):
+            assert obj[key] == [[str(F(v)) for v in row] for row in grid]
+        assert obj["im"] == [["0"] * 23] * 23
+        assert obj["re"][0][1] == "0" and obj["re"][0][5] == "1/" + str(
+            2 ** 1074)
+
+    @pytest.mark.parametrize("v, exc", [(math.nan, ValueError),
+                                        (math.inf, OverflowError),
+                                        (-math.inf, OverflowError)])
+    def test_non_finite_entries_raise(self, v, exc):
+        with pytest.raises(exc):
+            F(v)
+        f = FourierField("cc", 1, BallGrid([[0.0, v], [0.0, 0.0]]))
+        with pytest.raises(exc):
+            f.to_json()
+
     @settings(max_examples=60, deadline=None)
     @given(c=st.fractions(min_value=-4, max_value=4, max_denominator=10 ** 12),
            r=st.fractions(min_value=0, max_value=1, max_denominator=10 ** 12),
@@ -606,6 +638,25 @@ class TestH1Models:
                                  for t in range(_H1_ORDER))
                     err = abs(_mp_h1(mid + x) - model) - spread
                     assert err <= rem[p], (n, d, i)
+
+    def test_rows_match_their_own_midpoint_recurrence(self):
+        # the coefficients come from one recurrence over all kept midpoints;
+        # each row has the bits of the recurrence at its midpoint alone, and
+        # a zero row is a panel whose sup of h1 is the remainder
+        num, den, coef, rem = _h1_models()
+        g0 = spectral._fb_gamma0()
+        models = 0
+        for p, (n, d) in enumerate(zip(num, den)):
+            if not (coef.c[p].any() or coef.r[p].any()):
+                assert rem[p] == spectral._h1_edge_bound(
+                    np.array([(n - 1) / d]), g0)[0]
+                continue
+            one = spectral._h1_coeffs(BallGrid(np.array([n / d])), g0,
+                                      _H1_ORDER)
+            assert np.array_equal(one.c[0], coef.c[p]), (n, d)
+            assert np.array_equal(one.r[0], coef.r[p]), (n, d)
+            models += 1
+        assert models > len(num) // 2
 
 
 class TestMollifierGrid:
