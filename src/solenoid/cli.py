@@ -207,7 +207,7 @@ def _write_csv(path: str, payload: dict) -> None:
     """Flat coefficient table for external plotting."""
     rows = []
     for label in ("u1", "u2", "field"):
-        obj = payload.get(label) or payload.get("result", {}).get(label)
+        obj = payload.get(label)
         if not isinstance(obj, dict) or "re" not in obj:
             continue
         for n, row in enumerate(obj["re"]):

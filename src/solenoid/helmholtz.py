@@ -10,9 +10,9 @@ sin.cos (coefficients a) and u2 in cos.sin (coefficients b),
     (P u)_{2,n,m} = (n^2 b_{n,m} - n m a_{n,m}) / (n^2+m^2)   (cos.sin)
 
 for n, m >= 1; modes with n = 0 or m = 0 are gradients and project to zero.
-Both mode factors are bounded by 1, so discarded input mass of total L2 size
-t contributes at most sqrt(2) t per output component; that is the only tail
-a projection carries.
+Both mode factors are bounded by 1, so an input perturbation (the tails) of
+total L2 size t contributes at most sqrt(2) t per output component; that is
+the only tail a projection carries.
 
 Worked example: u = (0, cos pi x sin pi y), i.e. a = 0, b = 1 at n = m = 1.
 Then Delta phi = -pi sin pi x sin pi y, so phi = sin pi x sin pi y / (2 pi)
@@ -102,12 +102,6 @@ class VectorFieldName:
         return _as_pair(self.name.refine(k))
 
 
-def _pair_tail_sq(f1: FourierField, f2: FourierField) -> FloatBall:
-    """Enclosure of t1^2 + t2^2 for the pair's tail bounds t1, t2."""
-    return BallGrid(np.array([f1.tail_l2.upper(),
-                              f2.tail_l2.upper()])).sumsq_ball()
-
-
 @lru_cache(maxsize=None)
 def _mode_factors(cut: int) -> Tuple[BallGrid, BallGrid, BallGrid]:
     """The projection's mode factors m^2, n^2 and n m over n^2 + m^2 for
@@ -137,7 +131,8 @@ def project_pair(f1: FourierField, f2: FourierField) \
     mm, nn, nm = _mode_factors(cut)
     p1 = mm * g1 + -(nm * g2)
     p2 = nn * g2 + -(nm * g1)
-    tail_sq = _pair_tail_sq(f1, f2)
+    tail_sq = BallGrid(np.array([f1.tail_l2.upper(),
+                                 f2.tail_l2.upper()])).sumsq_ball()
     tail = FloatBall(0.0) if tail_sq.upper() == 0.0 else \
         FloatBall.from_endpoints(0.0, fb_sqrt(tail_sq * 2.0).upper())
     return (FourierField("sc", cut, p1, tail),
@@ -151,8 +146,8 @@ def divergence(f1: FourierField, f2: FourierField) -> FourierField:
 
 
 def truncation_index(u, K: int) -> int:
-    """Smallest N with 2 sum_{max(n,m) >= N} (a^2 + b^2) rho <= 2^-2(K+1),
-    tails of the presented pair included.
+    """Smallest N with 2 (d1^2 + d2^2) <= 2^-2(K+1), for d_j the tail of
+    component j truncated below N (`FourierField.truncation_tail`).
 
     For a band-limited pair with cutoff c the answer is at most c + 1.
     """
@@ -161,16 +156,10 @@ def truncation_index(u, K: int) -> int:
     f1, f2 = _as_pair(u, K + 2)
     cut = max(f1.cutoff, f2.cutoff)
     a, b = f1._embedded(cut), f2._embedded(cut)
-    n = np.arange(cut + 1)
-    ring = np.maximum.outer(n, n)
-    tail_sq = _pair_tail_sq(f1, f2)
     target = 0.25 ** (K + 1) / 2
     for N in range(cut + 2):
-        # the pair mass with max(n, m) >= N, tails included
-        beyond = ring >= N
-        mass = a.grid.sumsq_ball(a.weights() * beyond) + \
-            b.grid.sumsq_ball(b.weights() * beyond) + tail_sq
-        if mass.upper() <= target:
+        d1, d2 = a.truncation_tail(N - 1), b.truncation_tail(N - 1)
+        if (d1 * d1 + d2 * d2).upper() <= target:
             return N
     raise ValueError("tail mass does not certify at this precision")
 

@@ -87,6 +87,15 @@ def _tail_add(a: FloatBall, b: FloatBall) -> FloatBall:
     return a + b
 
 
+def _widened(norm: FloatBall, tail: FloatBall) -> FloatBall:
+    """``norm`` widened by the tail at both ends, kept >= 0: ||f|| is within
+    t of ||g|| when ||f - g|| <= t.  A zero tail returns ``norm``."""
+    if tail.upper() == 0.0:
+        return norm
+    w = norm.widened(tail.upper())
+    return w if w.lower() >= 0.0 else FloatBall.from_endpoints(0.0, w.upper())
+
+
 _PI2 = FB_PI * FB_PI
 
 
@@ -114,28 +123,23 @@ def mode_weights(cutoff: int, kind: str, q: Fraction) -> BallGrid:
 def _row_weights(basis: str, cutoff: int, kind: str, q: Fraction) -> BallGrid:
     """The weights of a row of `weighted_sq_terms`: the L2 weight of each
     mode times its `mode_weights` entry (the L2 weight alone without a
-    kind), flattened, then 1 for the tail.  Cached and read-only."""
+    kind), flattened.  Cached and read-only."""
     w = BallGrid(_weights(basis, cutoff))
     if kind is not None:
         w = w * mode_weights(cutoff, kind, q)
-    out = BallGrid(np.append(w.c, 1.0), np.append(w.r, 0.0))
+    out = w.reshape(-1)
     out.c.flags.writeable = out.r.flags.writeable = False
     return out
 
 
-def weighted_sq_terms(basis: str, grids: BallGrid, kind: str = None, q=0,
-                      tail: float = 0.0) -> Tuple[BallGrid, BallGrid]:
+def weighted_sq_terms(basis: str, grids: BallGrid, kind: str = None,
+                      q=0) -> Tuple[BallGrid, BallGrid]:
     """The terms of `FourierField.weighted_sq_ball` for every grid of a
-    (k, n+1, n+1) stack in ``basis``, each with the tail bound ``tail``:
-    k rows, each a grid's balls and then the tail, and the weights of a
-    row, 1 for the tail.  `BallGrid.sumsq_rows` of them gives the k
-    sums."""
+    (k, n+1, n+1) stack in ``basis``: k rows, each a grid's balls, and the
+    weights of a row.  `BallGrid.sumsq_rows` of them gives the k sums."""
     k, cutoff = grids.shape[0], grids.shape[-1] - 1
-    rows = BallGrid(np.concatenate((grids.c.reshape(k, -1), np.zeros((k, 1))),
-                                   axis=1),
-                    np.concatenate((grids.r.reshape(k, -1),
-                                    np.full((k, 1), tail)), axis=1))
-    return rows, _row_weights(basis, cutoff, kind, Fraction(q))
+    return (grids.reshape(k, -1),
+            _row_weights(basis, cutoff, kind, Fraction(q)))
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +159,12 @@ class FourierField:
     """One scalar component expanded in a product trig basis on (0,1)^2.
 
     ``grid`` stores expansion coefficients a_{n,m} (so that the function is
-    sum a_{n,m} trig(n pi x) trig(m pi y)); ``tail_l2`` bounds the L2 mass of
-    all modes beyond ``cutoff``.  ``basis`` is two characters, x-axis factor
-    first, 's' or 'c'.
+    sum a_{n,m} trig(n pi x) trig(m pi y)); ``basis`` is two characters,
+    x-axis factor first, 's' or 'c'.  The field names every f with
+    ||f - g||_2 <= ``tail_l2`` (and ||f - g||_{H^s} <= ``tail_hs[s]``) for
+    some g whose coefficients lie in the balls, f - g anywhere in the
+    spectrum.  Only the norms and `truncation_tail` below read a tail, by
+    the triangle inequality: the band norm widened by it at both ends.
     """
 
     __slots__ = ("basis", "cutoff", "grid", "tail_l2", "tail_hs")
@@ -246,36 +253,38 @@ class FourierField:
 
     # -- norms --------------------------------------------------------------
 
-    def weighted_sq_ball(self, kind: str = None, q=0,
-                         tail: FloatBall = None) -> FloatBall:
+    def weighted_sq_ball(self, kind: str = None, q=0) -> FloatBall:
         """sum over the band of w rho a^2, with w = mode_weights(cutoff,
-        kind, q) (1 without a kind) and rho the L2 weight of the mode, plus
-        [0, t^2] for the mass beyond the band when a tail bound t is given;
-        one sum under the gamma_n rule of `BallGrid.sumsq_ball`."""
-        t = 0.0 if tail is None else tail.upper()
+        kind, q) (1 without a kind) and rho the L2 weight of the mode; one
+        sum under the gamma_n rule of `BallGrid.sumsq_ball`, without the
+        tail."""
         n = self.cutoff + 1
         return BallGrid.sumsq_ball(*weighted_sq_terms(
-            self.basis, self.grid.reshape(1, n, n), kind, q, t))
+            self.basis, self.grid.reshape(1, n, n), kind, q))
 
     def l2_sq_ball(self) -> FloatBall:
-        return self.weighted_sq_ball(tail=self.tail_l2)
+        """The square of `l2_norm_ball` (the band's sum if band-limited)."""
+        if self.band_limited():
+            return self.weighted_sq_ball()
+        norm = self.l2_norm_ball()
+        lo, hi = FloatBall(norm.lower()), FloatBall(norm.upper())
+        return FloatBall.from_endpoints(max((lo * lo).lower(), 0.0),
+                                        (hi * hi).upper())
 
     def l2_norm_ball(self) -> FloatBall:
-        return fb_sqrt(self.l2_sq_ball())
+        return _widened(fb_sqrt(self.weighted_sq_ball()), self.tail_l2)
 
     def hs_norm(self, s) -> FloatBall:
-        """Sobolev norm (sum (1+n^2+m^2)^s rho a^2)^(1/2); at s=0 this is the
-        L2 norm.  Needs a band-limited field or a stored tail for this s."""
+        """Sobolev norm (sum (1+n^2+m^2)^s rho a^2)^(1/2) widened by the
+        H^s tail; at s=0 this is the L2 norm.  Needs a band-limited field
+        or a stored tail for this s."""
         s = Fraction(s)
         if s == 0:
             return self.l2_norm_ball()
-        if self.band_limited():
-            tail = FloatBall(0.0)
-        elif s in self.tail_hs:
-            tail = self.tail_hs[s]
-        else:
+        tail = FloatBall(0.0) if self.band_limited() else self.tail_hs.get(s)
+        if tail is None:
             raise ValueError("insufficient data: no H^%s tail bound" % s)
-        return fb_sqrt(self.weighted_sq_ball("sobolev", s, tail))
+        return _widened(fb_sqrt(self.weighted_sq_ball("sobolev", s)), tail)
 
     def sup_upper(self) -> float:
         """Upper bound on the sup norm: sum of coefficient magnitudes."""
@@ -284,18 +293,20 @@ class FourierField:
 
     # -- analysis operations ------------------------------------------------
 
-    def truncated(self, cap: int) -> "FourierField":
-        """Drop modes beyond ``cap``, folding their mass into the tail."""
-        if cap >= self.cutoff:
-            return self
+    def truncation_tail(self, cap: int) -> FloatBall:
+        """The tail of `truncated(cap)` (cap = -1 keeps no mode): the tail
+        plus the norm of the balls beyond ``cap``."""
         w = self.weights()
         w[:cap + 1, :cap + 1] = 0.0
         extra = fb_sqrt(self.grid.sumsq_ball(w))
-        g = BallGrid(self.grid.c[:cap + 1, :cap + 1].copy(),
-                     self.grid.r[:cap + 1, :cap + 1].copy())
-        return FourierField(self.basis, cap, g,
-                            self.tail_l2 + FloatBall.from_rounded(
-                                0.0, extra.upper()))
+        return self.tail_l2 + FloatBall.from_rounded(0.0, extra.upper())
+
+    def truncated(self, cap: int) -> "FourierField":
+        """Drop modes beyond ``cap``, adding their norm to the tail."""
+        if cap >= self.cutoff:
+            return self
+        return FourierField(self.basis, cap, self.grid[:cap + 1, :cap + 1],
+                            self.truncation_tail(cap))
 
     def derivative(self, axis: int) -> "FourierField":
         """Termwise derivative; sin and cos swap along the derived axis."""

@@ -254,7 +254,8 @@ def _emit(fields, pairp):
 
 
 def _l2_upper(fields) -> float:
-    """Upper bound on the joint L2 norm of fields, tails included."""
+    """Upper bound on the joint L2 norm of fields: the root of the sum of
+    their `l2_sq_ball`, each field's band norm widened by its tail."""
     return fb_sqrt(sum(f.l2_sq_ball() for f in fields)).upper()
 
 

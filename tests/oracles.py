@@ -1569,3 +1569,41 @@ def rounded_root_exponent(mx: Fraction, bound16: Fraction, g_sup: float,
         if j > j_max:
             return None
     return j
+
+
+# ---------------------------------------------------------------------------
+# a tail that is an in-band perturbation
+# ---------------------------------------------------------------------------
+
+def in_band_pair(delta: Fraction = Fraction(1, 64)):
+    """A (sin.cos, cos.sin) pair at cutoff 3 whose balls are exact points
+    off the field it names by delta at mode (1, 1), in the direction that
+    makes the band norms too large, with that perturbation as its tails:
+    tail_l2 = delta sqrt(rho) = delta / 2 and tail_hs[1] >= delta sqrt(3) / 2
+    (rho = 1/4, 1 + n^2 + m^2 = 3).  Returns the pair and the exact
+    coefficients {(j, n, m): Fraction} of the named field, every one at
+    n, m >= 1, where rho = 1/4."""
+    named = {(0, 1, 1): Fraction(3, 4) - delta, (0, 1, 2): Fraction(1, 2),
+             (0, 2, 1): Fraction(-1, 4), (1, 1, 1): Fraction(-1, 2) + delta,
+             (1, 2, 3): Fraction(3, 8)}
+    shown = dict(named)
+    shown[(0, 1, 1)] += delta
+    shown[(1, 1, 1)] -= delta
+    tail = FloatBall.from_endpoints(0.0, float(delta / 2))
+    h1 = FloatBall.from_endpoints(0.0, (fb_sqrt(FloatBall(3.0))
+                                        * FloatBall(float(delta / 2))).upper())
+    pair = []
+    for j, basis in enumerate(("sc", "cs")):
+        g = np.zeros((4, 4))
+        for (i, n, m), v in shown.items():
+            if i == j:
+                g[n, m] = float(v)
+        pair.append(FourierField(basis, 3, BallGrid(g), tail, {Fraction(1): h1}))
+    return tuple(pair), named
+
+
+def named_sq_norm(coeffs, j: int, s: int = 0) -> Fraction:
+    """sum (1 + n^2 + m^2)^s rho c^2 over component j of coefficients at
+    n, m >= 1 (rho = 1/4): the squared H^s norm, exactly."""
+    return sum((1 + n * n + m * m) ** s * v * v / 4
+               for (i, n, m), v in coeffs.items() if i == j)

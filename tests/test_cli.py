@@ -200,6 +200,14 @@ class TestHorizonAndSolve:
                     "--output", str(tmp_path / "x.json")) \
             == cli.EXIT_HORIZON
 
+    def test_solve_at_time_zero_meets_its_budget(self, tmp_path):
+        # solve at --precision 12 runs iterate at 2^-13; at t = 0 the
+        # README element's expansion carries tails of 2.05e-4 jointly, over
+        # 2^-13, so the budget is not met
+        assert _run("solve", "--input", _readme_element(tmp_path), "--t",
+                    "0", "--precision", "12",
+                    "--output", str(tmp_path / "x.json")) == cli.EXIT_BUDGET
+
     def test_constants_override_consumed(self, tmp_path, small_pair,
                                          monkeypatch):
         table = ConstantsTable(M=BoundedValue.exact(2))

@@ -25,6 +25,7 @@ from solenoid.nse import IterationCertificate, compute_horizon
 from solenoid.spectral import FourierField, coefficients
 from solenoid.stokes import frac_power_apply, semigroup_apply
 
+import oracles
 from oracles import inner_l2
 
 EL = pf.mollify(pf.solenoidal_kernel(4)[0], 1, 2)
@@ -194,6 +195,17 @@ class TestTruncationIndex:
         with pytest.raises(ValueError):
             truncation_index(_mode_pair(1, 1, 1, 1), -1)
 
+    @pytest.mark.parametrize("K", [3, 5, 7])
+    def test_projected_tail_meets_its_budget(self, K):
+        # truncation_index(u, K + 1) promises 2 (d1^2 + d2^2) <= 2^-2(K+2)
+        # for the tails d_j of the truncated pair, so the projection's tail
+        # sqrt(2 (d1^2 + d2^2)) stays within 2^-(K+2); adding the squared
+        # tails to the band mass (the reading of a tail as mass beyond the
+        # band) let it reach 1.33 times that at K = 7
+        p1, p2 = project(EL_PAIR, K)
+        for p in (p1, p2):
+            assert p.tail_l2.upper() <= 2.0 ** -(K + 2) * (1 + 1e-12)
+
 
 class TestProjectOnNames:
     def test_solenoidal_element_close_to_itself(self):
@@ -216,6 +228,26 @@ class TestProjectOnNames:
         pK = project(EL_PAIR, 5)
         pK2 = project(EL_PAIR, 7)
         assert _pair_diff_norm(pK, pK2) <= 2.0 ** -5 + 2.0 ** -7
+
+    def test_in_band_tail_survives(self):
+        # a tail that bounds a perturbation inside the band passes through
+        # the projection, and each output norm holds the norm of P applied
+        # to the named field: (P f)_1 = (m^2 a - n m b) / (n^2 + m^2),
+        # (P f)_2 = (n^2 b - n m a) / (n^2 + m^2) at n, m >= 1
+        pair, named = oracles.in_band_pair()
+        out = project(pair, 3)
+        modes = {(n, m) for _, n, m in named}
+        proj = {}
+        for n, m in modes:
+            a, b = named.get((0, n, m), 0), named.get((1, n, m), 0)
+            d = n * n + m * m
+            proj[(0, n, m)] = F(m * m * a - n * m * b, d)
+            proj[(1, n, m)] = F(n * n * b - n * m * a, d)
+        for j, p in enumerate(out):
+            assert p.tail_l2.upper() >= pair[j].tail_l2.upper()
+            sq = oracles.named_sq_norm(proj, j)
+            norm = p.l2_norm_ball()
+            assert F(norm.lower()) ** 2 <= sq <= F(norm.upper()) ** 2
 
     def test_mollified_element_accepted(self):
         p1, p2 = project(EL, 4)

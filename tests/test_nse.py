@@ -638,6 +638,29 @@ class TestIterate:
             ref = coefficients(EL, 64)
             assert _center_diff(p, ref) <= 2.0 ** -4 + _pair_slack(p)
 
+    def test_initial_value_states_its_distance(self):
+        # at mode cap 24 the README element's seed_res (6.13e-4) meets
+        # 2^-8, so t = 0 returns the seed: its tail must bound the seed's
+        # distance to the datum, which the expansion at cutoff 128 puts at
+        # least 4.5e-5 away in each component
+        c = nse.compute_horizon(EL, mode_cap=24)
+        p = nse.iterate(EL, c, 3, 0, 8)
+        assert [f.cutoff for f in p] == [24, 24]
+        assert nse._norm2([f.tail_l2.upper() for f in p]).upper() <= 2.0 ** -8
+        for f, g in zip(p, spectral.mollified_field_pair(EL, 128)):
+            assert F(f.tail_l2.upper()) >= c.seed_res / 2
+            band = floatball.fb_sqrt((nse._strip_tail(g) - f).weighted_sq_ball())
+            assert band.lower() - g.tail_l2.upper() > 4.5e-5
+            assert (band + g.tail_l2).upper() <= f.tail_l2.upper()
+
+    def test_initial_value_budget_enforced(self):
+        # at 2^-13 the floor 6.13e-4 rules out the seed, and the element's
+        # own expansion carries tails 1.45e-4 each, 2.05e-4 jointly: more
+        # than the 2^-13 = 1.22e-4 the call asks for
+        c = nse.compute_horizon(EL, mode_cap=24)
+        with pytest.raises(nse.BudgetError):
+            nse.iterate(EL, c, 3, 0, 13)
+
     def test_m_zero_is_semigroup(self):
         c = _cert()
         t = c.T_frac / 2
@@ -1166,6 +1189,54 @@ class TestSolve:
         [(m, result)] = lifts
         assert result.panels == 1
         assert len(calls) == m
+
+    _WITNESS = {}
+
+    @classmethod
+    def _witness(cls, mode_cap):
+        """The exact datum with stream function a sin pi x sin 2 pi y +
+        b sin 2 pi x sin pi y, (a, b) = (5/64, -3/64), its exact
+        coefficients and its certificate at ``mode_cap``."""
+        if mode_cap not in cls._WITNESS:
+            a, b = F(5, 64), F(-3, 64)
+            named = {(0, 1, 2): 2 * a, (0, 2, 1): b,
+                     (1, 1, 2): -a, (1, 2, 1): -2 * b}
+            grids = [np.zeros((3, 3)), np.zeros((3, 3))]
+            for (j, n, m), v in named.items():
+                grids[j][n, m] = float(v)
+            pair = (FourierField("sc", 2, BallGrid(grids[0])),
+                    FourierField("cs", 2, BallGrid(grids[1])))
+            cls._WITNESS[mode_cap] = (pair, named, nse.compute_horizon(
+                pair, mode_cap=mode_cap))
+        return cls._WITNESS[mode_cap]
+
+    @pytest.mark.parametrize("mode_cap", [2, 12])
+    @pytest.mark.parametrize("K", [8, 20])
+    def test_exact_datum_enclosed(self, mode_cap, K):
+        # u(t) = e^{-5 pi^2 t} u0; at K = 8 solve takes the small-time
+        # route, whose tail 2^-10 bounds a move of the seed inside the
+        # band, and at K = 20 the engine route: on both every norm holds
+        # the true one, and every exact coefficient lies in its ball
+        # widened by tail / sqrt(rho) = 2 tail
+        pair, named, c = self._witness(mode_cap)
+        T = c.T_frac
+        u = nse.solve(pair, None, T, K, cert=c)
+        with mp.workdps(40):
+            decay = mp.exp(-5 * mp.pi ** 2 * T.numerator / T.denominator)
+            for j, f in enumerate(u):
+                sq = sum(v * v / 4 for (i, _, _), v in named.items() if i == j)
+                norm = f.l2_norm_ball()
+                true = mp.sqrt(mp.mpf(sq.numerator) / sq.denominator) * decay
+                assert mp.mpf(norm.lower()) <= true <= mp.mpf(norm.upper())
+                slack = 2 * mp.mpf(f.tail_l2.upper())
+                for n in range(f.cutoff + 1):
+                    for m in range(f.cutoff + 1):
+                        if f.weights()[n, m] == 0:
+                            continue
+                        v = named.get((j, n, m), F(0))
+                        exact = mp.mpf(v.numerator) / v.denominator * decay
+                        assert abs(mp.mpf(f.grid.c[n, m]) - exact) <= \
+                            mp.mpf(f.grid.r[n, m]) + slack
 
     def test_zero_data_zero_solution(self):
         z = (FourierField.zero("sc", 2), FourierField.zero("cs", 2))

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from solenoid import polyfield as pf
 from solenoid import spectral
 from solenoid.approxcore import BoundedValue, ConstantsTable, Name, bv_pi
-from solenoid.floatball import BallGrid, FloatBall
+from solenoid.floatball import BallGrid, FloatBall, fb_sqrt
 from solenoid.polyfield import poly_inner_on_box
 from solenoid.spectral import (
     _H1_ORDER, FourierField, SobolevName, _ab_grid,
@@ -310,20 +310,23 @@ class TestModeWeights:
                                                 ("cc", "sobolev", F(6, 5))])
     def test_row_weights_cached_read_only(self, basis, kind, q):
         # the weights of a `weighted_sq_terms` row are built once per
-        # (basis, cutoff, kind, q), bit for bit the product of the L2 mode
-        # weights and `mode_weights` with 1 appended for the tail, and a
+        # (basis, cutoff, kind, q), bit for bit the (N+1)^2 products of the
+        # L2 mode weights and `mode_weights` with no slot for a tail, and a
         # norm leaves them as they were
         rows, w = spectral.weighted_sq_terms(
             basis, BallGrid.zeros((2, 9, 9)), kind, q)
+        assert (rows.shape, w.shape) == ((2, 81), (81,))
         assert spectral.weighted_sq_terms(
             basis, BallGrid.zeros((1, 9, 9)), kind, q)[1] is w
         assert not w.c.flags.writeable and not w.r.flags.writeable
         ref = BallGrid(spectral._weights(basis, 8))
         if kind is not None:
             ref = ref * mode_weights(8, kind, F(q))
-        before = (np.append(ref.c, 1.0), np.append(ref.r, 0.0))
-        f = FourierField(basis, 8, BallGrid(np.ones((9, 9)), 0.5))
-        f.weighted_sq_ball(kind, q, FloatBall(0.25))
+        before = (ref.c.reshape(-1), ref.r.reshape(-1))
+        f = FourierField(basis, 8, BallGrid(np.ones((9, 9)), 0.5),
+                         FloatBall.from_endpoints(0.0, 0.25))
+        f.weighted_sq_ball(kind, q)
+        f.l2_norm_ball()
         for x, y in zip(before, (w.c, w.r)):
             assert np.array_equal(x.view(np.int64), y.view(np.int64))
 
@@ -341,6 +344,51 @@ class TestModeWeights:
         for extra in (0, mp.mpf(1) / 16):
             ref = mp.sqrt(band + extra)
             assert mp.mpf(got.lower()) <= ref <= mp.mpf(got.upper())
+
+
+def _holds(ball, sq) -> bool:
+    """Whether the ball holds the root of the exact Fraction sq."""
+    ref = mp.sqrt(mp.mpf(sq.numerator) / sq.denominator)
+    return mp.mpf(ball.lower()) <= ref <= mp.mpf(ball.upper())
+
+
+class TestTailMeaning:
+    """A tail bounds a perturbation anywhere in the spectrum, and only
+    `FourierField`'s norms read it: the band norm widened by the tail."""
+
+    def test_in_band_perturbation_norms(self):
+        pair, named = oracles.in_band_pair()
+        for j, f in enumerate(pair):
+            l2, h1 = (oracles.named_sq_norm(named, j, s) for s in (0, 1))
+            assert _holds(f.l2_norm_ball(), l2)
+            assert _holds(f.hs_norm(1), h1)
+            assert f.l2_sq_ball().contains(l2)
+            # the balls alone miss: the tail must widen both ends
+            assert not _holds(fb_sqrt(f.weighted_sq_ball()), l2)
+
+    def test_square_of_the_norm_ball(self):
+        f = oracles.in_band_pair()[0][1]
+        norm, sq = f.l2_norm_ball(), f.l2_sq_ball()
+        assert F(sq.lower()) <= F(norm.lower()) ** 2
+        assert F(sq.upper()) >= F(norm.upper()) ** 2
+
+    def test_zero_tail_leaves_band_norm(self):
+        rng = np.random.default_rng(5)
+        f = FourierField("sc", 6, BallGrid(rng.normal(size=(7, 7)), 1e-9))
+        band = f.weighted_sq_ball()
+        for got, ref in ((f.l2_sq_ball(), band),
+                         (f.l2_norm_ball(), fb_sqrt(band)),
+                         (f.hs_norm(1),
+                          fb_sqrt(f.weighted_sq_ball("sobolev", 1)))):
+            assert (got.c, got.r) == (ref.c, ref.r)
+
+    def test_tail_survives_json(self):
+        pair, named = oracles.in_band_pair()
+        for j, f in enumerate(pair):
+            g = FourierField.from_json(json.loads(json.dumps(f.to_json())))
+            assert g.tail_l2.upper() >= f.tail_l2.upper()
+            assert _holds(g.l2_norm_ball(), oracles.named_sq_norm(named, j))
+            assert _holds(g.hs_norm(1), oracles.named_sq_norm(named, j, 1))
 
 
 class TestExpBridge:

@@ -256,6 +256,27 @@ class TestSemigroup:
         nout = math.sqrt((o1.l2_sq_ball() + o2.l2_sq_ball()).upper())
         assert nout <= nin + 2.0 ** -8
 
+    def test_in_band_tail_survives(self):
+        # the tail bounds a perturbation inside the band; e^{-tA} does not
+        # increase it, so it passes through, and each output norm holds the
+        # norm of e^{-tA} applied to the named field
+        pair, named = oracles.in_band_pair()
+        t = F(1, 32)
+        out = sk.semigroup_apply(pair, t, 12)
+        with mpmath.workdps(40):
+            for j, (o, f) in enumerate(zip(out, pair)):
+                assert o.tail_l2.upper() >= f.tail_l2.upper()
+                sq = mpmath.mpf(0)
+                for (i, n, m), v in named.items():
+                    if i == j:
+                        lam_t = (n * n + m * m) * t
+                        sq += mpmath.mpf(v.numerator) ** 2 / v.denominator ** 2 \
+                            / 4 * mpmath.exp(-2 * mpmath.pi ** 2 * lam_t.numerator
+                                             / lam_t.denominator)
+                norm = o.l2_norm_ball()
+                assert mpmath.mpf(norm.lower()) <= mpmath.sqrt(sq) \
+                    <= mpmath.mpf(norm.upper())
+
     def test_commutes_with_frac_power(self):
         u = FourierField.single_mode("sc", 2, 3, 1.0)
         a = sk.frac_power_apply(sk.semigroup_apply(u, F(1, 4), 12), F(1, 2))
