@@ -39,23 +39,22 @@ import numpy as np
 from .approxcore import Name
 from .floatball import BallGrid, FloatBall, fb_sqrt
 from .polyfield import MollifiedElement
-from .spectral import FourierField, mollified_field_pair
+from .spectral import FourierField, resolve_element
 
 __all__ = [
     "VectorFieldName", "resolve_field", "project", "project_pair",
     "divergence", "truncation_index",
 ]
 
-_ELEMENT_CUTOFF = 64      # expansion cutoff for mollified-element arguments
-
 
 def resolve_field(u, k: int = None, hs_tails=()):
     """Concrete coefficients of a field argument.
 
-    A VectorFieldName is refined at precision level k, a MollifiedElement is
-    expanded at the fixed element cutoff (with H^s tail bounds for each s in
-    ``hs_tails``), and a pair of FourierFields or a single FourierField is
-    passed through unchanged; bases are not checked here.
+    A VectorFieldName is refined at precision level k; a MollifiedElement
+    is expanded by `spectral.resolve_element`, at the smallest cutoff whose
+    joint L2 tail meets 2^-k (at its first rung without a k), with H^s tail
+    bounds for each s in ``hs_tails``; a pair of FourierFields or a single
+    FourierField is passed through unchanged.  Bases are not checked here.
     """
     if isinstance(u, VectorFieldName):
         if k is None:
@@ -63,7 +62,7 @@ def resolve_field(u, k: int = None, hs_tails=()):
                              "and this call has none")
         return u.refine(k)
     if isinstance(u, MollifiedElement):
-        return mollified_field_pair(u, _ELEMENT_CUTOFF, hs_tails=hs_tails)
+        return resolve_element(u, k, hs_tails)
     if isinstance(u, FourierField) or (
             isinstance(u, tuple) and len(u) == 2
             and all(isinstance(f, FourierField) for f in u)):
@@ -168,14 +167,15 @@ def project(u, K: int) -> Tuple[FourierField, FourierField]:
     """2^-K approximation of the Helmholtz projection of u.
 
     ``u`` is a VectorFieldName, a MollifiedElement, or a concrete
-    (sin.cos, cos.sin) pair.  The budget splits as in the underlying
-    truncation estimate: half for resolving the name, half for the series
-    tail; the emitted pair is the truncated projection series itself, which
-    is divergence-free and band-limited apart from the certified tail.
+    (sin.cos, cos.sin) pair.  The argument resolves at 2^-(K+3), an eighth
+    of the budget, which leaves the truncation search room under its
+    2^-(K+2) target for the series tail; the emitted pair is the truncated
+    projection series itself, which is divergence-free and band-limited
+    apart from the certified tail.
     """
     if K < 0:
         raise ValueError("precision must be nonnegative")
-    f1, f2 = _as_pair(u, K + 1)
+    f1, f2 = _as_pair(u, K + 3)
     N = truncation_index((f1, f2), K + 1)
     cap = max(N - 1, 0)
     p1, p2 = project_pair(f1.truncated(cap), f2.truncated(cap))

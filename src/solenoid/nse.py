@@ -55,7 +55,7 @@ from .floatball import (
 from .helmholtz import VectorFieldName, _as_pair, project, project_pair
 from .polyfield import MollifiedElement
 from .spectral import (
-    _PI2, FourierField, SobolevName, _bilinear, _trig_values,
+    _PI2, FourierField, SobolevName, _bilinear, _norm2, _trig_values,
     axis_trig_moments, differentiate, mollified_field_pair, multiply,
     weighted_sq_terms,
 )
@@ -150,6 +150,8 @@ def nonlinearity(u, K: int, constants: ConstantsTable = None):
 
         return project(VectorFieldName(Name(pair_query, label="u.grad u")), K)
     if isinstance(u, MollifiedElement):
+        # not `spectral.resolve_element`: a rung here passes on the H^{6/5}
+        # product defect, not on an L2 tail (ROADMAP item 8 changes that)
         for cut in (32, 64, 128):
             pair = mollified_field_pair(u, cut, hs_tails=(Fraction(6, 5),))
             try:
@@ -179,11 +181,6 @@ def nonlinearity(u, K: int, constants: ConstantsTable = None):
     if defect > 2.0 ** -K:
         raise BudgetError("H^{6/5} tail data too coarse for this precision")
     return _fold_defect(nonlinearity_pair(*band), defect)
-
-
-def _norm2(xs) -> FloatBall:
-    """The Euclidean norm of the nonnegative floats xs, as a ball."""
-    return fb_sqrt(BallGrid(np.array(xs, dtype=float)).sumsq_ball())
 
 
 # ---------------------------------------------------------------------------

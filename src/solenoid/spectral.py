@@ -42,7 +42,7 @@ from .polyfield import (MollifiedElement, RationalPoly2, TrimmedField,
 
 __all__ = [
     "FourierField", "trig_poly_field", "coefficients", "mollified_field_pair",
-    "mollified_distance", "SobolevName", "differentiate", "multiply",
+    "resolve_element", "mollified_distance", "SobolevName", "differentiate", "multiply",
 ]
 
 TRIG_BASES = ("ss", "sc", "cs", "cc")
@@ -945,25 +945,47 @@ def _pair_tail_upper(elem: MollifiedElement, cutoff: int) -> Tuple[float, float]
     return out[0], out[1]
 
 
+def _norm2(xs) -> FloatBall:
+    """The Euclidean norm of the nonnegative floats xs, as a ball."""
+    return fb_sqrt(BallGrid(np.array(xs, dtype=float)).sumsq_ball())
+
+
+# the expansion cutoffs `resolve_element` tries, in order
+_ELEMENT_RUNGS = (64, 128, 256, 512, 1024, 2048)
+
+
+def resolve_element(elem: MollifiedElement, k: int = None,
+                    hs_tails=()) -> Tuple[FourierField, FourierField]:
+    """`mollified_field_pair` at the first rung of 64, 128, ..., 2048 whose
+    joint certified L2 tail, the `_norm2` of the two components' tails on
+    the canonical square, is at most 2^-k; at 64 when k is None.
+
+    The one rule by which every consumer picks an element's cutoff from a
+    precision.  A rung that misses costs its tails only, not a mollifier
+    grid; past the top rung the tail mass does not certify 2^-k
+    (ValueError).
+    """
+    if k is None:
+        return mollified_field_pair(elem, _ELEMENT_RUNGS[0], hs_tails)
+    for cutoff in _ELEMENT_RUNGS:
+        if _norm2(_pair_tail_upper(elem, cutoff)).upper() <= 2.0 ** -k:
+            return mollified_field_pair(elem, cutoff, hs_tails)
+    raise ValueError("tail mass does not certify at this precision")
+
+
 def mollified_distance(a: MollifiedElement, b: MollifiedElement,
                        kbits: int) -> BoundedValue:
-    """L2 distance on the original square with radius <= 2^-kbits."""
+    """L2 distance on the original square with radius <= 2^-kbits.
+
+    Each element resolves at 2^-(kbits+4), so the difference carries a
+    joint tail of at most 2^-(kbits+3) on the canonical square: a quarter
+    of the radius on the original one, where norms double.
+    """
     if kbits > MAX_COEFF_BITS - 4:
         raise ValueError("metric precision beyond the supported range "
                          "(kbits <= %d)" % (MAX_COEFF_BITS - 4))
-    target = 2.0 ** -(kbits + 1)
-    cutoff = None
-    for c in (8, 16, 32, 64, 128, 256, 512, 1024, 2048):
-        t1a, t2a = _pair_tail_upper(a, c)
-        t1b, t2b = _pair_tail_upper(b, c)
-        t1, t2 = FloatBall(t1a) + FloatBall(t1b), FloatBall(t2a) + FloatBall(t2b)
-        if 2.0 * fb_sqrt(t1 * t1 + t2 * t2).upper() <= target / 2:
-            cutoff = c
-            break
-    if cutoff is None:
-        raise ValueError("tail bound will not close at this precision")
-    fa1, fa2 = mollified_field_pair(a, cutoff)
-    fb1, fb2 = mollified_field_pair(b, cutoff)
+    fa1, fa2 = resolve_element(a, kbits + 4)
+    fb1, fb2 = resolve_element(b, kbits + 4)
     total = (fa1 - fb1).l2_sq_ball() + (fa2 - fb2).l2_sq_ball()
     dist = fb_sqrt(total) * FloatBall(2.0)
     out = dist.to_bounded()

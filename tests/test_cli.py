@@ -21,6 +21,7 @@ import pytest
 
 from solenoid import cli
 from solenoid import polyfield as pf
+from solenoid import spectral
 from solenoid.approxcore import BoundedValue, ConstantsTable
 from solenoid.floatball import BallGrid, FloatBall
 from solenoid.polyfield import SolenoidalPolyPair
@@ -202,11 +203,32 @@ class TestHorizonAndSolve:
 
     def test_solve_at_time_zero_meets_its_budget(self, tmp_path):
         # solve at --precision 12 runs iterate at 2^-13; at t = 0 the
-        # README element's expansion carries tails of 2.05e-4 jointly, over
-        # 2^-13, so the budget is not met
+        # README element resolves at rung 128, whose tails meet 2^-13
+        out = tmp_path / "x.json"
         assert _run("solve", "--input", _readme_element(tmp_path), "--t",
-                    "0", "--precision", "12",
-                    "--output", str(tmp_path / "x.json")) == cli.EXIT_BUDGET
+                    "0", "--precision", "12", "--output", str(out)) == 0
+        payload = json.loads(out.read_text())
+        assert sum(F(payload[c]["tail_l2"]) ** 2 for c in ("u1", "u2")) \
+            <= F(1, 2 ** 26)
+        # its expansion at cutoff 64, a concrete pair with tails of
+        # 2.05e-4 jointly, over 2^-13, cannot be refined: the budget is
+        # not met
+        elem = pf.mollify(pf.solenoidal_kernel(4)[0], 1, 2)
+        f1, f2 = spectral.mollified_field_pair(elem, 64)
+        pair = tmp_path / "pair.json"
+        pair.write_text(json.dumps({"schema": cli.SCHEMA, "kind": "pair",
+                                    "u1": f1.to_json(), "u2": f2.to_json()}))
+        assert _run("solve", "--input", str(pair), "--t", "0",
+                    "--precision", "12",
+                    "--output", str(out)) == cli.EXIT_BUDGET
+
+    def test_element_past_top_rung_is_a_precondition(self, tmp_path,
+                                                     monkeypatch):
+        # with 64 as the top rung, project --precision 10 asks the element
+        # for 2^-13, past its joint tail 2.05e-4 there
+        monkeypatch.setattr(spectral, "_ELEMENT_RUNGS", (64,))
+        assert _run("project", "--input", _readme_element(tmp_path),
+                    "--precision", "10") == cli.EXIT_PRECONDITION
 
     def test_constants_override_consumed(self, tmp_path, small_pair,
                                          monkeypatch):

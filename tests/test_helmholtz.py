@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from solenoid import helmholtz
+from solenoid import helmholtz, spectral
 from solenoid import polyfield as pf
 from solenoid.approxcore import Name
 from solenoid.floatball import BallGrid, FloatBall
@@ -252,6 +252,20 @@ class TestProjectOnNames:
     def test_mollified_element_accepted(self):
         p1, p2 = project(EL, 4)
         assert p1.basis == "sc" and p2.basis == "cs"
+
+    @pytest.mark.parametrize("K", [10, 12])
+    def test_element_meets_budget_past_rung_64(self, K):
+        # at cutoff 64 the element's joint tail 2.05e-4 left the truncation
+        # search no room from K = 10 on; resolved at 2^-(K+3), it does
+        p = project(EL, K)
+        assert spectral._norm2([f.tail_l2.upper() for f in p]).upper() \
+            <= 2.0 ** -K
+
+    def test_element_past_top_rung_rejected(self, monkeypatch):
+        # with 64 as the top rung, 2^-13 is past what the element certifies
+        monkeypatch.setattr(spectral, "_ELEMENT_RUNGS", (64,))
+        with pytest.raises(ValueError, match="does not certify"):
+            project(EL, 10)
 
 
 class TestValidation:

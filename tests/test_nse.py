@@ -654,12 +654,20 @@ class TestIterate:
             assert (band + g.tail_l2).upper() <= f.tail_l2.upper()
 
     def test_initial_value_budget_enforced(self):
-        # at 2^-13 the floor 6.13e-4 rules out the seed, and the element's
-        # own expansion carries tails 1.45e-4 each, 2.05e-4 jointly: more
-        # than the 2^-13 = 1.22e-4 the call asks for
+        # at 2^-13 the floor 6.13e-4 rules out the seed; the README element
+        # then resolves at rung 128, whose joint tail 3.68e-5 meets the
+        # 2^-13 = 1.22e-4 the call asks for
         c = nse.compute_horizon(EL, mode_cap=24)
+        p = nse.iterate(EL, c, 3, 0, 13)
+        assert [f.cutoff for f in p] == [128, 128]
+        assert nse._norm2([f.tail_l2.upper() for f in p]).upper() \
+            <= 2.0 ** -13
+        # a concrete pair cannot be refined: its expansion at cutoff 64
+        # carries tails 1.45e-4 each, 2.05e-4 jointly, over 2^-13
+        pair = spectral.mollified_field_pair(EL, 64)
+        c = nse.compute_horizon(pair, mode_cap=24)
         with pytest.raises(nse.BudgetError):
-            nse.iterate(EL, c, 3, 0, 13)
+            nse.iterate(pair, c, 3, 0, 13)
 
     def test_m_zero_is_semigroup(self):
         c = _cert()

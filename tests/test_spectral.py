@@ -8,8 +8,10 @@ spectral metric against the exact polynomial distance plus mollification
 defects.
 """
 
+import ast
 import json
 import math
+import pathlib
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -17,8 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from solenoid import helmholtz, spectral
 from solenoid import polyfield as pf
-from solenoid import spectral
 from solenoid.approxcore import BoundedValue, ConstantsTable, Name, bv_pi
 from solenoid.floatball import BallGrid, FloatBall, fb_sqrt
 from solenoid.polyfield import poly_inner_on_box
@@ -924,6 +926,61 @@ class TestMetric:
     def test_precision_cap(self):
         with pytest.raises(ValueError):
             mollified_distance(EL, EL2, 37)
+
+
+def _named_calls(tree):
+    """(innermost enclosing function name, call) for every call of a bare
+    name in a module tree."""
+    out = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else fn
+            if isinstance(child, ast.Call) and \
+                    isinstance(child.func, ast.Name):
+                out.append((inner, child))
+            visit(child, inner)
+    visit(tree, None)
+    return out
+
+
+class TestElementCutoffRule:
+    """Every consumer picks an element's cutoff from a precision through
+    `resolve_element`, the one search over the rungs."""
+
+    def test_consumers_reach_the_search(self, monkeypatch):
+        seen = []
+        real = spectral._pair_tail_upper
+
+        def tails(elem, cutoff):
+            seen.append(cutoff)
+            return real(elem, cutoff)
+        monkeypatch.setattr(spectral, "_pair_tail_upper", tails)
+        f1, _ = helmholtz.resolve_field(EL, 13)
+        assert (seen, f1.cutoff) == ([64, 128], 128)
+        seen.clear()
+        d = mollified_distance(EL, EL2, 10)
+        assert d.radius.to_fraction() <= F(1, 1 << 10)
+        assert seen[0] == 64 and len(seen) >= 3
+
+    def test_no_literal_cutoff_outside_the_nonlinearity(self):
+        # nse.nonlinearity keeps its own ladder: its rungs pass on the
+        # H^{6/5} product defect, not on an L2 tail
+        src = pathlib.Path(spectral.__file__).parent
+        for path in sorted(src.glob("*.py")):
+            for fn, call in _named_calls(ast.parse(path.read_text())):
+                where = (path.name, fn)
+                if call.func.id == "_pair_tail_upper":
+                    assert where == ("spectral.py", "resolve_element")
+                if call.func.id == "mollified_field_pair" and \
+                        isinstance(call.args[1], ast.Constant):
+                    assert where == ("nse.py", "nonlinearity")
+
+    def test_default_is_the_first_rung(self):
+        f1, f2 = spectral.resolve_element(EL)
+        g1, g2 = mollified_field_pair(EL, 64)
+        for f, g in ((f1, g1), (f2, g2)):
+            assert f.to_json() == g.to_json()
 
 
 class TestCoefficients:

@@ -26,7 +26,7 @@ from solenoid import stokes as sk
 from solenoid.approxcore import BoundedValue, Name
 from solenoid.floatball import BallGrid, FloatBall, fb_sqrt
 from solenoid.helmholtz import VectorFieldName
-from solenoid.spectral import FourierField, mollified_field_pair
+from solenoid.spectral import FourierField, _norm2, mollified_field_pair
 
 import oracles
 
@@ -255,6 +255,15 @@ class TestSemigroup:
                             for f in mollified_field_pair(EL, 64)))
         nout = math.sqrt((o1.l2_sq_ball() + o2.l2_sq_ball()).upper())
         assert nout <= nin + 2.0 ** -8
+
+    def test_element_resolves_at_its_budget(self):
+        # the expansion at cutoff 64 carries a joint tail of 2.05e-4 at
+        # every K; at K = 13 the element resolves at rung 256 instead, and
+        # its tail passes through the semigroup within the 2^-15 the
+        # resolver is asked for
+        out = sk.semigroup_apply(EL, F(1, 8), 13)
+        assert [f.cutoff for f in out] == [256, 256]
+        assert _norm2([f.tail_l2.upper() for f in out]).upper() <= 2.0 ** -15
 
     def test_in_band_tail_survives(self):
         # the tail bounds a perturbation inside the band; e^{-tA} does not
