@@ -10,9 +10,10 @@ sin.cos (coefficients a) and u2 in cos.sin (coefficients b),
     (P u)_{2,n,m} = (n^2 b_{n,m} - n m a_{n,m}) / (n^2+m^2)   (cos.sin)
 
 for n, m >= 1; modes with n = 0 or m = 0 are gradients and project to zero.
-Both mode factors are bounded by 1, so an input perturbation (the tails) of
-total L2 size t contributes at most sqrt(2) t per output component; that is
-the only tail a projection carries.
+Each mode's factor matrix [[m^2, -nm], [-nm, n^2]]/(n^2+m^2) is an
+orthogonal projection, so an input perturbation (the tails) of joint L2
+size t moves each output component by at most t; that is the only tail a
+projection carries.
 
 Worked example: u = (0, cos pi x sin pi y), i.e. a = 0, b = 1 at n = m = 1.
 Then Delta phi = -pi sin pi x sin pi y, so phi = sin pi x sin pi y / (2 pi)
@@ -37,9 +38,9 @@ from typing import Tuple
 import numpy as np
 
 from .approxcore import Name
-from .floatball import BallGrid, FloatBall, fb_sqrt
+from .floatball import BallGrid, FloatBall
 from .polyfield import MollifiedElement
-from .spectral import FourierField, resolve_element
+from .spectral import FourierField, _norm2, resolve_element
 
 __all__ = [
     "VectorFieldName", "resolve_field", "project", "project_pair",
@@ -120,8 +121,8 @@ def project_pair(f1: FourierField, f2: FourierField) \
         -> Tuple[FourierField, FourierField]:
     """Mode-wise Helmholtz projection of a concrete field pair.
 
-    Total and exact up to enclosure arithmetic; input tails propagate with
-    the factor sqrt(2) bound from the mode-factor estimate.
+    Total and exact up to enclosure arithmetic; each output component
+    carries the joint tail sqrt(t1^2 + t2^2) of the input tails.
     """
     f1, f2 = _as_pair((f1, f2))
     cut = max(f1.cutoff, f2.cutoff)
@@ -130,10 +131,9 @@ def project_pair(f1: FourierField, f2: FourierField) \
     mm, nn, nm = _mode_factors(cut)
     p1 = mm * g1 + -(nm * g2)
     p2 = nn * g2 + -(nm * g1)
-    tail_sq = BallGrid(np.array([f1.tail_l2.upper(),
-                                 f2.tail_l2.upper()])).sumsq_ball()
-    tail = FloatBall(0.0) if tail_sq.upper() == 0.0 else \
-        FloatBall.from_endpoints(0.0, fb_sqrt(tail_sq * 2.0).upper())
+    tails = [f1.tail_l2.upper(), f2.tail_l2.upper()]
+    tail = FloatBall(0.0) if not any(tails) else \
+        FloatBall.from_endpoints(0.0, _norm2(tails).upper())
     return (FourierField("sc", cut, p1, tail),
             FourierField("cs", cut, p2, tail))
 
@@ -145,7 +145,7 @@ def divergence(f1: FourierField, f2: FourierField) -> FourierField:
 
 
 def truncation_index(u, K: int) -> int:
-    """Smallest N with 2 (d1^2 + d2^2) <= 2^-2(K+1), for d_j the tail of
+    """Smallest N with d1^2 + d2^2 <= 2^-2(K+1), for d_j the tail of
     component j truncated below N (`FourierField.truncation_tail`).
 
     For a band-limited pair with cutoff c the answer is at most c + 1.
@@ -155,7 +155,7 @@ def truncation_index(u, K: int) -> int:
     f1, f2 = _as_pair(u, K + 2)
     cut = max(f1.cutoff, f2.cutoff)
     a, b = f1._embedded(cut), f2._embedded(cut)
-    target = 0.25 ** (K + 1) / 2
+    target = 0.25 ** (K + 1)
     for N in range(cut + 2):
         d1, d2 = a.truncation_tail(N - 1), b.truncation_tail(N - 1)
         if (d1 * d1 + d2 * d2).upper() <= target:

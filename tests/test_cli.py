@@ -451,9 +451,10 @@ class TestColdProcess:
 
     def test_artifact_survives_signals_on_a_full_pipe(self, tmp_path):
         # unbuffered standard output, a 10 ms SIGALRM timer and a reader
-        # that waits: the README element's projection (65 580 bytes)
-        # overfills the 64 KiB pipe, and a signal during the blocked write
-        # returns a partial count, which must not end the artifact
+        # that waits: the README element's projection at --precision 10
+        # (101 263 bytes) overfills the 64 KiB pipe, and a signal during
+        # the blocked write returns a partial count, which must not end the
+        # artifact
         path = _readme_element(tmp_path)
         code = "\n".join([
             "import signal, sys",
@@ -461,7 +462,8 @@ class TestColdProcess:
             "signal.signal(signal.SIGALRM, lambda *a: None)",
             "sys.stderr.write('ready\\n')",
             "signal.setitimer(signal.ITIMER_REAL, 0.01, 0.01)",
-            "rc = cli.main(['project', '--input', sys.argv[1]])",
+            "rc = cli.main(['project', '--precision', '10', '--input',",
+            "               sys.argv[1]])",
             "signal.setitimer(signal.ITIMER_REAL, 0)",
             "sys.exit(rc)"])
         with subprocess.Popen(
