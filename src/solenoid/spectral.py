@@ -42,7 +42,8 @@ from .polyfield import (MollifiedElement, RationalPoly2, TrimmedField,
 
 __all__ = [
     "FourierField", "trig_poly_field", "coefficients", "mollified_field_pair",
-    "resolve_element", "mollified_distance", "SobolevName", "differentiate", "multiply",
+    "resolve_element", "mollified_distance", "SobolevName", "differentiate",
+    "multiply",
 ]
 
 TRIG_BASES = ("ss", "sc", "cs", "cc")
@@ -229,8 +230,10 @@ class FourierField:
 
     def __add__(self, other: "FourierField") -> "FourierField":
         a, b, cut = self._aligned(other)
-        tails = {s: _tail_add(a.tail_hs[s], b.tail_hs[s])
-                 for s in a.tail_hs if s in b.tail_hs}
+        zero = FloatBall(0.0)      # a band-limited operand's H^s tails
+        tails = {s: _tail_add(a.tail_hs.get(s, zero), b.tail_hs.get(s, zero))
+                 for s in {**a.tail_hs, **b.tail_hs}
+                 if all(s in f.tail_hs or f.band_limited() for f in (a, b))}
         return FourierField(self.basis, cut, a.grid + b.grid,
                             _tail_add(a.tail_l2, b.tail_l2), tails)
 
@@ -585,7 +588,7 @@ def _ab_series(y: BallGrid, top: int) -> Tuple[BallGrid, BallGrid]:
 def _ab_moderate(q: Fraction, top: int) -> Tuple[BallGrid, BallGrid]:
     """A_t and B_t at y = q pi by the parts recurrence in 140-bit interval
     arithmetic, whose precision absorbs the recurrence's amplification of
-    roundoff by (t/y)^t at moderate y."""
+    roundoff by up to (t/y)^t."""
     prec = 140
     y = bv_pi(prec).scale(q)
     s, c = bv_sin(y, prec), bv_cos(y, prec)
@@ -598,42 +601,27 @@ def _ab_moderate(q: Fraction, top: int) -> Tuple[BallGrid, BallGrid]:
                  for vs in (cs, sn))
 
 
-def _ab_recurrence(num, den, top: int) -> Tuple[BallGrid, BallGrid]:
-    """A_t and B_t at y = (num/den) pi >> t by the parts recurrence
-    A_t = (sin y - t B_{t-1})/y, B_t = (t A_{t-1} - cos y)/y in balls."""
-    y = grid_pi_multiple(num, den)
-    s, c = grid_sincos_pi(num, den)
-    cs, sn = [s / y], [(y.one() - c) / y]
-    for t in range(1, top + 1):
-        tf = FloatBall(float(t))
-        cs, sn = cs + [(s - sn[-1] * tf) / y], sn + [(cs[-1] * tf - c) / y]
-    return tuple(BallGrid(np.stack([g.c for g in gs], -1),
-                          np.stack([g.r for g in gs], -1)) for gs in (cs, sn))
-
-
 def _ab_grid(num, den, top: int) -> Tuple[BallGrid, BallGrid]:
     """A_t = int_0^1 v^t cos(y v) dv and B_t = int_0^1 v^t sin(y v) dv for
     t = 0..top along a new last axis, at y = (num/den) pi > 0 for integer
     arrays num and den.
 
-    Three regimes keep absolute errors at the scale of the values: the power
-    series for y < 2, the 140-bit recurrence for moderate y (once per
-    distinct y), and the ball recurrence once y dominates t.
+    Two regimes keep absolute errors at the scale of the values: the power
+    series for y < 2 and the 140-bit recurrence otherwise (once per
+    distinct y).  The window transforms of an element at cutoff 2048 reach
+    y <= 4096 pi / 256 < 51 (scale nu >= 3, panel denominators >= 32).
     """
     num, den = np.broadcast_arrays(np.asarray(num, dtype=object),
                                    np.asarray(den, dtype=object))
     y = (num / den).astype(np.float64) * math.pi  # steering: regime pick
     out = (BallGrid.zeros(num.shape + (top + 1,)),
            BallGrid.zeros(num.shape + (top + 1,)))
-    small, large = y < 2.0, y > 4.0 * (top + 1)
+    small = y < 2.0
     if small.any():
         col = grid_pi_multiple(num[small], den[small])[:, None]
         for g, part in zip(out, _ab_series(col, top)):
             g.set(small, part)
-    if large.any():
-        for g, part in zip(out, _ab_recurrence(num[large], den[large], top)):
-            g.set(large, part)
-    for i in zip(*np.nonzero(~(small | large))):
+    for i in zip(*np.nonzero(~small)):
         for g, part in zip(out, _ab_moderate(Fraction(num[i], den[i]), top)):
             g.set(i, part)
     return out
@@ -936,13 +924,12 @@ def mollified_field_pair(elem: MollifiedElement, cutoff: int,
     return out[0], out[1]
 
 
-def _pair_tail_upper(elem: MollifiedElement, cutoff: int) -> Tuple[float, float]:
-    nu = elem.n + 1
-    out = []
-    for j, basis in ((1, "sc"), (2, "cs")):
-        _, l2_def, h1_def = _component_expansion(elem, j, basis, cutoff)
-        out.append(_mollified_tail(nu, cutoff, l2_def, h1_def).upper())
-    return out[0], out[1]
+def _pair_tail_upper(elem: MollifiedElement, cutoff: int) -> list:
+    """Both components' L2 tail bounds at ``cutoff``, without a mollifier
+    grid."""
+    defects = (_component_expansion(elem, j, basis, cutoff)[1:]
+               for j, basis in ((1, "sc"), (2, "cs")))
+    return [_mollified_tail(elem.n + 1, cutoff, *d).upper() for d in defects]
 
 
 def _norm2(xs) -> FloatBall:
@@ -950,21 +937,16 @@ def _norm2(xs) -> FloatBall:
     return fb_sqrt(BallGrid(np.array(xs, dtype=float)).sumsq_ball())
 
 
-# the expansion cutoffs `resolve_element` tries, in order
 _ELEMENT_RUNGS = (64, 128, 256, 512, 1024, 2048)
 
 
 def resolve_element(elem: MollifiedElement, k: int = None,
                     hs_tails=()) -> Tuple[FourierField, FourierField]:
-    """`mollified_field_pair` at the first rung of 64, 128, ..., 2048 whose
-    joint certified L2 tail, the `_norm2` of the two components' tails on
-    the canonical square, is at most 2^-k; at 64 when k is None.
-
-    The one rule by which every consumer picks an element's cutoff from a
-    precision.  A rung that misses costs its tails only, not a mollifier
-    grid; past the top rung the tail mass does not certify 2^-k
-    (ValueError).
-    """
+    """`mollified_field_pair` at the first of `_ELEMENT_RUNGS` whose joint
+    L2 tail (`_norm2` of the components' tails, canonical square) is at
+    most 2^-k, at the first without a k: the one rule by which a cutoff
+    follows from a precision.  A rung that misses costs its tails only;
+    past the top one the tail mass does not certify 2^-k (ValueError)."""
     if k is None:
         return mollified_field_pair(elem, _ELEMENT_RUNGS[0], hs_tails)
     for cutoff in _ELEMENT_RUNGS:
@@ -975,12 +957,8 @@ def resolve_element(elem: MollifiedElement, k: int = None,
 
 def mollified_distance(a: MollifiedElement, b: MollifiedElement,
                        kbits: int) -> BoundedValue:
-    """L2 distance on the original square with radius <= 2^-kbits.
-
-    Each element resolves at 2^-(kbits+4), so the difference carries a
-    joint tail of at most 2^-(kbits+3) on the canonical square: a quarter
-    of the radius on the original one, where norms double.
-    """
+    """L2 distance on the original square with radius <= 2^-kbits; each
+    element resolves at 2^-(kbits+4), a quarter of it once doubled."""
     if kbits > MAX_COEFF_BITS - 4:
         raise ValueError("metric precision beyond the supported range "
                          "(kbits <= %d)" % (MAX_COEFF_BITS - 4))

@@ -223,6 +223,24 @@ class TestFieldAlgebra:
         with pytest.raises(ValueError):
             f.hs_norm(1)
 
+    def test_sum_with_band_limited_keeps_hs_tail(self):
+        # a band-limited operand's H^s tail is 0 for every s, so a sum with
+        # it keeps the other operand's bound, in either order
+        rng = np.random.default_rng(3)
+        tailed = FourierField("sc", 2, BallGrid(rng.normal(size=(3, 3))),
+                              FloatBall.from_endpoints(0.0, 0.01),
+                              {F(1): FloatBall.from_endpoints(0.0, 0.02)})
+        band = FourierField("sc", 2, BallGrid(rng.normal(size=(3, 3))))
+        for total in (tailed + band, band + tailed):
+            assert total.tail_hs[F(1)].upper() == 0.02
+            norm = total.hs_norm(1)
+            assert norm.upper() - norm.lower() >= 0.04
+        # two tailed operands keep only the tails both store
+        other = FourierField("sc", 2, BallGrid(rng.normal(size=(3, 3))),
+                             FloatBall.from_endpoints(0.0, 0.01))
+        with pytest.raises(ValueError, match="no H\\^1 tail bound"):
+            (tailed + other).hs_norm(1)
+
 
 class TestFieldProperties:
     @settings(max_examples=40, deadline=None)
