@@ -957,8 +957,9 @@ def resolve_element(elem: MollifiedElement, k: int = None,
 
 def mollified_distance(a: MollifiedElement, b: MollifiedElement,
                        kbits: int) -> BoundedValue:
-    """L2 distance on the original square with radius <= 2^-kbits; each
-    element resolves at 2^-(kbits+4), a quarter of it once doubled."""
+    """L2 distance on the original square with radius <= 2^-kbits.  Each
+    element resolves at 2^-(kbits+4), so the tails of the difference take
+    at most a quarter of the radius there, where norms double."""
     if kbits > MAX_COEFF_BITS - 4:
         raise ValueError("metric precision beyond the supported range "
                          "(kbits <= %d)" % (MAX_COEFF_BITS - 4))

@@ -255,8 +255,9 @@ class TestProjectOnNames:
 
     @pytest.mark.parametrize("K", [10, 12])
     def test_element_meets_budget_past_rung_64(self, K):
-        # at cutoff 64 the element's joint tail 2.05e-4 left the truncation
-        # search no room from K = 10 on; resolved at 2^-(K+3), it does
+        # at cutoff 64 the element's joint tail 2.05e-4 would leave the
+        # truncation search no room from K = 10 on; resolved at 2^-(K+3),
+        # the element leaves it room
         p = project(EL, K)
         assert spectral._norm2([f.tail_l2.upper() for f in p]).upper() \
             <= 2.0 ** -K

@@ -257,10 +257,9 @@ class TestSemigroup:
         assert nout <= nin + 2.0 ** -8
 
     def test_element_resolves_at_its_budget(self):
-        # the expansion at cutoff 64 carries a joint tail of 2.05e-4 at
-        # every K; at K = 13 the element resolves at rung 256 instead, and
-        # its tail passes through the semigroup within the 2^-15 the
-        # resolver is asked for
+        # at cutoff 64 the element's joint tail is 2.05e-4, over 2^-15; at
+        # K = 13 it resolves at rung 256, and its tail passes through the
+        # semigroup within the 2^-15 the resolver is asked for
         out = sk.semigroup_apply(EL, F(1, 8), 13)
         assert [f.cutoff for f in out] == [256, 256]
         assert _norm2([f.tail_l2.upper() for f in out]).upper() <= 2.0 ** -15
