@@ -26,9 +26,9 @@ from typing import List, Optional, Tuple
 from . import nse
 from . import polyfield as pf
 from .approxcore import ConstantsTable
-from .helmholtz import divergence, project
+from .helmholtz import divergence, project, resolve_field
 from .polyfield import MollifiedElement
-from .spectral import FourierField, coefficients
+from .spectral import FourierField
 from .stokes import frac_power_apply, semigroup_apply
 
 SCHEMA = "solenoid/1"
@@ -351,7 +351,7 @@ def _run_selftest(config: RunConfig) -> dict:
     })
 
     elem = pf.mollify(basis[0], 1, 2)
-    pair = coefficients(elem, 32)
+    pair = resolve_field(elem)
     p1, p2 = project(pair, 6)
     report["checks"].append({
         "name": "projection-idempotence-budget",

@@ -41,7 +41,7 @@ from .polyfield import (MollifiedElement, RationalPoly2, TrimmedField,
                         gamma0, poly_inner_on_box)
 
 __all__ = [
-    "FourierField", "trig_poly_field", "coefficients", "mollified_field_pair",
+    "FourierField", "trig_poly_field", "mollified_field_pair",
     "resolve_element", "mollified_distance", "SobolevName", "differentiate",
     "multiply",
 ]
@@ -773,13 +773,10 @@ def _poly_ball_grid(q: RationalPoly2) -> BallGrid:
 
 
 def trig_poly_field(q: RationalPoly2, box, basis: str,
-                    cutoff: int, h1_sq: Optional[Fraction] = None) \
-        -> FourierField:
+                    cutoff: int) -> FourierField:
     """Expand a polynomial supported on ``box`` (inside (0,1)^2) in the given
-    basis.  The H^1 tail bound is valid when ``q`` vanishes on the box
-    boundary; pass ``h1_sq`` (exact integral of |grad q|^2 over the box) to
-    activate it, else the field carries no tail and represents the projection
-    onto modes <= cutoff.
+    basis.  The field carries no tail and represents the projection onto
+    modes <= cutoff; `_defects` bounds the discarded mass.
     """
     (x0, x1), (y0, y1) = box
     qg = _poly_ball_grid(q)
@@ -789,16 +786,7 @@ def trig_poly_field(q: RationalPoly2, box, basis: str,
     raw = ball_matmul(ball_matmul(BallGrid(mx.c.T, mx.r.T), qg), my)
     w = _weights(basis, cutoff)
     inv = np.where(w > 0, 1.0 / np.maximum(w, 1e-300), 0.0)
-    grid = BallGrid(raw.c * inv, raw.r * inv)
-    tail = FloatBall(0.0)
-    if h1_sq is not None:
-        l2_def, h1_def = _defects(FourierField(basis, cutoff, grid), q, box,
-                                  h1_sq)
-        # the H^1 defect bounds pi^2 (cutoff + 1)^2 times the discarded mass
-        h1_bound = FloatBall(h1_def) / (_PI2 * FloatBall.exact(
-            (cutoff + 1) ** 2))
-        tail = _root_tail(min(l2_def, h1_bound.upper()))
-    return FourierField(basis, cutoff, grid, tail)
+    return FourierField(basis, cutoff, BallGrid(raw.c * inv, raw.r * inv))
 
 
 def _root_tail(sq: float) -> FloatBall:
@@ -971,33 +959,6 @@ def mollified_distance(a: MollifiedElement, b: MollifiedElement,
     if out.radius.to_fraction() > Fraction(1, 1 << kbits):
         raise ValueError("distance enclosure too wide: %r" % out)
     return out
-
-
-def coefficients(f, cutoff: int, k: int = 30):
-    """Certified Fourier data of a supported field object.
-
-    Accepts a FourierField (re-truncation), a TrimmedField, or a
-    MollifiedElement (for the vector objects a pair of fields is returned).
-    Raises when the requested precision is beyond the pipeline or the object
-    class is unsupported; there is no generic point-sampling quadrature
-    because no evaluable-only inputs arise in the solver.
-    """
-    if k > MAX_COEFF_BITS:
-        raise ValueError("coefficient precision limited to %d bits"
-                         % MAX_COEFF_BITS)
-    if isinstance(f, FourierField):
-        return f.truncated(cutoff)
-    if isinstance(f, MollifiedElement):
-        return mollified_field_pair(f, cutoff)
-    if isinstance(f, TrimmedField):
-        box = _canonical_box(f)
-        out = []
-        for j, basis in ((1, "sc"), (2, "cs")):
-            q = _pullback_component(f, j)
-            out.append(trig_poly_field(q, box, basis, cutoff,
-                                       h1_sq=_component_h1_sq(q, box)))
-        return out[0], out[1]
-    raise TypeError("unsupported field object %r" % type(f).__name__)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,8 @@ from solenoid.helmholtz import divergence, project_pair
 from solenoid.polyfield import (
     constraint_matrix, matrix_rank, solenoidal_kernel,
 )
-from solenoid.spectral import FourierField, SobolevName, coefficients
+from solenoid.spectral import (FourierField, SobolevName,
+                               mollified_field_pair)
 from solenoid.stokes import frac_power_apply, semigroup_apply
 
 from oracles import contour_semigroup
@@ -127,7 +128,7 @@ def test_criterion_03_semigroup_contractivity():
     worst = 0.0
     for _ in range(20):
         elem = _random_element(rng)
-        pair = coefficients(elem, 8)
+        pair = mollified_field_pair(elem, 8)
         in_norm = math.hypot(
             math.sqrt(max(pair[0].l2_sq_ball().upper(), 0.0)),
             math.sqrt(max(pair[1].l2_sq_ball().upper(), 0.0)))

@@ -19,7 +19,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from solenoid import cli
+from solenoid import cli, helmholtz
 from solenoid import polyfield as pf
 from solenoid import spectral
 from solenoid.approxcore import BoundedValue, ConstantsTable
@@ -326,6 +326,18 @@ class TestSelftest:
         assert _run("selftest", "--output", str(out2)) == 0
         assert out1.read_bytes() == out2.read_bytes()
         assert json.loads(out1.read_text())["passed"] is True
+
+    def test_projection_follows_the_cutoff_rule(self, tmp_path):
+        # the selftest projects the element as `project` would, from the
+        # rule's default expansion
+        out = tmp_path / "s.json"
+        assert _run("selftest", "--output", str(out)) == 0
+        check, = [c for c in json.loads(out.read_text())["checks"]
+                  if c["name"] == "projection-idempotence-budget"]
+        elem = pf.mollify(pf.solenoidal_kernel(4)[0], 1, 2)
+        p1, _ = helmholtz.project(helmholtz.resolve_field(elem), 6)
+        assert (check["cutoff"], F(check["tail"])) == \
+            (p1.cutoff, F(p1.tail_l2.upper()))
 
 
 @pytest.fixture(scope="module")

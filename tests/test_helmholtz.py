@@ -22,14 +22,14 @@ from solenoid.helmholtz import (
     VectorFieldName, divergence, project, project_pair, truncation_index,
 )
 from solenoid.nse import IterationCertificate, compute_horizon
-from solenoid.spectral import FourierField, coefficients
+from solenoid.spectral import FourierField, mollified_field_pair
 from solenoid.stokes import frac_power_apply, semigroup_apply
 
 import oracles
 from oracles import inner_l2
 
 EL = pf.mollify(pf.solenoidal_kernel(4)[0], 1, 2)
-EL_PAIR = coefficients(EL, 32)
+EL_PAIR = mollified_field_pair(EL, 32)
 
 
 def _mode_pair(n, m, c1, c2, cutoff=None):
@@ -297,6 +297,7 @@ _RES_ARGS = {
     "element": lambda: EL,
     "field": lambda: _RES_PAIR[0],
     "swapped": lambda: _RES_PAIR[::-1],
+    "unsupported": lambda: "not a field",
 }
 _RES_OPS = {
     "project": lambda u: project(u, 4),
@@ -305,7 +306,7 @@ _RES_OPS = {
     "compute_horizon": lambda u: compute_horizon(u, mode_cap=8),
 }
 _LINEAR = {"pair": "sc/cs", "name": "sc/cs", "element": "sc/cs",
-           "field": "sc", "swapped": "cs/sc"}
+           "field": "sc", "swapped": "cs/sc", "unsupported": TypeError}
 _PAIR_ONLY = {"field": TypeError, "swapped": ValueError}
 _RES_EXPECTED = {
     "project": dict(_LINEAR, **_PAIR_ONLY),
@@ -313,7 +314,7 @@ _RES_EXPECTED = {
     "frac_power_apply": dict(_LINEAR, name=ValueError),
     "compute_horizon": dict({k: IterationCertificate
                              for k in ("pair", "name", "element")},
-                            **_PAIR_ONLY),
+                            unsupported=TypeError, **_PAIR_ONLY),
 }
 
 

@@ -23,7 +23,8 @@ from solenoid import spectral
 from solenoid.approxcore import BoundedValue, ConstantsTable, Name, bv_sqrt
 from solenoid.floatball import BallGrid, FloatBall
 from solenoid.helmholtz import VectorFieldName, divergence
-from solenoid.spectral import FourierField, SobolevName, coefficients
+from solenoid.spectral import (FourierField, SobolevName,
+                               mollified_field_pair)
 from solenoid.stokes import frac_power_apply, semigroup_apply
 
 from oracles import (CellEngine, WideCapEngine, _axis_extension, _extended,
@@ -449,7 +450,7 @@ class TestCertificate:
         assert c.T_frac > 0
 
     def test_doubling_shrinks_horizon(self):
-        pair = tuple(nse._strip_tail(f) for f in coefficients(EL, 16))
+        pair = tuple(nse._strip_tail(f) for f in mollified_field_pair(EL, 16))
         doubled = (pair[0].scale(F(2)), pair[1].scale(F(2)))
         c1 = nse.compute_horizon(pair, mode_cap=12)
         c2 = nse.compute_horizon(doubled, mode_cap=12)
@@ -458,7 +459,7 @@ class TestCertificate:
     def test_name_resolution_only_shrinks(self):
         # the exact pair is a finer presentation of the same field than a
         # name carrying the generic 2^-k resolution slack
-        pair = tuple(nse._strip_tail(f) for f in coefficients(EL, 16))
+        pair = tuple(nse._strip_tail(f) for f in mollified_field_pair(EL, 16))
         exact = nse.compute_horizon(pair, mode_cap=12)
         named = nse.compute_horizon(VectorFieldName.constant(*pair),
                                     mode_cap=12)
@@ -516,7 +517,7 @@ class TestClaim1Search:
 
     def test_certificate_horizons_match_rounded_root(self):
         z = (FourierField.zero("sc", 1), FourierField.zero("cs", 1))
-        pair = tuple(nse._strip_tail(f) for f in coefficients(EL, 16))
+        pair = tuple(nse._strip_tail(f) for f in mollified_field_pair(EL, 16))
         forcing = nse.Forcing.constant(*_sol_mode(1, 1, 0.5, cutoff=2))
         certs = {"readme": _cert(), "zero": nse.compute_horizon(z),
                  "name": nse.compute_horizon(VectorFieldName.constant(*pair),
@@ -635,7 +636,7 @@ class TestIterate:
         c = _cert()
         for m in (0, 2, 5):
             p = nse.iterate(EL, c, m, 0, 4)
-            ref = coefficients(EL, 64)
+            ref = mollified_field_pair(EL, 64)
             assert _center_diff(p, ref) <= 2.0 ** -4 + _pair_slack(p)
 
     def test_initial_value_states_its_distance(self):
@@ -968,7 +969,7 @@ class TestLevelEngine:
 
     @staticmethod
     def _forced_cert(forcing):
-        pair = tuple(nse._strip_tail(f) for f in coefficients(EL, 16))
+        pair = tuple(nse._strip_tail(f) for f in mollified_field_pair(EL, 16))
         return nse.compute_horizon(pair, mode_cap=12, forcing=forcing)
 
     @pytest.mark.parametrize("P", [1, 2, 3, 4, 8])
@@ -1274,7 +1275,7 @@ class TestSolve:
         # datum plus the closed-form constant-forcing integral
         f1, f2 = _sol_mode(1, 1, 0.01, cutoff=2)
         forcing = nse.Forcing.constant(f1, f2)
-        pair = tuple(nse._strip_tail(f) for f in coefficients(EL, 16))
+        pair = tuple(nse._strip_tail(f) for f in mollified_field_pair(EL, 16))
         c = nse.compute_horizon(pair, mode_cap=12, forcing=forcing)
         t = c.T_frac
         u = nse.iterate(pair, c, 0, t, 8, forcing=forcing)
@@ -1293,7 +1294,7 @@ class TestSolve:
     def test_forcing_shrinks_horizon(self):
         f1, f2 = _sol_mode(1, 1, 0.5, cutoff=2)
         forcing = nse.Forcing.constant(f1, f2)
-        pair = tuple(nse._strip_tail(f) for f in coefficients(EL, 16))
+        pair = tuple(nse._strip_tail(f) for f in mollified_field_pair(EL, 16))
         free = nse.compute_horizon(pair, mode_cap=12)
         forced = nse.compute_horizon(pair, mode_cap=12, forcing=forcing)
         assert forced.T_frac <= free.T_frac

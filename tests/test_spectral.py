@@ -27,7 +27,7 @@ from solenoid.polyfield import poly_inner_on_box
 from solenoid.spectral import (
     _H1_ORDER, FourierField, SobolevName, _ab_grid,
     _h1_models, _mollified_tail, _window_grid, axis_trig_moments,
-    coefficients, differentiate, mode_weights, mollified_distance,
+    differentiate, mode_weights, mollified_distance,
     mollified_field_pair, mollifier_mode_grid, multiply,
     trig_poly_field,
 )
@@ -177,12 +177,16 @@ class TestFieldAlgebra:
         assert ip.lower() <= sq.upper() and ip.upper() >= sq.lower()
 
     def test_truncation_folds_mass(self):
-        f = _field("cc", [[1.0, 0, 0], [0, 0, 0], [0, 0, 0.5]])
-        t = f.truncated(1)
-        assert t.cutoff == 1
-        # total mass is preserved inside the enclosure
-        assert t.l2_sq_ball().upper() >= 1.0 + 0.25 / 4 - 1e-12
-        assert t.tail_l2.upper() > 0
+        # dropping the corner mode alone, and alongside a kept diagonal one
+        for rows, mass in (([[1.0, 0, 0], [0, 0, 0], [0, 0, 0.5]],
+                            1.0 + 0.25 / 4),
+                           ([[1.0, 0, 0], [0, 0.5, 0], [0, 0, 0.25]],
+                            1.0 + 0.25 / 4 + 0.0625 / 4)):
+            t = _field("cc", rows).truncated(1)
+            assert t.cutoff == 1
+            # total mass is preserved inside the enclosure
+            assert t.l2_sq_ball().upper() >= mass - 1e-12
+            assert t.tail_l2.upper() > 0
 
     @given(c=grids3, r=grids3, tail=st.floats(min_value=0, max_value=1))
     def test_truncation_tail_contains_dropped_mass(self, c, r, tail):
@@ -581,6 +585,18 @@ class TestAxisMoments:
                     arr[1] = 0.0
 
 
+def _defect_tail(q, basis, cutoff):
+    """The expansion of q on BOX_HALF and the L2 tail its Parseval defects
+    (`spectral._defects`) bound: the L2 defect, or the H^1 defect over
+    pi^2 (cutoff + 1)^2, whichever is smaller; the mollified tail
+    multiplies the same two defects."""
+    f = trig_poly_field(q, BOX_HALF, basis, cutoff)
+    l2_def, h1_def = spectral._defects(
+        f, q, BOX_HALF, spectral._component_h1_sq(q, BOX_HALF))
+    return f, math.sqrt(min(l2_def,
+                            h1_def / (math.pi ** 2 * (cutoff + 1) ** 2)))
+
+
 class TestTrigPolyField:
     @pytest.mark.parametrize("k", [1, 3])
     def test_pullback_equals_two_step_composition(self, k):
@@ -623,20 +639,14 @@ class TestTrigPolyField:
     def test_parseval_contains_exact_mass(self):
         q = _pullback(EL.trimmed.component(1))
         exact = poly_inner_on_box(q, q, BOX_HALF)
-        from solenoid.spectral import _component_h1_sq
-        f = trig_poly_field(q, BOX_HALF, "sc", 24,
-                            h1_sq=_component_h1_sq(q, BOX_HALF))
+        f, tail = _defect_tail(q, "sc", 24)
         sq = f.l2_sq_ball()
-        assert sq.lower() <= float(exact) <= sq.upper()
-        assert f.tail_l2.upper() < 0.05
+        assert sq.lower() <= float(exact) <= sq.upper() + tail * tail
+        assert tail < 0.05
 
     def test_tail_shrinks_with_cutoff(self):
         q = _pullback(EL.trimmed.component(2))
-        from solenoid.spectral import _component_h1_sq
-        h1 = _component_h1_sq(q, BOX_HALF)
-        t8 = trig_poly_field(q, BOX_HALF, "cs", 8, h1_sq=h1).tail_l2.upper()
-        t32 = trig_poly_field(q, BOX_HALF, "cs", 32, h1_sq=h1).tail_l2.upper()
-        assert t32 < t8 / 4
+        assert _defect_tail(q, "cs", 32)[1] < _defect_tail(q, "cs", 8)[1] / 4
 
     def test_coefficient_against_grid_quadrature(self):
         q = _pullback(EL.trimmed.component(1))
@@ -947,16 +957,19 @@ class TestMetric:
 
 
 def _named_calls(tree):
-    """(innermost enclosing function name, call) for every call of a bare
-    name in a module tree."""
+    """(innermost enclosing function name, called name) for every call of
+    a bare name or an attribute (``spectral.f(...)``) in a module tree."""
     out = []
 
     def visit(node, fn):
         for child in ast.iter_child_nodes(node):
             inner = child.name if isinstance(child, ast.FunctionDef) else fn
-            if isinstance(child, ast.Call) and \
-                    isinstance(child.func, ast.Name):
-                out.append((inner, child))
+            if isinstance(child, ast.Call):
+                func = child.func
+                if isinstance(func, ast.Name):
+                    out.append((inner, func.id))
+                elif isinstance(func, ast.Attribute):
+                    out.append((inner, func.attr))
             visit(child, inner)
     visit(tree, None)
     return out
@@ -981,48 +994,26 @@ class TestElementCutoffRule:
         assert d.radius.to_fraction() <= F(1, 1 << 10)
         assert seen[0] == 64 and len(seen) >= 3
 
-    def test_no_literal_cutoff_outside_the_nonlinearity(self):
-        # nse.nonlinearity keeps its own ladder: its rungs pass on the
-        # H^{6/5} product defect, not on an L2 tail
+    def test_expansion_only_in_the_rule_and_the_nonlinearity(self):
+        # the library expands an element in two places, whatever the
+        # cutoff argument: the rule, and nse.nonlinearity, whose own ladder
+        # passes on the H^{6/5} product defect, not on an L2 tail
         src = pathlib.Path(spectral.__file__).parent
+        sites = {"_pair_tail_upper": set(), "mollified_field_pair": set()}
         for path in sorted(src.glob("*.py")):
-            for fn, call in _named_calls(ast.parse(path.read_text())):
-                where = (path.name, fn)
-                if call.func.id == "_pair_tail_upper":
-                    assert where == ("spectral.py", "resolve_element")
-                if call.func.id == "mollified_field_pair" and \
-                        isinstance(call.args[1], ast.Constant):
-                    assert where == ("nse.py", "nonlinearity")
+            for fn, name in _named_calls(ast.parse(path.read_text())):
+                if name in sites:
+                    sites[name].add((path.name, fn))
+        assert sites == {
+            "_pair_tail_upper": {("spectral.py", "resolve_element")},
+            "mollified_field_pair": {("spectral.py", "resolve_element"),
+                                     ("nse.py", "nonlinearity")}}
 
     def test_default_is_the_first_rung(self):
         f1, f2 = spectral.resolve_element(EL)
         g1, g2 = mollified_field_pair(EL, 64)
         for f, g in ((f1, g1), (f2, g2)):
             assert f.to_json() == g.to_json()
-
-
-class TestCoefficients:
-    def test_retruncation(self):
-        f = _field("cc", [[1.0, 0, 0], [0, 0.5, 0], [0, 0, 0.25]])
-        t = coefficients(f, 1)
-        assert t.cutoff == 1 and t.tail_l2.upper() > 0
-
-    def test_trimmed_field_pair(self):
-        t = EL.trimmed
-        f1, f2 = coefficients(t, 24)
-        sq = f1.l2_sq_ball() + f2.l2_sq_ball()
-        exact = F(t.l2_norm_sq(), 4)
-        assert sq.lower() <= float(exact) <= sq.upper()
-
-    def test_mollified_pair(self):
-        f1, f2 = coefficients(EL, 16)
-        assert f1.basis == "sc" and f2.basis == "cs"
-
-    def test_unsupported_inputs(self):
-        with pytest.raises(TypeError):
-            coefficients("not a field", 8)
-        with pytest.raises(ValueError):
-            coefficients(FourierField.single_mode("ss", 1, 1), 8, k=48)
 
 
 class TestNameCalculus:
