@@ -247,8 +247,8 @@ def _run_project(config: RunConfig) -> dict:
     K = config.precision
     p1, p2 = project(u, K)
     cert = _certificate(K, [
-        _budget_line("datum resolution", K + 1),
-        _budget_line("series truncation tail", K + 1),
+        _budget_line("datum resolution", K + 3),
+        _budget_line("series truncation tail", K + 2),
     ])
     # the tail of a projected series is a certified L2 remainder with no
     # termwise derivative, so the divergence is that of the band part

@@ -129,6 +129,29 @@ class TestProject:
         assert total <= F(1, 2 ** 9)
         assert all(line["consumer"] for line in cert["budget"])
 
+    def test_ledger_reports_what_ran(self, tmp_path, mode11, monkeypatch):
+        # the budget lines name the resolution and the truncation target
+        # that `project` used, not fixed shares of the budget
+        ran = {}
+        as_pair, index = helmholtz._as_pair, helmholtz.truncation_index
+
+        def resolving(u, k=None):
+            ran.setdefault("datum resolution", k)
+            return as_pair(u, k)
+
+        def truncating(u, K):
+            ran["series truncation tail"] = K + 1  # its target is 2^-(K+1)
+            return index(u, K)
+        monkeypatch.setattr(helmholtz, "_as_pair", resolving)
+        monkeypatch.setattr(helmholtz, "truncation_index", truncating)
+        out = tmp_path / "proj.json"
+        assert _run("project", "--input", mode11, "--precision", "9",
+                    "--output", str(out)) == 0
+        budget = json.loads(out.read_text())["certificate"]["budget"]
+        assert {line["consumer"]: line["amount"] for line in budget} == \
+            {consumer: "2^-%d" % e for consumer, e in ran.items()} == \
+            {"datum resolution": "2^-12", "series truncation tail": "2^-11"}
+
     def test_divergence_reported_small(self, tmp_path, mode11):
         out = tmp_path / "proj.json"
         _run("project", "--input", mode11, "--precision", "8",
