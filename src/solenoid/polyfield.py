@@ -16,7 +16,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .approxcore import BoundedValue, bv_e1, bv_exp, bv_sqrt
 
@@ -347,24 +347,19 @@ def constraint_matrix(N: int) -> List[List[int]]:
     return rows
 
 
-def _row_reduce(rows: List[List[Fraction]],
-                col_order: Optional[Sequence[int]] = None):
+def _row_reduce(rows: List[List[Fraction]]):
     """Gaussian elimination over the rationals; returns (rank, rref, pivots).
 
-    ``col_order`` selects the order in which pivot columns are tried, which
-    gives an independent elimination path for cross-checking ranks.  Each
-    step touches only the pivot row's nonzero columns: the other entries of
-    a row it updates would subtract f * 0.  The constraint matrices are
-    sparse (the degree-4 one is 64 x 50 with 240 nonzeros).
+    Each step touches only the pivot row's nonzero columns: the other
+    entries of a row it updates would subtract f * 0.  The constraint
+    matrices are sparse (the degree-4 one is 64 x 50 with 240 nonzeros).
     """
     m = [[Fraction(v) for v in row] for row in rows]
     if not m:
         return 0, [], []
-    ncols = len(m[0])
-    order = list(col_order) if col_order is not None else list(range(ncols))
     pivots = []
     r = 0
-    for c in order:
+    for c in range(len(m[0])):
         pivot = None
         for i in range(r, len(m)):
             if m[i][c] != 0:
@@ -390,8 +385,8 @@ def _row_reduce(rows: List[List[Fraction]],
     return r, m, pivots
 
 
-def matrix_rank(rows, col_order=None) -> int:
-    return _row_reduce(rows, col_order)[0]
+def matrix_rank(rows) -> int:
+    return _row_reduce(rows)[0]
 
 
 def kernel_basis(rows: List[List[int]]) -> List[List[Fraction]]:
