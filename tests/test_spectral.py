@@ -637,12 +637,13 @@ class TestTrigPolyField:
         assert (after.hits, after.misses) == (before.hits + 2, before.misses)
 
     def test_parseval_contains_exact_mass(self):
-        q = _pullback(EL.trimmed.component(1))
-        exact = poly_inner_on_box(q, q, BOX_HALF)
-        f, tail = _defect_tail(q, "sc", 24)
-        sq = f.l2_sq_ball()
-        assert sq.lower() <= float(exact) <= sq.upper() + tail * tail
-        assert tail < 0.05
+        for j, basis in ((1, "sc"), (2, "cs")):
+            q = _pullback(EL.trimmed.component(j))
+            exact = poly_inner_on_box(q, q, BOX_HALF)
+            f, tail = _defect_tail(q, basis, 24)
+            sq = f.l2_sq_ball()
+            assert sq.lower() <= float(exact) <= sq.upper() + tail * tail
+            assert tail < 0.05
 
     def test_tail_shrinks_with_cutoff(self):
         q = _pullback(EL.trimmed.component(2))
