@@ -30,7 +30,6 @@ __all__ = [
     "Dyadic",
     "BoundedValue",
     "Name",
-    "refine",
     "ConstantsTable",
     "beta",
     "gamma_tail",
@@ -487,10 +486,9 @@ class Name:
     deterministic function of (seed data, k).
     """
 
-    def __init__(self, query: Callable[[int], object], label: str = ""):
+    def __init__(self, query: Callable[[int], object]):
         self._query = query
         self._cache: dict = {}
-        self.label = label
 
     def refine(self, k: int):
         if k < 0:
@@ -500,13 +498,8 @@ class Name:
         return self._cache[k]
 
     @staticmethod
-    def constant(value, label: str = "") -> "Name":
-        return Name(lambda k: value, label)
-
-
-def refine(name: Name, k: int):
-    """Query a name at precision k: distance to the limit is at most 2**-k."""
-    return name.refine(k)
+    def constant(value) -> "Name":
+        return Name(lambda k: value)
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,6 @@ class RunConfig:
     path_points: Optional[Tuple[Tuple[Fraction, Fraction], ...]] = None
     constants_path: Optional[str] = None
     emit_csv: Optional[str] = None
-    panel_cap: int = 64
     mode_cap: int = 24
 
     def __post_init__(self):
@@ -86,9 +85,9 @@ class RunConfig:
         if self.t < 0:
             raise CliError(EXIT_PRECONDITION, "precondition",
                            "time must be nonnegative")
-        if self.panel_cap <= 0 or self.mode_cap <= 0:
+        if self.mode_cap <= 0:
             raise CliError(EXIT_PRECONDITION, "precondition",
-                           "caps must be positive")
+                           "the mode cap must be positive")
 
 
 def _load_constants(config: RunConfig) -> Optional[ConstantsTable]:
@@ -299,8 +298,7 @@ def _run_solve(config: RunConfig) -> dict:
     ct = _load_constants(config)
     K = config.precision
     cert = nse.compute_horizon(a, constants=ct, mode_cap=config.mode_cap)
-    u = nse.solve(a, None, config.t, K, cert=cert,
-                  panel_cap=config.panel_cap)
+    u = nse.solve(a, None, config.t, K, cert=cert)
     ledger = _certificate(K, [
         _budget_line("geometric iteration tail", K + 1),
         _budget_line("iterate enclosure", K + 1),
@@ -476,7 +474,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="certified mild solution")
     p.add_argument("--t", required=True)
     p.add_argument("--mode-cap", dest="mode_cap", type=int, default=12)
-    p.add_argument("--panel-cap", dest="panel_cap", type=int, default=64)
     common(p, "input", "precision", "constants", "emit-csv")
 
     p = sub.add_parser("pressure", help="pressure path integral")

@@ -96,7 +96,7 @@ class VectorFieldName:
     @staticmethod
     def constant(f1: FourierField, f2: FourierField) -> "VectorFieldName":
         pair = _as_pair((f1, f2))
-        return VectorFieldName(Name(lambda k: pair, label="const field"))
+        return VectorFieldName(Name(lambda k: pair))
 
     def refine(self, k: int) -> Tuple[FourierField, FourierField]:
         return _as_pair(self.name.refine(k))

@@ -148,7 +148,7 @@ def nonlinearity(u, K: int, constants: ConstantsTable = None):
             t22 = multiply(n2, d[(1, 2)], ct).refine(k + 2)
             return t11 + t12, t21 + t22
 
-        return project(VectorFieldName(Name(pair_query, label="u.grad u")), K)
+        return project(VectorFieldName(Name(pair_query)), K)
     if isinstance(u, MollifiedElement):
         # not `spectral.resolve_element`: a rung here passes on the H^{6/5}
         # product defect, not on an L2 tail (ROADMAP item 8 changes that)
@@ -189,7 +189,9 @@ def nonlinearity(u, K: int, constants: ConstantsTable = None):
 
 @dataclass
 class IterationCertificate:
-    """Computable constants certifying the Picard contraction on [0, T_a]."""
+    """Computable constants certifying the Picard contraction on [0, T_a]
+    for one datum and one forcing (None without forcing): every run on the
+    certificate uses that forcing."""
 
     T_a: BoundedValue
     k0: BoundedValue
@@ -206,7 +208,7 @@ class IterationCertificate:
     quarter_norm: float
     half_norm: float
     constants: ConstantsTable
-    forcing_sup: float = 0.0
+    forcing: Optional["Forcing"] = None
     _balls: Dict[object, FloatBall] = field(default_factory=dict, repr=False,
                                             compare=False)
 
@@ -217,6 +219,11 @@ class IterationCertificate:
         if key not in self._balls:
             self._balls[key] = FloatBall.from_bounded(bounded())
         return self._balls[key]
+
+    @property
+    def forcing_sup(self) -> float:
+        """The forcing's uniform L2 bound, 0 without forcing."""
+        return self.forcing.sup_l2 if self.forcing is not None else 0.0
 
     @property
     def T_frac(self) -> Fraction:
@@ -324,7 +331,8 @@ def compute_horizon(a, constants: ConstantsTable = None, mode_cap: int = 24,
     the horizon T_a = 2^-j is the first that `_claim1_exponent` finds with
     T^{1/4} (at least T^{1/2}, as T < 1) times the seed's fractional-power
     norms, plus the forcing term, under 1/(16 Ctilde), so the realized
-    Claim-1 functional k0 sits strictly below 1/(8 Ctilde).
+    Claim-1 functional k0 sits strictly below 1/(8 Ctilde).  The
+    certificate keeps ``forcing``, the forcing of every run on it.
     """
     ct = constants or ConstantsTable.default()
     k_hat, eighth, sixteenth, K_cap, epsilon, L, Ktab, coef, w = \
@@ -369,7 +377,7 @@ def compute_horizon(a, constants: ConstantsTable = None, mode_cap: int = 24,
         K_beta_m={b: list(v) for b, v in Ktab.items()}, K_cap=K_cap,
         epsilon=epsilon, L=L, M_beta_m=Mtab, w_m=w, k_hat=k_hat,
         seed=seed, seed_res=seed_res, a_norm=a_norm, quarter_norm=q_norm,
-        half_norm=h_norm, constants=ct, forcing_sup=g_sup)
+        half_norm=h_norm, constants=ct, forcing=forcing)
 
 
 # ---------------------------------------------------------------------------
@@ -426,16 +434,15 @@ class Forcing:
     the continuity modulus the quadrature budget needs.
     """
 
-    def __init__(self, pair_fn, sup_l2: float, label: str = "forcing"):
+    def __init__(self, pair_fn, sup_l2: float):
         self.pair_fn = pair_fn
         self.sup_l2 = float(sup_l2)
-        self.label = label
 
     @staticmethod
     def constant(f1: FourierField, f2: FourierField) -> "Forcing":
         p1, p2 = project_pair(f1, f2)
         sup = _l2_upper((p1, p2))
-        return Forcing(lambda lo, hi: (f1, f2), sup, label="constant")
+        return Forcing(lambda lo, hi: (f1, f2), sup)
 
 
 # the component bases of every pair the engine holds: seed, forcing cells,
@@ -492,7 +499,7 @@ class _Engine:
     only u_0 and the current level are kept.  With B_j(q) the truncated
     B u_j on cell q (one `nonlinearity_pair` call per cell), E_j(q) its
     A^{-1/4} defect bound and F_j(q) its sliver bound, a the seed, f_q the
-    forcing on cell q and d_0 its defect (0 without forcing):
+    certificate's forcing on cell q and d_0 its defect (0 without forcing):
 
         u_0(i)     = H_{i+1} a + h sum_{q<i} G_{i-q} f_q
         u_{j+1}(i) = u_0(i) - h sum_{q<i} G_{i-q} B_j(q)
@@ -524,13 +531,12 @@ class _Engine:
     `_defect_weights` and the lambda^{-1/4} factors by `_qtr_power`.
     """
 
-    def __init__(self, cert: IterationCertificate, t: Fraction, panels: int,
-                 forcing: Forcing = None):
+    def __init__(self, cert: IterationCertificate, t: Fraction, panels: int):
         self.cert = cert
         self.t = Fraction(t)
         self.P = panels
         self.h = self.t / panels
-        self.forcing = forcing
+        forcing = cert.forcing
         fcells = [project_pair(*forcing.pair_fn(q * self.h, (q + 1) * self.h))
                   for q in range(panels)] if forcing is not None else []
         self.cap = max([cert.seed_cutoff] + [c[0].cutoff for c in fcells])
@@ -594,7 +600,7 @@ class _Engine:
             # cell i adds the forcing integral over the cells q < i; cell 0
             # adds the zero pair
             u = [g + f for g, f in zip(u, self._integrals(self._fcells))]
-            d = d + self._fw * FloatBall(self.forcing.sup_l2)
+            d = d + self._fw * FloatBall(self.cert.forcing_sup)
         return u, d
 
     @staticmethod
@@ -691,8 +697,10 @@ class LiftResult:
     panels: int
 
 
-# the nested-interval indices n = 1.._CLAIM2_N the smoothness lift tries
+# the nested-interval indices n = 1.._CLAIM2_N the smoothness lift tries,
+# and the most time cells its ladder doubles to
 _CLAIM2_N = 400
+_PANEL_CAP = 64
 
 
 @lru_cache(maxsize=1)
@@ -737,15 +745,13 @@ def _claim2_tail(cert: IterationCertificate, m: int, t: Fraction, n):
     return out.reshape(np.shape(n)) if np.ndim(n) else float(out[0])
 
 
-def smoothness_lift(m: int, a, t, K: int,
-                    cert: IterationCertificate = None,
-                    constants: ConstantsTable = None, panels: int = 1,
-                    panel_cap: int = 64,
-                    forcing: Forcing = None) -> LiftResult:
-    """H^{6/5}-certified approximant of u_m(t) for t > 0.
+def smoothness_lift(m: int, t, K: int, cert: IterationCertificate,
+                    panels: int = 1) -> LiftResult:
+    """H^{6/5}-certified approximant of u_m(t) for t > 0, under the
+    certificate's forcing.
 
     The engine runs on P = ``panels`` time cells (one by default) and P
-    doubles, up to ``panel_cap``, until the realized radius plus the engine
+    doubles, up to ``_PANEL_CAP``, until the realized radius plus the engine
     defect meets 2^-K, so the result comes from the smallest power of two
     times ``panels`` that meets the budget; `BudgetError` when the cap does
     not.  The nested-interval schedule [t_n, t - t_n], t_n = t/2^n, is
@@ -757,8 +763,6 @@ def smoothness_lift(m: int, a, t, K: int,
     t = Fraction(t)
     if t <= 0:
         raise ValueError("the smoothness lift needs t > 0 strictly")
-    if cert is None:
-        cert = compute_horizon(a, constants, forcing=forcing)
     if t > cert.T_frac:
         raise HorizonError("t = %s exceeds the certified horizon %s"
                            % (t, cert.T_frac))
@@ -767,12 +771,12 @@ def smoothness_lift(m: int, a, t, K: int,
     n = 1 + int(np.argmax(np.append(tails[:-1] <= 2.0 ** -(K + 2), True)))
     P = panels
     while True:
-        eng = _Engine(cert, t, P, forcing)
+        eng = _Engine(cert, t, P)
         pair, d = eng.eval(m)
         rad = (FloatBall(_pair_radius(pair)) + d.at(0)).upper()
         if rad <= 2.0 ** -K:
             break
-        if 2 * P > panel_cap:
+        if 2 * P > _PANEL_CAP:
             raise BudgetError("panel cap reached at certified radius %.3g "
                               "(budget 2^-%d)" % (rad, K))
         P *= 2
@@ -789,9 +793,9 @@ def smoothness_lift(m: int, a, t, K: int,
         n=n, t_n=t / 2 ** n, endpoint_tail=float(tails[n - 1]), panels=P)
 
 
-def iterate(a, cert: IterationCertificate, m: int, t, K: int,
-            panel_cap: int = 64, forcing: Forcing = None):
-    """2^-K approximant of the Picard iterate u_m(t) on [0, T_a].
+def iterate(a, cert: IterationCertificate, m: int, t, K: int):
+    """2^-K approximant of the Picard iterate u_m(t) on [0, T_a], under the
+    certificate's forcing.
 
     t = 0 returns the seed with tails seed_res / 2 if seed_res <= 2^-K,
     else the datum if its tails meet 2^-K; m = 0 delegates to the
@@ -816,32 +820,30 @@ def iterate(a, cert: IterationCertificate, m: int, t, K: int,
         if _norm2([f.tail_l2.upper() for f in pair]).upper() > 2.0 ** -K:
             raise BudgetError("the datum's tails miss 2^-%d at t = 0" % K)
         return pair
-    if m == 0 and forcing is None:
+    if m == 0 and cert.forcing is None:
         return semigroup_apply(cert.seed, t, K)
-    if cert.seed_res <= Fraction(1, 2 ** (K + 1)) and forcing is None:
+    if cert.seed_res <= Fraction(1, 2 ** (K + 1)) and cert.forcing is None:
         eta = eta_modulus(cert, m, K + 1)
         if eta is not None and t <= Fraction(1, 2 ** eta):
             return _fold_defect(cert.seed, 2.0 ** -(K + 1))
     # the ladder's start goes by keyword: perfbench's tracer reads it there
     # to count the doublings
-    lift = smoothness_lift(m, a, t, K, cert=cert, panels=1,
-                           panel_cap=panel_cap, forcing=forcing)
-    return lift.u
+    return smoothness_lift(m, t, K, cert, panels=1).u
 
 
-def solve(a, f: Optional[Forcing], t, K: int,
-          constants: ConstantsTable = None,
-          cert: IterationCertificate = None, panel_cap: int = 64):
+def solve(a, f: Optional[Forcing], t, K: int, cert: IterationCertificate):
     """2^-K approximant of the mild solution u(t) on the certified horizon.
 
-    Chooses the iteration depth m so the geometric tail L epsilon^(m-1) /
-    (1 - epsilon) clears 2^-(K+1), then runs iterate at precision K+1; on
-    the engine route its smoothness lift starts from one time cell and
-    doubles the cells, up to ``panel_cap``, only while the budget is
-    missed.
+    ``f`` must be the forcing ``cert`` was computed for (None without
+    forcing), else `ValueError`.  Chooses the iteration depth m so the
+    geometric tail L epsilon^(m-1) / (1 - epsilon) clears 2^-(K+1), then
+    runs iterate at precision K+1; on the engine route its smoothness lift
+    starts from one time cell and doubles the cells, up to ``_PANEL_CAP``,
+    only while the budget is missed.
     """
-    if cert is None:
-        cert = compute_horizon(a, constants, forcing=f)
+    if f is not cert.forcing:
+        raise ValueError("the forcing is not the one the certificate was "
+                         "computed for")
     eps = cert.ball("epsilon", lambda: cert.epsilon)
     tail = cert.ball("L", lambda: cert.L) / (FloatBall(1.0) - eps)
     m = 1
@@ -850,7 +852,7 @@ def solve(a, f: Optional[Forcing], t, K: int,
         m += 1
         if m > 200:
             raise BudgetError("geometric tail does not close")
-    return iterate(a, cert, m, t, K + 1, panel_cap=panel_cap, forcing=f)
+    return iterate(a, cert, m, t, K + 1)
 
 
 # ---------------------------------------------------------------------------

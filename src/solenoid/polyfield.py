@@ -24,7 +24,7 @@ __all__ = [
     "RationalPoly2", "SolenoidalPolyPair", "TrimmedField", "MollifiedElement",
     "constraint_matrix", "kernel_basis", "matrix_rank", "solenoidal_kernel",
     "enumerate_solenoidal_polys", "index_of_kernel_point", "trim", "mollify",
-    "metric", "approximation_defect", "gamma0", "poly_name",
+    "approximation_defect", "gamma0", "poly_name",
 ]
 
 _F0 = Fraction(0)
@@ -624,12 +624,6 @@ def mollify(p: SolenoidalPolyPair, k: int, n: int) -> MollifiedElement:
     return MollifiedElement(p, k, n)
 
 
-def metric(a: MollifiedElement, b: MollifiedElement, k: int) -> BoundedValue:
-    """Enclosure of the L2 distance over (-1,1)^2, radius at most 2^-k."""
-    from .spectral import mollified_distance
-    return mollified_distance(a, b, k)
-
-
 def approximation_defect(p: SolenoidalPolyPair, k: int, n: int)\
         -> BoundedValue:
     """Upper bound on the L2 distance between p and its trimmed-and-mollified
@@ -662,4 +656,4 @@ def poly_name(p: SolenoidalPolyPair, max_k: int = 60):
                 return mollify(p, k, k + 1)
         raise RuntimeError("no trim level met the requested accuracy")
 
-    return Name(query, label="poly field")
+    return Name(query)

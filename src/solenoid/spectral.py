@@ -1006,8 +1006,7 @@ def differentiate(w: SobolevName, axis: int) -> Name:
         raise ValueError("differentiation needs s >= 1")
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
-    return Name(lambda k: _derivative(w.refine(k + 2), axis),
-                label="d%d" % axis)
+    return Name(lambda k: _derivative(w.refine(k + 2), axis))
 
 
 def multiply(v: SobolevName, w: Name,
@@ -1029,4 +1028,4 @@ def multiply(v: SobolevName, w: Name,
         p = v.refine(m)
         return p.multiply(q)
 
-    return Name(query, label="mul")
+    return Name(query)

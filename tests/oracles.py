@@ -1432,7 +1432,7 @@ class CellEngine(nse._Engine):
         """Enclosure of the inhomogeneous base iterate over [lo, hi]."""
         pair = self._semi(self._a, lo, hi)
         d = BallGrid.zeros(len(nse._DEFECT_BETAS))
-        if self.forcing is not None:
+        if self.cert.forcing is not None:
             fv, fd = self._forcing_integral(lo, hi)
             pair = (pair[0] + fv[0], pair[1] + fv[1])
             d = d + fd
@@ -1441,7 +1441,7 @@ class CellEngine(nse._Engine):
     def _forcing_cell(self, q: int):
         if q not in self._f:
             lo, hi = q * self.h, (q + 1) * self.h
-            g = nse.project_pair(*self.forcing.pair_fn(lo, hi))
+            g = nse.project_pair(*self.cert.forcing.pair_fn(lo, hi))
             self._f[q] = tuple(nse._strip_tail(f)._embedded(self.cap)
                                for f in g)
         return self._f[q]
@@ -1465,7 +1465,7 @@ class CellEngine(nse._Engine):
         val = self._panel_sum(
             (self._forcing_cell(q), max(Fraction(0), lo - (q + 1) * self.h),
              hi - q * self.h) for q in range(int(lo / self.h)))
-        return val, self._fw * FloatBall(self.forcing.sup_l2)
+        return val, self._fw * FloatBall(self.cert.forcing.sup_l2)
 
     def u_cell(self, j: int, i: int):
         """Enclosure of u_j(s) for s anywhere in grid cell i."""
@@ -1521,7 +1521,7 @@ class CellEngine(nse._Engine):
         """Enclosure of u_m at the exact endpoint t."""
         pair = self._semi(self._a, self.t, self.t)
         d = BallGrid.zeros(len(nse._DEFECT_BETAS))
-        if self.forcing is not None:
+        if self.cert.forcing is not None:
             fv = self._panel_sum(
                 (self._forcing_cell(q), self.t - (q + 1) * self.h,
                  self.t - q * self.h) for q in range(self.P))
@@ -1542,10 +1542,9 @@ class WideCapEngine(nse._Engine):
     defect, and u_m(t) comes back at the cutoff 2N (or the widest forcing
     cell's, when that is wider)."""
 
-    def __init__(self, cert, t, panels, forcing=None):
+    def __init__(self, cert, t, panels):
         seed = tuple(f._embedded(2 * cert.seed_cutoff) for f in cert.seed)
-        super().__init__(dataclasses.replace(cert, seed=seed), t, panels,
-                         forcing)
+        super().__init__(dataclasses.replace(cert, seed=seed), t, panels)
 
 
 # ---------------------------------------------------------------------------

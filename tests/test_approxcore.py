@@ -15,7 +15,7 @@ from mpmath import mp
 
 from solenoid.approxcore import (
     BoundedValue, ConstantsTable, Dyadic, Name, beta, bv_cos, bv_e1, bv_exp,
-    bv_pi, bv_pow, bv_sqrt, gamma_tail, refine,
+    bv_pi, bv_pow, bv_sqrt, gamma_tail,
 )
 from solenoid.floatball import FloatBall
 
@@ -101,12 +101,12 @@ class TestName:
         v = BoundedValue.exact(F(5, 8))
         n = Name.constant(v)
         for k in (0, 3, 9):
-            assert refine(n, k) is v
+            assert n.refine(k) is v
 
     @given(k=st.integers(0, 20), j=st.integers(0, 20))
     def test_consistency(self, k, j):
         n = self._cauchy_name(F(1, 3))
-        a, b = refine(n, k), refine(n, j)
+        a, b = n.refine(k), n.refine(j)
         gap = abs(a.center.to_fraction() - b.center.to_fraction())
         assert gap <= F(1, 1 << k) + F(1, 1 << j)
 
@@ -118,11 +118,11 @@ class TestName:
         n = Name(q)
         oracle = F(1)
         for k in (0, 4, 10):
-            assert refine(n, k).contains(oracle)
+            assert n.refine(k).contains(oracle)
 
     def test_negative_precision_rejected(self):
         with pytest.raises(ValueError):
-            refine(Name.constant(1), -1)
+            Name.constant(1).refine(-1)
 
 
 class TestQuadrature:

@@ -219,6 +219,12 @@ class TestHorizonAndSolve:
         assert payload["certificate"]["closed"]
         assert payload["kind"] == "pair"
 
+    def test_solve_has_no_panel_cap(self, tmp_path, small_pair):
+        # the time-cell ladder's cap is a constant of the library
+        assert _run("solve", "--input", small_pair, "--t", "0",
+                    "--panel-cap", "8", "--output",
+                    str(tmp_path / "x.json")) == cli.EXIT_PARSE
+
     def test_solve_outside_horizon(self, tmp_path, small_pair):
         assert _run("solve", "--input", small_pair, "--t", "1/2",
                     "--output", str(tmp_path / "x.json")) \
@@ -415,8 +421,8 @@ _OPTIONS = {
     "semigroup": {"--t", "--input", "--output", "--precision", "--emit-csv"},
     "fracpower": {"--alpha", "--input", "--output", "--emit-csv"},
     "horizon": {"--mode-cap", "--input", "--output", "--constants"},
-    "solve": {"--t", "--mode-cap", "--panel-cap", "--input", "--output",
-              "--precision", "--constants", "--emit-csv"},
+    "solve": {"--t", "--mode-cap", "--input", "--output", "--precision",
+              "--constants", "--emit-csv"},
     "pressure": {"--point", "--path", "--input", "--output", "--precision"},
     "selftest": {"--output"},
 }

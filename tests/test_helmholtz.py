@@ -220,7 +220,7 @@ class TestProjectOnNames:
 
     def test_name_resolution(self):
         pair = _mode_pair(1, 1, 0.0, 1.0)
-        v = VectorFieldName(Name(lambda k: pair, label="mode"))
+        v = VectorFieldName(Name(lambda k: pair))
         p1, p2 = project(v, 10)
         assert p1.grid.at((1, 1)).contains(F(-1, 2))
 

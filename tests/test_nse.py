@@ -9,6 +9,7 @@ their defining recursions.  Claim-style bounds are measured on actual
 iterates and compared against the certified tables.
 """
 
+import inspect
 import math
 from fractions import Fraction as F
 
@@ -54,6 +55,20 @@ def _mode_pair(n, m, c1, c2, cutoff=None):
 
 def _sol_mode(n, m, scale=1.0, cutoff=None):
     return _mode_pair(n, m, m * scale, -n * scale, cutoff)
+
+
+def _constant_forcing():
+    """A constant forcing of band 2."""
+    return nse.Forcing.constant(*_sol_mode(1, 1, 0.01, cutoff=2))
+
+
+def _varying_forcing(t):
+    """`_constant_forcing` on the time cells below t/2 and a forcing of band
+    16 from there, declared with four times the constant one's bound."""
+    wide, narrow = _sol_mode(2, 3, 0.01, cutoff=16), \
+        _sol_mode(1, 1, 0.01, cutoff=2)
+    return nse.Forcing(lambda lo, hi: wide if lo >= t / 2 else narrow,
+                       _constant_forcing().sup_l2 * 4)
 
 
 def _pair_norm_upper(p):
@@ -339,7 +354,7 @@ class TestNonlinearity:
 
     def test_name_route_matches_band_route(self):
         u = _sol_mode(1, 2)
-        names = tuple(SobolevName(Name(lambda k, f=f: f, label="c"),
+        names = tuple(SobolevName(Name(lambda k, f=f: f),
                                   F(6, 5)) for f in u)
         b = nse.nonlinearity(names, 4)
         ref = nse.nonlinearity_pair(*u)
@@ -763,14 +778,14 @@ class TestIterate:
 class TestSmoothnessLift:
     def test_time_must_be_positive(self):
         with pytest.raises(ValueError):
-            nse.smoothness_lift(1, EL, 0, 6, cert=_cert())
+            nse.smoothness_lift(1, 0, 6, _cert())
         with pytest.raises(ValueError):
-            nse.smoothness_lift(1, EL, F(-1, 4), 6, cert=_cert())
+            nse.smoothness_lift(1, F(-1, 4), 6, _cert())
 
     def test_m_zero_heat_oracle(self):
         c = _cert()
         t = c.T_frac
-        lift = nse.smoothness_lift(0, EL, t, 8, cert=c)
+        lift = nse.smoothness_lift(0, t, 8, c)
         lam = None
         for i in (0, 1):
             f = lift.band[i]
@@ -784,7 +799,7 @@ class TestSmoothnessLift:
 
     def test_h65_certificate_dominates_oracle(self):
         c = _cert()
-        lift = nse.smoothness_lift(0, EL, c.T_frac, 8, cert=c)
+        lift = nse.smoothness_lift(0, c.T_frac, 8, c)
         tot = 0.0
         for f in lift.band:
             n = np.arange(f.cutoff + 1, dtype=float)
@@ -803,7 +818,7 @@ class TestSmoothnessLift:
 
     def test_lift_reports_meet_budget(self):
         c = _cert()
-        lift = nse.smoothness_lift(1, EL, c.T_frac, 8, cert=c)
+        lift = nse.smoothness_lift(1, c.T_frac, 8, c)
         assert lift.endpoint_tail <= 2.0 ** -10
         assert nse._pair_radius(lift.u) + lift.defect[F(0)] <= 2.0 ** -8 \
             * (1 + 1e-9)
@@ -814,18 +829,19 @@ class TestSmoothnessLift:
         pair, d = nse._Engine(cert, t, P).eval(m)
         return (FloatBall(nse._pair_radius(pair)) + d.at(0)).upper()
 
-    def test_ladder_returns_smallest_doubling(self):
+    def test_ladder_returns_smallest_doubling(self, monkeypatch):
         # a small datum at a fine budget: one cell reaches about 4.7e-9 and
         # two cells 2.7e-9, against 2^-28 = 3.7e-9
         a = pf.mollify(pf.solenoidal_kernel(4)[0].scale(F(1, 16)), 1, 2)
         c = nse.compute_horizon(a, mode_cap=12)
         t, m, K = c.T_frac, 5, 28
-        lift = nse.smoothness_lift(m, a, t, K, cert=c)
+        lift = nse.smoothness_lift(m, t, K, c)
         assert lift.panels == 2
         assert self._engine_radius(c, t, lift.panels, m) <= 2.0 ** -K
         assert self._engine_radius(c, t, lift.panels // 2, m) > 2.0 ** -K
+        monkeypatch.setattr(nse, "_PANEL_CAP", 1)
         with pytest.raises(nse.BudgetError):
-            nse.smoothness_lift(m, a, t, K, cert=c, panel_cap=1)
+            nse.smoothness_lift(m, t, K, c)
 
     def test_one_cell_overlaps_eight(self):
         # the one-cell hull and the eight-cell quadrature enclose the same
@@ -833,8 +849,8 @@ class TestSmoothnessLift:
         # both are widened by their L2 tails (a coefficient of weight w
         # moves by at most tail / sqrt(w) <= 2 tail)
         c = _cert()
-        one, eight = (nse.smoothness_lift(3, EL, c.T_frac, 8, cert=c,
-                                          panels=P) for P in (1, 8))
+        one, eight = (nse.smoothness_lift(3, c.T_frac, 8, c, panels=P)
+                      for P in (1, 8))
         assert (one.panels, eight.panels) == (1, 8)
         for f, g in zip(one.u, eight.u):
             assert (f.basis, f.cutoff) == (g.basis, g.cutoff)
@@ -953,11 +969,10 @@ class TestLevelEngine:
         assert np.array_equal(self._bits(d.c), self._bits(rd.c))
         assert np.array_equal(self._bits(d.r), self._bits(rd.r))
 
-    def _check(self, cert, t, P, depths, forcing=None):
-        ref = CellEngine(cert, t, P, forcing)
+    def _check(self, cert, t, P, depths):
+        ref = CellEngine(cert, t, P)
         for m in depths:
-            self._same(nse._Engine(cert, t, P, forcing).eval(m),
-                       ref.eval(m))
+            self._same(nse._Engine(cert, t, P).eval(m), ref.eval(m))
 
     # P = 1 has no gap hull and no Duhamel sum before the endpoint, P = 2
     # one gap, and P <= 2 pads the defect weight table to two cells
@@ -972,41 +987,38 @@ class TestLevelEngine:
         pair = tuple(nse._strip_tail(f) for f in mollified_field_pair(EL, 16))
         return nse.compute_horizon(pair, mode_cap=12, forcing=forcing)
 
+    @classmethod
+    def _varying_cert(cls):
+        """The certificate of `_varying_forcing(t)`, t the horizon of
+        `_constant_forcing`'s: its horizon is t too, so its cells split
+        at t/2."""
+        t = cls._forced_cert(_constant_forcing()).T_frac
+        c = cls._forced_cert(_varying_forcing(t))
+        assert c.T_frac == t == F(1, 2 ** 29)
+        return c
+
     @pytest.mark.parametrize("P", [1, 2, 3, 4, 8])
     def test_constant_forcing(self, P):
-        forcing = nse.Forcing.constant(*_sol_mode(1, 1, 0.01, cutoff=2))
-        c = self._forced_cert(forcing)
-        self._check(c, c.T_frac, P, (0, 1, 2), forcing)
+        c = self._forced_cert(_constant_forcing())
+        self._check(c, c.T_frac, P, (0, 1, 2))
 
     def test_forcing_bands_differ_by_cell(self):
         # the first cells force inside the seed band, the later ones past
         # it, so the cap is the wide forcing's band and the seed and the
         # narrow forcing cells are zero-padded to it
-        wide, narrow = _sol_mode(2, 3, 0.01, cutoff=16), \
-            _sol_mode(1, 1, 0.01, cutoff=2)
-        forcing = nse.Forcing.constant(*narrow)
-        c = self._forced_cert(forcing)
-        t = c.T_frac
-        varying = nse.Forcing(lambda lo, hi: wide if lo >= t / 2 else narrow,
-                              forcing.sup_l2 * 4)
-        self._check(c, t, 4, (0, 1, 2), varying)
+        c = self._varying_cert()
+        self._check(c, c.T_frac, 4, (0, 1, 2))
 
     def test_cap_is_the_widest_band(self):
         # the seed's band without forcing or with narrow forcing, the widest
         # projected forcing cell when that is wider
         c = _cert()
         assert nse._Engine(c, c.T_frac, 2).cap == c.seed_cutoff == 12
-        wide, narrow = _sol_mode(2, 3, 0.01, cutoff=16), \
-            _sol_mode(1, 1, 0.01, cutoff=2)
-        forcing = nse.Forcing.constant(*narrow)
-        fc = self._forced_cert(forcing)
-        assert fc.seed_cutoff == 12
-        assert nse._Engine(fc, fc.T_frac, 4, forcing).cap == 12
-        t = fc.T_frac
-        varying = nse.Forcing(lambda lo, hi: wide if lo >= t / 2 else narrow,
-                              forcing.sup_l2 * 4)
-        assert nse._Engine(fc, t, 1, varying).cap == 12
-        assert nse._Engine(fc, t, 4, varying).cap == 16
+        fc, vc = self._forced_cert(_constant_forcing()), self._varying_cert()
+        assert fc.seed_cutoff == vc.seed_cutoff == 12
+        assert nse._Engine(fc, fc.T_frac, 4).cap == 12
+        assert nse._Engine(vc, vc.T_frac, 1).cap == 12
+        assert nse._Engine(vc, vc.T_frac, 4).cap == 16
 
     def test_every_product_runs_at_the_cap(self, monkeypatch):
         # under cell-varying forcing bands every cell of every level holds
@@ -1017,15 +1029,9 @@ class TestLevelEngine:
         def recording(u1, u2):
             cutoffs.append((u1.cutoff, u2.cutoff))
             return product(u1, u2)
+        c = self._varying_cert()
         monkeypatch.setattr(nse, "nonlinearity_pair", recording)
-        wide, narrow = _sol_mode(2, 3, 0.01, cutoff=16), \
-            _sol_mode(1, 1, 0.01, cutoff=2)
-        forcing = nse.Forcing.constant(*narrow)
-        c = self._forced_cert(forcing)
-        t = c.T_frac
-        varying = nse.Forcing(lambda lo, hi: wide if lo >= t / 2 else narrow,
-                              forcing.sup_l2 * 4)
-        eng = nse._Engine(c, t, 4, varying)
+        eng = nse._Engine(c, c.T_frac, 4)
         eng.eval(3)
         assert eng.cap == 16
         assert cutoffs == [(16, 16)] * 12
@@ -1040,7 +1046,7 @@ class TestLevelEngine:
             return product(u1, u2)
         monkeypatch.setattr(nse, "nonlinearity_pair", counting)
         c = _cert()
-        lift = nse.smoothness_lift(m, EL, c.T_frac, 8, cert=c, panels=4)
+        lift = nse.smoothness_lift(m, c.T_frac, 8, c, panels=4)
         # every engine of the panel doubling 4, 8, ..., lift.panels
         assert len(calls) == m * (2 * lift.panels - 4)
 
@@ -1073,20 +1079,20 @@ class TestEngineBand:
         # included, where the narrow field holds exact zeros
         a = EL if datum == "readme" else \
             pf.mollify(pf.solenoidal_kernel(4)[0].scale(F(-27, 16)), 1, 2)
-        wide_f, narrow_f = _sol_mode(2, 3, 0.01, cutoff=16), \
-            _sol_mode(1, 1, 0.01, cutoff=2)
-        const = nse.Forcing.constant(*narrow_f)
         c = nse.compute_horizon(a, mode_cap=mode_cap,
-                                forcing=const if forcing else None)
+                                forcing=_constant_forcing() if forcing
+                                else None)
         t = c.T_frac
-        fo = {None: None, "constant": const,
-              "varying": nse.Forcing(
-                  lambda lo, hi: wide_f if lo >= t / 2 else narrow_f,
-                  const.sup_l2 * 4)}[forcing]
+        if forcing == "varying":
+            # the varying forcing's certificate keeps the horizon t, so
+            # its cells split at t/2
+            c = nse.compute_horizon(a, mode_cap=mode_cap,
+                                    forcing=_varying_forcing(t))
+            assert c.T_frac == t
         P = 1 if forcing is None else 4
-        narrow = nse.smoothness_lift(5, a, t, 9, cert=c, panels=P, forcing=fo)
+        narrow = nse.smoothness_lift(5, t, 9, c, panels=P)
         monkeypatch.setattr(nse, "_Engine", WideCapEngine)
-        wide = nse.smoothness_lift(5, a, t, 9, cert=c, panels=P, forcing=fo)
+        wide = nse.smoothness_lift(5, t, 9, c, panels=P)
         N = c.seed_cutoff
         band = 16 if forcing == "varying" else 0
         for f, g in zip(narrow.u, wide.u):
@@ -1103,7 +1109,7 @@ class TestClaimBounds:
         c = _cert()
         for m in (1, 2):
             for t in (c.T_frac / 2, c.T_frac):
-                lift = nse.smoothness_lift(m, EL, t, 8, cert=c)
+                lift = nse.smoothness_lift(m, t, 8, c)
                 for beta in (F(1, 4), F(1, 2)):
                     ap = frac_power_apply(lift.band, beta)
                     measured = float(t) ** float(beta) * \
@@ -1278,7 +1284,7 @@ class TestSolve:
         pair = tuple(nse._strip_tail(f) for f in mollified_field_pair(EL, 16))
         c = nse.compute_horizon(pair, mode_cap=12, forcing=forcing)
         t = c.T_frac
-        u = nse.iterate(pair, c, 0, t, 8, forcing=forcing)
+        u = nse.iterate(pair, c, 0, t, 8)
         lam = np.pi ** 2 * 2.0
         drive = 0.01 * (1 - math.exp(-float(t) * lam)) / lam
         seed = c.seed[0]._embedded(u[0].cutoff)
@@ -1291,6 +1297,20 @@ class TestSolve:
         tol = u[0].grid.r.max() + u[0].tail_l2.upper() + 1e-10
         assert float(gap.max()) <= tol + 2.0 ** -8
 
+    def test_forcing_must_be_the_certificates(self):
+        # a forced certificate run without its forcing, and an unforced one
+        # run with a forcing, are refused before any iteration
+        forcing = _constant_forcing()
+        pair = tuple(nse._strip_tail(f) for f in mollified_field_pair(EL, 16))
+        forced = nse.compute_horizon(pair, mode_cap=12, forcing=forcing)
+        free = nse.compute_horizon(pair, mode_cap=12)
+        for f, c in ((None, forced), (forcing, free),
+                     (_constant_forcing(), forced)):
+            with pytest.raises(ValueError, match="forcing"):
+                nse.solve(pair, f, c.T_frac, 8, cert=c)
+        assert forced.forcing is forcing and free.forcing is None
+        assert forced.forcing_sup == forcing.sup_l2 and free.forcing_sup == 0
+
     def test_forcing_shrinks_horizon(self):
         f1, f2 = _sol_mode(1, 1, 0.5, cutoff=2)
         forcing = nse.Forcing.constant(f1, f2)
@@ -1298,6 +1318,24 @@ class TestSolve:
         free = nse.compute_horizon(pair, mode_cap=12)
         forced = nse.compute_horizon(pair, mode_cap=12, forcing=forcing)
         assert forced.T_frac <= free.T_frac
+
+
+class TestOwners:
+    """Each input of the Picard path is set in one place: the forcing and
+    the constants on the certificate, the time-cell cap in `nse`."""
+
+    @pytest.mark.parametrize("fn", [nse.solve, nse.iterate,
+                                    nse.smoothness_lift, nse._Engine],
+                             ids=lambda fn: fn.__name__)
+    def test_no_second_owner(self, fn):
+        params = inspect.signature(fn).parameters
+        assert not {"forcing", "constants", "panel_cap"} & set(params)
+
+    def test_lift_keeps_what_the_tracer_reads(self):
+        # perfbench's tracer reads the depth m as the first argument and the
+        # ladder's start as the keyword panels
+        params = list(inspect.signature(nse.smoothness_lift).parameters)
+        assert params[0] == "m" and "panels" in params
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from solenoid.polyfield import (
     poly_inner_on_box, poly_name, solenoidal_kernel, trim,
 )
 from solenoid.polyfield import _row_reduce
-from solenoid.approxcore import BoundedValue, refine
+from solenoid.approxcore import BoundedValue
 from solenoid.spectral import _component_h1_sq
 from oracles import (_moments_upto, dense_row_reduce, fraction_inner_on_box,
                      gamma_radial_moment, mollified_value,
@@ -504,7 +504,7 @@ class TestPolyName:
         p = solenoidal_kernel(4)[0].scale(F(1, 2))
         nm = poly_name(p)
         for K in (2, 6):
-            el = refine(nm, K)
+            el = nm.refine(K)
             assert isinstance(el, MollifiedElement)
             d = approximation_defect(p, el.k, el.n)
             assert d.upper() <= F(1, 1 << K)

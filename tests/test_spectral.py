@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from solenoid import helmholtz, spectral
 from solenoid import polyfield as pf
-from solenoid.approxcore import BoundedValue, ConstantsTable, Name, bv_pi
+from solenoid.approxcore import ConstantsTable, Name, bv_pi
 from solenoid.floatball import BallGrid, FloatBall, fb_sqrt
 from solenoid.polyfield import poly_inner_on_box
 from solenoid.spectral import (
@@ -943,11 +943,6 @@ class TestMetric:
         assert float(d.lower()) <= exact + da + db
         assert float(d.upper()) >= exact - da - db
 
-    def test_polyfield_metric_delegates(self):
-        d = pf.metric(EL, EL2, 6)
-        assert isinstance(d, BoundedValue)
-        assert d.radius.to_fraction() <= F(1, 64)
-
     def test_precision_cap(self):
         with pytest.raises(ValueError):
             mollified_distance(EL, EL2, 37)
@@ -1030,7 +1025,7 @@ class TestNameCalculus:
             pert = FourierField.single_mode(limit.basis, *pert_mode,
                                             coeff=float(eps))
             return limit + pert
-        return SobolevName(Name(query, label="test"), s)
+        return SobolevName(Name(query), s)
 
     def test_differentiate_modulus(self):
         limit = FourierField.single_mode("sc", 1, 1)
@@ -1070,5 +1065,5 @@ class TestNameCalculus:
 
     def test_sobolev_bound_from_first_approximant(self):
         f = FourierField.single_mode("ss", 2, 2)
-        v = SobolevName(Name(lambda k: f, label="const"), F(3, 2))
+        v = SobolevName(Name(lambda k: f), F(3, 2))
         assert v.hs_bound >= f.hs_norm(F(3, 2)).upper()
