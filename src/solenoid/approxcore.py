@@ -591,9 +591,9 @@ def gamma_tail(l: BoundedValue, t: BoundedValue, k: int = 24) -> BoundedValue:
 class ConstantsTable:
     """The analytic constants consumed by the solver layers.
 
-    Only the two assumed constants, C and M, are configuration (each
-    default 1); the sup-norm embedding constant C_s is derived in the
-    package.  ``provenance`` records for each field whether it was
+    Only the assumed bilinear constant M is configuration (default 1), and
+    it must be positive; the sup-norm embedding constant C_s is derived in
+    the package.  ``provenance`` records for each field whether it was
     configured, defaulted or derived.  B1 and Ctilde = M B1 are recomputed,
     not stored.
 
@@ -605,12 +605,13 @@ class ConstantsTable:
         |e^{-x} - 1| <= min(1, x) <= sqrt(x).
     """
 
-    def __init__(self, C=None, M=None):
-        one = BoundedValue.exact(1)
-        self.C = C if C is not None else one
-        self.M = M if M is not None else one
+    def __init__(self, M=None):
+        self.M = M if M is not None else BoundedValue.exact(1)
+        if self.M.lower() <= 0:
+            raise ValueError("the bilinear constant M must be positive, "
+                             "not [%s, %s]" % (float(self.M.lower()),
+                                               float(self.M.upper())))
         self.provenance = {
-            "C": "configured" if C is not None else "default",
             "M": "configured" if M is not None else "default",
             "C_s": "derived",
         }
@@ -677,14 +678,18 @@ class ConstantsTable:
         return cls._default
 
     def to_json(self) -> dict:
-        return {"C": self.C.to_json(), "M": self.M.to_json()}
+        return {"M": self.M.to_json()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "ConstantsTable":
-        """The table with the C and M of ``obj``; any other key raises
-        ValueError, since the derived constants are not configuration."""
-        extra = sorted(set(obj) - {"C", "M"})
+        """The table with the M of ``obj``; a body that is not an object, or
+        any other key, raises ValueError, since the derived constants are
+        not configuration."""
+        if not isinstance(obj, dict):
+            raise ValueError("a constants table is a JSON object, not %s"
+                             % type(obj).__name__)
+        extra = sorted(set(obj) - {"M"})
         if extra:
-            raise ValueError("a constants table sets only C and M, not %s"
+            raise ValueError("a constants table sets only M, not %s"
                              % ", ".join(extra))
         return cls(**{k: BoundedValue.from_json(v) for k, v in obj.items()})

@@ -443,7 +443,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if "constants" in shared:
             p.add_argument("--constants", dest="constants_path",
                            metavar="CONSTANTS",
-                           help="C and M override (JSON); also read from $"
+                           help="M override (JSON); also read from $"
                                 + CONSTANTS_ENV)
         if "emit-csv" in shared:
             p.add_argument("--emit-csv", dest="emit_csv",

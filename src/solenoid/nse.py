@@ -50,7 +50,7 @@ import numpy as np
 from .approxcore import BoundedValue, ConstantsTable, Name, bv_sqrt
 from .floatball import (
     FB_PI, BallGrid, FloatBall, _float_up, ball_matmul, ceil_log2, fb_pow,
-    fb_sqrt, grid_exp, grid_log, grid_pow, grid_sqrt,
+    fb_sqrt, grid_exp, grid_log, grid_sqrt,
 )
 from .helmholtz import VectorFieldName, _as_pair, project, project_pair
 from .polyfield import MollifiedElement
@@ -685,39 +685,17 @@ def _fold_defect(pair, d0: float):
 @dataclass
 class LiftResult:
     """A smoothness-lifted iterate: the field pair with its H^{6/5}
-    certificate and the nested-interval bookkeeping."""
+    certificate, the engine defect and the number of time cells."""
 
     u: Tuple[FourierField, FourierField]
     band: Tuple[FourierField, FourierField]
     hs65: FloatBall
     defect: Dict[Fraction, float]
-    n: int
-    t_n: Fraction
-    endpoint_tail: float
     panels: int
 
 
-# the nested-interval indices n = 1.._CLAIM2_N the smoothness lift tries,
-# and the most time cells its ladder doubles to
-_CLAIM2_N = 400
+# the most time cells the smoothness lift's ladder doubles to
 _PANEL_CAP = 64
-
-
-@lru_cache(maxsize=1)
-def _claim2_factors() -> BallGrid:
-    """(1 - 2^-n)^{-17/20} (2^-n)^{1/4} for n = 1.._CLAIM2_N (entry n - 1):
-    the part of the Claim-II tail that depends on n alone, cached and
-    read-only."""
-    p = BallGrid(np.ldexp(1.0, -np.arange(1, _CLAIM2_N + 1)))
-    out = grid_pow(BallGrid(1.0) - p, Fraction(-17, 20)) * grid_pow(p, F14)
-    out.c.flags.writeable = out.r.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=64)
-def _claim2_time_factor(t: Fraction) -> FloatBall:
-    """t^{-3/5}, the time factor of the Claim-II tail, cached per t."""
-    return fb_pow(FloatBall.exact(t), Fraction(-3, 5))
 
 
 @lru_cache(maxsize=1)
@@ -725,24 +703,6 @@ def _hs65_weight() -> FloatBall:
     """(3/(2 pi^2))^{3/5}: the factor taking the engine's A^{3/5} defect to
     an H^{6/5} bound, cached per process."""
     return fb_pow(FloatBall(1.5) / _PI2, F35)
-
-
-def _claim2_tail(cert: IterationCertificate, m: int, t: Fraction, n):
-    """Upper bounds on the Claim-II endpoint-tail bound
-    C M M_{1/4,m} M_{1/2,m} (t - t_n)^{-17/20} 4 t_n^{1/4},
-    t_n = t/2^n, for an integer 1 <= n <= _CLAIM2_N (a float) or an array
-    of them (an array)."""
-    ct = cert.constants
-    mm = min(m, len(cert.M_beta_m[F14]) - 1)
-    lead = cert.ball(("claim2", mm), lambda: (
-        ct.C * ct.M * cert.M_beta_m[F14][mm] * cert.M_beta_m[F12][mm])) \
-        * FloatBall(4.0)
-    idx = np.ravel(n) - 1
-    if idx.min() < 0 or idx.max() >= _CLAIM2_N:
-        raise ValueError("the Claim-II index must lie in 1..%d" % _CLAIM2_N)
-    # (t - t_n)^{-17/20} t_n^{1/4} = t^{-3/5} (1 - 2^-n)^{-17/20} (2^-n)^{1/4}
-    out = (_claim2_factors()[idx] * (lead * _claim2_time_factor(t))).upper()
-    return out.reshape(np.shape(n)) if np.ndim(n) else float(out[0])
 
 
 def smoothness_lift(m: int, t, K: int, cert: IterationCertificate,
@@ -754,11 +714,9 @@ def smoothness_lift(m: int, t, K: int, cert: IterationCertificate,
     doubles, up to ``_PANEL_CAP``, until the realized radius plus the engine
     defect meets 2^-K, so the result comes from the smallest power of two
     times ``panels`` that meets the budget; `BudgetError` when the cap does
-    not.  The nested-interval schedule [t_n, t - t_n], t_n = t/2^n, is
-    resolved with the smallest n whose Claim-II endpoint-tail bound meets
-    2^-(K+2) and reported as part of the result; the executable quadrature
-    encloses the full (0, t] range, with the head cell's exponential hull
-    and sliver estimate subsuming the reported endpoint tails.
+    not.  The paper's nested-interval endpoint tails are not modelled: the
+    head cell's exponential hull and sliver estimate enclose all of (0, h],
+    h = t/P.
     """
     t = Fraction(t)
     if t <= 0:
@@ -766,9 +724,6 @@ def smoothness_lift(m: int, t, K: int, cert: IterationCertificate,
     if t > cert.T_frac:
         raise HorizonError("t = %s exceeds the certified horizon %s"
                            % (t, cert.T_frac))
-    # the first n <= _CLAIM2_N whose tail meets 2^-(K+2), else _CLAIM2_N
-    tails = _claim2_tail(cert, m, t, np.arange(1, _CLAIM2_N + 1))
-    n = 1 + int(np.argmax(np.append(tails[:-1] <= 2.0 ** -(K + 2), True)))
     P = panels
     while True:
         eng = _Engine(cert, t, P)
@@ -790,7 +745,7 @@ def smoothness_lift(m: int, t, K: int, cert: IterationCertificate,
     return LiftResult(
         u=_fold_defect(pair, defect[0]), band=band, hs65=hs65,
         defect={b: float(defect[i]) for i, b in enumerate(_DEFECT_BETAS)},
-        n=n, t_n=t / 2 ** n, endpoint_tail=float(tails[n - 1]), panels=P)
+        panels=P)
 
 
 def iterate(a, cert: IterationCertificate, m: int, t, K: int):

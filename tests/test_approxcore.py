@@ -508,7 +508,7 @@ class TestConstantsTable:
 
     def test_positive_entries(self):
         ct = ConstantsTable.default()
-        for bv in (ct.C, ct.M, ct.B1, ct.Ctilde):
+        for bv in (ct.M, ct.B1, ct.Ctilde):
             assert bv.lower() > 0 or bv.upper() > 0
         assert ct.Ctilde.lower() > 0
 
@@ -517,15 +517,16 @@ class TestConstantsTable:
         # C_alpha = 1 from sup_x x^alpha e^-x = (alpha/e)^alpha <= 1 (the
         # maximum at x = alpha), mode by mode with x = t lambda >= 0
         # (both proofs are in the ConstantsTable docstring); the table
-        # records provenance only for C, M and C_s
+        # records provenance only for M and C_s
         ct = ConstantsTable.default()
-        assert ct.provenance == {"C": "default", "M": "default",
-                                 "C_s": "derived"}
+        assert ct.provenance == {"M": "default", "C_s": "derived"}
         assert ConstantsTable(M=BoundedValue.exact(2)).provenance["M"] == \
             "configured"
-        # no smoothing constant is configuration
+        # neither a smoothing constant nor C is configuration
         with pytest.raises(TypeError):
             ConstantsTable(C_half_time=BoundedValue.exact(2))
+        with pytest.raises(TypeError):
+            ConstantsTable(C=BoundedValue.exact(2))
         two = BoundedValue.exact(2).to_json()
         for key, val in (("C_alpha", {"1/4": two}), ("C_s", {"6/5": two}),
                          ("C_half_time", two)):
@@ -552,6 +553,23 @@ class TestConstantsTable:
         ct = ConstantsTable.default()
         ct2 = ConstantsTable.from_json(ct.to_json())
         assert ct2.M.contains(ct.M.center.to_fraction())
+
+    @pytest.mark.parametrize("M", [BoundedValue.exact(0),
+                                   BoundedValue.exact(-1),
+                                   BoundedValue.from_endpoints(F(-2), F(4))],
+                             ids=["zero", "negative", "straddles-zero"])
+    def test_nonpositive_m_rejected(self, M):
+        # M must have a positive lower end: Ctilde = M B1 divides the
+        # horizon search, so 0 in M is a division by zero downstream
+        with pytest.raises(ValueError, match="M must be positive"):
+            ConstantsTable(M=M)
+        with pytest.raises(ValueError, match="M must be positive"):
+            ConstantsTable.from_json({"M": M.to_json()})
+
+    @pytest.mark.parametrize("body", [[1], "CM", 2, None])
+    def test_non_object_table_rejected(self, body):
+        with pytest.raises(ValueError, match="is a JSON object"):
+            ConstantsTable.from_json(body)
 
     def test_cs_embedding_constant(self):
         ct = ConstantsTable.default()

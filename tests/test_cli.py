@@ -278,17 +278,25 @@ class TestHorizonAndSolve:
 
 
     @pytest.mark.parametrize("table", [
-        # only C and M are configuration: any other constant in the file,
-        # such as a smoothing constant (each is 1), is a parse error, not
-        # silently ignored
+        # only M is configuration: any other constant in the file, such as
+        # a smoothing constant (each is 1), is a parse error, not silently
+        # ignored
         {"C_half_time": BoundedValue.exact(2).to_json()},
         # malformed tables
-        {"C": 2}, "CM", [1]])
-    def test_constants_file_rejected(self, tmp_path, small_pair, table):
+        {"C": 2}, "CM", [1],
+        # C is not a constant of the table: a well-formed C is refused too
+        {"C": BoundedValue.exact(2).to_json()},
+        # M must be positive
+        {"M": BoundedValue.exact(0).to_json()},
+        {"M": BoundedValue.exact(-1).to_json()},
+        {"M": BoundedValue.from_endpoints(F(-2), F(4)).to_json()}])
+    def test_constants_file_rejected(self, tmp_path, small_pair, table,
+                                     capsys):
         override = tmp_path / "constants.json"
         override.write_text(json.dumps(table))
         assert _run("horizon", "--input", small_pair, "--constants",
                     str(override)) == cli.EXIT_PARSE
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestPressure:

@@ -9,8 +9,10 @@ their defining recursions.  Claim-style bounds are measured on actual
 iterates and compared against the certified tables.
 """
 
+import dataclasses
 import inspect
 import math
+import pathlib
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -808,21 +810,11 @@ class TestSmoothnessLift:
             tot += float((w * f.grid.c ** 2).sum())
         assert math.sqrt(tot) <= lift.hs65.upper() * (1 + 1e-9)
 
-    def test_endpoint_tail_schedule(self):
-        c = _cert()
-        t = c.T_frac
-        tails = [nse._claim2_tail(c, 2, t, n) for n in range(4, 12)]
-        assert all(b > a for a, b in zip(tails[1:], tails))
-        # quartering t_n takes the bound down by about 2^(-1/2)
-        assert tails[6] / tails[2] == pytest.approx(2.0 ** -1, rel=0.05)
-
     def test_lift_reports_meet_budget(self):
         c = _cert()
         lift = nse.smoothness_lift(1, c.T_frac, 8, c)
-        assert lift.endpoint_tail <= 2.0 ** -10
         assert nse._pair_radius(lift.u) + lift.defect[F(0)] <= 2.0 ** -8 \
             * (1 + 1e-9)
-        assert lift.t_n == c.T_frac / 2 ** lift.n
 
     @staticmethod
     def _engine_radius(cert, t, P, m):
@@ -860,8 +852,7 @@ class TestSmoothnessLift:
 
 
 class TestRoundingRules:
-    """The engine's defect weights and the Claim-II tail against 60-digit
-    mpmath."""
+    """The engine's defect weights against 60-digit mpmath."""
 
     @pytest.mark.parametrize("t_scale", [F(1), F(1, 3)])
     def test_defect_weight_table(self, t_scale):
@@ -886,31 +877,9 @@ class TestRoundingRules:
                     assert mp.mpf(ball.lower()) <= ref <= mp.mpf(ball.upper())
                     assert ball.r <= 1e-13 * abs(ball.c)
 
-    def test_claim2_tail_upper_bound(self):
-        cert = _cert()
-        t = cert.T_frac
-        ct, mm = CT, 2
-        lead = (ct.C * ct.M * cert.M_beta_m[F(1, 4)][mm]
-                * cert.M_beta_m[F(1, 2)][mm]).upper()
-        ns = np.array([1, 2, 7, 50, 107, 399])
-        tails = nse._claim2_tail(cert, mm, t, ns)
-        with mp.workdps(60):
-            for n, got in zip(ns, tails):
-                t_n = t / 2 ** int(n)
-                ref = (mp.mpf(lead.numerator) / lead.denominator * 4
-                       * mp.power(mp.mpf((t - t_n).numerator)
-                                  / (t - t_n).denominator, mp.mpf(-17) / 20)
-                       * mp.root(mp.mpf(t_n.numerator) / t_n.denominator, 4))
-                assert ref <= mp.mpf(got) <= ref * (1 + mp.mpf(10) ** -12)
-                assert nse._claim2_tail(cert, mm, t, int(n)) == got
-        for n in (0, 401):
-            with pytest.raises(ValueError):
-                nse._claim2_tail(cert, mm, t, n)
-
     def test_second_solve_runs_no_series(self, monkeypatch):
-        # the defect weights, the Claim-II time factor and the H^{6/5}
-        # factor are cached: a second warm solve at the same horizon runs
-        # no exp or atanh series
+        # the defect weights and the H^{6/5} factor are cached: a second
+        # warm solve at the same horizon runs no exp or atanh series
         c = _cert()
         nse.solve(EL, None, c.T_frac, 8, cert=c)
         calls = {"_exp_series": 0, "_atanh_series": 0}
@@ -1148,11 +1117,8 @@ class TestSolve:
         certificate that the engine, the moduli and the depth choice read,
         as exact fractions."""
         ct = cert.constants
-        bvs = [ct.C, ct.M, cert.epsilon, cert.L,
+        bvs = [ct.M, cert.epsilon, cert.L,
                ct.M * ct.beta_value(F(3, 4), F(1, 4))]
-        for mm in range(len(cert.M_beta_m[F(1, 4)])):
-            bvs.append(ct.C * ct.M * cert.M_beta_m[F(1, 4)][mm] *
-                       cert.M_beta_m[F(1, 2)][mm])
         return {(b.center.to_fraction(), b.radius.to_fraction()) for b in bvs}
 
     @pytest.mark.parametrize("datum", ["exact", "readme"])
@@ -1322,7 +1288,8 @@ class TestSolve:
 
 class TestOwners:
     """Each input of the Picard path is set in one place: the forcing and
-    the constants on the certificate, the time-cell cap in `nse`."""
+    the constants on the certificate, the time-cell cap in `nse`; M is the
+    only assumed constant, and the lift keeps no Claim-II schedule."""
 
     @pytest.mark.parametrize("fn", [nse.solve, nse.iterate,
                                     nse.smoothness_lift, nse._Engine],
@@ -1336,6 +1303,24 @@ class TestOwners:
         # ladder's start as the keyword panels
         params = list(inspect.signature(nse.smoothness_lift).parameters)
         assert params[0] == "m" and "panels" in params
+
+    def test_m_is_the_only_assumed_constant(self):
+        params = inspect.signature(ConstantsTable.__init__).parameters
+        assert list(params) == ["self", "M"]
+
+    def test_lift_result_fields(self):
+        # the tracer reads panels; hs65 and defect are the lift's H^{6/5}
+        # certificate and engine defect
+        names = tuple(f.name for f in dataclasses.fields(nse.LiftResult))
+        assert names == ("u", "band", "hs65", "defect", "panels")
+
+    def test_no_claim2_schedule(self):
+        src = pathlib.Path(nse.__file__).resolve().parent
+        offenders = ["%s: %s" % (path.name, word)
+                     for path in sorted(src.glob("*.py"))
+                     for word in ("claim2", "_CLAIM2")
+                     if word in path.read_text()]
+        assert not offenders, offenders
 
 
 # ---------------------------------------------------------------------------
