@@ -509,6 +509,15 @@ class _Engine:
                      - h sum_q H_{P-q} B_{m-1}(q)
         d_m(t)     = sum_q W_end[:, P-1-q] E_{m-1}(q)
 
+    Cell 0's Duhamel sum is empty, so u_j(i) = u_i(i) for every j >= i:
+    from level i on, cell i's iterate is final.  Level j therefore runs
+    the product and the norms of u_j only on the cells i >= j, and a cell
+    i < j keeps the d-free parts of B_i(i) (the truncated B, its
+    truncation tails term, ||A^{1/4} u||, ||A^{1/2} u|| and the L2 upper
+    bound of B).  E_j and F_j are formed on every cell from those parts
+    and d_j, which still moves through the sliver term.  eval(m) thus runs
+    sum_{j<m} max(P - j, 0) product sets, not m P.
+
     The heat hulls act on each mode and depend only on a gap of cells: G_g
     holds e^{-tau A} for tau in [(g-1)h, (g+1)h], H_k for tau in
     [(k-1)h, kh].  Both, and the hull at tau = t, come from one table of
@@ -614,26 +623,45 @@ class _Engine:
                 *weighted_sq_terms(b, s, kind, q))
         return grid_sqrt(total)
 
-    def _products(self, u, d: BallGrid):
-        """B u_j on every cell of a level, truncated at the cap, as
-        component stacks, with the defect bounds E and F of every cell."""
-        cut = [[_trunc_band(f, self.cap) for f in nonlinearity_pair(
-                    *(FourierField(b, self.cap, g[i])
-                      for b, g in zip(_BASES, u)))]
-               for i in range(self.P)]
-        B = [_stacked([c[k][0].grid for c in cut]) for k in range(len(_BASES))]
-        tails = BallGrid([[e for _, e in c] for c in cut])
-        u14, u12 = (self._norms(u, "stokes", 2 * b) for b in (F14, F12))
-        d14, d12 = (d[:, _DEFECT_BETAS.index(b)] for b in (F14, F12))
-        E = (d14 * (u12 + d12) + u14 * d12) * self._M \
-            + grid_sqrt(tails.sumsq_rows()) * self._lam_qtr
-        l2 = BallGrid(self._norms(B).upper())
-        return B, E, l2 * self._qtr_11 + E
+    def _products(self, u, d: BallGrid, j: int, parts):
+        """B u_j on every cell of level j, truncated at the cap, as
+        component stacks, with the defect bounds E and F of every cell.
 
-    def _next(self, base, d0: BallGrid, B, E: BallGrid, Fv: BallGrid):
-        """u_{j+1} and d_{j+1} on every cell from B u_j and its bounds."""
+        ``u`` holds u_j on the cells i >= j only (None when there is none);
+        their d-free parts are computed and written over those rows of
+        ``parts``, the level before's, which the final cells i < j keep.
+        Returns the parts, B, E and F."""
+        if u is not None:
+            cut = [[_trunc_band(f, self.cap) for f in nonlinearity_pair(
+                        *(FourierField(b, self.cap, g[i])
+                          for b, g in zip(_BASES, u)))]
+                   for i in range(u[0].shape[0])]
+            B = [_stacked([c[k][0].grid for c in cut])
+                 for k in range(len(_BASES))]
+            tails = grid_sqrt(BallGrid([[e for _, e in c] for c in cut])
+                              .sumsq_rows()) * self._lam_qtr
+            new = B + [tails, *(self._norms(u, "stokes", 2 * b)
+                                for b in (F14, F12)),
+                       BallGrid(self._norms(B).upper())]
+            if parts is None:
+                parts = new
+            else:
+                for p, n in zip(parts, new):
+                    p.set(slice(j, None), n)
+        *B, tails, u14, u12, l2 = parts
+        d14, d12 = (d[:, _DEFECT_BETAS.index(b)] for b in (F14, F12))
+        E = (d14 * (u12 + d12) + u14 * d12) * self._M + tails
+        return parts, B, E, l2 * self._qtr_11 + E
+
+    def _next(self, base, d0: BallGrid, j: int, B, E: BallGrid,
+              Fv: BallGrid):
+        """u_{j+1} on the cells i > j, whose iterates can still move (None
+        when there is none), and d_{j+1} on every cell from B u_j and its
+        bounds."""
         P = self.P
-        u = [g - i for g, i in zip(base, self._integrals(B))]
+        val = self._duhamel(B, j + 1, P - 1, self._G)
+        u = None if val is None else [g[j + 1:] - v
+                                      for g, v in zip(base, val)]
         idef = self._W_end[:, 0].reshape(1, -1) * Fv.reshape(-1, 1)
         for i in range(1, P):
             idef.set(i, idef[i] + ball_matmul(
@@ -652,11 +680,11 @@ class _Engine:
         if m == 0:
             return pair, BallGrid.zeros(len(_DEFECT_BETAS))
         base, d0 = self._base()
-        u, d = base, d0
+        u, d, parts = base, d0, None
         for j in range(m):
-            B, E, Fv = self._products(u, d)
+            parts, B, E, Fv = self._products(u, d, j, parts)
             if j + 1 < m:
-                u, d = self._next(base, d0, B, E, Fv)
+                u, d = self._next(base, d0, j, B, E, Fv)
         val = self._duhamel(B, P, P, self._H)
         return (tuple(p - FourierField(b, cap, g[0])
                       for p, b, g in zip(pair, _BASES, val)),

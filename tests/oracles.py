@@ -17,7 +17,9 @@ normalization `gamma0`, and certifies the window transforms by the
 profile's ODE recurrence.  The band-limited product's earlier route,
 `ball_convolve` of the exponential extensions `_extended`, checks the
 library's fold on the coefficient grids.  The Picard engine's cell-by-cell
-recursion, `CellEngine`, checks the library's level engine.  The
+recursion, `CellEngine`, checks the library's level engine bit for bit,
+and its earlier form `RecomputingCellEngine`, which runs every cell's
+product at every level, bounds it from outside.  The
 Claim-1 horizon search's earlier loop, `rounded_root_exponent`, which
 compares a rounded fourth root T^{1/4} against the bound, checks the
 library's exact root-free search.  The term-by-term `Fraction` loop
@@ -1395,8 +1397,10 @@ def heat_range(pair, t_lo: Fraction, t_hi: Fraction):
 class CellEngine(nse._Engine):
     """The Picard engine's earlier route: u_j on cell i by the memoized
     recursion u_cell -> _integral -> _panel_sum -> B_cell, one
-    `heat_range` per Duhamel piece.  The library's level engine must give
-    the same enclosures bit for bit."""
+    `heat_range` per Duhamel piece.  B_cell(j, i) takes its product from
+    the iterate of level `_pair_level(j, i)` = min(j, i), where cell i's
+    iterate became final, and its defect from level j.  The library's
+    level engine must give the same enclosures bit for bit."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -1480,12 +1484,20 @@ class CellEngine(nse._Engine):
             self._u[key] = (pair, d)
         return self._u[key]
 
+    @staticmethod
+    def _pair_level(j: int, i: int) -> int:
+        """The level whose iterate on cell i the product of B_cell(j, i)
+        reads: cell 0's Duhamel sum is empty, so u_j(i) = u_i(i) for
+        j >= i."""
+        return min(j, i)
+
     def B_cell(self, j: int, i: int):
         """Truncated B(u_j) on cell i plus its A^{-1/4} defect bound E and
         the sliver bound F = sup ||A^{-1/4} B u_j|| on the cell."""
         key = (j, i)
         if key not in self._B:
-            pair, d = self.u_cell(j, i)
+            pair = self.u_cell(self._pair_level(j, i), i)[0]
+            d = self.u_cell(j, i)[1]
             b1, b2 = nse.nonlinearity_pair(*pair)
             b1, e1 = nse._trunc_band(b1, self.cap)
             b2, e2 = nse._trunc_band(b2, self.cap)
@@ -1533,6 +1545,18 @@ class CellEngine(nse._Engine):
              self.t - q * self.h) for q in range(self.P))
         d = self._defect_sum(self._W_end, m - 1, self.P)
         return (pair[0] - val[0], pair[1] - val[1]), d
+
+
+class RecomputingCellEngine(CellEngine):
+    """The cell-by-cell recursion before the final-cell reuse: B_cell(j, i)
+    runs the product of u_j on cell i at every level, final or not.  Its
+    centres are the reusing engine's, bit for bit, and its balls and
+    defects are at least as wide: a final cell re-subtracts its all-zero
+    Duhamel row at every level."""
+
+    @staticmethod
+    def _pair_level(j: int, i: int) -> int:
+        return j
 
 
 class WideCapEngine(nse._Engine):

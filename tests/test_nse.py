@@ -30,9 +30,9 @@ from solenoid.spectral import (FourierField, SobolevName,
                                mollified_field_pair)
 from solenoid.stokes import frac_power_apply, semigroup_apply
 
-from oracles import (CellEngine, WideCapEngine, _axis_extension, _extended,
-                     axis_product_table, eval_ball, product_to_sum,
-                     rounded_root_exponent)
+from oracles import (CellEngine, RecomputingCellEngine, WideCapEngine,
+                     _axis_extension, _extended, axis_product_table,
+                     eval_ball, product_to_sum, rounded_root_exponent)
 
 EL = pf.mollify(pf.solenoidal_kernel(4)[0], 1, 2)
 CT = ConstantsTable.default()
@@ -921,7 +921,9 @@ class TestRoundingRules:
 class TestLevelEngine:
     """The level engine against the cell-by-cell recursion of
     `oracles.CellEngine`: the same centres, radii, tails and defect
-    vectors, bit for bit."""
+    vectors, bit for bit; and against `oracles.RecomputingCellEngine`,
+    which runs the product of every cell at every level: the same
+    centres, inside its balls and defects."""
 
     @staticmethod
     def _bits(x):
@@ -966,6 +968,58 @@ class TestLevelEngine:
         assert c.T_frac == t == F(1, 2 ** 29)
         return c
 
+    def _inside(self, got, ref):
+        """got's centres are ref's bit for bit, each of its coefficient and
+        tail balls lies inside ref's and each defect entry's upper end is
+        at most ref's, compared in Fraction."""
+        def ends(c, r):
+            return F(c) - F(r), F(c) + F(r)
+        (pair, d), (rpair, rd) = got, ref
+        for f, g in zip(pair, rpair):
+            assert (f.basis, f.cutoff) == (g.basis, g.cutoff)
+            assert np.array_equal(self._bits(f.grid.c),
+                                  self._bits(g.grid.c))
+            balls = zip(f.grid.c.ravel().tolist() + [f.tail_l2.c],
+                        f.grid.r.ravel().tolist() + [f.tail_l2.r],
+                        g.grid.c.ravel().tolist() + [g.tail_l2.c],
+                        g.grid.r.ravel().tolist() + [g.tail_l2.r])
+            for c, r, rc, rr in balls:
+                (lo, hi), (rlo, rhi) = ends(c, r), ends(rc, rr)
+                assert rlo <= lo and hi <= rhi
+        for c, r, rc, rr in zip(d.c, d.r, rd.c, rd.r):
+            assert ends(c, r)[1] <= ends(rc, rr)[1]
+
+    @pytest.mark.parametrize("t_scale", [F(1), F(1, 2)])
+    @pytest.mark.parametrize("P", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("datum", ["readme", "constant", "varying"])
+    def test_reuse_stays_inside_the_recomputing_recursion(self, datum, P,
+                                                          t_scale):
+        # a final cell keeps the product of the level where its iterate
+        # became final; running it again at every level only re-subtracts
+        # cell 0's all-zero Duhamel row, which can widen but not move
+        c = {"readme": _cert,
+             "constant": lambda: self._forced_cert(_constant_forcing()),
+             "varying": self._varying_cert}[datum]()
+        t = c.T_frac * t_scale
+        ref = RecomputingCellEngine(c, t, P)
+        for m in range(1, 6):
+            self._inside(nse._Engine(c, t, P).eval(m), ref.eval(m))
+
+    @pytest.mark.parametrize("P", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    def test_products_only_while_a_cell_can_move(self, P, m, monkeypatch):
+        # level j runs the product on the cells j..P-1 only
+        calls = []
+        product = nse.nonlinearity_pair
+
+        def counting(u1, u2):
+            calls.append(u1.cutoff)
+            return product(u1, u2)
+        monkeypatch.setattr(nse, "nonlinearity_pair", counting)
+        c = _cert()
+        nse._Engine(c, c.T_frac, P).eval(m)
+        assert len(calls) == sum(max(P - j, 0) for j in range(m))
+
     @pytest.mark.parametrize("P", [1, 2, 3, 4, 8])
     def test_constant_forcing(self, P):
         c = self._forced_cert(_constant_forcing())
@@ -991,7 +1045,8 @@ class TestLevelEngine:
 
     def test_every_product_runs_at_the_cap(self, monkeypatch):
         # under cell-varying forcing bands every cell of every level holds
-        # its iterate at the cap, the narrow cells 0-1 as the wide 2-3
+        # its iterate at the cap, the narrow cells 0-1 as the wide 2-3;
+        # level j runs the cells j..3, 4 + 3 + 2 products
         cutoffs = []
         product = nse.nonlinearity_pair
 
@@ -1003,7 +1058,7 @@ class TestLevelEngine:
         eng = nse._Engine(c, c.T_frac, 4)
         eng.eval(3)
         assert eng.cap == 16
-        assert cutoffs == [(16, 16)] * 12
+        assert cutoffs == [(16, 16)] * 9
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_one_product_per_cell_and_level(self, m, monkeypatch):
@@ -1016,8 +1071,12 @@ class TestLevelEngine:
         monkeypatch.setattr(nse, "nonlinearity_pair", counting)
         c = _cert()
         lift = nse.smoothness_lift(m, c.T_frac, 8, c, panels=4)
-        # every engine of the panel doubling 4, 8, ..., lift.panels
-        assert len(calls) == m * (2 * lift.panels - 4)
+        # every engine of the panel doubling 4, 8, ..., lift.panels, whose
+        # level j runs the cells j..P-1
+        doublings = [4 * 2 ** k for k in range(lift.panels.bit_length() - 2)]
+        assert doublings[-1] == lift.panels
+        assert len(calls) == sum(max(P - j, 0)
+                                 for P in doublings for j in range(m))
 
 
 class TestEngineBand:
@@ -1151,8 +1210,9 @@ class TestSolve:
             assert f.tail_l2.upper() == g.tail_l2.upper()
 
     def test_readme_solve_runs_one_cell(self, monkeypatch):
-        # the README datum meets its budget on one time cell: one product
-        # per iteration level, and no doubling
+        # the README datum meets its budget on one time cell, and no
+        # doubling: the cell's iterate is final from level 0, so one product
+        # serves every level
         calls, lifts = [], []
         product, lift = nse.nonlinearity_pair, nse.smoothness_lift
 
@@ -1169,7 +1229,7 @@ class TestSolve:
         nse.solve(EL, None, c.T_frac, 8, cert=c)
         [(m, result)] = lifts
         assert result.panels == 1
-        assert len(calls) == m
+        assert m > 1 and len(calls) == 1
 
     _WITNESS = {}
 
