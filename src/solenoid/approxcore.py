@@ -588,6 +588,23 @@ def gamma_tail(l: BoundedValue, t: BoundedValue, k: int = 24) -> BoundedValue:
 # Constants table
 # ---------------------------------------------------------------------------
 
+def _is_ball_json(obj) -> bool:
+    """Whether obj has the form `BoundedValue.to_json` writes, with a
+    nonnegative radius."""
+    def dyadic(d):
+        if not (isinstance(d, dict) and set(d) == {"m", "e"}
+                and isinstance(d["m"], str) and type(d["e"]) is int):
+            return None
+        try:
+            return int(d["m"])
+        except ValueError:
+            return None
+    if not (isinstance(obj, dict) and set(obj) == {"c", "r"}):
+        return False
+    c, r = dyadic(obj["c"]), dyadic(obj["r"])
+    return c is not None and r is not None and r >= 0
+
+
 class ConstantsTable:
     """The analytic constants consumed by the solver layers.
 
@@ -692,4 +709,8 @@ class ConstantsTable:
         if extra:
             raise ValueError("a constants table sets only M, not %s"
                              % ", ".join(extra))
+        if "M" in obj and not _is_ball_json(obj["M"]):
+            raise ValueError('M must be a ball {"c": {"m": str, "e": int}, '
+                             '"r": {"m": str, "e": int}} of integer strings '
+                             'm and a nonnegative radius')
         return cls(**{k: BoundedValue.from_json(v) for k, v in obj.items()})

@@ -566,6 +566,22 @@ class TestConstantsTable:
         with pytest.raises(ValueError, match="M must be positive"):
             ConstantsTable.from_json({"M": M.to_json()})
 
+    @pytest.mark.parametrize("M", [
+        2, "x", {"c": 1}, {"c": [1, 0], "r": [0, 0]},
+        {"c": {"m": "1.5", "e": 0}, "r": {"m": "0", "e": 0}},
+        {"c": {"m": 1, "e": 0}, "r": {"m": "0", "e": 0}},
+        {"c": {"m": "1", "e": "0"}, "r": {"m": "0", "e": 0}},
+        {"c": {"m": "1", "e": True}, "r": {"m": "0", "e": 0}},
+        {"c": {"m": "1", "e": 0}, "r": {"m": "-1", "e": 0}},
+        {"c": {"m": "1", "e": 0}, "r": {"m": "0", "e": 0}, "x": 1}])
+    def test_malformed_m_rejected(self, M):
+        # a value that is not the ball form `BoundedValue.to_json` writes
+        # names M and the form, where it raised a bare TypeError or a
+        # message that named neither
+        with pytest.raises(ValueError, match=r'M must be a ball \{"c": '
+                           r'\{"m": str, "e": int\}, "r": '):
+            ConstantsTable.from_json({"M": M})
+
     @pytest.mark.parametrize("body", [[1], "CM", 2, None])
     def test_non_object_table_rejected(self, body):
         with pytest.raises(ValueError, match="is a JSON object"):

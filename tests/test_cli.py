@@ -299,6 +299,18 @@ class TestHorizonAndSolve:
         assert "Traceback" not in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("M", [
+        2, "x", {"c": 1}, {"c": [1, 0], "r": [0, 0]}])
+    def test_malformed_m_named(self, tmp_path, small_pair, M, capsys):
+        override = tmp_path / "constants.json"
+        override.write_text(json.dumps({"M": M}))
+        assert _run("horizon", "--input", small_pair, "--constants",
+                    str(override)) == cli.EXIT_PARSE == 2
+        err = capsys.readouterr().err
+        assert 'M must be a ball {"c": {"m": str, "e": int}, "r": ' in err
+        assert "Traceback" not in err
+
+
 class TestPressure:
     def test_path_independence(self, tmp_path, mode11):
         out1, out2 = tmp_path / "p1.json", tmp_path / "p2.json"
