@@ -31,18 +31,21 @@ resolution k-hat, a horizon T_a from the scaling inequality on
 max{T^{1/4}, T^{1/2}} max{||A^{1/4}a||, ||A^{1/2}a||}, the recursive K and M
 tables, the cap 4 k0 (sqrt2 - 1)/sqrt2, and the contraction factor
 epsilon = 2 Ctilde K_cap < 1, which holds for every datum by arithmetic.
+No run on a certificate reads its M table, so the certificate builds it on
+first read (its JSON form does).
 The horizon and the small-time modulus theta_2 ask one Claim-1 question,
 at T = 2^-j and against different bounds b: is T^{1/4} mx + forcing(T) < b
 for mx = max{||A^{1/4}a||, ||A^{1/2}a||}?  With d = b - forcing(T) it holds
-exactly when d > 0 and T mx^4 < d^4, so `_claim1_exponent` decides it in
-rationals, with no root, and returns the least such j.
+exactly when d > 0 and T mx^4 < d^4, so `_claim1_exponent` decides it
+exactly in integers, with no root, and returns the least such j.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -199,7 +202,6 @@ class IterationCertificate:
     K_cap: BoundedValue
     epsilon: BoundedValue
     L: BoundedValue
-    M_beta_m: Dict[Fraction, List[BoundedValue]]
     w_m: Tuple[Fraction, ...]
     k_hat: int
     seed: Tuple[FourierField, FourierField]
@@ -219,6 +221,14 @@ class IterationCertificate:
         if key not in self._balls:
             self._balls[key] = FloatBall.from_bounded(bounded())
         return self._balls[key]
+
+    @cached_property
+    def M_beta_m(self) -> Dict[Fraction, List[BoundedValue]]:
+        """The M table, x_{beta,0} = a_norm, built on first read: only the
+        JSON form of the certificate reads it, no run on it does."""
+        coef = _datum_free_tables(self.constants)[7]  # the Beta coefficients
+        return _recursion({b: self.a_norm for b in _M_BETAS}, coef,
+                          self.constants.M)
 
     @property
     def forcing_sup(self) -> float:
@@ -267,13 +277,19 @@ def _claim1_exponent(mx: Fraction, b: Fraction, G: float, j0: int,
     """The least j in [j0, j_max] whose horizon T = 2^-j passes the Claim-1
     test T^{1/4} mx + forcing(T) < b, or None when none does.  With
     d = b - forcing(T), the test holds exactly when d > 0 and T mx^4 < d^4,
-    a comparison of rationals decided without a root."""
+    a comparison of rationals decided without a root.  It runs in integers:
+    with mx^4 = p/q, b = bn/bd and G = gn/gd, d = dn/dd for
+    dn = bn gd 2^j - 2 gn bd and dd = bd gd 2^j, so the test reads dn > 0
+    and p (bd gd)^4 2^{3j} < q dn^4."""
     if b <= 0:
         return None
-    mx4 = mx ** 4
+    g = Fraction(G)
+    bn, bd, gn, gd = b.numerator, b.denominator, g.numerator, g.denominator
+    p, q = mx.numerator ** 4, mx.denominator ** 4
+    lhs, bngd, tg = p * (bd * gd) ** 4, bn * gd, 2 * gn * bd
     for j in range(j0, j_max + 1):
-        d = b - _forcing_term(Fraction(1, 2 ** j), G)
-        if d > 0 and mx4 < d ** 4 * 2 ** j:
+        dn = (bngd << j) - tg
+        if dn > 0 and lhs << 3 * j < q * dn ** 4:
             return j
     return None
 
@@ -294,6 +310,13 @@ def _recursion(x0, coef, M) -> Dict[Fraction, List[BoundedValue]]:
         for b, x in x0.items():
             tab[b].append(x + coef[b] * prod)
     return tab
+
+
+@lru_cache(maxsize=64)
+def _quarter_root_upper(j: int) -> Fraction:
+    """The upper end of the enclosure of T^{1/4} at T = 2^-j, cached per j:
+    horizons take few values of j."""
+    return bv_sqrt(bv_sqrt(BoundedValue.exact(Fraction(1, 2 ** j)))).upper()
 
 
 @lru_cache(maxsize=16)
@@ -332,10 +355,11 @@ def compute_horizon(a, constants: ConstantsTable = None, mode_cap: int = 24,
     T^{1/4} (at least T^{1/2}, as T < 1) times the seed's fractional-power
     norms, plus the forcing term, under 1/(16 Ctilde), so the realized
     Claim-1 functional k0 sits strictly below 1/(8 Ctilde).  The
-    certificate keeps ``forcing``, the forcing of every run on it.
+    certificate keeps ``forcing``, the forcing of every run on it, and
+    builds its M table on first read.
     """
     ct = constants or ConstantsTable.default()
-    k_hat, eighth, sixteenth, K_cap, epsilon, L, Ktab, coef, w = \
+    k_hat, eighth, sixteenth, K_cap, epsilon, L, Ktab, _, w = \
         _datum_free_tables(ct)
     pair = _as_pair(a, k_hat + 2)
     # a name's approximant is only 2^-k close to the datum
@@ -363,19 +387,17 @@ def compute_horizon(a, constants: ConstantsTable = None, mode_cap: int = 24,
     if j is None:
         raise RuntimeError("horizon search failed to terminate")
     T = Fraction(1, 2 ** j)
-    rootT = bv_sqrt(bv_sqrt(BoundedValue.exact(T)))
-    lead = rootT.upper() * mx + _forcing_term(T, g_sup)
+    lead = _quarter_root_upper(j) * mx + _forcing_term(T, g_sup)
     k0 = BoundedValue.from_fraction(seed_res) + \
         BoundedValue.from_fraction(lead)
     if k0.upper() >= eighth.lower():
         raise RuntimeError("Claim-1 functional failed to clear 1/(8 Ctilde)")
     a_norm = BoundedValue.from_fraction(Fraction(norm_up)).widened(
         BoundedValue.from_fraction(seed_res))
-    Mtab = _recursion({b: a_norm for b in _M_BETAS}, coef, ct.M)
     return IterationCertificate(
         T_a=BoundedValue.exact(T), k0=k0,
         K_beta_m={b: list(v) for b, v in Ktab.items()}, K_cap=K_cap,
-        epsilon=epsilon, L=L, M_beta_m=Mtab, w_m=w, k_hat=k_hat,
+        epsilon=epsilon, L=L, w_m=w, k_hat=k_hat,
         seed=seed, seed_res=seed_res, a_norm=a_norm, quarter_norm=q_norm,
         half_norm=h_norm, constants=ct, forcing=forcing)
 
@@ -435,8 +457,12 @@ class Forcing:
     """
 
     def __init__(self, pair_fn, sup_l2: float):
+        sup = float(sup_l2)
+        if not (math.isfinite(sup) and sup >= 0):
+            raise ValueError("the forcing bound sup_l2 must be finite and "
+                             "nonnegative, got %r" % (sup_l2,))
         self.pair_fn = pair_fn
-        self.sup_l2 = float(sup_l2)
+        self.sup_l2 = sup
 
     @staticmethod
     def constant(f1: FourierField, f2: FourierField) -> "Forcing":

@@ -126,34 +126,23 @@ class RationalPoly2:
 
     def compose_affine(self, sx: Fraction, cx: Fraction,
                        sy: Fraction, cy: Fraction) -> "RationalPoly2":
-        """Return p(sx*x + cx, sy*y + cy) expanded exactly."""
-        sx, cx, sy, cy = map(Fraction, (sx, cx, sy, cy))
+        """Return p(sx*x + cx, sy*y + cy) expanded exactly.
+
+        With a = A/D, sx = Sx/ex, cx = Cx/ex (and so for y), the output
+        coefficient is (Bx^T A By)[d1][d2] / (D ex^n ey^n), where
+        Bx[i][d] = ex^(n-i) times the t^d coefficient of (Sx t + Cx)^i:
+        two integer matrix products and one division per coefficient."""
         n = self.N
-        # binomial expansion tables: (s*t + c)^i = sum_d B[i][d] t^d
-        def table(s, c):
-            rows = [[_F1]]
-            for i in range(1, n + 1):
-                prev = rows[-1]
-                cur = [_F0] * (i + 1)
-                for d, v in enumerate(prev):
-                    cur[d] += v * c
-                    cur[d + 1] += v * s
-                rows.append(cur)
-            return rows
-        bx, by = table(sx, cx), table(sy, cy)
-        out = [[_F0] * (n + 1) for _ in range(n + 1)]
-        for i in range(n + 1):
-            for j in range(n + 1):
-                aij = self.a[i][j]
-                if aij == 0:
-                    continue
-                for d1, v1 in enumerate(bx[i]):
-                    if v1 == 0:
-                        continue
-                    for d2, v2 in enumerate(by[j]):
-                        if v2 != 0:
-                            out[d1][d2] += aij * v1 * v2
-        return RationalPoly2(out)
+        A, D = _common_denominator([v for row in self.a for v in row])
+        bx, ex = _binomial_table(Fraction(sx), Fraction(cx), n)
+        by, ey = _binomial_table(Fraction(sy), Fraction(cy), n)
+        # AB[i][d2] = sum_j a_ij By[j][d2]
+        AB = [[sum(map(operator.mul, A[i * (n + 1):(i + 1) * (n + 1)], col))
+               for col in zip(*by)] for i in range(n + 1)]
+        den = D * ex ** n * ey ** n
+        return RationalPoly2([[Fraction(sum(map(operator.mul, colx, colab)),
+                                        den)
+                               for colab in zip(*AB)] for colx in zip(*bx)])
 
     def to_json(self) -> list:
         return [[str(v) for v in row] for row in self.a]
@@ -172,6 +161,30 @@ def _common_denominator(values: Sequence[Fraction]) -> Tuple[List[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
+def _binomial_table(s: Fraction, c: Fraction, n: int) \
+        -> Tuple[List[List[int]], int]:
+    """Integer rows B[i] of length n + 1 and e > 0 with
+    (s t + c)^i = sum_d B[i][d] t^d / e^n for i <= n."""
+    (S, C), e = _common_denominator([s, c])
+    rows = [[1] + [0] * n]
+    for i in range(1, n + 1):
+        prev = rows[-1]
+        rows.append([C * prev[0]] + [C * prev[d] + S * prev[d - 1]
+                                     for d in range(1, n + 1)])
+    return [[v * e ** (n - i) for v in row] for i, row in enumerate(rows)], e
+
+
+@lru_cache(maxsize=256)
+def _axis_powers(a: Fraction, b: Fraction, count: int) \
+        -> Tuple[Tuple[int, ...], int]:
+    """The axis power integrals (b^d - a^d)/d, d = 1..count, as integers
+    over one denominator, cached per (a, b, count) and read-only: the
+    boxes of a trimmed field depend only on its trim index."""
+    num, den = _common_denominator([(b ** d - a ** d) / d
+                                    for d in range(1, count + 1)])
+    return tuple(num), den
+
+
 def poly_inner_on_box(p: RationalPoly2, q: RationalPoly2,
                       box: Tuple[Tuple[Fraction, Fraction],
                                  Tuple[Fraction, Fraction]]) -> Fraction:
@@ -186,10 +199,8 @@ def poly_inner_on_box(p: RationalPoly2, q: RationalPoly2,
     (xa, xb), (ya, yb) = box
     xa, xb, ya, yb = map(Fraction, (xa, xb, ya, yb))
     n, m = p.N + 1, q.N + 1
-    X, dx = _common_denominator([(xb ** d - xa ** d) / d
-                                 for d in range(1, n + m)])
-    Y, dy = _common_denominator([(yb ** d - ya ** d) / d
-                                 for d in range(1, n + m)])
+    X, dx = _axis_powers(xa, xb, n + m - 1)
+    Y, dy = _axis_powers(ya, yb, n + m - 1)
     P, dp = _common_denominator([v for row in p.a for v in row])
     Q, dq = _common_denominator([v for row in q.a for v in row])
     Qrows = [Q[k * m:(k + 1) * m] for k in range(m)]

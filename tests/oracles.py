@@ -20,11 +20,13 @@ library's fold on the coefficient grids.  The Picard engine's cell-by-cell
 recursion, `CellEngine`, checks the library's level engine bit for bit,
 and its earlier form `RecomputingCellEngine`, which runs every cell's
 product at every level, bounds it from outside.  The
-Claim-1 horizon search's earlier loop, `rounded_root_exponent`, which
-compares a rounded fourth root T^{1/4} against the bound, checks the
-library's exact root-free search.  The term-by-term `Fraction` loop
-`fraction_inner_on_box` checks the exact integer Gram kernel
-`polyfield.poly_inner_on_box`.
+Claim-1 horizon search's earlier loops check the library's integer
+search: `rounded_root_exponent` compares a rounded fourth root T^{1/4}
+against the bound, `fraction_claim1_exponent` makes the root-free
+comparison in `Fraction`s.  The term-by-term `Fraction` loops
+`fraction_inner_on_box` and `fraction_compose_affine` check the exact
+integer Gram kernel `polyfield.poly_inner_on_box` and the integer affine
+composition `polyfield.RationalPoly2.compose_affine`.
 """
 
 import dataclasses
@@ -43,7 +45,7 @@ from solenoid.floatball import (EPS, FB_PI, TINY, BallGrid, FloatBall, fb_exp,
                                 fb_log, fb_pow, fb_sincos, fb_sqrt, grid_pow)
 from solenoid.floatball import _floored, _gamma, _up
 from solenoid.helmholtz import resolve_field
-from solenoid.polyfield import _e1_balls, gamma0
+from solenoid.polyfield import RationalPoly2, _e1_balls, gamma0
 from solenoid.spectral import _H1_ORDER, _H1_TOL, _PI2, FourierField, \
     _bilinear, _fb_gamma0, _trig_values, _weights
 from solenoid.stokes import _as_bv, _components, _emit, _gamma3_value, \
@@ -482,6 +484,40 @@ def fraction_inner_on_box(p, q, box) -> Fraction:
                     if qkl != 0:
                         acc += pij * qkl * xpow[i + k] * ypow[j + l]
     return acc
+
+
+def fraction_compose_affine(p, sx, cx, sy, cy):
+    """p(sx*x + cx, sy*y + cy) expanded term by term in `Fraction`s: the
+    loop `polyfield.RationalPoly2.compose_affine` ran before it moved to
+    integers over one common denominator."""
+    sx, cx, sy, cy = map(Fraction, (sx, cx, sy, cy))
+    n = p.N
+    # binomial expansion tables: (s*t + c)^i = sum_d B[i][d] t^d
+    def table(s, c):
+        rows = [[Fraction(1)]]
+        for i in range(1, n + 1):
+            prev = rows[-1]
+            cur = [Fraction(0)] * (i + 1)
+            for d, v in enumerate(prev):
+                cur[d] += v * c
+                cur[d + 1] += v * s
+            rows.append(cur)
+        return rows
+    bx, by = table(sx, cx), table(sy, cy)
+    out = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+    for i in range(n + 1):
+        for j in range(n + 1):
+            aij = p.a[i][j]
+            if aij == 0:
+                continue
+            for d1, v1 in enumerate(bx[i]):
+                if v1 == 0:
+                    continue
+                for d2, v2 in enumerate(by[j]):
+                    if v2 != 0:
+                        out[d1][d2] += aij * v1 * v2
+    return RationalPoly2(out)
+
 
 # ---------------------------------------------------------------------------
 # the band-limited product through the extensions
@@ -1592,6 +1628,21 @@ def rounded_root_exponent(mx: Fraction, bound16: Fraction, g_sup: float,
         if j > j_max:
             return None
     return j
+
+
+def fraction_claim1_exponent(mx: Fraction, b: Fraction, G: float, j0: int,
+                             j_max: int):
+    """The least j in [j0, j_max] whose T = 2^-j has d = b - forcing(T) > 0
+    and T mx^4 < d^4, or None when none does: `nse._claim1_exponent` as
+    it ran in `Fraction`s, before it moved to integers."""
+    if b <= 0:
+        return None
+    mx4 = mx ** 4
+    for j in range(j0, j_max + 1):
+        d = b - nse._forcing_term(Fraction(1, 2 ** j), G)
+        if d > 0 and mx4 < d ** 4 * 2 ** j:
+            return j
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,8 @@ from solenoid.stokes import frac_power_apply, semigroup_apply
 
 from oracles import (CellEngine, RecomputingCellEngine, WideCapEngine,
                      _axis_extension, _extended, axis_product_table,
-                     eval_ball, product_to_sum, rounded_root_exponent)
+                     eval_ball, fraction_claim1_exponent, product_to_sum,
+                     rounded_root_exponent)
 
 EL = pf.mollify(pf.solenoidal_kernel(4)[0], 1, 2)
 CT = ConstantsTable.default()
@@ -532,6 +533,44 @@ class TestClaim1Search:
         assert nse._claim1_exponent(F(10 ** 9), F(1, 64), 0.0, 2, 40) \
             is None
 
+    def test_integer_search_matches_fraction_loop(self):
+        # the scaled README seed norms of the rounded-root test, with and
+        # without forcing, at the horizon's and at shifted j ranges
+        c = _cert()
+        b, mx = self._bound16(c), float(self._mx(c))
+        for G in (0.0, 1e-3, 0.5):
+            for i in range(-96, 49):
+                m = F(mx * 10.0 ** (i / 8))
+                for j0, j_max in ((2, 400), (9, 30), (40, 41)):
+                    assert nse._claim1_exponent(m, b, G, j0, j_max) == \
+                        fraction_claim1_exponent(m, b, G, j0, j_max), \
+                        (i, G, j0)
+
+    @pytest.mark.parametrize("j", [4, 8, 28, 60])
+    @pytest.mark.parametrize("G", [0.0, 1e-3])
+    def test_integer_search_ties_match(self, j, G):
+        # mx = b 2^{j/4}: without forcing T^{1/4} mx equals b at T = 2^-j;
+        # the forcing moves the least j on, in both searches alike
+        b = self._bound16(_cert())
+        mx = b * 2 ** (j // 4)
+        for j0, j_max in ((j, j), (j, j + 1), (2, 400)):
+            assert nse._claim1_exponent(mx, b, G, j0, j_max) == \
+                fraction_claim1_exponent(mx, b, G, j0, j_max)
+
+    def test_integer_search_empty_range_and_bound(self):
+        mx, b = F(3, 7), F(1, 64)
+        for G in (0.0, 1e-3, 0.5):
+            # j0 > j_max: no j to test
+            assert nse._claim1_exponent(mx, b, G, 12, 11) is None
+            assert fraction_claim1_exponent(mx, b, G, 12, 11) is None
+            # b <= 0: no horizon passes
+            for bad in (F(0), F(-1, 8)):
+                assert nse._claim1_exponent(mx, bad, G, 2, 400) is None
+                assert fraction_claim1_exponent(mx, bad, G, 2, 400) is None
+        # a forcing term that no j in range brings below b
+        assert nse._claim1_exponent(F(0), F(1, 64), 4.0, 2, 6) is None
+        assert fraction_claim1_exponent(F(0), F(1, 64), 4.0, 2, 6) is None
+
     def test_certificate_horizons_match_rounded_root(self):
         z = (FourierField.zero("sc", 1), FourierField.zero("cs", 1))
         pair = tuple(nse._strip_tail(f) for f in mollified_field_pair(EL, 16))
@@ -572,6 +611,54 @@ class TestClaim1Search:
             for k in range(4, 24):
                 nse._theta2(c, 1, k)
         assert not calls
+
+
+class TestLazyMTable:
+    """The M table is built on first read, from the certificate's a_norm,
+    its constants' recursion coefficients and M: a horizon builds none."""
+
+    @staticmethod
+    def _count_recursion(monkeypatch):
+        calls = []
+        real = nse._recursion
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(nse, "_recursion", counting)
+        return calls
+
+    def test_warm_horizon_builds_no_m_table(self, monkeypatch):
+        nse.compute_horizon(EL, mode_cap=12)
+        calls = self._count_recursion(monkeypatch)
+        z = (FourierField.zero("sc", 1), FourierField.zero("cs", 1))
+        c = nse.compute_horizon(z, mode_cap=24)
+        assert len(calls) == 0
+        first = c.M_beta_m
+        assert len(calls) == 1
+        assert c.M_beta_m is first
+        assert len(calls) == 1
+
+    def test_json_form_unchanged(self):
+        c = nse.compute_horizon(EL, mode_cap=12)
+        d = c.to_json()
+        assert list(d) == ["T_a", "k0", "K_cap", "epsilon", "L", "K_beta_m",
+                           "M_beta_m", "w_m", "k_hat", "seed_res", "a_norm"]
+        assert list(d["M_beta_m"]) == ["1/4", "1/2", "3/5"]
+        assert all(len(vs) == 9 for vs in d["M_beta_m"].values())
+        assert d["M_beta_m"]["1/4"][0] == c.a_norm.to_json()
+        assert "M_beta_m" not in {f.name for f in dataclasses.fields(c)}
+
+    def test_replaced_copy_builds_an_equal_table(self):
+        # `oracles.WideCapEngine` runs on such a copy
+        c = nse.compute_horizon(EL, mode_cap=12)
+        seed = tuple(f._embedded(2 * c.seed_cutoff) for f in c.seed)
+        for read_first in (False, True):
+            if read_first:
+                c.M_beta_m
+            copy = dataclasses.replace(c, seed=seed)
+            assert copy.to_json() == c.to_json()
+            assert copy.M_beta_m is not c.M_beta_m
 
 
 class TestDatumFreeTables:
@@ -1336,6 +1423,16 @@ class TestSolve:
                 nse.solve(pair, f, c.T_frac, 8, cert=c)
         assert forced.forcing is forcing and free.forcing is None
         assert forced.forcing_sup == forcing.sup_l2 and free.forcing_sup == 0
+
+    @pytest.mark.parametrize("bad", [-1e-3, -math.inf, math.inf, math.nan])
+    def test_forcing_bound_must_be_finite_nonnegative(self, bad):
+        # a negative bound would enlarge d = b - 2 T G and so the horizon
+        with pytest.raises(ValueError, match="sup_l2"):
+            nse.Forcing(lambda lo, hi: _sol_mode(1, 1), bad)
+
+    def test_forcing_bound_accepts_zero_and_ints(self):
+        assert nse.Forcing(lambda lo, hi: _sol_mode(1, 1), 0).sup_l2 == 0.0
+        assert nse.Forcing(lambda lo, hi: _sol_mode(1, 1), 2).sup_l2 == 2.0
 
     def test_forcing_shrinks_horizon(self):
         f1, f2 = _sol_mode(1, 1, 0.5, cutoff=2)

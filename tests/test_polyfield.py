@@ -26,7 +26,9 @@ from solenoid.polyfield import (
 from solenoid.polyfield import _row_reduce
 from solenoid.approxcore import BoundedValue
 from solenoid.spectral import _component_h1_sq
-from oracles import (_moments_upto, dense_row_reduce, fraction_inner_on_box,
+from solenoid import polyfield as pf
+from oracles import (_moments_upto, dense_row_reduce, fraction_compose_affine,
+                     fraction_inner_on_box,
                      gamma_radial_moment, mollified_value,
                      mollifier_cos_coefficient, mollifier_mass)
 
@@ -315,6 +317,81 @@ class TestGramKernel:
                 assert tf.l2_norm_sq() == \
                     fraction_inner_on_box(tf.q1, tf.q1, box) + \
                     fraction_inner_on_box(tf.q2, tf.q2, box)
+
+
+    def test_cached_axis_tables_two_boxes(self):
+        # the axis tables are cached per (a, b, count): two boxes in one
+        # process each read their own
+        rng = random.Random(2023)
+        boxes = [trim(solenoidal_kernel(4)[0], k).support_box()
+                 for k in (1, 2)] + [((F(1, 4), F(3, 4)), (F(1, 8), F(7, 8)))]
+        for _ in range(3):
+            for box in boxes:
+                p = self._poly(rng, rng.randint(0, 6))
+                q = self._poly(rng, rng.randint(0, 6))
+                assert poly_inner_on_box(p, q, box) == \
+                    fraction_inner_on_box(p, q, box)
+
+    def test_cached_axis_tables_read_only(self):
+        box = ((F(-3, 4), F(3, 4)), (F(1, 3), F(2)))
+        p = RationalPoly2([[F(1, 3), F(2)], [F(-5, 7), F(1, 9)]])
+        want = fraction_inner_on_box(p, p, box)
+        assert poly_inner_on_box(p, p, box) == want
+        X, dx = pf._axis_powers(F(-3, 4), F(3, 4), 3)
+        assert pf._axis_powers(F(-3, 4), F(3, 4), 3) == (X, dx)
+        with pytest.raises(TypeError):
+            X[0] = 0
+        with pytest.raises(AttributeError):
+            X.append(0)
+        assert poly_inner_on_box(p, p, box) == want
+
+
+class TestComposeAffine:
+    """The integer affine composition `RationalPoly2.compose_affine`
+    against the term-by-term `Fraction` loop
+    `oracles.fraction_compose_affine`: both are exact, so they must be
+    equal."""
+
+    @staticmethod
+    def _scalars(rng):
+        # non-dyadic: 1/beta = 2^k/(2^k - 1) of the trim indices k = 1..4,
+        # and seeded rationals
+        inv_betas = [1 / (1 - F(1, 1 << k)) for k in range(1, 5)]
+        pick = lambda: rng.choice(inv_betas + [  # noqa: E731
+            F(rng.randint(-30, 30), rng.choice(TestGramKernel.DENS))])
+        return pick(), pick(), pick(), pick()
+
+    def test_matches_fraction_loop(self):
+        rng = random.Random(2024)
+        for case in range(200):
+            p = TestGramKernel._poly(rng, rng.randint(0, 8))
+            args = self._scalars(rng)
+            assert p.compose_affine(*args) == \
+                fraction_compose_affine(p, *args), case
+
+    def test_zero_and_constant(self):
+        rng = random.Random(2025)
+        const = RationalPoly2([[F(-7, 3)]])
+        assert const.N == 0
+        for _ in range(5):
+            args = self._scalars(rng)
+            got = RationalPoly2.zero().compose_affine(*args)
+            assert got == fraction_compose_affine(RationalPoly2.zero(), *args)
+            assert got.is_zero() and got.N == 0
+            assert const.compose_affine(*args) == const == \
+                fraction_compose_affine(const, *args)
+
+    def test_rescaled_trim_form(self):
+        # TrimmedField._rescaled composes with (s, 0, s, 0), s = 1/beta
+        for N in (2, 4, 6):
+            for pair in solenoidal_kernel(N)[:2]:
+                for k in (1, 2, 3, 4):
+                    tf = trim(pair.scale(F(-5, 7)), k)
+                    s = 1 / tf.beta
+                    assert tf.q1 == fraction_compose_affine(
+                        tf.base.p1, s, F(0), s, F(0))
+                    assert tf.q2 == fraction_compose_affine(
+                        tf.base.p2, s, F(0), s, F(0))
 
 
 class TestMollifierKernel:
