@@ -492,7 +492,9 @@ class TestCertificate:
 
 class TestClaim1Search:
     """The exact root-free Claim-1 search, `nse._claim1_exponent`, against
-    the rounded-root loop it replaced, `oracles.rounded_root_exponent`."""
+    the rounded-root loop it replaced, `oracles.rounded_root_exponent`, and
+    bit for bit against its own `Fraction` form,
+    `oracles.fraction_claim1_exponent`."""
 
     @staticmethod
     def _bound16(c):
@@ -516,6 +518,10 @@ class TestClaim1Search:
                 m = F(mx * 10.0 ** (i / 8))
                 assert nse._claim1_exponent(m, b, G, 2, 400) == \
                     rounded_root_exponent(m, b, G), (i, G)
+                for j0, j_max in ((2, 400), (9, 30), (40, 41)):
+                    assert nse._claim1_exponent(m, b, G, j0, j_max) == \
+                        fraction_claim1_exponent(m, b, G, j0, j_max), \
+                        (i, G, j0)
 
     @pytest.mark.parametrize("j", [4, 8, 28, 60])
     def test_exact_tie_rejected(self, j):
@@ -526,50 +532,28 @@ class TestClaim1Search:
         assert nse._claim1_exponent(mx, b, 0.0, j, j + 1) == j + 1
         assert nse._claim1_exponent(mx, b, 0.0, 2, 400) == j + 1
         assert rounded_root_exponent(mx, b, 0.0) == j + 1
+        # the forcing moves the least j on, in both exact searches alike
+        for G in (0.0, 1e-3):
+            for j0, j_max in ((j, j), (j, j + 1), (2, 400)):
+                assert nse._claim1_exponent(mx, b, G, j0, j_max) == \
+                    fraction_claim1_exponent(mx, b, G, j0, j_max)
 
     def test_nonpositive_bound_or_range(self):
         for b in (F(0), F(-1, 8)):
             assert nse._claim1_exponent(F(0), b, 0.0, 2, 400) is None
         assert nse._claim1_exponent(F(10 ** 9), F(1, 64), 0.0, 2, 40) \
             is None
-
-    def test_integer_search_matches_fraction_loop(self):
-        # the scaled README seed norms of the rounded-root test, with and
-        # without forcing, at the horizon's and at shifted j ranges
-        c = _cert()
-        b, mx = self._bound16(c), float(self._mx(c))
         for G in (0.0, 1e-3, 0.5):
-            for i in range(-96, 49):
-                m = F(mx * 10.0 ** (i / 8))
-                for j0, j_max in ((2, 400), (9, 30), (40, 41)):
-                    assert nse._claim1_exponent(m, b, G, j0, j_max) == \
-                        fraction_claim1_exponent(m, b, G, j0, j_max), \
-                        (i, G, j0)
-
-    @pytest.mark.parametrize("j", [4, 8, 28, 60])
-    @pytest.mark.parametrize("G", [0.0, 1e-3])
-    def test_integer_search_ties_match(self, j, G):
-        # mx = b 2^{j/4}: without forcing T^{1/4} mx equals b at T = 2^-j;
-        # the forcing moves the least j on, in both searches alike
-        b = self._bound16(_cert())
-        mx = b * 2 ** (j // 4)
-        for j0, j_max in ((j, j), (j, j + 1), (2, 400)):
-            assert nse._claim1_exponent(mx, b, G, j0, j_max) == \
-                fraction_claim1_exponent(mx, b, G, j0, j_max)
-
-    def test_integer_search_empty_range_and_bound(self):
-        mx, b = F(3, 7), F(1, 64)
-        for G in (0.0, 1e-3, 0.5):
-            # j0 > j_max: no j to test
-            assert nse._claim1_exponent(mx, b, G, 12, 11) is None
-            assert fraction_claim1_exponent(mx, b, G, 12, 11) is None
-            # b <= 0: no horizon passes
-            for bad in (F(0), F(-1, 8)):
-                assert nse._claim1_exponent(mx, bad, G, 2, 400) is None
-                assert fraction_claim1_exponent(mx, bad, G, 2, 400) is None
+            for mx, b, j0, j_max in ((F(3, 7), F(0), 2, 400),
+                                     (F(3, 7), F(-1, 8), 2, 400),
+                                     (F(3, 7), F(1, 64), 12, 11),
+                                     (F(0), F(1, 64), 2, 6)):
+                assert fraction_claim1_exponent(mx, b, G, j0, j_max) == \
+                    nse._claim1_exponent(mx, b, G, j0, j_max)
+        # j0 > j_max: no j to test
+        assert nse._claim1_exponent(F(0), F(1, 64), 0.0, 12, 11) is None
         # a forcing term that no j in range brings below b
         assert nse._claim1_exponent(F(0), F(1, 64), 4.0, 2, 6) is None
-        assert fraction_claim1_exponent(F(0), F(1, 64), 4.0, 2, 6) is None
 
     def test_certificate_horizons_match_rounded_root(self):
         z = (FourierField.zero("sc", 1), FourierField.zero("cs", 1))

@@ -334,16 +334,19 @@ class TestGramKernel:
 
     def test_cached_axis_tables_read_only(self):
         box = ((F(-3, 4), F(3, 4)), (F(1, 3), F(2)))
-        p = RationalPoly2([[F(1, 3), F(2)], [F(-5, 7), F(1, 9)]])
-        want = fraction_inner_on_box(p, p, box)
-        assert poly_inner_on_box(p, p, box) == want
-        X, dx = pf._axis_powers(F(-3, 4), F(3, 4), 3)
-        assert pf._axis_powers(F(-3, 4), F(3, 4), 3) == (X, dx)
-        with pytest.raises(TypeError):
-            X[0] = 0
-        with pytest.raises(AttributeError):
-            X.append(0)
-        assert poly_inner_on_box(p, p, box) == want
+        rng = random.Random(2026)
+        for deg in (0, 1, 4, 8):
+            p = self._poly(rng, deg)
+            want = fraction_inner_on_box(p, p, box)
+            assert poly_inner_on_box(p, p, box) == want
+            X, dx = pf._axis_powers(F(-3, 4), F(3, 4), 2 * deg + 1)
+            assert pf._axis_powers(F(-3, 4), F(3, 4), 2 * deg + 1) \
+                == (X, dx)
+            with pytest.raises(TypeError):
+                X[0] = 0
+            with pytest.raises(AttributeError):
+                X.append(0)
+            assert poly_inner_on_box(p, p, box) == want
 
 
 class TestComposeAffine:
