@@ -1,13 +1,14 @@
 """Exact and directed-rounded arithmetic, approximation streams, closed-form
 special functions, and the shared table of analytic constants.
 
-Two numeric carriers live here:
-
-* ``Fraction`` (stdlib) is the exact rational tier used by the polynomial
-  algebra.
-* ``Dyadic`` / ``BoundedValue`` form the outward-rounded ball tier: a value is
-  stored as center +/- radius with both parts dyadic (mantissa * 2**exponent),
-  and every operation rounds outward so the true result stays enclosed.
+One exact carrier serves both tiers: ``Fraction`` (stdlib).  The
+polynomial algebra uses it as is; ``BoundedValue``, the outward-rounded ball
+tier, stores center +/- radius as two dyadic ``Fraction``s (denominator a
+power of two) and rounds every operation outward so the true result stays
+enclosed.  ``+``, ``-``, ``*`` and ``widened`` round at ``DEFAULT_PREC`` =
+120 bits whatever precision the caller asks for.  The canonical form
+m * 2**e (m odd, or m = e = 0) appears only in the JSON schema, the mpmath
+bridge and the rounding helpers.
 
 Transcendental enclosures (exp, log, sin, cos, Gamma, pi, Euler's gamma)
 are delegated to ``mpmath.iv`` interval arithmetic, with exact conversions
@@ -24,10 +25,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Union
+from typing import Callable, Tuple, Union
 
 __all__ = [
-    "Dyadic",
     "BoundedValue",
     "Name",
     "ConstantsTable",
@@ -47,162 +47,70 @@ __all__ = [
 
 DEFAULT_PREC = 120
 
-_Number = Union[int, Fraction, "Dyadic"]
+_Number = Union[int, Fraction]
 
 
-class Dyadic:
-    """A dyadic rational mantissa * 2**exponent in canonical form.
-
-    Canonical means the mantissa is odd or zero (zero has exponent 0), so
-    equality of values is equality of representations.
-    """
-
-    __slots__ = ("m", "e")
-
-    def __init__(self, m: int, e: int = 0):
-        m = int(m)
-        if m == 0:
-            e = 0
-        else:
-            shift = (m & -m).bit_length() - 1
-            m >>= shift
-            e += shift
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "e", int(e))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Dyadic is immutable")
-
-    # -- constructors -----------------------------------------------------
-
-    @staticmethod
-    def from_fraction(f: Fraction) -> "Dyadic":
-        """Exact conversion; raises if the denominator is not a power of two."""
-        q = f.denominator
+def _dyadic(x: _Number) -> Fraction:
+    """x as an exact dyadic ``Fraction``: ValueError for a Fraction whose
+    denominator is not a power of two, TypeError for a float or any type
+    other than int and Fraction."""
+    if isinstance(x, Fraction):
+        q = x.denominator
         if q & (q - 1):
-            raise ValueError("fraction %s is not dyadic" % f)
-        return Dyadic(f.numerator, -(q.bit_length() - 1))
-
-    @staticmethod
-    def rounded(f: Fraction, prec: int, direction: int) -> "Dyadic":
-        """Round a Fraction to a dyadic with about ``prec`` significant bits.
-
-        ``direction`` < 0 rounds toward -inf, > 0 toward +inf.
-        """
-        p, q = f.numerator, f.denominator
-        if p == 0:
-            return Dyadic(0)
-        mag = p.bit_length() - q.bit_length()  # floor(log2 |f|) within 1
-        e = mag - prec
-        # m = f * 2**-e, rounded in the requested direction
-        if e >= 0:
-            num, den = p, q << e
-        else:
-            num, den = p << (-e), q
-        if direction < 0:
-            m = num // den
-        else:
-            m = -((-num) // den)
-        return Dyadic(m, e)
-
-    # -- conversions -------------------------------------------------------
-
-    def to_fraction(self) -> Fraction:
-        if self.e >= 0:
-            return Fraction(self.m << self.e)
-        return Fraction(self.m, 1 << (-self.e))
-
-    def __float__(self) -> float:
-        f = self.to_fraction()
-        return f.numerator / f.denominator
-
-    # -- arithmetic (always exact) ----------------------------------------
-
-    def __add__(self, other: "Dyadic") -> "Dyadic":
-        e = min(self.e, other.e)
-        return Dyadic((self.m << (self.e - e)) + (other.m << (other.e - e)), e)
-
-    def __neg__(self) -> "Dyadic":
-        return Dyadic(-self.m, self.e)
-
-    def __sub__(self, other: "Dyadic") -> "Dyadic":
-        return self + (-other)
-
-    def __mul__(self, other: "Dyadic") -> "Dyadic":
-        return Dyadic(self.m * other.m, self.e + other.e)
-
-    def __abs__(self) -> "Dyadic":
-        return Dyadic(abs(self.m), self.e)
-
-    def _cmp(self, other: "Dyadic") -> int:
-        d = self - other
-        return (d.m > 0) - (d.m < 0)
-
-    def __lt__(self, o):
-        return self._cmp(o) < 0
-
-    def __le__(self, o):
-        return self._cmp(o) <= 0
-
-    def __gt__(self, o):
-        return self._cmp(o) > 0
-
-    def __ge__(self, o):
-        return self._cmp(o) >= 0
-
-    def __eq__(self, o):
-        return isinstance(o, Dyadic) and self.m == o.m and self.e == o.e
-
-    def __hash__(self):
-        return hash((self.m, self.e))
-
-    def __repr__(self):
-        return "Dyadic(%d, %d)" % (self.m, self.e)
-
-    @property
-    def sign(self) -> int:
-        return (self.m > 0) - (self.m < 0)
-
-    def bit_length(self) -> int:
-        return abs(self.m).bit_length()
-
-    # -- serialization (schema: {"m": str, "e": int}) ----------------------
-
-    def to_json(self) -> dict:
-        return {"m": str(self.m), "e": self.e}
-
-    @staticmethod
-    def from_json(obj: dict) -> "Dyadic":
-        return Dyadic(int(obj["m"]), int(obj["e"]))
-
-
-_D0 = Dyadic(0)
-_D1 = Dyadic(1)
-
-
-def _as_dyadic(x: _Number) -> Dyadic:
-    if isinstance(x, Dyadic):
+            raise ValueError("fraction %s is not dyadic" % x)
         return x
     if isinstance(x, int):
-        return Dyadic(x)
-    if isinstance(x, Fraction):
-        return Dyadic.from_fraction(x)
-    raise TypeError("cannot convert %r to Dyadic" % (x,))
+        return Fraction(x)
+    raise TypeError("cannot convert %r to a dyadic rational" % (x,))
+
+
+def _split(f: Fraction) -> Tuple[int, int]:
+    """The canonical (m, e) of a dyadic f = m 2^e: m odd, or m = e = 0."""
+    p = f.numerator
+    if p == 0:
+        return 0, 0
+    shift = (p & -p).bit_length() - 1  # nonzero only for an integer
+    return p >> shift, shift - (f.denominator.bit_length() - 1)
+
+
+def _join(m: int, e: int) -> Fraction:
+    """m 2^e as a Fraction."""
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+
+
+def _round(f: Fraction, prec: int, direction: int) -> Fraction:
+    """f rounded to a dyadic with about ``prec`` significant bits, toward
+    -inf for ``direction`` < 0 and toward +inf for > 0."""
+    p, q = f.numerator, f.denominator
+    if p == 0:
+        return Fraction(0)
+    e = p.bit_length() - q.bit_length() - prec  # floor(log2 |f|) within 1
+    # m = f * 2**-e, rounded in the requested direction
+    if e >= 0:
+        num, den = p, q << e
+    else:
+        num, den = p << (-e), q
+    m = num // den if direction < 0 else -((-num) // den)
+    return _join(m, e)
 
 
 class BoundedValue:
-    """Center-radius enclosure of a real number with dyadic parts.
+    """Center-radius enclosure of a real number; both parts are dyadic
+    ``Fraction``s (denominator a power of two), checked on construction.
 
     The true value is guaranteed to lie in [center - radius, center + radius].
-    Addition, subtraction and multiplication of dyadics are exact; the only
-    rounding happens in :meth:`rounded`, which shrinks the mantissas and grows
-    the radius outward, and in division / transcendental functions.
+    ``+``, ``-``, ``*``, ``/``, :meth:`widened` and :meth:`hull` round at
+    ``DEFAULT_PREC`` = 120 bits whatever precision the caller works at: the
+    mantissas shrink to 120 bits and the radius grows outward.
+    :meth:`rounded`, :meth:`scale` and the functions of this module round
+    outward at the ``prec`` they are given.
     """
 
     __slots__ = ("center", "radius")
 
-    def __init__(self, center: Dyadic, radius: Dyadic = _D0):
-        if radius.sign < 0:
+    def __init__(self, center: _Number, radius: _Number = 0):
+        center, radius = _dyadic(center), _dyadic(radius)
+        if radius < 0:
             raise ValueError("negative radius")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", radius)
@@ -214,13 +122,13 @@ class BoundedValue:
 
     @staticmethod
     def exact(x: _Number) -> "BoundedValue":
-        return BoundedValue(_as_dyadic(x))
+        return BoundedValue(x)
 
     @staticmethod
     def from_fraction(f: Fraction, prec: int = DEFAULT_PREC) -> "BoundedValue":
         q = f.denominator
         if q & (q - 1) == 0:
-            return BoundedValue(Dyadic.from_fraction(f))
+            return BoundedValue(f)
         return BoundedValue.from_endpoints(f, f, prec)
 
     @staticmethod
@@ -229,18 +137,17 @@ class BoundedValue:
         """Enclose the interval [lo, hi] (given as Fractions) outward."""
         if lo > hi:
             raise ValueError("empty interval")
-        c = Dyadic.rounded(Fraction(lo + hi, 2), prec, -1)
-        cf = c.to_fraction()
-        r = Fraction(max(hi - cf, cf - lo))
-        return BoundedValue(c, Dyadic.rounded(r, prec, +1) if r else _D0)
+        c = _round(Fraction(lo + hi, 2), prec, -1)
+        r = max(hi - c, c - lo)
+        return BoundedValue(c, _round(r, prec, +1))
 
     # -- views --------------------------------------------------------------
 
     def lower(self) -> Fraction:
-        return (self.center - self.radius).to_fraction()
+        return self.center - self.radius
 
     def upper(self) -> Fraction:
-        return (self.center + self.radius).to_fraction()
+        return self.center + self.radius
 
     def contains(self, x: Fraction) -> bool:
         return self.lower() <= x <= self.upper()
@@ -248,14 +155,13 @@ class BoundedValue:
     def overlaps(self, other: "BoundedValue") -> bool:
         return self.lower() <= other.upper() and other.lower() <= self.upper()
 
-    def mag(self) -> Dyadic:
+    def mag(self) -> Fraction:
         """Upper bound on |value|."""
         return abs(self.center) + self.radius
 
-    def mignitude(self) -> Dyadic:
+    def mignitude(self) -> Fraction:
         """Lower bound on |value| (zero if the interval straddles 0)."""
-        m = abs(self.center) - self.radius
-        return m if m.sign > 0 else _D0
+        return max(abs(self.center) - self.radius, Fraction(0))
 
     def __float__(self):
         return float(self.center)
@@ -266,18 +172,21 @@ class BoundedValue:
     # -- rounding -----------------------------------------------------------
 
     def rounded(self, prec: int = DEFAULT_PREC) -> "BoundedValue":
+        """The ball with center and radius mantissas of at most ``prec``
+        bits: the center rounds toward -inf, and the radius absorbs that
+        error and rounds up."""
         c, r = self.center, self.radius
-        cb, rb = c.bit_length(), r.bit_length()
-        if cb <= prec and rb <= prec:
+        if c.numerator.bit_length() <= prec and r.numerator.bit_length() <= prec:
             return self
-        if cb > prec:
-            s = cb - prec
-            new_c = Dyadic(c.m >> s, c.e + s)  # floor toward -inf
-            r = r + Dyadic(1, c.e + s)         # rounding error < 2**(c.e+s)
-            c = new_c
-        if r.bit_length() > prec:
-            s = r.bit_length() - prec
-            r = Dyadic(-((-r.m) >> s), r.e + s)  # ceil
+        cm, ce = _split(c)
+        s = abs(cm).bit_length() - prec
+        if s > 0:
+            c = _join(cm >> s, ce + s)  # floor toward -inf
+            r += _join(1, ce + s)       # rounding error < 2**(ce+s)
+        rm, re = _split(r)
+        s = rm.bit_length() - prec
+        if s > 0:
+            r = _join(-((-rm) >> s), re + s)  # ceil
         return BoundedValue(c, r)
 
     # -- arithmetic ----------------------------------------------------------
@@ -304,8 +213,7 @@ class BoundedValue:
         f = Fraction(f)
         q = f.denominator
         if q & (q - 1) == 0:  # dyadic scalar: exact fast path
-            d = Dyadic(f.numerator, -(q.bit_length() - 1))
-            return BoundedValue(self.center * d, self.radius * abs(d)).rounded(prec)
+            return BoundedValue(self.center * f, self.radius * abs(f)).rounded(prec)
         lo = self.lower() * f
         hi = self.upper() * f
         if lo > hi:
@@ -313,7 +221,7 @@ class BoundedValue:
         return BoundedValue.from_endpoints(lo, hi, prec)
 
     def __truediv__(self, other: "BoundedValue") -> "BoundedValue":
-        if other.mignitude().sign == 0:
+        if other.mignitude() == 0:
             raise ZeroDivisionError("divisor interval contains zero")
         a, b = self.lower(), self.upper()
         c, d = other.lower(), other.upper()
@@ -328,14 +236,17 @@ class BoundedValue:
         return BoundedValue.from_endpoints(min(self.lower(), other.lower()),
                                            max(self.upper(), other.upper()))
 
-    # -- serialization -------------------------------------------------------
+    # -- serialization (each part {"m": str, "e": int}, canonical) ------------
 
     def to_json(self) -> dict:
-        return {"c": self.center.to_json(), "r": self.radius.to_json()}
+        (cm, ce), (rm, re) = _split(self.center), _split(self.radius)
+        return {"c": {"m": str(cm), "e": ce}, "r": {"m": str(rm), "e": re}}
 
     @staticmethod
     def from_json(obj: dict) -> "BoundedValue":
-        return BoundedValue(Dyadic.from_json(obj["c"]), Dyadic.from_json(obj["r"]))
+        c, r = obj["c"], obj["r"]
+        return BoundedValue(_join(int(c["m"]), int(c["e"])),
+                            _join(int(r["m"]), int(r["e"])))
 
 
 # ---------------------------------------------------------------------------
@@ -352,15 +263,16 @@ def _mp():
     return iv, finf, fninf, to_rational
 
 
-def _iv_from_dyadic(d: Dyadic):
+def _iv_from_dyadic(d: Fraction):
     # iv.mpf(int) rounds outward to the working precision; ldexp is exact.
     iv = _mp()[0]
-    return iv.ldexp(iv.mpf(d.m), d.e)
+    m, e = _split(d)
+    return iv.ldexp(iv.mpf(m), e)
 
 
 def _iv_from_bv(x: BoundedValue):
-    lo = _iv_from_dyadic(x.center - x.radius)
-    hi = _iv_from_dyadic(x.center + x.radius)
+    lo = _iv_from_dyadic(x.lower())
+    hi = _iv_from_dyadic(x.upper())
     return lo + (hi - lo) * _mp()[0].mpf([0, 1])
 
 
@@ -521,20 +433,16 @@ def beta(x: Fraction, y: Fraction, k: int = 24) -> BoundedValue:
         return bv_gamma(BoundedValue.from_fraction(v, prec), prec)
 
     out = (gamma(x) * gamma(y) / gamma(x + y)).rounded(prec)
-    if out.radius.to_fraction() > Fraction(1, 1 << k):
+    if out.radius > Fraction(1, 1 << k):
         raise RuntimeError("beta(%s, %s) did not meet radius 2^-%d"
                            % (x, y, k))
     return out
 
 
-_COS_BETA_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def cos_contour_angle(prec: int = DEFAULT_PREC) -> BoundedValue:
     """Enclosure of cos(3*pi/5), the fixed contour angle cosine (negative)."""
-    if prec not in _COS_BETA_CACHE:
-        _COS_BETA_CACHE[prec] = bv_cos(bv_pi(prec).scale(Fraction(3, 5)), prec)
-    return _COS_BETA_CACHE[prec]
+    return bv_cos(bv_pi(prec).scale(Fraction(3, 5)), prec)
 
 
 def bv_e1(x: _Number, prec: int = DEFAULT_PREC) -> BoundedValue:
@@ -548,7 +456,7 @@ def bv_e1(x: _Number, prec: int = DEFAULT_PREC) -> BoundedValue:
     The sum cancels to O(1 + ln x), so the absolute error stays a few units
     of 2^-prec.
     """
-    x = _as_dyadic(x).to_fraction()
+    x = _dyadic(x)
     if x <= 0:
         raise ValueError("E_1 needs a positive argument")
     target = Fraction(1, 1 << prec)
@@ -579,7 +487,7 @@ def gamma_tail(l: BoundedValue, t: BoundedValue, k: int = 24) -> BoundedValue:
         raise ValueError("gamma_tail requires l > 0 and t > 0")
     prec = max(80, k + 30)
     c = cos_contour_angle(prec)  # negative
-    x = Dyadic.rounded(t.lower() * l.lower() * -c.upper(), prec, -1)
+    x = _round(t.lower() * l.lower() * -c.upper(), prec, -1)
     return BoundedValue.from_endpoints(Fraction(0), bv_e1(x, prec).upper(),
                                        prec)
 

@@ -232,15 +232,13 @@ class FloatBall(_Ball):
     def from_bounded(bv) -> "FloatBall":
         """The ball around the double nearest to the centre of a
         BoundedValue, whose radius plus that rounding is rounded up."""
-        cf, rf = bv.center.to_fraction(), bv.radius.to_fraction()
-        c = cf.numerator / cf.denominator
-        return FloatBall(c, _float_up(abs(cf - Fraction(c)) + rf))
+        c = float(bv.center)
+        return FloatBall(c, _float_up(abs(bv.center - Fraction(c)) + bv.radius))
 
     def to_bounded(self):
+        """The exact BoundedValue of this ball: doubles are dyadic."""
         from .approxcore import BoundedValue
-        return BoundedValue.from_endpoints(
-            Fraction(self.c) - Fraction(self.r),
-            Fraction(self.c) + Fraction(self.r))
+        return BoundedValue(Fraction(self.c), Fraction(self.r))
 
     # -- views ------------------------------------------------------------
 

@@ -45,20 +45,18 @@ class RationalPoly2:
     __slots__ = ("a", "N")
 
     def __init__(self, grid: Sequence[Sequence[Fraction]]):
-        rows = [[Fraction(v) for v in row] for row in grid]
-        if not rows:
-            rows = [[_F0]]
-        size = max(len(rows), max(len(r) for r in rows))
-        full = [[rows[i][j] if i < len(rows) and j < len(rows[i]) else _F0
-                 for j in range(size)] for i in range(size)]
-        deg = 0
-        for i in range(size):
-            for j in range(size):
-                if full[i][j] != 0:
-                    deg = max(deg, i, j)
+        # one pass converts what is not a Fraction yet and finds the degree
+        rows, deg = [], 0
+        for i, row in enumerate(grid):
+            row = [v if type(v) is Fraction else Fraction(v) for v in row]
+            last = next((j for j in range(len(row) - 1, -1, -1) if row[j]), -1)
+            if last >= 0:
+                deg = max(deg, i, last)
+            rows.append(row)
+        pad = (_F0,) * (deg + 1)
         self.N = deg
-        self.a = tuple(tuple(full[i][j] for j in range(deg + 1))
-                       for i in range(deg + 1))
+        self.a = tuple(tuple(row[:deg + 1]) + pad[len(row):]
+                       for row in rows[:deg + 1]) + (pad,) * (deg + 1 - len(rows))
 
     @staticmethod
     def zero() -> "RationalPoly2":

@@ -956,7 +956,7 @@ def mollified_distance(a: MollifiedElement, b: MollifiedElement,
     total = (fa1 - fb1).l2_sq_ball() + (fa2 - fb2).l2_sq_ball()
     dist = fb_sqrt(total) * FloatBall(2.0)
     out = dist.to_bounded()
-    if out.radius.to_fraction() > Fraction(1, 1 << kbits):
+    if out.radius > Fraction(1, 1 << kbits):
         raise ValueError("distance enclosure too wide: %r" % out)
     return out
 

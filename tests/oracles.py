@@ -288,20 +288,20 @@ def certified_integral(f, a: Fraction, b: Fraction, target: Fraction,
         nonlocal counter
         contrib = taylor_panel_integral(f, lo, hi, order=order, prec=prec)
         counter += 1
-        heapq.heappush(heap, (-contrib.radius.to_fraction(), counter, lo, hi, contrib))
+        heapq.heappush(heap, (-contrib.radius, counter, lo, hi, contrib))
         return contrib
 
     first = push(a, b)
-    total_r = first.radius.to_fraction()
+    total_r = first.radius
     target = Fraction(target)
     panels = 1
     while total_r > target and panels < max_panels:
         _, _, lo, hi, contrib = heapq.heappop(heap)
-        total_r -= contrib.radius.to_fraction()
+        total_r -= contrib.radius
         mid = Fraction(lo + hi, 2)
         c1 = push(lo, mid)
         c2 = push(mid, hi)
-        total_r += c1.radius.to_fraction() + c2.radius.to_fraction()
+        total_r += c1.radius + c2.radius
         panels += 1
     if total_r > target:
         raise RuntimeError("quadrature did not meet target radius %s within "
@@ -343,7 +343,7 @@ def beta_quadrature(x: Fraction, y: Fraction, k: int = 24) -> BoundedValue:
         delta = Fraction(1, 2)
         while True:
             s = sliver(y, x, delta)
-            if s.radius.to_fraction() <= target / 4:
+            if s.radius <= target / 4:
                 break
             delta /= 4
         parts = parts + s
@@ -352,7 +352,7 @@ def beta_quadrature(x: Fraction, y: Fraction, k: int = 24) -> BoundedValue:
         delta = Fraction(1, 2)
         while True:
             s = sliver(x, y, delta)
-            if s.radius.to_fraction() <= target / 4:
+            if s.radius <= target / 4:
                 break
             delta /= 4
         parts = parts + s
@@ -639,7 +639,7 @@ def _neg_profile_derivative(t: TSeries, nu: int, g0: BoundedValue) -> TSeries:
             v = min(hi, Fraction(1, 2))
             vb = BoundedValue.from_fraction(v)
             peak = bv_exp(BoundedValue.exact(-1) / vb) / (vb * vb)
-            rmax = t.c[0].mag().to_fraction()
+            rmax = t.c[0].mag()
             top = (g0 * peak).scale(four_nu * four_nu * 2 * rmax)
             return TSeries([BoundedValue.from_endpoints(Fraction(0),
                                                         top.upper())])
@@ -971,7 +971,7 @@ def _w_panel_models(kbits: int):
             box = BoundedValue.from_endpoints(a, b)
             g = (-(1 - TSeries.variable(box, d)).reciprocal()).exp()
             rem = g.c[d]
-            smooth = rem.mag().to_fraction() * h ** d <= target
+            smooth = rem.mag() * h ** d <= target
         except (ValueError, ZeroDivisionError, OverflowError):
             smooth = False
         if smooth:
@@ -1021,7 +1021,7 @@ def _moments_upto(smax: int, kbits: int):
         for _ in range(_W_ORDER):
             mpow.append(mpow[-1] * mb)
         hfac = Fraction(h, 2) ** _W_ORDER
-        remw = rem.mag().to_fraction() * hfac
+        remw = rem.mag() * hfac
         for s in range(smax + 1):
             acc = BoundedValue.exact(0)
             # int (u-m)^t u^s du through the binomial theorem
@@ -1032,7 +1032,7 @@ def _moments_upto(smax: int, kbits: int):
                         math.comb(t, i))
                 acc = acc + ct * term
             # Lagrange remainder: |W - model| <= |rem| (h/2)^d on the panel
-            slack = remw * pw[s].mag().to_fraction()
+            slack = remw * pw[s].mag()
             acc = acc.widened(BoundedValue.from_endpoints(-slack, slack))
             totals[s] = totals[s] + acc
     return tuple(t.scale(Fraction(1, 2)).rounded() for t in totals)
@@ -1160,7 +1160,7 @@ def mollifier_cos_coefficient(nu: int, n: int, m: int,
 
     def plan(xv: BoundedValue) -> int:
         # smallest P with x^(2P+2)/(2P+2)! below the truncation budget
-        xm = xv.mag().to_fraction()
+        xm = xv.mag()
         term = Fraction(1)
         p = 0
         while True:
@@ -1186,9 +1186,9 @@ def mollifier_cos_coefficient(nu: int, n: int, m: int,
         xpow = (xpow * x2).scale(Fraction(1, (2 * p + 1) * (2 * p + 2)))
     # truncation slack: remaining terms are bounded by 8 gamma0 J_0 times the
     # cosh tails in either variable
-    j0u = (gamma_radial_moment(0, jbits) * g0).scale(8).mag().to_fraction()
+    j0u = (gamma_radial_moment(0, jbits) * g0).scale(8).mag()
     def cosh_tail(xv, p0):
-        xm = xv.mag().to_fraction()
+        xm = xv.mag()
         lead = Fraction(1)
         for i in range(1, 2 * p0 + 3):
             lead = lead * xm / i
@@ -1197,10 +1197,10 @@ def mollifier_cos_coefficient(nu: int, n: int, m: int,
             raise ValueError("tail bound did not converge")
         return lead / den
     def cosh_all(xv):
-        xm = xv.mag().to_fraction()
+        xm = xv.mag()
         # crude upper bound on cosh(x)
         e = bv_exp(BoundedValue.from_fraction(xm))
-        return e.mag().to_fraction()
+        return e.mag()
     slack = j0u * (cosh_tail(x, P) * cosh_all(y) +
                    cosh_all(x) * cosh_tail(y, Q) +
                    cosh_tail(x, P) * cosh_tail(y, Q))

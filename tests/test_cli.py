@@ -46,8 +46,7 @@ def mode11(tmp_path):
     return str(path)
 
 
-@pytest.fixture
-def small_pair(tmp_path):
+def _small_pair_json():
     # small-amplitude two-mode solenoidal datum; band-limited, so horizon
     # and solve stay cheap
     obj = _mode_pair_json(1, 2, 0.02, -0.01, cut=2)
@@ -57,8 +56,13 @@ def small_pair(tmp_path):
             for j, val in enumerate(row):
                 cur = F(obj[comp]["re"][i][j]) + F(val)
                 obj[comp]["re"][i][j] = str(cur)
+    return obj
+
+
+@pytest.fixture
+def small_pair(tmp_path):
     path = tmp_path / "small.json"
-    path.write_text(json.dumps(obj))
+    path.write_text(json.dumps(_small_pair_json()))
     return str(path)
 
 
@@ -432,6 +436,91 @@ class TestInputKinds:
         err = capsys.readouterr().err
         assert code == codes[("pair", "field", "element").index(kind)], err
         assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def written_kinds(tmp_path_factory):
+    """The artifacts the subcommands write, on the small band-limited pair:
+    a pair from `project`, a pair from `solve`, and a pair and a field from
+    `semigroup`."""
+    root = tmp_path_factory.mktemp("written")
+    pair, field = root / "in_pair.json", root / "in_field.json"
+    obj = _small_pair_json()
+    pair.write_text(json.dumps(obj))
+    field.write_text(json.dumps(
+        {"schema": cli.SCHEMA, "kind": "field", "field": obj["u1"]}))
+    runs = {
+        "project": ("project", "--precision", "8", "--input", pair),
+        "solve": ("solve", "--t", "1/1152921504606846976", "--precision",
+                  "6", "--input", pair),
+        "semigroup-pair": ("semigroup", "--t", "1/8", "--input", pair),
+        "semigroup-field": ("semigroup", "--t", "1/8", "--input", field),
+    }
+    out = {}
+    for name, argv in runs.items():
+        out[name] = str(root / (name + ".json"))
+        assert _run(*map(str, argv), "--output", out[name]) == 0, name
+    return out
+
+
+# each subcommand that reads --input, with its other arguments, and its
+# exit code on the artifacts of `written_kinds`, as the README input table
+# states: `project` and `semigroup` pairs are band-limited, a `semigroup`
+# field is a field, and a `solve` pair carries an L2 tail (about 2^-8 here)
+# and no H^1/2 tail bound
+_WRITTEN = ("project", "solve", "semigroup-pair", "semigroup-field")
+_READERS = {
+    "project-K4": (("project", "--precision", "4"), (0, 0, 0, 3)),
+    "project-K8": (("project", "--precision", "8"), (0, 3, 0, 3)),
+    "semigroup": (("semigroup", "--t", "1/8"), (0, 0, 0, 0)),
+    "fracpower": (("fracpower", "--alpha", "1/4"), (0, 3, 0, 0)),
+    "horizon": (("horizon",), (0, 0, 0, 3)),
+    "solve": (("solve", "--t", "0", "--precision", "4"), (0, 0, 0, 3)),
+    "pressure": (("pressure", "--point", "1/3,2/5"), (0, 3, 0, 3)),
+}
+
+
+class TestWrittenKinds:
+    @pytest.mark.parametrize("artifact", _WRITTEN)
+    @pytest.mark.parametrize("reader", sorted(_READERS))
+    def test_documented_exit_code(self, tmp_path, capsys, written_kinds,
+                                  reader, artifact):
+        argv, codes = _READERS[reader]
+        code = _run(*argv, "--input", written_kinds[artifact],
+                    "--output", str(tmp_path / "out.json"))
+        err = capsys.readouterr().err
+        assert code == codes[_WRITTEN.index(artifact)], err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["horizon", "solve"])
+    def test_ball_json_is_canonical(self, tmp_path, small_pair, command):
+        # every {"m", "e"} pair is canonical (m odd, or m = e = 0), and
+        # every ball loads back to the same ball
+        argv = {"horizon": (), "solve": ("--t", "1/1152921504606846976",
+                                         "--precision", "6")}[command]
+        out = tmp_path / "out.json"
+        assert _run(command, *argv, "--input", small_pair,
+                    "--output", str(out)) == 0
+        balls, parts = [], []
+
+        def walk(obj):
+            if isinstance(obj, dict):
+                if set(obj) == {"c", "r"}:
+                    balls.append(obj)
+                if set(obj) == {"m", "e"}:
+                    parts.append(obj)
+                for v in obj.values():
+                    walk(v)
+            elif isinstance(obj, list):
+                for v in obj:
+                    walk(v)
+        walk(json.loads(out.read_text()))
+        assert len(balls) > 10 and len(parts) == 2 * len(balls)
+        for part in parts:
+            m, e = int(part["m"]), part["e"]
+            assert m % 2 == 1 or (m == 0 and e == 0), part
+        for ball in balls:
+            assert BoundedValue.from_json(ball).to_json() == ball
 
 
 # the options each subcommand's runner reads, and no others

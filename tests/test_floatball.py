@@ -172,6 +172,35 @@ class TestBridge:
         assert fb.contains(x)
         assert fb.to_bounded().contains(x)
 
+    def test_to_bounded_is_the_endpoint_ball(self):
+        # the former to_bounded, from_endpoints(c - r, c + r) at 120 bits,
+        # written out in Fractions: on doubles it is the exact ball (c, r)
+        def rounded(f, up):
+            p, q = f.numerator, f.denominator
+            if p == 0:
+                return F(0)
+            e = p.bit_length() - q.bit_length() - 120
+            num, den = (p, q << e) if e >= 0 else (p << -e, q)
+            return F(-((-num) // den) if up else num // den) * F(2) ** e
+
+        rng = random.Random(34)
+        balls = [(0.0, 0.0), (0.0, 5e-324), (1.0, 0.0), (5e-324, 5e-324),
+                 (-1.5, 2.2250738585072014e-308), (-2.0 ** 1000, 1e-300),
+                 (2.0 ** 1000, 2.0 ** 990)]
+        for _ in range(20000):
+            c = math.ldexp(rng.uniform(-1, 1), rng.randint(-1074, 1001))
+            r = rng.choice([
+                0.0, math.ldexp(rng.random(), -1022),  # subnormal
+                abs(c) * math.ldexp(rng.random(), -rng.randint(0, 60)),
+                math.ldexp(rng.random(), rng.randint(-1074, 1000))])
+            balls.append((c, r))
+        for c, r in balls:
+            lo, hi = F(c) - F(r), F(c) + F(r)
+            mid = rounded((lo + hi) / 2, False)
+            ref = (mid, rounded(max(hi - mid, mid - lo), True))
+            bv = FloatBall(c, r).to_bounded()
+            assert (bv.center, bv.radius) == ref == (F(c), F(r)), (c, r)
+
 
 class TestBallGrid:
     def test_elementwise_containment(self):

@@ -1249,7 +1249,7 @@ class TestSolve:
         ct = cert.constants
         bvs = [ct.M, cert.epsilon, cert.L,
                ct.M * ct.beta_value(F(3, 4), F(1, 4))]
-        return {(b.center.to_fraction(), b.radius.to_fraction()) for b in bvs}
+        return {(b.center, b.radius) for b in bvs}
 
     @pytest.mark.parametrize("datum", ["exact", "readme"])
     def test_second_solve_converts_no_table_constant(self, datum,
@@ -1268,7 +1268,7 @@ class TestSolve:
         convert = FloatBall.from_bounded
 
         def counting(bv):
-            seen.append((bv.center.to_fraction(), bv.radius.to_fraction()))
+            seen.append((bv.center, bv.radius))
             return convert(bv)
         monkeypatch.setattr(FloatBall, "from_bounded", staticmethod(counting))
         second = nse.solve(a, None, c.T_frac, 8, cert=c)

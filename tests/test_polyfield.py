@@ -50,6 +50,55 @@ def _sympy_pair(pair):
     return out, (x, y)
 
 
+def _padded_grid(grid):
+    """The (a, N) of RationalPoly2's former constructor: every entry wrapped
+    in a new Fraction, the rows padded to a full square, then cut to the
+    degree."""
+    rows = [[F(v) for v in row] for row in grid]
+    if not rows:
+        rows = [[F(0)]]
+    size = max(len(rows), max(len(r) for r in rows))
+    full = [[rows[i][j] if i < len(rows) and j < len(rows[i]) else F(0)
+             for j in range(size)] for i in range(size)]
+    deg = 0
+    for i in range(size):
+        for j in range(size):
+            if full[i][j] != 0:
+                deg = max(deg, i, j)
+    return tuple(tuple(full[i][j] for j in range(deg + 1))
+                 for i in range(deg + 1)), deg
+
+
+class TestPolyConstructor:
+    @pytest.mark.parametrize("grid", [
+        [], [[]], [[], []], [[0]], [[0, 0], [0]], [[F(0)] * 4] * 4,
+        [[1, 2, 0, 0], [0, 3]],            # ragged, trailing zeros
+        [[0], [0], [0, 0, 5], [0, 0, 0]],  # degree from a later row
+        [[1], [F(1, 2), 0, 0]],            # a zero tail past the degree
+        [[3, F(-1, 7)], [F(2, 3)]],        # ints mixed with Fractions
+        [[0, 0, 0, 0, 0, 0, F(1, 9)]],     # one long row
+        [[F(1, 3)]] + [[0]] * 6,           # zero rows past the degree
+    ])
+    def test_matches_padded_grid(self, grid):
+        p = RationalPoly2(grid)
+        assert (p.a, p.N) == _padded_grid(grid)
+        assert all(type(v) is F for row in p.a for v in row)
+
+    def test_random_ragged_grids(self):
+        rng = random.Random(34)
+        for _ in range(300):
+            grid = [[rng.choice([0, 0, 1, -2, F(rng.randint(-9, 9), 7)])
+                     for _ in range(rng.randint(0, 6))]
+                    for _ in range(rng.randint(0, 6))]
+            p = RationalPoly2(grid)
+            assert (p.a, p.N) == _padded_grid(grid), grid
+
+    def test_keeps_fraction_entries(self):
+        v = F(5, 3)
+        p = RationalPoly2([[0, v], [1]])
+        assert p.a[0][1] is v
+
+
 class TestConstraintMatrix:
     def test_divergence_rows_two_entries(self):
         for N in (2, 3, 5):
@@ -401,7 +450,7 @@ class TestMollifierKernel:
     def test_gamma0_frozen_oracle(self):
         g = gamma0(60)
         assert g.contains(GAMMA0)
-        assert g.radius.to_fraction() < F(1, 1 << 50)
+        assert g.radius < F(1, 1 << 50)
 
     def test_gamma0_closed_form_against_panel_moments(self):
         # E_2(1) closed form against the panel-model quadrature of J_0, and
@@ -425,7 +474,7 @@ class TestMollifierKernel:
         # the reference is good to far below 2^-800 relative
         tol = ref / 2 ** 700
         assert j.lower() - tol <= ref <= j.upper() + tol, (s, kbits)
-        assert j.radius.to_fraction() <= ref / 2 ** kbits, (s, kbits)
+        assert j.radius <= ref / 2 ** kbits, (s, kbits)
 
     @pytest.mark.parametrize("s", [0, 1, 16, 48, 64])
     def test_moment_closed_form_precision_sweep(self, s):
@@ -456,7 +505,7 @@ class TestMollifierKernel:
         for nu in (1, 2, 4):
             m = mollifier_mass(nu, 18)
             assert m.contains(F(1))
-            assert m.radius.to_fraction() <= F(1, 1 << 17)
+            assert m.radius <= F(1, 1 << 17)
 
     def test_cos_coefficient_at_zero_is_mass(self):
         assert mollifier_cos_coefficient(2, 0, 0, 30).contains(F(1))
@@ -483,7 +532,7 @@ class TestMollifierKernel:
             o = simpson(simpson(f, x=s, axis=1), x=s)
             c = mollifier_cos_coefficient(nu, n, m, 30)
             assert abs(float(c) - o) < 5e-7
-            assert float(c.radius.to_fraction()) < 1e-8
+            assert float(c.radius) < 1e-8
 
     def test_frequency_guard(self):
         with pytest.raises(ValueError):
@@ -501,8 +550,8 @@ class TestMollify:
     def test_zero_field_stays_zero(self):
         el = mollify(SolenoidalPolyPair.zero(), 1, 2)
         v1, v2 = mollified_value(el, F(1, 8), F(-1, 3))
-        assert v1.radius.to_fraction() == 0 and v1.center.to_fraction() == 0
-        assert v2.radius.to_fraction() == 0 and v2.center.to_fraction() == 0
+        assert v1.radius == 0 and v1.center == 0
+        assert v2.radius == 0 and v2.center == 0
 
     def test_support_nesting_exact_zero(self):
         el = mollify(solenoidal_kernel(4)[0], 1, 2)
@@ -510,8 +559,8 @@ class TestMollify:
         assert hw == F(3, 4)
         for pt in ((hw + F(1, 64), F(0)), (F(1, 2), -hw - F(1, 32))):
             v1, v2 = mollified_value(el, *pt)
-            assert float(v1) == 0 and v1.radius.to_fraction() == 0
-            assert float(v2) == 0 and v2.radius.to_fraction() == 0
+            assert float(v1) == 0 and v1.radius == 0
+            assert float(v2) == 0 and v2.radius == 0
 
     def test_point_value_against_grid_convolution(self):
         el = mollify(solenoidal_kernel(4)[0], 1, 3)

@@ -924,7 +924,7 @@ class TestMetric:
     def test_radius_meets_request(self):
         for kb in (6, 10):
             d = mollified_distance(EL, EL2, kb)
-            assert d.radius.to_fraction() <= F(1, 1 << kb)
+            assert d.radius <= F(1, 1 << kb)
 
     def test_triangle_inequality(self):
         dab = mollified_distance(EL, EL2, 6)
@@ -983,7 +983,7 @@ class TestElementCutoffRule:
         assert (seen, f1.cutoff) == ([64, 128], 128)
         seen.clear()
         d = mollified_distance(EL, EL2, 10)
-        assert d.radius.to_fraction() <= F(1, 1 << 10)
+        assert d.radius <= F(1, 1 << 10)
         assert seen[0] == 64 and len(seen) >= 3
 
     def test_expansion_only_in_the_rule_and_the_nonlinearity(self):
