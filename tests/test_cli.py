@@ -441,8 +441,8 @@ class TestInputKinds:
 @pytest.fixture(scope="module")
 def written_kinds(tmp_path_factory):
     """The artifacts the subcommands write, on the small band-limited pair:
-    a pair from `project`, a pair from `solve`, and a pair and a field from
-    `semigroup`."""
+    a pair from `project`, a pair from `solve`, a pair and a field from
+    `semigroup`, and a `horizon` certificate."""
     root = tmp_path_factory.mktemp("written")
     pair, field = root / "in_pair.json", root / "in_field.json"
     obj = _small_pair_json()
@@ -455,6 +455,7 @@ def written_kinds(tmp_path_factory):
                   "6", "--input", pair),
         "semigroup-pair": ("semigroup", "--t", "1/8", "--input", pair),
         "semigroup-field": ("semigroup", "--t", "1/8", "--input", field),
+        "horizon": ("horizon", "--input", pair),
     }
     out = {}
     for name, argv in runs.items():
@@ -493,14 +494,9 @@ class TestWrittenKinds:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["horizon", "solve"])
-    def test_ball_json_is_canonical(self, tmp_path, small_pair, command):
+    def test_ball_json_is_canonical(self, written_kinds, command):
         # every {"m", "e"} pair is canonical (m odd, or m = e = 0), and
         # every ball loads back to the same ball
-        argv = {"horizon": (), "solve": ("--t", "1/1152921504606846976",
-                                         "--precision", "6")}[command]
-        out = tmp_path / "out.json"
-        assert _run(command, *argv, "--input", small_pair,
-                    "--output", str(out)) == 0
         balls, parts = [], []
 
         def walk(obj):
@@ -514,7 +510,7 @@ class TestWrittenKinds:
             elif isinstance(obj, list):
                 for v in obj:
                     walk(v)
-        walk(json.loads(out.read_text()))
+        walk(json.loads(pathlib.Path(written_kinds[command]).read_text()))
         assert len(balls) > 10 and len(parts) == 2 * len(balls)
         for part in parts:
             m, e = int(part["m"]), part["e"]
