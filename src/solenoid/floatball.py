@@ -2,9 +2,11 @@
 
 This is the fast tier used by the spectral grids, the contour quadrature and
 the Picard iteration.  A value is a center/radius pair of Python floats (or
-numpy arrays of them).  Soundness rests only on IEEE-754 semantics of
-+,-,*,/ and sqrt (correctly rounded, guaranteed by the platform): every
-operation inflates the radius by a rigorous bound on its own rounding error.
+numpy arrays of them), never complex: the contour quadrature holds a
+complex number as the pair of its real and imaginary parts.  Soundness
+rests only on IEEE-754 semantics of real +,-,*,/ and sqrt (correctly
+rounded, guaranteed by the platform): every operation inflates the radius
+by a rigorous bound on its own rounding error.
 Transcendentals (exp, log, sin, cos) are implemented here by argument
 reduction plus Taylor series with certified remainders, each written once:
 exp and log on grids, whose one-entry forms are the scalar ones, and the
@@ -46,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["FloatBall", "BallGrid", "CBall", "ball_matmul",
+__all__ = ["FloatBall", "BallGrid", "ball_matmul",
            "ball_fold_convolve", "fb_exp", "fb_log", "fb_sincos", "fb_sqrt",
            "fb_pow", "grid_exp", "grid_log", "grid_sqrt", "grid_pow",
            "grid_pi_multiple", "grid_sincos_pi", "pow_up", "ceil_log2",
@@ -55,7 +57,6 @@ __all__ = ["FloatBall", "BallGrid", "CBall", "ball_matmul",
 # the rounding constants of every module in the package
 EPS = 2.0 ** -52           # one ulp at magnitude 1
 TINY = 5e-308              # absorbs subnormal rounding
-_U = 2.0 ** -53            # the unit roundoff
 _INFL = 1.0 + 2.0 ** -45   # generic relative inflation for radius formulas
 
 
@@ -801,97 +802,3 @@ def ball_fold_convolve(x: BallGrid, y: BallGrid, parity) -> BallGrid:
                ye[1, :, lo + i + s - 1:hi + i + s - 1], out=zi)
         out[:, lo:hi] += np.matmul(zi, m, out=zmi)
     return BallGrid(out[0], _up(out[1] + out[2], n + 3))
-
-
-# ---------------------------------------------------------------------------
-# complex discs
-# ---------------------------------------------------------------------------
-
-_CMUL = 2.25 * _U      # >= sqrt(5) u, the complex product's relative error
-
-
-def _cmag(c):
-    x, y = c.real, c.imag
-    return np.sqrt(x * x + y * y) + 2.0 ** -536
-
-
-class CBall:
-    """Complex discs |z - c| <= r over IEEE doubles: centres c (a complex or
-    a complex array) and radii r.  Each radius is formed in floats from the
-    bound below and made an upper bound by `_up`.  The magnitude
-    m = fl(sqrt(fl(x^2) + fl(y^2))) + 2^-536 of c = x + i y has
-    |c| <= m (1 + u)^3, u = 2^-53: the roundings of the root lose a factor
-    (1 + u)^2, squares that underflow lose at most 2^-1074 under the root,
-    which the floor covers, and adding it takes the third rounding.
-
-    * Sum (in `mul_add`): each part of fl(a + b) is off by at most u times
-      its exact value, so the centre is off by u |a + b| <= u m (1 + u)^4.
-    * Product: the four-multiplication formula is off by at most
-      sqrt(5) u |a b| (Brent, Percival and Zimmermann, "Error bounds on
-      complex floating-point multiplication", Math. Comp. 76, 2007; 2u with
-      an FMA), and |x y - a b| <= |a| s + |b| r + r s for x, y within r, s
-      of a, b: the radius ma (s + 2.25 u mb) + r (mb + s), times (1 + u)^6.
-    * Reciprocal: 1/a = conj(a)/|a|^2 in real operations, each part off by
-      gamma_5 relative (four roundings, and one for squares that underflow
-      while |a|^2 >= 2^-1000), and |1/x - 1/a| <= r/(|a| (|a| - r)).  With
-      lo = fl(sqrt d) (1 - gamma_5) <= |a|, the radius is
-      (r/(lo - r) + gamma_5)/lo.
-
-    Underflow in a centre loses a few 2^-1075, which TINY covers; overflow
-    is not covered, so centres stay within 2^510 in magnitude.
-    """
-
-    __slots__ = ("c", "r", "_m")
-
-    def __init__(self, c, r=0.0, m=None):
-        self.c = c
-        self.r = r
-        self._m = m
-
-    @staticmethod
-    def of(re, im) -> "CBall":
-        """The disc holding re + i im for FloatBall or BallGrid parts: it is
-        within re.r + im.r of the centre."""
-        return CBall(re.c + 1j * im.c, _up(re.r + im.r, 1))
-
-    @property
-    def m(self):
-        if self._m is None:
-            self._m = _cmag(self.c)
-        return self._m
-
-    def mag(self):
-        """An upper bound on |z| over the disc: (m + r) (1 + u)^3."""
-        return _up(self.m + self.r, 4)
-
-    def __getitem__(self, idx) -> "CBall":
-        return CBall(self.c[idx], self.r[idx])
-
-    def widened(self, extra) -> "CBall":
-        return CBall(self.c, _up(self.r + extra, 1), self._m)
-
-    def __mul__(self, o: "CBall") -> "CBall":
-        ma, mb = self.m, o.m
-        return CBall(self.c * o.c,
-                     _up(ma * (o.r + _CMUL * mb) + self.r * (mb + o.r), 10))
-
-    def mul_add(self, o: "CBall", a: "CBall") -> "CBall":
-        """self * o + a, the Horner step: the product's and the sum's
-        radii in one expression, six roundings deep, times (1 + u)^6."""
-        ma, mb = self.m, o.m
-        c = self.c * o.c + a.c
-        m = _cmag(c)
-        return CBall(c, _up(ma * (o.r + _CMUL * mb) + self.r * (mb + o.r)
-                            + a.r + _U * m, 12), m)
-
-    def reciprocal(self) -> "CBall":
-        a, b = self.c.real, self.c.imag
-        d = a * a + b * b
-        if not np.all((d >= 2.0 ** -1000) & (d <= 2.0 ** 1020)):
-            raise ValueError("complex reciprocal outside its range")
-        lo = np.sqrt(d) * (1.0 - _gamma(5))
-        gap = lo - self.r
-        if not np.all(gap > 0.0):
-            raise ZeroDivisionError("disc contains zero")
-        return CBall(self.c.conjugate() * (1.0 / d),
-                     _up((self.r / gap + _gamma(5)) / lo, 4))

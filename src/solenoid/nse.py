@@ -416,11 +416,11 @@ def _theta1(cert: IterationCertificate, k: int) -> Optional[int]:
     return theta if theta <= 4 * (k + 64) else None
 
 
-def _theta2(cert: IterationCertificate, m: int, k: int) -> Optional[int]:
+def _theta2(cert: IterationCertificate, k: int) -> Optional[int]:
     """Smallest theta with M L_{1/4,m} L_{1/2,m} B(3/4,1/4)
     2^{-2 theta} <= 2^-(k+1), with the L constants realized as the
     fixed-point cap W* applied to the Claim-1 functional on the shrunken
-    horizon 2^-theta.  The test holds once the functional is below
+    horizon 2^-theta, so theta is the same for every m >= 1.  The test holds once the functional is below
     V = sqrt(2^-(k+1)/lead)/W*, so theta is the Claim-1 exponent against
     V less the seed-resolution floor seed_res; when that floor alone
     reaches V the budget is finer than the floor allows (None)."""
@@ -438,7 +438,7 @@ def eta_modulus(cert: IterationCertificate, m: int, k: int) -> Optional[int]:
     """Modulus eta(m, k): ||u_m(t) - a|| <= 2^-k for 0 <= t <= 2^-eta,
     or None when the certificate's resolution floor cannot certify 2^-k."""
     th1 = _theta1(cert, k)
-    th2 = _theta2(cert, m, k) if m >= 1 else 0
+    th2 = _theta2(cert, k) if m >= 1 else 0
     if th1 is None or th2 is None:
         return None
     return max(th1, th2, cert.j_a)

@@ -586,9 +586,13 @@ def _ab_series(y: BallGrid, top: int) -> Tuple[BallGrid, BallGrid]:
 
 @lru_cache(maxsize=None)
 def _ab_moderate(q: Fraction, top: int) -> Tuple[BallGrid, BallGrid]:
-    """A_t and B_t at y = q pi by the parts recurrence in 140-bit interval
-    arithmetic, whose precision absorbs the recurrence's amplification of
-    roundoff by up to (t/y)^t."""
+    """A_t and B_t at y = q pi >= 2 by the parts recurrence
+    A_t = (sin y - t B_{t-1})/y, B_t = (t A_{t-1} - cos y)/y in
+    `BoundedValue` intervals.  Only pi, sin y and cos y are enclosed at 140
+    bits; `scale`, `-` and `/` round outward at `DEFAULT_PREC` = 120.  A
+    rounding made at step k reaches step t <= 12 times
+    (k+1) ... t / y^(t-k), at most 12!/2^11 < 2^18 for y >= 2, so the
+    tables keep about 100 bits, far inside their float radii."""
     prec = 140
     y = bv_pi(prec).scale(q)
     s, c = bv_sin(y, prec), bv_cos(y, prec)

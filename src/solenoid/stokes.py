@@ -47,8 +47,8 @@ from .approxcore import (
     BoundedValue, bv_pi, bv_sin, cos_contour_angle, gamma_tail,
 )
 from .floatball import (
-    FB_PI, BallGrid, CBall, FloatBall, ball_matmul, fb_exp, fb_pow, fb_sincos,
-    fb_sqrt, grid_exp, pow_up,
+    FB_PI, BallGrid, FloatBall, ball_matmul, fb_pow, fb_sincos, fb_sqrt,
+    grid_exp, grid_sqrt, pow_up,
 )
 from .helmholtz import resolve_field
 from .spectral import _PI2, FourierField, mode_weights
@@ -149,32 +149,60 @@ _J = 44         # geometric series terms of the panel denominators
 
 
 @lru_cache(maxsize=None)
-def _moment_matrix() -> BallGrid:
-    """M[j, k] = w_{j+k}/k! for j <= _J, k <= _KMAX, with w_i = 2/(i+1) for
-    even i and 0 for odd i, as exact balls."""
+def _moment_matrix(jmax: int, kmax: int) -> BallGrid:
+    """M[k, j] = w_{j+k}/k! for k <= kmax, j <= jmax, with w_i = 2/(i+1)
+    for even i and 0 for odd i, as exact balls."""
     w = BallGrid.of(FloatBall.exact(Fraction(2, i + 1) if i % 2 == 0 else 0)
-                    for i in range(_J + _KMAX + 1))
+                    for i in range(jmax + kmax + 1))
     inv_fact = BallGrid.of(FloatBall.exact(Fraction(1, math.factorial(k)))
-                           for k in range(_KMAX + 1))
-    idx = np.add.outer(np.arange(_J + 1), np.arange(_KMAX + 1))
-    return w[idx] * inv_fact.reshape(1, -1)
+                           for k in range(kmax + 1))
+    idx = np.add.outer(np.arange(kmax + 1), np.arange(jmax + 1))
+    return w[idx] * inv_fact.reshape(-1, 1)
 
 
-def _exp_moments(z: CBall, ez: float) -> CBall:
-    """Enclosures of A_j = int_{-1}^{1} v^j e^{z v} dv for j = 0.._J, for
-    |z| <= 2 and ez >= e^{|z|}: the series sum_k M[j, k] z^k through
-    `ball_matmul` on the real and imaginary parts (the radii of the powers
-    enter the real part only, so they count once), plus the tail past
-    _KMAX, at most 2 |z|^{_KMAX+1}/(_KMAX+1)! e^{|z|}."""
-    zp = [CBall(1.0 + 0j, 0.0)]
-    for _ in range(_KMAX + 1):
-        zp.append(zp[-1] * z)
-    c = np.array([p.c for p in zp[:-1]])
-    M = _moment_matrix()
-    A = CBall.of(ball_matmul(M, BallGrid(c.real, [p.r for p in zp[:-1]])),
-                 ball_matmul(M, BallGrid(c.imag)))
-    rem = FloatBall(zp[-1].mag()) * FloatBall(ez) * FloatBall.exact(
-        Fraction(2, math.factorial(_KMAX + 1)))
+def _pair(re, im) -> BallGrid:
+    """The complex ball re + i im as the stack (re, im) on a new axis 0,
+    for FloatBall parts or BallGrid parts of one shape."""
+    return BallGrid(np.array([re.c, im.c]), np.array([re.r, im.r]))
+
+
+def _cmul(a: BallGrid, b: BallGrid) -> BallGrid:
+    """The product (a0 b0 - a1 b1, a0 b1 + a1 b0) of stacked complex balls:
+    a times the stack ((b0, b1), (-b1, b0)) of b's exact entries in one
+    broadcast ball product, whose two rows then add."""
+    c = b.c[[[0, 1], [1, 0]]]
+    c[1, 0] *= -1.0
+    p = a.reshape(2, 1, *a.shape[1:]) * BallGrid(c, b.r[[[0, 1], [1, 0]]])
+    return p[0] + p[1]
+
+
+def _cinv(a: BallGrid) -> BallGrid:
+    """1/a = (a0, -a1)/(a0^2 + a1^2); the ball quotient raises
+    ZeroDivisionError when the divisor ball holds 0."""
+    return _pair(a[0], -a[1]) / (a[0] * a[0] + a[1] * a[1])
+
+
+def _cabs(a: BallGrid):
+    """An upper bound on |a|: the upper end of the root of a0^2 + a1^2."""
+    return grid_sqrt(a[0] * a[0] + a[1] * a[1]).upper()
+
+
+def _exp_moments(z: BallGrid, ez) -> BallGrid:
+    """Enclosures of A_j = int_{-1}^{1} v^j e^{z v} dv for j = 0.._J, for a
+    (2, P, 1) stack of |z| <= 2 and ez >= e^{|z|}, as a (2, P, _J + 1)
+    stack: the series sum_k z^k M[k, j] through one `ball_matmul`, plus
+    the tail past _KMAX, at most 2 |z|^{_KMAX+1}/(_KMAX+1)! e^{|z|} in each
+    part.  The powers double: z^0 .. z^(m-1) times q = z^m is
+    z^m .. z^(2m-1), and q squares."""
+    p, q = _pair(z[0].one(), z[0].zero()), z
+    while p.shape[-1] <= _KMAX + 1:
+        r = _cmul(p, q)
+        p = BallGrid(np.concatenate((p.c, r.c), axis=-1),
+                     np.concatenate((p.r, r.r), axis=-1))
+        q = _cmul(q, q)
+    A = ball_matmul(p[..., :_KMAX + 1], _moment_matrix(_J, _KMAX))
+    rem = BallGrid(_cabs(p[..., _KMAX + 1:_KMAX + 2])) * BallGrid(ez) \
+        * FloatBall.exact(Fraction(2, math.factorial(_KMAX + 1)))
     return A.widened(rem.upper())
 
 
@@ -187,55 +215,55 @@ def contour_factors(svals, t: FloatBall, l: float):
         (1/pi) Im int_0^l e^{t r e^{i beta}} e^{i beta}
                           / (r e^{i beta} + pi^2 s) dr
 
-    for each s.  Together with the gamma_3 remainder this encloses the heat
-    factor e^{-t pi^2 s}.  The panel schedule is deterministic.  On each
-    panel the integrand is h e^{i beta} e^{t mid e^{i beta}} e^{z v}/(d +
-    h e^{i beta} v), v in [-1, 1], z = t h e^{i beta}, d = mid e^{i beta} +
-    lam; with w = -h e^{i beta}/d the denominator is the geometric series
-    sum_j w^j v^j / d, summed by Horner to order _J in complex discs
-    (`CBall`), and the terms past _J add at most
-    2 e^{|z|} |w|^{_J+1}/(1 - |w|).
+    for each s, and the panel count.  Together with the gamma_3 remainder
+    this encloses the heat factor e^{-t pi^2 s}.  The panel schedule is
+    deterministic.  On each panel the integrand is h e^{i beta}
+    e^{t mid e^{i beta}} e^{z v}/(d + h e^{i beta} v), v in [-1, 1],
+    z = t h e^{i beta}, d = mid e^{i beta} + lam; with w = -h e^{i beta}/d
+    the denominator is the geometric series sum_j w^j v^j / d, summed by
+    Horner to order _J, and the terms past _J add at most
+    2 e^{|z|} |w|^{_J+1}/(1 - |w|).  Each complex number is a stack of its
+    real and imaginary parts (`_pair`), so every operation is a real ball
+    rule of `floatball`; the panels run together on axis 1 of the stacks
+    and the modes on axis 2, and their contributions add in panel order.
     """
     s = np.asarray(svals, dtype=float)
     if s.size == 0:
         return np.zeros(0), np.zeros(0), 0
     if s.min() < 1:
         raise ValueError("eigenvalue indices must be >= 1")
-    lam = BallGrid(s) * _PI2
-    lam = CBall(lam.c + 0j, lam.r)
-    lam_min = _PI2.lower() * float(s.min())
-    cb, sb = _contour_angle()
-    eib = CBall.of(cb, sb)
-    t_hi = t.upper()
     if not t.lower() > 0:
         raise ValueError("contour quadrature needs t > 0")
-    tot = CBall(np.zeros(s.shape, dtype=complex), np.zeros(s.shape))
-    panels = _panels(t_hi, l, lam_min)
-    for mid, h in panels:
-        hb, mb = FloatBall(h), FloatBall(mid)
-        z = CBall.of(t * cb * hb, t * sb * hb)
-        zmag = z.mag()
-        if zmag > 2.0:
-            raise RuntimeError("moment series argument out of range")
-        ez = fb_exp(FloatBall(zmag)).upper()
-        A = _exp_moments(z, ez)
-        ex = fb_exp(t * cb * mb)
-        sph, cph = fb_sincos(t * sb * mb)
-        heib = eib * CBall(h + 0j)
-        pref = CBall.of(ex * cph, ex * sph) * heib
-        inv = CBall(mid + 0j).mul_add(eib, lam).reciprocal()
-        w = CBall(-heib.c, heib.r) * inv
-        wmag = w.mag()
-        if wmag.max() > 0.6:
-            raise RuntimeError("geometric panel ratio out of range")
-        S = CBall(np.full(s.shape, A.c[_J]), np.full(s.shape, A.r[_J]))
-        for j in range(_J - 1, -1, -1):
-            S = w.mul_add(S, A[j])
-        tail = BallGrid(pow_up(wmag, _J + 1)) \
-            / (BallGrid(1.0) - BallGrid(wmag))
-        S = S.widened((tail * (FloatBall(2.0) * FloatBall(ez))).upper())
-        tot = pref.mul_add(inv * S, tot)
-    out = BallGrid(tot.c.imag, tot.r) * (FloatBall(1.0) / FB_PI)
+    lam = _pair(BallGrid(s[None]) * _PI2, BallGrid.zeros((1, s.size)))
+    cb, sb = _contour_angle()
+    eib = _pair(cb, sb).reshape(2, 1, 1)
+    panels = _panels(t.upper(), l, _PI2.lower() * float(s.min()))
+    mid, h = (BallGrid(np.array(v)[:, None]) for v in zip(*panels))
+    z = _pair(h * (t * cb), h * (t * sb))
+    zmag = _cabs(z)
+    if zmag.max() > 2.0:
+        raise RuntimeError("moment series argument out of range")
+    ez = grid_exp(BallGrid(zmag)).upper()
+    A = _exp_moments(z, ez)
+    ex = grid_exp(mid * (t * cb))
+    sph, cph = (BallGrid.of(v).reshape(-1, 1) for v in zip(
+        *(fb_sincos(t * sb * FloatBall(m)) for m, _ in panels)))
+    heib = eib * h
+    pref = _cmul(_pair(ex * cph, ex * sph), heib)
+    inv = _cinv(eib * mid + lam)
+    w = _cmul(-heib, inv)
+    wmag = _cabs(w)
+    if wmag.max() > 0.6:
+        raise RuntimeError("geometric panel ratio out of range")
+    S = A[..., _J:]
+    for j in range(_J - 1, -1, -1):
+        S = _cmul(w, S) + A[..., j:j + 1]
+    tail = BallGrid(pow_up(wmag, _J + 1)) \
+        / (BallGrid(1.0) - BallGrid(wmag))
+    S = S.widened((tail * (BallGrid(ez) * FloatBall(2.0))).upper())
+    terms = _cmul(pref, _cmul(inv, S))
+    out = sum(terms[1, i] for i in range(len(panels))) \
+        * (FloatBall(1.0) / FB_PI)
     return out.c, out.r, len(panels)
 
 

@@ -493,6 +493,19 @@ class TestWrittenKinds:
         assert code == codes[_WRITTEN.index(artifact)], err
         assert "Traceback" not in err
 
+    def test_solve_pair_misses_a_finer_budget_at_t0(self, tmp_path, capsys,
+                                                     written_kinds):
+        # a solve artifact's L2 tail meets 2^-5 at t = 0 (--precision 4,
+        # exit 0 in the table above) but not 2^-9: --precision 8 is a
+        # budget that cannot be met (exit 5)
+        code = _run("solve", "--t", "0", "--precision", "8", "--input",
+                    written_kinds["solve"], "--output",
+                    str(tmp_path / "out.json"))
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_BUDGET, err
+        assert "the datum's tails miss 2^-9 at t = 0" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["horizon", "solve"])
     def test_ball_json_is_canonical(self, written_kinds, command):
         # every {"m", "e"} pair is canonical (m odd, or m = e = 0), and

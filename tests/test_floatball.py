@@ -20,7 +20,7 @@ from hypothesis import given, strategies as st
 
 from solenoid.approxcore import BoundedValue
 from solenoid.floatball import (
-    BallGrid, CBall, FloatBall, ball_fold_convolve, ball_matmul, ceil_log2,
+    BallGrid, FloatBall, ball_fold_convolve, ball_matmul, ceil_log2,
     fb_exp, fb_log, fb_pow, fb_sincos, fb_sqrt, grid_exp,
     grid_log, grid_pow, grid_sincos_pi, pow_up,
 )
@@ -787,6 +787,48 @@ def test_rounding_constants_defined_only_in_floatball():
     assert not offenders, offenders
 
 
+# numpy's complex dtypes, by attribute or by name in a dtype string
+_COMPLEX_DTYPES = {"complex64", "complex128", "complex256", "complex_",
+                   "cdouble", "csingle", "clongdouble", "complexfloating"}
+_COMPLEX_DTYPE_STR = re.compile(r"[<>=|]?(c(8|16|32)|complex(64|128|256)?)")
+
+
+def _complex_uses(tree: ast.AST):
+    """Line and form of each place the tree builds or reads a complex
+    number: the builtin `complex`, an imaginary literal, `.imag`,
+    `.conjugate` or a numpy complex dtype."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "complex":
+            yield node.lineno, "complex"
+        elif isinstance(node, ast.Constant) and isinstance(node.value, complex):
+            yield node.lineno, repr(node.value)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and _COMPLEX_DTYPE_STR.fullmatch(node.value):
+            yield node.lineno, repr(node.value)
+        elif isinstance(node, ast.Attribute) and (
+                node.attr in ("imag", "conjugate")
+                or node.attr in _COMPLEX_DTYPES):
+            yield node.lineno, "." + node.attr
+
+
+def test_no_complex_numbers_in_the_library():
+    # one rounding model: the library's complex numbers are pairs of real
+    # balls, so no module relies on the error of a complex float operation
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "solenoid"
+    offenders = ["%s:%d %s" % (path.name, line, form)
+                 for path in sorted(src.glob("*.py"))
+                 for line, form in _complex_uses(ast.parse(path.read_text()))]
+    assert not offenders, offenders
+
+
+def test_complex_guard_sees_each_form():
+    snippet = ("a = complex(1, 2)\nb = 3j\nc = x.imag\nd = x.conjugate()\n"
+               "e = np.zeros(3, dtype=np.complex128)\nf = y.astype('c16')\n"
+               "g = np.zeros(2, dtype=complex)\nh = x.real + x.shape[0]\n")
+    assert sorted(line for line, _ in _complex_uses(ast.parse(snippet))) \
+        == [1, 2, 3, 4, 5, 6, 7]
+
+
 class TestGridElementary:
     """The array forms against 60-digit mpmath, at engineered arguments."""
 
@@ -1074,99 +1116,6 @@ class TestDirectedEnds:
         assert list(g.mag()) == [g.at(i).mag() for i in range(4)]
         for i in range(4):
             self._check_abs(g.at(i))
-
-
-def _cfrac(z):
-    """A complex float as a pair of Fractions."""
-    return F(z.real), F(z.imag)
-
-
-def _cmul_exact(x, y):
-    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-
-def _in_disc(ball: CBall, z) -> bool:
-    cr, ci = _cfrac(complex(ball.c))
-    return (z[0] - cr) ** 2 + (z[1] - ci) ** 2 <= F(float(ball.r)) ** 2
-
-
-class TestComplexDiscs:
-    """CBall's sum, product and reciprocal hold the exact results of points
-    in their input discs, checked in Fractions."""
-
-    # pairs whose products cancel in a real or imaginary part, and pairs at
-    # 2^500 and 2^-500
-    e = 2.0 ** -28
-    PAIRS = [
-        (complex(1 + 3 * e, 1.0), complex(1 - 5 * e, 1.0)),
-        (complex(1.0, 1 + 3 * e), complex(1 - 5 * e, -1.0)),
-        (complex(0.1, 0.7), complex(0.7, -0.1)),
-        (complex(2.0 ** 250, 3 * 2.0 ** 249), complex(2.0 ** 250, -2.0 ** 249)),
-        (complex(2.0 ** -250, 2.0 ** -251), complex(3 * 2.0 ** -250, 2.0 ** -252)),
-        (complex(2.0 ** 500, 1.0), complex(0.75, -0.5)),
-        (complex(2.0 ** -500, -2.0 ** -501), complex(1.5, 2.0 ** -80)),
-    ]
-
-    @staticmethod
-    def _points(ball: CBall):
-        """Points of the disc: its centre and points on its edge."""
-        c = _cfrac(complex(ball.c))
-        r = F(float(ball.r))
-        return [c] + [(c[0] + r * a, c[1] + r * b)
-                      for a, b in ((F(3, 5), F(4, 5)), (F(-1), F(0)),
-                                   (F(0), F(-1)))]
-
-    def _discs(self, x, y):
-        yield CBall(x, 0.0), CBall(y, 0.0)
-        yield CBall(x, abs(x.real) * 2.0 ** -40), CBall(y, abs(y.imag) * 1e-3)
-
-    def test_product_and_sum(self):
-        for x, y in self.PAIRS:
-            for a, b in self._discs(x, y):
-                prod, fused = a * b, a.mul_add(b, b)
-                total = CBall(1 + 0j, 0.0).mul_add(a, b)
-                for p in self._points(a):
-                    for q in self._points(b):
-                        xy = _cmul_exact(p, q)
-                        assert _in_disc(prod, xy), (x, y)
-                        assert _in_disc(total, (p[0] + q[0], p[1] + q[1]))
-                        assert _in_disc(fused, (xy[0] + q[0], xy[1] + q[1]))
-
-    def test_cancelling_product_is_not_exact(self):
-        # Re = (1 + 3e)(1 - 5e) - 1 rounds: the radius must cover it
-        x, y = self.PAIRS[0]
-        prod = CBall(x, 0.0) * CBall(y, 0.0)
-        exact = _cmul_exact(_cfrac(x), _cfrac(y))
-        assert _cfrac(prod.c) != exact and _in_disc(prod, exact)
-
-    def test_reciprocal(self):
-        for x, _ in self.PAIRS:
-            for a, _ in self._discs(x, x):
-                inv = a.reciprocal()
-                for p in self._points(a):
-                    d = p[0] ** 2 + p[1] ** 2
-                    assert _in_disc(inv, (p[0] / d, -p[1] / d)), x
-
-    def test_arrays_and_magnitudes(self):
-        a = CBall(np.array([1 + 2j, -3e-200 + 4e-200j, 2.0 ** 400]),
-                  np.array([0.5, 1e-210, 0.0]))
-        for i, z in enumerate(a.c):
-            mag = F(float(a.mag()[i]))
-            for p in self._points(a[i]):
-                assert p[0] ** 2 + p[1] ** 2 <= mag ** 2
-        assert np.array_equal((a * a).c, a.c * a.c)
-
-    def test_parts_and_range(self):
-        re_, im_ = FloatBall(0.25, 1e-17), FloatBall(-3.0, 2e-16)
-        z = CBall.of(re_, im_)
-        for dx in (-1, 1):
-            for dy in (-1, 1):
-                assert _in_disc(z, (F(re_.c) + dx * F(re_.r),
-                                    F(im_.c) + dy * F(im_.r)))
-        with pytest.raises(ZeroDivisionError):
-            CBall(1 + 1j, 1.5).reciprocal()
-        with pytest.raises(ValueError):
-            CBall(complex(2.0 ** 600, 0.0), 0.0).reciprocal()
 
 
 class TestIntegerRules:

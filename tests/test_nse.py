@@ -593,7 +593,7 @@ class TestClaim1Search:
         calls.clear()
         for c in certs:
             for k in range(4, 24):
-                nse._theta2(c, 1, k)
+                nse._theta2(c, k)
         assert not calls
 
 
@@ -827,7 +827,7 @@ class TestIterate:
         certs = {"readme": _cert(), "exact": self._exact_datum_cert()}
         for (name, k), theta in self.THETA2.items():
             c = certs[name]
-            assert nse._theta2(c, 1, k) == theta, (name, k)
+            assert nse._theta2(c, k) == theta, (name, k)
             if theta is None:
                 # the resolution floor alone misses the budget
                 assert self._theta2_ratio(c, k, None) > 1 - 2.0 ** -40

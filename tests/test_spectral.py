@@ -771,8 +771,8 @@ class TestMollifierGrid:
     @pytest.mark.parametrize("q", [F(1, 512), F(3, 5), F(5, 8), F(3, 2),
                                    F(9, 2), F(33, 2), F(17), F(129, 4)])
     def test_ab_tables_against_mpmath(self, q):
-        # y = q pi in each regime: the series (y < 2), the 140-bit
-        # recurrence and the ball recurrence (y > 52), against the power
+        # y = q pi in both regimes: the series (y < 2) and the interval
+        # recurrence (y >= 2, here up to y > 100), against the power
         # series summed at 150 digits (its terms reach e^y / y)
         a, b = _ab_grid(np.array([q.numerator]), q.denominator, 12)
         with mp.workdps(150):

@@ -49,18 +49,36 @@ def _heat(s, t):
 
 
 class TestContourFactors:
-    def test_quadrature_matches_mpmath(self):
-        # independent numeric oracle for the finite ray integral
-        t, l, s = 0.25, 80.0, 5
-        lam = math.pi ** 2 * s
+    @staticmethod
+    def _ray(t, s, l):
+        """The finite ray integral by mpmath quadrature at 30 digits, on 16
+        pieces of [0, l], and the quadrature's error estimate."""
+        with mpmath.workdps(30):
+            eib = mpmath.expjpi(mpmath.mpf(3) / 5)
+            lam = mpmath.pi ** 2 * s
 
-        def g(r):
-            z = mpmath.exp(t * r * mpmath.exp(1j * BETA)) \
-                * mpmath.exp(1j * BETA) / (r * mpmath.exp(1j * BETA) + lam)
-            return mpmath.im(z) / mpmath.pi
-        ref = float(mpmath.quad(g, [0, l]))
-        fc, fr, _ = sk.contour_factors(np.array([s]), FloatBall(t), l)
-        assert abs(fc[0] - ref) <= fr[0] + 1e-11
+            def g(r):
+                return mpmath.im(mpmath.exp(t * r * eib) * eib
+                                 / (r * eib + lam)) / mpmath.pi
+            return mpmath.quad(g, mpmath.linspace(0, l, 17), error=True)
+
+    def test_quadrature_matches_mpmath(self, monkeypatch):
+        # independent numeric oracle for the finite ray integral, at the
+        # library's series orders and at short ones, where the truncation
+        # bounds of the geometric and the moment series carry the radius
+        l, svals = 80.0, np.array([1, 5, 72])
+        times = (F(1, 64), F(1, 8), F(1, 2), F(1))
+        refs = {t: [self._ray(mpmath.mpf(t.numerator) / t.denominator, s, l)
+                    for s in svals] for t in times}
+        for orders in ((sk._J, sk._KMAX), (8, 10)):
+            monkeypatch.setattr(sk, "_J", orders[0])
+            monkeypatch.setattr(sk, "_KMAX", orders[1])
+            for t in times:
+                fc, fr, _ = sk.contour_factors(svals, FloatBall.exact(t), l)
+                for s, (ref, err), c, r in zip(svals, refs[t], fc, fr):
+                    assert err < 1e-25
+                    assert abs(mpmath.mpf(c) - ref) <= mpmath.mpf(r) + 1e-25, \
+                        (orders, t, s)
 
     @pytest.mark.parametrize("t", [F(1, 64), F(1, 8), F(1, 2), F(1)])
     def test_encloses_heat_factor_with_tail(self, t):
