@@ -418,9 +418,9 @@ def _theta1(cert: IterationCertificate, k: int) -> Optional[int]:
 
 def _theta2(cert: IterationCertificate, k: int) -> Optional[int]:
     """Smallest theta with M L_{1/4,m} L_{1/2,m} B(3/4,1/4)
-    2^{-2 theta} <= 2^-(k+1), with the L constants realized as the
-    fixed-point cap W* applied to the Claim-1 functional on the shrunken
-    horizon 2^-theta, so theta is the same for every m >= 1.  The test holds once the functional is below
+    2^{-2 theta} <= 2^-(k+1), the L constants, for every m >= 1, being the
+    fixed-point cap W* on the Claim-1 functional on the shrunken horizon
+    2^-theta.  The test holds once the functional is below
     V = sqrt(2^-(k+1)/lead)/W*, so theta is the Claim-1 exponent against
     V less the seed-resolution floor seed_res; when that floor alone
     reaches V the budget is finer than the floor allows (None)."""
