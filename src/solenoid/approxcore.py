@@ -41,7 +41,6 @@ __all__ = [
     "bv_pi",
     "bv_euler",
     "bv_gamma",
-    "bv_pow",
     "bv_sqrt",
 ]
 
@@ -364,28 +363,6 @@ def bv_sqrt(x: BoundedValue, prec: int = DEFAULT_PREC) -> BoundedValue:
     return BoundedValue.from_endpoints(root(lo, 0), root(hi, 1), prec)
 
 
-def bv_pow(x: BoundedValue, q: Fraction, prec: int = DEFAULT_PREC) -> BoundedValue:
-    """x**q for positive x and rational q, via exp(q log x) with exact cases."""
-    q = Fraction(q)
-    if q == 0:
-        return BoundedValue.exact(1)
-    if q.denominator == 1 and 0 < q.numerator <= 64:
-        out = x
-        for _ in range(q.numerator - 1):
-            out = out * x
-        return out
-    if x.lower() <= 0:
-        if x.lower() == 0 and x.upper() == 0 and q > 0:
-            return BoundedValue.exact(0)
-        if x.lower() >= 0 and q > 0:
-            # monotone power on [0, hi]: lower endpoint is exactly 0
-            hi = bv_pow(BoundedValue.from_endpoints(x.upper(), x.upper(), prec),
-                        q, prec)
-            return BoundedValue.from_endpoints(Fraction(0), hi.upper(), prec)
-        raise ValueError("power of interval touching zero with bad exponent")
-    return bv_exp(bv_log(x, prec).scale(q), prec)
-
-
 # ---------------------------------------------------------------------------
 # Names (precision-indexed approximation streams)
 # ---------------------------------------------------------------------------
@@ -517,10 +494,10 @@ class ConstantsTable:
     """The analytic constants consumed by the solver layers.
 
     Only the assumed bilinear constant M is configuration (default 1), and
-    it must be positive; the sup-norm embedding constant C_s is derived in
-    the package.  ``provenance`` records for each field whether it was
-    configured, defaulted or derived.  B1 and Ctilde = M B1 are recomputed,
-    not stored.
+    it must be positive; ``provenance`` records whether it was configured
+    or defaulted.  B1 and Ctilde = M B1 are recomputed, not stored.  The
+    sup-norm embedding constant C_s depends on no configuration, so it is
+    not here but `spectral.sup_constant`.
 
     Every smoothing constant is 1, so no formula carries one.  Mode by mode
     with x = t lambda >= 0:
@@ -536,44 +513,8 @@ class ConstantsTable:
             raise ValueError("the bilinear constant M must be positive, "
                              "not [%s, %s]" % (float(self.M.lower()),
                                                float(self.M.upper())))
-        self.provenance = {
-            "M": "configured" if M is not None else "default",
-            "C_s": "derived",
-        }
+        self.provenance = {"M": "configured" if M is not None else "default"}
         self._beta_cache: dict = {}
-
-    def C_s(self, s: Fraction) -> BoundedValue:
-        """Sup-norm embedding constant for exponent s > 1.
-
-        Default is the honest bound (sum over n,m >= 0 of (1+n^2+m^2)^-s)^(1/2)
-        by certified partial sum plus integral tail.
-        """
-        s = Fraction(s)
-        if s <= 1:
-            raise ValueError("sup-norm embedding needs s > 1")
-        key = ("C_s", s)
-        if key in self._beta_cache:
-            return self._beta_cache[key]
-        prec = DEFAULT_PREC
-        N = 24
-        total = BoundedValue.exact(0)
-        for n in range(N + 1):
-            for m in range(N + 1):
-                term = bv_pow(BoundedValue.exact(1 + n * n + m * m), -s, prec)
-                total = total + term
-        # tail over max(n,m) > N: bounded by 2 * sum_{n>N} sum_{m>=0} (n^2+m^2)^-s
-        # <= 2 * sum_{n>N} [ n^-2s + (pi/2) n^(1-2s) ] <= 2*integral bound
-        # sum_{n>N} n^(1-2s) <= N^(2-2s)/(2s-2); sum_{n>N} n^-2s <= N^(1-2s)/(2s-1)
-        Nf = BoundedValue.exact(N)
-        t1 = bv_pow(Nf, 1 - 2 * s, prec).scale(Fraction(1, 1) / (2 * s - 1))
-        t2 = bv_pow(Nf, 2 - 2 * s, prec) * bv_pi(prec).scale(Fraction(1, 2)).scale(
-            Fraction(1, 1) / (2 * s - 2))
-        tail = (t1 + t2).scale(2)
-        enclosed = total.widened(tail)
-        out = bv_sqrt(BoundedValue.from_endpoints(enclosed.lower(),
-                                                  enclosed.upper(), prec), prec)
-        self._beta_cache[key] = out
-        return out
 
     def beta_value(self, x: Fraction, y: Fraction, k: int = 24) -> BoundedValue:
         key = ("beta", Fraction(x), Fraction(y), k)
@@ -583,12 +524,12 @@ class ConstantsTable:
 
     @property
     def B1(self) -> BoundedValue:
-        """max{B(1/2,1/4), B(1/4,1/4), 1}."""
-        b1 = self.beta_value(Fraction(1, 2), Fraction(1, 4))
-        b2 = self.beta_value(Fraction(1, 4), Fraction(1, 4))
-        hi = max(Fraction(1), b1.upper(), b2.upper())
-        lo = max(Fraction(1), b1.lower(), b2.lower())
-        return BoundedValue.from_endpoints(lo, hi)
+        """The paper's max{B(1/2,1/4), B(1/4,1/4), 1}, which is
+        B(1/4,1/4).  Gamma(1/4) Gamma(3/4) = pi/sin(pi/4) = pi sqrt2 and
+        Gamma(1/2)^2 = pi, so B(1/4,1/4)/B(1/2,1/4) =
+        Gamma(1/4) Gamma(3/4)/Gamma(1/2)^2 = sqrt2 > 1; and
+        B(1/4,1/4) = Gamma(1/4)^2/sqrt(pi) = 7.416... > 1."""
+        return self.beta_value(Fraction(1, 4), Fraction(1, 4))
 
     @property
     def Ctilde(self) -> BoundedValue:

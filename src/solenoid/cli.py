@@ -88,6 +88,9 @@ class RunConfig:
         if self.mode_cap <= 0:
             raise CliError(EXIT_PRECONDITION, "precondition",
                            "the mode cap must be positive")
+        if self.count < 0:
+            raise CliError(EXIT_PRECONDITION, "precondition",
+                           "the count must be nonnegative")
 
 
 def _load_constants(config: RunConfig) -> Optional[ConstantsTable]:
@@ -133,6 +136,9 @@ def _load_field_input(config: RunConfig):
     except (KeyError, ValueError, TypeError) as exc:
         raise CliError(EXIT_PARSE, "parse",
                        "malformed %r input: %s" % (kind, exc))
+    except OverflowError:
+        raise CliError(EXIT_PARSE, "parse", "malformed %r input: an entry "
+                       "lies outside the double range" % kind)
     raise CliError(EXIT_PARSE, "parse",
                    "unknown input kind %r (expected pair/field/element)"
                    % kind)
@@ -414,6 +420,9 @@ def run(config: RunConfig) -> int:
         raise CliError(EXIT_BUDGET, "budget", str(exc))
     except ValueError as exc:
         raise CliError(EXIT_PRECONDITION, "precondition", str(exc))
+    except OverflowError as exc:
+        raise CliError(EXIT_PRECONDITION, "precondition",
+                       "a value lies outside the double range: %s" % exc)
     _emit(config, payload)
     return EXIT_OK
 

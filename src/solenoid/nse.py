@@ -37,7 +37,11 @@ The horizon and the small-time modulus theta_2 ask one Claim-1 question,
 at T = 2^-j and against different bounds b: is T^{1/4} mx + forcing(T) < b
 for mx = max{||A^{1/4}a||, ||A^{1/2}a||}?  With d = b - forcing(T) it holds
 exactly when d > 0 and T mx^4 < d^4, so `_claim1_exponent` decides it
-exactly in integers, with no root, and returns the least such j.
+exactly in integers, with no root, and returns the least such j.  The
+maximum is ||A^{1/2}a||: every mode of a (sin.cos, cos.sin) pair has
+n^2 + m^2 >= 1, so lambda = pi^2 (n^2 + m^2) >= pi^2, lambda^{1/2} <=
+lambda / pi termwise, and ||A^{1/4}a|| <= pi^{-1/2} ||A^{1/2}a||.  So mx
+is an upper end of ||A^{1/2}a|| alone.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ from .polyfield import MollifiedElement
 from .spectral import (
     _PI2, FourierField, SobolevName, _bilinear, _norm2, _trig_values,
     axis_trig_moments, differentiate, mollified_field_pair, multiply,
-    weighted_sq_terms,
+    sup_constant, weighted_sq_terms,
 )
 from .stokes import (
     _heat_factor, _heat_hull, _l2_upper, frac_power_norm, semigroup_apply,
@@ -122,18 +126,18 @@ def _trunc_band(f: FourierField, cap: int) -> Tuple[FourierField, float]:
     return _strip_tail(t), t.tail_l2.upper()
 
 
-def nonlinearity(u, K: int, constants: ConstantsTable = None):
+def nonlinearity(u, K: int):
     """2^-K approximant of B(u) = P(u.grad)u.
 
     Accepts a band-limited (sc, cs) pair (exact route), a pair carrying
     H^{6/5} tail data or a mollified element (truncation route with a
     certified product defect), or a pair of SobolevNames with s >= 6/5
     (literal route through differentiate/multiply/project with the budget
-    split three ways).
+    split three ways).  The product estimates read the sup-norm embedding
+    constant `spectral.sup_constant`, which depends on no table.
     """
     if K < 0:
         raise ValueError("precision must be nonnegative")
-    ct = constants or ConstantsTable.default()
     if isinstance(u, tuple) and len(u) == 2 and \
             all(isinstance(c, SobolevName) for c in u):
         s = u[0].s
@@ -145,10 +149,10 @@ def nonlinearity(u, K: int, constants: ConstantsTable = None):
              for i, comp in enumerate((n1, n2)) for ax in (1, 2)}
 
         def pair_query(k: int):
-            t11 = multiply(n1, d[(0, 1)], ct).refine(k + 2)
-            t12 = multiply(n2, d[(0, 2)], ct).refine(k + 2)
-            t21 = multiply(n1, d[(1, 1)], ct).refine(k + 2)
-            t22 = multiply(n2, d[(1, 2)], ct).refine(k + 2)
+            t11 = multiply(n1, d[(0, 1)]).refine(k + 2)
+            t12 = multiply(n2, d[(0, 2)]).refine(k + 2)
+            t21 = multiply(n1, d[(1, 1)]).refine(k + 2)
+            t22 = multiply(n2, d[(1, 2)]).refine(k + 2)
             return t11 + t12, t21 + t22
 
         return project(VectorFieldName(Name(pair_query)), K)
@@ -158,7 +162,7 @@ def nonlinearity(u, K: int, constants: ConstantsTable = None):
         for cut in (32, 64, 128):
             pair = mollified_field_pair(u, cut, hs_tails=(Fraction(6, 5),))
             try:
-                return nonlinearity(pair, K, ct)
+                return nonlinearity(pair, K)
             except BudgetError:
                 continue
         raise BudgetError("the mollified expansion does not certify the "
@@ -176,7 +180,7 @@ def nonlinearity(u, K: int, constants: ConstantsTable = None):
     tau = _norm2([0.0 if f.band_limited() else f.tail_hs[s65].upper()
                   for f in (f1, f2)])
     band = (_strip_tail(f1), _strip_tail(f2))
-    cs = FloatBall.from_bounded(ct.C_s(s65))
+    cs = sup_constant(s65)
     h1_band = fb_sqrt(sum(f.weighted_sq_ball("sobolev", 1) for f in band))
     sup_band = _norm2([f.sup_upper() for f in band])
     defect = ((cs * tau * FB_PI * (h1_band + tau)
@@ -207,7 +211,6 @@ class IterationCertificate:
     seed: Tuple[FourierField, FourierField]
     seed_res: Fraction
     a_norm: BoundedValue
-    quarter_norm: float
     half_norm: float
     constants: ConstantsTable
     forcing: Optional["Forcing"] = None
@@ -352,9 +355,12 @@ def compute_horizon(a, constants: ConstantsTable = None, mode_cap: int = 24,
 
     The seed resolution index k-hat satisfies 2^-k_hat < 1/(16 Ctilde);
     the horizon T_a = 2^-j is the first that `_claim1_exponent` finds with
-    T^{1/4} (at least T^{1/2}, as T < 1) times the seed's fractional-power
-    norms, plus the forcing term, under 1/(16 Ctilde), so the realized
-    Claim-1 functional k0 sits strictly below 1/(8 Ctilde).  The
+    T^{1/4} (at least T^{1/2}, as T < 1) times the upper end of
+    ||A^{1/2} seed||, plus the forcing term, under 1/(16 Ctilde), so the
+    realized Claim-1 functional k0 sits strictly below 1/(8 Ctilde).  That
+    norm bounds both of the functional's seed norms, since
+    ||A^{1/4} seed|| <= pi^{-1/2} ||A^{1/2} seed|| (the module docstring
+    proves it), so ||A^{1/4} seed|| is not computed.  The
     certificate keeps ``forcing``, the forcing of every run on it, and
     builds its M table on first read.
     """
@@ -377,12 +383,11 @@ def compute_horizon(a, constants: ConstantsTable = None, mode_cap: int = 24,
     if seed_res >= eighth.lower():
         raise ValueError("datum presentation too coarse: its resolution "
                          "floor alone exhausts the Claim-1 budget")
-    q_norm = frac_power_norm(seed, F14).upper()
     h_norm = frac_power_norm(seed, F12).upper()
     # the display bound 1/(16 Ctilde), tightened further when the
     # presentation's resolution floor eats into the 1/(8 Ctilde) total
     bound16 = min(sixteenth, eighth.lower() - seed_res)
-    mx = Fraction(max(q_norm, h_norm))
+    mx = Fraction(h_norm)
     j = _claim1_exponent(mx, bound16, g_sup, 2, 400)
     if j is None:
         raise RuntimeError("horizon search failed to terminate")
@@ -398,8 +403,8 @@ def compute_horizon(a, constants: ConstantsTable = None, mode_cap: int = 24,
         T_a=BoundedValue.exact(T), k0=k0,
         K_beta_m={b: list(v) for b, v in Ktab.items()}, K_cap=K_cap,
         epsilon=epsilon, L=L, w_m=w, k_hat=k_hat,
-        seed=seed, seed_res=seed_res, a_norm=a_norm, quarter_norm=q_norm,
-        half_norm=h_norm, constants=ct, forcing=forcing)
+        seed=seed, seed_res=seed_res, a_norm=a_norm, half_norm=h_norm,
+        constants=ct, forcing=forcing)
 
 
 # ---------------------------------------------------------------------------
@@ -423,15 +428,16 @@ def _theta2(cert: IterationCertificate, k: int) -> Optional[int]:
     2^-theta.  The test holds once the functional is below
     V = sqrt(2^-(k+1)/lead)/W*, so theta is the Claim-1 exponent against
     V less the seed-resolution floor seed_res; when that floor alone
-    reaches V the budget is finer than the floor allows (None)."""
+    reaches V the budget is finer than the floor allows (None).  As in
+    the horizon, mx is the upper end of ||A^{1/2} seed||, which bounds
+    ||A^{1/4} seed|| too (the module docstring proves it)."""
     ct = cert.constants
     lead = cert.ball("theta2",
                      lambda: ct.M * ct.beta_value(Fraction(3, 4), F14))
     V = (fb_sqrt(FloatBall(2.0 ** -(k + 1)) / lead) / _WSTAR).lower()
     return _claim1_exponent(
-        Fraction(max(cert.quarter_norm, cert.half_norm)),
-        Fraction(V) - cert.seed_res, cert.forcing_sup, cert.j_a,
-        cert.j_a + 4 * (k + 64) - 1)
+        Fraction(cert.half_norm), Fraction(V) - cert.seed_res,
+        cert.forcing_sup, cert.j_a, cert.j_a + 4 * (k + 64) - 1)
 
 
 def eta_modulus(cert: IterationCertificate, m: int, k: int) -> Optional[int]:

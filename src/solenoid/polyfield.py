@@ -621,8 +621,14 @@ class MollifiedElement:
 
     @staticmethod
     def from_json(obj: dict) -> "MollifiedElement":
-        return MollifiedElement(SolenoidalPolyPair.from_json(obj["base"]),
-                                int(obj["k"]), int(obj["n"]))
+        """The element of ``obj``; a base that fails `is_solenoidal`
+        raises ValueError, since the certified tails hold only for a
+        divergence-free base that vanishes on its box's boundary."""
+        base = SolenoidalPolyPair.from_json(obj["base"])
+        if not base.is_solenoidal():
+            raise ValueError("the element's base is not solenoidal: its "
+                             "divergence or its boundary values are not 0")
+        return MollifiedElement(base, int(obj["k"]), int(obj["n"]))
 
     def __repr__(self):
         return "MollifiedElement(N=%d, k=%d, n=%d)" % (

@@ -31,8 +31,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .approxcore import (BoundedValue, ConstantsTable, Name, bv_cos, bv_pi,
-                         bv_sin)
+from .approxcore import BoundedValue, Name, bv_cos, bv_pi, bv_sin
 from .floatball import (FB_PI, TINY, BallGrid, FloatBall, _float_up,
                         ball_fold_convolve, ball_matmul, ceil_log2, fb_exp,
                         fb_pow, fb_sqrt, grid_exp, grid_pi_multiple, grid_pow,
@@ -43,7 +42,7 @@ from .polyfield import (MollifiedElement, RationalPoly2, TrimmedField,
 __all__ = [
     "FourierField", "trig_poly_field", "mollified_field_pair",
     "resolve_element", "mollified_distance", "SobolevName", "differentiate",
-    "multiply",
+    "multiply", "sup_constant",
 ]
 
 TRIG_BASES = ("ss", "sc", "cs", "cc")
@@ -359,11 +358,13 @@ class FourierField:
         # centres round to nearest, radii round up and absorb their centre's
         # conversion error, so each loaded ball contains the written one;
         # entries that are doubles load exactly; "im" is written as zeros
-        # and not read
+        # and not read; a negative radius or tail bound raises ValueError
         def ball(centre, rad):
-            q = Fraction(centre)
+            q, r = Fraction(centre), Fraction(rad)
+            if r < 0:
+                raise ValueError("radius %s is negative" % rad)
             c = float(q)
-            return c, _float_up(Fraction(rad) + abs(q - Fraction(c)))
+            return c, _float_up(r + abs(q - Fraction(c)))
 
         def grid(centres, radii):
             arr = np.array([[ball(c, r) for c, r in zip(crow, rrow)]
@@ -373,6 +374,8 @@ class FourierField:
 
         def tail_ball(text):
             hi = Fraction(text)
+            if hi < 0:
+                raise ValueError("tail bound %s is negative" % text)
             # keep exact zeros exact so band-limitedness survives the trip
             return FloatBall(0.0) if hi == 0 \
                 else FloatBall.from_endpoints(0.0, _float_up(hi))
@@ -1013,16 +1016,43 @@ def differentiate(w: SobolevName, axis: int) -> Name:
     return Name(lambda k: _derivative(w.refine(k + 2), axis))
 
 
-def multiply(v: SobolevName, w: Name,
-             constants: ConstantsTable = None) -> Name:
+# the last mode n, m of the head of `sup_constant`'s sum
+_SUP_HEAD = 24
+
+
+@lru_cache(maxsize=None)
+def sup_constant(s: Fraction) -> FloatBall:
+    """A ball holding the sup-norm embedding constant C_s = (sum over
+    n, m >= 0 of (1 + n^2 + m^2)^-s)^(1/2) for s > 1.  It depends on s
+    alone, so it is cached per s.
+
+    The modes n, m <= 24 are one `mode_weights` sum.  The rest, where
+    max(n, m) > 24, is at most 2 sum_{n>24} sum_{m>=0} (n^2 + m^2)^-s
+    <= 2 sum_{n>24} (n^-2s + (pi/2) n^(1-2s)), since the m-sum is at most
+    its first term plus int_0^inf (n^2 + x^2)^-s dx <= (pi/2) n^(1-2s) for
+    s >= 1; the integral tests sum_{n>N} n^-2s <= N^(1-2s)/(2s-1) and
+    sum_{n>N} n^(1-2s) <= N^(2-2s)/(2s-2) bound that.  So the sum lies
+    between the head and the head plus this tail bound."""
+    s = Fraction(s)
+    if s <= 1:
+        raise ValueError("sup-norm embedding needs s > 1")
+    head = mode_weights(_SUP_HEAD, "sobolev", -s).ball_sum()
+    N = FloatBall(float(_SUP_HEAD))
+    tail = FloatBall(2.0) * (
+        fb_pow(N, 1 - 2 * s) / FloatBall.exact(2 * s - 1)
+        + FB_PI / FloatBall(2.0) * fb_pow(N, 2 - 2 * s)
+        / FloatBall.exact(2 * s - 2))
+    return fb_sqrt(FloatBall.from_endpoints(head.lower(),
+                                            (head + tail).upper()))
+
+
+def multiply(v: SobolevName, w: Name) -> Name:
     """Name of the product v*w for s > 1, following the two-step accuracy
     selection: first resolve w until the sup-embedding bound of v absorbs
     the error, then resolve v against the sup bound of that approximant."""
     if v.s <= 1:
         raise ValueError("multiplication needs s > 1")
-    table = constants or ConstantsTable.default()
-    lead = (FloatBall.from_bounded(table.C_s(v.s))
-            * FloatBall(max(v.hs_bound, 0.0))).upper()
+    lead = (sup_constant(v.s) * FloatBall(max(v.hs_bound, 0.0))).upper()
 
     def query(n: int):
         k = n + 1 + max(0, ceil_log2(lead)) if lead > 0 else n + 1

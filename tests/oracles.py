@@ -26,7 +26,9 @@ against the bound, `fraction_claim1_exponent` makes the root-free
 comparison in `Fraction`s.  The term-by-term `Fraction` loops
 `fraction_inner_on_box` and `fraction_compose_affine` check the exact
 integer Gram kernel `polyfield.poly_inner_on_box` and the integer affine
-composition `polyfield.RationalPoly2.compose_affine`.
+composition `polyfield.RationalPoly2.compose_affine`.  The rational power
+of exact balls, `bv_pow`, on which the Beta, `TSeries` and fractional-power
+references build, has no library reader.
 """
 
 import dataclasses
@@ -40,7 +42,7 @@ import numpy as np
 
 from solenoid import nse
 from solenoid.approxcore import (DEFAULT_PREC, BoundedValue, bv_cos, bv_exp,
-                                 bv_log, bv_pi, bv_pow, bv_sin, bv_sqrt)
+                                 bv_log, bv_pi, bv_sin, bv_sqrt)
 from solenoid.floatball import (EPS, FB_PI, TINY, BallGrid, FloatBall, fb_exp,
                                 fb_log, fb_pow, fb_sincos, fb_sqrt, grid_pow)
 from solenoid.floatball import _floored, _gamma, _up
@@ -50,6 +52,32 @@ from solenoid.spectral import _H1_ORDER, _H1_TOL, _PI2, FourierField, \
     _bilinear, _fb_gamma0, _trig_values, _weights
 from solenoid.stokes import _as_bv, _components, _emit, _gamma3_value, \
     _heat_factor, _l2_upper, contour_factors, tail_cutoff_l
+
+
+# ---------------------------------------------------------------------------
+# rational powers of exact balls
+# ---------------------------------------------------------------------------
+
+def bv_pow(x: BoundedValue, q: Fraction, prec: int = DEFAULT_PREC) -> BoundedValue:
+    """x**q for positive x and rational q, via exp(q log x) with exact cases."""
+    q = Fraction(q)
+    if q == 0:
+        return BoundedValue.exact(1)
+    if q.denominator == 1 and 0 < q.numerator <= 64:
+        out = x
+        for _ in range(q.numerator - 1):
+            out = out * x
+        return out
+    if x.lower() <= 0:
+        if x.lower() == 0 and x.upper() == 0 and q > 0:
+            return BoundedValue.exact(0)
+        if x.lower() >= 0 and q > 0:
+            # monotone power on [0, hi]: lower endpoint is exactly 0
+            hi = bv_pow(BoundedValue.from_endpoints(x.upper(), x.upper(), prec),
+                        q, prec)
+            return BoundedValue.from_endpoints(Fraction(0), hi.upper(), prec)
+        raise ValueError("power of interval touching zero with bad exponent")
+    return bv_exp(bv_log(x, prec).scale(q), prec)
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,11 @@ from mpmath import mp
 
 from solenoid.approxcore import (
     BoundedValue, ConstantsTable, Name, beta, bv_cos, bv_e1, bv_exp,
-    bv_pi, bv_pow, bv_sqrt, gamma_tail,
+    bv_pi, bv_sqrt, gamma_tail,
 )
 from solenoid.floatball import FloatBall
 
-from oracles import TSeries, beta_quadrature, certified_integral
+from oracles import TSeries, beta_quadrature, bv_pow, certified_integral
 
 # frozen oracle values (40-digit mpmath)
 PI_SQRT2 = F("4.442882938158366247015880990060693698615")
@@ -524,11 +524,20 @@ class TestConstantsTable:
 
     def test_c1_b1_invariants(self):
         # the table holds no smoothing constant, nor their maximum c1 (each
-        # is 1); B1 keeps its floor 1
+        # is 1), nor the M-free C_s (`spectral.sup_constant`); B1 is
+        # B(1/4,1/4), the proved winner of max{B(1/2,1/4), B(1/4,1/4), 1}
         ct = ConstantsTable.default()
         assert not any(hasattr(ct, n) for n in ("c1", "C_alpha",
-                                                "C_half_time"))
-        assert ct.B1.lower() >= 1
+                                                "C_half_time", "C_s"))
+        b1, b2 = beta(F(1, 2), F(1, 4)), beta(F(1, 4), F(1, 4))
+        assert ct.B1.to_json() == b2.to_json()
+        assert b2.lower() > max(b1.upper(), 1)
+        with mp.workdps(50):
+            # Gamma(1/4) Gamma(3/4) = pi sqrt2 gives B(1/4,1/4) =
+            # sqrt2 B(1/2,1/4)
+            assert mp.almosteq(mp.beta(0.25, 0.25),
+                               mp.sqrt(2) * mp.beta(0.5, 0.25),
+                               mp.mpf(10) ** -45)
         # B1 should contain max(B(1/2,1/4), B(1/4,1/4)) from the frozen oracles
         assert ct.B1.contains(F("7.41629870920548767373540138878104018487"))
 
@@ -549,9 +558,9 @@ class TestConstantsTable:
         # C_alpha = 1 from sup_x x^alpha e^-x = (alpha/e)^alpha <= 1 (the
         # maximum at x = alpha), mode by mode with x = t lambda >= 0
         # (both proofs are in the ConstantsTable docstring); the table
-        # records provenance only for M and C_s
+        # records provenance only for M
         ct = ConstantsTable.default()
-        assert ct.provenance == {"M": "default", "C_s": "derived"}
+        assert ct.provenance == {"M": "default"}
         assert ConstantsTable(M=BoundedValue.exact(2)).provenance["M"] == \
             "configured"
         # neither a smoothing constant nor C is configuration
@@ -618,10 +627,3 @@ class TestConstantsTable:
     def test_non_object_table_rejected(self, body):
         with pytest.raises(ValueError, match="is a JSON object"):
             ConstantsTable.from_json(body)
-
-    def test_cs_embedding_constant(self):
-        ct = ConstantsTable.default()
-        cs = ct.C_s(F(6, 5))
-        assert cs.lower() > 1  # the (0,0) term alone contributes 1
-        with pytest.raises(ValueError):
-            ct.C_s(F(1, 2))

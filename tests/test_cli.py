@@ -372,6 +372,71 @@ class TestErrorHandling:
             cli._parse_exact("1e-3x")
 
 
+# the subcommands that take --input, with their other arguments
+_INPUT_ARGS = {
+    "semigroup": ("--t", "1/8"),
+    "project": (),
+    "fracpower": ("--alpha", "1/4"),
+    "horizon": (),
+    "solve": ("--t", "1/1073741824"),
+    "pressure": ("--point", "1/3,2/5"),
+}
+
+
+def _refused_inputs(tmp_path):
+    """Three malformed inputs: an element of the degree-4 shape whose base
+    is a1 = 1 at (0, 0) and 0 elsewhere (not solenoidal), and the mode-11
+    pair with radius -1/2 at mode (1, 1) or the centre 1e400 there."""
+    base = pf.solenoidal_kernel(4)[0].to_json()
+    for key in ("a1", "a2"):
+        base[key] = [["0"] * len(row) for row in base[key]]
+    base["a1"][0][0] = "1"
+    bad = {"schema": cli.SCHEMA, "kind": "element", "base": base,
+           "k": 1, "n": 2}
+    negative = _mode_pair_json(1, 1, 1.0, -1.0)
+    negative["u1"]["rad"][1][1] = "-1/2"
+    huge = _mode_pair_json(1, 1, 1.0, -1.0)
+    huge["u1"]["re"][1][1] = "1e400"
+    paths = {}
+    for name, obj in (("non-solenoidal", bad), ("negative-radius", negative),
+                      ("huge-entry", huge)):
+        paths[name] = tmp_path / (name + ".json")
+        paths[name].write_text(json.dumps(obj))
+    return {k: str(v) for k, v in paths.items()}
+
+
+class TestRefusedInputs:
+    """Inputs that are no enclosure exit with a code and a message, not a
+    traceback: a non-solenoidal element base, whose certified tails would
+    not hold (its L2 tail read 2.2e-154 at cutoff 64 while 5.5e-5 of its
+    mass lay past it), a negative radius, an entry past the double range,
+    a time past it and a negative count."""
+
+    @pytest.mark.parametrize("name", ["non-solenoidal", "negative-radius",
+                                      "huge-entry"])
+    @pytest.mark.parametrize("command", sorted(_INPUT_ARGS))
+    def test_malformed_input_is_a_parse_error(self, tmp_path, capsys,
+                                              command, name):
+        path = _refused_inputs(tmp_path)[name]
+        code = _run(command, *_INPUT_ARGS[command], "--input", path,
+                    "--output", str(tmp_path / "out.json"))
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_PARSE, err
+        assert err.startswith("E:parse: malformed") and "Traceback" not in err
+        assert not (tmp_path / "out.json").exists()
+
+    def test_time_past_the_double_range(self, capsys, mode11):
+        assert _run("semigroup", "--t", "1e400", "--input", mode11) \
+            == cli.EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert "outside the double range" in err and "Traceback" not in err
+
+    def test_negative_count(self, capsys):
+        assert _run("basis", "--count", "-3") == cli.EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert "count must be nonnegative" in err and "Traceback" not in err
+
+
 class TestSelftest:
     def test_deterministic_and_passing(self, tmp_path):
         out1, out2 = tmp_path / "s1.json", tmp_path / "s2.json"

@@ -28,7 +28,7 @@ from solenoid.floatball import BallGrid, FloatBall
 from solenoid.helmholtz import VectorFieldName, divergence
 from solenoid.spectral import (FourierField, SobolevName,
                                mollified_field_pair)
-from solenoid.stokes import frac_power_apply, semigroup_apply
+from solenoid.stokes import frac_power_apply, frac_power_norm, semigroup_apply
 
 from oracles import (CellEngine, RecomputingCellEngine, WideCapEngine,
                      _axis_extension, _extended, axis_product_table,
@@ -506,7 +506,26 @@ class TestClaim1Search:
 
     @staticmethod
     def _mx(c):
-        return F(max(c.quarter_norm, c.half_norm))
+        return F(c.half_norm)
+
+    def test_half_norm_bounds_quarter_norm(self):
+        # the Claim-1 norm max{||A^{1/4}u||, ||A^{1/2}u||} is ||A^{1/2}u||:
+        # every live mode of an (sc, cs) pair has lambda >= pi^2, so
+        # ||A^{1/4}u|| <= pi^{-1/2} ||A^{1/2}u||; the computed upper ends
+        # keep that order on random seeds from 1e-300 to 1e2
+        rng = np.random.default_rng(36)
+        seeds = [_cert().seed]
+        for scale in (1e-300, 1e-150, 1e-20, 1.0, 1e2):
+            for cut in (1, 2, 5, 12, 24):
+                grids = [rng.standard_normal((cut + 1, cut + 1)) * scale
+                         for _ in range(2)]
+                seeds.append((FourierField("sc", cut, BallGrid(grids[0])),
+                              FourierField("cs", cut, BallGrid(grids[1]))))
+        for seed in seeds:
+            quarter = frac_power_norm(seed, F(1, 4)).upper()
+            half = frac_power_norm(seed, F(1, 2)).upper()
+            assert quarter <= half
+        assert not hasattr(_cert(), "quarter_norm")
 
     def test_matches_rounded_root_over_scales(self):
         # the README seed norm scaled by 10^-12 .. 10^6, with and without
@@ -817,8 +836,7 @@ class TestIterate:
                 return mp.mpf(x.numerator) / x.denominator
             v = mp.mpf(c.seed_res.numerator) / c.seed_res.denominator
             if theta is not None:
-                v += mp.mpf(2) ** (mp.mpf(-theta) / 4) * \
-                    mp.mpf(max(c.quarter_norm, c.half_norm))
+                v += mp.mpf(2) ** (mp.mpf(-theta) / 4) * mp.mpf(c.half_norm)
             lead = up(ct.M) * up(ct.beta_value(F(3, 4), F(1, 4)))
             ws = (4 - 2 * mp.sqrt(2)) * v
             return lead * ws * ws / mp.mpf(2) ** -(k + 1)
@@ -1430,10 +1448,13 @@ class TestSolve:
 class TestOwners:
     """Each input of the Picard path is set in one place: the forcing and
     the constants on the certificate, the time-cell cap in `nse`; M is the
-    only assumed constant, and the lift keeps no Claim-II schedule."""
+    only assumed constant, the product estimates read C_s from
+    `spectral.sup_constant` rather than a table, and the lift keeps no
+    Claim-II schedule."""
 
     @pytest.mark.parametrize("fn", [nse.solve, nse.iterate,
-                                    nse.smoothness_lift, nse._Engine],
+                                    nse.smoothness_lift, nse._Engine,
+                                    nse.nonlinearity, spectral.multiply],
                              ids=lambda fn: fn.__name__)
     def test_no_second_owner(self, fn):
         params = inspect.signature(fn).parameters

@@ -605,6 +605,17 @@ class TestMollify:
         obj = el.to_json()
         assert isinstance(obj["base"]["a1"][0][0], str) and obj["k"] == 2
 
+    def test_non_solenoidal_base_refused(self):
+        # a1 = 1 at (0, 0): not 0 on the box boundary, so the certified
+        # tails, whose H^1 identity needs that, do not hold for it
+        obj = mollify(solenoidal_kernel(4)[0], 1, 2).to_json()
+        for key in ("a1", "a2"):
+            obj["base"][key] = [["0"] * len(r) for r in obj["base"][key]]
+        obj["base"]["a1"][0][0] = "1"
+        assert not SolenoidalPolyPair.from_json(obj["base"]).is_solenoidal()
+        with pytest.raises(ValueError, match="not solenoidal"):
+            MollifiedElement.from_json(obj)
+
 
 class TestApproximationDefect:
     def test_zero_field(self):

@@ -21,14 +21,14 @@ from hypothesis import given, settings, strategies as st
 
 from solenoid import helmholtz, spectral
 from solenoid import polyfield as pf
-from solenoid.approxcore import ConstantsTable, Name, bv_pi
+from solenoid.approxcore import Name, bv_pi
 from solenoid.floatball import BallGrid, FloatBall, fb_sqrt
 from solenoid.polyfield import poly_inner_on_box
 from solenoid.spectral import (
     _H1_ORDER, FourierField, SobolevName, _ab_grid,
     _h1_models, _mollified_tail, _window_grid, axis_trig_moments,
     differentiate, mode_weights, mollified_distance,
-    mollified_field_pair, mollifier_mode_grid, multiply,
+    mollified_field_pair, mollifier_mode_grid, multiply, sup_constant,
     trig_poly_field,
 )
 
@@ -538,6 +538,21 @@ class TestJson:
         ball = g.grid.at((1, 0))
         assert abs(c - F(ball.c)) + r <= F(ball.r)
         assert F(g.tail_l2.upper()) >= t
+
+    @pytest.mark.parametrize("key, row", [("rad", 1), ("tail_l2", None),
+                                          ("tail_hs", None)])
+    def test_negative_bound_refused(self, key, row):
+        # a radius or a tail bound below 0 is no bound; it loaded before
+        # and came back as a negative radius
+        obj = FourierField.single_mode("sc", 1, 2).to_json()
+        if key == "rad":
+            obj["rad"][row][2] = "-1/2"
+        elif key == "tail_l2":
+            obj["tail_l2"] = "-1/8"
+        else:
+            obj["tail_hs"] = {"6/5": "-1/8"}
+        with pytest.raises(ValueError, match="negative"):
+            FourierField.from_json(obj)
 
 
 class TestAxisMoments:
@@ -1050,7 +1065,7 @@ class TestNameCalculus:
         fw = FourierField.single_mode("cc", 1, 0, coeff=0.5)
         v = self._perturbed_name(fv, (2, 0), F(3, 2))
         w = self._perturbed_name(fw, (0, 2), F(3, 2))
-        prod = multiply(v, w, constants=ConstantsTable.default())
+        prod = multiply(v, w)
         exact = fv.multiply(fw)
         for n in (2, 4):
             err = (prod.refine(n) - exact).l2_norm_ball().upper()
@@ -1067,3 +1082,44 @@ class TestNameCalculus:
         f = FourierField.single_mode("ss", 2, 2)
         v = SobolevName(Name(lambda k: f), F(3, 2))
         assert v.hs_bound >= f.hs_norm(F(3, 2)).upper()
+
+
+# ---------------------------------------------------------------------------
+# the sup-norm embedding constant
+# ---------------------------------------------------------------------------
+
+class TestSupConstant:
+    """`sup_constant`, the C_s of the H^{6/5} product estimate: one
+    `mode_weights` sum over n, m <= 24 and a closed-form integral tail."""
+
+    # the upper ends of the 120-bit BoundedValue route that computed C_s in
+    # the constants table before, frozen
+    TABLE_UPPER = {F(6, 5): 2.5714172304646143, F(3, 2): 1.7087999380917203,
+                   F(2): 1.3657109165839856}
+
+    def test_embedding_constant(self):
+        cs = sup_constant(F(6, 5))
+        assert cs.lower() > 1  # the (0,0) term alone contributes 1
+        for s in (F(1, 2), F(1)):
+            with pytest.raises(ValueError):
+                sup_constant(s)
+
+    @pytest.mark.parametrize("s", sorted(TABLE_UPPER), ids=str)
+    def test_holds_the_sum_and_its_tail_bound(self, s):
+        # the sum over all n, m lies between the head and the head plus the
+        # tail bound, so the ball holds the square roots of both (50 digits)
+        cs = sup_constant(s)
+        with mp.workdps(50):
+            q = mp.mpf(s.numerator) / s.denominator
+            head = mp.fsum((1 + n * n + m * m) ** -q
+                           for n in range(25) for m in range(25))
+            n24 = mp.mpf(24)
+            tail = 2 * (n24 ** (1 - 2 * q) / (2 * q - 1)
+                        + mp.pi / 2 * n24 ** (2 - 2 * q) / (2 * q - 2))
+            for value in (mp.sqrt(head), mp.sqrt(head + tail)):
+                assert cs.lower() <= value <= cs.upper()
+        old = self.TABLE_UPPER[s]
+        assert abs(cs.upper() - old) <= 1e-12 * old
+
+    def test_cached_per_exponent(self):
+        assert sup_constant(F(6, 5)) is sup_constant(F(6, 5))
