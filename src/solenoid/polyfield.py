@@ -596,7 +596,11 @@ def gamma0(kbits: int = 60) -> BoundedValue:
 # ---------------------------------------------------------------------------
 
 class MollifiedElement:
-    """The field gamma_n * Trim_k(base), stored symbolically."""
+    """The field gamma_n * Trim_k(base), stored symbolically.
+
+    A base that fails `is_solenoidal` raises ValueError, since the
+    certified tails hold only for a divergence-free base that vanishes on
+    its box's boundary."""
 
     __slots__ = ("base", "k", "n", "trimmed")
 
@@ -605,6 +609,9 @@ class MollifiedElement:
             raise ValueError("trim index must be >= 1")
         if n <= k:
             raise ValueError("mollifier index must satisfy n >= k+1")
+        if not base.is_solenoidal():
+            raise ValueError("the element's base is not solenoidal: its "
+                             "divergence or its boundary values are not 0")
         self.base = base
         self.k = k
         self.n = n
@@ -621,14 +628,8 @@ class MollifiedElement:
 
     @staticmethod
     def from_json(obj: dict) -> "MollifiedElement":
-        """The element of ``obj``; a base that fails `is_solenoidal`
-        raises ValueError, since the certified tails hold only for a
-        divergence-free base that vanishes on its box's boundary."""
-        base = SolenoidalPolyPair.from_json(obj["base"])
-        if not base.is_solenoidal():
-            raise ValueError("the element's base is not solenoidal: its "
-                             "divergence or its boundary values are not 0")
-        return MollifiedElement(base, int(obj["k"]), int(obj["n"]))
+        return MollifiedElement(SolenoidalPolyPair.from_json(obj["base"]),
+                                int(obj["k"]), int(obj["n"]))
 
     def __repr__(self):
         return "MollifiedElement(N=%d, k=%d, n=%d)" % (

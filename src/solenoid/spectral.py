@@ -507,51 +507,76 @@ def _h1_edge_bound(a: np.ndarray, g0: FloatBall) -> np.ndarray:
     return (peak * (g0 * FloatBall(2.0))).upper()
 
 
+_H1_PASS = 4   # bisection levels evaluated per pass of `_h1_models`
+
+
 @lru_cache(maxsize=1)
 def _h1_models() -> Tuple[np.ndarray, np.ndarray, BallGrid, np.ndarray]:
     """Shared panel Taylor models of h1 on [0, 1].
 
     Returns (num, den, coef, rem): panel p is num[p]/den[p] +- 1/den[p],
     and on it |h1(rho) - sum_t coef[p, t] (rho - num[p]/den[p])^t| <=
-    rem[p], with _H1_ORDER coefficients per row.  The dyadic panels are
-    bisected one level at a time, all candidates of a level at once.  A
-    panel [a, b] where h1 <= _H1_TOL on [a, 1] keeps a zero model with its
-    sup as remainder.  From depth 2 on, a panel with b < 1 keeps the
-    midpoint series once the Lagrange remainder |c_ORDER| H^ORDER, with
-    c_ORDER the recurrence over the whole panel and H the half-width, is
-    at most _H1_TOL (2^-30 past depth 40).  The midpoint series of every
-    kept model come from one recurrence after the last level; each ball
-    operation is entrywise, so each row has the bits of its own panel's.
+    rem[p], with _H1_ORDER coefficients per row.  A panel [a, b] where
+    h1 <= _H1_TOL on [a, 1] keeps a zero model with its sup as remainder.
+    From depth 2 on, a panel with b < 1 keeps the midpoint series once the
+    Lagrange remainder |c_ORDER| H^ORDER, with c_ORDER the recurrence over
+    the whole panel and H the half-width, is at most _H1_TOL (2^-30 past
+    depth 40); a panel that closes neither way is bisected.
+
+    Each pass takes the open panels of one depth and all their descendants
+    for the next _H1_PASS levels, bounds them with one `_h1_edge_bound`
+    and one `_h1_coeffs` on the boxes those masks leave, and then walks the
+    levels top-down: a panel is kept where it closes and its descendants
+    are dropped.  The midpoint series of every kept model come from one
+    recurrence after the last pass.  Every ball operation is entrywise, so
+    each remainder and each row has the bits of its own panel's, as a
+    bisection one level at a time would give them.
     """
     g0 = _fb_gamma0()
     parts = []
     j, depth = np.array([0]), 0
     while len(j):
-        den = 2 ** (depth + 1)
-        num = 2 * j + 1
+        # level k of the pass: the 2^k descendants of the frontier at
+        # depth + k, node i's children at i and i + len(level)
+        levels = [j]
+        for _ in range(_H1_PASS - 1):
+            levels.append(np.concatenate([2 * levels[-1],
+                                          2 * levels[-1] + 1]))
+        d = np.concatenate([np.full(len(x), depth + k)
+                            for k, x in enumerate(levels)])
+        den = 2 ** (d + 1)
+        num = 2 * np.concatenate(levels) + 1
         mid, half = num / den, 1.0 / den
         sup = _h1_edge_bound((num - 1) / den, g0)
         rem = np.where(sup <= _H1_TOL, sup, np.inf)
         model = (rem == np.inf) & (num + 1 < den)
-        if depth >= 2 and model.any():
-            box = BallGrid(mid[model], np.full(int(model.sum()), half))
-            top = _h1_coeffs(box, g0, _H1_ORDER + 1)[:, _H1_ORDER]
-            rem[model] = top.mag() * half ** _H1_ORDER
-        done = rem <= (2.0 ** -30 if depth >= 40 else _H1_TOL)
-        parts.append((num[done], np.full(int(done.sum()), den, dtype=object),
-                      mid[done], model[done], rem[done]))
-        split = j[~done]
-        j, depth = np.concatenate([2 * split, 2 * split + 1]), depth + 1
+        box = model & (d >= 2)
+        if box.any():
+            top = _h1_coeffs(BallGrid(mid[box], half[box]), g0,
+                             _H1_ORDER + 1)[:, _H1_ORDER]
+            rem[box] = top.mag() * half[box] ** _H1_ORDER
+        done = rem <= np.where(d >= 40, 2.0 ** -30, _H1_TOL)
+        # top-down: a panel is live while no ancestor in the pass closed
+        keep = np.zeros(len(d), dtype=bool)
+        live, lo = np.ones(len(j), dtype=bool), 0
+        for x in levels:
+            at = slice(lo, lo + len(x))
+            keep[at] = live & done[at]
+            live, lo = np.tile(live & ~done[at], 2), lo + len(x)
+        parts.append((num[keep], den[keep], mid[keep], model[keep],
+                      rem[keep]))
+        j = np.concatenate([2 * levels[-1], 2 * levels[-1] + 1])[live]
+        depth += _H1_PASS
     num, den, mid, fit, rem = (np.concatenate(x) for x in zip(*parts))
     order = np.argsort(mid)
     num, den, mid, fit, rem = (x[order] for x in (num, den, mid, fit, rem))
     coef = BallGrid.zeros((len(num), _H1_ORDER))
     coef.set(fit, _h1_coeffs(BallGrid(mid[fit]), g0, _H1_ORDER))
-    return num.astype(object), den, coef, rem
+    return num.astype(object), den.astype(object), coef, rem
 
 
 _AB_TERMS = 12     # power-series terms of the A_t, B_t tables for y < 2
-_MODE_BLOCK = 32   # modes per pass of the moment tensor, bounding its size
+_MODE_BLOCK = 128  # modes per pass of `_window_grid`, bounding its arrays
 
 
 @lru_cache(maxsize=None)
@@ -660,6 +685,12 @@ def _panel_data():
     return kc, ks, num, den, widx, h_den, slack
 
 
+def _rows(grids) -> BallGrid:
+    """The rows of the grids, one after another."""
+    return BallGrid(np.concatenate([g.c for g in grids]),
+                    np.concatenate([g.r for g in grids]))
+
+
 @lru_cache(maxsize=None)
 def _window_grid(nu: int, top: int) -> Tuple[BallGrid, BallGrid]:
     """phi(x_n) and psi(x_n) at x_n = n pi 2^{-nu}, for n = 0..top.
@@ -673,12 +704,20 @@ def _window_grid(nu: int, top: int) -> Tuple[BallGrid, BallGrid]:
                 (t even) or 2 H^{t+1} B_t cos(x mid) (t odd),
     with A_t, B_t at y = x H, so that phi = sum_panels sum_t c_t I_t^c and,
     as rho = (rho - mid) + mid, psi = sum_panels sum_t c_t (I_{t+1}^s +
-    mid I_t^s).  The trig-times-table factors of a block of modes form a
-    panels x modes x orders tensor.  Per transform, a batched `ball_matmul`
-    contracts each panel's orders with the weights of `_panel_data` and a
-    second one sums the panels, each under its gamma_n rule (n the number
-    of orders, then of panels); the model remainders (a sup on the flat
-    edge panels) widen every value by the slack.  The tables work in the scaled
+    mid I_t^s).  The trig factor depends on t only through its parity and
+    the table only on the panel's half-width, of which there are few.
+
+    So, per block of modes and per half-width, one `ball_matmul` contracts
+    the orders of that half-width's table (A_t for even t, B_t for odd t)
+    against its panels' weights of `_panel_data`, with the odd orders and
+    then the even ones zeroed, under the gamma_n rule of n = ORDER + 1
+    terms.  It gives four sums per panel and mode: S_c^even, S_c^odd of
+    Kc and S_s^even, S_s^odd of Ks.  Then ball products and sums form
+        cos(x mid) S_c^even - sin(x mid) S_c^odd       (phi's panel term),
+        sin(x mid) S_s^even + cos(x mid) S_s^odd       (psi's panel term),
+    and a second `ball_matmul` sums the panels under the gamma_n rule of
+    the panel count.  The model remainders (a sup on the flat edge panels)
+    widen every value by the slack.  The tables work in the scaled
     variable v, so all absolute errors stay at the scale of the true
     values.  phi(0) = gamma0 e^-1 (the profile at 0) and psi(0) = 0 are
     set directly.
@@ -686,22 +725,32 @@ def _window_grid(nu: int, top: int) -> Tuple[BallGrid, BallGrid]:
     kc, ks, mid_num, mid_den, widx, h_den, slack = _panel_data()
     order = kc.shape[1]
     even = np.arange(order) % 2 == 0
+    # per half-width: its panels, and their weight rows Kc with the odd
+    # orders zeroed, Kc with the even ones zeroed, then Ks alike
+    groups = []
+    for h in range(len(h_den)):
+        p = np.nonzero(widx == h)[0]
+        groups.append((p, _rows([BallGrid(np.where(m, w.c[p], 0.0),
+                                          np.where(m, w.r[p], 0.0))
+                                 for w in (kc, ks) for m in (even, ~even)])))
     ones = BallGrid(np.ones((1, len(widx))))
     phi, psi = BallGrid.zeros(top + 1), BallGrid.zeros(top + 1)
     for lo in range(1, top + 1, _MODE_BLOCK):
         n = np.arange(lo, min(lo + _MODE_BLOCK, top + 1), dtype=object)
-        sin, cos = (g[..., None] for g in grid_sincos_pi(
-            np.multiply.outer(mid_num, n), (mid_den * (1 << nu))[:, None]))
-        a, b = (g[widx] for g in _ab_grid(n, (h_den * (1 << nu))[:, None],
-                                          order - 1))
-        tab = BallGrid(np.where(even, a.c, b.c), np.where(even, a.r, b.r))
-        # cos(x mid) for even t, -sin for odd; sin for even t, cos for odd
-        fac_c = BallGrid(np.where(even, cos.c, -sin.c),
-                         np.where(even, cos.r, sin.r))
-        fac_s = BallGrid(np.where(even, sin.c, cos.c),
-                         np.where(even, sin.r, cos.r))
-        for out, fac, w in ((phi, fac_c, kc), (psi, fac_s, ks)):
-            panels = ball_matmul(tab * fac, w[:, :, None])[..., 0]
+        a, b = _ab_grid(n, (h_den * (1 << nu))[:, None], order - 1)
+        parts = []
+        for h, (p, w) in enumerate(groups):
+            # the half-width's (orders, modes) table against its weight
+            # rows, then the trig values at its panels' midpoints
+            tab = BallGrid(np.where(even, a.c[h], b.c[h]).T,
+                           np.where(even, a.r[h], b.r[h]).T)
+            sums = ball_matmul(w, tab).reshape(4, len(p), -1)
+            sin, cos = grid_sincos_pi(np.multiply.outer(mid_num[p], n),
+                                      (mid_den[p] * (1 << nu))[:, None])
+            parts.append([sums[i] for i in range(4)] + [sin, cos])
+        ce, co, se, so, sin, cos = (_rows(x) for x in zip(*parts))
+        for out, panels in ((phi, cos * ce - sin * co),
+                            (psi, sin * se + cos * so)):
             out.set(slice(lo, lo + len(n)), ball_matmul(ones, panels)[0])
     phi, psi = phi.widened(slack), psi.widened(slack)
     phi.set(0, _fb_gamma0() * fb_exp(FloatBall(-1.0)))

@@ -347,6 +347,14 @@ def semigroup_apply(a, t, K: int):
 # Fractional powers
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _pi_power(q: Fraction) -> FloatBall:
+    """pi^q, the factor of a propagated H^q tail; cached per exponent, as
+    an exponent off the square root and the integers costs a log and two
+    exp series."""
+    return fb_pow(FB_PI, q)
+
+
 def frac_power_apply(a, alpha):
     """A^alpha a by mode-wise multiplication with (pi^2 (n^2+m^2))^alpha.
 
@@ -361,12 +369,11 @@ def frac_power_apply(a, alpha):
         raise ValueError("fractional power exponent must lie in (0, 1)")
     fields, pairp = _components(resolve_field(a, hs_tails=(2 * alpha,)))
     out = []
-    pia = fb_pow(FB_PI, 2 * alpha)
     for f in fields:
         if f.band_limited():
             tail = FloatBall(0.0)
         elif 2 * alpha in f.tail_hs:
-            tail = pia * f.tail_hs[2 * alpha]
+            tail = _pi_power(2 * alpha) * f.tail_hs[2 * alpha]
         else:
             raise ValueError("insufficient data: fractional power needs an "
                              "H^%s tail bound" % (2 * alpha))

@@ -14,9 +14,13 @@ moments) and of h1 (for the window transforms).  The radial moments J_s
 also have a closed form here (`gamma_radial_moment`), which the series
 kernel coefficients use; the library needs only J_0, through the
 normalization `gamma0`, and certifies the window transforms by the
-profile's ODE recurrence.  The band-limited product's earlier route,
-`ball_convolve` of the exponential extensions `_extended`, checks the
-library's fold on the coefficient grids.  The Picard engine's cell-by-cell
+profile's ODE recurrence.  Two earlier forms of those constants check
+the library's: `h1_models_by_level` bisects the panels one level at a
+time (the library's passes of several levels must give its bits), and
+`window_grid_tensor` contracts a panels x modes x orders tensor (the
+library's per-half-width contraction must overlap it).  The band-limited
+product's earlier route, `ball_convolve` of the exponential extensions
+`_extended`, checks the library's fold on the coefficient grids.  The Picard engine's cell-by-cell
 recursion, `CellEngine`, checks the library's level engine bit for bit,
 and its earlier form `RecomputingCellEngine`, which runs every cell's
 product at every level, bounds it from outside.  The
@@ -43,13 +47,15 @@ import numpy as np
 from solenoid import nse
 from solenoid.approxcore import (DEFAULT_PREC, BoundedValue, bv_cos, bv_exp,
                                  bv_log, bv_pi, bv_sin, bv_sqrt)
-from solenoid.floatball import (EPS, FB_PI, TINY, BallGrid, FloatBall, fb_exp,
-                                fb_log, fb_pow, fb_sincos, fb_sqrt, grid_pow)
+from solenoid.floatball import (EPS, FB_PI, TINY, BallGrid, FloatBall,
+                                ball_matmul, fb_exp, fb_log, fb_pow, fb_sincos,
+                                fb_sqrt, grid_pow, grid_sincos_pi)
 from solenoid.floatball import _floored, _gamma, _up
 from solenoid.helmholtz import resolve_field
 from solenoid.polyfield import RationalPoly2, _e1_balls, gamma0
 from solenoid.spectral import _H1_ORDER, _H1_TOL, _PI2, FourierField, \
-    _bilinear, _fb_gamma0, _trig_values, _weights
+    _ab_grid, _bilinear, _fb_gamma0, _h1_coeffs, _h1_edge_bound, \
+    _panel_data, _trig_values, _weights
 from solenoid.stokes import _as_bv, _components, _emit, _gamma3_value, \
     _heat_factor, _l2_upper, contour_factors, tail_cutoff_l
 
@@ -1156,6 +1162,70 @@ def window_transforms(n_index: int, nu: int):
         slack = rem * float(b - a) * (1 + 8 * EPS) + TINY
         phi = phi + pc.widened(slack)
         psi = psi + ps.widened(slack)
+    return phi, psi
+
+
+def h1_models_by_level():
+    """`spectral._h1_models` bisecting one dyadic level at a time, with one
+    `_h1_coeffs` recurrence per level: the library evaluates several levels
+    per pass, and each of its remainders and rows must have these bits."""
+    g0 = _fb_gamma0()
+    parts = []
+    j, depth = np.array([0]), 0
+    while len(j):
+        den = 2 ** (depth + 1)
+        num = 2 * j + 1
+        mid, half = num / den, 1.0 / den
+        sup = _h1_edge_bound((num - 1) / den, g0)
+        rem = np.where(sup <= _H1_TOL, sup, np.inf)
+        model = (rem == np.inf) & (num + 1 < den)
+        if depth >= 2 and model.any():
+            box = BallGrid(mid[model], np.full(int(model.sum()), half))
+            top = _h1_coeffs(box, g0, _H1_ORDER + 1)[:, _H1_ORDER]
+            rem[model] = top.mag() * half ** _H1_ORDER
+        done = rem <= (2.0 ** -30 if depth >= 40 else _H1_TOL)
+        parts.append((num[done], np.full(int(done.sum()), den, dtype=object),
+                      mid[done], model[done], rem[done]))
+        split = j[~done]
+        j, depth = np.concatenate([2 * split, 2 * split + 1]), depth + 1
+    num, den, mid, fit, rem = (np.concatenate(x) for x in zip(*parts))
+    order = np.argsort(mid)
+    num, den, mid, fit, rem = (x[order] for x in (num, den, mid, fit, rem))
+    coef = BallGrid.zeros((len(num), _H1_ORDER))
+    coef.set(fit, _h1_coeffs(BallGrid(mid[fit]), g0, _H1_ORDER))
+    return num.astype(object), den, coef, rem
+
+
+def window_grid_tensor(nu: int, top: int):
+    """(phi, psi) of `spectral._window_grid` for n = 0..top through the
+    panels x modes x orders tensor of trig-times-table factors, 32 modes at
+    a time.  Per transform, a batched `ball_matmul` contracts each panel's
+    orders with the weights of `_panel_data` and a second one sums the
+    panels; the library contracts per half-width instead, so the two
+    enclosures differ only in rounding and must overlap."""
+    kc, ks, mid_num, mid_den, widx, h_den, slack = _panel_data()
+    order = kc.shape[1]
+    even = np.arange(order) % 2 == 0
+    ones = BallGrid(np.ones((1, len(widx))))
+    phi, psi = BallGrid.zeros(top + 1), BallGrid.zeros(top + 1)
+    for lo in range(1, top + 1, 32):
+        n = np.arange(lo, min(lo + 32, top + 1), dtype=object)
+        sin, cos = (g[..., None] for g in grid_sincos_pi(
+            np.multiply.outer(mid_num, n), (mid_den * (1 << nu))[:, None]))
+        a, b = (g[widx] for g in _ab_grid(n, (h_den * (1 << nu))[:, None],
+                                          order - 1))
+        tab = BallGrid(np.where(even, a.c, b.c), np.where(even, a.r, b.r))
+        # cos(x mid) for even t, -sin for odd; sin for even t, cos for odd
+        fac_c = BallGrid(np.where(even, cos.c, -sin.c),
+                         np.where(even, cos.r, sin.r))
+        fac_s = BallGrid(np.where(even, sin.c, cos.c),
+                         np.where(even, sin.r, cos.r))
+        for out, fac, w in ((phi, fac_c, kc), (psi, fac_s, ks)):
+            panels = ball_matmul(tab * fac, w[:, :, None])[..., 0]
+            out.set(slice(lo, lo + len(n)), ball_matmul(ones, panels)[0])
+    phi, psi = phi.widened(slack), psi.widened(slack)
+    phi.set(0, _fb_gamma0() * fb_exp(FloatBall(-1.0)))
+    psi.set(0, FloatBall(0.0))
     return phi, psi
 
 

@@ -616,6 +616,17 @@ class TestMollify:
         with pytest.raises(ValueError, match="not solenoidal"):
             MollifiedElement.from_json(obj)
 
+    def test_mollify_refuses_non_solenoidal_base(self):
+        # the constructor checks the base, so every route refuses it: this
+        # base's certified tail read 2.2e-154 at cutoff 64 while 5.5e-5 of
+        # its L2 mass lay in modes 65..256
+        base = solenoidal_kernel(4)[0].to_json()
+        for key in ("a1", "a2"):
+            base[key] = [["0"] * len(r) for r in base[key]]
+        base["a1"][0][0] = "1"
+        with pytest.raises(ValueError, match="not solenoidal"):
+            mollify(SolenoidalPolyPair.from_json(base), 1, 2)
+
 
 class TestApproximationDefect:
     def test_zero_field(self):

@@ -520,6 +520,29 @@ class TestFracPower:
                 alpha).grid.at((1, 1) if s == 2 else (1, 2))
             assert abs(float(v.upper()) * norm - direct.c) < 2.0 ** -6
 
+    def test_warm_band_limited_pair_runs_no_exp(self, monkeypatch):
+        # pi^{2 alpha} is read only for a tail: a warm call on a
+        # band-limited pair at alpha = 3/5 runs no exp series at all
+        from solenoid import floatball
+        rng = np.random.default_rng(5)
+        pair = (FourierField("sc", 6, BallGrid(rng.normal(size=(7, 7)))),
+                FourierField("cs", 6, BallGrid(rng.normal(size=(7, 7)))))
+        cold = sk.frac_power_apply(pair, F(3, 5))
+        calls = []
+
+        def counted(x):
+            calls.append(x.shape)
+            return grid_exp(x)
+        grid_exp = floatball.grid_exp
+        monkeypatch.setattr(floatball, "grid_exp", counted)
+        warm = sk.frac_power_apply(pair, F(3, 5))
+        assert calls == []
+        for a, b in zip(cold, warm):
+            assert a.grid.c.tobytes() == b.grid.c.tobytes()
+            assert a.grid.r.tobytes() == b.grid.r.tobytes()
+            assert (a.tail_l2.c, a.tail_l2.r) == (0.0, 0.0) == \
+                (b.tail_l2.c, b.tail_l2.r)
+
     def test_mollified_tail_propagates(self):
         p1, p2 = sk.frac_power_apply(EL, F(1, 4))
         assert p1.tail_l2.upper() > 0
