@@ -525,12 +525,14 @@ def _h1_models() -> Tuple[np.ndarray, np.ndarray, BallGrid, np.ndarray]:
 
     Each pass takes the open panels of one depth and all their descendants
     for the next _H1_PASS levels, bounds them with one `_h1_edge_bound`
-    and one `_h1_coeffs` on the boxes those masks leave, and then walks the
-    levels top-down: a panel is kept where it closes and its descendants
-    are dropped.  The midpoint series of every kept model come from one
-    recurrence after the last pass.  Every ball operation is entrywise, so
-    each remainder and each row has the bits of its own panel's, as a
-    bisection one level at a time would give them.
+    and one `_h1_coeffs` on the boxes that may take a model (depth >= 2,
+    b < 1, sup above _H1_TOL), and then walks the levels top-down: a panel
+    is kept where it closes and its descendants are dropped.  Four levels
+    per pass keep the speculative tree small; with all nine in one pass it
+    costs more than the passes it saves.  The midpoint series of every
+    kept model come from one recurrence after the last pass.  Every ball
+    operation is entrywise, so each remainder and each row has the bits of
+    its own panel's, as a bisection one level at a time would give them.
     """
     g0 = _fb_gamma0()
     parts = []

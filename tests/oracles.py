@@ -18,9 +18,10 @@ profile's ODE recurrence.  Two earlier forms of those constants check
 the library's: `h1_models_by_level` bisects the panels one level at a
 time (the library's passes of several levels must give its bits), and
 `window_grid_tensor` contracts a panels x modes x orders tensor (the
-library's per-half-width contraction must overlap it).  The band-limited
-product's earlier route, `ball_convolve` of the exponential extensions
-`_extended`, checks the library's fold on the coefficient grids.  The Picard engine's cell-by-cell
+library's per-half-width contraction must overlap it).
+The band-limited product's earlier route,
+`ball_convolve` of the exponential extensions `_extended`, checks the
+library's fold on the coefficient grids.  The Picard engine's cell-by-cell
 recursion, `CellEngine`, checks the library's level engine bit for bit,
 and its earlier form `RecomputingCellEngine`, which runs every cell's
 product at every level, bounds it from outside.  The

@@ -748,7 +748,6 @@ class TestH1Models:
             models += 1
         assert models > len(num) // 2
 
-
     def test_passes_match_the_level_by_level_bisection(self):
         # the passes of several levels against one level at a time: the
         # same panels, and the bits of every remainder and coefficient
@@ -798,7 +797,8 @@ class TestMollifierGrid:
         # orders tensor: the same balls up to rounding, radii within 5 %
         # (measured 1.000-1.0075 times the tensor route's)
         for top in (3, 4, 128, 256):
-            got, ref = _window_grid(nu, top), oracles.window_grid_tensor(nu, top)
+            got = _window_grid(nu, top)
+            ref = oracles.window_grid_tensor(nu, top)
             for g, o in zip(got, ref):
                 assert (g.lower() <= o.upper()).all(), (nu, top)
                 assert (g.upper() >= o.lower()).all(), (nu, top)
