@@ -19,7 +19,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -60,41 +59,43 @@ def _parse_exact(text: str) -> Fraction:
                        "cannot read %r as an exact decimal or p/q" % text)
 
 
-@dataclass
-class RunConfig:
-    """Validated run description, assembled from the parsed arguments."""
-
-    command: str
-    input_path: Optional[str] = None
-    output_path: Optional[str] = None
-    precision: int = 8
-    t: Fraction = Fraction(0)
-    alpha: Optional[Fraction] = None
-    degree: int = 4
-    count: int = 1
-    point: Optional[Tuple[Fraction, Fraction]] = None
-    path_points: Optional[Tuple[Tuple[Fraction, Fraction], ...]] = None
-    constants_path: Optional[str] = None
-    emit_csv: Optional[str] = None
-    mode_cap: int = 24
-
-    def __post_init__(self):
-        if self.precision < 1:
-            raise CliError(EXIT_PRECONDITION, "precondition",
-                           "precision must be at least 1")
-        if self.t < 0:
-            raise CliError(EXIT_PRECONDITION, "precondition",
-                           "time must be nonnegative")
-        if self.mode_cap <= 0:
-            raise CliError(EXIT_PRECONDITION, "precondition",
-                           "the mode cap must be positive")
-        if self.count < 0:
-            raise CliError(EXIT_PRECONDITION, "precondition",
-                           "the count must be nonnegative")
+def _parse_point(text: str) -> Tuple[Fraction, Fraction]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise CliError(EXIT_PARSE, "parse",
+                       "a point must be two comma-separated coordinates")
+    return _parse_exact(parts[0]), _parse_exact(parts[1])
 
 
-def _load_constants(config: RunConfig) -> Optional[ConstantsTable]:
-    path = config.constants_path or os.environ.get(CONSTANTS_ENV)
+def _parse_path(text: str) -> Tuple[Tuple[Fraction, Fraction], ...]:
+    """Semicolon-separated waypoints, empty segments skipped; a path with
+    no waypoint is refused, as the pressure query indexes its first."""
+    path = tuple(_parse_point(seg) for seg in text.split(";") if seg)
+    if not path:
+        raise CliError(EXIT_PARSE, "parse",
+                       "a path needs at least one 'x,y' waypoint")
+    return path
+
+
+# the exit-3 preconditions on the parsed options: (option dest, test,
+# message), each checked only where the subcommand has that option
+_PRECONDITIONS = (
+    ("precision", lambda v: v >= 1, "precision must be at least 1"),
+    ("t", lambda v: v >= 0, "time must be nonnegative"),
+    ("mode_cap", lambda v: v > 0, "the mode cap must be positive"),
+    ("count", lambda v: v >= 0, "the count must be nonnegative"),
+)
+
+
+def _check_preconditions(args: argparse.Namespace) -> None:
+    given = vars(args)
+    for key, holds, message in _PRECONDITIONS:
+        if key in given and not holds(given[key]):
+            raise CliError(EXIT_PRECONDITION, "precondition", message)
+
+
+def _load_constants(args: argparse.Namespace) -> Optional[ConstantsTable]:
+    path = args.constants_path or os.environ.get(CONSTANTS_ENV)
     if not path:
         return None
     try:
@@ -118,12 +119,10 @@ def _load_json(path: str) -> dict:
     return obj
 
 
-def _load_field_input(config: RunConfig):
+def _load_field_input(args: argparse.Namespace):
     """Read a field argument: a component pair, a single field, or a
     mollified element."""
-    if config.input_path is None:
-        raise CliError(EXIT_PARSE, "parse", "this command needs --input")
-    obj = _load_json(config.input_path)
+    obj = _load_json(args.input_path)
     kind = obj.get("kind")
     try:
         if kind == "pair":
@@ -144,14 +143,14 @@ def _load_field_input(config: RunConfig):
                    % kind)
 
 
-def _load_vector_input(config: RunConfig):
+def _load_vector_input(args: argparse.Namespace):
     """Read a vector field argument, a component pair or a mollified
     element; a single scalar field is a precondition violation."""
-    u = _load_field_input(config)
+    u = _load_field_input(args)
     if isinstance(u, FourierField):
         raise CliError(EXIT_PRECONDITION, "precondition",
                        "%s needs a component pair or an element"
-                       % config.command)
+                       % args.command)
     return u
 
 
@@ -173,18 +172,19 @@ def _pair_json(pair) -> dict:
     return {"kind": "pair", "u1": pair[0].to_json(), "u2": pair[1].to_json()}
 
 
-def _emit(config: RunConfig, payload: dict) -> None:
+def _emit(args: argparse.Namespace, payload: dict) -> None:
     payload = dict(payload)
     payload["schema"] = SCHEMA
     text = json.dumps(payload, sort_keys=True, indent=1,
                       separators=(",", ": ")) + "\n"
-    if config.output_path:
-        with open(config.output_path, "w") as fh:
+    if args.output_path:
+        with open(args.output_path, "w") as fh:
             fh.write(text)
     else:
         _write_stdout(text)
-    if config.emit_csv:
-        _write_csv(config.emit_csv, payload)
+    # only the subcommands that write fields have --emit-csv
+    if getattr(args, "emit_csv", None):
+        _write_csv(args.emit_csv, payload)
 
 
 def _write_stdout(text: str) -> None:
@@ -230,26 +230,26 @@ def _write_csv(path: str, payload: dict) -> None:
 # subcommand bodies
 # ---------------------------------------------------------------------------
 
-def _run_basis(config: RunConfig) -> dict:
-    basis = pf.solenoidal_kernel(config.degree)
-    if not basis and config.count > 0:
+def _run_basis(args: argparse.Namespace) -> dict:
+    basis = pf.solenoidal_kernel(args.degree)
+    if not basis and args.count > 0:
         raise CliError(EXIT_PRECONDITION, "precondition",
                        "degree %d has no nonzero solenoidal polynomials"
-                       % config.degree)
+                       % args.degree)
     out = []
-    for i in range(config.count):
+    for i in range(args.count):
         elem = basis[i % len(basis)].scale(Fraction(1 + i // len(basis)))
         if not elem.is_solenoidal():
             raise CliError(EXIT_BUDGET, "budget",
                            "enumerated element failed the exact checks")
         out.append(elem.to_json())
-    return {"kind": "basis", "degree": config.degree,
-            "count": config.count, "elements": out}
+    return {"kind": "basis", "degree": args.degree,
+            "count": args.count, "elements": out}
 
 
-def _run_project(config: RunConfig) -> dict:
-    u = _load_vector_input(config)
-    K = config.precision
+def _run_project(args: argparse.Namespace) -> dict:
+    u = _load_vector_input(args)
+    K = args.precision
     p1, p2 = project(u, K)
     cert = _certificate(K, [
         _budget_line("datum resolution", K + 3),
@@ -263,12 +263,12 @@ def _run_project(config: RunConfig) -> dict:
             "certificate": cert}
 
 
-def _run_semigroup(config: RunConfig) -> dict:
-    u = _load_field_input(config)
-    K = config.precision
-    out = semigroup_apply(u, config.t, K)
+def _run_semigroup(args: argparse.Namespace) -> dict:
+    u = _load_field_input(args)
+    K = args.precision
+    out = semigroup_apply(u, args.t, K)
     cert = _certificate(K, [_budget_line("heat-factor enclosure", K)])
-    result = {"t": str(config.t), "certificate": cert}
+    result = {"t": str(args.t), "certificate": cert}
     if isinstance(out, tuple):
         result.update(_pair_json(out))
     else:
@@ -276,12 +276,10 @@ def _run_semigroup(config: RunConfig) -> dict:
     return result
 
 
-def _run_fracpower(config: RunConfig) -> dict:
-    if config.alpha is None:
-        raise CliError(EXIT_PARSE, "parse", "fracpower needs --alpha")
-    u = _load_field_input(config)
-    out = frac_power_apply(u, config.alpha)
-    result = {"alpha": str(config.alpha)}
+def _run_fracpower(args: argparse.Namespace) -> dict:
+    u = _load_field_input(args)
+    out = frac_power_apply(u, args.alpha)
+    result = {"alpha": str(args.alpha)}
     if isinstance(out, tuple):
         result.update(_pair_json(out))
     else:
@@ -289,51 +287,49 @@ def _run_fracpower(config: RunConfig) -> dict:
     return result
 
 
-def _run_horizon(config: RunConfig) -> dict:
-    a = _load_vector_input(config)
-    ct = _load_constants(config)
-    cert = nse.compute_horizon(a, constants=ct, mode_cap=config.mode_cap)
+def _run_horizon(args: argparse.Namespace) -> dict:
+    a = _load_vector_input(args)
+    ct = _load_constants(args)
+    cert = nse.compute_horizon(a, constants=ct, mode_cap=args.mode_cap)
     eps = cert.epsilon
     return {"kind": "horizon", "certificate": cert.to_json(),
             "epsilon_upper": str(eps.upper()),
             "contractive": bool(eps.upper() < 1)}
 
 
-def _run_solve(config: RunConfig) -> dict:
-    a = _load_vector_input(config)
-    ct = _load_constants(config)
-    K = config.precision
-    cert = nse.compute_horizon(a, constants=ct, mode_cap=config.mode_cap)
-    u = nse.solve(a, None, config.t, K, cert=cert)
+def _run_solve(args: argparse.Namespace) -> dict:
+    a = _load_vector_input(args)
+    ct = _load_constants(args)
+    K = args.precision
+    cert = nse.compute_horizon(a, constants=ct, mode_cap=args.mode_cap)
+    u = nse.solve(a, None, args.t, K, cert=cert)
     ledger = _certificate(K, [
         _budget_line("geometric iteration tail", K + 1),
         _budget_line("iterate enclosure", K + 1),
     ])
-    out = {"t": str(config.t), "certificate": ledger,
+    out = {"t": str(args.t), "certificate": ledger,
            "horizon": cert.to_json()}
     out.update(_pair_json(u))
     return out
 
 
-def _run_pressure(config: RunConfig) -> dict:
-    if config.point is None:
-        raise CliError(EXIT_PARSE, "parse", "pressure needs --point")
-    u = _load_field_input(config)
+def _run_pressure(args: argparse.Namespace) -> dict:
+    u = _load_field_input(args)
     if not (isinstance(u, tuple) and len(u) == 2):
         raise CliError(EXIT_PRECONDITION, "precondition",
                        "pressure needs a band-limited component pair")
-    K = config.precision
-    query = nse.PressureQuery(config.point, path=config.path_points)
+    K = args.precision
+    query = nse.PressureQuery(args.point, path=args.path_points)
     value = nse.pressure(u, None, query, K)
     cert = _certificate(K, [_budget_line("path quadrature", K)])
-    return {"kind": "pressure", "point": [str(c) for c in config.point],
+    return {"kind": "pressure", "point": [str(c) for c in args.point],
             "value": value.to_json(),
             "value_lower": str(value.lower()),
             "value_upper": str(value.upper()),
             "certificate": cert}
 
 
-def _run_selftest(config: RunConfig) -> dict:
+def _run_selftest(args: argparse.Namespace) -> dict:
     """Small deterministic battery; the artifact is the certificate of the
     runs plus their key enclosures, reproducible byte for byte."""
     report = {"kind": "selftest", "checks": []}
@@ -409,9 +405,10 @@ _RUNNERS = {
 }
 
 
-def run(config: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
+    _check_preconditions(args)
     try:
-        payload = _RUNNERS[config.command](config)
+        payload = _RUNNERS[args.command](args)
     except CliError:
         raise
     except nse.HorizonError as exc:
@@ -423,7 +420,7 @@ def run(config: RunConfig) -> int:
     except OverflowError as exc:
         raise CliError(EXIT_PRECONDITION, "precondition",
                        "a value lies outside the double range: %s" % exc)
-    _emit(config, payload)
+    _emit(args, payload)
     return EXIT_OK
 
 
@@ -468,11 +465,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, "input", "precision", "emit-csv")
 
     p = sub.add_parser("semigroup", help="apply the Stokes semigroup")
-    p.add_argument("--t", required=True, help="time (decimal or p/q)")
+    p.add_argument("--t", type=_parse_exact, required=True,
+                   help="time (decimal or p/q)")
     common(p, "input", "precision", "emit-csv")
 
     p = sub.add_parser("fracpower", help="apply a fractional power")
-    p.add_argument("--alpha", required=True,
+    p.add_argument("--alpha", type=_parse_exact, required=True,
                    help="exponent in (0,1), decimal or p/q")
     common(p, "input", "emit-csv")
 
@@ -481,14 +479,15 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, "input", "constants")
 
     p = sub.add_parser("solve", help="certified mild solution")
-    p.add_argument("--t", required=True)
+    p.add_argument("--t", type=_parse_exact, required=True)
     p.add_argument("--mode-cap", dest="mode_cap", type=int, default=12)
     common(p, "input", "precision", "constants", "emit-csv")
 
     p = sub.add_parser("pressure", help="pressure path integral")
-    p.add_argument("--point", required=True,
+    p.add_argument("--point", type=_parse_point, required=True,
                    help="target point as 'x,y' (decimal or p/q entries)")
     p.add_argument("--path", dest="path_points", metavar="PATH",
+                   type=_parse_path,
                    help="semicolon-separated waypoint list 'x,y;x,y;...' "
                         "from the anchor")
     common(p, "input", "precision")
@@ -498,45 +497,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_point(text: str) -> Tuple[Fraction, Fraction]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise CliError(EXIT_PARSE, "parse",
-                       "a point must be two comma-separated coordinates")
-    return _parse_exact(parts[0]), _parse_exact(parts[1])
-
-
-def _parse_path(text: str) -> Tuple[Tuple[Fraction, Fraction], ...]:
-    return tuple(_parse_point(seg) for seg in text.split(";") if seg)
-
-
-# the RunConfig fields given as text, with their parsers
-_PARSED = {"t": _parse_exact, "alpha": _parse_exact, "point": _parse_point,
-           "path_points": _parse_path}
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    """The parsed arguments as a RunConfig: each subcommand sets the fields
-    it has options for (argparse holds their defaults), and RunConfig's
-    defaults fill the rest.  An empty text option counts as absent."""
-    given = {}
-    for key, val in vars(args).items():
-        if key not in _PARSED:
-            given[key] = val
-        elif val:
-            given[key] = _PARSED[key](val)
-    return RunConfig(**given)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # the option converters raise CliError while parsing
+        return run(_build_parser().parse_args(argv))
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
-    try:
-        config = _config_from_args(args)
-        return run(config)
     except CliError as exc:
         sys.stderr.write("E:%s: %s\n" % (exc.category, exc))
         return exc.code

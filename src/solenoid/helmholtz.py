@@ -32,6 +32,7 @@ semigroup outputs, and the nonlinearity all land in exactly these bases.
 
 from __future__ import annotations
 
+import bisect
 from functools import lru_cache
 from typing import Tuple
 
@@ -149,6 +150,13 @@ def truncation_index(u, K: int) -> int:
     component j truncated below N (`FourierField.truncation_tail`).
 
     For a band-limited pair with cutoff c the answer is at most c + 1.
+
+    The search bisects N = 0..c+1, as the computed test is monotone in N:
+    a larger N masks more weights to 0 in `sumsq_ball`, and a round-to-
+    nearest float sum of nonnegative terms cannot rise when a term falls
+    to 0; its `live`, eta and wmax = 1 do not depend on the mask, and the
+    square root, the sum with the presented tail and the square are
+    monotone.  Whatever N the bisection returns passed the test itself.
     """
     if K < 0:
         raise ValueError("precision must be nonnegative")
@@ -156,11 +164,14 @@ def truncation_index(u, K: int) -> int:
     cut = max(f1.cutoff, f2.cutoff)
     a, b = f1._embedded(cut), f2._embedded(cut)
     target = 0.25 ** (K + 1)
-    for N in range(cut + 2):
+
+    def fits(N):
         d1, d2 = a.truncation_tail(N - 1), b.truncation_tail(N - 1)
-        if (d1 * d1 + d2 * d2).upper() <= target:
-            return N
-    raise ValueError("tail mass does not certify at this precision")
+        return (d1 * d1 + d2 * d2).upper() <= target
+    N = bisect.bisect_left(range(cut + 2), True, key=fits)
+    if N > cut + 1:
+        raise ValueError("tail mass does not certify at this precision")
+    return N
 
 
 def project(u, K: int) -> Tuple[FourierField, FourierField]:

@@ -105,14 +105,17 @@ def nonlinearity_pair(u1: FourierField, u2: FourierField) \
     if u1.basis != "sc" or u2.basis != "cs":
         raise ValueError("the nonlinearity needs component 1 in sin.cos and "
                          "component 2 in cos.sin")
-    return project_pair(*_convection(u1, u2))
+    du = (u1.derivative(1), u1.derivative(2),
+          u2.derivative(1), u2.derivative(2))
+    return project_pair(*_convection(u1, u2, du))
 
 
-def _convection(u1: FourierField, u2: FourierField) \
+def _convection(u1: FourierField, u2: FourierField, du) \
         -> Tuple[FourierField, FourierField]:
-    """(u.grad)u for a band-limited pair, unprojected."""
-    return (_mul_fast(u1, u1.derivative(1)) + _mul_fast(u2, u1.derivative(2)),
-            _mul_fast(u1, u2.derivative(1)) + _mul_fast(u2, u2.derivative(2)))
+    """(u.grad)u for a band-limited pair, unprojected, from its first
+    derivatives ``du`` = (d/dx u1, d/dy u1, d/dx u2, d/dy u2)."""
+    return (_mul_fast(u1, du[0]) + _mul_fast(u2, du[1]),
+            _mul_fast(u1, du[2]) + _mul_fast(u2, du[3]))
 
 
 def _strip_tail(f: FourierField) -> FourierField:
@@ -375,8 +378,8 @@ def compute_horizon(a, constants: ConstantsTable = None, mode_cap: int = 24,
     b2, t2 = _trunc_band(pair[1], mode_cap)
     trunc = Fraction(_norm2([t1, t2]).upper()) if (t1 or t2) \
         else Fraction(0)
+    # b1 and b2 carry no tails, so neither does their projection
     seed = project_pair(b1, b2)
-    seed = (_strip_tail(seed[0]), _strip_tail(seed[1]))
     seed_res = 2 * (res + trunc)
     norm_up = _l2_upper(seed)
     g_sup = forcing.sup_l2 if forcing is not None else 0.0
@@ -596,6 +599,10 @@ class _Engine:
             _heat_hull(fac[b], fac[a])
             for a, b in ((k - 1, k), (k[:-1] - 1, k[:-1] + 1),
                          (panels, panels)))
+        # e^{-tA} seed, the first operand of every result of `eval`
+        self.seed_term = tuple(
+            FourierField(f.basis, self.cap, g * self._Et, f.tail_l2)
+            for f, g in zip(cert.seed, self._seed))
         self._M = cert.ball("M", lambda: cert.constants.M)
         # lambda^{-1/4} past the cap and (2 pi^2)^{-1/4}, the smallest mode
         # of a B cell being (1, 1)
@@ -703,8 +710,7 @@ class _Engine:
     def eval(self, m: int):
         """Enclosure of u_m at the exact endpoint t."""
         P, cap = self.P, self.cap
-        pair = tuple(FourierField(f.basis, cap, g * self._Et, f.tail_l2)
-                     for f, g in zip(self.cert.seed, self._seed))
+        pair = self.seed_term
         if self._fcells:
             fv = self._duhamel(self._fcells, P, P, self._H)
             pair = tuple(p + FourierField(b, cap, g[0])
@@ -774,9 +780,12 @@ def smoothness_lift(m: int, t, K: int, cert: IterationCertificate,
     doubles, up to ``_PANEL_CAP``, until the realized radius plus the engine
     defect meets 2^-K, so the result comes from the smallest power of two
     times ``panels`` that meets the budget; `BudgetError` when the cap does
-    not.  The paper's nested-interval endpoint tails are not modelled: the
-    head cell's exponential hull and sliver estimate enclose all of (0, h],
-    h = t/P.
+    not.  Every result is the seed term e^{-tA} seed plus and minus further
+    balls, and a ball sum's radii are at least its first operand's, so the
+    lift raises `BudgetError` before any `eval` when the seed term's radius
+    alone misses 2^-K: that term is the same at every P.  The paper's
+    nested-interval endpoint tails are not modelled: the head cell's
+    exponential hull and sliver estimate enclose all of (0, h], h = t/P.
     """
     t = Fraction(t)
     if t <= 0:
@@ -785,8 +794,12 @@ def smoothness_lift(m: int, t, K: int, cert: IterationCertificate,
         raise HorizonError("t = %s exceeds the certified horizon %s"
                            % (t, cert.T_frac))
     P = panels
+    eng = _Engine(cert, t, P)
+    floor = _pair_radius(eng.seed_term)
+    if floor > 2.0 ** -K:
+        raise BudgetError("no cell count meets 2^-%d: the seed term alone "
+                          "has certified radius %.3g" % (K, floor))
     while True:
-        eng = _Engine(cert, t, P)
         pair, d = eng.eval(m)
         rad = (FloatBall(_pair_radius(pair)) + d.at(0)).upper()
         if rad <= 2.0 ** -K:
@@ -795,6 +808,7 @@ def smoothness_lift(m: int, t, K: int, cert: IterationCertificate,
             raise BudgetError("panel cap reached at certified radius %.3g "
                               "(budget 2^-%d)" % (rad, K))
         P *= 2
+        eng = _Engine(cert, t, P)
     band = (_strip_tail(pair[0]), _strip_tail(pair[1]))
     h65a = band[0].hs_norm(Fraction(6, 5))
     h65b = band[1].hs_norm(Fraction(6, 5))
@@ -926,9 +940,11 @@ def pressure_field(u, f=None):
         raise ValueError("insufficient smoothness: the pressure needs a "
                          "band-limited representation for the Laplacian")
     u1, u2 = _strip_tail(u1), _strip_tail(u2)
-    lap1 = u1.derivative(1).derivative(1) + u1.derivative(2).derivative(2)
-    lap2 = u2.derivative(1).derivative(1) + u2.derivative(2).derivative(2)
-    conv1, conv2 = _convection(u1, u2)
+    du = (u1.derivative(1), u1.derivative(2),
+          u2.derivative(1), u2.derivative(2))
+    lap1 = du[0].derivative(1) + du[1].derivative(2)
+    lap2 = du[2].derivative(1) + du[3].derivative(2)
+    conv1, conv2 = _convection(u1, u2, du)
     g1 = lap1 - conv1
     g2 = lap2 - conv2
     if f is not None:

@@ -21,7 +21,9 @@ time (the library's passes of several levels must give its bits), and
 library's per-half-width contraction must overlap it).
 The band-limited product's earlier route,
 `ball_convolve` of the exponential extensions `_extended`, checks the
-library's fold on the coefficient grids.  The Picard engine's cell-by-cell
+library's fold on the coefficient grids.  The projection's truncation
+search as a scan of every cutoff, `truncation_index_scan`, checks the
+library's bisection.  The Picard engine's cell-by-cell
 recursion, `CellEngine`, checks the library's level engine bit for bit,
 and its earlier form `RecomputingCellEngine`, which runs every cell's
 product at every level, bounds it from outside.  The
@@ -52,7 +54,7 @@ from solenoid.floatball import (EPS, FB_PI, TINY, BallGrid, FloatBall,
                                 ball_matmul, fb_exp, fb_log, fb_pow, fb_sincos,
                                 fb_sqrt, grid_pow, grid_sincos_pi)
 from solenoid.floatball import _floored, _gamma, _up
-from solenoid.helmholtz import resolve_field
+from solenoid.helmholtz import _as_pair, resolve_field
 from solenoid.polyfield import RationalPoly2, _e1_balls, gamma0
 from solenoid.spectral import _H1_ORDER, _H1_TOL, _PI2, FourierField, \
     _ab_grid, _bilinear, _fb_gamma0, _h1_coeffs, _h1_edge_bound, \
@@ -1780,3 +1782,21 @@ def named_sq_norm(coeffs, j: int, s: int = 0) -> Fraction:
     n, m >= 1 (rho = 1/4): the squared H^s norm, exactly."""
     return sum((1 + n * n + m * m) ** s * v * v / 4
                for (i, n, m), v in coeffs.items() if i == j)
+
+
+# ---------------------------------------------------------------------------
+# the projection's truncation search, one cutoff at a time
+# ---------------------------------------------------------------------------
+
+def truncation_index_scan(u, K: int) -> int:
+    """`helmholtz.truncation_index` as a scan: tries N = 0, 1, ..., c + 1
+    in turn and returns the first whose tails pass the test."""
+    f1, f2 = _as_pair(u, K + 2)
+    cut = max(f1.cutoff, f2.cutoff)
+    a, b = f1._embedded(cut), f2._embedded(cut)
+    target = 0.25 ** (K + 1)
+    for N in range(cut + 2):
+        d1, d2 = a.truncation_tail(N - 1), b.truncation_tail(N - 1)
+        if (d1 * d1 + d2 * d2).upper() <= target:
+            return N
+    raise ValueError("tail mass does not certify at this precision")

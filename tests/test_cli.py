@@ -365,6 +365,19 @@ class TestErrorHandling:
         assert _run("semigroup", "--t", "1/10", "--precision", "0",
                     "--input", mode11) == cli.EXIT_PRECONDITION
 
+    @pytest.mark.parametrize("argv", [
+        ("semigroup", "--t", ""), ("solve", "--t", ""),
+        ("fracpower", "--alpha", ""), ("pressure", "--point", ""),
+        ("pressure", "--point", "1/3,2/5", "--path", ""),
+        ("pressure", "--point", "1/3,2/5", "--path", ";")])
+    def test_empty_value_is_a_parse_error(self, capsys, mode11, argv):
+        # an empty value names no number, so it is refused, not read as an
+        # absent option (t = 0, the corner path); a path of empty segments
+        # has no waypoint
+        assert _run(*argv, "--input", mode11) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("E:parse") and "Traceback" not in err
+
     def test_exact_time_parsing(self):
         assert cli._parse_exact("0.125") == F(1, 8)
         assert cli._parse_exact("3/7") == F(3, 7)

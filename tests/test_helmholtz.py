@@ -195,6 +195,45 @@ class TestTruncationIndex:
         with pytest.raises(ValueError):
             truncation_index(_mode_pair(1, 1, 1, 1), -1)
 
+    @staticmethod
+    def _both(u, K):
+        """The bisection's and the scan's answer, or None where it raises."""
+        out = []
+        for search in (truncation_index, oracles.truncation_index_scan):
+            try:
+                out.append(search(u, K))
+            except ValueError:
+                out.append(None)
+        return out
+
+    def test_bisection_matches_the_scan(self):
+        # random pairs whose coefficients decay at random rates, so the
+        # answer falls anywhere in 0..c+1 or past it
+        rng = np.random.default_rng(38)
+        answers = set()
+        for _ in range(800):
+            cut = int(rng.integers(1, 25))
+            decay = np.exp(-rng.uniform(0.1, 3.0)
+                           * np.add.outer(np.arange(cut + 1),
+                                          np.arange(cut + 1)))
+            pair = tuple(FourierField(
+                basis, cut,
+                BallGrid(rng.normal(size=(cut + 1, cut + 1)) * decay,
+                         rng.uniform(0.0, 1e-2 * rng.uniform(),
+                                     (cut + 1, cut + 1))),
+                FloatBall.from_endpoints(0.0, rng.uniform(0.0, 1e-2)))
+                for basis in ("sc", "cs"))
+            got, ref = self._both(pair, int(rng.integers(0, 15)))
+            assert got == ref
+            answers.add(got)
+        assert None in answers and len(answers) > 10
+
+    @pytest.mark.parametrize("K, N", [(6, 10), (8, 14), (10, 20)])
+    def test_bisection_matches_the_scan_on_the_element(self, K, N):
+        # the search `project(EL, K)` runs
+        pair = helmholtz._as_pair(EL, K + 3)
+        assert self._both(pair, K + 1) == [N, N]
+
     @pytest.mark.parametrize("K", [3, 5, 7])
     def test_projected_tail_meets_its_budget(self, K):
         # truncation_index(u, K + 1) promises 2 (d1^2 + d2^2) <= 2^-2(K+2)

@@ -924,6 +924,22 @@ class TestSmoothnessLift:
         with pytest.raises(nse.BudgetError):
             nse.smoothness_lift(m, t, K, c)
 
+    def test_ladder_gives_up_before_any_eval(self, monkeypatch):
+        # on the README certificate the seed term e^{-tA} seed alone has a
+        # certified radius of 1.77e-8 at every cell count, past 2^-29, so
+        # no eval can meet the budget and none runs
+        c = _cert()
+        calls = []
+        run = nse._Engine.eval
+
+        def counting(self, m):
+            calls.append(self.P)
+            return run(self, m)
+        monkeypatch.setattr(nse._Engine, "eval", counting)
+        with pytest.raises(nse.BudgetError, match="seed term"):
+            nse.smoothness_lift(5, c.T_frac, 29, c)
+        assert calls == []
+
     def test_one_cell_overlaps_eight(self):
         # the one-cell hull and the eight-cell quadrature enclose the same
         # iterate: every coefficient ball of one meets the other's once
