@@ -422,6 +422,14 @@ class BallGrid(_Ball):
         return BallGrid([b.c for b in balls], [b.r for b in balls])
 
     @staticmethod
+    def stack(grids, axis=0, join=np.stack) -> "BallGrid":
+        """The grids as one: ``join`` (`np.stack` along a new axis, or
+        `np.concatenate` along an existing one) of centres and of radii."""
+        grids = list(grids)
+        return BallGrid(join([g.c for g in grids], axis),
+                        join([g.r for g in grids], axis))
+
+    @staticmethod
     def from_endpoints(lo, hi) -> "BallGrid":
         """`FloatBall.from_endpoints` entrywise."""
         c = 0.5 * hi

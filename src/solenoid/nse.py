@@ -485,12 +485,6 @@ class Forcing:
 _BASES = ("sc", "cs")
 
 
-def _stacked(grids) -> BallGrid:
-    """The equally shaped grids as one stack along a new first axis."""
-    return BallGrid(np.stack([g.c for g in grids]),
-                    np.stack([g.r for g in grids]))
-
-
 @lru_cache(maxsize=None)
 def _qtr_power(k: int) -> FloatBall:
     """(pi^2 k)^{-1/4} for an integer k, cached per process."""
@@ -515,8 +509,7 @@ def _defect_weights(P: int, h: Fraction):
     inv = BallGrid.of(FloatBall.exact(1 / (1 - g)) for g in gammas)
     near = hw[:, 1] * inv * FloatBall(2.0)
     far = hw[:, :P - 1]
-    out = tuple(BallGrid(np.column_stack((g.c, far.c)),
-                         np.column_stack((g.r, far.r)))
+    out = tuple(BallGrid.stack((g.reshape(-1, 1), far), 1, np.concatenate)
                 for g in (near, hw[:, 0] * inv))
     for w in out:
         w.c.flags.writeable = w.r.flags.writeable = False
@@ -586,11 +579,11 @@ class _Engine:
         self.cap = max([cert.seed_cutoff] + [c[0].cutoff for c in fcells])
         self._seed = [f._embedded(self.cap).grid for f in cert.seed]
         # the projected forcing as component stacks, None without forcing
-        self._fcells = [_stacked([c[k]._embedded(self.cap).grid
-                                  for c in fcells])
+        self._fcells = [BallGrid.stack([c[k]._embedded(self.cap).grid
+                                        for c in fcells])
                         for k in range(len(_BASES))] if fcells else None
-        fac = _stacked([_heat_factor(self.cap, k * self.h)
-                        for k in range(panels + 1)])
+        fac = BallGrid.stack([_heat_factor(self.cap, k * self.h)
+                              for k in range(panels + 1)])
         k = np.arange(1, panels + 1)
         # H_k in row k - 1 (k = 1..P), G_g in row g - 1 (g = 1..P-1) and the
         # hull at tau = t; over [a h, b h] each mode factor is hulled
@@ -675,7 +668,7 @@ class _Engine:
                         *(FourierField(b, self.cap, g[i])
                           for b, g in zip(_BASES, u)))]
                    for i in range(u[0].shape[0])]
-            B = [_stacked([c[k][0].grid for c in cut])
+            B = [BallGrid.stack([c[k][0].grid for c in cut])
                  for k in range(len(_BASES))]
             tails = grid_sqrt(BallGrid([[e for _, e in c] for c in cut])
                               .sumsq_rows()) * self._lam_qtr
@@ -902,7 +895,7 @@ class PressureQuery:
             pts = ((Fraction(0), Fraction(0)), (x1, Fraction(0)), (x1, x2))
         else:
             pts = tuple((Fraction(p[0]), Fraction(p[1])) for p in self.path)
-        if pts[0] != (0, 0):
+        if not pts or pts[0] != (0, 0):
             raise ValueError("the pressure path must start at the anchor")
         if pts[-1] != (x1, x2):
             raise ValueError("the pressure path must end at the query point")

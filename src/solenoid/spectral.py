@@ -31,8 +31,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .approxcore import BoundedValue, Name, bv_cos, bv_pi, bv_sin
-from .floatball import (FB_PI, TINY, BallGrid, FloatBall, _float_up,
+from .approxcore import BoundedValue, Name
+from .floatball import (FB_PI, TINY, BallGrid, FloatBall, _float_up, _keep,
                         ball_fold_convolve, ball_matmul, ceil_log2, fb_exp,
                         fb_pow, fb_sqrt, grid_exp, grid_pi_multiple, grid_pow,
                         grid_sincos_pi)
@@ -492,8 +492,7 @@ def _h1_coeffs(m: BallGrid, g0: FloatBall, order: int) -> BallGrid:
         f.append(-(acc / times(q[0], k + 1)))
     c = [f[k + 1] * (-g0 * FloatBall(float(k + 1)))
          for k in range(order)]
-    return BallGrid(np.stack([g.c for g in c], -1),
-                    np.stack([g.r for g in c], -1))
+    return BallGrid.stack(c, -1)
 
 
 def _h1_edge_bound(a: np.ndarray, g0: FloatBall) -> np.ndarray:
@@ -578,6 +577,7 @@ def _h1_models() -> Tuple[np.ndarray, np.ndarray, BallGrid, np.ndarray]:
 
 
 _AB_TERMS = 12     # power-series terms of the A_t, B_t tables for y < 2
+_AB_DOWN = 60      # start T of their downward recurrence for y >= 2
 _MODE_BLOCK = 128  # modes per pass of `_window_grid`, bounding its arrays
 
 
@@ -614,25 +614,30 @@ def _ab_series(y: BallGrid, top: int) -> Tuple[BallGrid, BallGrid]:
         ya, yb = ya * y2, yb * y2
 
 
-@lru_cache(maxsize=None)
-def _ab_moderate(q: Fraction, top: int) -> Tuple[BallGrid, BallGrid]:
-    """A_t and B_t at y = q pi >= 2 by the parts recurrence
-    A_t = (sin y - t B_{t-1})/y, B_t = (t A_{t-1} - cos y)/y in
-    `BoundedValue` intervals.  Only pi, sin y and cos y are enclosed at 140
-    bits; `scale`, `-` and `/` round outward at `DEFAULT_PREC` = 120.  A
-    rounding made at step k reaches step t <= 12 times
-    (k+1) ... t / y^(t-k), at most 12!/2^11 < 2^18 for y >= 2, so the
-    tables keep about 100 bits, far inside their float radii."""
-    prec = 140
-    y = bv_pi(prec).scale(q)
-    s, c = bv_sin(y, prec), bv_cos(y, prec)
-    cs = [s / y]
-    sn = [(BoundedValue.exact(1) - c) / y]
+def _ab_parts(num, den, top: int) -> Tuple[BallGrid, BallGrid]:
+    """A_t and B_t at y = (num/den) pi >= 2 (integer arrays) by the parts
+    recurrence A_t = (sin y - t B_{t-1})/y, B_t = (t A_{t-1} - cos y)/y,
+    run upward from A_0 = sin y/y, B_0 = (1 - cos y)/y, and downward as
+    A_{t-1} = (cos y + y B_t)/t, B_{t-1} = (sin y - y A_t)/t from
+    |A_T|, |B_T| <= int_0^1 v^T = 1/(T+1) at T = _AB_DOWN.  An error made
+    at step k reaches step t upward times t!/(k! y^(t-k)) and downward
+    times y^(k-t) t!/k!, so upward is stable for t <= y and downward for
+    t >= y (Gautschi, SIAM Review 9, 1967).  Both are ball enclosures, so
+    each entry keeps the narrower one.  y, sin y and cos y are the balls
+    of `grid_pi_multiple` and `grid_sincos_pi`."""
+    y, (s, c) = grid_pi_multiple(num, den), grid_sincos_pi(num, den)
+    up = [(s / y, (c.one() - c) / y)]
     for t in range(1, top + 1):
-        cs.append((s - sn[t - 1].scale(t)) / y)
-        sn.append((cs[t - 1].scale(t) - c) / y)
-    return tuple(BallGrid.of(FloatBall.from_bounded(v) for v in vs)
-                 for vs in (cs, sn))
+        a, b = up[-1]
+        up.append(((s - b * t) / y, (a * t - c) / y))
+    start = BallGrid(np.zeros(y.shape), _float_up(Fraction(1, _AB_DOWN + 1)))
+    down = [(start, start)]
+    for t in range(_AB_DOWN, 0, -1):
+        a, b = down[-1]
+        down.append(((c + y * b) / t, (s - y * a) / t))
+    ua, ub, da, db = (BallGrid.stack(x, -1) for tables in
+                      (up, down[::-1][:top + 1]) for x in zip(*tables))
+    return _keep(da.r < ua.r, da, ua), _keep(db.r < ub.r, db, ub)
 
 
 def _ab_grid(num, den, top: int) -> Tuple[BallGrid, BallGrid]:
@@ -640,9 +645,9 @@ def _ab_grid(num, den, top: int) -> Tuple[BallGrid, BallGrid]:
     t = 0..top along a new last axis, at y = (num/den) pi > 0 for integer
     arrays num and den.
 
-    Two regimes keep absolute errors at the scale of the values: the power
-    series for y < 2 and the 140-bit recurrence otherwise (once per
-    distinct y).  The window transforms of an element at cutoff 2048 reach
+    The power series serves y < 2 and the two-way parts recurrence
+    `_ab_parts` the rest, each keeping absolute errors at the scale of the
+    values.  The window transforms of an element at cutoff 2048 reach
     y <= 4096 pi / 256 < 51 (scale nu >= 3, panel denominators >= 32).
     """
     num, den = np.broadcast_arrays(np.asarray(num, dtype=object),
@@ -655,9 +660,9 @@ def _ab_grid(num, den, top: int) -> Tuple[BallGrid, BallGrid]:
         col = grid_pi_multiple(num[small], den[small])[:, None]
         for g, part in zip(out, _ab_series(col, top)):
             g.set(small, part)
-    for i in zip(*np.nonzero(~small)):
-        for g, part in zip(out, _ab_moderate(Fraction(num[i], den[i]), top)):
-            g.set(i, part)
+    if not small.all():
+        for g, part in zip(out, _ab_parts(num[~small], den[~small], top)):
+            g.set(~small, part)
     return out
 
 
@@ -685,12 +690,6 @@ def _panel_data():
     ks = (coef[:, :-1] + coef[:, 1:] * mid) * pow2
     slack = _float_up(sum(map(Fraction, rem * pow2.c[:, 0])))
     return kc, ks, num, den, widx, h_den, slack
-
-
-def _rows(grids) -> BallGrid:
-    """The rows of the grids, one after another."""
-    return BallGrid(np.concatenate([g.c for g in grids]),
-                    np.concatenate([g.r for g in grids]))
 
 
 @lru_cache(maxsize=None)
@@ -732,9 +731,9 @@ def _window_grid(nu: int, top: int) -> Tuple[BallGrid, BallGrid]:
     groups = []
     for h in range(len(h_den)):
         p = np.nonzero(widx == h)[0]
-        groups.append((p, _rows([BallGrid(np.where(m, w.c[p], 0.0),
-                                          np.where(m, w.r[p], 0.0))
-                                 for w in (kc, ks) for m in (even, ~even)])))
+        groups.append((p, BallGrid.stack(
+            (BallGrid(np.where(m, w.c[p], 0.0), np.where(m, w.r[p], 0.0))
+             for w in (kc, ks) for m in (even, ~even)), 0, np.concatenate)))
     ones = BallGrid(np.ones((1, len(widx))))
     phi, psi = BallGrid.zeros(top + 1), BallGrid.zeros(top + 1)
     for lo in range(1, top + 1, _MODE_BLOCK):
@@ -750,7 +749,8 @@ def _window_grid(nu: int, top: int) -> Tuple[BallGrid, BallGrid]:
             sin, cos = grid_sincos_pi(np.multiply.outer(mid_num[p], n),
                                       (mid_den[p] * (1 << nu))[:, None])
             parts.append([sums[i] for i in range(4)] + [sin, cos])
-        ce, co, se, so, sin, cos = (_rows(x) for x in zip(*parts))
+        ce, co, se, so, sin, cos = (BallGrid.stack(x, 0, np.concatenate)
+                                    for x in zip(*parts))
         for out, panels in ((phi, cos * ce - sin * co),
                             (psi, sin * se + cos * so)):
             out.set(slice(lo, lo + len(n)), ball_matmul(ones, panels)[0])

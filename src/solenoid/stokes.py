@@ -163,7 +163,7 @@ def _moment_matrix(jmax: int, kmax: int) -> BallGrid:
 def _pair(re, im) -> BallGrid:
     """The complex ball re + i im as the stack (re, im) on a new axis 0,
     for FloatBall parts or BallGrid parts of one shape."""
-    return BallGrid(np.array([re.c, im.c]), np.array([re.r, im.r]))
+    return BallGrid.stack((re, im))
 
 
 def _cmul(a: BallGrid, b: BallGrid) -> BallGrid:
@@ -197,8 +197,7 @@ def _exp_moments(z: BallGrid, ez) -> BallGrid:
     p, q = _pair(z[0].one(), z[0].zero()), z
     while p.shape[-1] <= _KMAX + 1:
         r = _cmul(p, q)
-        p = BallGrid(np.concatenate((p.c, r.c), axis=-1),
-                     np.concatenate((p.r, r.r), axis=-1))
+        p = BallGrid.stack((p, r), -1, np.concatenate)
         q = _cmul(q, q)
     A = ball_matmul(p[..., :_KMAX + 1], _moment_matrix(_J, _KMAX))
     rem = BallGrid(_cabs(p[..., _KMAX + 1:_KMAX + 2])) * BallGrid(ez) \

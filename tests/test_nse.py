@@ -1588,3 +1588,8 @@ class TestPressure:
             nse.PressureQuery((F(1, 2), F(1, 2)),
                               path=((F(0), F(0)),
                                     (F(1, 2), F(1, 2)))).resolved_path()
+
+    def test_empty_path_is_refused(self):
+        # a path without a waypoint does not start at the anchor
+        with pytest.raises(ValueError, match="start at the anchor"):
+            nse.PressureQuery((F(1, 3), F(2, 5)), path=()).resolved_path()

@@ -62,6 +62,20 @@ def _mp_eval(field, x, y):
     return tot
 
 
+def _ab_reference(q, t, dps):
+    """int_0^1 v^t e^{i y v} dv at y = q pi, the power series
+    sum_k (i y)^k / (k! (t+k+1)) summed at dps digits until its terms,
+    which reach e^y / y, fall below 10^(20 - dps)."""
+    with mp.workdps(dps):
+        y = mp.pi * q.numerator / q.denominator
+        total, term, k = mp.mpc(0), mp.mpc(1), 0
+        while k <= y or abs(term) > mp.mpf(10) ** (20 - dps):
+            total += term / (t + k + 1)
+            k += 1
+            term *= 1j * y / k
+        return total
+
+
 def _overlaps(ball, bv):
     return ball.lower() <= float(bv.upper()) and \
         ball.upper() >= float(bv.lower())
@@ -810,21 +824,19 @@ class TestMollifierGrid:
         assert _overlaps(phi.at(0), oracles.window_transforms(0, 3)[0])
 
     @pytest.mark.parametrize("q", [F(1, 512), F(3, 5), F(5, 8), F(3, 2),
-                                   F(9, 2), F(33, 2), F(17), F(129, 4)])
+                                   F(9, 2), F(33, 2), F(17), F(129, 4),
+                                   F(163, 256), F(11, 16), F(3),
+                                   F(4095, 256)])
     def test_ab_tables_against_mpmath(self, q):
-        # y = q pi in both regimes: the series (y < 2) and the interval
-        # recurrence (y >= 2, here up to y > 100), against the power
-        # series summed at 150 digits (its terms reach e^y / y)
+        # y = q pi in both regimes: the series (y < 2) and the two-way
+        # recurrence (y >= 2, here up to y > 100; y = 163 pi/256 just above
+        # 2, where the upward pass amplifies most, and 4095 pi/256, the top
+        # of the nu = 3 range at cutoff 2048), against the power series
+        # summed at 150 digits
         a, b = _ab_grid(np.array([q.numerator]), q.denominator, 12)
         with mp.workdps(150):
-            y = mp.pi * q.numerator / q.denominator
             for t in range(13):
-                # int_0^1 v^t e^{i y v} dv = sum_k (i y)^k / (k! (t+k+1))
-                total, term, k = mp.mpc(0), mp.mpc(1), 0
-                while k <= y or abs(term) > mp.mpf(10) ** -130:
-                    total += term / (t + k + 1)
-                    k += 1
-                    term *= 1j * y / k
+                total = _ab_reference(q, t, 150)
                 for g, ref in ((a, total.real), (b, total.imag)):
                     ball = g.at((0, t))
                     # the reference is good to ~1e-125; sin(17 pi) = 0 is
@@ -832,6 +844,41 @@ class TestMollifierGrid:
                     c, r = mp.mpf(ball.c), mp.mpf(ball.r) + mp.mpf(10) ** -120
                     assert c - r <= ref <= c + r, (q, t)
                     assert ball.r < 1e-13
+
+    @pytest.mark.parametrize("nu", [2, 3])
+    def test_ab_tables_over_the_window_range(self, nu):
+        # every (n, h_den 2^nu) with y >= 2 that _window_grid(nu, 4096)
+        # reads (19 447 at nu = 2) gives finite balls of radius <= 1e-12
+        # (the largest, 2.65e-13 at y = 3 pi/4, is grid_sincos_pi's
+        # degree-13 remainder over y), and a seeded sample of them holds
+        # the 50-digit values
+        kc, _, _, _, _, h_den, _ = spectral._panel_data()
+        n = np.arange(1, 4097, dtype=object)
+        den = (h_den * (1 << nu))[:, None]
+        a, b = _ab_grid(n, den, kc.shape[1] - 1)
+        far = np.argwhere((n / den).astype(float) * math.pi >= 2.0)
+        for g in (a, b):
+            rows = g[far[:, 0], far[:, 1]]
+            assert np.isfinite(rows.c).all() and np.isfinite(rows.r).all()
+            assert rows.r.max() <= 1e-12
+        rng = np.random.default_rng(2039 + nu)
+        for h, i in far[rng.choice(len(far), 25, replace=False)]:
+            q = F(int(n[i]), int(den[h, 0]))
+            for t in rng.choice(kc.shape[1], 2, replace=False):
+                with mp.workdps(80):
+                    ref = _ab_reference(q, int(t), 80)
+                    for g, part in ((a, ref.real), (b, ref.imag)):
+                        ball = g.at((h, i, t))
+                        c, r = mp.mpf(ball.c), mp.mpf(ball.r)
+                        assert abs(c - part) <= r + mp.mpf(10) ** -50, \
+                            (q, t)
+
+    def test_spectral_calls_no_bounded_value_function(self):
+        # apart from the cached gamma0 constant, spectral computes in
+        # float balls: it calls none of approxcore's bv_* functions
+        tree = ast.parse(pathlib.Path(spectral.__file__).read_text())
+        assert [c for c in _named_calls(tree) if c[1].startswith("bv_")] \
+            == []
 
     def test_transform_against_certified_quadrature(self):
         # phi and psi at x = 3 pi / 4 by exact-arithmetic quadrature
