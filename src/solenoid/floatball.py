@@ -416,15 +416,10 @@ class BallGrid(_Ball):
         return BallGrid(np.zeros(shape), np.zeros(shape))
 
     @staticmethod
-    def of(balls) -> "BallGrid":
-        """The grid of a sequence of FloatBalls."""
-        balls = list(balls)
-        return BallGrid([b.c for b in balls], [b.r for b in balls])
-
-    @staticmethod
     def stack(grids, axis=0, join=np.stack) -> "BallGrid":
-        """The grids as one: ``join`` (`np.stack` along a new axis, or
-        `np.concatenate` along an existing one) of centres and of radii."""
+        """The grids (or FloatBalls) as one: ``join`` (`np.stack` along a
+        new axis, or `np.concatenate` along an existing one) of centres and
+        of radii."""
         grids = list(grids)
         return BallGrid(join([g.c for g in grids], axis),
                         join([g.r for g in grids], axis))

@@ -502,11 +502,12 @@ def _defect_weights(P: int, h: Fraction):
     `grid_exp` of the (4, P) grid over one `grid_log`.  Cached per (P, h)
     and read-only: the horizon is always 2^-j, so few (P, h) recur across
     data."""
-    jh = BallGrid.of(FloatBall.exact(j * h) for j in range(1, max(P, 2) + 1))
+    jh = BallGrid.stack(FloatBall.exact(j * h)
+                        for j in range(1, max(P, 2) + 1))
     gammas = [b + F14 for b in _DEFECT_BETAS]
-    hw = grid_exp(grid_log(jh) * BallGrid.of(
+    hw = grid_exp(grid_log(jh) * BallGrid.stack(
         FloatBall.exact(-g) for g in gammas).reshape(-1, 1)) * jh.at(0)
-    inv = BallGrid.of(FloatBall.exact(1 / (1 - g)) for g in gammas)
+    inv = BallGrid.stack(FloatBall.exact(1 / (1 - g)) for g in gammas)
     near = hw[:, 1] * inv * FloatBall(2.0)
     far = hw[:, :P - 1]
     out = tuple(BallGrid.stack((g.reshape(-1, 1), far), 1, np.concatenate)
@@ -604,7 +605,7 @@ class _Engine:
         self._W_int, self._W_end = _defect_weights(panels, self.h)
         if forcing is not None:
             hb = FloatBall.exact(self.h)
-            self._fw = BallGrid.of(
+            self._fw = BallGrid.stack(
                 fb_pow(hb, 1 - b) * FloatBall.exact(1 / (1 - b))
                 for b in _DEFECT_BETAS)
 

@@ -587,9 +587,9 @@ def _ab_series_coeffs(top: int) -> Tuple[Tuple[BallGrid, BallGrid], ...]:
     t = 0..top, for j = 0.._AB_TERMS."""
     t = range(top + 1)
     return tuple(
-        (BallGrid.of(FloatBall.exact(Fraction(
+        (BallGrid.stack(FloatBall.exact(Fraction(
             1, math.factorial(2 * j) * (u + 2 * j + 1))) for u in t),
-         BallGrid.of(FloatBall.exact(Fraction(
+         BallGrid.stack(FloatBall.exact(Fraction(
              1, math.factorial(2 * j + 1) * (u + 2 * j + 2))) for u in t))
         for j in range(_AB_TERMS + 1))
 
@@ -625,7 +625,8 @@ def _ab_parts(num, den, top: int) -> Tuple[BallGrid, BallGrid]:
     t >= y (Gautschi, SIAM Review 9, 1967).  Both are ball enclosures, so
     each entry keeps the narrower one.  y, sin y and cos y are the balls
     of `grid_pi_multiple` and `grid_sincos_pi`."""
-    y, (s, c) = grid_pi_multiple(num, den), grid_sincos_pi(num, den)
+    y = grid_pi_multiple(num, den)
+    s, c = grid_sincos_pi(num, den)
     up = [(s / y, (c.one() - c) / y)]
     for t in range(1, top + 1):
         a, b = up[-1]

@@ -152,10 +152,10 @@ _J = 44         # geometric series terms of the panel denominators
 def _moment_matrix(jmax: int, kmax: int) -> BallGrid:
     """M[k, j] = w_{j+k}/k! for k <= kmax, j <= jmax, with w_i = 2/(i+1)
     for even i and 0 for odd i, as exact balls."""
-    w = BallGrid.of(FloatBall.exact(Fraction(2, i + 1) if i % 2 == 0 else 0)
-                    for i in range(jmax + kmax + 1))
-    inv_fact = BallGrid.of(FloatBall.exact(Fraction(1, math.factorial(k)))
-                           for k in range(kmax + 1))
+    w = BallGrid.stack(FloatBall.exact(0 if i % 2 else Fraction(2, i + 1))
+                       for i in range(jmax + kmax + 1))
+    inv_fact = BallGrid.stack(FloatBall.exact(Fraction(1, math.factorial(k)))
+                              for k in range(kmax + 1))
     idx = np.add.outer(np.arange(kmax + 1), np.arange(jmax + 1))
     return w[idx] * inv_fact.reshape(-1, 1)
 
@@ -245,7 +245,7 @@ def contour_factors(svals, t: FloatBall, l: float):
     ez = grid_exp(BallGrid(zmag)).upper()
     A = _exp_moments(z, ez)
     ex = grid_exp(mid * (t * cb))
-    sph, cph = (BallGrid.of(v).reshape(-1, 1) for v in zip(
+    sph, cph = (BallGrid.stack(v).reshape(-1, 1) for v in zip(
         *(fb_sincos(t * sb * FloatBall(m)) for m, _ in panels)))
     heib = eib * h
     pref = _cmul(_pair(ex * cph, ex * sph), heib)

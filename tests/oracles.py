@@ -1550,13 +1550,12 @@ class CellEngine(nse._Engine):
         """The defect weight tables with one `grid_pow` per channel, in
         place of the engine's cached ones."""
         P = self.P
-        jh = BallGrid.of(FloatBall.exact(j * self.h)
-                         for j in range(1, max(P, 2) + 1))
+        jh = BallGrid.stack(FloatBall.exact(j * self.h)
+                            for j in range(1, max(P, 2) + 1))
         gammas = [b + nse.F14 for b in nse._DEFECT_BETAS]
         pw = [grid_pow(jh, -g) for g in gammas]
-        hw = BallGrid(np.stack([p.c for p in pw]),
-                      np.stack([p.r for p in pw])) * jh.at(0)
-        inv = BallGrid.of(FloatBall.exact(1 / (1 - g)) for g in gammas)
+        hw = BallGrid.stack(pw) * jh.at(0)
+        inv = BallGrid.stack(FloatBall.exact(1 / (1 - g)) for g in gammas)
         near = hw[:, 1] * inv * FloatBall(2.0)
         far = hw[:, :P - 1]
         self._W_int, self._W_end = (
@@ -1653,7 +1652,7 @@ class CellEngine(nse._Engine):
     def _defect_sum(self, W: BallGrid, j: int, n: int) -> BallGrid:
         """sum over the cells q < n of W[:, n - 1 - q] E_q, E_q the defect
         bound of B u_j on cell q, under the gamma_n rule of `nse.ball_matmul`."""
-        E = BallGrid.of(self.B_cell(j, q)[1] for q in range(n))
+        E = BallGrid.stack(self.B_cell(j, q)[1] for q in range(n))
         return nse.ball_matmul(W[:, n - 1 - np.arange(n)], E)
 
     def _integral(self, j: int, i: int):
