@@ -10,14 +10,14 @@ enclosed.  ``+``, ``-``, ``*`` and ``widened`` round at ``DEFAULT_PREC`` =
 m * 2**e (m odd, or m = e = 0) appears only in the JSON schema, the mpmath
 bridge and the rounding helpers.
 
-Transcendental enclosures (exp, log, sin, cos, Gamma, pi, Euler's gamma)
+Transcendental enclosures (log, sin, cos, Gamma, pi, Euler's gamma)
 are delegated to ``mpmath.iv`` interval arithmetic, with exact conversions
 in both directions.  Beta and the exponential integral E_1 are closed forms
 on them; no integral here is taken by quadrature.  mpmath is imported on the
 first such call (:func:`_mp`), not with this module: of the CLI commands,
-``horizon``, ``solve``, ``selftest`` and every command on a mollified
-element reach it; ``basis``, and ``semigroup``, ``fracpower``,
-``pressure`` and ``project`` on a component pair or a field, never load it.
+``horizon``, ``solve`` and ``selftest`` reach it; ``basis``, and
+``semigroup``, ``fracpower``, ``pressure`` and ``project`` on a component
+pair, a field or a mollified element, never load it.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "beta",
     "gamma_tail",
     "bv_e1",
-    "bv_exp",
     "bv_log",
     "bv_sin",
     "bv_cos",
@@ -298,10 +297,6 @@ def _iv_call(name: str, x: BoundedValue, prec: int) -> BoundedValue:
         return _bv_from_iv(getattr(iv, name)(_iv_from_bv(x)), prec)
     finally:
         iv.prec = old
-
-
-def bv_exp(x: BoundedValue, prec: int = DEFAULT_PREC) -> BoundedValue:
-    return _iv_call("exp", x, prec)
 
 
 def bv_log(x: BoundedValue, prec: int = DEFAULT_PREC) -> BoundedValue:

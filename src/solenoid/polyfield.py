@@ -6,8 +6,7 @@ points, and the trim rescaling.  Mollification is stored symbolically; its
 Fourier coefficients come from :mod:`solenoid.spectral`.  The radial
 structure of the bump kernel (it depends on the coordinates only through
 max(|z1|,|z2|)) lets every integral against it collapse to one dimension:
-its normalization gamma0 = 1/(4 (e^-1 - E_1(1))) is a closed form in e^-1
-and E_1(1).
+its normalization gamma0 = 1/(4 E_2(1)) is one exact series.
 """
 
 from __future__ import annotations
@@ -18,7 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, Sequence, Tuple
 
-from .approxcore import BoundedValue, bv_e1, bv_exp, bv_sqrt
+from .approxcore import BoundedValue, bv_sqrt
+from .floatball import FloatBall, _float_up
 
 __all__ = [
     "RationalPoly2", "SolenoidalPolyPair", "TrimmedField", "MollifiedElement",
@@ -572,23 +572,26 @@ def trim(p: SolenoidalPolyPair, k: int) -> TrimmedField:
 # the bump kernel's normalization
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _e1_balls(prec: int) -> Tuple[BoundedValue, BoundedValue]:
-    """e^-1 and E_1(1) at ``prec`` bits: the two transcendentals of every
-    kernel constant."""
-    return bv_exp(BoundedValue.exact(-1), prec), bv_e1(1, prec)
+# Euler's constant to 60 decimals, |error| < 10^-60 (DLMF 5.2.3)
+_EULER = Fraction("0.577215664901532860606512090082402431042159335939923598805767")
 
 
-@lru_cache(maxsize=None)
-def gamma0(kbits: int = 60) -> BoundedValue:
-    """Normalizing constant of the bump kernel: the kernel mass without the
-    constant is 8 J_0 with J_0 = (1/2) int_0^1 exp(-1/(1-u)) du, so
-    gamma0 = 1/(8 J_0).
-
-    J_0 = E_2(1)/2, and E_2(1) = e^-1 - E_1(1) (DLMF 8.19.12).
-    """
-    e, e1 = _e1_balls(max(80, kbits + 30))
-    return BoundedValue.exact(1) / (e - e1).scale(4)
+@lru_cache(maxsize=1)
+def gamma0() -> FloatBall:
+    """Normalizing constant of the bump kernel, 1/(8 J_0) = 1/(4 E_2(1))
+    with J_0 = (1/2) int_0^1 exp(-1/(1-u)) du.  E_2(1) = e^-1 - E_1(1) =
+    gamma + 1 + sum_{j>=1} (-1)^j (j+1)/(j j!) (DLMF 8.19.12, 6.6.2), whose
+    terms decrease: the first omitted one plus the error of `_EULER` bound
+    |s - E_2(1)| by tau for the exact partial sum s, and gamma0 lies
+    within tau/(4 (s - tau)^2) of 1/(4 s)."""
+    s = _EULER + 1 + sum(Fraction((-1) ** j * (j + 1), j * math.factorial(j))
+                         for j in range(1, 48))
+    # the first omitted term, 49/(48 48!), plus the error of _EULER
+    tau = Fraction(49, 48 * math.factorial(48)) + Fraction(1, 10 ** 60)
+    exact = 1 / (4 * s)
+    c = float(exact)
+    return FloatBall(c, _float_up(abs(exact - Fraction(c))
+                                  + tau / (4 * (s - tau) ** 2)))
 
 
 # ---------------------------------------------------------------------------

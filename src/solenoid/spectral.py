@@ -379,9 +379,14 @@ class FourierField:
             # keep exact zeros exact so band-limitedness survives the trip
             return FloatBall(0.0) if hi == 0 \
                 else FloatBall.from_endpoints(0.0, _float_up(hi))
+        n = int(obj["cutoff"]) + 1
+        if n < 1 or any(len(g) != n or any(len(row) != n for row in g)
+                        for g in (obj["re"], obj["rad"])):
+            raise ValueError("need cutoff >= 0 and 're', 'rad' of cutoff + 1 "
+                             "rows of cutoff + 1 entries")
         tails = {Fraction(s): tail_ball(t)
                  for s, t in obj.get("tail_hs", {}).items()}
-        return FourierField(obj["basis"], int(obj["cutoff"]),
+        return FourierField(obj["basis"], n - 1,
                             grid(obj["re"], obj["rad"]),
                             tail_ball(obj["tail_l2"]), tails)
 
@@ -459,10 +464,6 @@ _H1_ORDER = 12
 _H1_TOL = 2.0 ** -46
 
 
-def _fb_gamma0() -> FloatBall:
-    return FloatBall.from_bounded(gamma0(60))
-
-
 def _h1_coeffs(m: BallGrid, g0: FloatBall, order: int) -> BallGrid:
     """Taylor coefficients c_0..c_{order-1} of h1 about each entry of the
     column m (every |m| < 1), as the rows of a (len(m), order) grid.
@@ -533,7 +534,7 @@ def _h1_models() -> Tuple[np.ndarray, np.ndarray, BallGrid, np.ndarray]:
     operation is entrywise, so each remainder and each row has the bits of
     its own panel's, as a bisection one level at a time would give them.
     """
-    g0 = _fb_gamma0()
+    g0 = gamma0()
     parts = []
     j, depth = np.array([0]), 0
     while len(j):
@@ -756,7 +757,7 @@ def _window_grid(nu: int, top: int) -> Tuple[BallGrid, BallGrid]:
                             (psi, sin * se + cos * so)):
             out.set(slice(lo, lo + len(n)), ball_matmul(ones, panels)[0])
     phi, psi = phi.widened(slack), psi.widened(slack)
-    phi.set(0, _fb_gamma0() * fb_exp(FloatBall(-1.0)))
+    phi.set(0, gamma0() * fb_exp(FloatBall(-1.0)))
     psi.set(0, FloatBall(0.0))
     return phi, psi
 
@@ -896,7 +897,7 @@ def _env_consts(nu: int) -> Tuple[FloatBall, FloatBall]:
     |C(nu;n,0)| <= e0/n, from the layer-cake envelope 4 g_nu(0)/pi^2: the
     upper ends of the returned balls are the bounds.  Cached: every
     mollified tail reads them, and `fb_exp` is a one-entry grid call."""
-    d0 = _fb_gamma0() * fb_exp(FloatBall(-1.0)) * FloatBall(float(1 << (2 * nu)))
+    d0 = gamma0() * fb_exp(FloatBall(-1.0)) * FloatBall(float(1 << (2 * nu)))
     return (d0 * FloatBall(4.0) / _PI2,
             d0 * FloatBall(4.0 * 2.0 ** -nu) / FB_PI)
 

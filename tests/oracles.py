@@ -11,9 +11,11 @@ calls them.  Point values and L2 inner products of fields (`eval_ball`,
 lives here too, with what is built on it: the adaptive Taylor-model
 quadrature, the panel models of the kernel profile W (for the radial
 moments) and of h1 (for the window transforms).  The radial moments J_s
-also have a closed form here (`gamma_radial_moment`), which the series
-kernel coefficients use; the library needs only J_0, through the
-normalization `gamma0`, and certifies the window transforms by the
+also have a closed form here (`gamma_radial_moment`, in the `BoundedValue`
+balls of e^-1 and E_1(1)), which the series kernel coefficients use; the
+library needs only J_0, through the normalization `gamma0`, a float ball
+from one exact series, which `gamma0_bounded` (the same closed form in
+90-bit balls) checks, and certifies the window transforms by the
 profile's ODE recurrence.  Two earlier forms of those constants check
 the library's: `h1_models_by_level` bisects the panels one level at a
 time (the library's passes of several levels must give its bits), and
@@ -33,9 +35,10 @@ against the bound, `fraction_claim1_exponent` makes the root-free
 comparison in `Fraction`s.  The term-by-term `Fraction` loops
 `fraction_inner_on_box` and `fraction_compose_affine` check the exact
 integer Gram kernel `polyfield.poly_inner_on_box` and the integer affine
-composition `polyfield.RationalPoly2.compose_affine`.  The rational power
-of exact balls, `bv_pow`, on which the Beta, `TSeries` and fractional-power
-references build, has no library reader.
+composition `polyfield.RationalPoly2.compose_affine`.  The exponential
+and rational power of exact balls, `bv_exp` and `bv_pow`, on which the
+Beta, `TSeries`, kernel and fractional-power references build, have no
+library reader.
 """
 
 import dataclasses
@@ -48,19 +51,46 @@ from typing import Tuple
 import numpy as np
 
 from solenoid import nse
-from solenoid.approxcore import (DEFAULT_PREC, BoundedValue, bv_cos, bv_exp,
-                                 bv_log, bv_pi, bv_sin, bv_sqrt)
+from solenoid.approxcore import (DEFAULT_PREC, BoundedValue, _iv_call, bv_cos,
+                                 bv_e1, bv_log, bv_pi, bv_sin, bv_sqrt)
 from solenoid.floatball import (EPS, FB_PI, TINY, BallGrid, FloatBall,
                                 ball_matmul, fb_exp, fb_log, fb_pow, fb_sincos,
                                 fb_sqrt, grid_pow, grid_sincos_pi)
 from solenoid.floatball import _floored, _gamma, _up
 from solenoid.helmholtz import _as_pair, resolve_field
-from solenoid.polyfield import RationalPoly2, _e1_balls, gamma0
+from solenoid.polyfield import RationalPoly2, gamma0
 from solenoid.spectral import _H1_ORDER, _H1_TOL, _PI2, FourierField, \
-    _ab_grid, _bilinear, _fb_gamma0, _h1_coeffs, _h1_edge_bound, \
+    _ab_grid, _bilinear, _h1_coeffs, _h1_edge_bound, \
     _panel_data, _trig_values, _weights
 from solenoid.stokes import _as_bv, _components, _emit, _gamma3_value, \
     _heat_factor, _l2_upper, contour_factors, tail_cutoff_l
+
+
+# ---------------------------------------------------------------------------
+# exp of exact balls and the kernel normalization in them
+# ---------------------------------------------------------------------------
+
+def bv_exp(x: BoundedValue, prec: int = DEFAULT_PREC) -> BoundedValue:
+    return _iv_call("exp", x, prec)
+
+
+@lru_cache(maxsize=None)
+def _e1_balls(prec: int) -> Tuple[BoundedValue, BoundedValue]:
+    """e^-1 and E_1(1) at ``prec`` bits: the two transcendentals of every
+    kernel constant."""
+    return bv_exp(BoundedValue.exact(-1), prec), bv_e1(1, prec)
+
+
+@lru_cache(maxsize=None)
+def gamma0_bounded(kbits: int = 60) -> BoundedValue:
+    """Normalizing constant of the bump kernel: the kernel mass without the
+    constant is 8 J_0 with J_0 = (1/2) int_0^1 exp(-1/(1-u)) du, so
+    gamma0 = 1/(8 J_0).
+
+    J_0 = E_2(1)/2, and E_2(1) = e^-1 - E_1(1) (DLMF 8.19.12).
+    """
+    e, e1 = _e1_balls(max(80, kbits + 30))
+    return BoundedValue.exact(1) / (e - e1).scale(4)
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +727,7 @@ def mollifier_mass(nu: int, kbits: int = 24) -> BoundedValue:
     if nu < 0:
         raise ValueError("scale must be nonnegative")
     delta = Fraction(1, 1 << nu)
-    g0 = gamma0(kbits + 20)
+    g0 = gamma0_bounded(kbits + 20)
     four = Fraction(4)
 
     def integrand(t):
@@ -735,7 +765,7 @@ def _component_value(el, q, x: Fraction, y: Fraction,
     nu = el.n
     beta = el.trimmed.beta
     delta = Fraction(1, 1 << nu)
-    g0 = gamma0(kbits + 20)
+    g0 = gamma0_bounded(kbits + 20)
 
     # panel breakpoints: radii where a clipped endpoint changes regime
     cuts = {Fraction(0), delta}
@@ -809,7 +839,7 @@ def _panel_value(q, x, y, beta, a, b, regimes, nu, g0, budget):
 def transform_small_x(x_bv: BoundedValue, with_rho: bool) -> FloatBall:
     """phi or psi of `spectral._window_grid` by certified quadrature
     in exact arithmetic; slow, and converges only for moderate x."""
-    g0 = gamma0(60)
+    g0 = gamma0_bounded(60)
 
     def integrand(t):
         prof = _neg_profile_derivative(t, 0, g0)
@@ -1103,7 +1133,7 @@ def h1_panel_models():
     series of length _H1_ORDER and |h1 - model| <= rem on the panel, or
     ("range", a, b, sup) near the flat right edge.
     """
-    g0 = _fb_gamma0()
+    g0 = gamma0()
     panels = []
     stack = [(Fraction(0), Fraction(1), 0)]
     while stack:
@@ -1141,7 +1171,7 @@ def window_transforms(n_index: int, nu: int):
     panel and one scalar ball operation at a time, on the `TSeries` panel
     models of h1."""
     if n_index == 0:
-        return _fb_gamma0() * fb_exp(FloatBall(-1.0)), FloatBall(0.0)
+        return gamma0() * fb_exp(FloatBall(-1.0)), FloatBall(0.0)
     xb = FB_PI * FloatBall.exact(Fraction(n_index, 1 << nu))
     phi = FloatBall(0.0)
     psi = FloatBall(0.0)
@@ -1172,7 +1202,7 @@ def h1_models_by_level():
     """`spectral._h1_models` bisecting one dyadic level at a time, with one
     `_h1_coeffs` recurrence per level: the library evaluates several levels
     per pass, and each of its remainders and rows must have these bits."""
-    g0 = _fb_gamma0()
+    g0 = gamma0()
     parts = []
     j, depth = np.array([0]), 0
     while len(j):
@@ -1227,7 +1257,7 @@ def window_grid_tensor(nu: int, top: int):
             panels = ball_matmul(tab * fac, w[:, :, None])[..., 0]
             out.set(slice(lo, lo + len(n)), ball_matmul(ones, panels)[0])
     phi, psi = phi.widened(slack), psi.widened(slack)
-    phi.set(0, _fb_gamma0() * fb_exp(FloatBall(-1.0)))
+    phi.set(0, gamma0() * fb_exp(FloatBall(-1.0)))
     psi.set(0, FloatBall(0.0))
     return phi, psi
 
@@ -1257,7 +1287,7 @@ def mollifier_cos_coefficient(nu: int, n: int, m: int,
     amp = float(x.upper() + y.upper())
     jbits = kbits + int(1.45 * amp) + 16
     jbits = ((jbits + 15) // 16) * 16  # quantize so the caches stay warm
-    g0 = gamma0(jbits)
+    g0 = gamma0_bounded(jbits)
 
     def plan(xv: BoundedValue) -> int:
         # smallest P with x^(2P+2)/(2P+2)! below the truncation budget

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from solenoid.approxcore import (
-    BoundedValue, ConstantsTable, Name, beta, bv_cos, bv_e1, bv_exp,
+    BoundedValue, ConstantsTable, Name, beta, bv_cos, bv_e1,
     bv_pi, bv_sqrt, gamma_tail,
 )
 from solenoid.floatball import FloatBall

@@ -397,9 +397,11 @@ _INPUT_ARGS = {
 
 
 def _refused_inputs(tmp_path):
-    """Three malformed inputs: an element of the degree-4 shape whose base
-    is a1 = 1 at (0, 0) and 0 elsewhere (not solenoidal), and the mode-11
-    pair with radius -1/2 at mode (1, 1) or the centre 1e400 there."""
+    """Six malformed inputs: an element of the degree-4 shape whose base
+    is a1 = 1 at (0, 0) and 0 elsewhere (not solenoidal); the mode-11 pair
+    with radius -1/2 at mode (1, 1), the centre 1e400 there, "rad" rows
+    of one entry, or cutoff -1 in u1; and a pair at cutoff 3 whose u1 has
+    the 1x1 "re" [["1/2"]]."""
     base = pf.solenoidal_kernel(4)[0].to_json()
     for key in ("a1", "a2"):
         base[key] = [["0"] * len(row) for row in base[key]]
@@ -410,9 +412,17 @@ def _refused_inputs(tmp_path):
     negative["u1"]["rad"][1][1] = "-1/2"
     huge = _mode_pair_json(1, 1, 1.0, -1.0)
     huge["u1"]["re"][1][1] = "1e400"
+    broadcast = _mode_pair_json(1, 1, 1.0, -1.0, cut=3)
+    broadcast["u1"]["re"] = [["1/2"]]
+    short = _mode_pair_json(1, 1, 1.0, -1.0)
+    short["u1"]["rad"] = [["0"], ["0"]]
+    negative_cutoff = _mode_pair_json(1, 1, 1.0, -1.0)
+    negative_cutoff["u1"]["cutoff"] = -1
     paths = {}
     for name, obj in (("non-solenoidal", bad), ("negative-radius", negative),
-                      ("huge-entry", huge)):
+                      ("huge-entry", huge), ("broadcast-re", broadcast),
+                      ("short-rad", short),
+                      ("negative-cutoff", negative_cutoff)):
         paths[name] = tmp_path / (name + ".json")
         paths[name].write_text(json.dumps(obj))
     return {k: str(v) for k, v in paths.items()}
@@ -423,10 +433,13 @@ class TestRefusedInputs:
     traceback: a non-solenoidal element base, whose certified tails would
     not hold (its L2 tail read 2.2e-154 at cutoff 64 while 5.5e-5 of its
     mass lay past it), a negative radius, an entry past the double range,
-    a time past it and a negative count."""
+    coefficient rows that are not the cutoff's square (numpy would
+    broadcast them into a field nobody wrote), a negative cutoff, a time
+    past the double range and a negative count."""
 
     @pytest.mark.parametrize("name", ["non-solenoidal", "negative-radius",
-                                      "huge-entry"])
+                                      "huge-entry", "broadcast-re",
+                                      "short-rad", "negative-cutoff"])
     @pytest.mark.parametrize("command", sorted(_INPUT_ARGS))
     def test_malformed_input_is_a_parse_error(self, tmp_path, capsys,
                                               command, name):
@@ -653,10 +666,12 @@ class TestEntryPoint:
 
 
 class TestColdProcess:
-    def test_light_commands_leave_mpmath_unloaded(self, mode11):
+    def test_light_commands_leave_mpmath_unloaded(self, tmp_path, mode11):
         # mpmath (about 40 ms of import) waits for the first transcendental
-        # enclosure, which none of these commands asks for; the ball of
-        # bv_pi(60) is the one mpmath gave when it was imported up front
+        # enclosure, which none of these commands asks for, on a pair or on
+        # the README element; the ball of bv_pi(60) is the one mpmath gave
+        # when it was imported up front
+        element = _readme_element(tmp_path)
         commands = [
             ["basis", "--degree", "4", "--count", "3"],
             ["semigroup", "--t", "1/8", "--input", mode11],
@@ -665,6 +680,9 @@ class TestColdProcess:
              "0,0;0,2/5;1/3,2/5", "--input", mode11],
             ["fracpower", "--alpha", "1/4", "--input", mode11],
             ["project", "--input", mode11],
+            ["project", "--input", element],
+            ["semigroup", "--t", "1/8", "--input", element],
+            ["fracpower", "--alpha", "1/4", "--input", element],
         ]
         code = "\n".join([
             "import contextlib, io, json, sys",

@@ -25,10 +25,11 @@ from solenoid.polyfield import (
 )
 from solenoid.polyfield import _row_reduce
 from solenoid.approxcore import BoundedValue
+from solenoid.floatball import FloatBall
 from solenoid.spectral import _component_h1_sq
 from solenoid import polyfield as pf
 from oracles import (_moments_upto, dense_row_reduce, fraction_compose_affine,
-                     fraction_inner_on_box,
+                     fraction_inner_on_box, gamma0_bounded,
                      gamma_radial_moment, mollified_value,
                      mollifier_cos_coefficient, mollifier_mass)
 
@@ -448,15 +449,27 @@ class TestComposeAffine:
 
 class TestMollifierKernel:
     def test_gamma0_frozen_oracle(self):
-        g = gamma0(60)
+        g = gamma0()
+        assert isinstance(g, FloatBall)
         assert g.contains(GAMMA0)
-        assert g.radius < F(1, 1 << 50)
+        assert g.r < 2.0 ** -50
+        # the 90-bit closed form in e^-1 and E_1(1): same centre, and the
+        # exact series is no wider
+        ref = FloatBall.from_bounded(gamma0_bounded(60))
+        assert g.c == ref.c and g.r <= ref.r
+        with mp.workdps(50):
+            v = 1 / (4 * mp.expint(2, 1))
+            assert mp.mpf(g.c) - mp.mpf(g.r) <= v <= mp.mpf(g.c) + mp.mpf(g.r)
+        with mp.workdps(80):
+            euler = mp.mpf(pf._EULER.numerator) / pf._EULER.denominator
+            assert abs(euler - mp.euler) < mp.mpf(10) ** -60
 
     def test_gamma0_closed_form_against_panel_moments(self):
         # E_2(1) closed form against the panel-model quadrature of J_0, and
         # the closed-form J_s against the same panel moments
         panel = _moments_upto(47, 40)
-        assert gamma0(60).overlaps(BoundedValue.exact(1) / panel[0].scale(8))
+        assert gamma0_bounded(60).overlaps(
+            BoundedValue.exact(1) / panel[0].scale(8))
         for s in (1, 16, 47):
             assert gamma_radial_moment(s, 40).overlaps(panel[s]), s
 
@@ -520,7 +533,7 @@ class TestMollifierKernel:
 
     def test_cos_coefficient_grid_oracle(self):
         nu = 3
-        g0f = float(gamma0(60))
+        g0f = float(gamma0_bounded(60))
         d = 2.0 ** -nu
         s = np.linspace(-d, d, 3201)
         r = np.maximum(np.abs(s)[:, None], np.abs(s)[None, :]) * 2.0 ** nu
@@ -566,7 +579,7 @@ class TestMollify:
         el = mollify(solenoidal_kernel(4)[0], 1, 3)
         v = mollified_value(el, F(1, 8), F(1, 4), 14)
         nu, beta = el.n, float(el.trimmed.beta)
-        g0f = float(gamma0(60))
+        g0f = float(gamma0_bounded(60))
         d = 2.0 ** -nu
         s = np.linspace(-d, d, 801)
         Z1, Z2 = np.meshgrid(s, s, indexing="ij")

@@ -748,7 +748,7 @@ class TestH1Models:
         # each row has the bits of the recurrence at its midpoint alone, and
         # a zero row is a panel whose sup of h1 is the remainder
         num, den, coef, rem = _h1_models()
-        g0 = spectral._fb_gamma0()
+        g0 = pf.gamma0()
         models = 0
         for p, (n, d) in enumerate(zip(num, den)):
             if not (coef.c[p].any() or coef.r[p].any()):
@@ -874,11 +874,16 @@ class TestMollifierGrid:
                             (q, t)
 
     def test_spectral_calls_no_bounded_value_function(self):
-        # apart from the cached gamma0 constant, spectral computes in
-        # float balls: it calls none of approxcore's bv_* functions
+        # spectral computes in float balls: it calls none of approxcore's
+        # bv_* functions and builds no ball from a BoundedValue, and the
+        # kernel normalization it reads, polyfield.gamma0, calls no bv_*
+        # function either
         tree = ast.parse(pathlib.Path(spectral.__file__).read_text())
-        assert [c for c in _named_calls(tree) if c[1].startswith("bv_")] \
-            == []
+        assert [c for c in _named_calls(tree)
+                if c[1].startswith("bv_") or c[1] == "from_bounded"] == []
+        tree = ast.parse(pathlib.Path(pf.__file__).read_text())
+        body = [c[1] for c in _named_calls(tree) if c[0] == "gamma0"]
+        assert body and [c for c in body if c.startswith("bv_")] == []
 
     def test_transform_against_certified_quadrature(self):
         # phi and psi at x = 3 pi / 4 by exact-arithmetic quadrature
