@@ -8,10 +8,13 @@ rests only on IEEE-754 semantics of real +,-,*,/ and sqrt (correctly
 rounded, guaranteed by the platform): every operation inflates the radius
 by a rigorous bound on its own rounding error.
 Transcendentals (exp, log, sin, cos) are implemented here by argument
-reduction plus Taylor series with certified remainders, each written once:
-exp and log on grids, whose one-entry forms are the scalar ones, and the
-sine and cosine series on FloatBall and BallGrid alike; this module trusts
-nothing from libm except correctly-rounded sqrt.  Likewise the ball rules
+reduction plus Taylor polynomials, each written once: exp and log on grids,
+whose one-entry forms are the scalar ones, and sine and cosine on FloatBall
+and BallGrid alike.  `_horner` evaluates every series in one Horner pass on
+the centres in plain floats and gives the ball one radius from a stated
+bound on the rounding, the coefficients, the remainder and the spread over
+the ball; this module trusts nothing from libm except correctly-rounded
+sqrt.  Likewise the ball rules
 (sum, difference, product, quotient, hull, widening and the directed ends)
 are written once, on the base class of `FloatBall` and `BallGrid`, for
 centres and radii that are floats or arrays.  It is the only module that
@@ -45,6 +48,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -291,54 +295,147 @@ FB_PI = FloatBall(3.141592653589793, 2e-16)
 FB_PI_2 = FloatBall(1.5707963267948966, 1e-16)
 
 
-# 1/k as exact balls, the coefficients of every series below
-_RECIP = (None,) + tuple(FloatBall.exact(Fraction(1, k)) for k in range(1, 28))
+class _Taylor(NamedTuple):
+    """The constants of `_horner` for functions f_j(x) = x^o_j P_j(x^step)
+    + R_j(x) on |x| <= bound, one row j each, as `_taylor` builds them."""
+    coef: np.ndarray    # (d + 1, rows, 1): the doubles nearest the a_ij
+    step: int           # the P_j are polynomials in x^step, step 1 or 2
+    odd: np.ndarray     # (rows, 1): o_j, 0 or 1
+    bound: float
+    err: np.ndarray     # (2, rows, 1): e0_j, e1_j
+    rem: np.ndarray     # (3, rows, 1): rho_j, s0_j, s1_j
+
+
+def _taylor(rows, step, odd, bound, rho, slope) -> _Taylor:
+    """A `_Taylor` from exact `Fraction`s: the coefficients a_ij (lowest
+    degree first), the domain bound, rho_j with |R_j(x)| <= rho_j |x|,
+    and slope_j = (s0_j, s1_j) with sup |f_j'| <= s0_j + s1_j m on
+    [-m, m] for m <= bound.  Each constant is rounded up by `_float_up`;
+    e0_j and e1_j are those of `_horner`."""
+    d = len(rows[0]) - 1
+    coef = np.array([[float(a) for a in row] for row in rows]).T
+    v = Fraction(bound) ** step * (1 + Fraction(1, 2 ** 50))
+    u = Fraction(1, 2 ** 53)
+    un = u / (1 - (2 * d + 1) * u)
+    err = [[], []]
+    for row, hat in zip(rows, coef.T):
+        h = [Fraction(x) for x in hat]
+        err[0].append(un * abs(h[0]) + abs(row[0] - h[0]))
+        err[1].append(sum(((2 * i + 1) * un * abs(h[i])
+                           + (1 + u) * abs(row[i] - h[i])
+                           + (step - 1) * i * u * abs(h[i])) * v ** (i - 1)
+                          for i in range(1, d + 1)))
+
+    def col(xs):
+        return np.array([_float_up(Fraction(x)) for x in xs])[:, None]
+    return _Taylor(coef[:, :, None], step, col(odd), float(bound),
+                   np.stack([col(e) for e in err]),
+                   np.stack([col(rho)] + [col(s) for s in zip(*slope)]))
+
+
+def _horner(x, t: _Taylor) -> tuple:
+    """The centres and radii of the functions of the table t on the ball x
+    (a FloatBall or a BallGrid), stacked by row, from one Horner pass over
+    the centres in plain float arrays.
+
+    With c the centre, r the radius and m >= |c| + r, the pass refuses x
+    unless m <= t.bound, the domain on which the table's bounds hold.  It
+    evaluates each polynomial P^_j of double coefficients a^_i at v = c
+    (step 1) or v = fl(c^2) (step 2) by Horner's rule, q_d = a^_d,
+    q_i = fl(fl(v q_(i+1)) + a^_i), and returns out_j = q_0, or fl(c q_0)
+    on an odd row.  The radius is the sum of:
+
+    * Horner's rounding.  In q_0 the term of a^_i carries at most 2i + 1
+      roundings, so |q_0 - P^_j(v)| <= sum_i gamma_(2i+1) |a^_i| |v|^i
+      (Higham, "Accuracy and Stability of Numerical Algorithms", eq. 5.3),
+      and gamma_(2i+1) <= (2i + 1) u', u' = u/(1 - (2d + 1) u), u = 2^-53.
+    * For step 2, the rounding of v: c^2 = v (1 + delta), |delta| <= u
+      (Higham, eq. 2.5), so P^_j moves by at most u v sum_i i |a^_i|
+      |V|^(i-1), with V = bound^2 (1 + 2^-50) >= v, c^2.
+    * The rounding of the coefficients to doubles: |P_j - P^_j| at c^step
+      is at most sum_i |a_i - a^_i| |c|^(step i), and |c|^step <= (1 + u)
+      |v|.
+    * On an odd row, these three times |c|, and u |out_j| for the product.
+    * The Taylor remainder, |R_j(c)| <= rho_j m.
+    * The spread over the ball, |f_j(c +- r) - f_j(c)| <= (s0_j + s1_j m) r.
+
+    As |v|^i <= |v| V^(i-1), the first three are at most e0_j + e1_j |v|,
+    whose constants the table holds rounded up.  The radius adds
+    nonnegative floats along at most 6 roundings per term (the first
+    three: a product and a sum, the product by |c| and three sums; the
+    spread: two products and two sums), which `_up` covers.  An underflow loses at most 2^-1075 in each of some 30
+    products, each then scaled by at most 1, which `_up`'s TINY covers.
+    No libm function is called.
+    """
+    c, r = np.reshape(x.c, -1), np.reshape(x.r, -1)
+    m = _up(np.abs(c) + r, 1)
+    if not (m <= t.bound).all():
+        raise ValueError("series argument outside its domain")
+    v = c * c if t.step == 2 else c
+    q = t.coef[-1]
+    for a in t.coef[-2::-1]:
+        q = q * v + a
+    xo = np.where(t.odd > 0.0, c, 1.0)
+    out = q * xo
+    rho, s0, s1 = t.rem
+    rad = ((t.err[0] + t.err[1] * np.abs(v)) * np.abs(xo)
+           + np.abs(out) * (t.odd * 2.0 ** -53) + rho * m + (s0 + s1 * m) * r)
+    shape = (len(out),) + np.shape(x.c)
+    return out.reshape(shape), _up(rad, 6).reshape(shape)
+
+
+def _exp_up(b: Fraction) -> Fraction:
+    """An upper bound on e^b for 0 <= b <= 1: 20 Taylor terms plus twice
+    the next, which bounds the tail."""
+    return sum(b ** i / math.factorial(i) for i in range(20)) \
+        + 2 * b ** 20 / math.factorial(20)
+
+
+# The tables.  sin x = x S(x^2) and cos x = C(x^2), S and C of degree 8,
+# for |x| <= b = 13/16: remainders |x|^19/19! <= b^18 |x|/19! and
+# |x|^18/18! <= b^17 |x|/18!, and |sin'| <= 1, |cos' t| = |sin t| <= |t|.
+_B = Fraction(13, 16)
+_SINCOS = _taylor(
+    [[Fraction((-1) ** i, math.factorial(2 * i + 1)) for i in range(9)],
+     [Fraction((-1) ** i, math.factorial(2 * i)) for i in range(9)]],
+    2, (1, 0), _B, (_B ** 18 / math.factorial(19), _B ** 17 /
+                    math.factorial(18)), ((1, 0), (0, 1)))
+# exp of degree 13 for |x| <= b = 3/8: remainder e^b |x|^14/14!, and
+# exp' = exp, convex, so e^m <= 1 + m (e^b - 1)/b for m <= b
+_B = Fraction(3, 8)
+_EXP = _taylor([[Fraction(1, math.factorial(i)) for i in range(14)]], 1, (0,),
+               _B, (_exp_up(_B) * _B ** 13 / math.factorial(14),),
+               ((1, (_exp_up(_B) - 1) / _B),))
+# atanh s = s A(s^2), A(y) = sum_(i <= 16) y^i/(2i + 1), for |s| <= b =
+# 11/32: remainder |s|^35/(35 (1 - b^2)), and atanh' = 1/(1 - s^2), convex
+# in |s|, so 1/(1 - m^2) <= 1 + m b/(1 - b^2) for m <= b
+_B = Fraction(11, 32)
+_ATANH = _taylor([[Fraction(1, 2 * i + 1) for i in range(17)]], 2, (1,), _B,
+                 (_B ** 34 / (35 * (1 - _B ** 2)),),
+                 ((1, _B / (1 - _B ** 2)),))
+del _B
 
 
 def _exp_series(red):
-    """exp(red) for |red| <= ln2/2 + slack, entrywise on a BallGrid: the
-    Taylor polynomial of degree 13 plus the remainder
-    |red|^14/14! e^|red| <= |red|^14/14! 1.5."""
-    term = acc = red.one()
-    for k in range(1, 14):
-        term = term * red * _RECIP[k]
-        acc = acc + term
-    return acc.widened((red.mag() ** 14) / math.factorial(14) * 1.5 * _INFL
-                       + TINY)
+    """exp(red) for |red| <= 3/8, ln2/2 plus slack, on a FloatBall or a
+    BallGrid: `_horner` on the degree-13 Taylor polynomial."""
+    c, r = _horner(red, _EXP)
+    return type(red)(c[0], r[0])
 
 
 def _sincos_series(red) -> tuple:
-    """sin and cos of red for |red| <= pi/4 + slack, on a FloatBall or a
-    BallGrid: the Taylor polynomials of degree 13 plus the remainder
-    |red|^14/14!."""
-    s, c = red.zero(), red.one()
-    term = c
-    for k in range(1, 14):
-        term = term * red * _RECIP[k]
-        if k % 4 == 1:
-            s = s + term
-        elif k % 4 == 2:
-            c = c - term
-        elif k % 4 == 3:
-            s = s - term
-        else:
-            c = c + term
-    rem = (red.mag() ** 14) / math.factorial(14) * _INFL + TINY
-    return s.widened(rem), c.widened(rem)
+    """sin and cos of red for |red| <= 13/16, pi/4 plus slack, on a
+    FloatBall or a BallGrid: `_horner` on the Taylor polynomials of
+    degrees 17 and 16, in one pass."""
+    c, r = _horner(red, _SINCOS)
+    return type(red)(c[0], r[0]), type(red)(c[1], r[1])
 
 
 def _atanh_series(s):
-    """atanh(s) for |s| <= 1/3 + slack, entrywise on a BallGrid: 14 odd
-    terms plus the geometric remainder |s|^29/29 / (1 - s^2)."""
-    s2 = s * s
-    acc = s.zero()
-    p = s
-    for k in range(0, 14):
-        acc = acc + p * _RECIP[2 * k + 1]
-        p = p * s2
-    sm = s.mag()
-    return acc.widened((sm ** 29) / 29.0 / np.maximum(1.0 - sm * sm, 0.5)
-                       * _INFL + TINY)
+    """atanh(s) for |s| <= 11/32, 1/3 plus slack, on a FloatBall or a
+    BallGrid: `_horner` on the odd Taylor polynomial of degree 33."""
+    c, r = _horner(s, _ATANH)
+    return type(s)(c[0], r[0])
 
 
 def _sincos_point(x: float) -> tuple:

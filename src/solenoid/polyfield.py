@@ -272,11 +272,6 @@ class SolenoidalPolyPair:
     def __hash__(self):
         return hash((self.p1, self.p2))
 
-    def sup_bound(self) -> Fraction:
-        """sup over the closed square of max(|p1|, |p2|), via coefficient
-        sums (each |x|,|y| <= 1)."""
-        return max(self.p1.coeff_abs_sum(), self.p2.coeff_abs_sum())
-
     def lipschitz_bound(self) -> Fraction:
         """Bound L with |p_j(u) - p_j(v)| <= L(|u1-v1| + |u2-v2|) on the
         closed square, from derivative coefficient sums."""
@@ -619,9 +614,6 @@ class MollifiedElement:
         self.k = k
         self.n = n
         self.trimmed = TrimmedField(base, k)
-
-    def support_halfwidth(self) -> Fraction:
-        return 1 - Fraction(1, 1 << (self.k + 1))
 
     def is_zero(self) -> bool:
         return self.base.is_zero()

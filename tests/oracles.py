@@ -738,6 +738,18 @@ def mollifier_mass(nu: int, kbits: int = 24) -> BoundedValue:
                               Fraction(1, 1 << kbits))
 
 
+def sup_bound(pair) -> Fraction:
+    """sup over the closed square of max(|p1|, |p2|) for a
+    `SolenoidalPolyPair`, via coefficient sums (each |x|, |y| <= 1)."""
+    return max(pair.p1.coeff_abs_sum(), pair.p2.coeff_abs_sum())
+
+
+def support_halfwidth(el) -> Fraction:
+    """The half-width 1 - 2^-(k+1) of the centred square outside which a
+    `MollifiedElement` vanishes."""
+    return 1 - Fraction(1, 1 << (el.k + 1))
+
+
 def mollified_value(el, x: Fraction, y: Fraction, kbits: int = 14):
     """Pointwise enclosure of both components of a `MollifiedElement`.
 
@@ -750,7 +762,7 @@ def mollified_value(el, x: Fraction, y: Fraction, kbits: int = 14):
     `spectral.mollified_field_pair`.
     """
     x, y = Fraction(x), Fraction(y)
-    hw = el.support_halfwidth()
+    hw = support_halfwidth(el)
     if abs(x) > hw or abs(y) > hw:
         z = BoundedValue.exact(0)
         return z, z

@@ -660,7 +660,7 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "solenoid.cli", "basis", "--degree",
              "4", "--count", "2", "--output", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=_child_env())
         assert proc.returncode == 0
         assert json.loads(out.read_text())["count"] == 2
 

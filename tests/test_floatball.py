@@ -866,6 +866,12 @@ class TestGridElementary:
         num = [n * 2 ** 49 - 1, n * 2 ** 49, n * 2 ** 49 + 1]
         s, c = self._check_sincos(num, 2 ** 50)
         assert s.r.max() < 1e-14 and c.r.max() < 1e-14
+        # +-(2n + 1)/4 and -+ 2^-40: the reduced argument is at or next to
+        # +-pi/4, where the series' remainder is largest ((pi/4)^14/14! =
+        # 3.9e-13 at degree 13)
+        num = [(2 * n + 1) * 2 ** 38 + e for e in (-1, 0, 1)]
+        s, c = self._check_sincos(num + [-v for v in num], 2 ** 40)
+        assert s.r.max() < 1e-14 and c.r.max() < 1e-14
 
     def test_sincos_at_transform_indices(self):
         # x_n mid with n up to 2 cutoff = 4096, panel midpoints k/2048 and
@@ -873,6 +879,9 @@ class TestGridElementary:
         n = np.array([1, 63, 64, 127, 128, 2047, 4096], dtype=object)
         mids = np.array([1, 1023, 2047], dtype=object)
         self._check_sincos(np.multiply.outer(mids, n), 2048 * 8)
+        # n/4: every odd n reduces to +-pi/4 exactly
+        s, c = self._check_sincos(n, 4)
+        assert s.r.max() < 1e-14 and c.r.max() < 1e-14
 
     def test_sincos_reduction_is_exact_at_large_arguments(self):
         # (2^36 + 1/3) pi: a float reduction by multiples of pi/2 carries
@@ -918,11 +927,27 @@ class TestGridElementary:
                 e = fb_exp(FloatBall(c, r))
                 self._encloses(BallGrid(np.array([e.c] * 2),
                                         np.array([e.r] * 2)), refs)
+        # (k -+ 1/2) ln 2 and one ulp either side for |k| <= 1: the reduced
+        # argument is at or next to -+ln2/2, where the series' rounding is
+        # largest, and is held to 9 ulps (a term-by-term ball series took
+        # 16 to 22)
+        x = np.array([k * math.log(2.0) + h * 0.5 * math.log(2.0)
+                      for k in (-1, 0, 1) for h in (-1, 1)])
+        x = BallGrid(np.concatenate([np.nextafter(x, -np.inf), x,
+                                     np.nextafter(x, np.inf)]))
+        e = grid_exp(x)
+        with mp.workdps(60):
+            self._encloses(e, [mp.exp(mp.mpf(float(v))) for v in x.c])
+        assert (e.r <= 2e-15 * e.c).all()
 
     def test_log_and_pow_against_mpmath(self):
+        # mantissas 1/2 and next to it (the last three) put |s| at or next
+        # to 1/3, where the atanh series' remainder is largest
         base = np.array([2.0 ** 500, 2.0 ** -500, 1 + 2.0 ** -52,
-                         1 - 2.0 ** -52, 3.0, 1e-3])
-        rad = np.array([0.0, 2.0 ** -560, 2.0 ** -60, 0.0, 1e-2, 1e-6])
+                         1 - 2.0 ** -52, 3.0, 1e-3, 0.5, 0.5 + 2.0 ** -41,
+                         0.51])
+        rad = np.array([0.0, 2.0 ** -560, 2.0 ** -60, 0.0, 1e-2, 1e-6, 0.0,
+                        0.0, 0.0])
         x = BallGrid(base, rad)
         ends = self._ends(x)
         with mp.workdps(60):
@@ -935,6 +960,7 @@ class TestGridElementary:
                        for v in ends]
                 self._encloses(BallGrid(np.repeat(p.c, 2), np.repeat(p.r, 2)),
                                ref)
+        assert grid_log(x).r[-3:].max() < 2e-15
 
     def test_grid_exp_equals_scalar_exp(self):
         # fb_exp is grid_exp on one entry; entries do not interact, so each

@@ -926,8 +926,8 @@ class TestSmoothnessLift:
 
     def test_ladder_gives_up_before_any_eval(self, monkeypatch):
         # on the README certificate the seed term e^{-tA} seed alone has a
-        # certified radius of 1.77e-8 at every cell count, past 2^-29, so
-        # no eval can meet the budget and none runs
+        # certified radius of 6.59e-11 at every cell count, past 2^-34 (the
+        # least K it misses), so no eval can meet the budget and none runs
         c = _cert()
         calls = []
         run = nse._Engine.eval
@@ -937,7 +937,7 @@ class TestSmoothnessLift:
             return run(self, m)
         monkeypatch.setattr(nse._Engine, "eval", counting)
         with pytest.raises(nse.BudgetError, match="seed term"):
-            nse.smoothness_lift(5, c.T_frac, 29, c)
+            nse.smoothness_lift(5, c.T_frac, 34, c)
         assert calls == []
 
     def test_one_cell_overlaps_eight(self):

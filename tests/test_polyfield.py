@@ -31,7 +31,8 @@ from solenoid import polyfield as pf
 from oracles import (_moments_upto, dense_row_reduce, fraction_compose_affine,
                      fraction_inner_on_box, gamma0_bounded,
                      gamma_radial_moment, mollified_value,
-                     mollifier_cos_coefficient, mollifier_mass)
+                     mollifier_cos_coefficient, mollifier_mass, sup_bound,
+                     support_halfwidth)
 
 # frozen oracle (40-digit quadrature of the kernel normalization)
 GAMMA0 = F("1.683552623428849090226069715040108371621")
@@ -221,7 +222,7 @@ class TestSolenoidalKernel:
 
     def test_uniform_coefficient_bound(self):
         pair = enumerate_solenoidal_polys(48)
-        bound = pair.sup_bound()
+        bound = sup_bound(pair)
         rng = random.Random(11)
         for _ in range(40):
             x = F(rng.randrange(-64, 65), 64)
@@ -568,7 +569,7 @@ class TestMollify:
 
     def test_support_nesting_exact_zero(self):
         el = mollify(solenoidal_kernel(4)[0], 1, 2)
-        hw = el.support_halfwidth()
+        hw = support_halfwidth(el)
         assert hw == F(3, 4)
         for pt in ((hw + F(1, 64), F(0)), (F(1, 2), -hw - F(1, 32))):
             v1, v2 = mollified_value(el, *pt)

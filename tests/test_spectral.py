@@ -848,10 +848,9 @@ class TestMollifierGrid:
     @pytest.mark.parametrize("nu", [2, 3])
     def test_ab_tables_over_the_window_range(self, nu):
         # every (n, h_den 2^nu) with y >= 2 that _window_grid(nu, 4096)
-        # reads (19 447 at nu = 2) gives finite balls of radius <= 1e-12
-        # (the largest, 2.65e-13 at y = 3 pi/4, is grid_sincos_pi's
-        # degree-13 remainder over y), and a seeded sample of them holds
-        # the 50-digit values
+        # reads (19 447 at nu = 2) gives finite balls of radius <= 1e-14
+        # (the sine and cosine balls of y are within about 6e-16), and a
+        # seeded sample of them holds the 50-digit values
         kc, _, _, _, _, h_den, _ = spectral._panel_data()
         n = np.arange(1, 4097, dtype=object)
         den = (h_den * (1 << nu))[:, None]
@@ -860,7 +859,7 @@ class TestMollifierGrid:
         for g in (a, b):
             rows = g[far[:, 0], far[:, 1]]
             assert np.isfinite(rows.c).all() and np.isfinite(rows.r).all()
-            assert rows.r.max() <= 1e-12
+            assert rows.r.max() <= 1e-14
         rng = np.random.default_rng(2039 + nu)
         for h, i in far[rng.choice(len(far), 25, replace=False)]:
             q = F(int(n[i]), int(den[h, 0]))
