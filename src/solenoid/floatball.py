@@ -270,7 +270,7 @@ class FloatBall(_Ball):
             return FloatBall(abs(self.c), self.r)
         return FloatBall.from_rounded(0.0, self.mag())
 
-    # hooks for the series shared with BallGrid
+    # one and zero of the carrier, as a BallGrid gives them on its shape
     def one(self):
         return FloatBall(1.0)
 
@@ -310,26 +310,35 @@ def _taylor(rows, step, odd, bound, rho, slope) -> _Taylor:
     """A `_Taylor` from exact `Fraction`s: the coefficients a_ij (lowest
     degree first), the domain bound, rho_j with |R_j(x)| <= rho_j |x|,
     and slope_j = (s0_j, s1_j) with sup |f_j'| <= s0_j + s1_j m on
-    [-m, m] for m <= bound.  Each constant is rounded up by `_float_up`;
-    e0_j and e1_j are those of `_horner`."""
-    d = len(rows[0]) - 1
+    [-m, m] for m <= bound; each is rounded up by `_float_up`.
+
+    e0_j and e1_j of `_horner` come from w_i = gamma_(2i+1) |a^_i|
+    + (1 + 2u) |a_i - a^_i| + (step - 1) i u |a^_i|: e0_j = w_0 and
+    e1_j = sum_(i>=1) w_i V^(i-1), V = bound^step (1 + 2^-50) rounded up.
+    Each coefficient error is one correctly rounded division of integers,
+    and w_i takes three roundings more; Horner's rule sums e1_j in at most
+    2d - 2 more, all of nonnegative floats, which `_up` covers."""
     coef = np.array([[float(a) for a in row] for row in rows]).T
-    v = Fraction(bound) ** step * (1 + Fraction(1, 2 ** 50))
-    u = Fraction(1, 2 ** 53)
-    un = u / (1 - (2 * d + 1) * u)
-    err = [[], []]
-    for row, hat in zip(rows, coef.T):
-        h = [Fraction(x) for x in hat]
-        err[0].append(un * abs(h[0]) + abs(row[0] - h[0]))
-        err[1].append(sum(((2 * i + 1) * un * abs(h[i])
-                           + (1 + u) * abs(row[i] - h[i])
-                           + (step - 1) * i * u * abs(h[i])) * v ** (i - 1)
-                          for i in range(1, d + 1)))
+    # |a - p/q| = |a.num q - a.den p|/(a.den q), one correctly rounded
+    # division of integers
+    dev = _up(np.array([[abs(a.numerator * q - a.denominator * p)
+                         / (a.denominator * q) for a, (p, q) in
+                         zip(row, map(float.as_integer_ratio, hat))]
+                        for row, hat in zip(rows, coef.T)]).T, 1)
+    i = np.arange(len(coef))[:, None]
+    g = np.array([_gamma(2 * k + 1) for k in range(len(coef))])[:, None]
+    w = (g + (step - 1) * i * 2.0 ** -53) * np.abs(coef) \
+        + (1 + 2.0 ** -52) * dev
+    v = _float_up(Fraction(bound) ** step * (1 + Fraction(1, 2 ** 50)))
+    e1 = w[-1]
+    for wi in w[-2:0:-1]:
+        e1 = e1 * v + wi
+    err = np.stack([_up(w[0], 3), _up(e1, 2 * len(w) - 1)])
 
     def col(xs):
         return np.array([_float_up(Fraction(x)) for x in xs])[:, None]
     return _Taylor(coef[:, :, None], step, col(odd), float(bound),
-                   np.stack([col(e) for e in err]),
+                   err[..., None],
                    np.stack([col(rho)] + [col(s) for s in zip(*slope)]))
 
 
@@ -339,7 +348,9 @@ def _horner(x, t: _Taylor) -> tuple:
     the centres in plain float arrays.
 
     With c the centre, r the radius and m >= |c| + r, the pass refuses x
-    unless m <= t.bound, the domain on which the table's bounds hold.  It
+    unless m <= t.bound, the domain on which the table's bounds hold:
+    13/16 for sine and cosine (pi/4 plus the slack of a float reduction),
+    3/8 for exp (ln2/2 plus slack) and 11/32 for atanh (1/3 plus slack).  It
     evaluates each polynomial P^_j of double coefficients a^_i at v = c
     (step 1) or v = fl(c^2) (step 2) by Horner's rule, q_d = a^_d,
     q_i = fl(fl(v q_(i+1)) + a^_i), and returns out_j = q_0, or fl(c q_0)
@@ -348,10 +359,10 @@ def _horner(x, t: _Taylor) -> tuple:
     * Horner's rounding.  In q_0 the term of a^_i carries at most 2i + 1
       roundings, so |q_0 - P^_j(v)| <= sum_i gamma_(2i+1) |a^_i| |v|^i
       (Higham, "Accuracy and Stability of Numerical Algorithms", eq. 5.3),
-      and gamma_(2i+1) <= (2i + 1) u', u' = u/(1 - (2d + 1) u), u = 2^-53.
-    * For step 2, the rounding of v: c^2 = v (1 + delta), |delta| <= u
-      (Higham, eq. 2.5), so P^_j moves by at most u v sum_i i |a^_i|
-      |V|^(i-1), with V = bound^2 (1 + 2^-50) >= v, c^2.
+      a per-entry bound in place of gamma_2d sum_i |a^_i| |v|^i.
+    * For step 2, the rounding of v: c^2 = v (1 + delta), |delta| <= u =
+      2^-53 (Higham, eq. 2.5), so P^_j moves by at most u v sum_i i |a^_i|
+      V^(i-1), with V = bound^2 (1 + 2^-50) >= v, c^2.
     * The rounding of the coefficients to doubles: |P_j - P^_j| at c^step
       is at most sum_i |a_i - a^_i| |c|^(step i), and |c|^step <= (1 + u)
       |v|.
@@ -363,9 +374,9 @@ def _horner(x, t: _Taylor) -> tuple:
     whose constants the table holds rounded up.  The radius adds
     nonnegative floats along at most 6 roundings per term (the first
     three: a product and a sum, the product by |c| and three sums; the
-    spread: two products and two sums), which `_up` covers.  An underflow loses at most 2^-1075 in each of some 30
-    products, each then scaled by at most 1, which `_up`'s TINY covers.
-    No libm function is called.
+    spread: two products and two sums), which `_up` covers.  An underflow
+    loses at most 2^-1075 in each of some 30 products, each then scaled by
+    at most 1, which `_up`'s TINY covers.  No libm function is called.
     """
     c, r = np.reshape(x.c, -1), np.reshape(x.r, -1)
     m = _up(np.abs(c) + r, 1)
@@ -384,13 +395,6 @@ def _horner(x, t: _Taylor) -> tuple:
     return out.reshape(shape), _up(rad, 6).reshape(shape)
 
 
-def _exp_up(b: Fraction) -> Fraction:
-    """An upper bound on e^b for 0 <= b <= 1: 20 Taylor terms plus twice
-    the next, which bounds the tail."""
-    return sum(b ** i / math.factorial(i) for i in range(20)) \
-        + 2 * b ** 20 / math.factorial(20)
-
-
 # The tables.  sin x = x S(x^2) and cos x = C(x^2), S and C of degree 8,
 # for |x| <= b = 13/16: remainders |x|^19/19! <= b^18 |x|/19! and
 # |x|^18/18! <= b^17 |x|/18!, and |sin'| <= 1, |cos' t| = |sin t| <= |t|.
@@ -403,9 +407,12 @@ _SINCOS = _taylor(
 # exp of degree 13 for |x| <= b = 3/8: remainder e^b |x|^14/14!, and
 # exp' = exp, convex, so e^m <= 1 + m (e^b - 1)/b for m <= b
 _B = Fraction(3, 8)
+# e^b <= 12 Taylor terms plus twice the next, which bounds the tail
+_E = sum(_B ** i / math.factorial(i) for i in range(12)) \
+    + 2 * _B ** 12 / math.factorial(12)
 _EXP = _taylor([[Fraction(1, math.factorial(i)) for i in range(14)]], 1, (0,),
-               _B, (_exp_up(_B) * _B ** 13 / math.factorial(14),),
-               ((1, (_exp_up(_B) - 1) / _B),))
+               _B, (_E * _B ** 13 / math.factorial(14),),
+               ((1, (_E - 1) / _B),))
 # atanh s = s A(s^2), A(y) = sum_(i <= 16) y^i/(2i + 1), for |s| <= b =
 # 11/32: remainder |s|^35/(35 (1 - b^2)), and atanh' = 1/(1 - s^2), convex
 # in |s|, so 1/(1 - m^2) <= 1 + m b/(1 - b^2) for m <= b
@@ -413,7 +420,7 @@ _B = Fraction(11, 32)
 _ATANH = _taylor([[Fraction(1, 2 * i + 1) for i in range(17)]], 2, (1,), _B,
                  (_B ** 34 / (35 * (1 - _B ** 2)),),
                  ((1, _B / (1 - _B ** 2)),))
-del _B
+del _B, _E
 
 
 def _exp_series(red):
@@ -541,7 +548,7 @@ class BallGrid(_Ball):
     def reshape(self, *shape) -> "BallGrid":
         return BallGrid(self.c.reshape(*shape), self.r.reshape(*shape))
 
-    # hooks for the series shared with FloatBall
+    # one and zero on the grid's shape
     def one(self) -> "BallGrid":
         return BallGrid(np.ones(self.shape))
 
