@@ -24,7 +24,9 @@ from solenoid.floatball import (
     fb_exp, fb_log, fb_pow, fb_sincos, fb_sqrt, grid_exp,
     grid_log, grid_pow, grid_sincos_pi, pow_up,
 )
-from solenoid.floatball import TINY, _add_up, _floored, _gamma
+from solenoid.floatball import (_ATANH, _EXP, _SINCOS, TINY, _add_up,
+                                _atanh_series, _exp_series, _floored,
+                                _gamma, _sincos_series)
 
 from oracles import ball_convolve
 
@@ -970,6 +972,48 @@ class TestGridElementary:
         for i in np.ndindex(x.shape):
             b = fb_exp(x.at(i))
             assert (e.c[i], e.r[i]) == (b.c, b.r)
+
+    @pytest.mark.parametrize("series, bound, ref", [
+        (_sincos_series, 13 / 16, lambda v: (mp.sin(v), mp.cos(v))),
+        (_exp_series, 3 / 8, lambda v: (mp.exp(v),)),
+        (_atanh_series, 11 / 32, lambda v: (mp.atanh(v),)),
+    ])
+    def test_series_on_exact_and_wide_balls(self, series, bound, ref):
+        # each series alone, without the widening that the reduction and
+        # the reassembly of grid_exp, grid_log and grid_sincos_pi add: on
+        # exact balls only the rounding term covers the centre's error, and
+        # on balls of radius 2^-20 only the spread term reaches the ends;
+        # an argument past the table's bound is refused
+        c = np.array([0.0, 2.0 ** -60, -2.0 ** -30, 0.1, -0.3, 0.3,
+                      bound - 2.0 ** -18, 2.0 ** -18 - bound])
+        for r in (0.0, 2.0 ** -20):
+            out = series(BallGrid(c, np.full(c.shape, r)))
+            out = out if isinstance(out, tuple) else (out,)
+            with mp.workdps(60):
+                for k in (-1, 0, 1):
+                    refs = [ref(mp.mpf(float(v)) + k * mp.mpf(r)) for v in c]
+                    for j, g in enumerate(out):
+                        self._encloses(g, [f[j] for f in refs])
+        with pytest.raises(ValueError):
+            series(BallGrid([0.0, bound * 1.01]))
+
+    @pytest.mark.parametrize("table, rows", [
+        (_SINCOS, [(mp.sin, lambda i: (-1) ** (i // 2) if i % 2 else 0),
+                   (mp.cos, lambda i: 0 if i % 2 else (-1) ** (i // 2))]),
+        (_EXP, [(mp.exp, lambda i: 1)]),
+        (_ATANH, [(mp.atanh, lambda i: mp.factorial(i) / i if i % 2 else 0)]),
+    ])
+    def test_series_remainders_at_the_bound(self, table, rows):
+        # the Taylor remainder bound rho_j |x| of each table against 60-digit
+        # values at the edge of its domain: the term is below 0.2 ulp, under
+        # the slack of the rounding term, so no containment test sees it
+        d = table.step * len(table.coef) - 1       # the degree, 17, 13, 33
+        with mp.workdps(60):
+            for x in (mp.mpf(table.bound), -mp.mpf(table.bound)):
+                for j, (f, a) in enumerate(rows):
+                    taylor = sum(a(i) * x ** i / mp.factorial(i)
+                                 for i in range(d + 1))
+                    assert abs(f(x) - taylor) <= table.rem[0, j, 0] * abs(x)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
