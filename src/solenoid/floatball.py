@@ -14,10 +14,10 @@ and BallGrid alike.  `_horner` evaluates every series in one Horner pass on
 the centres in plain floats and gives the ball one radius from a stated
 bound on the rounding, the coefficients, the remainder and the spread over
 the ball; this module trusts nothing from libm except correctly-rounded
-sqrt.  Likewise the ball rules
-(sum, difference, product, quotient, hull, widening and the directed ends)
-are written once, on the base class of `FloatBall` and `BallGrid`, for
-centres and radii that are floats or arrays.  It is the only module that
+sqrt.  Likewise the ball rules (sum, difference, product, quotient, hull,
+widening and the directed ends) are written once, on the base class of
+`FloatBall` and `BallGrid`, for centres and radii that are floats or
+arrays.  It is the only module that
 rounds: the others compute every certified number as ball expressions and
 read it out through the directed ends `upper()`/`lower()`.  The package's whole trust base is
 listed in the "Trust base" section of the README.
