@@ -7,17 +7,17 @@ tier, stores center +/- radius as two dyadic ``Fraction``s (denominator a
 power of two) and rounds every operation outward so the true result stays
 enclosed.  ``+``, ``-``, ``*`` and ``widened`` round at ``DEFAULT_PREC`` =
 120 bits whatever precision the caller asks for.  The canonical form
-m * 2**e (m odd, or m = e = 0) appears only in the JSON schema, the mpmath
-bridge and the rounding helpers.
+m * 2**e (m odd, or m = e = 0) appears only in the JSON schema and the
+rounding helpers.
 
-Transcendental enclosures (log, sin, cos, Gamma, pi, Euler's gamma)
-are delegated to ``mpmath.iv`` interval arithmetic, with exact conversions
-in both directions.  Beta and the exponential integral E_1 are closed forms
-on them; no integral here is taken by quadrature.  mpmath is imported on the
-first such call (:func:`_mp`), not with this module: of the CLI commands,
-``horizon``, ``solve`` and ``selftest`` reach it; ``basis``, and
-``semigroup``, ``fracpower``, ``pressure`` and ``project`` on a component
-pair, a field or a mollified element, never load it.
+Every transcendental value here comes from rational data through exact
+integer or ``Fraction`` series with stated tail bounds: Beta from its
+incomplete-Beta series at 1/2 in fixed-point integers, E_1 and ln from
+their power series, square roots (and so the contour angle's cosine and
+sine) from ``math.isqrt``.  pi, ln 2 and Euler's constant are 60-digit
+literals (`_PI`, `_LN2`, `_EULER`), each within `_LITERAL_ERR` = 10^-60,
+which every ball built on them carries.  No integral here is taken by
+quadrature, and no module of the package imports mpmath.
 """
 
 from __future__ import annotations
@@ -33,13 +33,8 @@ __all__ = [
     "ConstantsTable",
     "beta",
     "gamma_tail",
+    "contour_angle",
     "bv_e1",
-    "bv_log",
-    "bv_sin",
-    "bv_cos",
-    "bv_pi",
-    "bv_euler",
-    "bv_gamma",
     "bv_sqrt",
 ]
 
@@ -248,96 +243,15 @@ class BoundedValue:
 
 
 # ---------------------------------------------------------------------------
-# mpmath.iv bridge for transcendental enclosures
+# literal constants and exact roots
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _mp():
-    """mpmath's interval context ``iv`` and the mpf helpers ``finf``,
-    ``fninf`` and ``to_rational``, imported on first use: the import takes
-    about 40 ms, and most CLI commands never need it."""
-    from mpmath import iv
-    from mpmath.libmp import finf, fninf, to_rational
-    return iv, finf, fninf, to_rational
-
-
-def _iv_from_dyadic(d: Fraction):
-    # iv.mpf(int) rounds outward to the working precision; ldexp is exact.
-    iv = _mp()[0]
-    m, e = _split(d)
-    return iv.ldexp(iv.mpf(m), e)
-
-
-def _iv_from_bv(x: BoundedValue):
-    lo = _iv_from_dyadic(x.lower())
-    hi = _iv_from_dyadic(x.upper())
-    return lo + (hi - lo) * _mp()[0].mpf([0, 1])
-
-
-def _mpf_tuple_to_fraction(t) -> Fraction:
-    _, finf, fninf, to_rational = _mp()
-    if t in (finf, fninf):
-        raise OverflowError("infinite interval endpoint")
-    p, q = to_rational(t)
-    return Fraction(int(p), int(q))
-
-
-def _bv_from_iv(x, prec: int) -> BoundedValue:
-    lo, hi = x._mpi_
-    return BoundedValue.from_endpoints(_mpf_tuple_to_fraction(lo),
-                                       _mpf_tuple_to_fraction(hi), prec)
-
-
-def _iv_call(name: str, x: BoundedValue, prec: int) -> BoundedValue:
-    """The enclosure of ``iv.<name>`` at x, worked at prec + 10 bits."""
-    iv = _mp()[0]
-    old = iv.prec
-    try:
-        iv.prec = prec + 10
-        return _bv_from_iv(getattr(iv, name)(_iv_from_bv(x)), prec)
-    finally:
-        iv.prec = old
-
-
-def bv_log(x: BoundedValue, prec: int = DEFAULT_PREC) -> BoundedValue:
-    if x.lower() <= 0:
-        raise ValueError("log of interval touching zero")
-    return _iv_call("log", x, prec)
-
-
-def bv_sin(x: BoundedValue, prec: int = DEFAULT_PREC) -> BoundedValue:
-    return _iv_call("sin", x, prec)
-
-
-def bv_cos(x: BoundedValue, prec: int = DEFAULT_PREC) -> BoundedValue:
-    return _iv_call("cos", x, prec)
-
-
-def bv_gamma(x: BoundedValue, prec: int = DEFAULT_PREC) -> BoundedValue:
-    """Gamma function of a positive enclosure."""
-    if x.lower() <= 0:
-        raise ValueError("gamma needs a positive interval")
-    return _iv_call("gamma", x, prec)
-
-
-def _iv_constant(name: str, prec: int) -> BoundedValue:
-    # an mpmath constant is evaluated at the precision current when read
-    iv = _mp()[0]
-    old = iv.prec
-    try:
-        iv.prec = prec + 10
-        return _bv_from_iv(getattr(iv, name), prec)
-    finally:
-        iv.prec = old
-
-
-def bv_pi(prec: int = DEFAULT_PREC) -> BoundedValue:
-    return _iv_constant("pi", prec)
-
-
-def bv_euler(prec: int = DEFAULT_PREC) -> BoundedValue:
-    """Euler's constant gamma = 0.5772..."""
-    return _iv_constant("euler", prec)
+# pi, ln 2 and Euler's constant to 60 decimals, each within _LITERAL_ERR
+# (DLMF 3.12.1, 4.2.7, 5.2.3)
+_PI = Fraction("3.141592653589793238462643383279502884197169399375105820974945")
+_LN2 = Fraction("0.693147180559945309417232121458176568075500134360255254120680")
+_EULER = Fraction("0.577215664901532860606512090082402431042159335939923598805767")
+_LITERAL_ERR = Fraction(1, 10 ** 60)
 
 
 def bv_sqrt(x: BoundedValue, prec: int = DEFAULT_PREC) -> BoundedValue:
@@ -390,21 +304,82 @@ class Name:
 # Special functions
 # ---------------------------------------------------------------------------
 
-def beta(x: Fraction, y: Fraction, k: int = 24) -> BoundedValue:
-    """Enclose B(x, y) = int_0^1 (1-t)**(x-1) t**(y-1) dt with radius <= 2**-k.
+def _iroot(n: int, q: int) -> int:
+    """floor(n^(1/q)) of an integer n >= 0, by Newton's method from above:
+    each integer step stays at or above the floor (AM-GM) and falls
+    strictly while it is above it."""
+    if n < 2 or q == 1:
+        return n
+    x = 1 << -(-n.bit_length() // q)  # 2^ceil(bits/q) > n^(1/q)
+    while True:
+        y = ((q - 1) * x + n // x ** (q - 1)) // q
+        if y >= x:
+            return x
+        x = y
 
-    Closed form B = Gamma(x) Gamma(y) / Gamma(x+y) (DLMF 5.12.1) in
-    outward interval arithmetic.
+
+def _half_sum(x: Fraction, y: Fraction, P: int) -> Tuple[int, int]:
+    """Integers lo <= 2^P S(x, y) <= hi, S(x, y) = sum_n c_n 2^-n/(x + n)
+    with c_n = (1 - y)_n/n!, for x > 0 and 0 < y <= 1 (see `beta`)."""
+    p, q = x.numerator, x.denominator
+    a, b = y.numerator, y.denominator
+    t_lo = t_hi = 1 << P  # 2^P c_n 2^-n, rounded down and up
+    lo = hi = n = 0
+    while True:
+        tail = -(-2 * t_hi * q // (p + n * q))  # >= 2^P 2 c_n 2^-n/(x + n)
+        if tail <= 1:
+            return lo, hi + tail
+        lo += t_lo * q // (p + n * q)
+        hi += -(-t_hi * q // (p + n * q))
+        n += 1
+        # c_n 2^-n = c_{n-1} 2^-(n-1) (n - y)/(2n)
+        t_lo = t_lo * (b * n - a) // (2 * b * n)
+        t_hi = -(-t_hi * (b * n - a) // (2 * b * n))
+
+
+def beta(x: Fraction, y: Fraction, k: int = 24) -> BoundedValue:
+    """Enclose B(x, y) = int_0^1 t**(x-1) (1-t)**(y-1) dt with radius <= 2**-k.
+
+    B(x + 1, y) = B(x, y) x/(x + y) and B(x, y + 1) = B(x, y) y/(x + y)
+    (DLMF 5.12.1 with Gamma(z + 1) = z Gamma(z)) take both arguments into
+    (0, 1] at the cost of an exact rational factor R.  Split the integral
+    at 1/2 and expand (1 - t)**(y-1) = sum_n c_n t^n, c_n = (1 - y)_n/n!,
+    on [0, 1/2], and t**(x-1) likewise on [1/2, 1] (DLMF 8.17.4, 8.17.7):
+
+        B(x, y) = 2^-x S(x, y) + 2^-y S(y, x),
+        S(x, y) = sum_{n>=0} c_n 2^-n/(x + n).
+
+    For y in (0, 1] the c_n are nonnegative and do not increase (c_{n+1}
+    = c_n (n + 1 - y)/(n + 1)), so the terms from n on sum to at most
+    2 c_n 2^-n/(x + n); `_half_sum` stops once that is one unit.  Both
+    sums run in integers scaled by 2^P, P = max(80, k + 30) + 8, with
+    c_n 2^-n and each term rounded down for the lower sum and up for the
+    upper, and 2^-x 2^P for x = p/q is the integer q-th root of
+    2^(qP - p) (`_iroot`), rounded likewise.  The ends, times R, round
+    outward at max(80, k + 30) bits.
     """
     x, y = Fraction(x), Fraction(y)
     if x <= 0 or y <= 0:
         raise ValueError("beta arguments must be positive")
     prec = max(80, k + 30)
-
-    def gamma(v: Fraction) -> BoundedValue:
-        return bv_gamma(BoundedValue.from_fraction(v, prec), prec)
-
-    out = (gamma(x) * gamma(y) / gamma(x + y)).rounded(prec)
+    P = prec + 8
+    R = Fraction(1)
+    while x > 1:
+        x -= 1
+        R *= x / (x + y)
+    while y > 1:
+        y -= 1
+        R *= y / (x + y)
+    lo = hi = 0
+    for u, v in ((x, y), (y, x)):
+        p, q = u.numerator, u.denominator
+        n = 1 << (q * P - p)
+        e_lo = _iroot(n, q)
+        s_lo, s_hi = _half_sum(u, v, P)
+        lo += e_lo * s_lo
+        hi += (e_lo + (e_lo ** q != n)) * s_hi
+    out = BoundedValue.from_endpoints(R * Fraction(lo, 1 << 2 * P),
+                                      R * Fraction(hi, 1 << 2 * P), prec)
     if out.radius > Fraction(1, 1 << k):
         raise RuntimeError("beta(%s, %s) did not meet radius 2^-%d"
                            % (x, y, k))
@@ -412,9 +387,41 @@ def beta(x: Fraction, y: Fraction, k: int = 24) -> BoundedValue:
 
 
 @lru_cache(maxsize=None)
-def cos_contour_angle(prec: int = DEFAULT_PREC) -> BoundedValue:
-    """Enclosure of cos(3*pi/5), the fixed contour angle cosine (negative)."""
-    return bv_cos(bv_pi(prec).scale(Fraction(3, 5)), prec)
+def contour_angle(prec: int = DEFAULT_PREC) -> Tuple[BoundedValue,
+                                                     BoundedValue]:
+    """Enclosures of cos(3 pi/5) = (1 - sqrt 5)/4 < 0 and sin(3 pi/5) =
+    sqrt(10 + 2 sqrt 5)/4, the fixed contour angle's cosine and sine, from
+    `bv_sqrt`'s integer roots."""
+    r5 = bv_sqrt(BoundedValue.exact(5), prec)
+    cos = BoundedValue((1 - r5.center) / 4, r5.radius / 4)
+    sin = bv_sqrt(BoundedValue(10 + 2 * r5.center, 2 * r5.radius), prec)
+    return cos, sin.scale(Fraction(1, 4), prec)
+
+
+def _ln_bounds(x: Fraction, err: Fraction) -> Tuple[Fraction, Fraction]:
+    """lo <= ln x <= hi for a positive dyadic x, hi - lo <= 2 err + 2 |e|
+    10^-60.  With x = m 2^e, m in [2/3, 4/3], ln x = e ln 2 + 2 atanh s,
+    s = (m - 1)/(m + 1) in [-1/5, 1/7], and 2 atanh s = 2 sum_{j odd}
+    s^j/j (DLMF 4.6.1, 4.37.24); the terms after j sum to at most
+    2 |s|^(j+2)/((j + 2)(1 - s^2)).  The partial sum is exact, and ln 2 is
+    `_LN2` within `_LITERAL_ERR`."""
+    e = x.numerator.bit_length() - x.denominator.bit_length()
+    m = x / Fraction(2) ** e  # in (1/2, 2)
+    if m > Fraction(4, 3):
+        m, e = m / 2, e + 1
+    elif m < Fraction(2, 3):
+        m, e = m * 2, e - 1
+    s = (m - 1) / (m + 1)
+    total, power, j = Fraction(0), s, 1  # power = s^j
+    while True:
+        total += power / j
+        power *= s * s
+        j += 2
+        tail = 2 * abs(power) / (j * (1 - s * s))
+        if tail <= err:
+            break
+    mid, rad = e * _LN2 + 2 * total, tail + abs(e) * _LITERAL_ERR
+    return mid - rad, mid + rad
 
 
 def bv_e1(x: _Number, prec: int = DEFAULT_PREC) -> BoundedValue:
@@ -425,8 +432,11 @@ def bv_e1(x: _Number, prec: int = DEFAULT_PREC) -> BoundedValue:
     Euler's constant (DLMF 6.6.2).  The partial sum is exact.  Once
     j + 1 > x the terms decrease in magnitude, so the alternating tail after
     term j is at most the next term; the sum stops when that is <= 2^-prec.
-    The sum cancels to O(1 + ln x), so the absolute error stays a few units
-    of 2^-prec.
+    gamma is `_EULER` within `_LITERAL_ERR` and ln x is `_ln_bounds`' to
+    2^-(prec+2); the ends round outward to multiples of 2^-(prec+2).  The
+    sum cancels to O(1 + ln x), so the absolute error stays a few units of
+    2^-prec while 2^-prec is well above the literals' 10^-60 (prec up to
+    about 190).
     """
     x = _dyadic(x)
     if x <= 0:
@@ -440,11 +450,11 @@ def bv_e1(x: _Number, prec: int = DEFAULT_PREC) -> BoundedValue:
         tail = power * x / ((j + 1) * (j + 1))  # |term j + 1|
         if j + 1 > x and tail <= target:
             break
-    series = BoundedValue.from_endpoints(partial - tail, partial + tail, prec)
-    g, lg = bv_euler(prec), bv_log(BoundedValue.exact(x), prec)
-    # dyadic balls subtract exactly
-    return BoundedValue(series.center - g.center - lg.center,
-                        series.radius + g.radius + lg.radius)
+    ln_lo, ln_hi = _ln_bounds(x, target / 4)
+    scale = 1 << (prec + 2)
+    lo = math.floor((partial - tail - _EULER - _LITERAL_ERR - ln_hi) * scale)
+    hi = math.ceil((partial + tail - _EULER + _LITERAL_ERR - ln_lo) * scale)
+    return BoundedValue(Fraction(lo + hi, 2 * scale), Fraction(hi - lo, 2 * scale))
 
 
 def gamma_tail(l: BoundedValue, t: BoundedValue, k: int = 24) -> BoundedValue:
@@ -458,7 +468,7 @@ def gamma_tail(l: BoundedValue, t: BoundedValue, k: int = 24) -> BoundedValue:
     if l.lower() <= 0 or t.lower() <= 0:
         raise ValueError("gamma_tail requires l > 0 and t > 0")
     prec = max(80, k + 30)
-    c = cos_contour_angle(prec)  # negative
+    c = contour_angle(prec)[0]  # negative
     x = _round(t.lower() * l.lower() * -c.upper(), prec, -1)
     return BoundedValue.from_endpoints(Fraction(0), bv_e1(x, prec).upper(),
                                        prec)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, Sequence, Tuple
 
-from .approxcore import BoundedValue, bv_sqrt
+from .approxcore import _EULER, _LITERAL_ERR, BoundedValue, bv_sqrt
 from .floatball import FloatBall, _float_up
 
 __all__ = [
@@ -567,10 +567,6 @@ def trim(p: SolenoidalPolyPair, k: int) -> TrimmedField:
 # the bump kernel's normalization
 # ---------------------------------------------------------------------------
 
-# Euler's constant to 60 decimals, |error| < 10^-60 (DLMF 5.2.3)
-_EULER = Fraction("0.577215664901532860606512090082402431042159335939923598805767")
-
-
 @lru_cache(maxsize=1)
 def gamma0() -> FloatBall:
     """Normalizing constant of the bump kernel, 1/(8 J_0) = 1/(4 E_2(1))
@@ -582,7 +578,7 @@ def gamma0() -> FloatBall:
     s = _EULER + 1 + sum(Fraction((-1) ** j * (j + 1), j * math.factorial(j))
                          for j in range(1, 48))
     # the first omitted term, 49/(48 48!), plus the error of _EULER
-    tau = Fraction(49, 48 * math.factorial(48)) + Fraction(1, 10 ** 60)
+    tau = Fraction(49, 48 * math.factorial(48)) + _LITERAL_ERR
     exact = 1 / (4 * s)
     c = float(exact)
     return FloatBall(c, _float_up(abs(exact - Fraction(c))

@@ -27,7 +27,10 @@ panel the denominator is expanded as a geometric series around the midpoint
 and the exponential moments int_{-1}^{1} v^j e^{zv} dv are summed as entire
 series, so each panel contribution is an enclosure whose only approximation
 errors are explicit truncation bounds.  No panel is ever close to the pole
-at -lam because |r e^{i beta} + lam| >= sin(beta) max(r, lam).
+at -lam because |r e^{i beta} + lam| >= sin(beta) max(r, lam).  cos beta =
+(1 - sqrt 5)/4 and sin beta = sqrt(10 + 2 sqrt 5)/4 are closed forms in
+integer square roots (`approxcore.contour_angle`), and gamma_3's pi is the
+60-digit literal, so the contour needs no transcendental library.
 
 Fractional powers A^alpha act mode-wise by lam^alpha, and the norm
 ||A^beta u|| is the root of the weighted coefficient sum
@@ -44,7 +47,7 @@ from typing import Tuple
 import numpy as np
 
 from .approxcore import (
-    BoundedValue, bv_pi, bv_sin, cos_contour_angle, gamma_tail,
+    _LITERAL_ERR, _PI, BoundedValue, contour_angle, gamma_tail,
 )
 from .floatball import (
     FB_PI, BallGrid, FloatBall, ball_matmul, fb_pow, fb_sincos, fb_sqrt,
@@ -58,15 +61,12 @@ __all__ = [
     "frac_power_apply", "frac_power_norm",
 ]
 
-BETA_OF_PI = Fraction(3, 5)           # the contour half-angle is 3 pi / 5
-
 
 @lru_cache(maxsize=None)
 def _contour_angle() -> Tuple[FloatBall, FloatBall]:
-    """cos(3 pi/5) < 0 < sin(3 pi/5), as tight balls; built on first use,
-    since the enclosures import mpmath."""
-    return (FloatBall.from_bounded(cos_contour_angle(60)),
-            FloatBall.from_bounded(bv_sin(bv_pi(70).scale(BETA_OF_PI), 60)))
+    """cos(3 pi/5) < 0 < sin(3 pi/5), as tight balls."""
+    cos, sin = contour_angle(60)
+    return FloatBall.from_bounded(cos), FloatBall.from_bounded(sin)
 
 
 def _as_bv(x) -> BoundedValue:
@@ -84,8 +84,9 @@ def _gamma3_value(l: float, t: BoundedValue, K: int) -> BoundedValue:
     the per-unit-coefficient remainder of cutting the contour at l."""
     prec = max(80, K + 40)
     g = gamma_tail(BoundedValue.exact(Fraction(l)), t, k=K + 12)
-    den = bv_pi(prec) * bv_sin(bv_pi(prec).scale(BETA_OF_PI), prec)
-    return g / den
+    pi = BoundedValue.from_endpoints(_PI - _LITERAL_ERR, _PI + _LITERAL_ERR,
+                                     prec)
+    return g / (pi * contour_angle(prec)[1])
 
 
 def tail_cutoff_l(t, norm_a, K: int) -> BoundedValue:

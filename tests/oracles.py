@@ -35,10 +35,14 @@ against the bound, `fraction_claim1_exponent` makes the root-free
 comparison in `Fraction`s.  The term-by-term `Fraction` loops
 `fraction_inner_on_box` and `fraction_compose_affine` check the exact
 integer Gram kernel `polyfield.poly_inner_on_box` and the integer affine
-composition `polyfield.RationalPoly2.compose_affine`.  The exponential
-and rational power of exact balls, `bv_exp` and `bv_pow`, on which the
-Beta, `TSeries`, kernel and fractional-power references build, have no
-library reader.
+composition `polyfield.RationalPoly2.compose_affine`.  mpmath's
+interval functions (`bv_log`, `bv_sin`, `bv_cos`, `bv_gamma`, `bv_pi`,
+through `_iv_call`) are the tests' independent transcendental reference:
+the library computes no value through them.  Beta's closed form in them,
+`beta_gamma`, checks the library's integer series.  The exponential and
+rational power of exact balls, `bv_exp` and `bv_pow`, on which the Beta,
+`TSeries`, kernel and fractional-power references build, have no library
+reader.
 """
 
 import dataclasses
@@ -51,8 +55,10 @@ from typing import Tuple
 import numpy as np
 
 from solenoid import nse
-from solenoid.approxcore import (DEFAULT_PREC, BoundedValue, _iv_call, bv_cos,
-                                 bv_e1, bv_log, bv_pi, bv_sin, bv_sqrt)
+from mpmath import iv
+from mpmath.libmp import finf, fninf, to_rational
+
+from solenoid.approxcore import DEFAULT_PREC, BoundedValue, _split, bv_sqrt
 from solenoid.floatball import (EPS, FB_PI, TINY, BallGrid, FloatBall,
                                 ball_matmul, fb_exp, fb_log, fb_pow, fb_sincos,
                                 fb_sqrt, grid_pow, grid_sincos_pi)
@@ -67,6 +73,116 @@ from solenoid.stokes import _as_bv, _components, _emit, _gamma3_value, \
 
 
 # ---------------------------------------------------------------------------
+# mpmath.iv bridge: transcendental enclosures of exact balls
+# ---------------------------------------------------------------------------
+
+def _iv_from_dyadic(d: Fraction):
+    # iv.mpf(int) rounds outward to the working precision; ldexp is exact.
+    m, e = _split(d)
+    return iv.ldexp(iv.mpf(m), e)
+
+
+def _iv_from_bv(x: BoundedValue):
+    lo = _iv_from_dyadic(x.lower())
+    hi = _iv_from_dyadic(x.upper())
+    return lo + (hi - lo) * iv.mpf([0, 1])
+
+
+def _mpf_tuple_to_fraction(t) -> Fraction:
+    if t in (finf, fninf):
+        raise OverflowError("infinite interval endpoint")
+    p, q = to_rational(t)
+    return Fraction(int(p), int(q))
+
+
+def _bv_from_iv(x, prec: int) -> BoundedValue:
+    lo, hi = x._mpi_
+    return BoundedValue.from_endpoints(_mpf_tuple_to_fraction(lo),
+                                       _mpf_tuple_to_fraction(hi), prec)
+
+
+def _iv_call(name: str, x: BoundedValue, prec: int) -> BoundedValue:
+    """The enclosure of ``iv.<name>`` at x, worked at prec + 10 bits."""
+    old = iv.prec
+    try:
+        iv.prec = prec + 10
+        return _bv_from_iv(getattr(iv, name)(_iv_from_bv(x)), prec)
+    finally:
+        iv.prec = old
+
+
+def bv_log(x: BoundedValue, prec: int = DEFAULT_PREC) -> BoundedValue:
+    if x.lower() <= 0:
+        raise ValueError("log of interval touching zero")
+    return _iv_call("log", x, prec)
+
+
+def bv_sin(x: BoundedValue, prec: int = DEFAULT_PREC) -> BoundedValue:
+    return _iv_call("sin", x, prec)
+
+
+def bv_cos(x: BoundedValue, prec: int = DEFAULT_PREC) -> BoundedValue:
+    return _iv_call("cos", x, prec)
+
+
+def bv_gamma(x: BoundedValue, prec: int = DEFAULT_PREC) -> BoundedValue:
+    """Gamma function of a positive enclosure."""
+    if x.lower() <= 0:
+        raise ValueError("gamma needs a positive interval")
+    return _iv_call("gamma", x, prec)
+
+
+def _iv_constant(name: str, prec: int) -> BoundedValue:
+    # an mpmath constant is evaluated at the precision current when read
+    old = iv.prec
+    try:
+        iv.prec = prec + 10
+        return _bv_from_iv(getattr(iv, name), prec)
+    finally:
+        iv.prec = old
+
+
+def bv_pi(prec: int = DEFAULT_PREC) -> BoundedValue:
+    return _iv_constant("pi", prec)
+
+
+def bv_euler(prec: int = DEFAULT_PREC) -> BoundedValue:
+    """Euler's constant gamma = 0.5772..."""
+    return _iv_constant("euler", prec)
+
+
+def bv_e1_iv(x: Fraction, prec: int) -> BoundedValue:
+    """E_1(x) of an exact positive dyadic x by `approxcore.bv_e1`'s series,
+    with Euler's gamma and ln x from mpmath's intervals: no 60-digit
+    literal caps its precision."""
+    target = Fraction(1, 1 << prec)
+    partial, power, j = Fraction(0), Fraction(1), 0  # power = x^j / j!
+    while True:
+        j += 1
+        power = power * x / j
+        partial += power / j if j % 2 else -power / j
+        tail = power * x / ((j + 1) * (j + 1))  # |term j + 1|
+        if j + 1 > x and tail <= target:
+            break
+    series = BoundedValue.from_endpoints(partial - tail, partial + tail, prec)
+    g, lg = bv_euler(prec), bv_log(BoundedValue.exact(x), prec)
+    # dyadic balls subtract exactly
+    return BoundedValue(series.center - g.center - lg.center,
+                        series.radius + g.radius + lg.radius)
+
+
+def beta_gamma(x: Fraction, y: Fraction, k: int = 24) -> BoundedValue:
+    """B(x, y) = Gamma(x) Gamma(y)/Gamma(x + y) (DLMF 5.12.1) in mpmath's
+    outward interval arithmetic, at the precision `approxcore.beta` uses."""
+    prec = max(80, k + 30)
+
+    def gamma(v: Fraction) -> BoundedValue:
+        return bv_gamma(BoundedValue.from_fraction(Fraction(v), prec), prec)
+
+    return (gamma(x) * gamma(y) / gamma(Fraction(x) + y)).rounded(prec)
+
+
+# ---------------------------------------------------------------------------
 # exp of exact balls and the kernel normalization in them
 # ---------------------------------------------------------------------------
 
@@ -77,8 +193,8 @@ def bv_exp(x: BoundedValue, prec: int = DEFAULT_PREC) -> BoundedValue:
 @lru_cache(maxsize=None)
 def _e1_balls(prec: int) -> Tuple[BoundedValue, BoundedValue]:
     """e^-1 and E_1(1) at ``prec`` bits: the two transcendentals of every
-    kernel constant."""
-    return bv_exp(BoundedValue.exact(-1), prec), bv_e1(1, prec)
+    kernel constant, past the library's 60-digit Euler constant."""
+    return bv_exp(BoundedValue.exact(-1), prec), bv_e1_iv(Fraction(1), prec)
 
 
 @lru_cache(maxsize=None)

@@ -13,13 +13,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
+from solenoid import approxcore
 from solenoid.approxcore import (
-    BoundedValue, ConstantsTable, Name, beta, bv_cos, bv_e1,
-    bv_pi, bv_sqrt, gamma_tail,
+    BoundedValue, ConstantsTable, Name, beta, bv_e1, bv_sqrt, gamma_tail,
 )
 from solenoid.floatball import FloatBall
 
-from oracles import TSeries, beta_quadrature, bv_pow, certified_integral
+from oracles import TSeries, beta_gamma, beta_quadrature, bv_pow, \
+    certified_integral
 
 # frozen oracle values (40-digit mpmath)
 PI_SQRT2 = F("4.442882938158366247015880990060693698615")
@@ -289,6 +290,25 @@ class TestBeta:
         assert b.lower() <= lo and hi <= b.upper()
         assert b.radius <= F(1, 1 << 60)
 
+    @pytest.mark.parametrize("x", [F(1, 2), F(1, 4), F(3, 4), F(3, 20)])
+    def test_series_inside_the_gamma_closed_form(self, x):
+        # the certificate's four values against Gamma(x) Gamma(y)/Gamma(x+y)
+        # in mpmath's interval arithmetic: they overlap, and the integer
+        # series is no wider
+        b, ref = beta(x, F(1, 4)), beta_gamma(x, F(1, 4))
+        assert b.overlaps(ref) and b.radius <= ref.radius
+
+    @pytest.mark.parametrize("x", [F(1, 2), F(3, 20)])
+    def test_meets_high_precision(self, x):
+        # every k is honoured, past the 120 bits of BoundedValue arithmetic
+        with mp.workdps(250):
+            ref = mp.beta(mp.mpf(x.numerator) / x.denominator, mp.mpf(1) / 4)
+        for k in range(100, 201, 10):
+            b = beta(x, F(1, 4), k)
+            assert b.radius <= F(1, 1 << k), k
+            with mp.workdps(250):
+                assert _mp_of(b.lower()) <= ref <= _mp_of(b.upper()), k
+
     def test_exact_past_gamma_minimum(self):
         # x + y beyond the minimum of Gamma near 1.4616, where iv.gamma
         # switches from the decreasing to the increasing branch
@@ -325,6 +345,11 @@ class TestGammaTail:
             gamma_tail(zero, one)
         with pytest.raises(ValueError):
             gamma_tail(one, zero)
+
+
+def _mp_of(f: F):
+    """A Fraction as an mpf at the working precision."""
+    return mp.mpf(f.numerator) / f.denominator
 
 
 def _mp_frac(v) -> F:
@@ -456,6 +481,49 @@ def test_no_adaptive_quadrature_in_the_library():
             offenders += ["%s:%d %s" % (path.name, node.lineno, n)
                           for n in names & banned]
     assert not offenders, offenders
+
+
+def test_no_module_imports_mpmath():
+    # every transcendental value of the library comes from floatball's
+    # series or from an exact series in approxcore; mpmath is a test
+    # reference only, imported neither up front nor lazily
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "solenoid"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Call):
+                names = [a.value for a in node.args
+                         if isinstance(a, ast.Constant)
+                         and isinstance(a.value, str)]
+            else:
+                continue
+            offenders += ["%s:%d %s" % (path.name, node.lineno, n)
+                          for n in names if n.split(".")[0] == "mpmath"]
+    assert not offenders, offenders
+
+
+def test_literals_within_their_error():
+    # pi, ln 2 and Euler's constant against 80-digit mpmath
+    with mp.workdps(80):
+        for lit, ref in ((approxcore._PI, mp.pi), (approxcore._LN2, mp.ln2),
+                         (approxcore._EULER, mp.euler)):
+            assert abs(_mp_of(lit) - ref) < _mp_of(approxcore._LITERAL_ERR)
+
+
+def test_contour_angle_closed_forms():
+    # cos(3 pi/5) and sin(3 pi/5) from square roots, against 60-digit
+    # mpmath, at the precisions the contour asks for
+    with mp.workdps(60):
+        cos, sin = mp.cos(3 * mp.pi / 5), mp.sin(3 * mp.pi / 5)
+        for prec in (60, 80, 120, 170):
+            c, s = approxcore.contour_angle(prec)
+            assert _mp_of(c.lower()) <= cos <= _mp_of(c.upper()), prec
+            assert _mp_of(s.lower()) <= sin <= _mp_of(s.upper()), prec
+            assert max(c.radius, s.radius) <= F(1, 1 << (prec - 2)), prec
 
 
 def test_public_names_defined_in_their_module():

@@ -461,9 +461,6 @@ class TestMollifierKernel:
         with mp.workdps(50):
             v = 1 / (4 * mp.expint(2, 1))
             assert mp.mpf(g.c) - mp.mpf(g.r) <= v <= mp.mpf(g.c) + mp.mpf(g.r)
-        with mp.workdps(80):
-            euler = mp.mpf(pf._EULER.numerator) / pf._EULER.denominator
-            assert abs(euler - mp.euler) < mp.mpf(10) ** -60
 
     def test_gamma0_closed_form_against_panel_moments(self):
         # E_2(1) closed form against the panel-model quadrature of J_0, and

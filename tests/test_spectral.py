@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from solenoid import helmholtz, spectral
 from solenoid import polyfield as pf
-from solenoid.approxcore import Name, bv_pi
+from solenoid.approxcore import Name
 from solenoid.floatball import BallGrid, FloatBall, fb_sqrt
 from solenoid.polyfield import poly_inner_on_box
 from solenoid.spectral import (
@@ -33,7 +33,7 @@ from solenoid.spectral import (
 )
 
 import oracles
-from oracles import _extended
+from oracles import _extended, bv_pi
 
 mp.mp.dps = 30
 
