@@ -52,6 +52,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .approxcore import _LITERAL_ERR, _LN2, _PI, BoundedValue
+
 __all__ = ["FloatBall", "BallGrid", "ball_matmul",
            "ball_fold_convolve", "fb_exp", "fb_log", "fb_sincos", "fb_sqrt",
            "fb_pow", "grid_exp", "grid_log", "grid_sqrt", "grid_pow",
@@ -242,7 +244,6 @@ class FloatBall(_Ball):
 
     def to_bounded(self):
         """The exact BoundedValue of this ball: doubles are dyadic."""
-        from .approxcore import BoundedValue
         return BoundedValue(Fraction(self.c), Fraction(self.r))
 
     # -- views ------------------------------------------------------------
@@ -288,11 +289,16 @@ def _fb(x) -> _Ball:
 # certified scalar transcendentals
 # ---------------------------------------------------------------------------
 
-# ln 2 and pi as tight balls (centers are the correctly rounded doubles,
-# radii cover the distance to the true constants with margin)
-FB_LN2 = FloatBall(0.6931471805599453, 1e-16)
-FB_PI = FloatBall(3.141592653589793, 2e-16)
-FB_PI_2 = FloatBall(1.5707963267948966, 1e-16)
+def _literal_ball(f: Fraction) -> FloatBall:
+    """The double nearest a 60-digit literal of `approxcore`, with the
+    distance to it plus the literal's error, rounded up, as radius."""
+    c = float(f)
+    return FloatBall(c, _float_up(abs(f - Fraction(c)) + _LITERAL_ERR))
+
+
+FB_LN2 = _literal_ball(_LN2)
+FB_PI = _literal_ball(_PI)
+FB_PI_2 = _literal_ball(_PI / 2)
 
 
 class _Taylor(NamedTuple):

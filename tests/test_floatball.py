@@ -20,6 +20,7 @@ from hypothesis import given, strategies as st
 
 from solenoid.approxcore import BoundedValue
 from solenoid.floatball import (
+    FB_LN2, FB_PI, FB_PI_2,
     BallGrid, FloatBall, ball_fold_convolve, ball_matmul, ceil_log2,
     fb_exp, fb_log, fb_pow, fb_sincos, fb_sqrt, grid_exp,
     grid_log, grid_pow, grid_sincos_pi, pow_up,
@@ -163,6 +164,19 @@ class TestTranscendentals:
     def test_large_trig_argument_rejected(self):
         with pytest.raises(ValueError):
             fb_sincos(FloatBall(1e13))[1]
+
+    def test_constants_carry_their_distance(self):
+        # each constant is the double nearest its value, and its radius is
+        # that double's distance to the 60-digit literal plus the literal's
+        # 10^-60, rounded up: at most the true distance plus 2 10^-60, one
+        # rounding up
+        with mp.workdps(80):
+            for ball, ref in ((FB_LN2, mp.ln2), (FB_PI, mp.pi),
+                              (FB_PI_2, mp.pi / 2)):
+                dist = abs(mp.mpf(ball.c) - ref)
+                assert ball.c == float(ref)
+                assert dist <= ball.r <= (dist + 2 * mp.mpf(10) ** -60) \
+                    * (1 + mp.mpf(2) ** -52)
 
 
 class TestBridge:
