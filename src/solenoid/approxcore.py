@@ -40,6 +40,13 @@ __all__ = [
 
 DEFAULT_PREC = 120
 
+# pi, ln 2 and Euler's constant rounded to 60 decimals, each within
+# _LITERAL_ERR
+_PI = Fraction("3.141592653589793238462643383279502884197169399375105820974945")
+_LN2 = Fraction("0.693147180559945309417232121458176568075500134360255254120680")
+_EULER = Fraction("0.577215664901532860606512090082402431042159335939923598805767")
+_LITERAL_ERR = Fraction(1, 10 ** 60)
+
 _Number = Union[int, Fraction]
 
 
@@ -243,36 +250,6 @@ class BoundedValue:
 
 
 # ---------------------------------------------------------------------------
-# literal constants and exact roots
-# ---------------------------------------------------------------------------
-
-# pi, ln 2 and Euler's constant to 60 decimals, each within _LITERAL_ERR
-# (DLMF 3.12.1, 4.2.7, 5.2.3)
-_PI = Fraction("3.141592653589793238462643383279502884197169399375105820974945")
-_LN2 = Fraction("0.693147180559945309417232121458176568075500134360255254120680")
-_EULER = Fraction("0.577215664901532860606512090082402431042159335939923598805767")
-_LITERAL_ERR = Fraction(1, 10 ** 60)
-
-
-def bv_sqrt(x: BoundedValue, prec: int = DEFAULT_PREC) -> BoundedValue:
-    """Directed-rounded square root of a nonnegative enclosure."""
-    lo, hi = x.lower(), x.upper()
-    if hi < 0:
-        raise ValueError("sqrt of negative interval")
-    lo = max(lo, Fraction(0))
-
-    def root(f: Fraction, up: int) -> Fraction:
-        # sqrt(f) rounded down (up = 0) or up (up = 1) to a multiple of
-        # 1/(den 2^prec); exactly 0 at 0
-        if f == 0:
-            return Fraction(0)
-        s = math.isqrt((f.numerator * f.denominator) << (2 * prec))
-        return Fraction(s + up, f.denominator << prec)
-
-    return BoundedValue.from_endpoints(root(lo, 0), root(hi, 1), prec)
-
-
-# ---------------------------------------------------------------------------
 # Names (precision-indexed approximation streams)
 # ---------------------------------------------------------------------------
 
@@ -304,18 +281,32 @@ class Name:
 # Special functions
 # ---------------------------------------------------------------------------
 
+def bv_sqrt(x: BoundedValue, prec: int = DEFAULT_PREC) -> BoundedValue:
+    """Directed-rounded square root of a nonnegative enclosure."""
+    lo, hi = x.lower(), x.upper()
+    if hi < 0:
+        raise ValueError("sqrt of negative interval")
+    lo = max(lo, Fraction(0))
+
+    def root(f: Fraction, up: int) -> Fraction:
+        # sqrt(f) rounded down (up = 0) or up (up = 1) to a multiple of
+        # 1/(den 2^prec); exactly 0 at 0
+        if f == 0:
+            return Fraction(0)
+        s = math.isqrt((f.numerator * f.denominator) << (2 * prec))
+        return Fraction(s + up, f.denominator << prec)
+
+    return BoundedValue.from_endpoints(root(lo, 0), root(hi, 1), prec)
+
+
 def _iroot(n: int, q: int) -> int:
-    """floor(n^(1/q)) of an integer n >= 0, by Newton's method from above:
+    """floor(n^(1/q)) of an integer n >= 1, by Newton's method from above:
     each integer step stays at or above the floor (AM-GM) and falls
     strictly while it is above it."""
-    if n < 2 or q == 1:
-        return n
     x = 1 << -(-n.bit_length() // q)  # 2^ceil(bits/q) > n^(1/q)
-    while True:
-        y = ((q - 1) * x + n // x ** (q - 1)) // q
-        if y >= x:
-            return x
+    while (y := ((q - 1) * x + n // x ** (q - 1)) // q) < x:
         x = y
+    return x
 
 
 def _half_sum(x: Fraction, y: Fraction, P: int) -> Tuple[int, int]:
@@ -363,15 +354,15 @@ def beta(x: Fraction, y: Fraction, k: int = 24) -> BoundedValue:
         raise ValueError("beta arguments must be positive")
     prec = max(80, k + 30)
     P = prec + 8
-    R = Fraction(1)
-    while x > 1:
-        x -= 1
-        R *= x / (x + y)
-    while y > 1:
-        y -= 1
-        R *= y / (x + y)
+    a, b, R = x, y, Fraction(1)
+    while a > 1:
+        a -= 1
+        R *= a / (a + b)
+    while b > 1:
+        b -= 1
+        R *= b / (a + b)
     lo = hi = 0
-    for u, v in ((x, y), (y, x)):
+    for u, v in ((a, b), (b, a)):
         p, q = u.numerator, u.denominator
         n = 1 << (q * P - p)
         e_lo = _iroot(n, q)
@@ -387,8 +378,7 @@ def beta(x: Fraction, y: Fraction, k: int = 24) -> BoundedValue:
 
 
 @lru_cache(maxsize=None)
-def contour_angle(prec: int = DEFAULT_PREC) -> Tuple[BoundedValue,
-                                                     BoundedValue]:
+def contour_angle(prec: int) -> Tuple[BoundedValue, BoundedValue]:
     """Enclosures of cos(3 pi/5) = (1 - sqrt 5)/4 < 0 and sin(3 pi/5) =
     sqrt(10 + 2 sqrt 5)/4, the fixed contour angle's cosine and sine, from
     `bv_sqrt`'s integer roots."""
@@ -454,7 +444,8 @@ def bv_e1(x: _Number, prec: int = DEFAULT_PREC) -> BoundedValue:
     scale = 1 << (prec + 2)
     lo = math.floor((partial - tail - _EULER - _LITERAL_ERR - ln_hi) * scale)
     hi = math.ceil((partial + tail - _EULER + _LITERAL_ERR - ln_lo) * scale)
-    return BoundedValue(Fraction(lo + hi, 2 * scale), Fraction(hi - lo, 2 * scale))
+    return BoundedValue(Fraction(lo + hi, 2 * scale),
+                        Fraction(hi - lo, 2 * scale))
 
 
 def gamma_tail(l: BoundedValue, t: BoundedValue, k: int = 24) -> BoundedValue:

@@ -236,11 +236,16 @@ class FloatBall(_Ball):
         return FloatBall.from_rounded(lo, hi)
 
     @staticmethod
+    def nearest(x: Fraction, err: Fraction) -> "FloatBall":
+        """The ball around the double nearest to x, whose radius, err plus
+        that rounding, is rounded up."""
+        c = float(x)
+        return FloatBall(c, _float_up(abs(x - Fraction(c)) + err))
+
+    @staticmethod
     def from_bounded(bv) -> "FloatBall":
-        """The ball around the double nearest to the centre of a
-        BoundedValue, whose radius plus that rounding is rounded up."""
-        c = float(bv.center)
-        return FloatBall(c, _float_up(abs(bv.center - Fraction(c)) + bv.radius))
+        """`nearest` to the centre of a BoundedValue, with its radius."""
+        return FloatBall.nearest(bv.center, bv.radius)
 
     def to_bounded(self):
         """The exact BoundedValue of this ball: doubles are dyadic."""
@@ -289,16 +294,10 @@ def _fb(x) -> _Ball:
 # certified scalar transcendentals
 # ---------------------------------------------------------------------------
 
-def _literal_ball(f: Fraction) -> FloatBall:
-    """The double nearest a 60-digit literal of `approxcore`, with the
-    distance to it plus the literal's error, rounded up, as radius."""
-    c = float(f)
-    return FloatBall(c, _float_up(abs(f - Fraction(c)) + _LITERAL_ERR))
-
-
-FB_LN2 = _literal_ball(_LN2)
-FB_PI = _literal_ball(_PI)
-FB_PI_2 = _literal_ball(_PI / 2)
+# ln 2 and pi from the 60-digit literals of `approxcore`
+FB_LN2 = FloatBall.nearest(_LN2, _LITERAL_ERR)
+FB_PI = FloatBall.nearest(_PI, _LITERAL_ERR)
+FB_PI_2 = FloatBall.nearest(_PI / 2, _LITERAL_ERR)
 
 
 class _Taylor(NamedTuple):

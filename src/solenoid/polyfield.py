@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 from .approxcore import _EULER, _LITERAL_ERR, BoundedValue, bv_sqrt
-from .floatball import FloatBall, _float_up
+from .floatball import FloatBall
 
 __all__ = [
     "RationalPoly2", "SolenoidalPolyPair", "TrimmedField", "MollifiedElement",
@@ -579,10 +579,7 @@ def gamma0() -> FloatBall:
                          for j in range(1, 48))
     # the first omitted term, 49/(48 48!), plus the error of _EULER
     tau = Fraction(49, 48 * math.factorial(48)) + _LITERAL_ERR
-    exact = 1 / (4 * s)
-    c = float(exact)
-    return FloatBall(c, _float_up(abs(exact - Fraction(c))
-                                  + tau / (4 * (s - tau) ** 2)))
+    return FloatBall.nearest(1 / (4 * s), tau / (4 * (s - tau) ** 2))
 
 
 # ---------------------------------------------------------------------------

@@ -61,12 +61,8 @@ __all__ = [
     "frac_power_apply", "frac_power_norm",
 ]
 
-
-@lru_cache(maxsize=None)
-def _contour_angle() -> Tuple[FloatBall, FloatBall]:
-    """cos(3 pi/5) < 0 < sin(3 pi/5), as tight balls."""
-    cos, sin = contour_angle(60)
-    return FloatBall.from_bounded(cos), FloatBall.from_bounded(sin)
+# cos(3 pi/5) < 0 < sin(3 pi/5), as tight balls
+_COS_BETA, _SIN_BETA = map(FloatBall.from_bounded, contour_angle(60))
 
 
 def _as_bv(x) -> BoundedValue:
@@ -107,7 +103,7 @@ def tail_cutoff_l(t, norm_a, K: int) -> BoundedValue:
     # a float pre-search with the closed-form bound e^{tcl}/(t|c|l pi sin
     # beta) only steers the search: the cutoff it finds is certified below
     nf = FloatBall.from_bounded(norm).upper()
-    c = _contour_angle()[0].upper()
+    c = _COS_BETA.upper()
     tl = FloatBall.from_bounded(t).lower()
     l = 1.0
     while l < 1e12:
@@ -133,7 +129,7 @@ def _panels(t_hi: float, l: float, lam_min: float):
     Widths are capped so that |z| = t h <= 1.6 (exponential moments) and
     h <= 0.42 sin(beta) max(lam_min, r) (geometric ratio below 0.45).
     """
-    sb_lo = _contour_angle()[1].lower()
+    sb_lo = _SIN_BETA.lower()
     out = []
     a = 0.0
     while a < l:
@@ -235,7 +231,7 @@ def contour_factors(svals, t: FloatBall, l: float):
     if not t.lower() > 0:
         raise ValueError("contour quadrature needs t > 0")
     lam = _pair(BallGrid(s[None]) * _PI2, BallGrid.zeros((1, s.size)))
-    cb, sb = _contour_angle()
+    cb, sb = _COS_BETA, _SIN_BETA
     eib = _pair(cb, sb).reshape(2, 1, 1)
     panels = _panels(t.upper(), l, _PI2.lower() * float(s.min()))
     mid, h = (BallGrid(np.array(v)[:, None]) for v in zip(*panels))
