@@ -53,11 +53,10 @@ from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
-
-from solenoid import nse
 from mpmath import iv
 from mpmath.libmp import finf, fninf, to_rational
 
+from solenoid import nse
 from solenoid.approxcore import DEFAULT_PREC, BoundedValue, _split, bv_sqrt
 from solenoid.floatball import (EPS, FB_PI, TINY, BallGrid, FloatBall,
                                 ball_matmul, fb_exp, fb_log, fb_pow, fb_sincos,
