@@ -346,8 +346,9 @@ def beta(x: Fraction, y: Fraction, k: int = 24) -> BoundedValue:
     sums run in integers scaled by 2^P, P = max(80, k + 30) + 8, with
     c_n 2^-n and each term rounded down for the lower sum and up for the
     upper, and 2^-x 2^P for x = p/q is the integer q-th root of
-    2^(qP - p) (`_iroot`), rounded likewise.  The ends, times R, round
-    outward at max(80, k + 30) bits.
+    2^(qP - p) (`_iroot`), rounded likewise, a qP-bit integer: the cost
+    grows with the denominators, which are at most 20 in the certificate.
+    The ends, times R, round outward at max(80, k + 30) bits.
     """
     x, y = Fraction(x), Fraction(y)
     if x <= 0 or y <= 0:
