@@ -13,7 +13,6 @@ import time
 
 from solenoid import nse
 from solenoid import polyfield as pf
-from solenoid.approxcore import BoundedValue
 
 print("building the datum: mollified degree-4 solenoidal polynomial")
 a = pf.mollify(pf.solenoidal_kernel(4)[0], 1, 2)
@@ -25,8 +24,7 @@ print()
 print("  horizon      T_a = %s  (~%.3g)" % (cert.T_frac, float(cert.T_frac)))
 print("  functional   k0  = %.6f  <  1/(8 Ctilde) = %.6f"
       % (float(cert.k0.upper()),
-         float((BoundedValue.exact(1)
-                / cert.constants.Ctilde.scale(8)).lower())))
+         (1 / (cert.constants.Ctilde * 8)).lower()))
 print("  contraction  eps = %.6f  (< 1)" % float(cert.epsilon.upper()))
 print("  envelope     L   = %.6f" % float(cert.L.upper()))
 print("  w recursion     ", " ".join("%.4f" % float(w)

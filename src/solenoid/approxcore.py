@@ -1,22 +1,21 @@
-"""Exact and directed-rounded arithmetic, approximation streams, closed-form
-special functions, and the shared table of analytic constants.
+"""The exact ball record, closed-form special functions in exact integer
+and ``Fraction`` series, approximation streams, and the shared table of
+analytic constants.
 
-One exact carrier serves both tiers: ``Fraction`` (stdlib).  The
-polynomial algebra uses it as is; ``BoundedValue``, the outward-rounded ball
-tier, stores center +/- radius as two dyadic ``Fraction``s (denominator a
-power of two) and rounds every operation outward so the true result stays
-enclosed.  ``+``, ``-``, ``*`` and ``widened`` round at ``DEFAULT_PREC`` =
-120 bits whatever precision the caller asks for.  The canonical form
-m * 2**e (m odd, or m = e = 0) appears only in the JSON schema and the
-rounding helpers.
+``BoundedValue`` stores center +/- radius as two dyadic ``Fraction``s
+(denominator a power of two) and carries no arithmetic: certificates,
+artifacts and `beta` keep their numbers in it, and every computation runs
+in `floatball` balls or in exact integers and ``Fraction``s.  The
+canonical form m * 2**e (m odd, or m = e = 0) appears only in the JSON
+schema and the rounding helpers.
 
 Every transcendental value here comes from rational data through exact
 integer or ``Fraction`` series with stated tail bounds: Beta from its
 incomplete-Beta series at 1/2 in fixed-point integers, E_1 and ln from
-their power series, square roots (and so the contour angle's cosine and
-sine) from ``math.isqrt``.  pi, ln 2 and Euler's constant are 60-digit
-literals (`_PI`, `_LN2`, `_EULER`), each within `_LITERAL_ERR` = 10^-60,
-which every ball built on them carries.  No integral here is taken by
+their power series, and the contour angle's cosine and sine from
+``math.isqrt``.  pi, ln 2 and Euler's constant are 60-digit literals
+(`_PI`, `_LN2`, `_EULER`), each within `_LITERAL_ERR` = 10^-60, which
+every ball built on them carries.  No integral here is taken by
 quadrature, and no module of the package imports mpmath.
 """
 
@@ -35,10 +34,7 @@ __all__ = [
     "gamma_tail",
     "contour_angle",
     "bv_e1",
-    "bv_sqrt",
 ]
-
-DEFAULT_PREC = 120
 
 # pi, ln 2 and Euler's constant rounded to 60 decimals, each within
 # _LITERAL_ERR
@@ -95,15 +91,14 @@ def _round(f: Fraction, prec: int, direction: int) -> Fraction:
 
 
 class BoundedValue:
-    """Center-radius enclosure of a real number; both parts are dyadic
-    ``Fraction``s (denominator a power of two), checked on construction.
+    """The exact record of a ball: center and radius are dyadic
+    ``Fraction``s (denominator a power of two), checked on construction,
+    and the value lies in [center - radius, center + radius].
 
-    The true value is guaranteed to lie in [center - radius, center + radius].
-    ``+``, ``-``, ``*``, ``/``, :meth:`widened` and :meth:`hull` round at
-    ``DEFAULT_PREC`` = 120 bits whatever precision the caller works at: the
-    mantissas shrink to 120 bits and the radius grows outward.
-    :meth:`rounded`, :meth:`scale` and the functions of this module round
-    outward at the ``prec`` they are given.
+    It carries no arithmetic.  Certificates, artifacts and `beta` keep
+    their numbers in it; every computation runs in `floatball` balls or in
+    exact integers and `Fraction`s, and :meth:`from_endpoints` rounds a
+    computed interval outward at the precision it is given.
     """
 
     __slots__ = ("center", "radius")
@@ -120,26 +115,20 @@ class BoundedValue:
 
     # -- constructors -----------------------------------------------------
 
-    @staticmethod
-    def exact(x: _Number) -> "BoundedValue":
-        return BoundedValue(x)
+    @classmethod
+    def exact(cls, x: _Number) -> "BoundedValue":
+        return cls(x)
 
-    @staticmethod
-    def from_fraction(f: Fraction, prec: int = DEFAULT_PREC) -> "BoundedValue":
-        q = f.denominator
-        if q & (q - 1) == 0:
-            return BoundedValue(f)
-        return BoundedValue.from_endpoints(f, f, prec)
-
-    @staticmethod
-    def from_endpoints(lo: Fraction, hi: Fraction,
-                       prec: int = DEFAULT_PREC) -> "BoundedValue":
-        """Enclose the interval [lo, hi] (given as Fractions) outward."""
+    @classmethod
+    def from_endpoints(cls, lo: Fraction, hi: Fraction,
+                       prec: int) -> "BoundedValue":
+        """Enclose the interval [lo, hi] (given as Fractions) outward, with
+        center and radius rounded at ``prec`` bits."""
         if lo > hi:
             raise ValueError("empty interval")
         c = _round(Fraction(lo + hi, 2), prec, -1)
         r = max(hi - c, c - lo)
-        return BoundedValue(c, _round(r, prec, +1))
+        return cls(c, _round(r, prec, +1))
 
     # -- views --------------------------------------------------------------
 
@@ -152,89 +141,16 @@ class BoundedValue:
     def contains(self, x: Fraction) -> bool:
         return self.lower() <= x <= self.upper()
 
-    def overlaps(self, other: "BoundedValue") -> bool:
-        return self.lower() <= other.upper() and other.lower() <= self.upper()
-
     def mag(self) -> Fraction:
         """Upper bound on |value|."""
         return abs(self.center) + self.radius
-
-    def mignitude(self) -> Fraction:
-        """Lower bound on |value| (zero if the interval straddles 0)."""
-        return max(abs(self.center) - self.radius, Fraction(0))
 
     def __float__(self):
         return float(self.center)
 
     def __repr__(self):
-        return "BoundedValue(%s +/- %s)" % (float(self.center), float(self.radius))
-
-    # -- rounding -----------------------------------------------------------
-
-    def rounded(self, prec: int = DEFAULT_PREC) -> "BoundedValue":
-        """The ball with center and radius mantissas of at most ``prec``
-        bits: the center rounds toward -inf, and the radius absorbs that
-        error and rounds up."""
-        c, r = self.center, self.radius
-        if c.numerator.bit_length() <= prec and r.numerator.bit_length() <= prec:
-            return self
-        cm, ce = _split(c)
-        s = abs(cm).bit_length() - prec
-        if s > 0:
-            c = _join(cm >> s, ce + s)  # floor toward -inf
-            r += _join(1, ce + s)       # rounding error < 2**(ce+s)
-        rm, re = _split(r)
-        s = rm.bit_length() - prec
-        if s > 0:
-            r = _join(-((-rm) >> s), re + s)  # ceil
-        return BoundedValue(c, r)
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other: "BoundedValue") -> "BoundedValue":
-        return BoundedValue(self.center + other.center,
-                            self.radius + other.radius).rounded()
-
-    def __neg__(self) -> "BoundedValue":
-        return BoundedValue(-self.center, self.radius)
-
-    def __sub__(self, other: "BoundedValue") -> "BoundedValue":
-        return self + (-other)
-
-    def __mul__(self, other: "BoundedValue") -> "BoundedValue":
-        c = self.center * other.center
-        r = (abs(self.center) * other.radius
-             + abs(other.center) * self.radius
-             + self.radius * other.radius)
-        return BoundedValue(c, r).rounded()
-
-    def scale(self, f: Union[int, Fraction], prec: int = DEFAULT_PREC) -> "BoundedValue":
-        """Multiply by an exact rational scalar."""
-        f = Fraction(f)
-        q = f.denominator
-        if q & (q - 1) == 0:  # dyadic scalar: exact fast path
-            return BoundedValue(self.center * f, self.radius * abs(f)).rounded(prec)
-        lo = self.lower() * f
-        hi = self.upper() * f
-        if lo > hi:
-            lo, hi = hi, lo
-        return BoundedValue.from_endpoints(lo, hi, prec)
-
-    def __truediv__(self, other: "BoundedValue") -> "BoundedValue":
-        if other.mignitude() == 0:
-            raise ZeroDivisionError("divisor interval contains zero")
-        a, b = self.lower(), self.upper()
-        c, d = other.lower(), other.upper()
-        qs = (a / c, a / d, b / c, b / d)
-        return BoundedValue.from_endpoints(min(qs), max(qs))
-
-    def widened(self, extra: "BoundedValue") -> "BoundedValue":
-        """Grow the radius by an upper bound of ``extra`` (which must be >= 0)."""
-        return BoundedValue(self.center, self.radius + extra.mag()).rounded()
-
-    def hull(self, other: "BoundedValue") -> "BoundedValue":
-        return BoundedValue.from_endpoints(min(self.lower(), other.lower()),
-                                           max(self.upper(), other.upper()))
+        return "BoundedValue(%s +/- %s)" % (float(self.center),
+                                            float(self.radius))
 
     # -- serialization (each part {"m": str, "e": int}, canonical) ------------
 
@@ -242,11 +158,11 @@ class BoundedValue:
         (cm, ce), (rm, re) = _split(self.center), _split(self.radius)
         return {"c": {"m": str(cm), "e": ce}, "r": {"m": str(rm), "e": re}}
 
-    @staticmethod
-    def from_json(obj: dict) -> "BoundedValue":
+    @classmethod
+    def from_json(cls, obj: dict) -> "BoundedValue":
         c, r = obj["c"], obj["r"]
-        return BoundedValue(_join(int(c["m"]), int(c["e"])),
-                            _join(int(r["m"]), int(r["e"])))
+        return cls(_join(int(c["m"]), int(c["e"])),
+                   _join(int(r["m"]), int(r["e"])))
 
 
 # ---------------------------------------------------------------------------
@@ -280,24 +196,6 @@ class Name:
 # ---------------------------------------------------------------------------
 # Special functions
 # ---------------------------------------------------------------------------
-
-def bv_sqrt(x: BoundedValue, prec: int = DEFAULT_PREC) -> BoundedValue:
-    """Directed-rounded square root of a nonnegative enclosure."""
-    lo, hi = x.lower(), x.upper()
-    if hi < 0:
-        raise ValueError("sqrt of negative interval")
-    lo = max(lo, Fraction(0))
-
-    def root(f: Fraction, up: int) -> Fraction:
-        # sqrt(f) rounded down (up = 0) or up (up = 1) to a multiple of
-        # 1/(den 2^prec); exactly 0 at 0
-        if f == 0:
-            return Fraction(0)
-        s = math.isqrt((f.numerator * f.denominator) << (2 * prec))
-        return Fraction(s + up, f.denominator << prec)
-
-    return BoundedValue.from_endpoints(root(lo, 0), root(hi, 1), prec)
-
 
 def _iroot(n: int, q: int) -> int:
     """floor(n^(1/q)) of an integer n >= 1, by Newton's method from above:
@@ -379,29 +277,42 @@ def beta(x: Fraction, y: Fraction, k: int = 24) -> BoundedValue:
 
 
 @lru_cache(maxsize=None)
-def contour_angle(prec: int) -> Tuple[BoundedValue, BoundedValue]:
-    """Enclosures of cos(3 pi/5) = (1 - sqrt 5)/4 < 0 and sin(3 pi/5) =
-    sqrt(10 + 2 sqrt 5)/4, the fixed contour angle's cosine and sine, from
-    `bv_sqrt`'s integer roots."""
-    r5 = bv_sqrt(BoundedValue.exact(5), prec)
-    cos = BoundedValue((1 - r5.center) / 4, r5.radius / 4)
-    sin = bv_sqrt(BoundedValue(10 + 2 * r5.center, 2 * r5.radius), prec)
-    return cos, sin.scale(Fraction(1, 4), prec)
+def contour_angle(prec: int) -> Tuple[Tuple[Fraction, Fraction],
+                                      Tuple[Fraction, Fraction]]:
+    """Exact ends (lo, hi), each pair within 2^-prec, of cos(3 pi/5) =
+    (1 - sqrt 5)/4 < 0 and sin(3 pi/5) = sqrt(10 + 2 sqrt 5)/4, the fixed
+    contour angle's cosine and sine.  With r = isqrt(5 4^prec), sqrt 5
+    lies in [r, r + 1] 2^-prec, and so 4 2^prec sin(3 pi/5) =
+    sqrt((10 2^prec + 2 sqrt5 2^prec) 2^prec) lies between the integer
+    roots of (10 2^prec + 2r) 2^prec and of that plus 2^(prec+1), the
+    latter rounded up."""
+    one = 1 << prec
+    r = math.isqrt(5 << 2 * prec)
+    cos = (Fraction(one - r - 1, 4 * one), Fraction(one - r, 4 * one))
+    s_lo = math.isqrt((10 * one + 2 * r) << prec)
+    s_hi = math.isqrt((10 * one + 2 * r + 2) << prec) + 1
+    return cos, (Fraction(s_lo, 4 * one), Fraction(s_hi, 4 * one))
 
 
-def _ln_bounds(x: Fraction, err: Fraction) -> Tuple[Fraction, Fraction]:
-    """lo <= ln x <= hi for a positive dyadic x, hi - lo <= 2 err + 2 |e|
-    10^-60.  With x = m 2^e, m in [2/3, 4/3], ln x = e ln 2 + 2 atanh s,
-    s = (m - 1)/(m + 1) in [-1/5, 1/7], and 2 atanh s = 2 sum_{j odd}
-    s^j/j (DLMF 4.6.1, 4.37.24); the terms after j sum to at most
-    2 |s|^(j+2)/((j + 2)(1 - s^2)).  The partial sum is exact, and ln 2 is
-    `_LN2` within `_LITERAL_ERR`."""
+def _reduced(x: Fraction) -> Tuple[Fraction, int]:
+    """(m, e) with x = m 2^e and m in [2/3, 4/3], for a positive x."""
     e = x.numerator.bit_length() - x.denominator.bit_length()
     m = x / Fraction(2) ** e  # in (1/2, 2)
     if m > Fraction(4, 3):
         m, e = m / 2, e + 1
     elif m < Fraction(2, 3):
         m, e = m * 2, e - 1
+    return m, e
+
+
+def _ln_bounds(m: Fraction, e: int, err: Fraction) \
+        -> Tuple[Fraction, Fraction]:
+    """lo <= ln x <= hi for x = m 2^e, m in [2/3, 4/3] (`_reduced`),
+    hi - lo <= 2 err + 2 |e| 10^-60.  ln x = e ln 2 + 2 atanh s,
+    s = (m - 1)/(m + 1) in [-1/5, 1/7], and 2 atanh s = 2 sum_{j odd}
+    s^j/j (DLMF 4.6.1, 4.37.24); the terms after j sum to at most
+    2 |s|^(j+2)/((j + 2)(1 - s^2)).  The partial sum is exact, and ln 2 is
+    `_LN2` within `_LITERAL_ERR`."""
     s = (m - 1) / (m + 1)
     total, power, j = Fraction(0), s, 1  # power = s^j
     while True:
@@ -415,24 +326,30 @@ def _ln_bounds(x: Fraction, err: Fraction) -> Tuple[Fraction, Fraction]:
     return mid - rad, mid + rad
 
 
-def bv_e1(x: _Number, prec: int = DEFAULT_PREC) -> BoundedValue:
+def bv_e1(x: _Number, prec: int) -> BoundedValue:
     """Exponential integral E_1(x) = int_x^inf e^-s/s ds of an exact positive
-    dyadic x.
+    dyadic x, with radius at most 1.75 2^-prec.
 
     E_1(x) = -gamma - ln x + sum_{j>=1} (-1)^(j+1) x^j/(j j!) with gamma
     Euler's constant (DLMF 6.6.2).  The partial sum is exact.  Once
     j + 1 > x the terms decrease in magnitude, so the alternating tail after
     term j is at most the next term; the sum stops when that is <= 2^-prec.
     gamma is `_EULER` within `_LITERAL_ERR` and ln x is `_ln_bounds`' to
-    2^-(prec+2); the ends round outward to multiples of 2^-(prec+2).  The
-    sum cancels to O(1 + ln x), so the absolute error stays a few units of
-    2^-prec while 2^-prec is well above the literals' 10^-60 (prec up to
-    about 190).
+    2^-(prec+2); the ends round outward to multiples of 2^-(prec+2).  So
+    the radius is at most 1.5 2^-prec plus the literals' share
+    (1 + |e|) 10^-60, e the binary exponent of x, and a ``prec`` at which
+    that share passes 2^-(prec+2) raises ValueError: the limit is
+    prec <= 197 for x in [2/3, 4/3], a bit lower for each doubling of x
+    away from 1.
     """
     x = _dyadic(x)
     if x <= 0:
         raise ValueError("E_1 needs a positive argument")
     target = Fraction(1, 1 << prec)
+    m, e = _reduced(x)
+    if (1 + abs(e)) * _LITERAL_ERR > target / 4:
+        raise ValueError("E_1(%s) cannot meet radius 2^-%d: the 60-digit "
+                         "literals do not reach it" % (x, prec))
     partial, power, j = Fraction(0), Fraction(1), 0  # power = x^j / j!
     while True:
         j += 1
@@ -441,7 +358,7 @@ def bv_e1(x: _Number, prec: int = DEFAULT_PREC) -> BoundedValue:
         tail = power * x / ((j + 1) * (j + 1))  # |term j + 1|
         if j + 1 > x and tail <= target:
             break
-    ln_lo, ln_hi = _ln_bounds(x, target / 4)
+    ln_lo, ln_hi = _ln_bounds(m, e, target / 4)
     scale = 1 << (prec + 2)
     lo = math.floor((partial - tail - _EULER - _LITERAL_ERR - ln_hi) * scale)
     hi = math.ceil((partial + tail - _EULER + _LITERAL_ERR - ln_lo) * scale)
@@ -449,19 +366,22 @@ def bv_e1(x: _Number, prec: int = DEFAULT_PREC) -> BoundedValue:
                         Fraction(hi - lo, 2 * scale))
 
 
-def gamma_tail(l: BoundedValue, t: BoundedValue, k: int = 24) -> BoundedValue:
+def gamma_tail(l, t, k: int = 24) -> BoundedValue:
     """Upper enclosure of int_l^infty exp(t*r*cos(3pi/5)) / r dr.
 
-    Both l and t must be strictly positive.  The integral is E_1(x) with
-    x = t |cos(3pi/5)| l, and E_1 decreases, so :func:`bv_e1` at a dyadic
-    lower bound of x (from the lower ends of t, l and |cos(3pi/5)|) bounds it
-    for every t and l in the balls; the result is [0, that bound].
+    l and t are balls (`BoundedValue` or `FloatBall`), both strictly
+    positive.  The integral is E_1(x) with x = t |cos(3pi/5)| l, and E_1
+    decreases, so :func:`bv_e1` at a dyadic lower bound of x (from the
+    lower ends of t, l and |cos(3pi/5)|) bounds it for every t and l in
+    the balls; the result is [0, that bound].  It asks `bv_e1` for
+    max(80, k + 30) bits, so a k past about 165 raises ValueError.
     """
-    if l.lower() <= 0 or t.lower() <= 0:
+    l_lo, t_lo = Fraction(l.lower()), Fraction(t.lower())
+    if l_lo <= 0 or t_lo <= 0:
         raise ValueError("gamma_tail requires l > 0 and t > 0")
     prec = max(80, k + 30)
-    c = contour_angle(prec)[0]  # negative
-    x = _round(t.lower() * l.lower() * -c.upper(), prec, -1)
+    cos_hi = contour_angle(prec)[0][1]  # negative
+    x = _round(t_lo * l_lo * -cos_hi, prec, -1)
     return BoundedValue.from_endpoints(Fraction(0), bv_e1(x, prec).upper(),
                                        prec)
 
@@ -529,8 +449,10 @@ class ConstantsTable:
         return self.beta_value(Fraction(1, 4), Fraction(1, 4))
 
     @property
-    def Ctilde(self) -> BoundedValue:
-        return self.M * self.B1
+    def Ctilde(self):
+        """Ctilde = M B1 as a `floatball.FloatBall` product."""
+        from .floatball import FloatBall  # floatball imports this module
+        return FloatBall.from_bounded(self.M) * FloatBall.from_bounded(self.B1)
 
     _default = None
 

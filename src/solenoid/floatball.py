@@ -276,13 +276,6 @@ class FloatBall(_Ball):
             return FloatBall(abs(self.c), self.r)
         return FloatBall.from_rounded(0.0, self.mag())
 
-    # one and zero of the carrier, as a BallGrid gives them on its shape
-    def one(self):
-        return FloatBall(1.0)
-
-    def zero(self):
-        return FloatBall(0.0)
-
 
 def _fb(x) -> _Ball:
     if isinstance(x, _Ball):

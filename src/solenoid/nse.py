@@ -54,7 +54,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .approxcore import BoundedValue, ConstantsTable, Name, bv_sqrt
+from .approxcore import BoundedValue, ConstantsTable, Name, _iroot
 from .floatball import (
     FB_PI, BallGrid, FloatBall, _float_up, ball_matmul, ceil_log2, fb_pow,
     fb_sqrt, grid_exp, grid_log, grid_sqrt,
@@ -223,7 +223,9 @@ class IterationCertificate:
     def ball(self, key, bounded: Callable[[], BoundedValue]) -> FloatBall:
         """The FloatBall of one of the certificate's constants: ``bounded``
         gives its BoundedValue, converted on the first call only and then
-        read from the cache under ``key``."""
+        read from the cache under ``key``.  The constants the certificate
+        computed are the exact records of float balls, read back without
+        loss."""
         if key not in self._balls:
             self._balls[key] = FloatBall.from_bounded(bounded())
         return self._balls[key]
@@ -233,8 +235,9 @@ class IterationCertificate:
         """The M table, x_{beta,0} = a_norm, built on first read: only the
         JSON form of the certificate reads it, no run on it does."""
         coef = _datum_free_tables(self.constants)[7]  # the Beta coefficients
-        return _recursion({b: self.a_norm for b in _M_BETAS}, coef,
-                          self.constants.M)
+        x0 = FloatBall.from_bounded(self.a_norm)
+        return _recursion({b: x0 for b in _M_BETAS}, coef,
+                          FloatBall.from_bounded(self.constants.M))
 
     @property
     def forcing_sup(self) -> float:
@@ -307,22 +310,27 @@ _M_BETAS = (F14, F12, F35)
 
 
 def _recursion(x0, coef, M) -> Dict[Fraction, List[BoundedValue]]:
-    """The K or the M table: x_{beta,0} = x0[beta] and x_{beta,m+1} =
-    x0[beta] + coef[beta] x_{1/4,m} x_{1/2,m} M for every channel beta of
-    x0, m < _TABLE_DEPTH."""
+    """The K or the M table from FloatBalls: x_{beta,0} = x0[beta] and
+    x_{beta,m+1} = x0[beta] + coef[beta] x_{1/4,m} x_{1/2,m} M for every
+    channel beta of x0, m < _TABLE_DEPTH, each entry kept as the exact
+    record of its ball."""
     tab = {b: [x] for b, x in x0.items()}
     for m in range(_TABLE_DEPTH):
         prod = tab[F14][m] * tab[F12][m] * M
         for b, x in x0.items():
             tab[b].append(x + coef[b] * prod)
-    return tab
+    return {b: [x.to_bounded() for x in xs] for b, xs in tab.items()}
 
 
 @lru_cache(maxsize=64)
 def _quarter_root_upper(j: int) -> Fraction:
-    """The upper end of the enclosure of T^{1/4} at T = 2^-j, cached per j:
-    horizons take few values of j."""
-    return bv_sqrt(bv_sqrt(BoundedValue.exact(Fraction(1, 2 ** j)))).upper()
+    """A dyadic upper bound on T^{1/4} at T = 2^-j, within 2^-(j+120):
+    the integer fourth root r of n = 2^(4(j+120) - j) is floor(T^{1/4}
+    2^(j+120)), and r + 1 bounds it from above unless r^4 = n.  Cached per
+    j: horizons take few values of j."""
+    n = 1 << 3 * j + 480
+    r = _iroot(n, 4)
+    return Fraction(r + (r ** 4 != n), 1 << j + 120)
 
 
 @lru_cache(maxsize=16)
@@ -331,25 +339,29 @@ def _datum_free_tables(ct: ConstantsTable):
     once per table: the seed resolution index k-hat, 1/(8 Ctilde), the
     lower end of 1/(16 Ctilde), K_cap, epsilon, L, the K table, the
     recursion coefficients B(3/4 - beta, 1/4) of the K and M tables per
-    channel beta, and the w table.  A certificate takes its own copies of
-    the K lists."""
+    channel beta, and the w table.  Each is a FloatBall expression; K_cap,
+    epsilon, L and the K table are kept as the exact records of their
+    balls, 1/(8 Ctilde) as a ball and the sixteenth as an exact lower end.
+    A certificate takes its own copies of the K lists."""
     ctil = ct.Ctilde
     target16 = ctil.upper() * 16
     k_hat = 1
     while 2 ** k_hat <= target16:
         k_hat += 1
-    eighth = BoundedValue.exact(1) / ctil.scale(8)
-    sixteenth = (BoundedValue.exact(1) / ctil.scale(16)).lower()
-    sqrt2 = bv_sqrt(BoundedValue.exact(2))
-    K_cap = eighth * (sqrt2 - BoundedValue.exact(1)).scale(4) / sqrt2
-    epsilon = ctil * K_cap.scale(2)
-    L = K_cap.scale(2) * ct.beta_value(Fraction(3, 4), F14)
-    coef = {b: ct.beta_value(Fraction(3, 4) - b, F14) for b in _M_BETAS}
-    Ktab = _recursion({F14: eighth, F12: eighth}, coef, ct.M)
+    eighth = 1 / (ctil * 8)
+    sixteenth = Fraction((1 / (ctil * 16)).lower())
+    K_cap = eighth * _WSTAR  # 1/(8 Ctilde) 4 (sqrt2 - 1)/sqrt2
+    epsilon = ctil * (K_cap * 2)
+    L = K_cap * 2 * FloatBall.from_bounded(ct.beta_value(Fraction(3, 4), F14))
+    coef = {b: FloatBall.from_bounded(ct.beta_value(Fraction(3, 4) - b, F14))
+            for b in _M_BETAS}
+    Ktab = _recursion({F14: eighth, F12: eighth}, coef,
+                      FloatBall.from_bounded(ct.M))
     w = [Fraction(1)]
     for m in range(_TABLE_DEPTH):
         w.append(1 + w[-1] * w[-1] / 8)
-    return k_hat, eighth, sixteenth, K_cap, epsilon, L, Ktab, coef, tuple(w)
+    return (k_hat, eighth, sixteenth, K_cap.to_bounded(),
+            epsilon.to_bounded(), L.to_bounded(), Ktab, coef, tuple(w))
 
 
 def compute_horizon(a, constants: ConstantsTable = None, mode_cap: int = 24,
@@ -383,30 +395,29 @@ def compute_horizon(a, constants: ConstantsTable = None, mode_cap: int = 24,
     seed_res = 2 * (res + trunc)
     norm_up = _l2_upper(seed)
     g_sup = forcing.sup_l2 if forcing is not None else 0.0
-    if seed_res >= eighth.lower():
+    eighth_lo = Fraction(eighth.lower())
+    if seed_res >= eighth_lo:
         raise ValueError("datum presentation too coarse: its resolution "
                          "floor alone exhausts the Claim-1 budget")
     h_norm = frac_power_norm(seed, F12).upper()
     # the display bound 1/(16 Ctilde), tightened further when the
     # presentation's resolution floor eats into the 1/(8 Ctilde) total
-    bound16 = min(sixteenth, eighth.lower() - seed_res)
+    bound16 = min(sixteenth, eighth_lo - seed_res)
     mx = Fraction(h_norm)
     j = _claim1_exponent(mx, bound16, g_sup, 2, 400)
     if j is None:
         raise RuntimeError("horizon search failed to terminate")
     T = Fraction(1, 2 ** j)
-    lead = _quarter_root_upper(j) * mx + _forcing_term(T, g_sup)
-    k0 = BoundedValue.from_fraction(seed_res) + \
-        BoundedValue.from_fraction(lead)
-    if k0.upper() >= eighth.lower():
+    # every part is dyadic, so k0 is exact
+    k0 = seed_res + _quarter_root_upper(j) * mx + _forcing_term(T, g_sup)
+    if k0 >= eighth_lo:
         raise RuntimeError("Claim-1 functional failed to clear 1/(8 Ctilde)")
-    a_norm = BoundedValue.from_fraction(Fraction(norm_up)).widened(
-        BoundedValue.from_fraction(seed_res))
     return IterationCertificate(
-        T_a=BoundedValue.exact(T), k0=k0,
+        T_a=BoundedValue.exact(T), k0=BoundedValue.exact(k0),
         K_beta_m={b: list(v) for b, v in Ktab.items()}, K_cap=K_cap,
         epsilon=epsilon, L=L, w_m=w, k_hat=k_hat,
-        seed=seed, seed_res=seed_res, a_norm=a_norm, half_norm=h_norm,
+        seed=seed, seed_res=seed_res,
+        a_norm=BoundedValue(Fraction(norm_up), seed_res), half_norm=h_norm,
         constants=ct, forcing=forcing)
 
 
@@ -435,8 +446,8 @@ def _theta2(cert: IterationCertificate, k: int) -> Optional[int]:
     the horizon, mx is the upper end of ||A^{1/2} seed||, which bounds
     ||A^{1/4} seed|| too (the module docstring proves it)."""
     ct = cert.constants
-    lead = cert.ball("theta2",
-                     lambda: ct.M * ct.beta_value(Fraction(3, 4), F14))
+    lead = cert.ball("M", lambda: ct.M) * cert.ball(
+        "B(3/4,1/4)", lambda: ct.beta_value(Fraction(3, 4), F14))
     V = (fb_sqrt(FloatBall(2.0 ** -(k + 1)) / lead) / _WSTAR).lower()
     return _claim1_exponent(
         Fraction(cert.half_norm), Fraction(V) - cert.seed_res,

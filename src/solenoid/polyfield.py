@@ -17,8 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, Sequence, Tuple
 
-from .approxcore import _EULER, _LITERAL_ERR, BoundedValue, bv_sqrt
-from .floatball import FloatBall
+from .approxcore import _EULER, _LITERAL_ERR
+from .floatball import FloatBall, fb_sqrt
 
 __all__ = [
     "RationalPoly2", "SolenoidalPolyPair", "TrimmedField", "MollifiedElement",
@@ -629,13 +629,13 @@ def mollify(p: SolenoidalPolyPair, k: int, n: int) -> MollifiedElement:
 
 
 def approximation_defect(p: SolenoidalPolyPair, k: int, n: int)\
-        -> BoundedValue:
+        -> FloatBall:
     """Upper bound on the L2 distance between p and its trimmed-and-mollified
-    version, from the exact Lipschitz modulus of p."""
+    version, from the exact Lipschitz modulus of p, as the ball [0, bound]."""
     if k < 1 or n <= k:
         raise ValueError("need k >= 1 and n >= k+1")
     if p.is_zero():
-        return BoundedValue.exact(0)
+        return FloatBall(0.0)
     L = p.lipschitz_bound()
     # sup-norm gaps: trim moves arguments by at most 2^{-k+1} per coordinate
     # and truncates a 2^{-k} collar where |p| <= L 2^{-k}; mollification
@@ -644,8 +644,8 @@ def approximation_defect(p: SolenoidalPolyPair, k: int, n: int)\
     sup_gap = 4 * L * c + 4 * L * Fraction(1, 1 << n)
     # each component, L2 over the square of area 4, two components
     bound = 2 * sup_gap
-    vec = bv_sqrt(BoundedValue.exact(2)) * BoundedValue.from_fraction(bound)
-    return BoundedValue.from_endpoints(_F0, vec.upper())
+    vec = fb_sqrt(FloatBall(2.0)) * FloatBall.exact(bound)
+    return FloatBall.from_endpoints(0.0, vec.upper())
 
 
 def poly_name(p: SolenoidalPolyPair, max_k: int = 60):

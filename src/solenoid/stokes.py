@@ -29,8 +29,9 @@ series, so each panel contribution is an enclosure whose only approximation
 errors are explicit truncation bounds.  No panel is ever close to the pole
 at -lam because |r e^{i beta} + lam| >= sin(beta) max(r, lam).  cos beta =
 (1 - sqrt 5)/4 and sin beta = sqrt(10 + 2 sqrt 5)/4 are closed forms in
-integer square roots (`approxcore.contour_angle`), and gamma_3's pi is the
-60-digit literal, so the contour needs no transcendental library.
+integer square roots (`approxcore.contour_angle`), gamma_3 is E_1 from an
+exact series (`approxcore.gamma_tail`) over `floatball.FB_PI` sin beta, and
+so the contour needs no transcendental library.
 
 Fractional powers A^alpha act mode-wise by lam^alpha, and the norm
 ||A^beta u|| is the root of the weighted coefficient sum
@@ -46,12 +47,10 @@ from typing import Tuple
 
 import numpy as np
 
-from .approxcore import (
-    _LITERAL_ERR, _PI, BoundedValue, contour_angle, gamma_tail,
-)
+from .approxcore import BoundedValue, contour_angle, gamma_tail
 from .floatball import (
-    FB_PI, BallGrid, FloatBall, ball_matmul, fb_pow, fb_sincos, fb_sqrt,
-    grid_exp, grid_sqrt, pow_up,
+    FB_PI, BallGrid, FloatBall, _float_up, ball_matmul, fb_pow, fb_sincos,
+    fb_sqrt, grid_exp, grid_sqrt, pow_up,
 )
 from .helmholtz import resolve_field
 from .spectral import _PI2, FourierField, mode_weights
@@ -61,60 +60,64 @@ __all__ = [
     "frac_power_apply", "frac_power_norm",
 ]
 
-# cos(3 pi/5) < 0 < sin(3 pi/5), as tight balls
-_COS_BETA, _SIN_BETA = map(FloatBall.from_bounded, contour_angle(60))
+# cos(3 pi/5) < 0 < sin(3 pi/5), as the nearest doubles with their distance
+# to the exact ends as radius
+_COS_BETA, _SIN_BETA = (FloatBall.nearest((lo + hi) / 2, (hi - lo) / 2)
+                        for lo, hi in contour_angle(120))
 
 
-def _as_bv(x) -> BoundedValue:
-    if isinstance(x, BoundedValue):
+def _as_ball(x) -> FloatBall:
+    """A number or a ball as a FloatBall that holds it."""
+    if isinstance(x, FloatBall):
         return x
-    return BoundedValue.from_fraction(Fraction(x))
+    if isinstance(x, BoundedValue):
+        return FloatBall.from_bounded(x)
+    return FloatBall.exact(x)
 
 
 # ---------------------------------------------------------------------------
 # Contour bookkeeping
 # ---------------------------------------------------------------------------
 
-def _gamma3_value(l: float, t: BoundedValue, K: int) -> BoundedValue:
+def _gamma3_value(l: float, t: FloatBall, K: int) -> FloatBall:
     """Upper enclosure of (1/(pi sin beta)) int_l^inf e^{t r cos beta}/r dr,
     the per-unit-coefficient remainder of cutting the contour at l."""
-    prec = max(80, K + 40)
-    g = gamma_tail(BoundedValue.exact(Fraction(l)), t, k=K + 12)
-    pi = BoundedValue.from_endpoints(_PI - _LITERAL_ERR, _PI + _LITERAL_ERR,
-                                     prec)
-    return g / (pi * contour_angle(prec)[1])
+    g = gamma_tail(FloatBall(l), t, k=K + 12)
+    return FloatBall.from_endpoints(0.0, _float_up(g.upper())) \
+        / (FB_PI * _SIN_BETA)
 
 
-def tail_cutoff_l(t, norm_a, K: int) -> BoundedValue:
-    """Radial cutoff l with certified contour remainder at most 2^-(K+7).
+def tail_cutoff_l(t, norm_a, K: int) -> FloatBall:
+    """Radial cutoff l with certified contour remainder at most 2^-(K+7),
+    as an exact FloatBall.
 
     The remainder per component is gamma_3 * ||a|| (:func:`_gamma3_value`);
     the search doubles l from a closed-form float estimate until the
-    certified bound closes.  Requires t > 0: the contour does not represent
-    the semigroup at t = 0.
+    certified bound closes.  ``t`` and ``norm_a`` are numbers or balls.
+    Requires t > 0: the contour does not represent the semigroup at t = 0.
     """
-    t = _as_bv(t)
-    norm = _as_bv(norm_a)
+    t = _as_ball(t)
+    norm = _as_ball(norm_a)
     if t.lower() <= 0:
         raise ValueError("tail cutoff needs t > 0")
     if norm.upper() <= 0:
-        return BoundedValue.exact(1)
-    target = Fraction(1, 1 << (K + 7))
+        return FloatBall(1.0)
+    target = 2.0 ** -(K + 7)
     # a float pre-search with the closed-form bound e^{tcl}/(t|c|l pi sin
     # beta) only steers the search: the cutoff it finds is certified below
-    nf = FloatBall.from_bounded(norm).upper()
+    nf = norm.upper()
     c = _COS_BETA.upper()
-    tl = FloatBall.from_bounded(t).lower()
+    tl = t.lower()
     l = 1.0
     while l < 1e12:
         e = math.exp(tl * c * l)  # steering: pre-search only
         b = e / (tl * -c * l * math.pi * 0.95) * nf  # steering: pre-search
-        if b <= float(target) * 0.5:
+        if b <= target * 0.5:
             break
         l *= 1.25
     for _ in range(40):
         if (_gamma3_value(l, t, K) * norm).upper() <= target:
-            return BoundedValue.exact(Fraction(l))
+            return FloatBall(l)
         l *= 2.0
     raise RuntimeError("contour tail bound did not close")
 

@@ -11,7 +11,7 @@ calls them.  Point values and L2 inner products of fields (`eval_ball`,
 lives here too, with what is built on it: the adaptive Taylor-model
 quadrature, the panel models of the kernel profile W (for the radial
 moments) and of h1 (for the window transforms).  The radial moments J_s
-also have a closed form here (`gamma_radial_moment`, in the `BoundedValue`
+also have a closed form here (`gamma_radial_moment`, in the `RefBall`
 balls of e^-1 and E_1(1)), which the series kernel coefficients use; the
 library needs only J_0, through the normalization `gamma0`, a float ball
 from one exact series, which `gamma0_bounded` (the same closed form in
@@ -42,7 +42,12 @@ the library computes no value through them.  Beta's closed form in them,
 `beta_gamma`, checks the library's integer series.  The exponential and
 rational power of exact balls, `bv_exp` and `bv_pow`, on which the Beta,
 `TSeries`, kernel and fractional-power references build, have no library
-reader.
+reader.  They and most references here compute in `RefBall`, the tests'
+reference ball: the library's exact record `approxcore.BoundedValue` with
+outward-rounded arithmetic in `Fraction`s at 120 bits (`DEFAULT_PREC`)
+and the integer square root `bv_sqrt`, independent of `floatball`, in
+which the certificate tests recompute Ctilde = M B1 and what is built on
+it.
 """
 
 import dataclasses
@@ -57,7 +62,7 @@ from mpmath import iv
 from mpmath.libmp import finf, fninf, to_rational
 
 from solenoid import nse
-from solenoid.approxcore import DEFAULT_PREC, BoundedValue, _split, bv_sqrt
+from solenoid.approxcore import BoundedValue, _join, _split
 from solenoid.floatball import (EPS, FB_PI, TINY, BallGrid, FloatBall,
                                 ball_matmul, fb_exp, fb_log, fb_pow, fb_sincos,
                                 fb_sqrt, grid_pow, grid_sincos_pi)
@@ -67,8 +72,164 @@ from solenoid.polyfield import RationalPoly2, gamma0
 from solenoid.spectral import _H1_ORDER, _H1_TOL, _PI2, FourierField, \
     _ab_grid, _bilinear, _h1_coeffs, _h1_edge_bound, \
     _panel_data, _trig_values, _weights
-from solenoid.stokes import _as_bv, _components, _emit, _gamma3_value, \
+from solenoid.stokes import _components, _emit, _gamma3_value, \
     _heat_factor, _l2_upper, contour_factors, tail_cutoff_l
+
+
+# ---------------------------------------------------------------------------
+# the reference ball: exact dyadic records with outward-rounded arithmetic
+# ---------------------------------------------------------------------------
+
+DEFAULT_PREC = 120
+
+
+class RefBall(BoundedValue):
+    """The tests' reference ball: the library's exact dyadic record
+    (`approxcore.BoundedValue`) with outward-rounded arithmetic in
+    ``Fraction``s, independent of `floatball`.
+
+    ``+``, ``-``, ``*``, ``/``, :meth:`widened` and :meth:`hull` round at
+    ``DEFAULT_PREC`` = 120 bits: the mantissas shrink to 120 bits and the
+    radius grows outward.  :meth:`rounded`, :meth:`scale` and the
+    constructors round at the ``prec`` they are given.  Any record is an
+    operand, on either side of a RefBall, and every result is a RefBall.
+    """
+
+    __slots__ = ()
+
+    # -- constructors -----------------------------------------------------
+
+    @classmethod
+    def of(cls, x: BoundedValue) -> "RefBall":
+        """A record, such as a library certificate's constant, as a
+        RefBall."""
+        return x if isinstance(x, cls) else cls(x.center, x.radius)
+
+    @classmethod
+    def from_fraction(cls, f: Fraction, prec: int = DEFAULT_PREC) -> "RefBall":
+        q = f.denominator
+        if q & (q - 1) == 0:
+            return cls(f)
+        return cls.from_endpoints(f, f, prec)
+
+    @classmethod
+    def from_endpoints(cls, lo: Fraction, hi: Fraction,
+                       prec: int = DEFAULT_PREC) -> "RefBall":
+        return super().from_endpoints(lo, hi, prec)
+
+    # -- views --------------------------------------------------------------
+
+    def overlaps(self, other: BoundedValue) -> bool:
+        return self.lower() <= other.upper() and other.lower() <= self.upper()
+
+    def mignitude(self) -> Fraction:
+        """Lower bound on |value| (zero if the interval straddles 0)."""
+        return max(abs(self.center) - self.radius, Fraction(0))
+
+    # -- rounding -----------------------------------------------------------
+
+    def rounded(self, prec: int = DEFAULT_PREC) -> "RefBall":
+        """The ball with center and radius mantissas of at most ``prec``
+        bits: the center rounds toward -inf, and the radius absorbs that
+        error and rounds up."""
+        c, r = self.center, self.radius
+        if c.numerator.bit_length() <= prec and \
+                r.numerator.bit_length() <= prec:
+            return self
+        cm, ce = _split(c)
+        s = abs(cm).bit_length() - prec
+        if s > 0:
+            c = _join(cm >> s, ce + s)  # floor toward -inf
+            r += _join(1, ce + s)       # rounding error < 2**(ce+s)
+        rm, re = _split(r)
+        s = rm.bit_length() - prec
+        if s > 0:
+            r = _join(-((-rm) >> s), re + s)  # ceil
+        return RefBall(c, r)
+
+    # -- arithmetic ----------------------------------------------------------
+
+    def __add__(self, other: BoundedValue) -> "RefBall":
+        return RefBall(self.center + other.center,
+                       self.radius + other.radius).rounded()
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "RefBall":
+        return RefBall(-self.center, self.radius)
+
+    def __sub__(self, other: BoundedValue) -> "RefBall":
+        return self + (-RefBall.of(other))
+
+    def __rsub__(self, other: BoundedValue) -> "RefBall":
+        return -self + other
+
+    def __mul__(self, other: BoundedValue) -> "RefBall":
+        c = self.center * other.center
+        r = (abs(self.center) * other.radius
+             + abs(other.center) * self.radius
+             + self.radius * other.radius)
+        return RefBall(c, r).rounded()
+
+    __rmul__ = __mul__
+
+    def scale(self, f, prec: int = DEFAULT_PREC) -> "RefBall":
+        """Multiply by an exact rational scalar."""
+        f = Fraction(f)
+        q = f.denominator
+        if q & (q - 1) == 0:  # dyadic scalar: exact fast path
+            return RefBall(self.center * f, self.radius * abs(f)).rounded(prec)
+        lo = self.lower() * f
+        hi = self.upper() * f
+        if lo > hi:
+            lo, hi = hi, lo
+        return RefBall.from_endpoints(lo, hi, prec)
+
+    def __truediv__(self, other: BoundedValue) -> "RefBall":
+        other = RefBall.of(other)
+        if other.mignitude() == 0:
+            raise ZeroDivisionError("divisor interval contains zero")
+        a, b = self.lower(), self.upper()
+        c, d = other.lower(), other.upper()
+        qs = (a / c, a / d, b / c, b / d)
+        return RefBall.from_endpoints(min(qs), max(qs))
+
+    def __rtruediv__(self, other: BoundedValue) -> "RefBall":
+        return RefBall.of(other) / self
+
+    def widened(self, extra: BoundedValue) -> "RefBall":
+        """Grow the radius by an upper bound of ``extra`` (which must be
+        >= 0)."""
+        return RefBall(self.center, self.radius + extra.mag()).rounded()
+
+    def hull(self, other: BoundedValue) -> "RefBall":
+        return RefBall.from_endpoints(min(self.lower(), other.lower()),
+                                      max(self.upper(), other.upper()))
+
+
+def bv_sqrt(x: BoundedValue, prec: int = DEFAULT_PREC) -> RefBall:
+    """Directed-rounded square root of a nonnegative enclosure."""
+    lo, hi = x.lower(), x.upper()
+    if hi < 0:
+        raise ValueError("sqrt of negative interval")
+    lo = max(lo, Fraction(0))
+
+    def root(f: Fraction, up: int) -> Fraction:
+        # sqrt(f) rounded down (up = 0) or up (up = 1) to a multiple of
+        # 1/(den 2^prec); exactly 0 at 0
+        if f == 0:
+            return Fraction(0)
+        s = math.isqrt((f.numerator * f.denominator) << (2 * prec))
+        return Fraction(s + up, f.denominator << prec)
+
+    return RefBall.from_endpoints(root(lo, 0), root(hi, 1), prec)
+
+
+def _as_bv(x) -> RefBall:
+    """A number or a record as a RefBall."""
+    if isinstance(x, BoundedValue):
+        return RefBall.of(x)
+    return RefBall.from_fraction(Fraction(x))
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +242,7 @@ def _iv_from_dyadic(d: Fraction):
     return iv.ldexp(iv.mpf(m), e)
 
 
-def _iv_from_bv(x: BoundedValue):
+def _iv_from_bv(x: RefBall):
     lo = _iv_from_dyadic(x.lower())
     hi = _iv_from_dyadic(x.upper())
     return lo + (hi - lo) * iv.mpf([0, 1])
@@ -94,13 +255,13 @@ def _mpf_tuple_to_fraction(t) -> Fraction:
     return Fraction(int(p), int(q))
 
 
-def _bv_from_iv(x, prec: int) -> BoundedValue:
+def _bv_from_iv(x, prec: int) -> RefBall:
     lo, hi = x._mpi_
-    return BoundedValue.from_endpoints(_mpf_tuple_to_fraction(lo),
+    return RefBall.from_endpoints(_mpf_tuple_to_fraction(lo),
                                        _mpf_tuple_to_fraction(hi), prec)
 
 
-def _iv_call(name: str, x: BoundedValue, prec: int) -> BoundedValue:
+def _iv_call(name: str, x: RefBall, prec: int) -> RefBall:
     """The enclosure of ``iv.<name>`` at x, worked at prec + 10 bits."""
     old = iv.prec
     try:
@@ -110,28 +271,28 @@ def _iv_call(name: str, x: BoundedValue, prec: int) -> BoundedValue:
         iv.prec = old
 
 
-def bv_log(x: BoundedValue, prec: int = DEFAULT_PREC) -> BoundedValue:
+def bv_log(x: RefBall, prec: int = DEFAULT_PREC) -> RefBall:
     if x.lower() <= 0:
         raise ValueError("log of interval touching zero")
     return _iv_call("log", x, prec)
 
 
-def bv_sin(x: BoundedValue, prec: int = DEFAULT_PREC) -> BoundedValue:
+def bv_sin(x: RefBall, prec: int = DEFAULT_PREC) -> RefBall:
     return _iv_call("sin", x, prec)
 
 
-def bv_cos(x: BoundedValue, prec: int = DEFAULT_PREC) -> BoundedValue:
+def bv_cos(x: RefBall, prec: int = DEFAULT_PREC) -> RefBall:
     return _iv_call("cos", x, prec)
 
 
-def bv_gamma(x: BoundedValue, prec: int = DEFAULT_PREC) -> BoundedValue:
+def bv_gamma(x: RefBall, prec: int = DEFAULT_PREC) -> RefBall:
     """Gamma function of a positive enclosure."""
     if x.lower() <= 0:
         raise ValueError("gamma needs a positive interval")
     return _iv_call("gamma", x, prec)
 
 
-def _iv_constant(name: str, prec: int) -> BoundedValue:
+def _iv_constant(name: str, prec: int) -> RefBall:
     # an mpmath constant is evaluated at the precision current when read
     old = iv.prec
     try:
@@ -141,16 +302,16 @@ def _iv_constant(name: str, prec: int) -> BoundedValue:
         iv.prec = old
 
 
-def bv_pi(prec: int = DEFAULT_PREC) -> BoundedValue:
+def bv_pi(prec: int = DEFAULT_PREC) -> RefBall:
     return _iv_constant("pi", prec)
 
 
-def bv_euler(prec: int = DEFAULT_PREC) -> BoundedValue:
+def bv_euler(prec: int = DEFAULT_PREC) -> RefBall:
     """Euler's constant gamma = 0.5772..."""
     return _iv_constant("euler", prec)
 
 
-def bv_e1_iv(x: Fraction, prec: int) -> BoundedValue:
+def bv_e1_iv(x: Fraction, prec: int) -> RefBall:
     """E_1(x) of an exact positive dyadic x by `approxcore.bv_e1`'s series,
     with Euler's gamma and ln x from mpmath's intervals: no 60-digit
     literal caps its precision."""
@@ -163,20 +324,20 @@ def bv_e1_iv(x: Fraction, prec: int) -> BoundedValue:
         tail = power * x / ((j + 1) * (j + 1))  # |term j + 1|
         if j + 1 > x and tail <= target:
             break
-    series = BoundedValue.from_endpoints(partial - tail, partial + tail, prec)
-    g, lg = bv_euler(prec), bv_log(BoundedValue.exact(x), prec)
+    series = RefBall.from_endpoints(partial - tail, partial + tail, prec)
+    g, lg = bv_euler(prec), bv_log(RefBall.exact(x), prec)
     # dyadic balls subtract exactly
-    return BoundedValue(series.center - g.center - lg.center,
+    return RefBall(series.center - g.center - lg.center,
                         series.radius + g.radius + lg.radius)
 
 
-def beta_gamma(x: Fraction, y: Fraction, k: int = 24) -> BoundedValue:
+def beta_gamma(x: Fraction, y: Fraction, k: int = 24) -> RefBall:
     """B(x, y) = Gamma(x) Gamma(y)/Gamma(x + y) (DLMF 5.12.1) in mpmath's
     outward interval arithmetic, at the precision `approxcore.beta` uses."""
     prec = max(80, k + 30)
 
-    def gamma(v: Fraction) -> BoundedValue:
-        return bv_gamma(BoundedValue.from_fraction(Fraction(v), prec), prec)
+    def gamma(v: Fraction) -> RefBall:
+        return bv_gamma(RefBall.from_fraction(Fraction(v), prec), prec)
 
     return (gamma(x) * gamma(y) / gamma(Fraction(x) + y)).rounded(prec)
 
@@ -185,19 +346,19 @@ def beta_gamma(x: Fraction, y: Fraction, k: int = 24) -> BoundedValue:
 # exp of exact balls and the kernel normalization in them
 # ---------------------------------------------------------------------------
 
-def bv_exp(x: BoundedValue, prec: int = DEFAULT_PREC) -> BoundedValue:
+def bv_exp(x: RefBall, prec: int = DEFAULT_PREC) -> RefBall:
     return _iv_call("exp", x, prec)
 
 
 @lru_cache(maxsize=None)
-def _e1_balls(prec: int) -> Tuple[BoundedValue, BoundedValue]:
+def _e1_balls(prec: int) -> Tuple[RefBall, RefBall]:
     """e^-1 and E_1(1) at ``prec`` bits: the two transcendentals of every
     kernel constant, past the library's 60-digit Euler constant."""
-    return bv_exp(BoundedValue.exact(-1), prec), bv_e1_iv(Fraction(1), prec)
+    return bv_exp(RefBall.exact(-1), prec), bv_e1_iv(Fraction(1), prec)
 
 
 @lru_cache(maxsize=None)
-def gamma0_bounded(kbits: int = 60) -> BoundedValue:
+def gamma0_bounded(kbits: int = 60) -> RefBall:
     """Normalizing constant of the bump kernel: the kernel mass without the
     constant is 8 J_0 with J_0 = (1/2) int_0^1 exp(-1/(1-u)) du, so
     gamma0 = 1/(8 J_0).
@@ -205,18 +366,18 @@ def gamma0_bounded(kbits: int = 60) -> BoundedValue:
     J_0 = E_2(1)/2, and E_2(1) = e^-1 - E_1(1) (DLMF 8.19.12).
     """
     e, e1 = _e1_balls(max(80, kbits + 30))
-    return BoundedValue.exact(1) / (e - e1).scale(4)
+    return RefBall.exact(1) / (e - e1).scale(4)
 
 
 # ---------------------------------------------------------------------------
 # rational powers of exact balls
 # ---------------------------------------------------------------------------
 
-def bv_pow(x: BoundedValue, q: Fraction, prec: int = DEFAULT_PREC) -> BoundedValue:
+def bv_pow(x: RefBall, q: Fraction, prec: int = DEFAULT_PREC) -> RefBall:
     """x**q for positive x and rational q, via exp(q log x) with exact cases."""
     q = Fraction(q)
     if q == 0:
-        return BoundedValue.exact(1)
+        return RefBall.exact(1)
     if q.denominator == 1 and 0 < q.numerator <= 64:
         out = x
         for _ in range(q.numerator - 1):
@@ -224,12 +385,12 @@ def bv_pow(x: BoundedValue, q: Fraction, prec: int = DEFAULT_PREC) -> BoundedVal
         return out
     if x.lower() <= 0:
         if x.lower() == 0 and x.upper() == 0 and q > 0:
-            return BoundedValue.exact(0)
+            return RefBall.exact(0)
         if x.lower() >= 0 and q > 0:
             # monotone power on [0, hi]: lower endpoint is exactly 0
-            hi = bv_pow(BoundedValue.from_endpoints(x.upper(), x.upper(), prec),
+            hi = bv_pow(RefBall.from_endpoints(x.upper(), x.upper(), prec),
                         q, prec)
-            return BoundedValue.from_endpoints(Fraction(0), hi.upper(), prec)
+            return RefBall.from_endpoints(Fraction(0), hi.upper(), prec)
         raise ValueError("power of interval touching zero with bad exponent")
     return bv_exp(bv_log(x, prec).scale(q), prec)
 
@@ -243,11 +404,11 @@ def _is_fb(x) -> bool:
 
 
 def _one(x):
-    return FloatBall(1.0) if _is_fb(x) else BoundedValue.exact(1)
+    return FloatBall(1.0) if _is_fb(x) else RefBall.exact(1)
 
 
 def _zero(x):
-    return FloatBall(0.0) if _is_fb(x) else BoundedValue.exact(0)
+    return FloatBall(0.0) if _is_fb(x) else RefBall.exact(0)
 
 
 def _scaled(x, f):
@@ -258,11 +419,11 @@ def _scaled(x, f):
 class TSeries:
     """Coefficients c[0..order] of sum c[j] (t - t0)^j, truncated.
 
-    Coefficients are `BoundedValue` or `FloatBall` balls; a function written
+    Coefficients are `RefBall` or `FloatBall` balls; a function written
     against TSeries is evaluated once around a panel midpoint (for the
     polynomial part) and once over the whole panel (for the Lagrange
     remainder coefficient).  Constants, exact scalings and the elementary
-    functions pick the `BoundedValue` or `FloatBall` form (`bv_*` or
+    functions pick the `RefBall` or `FloatBall` form (`bv_*` or
     `fb_*`) by the coefficient type.
     """
 
@@ -291,7 +452,7 @@ class TSeries:
         if isinstance(other, TSeries):
             return other
         if isinstance(other, (int, Fraction)):
-            other = BoundedValue.from_fraction(Fraction(other))
+            other = RefBall.from_fraction(Fraction(other))
         return TSeries.constant(other, self.order)
 
     # -- ring operations ----------------------------------------------------
@@ -398,7 +559,7 @@ class TSeries:
             for _ in range(q.numerator - 1):
                 out = out * self
             return out
-        if self.order == 0 and isinstance(self.c[0], BoundedValue):
+        if self.order == 0 and isinstance(self.c[0], RefBall):
             return TSeries([bv_pow(self.c[0], q)])
         return self.log().scale(q).exp()
 
@@ -408,7 +569,7 @@ class TSeries:
 # ---------------------------------------------------------------------------
 
 def taylor_panel_integral(f, lo: Fraction, hi: Fraction, order: int = 8,
-                          prec: int = DEFAULT_PREC) -> BoundedValue:
+                          prec: int = DEFAULT_PREC) -> RefBall:
     """Enclose the integral of ``f`` over one panel [lo, hi].
 
     ``f`` maps a TSeries in the integration variable to a TSeries.  Uses a
@@ -420,18 +581,18 @@ def taylor_panel_integral(f, lo: Fraction, hi: Fraction, order: int = 8,
     lo, hi = Fraction(lo), Fraction(hi)
     w = hi - lo
     if w == 0:
-        return BoundedValue.exact(0)
-    box = BoundedValue.from_endpoints(lo, hi, prec)
+        return RefBall.exact(0)
+    box = RefBall.from_endpoints(lo, hi, prec)
     try:
         g = f(TSeries.variable(box, order))
         mid = Fraction(lo + hi, 2)
-        pt = f(TSeries.variable(BoundedValue.from_fraction(mid, prec),
+        pt = f(TSeries.variable(RefBall.from_fraction(mid, prec),
                                 max(order - 1, 0)))
     except (ValueError, ZeroDivisionError, OverflowError):
         g0 = f(TSeries.variable(box, 0))
         return g0.c[0].scale(w, prec)
     h = w / 2
-    total = BoundedValue.exact(0)
+    total = RefBall.exact(0)
     hp = h  # h^(j+1)
     for j in range(order):
         if j % 2 == 0:
@@ -439,18 +600,18 @@ def taylor_panel_integral(f, lo: Fraction, hi: Fraction, order: int = 8,
         hp *= h
     # remainder: f_p(xi_t) (t-mid)^p integrated over the panel
     if order == 0:
-        rng = BoundedValue.exact(1)
+        rng = RefBall.exact(1)
     elif order % 2 == 0:
-        rng = BoundedValue.from_endpoints(Fraction(0), h ** order, prec)
+        rng = RefBall.from_endpoints(Fraction(0), h ** order, prec)
     else:
-        rng = BoundedValue.from_endpoints(-(h ** order), h ** order, prec)
+        rng = RefBall.from_endpoints(-(h ** order), h ** order, prec)
     total = total + (g.c[order] * rng).scale(w, prec)
     return total.rounded(prec)
 
 
 def certified_integral(f, a: Fraction, b: Fraction, target: Fraction,
                        max_panels: int = 20000, order: int = 8,
-                       prec: int = DEFAULT_PREC) -> BoundedValue:
+                       prec: int = DEFAULT_PREC) -> RefBall:
     """Enclose the integral of ``f`` over [a, b] by adaptive bisection.
 
     ``f`` is written against :class:`TSeries`; each panel is
@@ -461,7 +622,7 @@ def certified_integral(f, a: Fraction, b: Fraction, target: Fraction,
     if b < a:
         raise ValueError("reversed integration bounds")
     if a == b:
-        return BoundedValue.exact(0)
+        return RefBall.exact(0)
 
     counter = 0
     heap = []
@@ -488,13 +649,13 @@ def certified_integral(f, a: Fraction, b: Fraction, target: Fraction,
     if total_r > target:
         raise RuntimeError("quadrature did not meet target radius %s within "
                            "%d panels" % (target, max_panels))
-    out = BoundedValue.exact(0)
+    out = RefBall.exact(0)
     for _, _, _, _, contrib in heap:
         out = out + contrib
     return out.rounded(prec)
 
 
-def beta_quadrature(x: Fraction, y: Fraction, k: int = 24) -> BoundedValue:
+def beta_quadrature(x: Fraction, y: Fraction, k: int = 24) -> RefBall:
     """Enclose B(x, y) = int_0^1 (1-t)**(x-1) t**(y-1) dt with radius <= 2**-k
     by certified quadrature.
 
@@ -512,15 +673,15 @@ def beta_quadrature(x: Fraction, y: Fraction, k: int = 24) -> BoundedValue:
 
     def sliver(exp_inner: Fraction, exp_outer: Fraction, delta: Fraction):
         # integral over [0, delta] of t**(exp_inner-1) * (1-t)**(exp_outer-1)
-        base = bv_pow(BoundedValue.exact(delta), exp_inner, prec).scale(
+        base = bv_pow(RefBall.exact(delta), exp_inner, prec).scale(
             Fraction(1, 1) / exp_inner)
-        factor = bv_pow(BoundedValue.from_endpoints(1 - delta, Fraction(1), prec),
+        factor = bv_pow(RefBall.from_endpoints(1 - delta, Fraction(1), prec),
                         exp_outer - 1, prec)
         return base * factor
 
     lo_cut = Fraction(0)
     hi_cut = Fraction(1)
-    parts = BoundedValue.exact(0)
+    parts = RefBall.exact(0)
     if y < 1:
         delta = Fraction(1, 2)
         while True:
@@ -801,7 +962,7 @@ def _extended(f: FourierField) -> BallGrid:
     return BallGrid(c * w, np.where(bump, np.nextafter(r, np.inf), r))
 
 
-def _neg_profile_derivative(t: TSeries, nu: int, g0: BoundedValue) -> TSeries:
+def _neg_profile_derivative(t: TSeries, nu: int, g0: RefBall) -> TSeries:
     """-d/dr of the scaled radial profile gamma0 2^{2 nu} W((2^nu r)^2).
 
     Equals gamma0 2^{2 nu} * W * (2^{2 nu + 1} r) / (1 - (2^nu r)^2)^2.
@@ -816,14 +977,14 @@ def _neg_profile_derivative(t: TSeries, nu: int, g0: BoundedValue) -> TSeries:
         if c.lower() <= 0:
             hi = c.upper()
             if hi <= 0:
-                return TSeries([BoundedValue.exact(0)])
+                return TSeries([RefBall.exact(0)])
             # sup of exp(-1/v)/v^2 over (0, hi]: increasing until v = 1/2
             v = min(hi, Fraction(1, 2))
-            vb = BoundedValue.from_fraction(v)
-            peak = bv_exp(BoundedValue.exact(-1) / vb) / (vb * vb)
+            vb = RefBall.from_fraction(v)
+            peak = bv_exp(RefBall.exact(-1) / vb) / (vb * vb)
             rmax = t.c[0].mag()
             top = (g0 * peak).scale(four_nu * four_nu * 2 * rmax)
-            return TSeries([BoundedValue.from_endpoints(Fraction(0),
+            return TSeries([RefBall.from_endpoints(Fraction(0),
                                                         top.upper())])
     rec = u.reciprocal()
     wfac = (-rec).exp()
@@ -832,7 +993,7 @@ def _neg_profile_derivative(t: TSeries, nu: int, g0: BoundedValue) -> TSeries:
     return out * TSeries.constant(scal, t.order)
 
 
-def mollifier_mass(nu: int, kbits: int = 24) -> BoundedValue:
+def mollifier_mass(nu: int, kbits: int = 24) -> RefBall:
     """Mass of the scaled kernel by direct certified quadrature.
 
     Independent route from the panel-model moments: integrates
@@ -879,16 +1040,16 @@ def mollified_value(el, x: Fraction, y: Fraction, kbits: int = 14):
     x, y = Fraction(x), Fraction(y)
     hw = support_halfwidth(el)
     if abs(x) > hw or abs(y) > hw:
-        z = BoundedValue.exact(0)
+        z = RefBall.exact(0)
         return z, z
     return (_component_value(el, el.trimmed.q1, x, y, kbits),
             _component_value(el, el.trimmed.q2, x, y, kbits))
 
 
 def _component_value(el, q, x: Fraction, y: Fraction,
-                     kbits: int) -> BoundedValue:
+                     kbits: int) -> RefBall:
     if q.is_zero():
-        return BoundedValue.exact(0)
+        return RefBall.exact(0)
     nu = el.n
     beta = el.trimmed.beta
     delta = Fraction(1, 1 << nu)
@@ -902,7 +1063,7 @@ def _component_value(el, q, x: Fraction, y: Fraction,
             cuts.add(c)
     pts = sorted(cuts)
 
-    total = BoundedValue.exact(0)
+    total = RefBall.exact(0)
     budget = Fraction(1, 1 << kbits) / max(len(pts) - 1, 1)
     for a, b in zip(pts, pts[1:]):
         rm = Fraction(a + b, 2)
@@ -927,9 +1088,9 @@ def _panel_value(q, x, y, beta, a, b, regimes, nu, g0, budget):
     def axis_powers(t: TSeries, axis: int, top_degree: int):
         lo_clip, hi_clip = regimes[axis]
         c = centers[axis]
-        e0 = TSeries.constant(BoundedValue.from_fraction(-beta), t.order) \
+        e0 = TSeries.constant(RefBall.from_fraction(-beta), t.order) \
             if lo_clip else (-t) + c
-        e1 = TSeries.constant(BoundedValue.from_fraction(beta), t.order) \
+        e1 = TSeries.constant(RefBall.from_fraction(beta), t.order) \
             if hi_clip else t + c
         p0, p1 = e0, e1
         out = []
@@ -957,13 +1118,13 @@ def _panel_value(q, x, y, beta, a, b, regimes, nu, g0, budget):
             term = U[i] * w
             s = term if s is None else s + term
         if s is None:
-            return TSeries.constant(BoundedValue.exact(0), t.order)
+            return TSeries.constant(RefBall.exact(0), t.order)
         return prof * s
 
     return certified_integral(integrand, a, b, budget, order=6)
 
 
-def transform_small_x(x_bv: BoundedValue, with_rho: bool) -> FloatBall:
+def transform_small_x(x_bv: RefBall, with_rho: bool) -> FloatBall:
     """phi or psi of `spectral._window_grid` by certified quadrature
     in exact arithmetic; slow, and converges only for moderate x."""
     g0 = gamma0_bounded(60)
@@ -1020,7 +1181,7 @@ def _ab_tables(q: Fraction, top: int):
         prec = 140
         y = bv_pi(prec).scale(Fraction(q))
         s, c = bv_sin(y, prec), bv_cos(y, prec)
-        one = BoundedValue.exact(1)
+        one = RefBall.exact(1)
         cs = [s / y]
         sn = [(one - c) / y]
         for t in range(1, top + 1):
@@ -1105,7 +1266,7 @@ def _log2_moment_estimate(s: int) -> float:
     return (top + math.log(total)) / math.log(2)
 
 
-def gamma_radial_moment(s: int, kbits: int = 60) -> BoundedValue:
+def gamma_radial_moment(s: int, kbits: int = 60) -> RefBall:
     """J_s = (1/2) int_0^1 exp(-1/(1-u)) u^s du, certified to about 2^-kbits
     relative.
 
@@ -1125,7 +1286,7 @@ def gamma_radial_moment(s: int, kbits: int = 60) -> BoundedValue:
     for coeff, ball in zip((A, B), _e1_balls(prec)):
         ends = (coeff * ball.lower(), coeff * ball.upper())
         lo, hi = lo + min(ends), hi + max(ends)
-    return BoundedValue.from_endpoints(lo / 2, hi / 2, prec)
+    return RefBall.from_endpoints(lo / 2, hi / 2, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -1151,9 +1312,9 @@ def _w_panel_models(kbits: int):
         if b == 1:
             # W <= exp(-1/(1-a)) on [a,1]
             va = 1 - a
-            top = bv_exp(BoundedValue.from_fraction(-1 / va))
+            top = bv_exp(RefBall.from_fraction(-1 / va))
             if top.upper() <= target and b - a <= Fraction(1, 8):
-                panels.append(("range", a, b, BoundedValue.from_endpoints(
+                panels.append(("range", a, b, RefBall.from_endpoints(
                     Fraction(0), top.upper())))
                 continue
             mid = Fraction(a + b, 2)
@@ -1162,14 +1323,14 @@ def _w_panel_models(kbits: int):
             continue
         h = Fraction(b - a, 2)
         try:
-            box = BoundedValue.from_endpoints(a, b)
+            box = RefBall.from_endpoints(a, b)
             g = (-(1 - TSeries.variable(box, d)).reciprocal()).exp()
             rem = g.c[d]
             smooth = rem.mag() * h ** d <= target
         except (ValueError, ZeroDivisionError, OverflowError):
             smooth = False
         if smooth:
-            mid = BoundedValue.from_fraction(Fraction(a + b, 2))
+            mid = RefBall.from_fraction(Fraction(a + b, 2))
             pt = (-(1 - TSeries.variable(mid, d - 1)).reciprocal()).exp()
             panels.append(("taylor", a, b, pt.c, rem))
         else:
@@ -1189,7 +1350,7 @@ def _moments_upto(smax: int, kbits: int):
     balls (much cheaper than exact fractions for high powers) and reused for
     every moment order.
     """
-    totals = [BoundedValue.exact(0) for _ in range(smax + 1)]
+    totals = [RefBall.exact(0) for _ in range(smax + 1)]
     for panel in _w_panel_models(kbits):
         if panel[0] == "range":
             _, a, b, hullv = panel
@@ -1201,39 +1362,39 @@ def _moments_upto(smax: int, kbits: int):
         m = Fraction(a + b, 2)
         h = b - a
         jmax = smax + _W_ORDER
-        ba = BoundedValue.from_fraction(Fraction(a))
-        bb = BoundedValue.from_fraction(Fraction(b))
-        apw = [BoundedValue.exact(1)]
-        bpw = [BoundedValue.exact(1)]
+        ba = RefBall.from_fraction(Fraction(a))
+        bb = RefBall.from_fraction(Fraction(b))
+        apw = [RefBall.exact(1)]
+        bpw = [RefBall.exact(1)]
         for _ in range(jmax + 1):
             apw.append(apw[-1] * ba)
             bpw.append(bpw[-1] * bb)
         pw = [(bpw[j + 1] - apw[j + 1]).scale(Fraction(1, j + 1))
               for j in range(jmax + 1)]
-        mb = BoundedValue.from_fraction(-m)
-        mpow = [BoundedValue.exact(1)]
+        mb = RefBall.from_fraction(-m)
+        mpow = [RefBall.exact(1)]
         for _ in range(_W_ORDER):
             mpow.append(mpow[-1] * mb)
         hfac = Fraction(h, 2) ** _W_ORDER
         remw = rem.mag() * hfac
         for s in range(smax + 1):
-            acc = BoundedValue.exact(0)
+            acc = RefBall.exact(0)
             # int (u-m)^t u^s du through the binomial theorem
             for t, ct in enumerate(coeffs):
-                term = BoundedValue.exact(0)
+                term = RefBall.exact(0)
                 for i in range(t + 1):
                     term = term + (mpow[t - i] * pw[s + i]).scale(
                         math.comb(t, i))
                 acc = acc + ct * term
             # Lagrange remainder: |W - model| <= |rem| (h/2)^d on the panel
             slack = remw * pw[s].mag()
-            acc = acc.widened(BoundedValue.from_endpoints(-slack, slack))
+            acc = acc.widened(RefBall.from_endpoints(-slack, slack))
             totals[s] = totals[s] + acc
     return tuple(t.scale(Fraction(1, 2)).rounded() for t in totals)
 
 
 def _h1_series(t: TSeries, g0: FloatBall) -> TSeries:
-    one = TSeries.constant(g0.one(), t.order)
+    one = TSeries.constant(FloatBall(1.0), t.order)
     u = one - t * t
     rec = u.reciprocal()
     wf = (-rec).exp()
@@ -1246,7 +1407,7 @@ def _h1_range_bound(a: Fraction, g0: FloatBall) -> float:
     if vhi <= 0:
         return 0.0
     vb = FloatBall.exact(vhi)
-    peak = fb_exp(-(vb.one() / vb)) / (vb * vb)
+    peak = fb_exp(-(FloatBall(1.0) / vb)) / (vb * vb)
     return (g0 * FloatBall(2.0) * peak).upper()
 
 
@@ -1391,7 +1552,7 @@ def window_grid_tensor(nu: int, top: int):
 
 @lru_cache(maxsize=None)
 def mollifier_cos_coefficient(nu: int, n: int, m: int,
-                              kbits: int = 40) -> BoundedValue:
+                              kbits: int = 40) -> RefBall:
     """Enclosure of int gamma_nu(z) cos(n pi z1) cos(m pi z2) dz.
 
     Expands the cosines around zero and contracts against the closed-form
@@ -1416,7 +1577,7 @@ def mollifier_cos_coefficient(nu: int, n: int, m: int,
     jbits = ((jbits + 15) // 16) * 16  # quantize so the caches stay warm
     g0 = gamma0_bounded(jbits)
 
-    def plan(xv: BoundedValue) -> int:
+    def plan(xv: RefBall) -> int:
         # smallest P with x^(2P+2)/(2P+2)! below the truncation budget
         xm = xv.mag()
         term = Fraction(1)
@@ -1431,10 +1592,10 @@ def mollifier_cos_coefficient(nu: int, n: int, m: int,
     jtab = [gamma_radial_moment(s, jbits) for s in range(P + Q + 1)]
     x2 = x * x
     y2 = y * y
-    total = BoundedValue.exact(0)
-    xpow = BoundedValue.exact(1)  # x^{2p}/(2p)!
+    total = RefBall.exact(0)
+    xpow = RefBall.exact(1)  # x^{2p}/(2p)!
     for p in range(P + 1):
-        ypow = BoundedValue.exact(1)
+        ypow = RefBall.exact(1)
         for q in range(Q + 1):
             j = jtab[p + q]
             wgt = Fraction(1, 2 * p + 1) + Fraction(1, 2 * q + 1)
@@ -1457,13 +1618,13 @@ def mollifier_cos_coefficient(nu: int, n: int, m: int,
     def cosh_all(xv):
         xm = xv.mag()
         # crude upper bound on cosh(x)
-        e = bv_exp(BoundedValue.from_fraction(xm))
+        e = bv_exp(RefBall.from_fraction(xm))
         return e.mag()
     slack = j0u * (cosh_tail(x, P) * cosh_all(y) +
                    cosh_all(x) * cosh_tail(y, Q) +
                    cosh_tail(x, P) * cosh_tail(y, Q))
     return total.widened(
-        BoundedValue.from_endpoints(-slack, slack)).rounded()
+        RefBall.from_endpoints(-slack, slack)).rounded()
 
 
 def contour_semigroup(a, t, K: int):
@@ -1495,7 +1656,7 @@ def contour_semigroup(a, t, K: int):
     uniq, inv = np.unique(n[:, None] ** 2 + n[None, :] ** 2,
                           return_inverse=True)
     fc, fr, _ = contour_factors(uniq[1:], FloatBall.from_bounded(t), l)
-    fr = BallGrid(fc, fr).widened(FloatBall.from_bounded(g3).upper()).r
+    fr = BallGrid(fc, fr).widened(g3.upper()).r
     fac = BallGrid(np.append(1.0, fc), np.append(0.0, fr))[
         inv.reshape(cutoff + 1, -1)]
     return _emit([FourierField(f.basis, f.cutoff, f.grid
@@ -1577,7 +1738,7 @@ def mode_cutoff(t, a, l, K: int) -> int:
     return k
 
 
-def power_integral(s: int, alpha, k: int = 10) -> BoundedValue:
+def power_integral(s: int, alpha, k: int = 10) -> RefBall:
     """Certified value of int_0^inf t^{alpha-1} lam/(t+lam) dt, lam = pi^2 s.
 
     This is the integral representation of the fractional power before
@@ -1599,16 +1760,16 @@ def power_integral(s: int, alpha, k: int = 10) -> BoundedValue:
     # its value at t = delta
     delta = Fraction(1, 4)
     while True:
-        da = bv_pow(BoundedValue.exact(delta), alpha, prec).scale(1 / alpha)
+        da = bv_pow(RefBall.exact(delta), alpha, prec).scale(1 / alpha)
         head_hi = da.upper()
-        head_lo = (da * (lam / (lam + BoundedValue.exact(delta)))).lower()
+        head_lo = (da * (lam / (lam + RefBall.exact(delta)))).lower()
         if head_hi - head_lo <= target / 4:
             break
         delta /= 4
     # tail [T, inf): 0 <= integrand <= lam t^{alpha-2}
     T = Fraction(4)
     while True:
-        tail_hi = (bv_pow(BoundedValue.exact(T), alpha - 1, prec)
+        tail_hi = (bv_pow(RefBall.exact(T), alpha - 1, prec)
                    * lam).scale(1 / (1 - alpha)).upper()
         if tail_hi <= target / 4:
             break
@@ -1619,7 +1780,7 @@ def power_integral(s: int, alpha, k: int = 10) -> BoundedValue:
 
     mid = certified_integral(integrand, delta, T, target / 2, prec=prec,
                              max_panels=200000)
-    return BoundedValue.from_endpoints(head_lo + mid.lower(),
+    return RefBall.from_endpoints(head_lo + mid.lower(),
                                        head_hi + mid.upper() + tail_hi, prec)
 
 
@@ -1877,7 +2038,7 @@ def rounded_root_exponent(mx: Fraction, bound16: Fraction, g_sup: float,
     j = j0
     while True:
         T = Fraction(1, 2 ** j)
-        rootT = bv_sqrt(bv_sqrt(BoundedValue.exact(T)))
+        rootT = bv_sqrt(bv_sqrt(RefBall.exact(T)))
         lead = rootT.upper() * mx + nse._forcing_term(T, g_sup)
         if lead < bound16:
             break

@@ -28,7 +28,7 @@ from solenoid.spectral import (FourierField, SobolevName,
                                mollified_field_pair)
 from solenoid.stokes import frac_power_apply, semigroup_apply
 
-from oracles import contour_semigroup
+from oracles import RefBall, contour_semigroup
 
 EL = pf.mollify(pf.solenoidal_kernel(4)[0], 1, 2)
 
@@ -208,9 +208,10 @@ def test_criterion_06_horizon_certificates():
         eps = float(cert.epsilon.upper())
         eps_worst = max(eps_worst, eps)
         assert eps < 1
-        from solenoid.approxcore import BoundedValue
-        half_inv = (BoundedValue.exact(1) /
-                    cert.constants.Ctilde.scale(2)).lower()
+        # 1/(2 Ctilde), Ctilde = M B1 in the reference balls
+        ct = cert.constants
+        half_inv = (RefBall.exact(1) /
+                    (RefBall.of(ct.M) * ct.B1).scale(2)).lower()
         assert cert.K_cap.upper() < half_inv
         w = F(1)
         for wm in cert.w_m:

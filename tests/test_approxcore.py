@@ -15,12 +15,12 @@ from mpmath import mp
 
 from solenoid import approxcore
 from solenoid.approxcore import (
-    BoundedValue, ConstantsTable, Name, beta, bv_e1, bv_sqrt, gamma_tail,
+    BoundedValue, ConstantsTable, Name, beta, bv_e1, gamma_tail,
 )
 from solenoid.floatball import FloatBall
 
-from oracles import TSeries, beta_gamma, beta_quadrature, bv_pow, \
-    certified_integral
+from oracles import RefBall, TSeries, beta_gamma, beta_quadrature, bv_pow, \
+    bv_sqrt, certified_integral
 
 # frozen oracle values (40-digit mpmath)
 PI_SQRT2 = F("4.442882938158366247015880990060693698615")
@@ -63,7 +63,7 @@ class TestBallJson:
         assert (b.center, b.radius) == (96, 0)
 
     def test_parts_are_dyadic_fractions(self):
-        b = BoundedValue.from_fraction(F(1, 3)) * BoundedValue.exact(5)
+        b = RefBall.from_fraction(F(1, 3)) * BoundedValue.exact(5)
         for part in (b.center, b.radius, b.lower(), b.upper(), b.mag()):
             assert type(part) is F
             assert part.denominator & (part.denominator - 1) == 0
@@ -84,42 +84,45 @@ class TestBallJson:
 
 
 class TestBoundedValue:
+    """The arithmetic of the reference ball `oracles.RefBall`, whose
+    record is the library's `BoundedValue`."""
+
     @given(x=fractions, y=fractions)
     def test_enclosure_soundness_mul_add(self, x, y):
-        bx = BoundedValue.from_fraction(x)
-        by = BoundedValue.from_fraction(y)
+        bx = RefBall.from_fraction(x)
+        by = RefBall.from_fraction(y)
         assert (bx + by).contains(x + y)
         assert (bx * by).contains(x * y)
         assert (bx - by).contains(x - y)
 
     @given(x=fractions, y=fractions.filter(lambda f: abs(f) > F(1, 100)))
     def test_enclosure_soundness_div(self, x, y):
-        bx = BoundedValue.from_fraction(x)
-        by = BoundedValue.from_fraction(y)
+        bx = RefBall.from_fraction(x)
+        by = RefBall.from_fraction(y)
         assert (bx / by).contains(x / y)
 
     @given(x=fractions)
     def test_rounding_keeps_enclosure(self, x):
-        b = BoundedValue.from_fraction(x)
-        wide = b * BoundedValue.from_fraction(F(1, 3))
+        b = RefBall.from_fraction(x)
+        wide = b * RefBall.from_fraction(F(1, 3))
         assert wide.rounded(16).contains(x / 3)
 
     def test_expression_tree_oracle(self):
         # exact rational oracle on a fixed composite expression
         x, y, z = F(3, 7), F(-5, 11), F(9, 4)
-        bx, by, bz = (BoundedValue.from_fraction(v) for v in (x, y, z))
-        expr = (bx * by - bz) * (bx + by) / (bz * bz + BoundedValue.exact(1))
+        bx, by, bz = (RefBall.from_fraction(v) for v in (x, y, z))
+        expr = (bx * by - bz) * (bx + by) / (bz * bz + RefBall.exact(1))
         oracle = (x * y - z) * (x + y) / (z * z + 1)
         assert expr.contains(oracle)
 
     def test_sqrt(self):
-        s = bv_sqrt(BoundedValue.exact(2))
+        s = bv_sqrt(RefBall.exact(2))
         assert s.contains(F("1.41421356237309504880168872420969807857")) or \
             (s.lower() ** 2 <= 2 <= s.upper() ** 2)
         assert s.lower() ** 2 <= 2 <= s.upper() ** 2
 
     def test_pow_rational(self):
-        p = bv_pow(BoundedValue.exact(4), F(1, 2))
+        p = bv_pow(RefBall.exact(4), F(1, 2))
         assert p.contains(F(2))
 
 
@@ -127,7 +130,7 @@ class TestName:
     def _cauchy_name(self, limit: F) -> Name:
         def q(k):
             step = F(1, 3 * (1 << k))
-            return BoundedValue.from_endpoints(limit - step, limit + step)
+            return RefBall.from_endpoints(limit - step, limit + step)
         return Name(q)
 
     def test_dense_point_constant(self):
@@ -147,7 +150,7 @@ class TestName:
         # name of sum 2^-i built from partial sums with certified tail
         def q(k):
             s = sum(F(1, 1 << i) for i in range(1, k + 2))
-            return BoundedValue.from_endpoints(s, s + F(1, 1 << (k + 1)))
+            return RefBall.from_endpoints(s, s + F(1, 1 << (k + 1)))
         n = Name(q)
         oracle = F(1)
         for k in (0, 4, 10):
@@ -176,7 +179,7 @@ class TestQuadrature:
 
 class TestTaylorSeries:
     def test_certified_integral_frozen(self):
-        # TSeries picks bv_exp, bv_log, bv_sin and bv_cos for BoundedValue
+        # TSeries picks bv_exp, bv_log, bv_sin and bv_cos for RefBall
         # coefficients, and reproduces the results of the former type
         # switches bit for bit; the values are frozen from that route
         frozen = (
@@ -199,7 +202,7 @@ class TestTaylorSeries:
         log_half = F("-0.69314718055994530941723212145817656807550013436026")
         sin_half = F("0.47942553860420300027328793521557138808180336794060")
         cos_half = F("0.87758256189037271611628158260382965199164519710974")
-        for x in (BoundedValue.exact(F(1, 2)), FloatBall(0.5)):
+        for x in (RefBall.exact(F(1, 2)), FloatBall(0.5)):
             t = TSeries.variable(x, 3)
             assert t.c[1].contains(F(1)) and t.c[2].contains(F(0))
             assert t.reciprocal().c[0].contains(F(2))
@@ -213,7 +216,7 @@ class TestTaylorSeries:
             assert c.c[0].contains(cos_half) and s.c[1].contains(cos_half)
 
     def test_exp_coefficients(self):
-        t = TSeries.variable(BoundedValue.exact(0), 6)
+        t = TSeries.variable(RefBall.exact(0), 6)
         g = t.exp()
         fact = 1
         for k, c in enumerate(g.c):
@@ -222,21 +225,21 @@ class TestTaylorSeries:
             assert c.contains(F(1, fact))
 
     def test_log1p_coefficients(self):
-        t = TSeries.variable(BoundedValue.exact(1), 6)
+        t = TSeries.variable(RefBall.exact(1), 6)
         g = t.log()
         assert g.c[0].contains(F(0))
         for k in range(1, 7):
             assert g.c[k].contains(F((-1) ** (k + 1), k))
 
     def test_sincos_coefficients(self):
-        t = TSeries.variable(BoundedValue.exact(0), 5)
+        t = TSeries.variable(RefBall.exact(0), 5)
         s, c = t.sincos()
         assert s.c[0].contains(F(0)) and c.c[0].contains(F(1))
         assert s.c[1].contains(F(1)) and s.c[3].contains(F(-1, 6))
         assert c.c[2].contains(F(-1, 2)) and c.c[4].contains(F(1, 24))
 
     def test_reciprocal(self):
-        t = TSeries.variable(BoundedValue.exact(2), 4)
+        t = TSeries.variable(RefBall.exact(2), 4)
         g = t.reciprocal()
         for k in range(5):
             assert g.c[k].contains(F((-1) ** k, 2 ** (k + 1)))
@@ -257,7 +260,7 @@ class TestBeta:
     def test_symmetry_overlap(self):
         a = beta(F(2, 3), F(5, 4), 16)
         b = beta(F(5, 4), F(2, 3), 16)
-        assert a.overlaps(b)
+        assert RefBall.of(a).overlaps(b)
 
     def test_positivity(self):
         assert beta(F(3, 2), F(7, 3), 12).lower() > 0
@@ -278,7 +281,7 @@ class TestBeta:
         # quadrature route (kept cheap at k = 12)
         b = beta(x, F(1, 4))
         assert b.radius <= F(1, 1 << 24)
-        assert b.overlaps(beta_quadrature(x, F(1, 4), 12))
+        assert beta_quadrature(x, F(1, 4), 12).overlaps(b)
 
     def test_reflection_34_14_high_precision(self):
         # B(3/4,1/4) = pi sqrt 2 from mpmath at 200 bits, as a bracket of
@@ -296,11 +299,11 @@ class TestBeta:
         # in mpmath's interval arithmetic: they overlap, and the integer
         # series is no wider
         b, ref = beta(x, F(1, 4)), beta_gamma(x, F(1, 4))
-        assert b.overlaps(ref) and b.radius <= ref.radius
+        assert ref.overlaps(b) and b.radius <= ref.radius
 
     @pytest.mark.parametrize("x", [F(1, 2), F(3, 20)])
     def test_meets_high_precision(self, x):
-        # every k is honoured, past the 120 bits of BoundedValue arithmetic
+        # every k is honoured, past the reference balls' 120 bits
         with mp.workdps(250):
             ref = mp.beta(mp.mpf(x.numerator) / x.denominator, mp.mpf(1) / 4)
         for k in range(100, 201, 10):
@@ -399,6 +402,20 @@ class TestE1:
         with pytest.raises(ValueError):
             bv_e1(F(1, 3), 80)  # not dyadic
 
+    def test_refuses_what_the_literals_cannot_meet(self):
+        # the 60-digit gamma and ln 2 carry 10^-60 = 2^-199.3: past 197
+        # bits at x = 1 (and sooner for a larger binary exponent) the radius
+        # would silently miss 2^-prec
+        assert bv_e1(1, 197).radius <= F(7, 4) / (1 << 197)
+        for x, prec in ((1, 198), (1, 200), (F(1, 1 << 32), 193)):
+            with pytest.raises(ValueError, match="cannot meet radius"):
+                bv_e1(x, prec)
+        # gamma_tail asks for k + 30 bits
+        one = BoundedValue.exact(1)
+        assert gamma_tail(one, one, 160).upper() > 0
+        with pytest.raises(ValueError, match="cannot meet radius"):
+            gamma_tail(one, one, 170)
+
 
 class TestGammaTailSoundness:
     """gamma_tail encloses E_1(t |cos(3 pi/5)| l) from above, within 2^-k,
@@ -437,7 +454,7 @@ class TestGammaTailSoundness:
         self._check(F(123), F(1), 60)   # x ~ 38: heavy cancellation
 
     def test_balls_bound_at_their_lower_ends(self):
-        t = BoundedValue.from_fraction(F(1, 10))
+        t = RefBall.from_fraction(F(1, 10))
         l = BoundedValue(400, F(1, 4))
         g = gamma_tail(l, t, 24)
         ref, _ = _tail_ref(l.lower(), t.lower())
@@ -506,6 +523,36 @@ def test_no_module_imports_mpmath():
     assert not offenders, offenders
 
 
+def test_library_ball_record_has_no_arithmetic():
+    # one rounding model: the library's BoundedValue is an exact record and
+    # defines no arithmetic or rounding method (the reference arithmetic is
+    # `oracles.RefBall`), and no module defines DEFAULT_PREC or bv_sqrt
+    banned_methods = {"__add__", "__radd__", "__sub__", "__rsub__",
+                      "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                      "__neg__", "scale", "widened", "hull", "rounded"}
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "solenoid"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and node.name == "BoundedValue":
+                offenders += ["%s:%d BoundedValue.%s" % (path.name, f.lineno,
+                                                         f.name)
+                              for f in node.body
+                              if isinstance(f, ast.FunctionDef)
+                              and f.name in banned_methods]
+            elif isinstance(node, ast.FunctionDef) and node.name == "bv_sqrt":
+                offenders.append("%s:%d bv_sqrt" % (path.name, node.lineno))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                offenders += ["%s:%d %s" % (path.name, node.lineno, n.id)
+                              for t in targets for n in ast.walk(t)
+                              if isinstance(n, ast.Name)
+                              and n.id == "DEFAULT_PREC"]
+    assert not offenders, offenders
+    assert not [m for m in banned_methods if hasattr(BoundedValue, m)]
+
+
 def test_literals_within_their_error():
     # pi, ln 2 and Euler's constant against 80-digit mpmath
     with mp.workdps(80):
@@ -520,10 +567,11 @@ def test_contour_angle_closed_forms():
     with mp.workdps(60):
         cos, sin = mp.cos(3 * mp.pi / 5), mp.sin(3 * mp.pi / 5)
         for prec in (60, 80, 120, 170):
-            c, s = approxcore.contour_angle(prec)
-            assert _mp_of(c.lower()) <= cos <= _mp_of(c.upper()), prec
-            assert _mp_of(s.lower()) <= sin <= _mp_of(s.upper()), prec
-            assert max(c.radius, s.radius) <= F(1, 1 << (prec - 2)), prec
+            (c_lo, c_hi), (s_lo, s_hi) = approxcore.contour_angle(prec)
+            assert _mp_of(c_lo) <= cos <= _mp_of(c_hi), prec
+            assert _mp_of(s_lo) <= sin <= _mp_of(s_hi), prec
+            assert max(c_hi - c_lo, s_hi - s_lo) <= F(1, 1 << (prec - 1)), \
+                prec
 
 
 def test_public_names_defined_in_their_module():
@@ -610,10 +658,14 @@ class TestConstantsTable:
         assert ct.B1.contains(F("7.41629870920548767373540138878104018487"))
 
     def test_ctilde_recomputed(self):
-        # Ctilde = M B1, with no smoothing factor
+        # Ctilde = M B1, with no smoothing factor: the float-ball product
+        # bit for bit, overlapping the product in the reference balls
         for ct in (ConstantsTable.default(),
                    ConstantsTable(M=BoundedValue.exact(2))):
-            assert ct.Ctilde.to_json() == (ct.M * ct.B1).to_json()
+            got = ct.Ctilde
+            want = FloatBall.from_bounded(ct.M) * FloatBall.from_bounded(ct.B1)
+            assert (got.c, got.r) == (want.c, want.r)
+            assert (RefBall.of(ct.M) * ct.B1).overlaps(got.to_bounded())
 
     def test_positive_entries(self):
         ct = ConstantsTable.default()
@@ -665,7 +717,7 @@ class TestConstantsTable:
 
     @pytest.mark.parametrize("M", [BoundedValue.exact(0),
                                    BoundedValue.exact(-1),
-                                   BoundedValue.from_endpoints(F(-2), F(4))],
+                                   RefBall.from_endpoints(F(-2), F(4))],
                              ids=["zero", "negative", "straddles-zero"])
     def test_nonpositive_m_rejected(self, M):
         # M must have a positive lower end: Ctilde = M B1 divides the

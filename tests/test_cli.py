@@ -293,7 +293,7 @@ class TestHorizonAndSolve:
         # M must be positive
         {"M": BoundedValue.exact(0).to_json()},
         {"M": BoundedValue.exact(-1).to_json()},
-        {"M": BoundedValue.from_endpoints(F(-2), F(4)).to_json()}])
+        {"M": BoundedValue.from_endpoints(F(-2), F(4), 120).to_json()}])
     def test_constants_file_rejected(self, tmp_path, small_pair, table,
                                      capsys):
         override = tmp_path / "constants.json"

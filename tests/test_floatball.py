@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from solenoid.approxcore import BoundedValue
 from solenoid.floatball import (
     FB_LN2, FB_PI, FB_PI_2,
     BallGrid, FloatBall, ball_fold_convolve, ball_matmul, ceil_log2,
@@ -29,7 +28,7 @@ from solenoid.floatball import (_ATANH, _EXP, _SINCOS, TINY, _add_up,
                                 _atanh_series, _exp_series, _floored,
                                 _gamma, _sincos_series)
 
-from oracles import ball_convolve
+from oracles import RefBall, ball_convolve
 
 mp.mp.dps = 30
 
@@ -183,7 +182,7 @@ class TestBridge:
     @given(x=st.fractions(min_value=-100, max_value=100,
                           max_denominator=1 << 20))
     def test_round_trip_contains(self, x):
-        bv = BoundedValue.from_fraction(x)
+        bv = RefBall.from_fraction(x)
         fb = FloatBall.from_bounded(bv)
         assert fb.contains(x)
         assert fb.to_bounded().contains(x)

@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from solenoid import floatball, nse, stokes
 from solenoid import polyfield as pf
 from solenoid import spectral
-from solenoid.approxcore import BoundedValue, ConstantsTable, Name, bv_sqrt
+from solenoid.approxcore import BoundedValue, ConstantsTable, Name
 from solenoid.floatball import BallGrid, FloatBall
 from solenoid.helmholtz import VectorFieldName, divergence
 from solenoid.spectral import (FourierField, SobolevName,
@@ -32,8 +32,8 @@ from solenoid.stokes import frac_power_apply, frac_power_norm, semigroup_apply
 
 from oracles import (CellEngine, RecomputingCellEngine, WideCapEngine,
                      _axis_extension, _extended, axis_product_table,
-                     eval_ball, fraction_claim1_exponent, product_to_sum,
-                     rounded_root_exponent)
+                     RefBall, eval_ball, fraction_claim1_exponent,
+                     product_to_sum, rounded_root_exponent)
 
 EL = pf.mollify(pf.solenoidal_kernel(4)[0], 1, 2)
 CT = ConstantsTable.default()
@@ -397,11 +397,11 @@ class TestCertificate:
         assert c.epsilon.upper() < 1
 
     def test_cap_inequalities(self):
-        from solenoid.approxcore import BoundedValue
+        # against Ctilde = M B1 in the reference balls
         c = _cert()
-        one = BoundedValue.exact(1)
-        assert c.K_cap.upper() < (one / CT.Ctilde.scale(2)).lower()
-        assert c.k0.upper() < (one / CT.Ctilde.scale(8)).lower()
+        one, ctil = RefBall.exact(1), RefBall.of(CT.M) * CT.B1
+        assert c.K_cap.upper() < (one / ctil.scale(2)).lower()
+        assert c.k0.upper() < (one / ctil.scale(8)).lower()
 
     def test_claim_table_below_cap(self):
         c = _cert()
@@ -412,9 +412,10 @@ class TestCertificate:
 
     def test_epsilon_and_l_identities(self):
         c = _cert()
-        eps = CT.Ctilde * c.K_cap.scale(2)
+        # recomputed from M and B1 in the reference balls
+        eps = RefBall.of(CT.M) * CT.B1 * RefBall.of(c.K_cap).scale(2)
         assert abs(float(c.epsilon.upper()) - float(eps.upper())) < 1e-12
-        L = c.K_cap.scale(2) * CT.beta_value(F(3, 4), F(1, 4))
+        L = RefBall.of(c.K_cap).scale(2) * CT.beta_value(F(3, 4), F(1, 4))
         assert float(c.L.lower()) <= float(L.upper())
         assert float(L.lower()) <= float(c.L.upper())
 
@@ -423,7 +424,7 @@ class TestCertificate:
         m0 = {b: c.M_beta_m[b][0] for b in c.M_beta_m}
         for b in c.M_beta_m:
             for m in range(len(c.M_beta_m[b]) - 1):
-                nxt = m0[b] + CT.M * \
+                nxt = RefBall.of(m0[b]) + RefBall.of(CT.M) * \
                     c.M_beta_m[F(1, 4)][m] * c.M_beta_m[F(1, 2)][m] * \
                     CT.beta_value(F(3, 4) - b, F(1, 4))
                 got = c.M_beta_m[b][m + 1]
@@ -433,24 +434,37 @@ class TestCertificate:
     @pytest.mark.parametrize("M", [1, 2, F(3, 7)])
     def test_k_and_m_tables_one_recursion(self, M):
         # the K and M tables come from one recursion, and for any M both
-        # match bit for bit the reference below: a loop per table, each
-        # taking the product as x_{1/4} x_{1/2} M
-        ct = ConstantsTable(M=BoundedValue.from_fraction(F(M)))
+        # match bit for bit the float-ball reference below: a loop per
+        # table, each taking the product as x_{1/4} x_{1/2} M; each entry
+        # overlaps the same loops in the reference balls from M and B1
+        ct = ConstantsTable(M=RefBall.from_fraction(F(M)))
         c = nse.compute_horizon(EL, constants=ct, mode_cap=12)
         q, h = F(1, 4), F(1, 2)
-        K0 = BoundedValue.exact(1) / ct.Ctilde.scale(8)
-        K = {q: [K0], h: [K0]}
-        Mt = {b: [c.a_norm] for b in (q, h, F(3, 5))}
-        for m in range(8):
-            prod = K[q][m] * K[h][m] * ct.M
-            for b in (q, h):
-                K[b].append(K0 + ct.beta_value(1 - b - q, q) * prod)
-            prod = Mt[q][m] * Mt[h][m] * ct.M
-            for b in (q, h, F(3, 5)):
-                Mt[b].append(Mt[b][0] + ct.beta_value(F(3, 4) - b, q) * prod)
-        for got, ref in ((c.K_beta_m, K), (c.M_beta_m, Mt)):
-            assert {b: [v.to_json() for v in vs] for b, vs in got.items()} \
-                == {b: [v.to_json() for v in vs] for b, vs in ref.items()}
+        for bits, ball, one, times in (
+                (True, FloatBall.from_bounded, FloatBall(1.0),
+                 lambda x, f: x * FloatBall.exact(f)),
+                (False, RefBall.of, RefBall.exact(1), RefBall.scale)):
+            M_, B1 = ball(ct.M), ball(ct.B1)
+            K0 = one / times(M_ * B1, 8)
+            K = {q: [K0], h: [K0]}
+            Mt = {b: [ball(c.a_norm)] for b in (q, h, F(3, 5))}
+            for m in range(8):
+                prod = K[q][m] * K[h][m] * M_
+                for b in (q, h):
+                    K[b].append(K0 + ball(ct.beta_value(1 - b - q, q)) * prod)
+                prod = Mt[q][m] * Mt[h][m] * M_
+                for b in (q, h, F(3, 5)):
+                    Mt[b].append(Mt[b][0]
+                                 + ball(ct.beta_value(F(3, 4) - b, q)) * prod)
+            for got, ref in ((c.K_beta_m, K), (c.M_beta_m, Mt)):
+                if not bits:
+                    assert all(r.overlaps(v) for b, vs in got.items()
+                               for v, r in zip(vs, ref[b]))
+                    continue
+                assert {b: [v.to_json() for v in vs]
+                        for b, vs in got.items()} == \
+                    {b: [v.to_bounded().to_json() for v in vs]
+                     for b, vs in ref.items()}
 
     def test_w_recursion_fixed_point(self):
         c = _cert()
@@ -499,10 +513,12 @@ class TestClaim1Search:
     @staticmethod
     def _bound16(c):
         # compute_horizon's bound: 1/(16 Ctilde), less what the resolution
-        # floor seed_res takes from the 1/(8 Ctilde) total
-        one, ct = BoundedValue.exact(1), c.constants
-        return min((one / ct.Ctilde.scale(16)).lower(),
-                   (one / ct.Ctilde.scale(8)).lower() - c.seed_res)
+        # floor seed_res takes from the 1/(8 Ctilde) total, with Ctilde =
+        # M B1 in the reference balls
+        ct = c.constants
+        one, ctil = RefBall.exact(1), RefBall.of(ct.M) * ct.B1
+        return min((one / ctil.scale(16)).lower(),
+                   (one / ctil.scale(8)).lower() - c.seed_res)
 
     @staticmethod
     def _mx(c):
@@ -591,24 +607,30 @@ class TestClaim1Search:
             assert c.T_frac == F(1, 2 ** j), name
 
     def test_no_root_per_halving(self, monkeypatch):
-        # a warm horizon takes sqrt 2 and the fourth root at the chosen T,
-        # however many halvings its search makes; theta2 takes none
+        # a horizon takes at most the one fourth root at the chosen T,
+        # however many halvings its search makes, and a warm one at a j
+        # it has seen takes none; theta2 takes none
         z = (FourierField.zero("sc", 1), FourierField.zero("cs", 1))
         datums = ((EL, 12), (z, 24))
-        certs = [nse.compute_horizon(d, mode_cap=cap) for d, cap in datums]
-        assert certs[0].j_a - certs[1].j_a >= 20
         calls = []
-        real = nse.bv_sqrt
+        real = nse._iroot
 
         def counted(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(nse, "bv_sqrt", counted)
+        monkeypatch.setattr(nse, "_iroot", counted)
+        nse._quarter_root_upper.cache_clear()
+        certs = []
+        for d, cap in datums:
+            calls.clear()
+            certs.append(nse.compute_horizon(d, mode_cap=cap))
+            assert len(calls) == 1
+        assert certs[0].j_a - certs[1].j_a >= 20
         for d, cap in datums:
             calls.clear()
             nse.compute_horizon(d, mode_cap=cap)
-            assert len(calls) <= 3
+            assert not calls
         calls.clear()
         for c in certs:
             for k in range(4, 24):
@@ -706,18 +728,24 @@ class TestDatumFreeTables:
             assert c2.to_json()[key] != c1.to_json()[key], key
         # epsilon = 2 Ctilde K_cap from each certificate's own table; as
         # K_cap is proportional to 1/Ctilde, M cancels from epsilon's value
+        # (the float-ball product bit for bit, and inside the product of
+        # the reference balls from M and B1)
         for c, ct in ((c1, CT), (c2, ct2)):
+            kcap2 = FloatBall.from_bounded(c.K_cap) * FloatBall(2.0)
             assert c.epsilon.to_json() == \
-                (ct.Ctilde * c.K_cap.scale(2)).to_json()
+                (ct.Ctilde * kcap2).to_bounded().to_json()
+            ref = RefBall.of(ct.M) * ct.B1 * RefBall.of(c.K_cap).scale(2)
+            assert ref.overlaps(c.epsilon)
 
     def test_warm_element_counters(self, monkeypatch):
         # after one element at trim level 1, a new scaled element at that
         # level takes no trig values (the moment grids are cached) and only
-        # the two roots of its k0 lead
+        # the one fourth root of its k0 lead, which a second horizon at the
+        # same j reads from the cache
         base = pf.solenoidal_kernel(4)[0]
         nse.compute_horizon(pf.mollify(base.scale(F(5, 4)), 1, 2),
                             mode_cap=12)
-        counts = {"sincos": 0, "sqrt": 0}
+        counts = {"sincos": 0, "root": 0}
 
         def counted(mod, name, key):
             real = getattr(mod, name)
@@ -728,10 +756,12 @@ class TestDatumFreeTables:
             monkeypatch.setattr(mod, name, wrapper)
 
         counted(spectral, "grid_sincos_pi", "sincos")
-        counted(nse, "bv_sqrt", "sqrt")
-        nse.compute_horizon(pf.mollify(base.scale(F(-23, 16)), 1, 2),
-                            mode_cap=12)
-        assert counts == {"sincos": 0, "sqrt": 2}
+        counted(nse, "_iroot", "root")
+        nse._quarter_root_upper.cache_clear()
+        for _ in range(2):
+            nse.compute_horizon(pf.mollify(base.scale(F(-23, 16)), 1, 2),
+                                mode_cap=12)
+            assert counts == {"sincos": 0, "root": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -1281,8 +1311,7 @@ class TestSolve:
         certificate that the engine, the moduli and the depth choice read,
         as exact fractions."""
         ct = cert.constants
-        bvs = [ct.M, cert.epsilon, cert.L,
-               ct.M * ct.beta_value(F(3, 4), F(1, 4))]
+        bvs = [ct.M, cert.epsilon, cert.L, ct.beta_value(F(3, 4), F(1, 4))]
         return {(b.center, b.radius) for b in bvs}
 
     @pytest.mark.parametrize("datum", ["exact", "readme"])
@@ -1556,7 +1585,7 @@ class TestPressure:
         d = F(1, 256)
         pp = nse.pressure(u, None, nse.PressureQuery((x + d, y)), 12)
         pm = nse.pressure(u, None, nse.PressureQuery((x - d, y)), 12)
-        fd = float((pp - pm).upper()) / (2 * float(d))
+        fd = float((RefBall.of(pp) - pm).upper()) / (2 * float(d))
         hv = eval_ball(h1, x, y)
         # second-order finite-difference error: |h1''| <= (pi cut)^2 sup|h1|
         curv = (math.pi * h1.cutoff) ** 2 * h1.sup_upper()

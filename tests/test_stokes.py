@@ -135,7 +135,8 @@ class TestTailCutoff:
         t, norm, K = BoundedValue.exact(F(1, 4)), BoundedValue.exact(2), 8
         l = float(sk.tail_cutoff_l(t, norm, K).upper())
         g3 = sk._gamma3_value(l, t, K)
-        assert (g3 * norm).upper() <= F(1, 2 ** (K + 7))
+        assert (g3 * FloatBall.from_bounded(norm)).upper() <= \
+            F(1, 2 ** (K + 7))
 
 
 class TestResolvent:
@@ -245,7 +246,7 @@ class TestSemigroup:
         ones = tuple(FourierField(b, cut, BallGrid(np.ones((cut + 1,
                                                             cut + 1))))
                      for b in ("sc", "cs"))
-        out = sk.semigroup_apply(ones, BoundedValue.from_endpoints(F(0), hi),
+        out = sk.semigroup_apply(ones, oracles.RefBall.from_endpoints(F(0), hi),
                                  20)
         with mpmath.workdps(50):
             for f in out:
@@ -344,7 +345,7 @@ class TestDefaultRoute:
                        oracles.contour_semigroup(pair, t, K))
 
     def test_inside_contour_ball_at_interval_time(self):
-        t = BoundedValue.from_endpoints(F(1, 8), F(1, 8) + F(1, 2 ** 20))
+        t = oracles.RefBall.from_endpoints(F(1, 8), F(1, 8) + F(1, 2 ** 20))
         pair = _full_pair(6, 3)
         out = sk.semigroup_apply(pair, t, 12)
         _assert_inside(out, oracles.contour_semigroup(pair, t, 12))
@@ -357,7 +358,7 @@ class TestDefaultRoute:
     def test_wide_interval_time_at_cutoff_8(self):
         # lam t spans about 150 to 1600 at mode (8, 8) over t in [1/8, 5/4]:
         # the ball is the hull of the factors at the two ends of the time
-        t = BoundedValue.from_endpoints(F(1, 8), F(5, 4))
+        t = oracles.RefBall.from_endpoints(F(1, 8), F(5, 4))
         pair = _full_pair(8, 7)
         out = sk.semigroup_apply(pair, t, 12)
         _assert_inside(out, oracles.contour_semigroup(pair, t, 12))
@@ -381,7 +382,7 @@ class TestDefaultRoute:
         monkeypatch.setattr(sk, "contour_factors", contour)
         monkeypatch.setattr(sk, "tail_cutoff_l", contour)
         pair = _full_pair(4, 5)
-        t = BoundedValue.from_endpoints(F(1, 8), F(1, 8) + F(1, 2 ** 20))
+        t = oracles.RefBall.from_endpoints(F(1, 8), F(1, 8) + F(1, 2 ** 20))
         for tt in (F(1, 8), F(1, 10), t):
             sk.semigroup_apply(pair, tt, 12)
         sk.semigroup_apply(EL, F(1, 8), 8)
