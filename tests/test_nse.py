@@ -440,12 +440,11 @@ class TestCertificate:
         ct = ConstantsTable(M=RefBall.from_fraction(F(M)))
         c = nse.compute_horizon(EL, constants=ct, mode_cap=12)
         q, h = F(1, 4), F(1, 2)
-        for bits, ball, one, times in (
-                (True, FloatBall.from_bounded, FloatBall(1.0),
-                 lambda x, f: x * FloatBall.exact(f)),
-                (False, RefBall.of, RefBall.exact(1), RefBall.scale)):
-            M_, B1 = ball(ct.M), ball(ct.B1)
-            K0 = one / times(M_ * B1, 8)
+
+        def replay(ball):
+            one, eight = (ball(BoundedValue.exact(v)) for v in (1, 8))
+            M_ = ball(ct.M)
+            K0 = one / (M_ * ball(ct.B1) * eight)
             K = {q: [K0], h: [K0]}
             Mt = {b: [ball(c.a_norm)] for b in (q, h, F(3, 5))}
             for m in range(8):
@@ -456,15 +455,16 @@ class TestCertificate:
                 for b in (q, h, F(3, 5)):
                     Mt[b].append(Mt[b][0]
                                  + ball(ct.beta_value(F(3, 4) - b, q)) * prod)
-            for got, ref in ((c.K_beta_m, K), (c.M_beta_m, Mt)):
-                if not bits:
-                    assert all(r.overlaps(v) for b, vs in got.items()
-                               for v, r in zip(vs, ref[b]))
-                    continue
-                assert {b: [v.to_json() for v in vs]
-                        for b, vs in got.items()} == \
-                    {b: [v.to_bounded().to_json() for v in vs]
-                     for b, vs in ref.items()}
+            return K, Mt
+
+        fb_tabs = replay(FloatBall.from_bounded)
+        ref_tabs = replay(RefBall.of)
+        for got, fb, ref in zip((c.K_beta_m, c.M_beta_m), fb_tabs, ref_tabs):
+            assert {b: [v.to_json() for v in vs] for b, vs in got.items()} \
+                == {b: [v.to_bounded().to_json() for v in vs]
+                    for b, vs in fb.items()}
+            assert all(r.overlaps(v) for b, vs in got.items()
+                       for v, r in zip(vs, ref[b]))
 
     def test_w_recursion_fixed_point(self):
         c = _cert()
