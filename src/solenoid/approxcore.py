@@ -374,7 +374,8 @@ def gamma_tail(l, t, k: int = 24) -> BoundedValue:
     decreases, so :func:`bv_e1` at a dyadic lower bound of x (from the
     lower ends of t, l and |cos(3pi/5)|) bounds it for every t and l in
     the balls; the result is [0, that bound].  It asks `bv_e1` for
-    max(80, k + 30) bits, so a k past about 165 raises ValueError.
+    max(80, k + 30) bits, so a k past 167 raises ValueError (a smaller k
+    too when x is far from 1).
     """
     l_lo, t_lo = Fraction(l.lower()), Fraction(t.lower())
     if l_lo <= 0 or t_lo <= 0:
