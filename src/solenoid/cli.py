@@ -113,6 +113,9 @@ def _load_json(path: str) -> dict:
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(EXIT_PARSE, "parse",
                        "input %s unreadable: %s" % (path, exc))
+    if not isinstance(obj, dict):
+        raise CliError(EXIT_PARSE, "parse",
+                       "input %s is not a JSON object" % path)
     if obj.get("schema") != SCHEMA:
         raise CliError(EXIT_PARSE, "parse",
                        "input %s lacks the %r schema marker" % (path, SCHEMA))

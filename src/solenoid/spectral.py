@@ -24,7 +24,6 @@ boundary terms.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
@@ -577,61 +576,36 @@ def _h1_models() -> Tuple[np.ndarray, np.ndarray, BallGrid, np.ndarray]:
     return num.astype(object), den.astype(object), coef, rem
 
 
-_AB_TERMS = 12     # power-series terms of the A_t, B_t tables for y < 2
-_AB_DOWN = 60      # start T of their downward recurrence for y >= 2
+_AB_DOWN = 60      # start T of the downward A_t, B_t recurrence
 _MODE_BLOCK = 128  # modes per pass of `_window_grid`, bounding its arrays
 
 
-@lru_cache(maxsize=None)
-def _ab_series_coeffs(top: int) -> Tuple[Tuple[BallGrid, BallGrid], ...]:
-    """Exact balls of 1/((2j)! (t+2j+1)) and 1/((2j+1)! (t+2j+2)) over
-    t = 0..top, for j = 0.._AB_TERMS."""
-    t = range(top + 1)
-    return tuple(
-        (BallGrid.stack(FloatBall.exact(Fraction(
-            1, math.factorial(2 * j) * (u + 2 * j + 1))) for u in t),
-         BallGrid.stack(FloatBall.exact(Fraction(
-             1, math.factorial(2 * j + 1) * (u + 2 * j + 2))) for u in t))
-        for j in range(_AB_TERMS + 1))
-
-
-def _ab_series(y: BallGrid, top: int) -> Tuple[BallGrid, BallGrid]:
-    """A_t and B_t for y < 2 (y a column of balls): the alternating series
-    sum_j (-1)^j y^{2j}/((2j)! (t+2j+1)) and its sine partner.  Past j = 0
-    their terms decrease (y^2 < 12 <= (2j+1)(2j+2)), so the first omitted
-    one, below 2^24/24! < 3e-17, bounds the rest."""
-    y2 = y * y
-    ya, yb = y.one(), y          # y^{2j}, y^{2j+1}
-    for j, (ca, cb) in enumerate(_ab_series_coeffs(top)):
-        ta, tb = ya * ca, yb * cb
-        if j == 0:
-            acc_a, acc_b = ta, tb
-        elif j == _AB_TERMS:
-            return acc_a.widened(ta.mag()), acc_b.widened(tb.mag())
-        elif j % 2:
-            acc_a, acc_b = acc_a - ta, acc_b - tb
-        else:
-            acc_a, acc_b = acc_a + ta, acc_b + tb
-        ya, yb = ya * y2, yb * y2
-
-
-def _ab_parts(num, den, top: int) -> Tuple[BallGrid, BallGrid]:
-    """A_t and B_t at y = (num/den) pi >= 2 (integer arrays) by the parts
-    recurrence A_t = (sin y - t B_{t-1})/y, B_t = (t A_{t-1} - cos y)/y,
-    run upward from A_0 = sin y/y, B_0 = (1 - cos y)/y, and downward as
-    A_{t-1} = (cos y + y B_t)/t, B_{t-1} = (sin y - y A_t)/t from
-    |A_T|, |B_T| <= int_0^1 v^T = 1/(T+1) at T = _AB_DOWN.  An error made
-    at step k reaches step t upward times t!/(k! y^(t-k)) and downward
-    times y^(k-t) t!/k!, so upward is stable for t <= y and downward for
-    t >= y (Gautschi, SIAM Review 9, 1967).  Both are ball enclosures, so
-    each entry keeps the narrower one.  y, sin y and cos y are the balls
-    of `grid_pi_multiple` and `grid_sincos_pi`."""
+def _ab_grid(num, den, top: int) -> Tuple[BallGrid, BallGrid]:
+    """A_t = int_0^1 v^t cos(y v) dv and B_t = int_0^1 v^t sin(y v) dv for
+    t = 0..top along a new last axis, at y = (num/den) pi > 0 for integer
+    arrays num and den, by the parts recurrence A_t = (sin y - t B_{t-1})/y,
+    B_t = (t A_{t-1} - cos y)/y.  It runs upward from A_0 = sin y/y,
+    B_0 = (1 - cos y)/y, and downward as A_{t-1} = (cos y + y B_t)/t,
+    B_{t-1} = (sin y - y A_t)/t from |A_T|, |B_T| <= int_0^1 v^T = 1/(T+1)
+    at T = _AB_DOWN.  An error made at step k reaches step t upward times
+    t!/(k! y^(t-k)) and downward times y^(k-t) t!/k!, so upward is stable
+    for t <= y and downward for t >= y (Gautschi, SIAM Review 9, 1967).
+    Both are ball enclosures, so each entry keeps the narrower one; for y
+    far below 1 the upward balls overflow to inf or nan and the downward
+    ones are kept.  y, sin y and cos y are the balls of `grid_pi_multiple`
+    and `grid_sincos_pi`.  The window transforms of an element at cutoff
+    2048 read y <= 4096 pi / 256 < 51 (scale nu >= 3, panel denominators
+    >= 32), where absolute errors stay at the scale of the values.
+    """
+    num, den = np.broadcast_arrays(np.asarray(num, dtype=object),
+                                   np.asarray(den, dtype=object))
     y = grid_pi_multiple(num, den)
     s, c = grid_sincos_pi(num, den)
-    up = [(s / y, (c.one() - c) / y)]
-    for t in range(1, top + 1):
-        a, b = up[-1]
-        up.append(((s - b * t) / y, (a * t - c) / y))
+    with np.errstate(over="ignore", invalid="ignore"):
+        up = [(s / y, (c.one() - c) / y)]
+        for t in range(1, top + 1):
+            a, b = up[-1]
+            up.append(((s - b * t) / y, (a * t - c) / y))
     start = BallGrid(np.zeros(y.shape), _float_up(Fraction(1, _AB_DOWN + 1)))
     down = [(start, start)]
     for t in range(_AB_DOWN, 0, -1):
@@ -639,33 +613,7 @@ def _ab_parts(num, den, top: int) -> Tuple[BallGrid, BallGrid]:
         down.append(((c + y * b) / t, (s - y * a) / t))
     ua, ub, da, db = (BallGrid.stack(x, -1) for tables in
                       (up, down[::-1][:top + 1]) for x in zip(*tables))
-    return _keep(da.r < ua.r, da, ua), _keep(db.r < ub.r, db, ub)
-
-
-def _ab_grid(num, den, top: int) -> Tuple[BallGrid, BallGrid]:
-    """A_t = int_0^1 v^t cos(y v) dv and B_t = int_0^1 v^t sin(y v) dv for
-    t = 0..top along a new last axis, at y = (num/den) pi > 0 for integer
-    arrays num and den.
-
-    The power series serves y < 2 and the two-way parts recurrence
-    `_ab_parts` the rest, each keeping absolute errors at the scale of the
-    values.  The window transforms of an element at cutoff 2048 reach
-    y <= 4096 pi / 256 < 51 (scale nu >= 3, panel denominators >= 32).
-    """
-    num, den = np.broadcast_arrays(np.asarray(num, dtype=object),
-                                   np.asarray(den, dtype=object))
-    y = (num / den).astype(np.float64) * math.pi  # steering: regime pick
-    out = (BallGrid.zeros(num.shape + (top + 1,)),
-           BallGrid.zeros(num.shape + (top + 1,)))
-    small = y < 2.0
-    if small.any():
-        col = grid_pi_multiple(num[small], den[small])[:, None]
-        for g, part in zip(out, _ab_series(col, top)):
-            g.set(small, part)
-    if not small.all():
-        for g, part in zip(out, _ab_parts(num[~small], den[~small], top)):
-            g.set(~small, part)
-    return out
+    return _keep(ua.r < da.r, ua, da), _keep(ub.r < db.r, ub, db)
 
 
 @lru_cache(maxsize=1)

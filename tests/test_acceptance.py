@@ -6,14 +6,10 @@ the verdict before asserting so that the line appears in the captured
 output of failing tests as well.
 """
 
-import json
 import math
 import random
 import time
 from fractions import Fraction as F
-
-import numpy as np
-import pytest
 
 from solenoid import cli
 from solenoid import nse

@@ -10,7 +10,7 @@ import pathlib
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 from mpmath import mp
 
 from solenoid import approxcore
@@ -520,6 +520,37 @@ def test_no_module_imports_mpmath():
                 continue
             offenders += ["%s:%d %s" % (path.name, node.lineno, n)
                           for n in names if n.split(".")[0] == "mpmath"]
+    assert not offenders, offenders
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # no linter runs here, so this scan stands in for the unused-import
+    # check: every name an import binds in the library, the tests or the
+    # demos is read somewhere in its module (a name in __all__ counts as
+    # read; `from __future__` imports bind no name)
+    root = pathlib.Path(__file__).resolve().parents[1]
+    offenders = []
+    for path in sorted(p for d in ("src/solenoid", "tests", "demos")
+                       for p in (root / d).glob("*.py")):
+        bound, read = {}, set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                bound.update((a.asname or a.name.split(".")[0], node.lineno)
+                             for a in node.names)
+            elif isinstance(node, ast.ImportFrom) \
+                    and node.module != "__future__":
+                bound.update((a.asname or a.name, node.lineno)
+                             for a in node.names)
+            elif isinstance(node, ast.Name) \
+                    and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+                read.update(e.value for e in ast.walk(node.value)
+                            if isinstance(e, ast.Constant))
+        offenders += ["%s:%d %s" % (path.relative_to(root), line, name)
+                      for name, line in bound.items() if name not in read]
     assert not offenders, offenders
 
 

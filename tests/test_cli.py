@@ -351,6 +351,17 @@ class TestErrorHandling:
         bad.write_text(json.dumps({"kind": "pair"}))
         assert _run("project", "--input", str(bad)) == cli.EXIT_PARSE
 
+    @pytest.mark.parametrize("body", ["[]", '"x"', "3", "null"])
+    @pytest.mark.parametrize("command", ["project", "horizon"])
+    def test_parse_error_on_a_body_that_is_no_object(self, tmp_path, capsys,
+                                                     command, body):
+        # valid JSON that is not an object has no schema marker to read
+        bad = tmp_path / "bad.json"
+        bad.write_text(body)
+        assert _run(command, "--input", str(bad)) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("E:parse:") and "Traceback" not in err
+
     def test_parse_error_on_exp_basis(self, tmp_path):
         # the product trig bases are the only field bases
         field = FourierField.single_mode("ss", 1, 1).to_json()

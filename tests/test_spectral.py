@@ -12,6 +12,7 @@ import ast
 import json
 import math
 import pathlib
+import warnings
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -826,13 +827,15 @@ class TestMollifierGrid:
     @pytest.mark.parametrize("q", [F(1, 512), F(3, 5), F(5, 8), F(3, 2),
                                    F(9, 2), F(33, 2), F(17), F(129, 4),
                                    F(163, 256), F(11, 16), F(3),
-                                   F(4095, 256)])
+                                   F(4095, 256), F(1, 2 ** 100),
+                                   F(3, 2 ** 300)])
     def test_ab_tables_against_mpmath(self, q):
-        # y = q pi in both regimes: the series (y < 2) and the two-way
-        # recurrence (y >= 2, here up to y > 100; y = 163 pi/256 just above
-        # 2, where the upward pass amplifies most, and 4095 pi/256, the top
-        # of the nu = 3 range at cutoff 2048), against the power series
-        # summed at 150 digits
+        # y = q pi from 3 pi 2^-300 up to y > 100 through the one two-way
+        # recurrence: y far below 1, where the upward pass overflows and
+        # the downward one serves every order; y = 163 pi/256 just above 2,
+        # where the upward pass amplifies most; and 4095 pi/256, the top of
+        # the nu = 3 range at cutoff 2048; against the power series summed
+        # at 150 digits
         a, b = _ab_grid(np.array([q.numerator]), q.denominator, 12)
         with mp.workdps(150):
             for t in range(13):
@@ -847,21 +850,20 @@ class TestMollifierGrid:
 
     @pytest.mark.parametrize("nu", [2, 3])
     def test_ab_tables_over_the_window_range(self, nu):
-        # every (n, h_den 2^nu) with y >= 2 that _window_grid(nu, 4096)
-        # reads (19 447 at nu = 2) gives finite balls of radius <= 1e-14
-        # (the sine and cosine balls of y are within about 6e-16), and a
-        # seeded sample of them holds the 50-digit values
+        # every (n, h_den 2^nu) that _window_grid(nu, 4096) reads (28 672)
+        # gives finite balls of radius <= 1e-14 (the sine and cosine balls
+        # of y are within about 6e-16), and a seeded sample of them holds
+        # the 50-digit values
         kc, _, _, _, _, h_den, _ = spectral._panel_data()
         n = np.arange(1, 4097, dtype=object)
         den = (h_den * (1 << nu))[:, None]
         a, b = _ab_grid(n, den, kc.shape[1] - 1)
-        far = np.argwhere((n / den).astype(float) * math.pi >= 2.0)
         for g in (a, b):
-            rows = g[far[:, 0], far[:, 1]]
-            assert np.isfinite(rows.c).all() and np.isfinite(rows.r).all()
-            assert rows.r.max() <= 1e-14
+            assert np.isfinite(g.c).all() and np.isfinite(g.r).all()
+            assert g.r.max() <= 1e-14
         rng = np.random.default_rng(2039 + nu)
-        for h, i in far[rng.choice(len(far), 25, replace=False)]:
+        for k in rng.choice(a.c.shape[0] * a.c.shape[1], 25, replace=False):
+            h, i = np.unravel_index(k, a.c.shape[:2])
             q = F(int(n[i]), int(den[h, 0]))
             for t in rng.choice(kc.shape[1], 2, replace=False):
                 with mp.workdps(80):
@@ -871,6 +873,18 @@ class TestMollifierGrid:
                         c, r = mp.mpf(ball.c), mp.mpf(ball.r)
                         assert abs(c - part) <= r + mp.mpf(10) ** -50, \
                             (q, t)
+
+    @pytest.mark.parametrize("nu", [60, 120, 200, 511])
+    def test_window_tables_at_tiny_y(self, nu):
+        # y = n pi 2^-nu / H far below 1: the upward pass divides by y at
+        # every order and overflows, so each entry keeps the downward ball,
+        # and the overflow raises no warning (511 is the largest scale
+        # mollifier_mode_grid accepts); the uncached body runs each time
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            phi, psi = _window_grid.__wrapped__(nu, 24)
+        for g in (phi, psi):
+            assert np.isfinite(g.c).all() and np.isfinite(g.r).all(), nu
 
     def test_spectral_calls_no_bounded_value_function(self):
         # spectral computes in float balls: it calls none of approxcore's
