@@ -597,8 +597,6 @@ def _ab_grid(num, den, top: int) -> Tuple[BallGrid, BallGrid]:
     2048 read y <= 4096 pi / 256 < 51 (scale nu >= 3, panel denominators
     >= 32), where absolute errors stay at the scale of the values.
     """
-    num, den = np.broadcast_arrays(np.asarray(num, dtype=object),
-                                   np.asarray(den, dtype=object))
     y = grid_pi_multiple(num, den)
     s, c = grid_sincos_pi(num, den)
     with np.errstate(over="ignore", invalid="ignore"):
