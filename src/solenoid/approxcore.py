@@ -393,10 +393,12 @@ def gamma_tail(l, t, k: int = 24) -> BoundedValue:
 
 def _is_ball_json(obj) -> bool:
     """Whether obj has the form `BoundedValue.to_json` writes, with a
-    nonnegative radius."""
+    nonnegative radius and exponents |e| <= 2048, which cover every double
+    (-1074 <= e <= 971) and keep `_join`'s shift small."""
     def dyadic(d):
         if not (isinstance(d, dict) and set(d) == {"m", "e"}
-                and isinstance(d["m"], str) and type(d["e"]) is int):
+                and isinstance(d["m"], str) and type(d["e"]) is int
+                and abs(d["e"]) <= 2048):
             return None
         try:
             return int(d["m"])
@@ -426,11 +428,12 @@ class ConstantsTable:
     """
 
     def __init__(self, M=None):
+        from .floatball import FloatBall  # floatball imports this module
         self.M = M if M is not None else BoundedValue.exact(1)
-        if self.M.lower() <= 0:
-            raise ValueError("the bilinear constant M must be positive, "
-                             "not [%s, %s]" % (float(self.M.lower()),
-                                               float(self.M.upper())))
+        m = FloatBall.from_bounded(self.M)  # the ball every consumer reads
+        if m.lower() <= 0:
+            raise ValueError("the bilinear constant M must be positive as a "
+                             "double ball, not %r" % m)
         self.provenance = {"M": "configured" if M is not None else "default"}
         self._beta_cache: dict = {}
 
@@ -481,5 +484,5 @@ class ConstantsTable:
         if "M" in obj and not _is_ball_json(obj["M"]):
             raise ValueError('M must be a ball {"c": {"m": str, "e": int}, '
                              '"r": {"m": str, "e": int}} of integer strings '
-                             'm and a nonnegative radius')
+                             'm, |e| <= 2048 and a nonnegative radius')
         return cls(**{k: BoundedValue.from_json(v) for k, v in obj.items()})

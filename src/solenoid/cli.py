@@ -101,7 +101,8 @@ def _load_constants(args: argparse.Namespace) -> Optional[ConstantsTable]:
     try:
         with open(path) as fh:
             return ConstantsTable.from_json(json.load(fh))
-    except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, AttributeError, KeyError, TypeError, ValueError,
+            OverflowError) as exc:
         raise CliError(EXIT_PARSE, "parse",
                        "constants table %s unreadable: %s" % (path, exc))
 
@@ -135,7 +136,7 @@ def _load_field_input(args: argparse.Namespace):
             return FourierField.from_json(obj["field"])
         if kind == "element":
             return MollifiedElement.from_json(obj)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise CliError(EXIT_PARSE, "parse",
                        "malformed %r input: %s" % (kind, exc))
     except OverflowError:

@@ -1,9 +1,9 @@
 """Exact algebra of divergence-free, boundary-free polynomial fields.
 
 Everything structural here is exact rational arithmetic: the constraint
-system on coefficients, its nullspace, the enumeration of rational kernel
-points, and the trim rescaling.  Mollification is stored symbolically; its
-Fourier coefficients come from :mod:`solenoid.spectral`.  The radial
+system on coefficients, its nullspace and the enumeration of rational
+kernel points.  An element gamma_n * Trim_k p is its record (p, k, n);
+its Fourier coefficients come from :mod:`solenoid.spectral`.  The radial
 structure of the bump kernel (it depends on the coordinates only through
 max(|z1|,|z2|)) lets every integral against it collapse to one dimension:
 its normalization gamma0 = 1/(4 E_2(1)) is one exact series.
@@ -21,9 +21,9 @@ from .approxcore import _EULER, _LITERAL_ERR
 from .floatball import FloatBall, fb_sqrt
 
 __all__ = [
-    "RationalPoly2", "SolenoidalPolyPair", "TrimmedField", "MollifiedElement",
+    "RationalPoly2", "SolenoidalPolyPair", "MollifiedElement",
     "constraint_matrix", "kernel_basis", "matrix_rank", "solenoidal_kernel",
-    "enumerate_solenoidal_polys", "index_of_kernel_point", "trim", "mollify",
+    "enumerate_solenoidal_polys", "index_of_kernel_point", "mollify",
     "approximation_defect", "gamma0", "poly_name",
 ]
 
@@ -502,68 +502,6 @@ def index_of_kernel_point(N: int, coords: Sequence[Fraction]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# trim
-# ---------------------------------------------------------------------------
-
-class TrimmedField:
-    """Piecewise field: rescaled polynomials inside the closed box
-    [-(1-2^-k), 1-2^-k]^2, zero outside."""
-
-    __slots__ = ("base", "k", "beta", "_q")
-
-    def __init__(self, base: SolenoidalPolyPair, k: int):
-        if k < 1:
-            raise ValueError("trim index must be >= 1")
-        self.base = base
-        self.k = k
-        self.beta = 1 - Fraction(1, 1 << k)
-        self._q = None
-
-    def _rescaled(self) -> Tuple[RationalPoly2, RationalPoly2]:
-        """The base composed with x -> x/beta, built on first use: the
-        coefficient expansion composes the base itself, so an element that
-        only goes through it never builds these."""
-        if self._q is None:
-            s = 1 / self.beta
-            self._q = (self.base.p1.compose_affine(s, _F0, s, _F0),
-                       self.base.p2.compose_affine(s, _F0, s, _F0))
-        return self._q
-
-    @property
-    def q1(self) -> RationalPoly2:
-        return self._rescaled()[0]
-
-    @property
-    def q2(self) -> RationalPoly2:
-        return self._rescaled()[1]
-
-    def support_box(self):
-        return ((-self.beta, self.beta), (-self.beta, self.beta))
-
-    def component(self, j: int) -> RationalPoly2:
-        return self.q1 if j == 1 else self.q2
-
-    def __call__(self, x: Fraction, y: Fraction) -> Tuple[Fraction, Fraction]:
-        x, y = Fraction(x), Fraction(y)
-        if abs(x) <= self.beta and abs(y) <= self.beta:
-            return self.q1(x, y), self.q2(x, y)
-        return _F0, _F0
-
-    def divergence(self) -> RationalPoly2:
-        """Exact divergence of the interior polynomial part."""
-        return self.q1.deriv_x() + self.q2.deriv_y()
-
-    def l2_norm_sq(self) -> Fraction:
-        box = self.support_box()
-        return poly_inner_on_box(self.q1, self.q1, box) + \
-            poly_inner_on_box(self.q2, self.q2, box)
-
-
-def trim(p: SolenoidalPolyPair, k: int) -> TrimmedField:
-    return TrimmedField(p, k)
-
-
-# ---------------------------------------------------------------------------
 # the bump kernel's normalization
 # ---------------------------------------------------------------------------
 
@@ -593,7 +531,7 @@ class MollifiedElement:
     certified tails hold only for a divergence-free base that vanishes on
     its box's boundary."""
 
-    __slots__ = ("base", "k", "n", "trimmed")
+    __slots__ = ("base", "k", "n")
 
     def __init__(self, base: SolenoidalPolyPair, k: int, n: int):
         if k < 1:
@@ -606,10 +544,6 @@ class MollifiedElement:
         self.base = base
         self.k = k
         self.n = n
-        self.trimmed = TrimmedField(base, k)
-
-    def is_zero(self) -> bool:
-        return self.base.is_zero()
 
     def to_json(self) -> dict:
         return {"base": self.base.to_json(), "k": self.k, "n": self.n}
@@ -617,14 +551,25 @@ class MollifiedElement:
     @staticmethod
     def from_json(obj: dict) -> "MollifiedElement":
         return MollifiedElement(SolenoidalPolyPair.from_json(obj["base"]),
-                                int(obj["k"]), int(obj["n"]))
+                                _json_int(obj, "k"), _json_int(obj, "n"))
 
     def __repr__(self):
         return "MollifiedElement(N=%d, k=%d, n=%d)" % (
             self.base.N, self.k, self.n)
 
 
+def _json_int(obj: dict, key: str) -> int:
+    """obj[key], refused with ValueError unless it is a JSON integer: a
+    float, a bool or a string would load as some other record."""
+    v = obj[key]
+    if type(v) is not int:
+        raise ValueError("%s must be a JSON integer, not %r" % (key, v))
+    return v
+
+
 def mollify(p: SolenoidalPolyPair, k: int, n: int) -> MollifiedElement:
+    """gamma_n * Trim_k(p): with beta = 1 - 2^-k, Trim_k p is p(x/beta,
+    y/beta) on the closed box [-beta, beta]^2 and zero outside it."""
     return MollifiedElement(p, k, n)
 
 

@@ -35,8 +35,8 @@ from .floatball import (FB_PI, TINY, BallGrid, FloatBall, _float_up, _keep,
                         ball_fold_convolve, ball_matmul, ceil_log2, fb_exp,
                         fb_pow, fb_sqrt, grid_exp, grid_pi_multiple, grid_pow,
                         grid_sincos_pi)
-from .polyfield import (MollifiedElement, RationalPoly2, TrimmedField,
-                        gamma0, poly_inner_on_box)
+from .polyfield import (MollifiedElement, RationalPoly2, _json_int, gamma0,
+                        poly_inner_on_box)
 
 __all__ = [
     "FourierField", "trig_poly_field", "mollified_field_pair",
@@ -378,7 +378,7 @@ class FourierField:
             # keep exact zeros exact so band-limitedness survives the trip
             return FloatBall(0.0) if hi == 0 \
                 else FloatBall.from_endpoints(0.0, _float_up(hi))
-        n = int(obj["cutoff"]) + 1
+        n = _json_int(obj, "cutoff") + 1
         if n < 1 or any(len(g) != n or any(len(row) != n for row in g)
                         for g in (obj["re"], obj["rad"])):
             raise ValueError("need cutoff >= 0 and 're', 'rad' of cutoff + 1 "
@@ -804,17 +804,17 @@ def _root_tail(sq: float) -> FloatBall:
 # mollified elements -> coefficient fields
 # ---------------------------------------------------------------------------
 
-def _pullback_component(trimmed: TrimmedField, j: int) -> RationalPoly2:
-    """Trimmed component as a polynomial of the canonical variable: the
-    base component composed once with x -> (2x - 1)/beta, the trim's
-    x -> x/beta after the canonical x -> 2x - 1."""
-    base = trimmed.base.p1 if j == 1 else trimmed.base.p2
-    s, c = 2 / trimmed.beta, -1 / trimmed.beta
-    return base.compose_affine(s, c, s, c)
+def _pullback_component(elem: MollifiedElement, j: int) -> RationalPoly2:
+    """Trimmed component j as a polynomial of the canonical variable: the
+    base component composed once with x -> (2x - 1)/beta, beta = 1 - 2^-k,
+    the trim's x -> x/beta after the canonical x -> 2x - 1."""
+    base = elem.base.p1 if j == 1 else elem.base.p2
+    beta = 1 - Fraction(1, 1 << elem.k)
+    return base.compose_affine(2 / beta, -1 / beta, 2 / beta, -1 / beta)
 
 
-def _canonical_box(trimmed: TrimmedField):
-    lo = Fraction(1, 1 << (trimmed.k + 1))
+def _canonical_box(elem: MollifiedElement):
+    lo = Fraction(1, 1 << (elem.k + 1))
     return ((lo, 1 - lo), (lo, 1 - lo))
 
 
@@ -890,8 +890,8 @@ def _component_expansion(elem: MollifiedElement, j: int, basis: str,
                          cutoff: int):
     """Base expansion of one pulled-back trimmed component plus its L2 and
     H^1 Parseval defects (cached per element object)."""
-    box = _canonical_box(elem.trimmed)
-    q = _pullback_component(elem.trimmed, j)
+    box = _canonical_box(elem)
+    q = _pullback_component(elem, j)
     base = trig_poly_field(q, box, basis, cutoff)
     return (base,) + _defects(base, q, box, _component_h1_sq(q, box))
 

@@ -35,7 +35,9 @@ against the bound, `fraction_claim1_exponent` makes the root-free
 comparison in `Fraction`s.  The term-by-term `Fraction` loops
 `fraction_inner_on_box` and `fraction_compose_affine` check the exact
 integer Gram kernel `polyfield.poly_inner_on_box` and the integer affine
-composition `polyfield.RationalPoly2.compose_affine`.  mpmath's
+composition `polyfield.RationalPoly2.compose_affine`; the second also
+builds the trim's x -> x/beta form (`trimmed_form`), which the library
+does not keep.  mpmath's
 interval functions (`bv_log`, `bv_sin`, `bv_cos`, `bv_gamma`, `bv_pi`,
 through `_iv_call`) are the tests' independent transcendental reference:
 the library computes no value through them.  Beta's closed form in them,
@@ -1042,16 +1044,28 @@ def mollified_value(el, x: Fraction, y: Fraction, kbits: int = 14):
     if abs(x) > hw or abs(y) > hw:
         z = RefBall.exact(0)
         return z, z
-    return (_component_value(el, el.trimmed.q1, x, y, kbits),
-            _component_value(el, el.trimmed.q2, x, y, kbits))
+    beta, q1, q2 = trimmed_form(el)
+    return (_component_value(el, beta, q1, x, y, kbits),
+            _component_value(el, beta, q2, x, y, kbits))
 
 
-def _component_value(el, q, x: Fraction, y: Fraction,
+def trimmed_form(el):
+    """(beta, q1, q2) for the trim of a `MollifiedElement`: beta = 1 - 2^-k
+    and q_j = p_j(x/beta, y/beta), the field on [-beta, beta]^2 (zero
+    outside), composed by `fraction_compose_affine`.  The library keeps only
+    the record (base, k, n) and composes the base once with
+    x -> (2x - 1)/beta (`spectral._pullback_component`)."""
+    beta = 1 - Fraction(1, 1 << el.k)
+    s = 1 / beta
+    return (beta,) + tuple(fraction_compose_affine(p, s, 0, s, 0)
+                           for p in (el.base.p1, el.base.p2))
+
+
+def _component_value(el, beta: Fraction, q, x: Fraction, y: Fraction,
                      kbits: int) -> RefBall:
     if q.is_zero():
         return RefBall.exact(0)
     nu = el.n
-    beta = el.trimmed.beta
     delta = Fraction(1, 1 << nu)
     g0 = gamma0_bounded(kbits + 20)
 

@@ -774,6 +774,31 @@ class TestConstantsTable:
                            r'\{"m": str, "e": int\}, "r": '):
             ConstantsTable.from_json({"M": M})
 
+    @pytest.mark.parametrize("e", [2049, -2049, 10 ** 11])
+    def test_exponent_past_the_doubles_rejected(self, monkeypatch, e):
+        # the exponents of doubles lie in [-1074, 971]; one past 2048 is
+        # refused before `_join` shifts by it
+        monkeypatch.setattr(approxcore, "_join", None)
+        for part in ("c", "r"):
+            M = {"c": {"m": "1", "e": 0}, "r": {"m": "0", "e": 0}}
+            M[part]["e"] = e
+            with pytest.raises(ValueError, match=r"\|e\| <= 2048"):
+                ConstantsTable.from_json({"M": M})
+
+    @pytest.mark.parametrize("M", [
+        BoundedValue(F(1, 1 << 2000)),
+        BoundedValue(F(1, 1 << 1075) + F(1, 1 << 1100))],
+        ids=["below-the-subnormals", "next-to-the-least-subnormal"])
+    def test_m_whose_double_ball_reaches_zero_rejected(self, M):
+        # positive as an exact record, but every consumer reads M as its
+        # nearest-double ball, whose lower end is 0
+        assert M.lower() > 0
+        assert FloatBall.from_bounded(M).lower() <= 0
+        with pytest.raises(ValueError, match="M must be positive"):
+            ConstantsTable(M=M)
+        with pytest.raises(ValueError, match="M must be positive"):
+            ConstantsTable.from_json({"M": M.to_json()})
+
     @pytest.mark.parametrize("body", [[1], "CM", 2, None])
     def test_non_object_table_rejected(self, body):
         with pytest.raises(ValueError, match="is a JSON object"):

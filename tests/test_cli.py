@@ -19,7 +19,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from solenoid import cli, helmholtz
+from solenoid import approxcore, cli, helmholtz
 from solenoid import polyfield as pf
 from solenoid import spectral
 from solenoid.approxcore import BoundedValue, ConstantsTable
@@ -472,6 +472,88 @@ class TestRefusedInputs:
         assert _run("basis", "--count", "-3") == cli.EXIT_PRECONDITION
         err = capsys.readouterr().err
         assert "count must be nonnegative" in err and "Traceback" not in err
+
+
+def _edited_input(tmp_path, edit):
+    """The mode-11 pair, or for an ``edit`` on "base" or "k"/"n" the README
+    element, as a JSON input changed by ``edit``."""
+    obj = _mode_pair_json(1, 1, 1.0, -1.0)
+    if edit[0] in ("base", "k", "n"):
+        elem = pf.mollify(pf.solenoidal_kernel(4)[0], 1, 2)
+        obj = dict(elem.to_json(), kind="element", schema=cli.SCHEMA)
+    *keys, value = edit
+    target = obj
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+class TestRefusedEntries:
+    """Entries that name no number or no integer are refused as malformed
+    (exit 2, a message and no traceback), not crashed on or read as some
+    other input: "1/0" raised ZeroDivisionError out of `Fraction`, and
+    `int()` read a cutoff 1.7, true or "1" as 1 and an element's n = 2.5
+    as 2."""
+
+    @pytest.mark.parametrize("edit", [
+        ("u1", "re", 1, 1, "1/0"), ("u2", "rad", 0, 1, "1/0"),
+        ("u1", "tail_l2", "1/0"), ("u2", "tail_hs", {"1/2": "1/0"}),
+        ("base", "a1", 0, 1, "1/0")],
+        ids=["re", "rad", "tail_l2", "tail_hs", "base"])
+    def test_zero_denominator(self, tmp_path, capsys, edit):
+        code = _run("project", "--input", _edited_input(tmp_path, edit))
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_PARSE, err
+        assert err.startswith("E:parse: malformed") and "Traceback" not in err
+
+    @pytest.mark.parametrize("edit", [
+        ("u1", "cutoff", 1.7), ("u1", "cutoff", 1.0), ("u2", "cutoff", True),
+        ("u2", "cutoff", "1"), ("k", 1.5), ("k", True), ("k", "1"),
+        ("n", 2.5), ("n", 2.0), ("n", "2")],
+        ids=["cutoff-1.7", "cutoff-1.0", "cutoff-true", "cutoff-str",
+             "k-1.5", "k-true", "k-str", "n-2.5", "n-2.0", "n-str"])
+    @pytest.mark.parametrize("command", ["project", "horizon"])
+    def test_integer_that_is_no_json_integer(self, tmp_path, capsys,
+                                             command, edit):
+        code = _run(command, "--input", _edited_input(tmp_path, edit))
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_PARSE, err
+        assert err.startswith("E:parse: malformed") and \
+            "must be a JSON integer" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("M, message", [
+        # the shift by 2^100000000000 would need about 12.5 GB
+        ({"c": {"m": "1", "e": 100000000000}, "r": {"m": "0", "e": 0}},
+         "|e| <= 2048"),
+        ({"c": {"m": "1", "e": 0}, "r": {"m": "1", "e": -5000}},
+         "|e| <= 2048"),
+        # positive as an exact record, but its nearest-double ball reaches
+        # 0, and 1/(8 Ctilde) divided by it
+        ({"c": {"m": "1", "e": -2000}, "r": {"m": "0", "e": 0}},
+         "M must be positive as a double ball"),
+        # past the double range
+        ({"c": {"m": "1", "e": 2048}, "r": {"m": "0", "e": 0}},
+         "unreadable")],
+        ids=["huge-exponent", "tiny-radius-exponent", "tiny", "huge"])
+    def test_m_outside_the_doubles(self, tmp_path, small_pair, capsys,
+                                   monkeypatch, M, message):
+        join = approxcore._join
+
+        def bounded_join(m, e):
+            # a refused exponent must not reach the shift
+            assert abs(e) <= 2048, e
+            return join(m, e)
+        monkeypatch.setattr(approxcore, "_join", bounded_join)
+        override = tmp_path / "constants.json"
+        override.write_text(json.dumps({"M": M}))
+        assert _run("horizon", "--input", small_pair, "--constants",
+                    str(override)) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("E:parse:") and message in err
+        assert "Traceback" not in err
 
 
 class TestSelftest:

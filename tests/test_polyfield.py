@@ -7,6 +7,8 @@ integration for convolutions, and a frozen 40-digit value for the kernel
 normalization.
 """
 
+import ast
+import pathlib
 import random
 from fractions import Fraction as F
 from functools import lru_cache
@@ -21,17 +23,18 @@ from solenoid.polyfield import (
     MollifiedElement, RationalPoly2, SolenoidalPolyPair, approximation_defect,
     constraint_matrix, enumerate_solenoidal_polys, gamma0,
     index_of_kernel_point, kernel_basis, matrix_rank, mollify,
-    poly_inner_on_box, poly_name, solenoidal_kernel, trim,
+    poly_inner_on_box, poly_name, solenoidal_kernel,
 )
 from solenoid.polyfield import _row_reduce
 from solenoid.floatball import FloatBall
-from solenoid.spectral import _component_h1_sq
+from solenoid.spectral import (_canonical_box, _component_h1_sq,
+                               _pullback_component)
 from solenoid import polyfield as pf
 from oracles import (RefBall, _moments_upto, dense_row_reduce,
                      fraction_compose_affine, fraction_inner_on_box,
                      gamma0_bounded, gamma_radial_moment, mollified_value,
                      mollifier_cos_coefficient, mollifier_mass, sup_bound,
-                     support_halfwidth)
+                     support_halfwidth, trimmed_form)
 
 # frozen oracle (40-digit quadrature of the kernel normalization)
 GAMMA0 = F("1.683552623428849090226069715040108371621")
@@ -255,37 +258,97 @@ class TestEnumeration:
             enumerate_solenoidal_polys(-1)
 
 
+def _pulled_back(pair, k):
+    """The element gamma_{k+1} * Trim_k(pair), its trim's box on the
+    canonical square, and its two pulled-back components."""
+    el = mollify(pair, k, k + 1)
+    return el, _canonical_box(el), (_pullback_component(el, 1),
+                                    _pullback_component(el, 2))
+
+
 class TestTrim:
+    """Trim_k p is p(x/beta, y/beta) on [-beta, beta]^2 and zero outside,
+    beta = 1 - 2^-k.  The library carries it only as the pulled-back pair
+    on the canonical box: the base composed with x -> (2x - 1)/beta, on
+    [2^-(k+1), 1 - 2^-(k+1)]^2."""
+
     def test_substitution_example(self):
-        # p1 = x rescaled with k=1: value at (1/4, 0) is p1(1/2, 0) = 1/2
-        pr = SolenoidalPolyPair(RationalPoly2([[F(0)], [F(1)]]),
-                                RationalPoly2.zero())
-        tf = trim(pr, 1)
-        assert tf(F(1, 4), F(0)) == (F(1, 2), F(0))
+        # k = 1: the trim's value at (1/4, 0) is p(1/2, 0), and (1/4, 0)
+        # lands on (5/8, 1/2) in the canonical square
+        pair = solenoidal_kernel(4)[0]
+        _, _, (q1, q2) = _pulled_back(pair, 1)
+        assert (q1(F(5, 8), F(1, 2)), q2(F(5, 8), F(1, 2))) == \
+            (pair.p1(F(1, 2), F(0)), pair.p2(F(1, 2), F(0)))
+        rng = random.Random(2027)
+        for k in (1, 2, 3):
+            beta = 1 - F(1, 1 << k)
+            _, _, qs = _pulled_back(pair, k)
+            for _ in range(10):
+                x, y = (F(rng.randint(-64, 64), 64) * beta for _ in "xy")
+                for q, p in zip(qs, (pair.p1, pair.p2)):
+                    assert q((x + 1) / 2, (y + 1) / 2) == p(x / beta, y / beta)
 
     def test_zero_outside_and_on_inner_boundary(self):
         pair = solenoidal_kernel(4)[0]
         for k in (1, 2):
-            tf = trim(pair, k)
-            beta = tf.beta
-            # outside the box
-            assert tf(beta + F(1, 100), F(0)) == (F(0), F(0))
-            # on the box edge the rescaled polynomial hits the zero boundary
-            for y in (F(0), F(1, 3), -beta):
-                assert tf(beta, y) == (F(0), F(0))
-                assert tf(y, -beta) == (F(0), F(0))
+            beta = 1 - F(1, 1 << k)
+            _, box, qs = _pulled_back(pair, k)
+            # the box is the image of [-beta, beta]^2, outside which the
+            # trim is zero: the expansion integrates over it alone
+            assert box == (((1 - beta) / 2, (1 + beta) / 2),) * 2
+            (lo, hi), _ = box
+            # on the box edge the pulled-back pair hits the zero boundary:
+            # N + 2 zeros of a degree-N polynomial along each edge
+            ts = [lo + (hi - lo) * F(i, pair.N + 1)
+                  for i in range(pair.N + 2)]
+            for q in qs:
+                for t in ts:
+                    assert q(lo, t) == q(hi, t) == q(t, lo) == q(t, hi) == 0
 
     def test_divergence_exact_zero(self):
+        # both components are composed with one map of slope 2/beta, so
+        # every first derivative is the base's scaled by 2/beta and the
+        # divergence stays exactly zero
         pair = enumerate_solenoidal_polys(12)
-        tf = trim(pair, 2)
-        assert tf.divergence().is_zero()
-        (e1, e2), (x, y) = _sympy_pair(
-            SolenoidalPolyPair(tf.q1, tf.q2))
+        _, _, (q1, q2) = _pulled_back(pair, 2)
+        beta = F(3, 4)
+        s, c = 2 / beta, -1 / beta
+        assert q1.deriv_x() == fraction_compose_affine(
+            pair.p1.deriv_x(), s, c, s, c).scale(s)
+        assert q2.deriv_y() == fraction_compose_affine(
+            pair.p2.deriv_y(), s, c, s, c).scale(s)
+        assert (q1.deriv_x() + q2.deriv_y()).is_zero()
+        (e1, e2), (x, y) = _sympy_pair(SolenoidalPolyPair(q1, q2))
         assert sp.expand(sp.diff(e1, x) + sp.diff(e2, y)) == 0
 
     def test_k_zero_rejected(self):
-        with pytest.raises(ValueError):
-            trim(solenoidal_kernel(4)[0], 0)
+        with pytest.raises(ValueError, match="trim index"):
+            mollify(solenoidal_kernel(4)[0], 0, 2)
+
+
+def test_no_trimmed_form_in_the_library():
+    # an element is its record (base, k, n): no module defines or imports
+    # a second, rescaled form of it
+    gone = {"TrimmedField", "trim"}
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "solenoid"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.asname or a.name for a in node.names] + \
+                    [a.name for a in node.names]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets
+                         if isinstance(t, ast.Name)]
+            else:
+                continue
+            offenders += ["%s:%d %s" % (path.name, node.lineno, n)
+                          for n in set(names) & gone]
+    assert not offenders, offenders
+    assert MollifiedElement.__slots__ == ("base", "k", "n")
+    assert not hasattr(pf, "TrimmedField") and not hasattr(pf, "trim")
 
 
 class TestGramKernel:
@@ -362,18 +425,21 @@ class TestGramKernel:
                 fraction_inner_on_box(pair.p1, pair.p1, square) + \
                 fraction_inner_on_box(pair.p2, pair.p2, square)
             for k in (1, 2, 3):
-                tf = trim(pair, k)
-                box = tf.support_box()
-                assert tf.l2_norm_sq() == \
-                    fraction_inner_on_box(tf.q1, tf.q1, box) + \
-                    fraction_inner_on_box(tf.q2, tf.q2, box)
+                # the trim scales the mass by beta^2 and the pullback to
+                # the canonical square by 1/4
+                _, box, qs = _pulled_back(pair, k)
+                mass = sum(poly_inner_on_box(q, q, box) for q in qs)
+                assert mass == sum(fraction_inner_on_box(q, q, box)
+                                   for q in qs)
+                assert mass == ((1 - F(1, 1 << k)) / 2) ** 2 * \
+                    pair.l2_norm_sq()
 
 
     def test_cached_axis_tables_two_boxes(self):
         # the axis tables are cached per (a, b, count): two boxes in one
         # process each read their own
         rng = random.Random(2023)
-        boxes = [trim(solenoidal_kernel(4)[0], k).support_box()
+        boxes = [_pulled_back(solenoidal_kernel(4)[0], k)[1]
                  for k in (1, 2)] + [((F(1, 4), F(3, 4)), (F(1, 8), F(7, 8)))]
         for _ in range(3):
             for box in boxes:
@@ -433,18 +499,6 @@ class TestComposeAffine:
             assert got.is_zero() and got.N == 0
             assert const.compose_affine(*args) == const == \
                 fraction_compose_affine(const, *args)
-
-    def test_rescaled_trim_form(self):
-        # TrimmedField._rescaled composes with (s, 0, s, 0), s = 1/beta
-        for N in (2, 4, 6):
-            for pair in solenoidal_kernel(N)[:2]:
-                for k in (1, 2, 3, 4):
-                    tf = trim(pair.scale(F(-5, 7)), k)
-                    s = 1 / tf.beta
-                    assert tf.q1 == fraction_compose_affine(
-                        tf.base.p1, s, F(0), s, F(0))
-                    assert tf.q2 == fraction_compose_affine(
-                        tf.base.p2, s, F(0), s, F(0))
 
 
 class TestMollifierKernel:
@@ -575,7 +629,8 @@ class TestMollify:
     def test_point_value_against_grid_convolution(self):
         el = mollify(solenoidal_kernel(4)[0], 1, 3)
         v = mollified_value(el, F(1, 8), F(1, 4), 14)
-        nu, beta = el.n, float(el.trimmed.beta)
+        beta, q1, q2 = trimmed_form(el)
+        nu, beta = el.n, float(beta)
         g0f = float(gamma0_bounded(60))
         d = 2.0 ** -nu
         s = np.linspace(-d, d, 801)
@@ -583,7 +638,7 @@ class TestMollify:
         r = np.maximum(np.abs(Z1), np.abs(Z2)) * 2.0 ** nu
         w = np.where(r < 1, np.exp(-1.0 / np.maximum(1 - r ** 2, 1e-300)), 0.0)
         g = g0f * 4.0 ** nu * w
-        for comp, q in zip(v, (el.trimmed.q1, el.trimmed.q2)):
+        for comp, q in zip(v, (q1, q2)):
             X, Y = 0.125 - Z1, 0.25 - Z2
             val = np.zeros_like(X)
             for i in range(q.N + 1):

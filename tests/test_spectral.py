@@ -46,10 +46,6 @@ EL3 = pf.mollify(BASE.scale(F(1, 2)), 1, 2)
 BOX_HALF = ((F(1, 4), F(3, 4)), (F(1, 4), F(3, 4)))
 
 
-def _pullback(q):
-    return q.compose_affine(F(2), F(-1), F(2), F(-1))
-
-
 def _mp_eval(field, x, y):
     """Independent mpmath evaluation of a band-limited trig field."""
     fx = mp.sin if field.basis[0] == "s" else mp.cos
@@ -629,14 +625,15 @@ class TestTrigPolyField:
         # one composition x -> (2x - 1)/beta of the base gives, in exact
         # rationals, the trim's x -> x/beta followed by x -> 2x - 1
         for el in (EL, EL2, EL3):
-            trimmed = pf.trim(el.base, k)
-            for j in (1, 2):
-                assert spectral._pullback_component(trimmed, j) == \
-                    _pullback(trimmed.component(j))
+            el = pf.mollify(el.base, k, k + 1)
+            _, q1, q2 = oracles.trimmed_form(el)
+            for j, q in ((1, q1), (2, q2)):
+                assert spectral._pullback_component(el, j) == \
+                    oracles.fraction_compose_affine(q, 2, -1, 2, -1)
 
     def test_new_element_composed_once_per_component(self, monkeypatch):
-        # mollify builds no rescaled trim, and the expansion composes each
-        # base component once
+        # mollify composes nothing, and the expansion composes each base
+        # component once
         calls = []
         compose = pf.RationalPoly2.compose_affine
 
@@ -664,7 +661,7 @@ class TestTrigPolyField:
 
     def test_parseval_contains_exact_mass(self):
         for j, basis in ((1, "sc"), (2, "cs")):
-            q = _pullback(EL.trimmed.component(j))
+            q = spectral._pullback_component(EL, j)
             exact = poly_inner_on_box(q, q, BOX_HALF)
             f, tail = _defect_tail(q, basis, 24)
             sq = f.l2_sq_ball()
@@ -672,11 +669,11 @@ class TestTrigPolyField:
             assert tail < 0.05
 
     def test_tail_shrinks_with_cutoff(self):
-        q = _pullback(EL.trimmed.component(2))
+        q = spectral._pullback_component(EL, 2)
         assert _defect_tail(q, "cs", 32)[1] < _defect_tail(q, "cs", 8)[1] / 4
 
     def test_coefficient_against_grid_quadrature(self):
-        q = _pullback(EL.trimmed.component(1))
+        q = spectral._pullback_component(EL, 1)
         f = trig_poly_field(q, BOX_HALF, "sc", 4)
         xs = np.linspace(0.25, 0.75, 1501)
         qv = np.zeros((xs.size, xs.size))
@@ -991,8 +988,11 @@ class TestMollifiedFields:
         sq = f1.l2_sq_ball() + f2.l2_sq_ball()
         moll_norm = 2 * math.sqrt(max(sq.lower(), 0.0)), \
             2 * math.sqrt(sq.upper())
-        t = EL.trimmed
-        exact_trim = math.sqrt(float(t.l2_norm_sq()))
+        # the L2 norm on the big square is twice the canonical one
+        box = spectral._canonical_box(EL)
+        qs = [spectral._pullback_component(EL, j) for j in (1, 2)]
+        exact_trim = 2 * math.sqrt(float(sum(poly_inner_on_box(q, q, box)
+                                             for q in qs)))
         defect = float(pf.approximation_defect(BASE, 1, 2).upper())
         # the trimmed-vs-base part of the defect also covers trim, so use
         # a generous band
