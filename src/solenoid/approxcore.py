@@ -414,8 +414,8 @@ class ConstantsTable:
     """The analytic constants consumed by the solver layers.
 
     Only the assumed bilinear constant M is configuration (default 1), and
-    it must be positive; ``provenance`` records whether it was configured
-    or defaulted.  B1 and Ctilde = M B1 are recomputed, not stored.  The
+    it must be positive as a double ball; ``provenance`` records whether
+    it was configured or defaulted.  B1 and Ctilde = M B1 are recomputed, not stored.  The
     sup-norm embedding constant C_s depends on no configuration, so it is
     not here but `spectral.sup_constant`.
 

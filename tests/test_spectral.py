@@ -624,8 +624,8 @@ class TestTrigPolyField:
     def test_pullback_equals_two_step_composition(self, k):
         # one composition x -> (2x - 1)/beta of the base gives, in exact
         # rationals, the trim's x -> x/beta followed by x -> 2x - 1
-        for el in (EL, EL2, EL3):
-            el = pf.mollify(el.base, k, k + 1)
+        for base in (EL.base, EL2.base, EL3.base):
+            el = pf.mollify(base, k, k + 1)
             _, q1, q2 = oracles.trimmed_form(el)
             for j, q in ((1, q1), (2, q2)):
                 assert spectral._pullback_component(el, j) == \
